@@ -157,7 +157,8 @@ def _add_backend_argument(parser) -> None:
         help="simulation engine for replays: python (reference), vectorized "
         "(numpy fast path), or compiled (native kernel; optional build) — "
         "all bit-identical rows; see `list --backends`. Default: "
-        "$REPRO_BACKEND or python. See docs/backends.md",
+        "$REPRO_BACKEND, else the fastest available engine that supports "
+        "each replay's configuration. See docs/backends.md",
     )
 
 
@@ -320,6 +321,8 @@ def cmd_list(args: argparse.Namespace) -> int:
         print(f"{len(entries)} backend(s) in the registry:")
         for entry in entries:
             status = "available" if entry["available"] else "UNAVAILABLE"
+            if entry["default"]:
+                status = "default"
             print(f"  {entry['name']:<{name_width}}  {status:<11}  {entry['replay_note']}")
             if not entry["available"]:
                 print(f"  {'':<{name_width}}  reason: {entry['reason']}")
@@ -332,9 +335,10 @@ def cmd_list(args: argparse.Namespace) -> int:
                 )
                 print(f"  {'':<{name_width}}  build: {built_with}")
         print(
-            "\nselect with `--backend <name>` on run/replay/bench or "
-            "$REPRO_BACKEND; unavailable backends decline and replays fall "
-            "back to the reference engine (docs/backends.md)"
+            "\nunselected replays use the `default` engine when it supports "
+            "their configuration (faults, finite buffers and preemption run "
+            "on python); pin one with `--backend <name>` on run/replay/bench "
+            "or $REPRO_BACKEND (docs/backends.md)"
         )
         return 0
 

@@ -76,8 +76,9 @@ class ExperimentBench:
         rows: Output rows produced.
         rows_digest: Content hash of the rows (determinism fingerprint).
         repeats: Wall time of every repeat, in run order.
-        backend: Simulation backend the group ran under (``None`` = the
-            process default, i.e. the reference engine).
+        backend: Simulation backend the group was pinned to (``None`` =
+            unpinned: each replay took the fastest available engine that
+            supports its configuration).
         peak_rss_bytes: Process peak RSS observed right after the group's
             last repeat (see :func:`peak_rss_bytes` for caveats).
     """
@@ -441,9 +442,9 @@ def run_bench(
         scale: Scale preset name (``"quick"``/``"smoke"``/``"paper"``) or an
             :class:`~repro.experiments.config.ExperimentScale` instance.
         repeat: Cold runs per experiment; the best wall time is reported.
-        backend: Simulation backend for the replay legs (``None`` = the
-            process default).  Validated up front so a bad selection fails
-            before anything is measured.
+        backend: Simulation backend for the replay legs (``None`` =
+            unpinned: fastest available per replay).  Validated up front so
+            a bad selection fails before anything is measured.
         replay_path: Also measure the replay-only ``table1:replay@<name>``
             groups over shared pre-recorded schedules — one group per
             *available* registered backend (``python`` reference first,

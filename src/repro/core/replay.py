@@ -37,7 +37,7 @@ from repro.schedulers.fifo import FifoScheduler
 from repro.schedulers.lstf import LstfScheduler, PreemptiveLstfScheduler
 from repro.schedulers.omniscient import OmniscientReplayScheduler
 from repro.schedulers.priority import StaticPriorityScheduler
-from repro.sim.backend import SimBackend, register_backend, resolve_backend
+from repro.sim.backend import SimBackend, register_backend, replay_candidates
 from repro.sim.engine import Simulator
 from repro.sim.flow import DEFAULT_MSS
 from repro.sim.network import Network, SchedulerFactory
@@ -281,31 +281,37 @@ def replay_schedule(
             heuristic slack instead of recorded output times.
         backend: Engine selector — a registry name, a
             :class:`~repro.sim.backend.SimBackend` instance, or ``None``
-            (environment default, normally ``"python"``).  A backend that
-            does not support this exact configuration falls back to the
+            (``$REPRO_BACKEND`` if set, else the fastest available builtin
+            engine that supports this exact configuration; see
+            :func:`~repro.sim.backend.replay_candidates`).  A selected
+            backend that declines the configuration hands over to the
             reference python backend; results are bit-identical either way.
         faults: Optional :class:`repro.faults.FaultPlan` installed on the
             replay network (``None`` or an empty plan replays fault-free).
             Accelerated backends decline fault-bearing replays, so these
-            silently fall back to the reference engine.
+            run on the reference engine.
     """
-    engine = resolve_backend(backend)
-    if not engine.supports_replay(
-        mode,
-        default_buffer_bytes=default_buffer_bytes,
-        initializer=initializer,
-        topology=topology,
-        faults=faults,
-    ):
-        engine = resolve_backend("python")
-    return engine.replay(
-        topology,
-        schedule,
-        mode=mode,
-        default_buffer_bytes=default_buffer_bytes,
-        max_events=max_events,
-        initializer=initializer,
-        faults=faults,
+    for engine in replay_candidates(backend):
+        if engine.supports_replay(
+            mode,
+            default_buffer_bytes=default_buffer_bytes,
+            initializer=initializer,
+            topology=topology,
+            faults=faults,
+        ):
+            return engine.replay(
+                topology,
+                schedule,
+                mode=mode,
+                default_buffer_bytes=default_buffer_bytes,
+                max_events=max_events,
+                initializer=initializer,
+                faults=faults,
+            )
+    # Only a re-registered "python" that declines can get here.
+    raise RuntimeError(
+        f"no candidate backend accepts replay mode {mode!r}; the reference "
+        "backend must support every configuration"
     )
 
 
@@ -377,7 +383,9 @@ def evaluate_replay(
             = infinite, the paper's setting).
         initializer: Header initializer overriding the mode's default (see
             :func:`replay_schedule`); used by slack-policy replays.
-        backend: Engine selector forwarded to :func:`replay_schedule`.
+        backend: Engine selector forwarded to :func:`replay_schedule`
+            (``None`` = ``$REPRO_BACKEND``, else the fastest available
+            engine that supports the configuration).
         faults: Optional fault plan forwarded to :func:`replay_schedule`;
             destroyed packets surface as ``missing`` in the metrics (see
             :attr:`~repro.core.metrics.ReplayMetrics.delivered_fraction`).
@@ -466,7 +474,12 @@ def record_schedule(
         workload, sources=sources, destinations=destinations, stop_time=workload.duration
     )
     simulation.sim.run(until=None, max_events=max_events)
-    return Schedule.from_tracer(simulation.tracer)
+    schedule = Schedule.from_tracer(simulation.tracer)
+    # The built network is cyclic garbage from here on; emptying the tracer
+    # lets refcounting free the run's packets (the bulk of it) now rather
+    # than at the next full collection, which GC-paused replays push out.
+    simulation.tracer.reset()
+    return schedule
 
 
 class ReplayExperiment:

@@ -8,7 +8,7 @@ extension transliterating :func:`repro.sim.vectorized.run_flat_replay`; see
 ``_kernel.c`` for the bit-identity argument).  The backend therefore
 inherits the vectorized backend's entire contract surface: the same
 ``supports_replay`` fast path (non-preemptive key modes, infinite buffers),
-the same fallback behaviour, and the same equivalence and golden-rows gates
+the same decline behaviour, and the same equivalence and golden-rows gates
 — only :meth:`VectorizedBackend._kernel` is swapped.
 
 Availability is a *build* question, not an install question: the extension
@@ -16,8 +16,8 @@ is an optional build (``setup.py`` marks it ``optional=True``), so
 environments without a C toolchain simply never have it.
 :meth:`CompiledBackend.check_available` reports the precise reason
 (missing numpy, or the unbuilt kernel with build instructions) via
-``PipelineConfigError`` — CLI exit 2 — and ``replay_schedule`` falls back
-per the seam contract everywhere the backend is not explicitly selected.
+``PipelineConfigError`` — CLI exit 2 — when the backend is selected by
+name; unselected replays simply skip it (``replay_candidates``).
 """
 
 from __future__ import annotations

@@ -22,9 +22,10 @@ of one dynamic per-packet value (LSTF slack).  This backend exploits that:
    argument.
 
 The backend declines configurations outside the fast path — preemptive LSTF,
-finite buffers, unknown modes — and :func:`repro.core.replay.replay_schedule`
-then falls back to the ``"python"`` reference backend, so callers never see a
-behaviour difference, only a speed difference.
+finite buffers, faults, unknown modes — and
+:func:`repro.core.replay.replay_schedule` then offers the replay to its next
+candidate, ending at the ``"python"`` reference backend, so callers never see
+a behaviour difference, only a speed difference.
 
 Header initializers must be pure functions of ``(record, network)`` (every
 shipped initializer is): they are evaluated upfront here, not interleaved

@@ -35,11 +35,13 @@ schedule in memory.
 
 from __future__ import annotations
 
+import gc
 import gzip
 import io
 import json
 import os
 from dataclasses import dataclass, field
+from itertools import starmap
 from operator import attrgetter
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -85,19 +87,8 @@ class HopTiming:
         return self.start_service_time - self.arrival_time
 
     def to_list(self) -> list:
-        """Compact JSON form: ``[node, arrival, start_service, departure]``."""
+        """Compact JSON form, in field order: ``HopTiming(*hop.to_list())`` inverts it."""
         return [self.node, self.arrival_time, self.start_service_time, self.departure_time]
-
-    @classmethod
-    def from_list(cls, data: Sequence) -> "HopTiming":
-        """Inverse of :meth:`to_list`."""
-        node, arrival, start, departure = data
-        return cls(
-            node=node,
-            arrival_time=arrival,
-            start_service_time=start,
-            departure_time=departure,
-        )
 
 
 @dataclass(slots=True)
@@ -216,19 +207,31 @@ class PacketRecord:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PacketRecord":
-        """Inverse of :meth:`to_dict`."""
+        """Inverse of :meth:`to_dict`.
+
+        Positional, in field order: this is the cache-decode inner loop (one
+        call per stored packet), where keyword binding plus a Python-level
+        call per hop cost about a sixth of the decode.
+        """
+        try:
+            hops = list(starmap(HopTiming, data["hops"]))
+        except TypeError:
+            raise ValueError(
+                f"packet {data.get('packet_id')}: every hop must be "
+                "[node, arrival, start_service, departure]"
+            ) from None
         return cls(
-            packet_id=data["packet_id"],
-            flow_id=data["flow_id"],
-            src=data["src"],
-            dst=data["dst"],
-            size_bytes=data["size_bytes"],
-            ingress_time=data["ingress_time"],
-            output_time=data["output_time"],
-            path=list(data["path"]),
-            hops=[HopTiming.from_list(hop) for hop in data["hops"]],
-            flow_size_bytes=data.get("flow_size_bytes"),
-            deadline=data.get("deadline"),
+            data["packet_id"],
+            data["flow_id"],
+            data["src"],
+            data["dst"],
+            data["size_bytes"],
+            data["ingress_time"],
+            data["output_time"],
+            list(data["path"]),
+            hops,
+            data.get("flow_size_bytes"),
+            data.get("deadline"),
         )
 
 
@@ -607,7 +610,22 @@ def load_schedule(path: Union[str, "os.PathLike"]) -> Tuple[Schedule, dict]:
         ``(schedule, meta)`` where ``meta`` is the free-form metadata stored
         in the file's header line (the manifest's, for sharded schedules).
     """
-    path = os.fspath(path)
+    # Decoding builds ~15 containers per packet, none of them cyclic, while
+    # earlier schedules sit live in the caller's cache: pausing the cycle
+    # collector spares it rescanning that growing set.  Refcounting still
+    # frees everything.
+    gc_was_enabled = gc.isenabled()
+    if gc_was_enabled:
+        gc.disable()
+    try:
+        return _load_schedule(os.fspath(path))
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+
+
+def _load_schedule(path: str) -> Tuple[Schedule, dict]:
+    """:func:`load_schedule` proper; the caller holds the cycle collector paused."""
     if path.endswith(MANIFEST_SUFFIX):
         manifest = load_manifest(path)
         schedule = Schedule()

@@ -365,17 +365,18 @@ def replay_scenario(
     ``backend`` selects the simulation engine for the *replay* leg (the
     recording always runs on the reference engine — no optimized backend
     reimplements the original-scheduler zoo); it overrides the scenario's
-    own ``backend`` field, and both default to the process-wide selection
-    (``REPRO_BACKEND`` or ``"python"``).  Backends are bit-identical by
-    contract, so the choice never changes a row — only how fast it is
-    produced — which is why it stays out of every cache key.
+    own ``backend`` field, and both default to ``$REPRO_BACKEND`` if set,
+    else to the fastest available engine that supports this replay's
+    configuration (:func:`repro.sim.backend.replay_candidates`).  Backends
+    are bit-identical by contract, so the choice never changes a row — only
+    how fast it is produced — which is why it stays out of every cache key.
 
     A scenario pinned to a fault schedule (``scenario.faults``) injects the
     plan into the *replay* network only — the recording stays fault-free, so
     the question each fault row answers is "how does the candidate UPS cope
     when the network misbehaves under it?".  Accelerated backends decline
-    fault-bearing replays via ``supports_replay`` and the replay silently
-    runs on the reference engine.
+    fault-bearing replays via ``supports_replay``, so these run on the
+    reference engine.
     """
     cache = cache if cache is not None else ScheduleCache()
     topology = scenario.build_topology()

@@ -258,8 +258,8 @@ def _worker_init(
     _WORKER_CACHE = ScheduleCache(cache_dir, shard_packets=shard_packets)
     _WORKER_TIMEOUT = cell_timeout
     if backend is not None:
-        # Workers resolve the run's engine through the same process-default
-        # channel as everything else (see resolve_backend); an explicit
+        # Workers resolve the run's engine through the same process-wide
+        # channel as everything else (see replay_candidates); an explicit
         # initarg — rather than inherited environment — keeps spawn-based
         # platforms working.
         from repro.sim.backend import BACKEND_ENV_VAR
@@ -383,12 +383,15 @@ def _plan_records(
 # ---------------------------------------------------------------------- #
 @contextmanager
 def _backend_scope(backend: Optional[str]):
-    """Make ``backend`` the process-default engine for the duration of a run.
+    """Pin ``backend`` as the process-wide engine for the duration of a run.
 
     The selection travels through :data:`~repro.sim.backend.BACKEND_ENV_VAR`
-    — the same channel ``resolve_backend(None)`` consults — so every replay
-    in the run (serial cells, convenience wrappers, nested helpers) picks it
-    up without threading a parameter through each experiment definition.
+    — the channel :func:`~repro.sim.backend.replay_candidates` consults when
+    a replay names no engine — so every replay in the run (serial cells,
+    convenience wrappers, nested helpers) picks it up without threading a
+    parameter through each experiment definition.  ``None`` pins nothing:
+    each replay then takes the fastest available engine that supports its
+    configuration.
     The previous value is restored on exit, and the backend is resolved
     eagerly so an unknown name or missing optional dependency fails before
     any cell runs (``PipelineConfigError``, CLI exit 2).
@@ -492,9 +495,10 @@ def run_pipeline(
             replay initialization, for experiments that support it
             (``python -m repro run ... --slack-policy <name>``).
         backend: Simulation-engine registry name (see
-            :mod:`repro.sim.backend`) made the process default for the whole
-            run — serial cells and pool workers alike (``python -m repro run
-            ... --backend <name>``).  Validated before anything runs;
+            :mod:`repro.sim.backend`) pinned for the whole run — serial
+            cells and pool workers alike (``python -m repro run ...
+            --backend <name>``); ``None`` lets each replay take the fastest
+            available engine that supports it.  Validated before anything runs;
             backends are bit-identical by contract, so rows and cache
             entries do not depend on this choice.
         faults: Fault-schedule registry name (see :data:`repro.faults.FAULTS`)

@@ -103,7 +103,8 @@ class Scenario:
             ``slack_policy`` is ``None``.
         backend: Simulation-engine selector for this scenario's replay
             (registry name from :mod:`repro.sim.backend`); ``None`` defers
-            to the process default (``REPRO_BACKEND`` or ``"python"``).
+            to ``$REPRO_BACKEND`` if set, else to the fastest available
+            engine that supports the replay's configuration.
             Deliberately **not** part of any cache key: backends are
             bit-identical by contract, so the engine choice can never change
             a recorded schedule or a row.

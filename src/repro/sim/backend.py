@@ -54,10 +54,11 @@ See ``docs/backends.md`` for the full contract and for how to add a backend.
 
 from __future__ import annotations
 
+import functools
 import importlib
 import os
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Union
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.sim.engine import Simulator
 
@@ -68,12 +69,13 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (core imports sim)
     from repro.topology.base import Topology
 
 #: Environment variable consulted when no backend is selected explicitly.
-#: Lets CI run an unmodified test subset under another engine:
-#: ``REPRO_BACKEND=vectorized pytest tests/pipeline/test_golden_rows.py``.
+#: Lets CI run an unmodified test subset under one engine:
+#: ``REPRO_BACKEND=python pytest tests/pipeline/test_golden_rows.py``.
 BACKEND_ENV_VAR = "REPRO_BACKEND"
 
-#: The backend used when neither the caller nor the environment selects one.
-DEFAULT_BACKEND = "python"
+#: The reference engine: supports every replay configuration, so it closes
+#: every candidate list (see :func:`replay_candidates`).
+REFERENCE_BACKEND = "python"
 
 
 class SimBackend(ABC):
@@ -85,8 +87,9 @@ class SimBackend(ABC):
     and the golden-rows fixtures enforce this).
 
     Backends may decline configurations they do not implement (via
-    :meth:`supports_replay`); callers then fall back to the ``"python"``
-    reference backend, which supports everything.
+    :meth:`supports_replay`); the replay then goes to the next candidate
+    (:func:`replay_candidates`), ending at the ``"python"`` reference
+    backend, which supports everything.
     """
 
     #: Registry name (set by subclasses).
@@ -169,6 +172,9 @@ _BUILTIN_MODULES: Dict[str, str] = {
     "compiled": "repro.core.replay_compiled",
 }
 
+#: The builtin engines, fastest first; the order unselected replays try them in.
+_FASTEST_FIRST = ("compiled", "vectorized", REFERENCE_BACKEND)
+
 _REGISTRY: Dict[str, Union[SimBackend, Callable[[], SimBackend]]] = {}
 _INSTANCES: Dict[str, SimBackend] = {}
 
@@ -188,9 +194,14 @@ def _config_error(message: str) -> Exception:
 def register_backend(
     name: str, backend: Union[SimBackend, Callable[[], SimBackend]]
 ) -> None:
-    """Register a backend (instance or zero-arg factory) under ``name``."""
+    """Register a backend (instance or zero-arg factory) under ``name``.
+
+    A registered backend is opt-in by name: unselected replays only ever
+    consider the builtin engines (see :func:`replay_candidates`).
+    """
     _REGISTRY[name] = backend
     _INSTANCES.pop(name, None)
+    _builtin_candidates.cache_clear()
 
 
 def backend_names() -> List[str]:
@@ -248,12 +259,13 @@ def get_backend(name: str) -> SimBackend:
 def describe_backends() -> List[dict]:
     """Availability report for every registered backend (CLI ``list --backends``).
 
-    Returns one entry per name: ``{"name", "available", "reason",
-    "replay_note", "build"}`` — ``reason`` is the ``check_available``
-    failure message when unavailable (``None`` otherwise), ``build`` the
-    backend's build metadata when it reports any.  Never raises for an
-    unavailable backend; unknown names cannot occur (the listing *is* the
-    registry).
+    Returns one entry per name: ``{"name", "available", "default", "reason",
+    "replay_note", "build"}`` — ``default`` marks the engine an unselected
+    replay tries first (the fastest available builtin), ``reason`` is the
+    ``check_available`` failure message when unavailable (``None``
+    otherwise), ``build`` the backend's build metadata when it reports any.
+    Never raises for an unavailable backend; unknown names cannot occur (the
+    listing *is* the registry).
     """
     from repro.pipeline.scenario import PipelineConfigError
 
@@ -274,6 +286,10 @@ def describe_backends() -> List[dict]:
                 "build": backend.build_info() if reason is None else None,
             }
         )
+    available = {entry["name"] for entry in entries if entry["available"]}
+    default = next(name for name in _FASTEST_FIRST if name in available)
+    for entry in entries:
+        entry["default"] = entry["name"] == default
     return entries
 
 
@@ -305,14 +321,59 @@ def available_backend_names(mode: str = "lstf") -> List[str]:
 
 
 def resolve_backend(selector: Union[str, SimBackend, None]) -> SimBackend:
-    """Resolve a backend selector to an instance.
+    """Resolve a backend selector to one instance.
 
     ``None`` consults the :data:`BACKEND_ENV_VAR` environment variable and
-    falls back to :data:`DEFAULT_BACKEND` (``"python"``), so an unmodified
-    caller keeps the reference engine.
+    otherwise answers :data:`REFERENCE_BACKEND` (``"python"``): this function
+    sees no replay configuration, so the only engine it can name for every
+    caller is the one that supports everything.  Replays choose per
+    configuration through :func:`replay_candidates` instead.
     """
     if isinstance(selector, SimBackend):
         return selector
     if selector is None:
-        selector = os.environ.get(BACKEND_ENV_VAR) or DEFAULT_BACKEND
+        selector = os.environ.get(BACKEND_ENV_VAR) or REFERENCE_BACKEND
     return get_backend(selector)
+
+
+@functools.lru_cache(maxsize=1)
+def _builtin_candidates() -> Tuple[SimBackend, ...]:
+    """The available builtin engines, fastest first, probed once per process.
+
+    :func:`register_backend` clears the memo (a builtin may have been
+    replaced); the builtins' own import-time registrations land while this
+    probe is still running, i.e. before its result is stored.  The reference
+    engine has no dependencies, so the tuple is never empty and always ends
+    with it.
+    """
+    from repro.pipeline.scenario import PipelineConfigError
+
+    available = []
+    for name in _FASTEST_FIRST:
+        try:
+            available.append(get_backend(name))
+        except PipelineConfigError:
+            continue  # missing dependency / unbuilt extension
+    return tuple(available)
+
+
+def replay_candidates(selector: Union[str, SimBackend, None] = None) -> Tuple[SimBackend, ...]:
+    """The engines a replay is offered to, in order; the first that accepts runs it.
+
+    An explicit selector — the argument, else :data:`BACKEND_ENV_VAR` — is
+    tried alone, with the reference engine behind it for configurations it
+    declines.  No selector means the *builtin* engines fastest first
+    (``compiled``, ``vectorized``, ``python``), unavailable ones skipped:
+    a replay lands on the fastest engine whose
+    :meth:`SimBackend.supports_replay` accepts its configuration, which for
+    faults, finite buffers and preemption is the reference engine.  A
+    third-party registration is never in the unselected list — it runs only
+    when named.
+
+    Raises:
+        PipelineConfigError: an explicitly selected backend is unknown or
+            unavailable (same errors as :func:`get_backend`).
+    """
+    if selector is None and not os.environ.get(BACKEND_ENV_VAR):
+        return _builtin_candidates()
+    return (resolve_backend(selector), get_backend(REFERENCE_BACKEND))

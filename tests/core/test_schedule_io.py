@@ -1,5 +1,6 @@
 """Schedule persistence: the JSON-lines round-trip must be lossless."""
 
+import gc
 import json
 
 import pytest
@@ -12,8 +13,10 @@ from repro.core.schedule import (
     HopTiming,
     PacketRecord,
     Schedule,
+    iter_schedule_records,
     load_schedule,
     save_schedule,
+    save_schedule_sharded,
 )
 from repro.pipeline.experiment import record_scenario_schedule
 from repro.pipeline.scenario import Scenario
@@ -88,6 +91,11 @@ class TestRoundTripProperty:
             # Dataclass equality covers every field, including the full hop
             # vector with exact float values.
             assert copy == record
+            # from_dict constructs positionally; the strategy builds by
+            # keyword (None start/departure hops included), so equality
+            # pins the positional order field for field.
+            assert PacketRecord.from_dict(record.to_dict()) == record
+            assert PacketRecord.from_dict(json.loads(json.dumps(record.to_dict()))) == record
 
     @settings(max_examples=15, deadline=None)
     @given(schedule=schedules())
@@ -153,12 +161,75 @@ class TestFileFormat:
         with pytest.raises(ValueError, match="truncated"):
             load_schedule(path)
 
+    @pytest.mark.parametrize("hop", [["a", 0.0, 0.0], ["a", 0.0, 0.0, 0.1, 0.2], None])
+    def test_malformed_hop_rows_are_value_errors(self, hop):
+        data = PacketRecord(1, 0, "a", "b", 100.0, 0.0, 1.0, ["a", "b"]).to_dict()
+        data["hops"] = [hop]
+        with pytest.raises(ValueError, match="packet 1: every hop must be"):
+            PacketRecord.from_dict(data)
+
     def test_header_carries_format_tag(self, tmp_path):
         path = tmp_path / "s.jsonl"
         save_schedule(path, Schedule())
         header = json.loads(path.read_text().splitlines()[0])
         assert header["format"] == SCHEDULE_FORMAT
         assert header["packets"] == 0
+
+
+# --------------------------------------------------------------------- #
+# load_schedule pauses the cycle collector and must hand it back as found
+# --------------------------------------------------------------------- #
+class TestLoadLeavesGcAsFound:
+    @pytest.fixture(params=[True, False], ids=["gc-on", "gc-off"])
+    def gc_state(self, request):
+        was_enabled = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if was_enabled else gc.disable)()
+
+    @pytest.fixture
+    def schedule(self):
+        return Schedule(
+            PacketRecord(i, 0, "a", "b", 100.0, float(i), i + 1.0, ["a", "b"])
+            for i in range(5)
+        )
+
+    def test_on_success(self, gc_state, schedule, tmp_path):
+        save_schedule(tmp_path / "s.jsonl.gz", schedule)
+        loaded, _ = load_schedule(tmp_path / "s.jsonl.gz")
+        assert gc.isenabled() is gc_state
+        assert loaded.records() == schedule.records()
+
+    def test_on_sharded_manifest(self, gc_state, schedule, tmp_path):
+        manifest = tmp_path / "s.manifest.json"
+        assert len(save_schedule_sharded(manifest, schedule, shard_packets=2)) == 3
+        loaded, _ = load_schedule(manifest)
+        assert gc.isenabled() is gc_state
+        assert loaded.records() == schedule.records()
+
+    def test_on_truncated_file(self, gc_state, schedule, tmp_path):
+        path = tmp_path / "s.jsonl"
+        save_schedule(path, schedule)
+        path.write_text("\n".join(path.read_text().splitlines()[:-1]) + "\n")
+        with pytest.raises(ValueError, match="truncated"):
+            load_schedule(path)
+        assert gc.isenabled() is gc_state
+
+    def test_on_duplicate_packet_id(self, gc_state, schedule, tmp_path):
+        path = tmp_path / "s.jsonl"
+        save_schedule(path, schedule)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines + lines[-1:]) + "\n")
+        with pytest.raises(ValueError, match="duplicate packet id 4"):
+            load_schedule(path)
+        assert gc.isenabled() is gc_state
+
+    def test_record_cursor_never_toggles_the_collector(self, gc_state, schedule, tmp_path):
+        # A generator that disabled GC would leave it off between yields —
+        # i.e. in the caller's code — and forever if abandoned mid-stream.
+        save_schedule(tmp_path / "s.jsonl", schedule)
+        for _ in iter_schedule_records(tmp_path / "s.jsonl"):
+            assert gc.isenabled() is gc_state
 
 
 # --------------------------------------------------------------------- #

@@ -42,13 +42,16 @@ def unbuilt_kernel(monkeypatch):
     monkeypatch.setattr(
         compiled_mod, "_IMPORT_ERROR", "No module named 'repro.sim._kernel'"
     )
-    # get_backend caches available instances; drop any cached compiled
-    # backend so availability is re-evaluated under the patched state.
+    # get_backend caches available instances and replay_candidates the
+    # probed builtin list; drop both so availability is re-evaluated under
+    # the patched state.
     from repro.sim import backend as backend_mod
 
     monkeypatch.delitem(backend_mod._INSTANCES, "compiled", raising=False)
+    backend_mod._builtin_candidates.cache_clear()
     yield
     backend_mod._INSTANCES.pop("compiled", None)
+    backend_mod._builtin_candidates.cache_clear()
 
 
 @pytest.fixture(scope="module")
