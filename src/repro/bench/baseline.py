@@ -72,25 +72,19 @@ def _replay_path_gap_note(backend_name: str, ratio: float) -> str:
     if backend_name == "compiled":
         return (
             f"at {ratio:.2f}x of the {REPLAY_PATH_TARGET_SPEEDUP:.0f}x target: "
-            "the event loop itself is native (repro.sim._kernel), so the "
-            "remaining wall time is Python-side orchestration — the numpy "
-            "flatten/header precompute before the loop and, dominantly, the "
-            "bulk HopTiming/PacketRecord rebuild of the replayed Schedule "
-            "after it. Pushing further means building the output rows in C "
-            "or keeping replayed schedules in flat-array form end-to-end "
-            "(the scale-tier streaming-metrics direction in ROADMAP.md)."
+            "the event loop itself is native (repro.sim._kernel) and its "
+            "output arrays are wrapped as the replayed schedule's columns, "
+            "so what remains is the numpy flatten/header precompute before "
+            "the loop and the list<->C conversion around it."
         )
     return (
-        f"below the {REPLAY_PATH_TARGET_SPEEDUP:.0f}x target: profiling "
-        "shows Python-side dispatch dominates the remaining wall time — "
-        "per-event heap pops, scheduler-key tuple comparisons, and "
-        "HopTiming/PacketRecord reconstruction of the replayed schedule "
-        "all run in the interpreter; the vectorized backend batches the "
-        "per-hop float math (numpy) but event ordering is inherently "
-        "sequential, so order-equivalent per-port heaps replace the "
-        "issue's numpy.lexsort sketch. The compiled backend removes the "
-        "interpreter from the loop entirely. Acceptance falls back to the "
-        f"{REPLAY_PATH_FLOOR_SPEEDUP:.0f}x floor."
+        f"below the {REPLAY_PATH_TARGET_SPEEDUP:.0f}x target: Python-side "
+        "dispatch dominates the remaining wall time — per-event heap pops "
+        "and scheduler-key tuple comparisons run in the interpreter; the "
+        "vectorized backend batches the per-hop float math (numpy) but "
+        "event ordering is inherently sequential. The compiled backend "
+        "removes the interpreter from the loop entirely. Acceptance falls "
+        f"back to the {REPLAY_PATH_FLOOR_SPEEDUP:.0f}x floor."
     )
 
 

@@ -25,7 +25,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List
+from functools import reduce
+from operator import add, sub
+from typing import Dict, Iterable, List, Optional
 
 from repro.core.schedule import PacketRecord, Schedule
 from repro.utils.stats import QuantileSketch
@@ -159,55 +161,42 @@ def compare_schedules(
         tolerance: Numerical slop below which a late exit is not counted as
             overdue (floating-point guard, default 1 ns).
     """
-    metrics = ReplayMetrics(threshold=threshold)
-    lateness_total = 0.0
-    # Deadlines are *flow*-completion targets: a flow meets its deadline only
-    # if its last packet does, so deadline accounting aggregates per flow id
-    # as [deadline, last original output, last replay output, any missing].
-    deadline_flows: Dict[int, List[float]] = {}
-
-    for record in original:
-        metrics.total_packets += 1
-        replayed = replay.get(record.packet_id)
-        if record.deadline is not None:
-            entry = deadline_flows.setdefault(
-                record.flow_id, [record.deadline, -math.inf, -math.inf, False]
-            )
-            entry[1] = max(entry[1], record.output_time)
-            if replayed is None:
-                entry[3] = True
-            else:
-                entry[2] = max(entry[2], replayed.output_time)
-        if replayed is None:
-            metrics.missing_packets += 1
-            metrics.overdue_count += 1
-            metrics.overdue_beyond_threshold_count += 1
+    # Folds the columns, in the original's canonical order, exactly as
+    # streaming ``original.records()`` through the accumulator would: a fresh
+    # recording and its cache-loaded twin compare equal to the bit.
+    source = original.columns()
+    replay_output = replay.columns().output_time
+    rows = replay.rows_of(source.packet_id)
+    overdue = [late for late in lateness_distribution(original, replay) if late > tolerance]
+    fold = StreamingReplayComparison(replay, threshold, tolerance)
+    fold.total_packets = len(rows)
+    fold.missing_packets = rows.count(None)
+    fold.overdue_count = len(overdue) + fold.missing_packets
+    fold.overdue_beyond_threshold_count = (
+        sum(late > threshold for late in overdue) + fold.missing_packets
+    )
+    fold.lateness_total = reduce(add, overdue, 0.0)
+    fold.max_lateness = max([0.0, *overdue])
+    for deadline, flow_id, output, row in zip(
+        source.deadline, source.flow_id, source.output_time, rows
+    ):
+        if deadline is None:
             continue
-        lateness = replayed.output_time - record.output_time
-        if lateness > tolerance:
-            metrics.overdue_count += 1
-            if lateness > threshold:
-                metrics.overdue_beyond_threshold_count += 1
-            lateness_total += lateness
-            metrics.max_lateness = max(metrics.max_lateness, lateness)
-
-        original_queueing = record.total_queueing_delay
-        if original_queueing > 0:
-            metrics.queueing_delay_ratios.append(
-                replayed.total_queueing_delay / original_queueing
-            )
-
-    for deadline, original_last, replay_last, missing in deadline_flows.values():
-        metrics.deadline_total += 1
-        if original_last <= deadline + tolerance:
-            metrics.deadline_met_original += 1
-        if not missing:
-            metrics.deadline_flows_delivered += 1
-            if replay_last <= deadline + tolerance:
-                metrics.deadline_met_replay += 1
-
-    if metrics.total_packets:
-        metrics.mean_lateness = lateness_total / metrics.total_packets
+        entry = fold._deadline_flows.setdefault(
+            flow_id, [deadline, -math.inf, -math.inf, False]
+        )
+        entry[1] = max(entry[1], output)
+        if row is None:
+            entry[3] = True
+        else:
+            entry[2] = max(entry[2], replay_output[row])
+    metrics = fold.finalize()
+    replay_queueing = replay.queueing_delays()
+    metrics.queueing_delay_ratios = [
+        replay_queueing[row] / queueing
+        for row, queueing in zip(rows, original.queueing_delays())
+        if row is not None and queueing > 0
+    ]
     return metrics
 
 
@@ -259,19 +248,17 @@ def schedule_statistics(schedule: Schedule, tolerance: float = 1e-9) -> Schedule
     """
     from repro.utils.stats import percentile
 
-    stats = ScheduleStatistics()
-    delays: List[float] = []
+    # Columns are in canonical (ingress time, packet id) order however the
+    # schedule was built: float summation is order-sensitive, and the mean
+    # must be bit-identical for a fresh recording and its cache-loaded twin.
+    cols = schedule.columns()
+    delays = list(map(sub, cols.output_time, cols.ingress_time))
+    stats = ScheduleStatistics(packets=len(delays))
     deadline_flows: Dict[int, List[float]] = {}
-    # Iterate in canonical (ingress time, packet id) order, not insertion
-    # order: float summation is order-sensitive, and a schedule loaded from
-    # the cache is inserted in sorted order while a freshly recorded one is
-    # inserted in delivery order — the mean must be bit-identical either way.
-    for record in schedule.records():
-        stats.packets += 1
-        delays.append(record.network_delay)
-        if record.deadline is not None:
-            entry = deadline_flows.setdefault(record.flow_id, [record.deadline, -math.inf])
-            entry[1] = max(entry[1], record.output_time)
+    for deadline, flow_id, output in zip(cols.deadline, cols.flow_id, cols.output_time):
+        if deadline is not None:
+            entry = deadline_flows.setdefault(flow_id, [deadline, -math.inf])
+            entry[1] = max(entry[1], output)
     if delays:
         stats.mean_delay = sum(delays) / len(delays)
         stats.p99_delay = percentile(delays, 99)
@@ -294,12 +281,13 @@ def lateness_distribution(
     original: Schedule, replay: Schedule
 ) -> List[float]:
     """Per-packet lateness ``o'(p) - o(p)`` for every packet present in both runs."""
-    lateness: List[float] = []
-    for record in original:
-        replayed = replay.get(record.packet_id)
-        if replayed is not None:
-            lateness.append(replayed.output_time - record.output_time)
-    return lateness
+    source = original.columns()
+    replay_output = replay.columns().output_time
+    return [
+        replay_output[row] - output
+        for row, output in zip(replay.rows_of(source.packet_id), source.output_time)
+        if row is not None
+    ]
 
 
 # ---------------------------------------------------------------------- #
@@ -474,26 +462,29 @@ class StreamingReplayComparison:
         # flow id -> [deadline, last original output, last replay output,
         # any-packet-missing flag]; same aggregation as compare_schedules.
         self._deadline_flows: Dict[int, List[float]] = {}
+        # The replay side is read off its columns; its queueing delays on first use.
+        self._replay_queueing: Optional[List[float]] = None
 
     def add(self, record: PacketRecord) -> None:
         """Fold one *original* record, matching it against the replay."""
         self.total_packets += 1
-        replayed = self.replay.get(record.packet_id)
+        (row,) = self.replay.rows_of((record.packet_id,))
+        replay_output = None if row is None else self.replay.columns().output_time[row]
         if record.deadline is not None:
             entry = self._deadline_flows.setdefault(
                 record.flow_id, [record.deadline, -math.inf, -math.inf, False]
             )
             entry[1] = max(entry[1], record.output_time)
-            if replayed is None:
+            if row is None:
                 entry[3] = True
             else:
-                entry[2] = max(entry[2], replayed.output_time)
-        if replayed is None:
+                entry[2] = max(entry[2], replay_output)
+        if row is None:
             self.missing_packets += 1
             self.overdue_count += 1
             self.overdue_beyond_threshold_count += 1
             return
-        lateness = replayed.output_time - record.output_time
+        lateness = replay_output - record.output_time
         if lateness > self.tolerance:
             self.overdue_count += 1
             if lateness > self.threshold:
@@ -502,7 +493,9 @@ class StreamingReplayComparison:
             self.max_lateness = max(self.max_lateness, lateness)
         original_queueing = record.total_queueing_delay
         if original_queueing > 0:
-            self.ratios.add(replayed.total_queueing_delay / original_queueing)
+            if self._replay_queueing is None:
+                self._replay_queueing = self.replay.queueing_delays()
+            self.ratios.add(self._replay_queueing[row] / original_queueing)
 
     def extend(self, records: Iterable[PacketRecord]) -> None:
         """Fold many original records (e.g. one shard's cursor)."""

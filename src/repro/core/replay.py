@@ -128,20 +128,28 @@ class ReplayInjector:
             self.sim.schedule_at_front(records[index].ingress_time, self._advance)
 
     def _inject(self, record: PacketRecord) -> None:
-        packet = Packet(
-            flow_id=record.flow_id,
-            src=record.src,
-            dst=record.dst,
-            size_bytes=record.size_bytes,
-            ptype=PacketType.DATA,
-            route=list(record.path),
-            replay_of=record.packet_id,
-        )
-        packet.header.flow_size_bytes = record.flow_size_bytes
-        packet.flow_deadline = record.deadline
-        self.initializer.initialize(packet, record, self.network)
+        packet = replay_packet(record, self.initializer, self.network)
         self.network.host(record.src).send(packet)
         self.injected += 1
+
+
+def replay_packet(
+    record: PacketRecord, initializer: ReplayInitializer, network: Network
+) -> Packet:
+    """The packet a replay injects for ``record``, header initialized."""
+    packet = Packet(
+        flow_id=record.flow_id,
+        src=record.src,
+        dst=record.dst,
+        size_bytes=record.size_bytes,
+        ptype=PacketType.DATA,
+        route=list(record.path),
+        replay_of=record.packet_id,
+    )
+    packet.header.flow_size_bytes = record.flow_size_bytes
+    packet.flow_deadline = record.deadline
+    initializer.initialize(packet, record, network)
+    return packet
 
 
 @dataclass
@@ -240,9 +248,9 @@ class PythonBackend(SimBackend):
         injector.install()
         if faults is not None and not faults.is_empty():
             # The fault horizon is the span traffic actually enters over:
-            # the last recorded ingress time (records are ingress-sorted).
-            records = schedule.records()
-            horizon = records[-1].ingress_time if records else 0.0
+            # the last recorded ingress time (columns are ingress-sorted).
+            ingress = schedule.columns().ingress_time
+            horizon = ingress[-1] if ingress else 0.0
             network.install_faults(faults, horizon=horizon if horizon > 0.0 else 1.0)
         # Without faults there are no feedback loops and no drops, and with
         # them destroyed packets simply never reach their sink: either way

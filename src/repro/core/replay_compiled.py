@@ -1,11 +1,12 @@
 """The ``"compiled"`` replay backend: the flat kernel as native code.
 
 Same orchestration as the ``"vectorized"`` backend — numpy batch precompute
-of every per-hop float (exact ``bytes * 8 / bw`` forms), cached flattening,
-bulk schedule rebuild — but the inner event loop runs in the compiled
-kernel extension (:mod:`repro.sim._kernel`, a hand-written CPython C
-extension transliterating :func:`repro.sim.vectorized.run_flat_replay`; see
-``_kernel.c`` for the bit-identity argument).  The backend therefore
+of every per-hop float (exact ``bytes * 8 / bw`` forms) from the schedule's
+columns, output arrays wrapped as the replayed schedule's columns — but the
+inner event loop runs in the compiled kernel extension
+(:mod:`repro.sim._kernel`, a hand-written CPython C extension transliterating
+:func:`repro.sim.vectorized.run_flat_replay`; see ``_kernel.c`` for the
+bit-identity argument).  The backend therefore
 inherits the vectorized backend's entire contract surface: the same
 ``supports_replay`` fast path (non-preemptive key modes, infinite buffers),
 the same decline behaviour, and the same equivalence and golden-rows gates
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.core.replay_vectorized import VectorizedBackend
+from repro.core.replay_vectorized import VectorizedBackend, _config_error
 from repro.core.slack import ReplayInitializer
 from repro.sim.backend import register_backend
 from repro.sim.compiled import (
@@ -34,12 +35,6 @@ from repro.sim.compiled import (
     unavailable_reason,
 )
 from repro.topology.base import Topology
-
-
-def _config_error(message: str) -> Exception:
-    from repro.pipeline.scenario import PipelineConfigError
-
-    return PipelineConfigError(message)
 
 
 class CompiledBackend(VectorizedBackend):

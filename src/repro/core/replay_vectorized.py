@@ -7,19 +7,17 @@ and everything a replay needs is known before the first event fires:
 are either static per hop (EDF, priority, omniscient) or an affine function
 of one dynamic per-packet value (LSTF slack).  This backend exploits that:
 
-1. **Setup** (here): build the network once (for link parameters and
-   routing-independent checks), flatten every packet-hop into arrays, and
-   compute per-hop transmission times vectorized in the exact
-   ``bytes * 8 / bw`` float form so every derived timestamp is bit-identical
-   to the OO engine's.  The shipped header initializers have exact batch
-   equivalents (same float expressions, same fold order for ``tmin``);
-   an unrecognized initializer falls back to running the real initializer
-   on real :class:`Packet` objects, so custom/slack-policy initializers
-   behave exactly as on the python backend.
+1. **Setup** (here): read the schedule's columns (no record object is
+   built), expand each distinct route into per-hop arrays, and compute
+   per-hop transmission times vectorized in the exact ``bytes * 8 / bw``
+   float form so every derived timestamp is bit-identical to the OO
+   engine's.  The shipped header initializers have exact batch equivalents
+   (same float expressions, same fold order for ``tmin``); any other runs
+   for real on :class:`Packet` objects, exactly as on the python backend.
 2. **Run** (:func:`repro.sim.vectorized.run_flat_replay`): a flat event loop
    over those arrays that mirrors the OO engine's event choreography
-   tuple-for-tuple; see that module's docstring for the determinism
-   argument.
+   tuple-for-tuple (see that module's docstring); its output arrays become
+   the replayed schedule's columns as they are.
 
 The backend declines configurations outside the fast path — preemptive LSTF,
 finite buffers, faults, unknown modes — and
@@ -39,11 +37,10 @@ moment the backend is explicitly selected.
 
 from __future__ import annotations
 
-import gc
 import math
-import weakref
 from functools import reduce as _reduce
-from operator import add as _add
+from itertools import chain
+from operator import add as _add, itemgetter
 from typing import Dict, List, Optional, Tuple
 
 try:  # pragma: no cover - exercised only on numpy-less installs
@@ -51,8 +48,8 @@ try:  # pragma: no cover - exercised only on numpy-less installs
 except ImportError:  # pragma: no cover
     _np = None
 
-from repro.core.replay import replay_initializer, replay_scheduler_factory
-from repro.core.schedule import HopTiming, PacketRecord, Schedule
+from repro.core.replay import replay_initializer, replay_packet, replay_scheduler_factory
+from repro.core.schedule import Schedule, paused_gc
 from repro.core.slack import (
     BlackBoxSlackInitializer,
     DeadlineSlackInitializer,
@@ -64,7 +61,6 @@ from repro.core.slack import (
 )
 from repro.sim.backend import SimBackend, register_backend
 from repro.sim.engine import Simulator
-from repro.sim.packet import Packet, PacketType
 from repro.sim.tracer import Tracer
 from repro.sim.vectorized import run_flat_replay
 from repro.topology.base import Topology
@@ -76,27 +72,19 @@ def _config_error(message: str) -> Exception:
     return PipelineConfigError(message)
 
 
-#: Per-schedule flattening cache.  The flat view below depends only on the
-#: schedule's records and the topology's link parameters — not on the replay
-#: mode or initializer — and the pipeline's whole shape is record once,
-#: replay many (one recorded schedule drives every candidate mode and
-#: replicate), so the flattening is reused across replays of the same
-#: schedule.  Keys are weak: a dropped schedule drops its arrays.  Entries
-#: are validated against ``Schedule._version`` (bumped on every ``add``) and
-#: the freshly derived link parameters, so a hit is exact, never heuristic.
-_FLATTEN_CACHE: "weakref.WeakKeyDictionary[Schedule, tuple]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
 def _flatten(topology: Topology, schedule: Schedule) -> tuple:
-    """Mode-independent flat view of ``(topology, schedule)``.
+    """Topology-dependent flat arrays of ``(topology, schedule)``.
 
-    Returns ``(records, ingress, off, hop_pkt, hop_port, hop_tx, hop_prop,
-    hop_sum, num_ports)``; see :meth:`VectorizedBackend.replay` for the
-    meaning of each array.  All returned arrays are treated as read-only by
-    the callers (the kernel writes only into per-call output arrays), which
-    is what makes caching them sound.
+    Returns ``(off, hop_pkt, hop_port, hop_node, hop_tx, hop_prop, hop_sum,
+    num_ports)``: per-packet offsets into the per-hop arrays (one hop per
+    link of the packet's path), and per hop the owning packet row, directed
+    port id, transmitting node, transmission delay, propagation delay and
+    their sum — derived from the ``path`` / ``size_bytes`` columns one
+    *route* at a time (flow-structured traffic repeats a few dozen routes).
+    Being mode-independent, they stay on the schedule (``schedule.derived``,
+    keyed by the link parameters) for its next replay — record once, replay
+    many — and are read-only to every caller (the kernel writes only into
+    per-call output arrays), which is what makes sharing them sound.
     """
     np = _np
     # ---- link parameters straight from the declarative specs ----
@@ -111,86 +99,47 @@ def _flatten(topology: Topology, schedule: Schedule) -> tuple:
         link_params[(spec.a, spec.b)] = params
         link_params[(spec.b, spec.a)] = params
 
-    cached = _FLATTEN_CACHE.get(schedule)
-    if cached is not None:
-        version, count, params, flat = cached
-        if (
-            version == schedule._version
-            and count == len(schedule)
-            and params == link_params
-        ):
-            return flat
+    cols = schedule.columns()
+    if schedule.derived is not None and schedule.derived[0] == link_params:
+        return schedule.derived[1]
 
-    records = schedule.records()
+    # ---- one port-id list per distinct route (a port per directed link) ----
+    ports = {hop: pid for pid, hop in enumerate(link_params)}
+    try:
+        route_pids = {
+            route: [ports[hop] for hop in zip(route, route[1:])]
+            for route in dict.fromkeys(cols.path)
+        }
+    except KeyError as missing:
+        hop = missing.args[0]
+        packet_id = next(
+            i for i, route in zip(cols.packet_id, cols.path) if hop in zip(route, route[1:])
+        )
+        raise ValueError(
+            f"replayed path of packet {packet_id} crosses {hop[0]!r}->{hop[1]!r}, "
+            f"which is not a link of topology {topology.name!r}"
+        ) from None
 
-    # ---- flatten packet-hops: ports, delays (vectorized), offsets ----
-    # Replay traffic is flow-structured, so routes repeat heavily; the
-    # per-route port-id cache turns per-hop dict/link lookups into one
-    # tuple lookup per packet.
-    port_ids: Dict[Tuple[str, str], int] = {}
-    route_pids: Dict[Tuple[str, ...], List[int]] = {}
-    bandwidths: List[float] = []
-    propagations: List[float] = []
-    hop_pkt: List[int] = []
-    hop_port: List[int] = []
-    off: List[int] = [0]
-    total = 0
-    for j, record in enumerate(records):
-        route_key = tuple(record.path)
-        pids = route_pids.get(route_key)
-        if pids is None:
-            pids = []
-            for k in range(len(route_key) - 1):
-                hop = (route_key[k], route_key[k + 1])
-                pid = port_ids.get(hop)
-                if pid is None:
-                    try:
-                        bw, prop = link_params[hop]
-                    except KeyError:
-                        raise ValueError(
-                            f"replayed path of packet {record.packet_id} "
-                            f"crosses {hop[0]!r}->{hop[1]!r}, which is not "
-                            f"a link of topology {topology.name!r}"
-                        ) from None
-                    pid = len(bandwidths)
-                    port_ids[hop] = pid
-                    bandwidths.append(bw)
-                    propagations.append(prop)
-                pids.append(pid)
-            route_pids[route_key] = pids
-        hop_port.extend(pids)
-        hop_pkt.extend([j] * len(pids))
-        total += len(pids)
-        off.append(total)
-
-    sizes = np.array([r.size_bytes for r in records], dtype=np.float64)
+    # ---- per-hop arrays: routes expanded per packet, delays vectorized ----
+    packet_pids = list(map(route_pids.__getitem__, cols.path))
+    hop_port = list(chain.from_iterable(packet_pids))
+    hop_node = list(chain.from_iterable(map(itemgetter(slice(None, -1)), cols.path)))
+    counts = np.fromiter(map(len, packet_pids), dtype=np.intp, count=len(packet_pids))
+    off = [0] + np.cumsum(counts).tolist()
+    hop_pkt = np.repeat(np.arange(len(counts)), counts).tolist()
+    sizes = np.array(cols.size_bytes, dtype=np.float64)
     hop_port_arr = np.array(hop_port, dtype=np.intp)
-    counts = np.diff(np.array(off, dtype=np.intp))
-    bw_arr = np.array(bandwidths, dtype=np.float64)
-    prop_arr = np.array(propagations, dtype=np.float64)
+    bw_arr, prop_arr = np.array(list(link_params.values()), dtype=np.float64).T
     # Exactly Link.transmission_delay: ``size_bytes * 8 / bandwidth_bps``
     # (IEEE-754 doubles either way, so the batch form is bit-identical).
     hop_tx_arr = (np.repeat(sizes, counts) * 8) / bw_arr[hop_port_arr]
-    hop_tx = hop_tx_arr.tolist()
     hop_prop_arr = prop_arr[hop_port_arr]
-    hop_prop = hop_prop_arr.tolist()
     # Per-hop (tx + prop): elementwise, so each sum is the same float the
     # OO code computes; folds downstream then add them in the same order.
     hop_sum = (hop_tx_arr + hop_prop_arr).tolist()
-    ingress = [r.ingress_time for r in records]
-
-    flat = (
-        records,
-        ingress,
-        off,
-        hop_pkt,
-        hop_port,
-        hop_tx,
-        hop_prop,
-        hop_sum,
-        len(bandwidths),
-    )
-    _FLATTEN_CACHE[schedule] = (schedule._version, len(schedule), link_params, flat)
+    hop_tx, hop_prop = hop_tx_arr.tolist(), hop_prop_arr.tolist()
+    flat = (off, hop_pkt, hop_port, hop_node, hop_tx, hop_prop, hop_sum, len(ports))
+    schedule.derived = (link_params, flat)
     return flat
 
 
@@ -212,8 +161,8 @@ class VectorizedBackend(SimBackend):
         """The flat event loop this backend drives.
 
         The seam the ``"compiled"`` backend overrides: everything else —
-        flattening, batch header initialization, schedule rebuild — is
-        shared orchestration, so a backend swaps engines by swapping this
+        flattening, batch header initialization, wrapping the output arrays
+        as the replayed schedule — is shared orchestration, so a backend swaps engines by swapping this
         one call (:mod:`repro.core.replay_compiled`).
         """
         return run_flat_replay(*args, **kwargs)
@@ -277,49 +226,31 @@ class VectorizedBackend(SimBackend):
             initializer = replay_initializer(mode)
         if not len(schedule):
             return Schedule()
-        (
-            records,
-            ingress,
-            off,
-            hop_pkt,
-            hop_port,
-            hop_tx,
-            hop_prop,
-            hop_sum,
-            num_ports,
-        ) = _flatten(topology, schedule)
-        n = len(records)
+        off, hop_pkt, hop_port, hop_node, hop_tx, hop_prop, hop_sum, num_ports = _flatten(
+            topology, schedule
+        )
 
         # ---- header initialization -> per-mode scheduler keys ----
         slack, priority, deadline, vectors = _initialize_headers(
-            initializer, records, topology, mode, off, hop_sum
+            initializer, schedule, topology, mode, off, hop_sum
         )
+        # lstf keys are dynamic, computed in the loop from ``slack``; the
+        # other modes hand the kernel static per-hop keys instead.
         hop_key: Optional[List[float]] = None
-        if mode == "lstf":
-            pass  # dynamic keys, computed in the loop from ``slack``
-        elif mode == "priority":
-            slack = None
+        if mode == "priority":
             hop_key = [priority[j] for j in hop_pkt]
         elif mode == "omniscient":
-            slack = None
             hop_key = []
-            for j in range(n):
-                vector = vectors[j]
-                hops = off[j + 1] - off[j]
+            for vector, first, last in zip(vectors, off, off[1:]):
                 # One vector entry is consumed per enqueue, i.e. per hop in
                 # path order; hops beyond the vector key at +inf.
-                if len(vector) >= hops:
-                    hop_key.extend(vector[:hops])
-                else:
-                    hop_key.extend(vector)
-                    hop_key.extend([math.inf] * (hops - len(vector)))
-        else:  # edf
-            slack = None
+                hops = last - first
+                hop_key.extend(vector[:hops])
+                hop_key.extend([math.inf] * (hops - len(vector)))
+        elif mode == "edf":
             hop_key = []
-            for j in range(n):
-                base = off[j]
-                hops = off[j + 1] - base
-                target = deadline[j]
+            for target, base, last in zip(deadline, off, off[1:]):
+                hops = last - base
                 if target == math.inf:
                     hop_key.extend([math.inf] * hops)
                     continue
@@ -332,17 +263,14 @@ class VectorizedBackend(SimBackend):
                     # EdfScheduler.key: deadline - tmin_remaining + tx.
                     hop_key.append(target - tmin_remaining + hop_tx[base + k])
 
-        # ---- run + rebuild the schedule keyed by original packet ids ----
-        # The loop and the rebuild allocate hundreds of thousands of
-        # non-cyclic objects (heap tuples, HopTiming, PacketRecord); pausing
-        # the cycle collector around them avoids repeated gen-0 scans of an
-        # ever-growing live set.  Refcounting still frees everything.
-        gc_was_enabled = gc.isenabled()
-        if gc_was_enabled:
-            gc.disable()
-        try:
+        if hop_key is not None:
+            slack = None
+
+        # ---- run; the result wraps the kernel's output arrays as columns ----
+        # The loop allocates hundreds of thousands of heap tuples and floats.
+        with paused_gc():
             arr, start, dep, egress, executed = self._kernel(
-                ingress,
+                schedule.columns().ingress_time,
                 off,
                 hop_pkt,
                 hop_port,
@@ -353,50 +281,20 @@ class VectorizedBackend(SimBackend):
                 hop_key,
                 max_events=max_events,
             )
-            Simulator.events_executed_total += executed
-
-            replayed = Schedule()
-            add = replayed._records.__setitem__  # ids unique per records()
-            make_hop = HopTiming
-            make_record = PacketRecord
-            for j, record in enumerate(records):
-                out_time = egress[j]
-                if out_time is None:  # still in flight when max_events hit
-                    continue
-                path = record.path
-                base = off[j]
-                end = off[j + 1]
-                # map() stops at the shortest iterable: the slices carry one
-                # entry per transit node, so the destination (path[-1]) is
-                # naturally excluded.
-                hops = list(
-                    map(make_hop, path, arr[base:end], start[base:end], dep[base:end])
-                )
-                add(
-                    record.packet_id,
-                    make_record(
-                        record.packet_id,
-                        record.flow_id,
-                        record.src,
-                        record.dst,
-                        record.size_bytes,
-                        ingress[j],
-                        out_time,
-                        list(path),
-                        hops,
-                        record.flow_size_bytes,
-                        record.deadline,
-                    ),
-                )
-        finally:
-            if gc_was_enabled:
-                gc.enable()
-        return replayed
+        Simulator.events_executed_total += executed
+        return schedule.with_timings(
+            output_time=egress,
+            hop_offset=off,
+            hop_node=hop_node,
+            hop_arrival=arr,
+            hop_start_service=start,
+            hop_departure=dep,
+        )
 
 
 def _initialize_headers(
     initializer: ReplayInitializer,
-    records,
+    schedule: Schedule,
     topology: Topology,
     mode: str,
     off: List[int],
@@ -404,44 +302,50 @@ def _initialize_headers(
 ):
     """Per-packet header state (slack, priority, deadline, hop vectors).
 
-    The shipped initializers are evaluated in batch with the exact float
-    expressions of their ``initialize`` methods (``None`` encoded as
-    ``math.inf``, which keys and decrements identically).  Any other
-    initializer runs for real, on real packets against a freshly built
-    network, in record order — slower, but behaviourally indistinguishable
-    from the python backend.
+    The shipped initializers are evaluated in batch over the schedule's
+    columns with the exact float expressions of their ``initialize`` methods
+    (``None`` encoded as ``math.inf``, which keys and decrements
+    identically).  Any other initializer runs for real, on real packets and
+    record views against a freshly built network, in record order — slower,
+    but behaviourally indistinguishable from the python backend.
     """
-    n = len(records)
+    cols = schedule.columns()
+    n = len(cols.packet_id)
     inf = math.inf
-    slack: Optional[List[float]] = None
-    priority: Optional[List[float]] = None
-    deadline: Optional[List[float]] = None
-    vectors: Optional[List[List[float]]] = None
+    # What a header field the initializer leaves unset (None) encodes to
+    # (``vectors`` is only ever read, so one empty list serves every packet).
+    slack, priority, deadline = [inf] * n, [inf] * n, [inf] * n
+    vectors: List[List[float]] = [[]] * n
     kind = type(initializer)
 
     if kind is BlackBoxSlackInitializer:
         # slack = o - i - tmin(path); deadline = o.  The tmin fold matches
         # Network.tmin_along: total += (tx + prop), link by link, forward
         # (hop_sum[f] is the elementwise tx + prop of hop f).
-        slack = []
-        deadline = []
-        for j, record in enumerate(records):
+        slack = [
             # reduce() drives the same left fold from C: ((0.0 + a) + b) + ...
-            tmin = _reduce(_add, hop_sum[off[j] : off[j + 1]], 0.0)
-            slack.append(record.output_time - record.ingress_time - tmin)
-            deadline.append(record.output_time)
+            output - ingress - _reduce(_add, hop_sum[first:last], 0.0)
+            for output, ingress, first, last in zip(
+                cols.output_time, cols.ingress_time, off, off[1:]
+            )
+        ]
+        deadline = cols.output_time
     elif kind is OutputTimePriorityInitializer:
-        priority = [r.output_time for r in records]
-        deadline = list(priority)
+        priority = deadline = cols.output_time
     elif kind is OmniscientInitializer:
-        vectors = [r.hop_output_times() for r in records]
-        deadline = [r.output_time for r in records]
+        # PacketRecord.hop_output_times: the recorded service starts.
+        starts, own = cols.hop_start_service, cols.hop_offset
+        vectors = [
+            [t for t in starts[first:last] if t is not None]
+            for first, last in zip(own, own[1:])
+        ]
+        deadline = cols.output_time
     elif kind is ZeroSlackInitializer:
         slack = [0.0] * n
-        deadline = [inf if r.deadline is None else r.deadline for r in records]
+        deadline = [inf if d is None else d for d in cols.deadline]
     elif kind is StaticDelaySlackInitializer:
         slack = [initializer.slack_seconds] * n
-        deadline = [inf if r.deadline is None else r.deadline for r in records]
+        deadline = [inf if d is None else d for d in cols.deadline]
     elif kind is DeadlineSlackInitializer:
         # Same min as the initializer's per-network cache takes over
         # network.links: full-duplex links share one bandwidth, so the
@@ -450,65 +354,36 @@ def _initialize_headers(
         fallback = initializer.no_deadline_slack
         slack = []
         deadline = []
-        for record in records:
-            target = record.deadline
+        for target, flow_bytes, size, ingress in zip(
+            cols.deadline, cols.flow_size_bytes, cols.size_bytes, cols.ingress_time
+        ):
             if target is None:
                 slack.append(fallback)
                 deadline.append(inf)
                 continue
-            flow_bytes = record.flow_size_bytes
             if flow_bytes is None:
-                flow_bytes = record.size_bytes
+                flow_bytes = size
             # Same float form as DeadlineSlackInitializer.initialize.
             residual = flow_bytes * 8 / bottleneck
-            slack.append(target - record.ingress_time - residual)
+            slack.append(target - ingress - residual)
             deadline.append(target)
     else:
-        # Unknown initializer: run the real thing on real packets against a
-        # real network, exactly as ReplayInjector._inject builds them.  The
-        # build is deferred to here because only this path needs it.
+        # Unknown initializer: run the real thing on the packets the python
+        # backend would inject, against a real network.  The build is
+        # deferred to here because only this path needs it.
         network = topology.build(
             Simulator(),
             replay_scheduler_factory(mode),
             tracer=Tracer(),
             default_buffer_bytes=None,
         )
-        slack = []
-        priority = []
-        deadline = []
-        vectors = []
-        for record in records:
-            packet = Packet(
-                flow_id=record.flow_id,
-                src=record.src,
-                dst=record.dst,
-                size_bytes=record.size_bytes,
-                ptype=PacketType.DATA,
-                route=list(record.path),
-                replay_of=record.packet_id,
-            )
-            packet.header.flow_size_bytes = record.flow_size_bytes
-            packet.flow_deadline = record.deadline
-            initializer.initialize(packet, record, network)
-            header = packet.header
-            slack.append(inf if header.slack is None else header.slack)
-            priority.append(inf if header.priority is None else header.priority)
-            deadline.append(inf if header.deadline is None else header.deadline)
-            vectors.append(
-                list(header.hop_output_times)
-                if header.hop_output_times is not None
-                else []
-            )
-        return slack, priority, deadline, vectors
-
-    if slack is None:
-        slack = [inf] * n
-    if priority is None:
-        priority = [inf] * n
-    if deadline is None:
-        deadline = [inf] * n
-    if vectors is None:
-        vectors = [[] for _ in range(n)]
+        headers = [
+            replay_packet(record, initializer, network).header for record in schedule.records()
+        ]
+        slack = [inf if h.slack is None else h.slack for h in headers]
+        priority = [inf if h.priority is None else h.priority for h in headers]
+        deadline = [inf if h.deadline is None else h.deadline for h in headers]
+        vectors = [list(h.hop_output_times or ()) for h in headers]
     return slack, priority, deadline, vectors
 
 

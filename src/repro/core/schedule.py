@@ -4,7 +4,10 @@ A *schedule* is the set ``{(path(p), i(p), o(p))}`` produced by running some
 collection of scheduling algorithms over a fixed input load (Section 2.1).
 :class:`PacketRecord` captures one packet's entry, :class:`Schedule` the whole
 set, along with the per-hop timing detail needed for omniscient replay and for
-congestion-point analysis.
+congestion-point analysis.  A schedule is *stored* as a table
+(:class:`ScheduleColumns`, one list per field, in canonical order) that the
+loader, the replay kernels and the metrics read and write directly; records
+are read-only views built from it on request.
 
 Schedules come from three places:
 
@@ -40,9 +43,11 @@ import gzip
 import io
 import json
 import os
-from dataclasses import dataclass, field
-from itertools import starmap
-from operator import attrgetter
+from collections import Counter
+from contextlib import contextmanager
+from dataclasses import dataclass, field, replace
+from itertools import accumulate, chain, islice, starmap
+from operator import itemgetter, le, methodcaller
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.sim.packet import Packet
@@ -58,13 +63,30 @@ MANIFEST_FORMAT = "repro-schedule-manifest/1"
 MANIFEST_SUFFIX = ".manifest.json"
 
 
+@contextmanager
+def paused_gc() -> Iterator[None]:
+    """Pause the cycle collector around a burst of acyclic allocations (decoded
+    packets, views, heap tuples): they only make it rescan an ever-growing live
+    set, and refcounting still frees them."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+#: The stored-packet keys every file carries, in :class:`PacketRecord` field
+#: order (``path``/``hops`` follow; the last two fields default to ``None``).
+_REQUIRED = ("packet_id", "flow_id", "src", "dst", "size_bytes", "ingress_time", "output_time")
+
+
 @dataclass(slots=True)
 class HopTiming:
     """Original-schedule timing of one packet at one node.
 
-    Treated as immutable by convention (not enforced: schedules construct
-    millions of these on the replay hot path, and a frozen dataclass pays
-    an ``object.__setattr__`` per field — ~3x the construction cost).
+    A read-only snapshot by convention: a schedule never reads a view back.
 
     Attributes:
         node: Node name.
@@ -129,36 +151,7 @@ class PacketRecord:
     @classmethod
     def from_packet(cls, packet: Packet) -> "PacketRecord":
         """Build a record from a delivered packet of a finished simulation."""
-        if packet.egress_time is None:
-            raise ValueError(
-                f"packet {packet.packet_id} has not exited the network; only "
-                "delivered packets can enter a schedule"
-            )
-        hops = [
-            HopTiming(
-                node=hop.node,
-                arrival_time=hop.arrival_time,
-                start_service_time=hop.start_service_time,
-                departure_time=hop.departure_time,
-            )
-            for hop in packet.hops
-        ]
-        path = [hop.node for hop in packet.hops]
-        if not path or path[-1] != packet.dst:
-            path = path + [packet.dst]
-        return cls(
-            packet_id=packet.packet_id,
-            flow_id=packet.flow_id,
-            src=packet.src,
-            dst=packet.dst,
-            size_bytes=packet.size_bytes,
-            ingress_time=packet.ingress_time if packet.ingress_time is not None else 0.0,
-            output_time=packet.egress_time,
-            path=path,
-            hops=hops,
-            flow_size_bytes=packet.header.flow_size_bytes,
-            deadline=packet.flow_deadline,
-        )
+        return Schedule.from_packets([packet]).records()[0]
 
     @property
     def network_delay(self) -> float:
@@ -180,11 +173,8 @@ class PacketRecord:
 
     def hop_output_times(self) -> List[float]:
         """The per-hop service-start times ``o(p, alpha_i)`` (omniscient header)."""
-        times: List[float] = []
-        for hop in self.hops:
-            if hop.start_service_time is not None:
-                times.append(hop.start_service_time)
-        return times
+        starts = (hop.start_service_time for hop in self.hops)
+        return [start for start in starts if start is not None]
 
     # ------------------------------------------------------------------ #
     # Serialization
@@ -207,12 +197,7 @@ class PacketRecord:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PacketRecord":
-        """Inverse of :meth:`to_dict`.
-
-        Positional, in field order: this is the cache-decode inner loop (one
-        call per stored packet), where keyword binding plus a Python-level
-        call per hop cost about a sixth of the decode.
-        """
+        """Inverse of :meth:`to_dict` (positional, in field order)."""
         try:
             hops = list(starmap(HopTiming, data["hops"]))
         except TypeError:
@@ -221,13 +206,7 @@ class PacketRecord:
                 "[node, arrival, start_service, departure]"
             ) from None
         return cls(
-            data["packet_id"],
-            data["flow_id"],
-            data["src"],
-            data["dst"],
-            data["size_bytes"],
-            data["ingress_time"],
-            data["output_time"],
+            *map(data.__getitem__, _REQUIRED),
             list(data["path"]),
             hops,
             data.get("flow_size_bytes"),
@@ -235,34 +214,159 @@ class PacketRecord:
         )
 
 
-# Canonical record order (ingress time, then packet id).  attrgetter builds
-# the key tuples in C — records() sits on the replay hot path, where the
-# equivalent lambda costs ~2.5x as much per sort.
-_RECORD_ORDER = attrgetter("ingress_time", "packet_id")
+@dataclass(slots=True)
+class ScheduleColumns:
+    """A schedule as a table: one list per field, read-only to consumers.
+
+    The first ten columns hold one entry per packet and mirror
+    :class:`PacketRecord` (``path`` as a tuple, so routes hash); packet ``j``
+    owns hops ``hop_offset[j]:hop_offset[j + 1]`` of the four per-hop
+    columns, which mirror :class:`HopTiming`.  Entries are the very objects
+    a record or file carried in, so the table is as lossless as the objects.
+    Only :meth:`extend` and :meth:`rows` convert between the table and the
+    record shape (``PacketRecord.to_dict``) that objects, JSON lines and
+    packets all go through.
+    """
+
+    packet_id: List[int] = field(default_factory=list)
+    flow_id: List[int] = field(default_factory=list)
+    src: List[str] = field(default_factory=list)
+    dst: List[str] = field(default_factory=list)
+    size_bytes: List[float] = field(default_factory=list)
+    ingress_time: List[float] = field(default_factory=list)
+    output_time: List[float] = field(default_factory=list)
+    path: List[Tuple[str, ...]] = field(default_factory=list)
+    flow_size_bytes: List[Optional[float]] = field(default_factory=list)
+    deadline: List[Optional[float]] = field(default_factory=list)
+    hop_offset: List[int] = field(default_factory=lambda: [0])
+    hop_node: List[str] = field(default_factory=list)
+    hop_arrival: List[float] = field(default_factory=list)
+    hop_start_service: List[Optional[float]] = field(default_factory=list)
+    hop_departure: List[Optional[float]] = field(default_factory=list)
+
+    def extend(self, packets: Sequence[dict]) -> None:
+        """Append packets given in ``PacketRecord.to_dict`` shape, column-wise."""
+        for name in _REQUIRED:
+            getattr(self, name).extend(map(itemgetter(name), packets))
+        paths = list(map(tuple, map(itemgetter("path"), packets)))
+        routes = dict(zip(paths, paths))  # one tuple per distinct route, not per packet
+        self.path.extend(map(routes.__getitem__, paths))
+        self.flow_size_bytes.extend(map(methodcaller("get", "flow_size_bytes"), packets))
+        self.deadline.extend(map(methodcaller("get", "deadline"), packets))
+        hop_lists = list(map(itemgetter("hops"), packets))
+        try:
+            hops = list(chain.from_iterable(hop_lists))
+            well_formed = set(map(len, hops)) <= {4}
+        except TypeError:
+            well_formed = False
+        if not well_formed:
+            for packet in packets:
+                PacketRecord.from_dict(packet)  # raises the ValueError naming the packet
+            raise ValueError("every hop must be [node, arrival, start_service, departure]")
+        counts = accumulate(map(len, hop_lists), initial=self.hop_offset[-1])
+        self.hop_offset.extend(islice(counts, 1, None))
+        self.hop_node.extend(map(itemgetter(0), hops))
+        self.hop_arrival.extend(map(itemgetter(1), hops))
+        self.hop_start_service.extend(map(itemgetter(2), hops))
+        self.hop_departure.extend(map(itemgetter(3), hops))
+
+    def rows(self, positions: Iterable[int]) -> Iterator[dict]:
+        """The packets at ``positions`` in ``PacketRecord.to_dict`` shape."""
+        off = self.hop_offset
+        timings = (self.hop_node, self.hop_arrival, self.hop_start_service, self.hop_departure)
+        for j in positions:
+            hops = slice(off[j], off[j + 1])
+            yield {
+                "packet_id": self.packet_id[j],
+                "flow_id": self.flow_id[j],
+                "src": self.src[j],
+                "dst": self.dst[j],
+                "size_bytes": self.size_bytes[j],
+                "ingress_time": self.ingress_time[j],
+                "output_time": self.output_time[j],
+                "path": self.path[j],
+                "hops": list(zip(*(column[hops] for column in timings))),
+                "flow_size_bytes": self.flow_size_bytes[j],
+                "deadline": self.deadline[j],
+            }
+
+    def take(self, positions: Iterable[int]) -> "ScheduleColumns":
+        """New columns holding the packets at ``positions``, in that order."""
+        taken = ScheduleColumns()
+        taken.extend(list(self.rows(positions)))
+        return taken
 
 
 class Schedule:
-    """A set of packet records indexed by packet id."""
+    """A set of packet records indexed by packet id, stored as columns.
+
+    :class:`ScheduleColumns` is the only storage.  :class:`PacketRecord` /
+    :class:`HopTiming` objects are read-only *views*: snapshots built from
+    the columns on each request, never kept or written back.  Storage order
+    is the canonical ``(ingress_time, packet_id)`` order whatever order
+    records were added in, so every walk and float fold over a fresh
+    recording and over its cache-loaded twin agrees to the bit.
+    """
 
     def __init__(self, records: Optional[Iterable[PacketRecord]] = None) -> None:
-        self._records: Dict[int, PacketRecord] = {}
-        #: Mutation counter: bumped by every ``add``, so derived views (the
-        #: vectorized backend's per-schedule flattening cache) can detect
-        #: staleness exactly instead of guessing from lengths.
-        self._version = 0
-        if records is not None:
-            for record in records:
-                self.add(record)
+        #: ``(key, arrays)`` a replay backend derived from the columns for
+        #: its next replay of this schedule; dropped by ``add``.
+        self.derived: Optional[tuple] = None
+        self._adopt(ScheduleColumns())
+        for record in records or ():
+            self.add(record)
 
     # ------------------------------------------------------------------ #
     # Construction
     # ------------------------------------------------------------------ #
+    def _adopt(self, cols: ScheduleColumns) -> "Schedule":
+        """Make ``cols`` (any packet order, unique ids) this schedule's storage."""
+        ids = cols.packet_id
+        index = dict(zip(ids, range(len(ids))))
+        if len(index) != len(ids):
+            duplicate = next(i for i, count in Counter(ids).items() if count > 1)
+            raise ValueError(f"duplicate packet id {duplicate} in schedule")
+        self._cols = cols
+        #: packet id -> row of ``_cols``.
+        self._index: Dict[int, int] = index
+        #: Whether ``_cols`` is known to be in canonical order (:meth:`columns`).
+        self._sorted = False
+        #: Whether a replay result shares these lists: ``add`` copies first.
+        self._shared = False
+        return self
+
+    @classmethod
+    def from_columns(cls, cols: ScheduleColumns) -> "Schedule":
+        """A schedule stored in ``cols`` (adopted, not copied; any packet order)."""
+        return cls()._adopt(cols)
+
     def add(self, record: PacketRecord) -> None:
         """Insert a record (packet ids must be unique)."""
-        if record.packet_id in self._records:
+        if record.packet_id in self._index:
             raise ValueError(f"duplicate packet id {record.packet_id} in schedule")
-        self._records[record.packet_id] = record
-        self._version += 1
+        if self._shared:
+            self._adopt(self._cols.take(range(len(self))))
+        self._index[record.packet_id] = len(self)
+        self._cols.extend([record.to_dict()])
+        self._sorted = False
+        self.derived = None
+
+    def with_timings(self, **timings: list) -> "Schedule":
+        """This schedule's packets under new timing columns — a replay's result.
+
+        ``timings`` are :class:`ScheduleColumns` fields aligned with
+        :meth:`columns` (a flat kernel's output arrays): wrapped, not copied,
+        beside identity columns shared with ``self`` by reference.  Packets
+        whose ``output_time`` is ``None`` never exited and are left out.
+        """
+        cols = replace(self.columns(), **timings)
+        if None in cols.output_time:
+            exited = [j for j, t in enumerate(cols.output_time) if t is not None]
+            return Schedule.from_columns(cols.take(exited))
+        replayed = Schedule()
+        replayed._cols, replayed._index = cols, self._index
+        replayed._sorted = replayed._shared = self._shared = True
+        return replayed
 
     @classmethod
     def from_packets(
@@ -276,13 +380,40 @@ class Schedule:
                 ``replay_of`` id, so a replay run's schedule lines up with the
                 original schedule it was replaying.
         """
-        schedule = cls()
+        rows = []
         for packet in packets:
-            record = PacketRecord.from_packet(packet)
-            if use_replay_ids and packet.replay_of is not None:
-                record.packet_id = packet.replay_of
-            schedule.add(record)
-        return schedule
+            if packet.egress_time is None:
+                raise ValueError(
+                    f"packet {packet.packet_id} has not exited the network; only "
+                    "delivered packets can enter a schedule"
+                )
+            path = [hop.node for hop in packet.hops]
+            if not path or path[-1] != packet.dst:
+                path.append(packet.dst)
+            replayed = use_replay_ids and packet.replay_of is not None
+            rows.append(
+                {
+                    "packet_id": packet.replay_of if replayed else packet.packet_id,
+                    "flow_id": packet.flow_id,
+                    "src": packet.src,
+                    "dst": packet.dst,
+                    "size_bytes": packet.size_bytes,
+                    "ingress_time": 0.0 if packet.ingress_time is None else packet.ingress_time,
+                    "output_time": packet.egress_time,
+                    "path": path,
+                    "hops": [
+                        (h.node, h.arrival_time, h.start_service_time, h.departure_time)
+                        for h in packet.hops
+                    ],
+                    "flow_size_bytes": packet.header.flow_size_bytes,
+                    "deadline": packet.flow_deadline,
+                }
+            )
+        # Delivery order in, canonical order stored: nothing re-sorts later.
+        rows.sort(key=itemgetter("ingress_time", "packet_id"))
+        cols = ScheduleColumns()
+        cols.extend(rows)
+        return cls.from_columns(cols)
 
     @classmethod
     def from_tracer(cls, tracer: Tracer, data_only: bool = True) -> "Schedule":
@@ -293,42 +424,72 @@ class Schedule:
     # ------------------------------------------------------------------ #
     # Access
     # ------------------------------------------------------------------ #
+    def columns(self) -> ScheduleColumns:
+        """The storage itself, in canonical order.  Treat as read-only."""
+        if not self._sorted:  # adopted or added to since the order was last checked
+            keys = list(zip(self._cols.ingress_time, self._cols.packet_id))
+            if not all(map(le, keys, islice(keys, 1, None))):
+                self._adopt(self._cols.take(sorted(range(len(keys)), key=keys.__getitem__)))
+            self._sorted = True
+        return self._cols
+
+    def rows_of(self, packet_ids: Iterable[int]) -> List[Optional[int]]:
+        """Row in :meth:`columns` of each packet id (``None`` where absent)."""
+        self.columns()
+        return list(map(self._index.get, packet_ids))
+
+    def queueing_delays(self) -> List[float]:
+        """Each packet's :attr:`PacketRecord.total_queueing_delay`, by row:
+        the same ``sum`` over the same per-hop floats, read off the columns."""
+        cols = self.columns()
+        waits = [  # HopTiming.queueing_delay: never served means never waited
+            0.0 if start is None else start - arrival
+            for start, arrival in zip(cols.hop_start_service, cols.hop_arrival)
+        ]
+        off = cols.hop_offset
+        return [sum(waits[first:last]) for first, last in zip(off, islice(off, 1, None))]
+
+    def _view(self, row: int) -> PacketRecord:
+        (data,) = self._cols.rows((row,))
+        return PacketRecord.from_dict(data)
+
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._index)
 
     def __iter__(self) -> Iterator[PacketRecord]:
-        return iter(self._records.values())
+        return iter(self.records())
 
     def __contains__(self, packet_id: int) -> bool:
-        return packet_id in self._records
+        return packet_id in self._index
 
     def record(self, packet_id: int) -> PacketRecord:
         """The record for ``packet_id`` (raises ``KeyError`` if absent)."""
-        return self._records[packet_id]
+        return self._view(self._index[packet_id])
 
     def get(self, packet_id: int) -> Optional[PacketRecord]:
         """The record for ``packet_id``, or ``None``."""
-        return self._records.get(packet_id)
+        row = self._index.get(packet_id)
+        return None if row is None else self._view(row)
 
     def records(self) -> List[PacketRecord]:
         """All records, ordered by ingress time (then packet id)."""
-        return sorted(self._records.values(), key=_RECORD_ORDER)
+        rows = self.columns().rows(range(len(self)))
+        with paused_gc():
+            return list(map(PacketRecord.from_dict, rows))
 
     def canonical_records(self) -> List[PacketRecord]:
-        """Records in the comparator's canonical order.
+        """:meth:`records`, named for the contract its callers depend on.
 
-        The canonical order is ``(ingress_time, packet_id)`` across records,
-        with each record's hops visited in ``hop_index`` order — the walk
+        The canonical order — ``(ingress_time, packet_id)`` across records,
+        hops in ``hop_index`` order — is the storage order, and the walk
         order of the first-divergence comparator (:mod:`repro.diff`), of
-        replay injection, and of the on-disk format.  Today this is exactly
-        :meth:`records`; the alias exists so every canonical-order consumer
-        names the contract it depends on.
+        replay injection and of the on-disk format.
         """
         return self.records()
 
     def packet_ids(self) -> List[int]:
         """All packet ids present in the schedule."""
-        return list(self._records.keys())
+        return list(self.columns().packet_id)
 
     # ------------------------------------------------------------------ #
     # Analysis
@@ -339,23 +500,17 @@ class Schedule:
 
     def congestion_point_histogram(self, epsilon: float = 1e-12) -> Dict[int, int]:
         """Histogram mapping congestion-point count to number of packets."""
-        histogram: Dict[int, int] = {}
-        for record in self:
-            count = record.congestion_points(epsilon)
-            histogram[count] = histogram.get(count, 0) + 1
-        return histogram
+        return dict(Counter(record.congestion_points(epsilon) for record in self))
 
     def time_span(self) -> Tuple[float, float]:
         """(earliest ingress, latest output) across all records."""
-        if not self._records:
+        if not self._index:
             return (0.0, 0.0)
-        start = min(record.ingress_time for record in self)
-        end = max(record.output_time for record in self)
-        return (start, end)
+        return (min(self._cols.ingress_time), max(self._cols.output_time))
 
     def total_bytes(self) -> float:
         """Sum of all packet sizes in the schedule."""
-        return sum(record.size_bytes for record in self)
+        return sum(self.columns().size_bytes)
 
     # ------------------------------------------------------------------ #
     # Persistence
@@ -410,15 +565,12 @@ def _atomic_write_lines(path: str, lines: Iterable[str]) -> None:
         raise
 
 
-def _schedule_lines(records: Sequence[PacketRecord], meta: Optional[dict]) -> Iterator[str]:
-    header = {
-        "format": SCHEDULE_FORMAT,
-        "packets": len(records),
-        "meta": meta or {},
-    }
+def _schedule_lines(cols: ScheduleColumns, rows: range, meta: Optional[dict]) -> Iterator[str]:
+    """The ``repro-schedule/1`` lines of packets ``rows`` of ``cols``."""
+    header = {"format": SCHEDULE_FORMAT, "packets": len(rows), "meta": meta or {}}
     yield json.dumps(header) + "\n"
-    for record in records:
-        yield json.dumps(record.to_dict()) + "\n"
+    for packet in cols.rows(rows):
+        yield json.dumps(packet) + "\n"
 
 
 def save_schedule(
@@ -433,7 +585,7 @@ def save_schedule(
     file behind.
     """
     path = os.fspath(path)
-    _atomic_write_lines(path, _schedule_lines(schedule.records(), meta))
+    _atomic_write_lines(path, _schedule_lines(schedule.columns(), range(len(schedule)), meta))
 
 
 def shard_file_name(manifest_path: Union[str, "os.PathLike"], index: int) -> str:
@@ -471,27 +623,27 @@ def save_schedule_sharded(
     path = os.fspath(path)
     if shard_packets < 1:
         raise ValueError(f"shard_packets must be >= 1, got {shard_packets}")
-    records = schedule.records()
+    cols = schedule.columns()
     directory = os.path.dirname(path) or "."
     shards: List[dict] = []
-    for index, start in enumerate(range(0, len(records), shard_packets)):
-        chunk = records[start : start + shard_packets]
+    for index, start in enumerate(range(0, len(schedule), shard_packets)):
+        rows = range(start, min(start + shard_packets, len(schedule)))
         name = shard_file_name(path, index)
         _atomic_write_lines(
             os.path.join(directory, name),
-            _schedule_lines(chunk, {"shard_index": index}),
+            _schedule_lines(cols, rows, {"shard_index": index}),
         )
         shards.append(
             {
                 "file": name,
-                "packets": len(chunk),
-                "ingress_min": chunk[0].ingress_time,
-                "ingress_max": chunk[-1].ingress_time,
+                "packets": len(rows),
+                "ingress_min": cols.ingress_time[rows[0]],
+                "ingress_max": cols.ingress_time[rows[-1]],
             }
         )
     manifest = {
         "format": MANIFEST_FORMAT,
-        "packets": len(records),
+        "packets": len(schedule),
         "meta": meta or {},
         "shards": shards,
     }
@@ -521,26 +673,30 @@ def load_manifest(path: Union[str, "os.PathLike"]) -> dict:
     return manifest
 
 
-def _iter_single_file_records(path: str) -> Iterator[PacketRecord]:
-    """Yield the records of one ``repro-schedule/1`` file, validating the count."""
-    with _open_for_read(path) as stream:
-        header_line = stream.readline()
-        if not header_line:
-            raise ValueError(f"{path}: empty schedule file")
-        header = json.loads(header_line)
-        if header.get("format") != SCHEDULE_FORMAT:
-            raise ValueError(
-                f"{path}: not a {SCHEDULE_FORMAT} file (format={header.get('format')!r})"
-            )
-        count = 0
-        for line in stream:
-            if line.strip():
-                count += 1
-                yield PacketRecord.from_dict(json.loads(line))
+def _read_header(stream: io.TextIOBase, path: str) -> dict:
+    """Read and validate the header line of a ``repro-schedule/1`` stream."""
+    header_line = stream.readline()
+    if not header_line:
+        raise ValueError(f"{path}: empty schedule file")
+    header = json.loads(header_line)
+    if header.get("format") != SCHEDULE_FORMAT:
+        raise ValueError(
+            f"{path}: not a {SCHEDULE_FORMAT} file (format={header.get('format')!r})"
+        )
+    return header
+
+
+def _check_counts(path: str, header: dict, promised: Optional[int], count: int) -> None:
+    """``count`` packets were read from ``path``: its header and manifest must agree."""
     if count != header.get("packets", count):
         raise ValueError(
             f"{path}: header promises {header.get('packets')} packets, "
             f"found {count} (truncated file?)"
+        )
+    if promised is not None and count != promised:
+        raise ValueError(
+            f"{path}: manifest promises {promised} packets, "
+            f"found {count} (truncated shard?)"
         )
 
 
@@ -554,15 +710,18 @@ def stored_schedule_packets(path: Union[str, "os.PathLike"]) -> int:
     if path.endswith(MANIFEST_SUFFIX):
         return load_manifest(path)["packets"]
     with _open_for_read(path) as stream:
-        header_line = stream.readline()
-    if not header_line:
-        raise ValueError(f"{path}: empty schedule file")
-    header = json.loads(header_line)
-    if header.get("format") != SCHEDULE_FORMAT:
-        raise ValueError(
-            f"{path}: not a {SCHEDULE_FORMAT} file (format={header.get('format')!r})"
-        )
-    return int(header["packets"])
+        return int(_read_header(stream, path)["packets"])
+
+
+def _stored_files(path: str) -> Tuple[List[Tuple[str, Optional[int]]], Optional[dict]]:
+    """``([(file, packets the manifest promises)], manifest)`` of a stored schedule;
+    a single ``repro-schedule/1`` file is its own only part: ``([(path, None)], None)``."""
+    if not path.endswith(MANIFEST_SUFFIX):
+        return [(path, None)], None
+    manifest = load_manifest(path)
+    directory = os.path.dirname(path) or "."
+    shards = manifest["shards"]
+    return [(os.path.join(directory, s["file"]), s["packets"]) for s in shards], manifest
 
 
 def iter_schedule_records(path: Union[str, "os.PathLike"]) -> Iterator[PacketRecord]:
@@ -580,23 +739,18 @@ def iter_schedule_records(path: Union[str, "os.PathLike"]) -> Iterator[PacketRec
     ``FileNotFoundError``) for a shard the manifest names but the directory
     lacks.
     """
-    path = os.fspath(path)
-    if path.endswith(MANIFEST_SUFFIX):
-        manifest = load_manifest(path)
-        directory = os.path.dirname(path) or "."
-        for shard in manifest["shards"]:
-            shard_path = os.path.join(directory, shard["file"])
+    for file_path, promised in _stored_files(os.fspath(path))[0]:
+        with _open_for_read(file_path) as stream:
+            header = _read_header(stream, file_path)
             count = 0
-            for record in _iter_single_file_records(shard_path):
-                count += 1
-                yield record
-            if count != shard["packets"]:
-                raise ValueError(
-                    f"{shard_path}: manifest promises {shard['packets']} packets, "
-                    f"found {count} (truncated shard?)"
-                )
-    else:
-        yield from _iter_single_file_records(path)
+            for count, line in enumerate(filter(str.strip, stream), 1):
+                yield PacketRecord.from_dict(json.loads(line))
+        _check_counts(file_path, header, promised, count)
+
+
+#: Stored packets decoded per batch: bounds the transient JSON objects a
+#: load holds beside the columns it is filling.
+_DECODE_BATCH = 512
 
 
 def load_schedule(path: Union[str, "os.PathLike"]) -> Tuple[Schedule, dict]:
@@ -604,55 +758,32 @@ def load_schedule(path: Union[str, "os.PathLike"]) -> Tuple[Schedule, dict]:
 
     Manifest paths (ending in :data:`MANIFEST_SUFFIX`) load every shard and
     return a schedule identical to the single-file form — shard layout is
-    storage, not content.
+    storage, not content.  Lines decode straight into the schedule's
+    columns; no :class:`PacketRecord` is built.
 
     Returns:
         ``(schedule, meta)`` where ``meta`` is the free-form metadata stored
         in the file's header line (the manifest's, for sharded schedules).
     """
-    # Decoding builds ~15 containers per packet, none of them cyclic, while
-    # earlier schedules sit live in the caller's cache: pausing the cycle
-    # collector spares it rescanning that growing set.  Refcounting still
-    # frees everything.
-    gc_was_enabled = gc.isenabled()
-    if gc_was_enabled:
-        gc.disable()
-    try:
-        return _load_schedule(os.fspath(path))
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-
-
-def _load_schedule(path: str) -> Tuple[Schedule, dict]:
-    """:func:`load_schedule` proper; the caller holds the cycle collector paused."""
-    if path.endswith(MANIFEST_SUFFIX):
-        manifest = load_manifest(path)
-        schedule = Schedule()
-        for record in iter_schedule_records(path):
-            schedule.add(record)
-        if len(schedule) != manifest["packets"]:
-            raise ValueError(
-                f"{path}: manifest promises {manifest['packets']} packets, "
-                f"found {len(schedule)} (truncated shards?)"
-            )
-        return schedule, manifest.get("meta", {})
-    with _open_for_read(path) as stream:
-        header_line = stream.readline()
-        if not header_line:
-            raise ValueError(f"{path}: empty schedule file")
-        header = json.loads(header_line)
-        if header.get("format") != SCHEDULE_FORMAT:
-            raise ValueError(
-                f"{path}: not a {SCHEDULE_FORMAT} file (format={header.get('format')!r})"
-            )
-        schedule = Schedule()
-        for line in stream:
-            if line.strip():
-                schedule.add(PacketRecord.from_dict(json.loads(line)))
-    if len(schedule) != header.get("packets", len(schedule)):
-        raise ValueError(
-            f"{path}: header promises {header.get('packets')} packets, "
-            f"found {len(schedule)} (truncated file?)"
-        )
-    return schedule, header.get("meta", {})
+    path = os.fspath(path)
+    # Decoding builds ~15 acyclic containers per packet while earlier
+    # schedules sit live in the caller's cache.
+    with paused_gc():
+        cols = ScheduleColumns()
+        files, manifest = _stored_files(path)
+        decoded = []
+        for file_path, promised in files:
+            before = len(cols.packet_id)
+            with _open_for_read(file_path) as stream:
+                header = _read_header(stream, file_path)
+                lines = filter(str.strip, stream)
+                # One decoder call per batch, not per line: a batch's lines
+                # are parsed as the elements of a single JSON array.
+                while batch := list(islice(lines, _DECODE_BATCH)):
+                    cols.extend(json.loads(f"[{','.join(batch)}]"))
+            decoded.append((file_path, header, promised, len(cols.packet_id) - before))
+        # Adopting the columns rejects duplicate ids, which outranks a count mismatch.
+        schedule = Schedule.from_columns(cols)
+        for part in decoded:
+            _check_counts(*part)
+        return schedule, (header if manifest is None else manifest).get("meta", {})

@@ -371,10 +371,9 @@ class TestDigestDivergenceReport:
                     hops=hops,
                 )
             )
-        schedule = Schedule(records)
         if perturb is not None:
-            schedule.record(perturb).hops[1].departure_time += 1e-6
-        return schedule
+            records[perturb].hops[1].departure_time += 1e-6
+        return Schedule(records)
 
     def test_report_names_first_divergent_packet_and_field(self, monkeypatch):
         import repro.core.replay as replay_module

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from repro.__main__ import main as cli_main
-from repro.core.schedule import load_schedule, save_schedule
+from repro.core.schedule import Schedule, load_schedule, save_schedule
 from repro.sim.backend import available_backend_names
 
 
@@ -24,9 +24,10 @@ def recorded(tmp_path_factory):
 def perturb_file(src, dst):
     """Copy a schedule file with one hop departure nudged; return the victim id."""
     schedule, meta = load_schedule(src)
-    victim = schedule.canonical_records()[len(schedule) // 2]
+    records = schedule.canonical_records()  # views: edits never reach `schedule`
+    victim = records[len(records) // 2]
     victim.hops[0].departure_time += 1e-6
-    save_schedule(dst, schedule, meta=meta)
+    save_schedule(dst, Schedule(records), meta=meta)
     return victim.packet_id
 
 

@@ -132,10 +132,9 @@ class TestFirstDivergence:
 
     def test_identity_fields_lead_the_diff(self):
         a = two_hop_schedule()
-        b = perturbed(a, packet_id=0, attr="departure_time", hop=0)
-        rec = b.record(0)
-        rec.size_bytes += 100.0
-        divergence = first_divergence(a, b)
+        records = perturbed(a, packet_id=0, attr="departure_time", hop=0).canonical_records()
+        next(r for r in records if r.packet_id == 0).size_bytes += 100.0
+        divergence = first_divergence(a, Schedule(records))
         assert divergence.fields[0].field == "size_bytes"
 
     def test_divergent_port_names_the_divergent_hops_node(self):
@@ -200,9 +199,10 @@ class TestRealScheduleDivergence:
         reset_flow_ids()
         b = record_scenario_schedule(scenario)
         assert first_divergence(a, b) is None  # recording is deterministic
-        victim = b.canonical_records()[len(b) // 2]
+        records = b.canonical_records()  # views: edits never reach `b`
+        victim = records[len(records) // 2]
         victim.hops[0].departure_time += 5e-7
-        divergence = first_divergence(a, b)
+        divergence = first_divergence(a, Schedule(records))
         assert divergence is not None
         assert divergence.packet_id == victim.packet_id
         assert divergence.fields[0].field == "hops[0].departure_time"

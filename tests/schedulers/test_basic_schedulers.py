@@ -103,6 +103,43 @@ class TestRandom:
         assert first == second
         assert first != different
 
+    def test_single_entry_dequeue_draws_nothing(self):
+        rng = RandomState(7)
+        scheduler = RandomScheduler(rng)
+        only = packet()
+        scheduler.enqueue(only, 0.0)
+        before = rng.generator.bit_generator.state
+        assert scheduler.dequeue(0.0) is only
+        assert rng.generator.bit_generator.state == before
+
+    def test_short_circuit_pops_the_always_draw_sequence(self):
+        class AlwaysDraw(RandomScheduler):
+            """The pre-short-circuit dequeue: one ``randint`` per service."""
+
+            def dequeue(self, now):
+                if not self._queue:
+                    return None
+                entry = self._queue.pop(self._rng.randint(0, len(self._queue)))
+                self._bytes -= entry.packet.size_bytes
+                return entry.packet
+
+        script = RandomState(11)  # seeded enqueue/dequeue script, many lone packets
+        twins = (RandomScheduler(RandomState(4)), AlwaysDraw(RandomState(4)))
+        popped = ([], [])
+        for step in range(400):
+            if script.uniform() < 0.5:
+                pkt = packet()
+                for twin in twins:
+                    twin.enqueue(pkt, float(step))
+            else:
+                for out, twin in zip(popped, twins):
+                    out.append(twin.dequeue(float(step)))
+        assert popped[0] == popped[1]
+        assert any(p is not None for p in popped[0])
+        assert twins[0]._rng.generator.bit_generator.state == (
+            twins[1]._rng.generator.bit_generator.state
+        )
+
     def test_random_order_differs_from_fifo_for_long_queues(self):
         scheduler = RandomScheduler(RandomState(3))
         packets = [packet() for _ in range(30)]
