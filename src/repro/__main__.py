@@ -29,13 +29,6 @@ Subcommands:
       python -m repro replay schedule.jsonl.gz --mode lstf
       python -m repro replay schedule.jsonl.gz --slack-policy deadline
 
-* ``bench`` — measure the record→replay hot path (wall time, events/sec,
-  cells/sec per experiment), optionally writing a ``BENCH_*.json`` payload
-  and gating against committed baseline numbers::
-
-      python -m repro bench --quick --repeat 3 --out BENCH_PR3.json
-      python -m repro bench --quick --baseline BENCH_PR3.json --check
-
 * ``diff`` — compare two schedules (or a schedule against a fresh replay of
   itself, or re-run a fuzz artifact) and report the first divergent packet
   with a field-level diff; exit 0 = match, 1 = diverged, 2 = config error::
@@ -130,6 +123,32 @@ def _load_schedule_file(path: str):
         ) from error
 
 
+def _load_replay_inputs(path: str, args: argparse.Namespace):
+    """What ``replay`` and ``diff --replay`` need before they can replay.
+
+    Returns ``(schedule, meta, initializer, fault_plan)`` for the schedule
+    file at ``path`` under ``args.mode`` / ``--slack-policy`` / ``--fault``.
+
+    Raises:
+        _CLIError: unknown mode, policy or fault schedule; unreadable file;
+            or a file without the topology spec ``record`` writes.
+    """
+    from repro.core.replay import REPLAY_MODES
+
+    if args.mode not in REPLAY_MODES:
+        known = ", ".join(sorted(REPLAY_MODES))
+        raise _CLIError(f"unknown replay mode {args.mode!r}; known: {known}")
+    initializer = _build_initializer(args.mode, args.slack_policy)
+    fault_plan = _build_fault_plan(args.fault, args.fault_seed)
+    schedule, meta = _load_schedule_file(path)
+    if "topology" not in meta:
+        raise _CLIError(
+            f"{path} carries no topology spec; "
+            "was it written by `python -m repro record`?"
+        )
+    return schedule, meta, initializer, fault_plan
+
+
 def _scale(name: str):
     from repro.experiments.config import ExperimentScale
 
@@ -183,7 +202,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     from repro.experiments.runner import format_result, results_to_json
     from repro.pipeline.experiment import default_registry
     from repro.pipeline.runner import run_pipeline
-    from repro.pipeline.scenario import PipelineConfigError
 
     registry = default_registry()
     if args.all or not args.experiments:
@@ -208,14 +226,8 @@ def cmd_run(args: argparse.Namespace) -> int:
             max_retries=args.max_retries,
             shard_packets=args.shard_packets,
         )
-    except KeyError as error:
-        print(f"error: {error.args[0]}", file=sys.stderr)
-        return 2
-    except PipelineConfigError as error:
-        # Expansion-time validation only (e.g. a live-only policy pinned
-        # onto replay scenarios); mid-run errors keep their tracebacks.
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    except KeyError as error:  # unknown experiment
+        raise _CLIError(error.args[0]) from error
     if args.json:
         payload = json.loads(results_to_json(summary.results))
         payload["_summary"] = {
@@ -337,7 +349,7 @@ def cmd_list(args: argparse.Namespace) -> int:
         print(
             "\nunselected replays use the `default` engine when it supports "
             "their configuration (faults, finite buffers and preemption run "
-            "on python); pin one with `--backend <name>` on run/replay/bench "
+            "on python); pin one with `--backend <name>` on run/replay/diff "
             "or $REPRO_BACKEND (docs/backends.md)"
         )
         return 0
@@ -435,8 +447,8 @@ def cmd_list(args: argparse.Namespace) -> int:
 # record
 # ---------------------------------------------------------------------- #
 def cmd_record(args: argparse.Namespace) -> int:
-    from repro.pipeline.cache import schedule_cache_key, workload_fingerprint
-    from repro.pipeline.experiment import record_scenario_schedule
+    from repro.pipeline.cache import workload_fingerprint
+    from repro.pipeline.experiment import record_scenario_schedule, scenario_cache_key
     from repro.sim.flow import reset_flow_ids
     from repro.sim.packet import reset_packet_ids
 
@@ -445,8 +457,7 @@ def cmd_record(args: argparse.Namespace) -> int:
     scenario = scenarios.get(args.scenario)
     if scenario is None:
         known = ", ".join(sorted(scenarios))
-        print(f"error: unknown scenario {args.scenario!r}; known: {known}", file=sys.stderr)
-        return 2
+        raise _CLIError(f"unknown scenario {args.scenario!r}; known: {known}")
     reset_packet_ids()
     reset_flow_ids()
     topology = scenario.build_topology()
@@ -457,14 +468,7 @@ def cmd_record(args: argparse.Namespace) -> int:
         "original": scenario.original,
         "seed": scenario.seed,
         "scale": args.scale,
-        "key": schedule_cache_key(
-            topology,
-            scenario.original,
-            workload,
-            scenario.seed,
-            slack_policy=scenario.slack_policy_def(),
-            slack_mode=scenario.slack_mode,
-        ),
+        "key": scenario_cache_key(scenario),
         "workload": workload_fingerprint(workload),
         "topology": topology.to_dict(),
         "mss": workload.mss,
@@ -481,47 +485,25 @@ def cmd_record(args: argparse.Namespace) -> int:
 # replay
 # ---------------------------------------------------------------------- #
 def cmd_replay(args: argparse.Namespace) -> int:
-    from repro.core.replay import REPLAY_MODES, evaluate_replay
-    from repro.pipeline.scenario import PipelineConfigError
+    from repro.core.replay import evaluate_replay
     from repro.sim.flow import reset_flow_ids
     from repro.sim.packet import reset_packet_ids
     from repro.topology.base import Topology
 
-    if args.mode not in REPLAY_MODES:
-        known = ", ".join(sorted(REPLAY_MODES))
-        print(f"error: unknown replay mode {args.mode!r}; known: {known}", file=sys.stderr)
-        return 2
-    try:
-        initializer = _build_initializer(args.mode, args.slack_policy)
-        fault_plan = _build_fault_plan(args.fault, args.fault_seed)
-        schedule, meta = _load_schedule_file(args.schedule)
-    except _CLIError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    if "topology" not in meta:
-        print(
-            f"error: {args.schedule} carries no topology spec; "
-            "was it written by `python -m repro record`?",
-            file=sys.stderr,
-        )
-        return 2
+    schedule, meta, initializer, fault_plan = _load_replay_inputs(args.schedule, args)
     reset_packet_ids()
     reset_flow_ids()
     topology = Topology.from_dict(meta["topology"])
-    try:
-        result = evaluate_replay(
-            topology,
-            schedule,
-            mode=args.mode,
-            threshold_packet_bytes=float(meta.get("mss", 1460)),
-            initializer=initializer,
-            backend=args.backend,
-            faults=fault_plan,
-        )
-    except PipelineConfigError as error:
-        # e.g. --backend vectorized without numpy installed
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    # An unusable --backend raises PipelineConfigError (exit 2, see main).
+    result = evaluate_replay(
+        topology,
+        schedule,
+        mode=args.mode,
+        threshold_packet_bytes=float(meta.get("mss", 1460)),
+        initializer=initializer,
+        backend=args.backend,
+        faults=fault_plan,
+    )
     row = {
         "scenario": meta.get("scenario"),
         "original": meta.get("original"),
@@ -549,90 +531,6 @@ def cmd_replay(args: argparse.Namespace) -> int:
 
 
 # ---------------------------------------------------------------------- #
-# bench
-# ---------------------------------------------------------------------- #
-def cmd_bench(args: argparse.Namespace) -> int:
-    from repro.bench import (
-        bench_payload,
-        find_regressions,
-        load_bench,
-        run_bench,
-        save_bench,
-        speedup_vs_baseline,
-    )
-    from repro.pipeline.scenario import PipelineConfigError
-
-    scale_name = "quick" if args.quick else args.scale
-    if args.check and args.baseline is None:
-        # Pure argument validation: fail before spending minutes (or, at
-        # paper scale, hours) measuring.
-        print("error: --check requires --baseline", file=sys.stderr)
-        return 2
-    baseline = None
-    if args.baseline is not None:
-        try:
-            baseline = load_bench(args.baseline)
-        except (OSError, ValueError, json.JSONDecodeError) as error:
-            print(f"error: cannot load baseline {args.baseline}: {error}", file=sys.stderr)
-            return 2
-    try:
-        report = run_bench(
-            experiments=args.experiments or None,
-            scale=scale_name,
-            repeat=args.repeat,
-            backend=args.backend,
-            replay_path=not args.no_replay_path,
-        )
-    except KeyError as error:
-        print(f"error: {error.args[0]}", file=sys.stderr)
-        return 2
-    except PipelineConfigError as error:
-        # e.g. --backend vectorized without numpy installed
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    except RuntimeError as error:
-        # Determinism violation: the message embeds the first-divergence
-        # report (repro.diff) for the packet that broke bit-identity.
-        print(f"error: {error}", file=sys.stderr)
-        return 1
-
-    payload = bench_payload(report, label=args.label, baseline=baseline)
-    if args.out is not None:
-        save_bench(args.out, payload)
-    if args.json:
-        print(json.dumps(payload, indent=2))
-    else:
-        print(report.format())
-        if baseline is not None:
-            for name, entry in speedup_vs_baseline(
-                report, baseline.get("results", baseline)
-            ).items():
-                wall = entry.get("wall_time")
-                if wall is not None:
-                    print(f"  speedup vs baseline [{name}]: {wall:.2f}x wall-clock")
-        if args.out is not None:
-            print(f"wrote {args.out}")
-
-    if args.check:
-        assert baseline is not None  # validated before the measurement ran
-        regressions, digest_mismatches = find_regressions(
-            report, baseline, max_slowdown=args.max_slowdown
-        )
-        for warning in digest_mismatches:
-            print(f"warning: determinism drift — {warning}", file=sys.stderr)
-        if regressions:
-            for regression in regressions:
-                print(
-                    f"REGRESSION (> {args.max_slowdown:.0%} slowdown): "
-                    f"{regression.describe()}",
-                    file=sys.stderr,
-                )
-            return 1
-        print(f"perf gate OK (threshold: {args.max_slowdown:.0%} slowdown)")
-    return 0
-
-
-# ---------------------------------------------------------------------- #
 # diff
 # ---------------------------------------------------------------------- #
 def _diff_report(divergence, matched_label: str, as_json: bool) -> int:
@@ -652,7 +550,6 @@ def _diff_report(divergence, matched_label: str, as_json: bool) -> int:
 
 def cmd_diff(args: argparse.Namespace) -> int:
     from repro.diff import first_divergence
-    from repro.pipeline.scenario import PipelineConfigError
 
     sources = [
         bool(args.schedules),
@@ -660,122 +557,95 @@ def cmd_diff(args: argparse.Namespace) -> int:
         args.case is not None,
     ]
     if sum(sources) != 1:
-        print(
-            "error: give exactly one comparison source — two schedule files, "
-            "--replay <schedule>, or --case <artifact>",
-            file=sys.stderr,
+        raise _CLIError(
+            "give exactly one comparison source — two schedule files, "
+            "--replay <schedule>, or --case <artifact>"
         )
-        return 2
     if args.schedules and len(args.schedules) != 2:
-        print(
-            f"error: expected exactly two schedule files, got "
-            f"{len(args.schedules)}",
-            file=sys.stderr,
+        raise _CLIError(
+            f"expected exactly two schedule files, got {len(args.schedules)}"
         )
-        return 2
 
-    try:
-        if args.case is not None:
-            # Re-run a fuzz artifact: rebuild the minimized scenario and its
-            # comparison spec, then run it exactly as the fuzzer did.
-            from repro.diff import load_case, run_comparison
+    if args.case is not None:
+        # Re-run a fuzz artifact: rebuild the minimized scenario and its
+        # comparison spec, then run it exactly as the fuzzer did.
+        from repro.diff import load_case, run_comparison
 
-            try:
-                scenario, spec = load_case(args.case)
-            except (OSError, ValueError, KeyError, TypeError) as error:
-                raise _CLIError(f"cannot load case {args.case}: {error}") from error
-            divergence = run_comparison(scenario, spec, context=args.context)
-            return _diff_report(
-                divergence,
-                f"case {args.case} no longer diverges "
-                f"({scenario.name}, {spec.describe()})",
-                args.json,
-            )
+        try:
+            scenario, spec = load_case(args.case)
+        except (OSError, ValueError, KeyError, TypeError) as error:
+            raise _CLIError(f"cannot load case {args.case}: {error}") from error
+        divergence = run_comparison(scenario, spec, context=args.context)
+        return _diff_report(
+            divergence,
+            f"case {args.case} no longer diverges "
+            f"({scenario.name}, {spec.describe()})",
+            args.json,
+        )
 
-        if args.replay is not None:
-            # Replay the schedule twice — reference engine versus --backend
-            # (default: the reference again, a pure determinism twin) — and
-            # diff the two replays.
-            from repro.core.replay import REPLAY_MODES, replay_pair
-            from repro.sim.backend import get_backend
-            from repro.topology.base import Topology
+    if args.replay is not None:
+        # Replay the schedule twice — reference engine versus --backend
+        # (default: the reference again, a pure determinism twin) — and
+        # diff the two replays.
+        from repro.core.replay import replay_pair
+        from repro.sim.backend import get_backend
+        from repro.topology.base import Topology
 
-            if args.mode not in REPLAY_MODES:
-                raise _CLIError(
-                    f"unknown replay mode {args.mode!r}; known: "
-                    f"{', '.join(sorted(REPLAY_MODES))}"
-                )
-            initializer = _build_initializer(args.mode, args.slack_policy)
-            fault_plan = _build_fault_plan(args.fault, args.fault_seed)
-            schedule, meta = _load_schedule_file(args.replay)
-            if "topology" not in meta:
-                raise _CLIError(
-                    f"{args.replay} carries no topology spec; "
-                    "was it written by `python -m repro record`?"
-                )
-            topology = Topology.from_dict(meta["topology"])
-            backend_name = args.backend or "python"
-            backend = get_backend(backend_name)
-            if backend_name != "python" and not backend.supports_replay(
-                args.mode,
-                initializer=initializer,
-                topology=topology,
-                faults=fault_plan,
-            ):
-                print(
-                    f"note: backend {backend_name!r} declines this "
-                    "configuration; its leg falls back to the reference "
-                    "engine (the diff degenerates to a determinism twin)",
-                    file=sys.stderr,
-                )
-            replayed_a, replayed_b = replay_pair(
-                topology,
-                schedule,
-                "python",
-                backend_name,
-                mode=args.mode,
-                initializer=initializer,
-                faults=fault_plan,
+        schedule, meta, initializer, fault_plan = _load_replay_inputs(args.replay, args)
+        topology = Topology.from_dict(meta["topology"])
+        backend_name = args.backend or "python"
+        backend = get_backend(backend_name)
+        if backend_name != "python" and not backend.supports_replay(
+            args.mode,
+            initializer=initializer,
+            topology=topology,
+            faults=fault_plan,
+        ):
+            print(
+                f"note: backend {backend_name!r} declines this "
+                "configuration; its leg falls back to the reference "
+                "engine (the diff degenerates to a determinism twin)",
+                file=sys.stderr,
             )
-            label_b = (
-                backend_name if backend_name != "python" else "python#2"
-            )
-            divergence = first_divergence(
-                replayed_a,
-                replayed_b,
-                context=args.context,
-                label_a="python",
-                label_b=label_b,
-            )
-            return _diff_report(
-                divergence,
-                f"replays bit-identical: {len(replayed_a)} packets of "
-                f"{args.replay} under {args.mode} (python vs {label_b})",
-                args.json,
-            )
-
-        path_a, path_b = args.schedules
-        schedule_a, _ = _load_schedule_file(path_a)
-        schedule_b, _ = _load_schedule_file(path_b)
+        replayed_a, replayed_b = replay_pair(
+            topology,
+            schedule,
+            "python",
+            backend_name,
+            mode=args.mode,
+            initializer=initializer,
+            faults=fault_plan,
+        )
+        label_b = backend_name if backend_name != "python" else "python#2"
         divergence = first_divergence(
-            schedule_a,
-            schedule_b,
+            replayed_a,
+            replayed_b,
             context=args.context,
-            label_a=path_a,
-            label_b=path_b,
+            label_a="python",
+            label_b=label_b,
         )
         return _diff_report(
             divergence,
-            f"schedules match: {len(schedule_a)} packets bit-identical",
+            f"replays bit-identical: {len(replayed_a)} packets of "
+            f"{args.replay} under {args.mode} (python vs {label_b})",
             args.json,
         )
-    except _CLIError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    except PipelineConfigError as error:
-        # e.g. --backend compiled without the built kernel extension
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+
+    path_a, path_b = args.schedules
+    schedule_a, _ = _load_schedule_file(path_a)
+    schedule_b, _ = _load_schedule_file(path_b)
+    divergence = first_divergence(
+        schedule_a,
+        schedule_b,
+        context=args.context,
+        label_a=path_a,
+        label_b=path_b,
+    )
+    return _diff_report(
+        divergence,
+        f"schedules match: {len(schedule_a)} packets bit-identical",
+        args.json,
+    )
 
 
 # ---------------------------------------------------------------------- #
@@ -783,24 +653,18 @@ def cmd_diff(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------- #
 def cmd_fuzz(args: argparse.Namespace) -> int:
     from repro.diff import run_fuzz
-    from repro.pipeline.scenario import PipelineConfigError
 
     if args.budget < 1:
-        print("error: --budget must be at least 1", file=sys.stderr)
-        return 2
-    try:
-        report = run_fuzz(
-            budget=args.budget,
-            seed=args.seed,
-            scale=_scale(args.scale),
-            context=args.context,
-            artifact_dir=None if args.no_artifacts else args.artifacts,
-            shrink=not args.no_shrink,
-            log=None if args.json else print,
-        )
-    except PipelineConfigError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+        raise _CLIError("--budget must be at least 1")
+    report = run_fuzz(
+        budget=args.budget,
+        seed=args.seed,
+        scale=_scale(args.scale),
+        context=args.context,
+        artifact_dir=None if args.no_artifacts else args.artifacts,
+        shrink=not args.no_shrink,
+        log=None if args.json else print,
+    )
     if args.json:
         print(json.dumps(report.to_dict(), indent=2, default=str))
     else:
@@ -970,56 +834,6 @@ def build_parser() -> argparse.ArgumentParser:
     replay_parser.add_argument("--json", action="store_true", help="emit JSON")
     replay_parser.set_defaults(func=cmd_replay)
 
-    bench_parser = subparsers.add_parser(
-        "bench", help="measure the hot path (wall time, events/sec, cells/sec)"
-    )
-    bench_parser.add_argument(
-        "experiments",
-        nargs="*",
-        help="experiment names to bench (default: table1 adversarial)",
-    )
-    bench_scale_group = bench_parser.add_mutually_exclusive_group()
-    _add_scale_argument(bench_scale_group)
-    bench_scale_group.add_argument(
-        "--quick", action="store_true", help="shorthand for --scale quick"
-    )
-    bench_parser.add_argument(
-        "--repeat",
-        type=int,
-        default=1,
-        help="cold runs per experiment; the best wall time is reported (default: 1)",
-    )
-    bench_parser.add_argument(
-        "--out", default=None, help="write the repro-bench/1 JSON payload to this file"
-    )
-    bench_parser.add_argument(
-        "--baseline",
-        default=None,
-        help="bench JSON to embed as baseline and compute speedups against",
-    )
-    bench_parser.add_argument(
-        "--check",
-        action="store_true",
-        help="exit 1 if any experiment regressed beyond --max-slowdown "
-        "versus the --baseline numbers",
-    )
-    bench_parser.add_argument(
-        "--max-slowdown",
-        type=float,
-        default=0.25,
-        help="allowed fractional wall-time slowdown for --check (default: 0.25)",
-    )
-    bench_parser.add_argument(
-        "--no-replay-path",
-        action="store_true",
-        help="skip the replay-only table1:replay@<backend> groups (bench "
-        "just the named experiments, e.g. the scale-tier RSS smoke)",
-    )
-    _add_backend_argument(bench_parser)
-    bench_parser.add_argument("--label", default=None, help="free-form label for this run")
-    bench_parser.add_argument("--json", action="store_true", help="emit the JSON payload")
-    bench_parser.set_defaults(func=cmd_bench)
-
     diff_parser = subparsers.add_parser(
         "diff",
         help="first-divergence comparison of two schedules (or schedule vs "
@@ -1129,8 +943,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    """Run one verb; configuration errors print ``error: ...`` and exit 2.
+
+    This is the only place :class:`_CLIError` and
+    :class:`~repro.pipeline.scenario.PipelineConfigError` (unknown backend,
+    missing optional dependency, policy/mode mismatch) become an exit code;
+    every other exception keeps its traceback.
+    """
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    from repro.pipeline.scenario import PipelineConfigError
+
+    try:
+        return args.func(args)
+    except (_CLIError, PipelineConfigError) as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via subprocess tests

@@ -1,60 +1,5 @@
-"""Benchmark subsystem: measure the pipeline's hot path and gate regressions.
+"""Rows digest used by ``benchmarks/perf`` (:mod:`repro.bench.harness`)."""
 
-``python -m repro bench`` runs a set of registered experiments (quick scale
-by default), reports wall time, engine events/second, and cells/second per
-experiment, and can write a ``BENCH_*.json`` trajectory file at the repo
-root.  Every measurement carries a *rows digest* — a content hash of the
-experiment's output rows — so a speedup that silently changes results is
-caught by the same harness that measures it.
+from repro.bench.harness import rows_digest
 
-Layout:
-
-* :mod:`repro.bench.harness` — run experiments under a timer and an engine
-  event counter (:func:`run_bench`, :class:`ExperimentBench`,
-  :class:`BenchReport`).
-* :mod:`repro.bench.baseline` — the on-disk ``repro-bench/1`` payload format
-  plus the regression gate (:func:`find_regressions`) used by CI's bench
-  smoke job.
-"""
-
-from repro.bench.baseline import (
-    BENCH_FORMAT,
-    DEFAULT_MAX_SLOWDOWN,
-    Regression,
-    bench_payload,
-    find_regressions,
-    load_bench,
-    save_bench,
-    speedup_vs_baseline,
-)
-from repro.bench.harness import (
-    DEFAULT_EXPERIMENTS,
-    BenchReport,
-    ExperimentBench,
-    bench_experiment,
-    bench_replay_path,
-    peak_rss_bytes,
-    prepare_replay_cells,
-    rows_digest,
-    run_bench,
-)
-
-__all__ = [
-    "BENCH_FORMAT",
-    "DEFAULT_EXPERIMENTS",
-    "DEFAULT_MAX_SLOWDOWN",
-    "BenchReport",
-    "ExperimentBench",
-    "Regression",
-    "bench_experiment",
-    "bench_payload",
-    "bench_replay_path",
-    "find_regressions",
-    "load_bench",
-    "peak_rss_bytes",
-    "prepare_replay_cells",
-    "rows_digest",
-    "run_bench",
-    "save_bench",
-    "speedup_vs_baseline",
-]
+__all__ = ["rows_digest"]

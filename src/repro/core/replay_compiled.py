@@ -70,7 +70,7 @@ class CompiledBackend(VectorizedBackend):
         )
 
     def build_info(self) -> Optional[dict]:
-        """Kernel build metadata for the bench payload."""
+        """Kernel build metadata (``list --backends``)."""
         return kernel_build_info()
 
     def _kernel(self, *args, **kwargs):

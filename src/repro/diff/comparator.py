@@ -1,7 +1,7 @@
 """First-divergence schedule comparator.
 
 The whole pipeline is verified by digest equality — golden cache keys,
-golden rows, cross-backend bench digests — but a digest mismatch only says
+golden rows, the benchmark's rows digests — but a digest mismatch only says
 *that* two schedules differ, not *where*.  This module walks two schedules
 in canonical ``(ingress_time, packet_id, hop_index)`` order
 (:meth:`repro.core.schedule.Schedule.canonical_records`) and halts at the

@@ -3,39 +3,24 @@
 Importing this package registers every experiment definition with the
 pipeline's :data:`~repro.pipeline.experiment.REGISTRY`, so
 ``python -m repro list`` and the parallel runner see all paper artifacts.
+Run them with :func:`repro.pipeline.runner.run_pipeline`.
 """
 
-from repro.experiments.ablations import (
-    run_edf_equivalence,
-    run_omniscient_ablation,
-    run_preemption_ablation,
-)
-from repro.experiments.adversarial import adversarial_scenarios, run_adversarial
+from repro.experiments import ablations  # noqa: F401  (import registers)
+from repro.experiments.adversarial import adversarial_scenarios
 from repro.experiments.config import ExperimentResult, ExperimentScale
-from repro.experiments.faults import fault_scenarios, run_faults
-from repro.experiments.figure1 import queueing_delay_ratio_cdf, run_figure1
-from repro.experiments.figure2 import run_fct_scenario, run_figure2
-from repro.experiments.figure3 import run_delay_scenario, run_figure3
-from repro.experiments.figure4 import (
-    build_long_lived_flows,
-    run_fairness_scenario,
-    run_figure4,
-)
-from repro.experiments.heuristics import heuristics_scenarios, run_heuristics
-from repro.experiments.runner import (
-    EXPERIMENTS,
-    format_result,
-    results_to_json,
-    run_all,
-    run_all_summary,
-)
-from repro.experiments.scale import run_scale, scale_scenarios
+from repro.experiments.faults import fault_scenarios
+from repro.experiments.figure1 import queueing_delay_ratio_cdf
+from repro.experiments.figure2 import run_fct_scenario
+from repro.experiments.figure3 import run_delay_scenario
+from repro.experiments.figure4 import build_long_lived_flows, run_fairness_scenario
+from repro.experiments.heuristics import heuristics_scenarios
+from repro.experiments.runner import format_result, results_to_json
+from repro.experiments.scale import scale_scenarios
 from repro.experiments.table1 import (
     ReplayScenario,
     default_scenario,
-    run_priority_comparison,
     run_scenario,
-    run_table1,
     table1_scenarios,
 )
 
@@ -46,31 +31,15 @@ __all__ = [
     "default_scenario",
     "table1_scenarios",
     "run_scenario",
-    "run_table1",
-    "run_priority_comparison",
-    "run_figure1",
     "queueing_delay_ratio_cdf",
-    "run_figure2",
     "run_fct_scenario",
-    "run_figure3",
     "run_delay_scenario",
-    "run_figure4",
     "run_fairness_scenario",
     "build_long_lived_flows",
-    "run_preemption_ablation",
-    "run_edf_equivalence",
-    "run_omniscient_ablation",
-    "run_adversarial",
     "adversarial_scenarios",
-    "run_heuristics",
     "heuristics_scenarios",
-    "run_faults",
     "fault_scenarios",
-    "run_scale",
     "scale_scenarios",
-    "EXPERIMENTS",
-    "run_all",
-    "run_all_summary",
     "format_result",
     "results_to_json",
 ]

@@ -17,9 +17,9 @@ content-addressed schedule cache even across pool workers.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from repro.experiments.config import ExperimentResult, ExperimentScale
+from repro.experiments.config import ExperimentScale
 from repro.experiments.table1 import default_scenario
 from repro.pipeline.cache import ScheduleCache
 from repro.pipeline.experiment import (
@@ -29,7 +29,6 @@ from repro.pipeline.experiment import (
     register_experiment,
     replay_scenario,
 )
-from repro.pipeline.runner import run_experiment
 from repro.pipeline.scenario import Scenario, expand_replicates, override_workload
 
 
@@ -139,30 +138,6 @@ class OmniscientAblationDefinition(ModeComparisonDefinition):
     def scenarios(self, scale: ExperimentScale) -> List[Scenario]:
         """The single shared scenario both initializations replay."""
         return [default_scenario(scale, original=self.original)]
-
-
-def run_preemption_ablation(
-    scale: Optional[ExperimentScale] = None,
-    originals: Sequence[str] = ("sjf", "lifo"),
-) -> ExperimentResult:
-    """Non-preemptive versus preemptive LSTF replay for skew-heavy originals."""
-    return run_experiment(PreemptionAblationDefinition(originals=originals), scale)
-
-
-def run_edf_equivalence(
-    scale: Optional[ExperimentScale] = None,
-    original: str = "random",
-) -> ExperimentResult:
-    """LSTF versus network-wide EDF replay of the same original schedule."""
-    return run_experiment(EdfEquivalenceDefinition(original=original), scale)
-
-
-def run_omniscient_ablation(
-    scale: Optional[ExperimentScale] = None,
-    original: str = "random",
-) -> ExperimentResult:
-    """Omniscient (per-hop) initialization versus black-box LSTF replay."""
-    return run_experiment(OmniscientAblationDefinition(original=original), scale)
 
 
 register_experiment(PreemptionAblationDefinition())

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.experiments.config import ExperimentResult, ExperimentScale
+from repro.experiments.config import ExperimentScale
 from repro.experiments.table1 import _utilization_row_name, default_scenario
 from repro.pipeline.cache import ScheduleCache
 from repro.pipeline.experiment import (
@@ -26,7 +26,6 @@ from repro.pipeline.experiment import (
     register_experiment,
     replay_scenario,
 )
-from repro.pipeline.runner import run_experiment
 from repro.pipeline.scenario import (
     Scenario,
     Sweep,
@@ -144,15 +143,6 @@ class AdversarialDefinition(ExperimentDef):
         scenario: Scenario = cell.spec
         result = replay_scenario(scenario, mode=cell.mode, cache=cache)
         return CellResult(cell=cell, row=adversarial_row(scenario, cell.mode, result))
-
-
-def run_adversarial(
-    scale: Optional[ExperimentScale] = None,
-    workload: Optional[str] = None,
-) -> ExperimentResult:
-    """Run the adversarial scenario group (serially) and collect the rows."""
-    definition = AdversarialDefinition(workload=workload)
-    return run_experiment(definition, scale)
 
 
 register_experiment(AdversarialDefinition())

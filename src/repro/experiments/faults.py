@@ -23,7 +23,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, List, Optional, Tuple
 
-from repro.experiments.config import ExperimentResult, ExperimentScale
+from repro.experiments.config import ExperimentScale
 from repro.experiments.table1 import default_scenario
 from repro.pipeline.cache import ScheduleCache
 from repro.pipeline.experiment import (
@@ -33,7 +33,6 @@ from repro.pipeline.experiment import (
     register_experiment,
     replay_scenario,
 )
-from repro.pipeline.runner import run_experiment
 from repro.pipeline.scenario import (
     Scenario,
     expand_replicates,
@@ -159,15 +158,6 @@ class FaultsDefinition(ExperimentDef):
         scenario: Scenario = cell.spec
         result = replay_scenario(scenario, mode=cell.mode, cache=cache)
         return CellResult(cell=cell, row=fault_row(scenario, cell.mode, result))
-
-
-def run_faults(
-    scale: Optional[ExperimentScale] = None,
-    faults: Optional[str] = None,
-) -> ExperimentResult:
-    """Run the faults group (serially) and collect the rows."""
-    definition = FaultsDefinition(faults=faults)
-    return run_experiment(definition, scale)
 
 
 register_experiment(FaultsDefinition())

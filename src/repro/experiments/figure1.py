@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from repro.experiments.config import ExperimentResult, ExperimentScale
+from repro.experiments.config import ExperimentScale
 from repro.experiments.table1 import default_scenario
 from repro.pipeline.cache import ScheduleCache
 from repro.pipeline.experiment import (
@@ -28,7 +28,6 @@ from repro.pipeline.experiment import (
     register_experiment,
     replay_scenario,
 )
-from repro.pipeline.runner import run_experiment
 from repro.pipeline.scenario import override_workload
 from repro.utils.stats import cdf_points, percentile
 
@@ -110,20 +109,6 @@ class Figure1Definition(ExperimentDef):
         # Rows sorted by original-scheduler name, matching the paper's legend.
         merged.rows.sort(key=lambda row: row["original"])
         return merged
-
-
-def run_figure1(
-    scale: Optional[ExperimentScale] = None,
-    schedulers: Sequence[str] = FIGURE1_SCHEDULERS,
-) -> ExperimentResult:
-    """Queueing-delay-ratio distributions for each original scheduler.
-
-    Each row summarizes one curve: the median and 90th-percentile ratio plus
-    the fraction of packets whose replay queueing delay is no larger than the
-    original (the mass at or below ratio 1.0).  The full curves stay
-    available as ``result.curves``.
-    """
-    return run_experiment(Figure1Definition(schedulers=schedulers), scale)
 
 
 register_experiment(Figure1Definition())

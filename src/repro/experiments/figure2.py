@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.fct import PAPER_FCT_BUCKET_EDGES, fct_by_flow_size, mean_fct
-from repro.experiments.config import ExperimentResult, ExperimentScale
+from repro.experiments.config import ExperimentScale
 from repro.pipeline.cache import ScheduleCache
 from repro.pipeline.experiment import (
     Cell,
@@ -31,7 +31,6 @@ from repro.pipeline.experiment import (
     build_live_slack_policy,
     register_experiment,
 )
-from repro.pipeline.runner import run_experiment
 from repro.schedulers.factory import uniform_factory
 from repro.sim.flow import Flow
 from repro.sim.simulation import Simulation
@@ -170,17 +169,6 @@ class Figure2Definition(ExperimentDef):
             # column set (pinned bit-identical by the golden figure fixture).
             row["slack_policy"] = override
         return CellResult(cell=cell, row=row)
-
-
-def run_figure2(
-    scale: Optional[ExperimentScale] = None,
-    schedulers: Sequence[str] = ("fifo", "srpt", "sjf", "lstf"),
-    utilization: float = 0.7,
-) -> ExperimentResult:
-    """Mean FCT (overall and bucketed by flow size) for each scheduler."""
-    return run_experiment(
-        Figure2Definition(schedulers=schedulers, utilization=utilization), scale
-    )
 
 
 def _bucket_mean(buckets, min_bytes: float = 0.0, max_bytes: float = float("inf")) -> float:

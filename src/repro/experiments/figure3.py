@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.delay import delay_ccdf, delay_statistics
-from repro.experiments.config import ExperimentResult, ExperimentScale
+from repro.experiments.config import ExperimentScale
 from repro.pipeline.cache import ScheduleCache
 from repro.pipeline.experiment import (
     Cell,
@@ -24,7 +24,6 @@ from repro.pipeline.experiment import (
     build_live_slack_policy,
     register_experiment,
 )
-from repro.pipeline.runner import run_experiment
 from repro.schedulers.factory import uniform_factory
 from repro.sim.packet import Packet
 from repro.sim.simulation import Simulation
@@ -146,17 +145,6 @@ class Figure3Definition(ExperimentDef):
             curve=delay_ccdf(packets),
             curve_key=cell.label,
         )
-
-
-def run_figure3(
-    scale: Optional[ExperimentScale] = None,
-    schedulers: Sequence[str] = ("fifo", "lstf"),
-    utilization: float = 0.7,
-) -> ExperimentResult:
-    """Mean and tail packet-delay comparison (plus CCDF curves)."""
-    return run_experiment(
-        Figure3Definition(schedulers=schedulers, utilization=utilization), scale
-    )
 
 
 register_experiment(Figure3Definition())

@@ -23,10 +23,9 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.analysis.fairness import FairnessTimeseries, fairness_timeseries
 from repro.core.slack_policy import SLACK_POLICIES
-from repro.experiments.config import ExperimentResult, ExperimentScale
+from repro.experiments.config import ExperimentScale
 from repro.pipeline.cache import ScheduleCache
 from repro.pipeline.experiment import Cell, CellResult, ExperimentDef, register_experiment
-from repro.pipeline.runner import run_experiment
 from repro.schedulers.factory import uniform_factory
 from repro.sim.flow import Flow
 from repro.sim.simulation import Simulation
@@ -219,21 +218,6 @@ class Figure4Definition(ExperimentDef):
             curve=timeseries,
             curve_key=cell.label,
         )
-
-
-def run_figure4(
-    scale: Optional[ExperimentScale] = None,
-    rest_fractions: Sequence[float] = (1.0, 0.5, 0.1, 0.01),
-    num_flows: int = 12,
-    duration: float = 0.5,
-) -> ExperimentResult:
-    """Fairness convergence of FIFO, FQ, and LSTF at several ``rest`` values."""
-    return run_experiment(
-        Figure4Definition(
-            rest_fractions=rest_fractions, num_flows=num_flows, duration=duration
-        ),
-        scale,
-    )
 
 
 register_experiment(Figure4Definition())

@@ -46,7 +46,7 @@ from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.metrics import schedule_statistics
-from repro.experiments.config import ExperimentResult, ExperimentScale
+from repro.experiments.config import ExperimentScale
 from repro.experiments.table1 import default_scenario
 from repro.pipeline.cache import ScheduleCache
 from repro.pipeline.experiment import (
@@ -57,7 +57,6 @@ from repro.pipeline.experiment import (
     register_experiment,
     replay_scenario,
 )
-from repro.pipeline.runner import run_experiment
 from repro.pipeline.scenario import Scenario, expand_replicates
 
 #: Original scheduler recording the shared baseline traffic for replay rows.
@@ -258,15 +257,6 @@ class HeuristicsDefinition(ExperimentDef):
             result = replay_scenario(scenario, mode=scheme.replay_mode, cache=cache)
             row = heuristics_row(scenario, scheme, result.replayed, replay_result=result)
         return CellResult(cell=cell, row=row)
-
-
-def run_heuristics(
-    scale: Optional[ExperimentScale] = None,
-    workload: Optional[str] = None,
-) -> ExperimentResult:
-    """Run the heuristics scenario group (serially) and collect the rows."""
-    definition = HeuristicsDefinition(workload=workload)
-    return run_experiment(definition, scale)
 
 
 register_experiment(HeuristicsDefinition())

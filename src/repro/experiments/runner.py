@@ -1,54 +1,17 @@
-"""Running and formatting experiments.
+"""Formatting experiment results.
 
-The :func:`run_all` helper executes every table/figure experiment under one
-scale preset — serially or fanned out across worker processes via the
-experiment pipeline — and :func:`format_result` renders a result as a
-plain-text table of the same shape as the corresponding table or figure
-legend in the paper.
+:func:`format_result` renders a result as a plain-text table of the same
+shape as the corresponding table or figure legend in the paper, and
+:func:`results_to_json` serializes a run's results.  Running experiments is
+:func:`repro.pipeline.runner.run_pipeline`'s job.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List
 
-from repro.experiments.ablations import (
-    run_edf_equivalence,
-    run_omniscient_ablation,
-    run_preemption_ablation,
-)
-from repro.experiments.adversarial import run_adversarial
-from repro.experiments.config import ExperimentResult, ExperimentScale
-from repro.experiments.faults import run_faults
-from repro.experiments.figure1 import run_figure1
-from repro.experiments.figure2 import run_figure2
-from repro.experiments.figure3 import run_figure3
-from repro.experiments.figure4 import run_figure4
-from repro.experiments.heuristics import run_heuristics
-from repro.experiments.scale import run_scale
-from repro.experiments.table1 import run_priority_comparison, run_table1
-from repro.pipeline.runner import RunSummary, run_pipeline
-
-#: Registry of every experiment in the harness, keyed by the paper artifact
-#: it reproduces.  Kept for backwards compatibility and for callers that want
-#: plain callables; the authoritative registry is
-#: :data:`repro.pipeline.experiment.REGISTRY`, which maps the same names to
-#: the parallelizable experiment definitions.
-EXPERIMENTS: Dict[str, Callable[[Optional[ExperimentScale]], ExperimentResult]] = {
-    "table1": run_table1,
-    "table1-priority": run_priority_comparison,
-    "figure1": run_figure1,
-    "figure2": run_figure2,
-    "figure3": run_figure3,
-    "figure4": run_figure4,
-    "ablation-preemption": run_preemption_ablation,
-    "ablation-edf": run_edf_equivalence,
-    "ablation-omniscient": run_omniscient_ablation,
-    "adversarial": run_adversarial,
-    "heuristics": run_heuristics,
-    "faults": run_faults,
-    "scale": run_scale,
-}
+from repro.experiments.config import ExperimentResult
 
 
 def _format_table(rows: List[dict], float_digits: int) -> List[str]:
@@ -102,41 +65,6 @@ def _format_cell(value, float_digits: int) -> str:
     return str(value)
 
 
-def run_all(
-    scale: Optional[ExperimentScale] = None,
-    names: Optional[List[str]] = None,
-    workers: int = 1,
-    cache_dir: Optional[str] = None,
-) -> Dict[str, ExperimentResult]:
-    """Run every (or a subset of) experiment(s) and return their results.
-
-    With ``workers > 1`` the experiments' cells are fanned out across a
-    process pool; the merged results are row-for-row identical to a serial
-    run.  ``cache_dir`` enables the shared on-disk schedule cache.
-    """
-    return run_all_summary(
-        scale=scale, names=names, workers=workers, cache_dir=cache_dir
-    ).results
-
-
-def run_all_summary(
-    scale: Optional[ExperimentScale] = None,
-    names: Optional[List[str]] = None,
-    workers: int = 1,
-    cache_dir: Optional[str] = None,
-    replicates: int = 1,
-) -> RunSummary:
-    """Like :func:`run_all` but returns the full pipeline :class:`RunSummary`."""
-    selected = names if names is not None else list(EXPERIMENTS)
-    return run_pipeline(
-        names=selected,
-        scale=scale or ExperimentScale.quick(),
-        workers=workers,
-        cache_dir=cache_dir,
-        replicates=replicates,
-    )
-
-
 def results_to_json(results: Dict[str, ExperimentResult]) -> str:
     """Serialize experiment results (rows, notes, replicate aggregates) to JSON."""
     payload = {}
@@ -150,19 +78,3 @@ def results_to_json(results: Dict[str, ExperimentResult]) -> str:
             entry["aggregates"] = result.aggregates
         payload[name] = entry
     return json.dumps(payload, indent=2, default=str)
-
-
-def main() -> None:  # pragma: no cover - convenience CLI
-    """Run the full harness at quick scale and print every table.
-
-    Prefer ``python -m repro run --all`` (see :mod:`repro.__main__`), which
-    adds worker fan-out, the schedule cache, and scale selection.
-    """
-    results = run_all(ExperimentScale.quick())
-    for result in results.values():
-        print(format_result(result))
-        print()
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -28,9 +28,10 @@ always does when the entry was written by a cache with the same
 cache-loaded schedule.
 
 Rows contain only deterministic quantities.  Peak RSS and events/s — the
-scale tier's headline numbers — are measured by the benchmark harness and
-recorded in the ``repro-bench/1`` payload, never in rows (a row must be
-bit-identical across machines; an RSS sample is not).
+scale tier's headline numbers — are measured by ``benchmarks/perf``
+(``peak_rss_mib`` / ``events_per_ref_s`` of its ``parallel-mixed`` workload),
+never in rows (a row must be bit-identical across machines; an RSS sample is
+not).
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from repro.core.schedule import (
     load_manifest,
     stored_schedule_packets,
 )
-from repro.experiments.config import ExperimentResult, ExperimentScale
+from repro.experiments.config import ExperimentScale
 from repro.pipeline.cache import ScheduleCache
 from repro.pipeline.experiment import (
     Cell,
@@ -62,7 +63,6 @@ from repro.pipeline.experiment import (
     register_experiment,
     scenario_cache_key,
 )
-from repro.pipeline.runner import run_experiment
 from repro.pipeline.scenario import Scenario, expand_replicates
 
 #: Topology builders exercised at scale (methods on ExperimentScale).
@@ -130,7 +130,7 @@ class ScaleDefinition(ExperimentDef):
     notes = (
         "Scale tier: Rocketfuel/fat-tree scenarios with streaming mergeable "
         "metrics over the sharded schedule cache; peak RSS and events/s are "
-        "recorded by the benchmark harness, not in rows."
+        "measured by benchmarks/perf, not in rows."
     )
 
     supports_replicates = True
@@ -307,11 +307,6 @@ class ScaleDefinition(ExperimentDef):
         for partial in partials[1:]:
             merged = merged.merge(StreamingScheduleStatistics.from_dict(partial))
         return CellResult(cell=cell, row=stats_row(cell.spec, merged.finalize()))
-
-
-def run_scale(scale: Optional[ExperimentScale] = None) -> ExperimentResult:
-    """Run the scale group (serially) and collect the rows."""
-    return run_experiment(ScaleDefinition(), scale)
 
 
 register_experiment(ScaleDefinition())

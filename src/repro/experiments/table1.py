@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.experiments.config import ExperimentResult, ExperimentScale
+from repro.experiments.config import ExperimentScale
 from repro.pipeline.cache import ScheduleCache
 from repro.pipeline.experiment import (
     Cell,
@@ -33,7 +33,6 @@ from repro.pipeline.experiment import (
     register_experiment,
     replay_scenario,
 )
-from repro.pipeline.runner import run_experiment
 from repro.pipeline.scenario import (
     Scenario,
     Sweep,
@@ -261,24 +260,6 @@ class PriorityComparisonDefinition(ExperimentDef):
                 "fraction_overdue_beyond_T": result.overdue_beyond_threshold_fraction,
             },
         )
-
-
-def run_table1(
-    scale: Optional[ExperimentScale] = None,
-    scenarios: Optional[Sequence[Scenario]] = None,
-) -> ExperimentResult:
-    """Run all Table-1 scenarios (serially) and collect the rows."""
-    definition = Table1Definition(
-        scenarios=tuple(scenarios) if scenarios is not None else None
-    )
-    return run_experiment(definition, scale)
-
-
-def run_priority_comparison(
-    scale: Optional[ExperimentScale] = None,
-) -> ExperimentResult:
-    """Section 2.3 item (7): LSTF replay versus simple-priority replay."""
-    return run_experiment(PriorityComparisonDefinition(), scale)
 
 
 register_experiment(Table1Definition())

@@ -44,7 +44,6 @@ from repro.pipeline.experiment import (
 from repro.pipeline.runner import (
     RunSummary,
     aggregate_replicate_rows,
-    run_experiment,
     run_pipeline,
 )
 from repro.pipeline.scenario import (
@@ -75,7 +74,6 @@ __all__ = [
     "record_scenario_schedule",
     "register_experiment",
     "replay_scenario",
-    "run_experiment",
     "run_pipeline",
     "scenario_cache_key",
     "schedule_cache_key",

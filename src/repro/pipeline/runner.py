@@ -388,7 +388,7 @@ def _backend_scope(backend: Optional[str]):
     The selection travels through :data:`~repro.sim.backend.BACKEND_ENV_VAR`
     — the channel :func:`~repro.sim.backend.replay_candidates` consults when
     a replay names no engine — so every replay in the run (serial cells,
-    convenience wrappers, nested helpers) picks it up without threading a
+    nested helpers) picks it up without threading a
     parameter through each experiment definition.  ``None`` pins nothing:
     each replay then takes the fastest available engine that supports its
     configuration.
@@ -411,27 +411,6 @@ def _backend_scope(backend: Optional[str]):
             os.environ.pop(BACKEND_ENV_VAR, None)
         else:
             os.environ[BACKEND_ENV_VAR] = previous
-
-
-def run_experiment(
-    definition: ExperimentDef,
-    scale: Optional[ExperimentScale] = None,
-    cache: Optional[ScheduleCache] = None,
-) -> ExperimentResult:
-    """Run one experiment definition serially and assemble its result.
-
-    The serial backbone used by the compatibility wrappers
-    (``run_table1`` and friends) and by ``workers=1`` pipeline runs.
-    """
-    from repro.experiments.config import ExperimentScale
-
-    scale = scale or ExperimentScale.quick()
-    cache = cache if cache is not None else ScheduleCache()
-    results = [
-        _execute_cell(definition, cell, scale, cache)
-        for cell in definition.cells(scale)
-    ]
-    return definition.assemble(scale, results)
 
 
 def _cell_error(

@@ -118,12 +118,11 @@ class SimBackend(ABC):
         """
 
     def build_info(self) -> Optional[dict]:
-        """Build metadata for bench payloads (compiler, toolchain, ...).
+        """Build metadata shown by ``list --backends`` (compiler, toolchain, ...).
 
         ``None`` means the backend has no build step (pure Python); the
         compiled backend reports the compiler and toolchain that produced
-        its kernel extension, so committed ``BENCH_*.json`` files state
-        what, exactly, was measured.
+        its kernel extension.
         """
         return None
 
@@ -300,9 +299,9 @@ def available_backend_names(mode: str = "lstf") -> List[str]:
     backend follows in trajectory order (``vectorized``, ``compiled``, then
     any third-party registrations sorted by name), *skipping* backends whose
     dependencies are missing or whose extension is not built, and backends
-    that decline ``mode``.  This is the backend enumeration the replay-path
-    bench, the differential fuzz harness, and ``repro diff --replay`` all
-    share: "every available backend" means exactly this list.
+    that decline ``mode``.  This is the backend enumeration ``benchmarks/perf``,
+    the differential fuzz harness, and ``repro diff --replay`` all share:
+    "every available backend" means exactly this list.
     """
     from repro.pipeline.scenario import PipelineConfigError
 

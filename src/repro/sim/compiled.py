@@ -9,8 +9,8 @@ raising at import time.  ``python tools/build_compiled.py`` builds it in
 place for PYTHONPATH-based checkouts.
 
 This module is the single place that touches the extension: it wraps the
-import, remembers the failure reason, and exposes build metadata for the
-bench payload.  :mod:`repro.core.replay_compiled` builds the registered
+import, remembers the failure reason, and exposes build metadata for
+``list --backends``.  :mod:`repro.core.replay_compiled` builds the registered
 ``"compiled"`` backend on top of it.
 """
 
@@ -58,7 +58,7 @@ def kernel_run_flat_replay() -> Callable:
 
 
 def kernel_build_info() -> Optional[dict]:
-    """Build metadata for bench payloads (``None`` when not built).
+    """Build metadata shown by ``list --backends`` (``None`` when not built).
 
     Carries the toolchain (the kernel is a hand-written CPython C-API
     extension — the container and CI images ship gcc but neither mypyc nor

@@ -50,9 +50,9 @@ class Simulator:
     """
 
     #: Process-wide count of events executed across *all* Simulator
-    #: instances.  Read (as a before/after delta) by the bench harness to
-    #: turn wall time into events/second; updated when ``run()`` returns and
-    #: on every ``step()``.
+    #: instances.  Read (as a before/after delta) by ``benchmarks/perf`` to
+    #: count the events a workload executed; updated when ``run()`` returns
+    #: and on every ``step()``.
     events_executed_total: int = 0
 
     def __init__(self) -> None:

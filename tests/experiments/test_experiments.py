@@ -10,19 +10,20 @@ from repro.experiments import (
     default_scenario,
     format_result,
     results_to_json,
-    run_all,
-    run_edf_equivalence,
-    run_omniscient_ablation,
-    run_priority_comparison,
     run_scenario,
     table1_scenarios,
 )
 from repro.experiments.figure2 import FIGURE2_SCHEDULERS, figure2_size_distribution
 from repro.experiments.figure4 import build_long_lived_flows, fairness_scale
+from repro.pipeline import run_pipeline
 from repro.utils import gbps
 
 
 SMOKE = ExperimentScale.smoke()
+
+
+def run_one(name):
+    return run_pipeline([name], scale=SMOKE).results[name]
 
 
 class TestScalePresets:
@@ -74,19 +75,19 @@ class TestTable1Harness:
         assert row["fraction_overdue_beyond_T"] <= row["fraction_overdue"]
 
     def test_priority_comparison_shows_lstf_advantage(self):
-        result = run_priority_comparison(SMOKE)
+        result = run_one("table1-priority")
         by_mode = {row["replay_mode"]: row for row in result.rows}
         assert by_mode["lstf"]["fraction_overdue"] <= by_mode["priority"]["fraction_overdue"]
 
 
 class TestAblations:
     def test_omniscient_ablation_is_perfect(self):
-        result = run_omniscient_ablation(SMOKE)
+        result = run_one("ablation-omniscient")
         by_mode = {row["replay_mode"]: row for row in result.rows}
         assert by_mode["omniscient"]["fraction_overdue"] == 0.0
 
     def test_edf_equivalence_rows_match(self):
-        result = run_edf_equivalence(SMOKE)
+        result = run_one("ablation-edf")
         by_mode = {row["replay_mode"]: row for row in result.rows}
         assert by_mode["edf"]["fraction_overdue"] == pytest.approx(
             by_mode["lstf"]["fraction_overdue"], abs=1e-9
@@ -127,4 +128,4 @@ class TestRunnerFormatting:
 
     def test_run_all_rejects_unknown_experiment(self):
         with pytest.raises(KeyError):
-            run_all(SMOKE, names=["tableX"])
+            run_pipeline(["tableX"], scale=SMOKE)

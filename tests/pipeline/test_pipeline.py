@@ -6,7 +6,7 @@ import os
 import pytest
 
 from repro.__main__ import main as cli_main
-from repro.experiments import ExperimentScale, run_all
+from repro.experiments import ExperimentScale
 from repro.pipeline import (
     REGISTRY,
     Scenario,
@@ -15,6 +15,7 @@ from repro.pipeline import (
     default_registry,
     replay_scenario,
     run_pipeline,
+    scenario_cache_key,
     schedule_cache_key,
 )
 from repro.pipeline.scenario import expand_replicates, stable_seed
@@ -164,10 +165,10 @@ class TestRunner:
             assert serial.results[name].rows == parallel.results[name].rows
 
     def test_run_all_parallel_matches_serial(self, tmp_path):
-        serial = run_all(SMOKE, names=SUBSET)
-        parallel = run_all(
-            SMOKE, names=SUBSET, workers=4, cache_dir=str(tmp_path / "cache")
-        )
+        serial = run_pipeline(SUBSET, scale=SMOKE).results
+        parallel = run_pipeline(
+            SUBSET, scale=SMOKE, workers=4, cache_dir=str(tmp_path / "cache")
+        ).results
         assert {
             name: result.rows for name, result in serial.items()
         } == {name: result.rows for name, result in parallel.items()}
@@ -273,6 +274,20 @@ class TestCli:
         row = json.loads(capsys.readouterr().out)
         assert row["scenario"] == "I2-1G-10G@70"
         assert row["fraction_overdue"] == 0.0  # omniscient replay is perfect
+
+    def test_record_stamps_the_cache_key_of_every_scenario(self, tmp_path):
+        # The key in the file must be the key the cache stores the same
+        # recording under — including the fault fingerprint of FLT-* rows.
+        from repro.__main__ import _replay_scenarios
+        from repro.core.schedule import load_schedule
+
+        out_file = str(tmp_path / "sched.jsonl.gz")
+        scenarios = _replay_scenarios(SMOKE)
+        assert any(scenario.fault_plan() is not None for scenario in scenarios.values())
+        for name, scenario in scenarios.items():
+            assert cli_main(["record", name, "--scale", "smoke", "--out", out_file]) == 0
+            _, meta = load_schedule(out_file)
+            assert meta["key"] == scenario_cache_key(scenario), name
 
     def test_record_rejects_unknown_scenario(self, capsys):
         assert cli_main(["record", "no-such-row", "--scale", "smoke"]) == 2

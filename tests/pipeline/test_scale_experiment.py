@@ -44,7 +44,7 @@ class TestScaleGroup:
         rows = scale_rows(tmp_path, "plain")
         assert len(rows) == 4
         for row in rows:
-            # RSS / events-per-second live in the bench payload, never in rows.
+            # RSS / events-per-second are benchmarks/perf metrics, never rows.
             assert "peak_rss_bytes" not in row
             assert row["packets"] > 0
 
