@@ -109,7 +109,7 @@ class Scheduler(ABC):
 
 
 class QueueEntry:
-    """Internal bookkeeping record pairing a packet with its enqueue time."""
+    """A queued packet paired with its enqueue time."""
 
     __slots__ = ("packet", "enqueue_time")
 
@@ -129,7 +129,9 @@ class PriorityScheduler(Scheduler):
 
     def __init__(self) -> None:
         super().__init__()
-        self._heap: List[Tuple[float, int, QueueEntry]] = []
+        # Entries are (key, sequence, packet, enqueue_time): plain tuples, so
+        # an enqueue allocates nothing but the entry itself.
+        self._heap: List[Tuple[float, int, Packet, float]] = []
         self._sequence = itertools.count()
         self._bytes = 0.0
         self._removed: Set[int] = set()
@@ -145,16 +147,17 @@ class PriorityScheduler(Scheduler):
         """Sort key for ``packet``; smaller keys are served first."""
 
     def enqueue(self, packet: Packet, now: float) -> None:
-        entry = QueueEntry(packet, now)
-        heappush(self._heap, (self.key(packet, now, now), next(self._sequence), entry))
+        heappush(self._heap, (self.key(packet, now, now), next(self._sequence), packet, now))
         self._bytes += packet.size_bytes
         self._queued_ids.add(packet.packet_id)
 
     def dequeue(self, now: float) -> Optional[Packet]:
-        entry = self._pop_valid()
-        if entry is None:
+        heap = self._heap
+        if self._removed:
+            self._discard_removed()
+        if not heap:
             return None
-        packet = entry.packet
+        _, _, packet, enqueue_time = heappop(heap)
         self._queued_ids.discard(packet.packet_id)
         self._bytes -= packet.size_bytes
         if not self._queued_ids:
@@ -163,7 +166,7 @@ class PriorityScheduler(Scheduler):
             # otherwise report a tiny non-zero byte count (and a finite
             # buffer would slowly "shrink").  Empty queue == exactly zero.
             self._bytes = 0.0
-        self.on_dequeue(packet, entry.enqueue_time, now)
+        self.on_dequeue(packet, enqueue_time, now)
         return packet
 
     def on_dequeue(self, packet: Packet, enqueue_time: float, now: float) -> None:
@@ -174,28 +177,22 @@ class PriorityScheduler(Scheduler):
         self._discard_removed()
         if not self._heap:
             return None
-        return self._heap[0][2].packet
+        return self._heap[0][2]
 
     def peek_entry(self) -> Optional[QueueEntry]:
         """The queue entry at the head of the heap (packet + enqueue time)."""
         self._discard_removed()
         if not self._heap:
             return None
-        return self._heap[0][2]
-
-    def _pop_valid(self) -> Optional[QueueEntry]:
-        self._discard_removed()
-        if not self._heap:
-            return None
-        _, _, entry = heappop(self._heap)
-        return entry
+        _, _, packet, enqueue_time = self._heap[0]
+        return QueueEntry(packet, enqueue_time)
 
     def _discard_removed(self) -> None:
+        """Pop lazily deleted entries off the heap head."""
         heap = self._heap
         removed = self._removed
-        while heap and heap[0][2].packet.packet_id in removed:
-            _, _, entry = heappop(heap)
-            removed.discard(entry.packet.packet_id)
+        while heap and heap[0][2].packet_id in removed:
+            removed.discard(heappop(heap)[2].packet_id)
 
     def remove(self, packet: Packet) -> bool:
         """Remove a queued packet in O(1) (lazy heap deletion).
@@ -217,17 +214,17 @@ class PriorityScheduler(Scheduler):
     def queued_packets(self) -> List[Packet]:
         """Snapshot of queued packets (order unspecified); used by drop policies."""
         return [
-            entry.packet
-            for _, _, entry in self._heap
-            if entry.packet.packet_id not in self._removed
+            packet
+            for _, _, packet, _ in self._heap
+            if packet.packet_id not in self._removed
         ]
 
     def queued_entries(self) -> List[QueueEntry]:
         """Snapshot of queue entries (order unspecified)."""
         return [
-            entry
-            for _, _, entry in self._heap
-            if entry.packet.packet_id not in self._removed
+            QueueEntry(packet, enqueue_time)
+            for _, _, packet, enqueue_time in self._heap
+            if packet.packet_id not in self._removed
         ]
 
     def __len__(self) -> int:

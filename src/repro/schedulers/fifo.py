@@ -5,7 +5,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Optional
 
-from repro.schedulers.base import QueueEntry, Scheduler
+from repro.schedulers.base import Scheduler
 from repro.sim.packet import Packet
 
 
@@ -14,23 +14,23 @@ class FifoScheduler(Scheduler):
 
     def __init__(self) -> None:
         super().__init__()
-        self._queue: Deque[QueueEntry] = deque()
+        self._queue: Deque[Packet] = deque()
         self._bytes = 0.0
 
     def enqueue(self, packet: Packet, now: float) -> None:
-        self._queue.append(QueueEntry(packet, now))
+        self._queue.append(packet)
         self._bytes += packet.size_bytes
 
     def dequeue(self, now: float) -> Optional[Packet]:
         if not self._queue:
             return None
-        entry = self._queue.popleft()
-        self._bytes -= entry.packet.size_bytes
-        return entry.packet
+        packet = self._queue.popleft()
+        self._bytes -= packet.size_bytes
+        return packet
 
     def remove(self, packet: Packet) -> bool:
-        for index, entry in enumerate(self._queue):
-            if entry.packet.packet_id == packet.packet_id:
+        for index, queued in enumerate(self._queue):
+            if queued.packet_id == packet.packet_id:
                 del self._queue[index]
                 self._bytes -= packet.size_bytes
                 return True

@@ -9,10 +9,11 @@ Hot-path design notes (this loop executes once per packet-hop-event, so the
 constant factor is the whole game — the same argument the paper makes for
 LSTF's per-packet cost in Section 5):
 
-* Heap entries are plain ``(time, sequence, event)`` tuples, not events.
-  CPython compares tuples of floats/ints entirely in C, so sift operations
-  never call back into :meth:`Event.__lt__` (previously ~10 comparisons per
-  push/pop, each allocating two tuples).
+* Heap entries are plain ``(time, sequence, event, callback, args)`` tuples,
+  not events.  CPython compares tuples of floats/ints entirely in C (the
+  unique sequence number settles every comparison), so sift operations never
+  call back into :meth:`Event.__lt__`.  ``event`` is the cancellation handle
+  and is ``None`` for events nobody can cancel (:meth:`Simulator.post`).
 * ``run()`` drives the heap directly with ``heappop`` bound to a local,
   instead of delegating to :meth:`step` (two extra function calls and a
   cancelled-scan per event).
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import math
 from heapq import heappop, heappush
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, List, Optional
 
 from repro.sim.events import Event
 
@@ -57,7 +58,7 @@ class Simulator:
 
     def __init__(self) -> None:
         self.now = 0.0
-        self._heap: List[Tuple[float, int, Event]] = []
+        self._heap: List[tuple] = []
         self._sequence = 0
         # Sequence numbers handed out by schedule_at_front(); they stay
         # negative (and increasing) so front events sort before every
@@ -101,9 +102,30 @@ class Simulator:
         sequence = self._sequence
         self._sequence = sequence + 1
         event = Event(time, sequence, callback, args)
-        heappush(self._heap, (time, sequence, event))
+        heappush(self._heap, (time, sequence, event, callback, args))
         self._live_events += 1
         return event
+
+    def post(self, delay: float, callback: Callable[..., Any], *args) -> None:
+        """:meth:`schedule` without a handle, for events nobody will cancel.
+
+        Draws its sequence number from the same counter as :meth:`schedule`,
+        so the event fires exactly where a handled one would; it only skips
+        building the :class:`Event`.  The per-hop link-delivery event is
+        posted (nothing can recall a packet from a wire); anything that may
+        be cancelled — e.g. a transmission finish, which preemption and link
+        faults abort — must use :meth:`schedule`.
+
+        Raises:
+            SimulationError: if ``delay`` is negative.
+        """
+        if delay < 0:
+            raise SimulationError(f"cannot schedule with negative delay {delay}")
+        time = self.now + delay
+        sequence = self._sequence
+        self._sequence = sequence + 1
+        heappush(self._heap, (time, sequence, None, callback, args))
+        self._live_events += 1
 
     def schedule_at(self, time: float, callback: Callable[..., Any], *args) -> Event:
         """Schedule ``callback(*args)`` to run at absolute simulation time ``time``.
@@ -118,7 +140,7 @@ class Simulator:
         sequence = self._sequence
         self._sequence = sequence + 1
         event = Event(time, sequence, callback, args)
-        heappush(self._heap, (time, sequence, event))
+        heappush(self._heap, (time, sequence, event, callback, args))
         self._live_events += 1
         return event
 
@@ -149,7 +171,7 @@ class Simulator:
         sequence = self._front_sequence
         self._front_sequence = sequence + 1
         event = Event(time, sequence, callback, args)
-        heappush(self._heap, (time, sequence, event))
+        heappush(self._heap, (time, sequence, event, callback, args))
         self._live_events += 1
         return event
 
@@ -203,14 +225,15 @@ class Simulator:
         normal events after any number of peeks.
         """
         heap = self._heap
-        while heap and heap[0][2].cancelled:
-            event = heappop(heap)[2]
+        while heap:
+            event = heap[0][2]
+            if event is None or not event.cancelled:
+                return heap[0][0]
+            heappop(heap)
             if not event.accounted:
                 event.accounted = True
                 self._live_events -= 1
-        if not heap:
-            return None
-        return heap[0][0]
+        return None
 
     def step(self) -> bool:
         """Execute the next pending event.
@@ -220,20 +243,22 @@ class Simulator:
         """
         heap = self._heap
         while heap:
-            time, _, event = heappop(heap)
-            if event.cancelled:
-                if not event.accounted:
-                    event.accounted = True
-                    self._live_events -= 1
-                continue
-            # Executed events are marked cancelled ("can no longer fire") so
-            # a later cancel() of a stale handle stays a counter-safe no-op.
-            event.cancelled = True
+            time, _, event, callback, args = heappop(heap)
+            if event is not None:
+                if event.cancelled:
+                    if not event.accounted:
+                        event.accounted = True
+                        self._live_events -= 1
+                    continue
+                # Executed events are marked cancelled ("can no longer fire")
+                # so a later cancel() of a stale handle stays a counter-safe
+                # no-op.
+                event.cancelled = True
             self.now = time
             self._events_processed += 1
             self._live_events -= 1
             Simulator.events_executed_total += 1
-            event.callback(*event.args)
+            callback(*args)
             return True
         return False
 
@@ -246,9 +271,11 @@ class Simulator:
 
         Args:
             until: Stop once the next event would fire strictly after this
-                time; the clock is advanced to ``until``.  ``None`` runs until
-                the event queue drains.
-            max_events: Safety valve; stop after this many events.
+                time; the clock is then advanced to ``until``.  ``None`` runs
+                until the event queue drains.
+            max_events: Safety valve; stop after this many events.  When the
+                budget ends the run with live events at or before ``until``
+                still pending, the clock stays at the last executed event.
         """
         if self._running:
             raise SimulationError("run() is not reentrant")
@@ -265,7 +292,7 @@ class Simulator:
             while heap and executed < budget:
                 entry = heap[0]
                 event = entry[2]
-                if event.cancelled:
+                if event is not None and event.cancelled:
                     pop(heap)
                     if not event.accounted:
                         event.accounted = True
@@ -274,14 +301,21 @@ class Simulator:
                 if entry[0] > limit:
                     break
                 pop(heap)
-                # Mark as fired ("can no longer fire") so cancel() of a stale
-                # handle is a no-op and cannot skew the live counter.
-                event.cancelled = True
+                if event is not None:
+                    # Mark as fired ("can no longer fire") so cancel() of a
+                    # stale handle is a no-op and cannot skew the live counter.
+                    event.cancelled = True
                 self.now = entry[0]
                 executed += 1
-                event.callback(*event.args)
+                entry[3](*entry[4])
+            # Advance to ``until`` only when nothing live remains at or
+            # before it: a run stopped by its event budget leaves the clock
+            # at the last executed event, so the next run() never moves it
+            # backwards.
             if until is not None and self.now < until:
-                self.now = until
+                next_time = self.peek_next_time()
+                if next_time is None or next_time > until:
+                    self.now = until
         finally:
             self._events_processed += executed
             self._live_events -= executed

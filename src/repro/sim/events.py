@@ -11,7 +11,7 @@ class Event:
     Events are ordered by ``(time, sequence_number)`` so that events scheduled
     for the same instant fire in the order they were scheduled, which keeps
     simulations deterministic.  The engine stores its heap entries as plain
-    ``(time, sequence, event)`` tuples so that heap sifts compare floats and
+    tuples led by ``(time, sequence)`` so that heap sifts compare floats and
     ints in C and never call :meth:`__lt__`; the comparison operator is kept
     only for explicit sorting of event lists in user code.
 

@@ -161,11 +161,14 @@ class Network:
         return self._routing
 
     def _invalidate_routing(self) -> None:
-        self._routing = None
-
-    def next_hop(self, node: str, dst: str) -> str:
-        """Next hop from ``node`` towards ``dst``."""
-        return self.routing.next_hop(node, dst)
+        # The one invalidation point: every node's forwarding table is
+        # derived from the routing table, so both go together.  Nothing can
+        # have been derived while no routing table was built, which keeps
+        # topology construction O(1) per add_* call.
+        if self._routing is not None:
+            self._routing = None
+            for node in self.nodes.values():
+                node.forwarding.clear()
 
     def path(self, src: str, dst: str) -> List[str]:
         """Route (list of node names) from ``src`` to ``dst``."""

@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, Optional
+from typing import TYPE_CHECKING, Callable, Dict
 
-from repro.sim.packet import Packet
+from repro.sim.packet import HopRecord, Packet
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Simulator
@@ -24,6 +24,10 @@ class Node:
         self.name = name
         self.network = network
         self.ports: Dict[str, "OutputPort"] = {}
+        #: Forwarding table: destination -> output port for table-routed
+        #: packets.  Filled on first use from the network's routing table and
+        #: emptied by ``Network._invalidate_routing`` on any topology change.
+        self.forwarding: Dict[str, "OutputPort"] = {}
 
     def add_port(self, neighbor: str, port: "OutputPort") -> None:
         """Register the output port that leads to ``neighbor``."""
@@ -41,9 +45,6 @@ class Node:
     # ------------------------------------------------------------------ #
     # Hooks called by ports
     # ------------------------------------------------------------------ #
-    def notify_departure(self, packet: Packet, port: "OutputPort") -> None:
-        """Called by a port when a packet's last bit has been transmitted."""
-
     def notify_drop(self, packet: Packet, port: "OutputPort") -> None:
         """Called by a port when a packet is dropped due to buffer overflow."""
         self.network.notify_drop(packet)
@@ -83,7 +84,21 @@ class Node:
                 )
             packet.route_cursor = index + 1
             return route[index + 1]
-        return self.network.next_hop(self.name, packet.dst)
+        return self.network.routing.next_hop(self.name, packet.dst)
+
+    def _resolve_port(self, packet: Packet) -> "OutputPort":
+        """Output port for a packet the forwarding table could not answer.
+
+        Source-routed packets follow their route and never enter the table;
+        a table-routed destination is resolved once and remembered.
+        """
+        next_hop = self.next_hop_for(packet)
+        port = self.ports.get(next_hop)
+        if port is None:
+            raise KeyError(f"{self.name} has no port towards {next_hop}")
+        if not packet.route:
+            self.forwarding[packet.dst] = port
+        return port
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"<{type(self).__name__} {self.name}>"
@@ -93,11 +108,10 @@ class Router(Node):
     """A store-and-forward router: receives a packet, picks an output port, queues it."""
 
     def receive(self, packet: Packet) -> None:
-        packet.record_arrival(self.name, self.sim.now)
-        next_hop = self.next_hop_for(packet)
-        port = self.ports.get(next_hop)
+        packet.hops.append(HopRecord(self.name, self.sim.now))
+        port = None if packet.route else self.forwarding.get(packet.dst)
         if port is None:
-            raise KeyError(f"{self.name} has no port towards {next_hop}")
+            port = self._resolve_port(packet)
         port.enqueue(packet)
 
 
@@ -133,7 +147,7 @@ class Host(Node):
         now = self.sim.now
         if packet.ingress_time is None:
             packet.ingress_time = now
-        packet.record_arrival(self.name, now)
+        packet.hops.append(HopRecord(self.name, now))
         self.packets_sent += 1
 
         slack_policy = self.network.slack_policy
@@ -141,8 +155,10 @@ class Host(Node):
             slack_policy.on_packet_sent(packet, now)
 
         self.network.notify_ingress(packet)
-        next_hop = self.next_hop_for(packet)
-        self.port_to(next_hop).enqueue(packet)
+        port = None if packet.route else self.forwarding.get(packet.dst)
+        if port is None:
+            port = self._resolve_port(packet)
+        port.enqueue(packet)
 
     def receive(self, packet: Packet) -> None:
         if packet.dst != self.name:

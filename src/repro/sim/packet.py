@@ -188,10 +188,6 @@ class Packet:
             return None
         return self.egress_time - self.ingress_time
 
-    def current_hop(self) -> Optional[HopRecord]:
-        """The hop record for the node currently holding the packet."""
-        return self.hops[-1] if self.hops else None
-
     def record_arrival(self, node: str, time: float) -> HopRecord:
         """Append a hop record for arrival at ``node`` at ``time``."""
         record = HopRecord(node=node, arrival_time=time)

@@ -68,7 +68,7 @@ class OutputPort:
         self._link_propagation = link.propagation_delay
         self._dst_receive = None
 
-        self._busy = False
+        # The transmitter is busy exactly while a packet is in flight.
         self._current_packet: Optional[Packet] = None
         self._current_started: Optional[float] = None
         self._finish_event: Optional[Event] = None
@@ -87,7 +87,7 @@ class OutputPort:
     @property
     def busy(self) -> bool:
         """Whether a packet is currently being transmitted."""
-        return self._busy
+        return self._current_packet is not None
 
     @property
     def queue_length(self) -> int:
@@ -110,12 +110,14 @@ class OutputPort:
     def enqueue(self, packet: Packet) -> None:
         """Accept a packet for transmission on this port."""
         now = self.sim.now
-        if self.buffer_bytes is not None and (
-            self.queued_bytes + packet.size_bytes > self.buffer_bytes
+        scheduler = self.scheduler
+        buffer_bytes = self.buffer_bytes
+        if buffer_bytes is not None and (
+            scheduler.byte_count + packet.size_bytes > buffer_bytes
         ):
-            victim = self.scheduler.choose_drop(packet, now)
+            victim = scheduler.choose_drop(packet, now)
             if victim is not packet:
-                removed = self.scheduler.remove(victim)
+                removed = scheduler.remove(victim)
                 if not removed:
                     # The victim could not be located (defensive path); fall
                     # back to dropping the arriving packet.
@@ -125,15 +127,14 @@ class OutputPort:
                 return
             self._drop(victim)
 
-        self.scheduler.enqueue(packet, now)
-        if not self._busy:
+        scheduler.enqueue(packet, now)
+        if self._current_packet is None:
             self._start_next()
-        elif self.scheduler.preemptive and self._current_packet is not None:
-            if self.scheduler.should_preempt(
-                self._current_packet, self._current_started, now
-            ):
-                self._preempt_current()
-                self._start_next()
+        elif scheduler.preemptive and scheduler.should_preempt(
+            self._current_packet, self._current_started, now
+        ):
+            self._preempt_current()
+            self._start_next()
 
     def _drop(self, packet: Packet) -> None:
         packet.dropped = True
@@ -145,36 +146,39 @@ class OutputPort:
     # Transmission loop
     # ------------------------------------------------------------------ #
     def _start_next(self) -> None:
+        """Begin transmitting the scheduler's next packet, or go idle.
+
+        Sets every transmitter field on both outcomes, so callers never reset
+        them first.
+        """
+        sim = self.sim
+        now = sim.now
         fault_state = self.fault_state
         if fault_state is not None and fault_state.down:
             # Link outage: hold the queue; fault_resume() restarts service.
-            self._busy = False
-            self._current_packet = None
-            self._current_started = None
-            self._finish_event = None
-            return
-        sim = self.sim
-        now = sim.now
-        packet = self.scheduler.dequeue(now)
+            packet = None
+        else:
+            packet = self.scheduler.dequeue(now)
         if packet is None:
-            self._busy = False
             self._current_packet = None
             self._current_started = None
             self._finish_event = None
             return
 
-        hop = packet.current_hop()
-        if hop is not None and hop.start_service_time is None:
-            hop.start_service_time = now
-            # Accumulate the queueing delay experienced at this node into the
-            # packet header; FIFO+ prioritizes on this value at later hops.
-            packet.header.accumulated_wait += now - hop.arrival_time
+        hops = packet.hops
+        if hops:
+            hop = hops[-1]
+            if hop.start_service_time is None:
+                hop.start_service_time = now
+                # Accumulate the queueing delay experienced at this node into
+                # the packet header; FIFO+ prioritizes on this value at later
+                # hops.
+                packet.header.accumulated_wait += now - hop.arrival_time
 
         remaining = packet.remaining_tx_bytes
         tx_bytes = remaining if remaining is not None else packet.size_bytes
         tx_delay = tx_bytes * 8 / self._link_bandwidth
 
-        self._busy = True
         self._current_packet = packet
         self._current_started = now
         self._finish_event = sim.schedule(tx_delay, self._finish_transmission, packet)
@@ -182,30 +186,26 @@ class OutputPort:
     def _finish_transmission(self, packet: Packet) -> None:
         packet.remaining_tx_bytes = None
         sim = self.sim
-        hop = packet.current_hop()
-        if hop is not None:
-            hop.departure_time = sim.now
+        now = sim.now
+        hops = packet.hops
+        if hops:
+            hops[-1].departure_time = now
         self.packets_transmitted += 1
         self.bytes_transmitted += packet.size_bytes
 
         fault_state = self.fault_state
-        if fault_state is not None and fault_state.intercepts(packet, sim.now):
+        if fault_state is not None and fault_state.intercepts(packet, now):
             # Jamming/loss semantics (Böhm et al.): the transmission time was
             # spent, but the packet is destroyed instead of propagating.
             self._drop(packet)
         else:
-            self.node.notify_departure(packet, self)
             # Deliver after the propagation delay; the downstream node
             # receives the packet fully assembled (store-and-forward).
             receive = self._dst_receive
             if receive is None:
                 receive = self._dst_receive = self.node.network.nodes[self.link.dst].receive
-            sim.schedule(self._link_propagation, receive, packet)
+            sim.post(self._link_propagation, receive, packet)
 
-        self._busy = False
-        self._current_packet = None
-        self._current_started = None
-        self._finish_event = None
         self._start_next()
 
     # ------------------------------------------------------------------ #
@@ -226,7 +226,6 @@ class OutputPort:
         self.sim.cancel(self._finish_event)
         packet.remaining_tx_bytes = None
         self._drop(packet)
-        self._busy = False
         self._current_packet = None
         self._current_started = None
         self._finish_event = None
@@ -234,7 +233,7 @@ class OutputPort:
 
     def fault_resume(self) -> None:
         """Resume service after the link came back up."""
-        if not self._busy:
+        if self._current_packet is None:
             self._start_next()
 
     def _preempt_current(self) -> None:
@@ -253,11 +252,9 @@ class OutputPort:
         packet.remaining_tx_bytes = max(0.0, total_bytes - sent_bytes)
         # The packet goes back to the queue; its hop record will get a new
         # service-start time when it is next selected.
-        hop = packet.current_hop()
-        if hop is not None:
-            hop.start_service_time = None
+        if packet.hops:
+            packet.hops[-1].start_service_time = None
         self.scheduler.enqueue(packet, self.sim.now)
-        self._busy = False
         self._current_packet = None
         self._current_started = None
         self._finish_event = None

@@ -32,10 +32,6 @@ class RoutingTable:
         self._weight = weight
         self._path_cache: Dict[Tuple[str, str], List[str]] = {}
 
-    def invalidate(self) -> None:
-        """Drop all cached paths (call after modifying the topology)."""
-        self._path_cache.clear()
-
     def path(self, src: str, dst: str) -> List[str]:
         """Node names along the route from ``src`` to ``dst`` (inclusive)."""
         if src == dst:

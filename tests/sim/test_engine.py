@@ -304,3 +304,74 @@ def test_mixed_direct_and_engine_cancel_charges_counter_once():
     assert sim.pending_events == 1  # charged exactly once
     sim.run()
     assert sim.pending_events == 0
+
+
+def test_budget_stop_leaves_clock_at_last_executed_event():
+    # Regression: run(until=T, max_events=N) used to set now = T even when
+    # the *budget* ended the loop, so the next run() moved the clock
+    # backwards to the still-pending events.
+    sim = Simulator()
+    times = []
+    for when in (1.0, 2.0, 3.0):
+        sim.schedule_at(when, lambda: times.append(sim.now))
+    sim.run(until=10.0, max_events=1)
+    assert sim.now == 1.0
+    assert sim.peek_next_time() == 2.0
+    sim.run(until=10.0)
+    assert times == [1.0, 2.0, 3.0]  # the clock never ran backwards
+    assert sim.now == 10.0
+
+
+def test_budget_stop_still_advances_when_nothing_is_left_before_until():
+    sim = Simulator()
+    sim.schedule_at(1.0, lambda: None)
+    sim.schedule_at(20.0, lambda: None)
+    sim.run(until=10.0, max_events=1)  # budget and window end together
+    assert sim.now == 10.0
+    sim = Simulator()
+    sim.schedule_at(1.0, lambda: None)
+    cancelled = sim.schedule_at(2.0, lambda: None)
+    sim.cancel(cancelled)
+    sim.run(until=10.0, max_events=1)  # only a dead entry remains
+    assert sim.now == 10.0
+
+
+def test_post_shares_the_sequence_counter_with_schedule():
+    sim = Simulator()
+    fired = []
+    sim.schedule(1.0, fired.append, "a")
+    assert sim.post(1.0, fired.append, "b") is None
+    sim.schedule(1.0, fired.append, "c")
+    sim.post(0.5, fired.append, "early")
+    sim.schedule_at_front(1.0, fired.append, "front")
+    assert sim.pending_events == 5
+    assert sim.peek_next_time() == 0.5
+    sim.run()
+    assert fired == ["early", "front", "a", "b", "c"]
+    assert sim.events_processed == 5
+    assert sim.pending_events == 0
+
+
+def test_posted_events_respect_until_step_and_validation():
+    sim = Simulator()
+    fired = []
+    sim.post(1.0, fired.append, "in")
+    sim.post(5.0, fired.append, "out")
+    sim.run(until=2.0)
+    assert fired == ["in"] and sim.now == 2.0 and sim.pending_events == 1
+    assert sim.step() and fired == ["in", "out"] and sim.now == 5.0
+    assert not sim.step()
+    with pytest.raises(SimulationError):
+        sim.post(-0.1, fired.append, "never")
+
+
+def test_cancelled_head_before_a_posted_event_is_discarded():
+    sim = Simulator()
+    fired = []
+    dead = sim.schedule(1.0, fired.append, "dead")
+    sim.post(2.0, fired.append, "live")
+    sim.cancel(dead)
+    assert sim.peek_next_time() == 2.0
+    sim.run()
+    assert fired == ["live"]
+    assert sim.events_processed == 1  # cancelled events stay uncounted

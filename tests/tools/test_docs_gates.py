@@ -68,6 +68,9 @@ class TestDocstringGate:
         assert "repro.traffic" in result.stdout
         assert "repro.experiments" in result.stdout
         assert "repro.diff" in result.stdout
+        # The OO engine's hot-path modules sit under the gate too.
+        assert "repro.sim" in result.stdout
+        assert "repro.transport" in result.stdout
 
     def test_missing_docstring_fails(self, tmp_path):
         package = tmp_path / "fakepkg"

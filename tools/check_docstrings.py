@@ -2,10 +2,10 @@
 """Docstring-presence gate for the library's documented core.
 
 Walks every module in the packages named on the command line (default:
-``repro.core``, ``repro.pipeline``, ``repro.schedulers``, ``repro.traffic``,
-``repro.experiments``, ``repro.faults``, ``repro.diff``) and fails if any
-*public* module,
-class, function, or method defined there lacks a docstring.
+``repro.core``, ``repro.sim``, ``repro.transport``, ``repro.pipeline``,
+``repro.schedulers``, ``repro.traffic``, ``repro.experiments``,
+``repro.faults``, ``repro.diff``, ``repro.utils``) and fails if any *public*
+module, class, function, or method defined there lacks a docstring.
 "Public" means the dotted path contains no ``_``-prefixed component;
 inherited members and re-exports defined elsewhere are skipped, so each
 symbol is checked exactly once, where it is defined.
@@ -26,6 +26,8 @@ from typing import Iterator, List
 
 DEFAULT_PACKAGES = (
     "repro.core",
+    "repro.sim",
+    "repro.transport",
     "repro.pipeline",
     "repro.schedulers",
     "repro.traffic",
