@@ -55,7 +55,7 @@ policy must satisfy is documented in ``docs/slack-policies.md``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.core.slack import (
     BlackBoxSlackInitializer,
@@ -69,6 +69,7 @@ from repro.core.slack import (
     StaticDelaySlackInitializer,
     ZeroSlackInitializer,
 )
+from repro.utils.registry import Registry
 
 
 @dataclass(frozen=True)
@@ -207,10 +208,6 @@ class SlackPolicyDef:
             )
         return kind.replay_factory(**dict(self.params))
 
-    def build(self) -> ReplayInitializer:
-        """Alias of :meth:`build_initializer` (the pre-unification name)."""
-        return self.build_initializer()
-
     def build_live(self) -> SlackPolicy:
         """Instantiate this policy's send-time :class:`SlackPolicy`.
 
@@ -313,45 +310,8 @@ class SlackPolicyDef:
         )
 
 
-class SlackPolicyRegistry:
-    """Maps slack-policy names to their definitions, in registration order."""
-
-    def __init__(self) -> None:
-        self._definitions: Dict[str, SlackPolicyDef] = {}
-
-    def register(self, definition: SlackPolicyDef) -> SlackPolicyDef:
-        """Add (or replace) a definition; returns it for chaining."""
-        self._definitions[definition.name] = definition
-        return definition
-
-    def get(self, name: str) -> SlackPolicyDef:
-        """The definition for ``name`` (KeyError listing known names if absent)."""
-        try:
-            return self._definitions[name]
-        except KeyError:
-            known = ", ".join(sorted(self._definitions))
-            raise KeyError(f"unknown slack policy {name!r}; known: {known}") from None
-
-    def names(self) -> List[str]:
-        """All registered policy names, in registration order."""
-        return list(self._definitions)
-
-    def definitions(self) -> List[SlackPolicyDef]:
-        """All registered definitions, in registration order."""
-        return list(self._definitions.values())
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._definitions
-
-    def __len__(self) -> int:
-        return len(self._definitions)
-
-    def __iter__(self):
-        return iter(self._definitions.values())
-
-
 #: The process-wide slack-policy registry (populated below at import time).
-SLACK_POLICIES = SlackPolicyRegistry()
+SLACK_POLICIES: Registry[SlackPolicyDef] = Registry("slack policy")
 
 
 def register_slack_policy(definition: SlackPolicyDef) -> SlackPolicyDef:

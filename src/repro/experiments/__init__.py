@@ -18,7 +18,6 @@ from repro.experiments.heuristics import heuristics_scenarios
 from repro.experiments.runner import format_result, results_to_json
 from repro.experiments.scale import scale_scenarios
 from repro.experiments.table1 import (
-    ReplayScenario,
     default_scenario,
     run_scenario,
     table1_scenarios,
@@ -27,7 +26,6 @@ from repro.experiments.table1 import (
 __all__ = [
     "ExperimentScale",
     "ExperimentResult",
-    "ReplayScenario",
     "default_scenario",
     "table1_scenarios",
     "run_scenario",

@@ -17,51 +17,24 @@ content-addressed schedule cache even across pool workers.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from repro.experiments.config import ExperimentScale
 from repro.experiments.table1 import default_scenario
-from repro.pipeline.cache import ScheduleCache
-from repro.pipeline.experiment import (
-    Cell,
-    CellResult,
-    ExperimentDef,
-    register_experiment,
-    replay_scenario,
-)
-from repro.pipeline.scenario import Scenario, expand_replicates, override_workload
+from repro.pipeline.experiment import ScenarioExperimentDef, register_experiment
+from repro.pipeline.scenario import Scenario
 
 
-class ModeComparisonDefinition(ExperimentDef):
+class ModeComparisonDefinition(ScenarioExperimentDef):
     """Base for ablations that replay the same schedules under several modes."""
 
-    #: Replay modes compared, in row order.
-    modes: Tuple[str, ...] = ()
     #: Row columns (beyond scenario identity) pulled from the replay metrics.
     columns: Tuple[str, ...] = ("fraction_overdue", "fraction_overdue_beyond_T")
     supports_workload = True
     supports_replicates = True
 
-    def scenarios(self, scale: ExperimentScale) -> List[Scenario]:
-        """The scenarios whose schedules this comparison replays (subclass hook)."""
-        raise NotImplementedError
-
-    def cells(self, scale: ExperimentScale) -> List[Cell]:
-        scenarios = self.scenarios(scale)
-        if self.workload is not None:
-            scenarios = override_workload(scenarios, self.workload)
-        return [
-            Cell(self.name, scenario.name, mode, scenario.seed, spec=scenario)
-            for scenario in expand_replicates(scenarios, self.replicates)
-            for mode in self.modes
-        ]
-
-    def run_cell(
-        self, cell: Cell, scale: ExperimentScale, cache: ScheduleCache
-    ) -> CellResult:
-        scenario: Scenario = cell.spec
-        result = replay_scenario(scenario, mode=cell.mode, cache=cache)
-        row: Dict[str, object] = self.identity_columns(scenario, cell.mode)
+    def row(self, scenario: Scenario, mode: str, result) -> Dict[str, object]:
+        row: Dict[str, object] = self.identity_columns(scenario, mode)
         row["packets"] = result.metrics.total_packets
         if "fraction_overdue" in self.columns:
             row["fraction_overdue"] = result.overdue_fraction
@@ -69,7 +42,7 @@ class ModeComparisonDefinition(ExperimentDef):
             row["fraction_overdue_beyond_T"] = result.overdue_beyond_threshold_fraction
         if "mean_lateness" in self.columns:
             row["mean_lateness"] = result.metrics.mean_lateness
-        return CellResult(cell=cell, row=row)
+        return row
 
     def identity_columns(self, scenario: Scenario, mode: str) -> Dict[str, object]:
         """Leading row columns identifying the cell.
@@ -92,12 +65,10 @@ class PreemptionAblationDefinition(ModeComparisonDefinition):
         "from 18.33% to 0.24% and for LIFO from 14.77% to 0.25%."
     )
     modes = ("lstf", "lstf-preemptive")
+    #: Original schedulers compared, one default scenario each.
+    originals: Tuple[str, ...] = ("sjf", "lifo")
 
-    def __init__(self, originals: Sequence[str] = ("sjf", "lifo")) -> None:
-        self.originals = tuple(originals)
-
-    def scenarios(self, scale: ExperimentScale) -> List[Scenario]:
-        """One default scenario per compared original scheduler."""
+    def base_scenarios(self, scale: ExperimentScale) -> List[Scenario]:
         return [
             default_scenario(scale, original=original, name=f"I2-{original}")
             for original in self.originals
@@ -116,12 +87,10 @@ class EdfEquivalenceDefinition(ModeComparisonDefinition):
     notes = "Appendix E: EDF and LSTF produce the same replay schedule."
     modes = ("lstf", "edf")
     columns = ("fraction_overdue", "mean_lateness")
+    #: Original scheduler of the single scenario both modes re-schedule.
+    original = "random"
 
-    def __init__(self, original: str = "random") -> None:
-        self.original = original
-
-    def scenarios(self, scale: ExperimentScale) -> List[Scenario]:
-        """The single shared scenario both replay modes re-schedule."""
+    def base_scenarios(self, scale: ExperimentScale) -> List[Scenario]:
         return [default_scenario(scale, original=self.original)]
 
 
@@ -131,12 +100,10 @@ class OmniscientAblationDefinition(ModeComparisonDefinition):
     name = "ablation-omniscient"
     notes = "Appendix B: omniscient initialization replays any viable schedule perfectly."
     modes = ("omniscient", "lstf")
+    #: Original scheduler of the single scenario both initializations replay.
+    original = "random"
 
-    def __init__(self, original: str = "random") -> None:
-        self.original = original
-
-    def scenarios(self, scale: ExperimentScale) -> List[Scenario]:
-        """The single shared scenario both initializations replay."""
+    def base_scenarios(self, scale: ExperimentScale) -> List[Scenario]:
         return [default_scenario(scale, original=self.original)]
 
 

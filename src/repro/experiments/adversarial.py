@@ -14,25 +14,12 @@ deadline flows on time in the original run versus the replay.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.experiments.config import ExperimentScale
 from repro.experiments.table1 import _utilization_row_name, default_scenario
-from repro.pipeline.cache import ScheduleCache
-from repro.pipeline.experiment import (
-    Cell,
-    CellResult,
-    ExperimentDef,
-    register_experiment,
-    replay_scenario,
-)
-from repro.pipeline.scenario import (
-    Scenario,
-    Sweep,
-    expand_replicates,
-    override_slack_policy,
-    override_workload,
-)
+from repro.pipeline.experiment import ScenarioExperimentDef, register_experiment
+from repro.pipeline.scenario import Scenario, Sweep
 from repro.traffic.registry import WORKLOADS
 
 #: Workload swept across utilizations (the jamming bursts interact with the
@@ -61,34 +48,7 @@ def adversarial_scenarios(scale: ExperimentScale) -> List[Scenario]:
     return scenarios
 
 
-def adversarial_row(scenario: Scenario, mode: str, result) -> Dict[str, object]:
-    """One adversarial scenario's replay outcome as a result row.
-
-    All rows share one column set (deadline columns show ``None`` for
-    workloads without deadline tagging) so tables and JSON stay rectangular.
-    """
-    row: Dict[str, object] = {
-        "scenario": scenario.name,
-        "workload": scenario.workload_name,
-        "utilization": scenario.utilization,
-        "original": scenario.original,
-        "replay_mode": mode,
-        "packets": result.metrics.total_packets,
-        "fraction_overdue": result.overdue_fraction,
-        "fraction_overdue_beyond_T": result.overdue_beyond_threshold_fraction,
-        "threshold": result.metrics.threshold,
-        "deadline_flows": result.metrics.deadline_total,
-        "deadline_met_original": (
-            result.deadline_met_fraction_original if result.has_deadlines else None
-        ),
-        "deadline_met_replay": (
-            result.deadline_met_fraction_replay if result.has_deadlines else None
-        ),
-    }
-    return row
-
-
-class AdversarialDefinition(ExperimentDef):
+class AdversarialDefinition(ScenarioExperimentDef):
     """LSTF replay across the adversarial workload group, one cell per row."""
 
     name = "adversarial"
@@ -102,47 +62,39 @@ class AdversarialDefinition(ExperimentDef):
     supports_replicates = True
     supports_slack_policy = True
 
-    def __init__(
-        self,
-        scenarios: Optional[Tuple[Scenario, ...]] = None,
-        replicates: int = 1,
-        workload: Optional[str] = None,
-        slack_policy: Optional[str] = None,
-    ) -> None:
-        self._scenarios = scenarios
-        self.replicates = replicates
-        self.workload = workload
-        self.slack_policy = slack_policy
+    def base_scenarios(self, scale: ExperimentScale) -> List[Scenario]:
+        return adversarial_scenarios(scale)
 
-    def scenarios(self, scale: ExperimentScale) -> List[Scenario]:
-        """All scenarios in cell order, with the workload/slack-policy
-        overrides and seed replicates applied."""
-        base = (
-            list(self._scenarios)
-            if self._scenarios is not None
-            else adversarial_scenarios(scale)
-        )
-        if self.workload is not None:
-            matching = [s for s in base if s.workload_name == self.workload]
-            # Filter to the requested workload when it is part of the group;
-            # otherwise pin every scenario onto it (a true override).
-            base = matching if matching else override_workload(base, self.workload)
-        if self.slack_policy is not None:
-            base = override_slack_policy(base, self.slack_policy)
-        return expand_replicates(base, self.replicates)
+    def pin_workload(self, scenarios: List[Scenario], workload: str) -> List[Scenario]:
+        """Filter to ``workload`` when it is part of the group; otherwise pin
+        every scenario onto it (a true override)."""
+        matching = [s for s in scenarios if s.workload_name == workload]
+        return matching or super().pin_workload(scenarios, workload)
 
-    def cells(self, scale: ExperimentScale) -> List[Cell]:
-        return [
-            Cell(self.name, scenario.name, scenario.replay_mode, scenario.seed, spec=scenario)
-            for scenario in self.scenarios(scale)
-        ]
+    def row(self, scenario: Scenario, mode: str, result) -> Dict[str, object]:
+        """One adversarial scenario's replay outcome as a result row.
 
-    def run_cell(
-        self, cell: Cell, scale: ExperimentScale, cache: ScheduleCache
-    ) -> CellResult:
-        scenario: Scenario = cell.spec
-        result = replay_scenario(scenario, mode=cell.mode, cache=cache)
-        return CellResult(cell=cell, row=adversarial_row(scenario, cell.mode, result))
+        All rows share one column set (deadline columns show ``None`` for
+        workloads without deadline tagging) so tables and JSON stay rectangular.
+        """
+        return {
+            "scenario": scenario.name,
+            "workload": scenario.workload_name,
+            "utilization": scenario.utilization,
+            "original": scenario.original,
+            "replay_mode": mode,
+            "packets": result.metrics.total_packets,
+            "fraction_overdue": result.overdue_fraction,
+            "fraction_overdue_beyond_T": result.overdue_beyond_threshold_fraction,
+            "threshold": result.metrics.threshold,
+            "deadline_flows": result.metrics.deadline_total,
+            "deadline_met_original": (
+                result.deadline_met_fraction_original if result.has_deadlines else None
+            ),
+            "deadline_met_replay": (
+                result.deadline_met_fraction_replay if result.has_deadlines else None
+            ),
+        }
 
 
 register_experiment(AdversarialDefinition())

@@ -21,25 +21,12 @@ network destroyed a packet".
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.experiments.config import ExperimentScale
 from repro.experiments.table1 import default_scenario
-from repro.pipeline.cache import ScheduleCache
-from repro.pipeline.experiment import (
-    Cell,
-    CellResult,
-    ExperimentDef,
-    register_experiment,
-    replay_scenario,
-)
-from repro.pipeline.scenario import (
-    Scenario,
-    expand_replicates,
-    override_faults,
-    override_slack_policy,
-    override_workload,
-)
+from repro.pipeline.experiment import ScenarioExperimentDef, register_experiment
+from repro.pipeline.scenario import Scenario
 
 #: Fault schedules swept by the group, mild to severe (registry names).
 FAULT_SWEEP: Tuple[str, ...] = (
@@ -75,89 +62,45 @@ def fault_scenarios(scale: ExperimentScale) -> List[Scenario]:
     return scenarios
 
 
-def fault_row(scenario: Scenario, mode: str, result) -> Dict[str, object]:
-    """One (scenario, replay mode) outcome as a result row."""
-    metrics = result.metrics
-    return {
-        "scenario": scenario.name,
-        "fault": scenario.faults if scenario.faults is not None else "none",
-        "fault_seed": scenario.fault_seed,
-        "replay_mode": mode,
-        "packets": metrics.total_packets,
-        "delivered_fraction": metrics.delivered_fraction,
-        "fraction_overdue": result.overdue_fraction,
-        "fraction_overdue_beyond_T": result.overdue_beyond_threshold_fraction,
-        "threshold": metrics.threshold,
-        "deadline_flows": metrics.deadline_total,
-        "deadline_met_replay": result.deadline_met_fraction_replay,
-        "deadline_met_over_delivered": metrics.deadline_met_over_delivered_fraction,
-    }
+class FaultsDefinition(ScenarioExperimentDef):
+    """Replay fidelity under injected faults, one cell per (scenario, mode).
 
-
-class FaultsDefinition(ExperimentDef):
-    """Replay fidelity under injected faults, one cell per (scenario, mode)."""
+    A ``--fault`` override replaces the whole sweep: every scenario is
+    pinned onto the requested schedule (the baseline row included), so the
+    group becomes a single-fault mode comparison.
+    """
 
     name = "faults"
     notes = (
         "Universality under failure: recorded schedules replayed on networks "
         "with injected loss, outages, and jamming; LSTF vs EDF vs FIFO."
     )
+    modes = FAULT_MODES
 
     supports_workload = True
     supports_replicates = True
     supports_slack_policy = True
     supports_faults = True
 
-    def __init__(
-        self,
-        scenarios: Optional[Tuple[Scenario, ...]] = None,
-        replicates: int = 1,
-        workload: Optional[str] = None,
-        slack_policy: Optional[str] = None,
-        faults: Optional[str] = None,
-        fault_seed: int = 0,
-    ) -> None:
-        self._scenarios = scenarios
-        self.replicates = replicates
-        self.workload = workload
-        self.slack_policy = slack_policy
-        self.faults = faults
-        self.fault_seed = fault_seed
+    def base_scenarios(self, scale: ExperimentScale) -> List[Scenario]:
+        return fault_scenarios(scale)
 
-    def scenarios(self, scale: ExperimentScale) -> List[Scenario]:
-        """All scenarios in cell order, with overrides and replicates applied.
-
-        A ``--fault`` override replaces the whole sweep: every scenario is
-        pinned onto the requested schedule (the baseline row included), so
-        the group becomes a single-fault mode comparison.
-        """
-        base = (
-            list(self._scenarios)
-            if self._scenarios is not None
-            else fault_scenarios(scale)
-        )
-        if self.faults is not None:
-            base = override_faults(base, self.faults, self.fault_seed)
-        if self.workload is not None:
-            base = override_workload(base, self.workload)
-        if self.slack_policy is not None:
-            base = override_slack_policy(base, self.slack_policy)
-        return expand_replicates(base, self.replicates)
-
-    def cells(self, scale: ExperimentScale) -> List[Cell]:
-        """One cell per (scenario, replay mode); modes share one recording."""
-        return [
-            Cell(self.name, scenario.name, mode, scenario.seed, spec=scenario)
-            for scenario in self.scenarios(scale)
-            for mode in FAULT_MODES
-        ]
-
-    def run_cell(
-        self, cell: Cell, scale: ExperimentScale, cache: ScheduleCache
-    ) -> CellResult:
-        scenario: Scenario = cell.spec
-        result = replay_scenario(scenario, mode=cell.mode, cache=cache)
-        return CellResult(cell=cell, row=fault_row(scenario, cell.mode, result))
+    def row(self, scenario: Scenario, mode: str, result) -> Dict[str, object]:
+        metrics = result.metrics
+        return {
+            "scenario": scenario.name,
+            "fault": scenario.faults if scenario.faults is not None else "none",
+            "fault_seed": scenario.fault_seed,
+            "replay_mode": mode,
+            "packets": metrics.total_packets,
+            "delivered_fraction": metrics.delivered_fraction,
+            "fraction_overdue": result.overdue_fraction,
+            "fraction_overdue_beyond_T": result.overdue_beyond_threshold_fraction,
+            "threshold": metrics.threshold,
+            "deadline_flows": metrics.deadline_total,
+            "deadline_met_replay": result.deadline_met_fraction_replay,
+            "deadline_met_over_delivered": metrics.deadline_met_over_delivered_fraction,
+        }
 
 
 register_experiment(FaultsDefinition())

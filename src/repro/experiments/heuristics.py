@@ -53,7 +53,7 @@ from repro.pipeline.experiment import (
     Cell,
     CellResult,
     ExperimentDef,
-    record_scenario_schedule,
+    cached_schedule,
     register_experiment,
     replay_scenario,
 )
@@ -241,18 +241,7 @@ class HeuristicsDefinition(ExperimentDef):
             # produced; live schemes additionally install the scenario's
             # slack policy at send time (record_scenario_schedule reads
             # scenario.slack_mode) and key their cache entries by it.
-            topology = scenario.build_topology()
-            workload = scenario.workload()
-            schedule, _ = cache.get_or_record(
-                topology=topology,
-                original=scenario.original,
-                workload=workload,
-                seed=scenario.seed,
-                recorder=lambda: record_scenario_schedule(scenario, topology, workload),
-                slack_policy=scenario.slack_policy_def(),
-                slack_mode=scenario.slack_mode,
-            )
-            row = heuristics_row(scenario, scheme, schedule)
+            row = heuristics_row(scenario, scheme, cached_schedule(scenario, cache))
         else:
             result = replay_scenario(scenario, mode=scheme.replay_mode, cache=cache)
             row = heuristics_row(scenario, scheme, result.replayed, replay_result=result)

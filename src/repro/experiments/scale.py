@@ -37,18 +37,16 @@ not).
 from __future__ import annotations
 
 import os
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro.core.metrics import (
-    ReplayMetrics,
     ScheduleStatistics,
     StreamingReplayComparison,
     StreamingScheduleStatistics,
 )
-from repro.core.replay import replay_schedule
+from repro.core.replay import ReplayResult, replay_schedule
 from repro.core.schedule import (
     MANIFEST_SUFFIX,
-    Schedule,
     iter_schedule_records,
     load_manifest,
     stored_schedule_packets,
@@ -58,12 +56,12 @@ from repro.pipeline.cache import ScheduleCache
 from repro.pipeline.experiment import (
     Cell,
     CellResult,
-    ExperimentDef,
-    record_scenario_schedule,
+    ScenarioExperimentDef,
+    cached_schedule,
     register_experiment,
     scenario_cache_key,
 )
-from repro.pipeline.scenario import Scenario, expand_replicates
+from repro.pipeline.scenario import Scenario
 
 #: Topology builders exercised at scale (methods on ExperimentScale).
 SCALE_TOPOLOGIES: Tuple[str, ...] = ("rocketfuel", "fattree")
@@ -105,25 +103,7 @@ def stats_row(scenario: Scenario, stats: ScheduleStatistics) -> Dict[str, object
     }
 
 
-def replay_row(
-    scenario: Scenario, mode: str, metrics: ReplayMetrics
-) -> Dict[str, object]:
-    """One scenario's streamed replay comparison as a result row."""
-    return {
-        "scenario": scenario.name,
-        "topology": scenario.topology,
-        "mode": mode,
-        "packets": metrics.total_packets,
-        "fraction_overdue": metrics.overdue_fraction,
-        "fraction_overdue_beyond_T": metrics.overdue_beyond_threshold_fraction,
-        "threshold": metrics.threshold,
-        "delivered_fraction": metrics.delivered_fraction,
-        "mean_lateness": metrics.mean_lateness,
-        "max_lateness": metrics.max_lateness,
-    }
-
-
-class ScaleDefinition(ExperimentDef):
+class ScaleDefinition(ScenarioExperimentDef):
     """Large-topology cells evaluated entirely on the streaming path."""
 
     name = "scale"
@@ -132,44 +112,30 @@ class ScaleDefinition(ExperimentDef):
         "metrics over the sharded schedule cache; peak RSS and events/s are "
         "measured by benchmarks/perf, not in rows."
     )
+    #: Two cells per scenario: streamed stats, then the scenario's own replay.
+    modes = (STATS_MODE, None)
 
     supports_replicates = True
     supports_shards = True
 
-    def __init__(
-        self,
-        scenarios: Optional[Tuple[Scenario, ...]] = None,
-        replicates: int = 1,
-    ) -> None:
-        self._scenarios = scenarios
-        self.replicates = replicates
+    def base_scenarios(self, scale: ExperimentScale) -> List[Scenario]:
+        return scale_scenarios(scale)
 
-    def scenarios(self, scale: ExperimentScale) -> List[Scenario]:
-        """All scale scenarios in cell order, seed replicates applied."""
-        base = (
-            list(self._scenarios)
-            if self._scenarios is not None
-            else scale_scenarios(scale)
-        )
-        return expand_replicates(base, self.replicates)
-
-    def cells(self, scale: ExperimentScale) -> List[Cell]:
-        """Two cells per scenario: streamed stats, then the LSTF replay."""
-        cells: List[Cell] = []
-        for scenario in self.scenarios(scale):
-            cells.append(
-                Cell(self.name, scenario.name, STATS_MODE, scenario.seed, spec=scenario)
-            )
-            cells.append(
-                Cell(
-                    self.name,
-                    scenario.name,
-                    scenario.replay_mode,
-                    scenario.seed,
-                    spec=scenario,
-                )
-            )
-        return cells
+    def row(self, scenario: Scenario, mode: str, result: ReplayResult) -> Dict[str, object]:
+        """One scenario's streamed replay comparison as a result row."""
+        metrics = result.metrics
+        return {
+            "scenario": scenario.name,
+            "topology": scenario.topology,
+            "mode": mode,
+            "packets": metrics.total_packets,
+            "fraction_overdue": metrics.overdue_fraction,
+            "fraction_overdue_beyond_T": metrics.overdue_beyond_threshold_fraction,
+            "threshold": metrics.threshold,
+            "delivered_fraction": metrics.delivered_fraction,
+            "mean_lateness": metrics.mean_lateness,
+            "max_lateness": metrics.max_lateness,
+        }
 
     # ------------------------------------------------------------------ #
     # Whole-cell execution
@@ -184,51 +150,29 @@ class ScaleDefinition(ExperimentDef):
             # chunking and shard-index-order merge the parallel path uses,
             # so both paths emit the same bits (a single-pass fold would
             # differ in the last bit of the float sums).
-            schedule = self._cached_schedule(scenario, cache)
-            records = schedule.records()
+            records = cached_schedule(scenario, cache).records()
             step = cache.shard_packets
             partials = [
                 self._partial_over(records[start : start + step])
                 for start in range(0, len(records), step)
             ] or [self._partial_over([])]
             return self.merge_shards(cell, scale, partials)
-        return self._replay_cell(cell, scenario, cache)
-
-    def _replay_cell(
-        self, cell: Cell, scenario: Scenario, cache: ScheduleCache
-    ) -> CellResult:
-        """Replay the scenario and score it with the streaming comparator."""
+        # Replay the scenario and score it with the streaming comparator.
         topology = scenario.build_topology()
         workload = scenario.workload()
-        schedule, _ = cache.get_or_record(
-            topology=topology,
-            original=scenario.original,
-            workload=workload,
-            seed=scenario.seed,
-            recorder=lambda: record_scenario_schedule(scenario, topology, workload),
-        )
+        schedule = cached_schedule(scenario, cache, topology, workload)
         replayed = replay_schedule(
-            topology, schedule, mode=cell.mode, backend=scenario.backend
+            topology,
+            schedule,
+            mode=cell.mode,
+            backend=scenario.backend,
+            faults=scenario.fault_plan(),
         )
         threshold = topology.bottleneck_transmission_time(float(workload.mss))
         comparison = StreamingReplayComparison(replayed, threshold=threshold)
         comparison.extend(schedule.records())
-        return CellResult(
-            cell=cell, row=replay_row(scenario, cell.mode, comparison.finalize())
-        )
-
-    def _cached_schedule(self, scenario: Scenario, cache: ScheduleCache) -> Schedule:
-        """The scenario's recorded schedule, via the content-addressed cache."""
-        topology = scenario.build_topology()
-        workload = scenario.workload()
-        schedule, _ = cache.get_or_record(
-            topology=topology,
-            original=scenario.original,
-            workload=workload,
-            seed=scenario.seed,
-            recorder=lambda: record_scenario_schedule(scenario, topology, workload),
-        )
-        return schedule
+        result = ReplayResult(cell.mode, schedule, replayed, comparison.finalize())
+        return CellResult(cell=cell, row=self.row(scenario, cell.mode, result))
 
     @staticmethod
     def _partial_over(records) -> dict:
@@ -258,12 +202,12 @@ class ScaleDefinition(ExperimentDef):
         if entry is None:
             # Record (and persist) the schedule now, so shard workers can
             # cursor the cache entry instead of re-recording per shard.
-            self._cached_schedule(scenario, cache)
+            cached_schedule(scenario, cache)
             entry = cache.entry_path(key)
         count = (
             stored_schedule_packets(str(entry))
             if entry is not None
-            else len(self._cached_schedule(scenario, cache))
+            else len(cached_schedule(scenario, cache))
         )
         step = cache.shard_packets
         bounds = [
@@ -295,8 +239,8 @@ class ScaleDefinition(ExperimentDef):
         if shard["file"]:
             partial.extend(iter_schedule_records(shard["file"]))
         else:
-            schedule = self._cached_schedule(cell.spec, cache)
-            partial.extend(schedule.records()[shard["start"] : shard["stop"]])
+            records = cached_schedule(cell.spec, cache).records()
+            partial.extend(records[shard["start"] : shard["stop"]])
         return partial.to_dict()
 
     def merge_shards(

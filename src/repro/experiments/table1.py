@@ -21,34 +21,17 @@ schedule recorded once through the content-addressed schedule cache.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.experiments.config import ExperimentScale
 from repro.pipeline.cache import ScheduleCache
 from repro.pipeline.experiment import (
-    Cell,
-    CellResult,
-    ExperimentDef,
     ReplayResult,
+    ScenarioExperimentDef,
     register_experiment,
     replay_scenario,
 )
-from repro.pipeline.scenario import (
-    Scenario,
-    Sweep,
-    expand_replicates,
-    override_slack_policy,
-    override_workload,
-)
-
-#: Table-1 rows are now declarative pipeline scenarios rather than closures
-#: over live topology builders.  This alias keeps the ``ReplayScenario`` name
-#: importable (annotations, isinstance checks, and rows built through
-#: :func:`default_scenario`/:func:`table1_scenarios` keep working), but the
-#: constructor signature changed: ``topology_builder``/``duration``/
-#: ``reference_bandwidth_bps``/``seed`` gave way to declarative fields —
-#: construct :class:`~repro.pipeline.scenario.Scenario` directly instead.
-ReplayScenario = Scenario
+from repro.pipeline.scenario import Scenario, Sweep
 
 
 def default_scenario(
@@ -165,7 +148,7 @@ def run_scenario(
     return scenario_row(scenario, scenario.replay_mode, result)
 
 
-class Table1Definition(ExperimentDef):
+class Table1Definition(ScenarioExperimentDef):
     """The full Table-1 sweep as one cell per scenario (x seed replicate)."""
 
     name = "table1"
@@ -179,47 +162,14 @@ class Table1Definition(ExperimentDef):
     supports_replicates = True
     supports_slack_policy = True
 
-    def __init__(
-        self,
-        scenarios: Optional[Tuple[Scenario, ...]] = None,
-        replicates: int = 1,
-        workload: Optional[str] = None,
-        slack_policy: Optional[str] = None,
-    ) -> None:
-        self._scenarios = scenarios
-        self.replicates = replicates
-        self.workload = workload
-        self.slack_policy = slack_policy
+    def base_scenarios(self, scale: ExperimentScale) -> List[Scenario]:
+        return table1_scenarios(scale)
 
-    def scenarios(self, scale: ExperimentScale) -> List[Scenario]:
-        """All scenarios in cell order, with the workload/slack-policy
-        overrides and seed replicates applied."""
-        base = (
-            list(self._scenarios)
-            if self._scenarios is not None
-            else table1_scenarios(scale)
-        )
-        if self.workload is not None:
-            base = override_workload(base, self.workload)
-        if self.slack_policy is not None:
-            base = override_slack_policy(base, self.slack_policy)
-        return expand_replicates(base, self.replicates)
-
-    def cells(self, scale: ExperimentScale) -> List[Cell]:
-        return [
-            Cell(self.name, scenario.name, scenario.replay_mode, scenario.seed, spec=scenario)
-            for scenario in self.scenarios(scale)
-        ]
-
-    def run_cell(
-        self, cell: Cell, scale: ExperimentScale, cache: ScheduleCache
-    ) -> CellResult:
-        scenario: Scenario = cell.spec
-        result = replay_scenario(scenario, mode=cell.mode, cache=cache)
-        return CellResult(cell=cell, row=scenario_row(scenario, cell.mode, result))
+    def row(self, scenario: Scenario, mode: str, result: ReplayResult) -> Dict[str, object]:
+        return scenario_row(scenario, mode, result)
 
 
-class PriorityComparisonDefinition(ExperimentDef):
+class PriorityComparisonDefinition(ScenarioExperimentDef):
     """Section 2.3 item (7): LSTF replay versus simple-priority replay.
 
     Both cells replay the *same* recorded schedule — the schedule cache
@@ -233,33 +183,20 @@ class PriorityComparisonDefinition(ExperimentDef):
         "Paper: with priorities 21% of packets are overdue (20.69% by more "
         "than T) versus 0.21% (0.02%) with LSTF on the default scenario."
     )
-    modes: Tuple[str, ...] = ("lstf", "priority")
+    modes = ("lstf", "priority")
     supports_workload = True
 
-    def cells(self, scale: ExperimentScale) -> List[Cell]:
-        scenario = default_scenario(scale, name="I2-1G-10G@70")
-        if self.workload is not None:
-            (scenario,) = override_workload([scenario], self.workload)
-        return [
-            Cell(self.name, scenario.name, mode, scenario.seed, spec=scenario)
-            for mode in self.modes
-        ]
+    def base_scenarios(self, scale: ExperimentScale) -> List[Scenario]:
+        return [default_scenario(scale, name="I2-1G-10G@70")]
 
-    def run_cell(
-        self, cell: Cell, scale: ExperimentScale, cache: ScheduleCache
-    ) -> CellResult:
-        scenario: Scenario = cell.spec
-        result = replay_scenario(scenario, mode=cell.mode, cache=cache)
-        return CellResult(
-            cell=cell,
-            row={
-                "scenario": scenario.name,
-                "replay_mode": cell.mode,
-                "packets": result.metrics.total_packets,
-                "fraction_overdue": result.overdue_fraction,
-                "fraction_overdue_beyond_T": result.overdue_beyond_threshold_fraction,
-            },
-        )
+    def row(self, scenario: Scenario, mode: str, result: ReplayResult) -> Dict[str, object]:
+        return {
+            "scenario": scenario.name,
+            "replay_mode": mode,
+            "packets": result.metrics.total_packets,
+            "fraction_overdue": result.overdue_fraction,
+            "fraction_overdue_beyond_T": result.overdue_beyond_threshold_fraction,
+        }
 
 
 register_experiment(Table1Definition())

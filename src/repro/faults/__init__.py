@@ -33,7 +33,6 @@ from repro.faults.defs import (
 from repro.faults.injector import FaultInjector, FaultPlan, PortFaultState
 from repro.faults.registry import (
     FAULTS,
-    FaultRegistry,
     FaultScheduleDef,
     register_fault_schedule,
 )
@@ -45,7 +44,6 @@ __all__ = [
     "FaultDef",
     "FaultInjector",
     "FaultPlan",
-    "FaultRegistry",
     "FaultScheduleDef",
     "GilbertElliottLoss",
     "JammingIntervals",

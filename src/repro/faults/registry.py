@@ -24,7 +24,7 @@ Built-in schedules registered at import time:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Tuple
+from typing import List, Tuple
 
 from repro.faults.defs import (
     BernoulliLoss,
@@ -34,6 +34,7 @@ from repro.faults.defs import (
     LinkOutage,
     fault_from_dict,
 )
+from repro.utils.registry import Registry
 
 
 @dataclass(frozen=True)
@@ -93,48 +94,10 @@ class FaultScheduleDef:
         )
 
 
-class FaultRegistry:
-    """Name → :class:`FaultScheduleDef` mapping, in registration order."""
-
-    def __init__(self) -> None:
-        self._definitions: Dict[str, FaultScheduleDef] = {}
-
-    def register(self, definition: FaultScheduleDef) -> FaultScheduleDef:
-        """Add (or replace) a definition; returns it for chaining."""
-        self._definitions[definition.name] = definition
-        return definition
-
-    def get(self, name: str) -> FaultScheduleDef:
-        """The definition for ``name`` (KeyError listing known names if absent)."""
-        try:
-            return self._definitions[name]
-        except KeyError:
-            known = ", ".join(sorted(self._definitions))
-            raise KeyError(
-                f"unknown fault schedule {name!r}; known: {known} "
-                "(see `python -m repro list --faults`)"
-            ) from None
-
-    def names(self) -> List[str]:
-        """All registered names, in registration order."""
-        return list(self._definitions)
-
-    def definitions(self) -> List[FaultScheduleDef]:
-        """All registered definitions, in registration order."""
-        return list(self._definitions.values())
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._definitions
-
-    def __len__(self) -> int:
-        return len(self._definitions)
-
-    def __iter__(self) -> Iterator[FaultScheduleDef]:
-        return iter(self._definitions.values())
-
-
 #: The process-wide fault-schedule registry.
-FAULTS = FaultRegistry()
+FAULTS: Registry[FaultScheduleDef] = Registry(
+    "fault schedule", hint="(see `python -m repro list --faults`)"
+)
 
 
 def register_fault_schedule(definition: FaultScheduleDef) -> FaultScheduleDef:

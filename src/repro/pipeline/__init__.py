@@ -15,14 +15,18 @@ subsystem:
   invocations;
 * :mod:`repro.pipeline.experiment` — the
   :class:`~repro.pipeline.experiment.ExperimentDef` protocol
-  (cells / run_cell / assemble), the
+  (cells / run_cell / assemble) and its scenario-shaped base
+  :class:`~repro.pipeline.experiment.ScenarioExperimentDef` (scenarios x
+  modes, one row each), the
   :class:`~repro.pipeline.experiment.ScenarioRegistry` that maps paper
   artifacts (Table 1, Figures 1-4, ablations) to their definitions, and the
-  shared record-with-cache replay helper;
-* :mod:`repro.pipeline.runner` — a ``ProcessPoolExecutor``-based runner that
-  fans independent (scenario x seed x replay-mode) cells out across workers
-  and merges the results deterministically, so parallel runs are row-for-row
-  identical to serial ones.
+  one scenario → schedule lookup
+  (:func:`~repro.pipeline.experiment.cached_schedule`) under the shared
+  replay helper;
+* :mod:`repro.pipeline.runner` — one plan → execute → merge loop that runs
+  independent (scenario x seed x replay-mode) cells on an in-process
+  executor (``workers=1``) or a ``ProcessPoolExecutor`` and merges the
+  results by cell index, so rows are identical for every worker count.
 
 The ``python -m repro`` CLI (:mod:`repro.__main__`) exposes all of this from
 the command line.
@@ -34,7 +38,9 @@ from repro.pipeline.experiment import (
     Cell,
     CellResult,
     ExperimentDef,
+    ScenarioExperimentDef,
     ScenarioRegistry,
+    cached_schedule,
     default_registry,
     record_scenario_schedule,
     register_experiment,
@@ -48,7 +54,6 @@ from repro.pipeline.runner import (
 )
 from repro.pipeline.scenario import (
     PipelineConfigError,
-    WORKLOAD_FACTORIES,
     Scenario,
     Sweep,
     override_slack_policy,
@@ -63,11 +68,12 @@ __all__ = [
     "REGISTRY",
     "RunSummary",
     "Scenario",
+    "ScenarioExperimentDef",
     "ScenarioRegistry",
     "ScheduleCache",
     "Sweep",
-    "WORKLOAD_FACTORIES",
     "aggregate_replicate_rows",
+    "cached_schedule",
     "default_registry",
     "override_slack_policy",
     "override_workload",

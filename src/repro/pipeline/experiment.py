@@ -11,6 +11,12 @@ ablation) as three hooks:
 * :meth:`~ExperimentDef.assemble` — merge the cell results, in cell order,
   into the experiment's :class:`ExperimentResult`.
 
+Most artifacts are *scenario-shaped* — replay these scenarios under these
+modes, one row each — and subclass :class:`ScenarioExperimentDef`, which
+supplies all three hooks from a scenario list, a mode tuple and a row
+function.  Every original schedule any cell needs comes from
+:func:`cached_schedule`, the one lookup into the schedule cache.
+
 The global :data:`REGISTRY` maps experiment names (``"table1"``,
 ``"figure2"``, ...) to their definitions; the definitions themselves live in
 :mod:`repro.experiments`, which registers them at import time.
@@ -18,9 +24,10 @@ The global :data:`REGISTRY` maps experiment names (``"table1"``,
 
 from __future__ import annotations
 
+import copy
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.replay import (
     ReplayResult,
@@ -30,7 +37,14 @@ from repro.core.replay import (
 )
 from repro.core.schedule import Schedule
 from repro.pipeline.cache import ScheduleCache, schedule_cache_key
-from repro.pipeline.scenario import Scenario
+from repro.pipeline.scenario import (
+    Scenario,
+    expand_replicates,
+    override_faults,
+    override_slack_policy,
+    override_workload,
+)
+from repro.utils.registry import Registry
 from repro.utils.rng import RandomState
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (experiments -> pipeline)
@@ -88,23 +102,23 @@ class ExperimentDef(ABC):
     #: Free-form remarks copied onto the assembled result.
     notes: str = ""
     #: Whether this experiment's cells honor the ``workload`` attribute
-    #: (set by :meth:`with_workload` / the ``--workload`` CLI override).
+    #: (set by :meth:`with_overrides` / the ``--workload`` CLI override).
     #: Definitions that opt in must apply ``self.workload`` when expanding
     #: scenarios; the runner notes unsupported experiments instead of
     #: silently ignoring the override.
     supports_workload: bool = False
     #: Whether this experiment honors the ``replicates`` attribute
-    #: (seed replicates set by :meth:`with_replicates` / ``--replicates``).
+    #: (seed replicates set by :meth:`with_overrides` / ``--replicates``).
     supports_replicates: bool = False
     #: Whether this experiment honors the ``slack_policy`` attribute (set by
-    #: :meth:`with_slack_policy` / the ``--slack-policy`` CLI override).
+    #: :meth:`with_overrides` / the ``--slack-policy`` CLI override).
     #: Definitions that opt in must apply ``self.slack_policy`` when
     #: expanding scenarios (:func:`~repro.pipeline.scenario
     #: .override_slack_policy`); the runner notes unsupported experiments
     #: instead of silently ignoring the override.
     supports_slack_policy: bool = False
     #: Whether this experiment honors the ``faults`` attribute (set by
-    #: :meth:`with_faults` / the ``--fault`` CLI override).  Definitions
+    #: :meth:`with_overrides` / the ``--fault`` CLI override).  Definitions
     #: that opt in must apply ``self.faults`` when expanding scenarios
     #: (:func:`~repro.pipeline.scenario.override_faults`); the runner notes
     #: unsupported experiments instead of silently ignoring the override.
@@ -120,37 +134,16 @@ class ExperimentDef(ABC):
     #: Seed replicates per scenario.
     replicates: int = 1
 
-    def with_workload(self, workload: str) -> "ExperimentDef":
-        """A copy of this definition pinned to one registry workload."""
-        import copy
+    def with_overrides(self, **attrs: Any) -> "ExperimentDef":
+        """A copy of this definition with override attributes replaced.
 
+        ``attrs`` are the override attributes above (``workload``,
+        ``slack_policy``, ``faults`` + ``fault_seed``, ``replicates``); the
+        runner applies each one only to definitions whose matching
+        ``supports_<override>`` flag is set.
+        """
         clone = copy.copy(self)
-        clone.workload = workload
-        return clone
-
-    def with_slack_policy(self, slack_policy: str) -> "ExperimentDef":
-        """A copy of this definition pinned to one registry slack policy."""
-        import copy
-
-        clone = copy.copy(self)
-        clone.slack_policy = slack_policy
-        return clone
-
-    def with_replicates(self, replicates: int) -> "ExperimentDef":
-        """A copy of this definition running ``replicates`` seed replicates."""
-        import copy
-
-        clone = copy.copy(self)
-        clone.replicates = replicates
-        return clone
-
-    def with_faults(self, faults: str, fault_seed: int = 0) -> "ExperimentDef":
-        """A copy of this definition pinned to one registry fault schedule."""
-        import copy
-
-        clone = copy.copy(self)
-        clone.faults = faults
-        clone.fault_seed = fault_seed
+        vars(clone).update(attrs)
         return clone
 
     # ------------------------------------------------------------------ #
@@ -338,6 +331,35 @@ def record_scenario_schedule(
     )
 
 
+def cached_schedule(
+    scenario: Scenario,
+    cache: ScheduleCache,
+    topology=None,
+    workload=None,
+) -> Schedule:
+    """``scenario``'s original schedule through ``cache``, recorded on first use.
+
+    The only ``get_or_record`` caller in the package: every lookup is keyed
+    by exactly what :func:`scenario_cache_key` hashes (slack policy and its
+    mode, fault plan), so the entry a cell loads, the entry the runner's
+    recording phase writes and the entry a shard plan points at are always
+    the same one.  Pass ``topology`` / ``workload`` when already built.
+    """
+    topology = topology if topology is not None else scenario.build_topology()
+    workload = workload if workload is not None else scenario.workload()
+    schedule, _ = cache.get_or_record(
+        topology=topology,
+        original=scenario.original,
+        workload=workload,
+        seed=scenario.seed,
+        recorder=lambda: record_scenario_schedule(scenario, topology, workload),
+        slack_policy=scenario.slack_policy_def(),
+        slack_mode=scenario.slack_mode,
+        faults=scenario.fault_plan(),
+    )
+    return schedule
+
+
 def replay_scenario(
     scenario: Scenario,
     mode: Optional[str] = None,
@@ -394,68 +416,120 @@ def replay_scenario(
                 f"{', '.join(POLICY_COMPATIBLE_MODES)}"
             )
         initializer = policy.build_initializer()
-    fault_plan = scenario.fault_plan()
-    schedule, _ = cache.get_or_record(
-        topology=topology,
-        original=scenario.original,
-        workload=workload,
-        seed=scenario.seed,
-        recorder=lambda: record_scenario_schedule(scenario, topology, workload),
-        slack_policy=policy,
-        slack_mode=scenario.slack_mode,
-        faults=fault_plan,
-    )
     return evaluate_replay(
         topology,
-        schedule,
+        cached_schedule(scenario, cache, topology, workload),
         mode=resolved_mode,
         threshold_packet_bytes=float(workload.mss),
         initializer=initializer,
         backend=backend if backend is not None else scenario.backend,
-        faults=fault_plan,
+        faults=scenario.fault_plan(),
     )
+
+
+class ScenarioExperimentDef(ExperimentDef):
+    """An experiment whose cells are (scenario x replay mode) replays.
+
+    A subclass declares :meth:`base_scenarios`, :attr:`modes` and
+    :meth:`row`; scenario expansion (with every override the runner can
+    pin), the cell list and the record-once/replay-per-mode cell body are
+    shared.  All modes of one scenario replay the *same* recorded schedule
+    — the schedule cache records it once even when the cells land on
+    different workers.
+
+    Args:
+        scenarios: Explicit scenario list replacing :meth:`base_scenarios`.
+        **attrs: Initial values for class-level attributes — the override
+            attributes (``replicates``, ``workload``, ...) or a subclass's
+            own knobs; an unknown name is a :class:`TypeError`.
+    """
+
+    #: Replay modes per scenario, in cell order; a ``None`` entry stands for
+    #: the scenario's own ``replay_mode``.
+    modes: Tuple[Optional[str], ...] = (None,)
+
+    def __init__(
+        self, scenarios: Optional[Sequence[Scenario]] = None, **attrs: Any
+    ) -> None:
+        unknown = [name for name in attrs if not hasattr(type(self), name)]
+        if unknown:
+            raise TypeError(
+                f"{type(self).__name__} has no attribute(s) {', '.join(unknown)}"
+            )
+        self._scenarios = scenarios
+        vars(self).update(attrs)
+
+    @abstractmethod
+    def base_scenarios(self, scale: "ExperimentScale") -> List[Scenario]:
+        """The experiment's own scenarios at ``scale``, before any override."""
+
+    @abstractmethod
+    def row(self, scenario: Scenario, mode: str, result: ReplayResult) -> Dict[str, Any]:
+        """One (scenario, replay mode) outcome as a result row."""
+
+    def pin_workload(self, scenarios: List[Scenario], workload: str) -> List[Scenario]:
+        """Apply the ``workload`` override (hook: the default pins every scenario)."""
+        return override_workload(scenarios, workload)
+
+    def scenarios(self, scale: "ExperimentScale") -> List[Scenario]:
+        """All scenarios in cell order, with overrides and replicates applied.
+
+        A ``faults`` override pins every scenario (a fault-free baseline row
+        included) onto the requested schedule.
+        """
+        base = (
+            list(self._scenarios)
+            if self._scenarios is not None
+            else self.base_scenarios(scale)
+        )
+        if self.faults is not None:
+            base = override_faults(base, self.faults, self.fault_seed)
+        if self.workload is not None:
+            base = self.pin_workload(base, self.workload)
+        if self.slack_policy is not None:
+            base = override_slack_policy(base, self.slack_policy)
+        return expand_replicates(base, self.replicates)
+
+    def cells(self, scale: "ExperimentScale") -> List[Cell]:
+        """One cell per (scenario, mode), scenarios outermost."""
+        return [
+            Cell(
+                self.name,
+                scenario.name,
+                mode or scenario.replay_mode,
+                scenario.seed,
+                spec=scenario,
+            )
+            for scenario in self.scenarios(scale)
+            for mode in self.modes
+        ]
+
+    def run_cell(
+        self, cell: Cell, scale: "ExperimentScale", cache: ScheduleCache
+    ) -> CellResult:
+        """Replay the cell's scenario under the cell's mode; one row."""
+        result = replay_scenario(cell.spec, mode=cell.mode, cache=cache)
+        return CellResult(cell=cell, row=self.row(cell.spec, cell.mode, result))
 
 
 # ---------------------------------------------------------------------- #
 # Registry
 # ---------------------------------------------------------------------- #
-class ScenarioRegistry:
+class ScenarioRegistry(Registry[ExperimentDef]):
     """Maps experiment names to their definitions, in registration order."""
 
     def __init__(self) -> None:
-        self._definitions: Dict[str, ExperimentDef] = {}
+        super().__init__("experiment")
 
     def register(self, definition: ExperimentDef) -> ExperimentDef:
         """Add (or replace) a definition; returns it for decorator-style use."""
         if not definition.name:
             raise ValueError("experiment definitions need a non-empty name")
-        self._definitions[definition.name] = definition
-        return definition
-
-    def get(self, name: str) -> ExperimentDef:
-        """The definition for ``name`` (KeyError listing known names if absent)."""
-        try:
-            return self._definitions[name]
-        except KeyError:
-            known = ", ".join(sorted(self._definitions))
-            raise KeyError(f"unknown experiment {name!r}; known: {known}") from None
-
-    def names(self) -> List[str]:
-        """All registered experiment names, in registration order."""
-        return list(self._definitions)
+        return super().register(definition)
 
     def experiments(self) -> List[ExperimentDef]:
         """All registered definitions, in registration order."""
-        return list(self._definitions.values())
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._definitions
-
-    def __len__(self) -> int:
-        return len(self._definitions)
-
-    def __iter__(self):
-        return iter(self._definitions.values())
+        return self.definitions()
 
 
 #: The process-wide registry.  Populated by importing :mod:`repro.experiments`

@@ -1,45 +1,49 @@
-"""Parallel experiment runner: fan cells out, merge results deterministically.
+"""The experiment runner: one plan → execute → merge loop over two executors.
 
 The runner expands every requested experiment into its independent cells
-(scenario x seed x replay-mode), executes them either serially in-process or
-across a ``ProcessPoolExecutor``, and assembles the per-experiment results in
-cell order.  Three properties make parallel runs row-for-row identical to
-serial ones:
+(scenario x seed x replay-mode) and drives them through **one** rounds loop
+(:func:`_run_rounds`): plan the round's tasks, submit them to an executor,
+drain the futures, merge results by cell index, and carry whatever failed
+into the next round.  ``workers`` selects nothing but the executor —
+:class:`_InProcessExecutor` for ``workers == 1`` (``submit`` runs the task at
+once, against one :class:`ScheduleCache` for the whole run), a
+``ProcessPoolExecutor`` otherwise (fresh for every round).  Either way a
+task runs through :func:`_run_task`, the single place that resets the global
+packet/flow id counters, arms the per-cell deadline and turns an exception
+into a picklable failure value.  Three properties make rows identical for
+every ``workers``:
 
-* every cell resets the global packet/flow id counters before it runs, so a
-  cell's simulation is bit-identical no matter which process (or how many
-  cells earlier) it executes in;
+* every task resets the id counters before it runs, so a cell's simulation
+  is bit-identical no matter which process (or how many cells earlier) it
+  executes in;
 * every cell's randomness comes from its own resolved seed — nothing is
   drawn from a shared stream;
 * results are merged by cell index, never by completion order.
 
-Parallel runs with an on-disk cache are **two-phase**: the driver first
-computes every replay cell's schedule-cache key from plain specs, dedupes
-them, and fans out one recording task per *missing unique key*; only then do
-the replay cells run, all of them hitting the now-warm cache.  This removes
-the cold-cache race in which two workers recorded the same schedule
-concurrently (correct, but duplicated work): every (topology, scheduler,
-workload, seed) key is now recorded exactly once per run.
+Two steps exist only where they can pay off, a pool sharing an on-disk cache
+(``workers > 1 and cache_dir is not None``):
 
-Workers share the on-disk :class:`ScheduleCache` layer; within a process
-each worker also keeps the in-memory layer, so a warm cache run records
-nothing at all (``RunSummary.records_computed == 0``).
+* **Deduplicated recording.**  The driver computes every replay cell's
+  schedule-cache key from plain specs, dedupes them, and fans out one
+  recording task per *missing unique key* before any cell runs, so two
+  workers never record the same schedule concurrently: every (topology,
+  scheduler, workload, seed) key is recorded exactly once per run.
+* **Shard work-stealing.**  For experiments that opt in
+  (``ExperimentDef.supports_shards`` — the scale tier) each shard of a cell
+  is its own task, so workers draining the shared task queue steal shards of
+  a big cell instead of idling behind it, and the driver merges the partials
+  in shard-index order.  The shard partition is a pure function of the cell
+  and the cache's ``shard_packets`` — never of worker count — so work-stolen
+  rows are bit-identical to those of a cell that ran whole, folding the same
+  partition in order inside its one task (every other configuration).
 
-Phase 2's unit of work-stealing is the *shard*, not just the cell, for
-experiments that opt in (``ExperimentDef.supports_shards`` — the scale
-tier): each shard of a shard-capable cell is its own pool task, so workers
-draining the shared task queue steal shards of a big cell instead of idling
-behind it, and the driver merges the partials in shard-index order.  The
-shard partition is a pure function of the cell and the cache's
-``shard_packets`` — never of worker count — so sharded parallel rows are
-bit-identical to serial ones.
-
-The runner is also hardened against *real* failure: cells run under an
-optional per-cell timeout, a cell that raises (or whose worker dies — a
-crashed process breaks the whole ``ProcessPoolExecutor``) is retried across
-``max_retries`` fresh pools with exponential backoff, and whatever still
-fails after the last round is reported as a structured :class:`CellError`
-on the summary instead of aborting the run and losing every completed row.
+The loop is also what hardens the runner against *real* failure: tasks run
+under an optional per-cell timeout, and a cell that raises (or whose worker
+dies — a crashed process breaks the whole ``ProcessPoolExecutor``) is
+retried in up to ``max_retries`` further rounds with exponential backoff.
+Whatever still fails after the last round is reported as a structured
+:class:`CellError` on the summary instead of aborting the run and losing
+every completed row.
 """
 
 from __future__ import annotations
@@ -49,10 +53,10 @@ import signal
 import time
 import traceback as traceback_module
 from collections import OrderedDict
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures import Executor, Future, ProcessPoolExecutor, as_completed
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.pipeline.cache import DEFAULT_SHARD_PACKETS, ScheduleCache
 from repro.pipeline.experiment import (
@@ -60,11 +64,13 @@ from repro.pipeline.experiment import (
     CellResult,
     ExperimentDef,
     ScenarioRegistry,
+    cached_schedule,
     default_registry,
-    record_scenario_schedule,
     scenario_cache_key,
 )
 from repro.pipeline.scenario import Scenario
+from repro.sim.flow import reset_flow_ids
+from repro.sim.packet import reset_packet_ids
 from repro.utils.stats import summarize
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (experiments -> pipeline)
@@ -130,8 +136,8 @@ def _cell_deadline(seconds: Optional[float]):
     Implemented with ``SIGALRM``/``setitimer``, so it interrupts a
     simulation stuck inside pure-Python event loops.  A no-op when
     ``seconds`` is ``None`` or the platform has no ``SIGALRM`` (Windows);
-    both the serial runner and pool workers execute cells on their process'
-    main thread, which is what signal delivery requires.
+    both executors run tasks on their process' main thread, which is what
+    signal delivery requires.
     """
     if seconds is None or not hasattr(signal, "SIGALRM"):
         yield
@@ -213,18 +219,13 @@ def _execute_cell(
     scale: ExperimentScale,
     cache: ScheduleCache,
 ) -> CellResult:
-    """Run one cell with fresh global counters and per-cell cache accounting.
+    """Run one whole cell with per-cell cache accounting.
 
     Shard-capable cells (``definition.supports_shards``) run shard by shard
-    — the same deterministic partition the parallel runner fans out — with
-    partials merged in shard-index order, so serial and work-stolen rows are
+    — the same deterministic partition the pool work-steals — with partials
+    merged in shard-index order, so whole-cell and work-stolen rows are
     identical.
     """
-    from repro.sim.flow import reset_flow_ids
-    from repro.sim.packet import reset_packet_ids
-
-    reset_packet_ids()
-    reset_flow_ids()
     hits_before, misses_before = cache.hits, cache.misses
     shards: List = []
     if definition.supports_shards:
@@ -242,21 +243,41 @@ def _execute_cell(
 
 
 # ---------------------------------------------------------------------- #
-# Worker-side state (one schedule cache per pool process)
+# Tasks and the two executors
 # ---------------------------------------------------------------------- #
-_WORKER_CACHE: Optional[ScheduleCache] = None
-_WORKER_TIMEOUT: Optional[float] = None
+@dataclass
+class _Task:
+    """One unit of executor work: ``kind`` is ``"record"`` (put ``scenario``'s
+    schedule into the cache), ``"cell"`` (run ``cell`` whole) or ``"shard"``
+    (run one ``shard`` of it).  The definition itself ships in the task
+    (definitions are plain picklable objects), so workers honor whatever
+    registry — global or caller-supplied — the driver resolved names against,
+    on fork and spawn platforms alike.
+    """
+
+    kind: str
+    scale: "ExperimentScale"
+    definition: Optional[ExperimentDef] = None
+    cell: Optional[Cell] = None
+    shard: object = None
+    scenario: Optional[Scenario] = None
+
+
+#: What a task runs against: ``(schedule cache, per-cell timeout)``.
+_TaskContext = Tuple[ScheduleCache, Optional[float]]
+
+#: A pool worker's context, set once per process by :func:`_worker_init`.
+_WORKER_CONTEXT: Optional[_TaskContext] = None
 
 
 def _worker_init(
     cache_dir: Optional[str],
-    backend: Optional[str] = None,
-    cell_timeout: Optional[float] = None,
-    shard_packets: int = DEFAULT_SHARD_PACKETS,
+    backend: Optional[str],
+    cell_timeout: Optional[float],
+    shard_packets: int,
 ) -> None:
-    global _WORKER_CACHE, _WORKER_TIMEOUT
-    _WORKER_CACHE = ScheduleCache(cache_dir, shard_packets=shard_packets)
-    _WORKER_TIMEOUT = cell_timeout
+    global _WORKER_CONTEXT
+    _WORKER_CONTEXT = (ScheduleCache(cache_dir, shard_packets=shard_packets), cell_timeout)
     if backend is not None:
         # Workers resolve the run's engine through the same process-wide
         # channel as everything else (see replay_candidates); an explicit
@@ -267,101 +288,82 @@ def _worker_init(
         os.environ[BACKEND_ENV_VAR] = backend
 
 
-def _worker_run(
-    payload: Tuple[int, ExperimentDef, Cell, "ExperimentScale"]
-) -> Tuple[int, Union[CellResult, _CellFailure]]:
-    # The definition itself ships in the payload (definitions are plain
-    # picklable objects), so workers honor whatever registry — global or
-    # caller-supplied — the driver resolved names against, on fork and
-    # spawn platforms alike.  Exceptions (including the per-cell timeout)
-    # come back as picklable _CellFailure values, never as raises: a raise
-    # would poison the pool future and take every other cell down with it.
-    index, definition, cell, scale = payload
-    assert _WORKER_CACHE is not None
-    try:
-        with _cell_deadline(_WORKER_TIMEOUT):
-            return index, _execute_cell(definition, cell, scale, _WORKER_CACHE)
-    except Exception as error:
-        return index, _CellFailure.capture(error)
+def _run_task(task: _Task, context: Optional[_TaskContext] = None) -> object:
+    """Execute one task; the worker side of the loop, for both executors.
 
+    Returns the task's outcome — a record task's number of schedules
+    actually recorded (0 when another run populated the entry between
+    planning and execution), a shard task's picklable partial, a cell
+    task's :class:`CellResult` — or a :class:`_CellFailure`.  Exceptions
+    (including the per-cell timeout) come back as values, never as raises: a
+    raise would poison a pool future and lose the traceback.
 
-def _worker_run_shard(
-    payload: Tuple[int, int, ExperimentDef, Cell, "ExperimentScale", object]
-) -> Tuple[int, int, Union[object, _CellFailure]]:
-    """Phase-2 shard task: one shard of a shard-capable cell.
-
-    Returns ``(cell index, shard index, partial)`` — the partial is whatever
-    picklable value ``run_cell_shard`` produced (the driver merges them in
-    shard-index order) — or a captured :class:`_CellFailure`.
+    ``context`` is the in-process executor's; pool workers fall back to the
+    one :func:`_worker_init` built for their process.
     """
-    from repro.sim.flow import reset_flow_ids
-    from repro.sim.packet import reset_packet_ids
-
-    index, shard_index, definition, cell, scale, shard = payload
-    assert _WORKER_CACHE is not None
+    cache, timeout = context if context is not None else _WORKER_CONTEXT
     reset_packet_ids()
     reset_flow_ids()
     try:
-        with _cell_deadline(_WORKER_TIMEOUT):
-            return (
-                index,
-                shard_index,
-                definition.run_cell_shard(cell, shard, scale, _WORKER_CACHE),
-            )
+        with _cell_deadline(timeout):
+            if task.kind == "record":
+                misses_before = cache.misses
+                cached_schedule(task.scenario, cache)
+                return cache.misses - misses_before
+            if task.kind == "shard":
+                return task.definition.run_cell_shard(
+                    task.cell, task.shard, task.scale, cache
+                )
+            return _execute_cell(task.definition, task.cell, task.scale, cache)
     except Exception as error:
-        return index, shard_index, _CellFailure.capture(error)
+        return _CellFailure.capture(error)
 
 
-def _worker_record(payload: Tuple[str, Scenario]) -> Tuple[str, Union[int, _CellFailure]]:
-    """Phase-1 task: record one deduplicated scenario schedule into the cache.
+class _InProcessExecutor(Executor):
+    """The ``workers == 1`` executor: ``submit`` runs the task at once, here.
 
-    Returns ``(key, misses)`` — the number of schedules actually recorded
-    (0 when another run populated the entry between planning and execution)
-    — or ``(key, _CellFailure)`` when the recording raised or timed out.
+    One :class:`ScheduleCache` serves every task of every round.  It lives on
+    this object, not in a module global, so it is released with the run.
     """
-    from repro.sim.flow import reset_flow_ids
-    from repro.sim.packet import reset_packet_ids
 
-    key, scenario = payload
-    assert _WORKER_CACHE is not None
-    reset_packet_ids()
-    reset_flow_ids()
-    misses_before = _WORKER_CACHE.misses
-    try:
-        with _cell_deadline(_WORKER_TIMEOUT):
-            topology = scenario.build_topology()
-            workload = scenario.workload()
-            # The slack policy (and its application mode) and the fault plan
-            # must flow into the key here exactly as they do in
-            # scenario_cache_key/replay_scenario, or phase-1 recordings
-            # would land under a different entry than the phase-2 replays
-            # look up.
-            _WORKER_CACHE.get_or_record(
-                topology=topology,
-                original=scenario.original,
-                workload=workload,
-                seed=scenario.seed,
-                recorder=lambda: record_scenario_schedule(scenario, topology, workload),
-                slack_policy=scenario.slack_policy_def(),
-                slack_mode=scenario.slack_mode,
-                faults=scenario.fault_plan(),
-            )
-    except Exception as error:
-        return key, _CellFailure.capture(error)
-    return key, _WORKER_CACHE.misses - misses_before
+    def __init__(self, context: _TaskContext) -> None:
+        self._context = context
+
+    def submit(self, fn, task: _Task) -> Future:
+        """Run ``fn(task, context)`` now; return an already-finished future."""
+        future: Future = Future()
+        future.set_result(fn(task, self._context))
+        return future
+
+
+def _drain(futures: Dict[Future, object]) -> Iterator[Tuple[object, object, bool]]:
+    """Yield ``(tag, outcome, crashed)`` for each future as it completes.
+
+    ``futures`` maps each future to the caller's tag for it.  A future that
+    raises instead of returning — ``BrokenProcessPool`` because a worker
+    died, or a result that failed to unpickle — yields a captured
+    :class:`_CellFailure` with ``crashed`` set: the pool is not usable for
+    the rest of the round.
+    """
+    for future in as_completed(futures):
+        try:
+            outcome, crashed = future.result(), False
+        except Exception as error:
+            outcome, crashed = _CellFailure.capture(error), True
+        yield futures[future], outcome, crashed
 
 
 def _plan_records(
     tasks: Sequence[Tuple[ExperimentDef, Cell]], cache: ScheduleCache
-) -> List[Tuple[str, Scenario]]:
-    """Unique (cache key, scenario) pairs whose schedules are not on disk yet.
+) -> Dict[str, Scenario]:
+    """Scenarios whose schedules are not on disk yet, by unique cache key.
 
     Only cells whose spec is a :class:`Scenario` go through the schedule
     cache (direct-simulation cells carry other specs); those sharing one
     original schedule — across modes *and* across experiments — collapse to
     a single entry, so phase 1 records each key exactly once.
     """
-    planned: "OrderedDict[str, Scenario]" = OrderedDict()
+    planned: Dict[str, Scenario] = {}
     key_by_scenario: Dict[Scenario, str] = {}
     for _, cell in tasks:
         scenario = cell.spec
@@ -375,7 +377,7 @@ def _plan_records(
             key_by_scenario[scenario] = key
         if key not in planned and key not in cache:
             planned[key] = scenario
-    return list(planned.items())
+    return planned
 
 
 # ---------------------------------------------------------------------- #
@@ -387,8 +389,8 @@ def _backend_scope(backend: Optional[str]):
 
     The selection travels through :data:`~repro.sim.backend.BACKEND_ENV_VAR`
     — the channel :func:`~repro.sim.backend.replay_candidates` consults when
-    a replay names no engine — so every replay in the run (serial cells,
-    nested helpers) picks it up without threading a
+    a replay names no engine — so every replay in the run (in-process
+    tasks, nested helpers) picks it up without threading a
     parameter through each experiment definition.  ``None`` pins nothing:
     each replay then takes the fastest available engine that supports its
     configuration.
@@ -413,27 +415,23 @@ def _backend_scope(backend: Optional[str]):
             os.environ[BACKEND_ENV_VAR] = previous
 
 
-def _cell_error(
-    cell: Cell, failure: Optional[_CellFailure], attempts: int, phase: str = "run"
-) -> CellError:
+#: Stands in for a cell that was never submitted: recording crashed the pool
+#: in every round.
+_NEVER_RAN = _CellFailure(
+    "UnknownWorkerFailure", "worker finished without reporting a result", ""
+)
+
+
+def _cell_error(cell: Cell, failure: _CellFailure, attempts: int) -> CellError:
     """Build the structured error row for a cell that failed every attempt."""
-    if failure is None:  # pragma: no cover - defensive (no captured failure)
-        failure = _CellFailure(
-            error_type="UnknownWorkerFailure",
-            message="worker finished without reporting a result",
-            traceback="",
-        )
     return CellError(
         cell_id=cell.cell_id,
         experiment=cell.experiment,
         label=cell.label,
         mode=cell.mode,
         seed=cell.seed,
-        error_type=failure.error_type,
-        message=failure.message,
-        traceback=failure.traceback,
         attempts=attempts,
-        phase=phase,
+        **asdict(failure),
     )
 
 
@@ -459,7 +457,8 @@ def run_pipeline(
     Args:
         names: Experiment names to run (default: every registered one).
         scale: Scale preset (default: quick).
-        workers: Worker processes; ``<= 1`` runs serially in-process.
+        workers: Worker processes; ``<= 1`` (or a run of at most one cell)
+            executes every task in this process, in cell order.
         cache_dir: On-disk schedule-cache directory shared by all workers
             (``None`` = in-memory caches only).
         registry: Registry to resolve names against (default: the global one).
@@ -474,8 +473,8 @@ def run_pipeline(
             replay initialization, for experiments that support it
             (``python -m repro run ... --slack-policy <name>``).
         backend: Simulation-engine registry name (see
-            :mod:`repro.sim.backend`) pinned for the whole run — serial
-            cells and pool workers alike (``python -m repro run ...
+            :mod:`repro.sim.backend`) pinned for the whole run — in-process
+            tasks and pool workers alike (``python -m repro run ...
             --backend <name>``); ``None`` lets each replay take the fastest
             available engine that supports it.  Validated before anything runs;
             backends are bit-identical by contract, so rows and cache
@@ -488,14 +487,17 @@ def run_pipeline(
         cell_timeout: Per-cell wall-clock budget in seconds; a cell that
             outlives it fails with :class:`CellTimeoutError` (and is retried
             like any other failure).  ``None`` = no timeout.
-        max_retries: How many extra rounds failed cells are retried.  In
-            parallel runs each retry round gets a *fresh* worker pool, so a
-            crashed worker (which breaks the whole ``ProcessPoolExecutor``)
-            is recovered from, not just in-cell exceptions.
+        max_retries: How many extra rounds failed cells are retried, for
+            every ``workers``: a failed cell re-runs in the next round, after
+            the round's remaining cells.  With a pool each round gets a
+            *fresh* one, so a crashed worker (which breaks the whole
+            ``ProcessPoolExecutor``) is recovered from, not just in-cell
+            exceptions.
         retry_backoff: Base of the exponential backoff between retry rounds
-            (round *n* sleeps ``retry_backoff * 2**(n-1)`` seconds).
+            (round *n* sleeps ``retry_backoff * 2**(n-1)`` seconds, once per
+            round — not once per failed cell).
         shard_packets: Shard size for every :class:`ScheduleCache` the run
-            constructs (driver, serial, and pool workers alike) — both the
+            constructs (driver, in-process, and pool workers alike) — both the
             persistence threshold/chunk for sharded cache entries and the
             shard partition size for shard-capable experiments (``python -m
             repro run ... --shard-packets N``).  Storage layout only: cache
@@ -509,6 +511,8 @@ def run_pipeline(
         order — identical rows regardless of ``workers``.  Cells that failed
         every attempt are reported in ``summary.errors`` (their rows are
         simply absent); the run itself never aborts on a cell failure.
+        ``cache_hits`` / ``cache_misses`` sum the recording phase and the
+        *completed* cells' lookups (a cell that failed contributes none).
     """
     from repro.experiments.config import ExperimentScale
 
@@ -520,55 +524,35 @@ def run_pipeline(
     scale = scale or ExperimentScale.quick()
     selected = list(names) if names is not None else registry.names()
 
+    # (override, requested value or None, what the experiments that do not
+    # support it did instead) — in the order the notes are reported.
+    overrides = [
+        ("replicates", replicates if replicates > 1 else None, "ran single-seed"),
+        ("workload", workload, "kept their own workloads"),
+        ("slack_policy", slack_policy, "kept their default replay initialization"),
+        ("faults", faults, "replayed fault-free"),
+    ]
+    companions = {"faults": {"fault_seed": fault_seed}}
     definitions: List[ExperimentDef] = []
-    notes: List[str] = []
-    unreplicated: List[str] = []
-    unworkloaded: List[str] = []
-    unpolicied: List[str] = []
-    unfaulted: List[str] = []
+    unsupported: Dict[str, List[str]] = {override: [] for override, _, _ in overrides}
     for name in selected:
         definition = registry.get(name)
-        if workload is not None:
-            if definition.supports_workload:
-                definition = definition.with_workload(workload)
+        for override, value, _ in overrides:
+            if value is None:
+                continue
+            if getattr(definition, f"supports_{override}"):
+                definition = definition.with_overrides(
+                    **{override: value}, **companions.get(override, {})
+                )
             else:
-                unworkloaded.append(name)
-        if slack_policy is not None:
-            if definition.supports_slack_policy:
-                definition = definition.with_slack_policy(slack_policy)
-            else:
-                unpolicied.append(name)
-        if faults is not None:
-            if definition.supports_faults:
-                definition = definition.with_faults(faults, fault_seed)
-            else:
-                unfaulted.append(name)
-        if replicates > 1:
-            if definition.supports_replicates:
-                definition = definition.with_replicates(replicates)
-            else:
-                unreplicated.append(name)
+                unsupported[override].append(name)
         definitions.append(definition)
-    if unreplicated:
-        notes.append(
-            f"replicates={replicates} not supported by: {', '.join(unreplicated)} "
-            "(those experiments ran single-seed)"
-        )
-    if unworkloaded:
-        notes.append(
-            f"workload={workload!r} not supported by: {', '.join(unworkloaded)} "
-            "(those experiments kept their own workloads)"
-        )
-    if unpolicied:
-        notes.append(
-            f"slack_policy={slack_policy!r} not supported by: {', '.join(unpolicied)} "
-            "(those experiments kept their default replay initialization)"
-        )
-    if unfaulted:
-        notes.append(
-            f"faults={faults!r} not supported by: {', '.join(unfaulted)} "
-            "(those experiments replayed fault-free)"
-        )
+    notes = [
+        f"{override}={value!r} not supported by: {', '.join(unsupported[override])} "
+        f"(those experiments {consequence})"
+        for override, value, consequence in overrides
+        if unsupported[override]
+    ]
 
     tasks: List[Tuple[ExperimentDef, Cell]] = []
     spans: List[Tuple[str, int, int]] = []  # (name, first task index, count)
@@ -577,112 +561,88 @@ def run_pipeline(
         spans.append((definition.name, len(tasks), len(cells)))
         tasks.extend((definition, cell) for cell in cells)
 
-    cell_results: List[Optional[CellResult]] = [None] * len(tasks)
-    errors: List[CellError] = []
+    # The executor is all that ``workers`` selects.  A pool is fresh per round
+    # — a dead worker breaks the whole ProcessPoolExecutor — while the
+    # in-process executor (and its one cache) serves every round.
+    workers = workers if workers > 1 and len(tasks) > 1 else 1
+    if workers > 1:
+        def make_executor() -> Executor:
+            return ProcessPoolExecutor(
+                max_workers=workers,
+                initializer=_worker_init,
+                initargs=(cache_dir, backend, cell_timeout, shard_packets),
+            )
+    else:
+        in_process = _InProcessExecutor(
+            (ScheduleCache(cache_dir, shard_packets=shard_packets), cell_timeout)
+        )
+        make_executor = lambda: in_process  # noqa: E731
+    # Deduplicated recording and shard work-stealing need workers that share
+    # recordings through a disk layer; the driver plans both from this cache.
+    plan_cache = (
+        ScheduleCache(cache_dir, shard_packets=shard_packets)
+        if workers > 1 and cache_dir is not None
+        else None
+    )
     with _backend_scope(backend):
-        if workers <= 1 or len(tasks) <= 1:
-            workers = 1
-            cache = ScheduleCache(cache_dir, shard_packets=shard_packets)
-            for index, (definition, cell) in enumerate(tasks):
-                failure: Optional[_CellFailure] = None
-                attempts = 0
-                for attempt in range(max_retries + 1):
-                    if attempt:
-                        time.sleep(retry_backoff * 2 ** (attempt - 1))
-                    attempts += 1
-                    try:
-                        with _cell_deadline(cell_timeout):
-                            cell_results[index] = _execute_cell(
-                                definition, cell, scale, cache
-                            )
-                    except Exception as error:
-                        failure = _CellFailure.capture(error)
-                    else:
-                        break
-                else:
-                    errors.append(_cell_error(cell, failure, attempts))
-            cache_hits, cache_misses = cache.hits, cache.misses
-        else:
-            records_computed, parallel_errors = _run_parallel(
-                tasks,
-                scale,
-                workers=workers,
-                cache_dir=cache_dir,
-                backend=backend,
-                cell_timeout=cell_timeout,
-                max_retries=max_retries,
-                retry_backoff=retry_backoff,
-                cell_results=cell_results,
-                notes=notes,
-                shard_packets=shard_packets,
-            )
-            errors.extend(parallel_errors)
-            cache_hits = sum(r.cache_hits for r in cell_results if r is not None)
-            cache_misses = records_computed + sum(
-                r.cache_misses for r in cell_results if r is not None
-            )
+        cell_results, errors, records_computed, unrecorded = _run_rounds(
+            tasks, scale, make_executor, plan_cache, max_retries, retry_backoff
+        )
+    if unrecorded:
+        notes.append(
+            f"{unrecorded} schedule recording(s) never completed in "
+            "phase 1; dependent cells recorded in-worker or failed (see errors)"
+        )
 
     results: Dict[str, ExperimentResult] = {}
     for definition, (name, first, count) in zip(definitions, spans):
         chunk = [r for r in cell_results[first : first + count] if r is not None]
         result = definition.assemble(scale, chunk)
-        if replicates > 1 and name not in unreplicated:
+        if replicates > 1 and name not in unsupported["replicates"]:
             result.aggregates = aggregate_replicate_rows(result.rows)
         results[name] = result
 
+    completed = [r for r in cell_results if r is not None]
     return RunSummary(
         results=results,
         cells=len(tasks),
         workers=workers,
         wall_time=time.perf_counter() - start,
-        cache_hits=cache_hits,
-        cache_misses=cache_misses,
+        cache_hits=sum(r.cache_hits for r in completed),
+        cache_misses=records_computed + sum(r.cache_misses for r in completed),
         notes=notes,
         errors=errors,
     )
 
 
-def _run_parallel(
+def _run_rounds(
     tasks: Sequence[Tuple[ExperimentDef, Cell]],
     scale: "ExperimentScale",
-    workers: int,
-    cache_dir: Optional[str],
-    backend: Optional[str],
-    cell_timeout: Optional[float],
+    make_executor: Callable[[], Executor],
+    plan_cache: Optional[ScheduleCache],
     max_retries: int,
     retry_backoff: float,
-    cell_results: List[Optional[CellResult]],
-    notes: List[str],
-    shard_packets: int = DEFAULT_SHARD_PACKETS,
-) -> Tuple[int, List[CellError]]:
-    """Fan cells out across pool workers, with crash recovery and retries.
+) -> Tuple[List[Optional[CellResult]], List[CellError], int, int]:
+    """The one loop: plan → submit → drain → merge by index → retry.
 
-    Runs up to ``max_retries + 1`` rounds.  Each round gets a **fresh**
-    ``ProcessPoolExecutor``: a worker that dies (OOM-killed, SIGKILL,
-    segfault) breaks the entire pool — every outstanding future fails with
-    ``BrokenProcessPool`` — so per-round pools are what turns "one crashed
-    worker aborts the campaign" into "the surviving work retries".  Within a
-    round, phase 1 records missing unique schedules and phase 2 replays
-    cells, exactly as before; items that failed stay pending for the next
-    round, items that succeeded never re-run.
+    Runs up to ``max_retries + 1`` rounds, each on the executor
+    ``make_executor()`` returns (entered as a context manager, so a pool is
+    shut down at the end of its round).  Within a round, phase 1 records
+    the still-missing unique schedules and phase 2 runs the still-pending
+    cells; items that failed stay pending for the next round, items that
+    succeeded never re-run.  With ``plan_cache`` (the driver's view of the
+    shared on-disk cache) the round also has the two pool-only steps:
+    phase 1 has something to record, and phase 2 expands shard-capable cells
+    into one task per shard.
 
-    Fills ``cell_results`` in place; returns ``(records_computed, errors)``.
+    Returns ``(cell results by task index, errors, schedules recorded in
+    phase 1, recordings that never completed)``.
     """
-    # Phase 1 (record): with a shared on-disk cache, record each missing
-    # unique schedule exactly once before any replay cell runs.  Without a
-    # disk layer workers cannot share recordings, so phase 1 is skipped and
-    # each worker records what it needs (the pre-two-phase behavior).
-    pending_records: "OrderedDict[str, Scenario]" = OrderedDict()
-    if cache_dir is not None:
-        pending_records = OrderedDict(
-            _plan_records(tasks, ScheduleCache(cache_dir, shard_packets=shard_packets))
-        )
-    pending_cells: "OrderedDict[int, Tuple[ExperimentDef, Cell]]" = OrderedDict(
-        (index, task) for index, task in enumerate(tasks)
-    )
-    record_attempts: Dict[str, int] = {}
-    cell_attempts: Dict[int, int] = {}
-    cell_failures: Dict[int, _CellFailure] = {}
+    pending_records = _plan_records(tasks, plan_cache) if plan_cache is not None else {}
+    pending_cells: Dict[int, Tuple[ExperimentDef, Cell]] = dict(enumerate(tasks))
+    results: List[Optional[CellResult]] = [None] * len(tasks)
+    attempts: Dict[int, int] = {}
+    failures: Dict[int, _CellFailure] = {}
     records_computed = 0
 
     for round_index in range(max_retries + 1):
@@ -690,129 +650,71 @@ def _run_parallel(
             break
         if round_index:
             time.sleep(retry_backoff * 2 ** (round_index - 1))
-        pool_broken = False
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_worker_init,
-            initargs=(cache_dir, backend, cell_timeout, shard_packets),
-        ) as pool:
-            if pending_records:
-                record_futures = {
-                    pool.submit(_worker_record, (key, scenario)): key
-                    for key, scenario in pending_records.items()
-                }
-                for future in as_completed(record_futures):
-                    key = record_futures[future]
-                    record_attempts[key] = record_attempts.get(key, 0) + 1
-                    try:
-                        _, outcome = future.result()
-                    except Exception:
-                        # BrokenProcessPool (a worker died) or a result that
-                        # failed to unpickle: the key stays pending and the
-                        # pool is not reused this round.
-                        pool_broken = True
-                        continue
-                    if isinstance(outcome, _CellFailure):
-                        continue  # stays pending; cells may still self-record
+        with make_executor() as executor:
+            # Phase 1 (record): each missing unique schedule exactly once,
+            # before any cell runs.  A recording that fails stays pending;
+            # its cells may still record it themselves in phase 2.
+            pool_broken = False
+            record_futures = {
+                executor.submit(_run_task, _Task("record", scale, scenario=scenario)): key
+                for key, scenario in pending_records.items()
+            }
+            for key, outcome, crashed in _drain(record_futures):
+                pool_broken = pool_broken or crashed
+                if not isinstance(outcome, _CellFailure):
                     records_computed += outcome
-                    pending_records.pop(key, None)
-            if not pool_broken and pending_cells:
-                # Phase 2 (replay): every cell runs against the (best-effort)
-                # warm cache.  Shard-capable cells are expanded into one pool
-                # task *per shard* — the pool's task queue is the
-                # work-stealing mechanism, so a worker finishing a small
-                # shard immediately picks up the next one regardless of
-                # which cell it belongs to — and their partials merge
-                # driver-side in shard-index order (the determinism rule:
-                # identical rows to a serial run).  Everything else runs
-                # whole, exactly as before; completed cells leave the
-                # pending map, failures keep their captured traceback.
-                driver_cache = (
-                    ScheduleCache(cache_dir, shard_packets=shard_packets)
-                    if cache_dir is not None
-                    else None
-                )
-                cell_futures = {}
-                shard_futures: Dict[object, Tuple[int, int]] = {}
-                shard_partials: Dict[int, List[Optional[object]]] = {}
-                for index, (definition, cell) in pending_cells.items():
-                    shards: List[object] = []
-                    if definition.supports_shards and driver_cache is not None:
-                        try:
-                            shards = definition.cell_shards(cell, scale, driver_cache)
-                        except Exception:
-                            shards = []  # fall back to whole-cell execution
-                    if len(shards) > 1:
-                        cell_attempts[index] = cell_attempts.get(index, 0) + 1
-                        shard_partials[index] = [None] * len(shards)
-                        for shard_index, shard in enumerate(shards):
-                            future = pool.submit(
-                                _worker_run_shard,
-                                (index, shard_index, definition, cell, scale, shard),
-                            )
-                            shard_futures[future] = (index, shard_index)
-                    else:
-                        cell_futures[
-                            pool.submit(_worker_run, (index, definition, cell, scale))
-                        ] = index
-                for future in as_completed(
-                    list(cell_futures) + list(shard_futures)
-                ):
-                    if future in shard_futures:
-                        index, shard_index = shard_futures[future]
-                        try:
-                            _, _, outcome = future.result()
-                        except Exception as error:
-                            pool_broken = True
-                            cell_failures[index] = _CellFailure.capture(error)
-                            continue
-                        if isinstance(outcome, _CellFailure):
-                            cell_failures[index] = outcome
-                            continue
-                        shard_partials[index][shard_index] = outcome
-                        continue
-                    index = cell_futures[future]
-                    cell_attempts[index] = cell_attempts.get(index, 0) + 1
+                    del pending_records[key]
+            if pool_broken:
+                continue
+            # Phase 2 (cells): every pending cell against the (best-effort)
+            # warm cache — whole, or with a plan cache one task *per shard*:
+            # the executor's task queue is the work-stealing mechanism.
+            futures: Dict[Future, Tuple[int, Optional[int]]] = {}
+            partials: Dict[int, List[object]] = {}
+            for index, (definition, cell) in pending_cells.items():
+                attempts[index] = attempts.get(index, 0) + 1
+                shards: List[object] = []
+                if plan_cache is not None and definition.supports_shards:
                     try:
-                        _, outcome = future.result()
-                    except Exception as error:
-                        pool_broken = True
-                        cell_failures[index] = _CellFailure.capture(error)
-                        continue
-                    if isinstance(outcome, _CellFailure):
-                        cell_failures[index] = outcome
-                        continue
-                    cell_results[index] = outcome
-                    pending_cells.pop(index, None)
-                    cell_failures.pop(index, None)
-                # Merge every sharded cell whose shards all completed.  A
-                # cell with any failed shard stays pending (its failure is
-                # recorded) and re-runs whole next round — partials are
-                # cheap relative to the recording they read from cache.
-                for index, partials in shard_partials.items():
-                    if index in cell_failures or any(p is None for p in partials):
-                        continue
-                    definition, cell = pending_cells[index]
-                    try:
-                        cell_results[index] = definition.merge_shards(
-                            cell, scale, list(partials)
-                        )
-                    except Exception as error:
-                        cell_failures[index] = _CellFailure.capture(error)
-                        continue
-                    pending_cells.pop(index, None)
-                    cell_failures.pop(index, None)
+                        shards = definition.cell_shards(cell, scale, plan_cache)
+                    except Exception:
+                        shards = []  # fall back to whole-cell execution
+                if len(shards) > 1:
+                    partials[index] = [None] * len(shards)
+                    for shard_index, shard in enumerate(shards):
+                        task = _Task("shard", scale, definition, cell, shard)
+                        futures[executor.submit(_run_task, task)] = (index, shard_index)
+                else:
+                    task = _Task("cell", scale, definition, cell)
+                    futures[executor.submit(_run_task, task)] = (index, None)
+            for (index, shard_index), outcome, _ in _drain(futures):
+                if isinstance(outcome, _CellFailure):
+                    failures[index] = outcome
+                elif shard_index is None:
+                    results[index] = outcome
+                else:
+                    partials[index][shard_index] = outcome
+        # Merge, in shard-index order (the determinism rule), every sharded
+        # cell whose shards all completed.  One failed shard leaves its cell
+        # pending, and the whole cell re-runs next round — partials are cheap
+        # relative to the recording they read from cache.
+        for index, parts in partials.items():
+            if any(part is None for part in parts):
+                continue
+            definition, cell = pending_cells[index]
+            try:
+                results[index] = definition.merge_shards(cell, scale, parts)
+            except Exception as error:
+                failures[index] = _CellFailure.capture(error)
+        for index in [i for i in pending_cells if results[i] is not None]:
+            del pending_cells[index]
+            failures.pop(index, None)
 
     errors = [
-        _cell_error(cell, cell_failures.get(index), cell_attempts.get(index, 0))
+        _cell_error(cell, failures.get(index, _NEVER_RAN), attempts.get(index, 0))
         for index, (_, cell) in pending_cells.items()
     ]
-    if pending_records:
-        notes.append(
-            f"{len(pending_records)} schedule recording(s) never completed in "
-            "phase 1; dependent cells recorded in-worker or failed (see errors)"
-        )
-    return records_computed, errors
+    return results, errors, records_computed, len(pending_records)
 
 
 # ---------------------------------------------------------------------- #

@@ -17,12 +17,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-from collections.abc import Mapping
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
 
 from repro.topology.base import Topology
-from repro.traffic.distributions import FlowSizeDistribution
 from repro.traffic.registry import WORKLOADS
 from repro.traffic.workload import WorkloadSpec
 
@@ -39,31 +37,6 @@ class PipelineConfigError(ValueError):
     errors (exit 2); genuine mid-run :class:`ValueError`\\ s keep their
     tracebacks.
     """
-
-
-class _WorkloadFactoryView(Mapping):
-    """Thin read-only compatibility view over the workload registry.
-
-    Scenarios used to reference a hard-coded dict of distribution factory
-    lambdas; the registry (:data:`repro.traffic.registry.WORKLOADS`) is now
-    the single source of truth, and this view keeps the old
-    ``WORKLOAD_FACTORIES[name]()`` call shape working — each entry is a
-    zero-argument callable building the workload's flow-size distribution.
-    """
-
-    def __getitem__(self, name: str) -> Callable[[], FlowSizeDistribution]:
-        return WORKLOADS.get(name).build_distribution
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(WORKLOADS.names())
-
-    def __len__(self) -> int:
-        return len(WORKLOADS)
-
-
-#: Named workload factories available to scenarios — a compatibility view
-#: over the workload registry (see :mod:`repro.traffic.registry`).
-WORKLOAD_FACTORIES = _WorkloadFactoryView()
 
 
 @dataclass(frozen=True)
@@ -235,16 +208,6 @@ class Scenario:
         """A copy of this scenario pinned to an absolute seed."""
         name = self.name if suffix is None else f"{self.name}{suffix}"
         return replace(self, seed_override=seed, name=name)
-
-    def run(self, mode: Optional[str] = None, cache=None):
-        """Record (or fetch from cache) and replay this scenario.
-
-        Convenience wrapper over
-        :func:`repro.pipeline.experiment.replay_scenario`.
-        """
-        from repro.pipeline.experiment import replay_scenario
-
-        return replay_scenario(self, mode=mode, cache=cache)
 
 
 def stable_seed(*parts) -> int:

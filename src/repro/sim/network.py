@@ -262,13 +262,6 @@ class Network:
         self.fault_injector = plan.install(self.sim, self, horizon)
         return self.fault_injector
 
-    # ------------------------------------------------------------------ #
-    # Convenience
-    # ------------------------------------------------------------------ #
-    def send_from_host(self, host_name: str, packet: Packet) -> None:
-        """Inject ``packet`` at ``host_name`` immediately."""
-        self.host(host_name).send(packet)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (
             f"<Network nodes={len(self.nodes)} links={len(self.links) // 2} "

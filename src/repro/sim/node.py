@@ -133,10 +133,6 @@ class Host(Node):
         """Deliver packets of ``flow_id`` arriving at this host to ``callback``."""
         self._receivers[flow_id] = callback
 
-    def unregister_receiver(self, flow_id: int) -> None:
-        """Remove a previously registered per-flow delivery callback."""
-        self._receivers.pop(flow_id, None)
-
     def send(self, packet: Packet) -> None:
         """Inject a packet into the network.
 

@@ -8,7 +8,7 @@ reproduce with LSTF (or simple priorities).
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro.sim.packet import Packet, PacketType
 
@@ -55,11 +55,6 @@ class Tracer:
         if not self.sent:
             return 0.0
         return len(self.delivered) / len(self.sent)
-
-    def max_end_to_end_delay(self) -> Optional[float]:
-        """Largest end-to-end delay among delivered packets (``None`` if none)."""
-        delays = [p.end_to_end_delay for p in self.delivered if p.end_to_end_delay is not None]
-        return max(delays) if delays else None
 
     def reset(self) -> None:
         """Clear all recorded packets."""

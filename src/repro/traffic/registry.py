@@ -37,6 +37,7 @@ from repro.traffic.perturb import (
     OnOffJamming,
     Perturbation,
 )
+from repro.utils.registry import Registry
 
 #: Distribution constructors by serialization kind.
 DISTRIBUTION_KINDS: Dict[str, Callable[..., FlowSizeDistribution]] = {
@@ -178,32 +179,11 @@ class WorkloadDef:
         )
 
 
-class WorkloadRegistry:
+class WorkloadRegistry(Registry[WorkloadDef]):
     """Maps workload names to their definitions, in registration order."""
 
     def __init__(self) -> None:
-        self._definitions: Dict[str, WorkloadDef] = {}
-
-    def register(self, definition: WorkloadDef) -> WorkloadDef:
-        """Add (or replace) a definition; returns it for chaining."""
-        self._definitions[definition.name] = definition
-        return definition
-
-    def get(self, name: str) -> WorkloadDef:
-        """The definition for ``name`` (KeyError listing known names if absent)."""
-        try:
-            return self._definitions[name]
-        except KeyError:
-            known = ", ".join(sorted(self._definitions))
-            raise KeyError(f"unknown workload {name!r}; known: {known}") from None
-
-    def names(self) -> List[str]:
-        """All registered workload names, in registration order."""
-        return list(self._definitions)
-
-    def definitions(self) -> List[WorkloadDef]:
-        """All registered definitions, in registration order."""
-        return list(self._definitions.values())
+        super().__init__("workload")
 
     def group(self, group: str) -> List[WorkloadDef]:
         """Definitions belonging to one scenario-matrix group, in order."""
@@ -216,15 +196,6 @@ class WorkloadRegistry:
             if definition.group not in seen:
                 seen.append(definition.group)
         return seen
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._definitions
-
-    def __len__(self) -> int:
-        return len(self._definitions)
-
-    def __iter__(self):
-        return iter(self._definitions.values())
 
 
 #: The process-wide workload registry (populated below at import time).

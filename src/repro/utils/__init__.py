@@ -21,6 +21,7 @@ from repro.utils.units import (
     milliseconds,
     transmission_delay,
 )
+from repro.utils.registry import Registry
 from repro.utils.rng import RandomState, spawn_rng
 from repro.utils.stats import (
     OnlineStats,
@@ -49,6 +50,7 @@ __all__ = [
     "microseconds",
     "milliseconds",
     "transmission_delay",
+    "Registry",
     "RandomState",
     "spawn_rng",
     "OnlineStats",

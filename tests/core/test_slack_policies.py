@@ -95,11 +95,11 @@ class TestSlackPolicyRegistry:
             assert hash(definition) == hash(SlackPolicyDef.from_dict(definition.to_dict()))
 
     def test_build_returns_the_matching_initializer(self):
-        assert isinstance(SLACK_POLICIES.get("replay").build(), BlackBoxSlackInitializer)
-        assert isinstance(SLACK_POLICIES.get("zero").build(), ZeroSlackInitializer)
-        assert isinstance(SLACK_POLICIES.get("deadline").build(), DeadlineSlackInitializer)
+        assert isinstance(SLACK_POLICIES.get("replay").build_initializer(), BlackBoxSlackInitializer)
+        assert isinstance(SLACK_POLICIES.get("zero").build_initializer(), ZeroSlackInitializer)
+        assert isinstance(SLACK_POLICIES.get("deadline").build_initializer(), DeadlineSlackInitializer)
         assert isinstance(
-            SLACK_POLICIES.get("static-delay").build(), StaticDelaySlackInitializer
+            SLACK_POLICIES.get("static-delay").build_initializer(), StaticDelaySlackInitializer
         )
 
     def test_unknown_kind_rejected(self):
@@ -141,7 +141,7 @@ class TestPolicyCapabilities:
         with pytest.raises(ValueError, match="live-only"):
             SLACK_POLICIES.get("flow-size").build_initializer()
         with pytest.raises(ValueError, match="live-only"):
-            SLACK_POLICIES.get("fairness").build()  # the legacy alias too
+            SLACK_POLICIES.get("fairness").build_initializer()
 
     def test_replay_only_policy_refuses_live_materialization(self):
         with pytest.raises(ValueError, match="replay-only"):
@@ -301,7 +301,7 @@ class TestReplayPolicy:
     def test_replay_policy_matches_blackbox_initialization(self, line_network):
         record = make_record(line_network, ingress=0.01, output=0.05)
         via_policy = make_packet()
-        SLACK_POLICIES.get("replay").build().initialize(via_policy, record, line_network)
+        SLACK_POLICIES.get("replay").build_initializer().initialize(via_policy, record, line_network)
         direct = make_packet()
         BlackBoxSlackInitializer().initialize(direct, record, line_network)
         assert via_policy.header.slack == direct.header.slack

@@ -74,7 +74,7 @@ class TestFaultsExperiment:
 
     def test_fault_override_pins_whole_sweep(self):
         registry = default_registry()
-        definition = registry.get("faults").with_faults("loss-5pct", 7)
+        definition = registry.get("faults").with_overrides(faults="loss-5pct", fault_seed=7)
         scenarios = definition.scenarios(SMOKE)
         assert all(s.faults == "loss-5pct" for s in scenarios)
         assert all(s.fault_seed == 7 for s in scenarios)

@@ -18,6 +18,7 @@ from repro.pipeline import (
     scenario_cache_key,
     schedule_cache_key,
 )
+from repro.pipeline.experiment import ScenarioExperimentDef, ScenarioRegistry
 from repro.pipeline.scenario import expand_replicates, stable_seed
 
 SMOKE = ExperimentScale.smoke()
@@ -153,6 +154,67 @@ class TestRegistry:
                 assert pickle.loads(pickle.dumps(cell)) == cell
 
 
+class FifoVsLstfDefinition(ScenarioExperimentDef):
+    """The docs' "Adding an experiment" example (module level: pool workers
+    unpickle it by import path)."""
+
+    name = "fifo-vs-lstf"
+    modes = ("fifo", "lstf")
+    supports_workload = supports_replicates = True
+
+    def base_scenarios(self, scale):
+        return [
+            Scenario(name=f"FVL@{u:g}", scale=scale, utilization=u) for u in (0.5, 0.9)
+        ]
+
+    def row(self, scenario, mode, result):
+        return {
+            "scenario": scenario.name,
+            "replay_mode": mode,
+            "fraction_overdue": result.overdue_fraction,
+        }
+
+
+class TestScenarioExperimentBase:
+    def test_a_declaration_is_a_runnable_experiment(self, tmp_path):
+        registry = ScenarioRegistry()
+        registry.register(FifoVsLstfDefinition())
+        runs = [
+            run_pipeline(
+                ["fifo-vs-lstf"], scale=SMOKE, registry=registry, workers=workers,
+                cache_dir=str(tmp_path / f"w{workers}"),
+            )
+            for workers in (1, 2)
+        ]
+        rows = runs[0].results["fifo-vs-lstf"].rows
+        assert [(row["scenario"], row["replay_mode"]) for row in rows] == [
+            ("FVL@0.5", "fifo"), ("FVL@0.5", "lstf"), ("FVL@0.9", "fifo"), ("FVL@0.9", "lstf"),
+        ]
+        assert rows == runs[1].results["fifo-vs-lstf"].rows
+        # Both modes of a scenario replay one recording.
+        assert [run.cache_misses for run in runs] == [2, 2]
+
+    def test_overrides_apply_in_one_order_and_modes_default_to_the_scenario(self):
+        class Plain(FifoVsLstfDefinition):
+            modes = (None,)
+
+        definition = Plain(
+            replicates=2, workload="web-search", slack_policy="zero", faults="loss-1pct"
+        )
+        cells = definition.cells(SMOKE)
+        assert [cell.label for cell in cells[:2]] == [
+            "FVL@0.5+fault:loss-1pct+web-search+slack:zero",
+            "FVL@0.5+fault:loss-1pct+web-search+slack:zero#r1",
+        ]
+        assert {cell.mode for cell in cells} == {"lstf"}
+        explicit = Plain(scenarios=(Scenario(name="only", scale=SMOKE, replay_mode="edf"),))
+        assert [(c.label, c.mode) for c in explicit.cells(SMOKE)] == [("only", "edf")]
+
+    def test_unknown_constructor_attribute_is_a_type_error(self):
+        with pytest.raises(TypeError, match="replicats"):
+            FifoVsLstfDefinition(replicats=2)
+
+
 # --------------------------------------------------------------------- #
 # Runner: parallel == serial, warm cache == zero re-records
 # --------------------------------------------------------------------- #
@@ -212,6 +274,22 @@ class TestRunner:
         summary = run_pipeline(["figure3"], scale=SMOKE, workers=1, replicates=2)
         assert any("figure3" in note for note in summary.notes)
         assert "figure3" in summary.format()
+
+    def test_unsupported_override_notes_keep_their_text_and_order(self):
+        summary = run_pipeline(
+            ["figure4"], scale=SMOKE, replicates=2, workload="web-search",
+            slack_policy="zero", faults="loss-1pct",
+        )
+        assert summary.notes == [
+            "replicates=2 not supported by: figure4 (those experiments ran single-seed)",
+            "workload='web-search' not supported by: figure4 "
+            "(those experiments kept their own workloads)",
+            "slack_policy='zero' not supported by: figure4 "
+            "(those experiments kept their default replay initialization)",
+            "faults='loss-1pct' not supported by: figure4 "
+            "(those experiments replayed fault-free)",
+        ]
+        assert summary.results["figure4"].aggregates == []
 
     def test_unknown_name_raises_before_running(self):
         with pytest.raises(KeyError, match="unknown experiment"):

@@ -4,18 +4,24 @@ Covers the hardening contract: per-cell timeouts, bounded retry with
 exponential backoff, structured error rows instead of aborted runs, and —
 the hard case — recovery from a pool worker killed outright (SIGKILL breaks
 the entire ``ProcessPoolExecutor``, failing every outstanding future).
+
+The runner is one loop over two executors, so the contract is stated once
+and run with ``workers`` as an input; only the SIGKILL cases need a pool.
 """
 
+import gc
 import json
 import os
 import time
+import weakref
 
 import pytest
 
 from repro.__main__ import main as cli_main
 from repro.experiments import ExperimentScale
 from repro.experiments.config import ExperimentResult
-from repro.pipeline import run_pipeline
+from repro.pipeline import ScheduleCache, run_pipeline
+from repro.pipeline import runner as runner_module
 from repro.pipeline.experiment import Cell, CellResult, ExperimentDef, ScenarioRegistry
 from repro.pipeline.runner import CellError, CellTimeoutError, _cell_deadline
 
@@ -41,8 +47,9 @@ class ScriptedDef(ExperimentDef):
             for index, spec in enumerate(self._specs)
         ]
 
-    def run_cell(self, cell, scale, cache):
-        spec = dict(cell.spec)
+    @staticmethod
+    def attempt(spec):
+        """Count this attempt in the spec's sentinel; fail (or die) if scripted to."""
         sentinel = spec.get("sentinel")
         if sentinel is not None:
             with open(sentinel, "a") as handle:
@@ -52,6 +59,10 @@ class ScriptedDef(ExperimentDef):
                 if spec.get("kill"):
                     os.kill(os.getpid(), 9)
                 raise RuntimeError(f"scripted failure #{attempts}")
+
+    def run_cell(self, cell, scale, cache):
+        spec = dict(cell.spec)
+        self.attempt(spec)
         if spec.get("sleep"):
             time.sleep(spec["sleep"])
         return CellResult(cell=cell, row={"label": spec["label"]})
@@ -64,15 +75,38 @@ class ScriptedDef(ExperimentDef):
         )
 
 
-def registry(*specs):
+class ShardedScriptedDef(ScriptedDef):
+    """Every cell splits into three shards; the spec scripts the middle one."""
+
+    supports_shards = True
+
+    def cell_shards(self, cell, scale, cache):
+        return [0, 1, 2]
+
+    def run_cell_shard(self, cell, shard, scale, cache):
+        if shard == 1:
+            self.attempt(dict(cell.spec))
+        return shard
+
+    def merge_shards(self, cell, scale, partials):
+        return CellResult(
+            cell=cell, row={"label": dict(cell.spec)["label"], "shards": partials}
+        )
+
+
+def registry(*specs, definition=ScriptedDef):
     reg = ScenarioRegistry()
-    reg.register(ScriptedDef(specs))
+    reg.register(definition(specs))
     return reg
 
 
 def run(reg, **kwargs):
     kwargs.setdefault("retry_backoff", 0.01)
     return run_pipeline(["scripted"], scale=SMOKE, registry=reg, **kwargs)
+
+
+def labels(summary):
+    return [row["label"] for row in summary.results["scripted"].rows]
 
 
 class TestCellDeadline:
@@ -91,14 +125,19 @@ class TestCellDeadline:
             time.sleep(0.01)
 
 
-class TestSerialHardening:
-    def test_failure_becomes_error_row_and_run_completes(self, tmp_path):
+@pytest.mark.parametrize("workers", [1, 2])
+class TestHardening:
+    """The one-loop contract.  Every case has two cells, so ``workers=2``
+    really runs on a pool (a single-cell run executes in-process)."""
+
+    def test_failure_becomes_error_row(self, tmp_path, workers):
         reg = registry(
             {"label": "bad", "sentinel": str(tmp_path / "s1"), "fail_times": 99},
             {"label": "good"},
         )
-        summary = run(reg, workers=1)
-        assert [row["label"] for row in summary.results["scripted"].rows] == ["good"]
+        summary = run(reg, workers=workers)
+        assert summary.workers == workers
+        assert labels(summary) == ["good"]
         [error] = summary.errors
         assert error.label == "bad"
         assert error.error_type == "RuntimeError"
@@ -106,33 +145,66 @@ class TestSerialHardening:
         assert error.attempts == 1
         assert "FAILED" in summary.format()
 
-    def test_retry_succeeds_on_second_attempt(self, tmp_path):
-        reg = registry(
-            {"label": "flaky", "sentinel": str(tmp_path / "s1"), "fail_times": 1},
-        )
-        summary = run(reg, workers=1, max_retries=2)
-        assert not summary.errors
-        assert summary.results["scripted"].rows == [{"label": "flaky"}]
-
-    def test_timeout_is_captured(self):
-        reg = registry({"label": "slow", "sleep": 5.0}, {"label": "fast"})
-        summary = run(reg, workers=1, cell_timeout=0.2)
-        [error] = summary.errors
-        assert error.error_type == "CellTimeoutError"
-        assert [row["label"] for row in summary.results["scripted"].rows] == ["fast"]
-
-
-class TestParallelHardening:
-    def test_worker_exception_captured_and_retried(self, tmp_path):
+    def test_retry_succeeds_next_round(self, tmp_path, workers):
         reg = registry(
             {"label": "flaky", "sentinel": str(tmp_path / "s1"), "fail_times": 1},
             {"label": "steady"},
         )
-        summary = run(reg, workers=2, max_retries=2)
+        summary = run(reg, workers=workers, max_retries=2)
         assert not summary.errors
-        assert sorted(row["label"] for row in summary.results["scripted"].rows) == [
-            "flaky", "steady",
+        assert labels(summary) == ["flaky", "steady"]
+
+    def test_timeout_is_captured(self, workers):
+        reg = registry({"label": "slow", "sleep": 5.0}, {"label": "fast"})
+        summary = run(reg, workers=workers, cell_timeout=0.2)
+        [error] = summary.errors
+        assert error.error_type == "CellTimeoutError"
+        assert labels(summary) == ["fast"]
+
+    def test_attempts_count_rounds(self, tmp_path, workers):
+        reg = registry(
+            {"label": "doomed", "sentinel": str(tmp_path / "s1"), "fail_times": 99},
+            {"label": "survivor"},
+        )
+        summary = run(reg, workers=workers, max_retries=1)
+        [error] = summary.errors
+        assert error.label == "doomed"
+        assert error.attempts == 2
+        assert labels(summary) == ["survivor"]
+
+    def test_completed_cells_never_rerun(self, tmp_path, workers):
+        """A steady cell beside a flaky one runs exactly once across rounds."""
+        flaky, steady = tmp_path / "flaky", tmp_path / "steady"
+        reg = registry(
+            {"label": "flaky", "sentinel": str(flaky), "fail_times": 2},
+            {"label": "steady", "sentinel": str(steady)},
+        )
+        summary = run(reg, workers=workers, max_retries=2)
+        assert not summary.errors
+        assert labels(summary) == ["flaky", "steady"]
+        assert os.path.getsize(flaky) == 3
+        assert os.path.getsize(steady) == 1
+
+    def test_failed_shard_reruns_its_cell_next_round(self, tmp_path, workers):
+        """With a shared disk cache a pool runs each shard as its own task;
+        one failed shard must leave the cell retryable, not lost."""
+        reg = registry(
+            {"label": "flaky", "sentinel": str(tmp_path / "s1"), "fail_times": 1},
+            {"label": "steady"},
+            definition=ShardedScriptedDef,
+        )
+        summary = run(
+            reg, workers=workers, max_retries=1, cache_dir=str(tmp_path / "cache")
+        )
+        assert not summary.errors
+        assert summary.results["scripted"].rows == [
+            {"label": "flaky", "shards": [0, 1, 2]},
+            {"label": "steady", "shards": [0, 1, 2]},
         ]
+
+
+class TestParallelHardening:
+    """SIGKILL recovery needs a real pool: only a dead worker breaks one."""
 
     def test_sigkilled_worker_recovers_with_identical_rows(self, tmp_path):
         """A SIGKILL'd worker breaks the whole pool; the retry round's fresh
@@ -148,9 +220,7 @@ class TestParallelHardening:
         assert not parallel.errors
         serial_specs = [dict(spec, fail_times=0) for spec in specs]
         serial = run(registry(*serial_specs), workers=1)
-        assert sorted(
-            row["label"] for row in parallel.results["scripted"].rows
-        ) == sorted(row["label"] for row in serial.results["scripted"].rows)
+        assert labels(parallel) == labels(serial)
 
     def test_exhausted_retries_report_and_spare_survivors(self, tmp_path):
         reg = registry(
@@ -162,14 +232,37 @@ class TestParallelHardening:
         [error] = summary.errors
         assert error.label == "doomed"
         assert error.attempts == 2
-        assert [row["label"] for row in summary.results["scripted"].rows] == ["survivor"]
+        assert labels(summary) == ["survivor"]
 
-    def test_parallel_timeout_enforced_in_workers(self):
-        reg = registry({"label": "slow", "sleep": 5.0}, {"label": "fast"})
-        summary = run(reg, workers=2, cell_timeout=0.2)
-        [error] = summary.errors
-        assert error.error_type == "CellTimeoutError"
-        assert [row["label"] for row in summary.results["scripted"].rows] == ["fast"]
+
+class TestOneLoopAccounting:
+    def test_cold_cache_misses_do_not_depend_on_workers(self, tmp_path):
+        """Serial cells record as they go, a pool records up front: either
+        way every unique schedule of the group is recorded exactly once."""
+        misses = {
+            workers: run_pipeline(
+                ["faults"], scale=SMOKE, workers=workers,
+                cache_dir=str(tmp_path / f"w{workers}"),
+            ).cache_misses
+            for workers in (1, 2)
+        }
+        assert misses[1] == misses[2] > 0
+
+    def test_in_process_cache_is_released_with_the_run(self, monkeypatch):
+        """The ``workers=1`` executor owns the run's cache; nothing — no module
+        global in particular — may keep it (and its schedules) alive after."""
+        created = []
+
+        class TrackedCache(ScheduleCache):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                created.append(weakref.ref(self))
+
+        monkeypatch.setattr(runner_module, "ScheduleCache", TrackedCache)
+        summary = run_pipeline(["table1-priority"], scale=SMOKE, workers=1)
+        assert summary.cache_misses == 1
+        gc.collect()
+        assert created and all(ref() is None for ref in created)
 
 
 class TestCellErrorShape:

@@ -10,11 +10,14 @@ float sums bit-identical for a fixed partition.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.experiments.config import ExperimentScale
 from repro.experiments.scale import STATS_MODE, ScaleDefinition, scale_scenarios
 from repro.pipeline.cache import ScheduleCache
+from repro.pipeline.experiment import scenario_cache_key
 from repro.pipeline.runner import run_pipeline
 
 SMOKE = ExperimentScale.smoke()
@@ -134,3 +137,22 @@ class TestCellShards:
         # run_cell folds the same partition serially, so the rows agree to
         # the bit — including the float mean.
         assert merged.row == whole.row
+
+
+class TestCustomScenarioPlumbing:
+    def test_faulted_scenario_is_keyed_planned_and_replayed_alike(self, tmp_path):
+        """One scenario, one key: the recording, the shard plan and the
+        replay must all see the scenario's fault plan (the shard plan used to
+        look under the faulted key for an entry stored under the fault-free
+        one, and the replay ran fault-free)."""
+        scenario = replace(scale_scenarios(SMOKE)[0], faults="loss-1pct")
+        definition = ScaleDefinition(scenarios=(scenario,))
+        cache = ScheduleCache(tmp_path / "cache", shard_packets=SHARD_PACKETS)
+        stats_cell, replay_cell = definition.cells(SMOKE)
+        shards = definition.cell_shards(stats_cell, SMOKE, cache)
+        assert len(shards) > 1
+        assert all(shard["file"] for shard in shards)
+        assert cache.disk_entries() == 1
+        assert cache.entry_path(scenario_cache_key(scenario)) is not None
+        row = definition.run_cell(replay_cell, SMOKE, cache).row
+        assert row["delivered_fraction"] < 1

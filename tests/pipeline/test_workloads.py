@@ -28,7 +28,7 @@ from repro.pipeline import (
     run_pipeline,
     scenario_cache_key,
 )
-from repro.pipeline.scenario import WORKLOAD_FACTORIES, Scenario
+from repro.pipeline.scenario import Scenario
 from repro.traffic import WORKLOADS
 
 SMOKE = ExperimentScale.smoke()
@@ -84,12 +84,12 @@ class TestCacheKeyStability:
         perturbed = Scenario(name="x", scale=SMOKE, workload_name="heavy-tail-extreme")
         assert scenario_cache_key(base) != scenario_cache_key(perturbed)
 
-    def test_workload_factories_view_tracks_registry(self):
-        assert set(WORKLOAD_FACTORIES) == set(WORKLOADS.names())
-        distribution = WORKLOAD_FACTORIES["paper-default"]()
-        assert distribution.mean() > 0
+    def test_workloads_come_from_the_registry(self):
+        for name in WORKLOADS.names():
+            scenario = Scenario(name="x", scale=SMOKE, workload_name=name)
+            assert scenario.workload().size_distribution.mean() > 0
         with pytest.raises(KeyError):
-            WORKLOAD_FACTORIES["nope"]
+            Scenario(name="x", scale=SMOKE, workload_name="nope").workload()
 
 
 class TestFaultPlanCacheKeys:
