@@ -447,6 +447,7 @@ def cmd_list(args: argparse.Namespace) -> int:
 # record
 # ---------------------------------------------------------------------- #
 def cmd_record(args: argparse.Namespace) -> int:
+    from repro.core.schedule import save_schedule
     from repro.pipeline.cache import workload_fingerprint
     from repro.pipeline.experiment import record_scenario_schedule, scenario_cache_key
     from repro.sim.flow import reset_flow_ids
@@ -473,7 +474,7 @@ def cmd_record(args: argparse.Namespace) -> int:
         "topology": topology.to_dict(),
         "mss": workload.mss,
     }
-    schedule.to_jsonl(args.out, meta=meta)
+    save_schedule(args.out, schedule, meta=meta)
     print(
         f"recorded {len(schedule)} packets of scenario {scenario.name} "
         f"({scenario.original} original) -> {args.out}"

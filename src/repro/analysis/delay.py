@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import Iterable, List, Tuple
 
 from repro.sim.packet import Packet, PacketType
-from repro.utils.stats import ccdf_points, percentile
+from repro.utils.stats import ccdf_points, left_sum, percentile
 
 
 @dataclass
@@ -51,7 +51,7 @@ def delay_statistics(packets: Iterable[Packet], data_only: bool = True) -> Delay
         return DelayStatistics(count=0, mean=0.0, p50=0.0, p99=0.0, p999=0.0, maximum=0.0)
     return DelayStatistics(
         count=len(delays),
-        mean=sum(delays) / len(delays),
+        mean=left_sum(delays) / len(delays),
         p50=percentile(delays, 50),
         p99=percentile(delays, 99),
         p999=percentile(delays, 99.9),

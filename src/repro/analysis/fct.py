@@ -6,6 +6,7 @@ from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.sim.flow import Flow
+from repro.utils.stats import left_sum
 
 
 @dataclass
@@ -35,7 +36,7 @@ def mean_fct(flows: Iterable[Flow]) -> Optional[float]:
     fcts = [flow.fct for flow in flows if flow.fct is not None]
     if not fcts:
         return None
-    return sum(fcts) / len(fcts)
+    return left_sum(fcts) / len(fcts)
 
 
 def fct_by_flow_size(
@@ -64,7 +65,7 @@ def fct_by_flow_size(
     for low, high in bounds:
         members = [flow for flow in done if low <= flow.size_bytes < high]
         if members:
-            bucket_mean = sum(flow.fct for flow in members) / len(members)
+            bucket_mean = left_sum(flow.fct for flow in members) / len(members)
         else:
             bucket_mean = 0.0
         buckets.append(

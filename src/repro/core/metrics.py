@@ -6,31 +6,33 @@ fraction overdue by more than a threshold ``T`` (one transmission time on the
 bottleneck link) — plus the CDF of per-packet queueing-delay ratios shown in
 Figure 1.  This module computes all three from a pair of schedules.
 
-Two implementation paths coexist:
+Every metric is a fold over a schedule's columns
+(:class:`~repro.core.schedule.ScheduleColumns`, canonical order); no record
+object is built.  :func:`compare_schedules` is the one comparison.  The
+standalone statistics have two finalizers over one fold:
 
-* the **reference** path (:func:`compare_schedules`,
-  :func:`schedule_statistics`) materializes per-packet lists and computes
-  exact percentiles — what every existing experiment row and golden fixture
-  pins, bit for bit;
-* the **streaming** path (:class:`StreamingScheduleStatistics`,
-  :class:`StreamingReplayComparison`) folds records one at a time into
-  mergeable accumulators — exact count/sum/max fields, sketch-based
-  percentiles within the documented ε (see
-  :class:`repro.utils.stats.QuantileSketch` and docs/scale.md) — so a
-  scale-tier cell never holds a full per-packet delay or ratio list, and
-  per-shard partials merge deterministically in shard-index order.
+* :func:`schedule_statistics` materializes the per-packet delay list for an
+  exact percentile — what the ``heuristics`` rows pin;
+* :class:`StreamingScheduleStatistics` folds column *ranges* into a mergeable
+  accumulator — exact count/sum/max, a sketch percentile within the
+  documented ε (:class:`repro.utils.stats.QuantileSketch`, docs/scale.md) —
+  so a scale-tier cell never holds a per-packet list, and per-shard partials
+  merge deterministically in shard-index order; what the ``scale`` rows pin.
+
+Float totals are plain left folds in canonical order
+(:func:`repro.utils.stats.left_sum`), so both finalizers — and every Python
+version — total the same delays to the same bits.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import reduce
-from operator import add, sub
-from typing import Dict, Iterable, List, Optional
+from operator import sub
+from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.core.schedule import PacketRecord, Schedule
-from repro.utils.stats import QuantileSketch
+from repro.core.schedule import PacketRecord, Schedule, ScheduleColumns
+from repro.utils.stats import QuantileSketch, left_sum, percentile
 
 
 @dataclass
@@ -129,16 +131,6 @@ class ReplayMetrics:
             return 0.0
         return self.deadline_met_replay / self.deadline_flows_delivered
 
-    def summary(self) -> Dict[str, float]:
-        """Headline numbers as a dictionary (used by the experiment tables)."""
-        return {
-            "total_packets": float(self.total_packets),
-            "overdue_fraction": self.overdue_fraction,
-            "overdue_beyond_threshold_fraction": self.overdue_beyond_threshold_fraction,
-            "mean_lateness": self.mean_lateness,
-            "max_lateness": self.max_lateness,
-        }
-
 
 def compare_schedules(
     original: Schedule,
@@ -161,36 +153,44 @@ def compare_schedules(
         tolerance: Numerical slop below which a late exit is not counted as
             overdue (floating-point guard, default 1 ns).
     """
-    # Folds the columns, in the original's canonical order, exactly as
-    # streaming ``original.records()`` through the accumulator would: a fresh
-    # recording and its cache-loaded twin compare equal to the bit.
+    # Folds the columns in the original's canonical order: a fresh recording
+    # and its cache-loaded twin compare equal to the bit.
     source = original.columns()
     replay_output = replay.columns().output_time
     rows = replay.rows_of(source.packet_id)
+    missing = rows.count(None)
     overdue = [late for late in lateness_distribution(original, replay) if late > tolerance]
-    fold = StreamingReplayComparison(replay, threshold, tolerance)
-    fold.total_packets = len(rows)
-    fold.missing_packets = rows.count(None)
-    fold.overdue_count = len(overdue) + fold.missing_packets
-    fold.overdue_beyond_threshold_count = (
-        sum(late > threshold for late in overdue) + fold.missing_packets
+    metrics = ReplayMetrics(
+        total_packets=len(rows),
+        missing_packets=missing,
+        overdue_count=len(overdue) + missing,
+        overdue_beyond_threshold_count=sum(late > threshold for late in overdue) + missing,
+        threshold=threshold,
+        max_lateness=max([0.0, *overdue]),
     )
-    fold.lateness_total = reduce(add, overdue, 0.0)
-    fold.max_lateness = max([0.0, *overdue])
+    if rows:
+        metrics.mean_lateness = left_sum(overdue) / len(rows)
+    # flow id -> [deadline, last original output, last replay output, any packet missing]
+    flows: Dict[int, list] = {}
     for deadline, flow_id, output, row in zip(
         source.deadline, source.flow_id, source.output_time, rows
     ):
         if deadline is None:
             continue
-        entry = fold._deadline_flows.setdefault(
-            flow_id, [deadline, -math.inf, -math.inf, False]
-        )
+        entry = flows.setdefault(flow_id, [deadline, -math.inf, -math.inf, False])
         entry[1] = max(entry[1], output)
         if row is None:
             entry[3] = True
         else:
             entry[2] = max(entry[2], replay_output[row])
-    metrics = fold.finalize()
+    for deadline, original_last, replay_last, lost in flows.values():
+        metrics.deadline_total += 1
+        if original_last <= deadline + tolerance:
+            metrics.deadline_met_original += 1
+        if not lost:
+            metrics.deadline_flows_delivered += 1
+            if replay_last <= deadline + tolerance:
+                metrics.deadline_met_replay += 1
     replay_queueing = replay.queueing_delays()
     metrics.queueing_delay_ratios = [
         replay_queueing[row] / queueing
@@ -246,28 +246,37 @@ def schedule_statistics(schedule: Schedule, tolerance: float = 1e-9) -> Schedule
         tolerance: Numerical slop applied to the deadline comparison
             (floating-point guard, default 1 ns).
     """
-    from repro.utils.stats import percentile
-
     # Columns are in canonical (ingress time, packet id) order however the
     # schedule was built: float summation is order-sensitive, and the mean
     # must be bit-identical for a fresh recording and its cache-loaded twin.
     cols = schedule.columns()
     delays = list(map(sub, cols.output_time, cols.ingress_time))
     stats = ScheduleStatistics(packets=len(delays))
-    deadline_flows: Dict[int, List[float]] = {}
-    for deadline, flow_id, output in zip(cols.deadline, cols.flow_id, cols.output_time):
-        if deadline is not None:
-            entry = deadline_flows.setdefault(flow_id, [deadline, -math.inf])
-            entry[1] = max(entry[1], output)
     if delays:
-        stats.mean_delay = sum(delays) / len(delays)
+        stats.mean_delay = left_sum(delays) / len(delays)
         stats.p99_delay = percentile(delays, 99)
         stats.max_delay = max(delays)
-    for deadline, last_output in deadline_flows.values():
-        stats.deadline_total += 1
-        if last_output <= deadline + tolerance:
-            stats.deadline_met += 1
+    flows = _fold_deadline_flows({}, zip(cols.deadline, cols.flow_id, cols.output_time))
+    stats.deadline_total, stats.deadline_met = _deadlines_met(flows, tolerance)
     return stats
+
+
+def _fold_deadline_flows(
+    flows: Dict[int, List[float]], packets: Iterable[Tuple[Optional[float], int, float]]
+) -> Dict[int, List[float]]:
+    """Fold ``(deadline, flow id, output time)`` per packet into ``flows``
+    (flow id -> ``[deadline, last output time]``) and return it.  A flow meets
+    its deadline when its *last* packet does; untagged packets are skipped."""
+    for deadline, flow_id, output in packets:
+        if deadline is not None:
+            entry = flows.setdefault(flow_id, [deadline, -math.inf])
+            entry[1] = max(entry[1], output)
+    return flows
+
+
+def _deadlines_met(flows: Dict[int, List[float]], tolerance: float) -> Tuple[int, int]:
+    """``(deadline flows, those whose last packet exited on time)``."""
+    return len(flows), sum(last <= deadline + tolerance for deadline, last in flows.values())
 
 
 def fraction_overdue(
@@ -291,27 +300,28 @@ def lateness_distribution(
 
 
 # ---------------------------------------------------------------------- #
-# Streaming / mergeable metrics (the scale tier's path)
+# Mergeable statistics (the scale tier's finalizer)
 # ---------------------------------------------------------------------- #
 class StreamingScheduleStatistics:
-    """Mergeable streaming accumulator behind :func:`schedule_statistics`.
+    """Mergeable accumulator: :func:`schedule_statistics` over column ranges.
 
-    Folds records one at a time — O(1) state for count/sum/max, a
+    Folds row ranges of a :class:`~repro.core.schedule.ScheduleColumns` —
+    O(1) state for count/sum/max, a
     :class:`~repro.utils.stats.QuantileSketch` for the delay percentile, and
     an O(#deadline-flows) dict for deadline accounting — so a cell
     summarizing a million-packet schedule never materializes the per-packet
-    delay list the reference path builds.
+    delay list :func:`schedule_statistics` builds.
 
     **Equivalence contract** (asserted by the golden equivalence tests):
-    fed the same records in the same order as the reference path,
-    :meth:`finalize` reproduces :func:`schedule_statistics` *bit-identically*
-    for ``packets`` / ``mean_delay`` / ``max_delay`` / ``deadline_total`` /
-    ``deadline_met`` (the mean is a plain left-fold running sum, the same
-    arithmetic as ``sum(list) / len``), and within the sketch's documented
-    relative error ε for ``p99_delay``.
+    after one fold over a whole schedule's columns, :meth:`finalize` equals
+    :func:`schedule_statistics` *bit-identically* for ``packets`` /
+    ``mean_delay`` / ``max_delay`` / ``deadline_total`` / ``deadline_met``
+    (the sketch's running total is :func:`~repro.utils.stats.left_sum`'s
+    arithmetic, over the same delays in the same order), and within the
+    sketch's documented relative error ε for ``p99_delay``.
 
-    **Merge contract**: partial accumulators over disjoint record chunks
-    merge into one.  Integer counts and the sketch's bins merge exactly
+    **Merge contract**: partial accumulators over disjoint row ranges merge
+    into one.  Integer counts and the sketch's bins merge exactly
     (commutative); float sums are folded ``self then other``, so merging
     shard partials **in shard-index order** yields the same bits on every
     run, serial or parallel — the shard runner's determinism rule.
@@ -319,43 +329,38 @@ class StreamingScheduleStatistics:
 
     def __init__(self, alpha: float = QuantileSketch.DEFAULT_ALPHA) -> None:
         self.delays = QuantileSketch(alpha)
-        # flow id -> [deadline, last output time]; same per-flow aggregation
-        # as schedule_statistics.
+        # flow id -> [deadline, last output time]: _fold_deadline_flows' state.
         self._deadline_flows: Dict[int, List[float]] = {}
 
     @property
     def packets(self) -> int:
-        """Records folded in so far."""
+        """Packets folded in so far."""
         return self.delays.count
 
-    def add(self, record: PacketRecord) -> None:
-        """Fold one packet record into the accumulator."""
-        self.delays.add(record.network_delay)
-        if record.deadline is not None:
-            entry = self._deadline_flows.setdefault(
-                record.flow_id, [record.deadline, -math.inf]
-            )
-            entry[1] = max(entry[1], record.output_time)
-
-    def extend(self, records: Iterable[PacketRecord]) -> None:
-        """Fold many records (e.g. one shard's cursor) into the accumulator."""
-        for record in records:
-            self.add(record)
+    def fold(self, cols: ScheduleColumns, start: int = 0, stop: Optional[int] = None) -> None:
+        """Fold packets ``start:stop`` of ``cols`` (all of them by default) in."""
+        rows = slice(start, stop)
+        outputs = cols.output_time[rows]
+        self.delays.extend(map(sub, outputs, cols.ingress_time[rows]))
+        _fold_deadline_flows(
+            self._deadline_flows, zip(cols.deadline[rows], cols.flow_id[rows], outputs)
+        )
 
     def merge(self, other: "StreamingScheduleStatistics") -> "StreamingScheduleStatistics":
-        """A new accumulator equivalent to seeing both record streams.
+        """A new accumulator equivalent to folding both sides' rows.
 
         Fold order is ``self`` then ``other``: callers merging shard
         partials must do so in shard-index order for bit-stable sums.
         """
         merged = StreamingScheduleStatistics(alpha=self.delays.alpha)
         merged.delays = self.delays.merge(other.delays)
-        merged._deadline_flows = {
-            flow_id: list(entry) for flow_id, entry in self._deadline_flows.items()
-        }
-        for flow_id, entry in other._deadline_flows.items():
-            mine = merged._deadline_flows.setdefault(flow_id, [entry[0], -math.inf])
-            mine[1] = max(mine[1], entry[1])
+        merged._deadline_flows = _fold_deadline_flows(
+            {flow_id: list(entry) for flow_id, entry in self._deadline_flows.items()},
+            (
+                (deadline, flow_id, last_output)
+                for flow_id, (deadline, last_output) in other._deadline_flows.items()
+            ),
+        )
         return merged
 
     def finalize(self, tolerance: float = 1e-9) -> ScheduleStatistics:
@@ -369,10 +374,7 @@ class StreamingScheduleStatistics:
             stats.mean_delay = self.delays.mean
             stats.p99_delay = self.delays.quantile(99)
             stats.max_delay = self.delays.maximum
-        for deadline, last_output in self._deadline_flows.values():
-            stats.deadline_total += 1
-            if last_output <= deadline + tolerance:
-                stats.deadline_met += 1
+        stats.deadline_total, stats.deadline_met = _deadlines_met(self._deadline_flows, tolerance)
         return stats
 
     # ------------------------------------------------------------------ #
@@ -400,181 +402,19 @@ class StreamingScheduleStatistics:
         return stats
 
 
-def streaming_schedule_statistics(
-    records: Iterable[PacketRecord],
-    tolerance: float = 1e-9,
-    alpha: float = QuantileSketch.DEFAULT_ALPHA,
-) -> ScheduleStatistics:
-    """:func:`schedule_statistics` over a record *iterator*, streamed.
-
-    Accepts any record source — ``schedule.records()``, a shard cursor
-    (:func:`repro.core.schedule.iter_schedule_records`) — and holds O(sketch)
-    memory instead of a per-packet delay list.  Same equivalence contract as
-    :class:`StreamingScheduleStatistics`.
-    """
-    accumulator = StreamingScheduleStatistics(alpha=alpha)
-    accumulator.extend(records)
-    return accumulator.finalize(tolerance=tolerance)
-
-
-class StreamingReplayComparison:
-    """Mergeable streaming accumulator behind :func:`compare_schedules`.
-
-    Walks original records one at a time against a replay schedule, keeping
-    the Figure-1 queueing-delay ratios in a
-    :class:`~repro.utils.stats.QuantileSketch` instead of the per-packet
-    list :attr:`ReplayMetrics.queueing_delay_ratios` materializes — the last
-    unbounded per-packet list on the replay evaluation path.
-
-    **Equivalence contract** (asserted by the golden equivalence tests): fed
-    the original records in the same order as :func:`compare_schedules`,
-    :meth:`finalize` reproduces every count field
-    (``total_packets`` / ``missing_packets`` / ``overdue_count`` /
-    ``overdue_beyond_threshold_count`` / all deadline counters) exactly,
-    ``mean_lateness`` / ``max_lateness`` bit-identically (same left-fold
-    arithmetic), and summarizes the ratio distribution exactly for
-    count/sum/min/max with sketch-ε percentiles.  The finalized
-    :class:`ReplayMetrics` carries an **empty** ``queueing_delay_ratios``
-    list — by design, that list is what this path exists to avoid.
-
-    **Merge contract**: partials over disjoint original-record chunks merge
-    with the same shard-index-order rule as
-    :class:`StreamingScheduleStatistics`.
-    """
-
-    def __init__(
-        self,
-        replay: Schedule,
-        threshold: float,
-        tolerance: float = 1e-9,
-        alpha: float = QuantileSketch.DEFAULT_ALPHA,
-    ) -> None:
-        self.replay = replay
-        self.threshold = threshold
-        self.tolerance = tolerance
-        self.total_packets = 0
-        self.missing_packets = 0
-        self.overdue_count = 0
-        self.overdue_beyond_threshold_count = 0
-        self.lateness_total = 0.0
-        self.max_lateness = 0.0
-        self.ratios = QuantileSketch(alpha)
-        # flow id -> [deadline, last original output, last replay output,
-        # any-packet-missing flag]; same aggregation as compare_schedules.
-        self._deadline_flows: Dict[int, List[float]] = {}
-        # The replay side is read off its columns; its queueing delays on first use.
-        self._replay_queueing: Optional[List[float]] = None
-
-    def add(self, record: PacketRecord) -> None:
-        """Fold one *original* record, matching it against the replay."""
-        self.total_packets += 1
-        (row,) = self.replay.rows_of((record.packet_id,))
-        replay_output = None if row is None else self.replay.columns().output_time[row]
-        if record.deadline is not None:
-            entry = self._deadline_flows.setdefault(
-                record.flow_id, [record.deadline, -math.inf, -math.inf, False]
-            )
-            entry[1] = max(entry[1], record.output_time)
-            if row is None:
-                entry[3] = True
-            else:
-                entry[2] = max(entry[2], replay_output)
-        if row is None:
-            self.missing_packets += 1
-            self.overdue_count += 1
-            self.overdue_beyond_threshold_count += 1
-            return
-        lateness = replay_output - record.output_time
-        if lateness > self.tolerance:
-            self.overdue_count += 1
-            if lateness > self.threshold:
-                self.overdue_beyond_threshold_count += 1
-            self.lateness_total += lateness
-            self.max_lateness = max(self.max_lateness, lateness)
-        original_queueing = record.total_queueing_delay
-        if original_queueing > 0:
-            if self._replay_queueing is None:
-                self._replay_queueing = self.replay.queueing_delays()
-            self.ratios.add(self._replay_queueing[row] / original_queueing)
-
-    def extend(self, records: Iterable[PacketRecord]) -> None:
-        """Fold many original records (e.g. one shard's cursor)."""
-        for record in records:
-            self.add(record)
-
-    def merge(self, other: "StreamingReplayComparison") -> "StreamingReplayComparison":
-        """A new accumulator equivalent to seeing both original-record streams.
-
-        Fold order is ``self`` then ``other`` (shard-index order for
-        bit-stable float sums); both sides must compare against the same
-        replay under the same threshold/tolerance.
-        """
-        if (other.threshold, other.tolerance) != (self.threshold, self.tolerance):
-            raise ValueError(
-                "cannot merge replay comparisons with different "
-                f"threshold/tolerance ({self.threshold}/{self.tolerance} != "
-                f"{other.threshold}/{other.tolerance})"
-            )
-        merged = StreamingReplayComparison(
-            self.replay, self.threshold, self.tolerance, alpha=self.ratios.alpha
-        )
-        merged.total_packets = self.total_packets + other.total_packets
-        merged.missing_packets = self.missing_packets + other.missing_packets
-        merged.overdue_count = self.overdue_count + other.overdue_count
-        merged.overdue_beyond_threshold_count = (
-            self.overdue_beyond_threshold_count + other.overdue_beyond_threshold_count
-        )
-        merged.lateness_total = self.lateness_total + other.lateness_total
-        merged.max_lateness = max(self.max_lateness, other.max_lateness)
-        merged.ratios = self.ratios.merge(other.ratios)
-        merged._deadline_flows = {
-            flow_id: list(entry) for flow_id, entry in self._deadline_flows.items()
-        }
-        for flow_id, entry in other._deadline_flows.items():
-            mine = merged._deadline_flows.setdefault(
-                flow_id, [entry[0], -math.inf, -math.inf, False]
-            )
-            mine[1] = max(mine[1], entry[1])
-            mine[2] = max(mine[2], entry[2])
-            mine[3] = bool(mine[3]) or bool(entry[3])
-        return merged
-
-    def finalize(self) -> ReplayMetrics:
-        """The accumulated :class:`ReplayMetrics` (empty ratio list by design)."""
-        metrics = ReplayMetrics(
-            total_packets=self.total_packets,
-            missing_packets=self.missing_packets,
-            overdue_count=self.overdue_count,
-            overdue_beyond_threshold_count=self.overdue_beyond_threshold_count,
-            threshold=self.threshold,
-            max_lateness=self.max_lateness,
-        )
-        for deadline, original_last, replay_last, missing in self._deadline_flows.values():
-            metrics.deadline_total += 1
-            if original_last <= deadline + self.tolerance:
-                metrics.deadline_met_original += 1
-            if not missing:
-                metrics.deadline_flows_delivered += 1
-                if replay_last <= deadline + self.tolerance:
-                    metrics.deadline_met_replay += 1
-        if metrics.total_packets:
-            metrics.mean_lateness = self.lateness_total / metrics.total_packets
-        return metrics
-
-
 def compare_schedules_streaming(
     original_records: Iterable[PacketRecord],
     replay: Schedule,
     threshold: float,
     tolerance: float = 1e-9,
 ) -> ReplayMetrics:
-    """:func:`compare_schedules` over an original-record *iterator*, streamed.
+    """:func:`compare_schedules` over original *records*, minus the ratio list.
 
-    Same equivalence contract as :class:`StreamingReplayComparison`; the
-    returned metrics carry no per-packet ratio list (the ratio summary lives
-    in the comparison object — construct one directly when the sketch is
-    needed).
+    Not a second comparison: an adapter kept only because the frozen
+    ``benchmarks/perf/run.py`` imports it (ROADMAP item 3 drops it).
     """
-    comparison = StreamingReplayComparison(replay, threshold, tolerance=tolerance)
-    comparison.extend(original_records)
-    return comparison.finalize()
+    cols = ScheduleColumns()
+    cols.extend([record.to_dict() for record in original_records])
+    metrics = compare_schedules(Schedule.from_columns(cols), replay, threshold, tolerance)
+    metrics.queueing_delay_ratios = []
+    return metrics

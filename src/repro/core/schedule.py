@@ -30,10 +30,11 @@ chunks stored as ordinary ``repro-schedule/1`` files
 (``<key>.shard-<i>.jsonl.gz``), each covering a contiguous slice of the
 canonical ``(ingress_time, packet_id)`` order.  Sharding is pure storage
 layout: it never enters cache keys, and :func:`load_schedule` returns the
-same schedule either way.  :func:`iter_schedule_records` cursors through
-either form one record at a time, so scale-tier consumers (the streaming
-injector, the flat-array kernels, the streaming metrics) never hold a whole
-schedule in memory.
+same schedule either way.  Both forms are read back by one decode loop with
+two consumers: :func:`load_schedule` fills a whole :class:`ScheduleColumns`
+from it, and :func:`iter_schedule_columns` hands its batches out one small
+table at a time, so a scale-tier fold (the mergeable schedule statistics)
+never holds a whole schedule in memory.  Neither builds a record object.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Un
 
 from repro.sim.packet import Packet
 from repro.sim.tracer import Tracer
+from repro.utils.stats import left_sum
 
 #: Format tag written into the header line of serialized schedules.
 SCHEDULE_FORMAT = "repro-schedule/1"
@@ -161,7 +163,7 @@ class PacketRecord:
     @property
     def total_queueing_delay(self) -> float:
         """Sum of per-hop queueing delays in the original schedule."""
-        return sum(hop.queueing_delay for hop in self.hops)
+        return left_sum(hop.queueing_delay for hop in self.hops)
 
     def congestion_points(self, epsilon: float = 1e-12) -> int:
         """Number of nodes at which the packet waited more than ``epsilon``.
@@ -440,14 +442,14 @@ class Schedule:
 
     def queueing_delays(self) -> List[float]:
         """Each packet's :attr:`PacketRecord.total_queueing_delay`, by row:
-        the same ``sum`` over the same per-hop floats, read off the columns."""
+        the same left fold over the same per-hop floats, read off the columns."""
         cols = self.columns()
         waits = [  # HopTiming.queueing_delay: never served means never waited
             0.0 if start is None else start - arrival
             for start, arrival in zip(cols.hop_start_service, cols.hop_arrival)
         ]
         off = cols.hop_offset
-        return [sum(waits[first:last]) for first, last in zip(off, islice(off, 1, None))]
+        return [left_sum(waits[first:last]) for first, last in zip(off, islice(off, 1, None))]
 
     def _view(self, row: int) -> PacketRecord:
         (data,) = self._cols.rows((row,))
@@ -472,20 +474,13 @@ class Schedule:
         return None if row is None else self._view(row)
 
     def records(self) -> List[PacketRecord]:
-        """All records, ordered by ingress time (then packet id)."""
+        """All records in canonical order: by ingress time, then packet id,
+        hops in hop-index order — the storage order, and the walk order of
+        the first-divergence comparator (:mod:`repro.diff`), of replay
+        injection and of the on-disk format."""
         rows = self.columns().rows(range(len(self)))
         with paused_gc():
             return list(map(PacketRecord.from_dict, rows))
-
-    def canonical_records(self) -> List[PacketRecord]:
-        """:meth:`records`, named for the contract its callers depend on.
-
-        The canonical order — ``(ingress_time, packet_id)`` across records,
-        hops in ``hop_index`` order — is the storage order, and the walk
-        order of the first-divergence comparator (:mod:`repro.diff`), of
-        replay injection and of the on-disk format.
-        """
-        return self.records()
 
     def packet_ids(self) -> List[int]:
         """All packet ids present in the schedule."""
@@ -511,24 +506,6 @@ class Schedule:
     def total_bytes(self) -> float:
         """Sum of all packet sizes in the schedule."""
         return sum(self.columns().size_bytes)
-
-    # ------------------------------------------------------------------ #
-    # Persistence
-    # ------------------------------------------------------------------ #
-    def to_jsonl(self, path: Union[str, "os.PathLike"], meta: Optional[dict] = None) -> None:
-        """Write this schedule to ``path`` as (optionally gzipped) JSON-lines.
-
-        Paths ending in ``.gz`` are gzip-compressed.  ``meta`` is stored in
-        the header line and returned by :func:`load_schedule`; the pipeline
-        uses it to carry the topology spec and cache-key provenance.
-        """
-        save_schedule(path, self, meta=meta)
-
-    @classmethod
-    def from_jsonl(cls, path: Union[str, "os.PathLike"]) -> "Schedule":
-        """Load a schedule previously written by :meth:`to_jsonl`."""
-        schedule, _ = load_schedule(path)
-        return schedule
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"<Schedule packets={len(self)}>"
@@ -580,9 +557,11 @@ def save_schedule(
 ) -> None:
     """Serialize ``schedule`` to ``path`` (gzipped when the name ends in ``.gz``).
 
-    The write is atomic (temp file + ``os.replace``) so concurrent pipeline
-    workers racing to populate the same cache entry cannot leave a truncated
-    file behind.
+    ``meta`` is stored in the header line and returned by
+    :func:`load_schedule`; the pipeline uses it to carry the topology spec and
+    cache-key provenance.  The write is atomic (temp file + ``os.replace``) so
+    concurrent pipeline workers racing to populate the same cache entry cannot
+    leave a truncated file behind.
     """
     path = os.fspath(path)
     _atomic_write_lines(path, _schedule_lines(schedule.columns(), range(len(schedule)), meta))
@@ -724,33 +703,61 @@ def _stored_files(path: str) -> Tuple[List[Tuple[str, Optional[int]]], Optional[
     return [(os.path.join(directory, s["file"]), s["packets"]) for s in shards], manifest
 
 
-def iter_schedule_records(path: Union[str, "os.PathLike"]) -> Iterator[PacketRecord]:
-    """Cursor through a stored schedule's records in canonical order.
+#: Stored packets decoded per batch: bounds the transient JSON objects a
+#: read holds beside the columns it is filling.
+_DECODE_BATCH = 512
+
+
+def _decoded_parts(
+    files: List[Tuple[str, Optional[int]]],
+) -> Iterator[Tuple[List[dict], Optional[tuple]]]:
+    """The one decode loop: every part of :func:`_stored_files`, in order.
+
+    Yields ``(packets, None)`` per batch of stored packets (in
+    ``PacketRecord.to_dict`` shape) and ``([], part)`` at each file's end,
+    ``part`` being the :func:`_check_counts` arguments for that file.  A
+    consumer must drop ``packets`` before advancing, or it keeps one batch's
+    JSON objects alive while the next batch is parsed.
+    """
+    for file_path, promised in files:
+        count = 0
+        with _open_for_read(file_path) as stream:
+            header = _read_header(stream, file_path)
+            lines = filter(str.strip, stream)
+            # One decoder call per batch, not per line: a batch's lines
+            # are parsed as the elements of a single JSON array.
+            while batch := list(islice(lines, _DECODE_BATCH)):
+                count += len(batch)
+                yield json.loads(f"[{','.join(batch)}]"), None
+        yield [], (file_path, header, promised, count)
+
+
+def iter_schedule_columns(path: Union[str, "os.PathLike"]) -> Iterator[ScheduleColumns]:
+    """Cursor through a stored schedule in canonical order, a small table at a time.
 
     Works on both on-disk forms — a single ``repro-schedule/1`` file or a
     ``repro-schedule-manifest/1`` manifest (shards are visited in manifest
     order, which *is* canonical ``(ingress_time, packet_id)`` order) — and
-    holds one record at a time, never the whole schedule.  This is the
-    scale tier's read path: the streaming metrics and per-shard replay
-    cursors consume it directly.
+    yields a fresh :class:`ScheduleColumns` per decoded batch, never the
+    whole schedule: concatenated, the batches are
+    ``load_schedule(path)[0].columns()``.  This is the scale tier's read
+    path; the sharded schedule statistics fold it batch by batch.
 
-    Raises the same errors as :func:`load_schedule` on malformed input:
+    Raises the same errors as :func:`load_schedule` on malformed input (a
+    file's counts are checked when its last batch has been consumed):
     ``ValueError`` for truncated or foreign files, ``OSError`` (e.g.
     ``FileNotFoundError``) for a shard the manifest names but the directory
-    lacks.
+    lacks.  Unlike :func:`load_schedule` it never pauses the collector — a
+    generator would leave it paused in its caller's code between batches.
     """
-    for file_path, promised in _stored_files(os.fspath(path))[0]:
-        with _open_for_read(file_path) as stream:
-            header = _read_header(stream, file_path)
-            count = 0
-            for count, line in enumerate(filter(str.strip, stream), 1):
-                yield PacketRecord.from_dict(json.loads(line))
-        _check_counts(file_path, header, promised, count)
-
-
-#: Stored packets decoded per batch: bounds the transient JSON objects a
-#: load holds beside the columns it is filling.
-_DECODE_BATCH = 512
+    for packets, part in _decoded_parts(_stored_files(os.fspath(path))[0]):
+        if part is not None:
+            _check_counts(*part)
+            continue
+        cols = ScheduleColumns()
+        cols.extend(packets)
+        del packets
+        yield cols
 
 
 def load_schedule(path: Union[str, "os.PathLike"]) -> Tuple[Schedule, dict]:
@@ -771,19 +778,16 @@ def load_schedule(path: Union[str, "os.PathLike"]) -> Tuple[Schedule, dict]:
     with paused_gc():
         cols = ScheduleColumns()
         files, manifest = _stored_files(path)
-        decoded = []
-        for file_path, promised in files:
-            before = len(cols.packet_id)
-            with _open_for_read(file_path) as stream:
-                header = _read_header(stream, file_path)
-                lines = filter(str.strip, stream)
-                # One decoder call per batch, not per line: a batch's lines
-                # are parsed as the elements of a single JSON array.
-                while batch := list(islice(lines, _DECODE_BATCH)):
-                    cols.extend(json.loads(f"[{','.join(batch)}]"))
-            decoded.append((file_path, header, promised, len(cols.packet_id) - before))
+        parts = []
+        for packets, part in _decoded_parts(files):
+            if part is not None:
+                parts.append(part)
+                continue
+            cols.extend(packets)
+            del packets
         # Adopting the columns rejects duplicate ids, which outranks a count mismatch.
         schedule = Schedule.from_columns(cols)
-        for part in decoded:
+        for part in parts:
             _check_counts(*part)
-        return schedule, (header if manifest is None else manifest).get("meta", {})
+        header = parts[-1][1] if manifest is None else manifest
+        return schedule, header.get("meta", {})

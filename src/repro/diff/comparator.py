@@ -4,7 +4,7 @@ The whole pipeline is verified by digest equality — golden cache keys,
 golden rows, the benchmark's rows digests — but a digest mismatch only says
 *that* two schedules differ, not *where*.  This module walks two schedules
 in canonical ``(ingress_time, packet_id, hop_index)`` order
-(:meth:`repro.core.schedule.Schedule.canonical_records`) and halts at the
+(:meth:`repro.core.schedule.Schedule.records`) and halts at the
 **first divergent packet**, reporting a field-level diff plus the ordering
 context around the divergence.
 
@@ -280,7 +280,7 @@ def _port_context(
     a drop investigation wants to see.
     """
     entries: List[Tuple[float, int, PortNeighbor]] = []
-    for record in schedule.canonical_records():
+    for record in schedule.records():
         if record.packet_id == exclude_packet:
             continue
         for hop in record.hops:

@@ -10,7 +10,7 @@ from repro.experiments import ablations  # noqa: F401  (import registers)
 from repro.experiments.adversarial import adversarial_scenarios
 from repro.experiments.config import ExperimentResult, ExperimentScale
 from repro.experiments.faults import fault_scenarios
-from repro.experiments.figure1 import queueing_delay_ratio_cdf
+from repro.experiments import figure1  # noqa: F401  (import registers)
 from repro.experiments.figure2 import run_fct_scenario
 from repro.experiments.figure3 import run_delay_scenario
 from repro.experiments.figure4 import build_long_lived_flows, run_fairness_scenario
@@ -29,7 +29,6 @@ __all__ = [
     "default_scenario",
     "table1_scenarios",
     "run_scenario",
-    "queueing_delay_ratio_cdf",
     "run_fct_scenario",
     "run_delay_scenario",
     "run_fairness_scenario",

@@ -35,18 +35,6 @@ from repro.utils.stats import cdf_points, percentile
 FIGURE1_SCHEDULERS: Tuple[str, ...] = ("random", "fifo", "fq", "sjf", "lifo", "fq+fifo+")
 
 
-def queueing_delay_ratio_cdf(
-    scale: ExperimentScale,
-    original: str,
-    utilization: float = 0.7,
-    cache: Optional[ScheduleCache] = None,
-) -> Tuple[List[float], List[float]]:
-    """The (x, CDF) curve for one original scheduler."""
-    scenario = default_scenario(scale, utilization=utilization, original=original)
-    result = replay_scenario(scenario, mode="lstf", cache=cache)
-    return cdf_points(result.metrics.queueing_delay_ratios)
-
-
 class Figure1Definition(ExperimentDef):
     """One cell per original scheduler; each returns its row and CDF curve."""
 

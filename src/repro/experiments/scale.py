@@ -1,18 +1,19 @@
-"""The scale experiment group: full-topology cells on the streaming path.
+"""The scale experiment group: full-topology cells over the sharded cache.
 
 The paper's record-and-replay argument is only interesting if it survives
 scale — Rocketfuel-sized WANs and full fat-trees, not just the Internet2
 toy.  This group runs one scenario per large topology and evaluates it two
 ways:
 
-* ``stats`` cells stream the recorded schedule's quality metrics
-  (:class:`~repro.core.metrics.StreamingScheduleStatistics`) over the
-  cache's shard files, so a cell never materializes a per-packet list and
-  peak RSS stays bounded by one shard;
-* ``replay`` cells replay the schedule under the scenario's candidate UPS
-  and score it with the streaming comparator
-  (:class:`~repro.core.metrics.StreamingReplayComparison`), avoiding the
-  Figure-1 per-packet ratio list.
+* ``stats`` cells fold the recorded schedule's quality metrics
+  (:class:`~repro.core.metrics.StreamingScheduleStatistics`) over column
+  ranges — the cache's shard files, a decoded batch at a time — so a cell
+  never materializes a per-packet list or a record object and peak RSS stays
+  bounded by one shard;
+* ``replay`` cells are ordinary replay cells: the scenario's candidate UPS
+  replays the schedule and :func:`~repro.core.metrics.compare_schedules`
+  scores it (a replay cannot be sharded — packets interact — so both full
+  schedules are in memory whenever a comparison runs).
 
 ``stats`` cells opt into the runner's shard protocol
 (:attr:`~repro.pipeline.experiment.ExperimentDef.supports_shards`): the
@@ -24,8 +25,9 @@ single-process fallback all emit bit-identical rows.  When the cache entry
 is persisted in sharded form and its chunking matches the partition (it
 always does when the entry was written by a cache with the same
 ``shard_packets``), each shard task cursors its own
-``<key>.shard-<i>.jsonl.gz`` file directly; otherwise it slices the
-cache-loaded schedule.
+``<key>.shard-<i>.jsonl.gz`` file directly
+(:func:`~repro.core.schedule.iter_schedule_columns`); otherwise it folds its
+row range of the cache-loaded schedule's columns.
 
 Rows contain only deterministic quantities.  Peak RSS and events/s — the
 scale tier's headline numbers — are measured by ``benchmarks/perf``
@@ -39,15 +41,12 @@ from __future__ import annotations
 import os
 from typing import Any, Dict, List, Tuple
 
-from repro.core.metrics import (
-    ScheduleStatistics,
-    StreamingReplayComparison,
-    StreamingScheduleStatistics,
-)
-from repro.core.replay import ReplayResult, replay_schedule
+from repro.core.metrics import ScheduleStatistics, StreamingScheduleStatistics
+from repro.core.replay import ReplayResult
 from repro.core.schedule import (
     MANIFEST_SUFFIX,
-    iter_schedule_records,
+    ScheduleColumns,
+    iter_schedule_columns,
     load_manifest,
     stored_schedule_packets,
 )
@@ -87,7 +86,7 @@ def scale_scenarios(scale: ExperimentScale) -> List[Scenario]:
 
 
 def stats_row(scenario: Scenario, stats: ScheduleStatistics) -> Dict[str, object]:
-    """One scenario's streamed schedule statistics as a result row."""
+    """One scenario's folded schedule statistics as a result row."""
     return {
         "scenario": scenario.name,
         "topology": scenario.topology,
@@ -104,7 +103,7 @@ def stats_row(scenario: Scenario, stats: ScheduleStatistics) -> Dict[str, object
 
 
 class ScaleDefinition(ScenarioExperimentDef):
-    """Large-topology cells evaluated entirely on the streaming path."""
+    """Large-topology cells: sharded column-fold statistics plus a replay."""
 
     name = "scale"
     notes = (
@@ -112,7 +111,7 @@ class ScaleDefinition(ScenarioExperimentDef):
         "metrics over the sharded schedule cache; peak RSS and events/s are "
         "measured by benchmarks/perf, not in rows."
     )
-    #: Two cells per scenario: streamed stats, then the scenario's own replay.
+    #: Two cells per scenario: folded stats, then the scenario's own replay.
     modes = (STATS_MODE, None)
 
     supports_replicates = True
@@ -122,7 +121,7 @@ class ScaleDefinition(ScenarioExperimentDef):
         return scale_scenarios(scale)
 
     def row(self, scenario: Scenario, mode: str, result: ReplayResult) -> Dict[str, object]:
-        """One scenario's streamed replay comparison as a result row."""
+        """One scenario's replay comparison as a result row."""
         metrics = result.metrics
         return {
             "scenario": scenario.name,
@@ -143,41 +142,25 @@ class ScaleDefinition(ScenarioExperimentDef):
     def run_cell(
         self, cell: Cell, scale: ExperimentScale, cache: ScheduleCache
     ) -> CellResult:
-        scenario: Scenario = cell.spec
-        if cell.mode == STATS_MODE:
-            # Reference implementation of the shard partition: fold the
-            # canonical order chunk-by-chunk with the same ``shard_packets``
-            # chunking and shard-index-order merge the parallel path uses,
-            # so both paths emit the same bits (a single-pass fold would
-            # differ in the last bit of the float sums).
-            records = cached_schedule(scenario, cache).records()
-            step = cache.shard_packets
-            partials = [
-                self._partial_over(records[start : start + step])
-                for start in range(0, len(records), step)
-            ] or [self._partial_over([])]
-            return self.merge_shards(cell, scale, partials)
-        # Replay the scenario and score it with the streaming comparator.
-        topology = scenario.build_topology()
-        workload = scenario.workload()
-        schedule = cached_schedule(scenario, cache, topology, workload)
-        replayed = replay_schedule(
-            topology,
-            schedule,
-            mode=cell.mode,
-            backend=scenario.backend,
-            faults=scenario.fault_plan(),
-        )
-        threshold = topology.bottleneck_transmission_time(float(workload.mss))
-        comparison = StreamingReplayComparison(replayed, threshold=threshold)
-        comparison.extend(schedule.records())
-        result = ReplayResult(cell.mode, schedule, replayed, comparison.finalize())
-        return CellResult(cell=cell, row=self.row(scenario, cell.mode, result))
+        if cell.mode != STATS_MODE:
+            return super().run_cell(cell, scale, cache)
+        # Reference implementation of the shard partition: fold the
+        # canonical order chunk-by-chunk with the same ``shard_packets``
+        # chunking and shard-index-order merge the parallel path uses, so
+        # both paths emit the same bits (a single-pass fold would differ in
+        # the last bit of the float sums).
+        cols = cached_schedule(cell.spec, cache).columns()
+        step = cache.shard_packets
+        partials = [
+            self._partial(cols, start, start + step)
+            for start in range(0, len(cols.packet_id), step) or (0,)  # empty: one empty partial
+        ]
+        return self.merge_shards(cell, scale, partials)
 
     @staticmethod
-    def _partial_over(records) -> dict:
+    def _partial(cols: ScheduleColumns, start: int, stop: int) -> dict:
         partial = StreamingScheduleStatistics()
-        partial.extend(records)
+        partial.fold(cols, start, stop)
         return partial.to_dict()
 
     # ------------------------------------------------------------------ #
@@ -234,13 +217,13 @@ class ScaleDefinition(ScenarioExperimentDef):
     def run_cell_shard(
         self, cell: Cell, shard: Any, scale: ExperimentScale, cache: ScheduleCache
     ) -> Any:
-        """Stream one shard's records into a statistics partial."""
+        """Fold one shard's rows into a statistics partial."""
+        if not shard["file"]:
+            cols = cached_schedule(cell.spec, cache).columns()
+            return self._partial(cols, shard["start"], shard["stop"])
         partial = StreamingScheduleStatistics()
-        if shard["file"]:
-            partial.extend(iter_schedule_records(shard["file"]))
-        else:
-            records = cached_schedule(cell.spec, cache).records()
-            partial.extend(records[shard["start"] : shard["stop"]])
+        for cols in iter_schedule_columns(shard["file"]):
+            partial.fold(cols)
         return partial.to_dict()
 
     def merge_shards(

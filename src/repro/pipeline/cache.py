@@ -211,7 +211,7 @@ class ScheduleCache:
         The sharded form wins when both exist (it is only ever written for
         schedules too large to sensibly live in one file); the returned path
         feeds :func:`repro.core.schedule.load_schedule` or
-        :func:`~repro.core.schedule.iter_schedule_records` directly.
+        :func:`~repro.core.schedule.iter_schedule_columns` directly.
         """
         for candidate in (self.manifest_path_for(key), self.path_for(key)):
             if candidate is not None and candidate.exists():

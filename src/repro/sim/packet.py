@@ -18,6 +18,8 @@ from typing import Deque, List, Optional
 
 from collections import deque
 
+from repro.utils.stats import left_sum
+
 
 class PacketType(enum.Enum):
     """Kind of packet: transport data or transport acknowledgement."""
@@ -179,7 +181,7 @@ class Packet:
     @property
     def total_queueing_delay(self) -> float:
         """Sum of per-hop queueing delays experienced so far."""
-        return sum(hop.queueing_delay for hop in self.hops)
+        return left_sum(hop.queueing_delay for hop in self.hops)
 
     @property
     def end_to_end_delay(self) -> Optional[float]:

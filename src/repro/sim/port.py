@@ -82,29 +82,6 @@ class OutputPort:
         self.fault_state = None
 
     # ------------------------------------------------------------------ #
-    # Introspection
-    # ------------------------------------------------------------------ #
-    @property
-    def busy(self) -> bool:
-        """Whether a packet is currently being transmitted."""
-        return self._current_packet is not None
-
-    @property
-    def queue_length(self) -> int:
-        """Number of packets waiting (excluding the one in flight)."""
-        return len(self.scheduler)
-
-    @property
-    def queued_bytes(self) -> float:
-        """Bytes waiting (excluding the one in flight)."""
-        return self.scheduler.byte_count
-
-    @property
-    def current_packet(self) -> Optional[Packet]:
-        """The packet currently being transmitted, if any."""
-        return self._current_packet
-
-    # ------------------------------------------------------------------ #
     # Enqueue / drop
     # ------------------------------------------------------------------ #
     def enqueue(self, packet: Packet) -> None:

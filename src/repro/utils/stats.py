@@ -14,9 +14,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
+
+
+def left_sum(values: Iterable[float]) -> float:
+    """``0.0 + v0 + v1 + ...``, one rounded addition at a time, in order.
+
+    Every float total that reaches a result row goes through this, never
+    through builtin ``sum``: that became a compensated (Neumaier) sum in
+    Python 3.12, so the same values total to a different last bit there than
+    on 3.11 — and than the running ``total += value`` of the streaming
+    accumulators (:class:`QuantileSketch`), which is this same left fold.
+    """
+    return reduce(add, values, 0.0)
 
 
 class OnlineStats:

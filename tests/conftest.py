@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
+from repro.core.schedule import HopTiming, PacketRecord
 from repro.schedulers import uniform_factory
 from repro.sim import Simulator, Tracer, reset_flow_ids, reset_packet_ids
 from repro.sim.flow import Flow
@@ -65,6 +68,21 @@ def udp_workload():
         transport="udp",
         duration=0.3,
     )
+
+
+@pytest.fixture
+def views_built(monkeypatch) -> Counter:
+    """Counts every ``PacketRecord`` / ``HopTiming`` view constructed from here on."""
+    built = Counter()
+    for cls in (PacketRecord, HopTiming):
+        real_init = cls.__init__
+
+        def counting_init(self, *args, _real=real_init, _name=cls.__name__, **kwargs):
+            built[_name] += 1
+            _real(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting_init)
+    return built
 
 
 @pytest.fixture

@@ -7,13 +7,12 @@ every test here, so the whole file costs one recording pass.
 import gzip
 import hashlib
 import pickle
-from collections import Counter
 
 import pytest
 
 from repro.core.metrics import compare_schedules, lateness_distribution
 from repro.core.replay import replay_schedule
-from repro.core.schedule import HopTiming, PacketRecord, iter_schedule_records, load_schedule
+from repro.core.schedule import PacketRecord, Schedule, iter_schedule_columns, load_schedule
 from repro.diff import first_divergence
 from repro.experiments.config import ExperimentScale
 from repro.pipeline import ScheduleCache, default_registry
@@ -66,26 +65,22 @@ def test_cold_and_warm_compare_equal_to_the_bit(table1_cold):
     assert warm_cache.misses == 0
 
 
-def test_warm_accelerated_replay_builds_no_record_objects(table1_cold, monkeypatch):
+def test_warm_accelerated_replay_builds_no_record_objects(table1_cold, views_built):
     cache_dir, results = table1_cold
     cell, cold = results[0]
-    built = Counter()
-    for cls in (PacketRecord, HopTiming):
-        real_init = cls.__init__
-
-        def counting_init(self, *args, _real=real_init, _name=cls.__name__, **kwargs):
-            built[_name] += 1
-            _real(self, *args, **kwargs)
-
-        monkeypatch.setattr(cls, "__init__", counting_init)
-
+    built = views_built
     warm = replay_scenario(cell.spec, cell.mode, cache=ScheduleCache(cache_dir), backend="vectorized")
     assert warm.metrics == cold.metrics
     assert not built, built
 
+    # The cursor's decode of the same file builds none either.
+    batches = list(iter_schedule_columns(_entry_path(cache_dir, cell)))
+    assert sum(len(cols.packet_id) for cols in batches) == len(warm.original)
+    assert not built, built
+
     # Objects remain one call away, equal to what the object paths produce:
-    # the cursor's decode of the same file, and the reference engine's replay.
-    stored = list(iter_schedule_records(_entry_path(cache_dir, cell)))
+    # views of the cursor's batches, and the reference engine's replay.
+    stored = [r for cols in batches for r in Schedule.from_columns(cols).records()]
     assert warm.original.records() == stored
     assert [warm.original.record(r.packet_id) for r in stored] == stored
     assert built["PacketRecord"] >= len(stored)

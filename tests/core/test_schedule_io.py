@@ -2,21 +2,26 @@
 
 import gc
 import json
+import os
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core import schedule as schedule_module
 from repro.core.replay import evaluate_replay
 from repro.core.schedule import (
     SCHEDULE_FORMAT,
     HopTiming,
     PacketRecord,
     Schedule,
-    iter_schedule_records,
+    ScheduleColumns,
+    iter_schedule_columns,
     load_schedule,
     save_schedule,
     save_schedule_sharded,
+    shard_file_name,
 )
 from repro.pipeline.experiment import record_scenario_schedule
 from repro.pipeline.scenario import Scenario
@@ -82,8 +87,16 @@ def schedules(draw):
     return Schedule(draw(record_lists()))
 
 
+def cursor_columns(path) -> ScheduleColumns:
+    """Every batch `iter_schedule_columns` yields, concatenated into one table."""
+    whole = ScheduleColumns()
+    for cols in iter_schedule_columns(path):
+        whole.extend(list(cols.rows(range(len(cols.packet_id)))))
+    return whole
+
+
 # --------------------------------------------------------------------- #
-# Property: to_jsonl -> from_jsonl is the identity
+# Property: save_schedule -> load_schedule is the identity
 # --------------------------------------------------------------------- #
 class TestRoundTripProperty:
     @settings(
@@ -94,7 +107,7 @@ class TestRoundTripProperty:
     @given(schedule=schedules(), compressed=st.booleans())
     def test_round_trip_is_lossless(self, schedule, compressed, tmp_path):
         path = tmp_path / ("s.jsonl.gz" if compressed else "s.jsonl")
-        schedule.to_jsonl(path, meta={"n": len(schedule)})
+        save_schedule(path, schedule, meta={"n": len(schedule)})
         loaded, meta = load_schedule(path)
         assert meta == {"n": len(schedule)}
         assert sorted(loaded.packet_ids()) == sorted(schedule.packet_ids())
@@ -136,7 +149,16 @@ class TestRoundTripProperty:
         loaded, _ = load_schedule(path)
         assert loaded.records() == canonical
         assert loaded.columns() == schedule.columns()
-        assert list(iter_schedule_records(path)) == canonical
+        # One decode loop, two consumers: the cursor's batches, concatenated,
+        # are the loaded table field for field — one file or shards, one
+        # batch per file or many, no packets at all.
+        save_schedule_sharded(tmp_path / "two.manifest.json", schedule, shard_packets=2)
+        save_schedule_sharded(tmp_path / "five.manifest.json", schedule, shard_packets=5)
+        for batch in (512, 3):
+            with mock.patch.object(schedule_module, "_DECODE_BATCH", batch):
+                for stored in (path, tmp_path / "two.manifest.json", tmp_path / "five.manifest.json"):
+                    assert cursor_columns(stored) == load_schedule(stored)[0].columns()
+                    assert cursor_columns(stored) == schedule.columns()
 
     @settings(max_examples=15, deadline=None)
     @given(schedule=schedules())
@@ -276,8 +298,68 @@ class TestLoadLeavesGcAsFound:
         # A generator that disabled GC would leave it off between yields —
         # i.e. in the caller's code — and forever if abandoned mid-stream.
         save_schedule(tmp_path / "s.jsonl", schedule)
-        for _ in iter_schedule_records(tmp_path / "s.jsonl"):
-            assert gc.isenabled() is gc_state
+        with mock.patch.object(schedule_module, "_DECODE_BATCH", 2):
+            batches = iter_schedule_columns(tmp_path / "s.jsonl")
+            with mock.patch.object(gc, "disable") as disable, mock.patch.object(gc, "enable") as enable:
+                assert [len(cols.packet_id) for cols in batches] == [2, 2, 1]
+        assert not disable.called and not enable.called
+        assert gc.isenabled() is gc_state
+
+
+# --------------------------------------------------------------------- #
+# The decode loop's two consumers reject a damaged store identically
+# --------------------------------------------------------------------- #
+class TestBothConsumersRaiseAlike:
+    @pytest.fixture
+    def manifest(self, tmp_path):
+        schedule = Schedule(
+            PacketRecord(i, 0, "a", "b", 100.0, float(i), i + 1.0, ["a", "b"])
+            for i in range(7)
+        )
+        path = tmp_path / "s.manifest.json"
+        save_schedule_sharded(path, schedule, shard_packets=3)
+        return path
+
+    @staticmethod
+    def both_errors(path):
+        errors = []
+        for consume in (load_schedule, lambda stored: list(iter_schedule_columns(stored))):
+            with pytest.raises((ValueError, OSError)) as caught:
+                consume(path)
+            errors.append((type(caught.value), str(caught.value)))
+        return errors
+
+    def test_truncated_file(self, manifest):
+        shard = manifest.parent / shard_file_name(manifest, 1)
+        single = manifest.parent / "single.jsonl"
+        save_schedule(single, load_schedule(shard)[0])
+        single.write_text("".join(single.read_text().splitlines(keepends=True)[:-1]))
+        loaded, cursored = self.both_errors(single)
+        assert loaded == cursored and loaded[0] is ValueError
+        assert "header promises 3 packets, found 2 (truncated file?)" in loaded[1]
+
+    def test_foreign_format_tag(self, manifest):
+        foreign = manifest.parent / "foreign.jsonl"
+        foreign.write_text(json.dumps({"format": "something-else/1", "packets": 0}) + "\n")
+        loaded, cursored = self.both_errors(foreign)
+        assert loaded == cursored and loaded[0] is ValueError
+        assert "not a repro-schedule/1 file" in loaded[1]
+
+    def test_missing_shard(self, manifest):
+        os.unlink(manifest.parent / shard_file_name(manifest, 2))
+        loaded, cursored = self.both_errors(manifest)
+        assert loaded == cursored and loaded[0] is FileNotFoundError
+
+    @pytest.mark.parametrize("also_total", [False, True], ids=["total", "one-shard"])
+    def test_manifest_shard_count_mismatch(self, manifest, also_total):
+        data = json.loads(manifest.read_text())
+        data["packets"] += 1
+        if also_total:  # the sums agree, but shard 1 holds fewer than promised
+            data["shards"][1]["packets"] += 1
+        manifest.write_text(json.dumps(data) + "\n")
+        loaded, cursored = self.both_errors(manifest)
+        assert loaded == cursored and loaded[0] is ValueError
+        assert ("manifest promises 4 packets, found 3" in loaded[1]) is also_total
 
 
 # --------------------------------------------------------------------- #
@@ -315,7 +397,7 @@ class TestRecordedScheduleRoundTrip:
         topology = scenario.build_topology()
         schedule = record_scenario_schedule(scenario, topology)
         path = tmp_path / "recorded.jsonl.gz"
-        schedule.to_jsonl(path, meta={"topology": topology.to_dict()})
+        save_schedule(path, schedule, meta={"topology": topology.to_dict()})
         loaded, meta = load_schedule(path)
         assert len(loaded) == len(schedule)
         for record in schedule:
@@ -328,7 +410,7 @@ class TestRecordedScheduleRoundTrip:
 
 
 class TestCanonicalRecords:
-    """`canonical_records` is the comparator's walk order, pinned here."""
+    """`records()` order is the comparator's walk order, pinned here."""
 
     def test_sorted_by_ingress_time_then_packet_id(self):
         def rec(packet_id, ingress):
@@ -347,7 +429,7 @@ class TestCanonicalRecords:
         # Inserted deliberately out of order, with an ingress tie on 7/3.
         schedule = Schedule([rec(7, 0.5), rec(1, 0.9), rec(3, 0.5), rec(2, 0.1)])
         order = [
-            (r.ingress_time, r.packet_id) for r in schedule.canonical_records()
+            (r.ingress_time, r.packet_id) for r in schedule.records()
         ]
         assert order == [(0.1, 2), (0.5, 3), (0.5, 7), (0.9, 1)]
         assert order == sorted(order)

@@ -215,7 +215,6 @@ class TestReplayMetrics:
         metrics = compare_schedules(Schedule(), Schedule(), threshold=0.1)
         assert metrics.total_packets == 0
         assert metrics.overdue_fraction == 0.0
-        assert metrics.summary()["overdue_fraction"] == 0.0
 
 
 class TestDeliveryMetrics:

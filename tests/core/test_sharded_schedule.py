@@ -24,7 +24,7 @@ from repro.core.schedule import (
     HopTiming,
     PacketRecord,
     Schedule,
-    iter_schedule_records,
+    iter_schedule_columns,
     load_manifest,
     load_schedule,
     save_schedule,
@@ -61,6 +61,15 @@ def record_dicts(records) -> list:
     return [record.to_dict() for record in records]
 
 
+def cursor_dicts(path) -> list:
+    """The stored packets as the column cursor decodes them, batch after batch."""
+    return [
+        row
+        for cols in iter_schedule_columns(path)
+        for row in record_dicts(Schedule.from_columns(cols).records())
+    ]
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("shard_packets", [1, 2, 3, 7, 1000])
     def test_round_trip_preserves_canonical_order(self, tmp_path, schedule, shard_packets):
@@ -72,10 +81,9 @@ class TestRoundTrip:
         loaded, meta = load_schedule(path)
         assert meta == {"origin": "test"}
         assert record_dicts(loaded.records()) == record_dicts(schedule.records())
-        # The streaming cursor yields the same records in the same order
-        # without ever building a Schedule.
-        cursor = list(iter_schedule_records(path))
-        assert record_dicts(cursor) == record_dicts(schedule.records())
+        # The column cursor yields the same packets in the same order
+        # without ever holding the whole schedule.
+        assert cursor_dicts(path) == record_dicts(schedule.records())
 
     def test_sharded_equals_single_file_form(self, tmp_path, schedule):
         single = tmp_path / "sched.jsonl.gz"
@@ -87,16 +95,14 @@ class TestRoundTrip:
         assert record_dicts(loaded_sharded.records()) == record_dicts(
             loaded_single.records()
         )
-        assert list(
-            json.dumps(r.to_dict()) for r in iter_schedule_records(single)
-        ) == list(json.dumps(r.to_dict()) for r in iter_schedule_records(manifest))
+        assert json.dumps(cursor_dicts(single)) == json.dumps(cursor_dicts(manifest))
 
     def test_empty_schedule_round_trips(self, tmp_path):
         path = tmp_path / f"empty{MANIFEST_SUFFIX}"
         assert save_schedule_sharded(path, Schedule()) == []
         loaded, _ = load_schedule(path)
         assert len(loaded) == 0
-        assert list(iter_schedule_records(path)) == []
+        assert list(iter_schedule_columns(path)) == []
 
     def test_manifest_describes_ingress_chunks(self, tmp_path, schedule):
         path = tmp_path / f"sched{MANIFEST_SUFFIX}"
@@ -159,7 +165,7 @@ class TestFailureModes:
         with pytest.raises(ValueError):
             load_schedule(path)
         with pytest.raises(ValueError):
-            list(iter_schedule_records(path))
+            list(iter_schedule_columns(path))
 
     def test_foreign_manifest_format_rejected(self, tmp_path):
         path = tmp_path / f"bogus{MANIFEST_SUFFIX}"

@@ -1,35 +1,35 @@
-"""Golden equivalence: streaming metrics reproduce the record-list metrics.
+"""Golden equivalence: one fold, two finalizers — and one comparison.
 
 One representative scenario from each current experiment group (table1,
 adversarial, heuristics, faults) is recorded and replayed, then summarized by
-both implementation paths:
+both finalizers of the schedule-statistics fold:
 
-* the **reference** path (:func:`compare_schedules`,
-  :func:`schedule_statistics`) that every golden row fixture pins;
-* the **streaming** path (:class:`StreamingReplayComparison`,
-  :class:`StreamingScheduleStatistics`) the scale tier runs.
+* :func:`schedule_statistics` (exact percentile; what ``heuristics`` rows pin);
+* :class:`StreamingScheduleStatistics` (mergeable, sketch percentile; what
+  the scale tier's rows pin).
 
 The equivalence contract under test (docs/scale.md): every count, sum-derived
-mean, and max field is reproduced **bit-identically** when both paths fold
-the records in the same order, and sketch-based percentiles land within the
+mean, and max field is reproduced **bit-identically** when the accumulator
+folds the whole column range, and sketch-based percentiles land within the
 documented ε of the exact value's bracketing order statistics.  The same
-assertions are repeated after splitting the record stream into chunks and
-merging the per-chunk partials — the shard runner's exact code shape.
+assertions are repeated after splitting the rows into chunks and merging the
+per-chunk partials — the shard runner's exact code shape.
+:func:`compare_schedules` is the only comparison; its record-taking adapter
+must equal it minus the ratio list.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import pytest
 
 from repro.core.metrics import (
-    StreamingReplayComparison,
     StreamingScheduleStatistics,
     compare_schedules,
     compare_schedules_streaming,
     schedule_statistics,
-    streaming_schedule_statistics,
 )
 from repro.utils.stats import percentile
 
@@ -98,9 +98,11 @@ def _assert_sketch_brackets(sketch, values, q):
 
 
 def _assert_statistics_equivalent(schedule):
-    """Streaming schedule statistics == reference, field by field."""
+    """Whole-schedule fold == schedule_statistics, field by field."""
     reference = schedule_statistics(schedule)
-    streaming = streaming_schedule_statistics(schedule.records())
+    accumulator = StreamingScheduleStatistics()
+    accumulator.fold(schedule.columns())
+    streaming = accumulator.finalize()
     # Exact fields are bit-identical (== on floats, not approx).
     assert streaming.packets == reference.packets
     assert streaming.mean_delay == reference.mean_delay
@@ -110,47 +112,16 @@ def _assert_statistics_equivalent(schedule):
     assert streaming.deadline_met_fraction == reference.deadline_met_fraction
     # p99 is sketch-based: within ε of the exact percentile's bracket.
     delays = [record.network_delay for record in schedule.records()]
-    accumulator = StreamingScheduleStatistics()
-    accumulator.extend(schedule.records())
     _assert_sketch_brackets(accumulator.delays, delays, 99)
     return reference
 
 
 def _assert_comparison_equivalent(original, replayed, threshold):
-    """Streaming replay comparison == reference, field by field."""
+    """The record-taking adapter == compare_schedules minus the ratio list."""
     reference = compare_schedules(original, replayed, threshold)
-    streaming = compare_schedules_streaming(
-        iter(original), replayed, threshold
-    )
-    assert streaming.total_packets == reference.total_packets
-    assert streaming.missing_packets == reference.missing_packets
-    assert streaming.overdue_count == reference.overdue_count
-    assert (
-        streaming.overdue_beyond_threshold_count
-        == reference.overdue_beyond_threshold_count
-    )
-    assert streaming.mean_lateness == reference.mean_lateness
-    assert streaming.max_lateness == reference.max_lateness
-    assert streaming.deadline_total == reference.deadline_total
-    assert streaming.deadline_met_original == reference.deadline_met_original
-    assert streaming.deadline_met_replay == reference.deadline_met_replay
-    assert streaming.deadline_flows_delivered == reference.deadline_flows_delivered
-    assert streaming.overdue_fraction == reference.overdue_fraction
-    assert streaming.delivered_fraction == reference.delivered_fraction
-    # The ratio list is the one thing streaming does NOT materialize; its
-    # sketch reproduces the list's count/sum/min/max exactly (same fold
-    # order) and its percentiles within ε.
-    assert streaming.queueing_delay_ratios == []
-    comparison = StreamingReplayComparison(replayed, threshold)
-    comparison.extend(iter(original))
-    ratios = reference.queueing_delay_ratios
-    assert comparison.ratios.count == len(ratios)
-    if ratios:
-        assert comparison.ratios.total == sum(ratios)
-        assert comparison.ratios.minimum == min(ratios)
-        assert comparison.ratios.maximum == max(ratios)
-        _assert_sketch_brackets(comparison.ratios, ratios, 50)
-        _assert_sketch_brackets(comparison.ratios, ratios, 99)
+    adapted = compare_schedules_streaming(iter(original), replayed, threshold)
+    assert adapted.queueing_delay_ratios == []
+    assert adapted == replace(reference, queueing_delay_ratios=[])
     return reference
 
 
@@ -170,7 +141,7 @@ class TestGroupEquivalence:
 
         Smoke-scale fault plans do not always destroy a packet, so the
         missing branch is exercised deterministically: every third replay
-        record is withheld and both paths must agree on the damage.
+        record is withheld and the adapter must agree on the damage.
         """
         from repro.core.schedule import Schedule
 
@@ -209,81 +180,47 @@ class TestShardedMerge:
     """
 
     @pytest.mark.parametrize("chunks", [2, 3, 7])
-    def test_statistics_merge_matches_single_pass(self, replay_results, chunks):
-        schedule = replay_results["table1"].original
-        records = list(schedule.records())
-        single = StreamingScheduleStatistics()
-        single.extend(records)
-        size = max(1, math.ceil(len(records) / chunks))
+    def test_statistics_merge_matches_single_pass(
+        self, replay_results, heuristics_schedule, chunks
+    ):
+        # The heuristics schedule is deadline-tagged: its flows straddle chunks.
+        for schedule in (replay_results["table1"].original, heuristics_schedule):
+            cols = schedule.columns()
+            count = len(cols.packet_id)
+            single = StreamingScheduleStatistics()
+            single.fold(cols)
+            size = max(1, math.ceil(count / chunks))
 
-        def fold():
-            merged = StreamingScheduleStatistics()
-            for start in range(0, len(records), size):
-                partial = StreamingScheduleStatistics()
-                partial.extend(records[start : start + size])
-                merged = merged.merge(partial)
-            return merged
+            def fold():
+                merged = StreamingScheduleStatistics()
+                for start in range(0, count, size):
+                    partial = StreamingScheduleStatistics()
+                    partial.fold(cols, start, start + size)
+                    merged = merged.merge(partial)
+                return merged
 
-        merged = fold()
-        final_single = single.finalize()
-        final_merged = merged.finalize()
-        # Exact fields: bit-identical to the single pass.
-        assert merged.delays.to_dict()["bins"] == single.delays.to_dict()["bins"]
-        assert final_merged.packets == final_single.packets
-        assert final_merged.max_delay == final_single.max_delay
-        assert final_merged.p99_delay == final_single.p99_delay
-        assert final_merged.deadline_total == final_single.deadline_total
-        assert final_merged.deadline_met == final_single.deadline_met
-        # Float sums: deterministic across runs, ~exact vs the single pass.
-        assert final_merged.mean_delay == pytest.approx(
-            final_single.mean_delay, rel=1e-12
-        )
-        assert fold().finalize() == final_merged
-
-    @pytest.mark.parametrize("chunks", [2, 5])
-    def test_comparison_merge_matches_single_pass(self, replay_results, chunks):
-        result = replay_results["faults"]
-        records = list(result.original.records())
-        threshold = result.metrics.threshold
-        single = StreamingReplayComparison(result.replayed, threshold)
-        single.extend(records)
-        size = max(1, math.ceil(len(records) / chunks))
-
-        def fold():
-            merged = StreamingReplayComparison(result.replayed, threshold)
-            for start in range(0, len(records), size):
-                partial = StreamingReplayComparison(result.replayed, threshold)
-                partial.extend(records[start : start + size])
-                merged = merged.merge(partial)
-            return merged
-
-        merged = fold()
-        final_single = single.finalize()
-        final_merged = merged.finalize()
-        assert merged.ratios.to_dict()["bins"] == single.ratios.to_dict()["bins"]
-        assert final_merged.total_packets == final_single.total_packets
-        assert final_merged.missing_packets == final_single.missing_packets
-        assert final_merged.overdue_count == final_single.overdue_count
-        assert final_merged.max_lateness == final_single.max_lateness
-        assert final_merged.deadline_total == final_single.deadline_total
-        assert final_merged.deadline_met_replay == final_single.deadline_met_replay
-        assert final_merged.mean_lateness == pytest.approx(
-            final_single.mean_lateness, rel=1e-12
-        )
-        assert fold().finalize() == final_merged
-
-    def test_comparison_merge_rejects_mismatched_settings(self, replay_results):
-        result = replay_results["table1"]
-        a = StreamingReplayComparison(result.replayed, threshold=1.0)
-        b = StreamingReplayComparison(result.replayed, threshold=2.0)
-        with pytest.raises(ValueError):
-            a.merge(b)
+            merged = fold()
+            final_single = single.finalize()
+            final_merged = merged.finalize()
+            # Exact fields: bit-identical to the single pass.
+            assert merged.delays.to_dict()["bins"] == single.delays.to_dict()["bins"]
+            assert final_merged.packets == final_single.packets == count
+            assert final_merged.max_delay == final_single.max_delay
+            assert final_merged.p99_delay == final_single.p99_delay
+            assert final_merged.deadline_total == final_single.deadline_total
+            assert final_merged.deadline_met == final_single.deadline_met
+            # Float sums: deterministic across runs, ~exact vs the single pass.
+            assert final_merged.mean_delay == pytest.approx(
+                final_single.mean_delay, rel=1e-12
+            )
+            assert fold().finalize() == final_merged
+        assert final_single.deadline_total > 0
 
     def test_statistics_roundtrip_through_dict(self, replay_results):
         """Shard partials cross process boundaries as dicts, losslessly."""
         schedule = replay_results["table1"].original
         accumulator = StreamingScheduleStatistics()
-        accumulator.extend(schedule.records())
+        accumulator.fold(schedule.columns())
         loaded = StreamingScheduleStatistics.from_dict(accumulator.to_dict())
         assert loaded.to_dict() == accumulator.to_dict()
         assert loaded.finalize() == accumulator.finalize()

@@ -24,7 +24,7 @@ def recorded(tmp_path_factory):
 def perturb_file(src, dst):
     """Copy a schedule file with one hop departure nudged; return the victim id."""
     schedule, meta = load_schedule(src)
-    records = schedule.canonical_records()  # views: edits never reach `schedule`
+    records = schedule.records()  # views: edits never reach `schedule`
     victim = records[len(records) // 2]
     victim.hops[0].departure_time += 1e-6
     save_schedule(dst, Schedule(records), meta=meta)

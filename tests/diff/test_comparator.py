@@ -58,7 +58,7 @@ def two_hop_schedule():
 def perturbed(schedule, packet_id, attr="departure_time", hop=1, delta=1e-6):
     """A deep-ish copy of ``schedule`` with one hop field nudged."""
     records = []
-    for record in schedule.canonical_records():
+    for record in schedule.records():
         hops = [
             HopTiming(h.node, h.arrival_time, h.start_service_time, h.departure_time)
             for h in record.hops
@@ -122,7 +122,7 @@ class TestFirstDivergence:
 
     def test_missing_packet_is_a_divergence(self):
         a = two_hop_schedule()
-        b = Schedule([r for r in a.canonical_records() if r.packet_id != 1])
+        b = Schedule([r for r in a.records() if r.packet_id != 1])
         divergence = first_divergence(a, b)
         assert divergence.packet_id == 1
         assert divergence.kind == "missing"
@@ -132,7 +132,7 @@ class TestFirstDivergence:
 
     def test_identity_fields_lead_the_diff(self):
         a = two_hop_schedule()
-        records = perturbed(a, packet_id=0, attr="departure_time", hop=0).canonical_records()
+        records = perturbed(a, packet_id=0, attr="departure_time", hop=0).records()
         next(r for r in records if r.packet_id == 0).size_bytes += 100.0
         divergence = first_divergence(a, Schedule(records))
         assert divergence.fields[0].field == "size_bytes"
@@ -199,7 +199,7 @@ class TestRealScheduleDivergence:
         reset_flow_ids()
         b = record_scenario_schedule(scenario)
         assert first_divergence(a, b) is None  # recording is deterministic
-        records = b.canonical_records()  # views: edits never reach `b`
+        records = b.records()  # views: edits never reach `b`
         victim = records[len(records) // 2]
         victim.hops[0].departure_time += 5e-7
         divergence = first_divergence(a, Schedule(records))

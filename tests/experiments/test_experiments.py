@@ -129,3 +129,29 @@ class TestRunnerFormatting:
     def test_run_all_rejects_unknown_experiment(self):
         with pytest.raises(KeyError):
             run_pipeline(["tableX"], scale=SMOKE)
+
+
+class TestRowsDoNotDependOnThePythonVersion:
+    def test_no_float_total_goes_through_builtin_sum(self, monkeypatch):
+        """Builtin ``sum`` is a compensated float sum from Python 3.12 on, so a
+        float total that went through it would round differently there than on
+        3.11 (and than the accumulators' running ``+=``): every row-bound total
+        must use ``repro.utils.stats.left_sum``."""
+        import builtins
+
+        from repro.pipeline import default_registry
+
+        real_sum = builtins.sum
+
+        def float_free_sum(iterable, *start):
+            values = list(iterable)
+            assert not any(isinstance(value, float) for value in (*values, *start)), (
+                "builtin sum() over floats"
+            )
+            return real_sum(values, *start)
+
+        monkeypatch.setattr(builtins, "sum", float_free_sum)
+        names = [definition.name for definition in default_registry().experiments()]
+        summary = run_pipeline(names, scale=SMOKE, workers=1)
+        assert summary.errors == []
+        assert set(summary.results) == set(names)

@@ -139,6 +139,48 @@ class TestCellShards:
         assert merged.row == whole.row
 
 
+class TestScaleCellsBuildNoViews:
+    """Every ``scale`` cell walks columns: no record object is constructed."""
+
+    @pytest.fixture
+    def built(self, monkeypatch, views_built):
+        # The reference engine's injector consumes views; the default engine must not.
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+        return views_built
+
+    def test_whole_cells_cold_and_warm(self, tmp_path, built):
+        cold = scale_rows(tmp_path, "views", workers=1, shard_packets=SHARD_PACKETS)
+        assert not built, built
+        warm = scale_rows(tmp_path, "views", workers=1, shard_packets=SHARD_PACKETS)
+        assert not built, built
+        assert warm == cold
+
+    def test_shard_tasks_with_and_without_a_shard_file(self, tmp_path, built):
+        definition = ScaleDefinition()
+        stats_cell = next(
+            cell for cell in definition.cells(SMOKE) if cell.mode == STATS_MODE
+        )
+        cache = ScheduleCache(tmp_path / "cache", shard_packets=SHARD_PACKETS)
+        shards = definition.cell_shards(stats_cell, SMOKE, cache)
+        assert all(shard["file"] for shard in shards)
+        # Partition != layout: a cache at another ``shard_packets`` plans
+        # shards that match no stored file, so each task slices the schedule.
+        other = ScheduleCache(tmp_path / "cache", shard_packets=SHARD_PACKETS + 3)
+        fallback = definition.cell_shards(stats_cell, SMOKE, other)
+        assert len(fallback) > 1 and not any(shard["file"] for shard in fallback)
+        rows = [
+            definition.merge_shards(
+                stats_cell,
+                SMOKE,
+                [definition.run_cell_shard(stats_cell, shard, SMOKE, store) for shard in plan],
+            ).row
+            for plan, store in ((shards, cache), (fallback, other))
+        ]
+        assert not built, built
+        assert rows[0] == definition.run_cell(stats_cell, SMOKE, cache).row
+        assert rows[1] == definition.run_cell(stats_cell, SMOKE, other).row
+
+
 class TestCustomScenarioPlumbing:
     def test_faulted_scenario_is_keyed_planned_and_replayed_alike(self, tmp_path):
         """One scenario, one key: the recording, the shard plan and the

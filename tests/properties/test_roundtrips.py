@@ -165,14 +165,14 @@ class TestSchedulePersistenceOrder:
         assert meta["test"] is True
         original_order = [
             (record.ingress_time, record.packet_id)
-            for record in schedule.canonical_records()
+            for record in schedule.records()
         ]
         loaded_order = [
             (record.ingress_time, record.packet_id)
-            for record in loaded.canonical_records()
+            for record in loaded.records()
         ]
         assert loaded_order == original_order
         assert loaded_order == sorted(loaded_order)
         # And the records themselves are lossless, not just ordered.
-        for record in schedule.canonical_records():
+        for record in schedule.records():
             assert loaded.record(record.packet_id).to_dict() == record.to_dict()

@@ -9,10 +9,25 @@ from repro.utils.stats import (
     ccdf_points,
     cdf_points,
     jain_fairness_index,
+    left_sum,
     percentile,
     summarize,
     weighted_mean,
 )
+
+
+class TestLeftSum:
+    def test_is_the_running_total_on_every_python(self):
+        # A compensated sum (builtin sum() from 3.12 on, math.fsum) recovers
+        # the 1.0 that one-rounding-per-addition loses.
+        assert left_sum([1e16, 1.0, -1e16]) == 0.0
+        assert math.fsum([1e16, 1.0, -1e16]) == 1.0
+        values = [0.1 * k for k in range(1, 50)]
+        total = 0.0
+        for value in values:
+            total += value
+        assert left_sum(iter(values)) == total
+        assert left_sum([]) == 0.0
 
 
 class TestSummarize:
