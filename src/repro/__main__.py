@@ -174,7 +174,7 @@ def _add_backend_argument(parser) -> None:
         "--backend",
         default=None,
         help="simulation engine for replays: python (reference), vectorized "
-        "(numpy fast path), or compiled (native kernel; optional build) — "
+        "(numpy fast path), or compiled (native kernel, built on first use) — "
         "all bit-identical rows; see `list --backends`. Default: "
         "$REPRO_BACKEND, else the fastest available engine that supports "
         "each replay's configuration. See docs/backends.md",
@@ -339,12 +339,7 @@ def cmd_list(args: argparse.Namespace) -> int:
             if not entry["available"]:
                 print(f"  {'':<{name_width}}  reason: {entry['reason']}")
             elif entry["build"]:
-                build = entry["build"]
-                built_with = ", ".join(
-                    f"{key}={build[key]}"
-                    for key in ("toolchain", "compiler", "kernel_version")
-                    if build.get(key) is not None
-                )
+                built_with = ", ".join(f"{key}={value}" for key, value in entry["build"].items())
                 print(f"  {'':<{name_width}}  build: {built_with}")
         print(
             "\nunselected replays use the `default` engine when it supports "

@@ -12,11 +12,11 @@ inherits the vectorized backend's entire contract surface: the same
 the same decline behaviour, and the same equivalence and golden-rows gates
 — only :meth:`VectorizedBackend._kernel` is swapped.
 
-Availability is a *build* question, not an install question: the extension
-is an optional build (``setup.py`` marks it ``optional=True``), so
-environments without a C toolchain simply never have it.
+Availability is a *toolchain* question: the kernel ships as source and
+:mod:`repro.sim.compiled` builds it on first use, so only an environment that
+cannot compile it (no C compiler, no Python headers) lacks it.
 :meth:`CompiledBackend.check_available` reports the precise reason
-(missing numpy, or the unbuilt kernel with build instructions) via
+(missing numpy, or why the build failed, compiler output included) via
 ``PipelineConfigError`` — CLI exit 2 — when the backend is selected by
 name; unselected replays simply skip it (``replay_candidates``).
 """
@@ -43,11 +43,11 @@ class CompiledBackend(VectorizedBackend):
     name = "compiled"
     replay_note = (
         "replay fast path (lstf/edf/priority/omniscient, infinite buffers); "
-        "native C event loop (optional build: tools/build_compiled.py)"
+        "native C event loop (built on first use; needs a C compiler)"
     )
 
     def check_available(self) -> None:
-        """Missing numpy *or* an unbuilt kernel extension both decline."""
+        """Missing numpy *or* a kernel that cannot be built both decline."""
         super().check_available()  # numpy (shared with vectorized)
         if not kernel_available():
             raise _config_error(f"backend 'compiled' is unavailable: {unavailable_reason()}")
@@ -60,7 +60,7 @@ class CompiledBackend(VectorizedBackend):
         topology: Optional[Topology] = None,
         faults=None,
     ) -> bool:
-        """The vectorized fast path, gated additionally on the built kernel."""
+        """The vectorized fast path, gated additionally on the kernel loading."""
         return kernel_available() and super().supports_replay(
             mode,
             default_buffer_bytes=default_buffer_bytes,

@@ -585,6 +585,15 @@ def run_pipeline(
         else None
     )
     with _backend_scope(backend):
+        if workers > 1 and backend is None:
+            # The first engine probe of a process may compile the C kernel
+            # (repro.sim.compiled).  Do it here, once, before any pool forks:
+            # N workers must not race to build N times, and a build must not
+            # run under a cell's SIGALRM deadline.  A serial run stays lazy —
+            # one that never replays never probes.
+            from repro.sim.backend import replay_candidates
+
+            replay_candidates()
         cell_results, errors, records_computed, unrecorded = _run_rounds(
             tasks, scale, make_executor, plan_cache, max_retries, retry_backoff
         )

@@ -44,8 +44,8 @@ Backends register by name; ``"python"`` is the OO engine with unchanged
 behaviour, ``"vectorized"`` is the array-based replay engine
 (:mod:`repro.core.replay_vectorized`), and ``"compiled"`` is the same
 orchestration driving the native kernel extension
-(:mod:`repro.core.replay_compiled`; an optional build that declines
-gracefully when the extension is absent).  Builtin backends are resolved
+(:mod:`repro.core.replay_compiled`; built from source on first use, declining
+gracefully where it cannot be compiled).  Builtin backends are resolved
 lazily — the providing modules live in :mod:`repro.core`, which imports
 :mod:`repro.sim`, so importing them here at module scope would cycle.
 
@@ -241,10 +241,10 @@ def get_backend(name: str) -> SimBackend:
     Raises:
         PipelineConfigError: if the name is unknown ("unknown backend ...",
             listing the registered names), or the backend is registered but
-            unavailable — missing dependency or unbuilt extension — in which
+            unavailable — missing dependency or unbuildable kernel — in which
             case the message names the backend and carries the precise
             reason (e.g. ``vectorized`` without numpy, ``compiled`` without
-            the built kernel).  Both exit 2 at the CLI.
+            a C compiler).  Both exit 2 at the CLI.
     """
     instance = _INSTANCES.get(name)
     if instance is not None:
@@ -298,7 +298,7 @@ def available_backend_names(mode: str = "lstf") -> List[str]:
     The reference ``"python"`` engine always leads; every other registered
     backend follows in trajectory order (``vectorized``, ``compiled``, then
     any third-party registrations sorted by name), *skipping* backends whose
-    dependencies are missing or whose extension is not built, and backends
+    dependencies are missing or whose kernel cannot be built, and backends
     that decline ``mode``.  This is the backend enumeration ``benchmarks/perf``,
     the differential fuzz harness, and ``repro diff --replay`` all share:
     "every available backend" means exactly this list.
@@ -352,7 +352,7 @@ def _builtin_candidates() -> Tuple[SimBackend, ...]:
         try:
             available.append(get_backend(name))
         except PipelineConfigError:
-            continue  # missing dependency / unbuilt extension
+            continue  # missing dependency / unbuildable kernel
     return tuple(available)
 
 

@@ -1,75 +1,228 @@
-"""Loader for the compiled replay kernel (``repro.sim._kernel``).
+"""The compiled replay kernel: found, built and loaded in one place.
 
-The kernel is a hand-written CPython C extension transliterating
-:func:`repro.sim.vectorized.run_flat_replay` (see ``_kernel.c`` for the
-determinism argument).  It is an *optional build*: ``setup.py`` declares it
-with ``optional=True``, so installs without a C toolchain complete
-pure-Python and this module reports the kernel as unavailable instead of
-raising at import time.  ``python tools/build_compiled.py`` builds it in
-place for PYTHONPATH-based checkouts.
+``_kernel.c`` (beside this file) is a hand-written CPython C extension
+transliterating :func:`repro.sim.vectorized.run_flat_replay`; see its header
+for the determinism argument.  It ships as source and builds itself: the
+first :func:`kernel_available` of a process — reached through the
+once-per-process engine probe in :mod:`repro.sim.backend`, never at import —
+hashes the source and loads ``__pycache__/_kernel-<sha12><EXT_SUFFIX>`` from
+beside it, compiling that file first when it is missing or does not load.
+The name is the content, so an edited source never runs an old build and any
+other ``_kernel*.so`` lying around is ignored.
 
-This module is the single place that touches the extension: it wraps the
-import, remembers the failure reason, and exposes build metadata for
-``list --backends``.  :mod:`repro.core.replay_compiled` builds the registered
-``"compiled"`` backend on top of it.
+A build is one call of the interpreter's own link driver (``sysconfig``'s
+``LDSHARED``, i.e. ``$(CC) -shared ...``) writing a temp file that is
+``os.replace``d into place — the atomic-write rule of
+``core/schedule.py::_atomic_write_lines`` — so processes racing on an empty
+cache all end with one valid file.  A build that cannot succeed (no compiler,
+no headers, unwritable directory, non-POSIX) never raises: it leaves
+``<file>.failed`` holding the reason, later processes decline from that
+marker without spawning anything, and unselected replays use ``vectorized``.
+``python tools/build_compiled.py`` ignores the marker and builds now.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+import contextlib
+import functools
+import hashlib
+import importlib.util
+import logging
+import os
+import shlex
+import shutil
+import subprocess
+import sysconfig
+import time
+from importlib.machinery import EXTENSION_SUFFIXES
+from types import ModuleType
+from typing import Callable, List, NamedTuple, Optional
 
-_KERNEL = None
-_IMPORT_ERROR: Optional[str] = None
+logger = logging.getLogger(__name__)
 
-try:  # pragma: no cover - exercised both ways across CI jobs
-    from repro.sim import _kernel as _KERNEL  # type: ignore[no-redef]
-except ImportError as error:  # pragma: no cover
-    _IMPORT_ERROR = str(error)
+#: The kernel source; its builds are cached in ``__pycache__`` beside it.
+_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernel.c")
+
+#: The one place the compiler flags live.  ``-ffp-contract=off``: no FMA
+#: contraction — the kernel's float additions must evaluate exactly as
+#: CPython's (the bit-identity contract).  The kernel contains no
+#: multiplications, so this is belt-and-braces.
+_CFLAGS = ("-O2", "-ffp-contract=off", "-fno-fast-math")
+
+
+class _Kernel(NamedTuple):
+    """One probe's outcome: the loaded extension, or why there is none."""
+
+    module: Optional[ModuleType]
+    reason: Optional[str]
+    source_sha: str = ""
+    path: str = ""
+    origin: str = ""  # "built" by this process | "cached" by an earlier one
+
+
+def _compiler() -> Optional[List[str]]:
+    """The interpreter's link driver as argv; ``None`` when it cannot run here."""
+    argv = shlex.split(sysconfig.get_config_var("LDSHARED") or "")
+    if os.name != "posix" or not argv or shutil.which(argv[0]) is None:
+        return None
+    return argv
+
+
+def _spawn(argv: List[str]) -> subprocess.CompletedProcess[str]:
+    """Run the compiler: the only place this module starts a process."""
+    return subprocess.run(argv, capture_output=True, text=True)
+
+
+def _build(target: str) -> Optional[str]:
+    """Compile ``_SOURCE`` into ``target`` atomically; the failure reason, else ``None``."""
+    directory = os.path.dirname(target)
+    tmp = f"{target}.tmp.{os.getpid()}"
+    try:
+        os.makedirs(directory, exist_ok=True)  # first: the failure marker lives here too
+        if not os.access(directory, os.W_OK):  # before paying for a compile
+            return f"cannot build into {directory}: not writable"
+        compiler = _compiler()
+        if compiler is None:
+            wanted = (sysconfig.get_config_var("LDSHARED") or "<unset>").split()[0]
+            return f"no C compiler (sysconfig's LDSHARED driver {wanted!r} is not runnable here)"
+        result = _spawn(
+            [
+                *compiler,
+                *shlex.split(sysconfig.get_config_var("CCSHARED") or ""),
+                *_CFLAGS,
+                *(f"-I{sysconfig.get_path(key)}" for key in ("include", "platinclude")),
+                _SOURCE,
+                "-o",
+                tmp,
+            ]
+        )
+        if result.returncode != 0:
+            tail = "\n".join(result.stderr.strip().splitlines()[-8:])
+            return f"{compiler[0]} exited {result.returncode}:\n{tail}"
+        os.replace(tmp, target)
+        return None
+    except OSError as error:
+        return f"cannot build into {directory}: {error}"
+    finally:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+
+
+def _import(path: str) -> ModuleType:
+    """Load the extension at ``path`` (``ImportError`` if absent, truncated or garbage)."""
+    spec = importlib.util.spec_from_file_location("repro.sim._kernel", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _probe(force: bool = False) -> _Kernel:
+    """Load the kernel built from the current source, building it if need be.
+
+    Never raises.  ``force`` skips the cached file and the failure marker.
+    """
+    try:
+        with open(_SOURCE, "rb") as stream:
+            sha = hashlib.sha256(stream.read()).hexdigest()[:12]
+    except OSError as error:
+        return _Kernel(None, f"kernel source unreadable: {error}")
+    target = os.path.join(
+        os.path.dirname(_SOURCE),
+        "__pycache__",
+        f"_kernel-{sha}{EXTENSION_SUFFIXES[0]}",  # == sysconfig's EXT_SUFFIX, without loading it
+    )
+    marker = f"{target}.failed"
+    reason = None
+    if not force:
+        # Absent or unloadable falls through: (re)build, unless that already failed.
+        with contextlib.suppress(ImportError):
+            module = _import(target)
+            logger.debug("loaded cached %s", target)
+            return _Kernel(module, None, sha, target, "cached")
+        with contextlib.suppress(OSError), open(marker) as stream:
+            reason = stream.read().strip()
+    if reason is None:
+        started = time.perf_counter()
+        reason = _build(target)
+        if reason is None:
+            try:
+                module = _import(target)
+            except ImportError as error:
+                reason = f"the built file does not load: {error}"
+            else:
+                with contextlib.suppress(OSError):
+                    os.unlink(marker)
+                elapsed = time.perf_counter() - started
+                logger.info("built %s with %s in %.2fs -> %s", sha, module.COMPILER, elapsed, target)
+                return _Kernel(module, None, sha, target, "built")
+        with contextlib.suppress(OSError), open(marker, "w") as stream:
+            stream.write(reason + "\n")
+    return _Kernel(
+        None,
+        f"{reason}\n(failure marker: {marker}; `python tools/build_compiled.py` retries)",
+        sha,
+        target,
+    )
+
+
+@functools.lru_cache(maxsize=1)
+def _kernel() -> _Kernel:
+    """This process's kernel, probed on first use (and warned about once)."""
+    kernel = _probe()
+    if kernel.module is None:
+        logger.warning("compiled kernel unavailable: %s; replays use vectorized", kernel.reason)
+    return kernel
+
+
+def build_kernel() -> Optional[str]:
+    """Compile the kernel now, past any cached build or failure marker.
+
+    Returns the failure reason (also left in the marker), ``None`` on success.
+    """
+    _kernel.cache_clear()
+    return _probe(force=True).reason
 
 
 def kernel_available() -> bool:
-    """Whether the compiled kernel extension was built and imports."""
-    return _KERNEL is not None
+    """Whether the compiled kernel loads here (the first call may build it)."""
+    return _kernel().module is not None
 
 
 def unavailable_reason() -> Optional[str]:
     """Why the kernel is unavailable (``None`` when it is available)."""
-    if _KERNEL is not None:
-        return None
-    return (
-        "the compiled kernel extension (repro.sim._kernel) is not built; "
-        "build it with `python tools/build_compiled.py` (requires a C "
-        f"compiler and Python headers) or reinstall with `pip install -e "
-        f".[compiled]` — import failed with: {_IMPORT_ERROR}"
-    )
+    return _kernel().reason
 
 
 def kernel_run_flat_replay() -> Callable:
     """The compiled ``run_flat_replay`` entry point.
 
     Raises:
-        RuntimeError: when the extension is not built.  Callers resolve
+        RuntimeError: when the kernel is unavailable.  Callers resolve
             availability through the backend registry first
             (``check_available``), so this is a backstop, not an API.
     """
-    if _KERNEL is None:
-        raise RuntimeError(unavailable_reason())
-    return _KERNEL.run_flat_replay
+    kernel = _kernel()
+    if kernel.module is None:
+        raise RuntimeError(kernel.reason)
+    return kernel.module.run_flat_replay
 
 
 def kernel_build_info() -> Optional[dict]:
-    """Build metadata shown by ``list --backends`` (``None`` when not built).
+    """Build metadata shown by ``list --backends`` (``None`` when unavailable).
 
-    Carries the toolchain (the kernel is a hand-written CPython C-API
-    extension — the container and CI images ship gcc but neither mypyc nor
-    Cython, so the build has no Python-level compiler dependency), the
-    compiler that built it, and the kernel's own version counter.
+    The toolchain (a hand-written CPython C-API extension: no Cython or
+    mypyc), the compiler that built it, the kernel's own version counter,
+    the source hash it was built from, where it is cached, and whether this
+    process ``built`` it or found it ``cached``.
     """
-    if _KERNEL is None:
+    kernel = _kernel()
+    if kernel.module is None:
         return None
     return {
-        "toolchain": _KERNEL.TOOLCHAIN,
-        "compiler": _KERNEL.COMPILER,
-        "kernel_version": _KERNEL.KERNEL_VERSION,
-        "module": getattr(_KERNEL, "__file__", None),
+        "toolchain": kernel.module.TOOLCHAIN,
+        "compiler": kernel.module.COMPILER,
+        "kernel_version": kernel.module.KERNEL_VERSION,
+        "source_sha": kernel.source_sha,
+        "path": kernel.path,
+        "origin": kernel.origin,
     }

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import shutil
 from collections import Counter
 
 import pytest
 
+import repro.sim.compiled as compiled_mod
 from repro.core.schedule import HopTiming, PacketRecord
 from repro.schedulers import uniform_factory
 from repro.sim import Simulator, Tracer, reset_flow_ids, reset_packet_ids
+from repro.sim import backend as backend_mod
 from repro.sim.flow import Flow
 from repro.sim.packet import Packet
 from repro.topology import dumbbell_topology, linear_topology, single_switch_topology
@@ -83,6 +86,43 @@ def views_built(monkeypatch) -> Counter:
 
         monkeypatch.setattr(cls, "__init__", counting_init)
     return built
+
+
+@pytest.fixture
+def kernel_sandbox(tmp_path, monkeypatch):
+    """The kernel loader pointed at a temp copy of ``_kernel.c`` with an empty cache.
+
+    Yields the copy's directory (builds land in its ``__pycache__``).  Every
+    engine memo is dropped on the way in and out: the test probes from
+    scratch, and later tests re-probe the checkout's own cache.
+    """
+
+    def forget():
+        compiled_mod._kernel.cache_clear()
+        backend_mod._INSTANCES.pop("compiled", None)
+        backend_mod._builtin_candidates.cache_clear()
+
+    directory = tmp_path / "sim"
+    directory.mkdir()
+    shutil.copy(compiled_mod._SOURCE, directory / "_kernel.c")
+    monkeypatch.setattr(compiled_mod, "_SOURCE", str(directory / "_kernel.c"))
+    forget()
+    yield directory
+    forget()
+
+
+@pytest.fixture
+def needs_compiler():
+    """Skip where this machine cannot build the kernel for real."""
+    if compiled_mod._compiler() is None:
+        pytest.skip("no C compiler on this machine")
+
+
+@pytest.fixture
+def no_compiler(kernel_sandbox, monkeypatch):
+    """A machine without a C compiler, against an empty kernel cache."""
+    monkeypatch.setattr(compiled_mod, "_compiler", lambda: None)
+    return kernel_sandbox
 
 
 @pytest.fixture

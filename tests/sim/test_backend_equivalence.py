@@ -24,7 +24,7 @@ from repro.core.replay_vectorized import VectorizedBackend
 from repro.core.schedule import HopTiming, PacketRecord, Schedule
 from repro.pipeline.scenario import PipelineConfigError
 from repro.sim.backend import backend_names, get_backend, resolve_backend
-from repro.sim.compiled import kernel_available
+from repro.sim.compiled import kernel_available, unavailable_reason
 from repro.topology import dumbbell_topology
 from repro.topology.base import LinkSpec, NodeSpec, Topology
 from repro.traffic import WorkloadSpec, paper_default_workload
@@ -34,8 +34,9 @@ from repro.utils import mbps
 VECTORIZED_MODES = ("lstf", "edf", "priority", "omniscient")
 
 #: Backend classes under equivalence test, keyed by registry name.  The
-#: compiled backend is skip-marked — not silently dropped — when its kernel
-#: extension is not built, so a toolchain-less environment reports the gap.
+#: compiled backend is skip-marked — not silently dropped — with the loader's
+#: own reason where its kernel cannot be built, so a toolchain-less environment
+#: reports the gap.
 OPTIMIZED_BACKEND_CLASSES = {
     "vectorized": VectorizedBackend,
     "compiled": CompiledBackend,
@@ -46,11 +47,7 @@ OPTIMIZED_BACKENDS = (
     pytest.param(
         "compiled",
         id="compiled",
-        marks=pytest.mark.skipif(
-            not kernel_available(),
-            reason="compiled kernel extension not built; build it with "
-            "`python tools/build_compiled.py` (requires a C toolchain)",
-        ),
+        marks=pytest.mark.skipif(not kernel_available(), reason=unavailable_reason() or ""),
     ),
 )
 

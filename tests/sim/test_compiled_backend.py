@@ -1,11 +1,13 @@
 """The ``"compiled"`` backend: availability, fallback, and error surfaces.
 
 Complements ``test_backend_equivalence.py`` (which holds the compiled
-backend to the bit-identity contract when its kernel is built): these tests
-pin the *other* half of the acceptance criteria — environments without the
-built extension degrade gracefully.  The unbuilt state is simulated by
-monkeypatching :mod:`repro.sim.compiled`'s module state, so both halves run
-regardless of whether this environment has the toolchain.
+backend to the bit-identity contract wherever its kernel builds): these tests
+pin the *other* half of the acceptance criteria — environments that cannot
+build the kernel degrade gracefully.  That state is the real one, not a
+simulation: the ``no_compiler`` fixture points the loader at an empty temp
+cache and hides the compiler, so both halves run regardless of whether this
+environment has the toolchain.  ``test_kernel_build.py`` covers the build and
+its cache themselves.
 """
 
 import json
@@ -23,35 +25,12 @@ from repro.sim.backend import (
     get_backend,
     resolve_backend,
 )
-from repro.sim.compiled import kernel_available
+from repro.sim.compiled import kernel_available, unavailable_reason
 from repro.topology import dumbbell_topology
 from repro.traffic import WorkloadSpec, paper_default_workload
 from repro.utils import mbps
 
-needs_kernel = pytest.mark.skipif(
-    not kernel_available(),
-    reason="compiled kernel extension not built; build it with "
-    "`python tools/build_compiled.py` (requires a C toolchain)",
-)
-
-
-@pytest.fixture
-def unbuilt_kernel(monkeypatch):
-    """Simulate a pure-python install: the kernel extension is absent."""
-    monkeypatch.setattr(compiled_mod, "_KERNEL", None)
-    monkeypatch.setattr(
-        compiled_mod, "_IMPORT_ERROR", "No module named 'repro.sim._kernel'"
-    )
-    # get_backend caches available instances and replay_candidates the
-    # probed builtin list; drop both so availability is re-evaluated under
-    # the patched state.
-    from repro.sim import backend as backend_mod
-
-    monkeypatch.delitem(backend_mod._INSTANCES, "compiled", raising=False)
-    backend_mod._builtin_candidates.cache_clear()
-    yield
-    backend_mod._INSTANCES.pop("compiled", None)
-    backend_mod._builtin_candidates.cache_clear()
+needs_kernel = pytest.mark.skipif(not kernel_available(), reason=unavailable_reason() or "")
 
 
 @pytest.fixture(scope="module")
@@ -79,35 +58,33 @@ def recorded_schedule(fixture_topology):
 
 
 class TestPurePythonInstallPath:
-    """`pip install -e .` with no toolchain: everything still works."""
+    """A machine with no toolchain: everything still works."""
 
-    def test_compiled_module_imports_without_kernel(self, unbuilt_kernel):
-        # The backend module itself must import cleanly (it is a builtin
-        # registry entry, resolved lazily on every `list --backends`).
+    def test_compiled_module_imports_without_kernel(self, no_compiler):
         assert compiled_mod.kernel_available() is False
-        assert "not built" in compiled_mod.unavailable_reason()
+        assert "no C compiler" in compiled_mod.unavailable_reason()
         assert compiled_mod.kernel_build_info() is None
 
-    def test_python_and_vectorized_still_resolve(self, unbuilt_kernel):
+    def test_python_and_vectorized_still_resolve(self, no_compiler):
         assert resolve_backend("python").name == "python"
         assert resolve_backend("vectorized").name == "vectorized"
 
-    def test_compiled_is_registered_but_unavailable(self, unbuilt_kernel):
+    def test_compiled_is_registered_but_unavailable(self, no_compiler):
         assert "compiled" in backend_names()
         with pytest.raises(PipelineConfigError, match="unavailable"):
             get_backend("compiled")
 
     def test_supports_replay_declines_without_kernel(
-        self, unbuilt_kernel, fixture_topology
+        self, no_compiler, fixture_topology
     ):
         assert not CompiledBackend().supports_replay(
             "lstf", topology=fixture_topology
         )
 
     def test_replay_schedule_falls_back_to_reference(
-        self, unbuilt_kernel, fixture_topology, recorded_schedule
+        self, no_compiler, fixture_topology, recorded_schedule
     ):
-        """The seam contract: an unbuilt kernel declines, results unchanged."""
+        """The seam contract: an unbuildable kernel declines, results unchanged."""
         reference = replay_schedule(
             fixture_topology, recorded_schedule, mode="lstf", backend="python"
         )
@@ -121,11 +98,11 @@ class TestPurePythonInstallPath:
             r.to_dict() for r in reference.records()
         ]
 
-    def test_describe_backends_reports_reason(self, unbuilt_kernel):
+    def test_describe_backends_reports_reason(self, no_compiler):
         entries = {entry["name"]: entry for entry in describe_backends()}
         assert entries["python"]["available"] is True
         assert entries["compiled"]["available"] is False
-        assert "tools/build_compiled.py" in entries["compiled"]["reason"]
+        assert "no C compiler" in entries["compiled"]["reason"]
         assert entries["compiled"]["build"] is None
 
 
@@ -140,20 +117,20 @@ class TestErrorDistinction:
         for name in ("python", "vectorized", "compiled"):
             assert name in message
 
-    def test_unavailable_backend_names_itself_and_the_fix(self, unbuilt_kernel):
+    def test_unavailable_backend_names_itself_and_the_fix(self, no_compiler):
         with pytest.raises(PipelineConfigError) as excinfo:
             get_backend("compiled")
         message = str(excinfo.value)
         assert "unknown backend" not in message
         assert "compiled" in message and "unavailable" in message
-        assert "tools/build_compiled.py" in message
+        assert "no C compiler" in message
 
     def test_cli_unknown_backend_exits_2(self, capsys):
         code = main(["run", "table1", "--backend", "no-such-backend", "--no-cache"])
         assert code == 2
         assert "unknown backend" in capsys.readouterr().err
 
-    def test_cli_unavailable_backend_exits_2(self, unbuilt_kernel, capsys):
+    def test_cli_unavailable_backend_exits_2(self, no_compiler, capsys):
         code = main(["run", "table1", "--backend", "compiled", "--no-cache"])
         assert code == 2
         err = capsys.readouterr().err
@@ -176,11 +153,11 @@ class TestListBackendsCli:
             assert entry["replay_note"]
             assert ("reason" in entry) and ("build" in entry)
 
-    def test_unavailable_backend_shows_reason_not_error(self, unbuilt_kernel, capsys):
+    def test_unavailable_backend_shows_reason_not_error(self, no_compiler, capsys):
         assert main(["list", "--backends"]) == 0
         out = capsys.readouterr().out
         assert "UNAVAILABLE" in out
-        assert "tools/build_compiled.py" in out
+        assert "no C compiler" in out
 
 
 @needs_kernel

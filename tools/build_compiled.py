@@ -1,52 +1,34 @@
-"""Build the compiled replay kernel in place (``repro.sim._kernel``).
+"""Build the compiled replay kernel now, loudly.
 
-Wraps ``python setup.py build_ext --inplace`` so a PYTHONPATH-based checkout
-(the development and CI layout) gets the extension next to its source under
-``src/repro/sim/``.  ``pip install -e .`` builds the same extension as part
-of the editable install; either route enables the ``"compiled"`` backend.
-
-Exits 0 when the kernel builds and imports, 1 when the build fails (e.g. no
-C compiler) — in which case the ``"compiled"`` backend simply stays
-unavailable and every other backend keeps working.
+Replays build the kernel on first use (:mod:`repro.sim.compiled`) and decline
+quietly when that fails, remembering the failure in a marker beside the cache.
+This tool is the loud twin of that step: it runs the same build past any
+cached file or failure marker, prints what it built, and exits 1 with the
+reason (compiler output included) on stderr when the build fails — use it in
+CI, or to retry after installing a compiler.
 """
 
 from __future__ import annotations
 
+import logging
 import os
-import subprocess
 import sys
 
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+#: The in-tree package, whether or not the checkout is installed.
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def main() -> int:
-    result = subprocess.run(
-        [sys.executable, "setup.py", "build_ext", "--inplace"],
-        cwd=REPO_ROOT,
-    )
-    if result.returncode != 0:
-        print(
-            "build_compiled: build_ext failed; the 'compiled' backend will "
-            "decline (pure-python and vectorized backends are unaffected)",
-            file=sys.stderr,
-        )
+    sys.path.insert(0, SRC)
+    from repro.sim.compiled import build_kernel, kernel_build_info
+
+    logging.basicConfig(level=logging.INFO, format="build_compiled: %(message)s")
+    reason = build_kernel()
+    if reason is not None:
+        print(f"build_compiled: FAILED: {reason}", file=sys.stderr)
         return 1
-    probe = subprocess.run(
-        [
-            sys.executable,
-            "-c",
-            "from repro.sim.compiled import kernel_build_info; "
-            "print('compiled kernel OK:', kernel_build_info())",
-        ],
-        cwd=REPO_ROOT,
-        env={
-            **os.environ,
-            "PYTHONPATH": os.path.join(REPO_ROOT, "src")
-            + os.pathsep
-            + os.environ.get("PYTHONPATH", ""),
-        },
-    )
-    return probe.returncode
+    print("compiled kernel OK:", kernel_build_info())
+    return 0
 
 
 if __name__ == "__main__":
