@@ -173,7 +173,8 @@ def _add_backend_argument(parser) -> None:
     parser.add_argument(
         "--backend",
         default=None,
-        help="simulation engine for replays: python (reference), vectorized "
+        help="simulation engine for replays: python (reference; pins recording "
+        "to the OO engine too), vectorized "
         "(numpy fast path), or compiled (native kernel, built on first use) — "
         "all bit-identical rows; see `list --backends`. Default: "
         "$REPRO_BACKEND, else the fastest available engine that supports "

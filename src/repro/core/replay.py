@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro.core.metrics import ReplayMetrics, compare_schedules
-from repro.core.schedule import PacketRecord, Schedule
+from repro.core.schedule import PacketRecord, Schedule, ScheduleColumns
 from repro.core.slack import (
     BlackBoxSlackInitializer,
     OmniscientInitializer,
@@ -37,6 +37,7 @@ from repro.schedulers.fifo import FifoScheduler
 from repro.schedulers.lstf import LstfScheduler, PreemptiveLstfScheduler
 from repro.schedulers.omniscient import OmniscientReplayScheduler
 from repro.schedulers.priority import StaticPriorityScheduler
+from repro.sim import flat_record
 from repro.sim.backend import SimBackend, register_backend, replay_candidates
 from repro.sim.engine import Simulator
 from repro.sim.flow import DEFAULT_MSS
@@ -454,6 +455,12 @@ def record_schedule(
     every in-flight packet has drained so that each recorded packet has a
     complete path and output time.
 
+    The simulation is built once, then run by whichever loop can: the flat
+    recording loop (:mod:`repro.sim.flat_record`) for open-loop originals
+    under FIFO / LIFO / SJF / Random with infinite buffers, the OO engine —
+    the reference, and what a ``python`` backend pin selects — for
+    everything else.  The two agree to the byte of the saved schedule.
+
     Args:
         slack_policy: Optional send-time
             :class:`~repro.core.slack.SlackPolicy` installed on the network
@@ -481,6 +488,10 @@ def record_schedule(
     simulation.add_poisson_traffic(
         workload, sources=sources, destinations=destinations, stop_time=workload.duration
     )
+    if flat_record.decline_reason(simulation, max_events) is None:
+        cols = ScheduleColumns()
+        flat_record.record_into(simulation, cols)
+        return Schedule.from_columns(cols)
     simulation.sim.run(until=None, max_events=max_events)
     schedule = Schedule.from_tracer(simulation.tracer)
     # The built network is cyclic garbage from here on; emptying the tracer

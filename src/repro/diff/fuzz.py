@@ -9,7 +9,7 @@ first-divergence comparator (:mod:`repro.diff.comparator`), so a contract
 break surfaces as a debuggable field-level report instead of a digest
 mismatch.
 
-Three comparison kinds:
+Four comparison kinds:
 
 * ``twin`` — the same schedule replayed twice on the reference engine
   (run-over-run determinism);
@@ -18,7 +18,12 @@ Three comparison kinds:
   exercise the accelerated backends' decline-and-fall-back path);
 * ``live-replay`` — a live LSTF deployment under a stateless slack policy
   versus replaying the recorded baseline under the same policy (the paper's
-  replay-methodology claim, fuzzed).
+  replay-methodology claim, fuzzed);
+* ``record-pair`` — the scenario recorded under the ``python`` pin (the OO
+  engine) versus recorded as the process is (the flat recording loop,
+  :mod:`repro.sim.flat_record`, for the originals it accepts), event counts
+  included.  A sweep that planned one and never saw a recording land on the
+  flat loop fails: the selection must not go silently dead.
 
 On a divergence the harness **shrinks** the scenario greedily
 (:func:`repro.pipeline.synth.simplified`) to a minimal still-diverging
@@ -35,7 +40,7 @@ from typing import Callable, List, Optional, Tuple
 
 from repro.core.replay import replay_pair, replay_schedule
 from repro.core.schedule import Schedule
-from repro.diff.comparator import DEFAULT_CONTEXT, Divergence, first_divergence
+from repro.diff.comparator import DEFAULT_CONTEXT, Divergence, FieldDiff, first_divergence
 from repro.experiments.config import ExperimentScale
 from repro.pipeline.scenario import Scenario
 from repro.pipeline.synth import (
@@ -55,13 +60,18 @@ LIVE_TWIN_POLICIES = ("zero", "static-delay")
 #: Every fourth fuzz case is a live-vs-replay twin.
 LIVE_TWIN_STRIDE = 4
 
+#: Originals whose recordings the flat loop is expected to take; the cases
+#: that get a ``record-pair`` comparison.
+FLAT_ORIGINALS = ("fifo", "lifo", "sjf", "random")
+
 
 @dataclass(frozen=True)
 class ComparisonSpec:
     """One comparison a fuzz case runs.
 
     Attributes:
-        kind: ``"twin"``, ``"backend-pair"``, or ``"live-replay"``.
+        kind: ``"twin"``, ``"backend-pair"``, ``"live-replay"``, or
+            ``"record-pair"``.
         backend_a: Left replay engine (``"twin"``/``"backend-pair"``).
         backend_b: Right replay engine.
     """
@@ -87,6 +97,8 @@ class ComparisonSpec:
         """Human-readable label for logs and reports."""
         if self.kind == "live-replay":
             return "live-vs-replay twin"
+        if self.kind == "record-pair":
+            return "record-pair: python-pinned vs unpinned recording"
         return f"{self.kind}: {self.backend_a} vs {self.backend_b}"
 
 
@@ -101,6 +113,34 @@ def _record(scenario: Scenario, topology, workload) -> Schedule:
     return record_scenario_schedule(scenario, topology, workload)
 
 
+def _record_pair(scenario: Scenario, topology, workload, context: int) -> Optional[Divergence]:
+    """Record under the ``python`` pin and as the process is; diff schedules, then event counts."""
+    from repro.pipeline.runner import backend_scope
+    from repro.sim.engine import Simulator
+
+    legs = []
+    for pin in ("python", None):
+        before = Simulator.events_executed_total
+        with backend_scope(pin):
+            schedule = _record(scenario, topology, workload)
+        legs.append((schedule, Simulator.events_executed_total - before))
+    (pinned, pinned_events), (unpinned, unpinned_events) = legs
+    labels = dict(label_a="record:python", label_b="record:unpinned")
+    divergence = first_divergence(pinned, unpinned, context=context, **labels)
+    if divergence is None and pinned_events != unpinned_events:
+        divergence = Divergence(
+            packet_id=-1,
+            flow_id=-1,
+            index=len(pinned),
+            kind="fields",
+            fields=[FieldDiff("events_executed", pinned_events, unpinned_events)],
+            packets_a=len(pinned),
+            packets_b=len(unpinned),
+            **labels,
+        )
+    return divergence
+
+
 def run_comparison(
     scenario: Scenario,
     spec: ComparisonSpec,
@@ -112,11 +152,14 @@ def run_comparison(
     through :func:`repro.core.replay.replay_pair`; ``"live-replay"`` records
     a *live* LSTF deployment of the scenario's (stateless) slack policy and
     compares it against replaying the scenario's recorded baseline under
-    the same policy.  All comparisons are read-only: nothing is cached, and
-    a divergence never mutates either schedule.
+    the same policy; ``"record-pair"`` records twice and replays nothing.
+    All comparisons are read-only: nothing is cached, and a divergence never
+    mutates either schedule.
     """
     topology = scenario.build_topology()
     workload = scenario.workload()
+    if spec.kind == "record-pair":
+        return _record_pair(scenario, topology, workload, context)
     if spec.kind == "live-replay":
         policy = scenario.slack_policy_def()
         if policy is None or scenario.slack_policy not in LIVE_TWIN_POLICIES:
@@ -178,7 +221,8 @@ def case_plan(
     Every :data:`LIVE_TWIN_STRIDE`-th case is coerced into a live-vs-replay
     twin (LSTF, a stateless policy, no faults); every other case runs the
     reference determinism twin plus one ``backend-pair`` comparison per
-    available non-reference backend.
+    available non-reference backend, plus a ``record-pair`` when the original
+    is one of :data:`FLAT_ORIGINALS`.
     """
     scenario = random_scenario(seed, index, scale)
     if index % LIVE_TWIN_STRIDE == LIVE_TWIN_STRIDE - 1:
@@ -198,6 +242,8 @@ def case_plan(
         for name in backends
         if name != "python"
     ]
+    if scenario.original in FLAT_ORIGINALS:
+        specs.append(ComparisonSpec("record-pair"))
     return scenario, specs
 
 
@@ -277,12 +323,20 @@ class FuzzReport:
     backends: List[str]
     cases: int = 0
     comparisons: int = 0
+    record_pairs: int = 0
+    flat_recordings: int = 0
     failures: List[FuzzFailure] = field(default_factory=list)
 
     @property
+    def flat_loop_exercised(self) -> bool:
+        """Whether a recording landed on the flat loop, if any ``record-pair`` ran."""
+        return self.flat_recordings > 0 or self.record_pairs == 0
+
+    @property
     def ok(self) -> bool:
-        """Whether the sweep completed without any divergence."""
-        return not self.failures
+        """Whether the sweep completed without any divergence — and, having
+        planned ``record-pair`` comparisons, really compared the flat loop."""
+        return not self.failures and self.flat_loop_exercised
 
     def to_dict(self) -> dict:
         """JSON-serializable form (the CLI's ``--json`` payload)."""
@@ -294,6 +348,8 @@ class FuzzReport:
             "backends": list(self.backends),
             "cases": self.cases,
             "comparisons": self.comparisons,
+            "record_pairs": self.record_pairs,
+            "flat_recordings": self.flat_recordings,
             "divergences": len(self.failures),
             "failures": [failure.to_dict() for failure in self.failures],
         }
@@ -303,9 +359,15 @@ class FuzzReport:
         lines = [
             f"fuzz: {self.cases} case(s), {self.comparisons} comparison(s) at "
             f"{self.scale_label} scale, seed {self.seed}, backends: "
-            f"{', '.join(self.backends)}"
+            f"{', '.join(self.backends)}; {self.flat_recordings} recording(s) "
+            "on the flat loop"
         ]
-        if self.ok:
+        if not self.flat_loop_exercised:
+            lines.append(
+                f"NO FLAT RECORDING: {self.record_pairs} record-pair comparison(s) ran "
+                "but every recording was declined (is the process pinned to python?)"
+            )
+        elif self.ok:
             lines.append("no divergence found: all comparisons bit-identical")
         for failure in self.failures:
             lines.append(
@@ -401,6 +463,7 @@ def run_fuzz(
         log: Progress sink (e.g. ``print``); ``None`` is silent.
     """
     from repro.sim.backend import available_backend_names
+    from repro.sim.flat_record import log_lines
 
     scale = scale if scale is not None else ExperimentScale.smoke()
     if backends is None:
@@ -408,40 +471,43 @@ def run_fuzz(
     report = FuzzReport(
         budget=budget, seed=seed, scale_label=scale.label, backends=list(backends)
     )
-    for index in range(budget):
-        scenario, specs = case_plan(seed, index, backends, scale)
-        report.cases += 1
-        if log is not None:
-            log(
-                f"case {index}: {scenario.topology}/{scenario.original}"
-                f"@{scenario.utilization:g} mode={scenario.replay_mode} "
-                f"workload={scenario.workload_name} "
-                f"policy={scenario.slack_policy or '-'} "
-                f"faults={scenario.faults or '-'} "
-                f"({len(specs)} comparison(s))"
-            )
-        for spec in specs:
-            divergence = run_comparison(scenario, spec, context)
-            report.comparisons += 1
-            if divergence is None:
-                continue
+    with log_lines() as recorder_log:
+        for index in range(budget):
+            scenario, specs = case_plan(seed, index, backends, scale)
+            report.cases += 1
             if log is not None:
-                log(f"  DIVERGENCE ({spec.describe()}); shrinking...")
-            steps: List[str] = []
-            minimal = scenario
-            if shrink:
-                minimal, divergence, steps = shrink_case(
-                    scenario, spec, context, log=log
+                log(
+                    f"case {index}: {scenario.topology}/{scenario.original}"
+                    f"@{scenario.utilization:g} mode={scenario.replay_mode} "
+                    f"workload={scenario.workload_name} "
+                    f"policy={scenario.slack_policy or '-'} "
+                    f"faults={scenario.faults or '-'} "
+                    f"({len(specs)} comparison(s))"
                 )
-            failure = FuzzFailure(
-                index=index,
-                scenario=minimal,
-                comparison=spec,
-                divergence=divergence,
-                shrink_steps=steps,
-            )
-            if artifact_dir is not None:
-                failure.artifact_path = write_artifact(artifact_dir, seed, failure)
-            report.failures.append(failure)
-            break  # first divergence wins for this case; move on
+            for spec in specs:
+                divergence = run_comparison(scenario, spec, context)
+                report.comparisons += 1
+                report.record_pairs += spec.kind == "record-pair"
+                if divergence is None:
+                    continue
+                if log is not None:
+                    log(f"  DIVERGENCE ({spec.describe()}); shrinking...")
+                steps: List[str] = []
+                minimal = scenario
+                if shrink:
+                    minimal, divergence, steps = shrink_case(
+                        scenario, spec, context, log=log
+                    )
+                failure = FuzzFailure(
+                    index=index,
+                    scenario=minimal,
+                    comparison=spec,
+                    divergence=divergence,
+                    shrink_steps=steps,
+                )
+                if artifact_dir is not None:
+                    failure.artifact_path = write_artifact(artifact_dir, seed, failure)
+                report.failures.append(failure)
+                break  # first divergence wins for this case; move on
+    report.flat_recordings = sum(line.endswith("on the flat loop") for line in recorder_log)
     return report

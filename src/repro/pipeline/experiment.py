@@ -384,14 +384,17 @@ def replay_scenario(
     replay itself uses the mode's own initializer on that policy-shaped
     schedule.
 
-    ``backend`` selects the simulation engine for the *replay* leg (the
-    recording always runs on the reference engine — no optimized backend
-    reimplements the original-scheduler zoo); it overrides the scenario's
-    own ``backend`` field, and both default to ``$REPRO_BACKEND`` if set,
-    else to the fastest available engine that supports this replay's
-    configuration (:func:`repro.sim.backend.replay_candidates`).  Backends
-    are bit-identical by contract, so the choice never changes a row — only
-    how fast it is produced — which is why it stays out of every cache key.
+    ``backend`` selects the simulation engine for the *replay* leg; it
+    overrides the scenario's own ``backend`` field, and both default to
+    ``$REPRO_BACKEND`` if set, else to the fastest available engine that
+    supports this replay's configuration
+    (:func:`repro.sim.backend.replay_candidates`).  The *recording* chooses
+    for itself (:func:`repro.core.replay.record_schedule`): open-loop
+    FIFO / LIFO / SJF / Random originals on the flat recording loop,
+    everything else — and everything in a process pinned to ``python`` — on
+    the reference engine.  Engines are bit-identical by contract, so the
+    choice never changes a row or a saved byte — only how fast it is
+    produced — which is why it stays out of every cache key.
 
     A scenario pinned to a fault schedule (``scenario.faults``) injects the
     plan into the *replay* network only — the recording stays fault-free, so

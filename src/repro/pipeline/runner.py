@@ -384,7 +384,7 @@ def _plan_records(
 # Entry points
 # ---------------------------------------------------------------------- #
 @contextmanager
-def _backend_scope(backend: Optional[str]):
+def backend_scope(backend: Optional[str]):
     """Pin ``backend`` as the process-wide engine for the duration of a run.
 
     The selection travels through :data:`~repro.sim.backend.BACKEND_ENV_VAR`
@@ -584,7 +584,7 @@ def run_pipeline(
         if workers > 1 and cache_dir is not None
         else None
     )
-    with _backend_scope(backend):
+    with backend_scope(backend):
         if workers > 1 and backend is None:
             # The first engine probe of a process may compile the C kernel
             # (repro.sim.compiled).  Do it here, once, before any pool forks:

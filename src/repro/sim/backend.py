@@ -319,6 +319,16 @@ def available_backend_names(mode: str = "lstf") -> List[str]:
     return usable
 
 
+def pinned_backend_name() -> Optional[str]:
+    """The engine pinned process-wide through :data:`BACKEND_ENV_VAR`, or ``None``.
+
+    The one read of the variable: replays consult it when they name no
+    engine, and recording consults it to stay on the reference engine under
+    a ``python`` pin (:func:`repro.sim.flat_record.decline_reason`).
+    """
+    return os.environ.get(BACKEND_ENV_VAR) or None
+
+
 def resolve_backend(selector: Union[str, SimBackend, None]) -> SimBackend:
     """Resolve a backend selector to one instance.
 
@@ -331,7 +341,7 @@ def resolve_backend(selector: Union[str, SimBackend, None]) -> SimBackend:
     if isinstance(selector, SimBackend):
         return selector
     if selector is None:
-        selector = os.environ.get(BACKEND_ENV_VAR) or REFERENCE_BACKEND
+        selector = pinned_backend_name() or REFERENCE_BACKEND
     return get_backend(selector)
 
 
@@ -373,6 +383,6 @@ def replay_candidates(selector: Union[str, SimBackend, None] = None) -> Tuple[Si
         PipelineConfigError: an explicitly selected backend is unknown or
             unavailable (same errors as :func:`get_backend`).
     """
-    if selector is None and not os.environ.get(BACKEND_ENV_VAR):
+    if selector is None and pinned_backend_name() is None:
         return _builtin_candidates()
     return (resolve_backend(selector), get_backend(REFERENCE_BACKEND))

@@ -16,13 +16,20 @@ from repro.diff import (
     write_artifact,
 )
 from repro.diff import fuzz as fuzz_module
-from repro.diff.fuzz import LIVE_TWIN_POLICIES, case_plan, shrink_case
+from repro.diff.fuzz import FLAT_ORIGINALS, LIVE_TWIN_POLICIES, case_plan, shrink_case
 from repro.pipeline.synth import (
     random_scenario,
     scenario_from_dict,
     scenario_to_dict,
     simplified,
 )
+from repro.sim import Simulator, flat_record
+
+
+@pytest.fixture(autouse=True)
+def unpinned_process(monkeypatch):
+    """A ``python`` pin declines every flat recording, which a sweep reports as a failure."""
+    monkeypatch.delenv("REPRO_BACKEND", raising=False)
 
 
 def fake_divergence(packet_id=7):
@@ -93,10 +100,20 @@ class TestCasePlan:
     def test_backend_cases_pair_reference_with_each_backend(self):
         _, specs = case_plan(1, 0, ["python", "vectorized", "compiled"])
         assert specs[0].kind == "twin"
-        assert [(s.backend_a, s.backend_b) for s in specs[1:]] == [
+        pairs = [s for s in specs if s.kind == "backend-pair"]
+        assert [(s.backend_a, s.backend_b) for s in pairs] == [
             ("python", "vectorized"),
             ("python", "compiled"),
         ]
+
+    def test_record_pair_exactly_where_the_flat_loop_is_expected(self):
+        planned = {}
+        for index in range(24):
+            scenario, specs = case_plan(1, index, ["python"])
+            if specs[0].kind != "live-replay":
+                planned[scenario.original] = specs[-1].kind == "record-pair"
+        assert {o for o, paired in planned.items() if paired} == set(FLAT_ORIGINALS) & set(planned)
+        assert any(planned.values()) and not all(planned.values())
 
     def test_live_replay_spec_requires_stateless_policy(self):
         scenario, _ = case_plan(1, 0, ["python"])  # no policy coercion
@@ -206,6 +223,70 @@ class TestRunFuzz:
         assert any("DIVERGENCE" in line for line in lines)
         assert "DIVERGENCE in case 0" in report.format()
         assert report.to_dict()["divergences"] == 1
+
+
+class TestRecordPair:
+    """The python-pinned recording against the unpinned one (the flat loop)."""
+
+    SPEC = ComparisonSpec("record-pair")
+
+    def scenario(self, original="random"):
+        return dataclasses.replace(
+            random_scenario(1, 0), original=original, workload_name="incast-burst", faults=None
+        )
+
+    def test_flat_and_reference_recordings_match(self):
+        with flat_record.log_lines() as log:
+            assert run_comparison(self.scenario(), self.SPEC) is None
+        assert [line.split(";")[0].split(" on ")[-1] for line in log] == [
+            "declined (backend pinned to python)",
+            "the flat loop",
+        ]
+
+    def test_a_differing_event_count_is_a_divergence(self, monkeypatch):
+        real = flat_record.record_into
+
+        def miscounting(simulation, cols):
+            Simulator.events_executed_total += 1
+            real(simulation, cols)
+
+        monkeypatch.setattr(flat_record, "record_into", miscounting)
+        divergence = run_comparison(self.scenario(), self.SPEC)
+        [diff] = divergence.fields
+        assert (diff.field, diff.b - diff.a) == ("events_executed", 1)
+        assert "record:unpinned" in divergence.format()
+
+    def test_a_differing_schedule_is_a_divergence(self, monkeypatch):
+        real = flat_record.record_into
+
+        def late(simulation, cols):
+            real(simulation, cols)
+            cols.output_time[3] += 1e-9
+
+        monkeypatch.setattr(flat_record, "record_into", late)
+        divergence = run_comparison(self.scenario("lifo"), self.SPEC)
+        assert [diff.field for diff in divergence.fields] == ["output_time"]
+
+    def test_artifact_replays_through_diff_case(self, tmp_path, capsys):
+        failure = FuzzFailure(
+            index=0, scenario=self.scenario("sjf"), comparison=self.SPEC, divergence=fake_divergence()
+        )
+        path = write_artifact(str(tmp_path), 1, failure)
+        assert cli_main(["diff", "--case", path]) == 0
+        assert "record-pair: python-pinned vs unpinned recording" in capsys.readouterr().out
+
+    def test_a_sweep_that_never_reaches_the_flat_loop_fails(self, monkeypatch):
+        monkeypatch.setenv("REPRO_BACKEND", "python")  # every recording declines
+        report = run_fuzz(budget=3, seed=1, backends=["python"], artifact_dir=None)
+        assert report.record_pairs > 0 and report.flat_recordings == 0
+        assert not report.failures and not report.ok
+        assert "NO FLAT RECORDING" in report.format()
+
+    def test_a_sweep_counts_its_flat_recordings(self):
+        report = run_fuzz(budget=3, seed=1, backends=["python"], artifact_dir=None)
+        assert report.ok and report.record_pairs > 0
+        assert report.flat_recordings >= report.record_pairs
+        assert report.to_dict()["flat_recordings"] == report.flat_recordings
 
 
 class TestFuzzCli:

@@ -22,8 +22,12 @@ from repro.utils import mbps
 
 
 @st.composite
-def topologies_with_traffic(draw):
-    """A connected router graph, one host per chosen router, host-pair sends."""
+def topologies(draw):
+    """A connected router graph with one host per chosen router: ``(topo, hosts)``.
+
+    The extra edges beyond the spanning tree produce equal-cost alternatives
+    (``tests/sim/test_flat_record.py`` draws from this too).
+    """
     routers = draw(st.integers(min_value=2, max_value=6))
     topo = Topology("random")
     for index in range(routers):
@@ -46,9 +50,16 @@ def topologies_with_traffic(draw):
     for index, home in enumerate(homes):
         topo.add_host(f"h{index}")
         topo.add_link(f"h{index}", f"r{home}", mbps(10))
-    host = st.integers(min_value=0, max_value=len(homes) - 1)
+    return topo, [f"h{index}" for index in range(len(homes))]
+
+
+@st.composite
+def topologies_with_traffic(draw):
+    """A random topology plus host-pair sends."""
+    topo, hosts = draw(topologies())
+    host = st.sampled_from(hosts)
     sends = draw(st.lists(st.tuples(host, host).filter(lambda p: p[0] != p[1]), min_size=1, max_size=8))
-    return topo, [(f"h{src}", f"h{dst}") for src, dst in sends]
+    return topo, sends
 
 
 @given(topologies_with_traffic())
