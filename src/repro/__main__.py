@@ -446,8 +446,6 @@ def cmd_record(args: argparse.Namespace) -> int:
     from repro.core.schedule import save_schedule
     from repro.pipeline.cache import workload_fingerprint
     from repro.pipeline.experiment import record_scenario_schedule, scenario_cache_key
-    from repro.sim.flow import reset_flow_ids
-    from repro.sim.packet import reset_packet_ids
 
     scale = _scale(args.scale)
     scenarios = _replay_scenarios(scale)
@@ -455,8 +453,6 @@ def cmd_record(args: argparse.Namespace) -> int:
     if scenario is None:
         known = ", ".join(sorted(scenarios))
         raise _CLIError(f"unknown scenario {args.scenario!r}; known: {known}")
-    reset_packet_ids()
-    reset_flow_ids()
     topology = scenario.build_topology()
     workload = scenario.workload()
     schedule = record_scenario_schedule(scenario, topology, workload)
@@ -483,13 +479,9 @@ def cmd_record(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------- #
 def cmd_replay(args: argparse.Namespace) -> int:
     from repro.core.replay import evaluate_replay
-    from repro.sim.flow import reset_flow_ids
-    from repro.sim.packet import reset_packet_ids
     from repro.topology.base import Topology
 
     schedule, meta, initializer, fault_plan = _load_replay_inputs(args.schedule, args)
-    reset_packet_ids()
-    reset_flow_ids()
     topology = Topology.from_dict(meta["topology"])
     # An unusable --backend raises PipelineConfigError (exit 2, see main).
     result = evaluate_replay(

@@ -137,7 +137,7 @@ class ReplayInjector:
 def replay_packet(
     record: PacketRecord, initializer: ReplayInitializer, network: Network
 ) -> Packet:
-    """The packet a replay injects for ``record``, header initialized."""
+    """The packet a replay injects for ``record``: the recorded packet, header initialized."""
     packet = Packet(
         flow_id=record.flow_id,
         src=record.src,
@@ -145,7 +145,7 @@ def replay_packet(
         size_bytes=record.size_bytes,
         ptype=PacketType.DATA,
         route=list(record.path),
-        replay_of=record.packet_id,
+        packet_id=record.packet_id,
     )
     packet.header.flow_size_bytes = record.flow_size_bytes
     packet.flow_deadline = record.deadline
@@ -257,7 +257,7 @@ class PythonBackend(SimBackend):
         # them destroyed packets simply never reach their sink: either way
         # the event queue drains once every surviving packet has exited.
         sim.run(until=None, max_events=max_events)
-        return Schedule.from_packets(tracer.delivered_data_packets(), use_replay_ids=True)
+        return Schedule.from_packets(tracer.delivered_data_packets())
 
 
 register_backend("python", PythonBackend)
@@ -337,10 +337,10 @@ def replay_pair(
 
     This is the diff tool's replay entry (:mod:`repro.diff`): both legs
     replay the *same* recorded schedule on fresh instances of the same
-    topology, with the global packet/flow id counters reset before each leg
-    so neither run can perturb the other.  By the backend bit-identity
-    contract the two replayed schedules must be identical — any difference
-    is a backend bug, and :func:`repro.diff.first_divergence` pinpoints it.
+    topology, and a replay shares no state with any other run.  By the
+    backend bit-identity contract the two replayed schedules must be
+    identical — any difference is a backend bug, and
+    :func:`repro.diff.first_divergence` pinpoints it.
 
     Passing the same backend twice is the determinism twin: it verifies a
     single engine replays reproducibly run-over-run.
@@ -348,24 +348,17 @@ def replay_pair(
     Returns:
         ``(replayed_a, replayed_b)`` — both keyed by original packet ids.
     """
-    from repro.sim.flow import reset_flow_ids
-    from repro.sim.packet import reset_packet_ids
-
-    legs = []
-    for backend in (backend_a, backend_b):
-        reset_packet_ids()
-        reset_flow_ids()
-        legs.append(
-            replay_schedule(
-                topology,
-                schedule,
-                mode=mode,
-                initializer=initializer,
-                backend=backend,
-                faults=faults,
-            )
+    return tuple(
+        replay_schedule(
+            topology,
+            schedule,
+            mode=mode,
+            initializer=initializer,
+            backend=backend,
+            faults=faults,
         )
-    return legs[0], legs[1]
+        for backend in (backend_a, backend_b)
+    )
 
 
 def evaluate_replay(

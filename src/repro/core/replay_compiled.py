@@ -16,7 +16,7 @@ Availability is a *toolchain* question: the kernel ships as source and
 :mod:`repro.sim.compiled` builds it on first use, so only an environment that
 cannot compile it (no C compiler, no Python headers) lacks it.
 :meth:`CompiledBackend.check_available` reports the precise reason
-(missing numpy, or why the build failed, compiler output included) via
+(why the build failed, compiler output included) via
 ``PipelineConfigError`` — CLI exit 2 — when the backend is selected by
 name; unselected replays simply skip it (``replay_candidates``).
 """
@@ -47,8 +47,7 @@ class CompiledBackend(VectorizedBackend):
     )
 
     def check_available(self) -> None:
-        """Missing numpy *or* a kernel that cannot be built both decline."""
-        super().check_available()  # numpy (shared with vectorized)
+        """A kernel that cannot be built declines, with the reason."""
         if not kernel_available():
             raise _config_error(f"backend 'compiled' is unavailable: {unavailable_reason()}")
 

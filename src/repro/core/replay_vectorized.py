@@ -29,10 +29,9 @@ Header initializers must be pure functions of ``(record, network)`` (every
 shipped initializer is): they are evaluated upfront here, not interleaved
 with the simulation as on the python backend.
 
-numpy is this backend's only dependency; it is declared as the
-``[vectorized]`` extra in ``pyproject.toml`` and its absence surfaces as a
-:class:`~repro.pipeline.scenario.PipelineConfigError` (CLI exit 2) the
-moment the backend is explicitly selected.
+numpy is this backend's only dependency and a hard dependency of the
+package (``repro.utils`` imports it), so the backend is always available;
+the ``[vectorized]`` extra in ``pyproject.toml`` is a packaging name.
 """
 
 from __future__ import annotations
@@ -43,10 +42,7 @@ from itertools import chain
 from operator import add as _add, itemgetter
 from typing import Dict, List, Optional, Tuple
 
-try:  # pragma: no cover - exercised only on numpy-less installs
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
+import numpy as np
 
 from repro.core.replay import replay_initializer, replay_packet, replay_scheduler_factory
 from repro.core.schedule import Schedule, paused_gc
@@ -86,7 +82,6 @@ def _flatten(topology: Topology, schedule: Schedule) -> tuple:
     many — and are read-only to every caller (the kernel writes only into
     per-call output arrays), which is what makes sharing them sound.
     """
-    np = _np
     # ---- link parameters straight from the declarative specs ----
     # The flat loop needs only per-hop (bandwidth, propagation); the specs
     # carry exactly the floats ``topology.build`` would hand the Link
@@ -167,14 +162,6 @@ class VectorizedBackend(SimBackend):
         """
         return run_flat_replay(*args, **kwargs)
 
-    def check_available(self) -> None:
-        if _np is None:
-            raise _config_error(
-                "backend 'vectorized' requires numpy, which is not installed; "
-                "install the [vectorized] extra (pip install 'repro-ups[vectorized]') "
-                "or select --backend python"
-            )
-
     def supports_replay(
         self,
         mode: str,
@@ -191,8 +178,7 @@ class VectorizedBackend(SimBackend):
         decline for the same reason — the flat loop has no drop path.
         """
         return (
-            _np is not None
-            and mode in self.SUPPORTED_MODES
+            mode in self.SUPPORTED_MODES
             and default_buffer_bytes is None
             and (faults is None or faults.is_empty())
             and (

@@ -371,16 +371,14 @@ class Schedule:
         return replayed
 
     @classmethod
-    def from_packets(
-        cls, packets: Iterable[Packet], use_replay_ids: bool = False
-    ) -> "Schedule":
+    def from_packets(cls, packets: Iterable[Packet]) -> "Schedule":
         """Build a schedule from delivered packets.
+
+        A replay's packets carry their recorded ids, so a replayed schedule
+        lines up with the original it replayed.
 
         Args:
             packets: Delivered packets (must have egress times).
-            use_replay_ids: If true, records are keyed by each packet's
-                ``replay_of`` id, so a replay run's schedule lines up with the
-                original schedule it was replaying.
         """
         rows = []
         for packet in packets:
@@ -392,10 +390,9 @@ class Schedule:
             path = [hop.node for hop in packet.hops]
             if not path or path[-1] != packet.dst:
                 path.append(packet.dst)
-            replayed = use_replay_ids and packet.replay_of is not None
             rows.append(
                 {
-                    "packet_id": packet.replay_of if replayed else packet.packet_id,
+                    "packet_id": packet.packet_id,
                     "flow_id": packet.flow_id,
                     "src": packet.src,
                     "dst": packet.dst,

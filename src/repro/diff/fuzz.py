@@ -39,9 +39,9 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional, Tuple
 
 from repro.core.replay import replay_pair, replay_schedule
-from repro.core.schedule import Schedule
 from repro.diff.comparator import DEFAULT_CONTEXT, Divergence, FieldDiff, first_divergence
 from repro.experiments.config import ExperimentScale
+from repro.pipeline.experiment import record_scenario_schedule
 from repro.pipeline.scenario import Scenario
 from repro.pipeline.synth import (
     random_scenario,
@@ -102,17 +102,6 @@ class ComparisonSpec:
         return f"{self.kind}: {self.backend_a} vs {self.backend_b}"
 
 
-def _record(scenario: Scenario, topology, workload) -> Schedule:
-    """Record ``scenario``'s schedule with the global id counters reset."""
-    from repro.pipeline.experiment import record_scenario_schedule
-    from repro.sim.flow import reset_flow_ids
-    from repro.sim.packet import reset_packet_ids
-
-    reset_packet_ids()
-    reset_flow_ids()
-    return record_scenario_schedule(scenario, topology, workload)
-
-
 def _record_pair(scenario: Scenario, topology, workload, context: int) -> Optional[Divergence]:
     """Record under the ``python`` pin and as the process is; diff schedules, then event counts."""
     from repro.pipeline.runner import backend_scope
@@ -122,7 +111,7 @@ def _record_pair(scenario: Scenario, topology, workload, context: int) -> Option
     for pin in ("python", None):
         before = Simulator.events_executed_total
         with backend_scope(pin):
-            schedule = _record(scenario, topology, workload)
+            schedule = record_scenario_schedule(scenario, topology, workload)
         legs.append((schedule, Simulator.events_executed_total - before))
     (pinned, pinned_events), (unpinned, unpinned_events) = legs
     labels = dict(label_a="record:python", label_b="record:unpinned")
@@ -167,12 +156,9 @@ def run_comparison(
                 f"live-replay comparison needs a stateless policy from "
                 f"{LIVE_TWIN_POLICIES}; scenario carries {scenario.slack_policy!r}"
             )
-        baseline = _record(replace(scenario, slack_policy=None), topology, workload)
-        from repro.sim.flow import reset_flow_ids
-        from repro.sim.packet import reset_packet_ids
-
-        reset_packet_ids()
-        reset_flow_ids()
+        baseline = record_scenario_schedule(
+            replace(scenario, slack_policy=None), topology, workload
+        )
         replayed = replay_schedule(
             topology,
             baseline,
@@ -180,7 +166,7 @@ def run_comparison(
             initializer=policy.build_initializer(),
             backend="python",
         )
-        live = _record(
+        live = record_scenario_schedule(
             replace(scenario, original="lstf", slack_mode="live"), topology, workload
         )
         return first_divergence(
@@ -190,7 +176,7 @@ def run_comparison(
             label_a=f"replay:lstf+{policy.name}",
             label_b=f"live:lstf+{policy.name}",
         )
-    schedule = _record(scenario, topology, workload)
+    schedule = record_scenario_schedule(scenario, topology, workload)
     initializer = None
     policy = scenario.slack_policy_def()
     if policy is not None and scenario.slack_mode == "replay":

@@ -8,14 +8,12 @@ into the next round.  ``workers`` selects nothing but the executor —
 :class:`_InProcessExecutor` for ``workers == 1`` (``submit`` runs the task at
 once, against one :class:`ScheduleCache` for the whole run), a
 ``ProcessPoolExecutor`` otherwise (fresh for every round).  Either way a
-task runs through :func:`_run_task`, the single place that resets the global
-packet/flow id counters, arms the per-cell deadline and turns an exception
-into a picklable failure value.  Three properties make rows identical for
-every ``workers``:
+task runs through :func:`_run_task`, the single place that arms the per-cell
+deadline and turns an exception into a picklable failure value.  Packet and
+flow ids belong to the simulator that allocates them, so a cell's simulation
+cannot depend on which process, or how many cells earlier, it executes in;
+two more properties make rows identical for every ``workers``:
 
-* every task resets the id counters before it runs, so a cell's simulation
-  is bit-identical no matter which process (or how many cells earlier) it
-  executes in;
 * every cell's randomness comes from its own resolved seed — nothing is
   drawn from a shared stream;
 * results are merged by cell index, never by completion order.
@@ -68,9 +66,7 @@ from repro.pipeline.experiment import (
     default_registry,
     scenario_cache_key,
 )
-from repro.pipeline.scenario import Scenario
-from repro.sim.flow import reset_flow_ids
-from repro.sim.packet import reset_packet_ids
+from repro.pipeline.scenario import PipelineConfigError, Scenario
 from repro.utils.stats import summarize
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (experiments -> pipeline)
@@ -302,8 +298,6 @@ def _run_task(task: _Task, context: Optional[_TaskContext] = None) -> object:
     one :func:`_worker_init` built for their process.
     """
     cache, timeout = context if context is not None else _WORKER_CONTEXT
-    reset_packet_ids()
-    reset_flow_ids()
     try:
         with _cell_deadline(timeout):
             if task.kind == "record":
@@ -513,6 +507,12 @@ def run_pipeline(
         simply absent); the run itself never aborts on a cell failure.
         ``cache_hits`` / ``cache_misses`` sum the recording phase and the
         *completed* cells' lookups (a cell that failed contributes none).
+
+    Raises:
+        PipelineConfigError: before anything runs, for an impossible
+            configuration — including ``shard_packets < 1``,
+            ``cell_timeout <= 0``, ``max_retries < 0`` or
+            ``retry_backoff < 0`` (the CLI prints it and exits 2).
     """
     from repro.experiments.config import ExperimentScale
 
@@ -520,6 +520,19 @@ def run_pipeline(
     shard_packets = (
         shard_packets if shard_packets is not None else DEFAULT_SHARD_PACKETS
     )
+    out_of_range = [
+        f"{option} must be {bound}, got {value!r}"
+        for option, value, bound, in_range in (
+            ("shard_packets", shard_packets, ">= 1", shard_packets >= 1),
+            # setitimer(0) disarms: a zero budget would silently mean "no deadline".
+            ("cell_timeout", cell_timeout, "> 0", cell_timeout is None or cell_timeout > 0),
+            ("max_retries", max_retries, ">= 0", max_retries >= 0),
+            ("retry_backoff", retry_backoff, ">= 0", retry_backoff >= 0),
+        )
+        if not in_range
+    ]
+    if out_of_range:
+        raise PipelineConfigError("; ".join(out_of_range))
     registry = registry or default_registry()
     scale = scale or ExperimentScale.quick()
     selected = list(names) if names is not None else registry.names()

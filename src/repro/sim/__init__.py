@@ -2,17 +2,11 @@
 
 from repro.sim.engine import SimulationError, Simulator
 from repro.sim.events import Event
-from repro.sim.flow import DEFAULT_MSS, Flow, reset_flow_ids
+from repro.sim.flow import DEFAULT_MSS, Flow
 from repro.sim.link import Link
 from repro.sim.network import Network, SchedulerFactory
 from repro.sim.node import Host, Node, Router
-from repro.sim.packet import (
-    HopRecord,
-    Packet,
-    PacketHeader,
-    PacketType,
-    reset_packet_ids,
-)
+from repro.sim.packet import HopRecord, Packet, PacketHeader, PacketType
 from repro.sim.port import OutputPort
 from repro.sim.routing import RoutingError, RoutingTable
 from repro.sim.simulation import Simulation, SimulationResult
@@ -26,10 +20,8 @@ __all__ = [
     "PacketHeader",
     "PacketType",
     "HopRecord",
-    "reset_packet_ids",
     "Flow",
     "DEFAULT_MSS",
-    "reset_flow_ids",
     "Link",
     "Node",
     "Router",

@@ -241,10 +241,9 @@ def get_backend(name: str) -> SimBackend:
     Raises:
         PipelineConfigError: if the name is unknown ("unknown backend ...",
             listing the registered names), or the backend is registered but
-            unavailable — missing dependency or unbuildable kernel — in which
-            case the message names the backend and carries the precise
-            reason (e.g. ``vectorized`` without numpy, ``compiled`` without
-            a C compiler).  Both exit 2 at the CLI.
+            unavailable, in which case the message names the backend and
+            carries the precise reason (e.g. ``compiled`` without a C
+            compiler).  Both exit 2 at the CLI.
     """
     instance = _INSTANCES.get(name)
     if instance is not None:

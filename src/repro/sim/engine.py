@@ -24,6 +24,7 @@ LSTF's per-packet cost in Section 5):
 
 from __future__ import annotations
 
+import itertools
 import math
 from heapq import heappop, heappush
 from typing import Any, Callable, List, Optional
@@ -48,6 +49,11 @@ class Simulator:
         now: Current simulation time in seconds.  A plain attribute (not a
             property) so hot paths read it without a descriptor call; treat
             it as read-only — only the engine advances it.
+        packet_ids: The ids of the packets born in this simulation, from 0:
+            whatever emits a packet takes ``next(sim.packet_ids)``.  A replay
+            allocates nothing — its packets carry their recorded ids.
+        flow_ids: Likewise for flows; a transport numbers its flow when it
+            starts it on this simulator.
     """
 
     #: Process-wide count of events executed across *all* Simulator
@@ -58,6 +64,8 @@ class Simulator:
 
     def __init__(self) -> None:
         self.now = 0.0
+        self.packet_ids = itertools.count()
+        self.flow_ids = itertools.count()
         self._heap: List[tuple] = []
         self._sequence = 0
         # Sequence numbers handed out by schedule_at_front(); they stay

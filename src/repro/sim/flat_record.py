@@ -48,7 +48,6 @@ from repro.schedulers.fifo import FifoScheduler
 from repro.schedulers.lifo import LifoScheduler
 from repro.schedulers.priority import SjfScheduler
 from repro.schedulers.random_sched import RandomScheduler
-from repro.sim import packet as packet_module
 from repro.sim.backend import REFERENCE_BACKEND, pinned_backend_name
 from repro.sim.engine import Simulator
 from repro.sim.node import Host
@@ -159,8 +158,7 @@ def record_into(simulation: "Simulation", cols: "ScheduleColumns") -> None:
     heap = sim._heap
     push, pop = heappush, heappop
     emit_packets = UdpSource._emit_packets
-    # reset_packet_ids() rebinds the module global, so look it up per recording.
-    packet_ids = packet_module._packet_counter
+    packet_ids = sim.packet_ids
 
     # Dense directed-port ids and per-port state.
     port_ids: dict = {}

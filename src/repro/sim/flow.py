@@ -2,18 +2,17 @@
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
-
-_flow_counter = itertools.count()
 
 
 def reset_flow_ids() -> None:
-    """Reset the global flow-id counter (used by tests for determinism)."""
-    global _flow_counter
-    _flow_counter = itertools.count()
+    """No-op shim: ids come from ``Simulator.flow_ids``; there is nothing to reset.
+
+    The frozen ``benchmarks/perf/run.py`` imports this name by path; ROADMAP
+    item 1 deletes it together with that import.
+    """
 
 
 #: Default maximum segment size in bytes (Ethernet MTU minus typical headers).
@@ -42,6 +41,8 @@ class Flow:
             (``None`` = no deadline).  Set by deadline-tagging workload
             perturbations; carried onto every packet of the flow so replay
             evaluation can report deadline-met fractions.
+        flow_id: ``None`` until a transport starts the flow on a simulator,
+            which numbers it from that simulator's ``flow_ids``.
     """
 
     src: str
@@ -51,7 +52,7 @@ class Flow:
     mss: int = DEFAULT_MSS
     weight: float = 1.0
     deadline: Optional[float] = None
-    flow_id: int = field(default_factory=lambda: next(_flow_counter))
+    flow_id: Optional[int] = None
 
     # --- progress bookkeeping maintained by the transport layer ---
     bytes_sent: float = 0.0

@@ -12,7 +12,6 @@ tracer needs (per-hop timing records).
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass, field
 from typing import Deque, List, Optional
 
@@ -100,13 +99,12 @@ class PacketHeader:
         )
 
 
-_packet_counter = itertools.count()
-
-
 def reset_packet_ids() -> None:
-    """Reset the global packet-id counter (used by tests for determinism)."""
-    global _packet_counter
-    _packet_counter = itertools.count()
+    """No-op shim: ids come from ``Simulator.packet_ids``; there is nothing to reset.
+
+    The frozen ``benchmarks/perf/run.py`` imports this name by path; ROADMAP
+    item 1 deletes it together with that import.
+    """
 
 
 @dataclass(eq=False, slots=True)
@@ -121,6 +119,9 @@ class Packet:
     per-packet memory footprint and attribute-access time.
 
     Attributes:
+        packet_id: Identity of the packet (keyword-only, required): the next
+            value of its simulator's ``packet_ids`` for a packet a transport
+            emits, the recorded id for a packet a replay injects.
         flow_id: Identifier of the flow the packet belongs to.
         src: Name of the source host.
         dst: Name of the destination host.
@@ -143,10 +144,7 @@ class Packet:
     ptype: PacketType = PacketType.DATA
     header: PacketHeader = field(default_factory=PacketHeader)
     route: Optional[List[str]] = None
-    packet_id: int = field(default_factory=lambda: next(_packet_counter))
-    #: When this packet is a replay copy of a packet from an original
-    #: schedule, the original packet's id (used to match the two runs).
-    replay_of: Optional[int] = None
+    packet_id: int = field(kw_only=True)
     #: Weight of the packet's flow for weighted fair queueing (1.0 = equal).
     flow_weight: float = 1.0
     #: Absolute completion deadline of the packet's flow (``None`` = none).

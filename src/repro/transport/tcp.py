@@ -85,6 +85,7 @@ class TcpReceiver:
             size_bytes=ACK_SIZE_BYTES,
             seq=self.next_expected,
             ptype=PacketType.ACK,
+            packet_id=next(self.sim.packet_ids),
         )
         ack.header.flow_size_bytes = self.flow.size_bytes
         self.network.host(self.flow.dst).send(ack)
@@ -126,10 +127,11 @@ class TcpSender:
     # Lifecycle
     # ------------------------------------------------------------------ #
     def start(self) -> None:
-        """Register the receiver and begin transmitting at ``flow.start_time``."""
+        """Number the flow, register the receiver, begin sending at ``flow.start_time``."""
         if self._started:
             raise RuntimeError(f"TCP sender for flow {self.flow.flow_id} already started")
         self._started = True
+        self.flow.flow_id = next(self.sim.flow_ids)
         receiver = TcpReceiver(self.sim, self.network, self.flow)
         self.receiver = receiver
         self.network.host(self.flow.dst).register_receiver(
@@ -190,6 +192,7 @@ class TcpSender:
             size_bytes=size,
             seq=seq,
             ptype=PacketType.DATA,
+            packet_id=next(self.sim.packet_ids),
         )
         packet.header.flow_size_bytes = self.flow.size_bytes
         packet.header.remaining_flow_bytes = remaining

@@ -59,10 +59,11 @@ class UdpSource:
         self._started = False
 
     def start(self) -> None:
-        """Schedule the flow's packets to be injected at ``flow.start_time``."""
+        """Number the flow and schedule its packets to be injected at ``flow.start_time``."""
         if self._started:
             raise RuntimeError(f"UDP source for flow {self.flow.flow_id} already started")
         self._started = True
+        self.flow.flow_id = next(self.sim.flow_ids)
         self.network.host(self.flow.dst).register_receiver(
             self.flow.flow_id, self.sink.on_packet
         )
@@ -73,6 +74,7 @@ class UdpSource:
         host = self.network.host(self.flow.src)
         sizes = self.flow.packet_sizes()
         remaining = self.flow.size_bytes
+        packet_ids = self.sim.packet_ids
         if self.flow.first_packet_time is None:
             self.flow.first_packet_time = self.sim.now
         for index, size in enumerate(sizes):
@@ -83,6 +85,7 @@ class UdpSource:
                 size_bytes=size,
                 seq=index,
                 ptype=PacketType.DATA,
+                packet_id=next(packet_ids),
             )
             packet.header.flow_size_bytes = self.flow.size_bytes
             packet.header.remaining_flow_bytes = remaining

@@ -19,7 +19,7 @@ from repro.sim.packet import Packet, PacketType
 
 
 def delivered_packet(flow_id=1, ingress=0.0, egress=1.0, size=1000, ptype=PacketType.DATA):
-    packet = Packet(flow_id=flow_id, src="a", dst="b", size_bytes=size, ptype=ptype)
+    packet = Packet(flow_id=flow_id, src="a", dst="b", size_bytes=size, ptype=ptype, packet_id=0)
     packet.ingress_time = ingress
     packet.egress_time = egress
     return packet

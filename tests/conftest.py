@@ -10,21 +10,12 @@ import pytest
 import repro.sim.compiled as compiled_mod
 from repro.core.schedule import HopTiming, PacketRecord
 from repro.schedulers import uniform_factory
-from repro.sim import Simulator, Tracer, reset_flow_ids, reset_packet_ids
+from repro.sim import Simulator, Tracer
 from repro.sim import backend as backend_mod
 from repro.sim.flow import Flow
-from repro.sim.packet import Packet
 from repro.topology import dumbbell_topology, linear_topology, single_switch_topology
 from repro.traffic import WorkloadSpec, paper_default_workload
 from repro.utils import RandomState, mbps
-
-
-@pytest.fixture(autouse=True)
-def _reset_global_counters():
-    """Keep packet and flow ids deterministic within each test."""
-    reset_packet_ids()
-    reset_flow_ids()
-    yield
 
 
 @pytest.fixture
@@ -131,20 +122,6 @@ def fifo_network(sim, dumbbell):
     tracer = Tracer()
     network = dumbbell.build(sim, uniform_factory("fifo"), tracer=tracer)
     return network
-
-
-def make_packet(
-    src: str = "src0",
-    dst: str = "dst0",
-    size_bytes: float = 1000.0,
-    flow_id: int = 1,
-    **header_fields,
-) -> Packet:
-    """Helper to build a packet with optional header fields pre-set."""
-    packet = Packet(flow_id=flow_id, src=src, dst=dst, size_bytes=size_bytes)
-    for name, value in header_fields.items():
-        setattr(packet.header, name, value)
-    return packet
 
 
 def make_flow(

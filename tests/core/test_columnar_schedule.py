@@ -17,8 +17,6 @@ from repro.diff import first_divergence
 from repro.experiments.config import ExperimentScale
 from repro.pipeline import ScheduleCache, default_registry
 from repro.pipeline.experiment import replay_scenario, scenario_cache_key
-from repro.sim.flow import reset_flow_ids
-from repro.sim.packet import reset_packet_ids
 
 #: sha256 of the *decompressed* quick seed-1 ``I2-1G-10G@70`` cache entry,
 #: captured on the commit before the encoder moved from records to columns.
@@ -32,8 +30,6 @@ def table1_cold(tmp_path_factory):
     cache = ScheduleCache(cache_dir)
     results = []
     for cell in default_registry().get("table1").cells(ExperimentScale.quick()):
-        reset_packet_ids()
-        reset_flow_ids()
         results.append((cell, replay_scenario(cell.spec, cell.mode, cache=cache)))
     assert cache.misses == len(results) == 14
     return cache_dir, results

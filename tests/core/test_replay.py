@@ -154,7 +154,7 @@ class TestReplayQuality:
             <= results["lstf"].overdue_fraction
         )
 
-    def test_replay_of_uncongested_schedule_is_perfect(self):
+    def test_replaying_an_uncongested_schedule_is_perfect(self):
         """With constant-size, widely spaced flows there is no queueing at all."""
         topo = dumbbell_topology(2, mbps(10), mbps(100))
         workload = WorkloadSpec(

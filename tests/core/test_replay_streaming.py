@@ -18,9 +18,7 @@ from repro.core.replay import (
 )
 from repro.core.schedule import PacketRecord, Schedule
 from repro.sim.engine import Simulator
-from repro.sim.flow import reset_flow_ids
 from repro.sim.network import Network
-from repro.sim.packet import reset_packet_ids
 from repro.sim.tracer import Tracer
 from repro.topology import dumbbell_topology
 from repro.traffic import WorkloadSpec, paper_default_workload
@@ -101,21 +99,17 @@ def test_empty_schedule_installs_nothing():
 
 
 def _replay_with(installer_name, original_schedule, topology, mode="lstf"):
-    reset_packet_ids()
-    reset_flow_ids()
     sim = Simulator()
     tracer = Tracer()
     network = topology.build(sim, replay_scheduler_factory(mode), tracer=tracer)
     injector = ReplayInjector(sim, network, original_schedule, replay_initializer(mode))
     getattr(injector, installer_name)()
     sim.run()
-    return Schedule.from_packets(tracer.delivered_data_packets(), use_replay_ids=True)
+    return Schedule.from_packets(tracer.delivered_data_packets())
 
 
 def test_full_replay_bit_identical_across_injectors():
     """End to end on a real network: streaming replay == upfront replay."""
-    reset_packet_ids()
-    reset_flow_ids()
     topology = dumbbell_topology(4, mbps(10), mbps(100))
     workload = WorkloadSpec(
         utilization=0.6,

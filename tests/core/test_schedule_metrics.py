@@ -36,7 +36,7 @@ def record(
 
 class TestPacketRecord:
     def test_from_packet_requires_delivery(self):
-        packet = Packet(flow_id=1, src="a", dst="b", size_bytes=100)
+        packet = Packet(flow_id=1, src="a", dst="b", size_bytes=100, packet_id=0)
         with pytest.raises(ValueError):
             PacketRecord.from_packet(packet)
 
@@ -94,10 +94,11 @@ class TestSchedule:
         assert schedule.max_congestion_points() == 2
 
     def test_from_packets_with_replay_ids(self):
-        packet = Packet(flow_id=1, src="a", dst="b", size_bytes=100, replay_of=99)
+        # A replay's packet *is* the recorded packet: it carries the recorded id.
+        packet = Packet(flow_id=1, src="a", dst="b", size_bytes=100, packet_id=99)
         packet.ingress_time = 0.0
         packet.egress_time = 1.0
-        schedule = Schedule.from_packets([packet], use_replay_ids=True)
+        schedule = Schedule.from_packets([packet])
         assert 99 in schedule
 
 

@@ -241,8 +241,6 @@ class TestCliDiffParity:
         same recording is bit-identical."""
         from repro.core.replay import replay_schedule
         from repro.sim.backend import get_backend
-        from repro.sim.flow import reset_flow_ids
-        from repro.sim.packet import reset_packet_ids
         from repro.topology.base import Topology
 
         try:
@@ -254,8 +252,6 @@ class TestCliDiffParity:
         for path in (single, manifest):
             schedule, meta = load_schedule(path)
             topology = Topology.from_dict(meta["topology"])
-            reset_packet_ids()
-            reset_flow_ids()
             result = replay_schedule(
                 topology, schedule, mode="lstf", backend=backend
             )

@@ -66,7 +66,7 @@ def make_record(network, ingress=0.0, output=0.05, size=1000.0, deadline=None, f
 
 
 def make_packet():
-    return Packet(flow_id=1, src="src0", dst="dst0", size_bytes=1000)
+    return Packet(flow_id=1, src="src0", dst="dst0", size_bytes=1000, packet_id=1)
 
 
 # --------------------------------------------------------------------- #
@@ -461,16 +461,12 @@ class TestLiveModeScenarios:
         recordings inject the identical packet set at identical times
         (what makes live and replay columns comparable)."""
         from repro.pipeline.experiment import record_scenario_schedule
-        from repro.sim.flow import reset_flow_ids
-        from repro.sim.packet import reset_packet_ids
 
         plain = self._scenario(original="lstf")
         live = self._scenario(
             original="lstf", slack_policy="zero", slack_mode="live"
         )
-        reset_packet_ids(); reset_flow_ids()
         schedule_plain = record_scenario_schedule(plain)
-        reset_packet_ids(); reset_flow_ids()
         schedule_live = record_scenario_schedule(live)
         assert len(schedule_plain) == len(schedule_live)
         ingress = lambda s: [r.ingress_time for r in s.records()]

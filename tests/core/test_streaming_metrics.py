@@ -57,16 +57,12 @@ def replay_results(tmp_path_factory):
     """Replay one scenario per group once; every test reuses the schedules."""
     from repro.pipeline.cache import ScheduleCache
     from repro.pipeline.experiment import replay_scenario
-    from repro.sim.flow import reset_flow_ids
-    from repro.sim.packet import reset_packet_ids
 
     cache = ScheduleCache(tmp_path_factory.mktemp("streq-cache"))
-    results = {}
-    for label, scenario, mode in _replay_cases():
-        reset_packet_ids()
-        reset_flow_ids()
-        results[label] = replay_scenario(scenario, mode=mode, cache=cache)
-    return results
+    return {
+        label: replay_scenario(scenario, mode=mode, cache=cache)
+        for label, scenario, mode in _replay_cases()
+    }
 
 
 @pytest.fixture(scope="module")
@@ -75,13 +71,9 @@ def heuristics_schedule():
     from repro.experiments.config import ExperimentScale
     from repro.experiments.heuristics import SCHEME_BY_LABEL, heuristic_scenario
     from repro.pipeline.experiment import record_scenario_schedule
-    from repro.sim.flow import reset_flow_ids
-    from repro.sim.packet import reset_packet_ids
 
     scale = ExperimentScale.smoke()
     scenario = heuristic_scenario(scale, "deadline-tagged", SCHEME_BY_LABEL["srpt"])
-    reset_packet_ids()
-    reset_flow_ids()
     return record_scenario_schedule(scenario)
 
 

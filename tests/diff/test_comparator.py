@@ -191,12 +191,8 @@ class TestRealScheduleDivergence:
     def test_perturbed_recording_diverges_at_the_perturbed_packet(self):
         # End-to-end acceptance pin: record a real smoke scenario, nudge one
         # hop timing, and the comparator must halt exactly there.
-        from repro.sim import reset_flow_ids, reset_packet_ids
-
         scenario = Scenario(name="diff-accept", scale=SMOKE, utilization=0.5)
         a = record_scenario_schedule(scenario)
-        reset_packet_ids()
-        reset_flow_ids()
         b = record_scenario_schedule(scenario)
         assert first_divergence(a, b) is None  # recording is deterministic
         records = b.records()  # views: edits never reach `b`

@@ -56,15 +56,8 @@ def golden_scenarios() -> List:
 def compute_rows() -> List[dict]:
     """Run every golden scenario and return its row, in scenario order."""
     from repro.experiments.table1 import run_scenario
-    from repro.sim.flow import reset_flow_ids
-    from repro.sim.packet import reset_packet_ids
 
-    rows = []
-    for scenario in golden_scenarios():
-        reset_packet_ids()
-        reset_flow_ids()
-        rows.append(run_scenario(scenario))
-    return rows
+    return [run_scenario(scenario) for scenario in golden_scenarios()]
 
 
 def _canonical(rows: List[dict]) -> List[dict]:

@@ -19,7 +19,7 @@ from repro.pipeline import (
     schedule_cache_key,
 )
 from repro.pipeline.experiment import ScenarioExperimentDef, ScenarioRegistry
-from repro.pipeline.scenario import expand_replicates, stable_seed
+from repro.pipeline.scenario import PipelineConfigError, expand_replicates, stable_seed
 
 SMOKE = ExperimentScale.smoke()
 #: A cheap experiment subset that still exercises record/replay, schedule
@@ -342,6 +342,33 @@ class TestCli:
         )
         assert code == 2
         assert "unknown experiment" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "option, value, flag, complaint",
+        [
+            ("shard_packets", 0, "--shard-packets", "shard_packets must be >= 1, got 0"),
+            ("cell_timeout", -1.0, "--cell-timeout", "cell_timeout must be > 0, got -1.0"),
+            # setitimer(0) disarms: zero used to mean "no deadline", silently.
+            ("cell_timeout", 0.0, "--cell-timeout", "cell_timeout must be > 0, got 0.0"),
+            ("max_retries", -1, "--max-retries", "max_retries must be >= 0, got -1"),
+            ("retry_backoff", -0.5, None, "retry_backoff must be >= 0, got -0.5"),
+        ],
+        ids=["shard-packets=0", "cell-timeout=-1", "cell-timeout=0", "max-retries=-1", "backoff=-0.5"],
+    )
+    def test_run_rejects_out_of_range_options(
+        self, tmp_path, capsys, option, value, flag, complaint
+    ):
+        """One check, in ``run_pipeline``: the API raises it, the CLI prints it and exits 2."""
+        with pytest.raises(PipelineConfigError) as raised:
+            run_pipeline(["table1-priority"], scale=SMOKE, **{option: value})
+        assert str(raised.value) == complaint
+        if flag is None:  # no such CLI flag
+            return
+        argv = ["run", "table1-priority", "--scale", "smoke", "--cache-dir", str(tmp_path / "c")]
+        assert cli_main(argv + [flag, str(value)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {complaint}\n"
+        assert captured.out == ""  # nothing ran
 
     def test_record_then_replay(self, tmp_path, capsys):
         out_file = str(tmp_path / "sched.jsonl.gz")

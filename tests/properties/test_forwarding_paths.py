@@ -70,7 +70,7 @@ def test_table_routed_path_equals_the_routing_tables_path(case):
     network = topo.build(sim, uniform_factory("fifo"), tracer=tracer)
     packets = []
     for index, (src, dst) in enumerate(sends):
-        packet = Packet(flow_id=index, src=src, dst=dst, size_bytes=1000)
+        packet = Packet(flow_id=index, src=src, dst=dst, size_bytes=1000, packet_id=index)
         packets.append(packet)
         sim.schedule_at(index * 0.0001, network.host(src).send, packet)
     sim.run()

@@ -1,5 +1,6 @@
 """Property-based tests (hypothesis) for core data structures and invariants."""
 
+import itertools
 import math
 
 import pytest
@@ -26,9 +27,12 @@ packet_sizes = st.floats(min_value=40.0, max_value=9000.0)
 slacks = st.floats(min_value=0.0, max_value=10.0)
 times = st.floats(min_value=0.0, max_value=100.0)
 
+#: Hand-built packets only need distinct ids (schedulers key their queues on them).
+_ids = itertools.count()
+
 
 def make_packet(size=1000.0, slack=None, priority=None, remaining=None, flow_id=1):
-    packet = Packet(flow_id=flow_id, src="a", dst="b", size_bytes=size)
+    packet = Packet(flow_id=flow_id, src="a", dst="b", size_bytes=size, packet_id=next(_ids))
     packet.header.slack = slack
     packet.header.priority = priority
     packet.header.remaining_flow_bytes = remaining

@@ -1,5 +1,7 @@
 """Unit tests for FIFO, LIFO, Random, and static-priority scheduling order."""
 
+import itertools
+
 import pytest
 
 from repro.schedulers.fifo import FifoScheduler
@@ -9,9 +11,12 @@ from repro.schedulers.random_sched import RandomScheduler
 from repro.sim.packet import Packet
 from repro.utils.rng import RandomState
 
+#: Hand-built packets only need distinct ids (schedulers key their queues on them).
+_ids = itertools.count()
+
 
 def packet(size=1000, priority=None, flow_size=None, flow_id=1):
-    pkt = Packet(flow_id=flow_id, src="a", dst="b", size_bytes=size)
+    pkt = Packet(flow_id=flow_id, src="a", dst="b", size_bytes=size, packet_id=next(_ids))
     pkt.header.priority = priority
     pkt.header.flow_size_bytes = flow_size
     return pkt
@@ -90,15 +95,10 @@ class TestRandom:
             packets = [packet() for _ in range(10)]
             for pkt in packets:
                 scheduler.enqueue(pkt, 0.0)
-            return [p.packet_id for p in drain(scheduler)]
+            return [packets.index(pkt) for pkt in drain(scheduler)]
 
-        from repro.sim.packet import reset_packet_ids
-
-        reset_packet_ids()
         first = order(5)
-        reset_packet_ids()
         second = order(5)
-        reset_packet_ids()
         different = order(6)
         assert first == second
         assert first != different

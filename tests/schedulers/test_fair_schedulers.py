@@ -1,5 +1,7 @@
 """Unit tests for fair queueing (SCFQ), DRR, and the flow-aware SRPT/SJF schedulers."""
 
+import itertools
+
 import pytest
 
 from repro.schedulers.drr import DrrScheduler
@@ -7,9 +9,12 @@ from repro.schedulers.fq import FairQueueingScheduler
 from repro.schedulers.srpt import SjfStarvationFreeScheduler, SrptScheduler
 from repro.sim.packet import Packet
 
+#: Hand-built packets only need distinct ids (schedulers key their queues on them).
+_ids = itertools.count()
+
 
 def packet(flow_id, size=1000, remaining=None, flow_size=None):
-    pkt = Packet(flow_id=flow_id, src="a", dst="b", size_bytes=size)
+    pkt = Packet(flow_id=flow_id, src="a", dst="b", size_bytes=size, packet_id=next(_ids))
     pkt.header.remaining_flow_bytes = remaining
     pkt.header.flow_size_bytes = flow_size
     return pkt

@@ -1,5 +1,6 @@
 """Unit tests for LSTF, preemptive LSTF, FIFO+, EDF, and the omniscient scheduler."""
 
+import itertools
 from collections import deque
 
 import pytest
@@ -14,9 +15,12 @@ from repro.sim.packet import Packet
 from repro.topology import Topology, linear_topology, single_switch_topology
 from repro.utils import mbps, transmission_delay
 
+#: Hand-built packets only need distinct ids (schedulers key their queues on them).
+_ids = itertools.count()
+
 
 def packet(slack=None, size=1000, wait=0.0, deadline=None, flow_id=1):
-    pkt = Packet(flow_id=flow_id, src="a", dst="b", size_bytes=size)
+    pkt = Packet(flow_id=flow_id, src="a", dst="b", size_bytes=size, packet_id=next(_ids))
     pkt.header.slack = slack
     pkt.header.accumulated_wait = wait
     pkt.header.deadline = deadline
@@ -127,9 +131,9 @@ class TestPreemptiveLstf:
         sim = Simulator()
         tracer = Tracer()
         network = topo.build(sim, uniform_factory("lstf-preemptive"), tracer=tracer)
-        big = Packet(flow_id=1, src="a", dst="b", size_bytes=100000)
+        big = Packet(flow_id=1, src="a", dst="b", size_bytes=100000, packet_id=0)
         big.header.slack = 10.0
-        small = Packet(flow_id=2, src="a", dst="b", size_bytes=1000)
+        small = Packet(flow_id=2, src="a", dst="b", size_bytes=1000, packet_id=1)
         small.header.slack = 0.0
         sim.schedule_at(0.0, network.host("a").send, big)
         sim.schedule_at(0.01, network.host("a").send, small)
@@ -218,10 +222,10 @@ class TestEdfScheduler:
         network = topo.build(sim, uniform_factory("edf"))
         scheduler = network.nodes["r0"].port_to("r1").scheduler
         near = Packet(flow_id=1, src="dst0", dst="src0", size_bytes=1000,
-                      route=["r0", "src0"])
+                      route=["r0", "src0"], packet_id=0)
         near.header.deadline = 1.0
         far = Packet(flow_id=2, src="src0", dst="dst0", size_bytes=1000,
-                     route=["r0", "r1", "r2", "dst0"])
+                     route=["r0", "r1", "r2", "dst0"], packet_id=1)
         far.header.deadline = 1.0
         key_near = scheduler.key(near, 0.0, 0.0)
         key_far = scheduler.key(far, 0.0, 0.0)

@@ -1,15 +1,19 @@
 """PriorityScheduler queued-id index: O(1) removal semantics and byte-count
 exactness (the float-drift guard)."""
 
+import itertools
 import random
 
 from repro.schedulers.lstf import LstfScheduler
 from repro.schedulers.priority import StaticPriorityScheduler
 from repro.sim.packet import Packet
 
+#: Hand-built packets only need distinct ids (schedulers key their queues on them).
+_ids = itertools.count()
+
 
 def packet(size=1000.0, priority=1.0):
-    pkt = Packet(flow_id=1, src="a", dst="b", size_bytes=size)
+    pkt = Packet(flow_id=1, src="a", dst="b", size_bytes=size, packet_id=next(_ids))
     pkt.header.priority = priority
     return pkt
 

@@ -11,7 +11,7 @@ cancel-then-peek lazy-discard semantics every backend's simulator must obey.
 """
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core.replay import (
@@ -24,7 +24,8 @@ from repro.core.replay_vectorized import VectorizedBackend
 from repro.core.schedule import HopTiming, PacketRecord, Schedule
 from repro.pipeline.scenario import PipelineConfigError
 from repro.sim.backend import backend_names, get_backend, resolve_backend
-from repro.sim.compiled import kernel_available, unavailable_reason
+from repro.sim.compiled import kernel_available, kernel_run_flat_replay, unavailable_reason
+from repro.sim.vectorized import run_flat_replay
 from repro.topology import dumbbell_topology
 from repro.topology.base import LinkSpec, NodeSpec, Topology
 from repro.traffic import WorkloadSpec, paper_default_workload
@@ -235,6 +236,41 @@ class TestPropertyEquivalence:
             fixture_topology, schedule, mode=mode, backend=backend
         )
         assert rows(candidate) == rows(reference)
+
+    @pytest.mark.skipif(not kernel_available(), reason=unavailable_reason() or "")
+    @pytest.mark.parametrize("mode", VECTORIZED_MODES)
+    @settings(
+        max_examples=15,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_kernels_in_lock_step(self, fixture_topology, recorded_schedule, mode, data):
+        """``sim/vectorized.py`` is the C kernel's executable spec: stopped after
+        any number of events, both have written exactly the same state."""
+        paths = sorted({tuple(r.path) for r in recorded_schedule.records()})
+        schedule = Schedule(data.draw(record_sets(paths)))
+        assume(len(schedule))  # an empty replay never reaches a kernel
+        captured = []
+
+        def copied(args):
+            # LSTF's slack column is the kernels' one in-place output: every run gets its own.
+            return [list(a) if isinstance(a, list) else a for a in args]
+
+        class Capturing(VectorizedBackend):
+            def _kernel(self, *args, **kwargs):
+                captured.append(copied(args))
+                return super()._kernel(*args, **kwargs)
+
+        Capturing().replay(fixture_topology, schedule, mode=mode)
+        (inputs,) = captured
+
+        def run(kernel, budget):
+            return kernel(*copied(inputs), max_events=budget)
+
+        drained = run(run_flat_replay, None)[-1]
+        for budget in range(drained + 1):
+            assert run(kernel_run_flat_replay(), budget) == run(run_flat_replay, budget), budget
 
 
 # --------------------------------------------------------------------- #

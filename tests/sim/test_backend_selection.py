@@ -11,7 +11,6 @@ import dataclasses
 
 import pytest
 
-import repro.core.replay_vectorized as vectorized_mod
 from repro.core.replay import PythonBackend, ReplayExperiment, replay_schedule
 from repro.core.replay_vectorized import VectorizedBackend
 from repro.core.slack import ZeroSlackInitializer
@@ -226,21 +225,6 @@ class TestCandidateList:
         register_backend("third-party", _NeverDeclines)
         replay_candidates()
         assert len(probes) == 6  # the registration invalidated the memo
-
-    def test_numpy_less_install_degrades_to_the_reference(
-        self, monkeypatch, topology, schedule, used
-    ):
-        monkeypatch.setattr(vectorized_mod, "_np", None)
-        monkeypatch.setattr(backend_mod, "_INSTANCES", {})
-        backend_mod._builtin_candidates.cache_clear()
-        try:
-            assert [backend.name for backend in replay_candidates()] == ["python"]
-            replay_schedule(topology, schedule)
-            assert used == ["python"]
-            default = [entry["name"] for entry in describe_backends() if entry["default"]]
-            assert default == ["python"]
-        finally:
-            backend_mod._builtin_candidates.cache_clear()
 
     def test_listing_marks_exactly_the_fastest_available_builtin(self):
         default = [entry["name"] for entry in describe_backends() if entry["default"]]

@@ -1,8 +1,8 @@
 """The flat recording loop against its oracle: the OO engine under the ``python`` pin.
 
-Every comparison is exact — columns with ``==``, saved bytes after gunzip,
-executed-event counts, and the id counters' next values — because the flat
-loop either reproduces the OO recording or declines.
+Every comparison is exact — columns with ``==``, saved bytes after gunzip
+(ids included) and executed-event counts — because the flat loop either
+reproduces the OO recording or declines.
 """
 
 import dataclasses
@@ -24,9 +24,7 @@ from repro.faults import FAULTS, FaultPlan
 from repro.pipeline.experiment import record_scenario_schedule
 from repro.schedulers import uniform_factory
 from repro.schedulers.random_sched import RandomScheduler
-from repro.sim import Simulator, flat_record, reset_flow_ids, reset_packet_ids
-from repro.sim import flow as flow_module
-from repro.sim import packet as packet_module
+from repro.sim import Simulator, flat_record
 from repro.sim.backend import BACKEND_ENV_VAR
 from repro.topology import Topology, linear_topology
 from repro.traffic import ConstantSize, WorkloadSpec, paper_default_workload
@@ -53,15 +51,11 @@ class Leg:
     columns: object
     saved: bytes
     events: int
-    next_packet_id: int
-    next_flow_id: int
     log: list = dataclasses.field(compare=False)
 
 
 def record_leg(record, pin, tmp_path) -> Leg:
-    """``record()`` from fresh id counters on the chosen engine."""
-    reset_packet_ids()
-    reset_flow_ids()
+    """``record()`` on the chosen engine."""
     before = Simulator.events_executed_total
     with recording_engine(pin) as log:
         schedule = record()
@@ -72,8 +66,6 @@ def record_leg(record, pin, tmp_path) -> Leg:
         schedule.columns(),
         gzip.decompress(path.read_bytes()),
         events,
-        next(packet_module._packet_counter),
-        next(flow_module._flow_counter),
         log,
     )
 
@@ -264,8 +256,6 @@ def test_a_decline_after_the_build_does_not_build_again(tmp_path):
     assert declined == reference
     # The streams matter here: another deployment seed records another schedule.
     other = uniform_factory(RandomScheduler, rng=RandomState(100))
-    reset_packet_ids()
-    reset_flow_ids()
     assert record_schedule(topology, other, line_workload(), seed=4).columns() != declined.columns
 
 

@@ -95,6 +95,7 @@ class TestNetworkTmin:
             dst="dst0",
             size_bytes=1000,
             route=["src0", "r0", "r1", "r2", "dst0"],
+            packet_id=0,
         )
         remaining = network.tmin_remaining(packet, "r1")
         expected = network.tmin_along(1000, ["r1", "r2", "dst0"])
@@ -118,7 +119,9 @@ class TestForwardingTable:
         return sim, network
 
     def _deliver(self, sim, network, **fields):
-        packet = Packet(flow_id=1, src="a", dst="c", size_bytes=1000, **fields)
+        packet = Packet(
+            flow_id=1, src="a", dst="c", size_bytes=1000, packet_id=next(sim.packet_ids), **fields
+        )
         network.host("a").send(packet)
         sim.run()
         return packet
@@ -150,18 +153,20 @@ class TestForwardingTable:
     def test_unroutable_destination_raises_routing_error(self):
         sim, network = self._line()
         network.add_host("island")
-        stray = Packet(flow_id=1, src="a", dst="island", size_bytes=1000)
+        stray = Packet(flow_id=1, src="a", dst="island", size_bytes=1000, packet_id=0)
         with pytest.raises(RoutingError, match="no route from a to island"):
             network.host("a").send(stray)
         # A router asked to forward to itself has no next hop either.
         with pytest.raises(RoutingError, match="already the destination"):
-            network.nodes["r1"].receive(Packet(flow_id=1, src="a", dst="r1", size_bytes=1000))
+            network.nodes["r1"].receive(
+                Packet(flow_id=1, src="a", dst="r1", size_bytes=1000, packet_id=1)
+            )
         assert "island" not in network.nodes["a"].forwarding
 
     def test_missing_port_raises_the_same_key_error(self):
         sim, network = self._line()
         del network.nodes["r1"].ports["r2"]
-        network.host("a").send(Packet(flow_id=1, src="a", dst="c", size_bytes=1000))
+        network.host("a").send(Packet(flow_id=1, src="a", dst="c", size_bytes=1000, packet_id=0))
         with pytest.raises(KeyError, match="r1 has no port towards r2"):
             sim.run()
         assert "c" not in network.nodes["r1"].forwarding
@@ -177,14 +182,25 @@ class TestForwardingTable:
 
     def test_source_routed_packet_off_its_route_fails_loudly(self):
         sim, network = self._line()
-        off_route = Packet(flow_id=1, src="a", dst="c", size_bytes=1000, route=["a", "r1", "c"])
+        off_route = Packet(
+            flow_id=1, src="a", dst="c", size_bytes=1000, route=["a", "r1", "c"], packet_id=0
+        )
         with pytest.raises(RuntimeError, match="does not contain node r2"):
             network.nodes["r2"].receive(off_route)
-        truncated = Packet(flow_id=1, src="a", dst="c", size_bytes=1000, route=["a", "r1"])
+        truncated = Packet(
+            flow_id=1, src="a", dst="c", size_bytes=1000, route=["a", "r1"], packet_id=1
+        )
         with pytest.raises(RuntimeError, match="reached the end of its source route at r1"):
             network.nodes["r1"].receive(truncated)
         # An out-of-step cursor falls back to the scan and recovers.
-        midway = Packet(flow_id=1, src="a", dst="c", size_bytes=1000, route=["a", "r1", "r2", "r3", "c"])
+        midway = Packet(
+            flow_id=1,
+            src="a",
+            dst="c",
+            size_bytes=1000,
+            route=["a", "r1", "r2", "r3", "c"],
+            packet_id=2,
+        )
         network.nodes["r2"].receive(midway)
         sim.run()
         assert midway.path_taken == ["r2", "r3"] and midway.egress_time is not None

@@ -19,6 +19,11 @@ def build(topo, scheduler="fifo", buffer_bytes=None):
     return sim, tracer, network
 
 
+def packet_on(sim, **fields):
+    """A hand-built packet, numbered by the simulator it is about to be sent on."""
+    return Packet(packet_id=next(sim.packet_ids), **fields)
+
+
 class TestNetworkConstruction:
     def test_duplicate_node_rejected(self):
         topo = Topology("t")
@@ -60,7 +65,7 @@ class TestStoreAndForwardTiming:
     def test_single_packet_latency_equals_tmin(self):
         topo = linear_topology(num_routers=2, bandwidth_bps=mbps(10))
         sim, tracer, network = build(topo)
-        packet = Packet(flow_id=1, src="src0", dst="dst0", size_bytes=1000)
+        packet = packet_on(sim, flow_id=1, src="src0", dst="dst0", size_bytes=1000)
         sim.schedule_at(0.0, network.host("src0").send, packet)
         sim.run()
         assert packet.egress_time == pytest.approx(network.tmin(1000, "src0", "dst0"))
@@ -70,7 +75,7 @@ class TestStoreAndForwardTiming:
         topo = linear_topology(num_routers=2, bandwidth_bps=mbps(10))
         sim, tracer, network = build(topo)
         packets = [
-            Packet(flow_id=1, src="src0", dst="dst0", size_bytes=1000) for _ in range(3)
+            packet_on(sim, flow_id=1, src="src0", dst="dst0", size_bytes=1000) for _ in range(3)
         ]
         for packet in packets:
             sim.schedule_at(0.0, network.host("src0").send, packet)
@@ -88,7 +93,7 @@ class TestStoreAndForwardTiming:
         topo.add_host("b")
         topo.add_link("a", "b", mbps(10), propagation_delay=0.005)
         sim, _, network = build(topo)
-        packet = Packet(flow_id=1, src="a", dst="b", size_bytes=1000)
+        packet = packet_on(sim, flow_id=1, src="a", dst="b", size_bytes=1000)
         sim.schedule_at(0.0, network.host("a").send, packet)
         sim.run()
         assert packet.egress_time == pytest.approx(
@@ -98,7 +103,7 @@ class TestStoreAndForwardTiming:
     def test_hop_records_cover_path(self):
         topo = linear_topology(num_routers=3, bandwidth_bps=mbps(10))
         sim, _, network = build(topo)
-        packet = Packet(flow_id=1, src="src0", dst="dst0", size_bytes=500)
+        packet = packet_on(sim, flow_id=1, src="src0", dst="dst0", size_bytes=500)
         sim.schedule_at(0.0, network.host("src0").send, packet)
         sim.run()
         assert packet.path_taken == ["src0", "r0", "r1", "r2"]
@@ -112,7 +117,7 @@ class TestTracer:
         topo = single_switch_topology(num_hosts=3, bandwidth_bps=mbps(10))
         sim, tracer, network = build(topo)
         for i in range(4):
-            packet = Packet(flow_id=i, src="h0", dst="h1", size_bytes=500)
+            packet = packet_on(sim, flow_id=i, src="h0", dst="h1", size_bytes=500)
             sim.schedule_at(0.0, network.host("h0").send, packet)
         sim.run()
         assert len(tracer.sent) == 4
@@ -127,7 +132,7 @@ class TestFiniteBuffersAndDrops:
         # Buffer that holds only two 1000-byte packets at the switch/host ports.
         sim, tracer, network = build(topo, scheduler="fifo", buffer_bytes=2000)
         packets = [
-            Packet(flow_id=1, src="h0", dst="h1", size_bytes=1000) for _ in range(6)
+            packet_on(sim, flow_id=1, src="h0", dst="h1", size_bytes=1000) for _ in range(6)
         ]
         for packet in packets:
             sim.schedule_at(0.0, network.host("h0").send, packet)
@@ -146,7 +151,7 @@ class TestFiniteBuffersAndDrops:
         # though it arrived before the later low-slack packets.
         size = 1000
         def make(slack):
-            packet = Packet(flow_id=1, src="h0", dst="h1", size_bytes=size)
+            packet = packet_on(sim, flow_id=1, src="h0", dst="h1", size_bytes=size)
             packet.header.slack = slack
             return packet
 
@@ -164,7 +169,7 @@ class TestFiniteBuffersAndDrops:
         topo = single_switch_topology(num_hosts=2, bandwidth_bps=mbps(1))
         sim, tracer, network = build(topo, scheduler="fifo", buffer_bytes=None)
         for _ in range(50):
-            packet = Packet(flow_id=1, src="h0", dst="h1", size_bytes=1000)
+            packet = packet_on(sim, flow_id=1, src="h0", dst="h1", size_bytes=1000)
             sim.schedule_at(0.0, network.host("h0").send, packet)
         sim.run()
         assert not tracer.dropped
@@ -185,7 +190,8 @@ class TestSourceRouting:
         topo.add_link("r1", "r3", mbps(10))
         topo.add_link("r3", "r2", mbps(10))
         sim, _, network = build(topo)
-        packet = Packet(
+        packet = packet_on(
+            sim,
             flow_id=1,
             src="a",
             dst="b",
@@ -199,7 +205,8 @@ class TestSourceRouting:
     def test_misrouted_packet_raises(self):
         topo = single_switch_topology(num_hosts=3, bandwidth_bps=mbps(10))
         sim, _, network = build(topo)
-        packet = Packet(
+        packet = packet_on(
+            sim,
             flow_id=1, src="h0", dst="h1", size_bytes=500, route=["h0", "switch", "h2"]
         )
         sim.schedule_at(0.0, network.host("h0").send, packet)

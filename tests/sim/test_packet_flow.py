@@ -2,18 +2,22 @@
 
 import pytest
 
+from repro.schedulers import uniform_factory
+from repro.sim import Simulator
 from repro.sim.flow import Flow
 from repro.sim.packet import HopRecord, Packet, PacketHeader, PacketType
+from repro.topology import single_switch_topology
+from repro.transport import start_udp_flow
+from repro.utils import mbps
 
 
 class TestPacket:
-    def test_packet_ids_are_unique_and_increasing(self):
-        first = Packet(flow_id=1, src="a", dst="b", size_bytes=100)
-        second = Packet(flow_id=1, src="a", dst="b", size_bytes=100)
-        assert second.packet_id > first.packet_id
+    def test_a_packet_cannot_be_built_without_an_id(self):
+        with pytest.raises(TypeError, match="packet_id"):
+            Packet(flow_id=1, src="a", dst="b", size_bytes=100)
 
     def test_hop_records_accumulate_queueing_delay(self):
-        packet = Packet(flow_id=1, src="a", dst="b", size_bytes=100)
+        packet = Packet(flow_id=1, src="a", dst="b", size_bytes=100, packet_id=0)
         hop = packet.record_arrival("r1", 1.0)
         hop.start_service_time = 1.5
         hop.departure_time = 1.6
@@ -23,15 +27,15 @@ class TestPacket:
         assert packet.path_taken == ["r1", "r2"]
 
     def test_end_to_end_delay_requires_both_timestamps(self):
-        packet = Packet(flow_id=1, src="a", dst="b", size_bytes=100)
+        packet = Packet(flow_id=1, src="a", dst="b", size_bytes=100, packet_id=0)
         assert packet.end_to_end_delay is None
         packet.ingress_time = 1.0
         packet.egress_time = 3.5
         assert packet.end_to_end_delay == pytest.approx(2.5)
 
     def test_ack_flag(self):
-        data = Packet(flow_id=1, src="a", dst="b", size_bytes=100)
-        ack = Packet(flow_id=1, src="b", dst="a", size_bytes=40, ptype=PacketType.ACK)
+        data = Packet(flow_id=1, src="a", dst="b", size_bytes=100, packet_id=0)
+        ack = Packet(flow_id=1, src="b", dst="a", size_bytes=40, ptype=PacketType.ACK, packet_id=1)
         assert not data.is_ack
         assert ack.is_ack
 
@@ -77,5 +81,10 @@ class TestFlow:
         assert flow.fct == pytest.approx(2.0)
 
     def test_flow_ids_are_unique(self):
-        flows = [Flow(src="a", dst="b", size_bytes=1, start_time=0) for _ in range(5)]
+        flows = [Flow(src="h0", dst="h1", size_bytes=1, start_time=0) for _ in range(5)]
+        assert {flow.flow_id for flow in flows} == {None}  # not on any simulator yet
+        sim = Simulator()
+        network = single_switch_topology(2, mbps(10)).build(sim, uniform_factory("fifo"))
+        for flow in flows:
+            start_udp_flow(sim, network, flow)
         assert len({flow.flow_id for flow in flows}) == 5
