@@ -49,6 +49,7 @@ See ``docs/diff.md`` for the comparator contract and the fuzz workflow.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import sys
 from typing import List, Optional
@@ -160,12 +161,12 @@ def _scale(name: str):
     return presets[name]()
 
 
-def _add_scale_argument(parser) -> None:
+def _add_scale_argument(parser, default: str = "quick") -> None:
     parser.add_argument(
         "--scale",
         choices=("quick", "smoke", "paper"),
-        default="quick",
-        help="scale preset (default: quick; paper takes hours)",
+        default=default,
+        help=f"scale preset (default: {default}; paper takes hours)",
     )
 
 
@@ -179,6 +180,45 @@ def _add_backend_argument(parser) -> None:
         "all bit-identical rows; see `list --backends`. Default: "
         "$REPRO_BACKEND, else the fastest available engine that supports "
         "each replay's configuration. See docs/backends.md",
+    )
+
+
+def _add_replay_arguments(parser) -> None:
+    """What configures a replay, for ``replay`` and ``diff --replay`` alike."""
+    parser.add_argument(
+        "--mode",
+        default="lstf",
+        help="replay mode: lstf, lstf-preemptive, edf, priority, omniscient, "
+        "fifo (default: lstf)",
+    )
+    parser.add_argument(
+        "--slack-policy",
+        default=None,
+        help="stamp headers with a registry slack policy instead of the "
+        "mode's recorded-schedule initializer (see `list --slack-policies`)",
+    )
+    parser.add_argument(
+        "--fault",
+        default=None,
+        help="inject a registry fault schedule into the replay network — "
+        "both legs of `diff --replay` (see `list --faults`)",
+    )
+    parser.add_argument(
+        "--fault-seed",
+        type=int,
+        default=0,
+        help="seed for the --fault schedule's randomness (default: 0)",
+    )
+    _add_backend_argument(parser)
+    parser.add_argument("--json", action="store_true", help="emit JSON")
+
+
+def _add_context_argument(parser) -> None:
+    parser.add_argument(
+        "--context",
+        type=int,
+        default=8,
+        help="packets of per-port ordering context around a divergence (default: 8)",
     )
 
 
@@ -263,157 +303,16 @@ def cmd_run(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------- #
 # list
 # ---------------------------------------------------------------------- #
-def _workload_entries() -> List[dict]:
-    from repro.traffic.registry import WORKLOADS
+def _registry(path: str):
+    """``module:NAME``, imported on use (``--help`` and ``run`` never pay for it)."""
+    module, _, name = path.partition(":")
+    return getattr(importlib.import_module(module), name)
 
+
+def _experiment_entries(scale_name: str) -> List[dict]:
     entries = []
-    for definition in WORKLOADS:
-        entries.append(
-            {
-                "name": definition.name,
-                "group": definition.group,
-                "distribution": definition.distribution.kind,
-                "mean_flow_kb": definition.mean_flow_size() / 1e3,
-                "perturbations": definition.describe_perturbations(),
-                "description": definition.description,
-            }
-        )
-    return entries
-
-
-def _slack_policy_entries() -> List[dict]:
-    from repro.core.slack_policy import SLACK_POLICIES
-
-    entries = []
-    for definition in SLACK_POLICIES:
-        entries.append(
-            {
-                "name": definition.name,
-                "kind": definition.kind,
-                "modes": definition.capability(),
-                "params": definition.describe_params(),
-                "description": definition.description,
-            }
-        )
-    return entries
-
-
-def _backend_entries() -> List[dict]:
-    from repro.sim.backend import describe_backends
-
-    return describe_backends()
-
-
-def _fault_entries() -> List[dict]:
-    from repro.faults import FAULTS
-
-    entries = []
-    for definition in FAULTS:
-        entries.append(
-            {
-                "name": definition.name,
-                "faults": len(definition.faults),
-                "kinds": ", ".join(
-                    sorted({fault.kind for fault in definition.faults})
-                ) or "-",
-                "description": definition.description,
-            }
-        )
-    return entries
-
-
-def cmd_list(args: argparse.Namespace) -> int:
-    from repro.pipeline.experiment import default_registry
-
-    if args.backends:
-        entries = _backend_entries()
-        if args.json:
-            print(json.dumps(entries, indent=2))
-            return 0
-        name_width = max(len(e["name"]) for e in entries)
-        print(f"{len(entries)} backend(s) in the registry:")
-        for entry in entries:
-            status = "available" if entry["available"] else "UNAVAILABLE"
-            if entry["default"]:
-                status = "default"
-            print(f"  {entry['name']:<{name_width}}  {status:<11}  {entry['replay_note']}")
-            if not entry["available"]:
-                print(f"  {'':<{name_width}}  reason: {entry['reason']}")
-            elif entry["build"]:
-                built_with = ", ".join(f"{key}={value}" for key, value in entry["build"].items())
-                print(f"  {'':<{name_width}}  build: {built_with}")
-        print(
-            "\nunselected replays use the `default` engine when it supports "
-            "their configuration (faults, finite buffers and preemption run "
-            "on python); pin one with `--backend <name>` on run/replay/diff "
-            "or $REPRO_BACKEND (docs/backends.md)"
-        )
-        return 0
-
-    if args.faults:
-        entries = _fault_entries()
-        if args.json:
-            print(json.dumps(entries, indent=2))
-            return 0
-        name_width = max(len(e["name"]) for e in entries)
-        kinds_width = max(len(e["kinds"]) for e in entries)
-        print(f"{len(entries)} fault schedule(s) in the registry:")
-        for entry in entries:
-            print(
-                f"  {entry['name']:<{name_width}}  {entry['faults']} fault(s)  "
-                f"{entry['kinds']:<{kinds_width}}  {entry['description']}"
-            )
-        print(
-            "\nuse with `run faults --fault <name>` or `replay --fault <name>`; "
-            "faults hit the replay network only (docs/faults.md)"
-        )
-        return 0
-
-    if args.slack_policies:
-        entries = _slack_policy_entries()
-        if args.json:
-            print(json.dumps(entries, indent=2))
-            return 0
-        name_width = max(len(e["name"]) for e in entries)
-        kind_width = max(len(e["kind"]) for e in entries)
-        modes_width = max(len(e["modes"]) for e in entries)
-        params_width = max(len(e["params"]) for e in entries)
-        print(f"{len(entries)} slack polic(ies) in the registry:")
-        for entry in entries:
-            print(
-                f"  {entry['name']:<{name_width}}  {entry['kind']:<{kind_width}}  "
-                f"{entry['modes']:<{modes_width}}  "
-                f"{entry['params']:<{params_width}}  {entry['description']}"
-            )
-        print(
-            "\nmodes: `live` policies stamp packets at send time (figure2-4, "
-            "heuristics live columns);\n`replay` policies initialize replayed "
-            "headers (run/replay --slack-policy)"
-        )
-        return 0
-
-    if args.workloads:
-        entries = _workload_entries()
-        if args.json:
-            print(json.dumps(entries, indent=2))
-            return 0
-        name_width = max(len(e["name"]) for e in entries)
-        group_width = max(len(e["group"]) for e in entries)
-        dist_width = max(len(e["distribution"]) for e in entries)
-        print(f"{len(entries)} workload(s) in the registry:")
-        for entry in entries:
-            print(
-                f"  {entry['name']:<{name_width}}  {entry['group']:<{group_width}}  "
-                f"{entry['distribution']:<{dist_width}}  "
-                f"mean {entry['mean_flow_kb']:8.1f} KB  {entry['perturbations']}"
-            )
-        print("\nuse with `run <experiment> --workload <name>` or via the adversarial group")
-        return 0
-
-    scale = _scale(args.scale)
-    registry = default_registry()
-    entries = []
-    for definition in registry:
+    scale = _scale(scale_name)
+    for definition in _registry("repro.pipeline.experiment:default_registry")():
         cells = definition.cells(scale)
         entries.append(
             {
@@ -423,19 +322,114 @@ def cmd_list(args: argparse.Namespace) -> int:
                 "modes": sorted({cell.mode for cell in cells}),
             }
         )
+    return entries
+
+
+def _backend_status(entry: dict) -> str:
+    return "default" if entry["default"] else "available" if entry["available"] else "UNAVAILABLE"
+
+
+def _backend_detail(entry: dict) -> Optional[str]:
+    if not entry["available"]:
+        return f"reason: {entry['reason']}"
+    if entry["build"]:
+        return "build: " + ", ".join(f"{key}={value}" for key, value in entry["build"].items())
+    return None
+
+
+#: ``list``'s listings, first flag given wins, the last is the default:
+#: ``flag -> (title, entries, columns, footer)``.  ``entries(scale)`` is the
+#: ``--json`` payload; a column is an entry key or ``(header, entry -> cell)``.
+_LISTINGS = {
+    "backends": (
+        "replay engine(s), fastest first",
+        lambda scale: _registry("repro.sim.backend:describe_backends")(),
+        ("name", ("status", _backend_status), "replay_note", ("detail", _backend_detail)),
+        "unselected replays use the `default` engine when it supports "
+        "their configuration (faults, finite buffers and preemption run "
+        "on python); pin one with `--backend <name>` on run/replay/diff "
+        "or $REPRO_BACKEND (docs/backends.md)",
+    ),
+    "faults": (
+        "fault schedule(s) in the registry",
+        lambda scale: [
+            {
+                "name": definition.name,
+                "faults": len(definition.faults),
+                "kinds": ", ".join(sorted({fault.kind for fault in definition.faults})) or "-",
+                "description": definition.description,
+            }
+            for definition in _registry("repro.faults:FAULTS")
+        ],
+        ("name", "faults", "kinds", "description"),
+        "use with `run faults --fault <name>` or `replay --fault <name>`; "
+        "faults hit the replay network only (docs/faults.md)",
+    ),
+    "slack_policies": (
+        "slack polic(ies) in the registry",
+        lambda scale: [
+            {
+                "name": definition.name,
+                "kind": definition.kind,
+                "modes": definition.capability(),
+                "params": definition.describe_params(),
+                "description": definition.description,
+            }
+            for definition in _registry("repro.core.slack_policy:SLACK_POLICIES")
+        ],
+        ("name", "kind", "modes", "params", "description"),
+        "modes: `live` policies stamp packets at send time (figure2-4, "
+        "heuristics live columns);\n`replay` policies initialize replayed "
+        "headers (run/replay --slack-policy)",
+    ),
+    "workloads": (
+        "workload(s) in the registry",
+        lambda scale: [
+            {
+                "name": definition.name,
+                "group": definition.group,
+                "distribution": definition.distribution.kind,
+                "mean_flow_kb": definition.mean_flow_size() / 1e3,
+                "perturbations": definition.describe_perturbations(),
+                "description": definition.description,
+            }
+            for definition in _registry("repro.traffic.registry:WORKLOADS")
+        ],
+        ("name", "group", "distribution", "mean_flow_kb", "perturbations"),
+        "use with `run <experiment> --workload <name>` or via the adversarial group",
+    ),
+    "experiments": (
+        "experiment(s) at {scale} scale",
+        _experiment_entries,
+        ("name", "cells", ("modes", lambda e: ", ".join(e["modes"]))),
+        lambda scale: "\n  ".join(
+            ["scenario labels (use with `record`):", *sorted(_replay_scenarios(_scale(scale)))]
+        ),
+    ),
+}
+
+
+def cmd_list(args: argparse.Namespace) -> int:
+    flag = next((flag for flag in _LISTINGS if getattr(args, flag, False)), "experiments")
+    title, entries, columns, footer = _LISTINGS[flag]
+    entries = entries(args.scale)
     if args.json:
         print(json.dumps(entries, indent=2))
         return 0
-    name_width = max(len(entry["name"]) for entry in entries)
-    print(f"{len(entries)} experiment(s) at {args.scale} scale:")
-    for entry in entries:
-        print(
-            f"  {entry['name']:<{name_width}}  {entry['cells']:>3} cell(s)  "
-            f"modes: {', '.join(entry['modes'])}"
+    from repro.experiments.runner import format_table
+
+    rows = [
+        dict(
+            (column, entry[column]) if isinstance(column, str) else (column[0], column[1](entry))
+            for column in columns
         )
-    print("\nscenario labels (use with `record`):")
-    for name in sorted(_replay_scenarios(scale)):
-        print(f"  {name}")
+        for entry in entries
+    ]
+    print(f"{len(entries)} {title.format(scale=args.scale)}:")
+    header, _rule, *body = format_table(rows, float_digits=1)
+    for line in (header, *body):
+        print(f"  {line}".rstrip())
+    print("\n" + (footer(args.scale) if callable(footer) else footer))
     return 0
 
 
@@ -575,48 +569,34 @@ def cmd_diff(args: argparse.Namespace) -> int:
     if args.replay is not None:
         # Replay the schedule twice — reference engine versus --backend
         # (default: the reference again, a pure determinism twin) — and
-        # diff the two replays.
+        # diff the two replays, labelled by the engines that ran them.
         from repro.core.replay import replay_pair
-        from repro.sim.backend import get_backend
+        from repro.sim.backend import REFERENCE_BACKEND, select_engine
         from repro.topology.base import Topology
 
         schedule, meta, initializer, fault_plan = _load_replay_inputs(args.replay, args)
         topology = Topology.from_dict(meta["topology"])
-        backend_name = args.backend or "python"
-        backend = get_backend(backend_name)
-        if backend_name != "python" and not backend.supports_replay(
-            args.mode,
-            initializer=initializer,
-            topology=topology,
-            faults=fault_plan,
-        ):
+        backend = args.backend or REFERENCE_BACKEND
+        config = dict(mode=args.mode, initializer=initializer, faults=fault_plan)
+        engine, declined = select_engine(backend, topology, **config)
+        for name, reason in declined:
             print(
-                f"note: backend {backend_name!r} declines this "
-                "configuration; its leg falls back to the reference "
-                "engine (the diff degenerates to a determinism twin)",
+                f"note: backend {name!r} declines this configuration ({reason}); "
+                f"its leg runs on {engine.name} (the diff degenerates to a "
+                "determinism twin)",
                 file=sys.stderr,
             )
         replayed_a, replayed_b = replay_pair(
-            topology,
-            schedule,
-            "python",
-            backend_name,
-            mode=args.mode,
-            initializer=initializer,
-            faults=fault_plan,
+            topology, schedule, REFERENCE_BACKEND, backend, **config
         )
-        label_b = backend_name if backend_name != "python" else "python#2"
+        ran = engine.name if engine.name != REFERENCE_BACKEND else f"{REFERENCE_BACKEND}#2"
         divergence = first_divergence(
-            replayed_a,
-            replayed_b,
-            context=args.context,
-            label_a="python",
-            label_b=label_b,
+            replayed_a, replayed_b, context=args.context, label_a=REFERENCE_BACKEND, label_b=ran
         )
         return _diff_report(
             divergence,
             f"replays bit-identical: {len(replayed_a)} packets of "
-            f"{args.replay} under {args.mode} (python vs {label_b})",
+            f"{args.replay} under {args.mode} ({REFERENCE_BACKEND} vs {ran})",
             args.json,
         )
 
@@ -624,16 +604,10 @@ def cmd_diff(args: argparse.Namespace) -> int:
     schedule_a, _ = _load_schedule_file(path_a)
     schedule_b, _ = _load_schedule_file(path_b)
     divergence = first_divergence(
-        schedule_a,
-        schedule_b,
-        context=args.context,
-        label_a=path_a,
-        label_b=path_b,
+        schedule_a, schedule_b, context=args.context, label_a=path_a, label_b=path_b
     )
     return _diff_report(
-        divergence,
-        f"schedules match: {len(schedule_a)} packets bit-identical",
-        args.json,
+        divergence, f"schedules match: {len(schedule_a)} packets bit-identical", args.json
     )
 
 
@@ -770,8 +744,8 @@ def build_parser() -> argparse.ArgumentParser:
     list_parser.add_argument(
         "--backends",
         action="store_true",
-        help="list the simulation-backend registry (name, availability with "
-        "reason, replay-support note, build metadata) instead of experiments",
+        help="list the replay engines (name, availability with reason, "
+        "replay-support note, build metadata) instead of experiments",
     )
     list_parser.add_argument(
         "--faults",
@@ -796,31 +770,7 @@ def build_parser() -> argparse.ArgumentParser:
         "replay", help="replay a recorded schedule file and print Table-1 metrics"
     )
     replay_parser.add_argument("schedule", help="schedule file written by `record`")
-    replay_parser.add_argument(
-        "--mode",
-        default="lstf",
-        help="replay mode: lstf, lstf-preemptive, edf, priority, omniscient, fifo",
-    )
-    replay_parser.add_argument(
-        "--slack-policy",
-        default=None,
-        help="stamp headers with a registry slack policy instead of the "
-        "mode's recorded-schedule initializer (see `list --slack-policies`)",
-    )
-    replay_parser.add_argument(
-        "--fault",
-        default=None,
-        help="inject a registry fault schedule into the replay network "
-        "(see `list --faults`)",
-    )
-    replay_parser.add_argument(
-        "--fault-seed",
-        type=int,
-        default=0,
-        help="seed for the --fault schedule's randomness (default: 0)",
-    )
-    _add_backend_argument(replay_parser)
-    replay_parser.add_argument("--json", action="store_true", help="emit JSON")
+    _add_replay_arguments(replay_parser)
     replay_parser.set_defaults(func=cmd_replay)
 
     diff_parser = subparsers.add_parser(
@@ -848,36 +798,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="ARTIFACT",
         help="re-run a fuzz repro artifact written by `fuzz` and diff it",
     )
-    diff_parser.add_argument(
-        "--mode",
-        default="lstf",
-        help="replay mode for --replay: lstf, lstf-preemptive, edf, "
-        "priority, omniscient, fifo (default: lstf)",
-    )
-    diff_parser.add_argument(
-        "--slack-policy",
-        default=None,
-        help="replay-side slack policy for --replay (see `list --slack-policies`)",
-    )
-    diff_parser.add_argument(
-        "--fault",
-        default=None,
-        help="fault schedule injected into both --replay legs (see `list --faults`)",
-    )
-    diff_parser.add_argument(
-        "--fault-seed",
-        type=int,
-        default=0,
-        help="seed for the --fault schedule's randomness (default: 0)",
-    )
-    diff_parser.add_argument(
-        "--context",
-        type=int,
-        default=8,
-        help="packets of per-port ordering context around a divergence (default: 8)",
-    )
-    _add_backend_argument(diff_parser)
-    diff_parser.add_argument("--json", action="store_true", help="emit JSON")
+    _add_replay_arguments(diff_parser)
+    _add_context_argument(diff_parser)
     diff_parser.set_defaults(func=cmd_diff)
 
     fuzz_parser = subparsers.add_parser(
@@ -897,19 +819,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="fuzz-stream seed; same seed = same cases everywhere (default: 1)",
     )
-    fuzz_parser.add_argument(
-        "--scale",
-        choices=("quick", "smoke", "paper"),
-        default="smoke",
-        help="scale preset for the fuzzed scenarios (default: smoke — "
-        "fuzzing wants many small cases)",
-    )
-    fuzz_parser.add_argument(
-        "--context",
-        type=int,
-        default=8,
-        help="packets of per-port ordering context in divergence reports (default: 8)",
-    )
+    _add_scale_argument(fuzz_parser, default="smoke")
+    _add_context_argument(fuzz_parser)
     fuzz_parser.add_argument(
         "--artifacts",
         default="fuzz-artifacts",

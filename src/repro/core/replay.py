@@ -19,8 +19,9 @@ The workflow mirrors the paper exactly:
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence
 
 from repro.core.metrics import ReplayMetrics, compare_schedules
 from repro.core.schedule import PacketRecord, Schedule, ScheduleColumns
@@ -38,7 +39,7 @@ from repro.schedulers.lstf import LstfScheduler, PreemptiveLstfScheduler
 from repro.schedulers.omniscient import OmniscientReplayScheduler
 from repro.schedulers.priority import StaticPriorityScheduler
 from repro.sim import flat_record
-from repro.sim.backend import SimBackend, register_backend, replay_candidates
+from repro.sim.backend import SimBackend, select_engine
 from repro.sim.engine import Simulator
 from repro.sim.flow import DEFAULT_MSS
 from repro.sim.network import Network, SchedulerFactory
@@ -47,6 +48,8 @@ from repro.sim.tracer import Tracer
 from repro.topology.base import Topology
 from repro.traffic.workload import WorkloadSpec
 from repro.utils.rng import RandomState
+
+logger = logging.getLogger(__name__)
 
 
 #: Replay modes: the candidate universal scheduler deployed during the replay
@@ -260,9 +263,6 @@ class PythonBackend(SimBackend):
         return Schedule.from_packets(tracer.delivered_data_packets())
 
 
-register_backend("python", PythonBackend)
-
-
 def replay_schedule(
     topology: Topology,
     schedule: Schedule,
@@ -270,7 +270,7 @@ def replay_schedule(
     default_buffer_bytes: Optional[float] = None,
     max_events: Optional[int] = None,
     initializer: Optional[ReplayInitializer] = None,
-    backend: Union[str, SimBackend, None] = None,
+    backend: Optional[str] = None,
     faults=None,
 ) -> Schedule:
     """Replay a recorded schedule on a fresh instance of ``topology``.
@@ -288,47 +288,39 @@ def replay_schedule(
         initializer: Header initializer overriding the mode's default —
             how slack-policy replays (:mod:`repro.core.slack_policy`) stamp
             heuristic slack instead of recorded output times.
-        backend: Engine selector — a registry name, a
-            :class:`~repro.sim.backend.SimBackend` instance, or ``None``
-            (``$REPRO_BACKEND`` if set, else the fastest available builtin
-            engine that supports this exact configuration; see
-            :func:`~repro.sim.backend.replay_candidates`).  A selected
-            backend that declines the configuration hands over to the
-            reference python backend; results are bit-identical either way.
+        backend: Engine name, or ``None`` for ``$REPRO_BACKEND`` if set,
+            else the fastest available engine that accepts this exact
+            configuration.  A named engine that declines hands over to the
+            reference engine; results are bit-identical either way.  The
+            decision is :func:`~repro.sim.backend.select_engine`'s, and is
+            logged here — one DEBUG record per replay on this module's
+            logger: the mode, the engine used, and ``(engine, reason)`` for
+            each that declined.
         faults: Optional :class:`repro.faults.FaultPlan` installed on the
             replay network (``None`` or an empty plan replays fault-free).
-            Accelerated backends decline fault-bearing replays, so these
+            Accelerated engines decline fault-bearing replays, so these
             run on the reference engine.
     """
-    for engine in replay_candidates(backend):
-        if engine.supports_replay(
-            mode,
-            default_buffer_bytes=default_buffer_bytes,
-            initializer=initializer,
-            topology=topology,
-            faults=faults,
-        ):
-            return engine.replay(
-                topology,
-                schedule,
-                mode=mode,
-                default_buffer_bytes=default_buffer_bytes,
-                max_events=max_events,
-                initializer=initializer,
-                faults=faults,
-            )
-    # Only a re-registered "python" that declines can get here.
-    raise RuntimeError(
-        f"no candidate backend accepts replay mode {mode!r}; the reference "
-        "backend must support every configuration"
+    engine, declined = select_engine(
+        backend, topology, mode, default_buffer_bytes, initializer, faults
+    )
+    logger.debug("replaying mode=%s on %s; declined: %s", mode, engine.name, declined)
+    return engine.replay(
+        topology,
+        schedule,
+        mode=mode,
+        default_buffer_bytes=default_buffer_bytes,
+        max_events=max_events,
+        initializer=initializer,
+        faults=faults,
     )
 
 
 def replay_pair(
     topology: Topology,
     schedule: Schedule,
-    backend_a: Union[str, SimBackend, None],
-    backend_b: Union[str, SimBackend, None],
+    backend_a: Optional[str],
+    backend_b: Optional[str],
     mode: str = "lstf",
     initializer: Optional[ReplayInitializer] = None,
     faults=None,
@@ -369,7 +361,7 @@ def evaluate_replay(
     threshold_packet_bytes: float = float(DEFAULT_MSS),
     default_buffer_bytes: Optional[float] = None,
     initializer: Optional[ReplayInitializer] = None,
-    backend: Union[str, SimBackend, None] = None,
+    backend: Optional[str] = None,
     faults=None,
 ) -> ReplayResult:
     """Replay ``original`` with ``mode`` and compute the Table-1 metrics.

@@ -20,10 +20,10 @@ of one dynamic per-packet value (LSTF slack).  This backend exploits that:
    the replayed schedule's columns as they are.
 
 The backend declines configurations outside the fast path — preemptive LSTF,
-finite buffers, faults, unknown modes — and
-:func:`repro.core.replay.replay_schedule` then offers the replay to its next
-candidate, ending at the ``"python"`` reference backend, so callers never see
-a behaviour difference, only a speed difference.
+finite buffers, faults, unknown modes (:meth:`VectorizedBackend.decline_reason`)
+— and :func:`repro.sim.backend.select_engine` then offers the replay to its
+next candidate, ending at the ``"python"`` reference backend, so callers never
+see a behaviour difference, only a speed difference.
 
 Header initializers must be pure functions of ``(record, network)`` (every
 shipped initializer is): they are evaluated upfront here, not interleaved
@@ -55,17 +55,11 @@ from repro.core.slack import (
     StaticDelaySlackInitializer,
     ZeroSlackInitializer,
 )
-from repro.sim.backend import SimBackend, register_backend
+from repro.sim.backend import SimBackend
 from repro.sim.engine import Simulator
 from repro.sim.tracer import Tracer
 from repro.sim.vectorized import run_flat_replay
 from repro.topology.base import Topology
-
-
-def _config_error(message: str) -> Exception:
-    from repro.pipeline.scenario import PipelineConfigError
-
-    return PipelineConfigError(message)
 
 
 def _flatten(topology: Topology, schedule: Schedule) -> tuple:
@@ -157,35 +151,37 @@ class VectorizedBackend(SimBackend):
 
         The seam the ``"compiled"`` backend overrides: everything else —
         flattening, batch header initialization, wrapping the output arrays
-        as the replayed schedule — is shared orchestration, so a backend swaps engines by swapping this
-        one call (:mod:`repro.core.replay_compiled`).
+        as the replayed schedule — is shared orchestration, so a backend
+        swaps engines by swapping this one call
+        (:mod:`repro.core.replay_compiled`).
         """
         return run_flat_replay(*args, **kwargs)
 
-    def supports_replay(
+    def decline_reason(
         self,
+        topology: Topology,
         mode: str,
         default_buffer_bytes: Optional[float] = None,
         initializer: Optional[ReplayInitializer] = None,
-        topology: Optional[Topology] = None,
         faults=None,
-    ) -> bool:
-        """The fast path: infinite buffers, a non-preemptive key-mode, no faults.
+    ) -> Optional[str]:
+        """Anything but the fast path: infinite buffers, a non-preemptive key-mode, no faults.
 
-        A topology with finite per-link buffers also declines: the flat
-        loop never drops packets, so finite-buffer replays belong to the
-        reference backend.  Fault-bearing replays (a non-empty fault plan)
-        decline for the same reason — the flat loop has no drop path.
+        The flat loop never drops a packet, so a fault plan (a non-empty
+        one) and finite buffers — the default or any one link's — belong to
+        the reference engine.  Any initializer is accepted
+        (:func:`_initialize_headers`).
         """
-        return (
-            mode in self.SUPPORTED_MODES
-            and default_buffer_bytes is None
-            and (faults is None or faults.is_empty())
-            and (
-                topology is None
-                or all(spec.buffer_bytes is None for spec in topology.links)
-            )
-        )
+        if mode not in self.SUPPORTED_MODES:
+            return f"replay mode {mode}"
+        if faults is not None and not faults.is_empty():
+            return "fault plan"
+        if default_buffer_bytes is not None:
+            return "finite default buffer"
+        for spec in topology.links:
+            if spec.buffer_bytes is not None:
+                return f"finite buffer at {spec.a}<->{spec.b}"
+        return None
 
     def replay(
         self,
@@ -197,17 +193,6 @@ class VectorizedBackend(SimBackend):
         initializer: Optional[ReplayInitializer] = None,
         faults=None,
     ) -> Schedule:
-        self.check_available()
-        if not self.supports_replay(
-            mode, default_buffer_bytes=default_buffer_bytes, topology=topology, faults=faults
-        ):
-            raise _config_error(
-                f"vectorized backend does not support mode={mode!r} with "
-                f"default_buffer_bytes={default_buffer_bytes!r}, "
-                f"faults={'set' if faults is not None and not faults.is_empty() else None!r} "
-                f"on topology {topology.name!r}; use the python backend "
-                "(replay_schedule falls back automatically)"
-            )
         if initializer is None:
             initializer = replay_initializer(mode)
         if not len(schedule):
@@ -371,6 +356,3 @@ def _initialize_headers(
         deadline = [inf if h.deadline is None else h.deadline for h in headers]
         vectors = [list(h.hop_output_times or ()) for h in headers]
     return slack, priority, deadline, vectors
-
-
-register_backend("vectorized", VectorizedBackend)

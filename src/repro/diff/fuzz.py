@@ -14,8 +14,10 @@ Four comparison kinds:
 * ``twin`` — the same schedule replayed twice on the reference engine
   (run-over-run determinism);
 * ``backend-pair`` — reference engine versus each other available backend
-  (the cross-backend bit-identity contract; fault-bearing scenarios also
-  exercise the accelerated backends' decline-and-fall-back path);
+  (the cross-backend bit-identity contract).  A fault-bearing, ``fifo`` or
+  ``lstf-preemptive`` scenario makes the accelerated engine decline, so both
+  legs run on the reference — a *degenerate* pair, counted as such; a sweep
+  in which a listed backend never executed a leg fails;
 * ``live-replay`` — a live LSTF deployment under a stateless slack policy
   versus replaying the recorded baseline under the same policy (the paper's
   replay-methodology claim, fuzzed);
@@ -35,6 +37,7 @@ from __future__ import annotations
 
 import json
 import os
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional, Tuple
 
@@ -49,6 +52,7 @@ from repro.pipeline.synth import (
     scenario_to_dict,
     simplified,
 )
+from repro.sim.backend import REFERENCE_BACKEND, describe_backends, select_engine
 
 #: Format tag of persisted fuzz-case artifacts.
 FUZZ_ARTIFACT_FORMAT = "repro-fuzz-case/1"
@@ -134,6 +138,7 @@ def run_comparison(
     scenario: Scenario,
     spec: ComparisonSpec,
     context: int = DEFAULT_CONTEXT,
+    engines: Optional[List[str]] = None,
 ) -> Optional[Divergence]:
     """Run one comparison; return its first divergence, or ``None``.
 
@@ -144,6 +149,11 @@ def run_comparison(
     the same policy; ``"record-pair"`` records twice and replays nothing.
     All comparisons are read-only: nothing is cached, and a divergence never
     mutates either schedule.
+
+    A ``"twin"`` or ``"backend-pair"`` names the engine each leg *asks for*;
+    the one it runs on is :func:`~repro.sim.backend.select_engine`'s answer
+    for the scenario's configuration.  Those names label the divergence and
+    are appended to ``engines`` when a list is given.
     """
     topology = scenario.build_topology()
     workload = scenario.workload()
@@ -181,18 +191,22 @@ def run_comparison(
     policy = scenario.slack_policy_def()
     if policy is not None and scenario.slack_mode == "replay":
         initializer = policy.build_initializer()
-    replayed_a, replayed_b = replay_pair(
-        topology,
-        schedule,
-        spec.backend_a,
-        spec.backend_b,
-        mode=scenario.replay_mode,
-        initializer=initializer,
-        faults=scenario.fault_plan(),
+    config = dict(mode=scenario.replay_mode, initializer=initializer, faults=scenario.fault_plan())
+    ran_a, ran_b = (
+        select_engine(backend, topology, **config)[0].name
+        for backend in (spec.backend_a, spec.backend_b)
     )
-    label_b = spec.backend_b if spec.kind != "twin" else f"{spec.backend_b}#2"
+    if engines is not None:
+        engines += (ran_a, ran_b)
+    replayed_a, replayed_b = replay_pair(
+        topology, schedule, spec.backend_a, spec.backend_b, **config
+    )
     return first_divergence(
-        replayed_a, replayed_b, context=context, label_a=spec.backend_a, label_b=label_b
+        replayed_a,
+        replayed_b,
+        context=context,
+        label_a=ran_a,
+        label_b=ran_b if ran_b != ran_a else f"{ran_b}#2",
     )
 
 
@@ -311,6 +325,12 @@ class FuzzReport:
     comparisons: int = 0
     record_pairs: int = 0
     flat_recordings: int = 0
+    #: Replay legs of ``twin`` / ``backend-pair`` comparisons, by the engine that ran them.
+    engine_runs: Counter = field(default_factory=Counter)
+    #: ``backend-pair`` comparisons by the backend they name, and how many of
+    #: those were degenerate: both legs ran on the reference engine.
+    backend_pairs: Counter = field(default_factory=Counter)
+    degenerate_pairs: Counter = field(default_factory=Counter)
     failures: List[FuzzFailure] = field(default_factory=list)
 
     @property
@@ -319,10 +339,16 @@ class FuzzReport:
         return self.flat_recordings > 0 or self.record_pairs == 0
 
     @property
+    def idle_engines(self) -> List[str]:
+        """The listed backends that never ran a replay leg."""
+        return [name for name in self.backends if not self.engine_runs[name]]
+
+    @property
     def ok(self) -> bool:
-        """Whether the sweep completed without any divergence — and, having
-        planned ``record-pair`` comparisons, really compared the flat loop."""
-        return not self.failures and self.flat_loop_exercised
+        """Whether the sweep completed without any divergence — and really
+        compared what it lists: a recording on the flat loop if it planned
+        ``record-pair`` comparisons, a replay leg on every backend."""
+        return not self.failures and self.flat_loop_exercised and not self.idle_engines
 
     def to_dict(self) -> dict:
         """JSON-serializable form (the CLI's ``--json`` payload)."""
@@ -336,6 +362,11 @@ class FuzzReport:
             "comparisons": self.comparisons,
             "record_pairs": self.record_pairs,
             "flat_recordings": self.flat_recordings,
+            "engine_runs": {name: self.engine_runs[name] for name in self.backends},
+            "backend_pairs": {
+                name: {"comparisons": count, "degenerate": self.degenerate_pairs[name]}
+                for name, count in self.backend_pairs.items()
+            },
             "divergences": len(self.failures),
             "failures": [failure.to_dict() for failure in self.failures],
         }
@@ -346,14 +377,26 @@ class FuzzReport:
             f"fuzz: {self.cases} case(s), {self.comparisons} comparison(s) at "
             f"{self.scale_label} scale, seed {self.seed}, backends: "
             f"{', '.join(self.backends)}; {self.flat_recordings} recording(s) "
-            "on the flat loop"
+            "on the flat loop",
+            "replay legs by the engine that ran them: "
+            + ", ".join(f"{name} {self.engine_runs[name]}" for name in self.backends)
+            + "".join(
+                f"; {self.degenerate_pairs[name]} of {count} {name} backend-pair(s) "
+                f"degenerate (both legs on {REFERENCE_BACKEND})"
+                for name, count in self.backend_pairs.items()
+            ),
         ]
         if not self.flat_loop_exercised:
             lines.append(
                 f"NO FLAT RECORDING: {self.record_pairs} record-pair comparison(s) ran "
                 "but every recording was declined (is the process pinned to python?)"
             )
-        elif self.ok:
+        if self.idle_engines:
+            lines.append(
+                f"ENGINE NEVER EXECUTED: {', '.join(self.idle_engines)} — every replay "
+                "that named it was declined (or none was planned); raise --budget"
+            )
+        if self.ok:
             lines.append("no divergence found: all comparisons bit-identical")
         for failure in self.failures:
             lines.append(
@@ -440,20 +483,19 @@ def run_fuzz(
             identical everywhere.
         scale: Scale preset (default: smoke).
         backends: Replay engines to pair against the reference (default:
-            every available backend,
-            :func:`repro.sim.backend.available_backend_names`).
+            every available engine, reference first).  Each must run at
+            least one replay leg or the sweep fails (:attr:`FuzzReport.ok`).
         context: Neighbors per side in divergence reports.
         artifact_dir: Where minimized repro artifacts are written (``None``
             disables persistence).
         shrink: Whether to minimize failing scenarios before persisting.
         log: Progress sink (e.g. ``print``); ``None`` is silent.
     """
-    from repro.sim.backend import available_backend_names
     from repro.sim.flat_record import log_lines
 
     scale = scale if scale is not None else ExperimentScale.smoke()
     if backends is None:
-        backends = available_backend_names()
+        backends = [e["name"] for e in reversed(describe_backends()) if e["available"]]
     report = FuzzReport(
         budget=budget, seed=seed, scale_label=scale.label, backends=list(backends)
     )
@@ -471,9 +513,14 @@ def run_fuzz(
                     f"({len(specs)} comparison(s))"
                 )
             for spec in specs:
-                divergence = run_comparison(scenario, spec, context)
+                ran: List[str] = []
+                divergence = run_comparison(scenario, spec, context, ran)
                 report.comparisons += 1
                 report.record_pairs += spec.kind == "record-pair"
+                report.engine_runs.update(ran)
+                if spec.kind == "backend-pair":
+                    report.backend_pairs[spec.backend_b] += 1
+                    report.degenerate_pairs[spec.backend_b] += set(ran) == {REFERENCE_BACKEND}
                 if divergence is None:
                     continue
                 if log is not None:

@@ -14,7 +14,8 @@ from typing import Dict, List
 from repro.experiments.config import ExperimentResult
 
 
-def _format_table(rows: List[dict], float_digits: int) -> List[str]:
+def format_table(rows: List[dict], float_digits: int) -> List[str]:
+    """``rows`` as aligned text lines: a header, a rule, one line per row."""
     # Column union across all rows in first-appearance order: replicate
     # aggregates are ragged (e.g. deadline statistics exist only for the
     # deadline-tagged groups), and a table keyed off the first row alone
@@ -49,11 +50,11 @@ def format_result(result: ExperimentResult, float_digits: int = 4) -> str:
     lines = [f"== {result.name} ({result.scale_label} scale) =="]
     if result.notes:
         lines.append(result.notes)
-    lines.extend(_format_table(result.rows, float_digits))
+    lines.extend(format_table(result.rows, float_digits))
     if result.aggregates:
         lines.append("")
         lines.append(f"-- {result.name}: replicate summary (mean / stddev / 95% CI) --")
-        lines.extend(_format_table(result.aggregates, float_digits))
+        lines.extend(format_table(result.aggregates, float_digits))
     return "\n".join(lines)
 
 

@@ -364,7 +364,6 @@ def replay_scenario(
     scenario: Scenario,
     mode: Optional[str] = None,
     cache: Optional[ScheduleCache] = None,
-    backend: Optional[str] = None,
 ) -> ReplayResult:
     """Record (or fetch from cache) ``scenario``'s schedule and replay it.
 
@@ -384,11 +383,10 @@ def replay_scenario(
     replay itself uses the mode's own initializer on that policy-shaped
     schedule.
 
-    ``backend`` selects the simulation engine for the *replay* leg; it
-    overrides the scenario's own ``backend`` field, and both default to
-    ``$REPRO_BACKEND`` if set, else to the fastest available engine that
-    supports this replay's configuration
-    (:func:`repro.sim.backend.replay_candidates`).  The *recording* chooses
+    The *replay* leg runs on ``$REPRO_BACKEND`` if set (what ``run
+    --backend`` pins for the run), else on the fastest available engine that
+    accepts this replay's configuration
+    (:func:`repro.sim.backend.select_engine`).  The *recording* chooses
     for itself (:func:`repro.core.replay.record_schedule`): open-loop
     FIFO / LIFO / SJF / Random originals on the flat recording loop,
     everything else — and everything in a process pinned to ``python`` — on
@@ -399,9 +397,8 @@ def replay_scenario(
     A scenario pinned to a fault schedule (``scenario.faults``) injects the
     plan into the *replay* network only — the recording stays fault-free, so
     the question each fault row answers is "how does the candidate UPS cope
-    when the network misbehaves under it?".  Accelerated backends decline
-    fault-bearing replays via ``supports_replay``, so these run on the
-    reference engine.
+    when the network misbehaves under it?".  Accelerated engines decline
+    fault-bearing replays, so these run on the reference engine.
     """
     cache = cache if cache is not None else ScheduleCache()
     topology = scenario.build_topology()
@@ -425,7 +422,6 @@ def replay_scenario(
         mode=resolved_mode,
         threshold_packet_bytes=float(workload.mss),
         initializer=initializer,
-        backend=backend if backend is not None else scenario.backend,
         faults=scenario.fault_plan(),
     )
 

@@ -125,6 +125,10 @@ class _CellFailure:
         )
 
 
+#: How long after an expired (and possibly swallowed) deadline it fires again.
+_DEADLINE_REPEAT_SECONDS = 0.05
+
+
 @contextmanager
 def _cell_deadline(seconds: Optional[float]):
     """Raise :class:`CellTimeoutError` if the body outlives ``seconds``.
@@ -134,6 +138,11 @@ def _cell_deadline(seconds: Optional[float]):
     ``seconds`` is ``None`` or the platform has no ``SIGALRM`` (Windows);
     both executors run tasks on their process' main thread, which is what
     signal delivery requires.
+
+    The alarm repeats until the body has ended: the handler's raise can land
+    in a frame that cannot propagate it (a ``gc.callbacks`` function, a
+    ``__del__``), where Python only reports it as unraisable — a one-shot
+    alarm would leave the body running with no deadline at all.
     """
     if seconds is None or not hasattr(signal, "SIGALRM"):
         yield
@@ -143,7 +152,7 @@ def _cell_deadline(seconds: Optional[float]):
         raise CellTimeoutError(f"cell exceeded the per-cell timeout of {seconds:g}s")
 
     previous = signal.signal(signal.SIGALRM, _on_timeout)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
+    signal.setitimer(signal.ITIMER_REAL, seconds, _DEADLINE_REPEAT_SECONDS)
     try:
         yield
     finally:
@@ -466,8 +475,8 @@ def run_pipeline(
         slack_policy: Slack-policy registry name overriding every scenario's
             replay initialization, for experiments that support it
             (``python -m repro run ... --slack-policy <name>``).
-        backend: Simulation-engine registry name (see
-            :mod:`repro.sim.backend`) pinned for the whole run — in-process
+        backend: Replay-engine name (see
+            :data:`repro.sim.backend.ENGINES`) pinned for the whole run — in-process
             tasks and pool workers alike (``python -m repro run ...
             --backend <name>``); ``None`` lets each replay take the fastest
             available engine that supports it.  Validated before anything runs;

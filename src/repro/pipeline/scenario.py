@@ -74,13 +74,6 @@ class Scenario:
             *while recording*, so the recorded schedule itself embodies the
             policy — the Section-3 deployment mode).  Ignored when
             ``slack_policy`` is ``None``.
-        backend: Simulation-engine selector for this scenario's replay
-            (registry name from :mod:`repro.sim.backend`); ``None`` defers
-            to ``$REPRO_BACKEND`` if set, else to the fastest available
-            engine that supports the replay's configuration.
-            Deliberately **not** part of any cache key: backends are
-            bit-identical by contract, so the engine choice can never change
-            a recorded schedule or a row.
         faults: Key into the fault-schedule registry
             (:data:`repro.faults.FAULTS`) selecting the fault plan injected
             into this scenario's *replay* network (the recording stays
@@ -107,7 +100,6 @@ class Scenario:
     workload_name: str = "paper-default"
     slack_policy: Optional[str] = None
     slack_mode: str = "replay"
-    backend: Optional[str] = None
     faults: Optional[str] = None
     fault_seed: int = 0
 

@@ -120,8 +120,13 @@ def scenario_to_dict(scenario: Scenario) -> dict:
 
 
 def scenario_from_dict(data: dict) -> Scenario:
-    """Inverse of :func:`scenario_to_dict`."""
+    """Inverse of :func:`scenario_to_dict`.
+
+    Artifacts written before ``Scenario`` lost its ``backend`` field (it was
+    always ``None`` there) still load: the stale key is dropped.
+    """
     payload = dict(data)
+    payload.pop("backend", None)
     payload["scale"] = ExperimentScale(**payload["scale"])
     payload["topology_args"] = tuple(
         (name, value) for name, value in payload.get("topology_args", ())

@@ -1,66 +1,42 @@
-"""The ``SimBackend`` seam: pluggable engines behind one replay contract.
+"""The three replay engines: one ordered table, one decision.
 
-The OO simulator (:mod:`repro.sim.engine`, :mod:`repro.sim.port`,
-:mod:`repro.schedulers.base`) and any optimized engine implicitly share a
-narrow contract; this module makes it explicit so engines can be swapped by
-name without touching callers.  The contract has two halves:
+A replay of a recorded schedule can run on the OO simulator
+(:mod:`repro.sim.engine`, :mod:`repro.sim.port`, :mod:`repro.schedulers.base`)
+or on a flat kernel that reproduces it; :class:`SimBackend` is the contract
+they share, :data:`ENGINES` says which there are, and :func:`select_engine`
+decides which of them runs one replay and why the faster ones did not.
 
-**Event-loop semantics** (what :meth:`SimBackend.make_simulator` returns):
+**What :meth:`SimBackend.replay` must reproduce**, to the bit of every float:
 
-* *Advance-to-next-event*: the engine repeatedly executes the earliest
-  pending event and advances the clock to its timestamp; the clock never
-  moves backwards.
-* *Deterministic tie-breaking*: events are totally ordered by
-  ``(time, sequence)``.  Normally scheduled events draw sequence numbers
-  from an increasing non-negative counter (so same-time events fire in
-  scheduling order); ``schedule_at_front`` draws from a separate negative
-  increasing range, so front events at time ``t`` fire before *every*
-  normally scheduled event at ``t`` — including ones scheduled earlier.
-  The replay injector's streaming cursor depends on this.
-* *Cancellation is lazy but observably exact*: cancelling marks the event
-  in O(1); the entry is physically discarded only when it surfaces at the
-  heap head.  Observable semantics are nevertheless strict, however the
-  event was cancelled (``Simulator.cancel`` or a direct ``Event.cancel()``):
-  ``peek_next_time`` never returns a cancelled event's time, a cancelled
-  event never fires, and once a dead entry has been discarded it is excluded
-  from ``pending_events``.  The cross-backend contract test
-  (``tests/sim/test_backend_equivalence.py``) runs the cancel-then-peek
-  sequence against every registered backend's simulator.
-
-**Port-service semantics** (what :meth:`SimBackend.replay` must reproduce):
-
-* Store-and-forward, non-preemptive service: a port serializes one packet
-  for ``bytes * 8 / bandwidth`` seconds (that exact float expression — the
-  rows of every experiment are compared bit-for-bit), then hands it to the
-  link, which delivers it ``propagation_delay`` later.
-* Per-port scheduler order: the queued packet with the smallest key is
+* *Event order*: events are totally ordered by ``(time, sequence)``.
+  Normally scheduled events draw sequence numbers from an increasing
+  non-negative counter; ``schedule_at_front`` (the replay injector's
+  streaming cursor) draws from a separate negative increasing range, so
+  front events at time ``t`` fire before *every* normal event at ``t``.  An
+  engine must consume sequence numbers for the same logical events in the
+  same order as the OO engine, or equal-time ties resolve differently.
+* *Store-and-forward, non-preemptive service*: a port serializes one packet
+  for ``bytes * 8 / bandwidth`` seconds (that exact float expression), then
+  hands it to the link, which delivers it ``propagation_delay`` later.
+* *Per-port scheduler order*: the queued packet with the smallest key is
   served first; ties break FIFO by per-port enqueue sequence.
-* Completion callbacks: when a transmission finishes, the downstream
-  arrival is scheduled *before* the port picks its next packet, so the
-  engine-level ``(time, seq)`` order of those two events matches the OO
-  engine's exactly.
+* *Completion callbacks*: when a transmission finishes, the downstream
+  arrival is scheduled *before* the port picks its next packet.
 
-Backends register by name; ``"python"`` is the OO engine with unchanged
-behaviour, ``"vectorized"`` is the array-based replay engine
-(:mod:`repro.core.replay_vectorized`), and ``"compiled"`` is the same
-orchestration driving the native kernel extension
-(:mod:`repro.core.replay_compiled`; built from source on first use, declining
-gracefully where it cannot be compiled).  Builtin backends are resolved
-lazily — the providing modules live in :mod:`repro.core`, which imports
-:mod:`repro.sim`, so importing them here at module scope would cycle.
-
-See ``docs/backends.md`` for the full contract and for how to add a backend.
+``"python"`` is the OO engine — the reference, which accepts every
+configuration; ``"vectorized"`` is the array-based flat loop
+(:mod:`repro.core.replay_vectorized`); ``"compiled"`` is the same
+orchestration driving the native kernel (:mod:`repro.core.replay_compiled`;
+built from source on first use, unavailable where it cannot be compiled).
+Adding an engine is a table entry held to the same gates (``docs/backends.md``).
 """
 
 from __future__ import annotations
 
-import functools
 import importlib
 import os
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple, Union
-
-from repro.sim.engine import Simulator
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (core imports sim)
     from repro.core.schedule import Schedule
@@ -68,83 +44,69 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (core imports sim)
     from repro.faults.injector import FaultPlan
     from repro.topology.base import Topology
 
-#: Environment variable consulted when no backend is selected explicitly.
-#: Lets CI run an unmodified test subset under one engine:
-#: ``REPRO_BACKEND=python pytest tests/pipeline/test_golden_rows.py``.
+#: Environment variable consulted when no engine is named explicitly: the
+#: deployment-level pin.  Lets CI run an unmodified test subset under one
+#: engine: ``REPRO_BACKEND=python pytest tests/pipeline/test_golden_rows.py``.
 BACKEND_ENV_VAR = "REPRO_BACKEND"
 
-#: The reference engine: supports every replay configuration, so it closes
+#: The reference engine: it accepts every replay configuration, so it closes
 #: every candidate list (see :func:`replay_candidates`).
 REFERENCE_BACKEND = "python"
 
+#: Every engine, fastest first — the order an unselected replay is offered
+#: to them — as ``module:Class``.  Imported on use, not here: the classes
+#: live in :mod:`repro.core`, which imports :mod:`repro.sim`.
+ENGINES: Dict[str, str] = {
+    "compiled": "repro.core.replay_compiled:CompiledBackend",
+    "vectorized": "repro.core.replay_vectorized:VectorizedBackend",
+    REFERENCE_BACKEND: "repro.core.replay:PythonBackend",
+}
+
 
 class SimBackend(ABC):
-    """One simulation engine, as seen by the replay path and the pipeline.
+    """One replay engine.
 
-    A backend must satisfy the module-level contract: same event ordering,
-    same per-port service order, same float arithmetic — a replay of any
-    schedule must be *bit-identical* across backends (the equivalence suite
-    and the golden-rows fixtures enforce this).
-
-    Backends may decline configurations they do not implement (via
-    :meth:`supports_replay`); the replay then goes to the next candidate
-    (:func:`replay_candidates`), ending at the ``"python"`` reference
-    backend, which supports everything.
+    An engine must satisfy the module-level contract: a replay of any
+    schedule is *bit-identical* across engines (the equivalence suite, the
+    golden-rows fixtures and the fuzzer enforce this).  It may decline
+    configurations it does not implement (:meth:`decline_reason`); the
+    replay then goes to the next candidate, ending at the reference engine.
     """
 
-    #: Registry name (set by subclasses).
+    #: The engine's key in :data:`ENGINES`.
     name: str = "abstract"
 
     #: One-line replay-support note for ``python -m repro list --backends``.
     replay_note: str = "no replay note"
 
-    def make_simulator(self) -> Simulator:
-        """A fresh event-loop instance honouring the engine contract.
+    def unavailable_reason(self) -> Optional[str]:
+        """Why this engine cannot run here at all, or ``None`` if it can.
 
-        The default returns the reference :class:`~repro.sim.engine.Simulator`;
-        backends that accelerate only the batch replay path (and so have no
-        incremental event loop of their own) inherit it, which is also what
-        keeps the cancel-then-peek contract test meaningful for them.
-        """
-        return Simulator()
-
-    def check_available(self) -> None:
-        """Raise ``PipelineConfigError`` if the backend's dependencies are missing.
-
-        Called whenever the backend is explicitly resolved by name, so a
-        ``--backend`` request without the needed extras fails fast with a
-        clean configuration error (CLI exit 2) instead of an ImportError
-        mid-run.  The default assumes no optional dependencies.
-        """
-
-    def build_info(self) -> Optional[dict]:
-        """Build metadata shown by ``list --backends`` (compiler, toolchain, ...).
-
-        ``None`` means the backend has no build step (pure Python); the
-        compiled backend reports the compiler and toolchain that produced
-        its kernel extension.
+        An unavailable engine is never offered a replay; naming one
+        (``--backend``, ``$REPRO_BACKEND``) is refused with this reason.
         """
         return None
 
-    def supports_replay(
+    def build_info(self) -> Optional[dict]:
+        """Build metadata for ``list --backends``; ``None`` = no build step (pure Python)."""
+        return None
+
+    def decline_reason(
         self,
+        topology: "Topology",
         mode: str,
         default_buffer_bytes: Optional[float] = None,
         initializer: Optional["ReplayInitializer"] = None,
-        topology: Optional["Topology"] = None,
         faults: Optional["FaultPlan"] = None,
-    ) -> bool:
-        """Whether :meth:`replay` implements this exact configuration.
+    ) -> Optional[str]:
+        """Why :meth:`replay` cannot reproduce this exact configuration, or ``None``.
 
-        ``topology`` is the spec the replay will run on when the caller has
-        it at hand (backends may decline topology-dependent features such as
-        finite per-link buffers); ``None`` means "not yet known" and must be
-        answered optimistically — :meth:`replay` re-checks with the real
-        topology and raises if the optimism was misplaced.  ``faults`` is
-        the fault plan to install during the replay; an empty plan counts as
-        fault-free (backends must treat ``None`` and an empty plan alike).
+        Asked only by :func:`select_engine`.  An engine must name a reason
+        for anything it cannot replay bit-identically; the strings are short,
+        stable and end up in the replay's log line.  An empty fault plan
+        counts as fault-free.
         """
-        return True
+        return None
 
     @abstractmethod
     def replay(
@@ -160,162 +122,65 @@ class SimBackend(ABC):
         """Replay ``schedule`` on ``topology``; see :func:`repro.core.replay.replay_schedule`."""
 
 
-# ---------------------------------------------------------------------- #
-# Registry
-# ---------------------------------------------------------------------- #
-#: Builtin backends, resolved lazily by importing the providing module
-#: (which registers itself at import time via :func:`register_backend`).
-_BUILTIN_MODULES: Dict[str, str] = {
-    "python": "repro.core.replay",
-    "vectorized": "repro.core.replay_vectorized",
-    "compiled": "repro.core.replay_compiled",
-}
-
-#: The builtin engines, fastest first; the order unselected replays try them in.
-_FASTEST_FIRST = ("compiled", "vectorized", REFERENCE_BACKEND)
-
-_REGISTRY: Dict[str, Union[SimBackend, Callable[[], SimBackend]]] = {}
-_INSTANCES: Dict[str, SimBackend] = {}
-
-
 def _config_error(message: str) -> Exception:
-    """A ``PipelineConfigError`` (CLI exit 2), imported lazily.
-
-    The error type lives in :mod:`repro.pipeline.scenario`; importing it at
-    module scope would invert the sim → pipeline layering, so it is resolved
-    only on the error path.
-    """
+    """A ``PipelineConfigError`` (CLI exit 2), imported late: sim sits below pipeline."""
     from repro.pipeline.scenario import PipelineConfigError
 
     return PipelineConfigError(message)
 
 
-def register_backend(
-    name: str, backend: Union[SimBackend, Callable[[], SimBackend]]
-) -> None:
-    """Register a backend (instance or zero-arg factory) under ``name``.
-
-    A registered backend is opt-in by name: unselected replays only ever
-    consider the builtin engines (see :func:`replay_candidates`).
-    """
-    _REGISTRY[name] = backend
-    _INSTANCES.pop(name, None)
-    _builtin_candidates.cache_clear()
-
-
-def backend_names() -> List[str]:
-    """Names of every known backend (builtin and registered)."""
-    names = set(_BUILTIN_MODULES) | set(_REGISTRY)
-    return sorted(names)
-
-
-def _instantiate(name: str) -> SimBackend:
-    """Construct the backend registered under ``name``, availability unchecked.
-
-    Distinguishes the two failure classes the CLI reports differently:
-    a name nobody registered raises "unknown backend" (with the registered
-    names listed), while a registered backend whose dependencies are missing
-    is *instantiable* — only :meth:`SimBackend.check_available` fails, which
-    is what lets ``list --backends`` show unavailable backends with their
-    reasons instead of erroring out.
-    """
-    entry = _REGISTRY.get(name)
-    if entry is None:
-        module = _BUILTIN_MODULES.get(name)
-        if module is None:
-            known = ", ".join(backend_names())
-            raise _config_error(
-                f"unknown backend {name!r}; registered backends: {known} "
-                "(see `python -m repro list --backends`)"
-            )
-        importlib.import_module(module)
-        entry = _REGISTRY.get(name)
-        if entry is None:  # pragma: no cover - a builtin forgot to register
-            raise _config_error(f"backend module {module} did not register {name!r}")
-    return entry if isinstance(entry, SimBackend) else entry()
+def _load(name: str) -> SimBackend:
+    """The engine ``name`` of the table, availability unchecked."""
+    target = ENGINES.get(name)
+    if target is None:
+        raise _config_error(
+            f"unknown backend {name!r}; registered backends: {', '.join(sorted(ENGINES))} "
+            "(see `python -m repro list --backends`)"
+        )
+    module, _, cls = target.partition(":")
+    return getattr(importlib.import_module(module), cls)()
 
 
 def get_backend(name: str) -> SimBackend:
-    """The backend registered under ``name``.
+    """The engine ``name``, usable here.
 
     Raises:
-        PipelineConfigError: if the name is unknown ("unknown backend ...",
-            listing the registered names), or the backend is registered but
-            unavailable, in which case the message names the backend and
-            carries the precise reason (e.g. ``compiled`` without a C
-            compiler).  Both exit 2 at the CLI.
+        PipelineConfigError: the name is not in the table ("unknown backend
+            ...", listing the names), or the engine is unavailable, in which
+            case the message names it and carries the precise reason (e.g.
+            ``compiled`` without a C compiler).  Both exit 2 at the CLI.
     """
-    instance = _INSTANCES.get(name)
-    if instance is not None:
-        return instance
-    backend = _instantiate(name)
-    backend.check_available()
-    _INSTANCES[name] = backend
-    return backend
+    engine = _load(name)
+    reason = engine.unavailable_reason()
+    if reason is not None:
+        raise _config_error(f"backend {name!r} is unavailable: {reason}")
+    return engine
 
 
 def describe_backends() -> List[dict]:
-    """Availability report for every registered backend (CLI ``list --backends``).
+    """Availability report for every engine, fastest first (CLI ``list --backends``).
 
-    Returns one entry per name: ``{"name", "available", "default", "reason",
+    One entry per engine: ``{"name", "available", "default", "reason",
     "replay_note", "build"}`` — ``default`` marks the engine an unselected
-    replay tries first (the fastest available builtin), ``reason`` is the
-    ``check_available`` failure message when unavailable (``None``
-    otherwise), ``build`` the backend's build metadata when it reports any.
-    Never raises for an unavailable backend; unknown names cannot occur (the
-    listing *is* the registry).
+    replay is offered to first (the fastest available), ``reason`` is
+    :meth:`SimBackend.unavailable_reason`, ``build`` the engine's build
+    metadata when it is available and reports any.
     """
-    from repro.pipeline.scenario import PipelineConfigError
-
     entries = []
-    for name in backend_names():
-        backend = _instantiate(name)
-        reason: Optional[str] = None
-        try:
-            backend.check_available()
-        except PipelineConfigError as error:
-            reason = str(error)
+    for name in ENGINES:
+        engine = _load(name)
+        reason = engine.unavailable_reason()
         entries.append(
             {
                 "name": name,
                 "available": reason is None,
+                "default": reason is None and not any(e["available"] for e in entries),
                 "reason": reason,
-                "replay_note": backend.replay_note,
-                "build": backend.build_info() if reason is None else None,
+                "replay_note": engine.replay_note,
+                "build": engine.build_info() if reason is None else None,
             }
         )
-    available = {entry["name"] for entry in entries if entry["available"]}
-    default = next(name for name in _FASTEST_FIRST if name in available)
-    for entry in entries:
-        entry["default"] = entry["name"] == default
     return entries
-
-
-def available_backend_names(mode: str = "lstf") -> List[str]:
-    """Backends that can actually replay here, reference engine first.
-
-    The reference ``"python"`` engine always leads; every other registered
-    backend follows in trajectory order (``vectorized``, ``compiled``, then
-    any third-party registrations sorted by name), *skipping* backends whose
-    dependencies are missing or whose kernel cannot be built, and backends
-    that decline ``mode``.  This is the backend enumeration ``benchmarks/perf``,
-    the differential fuzz harness, and ``repro diff --replay`` all share:
-    "every available backend" means exactly this list.
-    """
-    from repro.pipeline.scenario import PipelineConfigError
-
-    preferred = ["python", "vectorized", "compiled"]
-    names = [name for name in preferred if name in backend_names()]
-    names += [name for name in sorted(backend_names()) if name not in preferred]
-    usable: List[str] = []
-    for name in names:
-        try:
-            backend = get_backend(name)
-        except PipelineConfigError:
-            continue
-        if name == "python" or backend.supports_replay(mode):
-            usable.append(name)
-    return usable
 
 
 def pinned_backend_name() -> Optional[str]:
@@ -328,60 +193,76 @@ def pinned_backend_name() -> Optional[str]:
     return os.environ.get(BACKEND_ENV_VAR) or None
 
 
-def resolve_backend(selector: Union[str, SimBackend, None]) -> SimBackend:
-    """Resolve a backend selector to one instance.
-
-    ``None`` consults the :data:`BACKEND_ENV_VAR` environment variable and
-    otherwise answers :data:`REFERENCE_BACKEND` (``"python"``): this function
-    sees no replay configuration, so the only engine it can name for every
-    caller is the one that supports everything.  Replays choose per
-    configuration through :func:`replay_candidates` instead.
-    """
-    if isinstance(selector, SimBackend):
-        return selector
-    if selector is None:
-        selector = pinned_backend_name() or REFERENCE_BACKEND
-    return get_backend(selector)
+def _available() -> Tuple[SimBackend, ...]:
+    """The table's engines that can run here, fastest first.  Asking ``compiled``
+    is what probes (and once, builds) the C kernel; :mod:`repro.sim.compiled` remembers."""
+    engines = [_load(name) for name in ENGINES]
+    return tuple(engine for engine in engines if engine.unavailable_reason() is None)
 
 
-@functools.lru_cache(maxsize=1)
-def _builtin_candidates() -> Tuple[SimBackend, ...]:
-    """The available builtin engines, fastest first, probed once per process.
-
-    :func:`register_backend` clears the memo (a builtin may have been
-    replaced); the builtins' own import-time registrations land while this
-    probe is still running, i.e. before its result is stored.  The reference
-    engine has no dependencies, so the tuple is never empty and always ends
-    with it.
-    """
-    from repro.pipeline.scenario import PipelineConfigError
-
-    available = []
-    for name in _FASTEST_FIRST:
-        try:
-            available.append(get_backend(name))
-        except PipelineConfigError:
-            continue  # missing dependency / unbuildable kernel
-    return tuple(available)
-
-
-def replay_candidates(selector: Union[str, SimBackend, None] = None) -> Tuple[SimBackend, ...]:
+def replay_candidates(selector: Optional[str] = None) -> Tuple[SimBackend, ...]:
     """The engines a replay is offered to, in order; the first that accepts runs it.
 
-    An explicit selector — the argument, else :data:`BACKEND_ENV_VAR` — is
-    tried alone, with the reference engine behind it for configurations it
-    declines.  No selector means the *builtin* engines fastest first
-    (``compiled``, ``vectorized``, ``python``), unavailable ones skipped:
-    a replay lands on the fastest engine whose
-    :meth:`SimBackend.supports_replay` accepts its configuration, which for
-    faults, finite buffers and preemption is the reference engine.  A
-    third-party registration is never in the unselected list — it runs only
-    when named.
+    A named engine — the argument, else :data:`BACKEND_ENV_VAR` — is offered
+    the replay alone, with the reference engine behind it for configurations
+    it declines.  No name means the table, fastest first, unavailable
+    engines skipped.
 
     Raises:
-        PipelineConfigError: an explicitly selected backend is unknown or
-            unavailable (same errors as :func:`get_backend`).
+        PipelineConfigError: a named engine is unknown or unavailable (same
+            errors as :func:`get_backend`).
     """
-    if selector is None and pinned_backend_name() is None:
-        return _builtin_candidates()
-    return (resolve_backend(selector), get_backend(REFERENCE_BACKEND))
+    name = selector or pinned_backend_name()
+    if name is None:
+        return _available()
+    return tuple(get_backend(each) for each in dict.fromkeys((name, REFERENCE_BACKEND)))
+
+
+def select_engine(
+    selector: Optional[str],
+    topology: "Topology",
+    mode: str = "lstf",
+    default_buffer_bytes: Optional[float] = None,
+    initializer: Optional["ReplayInitializer"] = None,
+    faults: Optional["FaultPlan"] = None,
+) -> Tuple[SimBackend, List[Tuple[str, str]]]:
+    """Which engine runs this replay, and ``(name, reason)`` for each that declined it first.
+
+    The one decision: :func:`repro.core.replay.replay_schedule` obeys and
+    logs it, and whoever needs to *know* it (``diff --replay``'s note, the
+    fuzzer's bookkeeping, the selection tests) calls this rather than
+    re-deriving it.  Pure given the environment: the first of
+    :func:`replay_candidates` whose :meth:`SimBackend.decline_reason` is
+    ``None`` — so an unflagged Table-1 replay lands on the fast path while
+    fault-bearing, finite-buffer and ``lstf-preemptive`` replays land on the
+    reference engine.
+    """
+    declined: List[Tuple[str, str]] = []
+    for engine in replay_candidates(selector):
+        reason = engine.decline_reason(topology, mode, default_buffer_bytes, initializer, faults)
+        if reason is None:
+            return engine, declined
+        declined.append((engine.name, reason))
+    raise RuntimeError(f"the reference engine declined a replay: {declined}")
+
+
+def resolve_backend(selector: Optional[str]) -> SimBackend:
+    """Shim: the named engine, else the pin, else the reference engine.
+
+    Imported by the frozen ``benchmarks/perf/run.py`` to stage its traced
+    replay span; nothing in ``src/`` calls it and ROADMAP item 1 deletes it.
+    Replays choose through :func:`select_engine`.
+    """
+    return get_backend(selector or pinned_backend_name() or REFERENCE_BACKEND)
+
+
+def available_backend_names(mode: str = "lstf") -> List[str]:
+    """Shim: the available engines that replay ``mode``, reference first.
+
+    Imported by the frozen ``benchmarks/perf/run.py`` to enumerate its
+    replay spans; nothing in ``src/`` calls it and ROADMAP item 1 deletes it.
+    """
+    from repro.topology.base import Topology
+
+    names = [engine.name for engine in reversed(_available())]
+    return [n for n in names if select_engine(n, Topology("linkless"), mode)[0].name == n]

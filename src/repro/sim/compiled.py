@@ -3,8 +3,9 @@
 ``_kernel.c`` (beside this file) is a hand-written CPython C extension
 transliterating :func:`repro.sim.vectorized.run_flat_replay`; see its header
 for the determinism argument.  It ships as source and builds itself: the
-first :func:`kernel_available` of a process — reached through the
-once-per-process engine probe in :mod:`repro.sim.backend`, never at import —
+first :func:`kernel_available` of a process — reached when an engine list
+that includes ``compiled`` is drawn up (:mod:`repro.sim.backend`), never at
+import, and remembered here, the one availability memo there is —
 hashes the source and loads ``__pycache__/_kernel-<sha12><EXT_SUFFIX>`` from
 beside it, compiling that file first when it is missing or does not load.
 The name is the content, so an edited source never runs an old build and any
@@ -197,9 +198,10 @@ def kernel_run_flat_replay() -> Callable:
     """The compiled ``run_flat_replay`` entry point.
 
     Raises:
-        RuntimeError: when the kernel is unavailable.  Callers resolve
-            availability through the backend registry first
-            (``check_available``), so this is a backstop, not an API.
+        RuntimeError: when the kernel is unavailable.  An unavailable
+            engine is never a replay candidate
+            (:func:`repro.sim.backend.replay_candidates`), so this is a
+            backstop, not an API.
     """
     kernel = _kernel()
     if kernel.module is None:

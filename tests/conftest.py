@@ -11,7 +11,6 @@ import repro.sim.compiled as compiled_mod
 from repro.core.schedule import HopTiming, PacketRecord
 from repro.schedulers import uniform_factory
 from repro.sim import Simulator, Tracer
-from repro.sim import backend as backend_mod
 from repro.sim.flow import Flow
 from repro.topology import dumbbell_topology, linear_topology, single_switch_topology
 from repro.traffic import WorkloadSpec, paper_default_workload
@@ -83,16 +82,11 @@ def views_built(monkeypatch) -> Counter:
 def kernel_sandbox(tmp_path, monkeypatch):
     """The kernel loader pointed at a temp copy of ``_kernel.c`` with an empty cache.
 
-    Yields the copy's directory (builds land in its ``__pycache__``).  Every
-    engine memo is dropped on the way in and out: the test probes from
-    scratch, and later tests re-probe the checkout's own cache.
+    Yields the copy's directory (builds land in its ``__pycache__``).  The
+    one availability memo is dropped on the way in and out: the test probes
+    from scratch, and later tests re-probe the checkout's own cache.
     """
-
-    def forget():
-        compiled_mod._kernel.cache_clear()
-        backend_mod._INSTANCES.pop("compiled", None)
-        backend_mod._builtin_candidates.cache_clear()
-
+    forget = compiled_mod._kernel.cache_clear
     directory = tmp_path / "sim"
     directory.mkdir()
     shutil.copy(compiled_mod._SOURCE, directory / "_kernel.c")

@@ -17,6 +17,7 @@ from repro.diff import first_divergence
 from repro.experiments.config import ExperimentScale
 from repro.pipeline import ScheduleCache, default_registry
 from repro.pipeline.experiment import replay_scenario, scenario_cache_key
+from repro.pipeline.runner import backend_scope
 
 #: sha256 of the *decompressed* quick seed-1 ``I2-1G-10G@70`` cache entry,
 #: captured on the commit before the encoder moved from records to columns.
@@ -65,7 +66,8 @@ def test_warm_accelerated_replay_builds_no_record_objects(table1_cold, views_bui
     cache_dir, results = table1_cold
     cell, cold = results[0]
     built = views_built
-    warm = replay_scenario(cell.spec, cell.mode, cache=ScheduleCache(cache_dir), backend="vectorized")
+    with backend_scope("vectorized"):
+        warm = replay_scenario(cell.spec, cell.mode, cache=ScheduleCache(cache_dir))
     assert warm.metrics == cold.metrics
     assert not built, built
 

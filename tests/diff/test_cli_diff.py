@@ -7,7 +7,7 @@ import pytest
 
 from repro.__main__ import main as cli_main
 from repro.core.schedule import Schedule, load_schedule, save_schedule
-from repro.sim.backend import available_backend_names
+from repro.sim.backend import describe_backends
 
 
 @pytest.fixture(scope="module")
@@ -60,11 +60,20 @@ class TestDiffReplay:
     def test_replay_bit_clean_across_available_backends(self, recorded, capsys):
         # The acceptance sweep: the recorded schedule must replay
         # bit-identically on every backend this environment can run.
-        for backend in available_backend_names():
+        available = [entry["name"] for entry in describe_backends() if entry["available"]]
+        for backend in available:
             code = cli_main(["diff", "--replay", recorded, "--backend", backend])
-            out = capsys.readouterr().out
+            out, err = capsys.readouterr()
             assert code == 0, f"backend {backend} diverged:\n{out}"
-            assert "bit-identical" in out
+            assert "bit-identical" in out and not err
+            assert f"(python vs {backend if backend != 'python' else 'python#2'})" in out
+
+    def test_a_declined_replay_says_why_and_labels_what_ran(self, recorded, capsys):
+        argv = ["diff", "--replay", recorded, "--backend", "vectorized", "--fault", "loss-5pct"]
+        assert cli_main(argv) == 0
+        out, err = capsys.readouterr()
+        assert "note: backend 'vectorized' declines this configuration (fault plan)" in err
+        assert "(python vs python#2)" in out and "vectorized" not in out
 
     def test_replay_default_is_determinism_twin(self, recorded, capsys):
         assert cli_main(["diff", "--replay", recorded]) == 0

@@ -49,6 +49,11 @@ class TestScenarioSynthesis:
             scenario = random_scenario(3, index)
             assert scenario_from_dict(scenario_to_dict(scenario)) == scenario
 
+    def test_artifact_with_the_old_backend_key_still_loads(self):
+        # Scenario.backend is gone; artifacts users already hold carry "backend": null.
+        scenario = random_scenario(3, 1)
+        assert scenario_from_dict({**scenario_to_dict(scenario), "backend": None}) == scenario
+
     def test_dict_form_is_json_serializable(self):
         payload = json.dumps(scenario_to_dict(random_scenario(1, 0)))
         assert scenario_from_dict(json.loads(payload)) == random_scenario(1, 0)
@@ -151,7 +156,7 @@ class TestArtifacts:
 class TestShrinking:
     def test_shrinks_to_the_dimensions_that_matter(self, monkeypatch):
         # Fake oracle: the divergence "needs" the fault plan and nothing else.
-        def oracle(scenario, spec, context=8):
+        def oracle(scenario, spec, context=8, engines=None):
             return fake_divergence() if scenario.faults is not None else None
 
         monkeypatch.setattr(fuzz_module, "run_comparison", oracle)
@@ -180,7 +185,7 @@ class TestShrinking:
     def test_live_replay_shrink_keeps_the_policy(self, monkeypatch):
         calls = []
 
-        def oracle(scenario, spec, context=8):
+        def oracle(scenario, spec, context=8, engines=None):
             calls.append(scenario)
             return fake_divergence()
 
@@ -193,9 +198,10 @@ class TestShrinking:
 
 class TestRunFuzz:
     def test_small_real_sweep_is_clean(self):
-        # Two real backend-diff cases through every available backend; any
-        # divergence here is a genuine contract break.
-        report = run_fuzz(budget=2, seed=1, artifact_dir=None)
+        # Two real backend-diff cases; seed 2's first is clean EDF, which every
+        # available backend really runs (its second has faults: degenerate pairs).
+        # Any divergence here is a genuine contract break.
+        report = run_fuzz(budget=2, seed=2, artifact_dir=None)
         assert report.ok
         assert report.cases == 2
         assert report.comparisons >= 2
@@ -203,7 +209,7 @@ class TestRunFuzz:
         json.dumps(report.to_dict())
 
     def test_failure_path_shrinks_and_persists(self, tmp_path, monkeypatch):
-        def oracle(scenario, spec, context=8):
+        def oracle(scenario, spec, context=8, engines=None):
             return fake_divergence() if scenario.name.endswith("-0") else None
 
         monkeypatch.setattr(fuzz_module, "run_comparison", oracle)
@@ -223,6 +229,58 @@ class TestRunFuzz:
         assert any("DIVERGENCE" in line for line in lines)
         assert "DIVERGENCE in case 0" in report.format()
         assert report.to_dict()["divergences"] == 1
+
+
+class TestEnginesThatRan:
+    """A ``backend-pair`` names an engine; the report says which ones ran (ROADMAP 4d)."""
+
+    BACKENDS = ["python", "vectorized"]
+
+    def test_a_sweep_counts_the_engine_behind_every_leg(self):
+        report = run_fuzz(budget=2, seed=2, backends=self.BACKENDS, artifact_dir=None)
+        # Per case: a python twin and a python-vs-vectorized pair; case 1's
+        # burst-loss plan makes vectorized decline, so its pair is degenerate.
+        assert report.ok and not report.idle_engines
+        assert report.engine_runs == {"python": 7, "vectorized": 1}
+        assert (report.backend_pairs, report.degenerate_pairs) == (
+            {"vectorized": 2},
+            {"vectorized": 1},
+        )
+        payload = report.to_dict()
+        assert payload["engine_runs"] == {"python": 7, "vectorized": 1}
+        assert payload["backend_pairs"] == {"vectorized": {"comparisons": 2, "degenerate": 1}}
+        assert "python 7, vectorized 1; 1 of 2 vectorized backend-pair(s) degenerate" in report.format()
+
+    def test_a_sweep_in_which_a_listed_backend_never_ran_fails(self):
+        # Seed 1 opens with lstf-preemptive + burst-loss: every leg lands on python.
+        report = run_fuzz(budget=1, seed=1, backends=self.BACKENDS, artifact_dir=None)
+        assert not report.failures and report.idle_engines == ["vectorized"]
+        assert report.degenerate_pairs == report.backend_pairs == {"vectorized": 1}
+        assert not report.ok
+        assert "ENGINE NEVER EXECUTED: vectorized" in report.format()
+        assert "no divergence" not in report.format()
+
+    def test_a_divergence_is_labelled_by_the_engines_that_ran(self, monkeypatch):
+        from repro.core.replay_vectorized import VectorizedBackend
+
+        real = VectorizedBackend.replay
+
+        def late(self, *args, **kwargs):
+            replayed = real(self, *args, **kwargs)
+            replayed.columns().output_time[0] += 1e-9
+            return replayed
+
+        monkeypatch.setattr(VectorizedBackend, "replay", late)
+        spec = ComparisonSpec("backend-pair", "python", "vectorized")
+        clean, _ = case_plan(2, 0, self.BACKENDS)
+        faulted, _ = case_plan(2, 1, self.BACKENDS)
+        ran = []
+        divergence = run_comparison(clean, spec, engines=ran)
+        assert ran == ["python", "vectorized"]
+        assert (divergence.label_a, divergence.label_b) == ("python", "vectorized")
+        # The same spec on a faulted scenario never reaches the broken engine.
+        assert run_comparison(faulted, spec, engines=ran) is None
+        assert ran[2:] == ["python", "python"]
 
 
 class TestRecordPair:
@@ -291,16 +349,18 @@ class TestRecordPair:
 
 class TestFuzzCli:
     def test_budget_one_exit_0(self, capsys):
-        assert cli_main(["fuzz", "--budget", "1", "--no-artifacts"]) == 0
+        # Seed 2 opens with a clean EDF case: every listed engine runs a leg.
+        assert cli_main(["fuzz", "--budget", "1", "--seed", "2", "--no-artifacts"]) == 0
         out = capsys.readouterr().out
         assert "no divergence" in out
 
     def test_json_output(self, capsys):
-        code = cli_main(["fuzz", "--budget", "1", "--no-artifacts", "--json"])
+        code = cli_main(["fuzz", "--budget", "1", "--seed", "2", "--no-artifacts", "--json"])
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["format"] == "repro-fuzz-report/1"
         assert payload["divergences"] == 0
+        assert all(payload["engine_runs"].values())
 
     def test_bad_budget_exit_2(self, capsys):
         assert cli_main(["fuzz", "--budget", "0"]) == 2

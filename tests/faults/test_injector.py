@@ -159,16 +159,17 @@ class TestEmptyPlanAndComposition:
 
 class TestBackendFallback:
     def test_vectorized_declines_faults_and_falls_back_bit_identically(self, schedule):
-        pytest.importorskip("numpy")
-        from repro.core.replay_vectorized import VectorizedBackend
+        from repro.sim.backend import select_engine
+
+        def decide(faults):
+            engine, declined = select_engine("vectorized", topology(), "lstf", faults=faults)
+            return engine.name, declined
 
         plan = plan_of(BernoulliLoss(rate=0.05), seed=1)
-        assert VectorizedBackend().supports_replay("lstf")
-        assert not VectorizedBackend().supports_replay("lstf", faults=plan)
+        assert decide(None) == ("vectorized", [])
+        assert decide(plan) == ("python", [("vectorized", "fault plan")])
         # An empty plan must NOT trigger the fallback.
-        assert VectorizedBackend().supports_replay(
-            "lstf", faults=FaultPlan(FAULTS.get("empty"))
-        )
+        assert decide(FaultPlan(FAULTS.get("empty"))) == ("vectorized", [])
         reference = replay(schedule, faults=plan)
         fallback = replay(schedule, faults=plan, backend="vectorized")
         assert fallback.metrics.missing_packets == reference.metrics.missing_packets

@@ -12,6 +12,7 @@ and run with ``workers`` as an input; only the SIGKILL cases need a pool.
 import gc
 import json
 import os
+import sys
 import time
 import weakref
 
@@ -123,6 +124,27 @@ class TestCellDeadline:
     def test_none_is_no_timeout(self):
         with _cell_deadline(None):
             time.sleep(0.01)
+
+    def test_a_swallowed_alarm_does_not_lose_the_deadline(self, monkeypatch):
+        """The handler's raise can land where Python cannot propagate it — here
+        a ``gc.callbacks`` function — and is then only reported as unraisable."""
+        swallowed = []
+        monkeypatch.setattr(sys, "unraisablehook", swallowed.append)
+
+        def outlasts_the_first_alarm(phase, info):
+            until = time.monotonic() + 0.2
+            while not swallowed and time.monotonic() < until:
+                pass
+
+        gc.callbacks.append(outlasts_the_first_alarm)
+        try:
+            with pytest.raises(CellTimeoutError, match="timeout"):
+                with _cell_deadline(0.05):
+                    gc.collect()
+                    time.sleep(1)  # with a one-shot alarm: sleeps on, deadline lost
+        finally:
+            gc.callbacks.remove(outlasts_the_first_alarm)
+        assert swallowed and {each.exc_type for each in swallowed} == {CellTimeoutError}
 
 
 @pytest.mark.parametrize("workers", [1, 2])

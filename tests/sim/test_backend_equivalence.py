@@ -1,13 +1,13 @@
 """Cross-backend equivalence: every backend must match the reference engine.
 
 The ``SimBackend`` contract (``docs/backends.md``) is bit-identity: a replay
-run under any registered backend must produce the *exact* rows the reference
-python engine produces — same floats, same tie-breaks, same record order.
-These tests hold the vectorized backend to that contract on a recorded
-fixture schedule (the golden test) and on adversarial synthetic record sets
-(the hypothesis property test), and check the seam itself: fallback for
-unsupported configurations, clean configuration errors, and the
-cancel-then-peek lazy-discard semantics every backend's simulator must obey.
+run under any engine must produce the *exact* rows the reference python
+engine produces — same floats, same tie-breaks, same record order.  These
+tests hold the accelerated engines to that contract on a recorded fixture
+schedule (the golden test) and on adversarial synthetic record sets (the
+hypothesis property test), and check the seam itself: fallback for declined
+configurations and clean configuration errors.  (The OO engine's own
+cancel-then-peek contract lives in ``test_engine.py``.)
 """
 
 import pytest
@@ -23,7 +23,6 @@ from repro.core.replay_compiled import CompiledBackend
 from repro.core.replay_vectorized import VectorizedBackend
 from repro.core.schedule import HopTiming, PacketRecord, Schedule
 from repro.pipeline.scenario import PipelineConfigError
-from repro.sim.backend import backend_names, get_backend, resolve_backend
 from repro.sim.compiled import kernel_available, kernel_run_flat_replay, unavailable_reason
 from repro.sim.vectorized import run_flat_replay
 from repro.topology import dumbbell_topology
@@ -96,7 +95,7 @@ class TestGoldenEquivalence:
         self, fixture_topology, recorded_schedule, mode, backend
     ):
         backend_cls = OPTIMIZED_BACKEND_CLASSES[backend]
-        assert backend_cls().supports_replay(mode, topology=fixture_topology)
+        assert backend_cls().decline_reason(fixture_topology, mode) is None
         reference = replay_schedule(
             fixture_topology, recorded_schedule, mode=mode, backend="python"
         )
@@ -282,10 +281,8 @@ class TestBackendSeam:
         self, fixture_topology, recorded_schedule, backend
     ):
         instance = OPTIMIZED_BACKEND_CLASSES[backend]()
-        assert not instance.supports_replay(
-            "lstf-preemptive", topology=fixture_topology
-        )
-        # replay_schedule silently routes the run to the reference engine.
+        assert instance.decline_reason(fixture_topology, "lstf-preemptive")
+        # replay_schedule routes the run to the reference engine.
         reference = replay_schedule(
             fixture_topology, recorded_schedule, mode="lstf-preemptive",
             backend="python",
@@ -306,68 +303,15 @@ class TestBackendSeam:
                 LinkSpec("r", "b", mbps(10), 0.001),
             ],
         )
-        assert not OPTIMIZED_BACKEND_CLASSES[name]().supports_replay(
-            "lstf", topology=topo
-        )
+        assert OPTIMIZED_BACKEND_CLASSES[name]().decline_reason(topo, "lstf")
 
     @pytest.mark.parametrize("name", sorted(OPTIMIZED_BACKEND_CLASSES))
     def test_finite_default_buffer_declines(self, fixture_topology, name):
         backend = OPTIMIZED_BACKEND_CLASSES[name]()
-        assert not backend.supports_replay(
-            "lstf", default_buffer_bytes=15000.0, topology=fixture_topology
-        )
+        assert backend.decline_reason(fixture_topology, "lstf", default_buffer_bytes=15000.0)
 
     def test_unknown_backend_raises(self, fixture_topology, recorded_schedule):
         with pytest.raises(PipelineConfigError, match="unknown backend"):
             replay_schedule(
                 fixture_topology, recorded_schedule, mode="lstf", backend="nope"
             )
-
-    def test_scenario_backend_threads_through(self, monkeypatch):
-        """``Scenario.backend`` reaches the backend seam on the replay leg."""
-        import dataclasses
-
-        from repro.experiments.config import ExperimentScale
-        from repro.experiments.table1 import default_scenario
-        from repro.pipeline.experiment import replay_scenario
-
-        calls = []
-        original = VectorizedBackend.replay
-
-        def spy(self, *args, **kwargs):
-            calls.append(1)
-            return original(self, *args, **kwargs)
-
-        monkeypatch.setattr(VectorizedBackend, "replay", spy)
-        scenario = dataclasses.replace(
-            default_scenario(ExperimentScale.quick()), backend="vectorized"
-        )
-        result = replay_scenario(scenario)
-        assert calls, "scenario.backend never reached the vectorized backend"
-        assert result.metrics.total_packets > 0
-
-
-# --------------------------------------------------------------------- #
-# Engine contract: cancel-then-peek across every backend's simulator
-# --------------------------------------------------------------------- #
-class TestSimulatorContract:
-    @pytest.mark.parametrize("name", sorted(backend_names()))
-    def test_cancel_then_peek(self, name):
-        """A directly cancelled event must not shadow live ones (lazy-discard
-        reconciliation — the PR's contract addition)."""
-        try:
-            sim = get_backend(name).make_simulator()
-        except PipelineConfigError as error:
-            pytest.skip(f"backend {name!r} unavailable in this environment: {error}")
-        fired = []
-        first = sim.schedule(1.0, lambda: fired.append("first"))
-        sim.schedule(2.0, lambda: fired.append("second"))
-        first.cancel()
-        assert sim.peek_next_time() == 2.0
-        sim.run()
-        assert fired == ["second"]
-        assert sim.now == 2.0
-
-    def test_resolve_backend_passthrough(self):
-        backend = resolve_backend("python")
-        assert resolve_backend(backend) is backend

@@ -1,29 +1,30 @@
-"""Which engine an unflagged replay lands on (``replay_candidates``).
+"""Which engine a replay lands on, and why the faster ones did not take it.
 
-No selector means the fastest *available builtin* engine that accepts the
-replay configuration; any selector (argument, ``Scenario.backend``,
-``$REPRO_BACKEND``) pins the engine, with the reference engine behind it for
-configurations it declines.  The engine actually used is observed by spying
-on the backends' ``replay`` methods.
+No selector means the fastest *available* engine that accepts the replay's
+configuration; a selector (the ``backend`` argument, else ``$REPRO_BACKEND``)
+pins the engine, with the reference engine behind it for configurations it
+declines.  ``select_engine`` is that decision — ``replay_schedule`` obeys and
+logs it — so these tests ask it, rather than spying on the engines.
 """
 
 import dataclasses
+import logging
 
 import pytest
 
-from repro.core.replay import PythonBackend, ReplayExperiment, replay_schedule
-from repro.core.replay_vectorized import VectorizedBackend
+import repro.sim.compiled as compiled_mod
+from repro.core.replay import ReplayExperiment, replay_schedule
 from repro.core.slack import ZeroSlackInitializer
 from repro.core.slack_policy import SLACK_POLICIES
 from repro.faults import FAULTS, FaultPlan
-from repro.sim import backend as backend_mod
 from repro.sim.backend import (
     BACKEND_ENV_VAR,
-    SimBackend,
+    available_backend_names,
     describe_backends,
-    register_backend,
+    get_backend,
     replay_candidates,
     resolve_backend,
+    select_engine,
 )
 from repro.sim.compiled import kernel_available
 from repro.topology import dumbbell_topology
@@ -31,8 +32,9 @@ from repro.topology.base import Topology
 from repro.traffic import WorkloadSpec, paper_default_workload
 from repro.utils import mbps
 
-#: What "fastest available" means in this environment.
+#: What "fastest available" means in this environment, and what sits above the reference.
 FASTEST = "compiled" if kernel_available() else "vectorized"
+ACCELERATED = ["compiled", "vectorized"] if kernel_available() else ["vectorized"]
 
 
 @pytest.fixture(autouse=True)
@@ -44,6 +46,12 @@ def unselected(monkeypatch):
 @pytest.fixture(scope="module")
 def topology():
     return dumbbell_topology(2, mbps(10), mbps(100))
+
+
+@pytest.fixture(scope="module")
+def finite_topology(topology):
+    links = [dataclasses.replace(topology.links[0], buffer_bytes=1e9), *topology.links[1:]]
+    return Topology(name="finite", nodes=topology.nodes, links=links)
 
 
 @pytest.fixture(scope="module")
@@ -65,19 +73,20 @@ def schedule(topology):
     ).record()
 
 
-@pytest.fixture
-def used(monkeypatch):
-    """Names of the engines whose ``replay`` ran, in call order."""
-    log = []
-    # CompiledBackend inherits VectorizedBackend.replay; ``self.name`` tells them apart.
-    for cls in (PythonBackend, VectorizedBackend):
+def loss_plan():
+    plan = FaultPlan(FAULTS.get("loss-5pct"), seed=3)
+    assert not plan.is_empty()
+    return plan
 
-        def spy(self, *args, _replay=cls.replay, **kwargs):
-            log.append(self.name)
-            return _replay(self, *args, **kwargs)
 
-        monkeypatch.setattr(cls, "replay", spy)
-    return log
+def decide(topology, selector=None, **config):
+    """``select_engine``'s answer as ``(engine name, [(declined name, reason), ...])``."""
+    engine, declined = select_engine(selector, topology, **config)
+    return engine.name, declined
+
+
+def every_accelerated_engine_says(reason):
+    return [(name, reason) for name in ACCELERATED]
 
 
 def rows(replayed):
@@ -86,42 +95,42 @@ def rows(replayed):
 
 class TestUnselectedReplay:
     @pytest.mark.parametrize("mode", ["lstf", "edf", "priority", "omniscient"])
-    def test_supported_modes_take_the_fastest_engine(self, topology, schedule, used, mode):
-        replay_schedule(topology, schedule, mode=mode)
-        assert used == [FASTEST]
+    def test_supported_modes_take_the_fastest_engine(self, topology, mode):
+        assert decide(topology, mode=mode) == (FASTEST, [])
 
-    def test_fault_plan_lands_on_the_reference_engine(self, topology, schedule, used):
-        plan = FaultPlan(FAULTS.get("loss-5pct"), seed=3)
-        assert not plan.is_empty()
-        replay_schedule(topology, schedule, faults=plan)
-        assert used == ["python"]
+    def test_fault_plan_lands_on_the_reference_engine(self, topology):
+        assert decide(topology, faults=loss_plan()) == (
+            "python",
+            every_accelerated_engine_says("fault plan"),
+        )
 
-    def test_empty_fault_plan_counts_as_fault_free(self, topology, schedule, used):
-        replay_schedule(topology, schedule, faults=FaultPlan(FAULTS.get("empty")))
-        assert used == [FASTEST]
+    def test_empty_fault_plan_counts_as_fault_free(self, topology):
+        assert decide(topology, faults=FaultPlan(FAULTS.get("empty"))) == (FASTEST, [])
 
-    def test_finite_default_buffer_lands_on_the_reference_engine(self, topology, schedule, used):
-        replay_schedule(topology, schedule, default_buffer_bytes=1e9)
-        assert used == ["python"]
+    def test_finite_default_buffer_lands_on_the_reference_engine(self, topology):
+        assert decide(topology, default_buffer_bytes=1e9) == (
+            "python",
+            every_accelerated_engine_says("finite default buffer"),
+        )
 
-    def test_finite_buffer_topology_lands_on_the_reference_engine(self, topology, schedule, used):
-        links = [dataclasses.replace(topology.links[0], buffer_bytes=1e9), *topology.links[1:]]
-        finite = Topology(name="finite", nodes=topology.nodes, links=links)
-        replay_schedule(finite, schedule)
-        assert used == ["python"]
+    def test_finite_buffer_topology_lands_on_the_reference_engine(self, finite_topology):
+        link = finite_topology.links[0]
+        assert decide(finite_topology) == (
+            "python",
+            every_accelerated_engine_says(f"finite buffer at {link.a}<->{link.b}"),
+        )
 
-    def test_preemptive_lstf_lands_on_the_reference_engine(self, topology, schedule, used):
-        replay_schedule(topology, schedule, mode="lstf-preemptive")
-        assert used == ["python"]
+    def test_preemptive_lstf_lands_on_the_reference_engine(self, topology):
+        assert decide(topology, mode="lstf-preemptive") == (
+            "python",
+            every_accelerated_engine_says("replay mode lstf-preemptive"),
+        )
 
-    def test_slack_policy_initializer_stays_accelerated(self, topology, schedule, used):
+    def test_slack_policy_initializer_stays_accelerated(self, topology):
         initializer = SLACK_POLICIES.get("zero").build_initializer()
-        replay_schedule(topology, schedule, initializer=initializer)
-        assert used == [FASTEST]
+        assert decide(topology, initializer=initializer) == (FASTEST, [])
 
-    def test_unknown_initializer_runs_for_real_on_the_accelerated_engine(
-        self, topology, schedule, used
-    ):
+    def test_unknown_initializer_runs_for_real_on_the_accelerated_engine(self, topology, schedule):
         calls = []
 
         class CountingZeroSlack(ZeroSlackInitializer):
@@ -129,72 +138,82 @@ class TestUnselectedReplay:
                 calls.append(record.packet_id)
                 super().initialize(packet, record, network)
 
+        assert decide(topology, initializer=CountingZeroSlack()) == (FASTEST, [])
         auto = replay_schedule(topology, schedule, initializer=CountingZeroSlack())
-        assert used == [FASTEST]
         assert calls == [record.packet_id for record in schedule.records()]
         reference = replay_schedule(
             topology, schedule, initializer=ZeroSlackInitializer(), backend="python"
         )
         assert rows(auto) == rows(reference)
 
-    def test_auto_equals_forced_reference_record_for_record(self, topology, schedule, used):
+    def test_auto_equals_forced_reference_record_for_record(self, topology, schedule):
+        assert decide(topology) == (FASTEST, [])
+        assert decide(topology, "python") == ("python", [])
         auto = replay_schedule(topology, schedule)
         forced = replay_schedule(topology, schedule, backend="python")
-        assert used == [FASTEST, "python"]
         assert rows(auto) == rows(forced)
         assert len(auto) == len(schedule) > 0
 
 
 class TestSelectorsPinTheEngine:
-    def test_backend_argument(self, topology, schedule, used):
-        replay_schedule(topology, schedule, backend="python")
-        assert used == ["python"]
+    def test_backend_argument(self, topology):
+        assert decide(topology, "python") == ("python", [])
 
-    def test_environment_variable(self, monkeypatch, topology, schedule, used):
+    def test_environment_variable(self, monkeypatch, topology):
         monkeypatch.setenv(BACKEND_ENV_VAR, "python")
-        replay_schedule(topology, schedule)
-        assert used == ["python"]
+        assert decide(topology) == ("python", [])
 
-    def test_argument_beats_environment(self, monkeypatch, topology, schedule, used):
+    def test_argument_beats_environment(self, monkeypatch, topology):
         monkeypatch.setenv(BACKEND_ENV_VAR, "python")
-        replay_schedule(topology, schedule, backend="vectorized")
-        assert used == ["vectorized"]
+        assert decide(topology, "vectorized") == ("vectorized", [])
 
-    def test_scenario_backend_field(self, used):
-        from repro.experiments.config import ExperimentScale
-        from repro.experiments.table1 import default_scenario
-        from repro.pipeline.experiment import replay_scenario
-
-        scenario = default_scenario(ExperimentScale.smoke())
-        replay_scenario(scenario)
-        replay_scenario(dataclasses.replace(scenario, backend="python"))
-        assert used == [FASTEST, "python"]
-
-    def test_selected_engine_that_declines_hands_over_to_the_reference(
-        self, topology, schedule, used
-    ):
-        replay_schedule(topology, schedule, mode="lstf-preemptive", backend="vectorized")
-        assert used == ["python"]
+    def test_selected_engine_that_declines_hands_over_to_the_reference(self, topology):
+        assert decide(topology, "vectorized", mode="lstf-preemptive") == (
+            "python",
+            [("vectorized", "replay mode lstf-preemptive")],
+        )
 
     def test_resolve_backend_none_still_names_the_reference(self):
         # It sees no configuration; benchmarks/perf stages its replay span by it.
         assert resolve_backend(None).name == "python"
 
 
-class _NeverDeclines(SimBackend):
-    name = "third-party"
+#: Every way a configuration leaves the fast path, as ``select_engine`` keywords
+#: (the finite link buffer is a property of the topology, not a keyword).
+DECLINING = {
+    "fault plan": dict(faults=FaultPlan(FAULTS.get("loss-5pct"), seed=3)),
+    "finite default buffer": dict(default_buffer_bytes=1e9),
+    "finite link buffer": {},
+    "lstf-preemptive": dict(mode="lstf-preemptive"),
+    "unknown mode": dict(mode="no-such-mode"),
+}
 
-    def replay(self, *args, **kwargs):  # pragma: no cover - must never be auto-selected
-        raise AssertionError("a registered third-party backend was auto-selected")
 
+class TestDeclineReasons:
+    @pytest.mark.parametrize("case", sorted(DECLINING))
+    @pytest.mark.parametrize("name", ACCELERATED)
+    def test_every_declining_configuration_says_why_and_python_never_declines(
+        self, topology, finite_topology, name, case
+    ):
+        on = finite_topology if case == "finite link buffer" else topology
+        config = DECLINING[case]
+        engine, declined = decide(on, name, **config)
+        [(who, reason)] = declined
+        assert (engine, who) == ("python", name)
+        assert reason and "\n" not in reason
+        assert decide(on, name, **config)[1] == declined  # stable: asked twice, same words
+        assert get_backend("python").decline_reason(on, **{"mode": "lstf", **config}) is None
 
-@pytest.fixture
-def third_party():
-    register_backend("third-party", _NeverDeclines)
-    yield
-    backend_mod._REGISTRY.pop("third-party", None)
-    backend_mod._INSTANCES.pop("third-party", None)
-    backend_mod._builtin_candidates.cache_clear()
+    def test_a_replay_logs_its_decision_exactly_once(self, topology, schedule, caplog):
+        caplog.set_level(logging.DEBUG, logger="repro.core.replay")
+        replay_schedule(topology, schedule, faults=loss_plan())
+        replay_schedule(topology, schedule, mode="edf")
+        faulted, clean = [r for r in caplog.records if r.name == "repro.core.replay"]
+        assert faulted.levelno == clean.levelno == logging.DEBUG
+        assert faulted.args == ("lstf", "python", every_accelerated_engine_says("fault plan"))
+        assert clean.args == ("edf", FASTEST, [])
+        assert f"mode=edf on {FASTEST}" in clean.getMessage()
+        assert "'fault plan'" in faulted.getMessage()
 
 
 class TestCandidateList:
@@ -203,29 +222,30 @@ class TestCandidateList:
         assert names == ["compiled", "vectorized", "python"][-len(names) :]
         assert names[0] == FASTEST
 
-    def test_registered_backend_is_opt_in_by_name(self, third_party, topology, schedule, used):
-        assert "third-party" not in [backend.name for backend in replay_candidates()]
-        replay_schedule(topology, schedule)
-        assert used == [FASTEST]
-        assert replay_candidates("third-party")[0].name == "third-party"
+    def test_a_named_engine_is_followed_by_the_reference_once(self):
+        assert [backend.name for backend in replay_candidates("vectorized")] == [
+            "vectorized",
+            "python",
+        ]
+        assert [backend.name for backend in replay_candidates("python")] == ["python"]
 
-    def test_availability_is_probed_once_until_a_registration(self, monkeypatch, third_party):
+    def test_availability_is_probed_once_per_process(self, no_compiler, monkeypatch):
+        """The kernel loader's memo is the only one: two unselected lists, one probe."""
         probes = []
-        real = backend_mod.get_backend
-
-        def counting(name):
-            probes.append(name)
-            return real(name)
-
-        monkeypatch.setattr(backend_mod, "get_backend", counting)
-        first = replay_candidates()
-        assert probes == ["compiled", "vectorized", "python"]
-        assert replay_candidates() is first
-        assert len(probes) == 3  # remembered, not re-probed
-        register_backend("third-party", _NeverDeclines)
-        replay_candidates()
-        assert len(probes) == 6  # the registration invalidated the memo
+        real = compiled_mod._probe
+        monkeypatch.setattr(compiled_mod, "_probe", lambda *a, **k: probes.append(a) or real(*a, **k))
+        assert [backend.name for backend in replay_candidates()] == ["vectorized", "python"]
+        assert [entry["name"] for entry in describe_backends() if entry["available"]] == [
+            "vectorized",
+            "python",
+        ]
+        assert len(probes) == 1
 
     def test_listing_marks_exactly_the_fastest_available_builtin(self):
         default = [entry["name"] for entry in describe_backends() if entry["default"]]
         assert default == [FASTEST]
+
+    def test_the_benchmark_shim_lists_available_engines_reference_first(self, monkeypatch):
+        monkeypatch.setenv(BACKEND_ENV_VAR, "vectorized")  # a pin does not change what exists
+        assert available_backend_names("lstf") == ["python", *reversed(ACCELERATED)]
+        assert available_backend_names("lstf-preemptive") == ["python"]

@@ -17,14 +17,8 @@ import pytest
 import repro.sim.compiled as compiled_mod
 from repro.__main__ import main
 from repro.core.replay import ReplayExperiment, replay_schedule
-from repro.core.replay_compiled import CompiledBackend
 from repro.pipeline.scenario import PipelineConfigError
-from repro.sim.backend import (
-    backend_names,
-    describe_backends,
-    get_backend,
-    resolve_backend,
-)
+from repro.sim.backend import ENGINES, describe_backends, get_backend, select_engine
 from repro.sim.compiled import kernel_available, unavailable_reason
 from repro.topology import dumbbell_topology
 from repro.traffic import WorkloadSpec, paper_default_workload
@@ -66,37 +60,21 @@ class TestPurePythonInstallPath:
         assert compiled_mod.kernel_build_info() is None
 
     def test_python_and_vectorized_still_resolve(self, no_compiler):
-        assert resolve_backend("python").name == "python"
-        assert resolve_backend("vectorized").name == "vectorized"
+        assert get_backend("python").name == "python"
+        assert get_backend("vectorized").name == "vectorized"
 
     def test_compiled_is_registered_but_unavailable(self, no_compiler):
-        assert "compiled" in backend_names()
+        assert "compiled" in ENGINES
         with pytest.raises(PipelineConfigError, match="unavailable"):
             get_backend("compiled")
 
-    def test_supports_replay_declines_without_kernel(
-        self, no_compiler, fixture_topology
-    ):
-        assert not CompiledBackend().supports_replay(
-            "lstf", topology=fixture_topology
-        )
-
-    def test_replay_schedule_falls_back_to_reference(
-        self, no_compiler, fixture_topology, recorded_schedule
-    ):
-        """The seam contract: an unbuildable kernel declines, results unchanged."""
-        reference = replay_schedule(
-            fixture_topology, recorded_schedule, mode="lstf", backend="python"
-        )
-        fallback = replay_schedule(
-            fixture_topology,
-            recorded_schedule,
-            mode="lstf",
-            backend=CompiledBackend(),
-        )
-        assert [r.to_dict() for r in fallback.records()] == [
-            r.to_dict() for r in reference.records()
-        ]
+    def test_supports_replay_declines_without_kernel(self, no_compiler, fixture_topology):
+        """An unavailable engine is not asked at all: it is never a candidate
+        (so nothing "declined"), and naming it is refused at resolution."""
+        engine, declined = select_engine(None, fixture_topology, "lstf")
+        assert (engine.name, declined) == ("vectorized", [])
+        with pytest.raises(PipelineConfigError, match="unavailable"):
+            select_engine("compiled", fixture_topology, "lstf")
 
     def test_describe_backends_reports_reason(self, no_compiler):
         entries = {entry["name"]: entry for entry in describe_backends()}
