@@ -346,8 +346,8 @@ _LISTINGS = {
         lambda scale: _registry("repro.sim.backend:describe_backends")(),
         ("name", ("status", _backend_status), "replay_note", ("detail", _backend_detail)),
         "unselected replays use the `default` engine when it supports "
-        "their configuration (faults, finite buffers and preemption run "
-        "on python); pin one with `--backend <name>` on run/replay/diff "
+        "their configuration (fault plans run on vectorized, finite buffers "
+        "and preemption on python); pin one with `--backend <name>` on run/replay/diff "
         "or $REPRO_BACKEND (docs/backends.md)",
     ),
     "faults": (

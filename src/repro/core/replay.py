@@ -194,6 +194,17 @@ class ReplayResult:
         return self.metrics.deadline_met_fraction_replay
 
 
+def replay_fault_horizon(schedule: Schedule) -> float:
+    """The span a replay's fault plan is stretched over, the same on every engine.
+
+    That is the span traffic actually enters over: the last recorded ingress
+    time (columns are ingress-sorted), or 1.0 when that is not positive.
+    """
+    ingress = schedule.columns().ingress_time
+    horizon = ingress[-1] if ingress else 0.0
+    return horizon if horizon > 0.0 else 1.0
+
+
 def replay_scheduler_factory(mode: str) -> SchedulerFactory:
     """Scheduler factory deploying the replay-mode scheduler at every port."""
     scheduler_cls, _ = _lookup_mode(mode)
@@ -225,7 +236,7 @@ class PythonBackend(SimBackend):
     name = "python"
     replay_note = (
         "reference OO engine; supports every replay configuration "
-        "(all modes, finite buffers, preemption, custom initializers)"
+        "(all modes, finite buffers, preemption, custom initializers and fault kinds)"
     )
 
     def replay(
@@ -251,11 +262,7 @@ class PythonBackend(SimBackend):
         injector = ReplayInjector(sim, network, schedule, initializer)
         injector.install()
         if faults is not None and not faults.is_empty():
-            # The fault horizon is the span traffic actually enters over:
-            # the last recorded ingress time (columns are ingress-sorted).
-            ingress = schedule.columns().ingress_time
-            horizon = ingress[-1] if ingress else 0.0
-            network.install_faults(faults, horizon=horizon if horizon > 0.0 else 1.0)
+            network.install_faults(faults, horizon=replay_fault_horizon(schedule))
         # Without faults there are no feedback loops and no drops, and with
         # them destroyed packets simply never reach their sink: either way
         # the event queue drains once every surviving packet has exited.
@@ -298,8 +305,8 @@ def replay_schedule(
             each that declined.
         faults: Optional :class:`repro.faults.FaultPlan` installed on the
             replay network (``None`` or an empty plan replays fault-free).
-            Accelerated engines decline fault-bearing replays, so these
-            run on the reference engine.
+            ``compiled`` declines fault-bearing replays (drop filters are
+            Python closures), so unselected ones run on ``vectorized``.
     """
     engine, declined = select_engine(
         backend, topology, mode, default_buffer_bytes, initializer, faults

@@ -8,9 +8,11 @@ inner event loop runs in the compiled kernel extension
 :func:`repro.sim.vectorized.run_flat_replay`; see ``_kernel.c`` for the
 bit-identity argument).  The backend therefore
 inherits the vectorized backend's entire contract surface: the same
-``decline_reason`` (only non-preemptive key modes with infinite buffers and
-no faults run here) and the same equivalence and golden-rows gates — only
-:meth:`VectorizedBackend._kernel` is swapped.
+``decline_reason`` (only non-preemptive key modes with infinite buffers run
+here) and the same equivalence and golden-rows gates — only
+:meth:`VectorizedBackend._kernel` is swapped, and fault plans are declined
+(``FAULT_KINDS = None``: the C loop calls no Python drop filter), which hands
+them to the ``"vectorized"`` general loop.
 
 Availability is a *toolchain* question: the kernel ships as source and
 :mod:`repro.sim.compiled` builds it on first use, so only an environment that
@@ -34,9 +36,13 @@ class CompiledBackend(VectorizedBackend):
 
     name = "compiled"
     replay_note = (
-        "replay fast path (lstf/edf/priority/omniscient, infinite buffers); "
-        "native C event loop (built on first use; needs a C compiler)"
+        "replay fast path (lstf/edf/priority/omniscient/fifo, infinite buffers, "
+        "no faults); native C event loop (built on first use; needs a C compiler)"
     )
+
+    #: Drop filters are Python closures over per-port ``RandomState``s; the C
+    #: loop takes no fault plan, so fault-bearing replays go to ``vectorized``.
+    FAULT_KINDS = None
 
     def unavailable_reason(self) -> Optional[str]:
         """Why the kernel does not load here (asking may build it)."""

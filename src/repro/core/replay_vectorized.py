@@ -4,8 +4,9 @@ Replay is the pipeline's hot path — one record run feeds many replay cells —
 and everything a replay needs is known before the first event fires:
 ``core/replay.py`` already sorts records by ingress time, routes are pinned
 (source routing), buffers are infinite, and the candidate schedulers' keys
-are either static per hop (EDF, priority, omniscient) or an affine function
-of one dynamic per-packet value (LSTF slack).  This backend exploits that:
+are either static per hop (EDF, priority, omniscient; constant for FIFO) or
+an affine function of one dynamic per-packet value (LSTF slack).  This
+backend exploits that:
 
 1. **Setup** (here): read the schedule's columns (no record object is
    built), expand each distinct route into per-hop arrays, and compute
@@ -17,12 +18,16 @@ of one dynamic per-packet value (LSTF slack).  This backend exploits that:
 2. **Run** (:func:`repro.sim.vectorized.run_flat_replay`): a flat event loop
    over those arrays that mirrors the OO engine's event choreography
    tuple-for-tuple (see that module's docstring); its output arrays become
-   the replayed schedule's columns as they are.
+   the replayed schedule's columns as they are.  A fault plan is compiled
+   per port by the same :meth:`~repro.faults.FaultPlan.link_faults` the OO
+   injector installs from, and runs on the kernel's general loop; packets it
+   destroys never exit and are left out of the result.
 
-The backend declines configurations outside the fast path — preemptive LSTF,
-finite buffers, faults, unknown modes (:meth:`VectorizedBackend.decline_reason`)
-— and :func:`repro.sim.backend.select_engine` then offers the replay to its
-next candidate, ending at the ``"python"`` reference backend, so callers never
+The backend declines configurations its loops do not model — preemptive LSTF,
+finite buffers, unknown modes, fault kinds other than the shipped ones
+(:meth:`VectorizedBackend.decline_reason`) — and
+:func:`repro.sim.backend.select_engine` then offers the replay to its next
+candidate, ending at the ``"python"`` reference backend, so callers never
 see a behaviour difference, only a speed difference.
 
 Header initializers must be pure functions of ``(record, network)`` (every
@@ -44,7 +49,12 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.replay import replay_initializer, replay_packet, replay_scheduler_factory
+from repro.core.replay import (
+    replay_fault_horizon,
+    replay_initializer,
+    replay_packet,
+    replay_scheduler_factory,
+)
 from repro.core.schedule import Schedule, paused_gc
 from repro.core.slack import (
     BlackBoxSlackInitializer,
@@ -55,11 +65,29 @@ from repro.core.slack import (
     StaticDelaySlackInitializer,
     ZeroSlackInitializer,
 )
+from repro.faults.defs import BernoulliLoss, GilbertElliottLoss, JammingIntervals, LinkOutage
 from repro.sim.backend import SimBackend
 from repro.sim.engine import Simulator
 from repro.sim.tracer import Tracer
 from repro.sim.vectorized import run_flat_replay
 from repro.topology.base import Topology
+
+
+def _link_params(topology: Topology) -> Dict[Tuple[str, str], Tuple[float, float]]:
+    """``(bandwidth, propagation)`` of every directed link; its key order numbers the ports.
+
+    Straight from the declarative specs: the flat loop needs only these two
+    floats per hop, and the specs carry exactly the ones ``topology.build``
+    would hand the Link objects, so skipping the build (hosts, ports,
+    per-port scheduler instances — none of which the loop touches) changes no
+    output bit while removing the dominant fixed cost on small cells.
+    """
+    link_params: Dict[Tuple[str, str], Tuple[float, float]] = {}
+    for spec in topology.links:
+        params = (spec.bandwidth_bps, spec.propagation_delay)
+        link_params[(spec.a, spec.b)] = params
+        link_params[(spec.b, spec.a)] = params
+    return link_params
 
 
 def _flatten(topology: Topology, schedule: Schedule) -> tuple:
@@ -76,18 +104,7 @@ def _flatten(topology: Topology, schedule: Schedule) -> tuple:
     many — and are read-only to every caller (the kernel writes only into
     per-call output arrays), which is what makes sharing them sound.
     """
-    # ---- link parameters straight from the declarative specs ----
-    # The flat loop needs only per-hop (bandwidth, propagation); the specs
-    # carry exactly the floats ``topology.build`` would hand the Link
-    # objects, so skipping the build (hosts, ports, per-port scheduler
-    # instances — none of which the loop touches) changes no output bit
-    # while removing the dominant fixed cost on small cells.
-    link_params: Dict[Tuple[str, str], Tuple[float, float]] = {}
-    for spec in topology.links:
-        params = (spec.bandwidth_bps, spec.propagation_delay)
-        link_params[(spec.a, spec.b)] = params
-        link_params[(spec.b, spec.a)] = params
-
+    link_params = _link_params(topology)
     cols = schedule.columns()
     if schedule.derived is not None and schedule.derived[0] == link_params:
         return schedule.derived[1]
@@ -137,14 +154,21 @@ class VectorizedBackend(SimBackend):
 
     name = "vectorized"
     replay_note = (
-        "replay fast path (lstf/edf/priority/omniscient, infinite buffers); "
-        "numpy batch precompute + pure-python flat event loop"
+        "replay fast path (lstf/edf/priority/omniscient/fifo, infinite buffers, "
+        "fault plans); numpy batch precompute + pure-python flat event loop"
     )
 
     #: Replay modes with a flat-loop key model.  ``lstf-preemptive`` is
     #: excluded: preemption re-opens in-flight transmissions, which the flat
     #: loop does not model (the python backend handles it).
-    SUPPORTED_MODES = frozenset({"lstf", "edf", "priority", "omniscient"})
+    SUPPORTED_MODES = frozenset({"lstf", "edf", "priority", "omniscient", "fifo"})
+
+    #: Fault kinds the flat loop replays: the shipped ones, whose drop
+    #: filters ignore their packet argument (the loop has no packet object
+    #: to hand them).  ``None`` = this engine's kernel takes no fault plan.
+    FAULT_KINDS: Optional[frozenset] = frozenset(
+        {LinkOutage, BernoulliLoss, GilbertElliottLoss, JammingIntervals}
+    )
 
     def _kernel(self, *args, **kwargs):
         """The flat event loop this backend drives.
@@ -165,17 +189,21 @@ class VectorizedBackend(SimBackend):
         initializer: Optional[ReplayInitializer] = None,
         faults=None,
     ) -> Optional[str]:
-        """Anything but the fast path: infinite buffers, a non-preemptive key-mode, no faults.
+        """Anything the flat loops do not model: preemption, finite buffers, foreign faults.
 
-        The flat loop never drops a packet, so a fault plan (a non-empty
-        one) and finite buffers — the default or any one link's — belong to
-        the reference engine.  Any initializer is accepted
-        (:func:`_initialize_headers`).
+        The loops never overflow a queue, so finite buffers — the default or
+        any one link's — belong to the reference engine, as does a plan
+        with a fault kind outside :attr:`FAULT_KINDS`.  Any initializer is
+        accepted (:func:`_initialize_headers`).
         """
         if mode not in self.SUPPORTED_MODES:
             return f"replay mode {mode}"
         if faults is not None and not faults.is_empty():
-            return "fault plan"
+            if self.FAULT_KINDS is None:
+                return "fault plan"
+            for fault in faults.definition.faults:
+                if type(fault) not in self.FAULT_KINDS:
+                    return f"fault kind {fault.kind}"
         if default_buffer_bytes is not None:
             return "finite default buffer"
         for spec in topology.links:
@@ -195,8 +223,6 @@ class VectorizedBackend(SimBackend):
     ) -> Schedule:
         if initializer is None:
             initializer = replay_initializer(mode)
-        if not len(schedule):
-            return Schedule()
         off, hop_pkt, hop_port, hop_node, hop_tx, hop_prop, hop_sum, num_ports = _flatten(
             topology, schedule
         )
@@ -208,7 +234,11 @@ class VectorizedBackend(SimBackend):
         # lstf keys are dynamic, computed in the loop from ``slack``; the
         # other modes hand the kernel static per-hop keys instead.
         hop_key: Optional[List[float]] = None
-        if mode == "priority":
+        if mode == "fifo":
+            # One constant key: the per-port enqueue sequence breaks every
+            # tie, i.e. serves in arrival order (FifoScheduler).
+            hop_key = [0.0] * off[-1]
+        elif mode == "priority":
             hop_key = [priority[j] for j in hop_pkt]
         elif mode == "omniscient":
             hop_key = []
@@ -237,6 +267,18 @@ class VectorizedBackend(SimBackend):
         if hop_key is not None:
             slack = None
 
+        # ---- the fault plan, compiled per port in install order ----
+        options = {}
+        if faults is not None and not faults.is_empty():
+            links = _link_params(topology)
+            ports = {f"{a}->{b}": port for port, (a, b) in enumerate(links)}
+            options["faults"] = [
+                (ports[link_name], filters, windows)
+                for link_name, filters, windows in faults.link_faults(
+                    links, replay_fault_horizon(schedule)
+                )
+            ]
+
         # ---- run; the result wraps the kernel's output arrays as columns ----
         # The loop allocates hundreds of thousands of heap tuples and floats.
         with paused_gc():
@@ -251,6 +293,7 @@ class VectorizedBackend(SimBackend):
                 slack,
                 hop_key,
                 max_events=max_events,
+                **options,
             )
         Simulator.events_executed_total += executed
         return schedule.with_timings(

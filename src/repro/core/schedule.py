@@ -82,6 +82,9 @@ def paused_gc() -> Iterator[None]:
 #: The stored-packet keys every file carries, in :class:`PacketRecord` field
 #: order (``path``/``hops`` follow; the last two fields default to ``None``).
 _REQUIRED = ("packet_id", "flow_id", "src", "dst", "size_bytes", "ingress_time", "output_time")
+#: :class:`ScheduleColumns`' one-entry-per-packet and one-entry-per-hop fields.
+_PER_PACKET = _REQUIRED + ("path", "flow_size_bytes", "deadline")
+_PER_HOP = ("hop_node", "hop_arrival", "hop_start_service", "hop_departure")
 
 
 @dataclass(slots=True)
@@ -275,7 +278,7 @@ class ScheduleColumns:
     def rows(self, positions: Iterable[int]) -> Iterator[dict]:
         """The packets at ``positions`` in ``PacketRecord.to_dict`` shape."""
         off = self.hop_offset
-        timings = (self.hop_node, self.hop_arrival, self.hop_start_service, self.hop_departure)
+        timings = [getattr(self, name) for name in _PER_HOP]
         for j in positions:
             hops = slice(off[j], off[j + 1])
             yield {
@@ -294,8 +297,16 @@ class ScheduleColumns:
 
     def take(self, positions: Iterable[int]) -> "ScheduleColumns":
         """New columns holding the packets at ``positions``, in that order."""
+        positions = list(positions)
+        off = self.hop_offset
+        spans = [slice(off[j], off[j + 1]) for j in positions]
         taken = ScheduleColumns()
-        taken.extend(list(self.rows(positions)))
+        for name in _PER_PACKET:
+            setattr(taken, name, list(map(getattr(self, name).__getitem__, positions)))
+        taken.hop_offset = list(accumulate((off[j + 1] - off[j] for j in positions), initial=0))
+        for name in _PER_HOP:
+            column = getattr(self, name)
+            setattr(taken, name, list(chain.from_iterable(map(column.__getitem__, spans))))
         return taken
 
 

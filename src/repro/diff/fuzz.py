@@ -14,10 +14,12 @@ Four comparison kinds:
 * ``twin`` — the same schedule replayed twice on the reference engine
   (run-over-run determinism);
 * ``backend-pair`` — reference engine versus each other available backend
-  (the cross-backend bit-identity contract).  A fault-bearing, ``fifo`` or
-  ``lstf-preemptive`` scenario makes the accelerated engine decline, so both
-  legs run on the reference — a *degenerate* pair, counted as such; a sweep
-  in which a listed backend never executed a leg fails;
+  (the cross-backend bit-identity contract).  An ``lstf-preemptive``
+  scenario makes every accelerated engine decline, and a fault plan makes
+  ``compiled`` decline, so both legs run on the reference — a *degenerate*
+  pair, counted as such; a sweep in which a listed backend never executed a
+  leg fails, and the report counts the legs that replayed a fault plan per
+  engine (``vectorized``'s general loop must see some);
 * ``live-replay`` — a live LSTF deployment under a stateless slack policy
   versus replaying the recorded baseline under the same policy (the paper's
   replay-methodology claim, fuzzed);
@@ -327,6 +329,8 @@ class FuzzReport:
     flat_recordings: int = 0
     #: Replay legs of ``twin`` / ``backend-pair`` comparisons, by the engine that ran them.
     engine_runs: Counter = field(default_factory=Counter)
+    #: The legs of :attr:`engine_runs` that replayed a (non-empty) fault plan.
+    faulted_runs: Counter = field(default_factory=Counter)
     #: ``backend-pair`` comparisons by the backend they name, and how many of
     #: those were degenerate: both legs ran on the reference engine.
     backend_pairs: Counter = field(default_factory=Counter)
@@ -363,6 +367,7 @@ class FuzzReport:
             "record_pairs": self.record_pairs,
             "flat_recordings": self.flat_recordings,
             "engine_runs": {name: self.engine_runs[name] for name in self.backends},
+            "faulted_runs": {name: self.faulted_runs[name] for name in self.backends},
             "backend_pairs": {
                 name: {"comparisons": count, "degenerate": self.degenerate_pairs[name]}
                 for name, count in self.backend_pairs.items()
@@ -379,7 +384,10 @@ class FuzzReport:
             f"{', '.join(self.backends)}; {self.flat_recordings} recording(s) "
             "on the flat loop",
             "replay legs by the engine that ran them: "
-            + ", ".join(f"{name} {self.engine_runs[name]}" for name in self.backends)
+            + ", ".join(
+                f"{name} {self.engine_runs[name]} ({self.faulted_runs[name]} under a fault plan)"
+                for name in self.backends
+            )
             + "".join(
                 f"; {self.degenerate_pairs[name]} of {count} {name} backend-pair(s) "
                 f"degenerate (both legs on {REFERENCE_BACKEND})"
@@ -503,6 +511,8 @@ def run_fuzz(
         for index in range(budget):
             scenario, specs = case_plan(seed, index, backends, scale)
             report.cases += 1
+            plan = scenario.fault_plan()
+            faulted = plan is not None and not plan.is_empty()
             if log is not None:
                 log(
                     f"case {index}: {scenario.topology}/{scenario.original}"
@@ -518,6 +528,8 @@ def run_fuzz(
                 report.comparisons += 1
                 report.record_pairs += spec.kind == "record-pair"
                 report.engine_runs.update(ran)
+                if faulted:
+                    report.faulted_runs.update(ran)
                 if spec.kind == "backend-pair":
                     report.backend_pairs[spec.backend_b] += 1
                     report.degenerate_pairs[spec.backend_b] += set(ran) == {REFERENCE_BACKEND}

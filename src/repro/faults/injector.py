@@ -25,9 +25,9 @@ definition scales across experiment tiers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, List, Optional, Tuple
 
-from repro.faults.defs import derive_fault_seed
+from repro.faults.defs import DropFilter, derive_fault_seed
 from repro.faults.registry import FaultScheduleDef
 from repro.utils.rng import RandomState
 
@@ -102,6 +102,40 @@ class FaultPlan:
             return None
         return {"faults": self.definition.fingerprint(), "seed": self.seed}
 
+    def link_faults(
+        self, links: Iterable[Tuple[str, str]], horizon: float
+    ) -> Iterator[Tuple[str, Tuple[DropFilter, ...], List[Tuple[float, float]]]]:
+        """Compile the plan for a run spanning ``horizon`` over directed ``links``.
+
+        Yields ``(link_name, filters, windows)`` for each ``(src, dst)`` link
+        the plan touches, links in sorted order: the port's drop filters in
+        fault-definition order (each stochastic one over its own substream,
+        ``derive_fault_seed(seed, fault_index, link_name)``) and its outage
+        ``(down, up)`` windows, sorted.  This is the one place a plan becomes
+        per-link state — the OO injector (:meth:`FaultInjector.install`) and
+        the flat replay kernel (:mod:`repro.core.replay_vectorized`) both
+        consume it, in this order, so they cannot seed or order a fault
+        differently.
+        """
+        if horizon <= 0:
+            raise ValueError(f"fault horizon must be positive; got {horizon!r}")
+        for src, dst in sorted(links):
+            link_name = f"{src}->{dst}"
+            filters = []
+            windows = []
+            for index, fault in enumerate(self.definition.faults):
+                if not fault.matches(link_name):
+                    continue
+                rng = None
+                if fault.uses_rng:
+                    rng = RandomState(derive_fault_seed(self.seed, index, link_name))
+                filt = fault.make_drop_filter(horizon, rng)
+                if filt is not None:
+                    filters.append(filt)
+                windows.extend(fault.outage_windows(horizon))
+            if filters or windows:
+                yield link_name, tuple(filters), sorted(windows)
+
     def install(self, sim: "Simulator", network: "Network", horizon: float) -> "FaultInjector":
         """Install this plan on ``network`` for a run spanning ``horizon``."""
         injector = FaultInjector(self, horizon=horizon)
@@ -136,31 +170,13 @@ class FaultInjector:
 
     def install(self, sim: "Simulator", network: "Network") -> None:
         """Attach fault state to every matching port and schedule outages."""
-        if self.horizon <= 0:
-            raise ValueError(f"fault horizon must be positive; got {self.horizon!r}")
-        if self.plan.is_empty():
-            return
-        for (src, dst) in sorted(network.links):
-            link_name = f"{src}->{dst}"
-            port = network.nodes[src].ports[dst]
-            filters = []
-            windows = []
-            for index, fault in enumerate(self.plan.definition.faults):
-                if not fault.matches(link_name):
-                    continue
-                rng = None
-                if fault.uses_rng:
-                    rng = RandomState(derive_fault_seed(self.plan.seed, index, link_name))
-                filt = fault.make_drop_filter(self.horizon, rng)
-                if filt is not None:
-                    filters.append(filt)
-                windows.extend(fault.outage_windows(self.horizon))
-            if not filters and not windows:
-                continue
-            state = PortFaultState(filters=tuple(filters))
+        ports = {f"{src}->{dst}": network.nodes[src].ports[dst] for src, dst in network.links}
+        for link_name, filters, windows in self.plan.link_faults(network.links, self.horizon):
+            port = ports[link_name]
+            state = PortFaultState(filters=filters)
             port.fault_state = state
             self.port_states.append((link_name, state))
-            for down, up in sorted(windows):
+            for down, up in windows:
                 sim.schedule_at(down, self._link_down, port, link_name)
                 sim.schedule_at(up, self._link_up, port, link_name)
 

@@ -397,8 +397,8 @@ def replay_scenario(
     A scenario pinned to a fault schedule (``scenario.faults``) injects the
     plan into the *replay* network only — the recording stays fault-free, so
     the question each fault row answers is "how does the candidate UPS cope
-    when the network misbehaves under it?".  Accelerated engines decline
-    fault-bearing replays, so these run on the reference engine.
+    when the network misbehaves under it?".  ``compiled`` declines
+    fault-bearing replays, so unselected ones run on ``vectorized``.
     """
     cache = cache if cache is not None else ScheduleCache()
     topology = scenario.build_topology()

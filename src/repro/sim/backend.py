@@ -233,9 +233,10 @@ def select_engine(
     fuzzer's bookkeeping, the selection tests) calls this rather than
     re-deriving it.  Pure given the environment: the first of
     :func:`replay_candidates` whose :meth:`SimBackend.decline_reason` is
-    ``None`` — so an unflagged Table-1 replay lands on the fast path while
-    fault-bearing, finite-buffer and ``lstf-preemptive`` replays land on the
-    reference engine.
+    ``None`` — so an unflagged Table-1 replay (and the ``fifo`` baseline)
+    lands on the fast path, a fault-bearing one on ``vectorized``
+    (``compiled`` declines a fault plan and the offer falls through), and
+    finite-buffer and ``lstf-preemptive`` replays on the reference engine.
     """
     declined: List[Tuple[str, str]] = []
     for engine in replay_candidates(selector):

@@ -2,9 +2,9 @@
 
 This module is the inner loop of the ``"vectorized"`` backend
 (:mod:`repro.core.replay_vectorized`).  The replay path has a much smaller
-state space than the general simulator — no transports, no drops (infinite
-buffers), no preemption, source-routed packets whose ingress times, sizes,
-routes, and header keys are all known up front — so the whole OO object graph
+state space than the general simulator — no transports, no buffer drops
+(infinite buffers), no preemption, source-routed packets whose ingress times,
+sizes, routes, and header keys are all known up front — so the whole OO object graph
 (``Simulator`` + ``OutputPort`` + ``Scheduler`` + ``Packet``) collapses into
 a handful of flat arrays indexed by *packet-hop* ``f``:
 
@@ -13,8 +13,9 @@ a handful of flat arrays indexed by *packet-hop* ``f``:
   precomputed (vectorized, in the exact ``bytes * 8 / bw`` float form) by
   the orchestrator,
 * ``hop_key[f]`` — the per-hop scheduler key for the static-key modes
-  (EDF / priority / omniscient); LSTF keys are computed inline from the
-  dynamic ``slack[j]`` state.
+  (EDF / priority / omniscient, and the constant ``0.0`` that makes the
+  per-port enqueue sequence serve FIFO); LSTF keys are computed inline from
+  the dynamic ``slack[j]`` state.
 
 The loop replays the OO engine's choreography *exactly*, so its output is
 bit-identical (the cross-backend equivalence suite and the golden-rows
@@ -24,8 +25,8 @@ line of the OO code:
 * One global heap of ``(time, seq, code)`` triples, the event kind and its
   operand packed into one integer ``code``: hop ``f``'s finish is ``f``,
   the arrival at hop ``fn`` is ``total_hops + fn``, packet ``j``'s
-  destination arrival is ``2 * total_hops + j``, and the injector cursor
-  sorts above them all.  Ordering never reaches the third element
+  destination arrival is ``2 * total_hops + j``, the injector cursor sorts
+  above them all, and outage toggles (general loop only) above the cursor.  Ordering never reaches the third element
   (sequence numbers are unique), so the packing is pure constant-factor:
   smaller tuples to allocate and sift, and the hottest decodes take one
   integer comparison.  Injector-cursor events draw sequence numbers from
@@ -51,19 +52,37 @@ line of the OO code:
   enqueue_time`` is skipped in that case because the wait is exactly
   ``0.0`` and ``x - 0.0`` is bit-identical to ``x`` for every float.
 * Destination arrivals are pure sinks — they record ``egress[j]`` and
-  schedule nothing — so when no ``max_events`` budget is in force the loop
-  settles them at finish time (``egress = t + prop``) instead of routing
-  them through the heap.  The sequence counter is still consumed and the
-  event still counted, so every other event's ``(time, seq)`` tuple and the
-  executed-event total are unchanged.  With a budget the heap path is kept,
+  schedule nothing — so the fast loop settles them at finish time
+  (``egress = t + prop``) instead of routing them through the heap.  The
+  sequence counter is still consumed and the event still counted, so every
+  other event's ``(time, seq)`` tuple and the executed-event total are
+  unchanged.
+
+There are two loops.  The **fast loop** runs the common replay — no event
+budget, no fault plan — and is what the C kernel transliterates.  The
+**general loop** runs everything else:
+
+* With a ``max_events`` budget the destination arrival keeps its heap event,
   because a budget exhausting *between* a finish and its arrival must leave
   that packet in flight, exactly as on the OO engine.
+* With a fault plan it replays ``sim/port.py`` + ``faults/injector.py``.
+  Outage toggles are heap events seeded *after* the injector cursor and
+  before the first pop, so toggle ``k`` carries sequence number ``k``
+  (``FaultInjector.install``'s order: links sorted, windows sorted, down then
+  up) and fires ahead of every same-time packet event.  A down port queues
+  arrivals instead of serving them; a down-toggle destroys the packet in
+  flight and lazily cancels its finish event, which is later discarded
+  *uncounted* (``Simulator.run`` does the same with a cancelled event); an
+  up-toggle restarts service through the ordinary dequeue, LSTF's ``slack -=
+  now - enqueue_time`` included.  At every finish all of the port's drop
+  filters are consulted; a destroyed packet schedules no arrival and
+  consumes no sequence number.
 """
 
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 
 def run_flat_replay(
@@ -77,6 +96,7 @@ def run_flat_replay(
     slack: Optional[List[float]],
     hop_key: Optional[List[float]],
     max_events: Optional[int] = None,
+    faults: Optional[Sequence[Tuple[int, tuple, List[Tuple[float, float]]]]] = None,
 ) -> Tuple[List[float], List[float], List[float], List[Optional[float]], int]:
     """Drive one replay to completion over flat per-packet-hop arrays.
 
@@ -94,12 +114,15 @@ def run_flat_replay(
         hop_key: Static per-hop scheduler key (EDF/priority/omniscient);
             required when ``slack`` is ``None``.
         max_events: Same safety valve as ``Simulator.run(max_events=...)``.
+        faults: A compiled fault plan (``FaultPlan.link_faults``, link names
+            mapped to port ids): ``(port, drop_filters, outage_windows)`` per
+            faulted port, in install order.  ``None`` or empty = fault-free.
 
     Returns:
         ``(arrival, start_service, departure, egress, executed)`` — per-hop
         timing arrays, per-packet egress times (``None`` if the packet was
-        still in flight when the event budget ran out), and the number of
-        events executed.
+        destroyed by a fault, or still in flight when the event budget ran
+        out), and the number of events executed.
     """
     n = len(ingress)
     total_hops = off[n] if n else 0
@@ -107,8 +130,6 @@ def run_flat_replay(
     start = [0.0] * total_hops
     dep = [0.0] * total_hops
     egress: List[Optional[float]] = [None] * n
-    if not n:
-        return arr, start, dep, egress, 0
 
     lstf = slack is not None
     # Event codes (see the module docstring): finish(f) = f,
@@ -129,7 +150,6 @@ def run_flat_replay(
     heap: List[tuple] = []
     push = heappush
     pop = heappop
-    busy = [False] * num_ports
     port_heaps: List[List[tuple]] = [[] for _ in range(num_ports)]
     port_seq = [0] * num_ports
     seq = 0                  # Simulator._sequence: finish + arrival events
@@ -139,17 +159,20 @@ def run_flat_replay(
     budgeted = max_events is not None
     budget = max_events if budgeted else float("inf")
 
-    # ReplayInjector.install(): arm the cursor at the first ingress time.
-    push(heap, (ingress[0], fseq, INJ))
-    fseq += 1
+    # ReplayInjector.install(): arm the cursor at the first ingress time
+    # (an empty replay arms nothing; a fault plan's toggles still fire).
+    if n:
+        push(heap, (ingress[0], fseq, INJ))
+        fseq += 1
 
-    if not budgeted:
-        # Unbudgeted fast loop: identical event choreography, but the
+    if not budgeted and not faults:
+        # Fast loop (no budget, no faults): identical event choreography, but the
         # executed-event total is derived arithmetically at the end instead
         # of being counted per event, and the loop is terminated by the
         # heap's own IndexError instead of a per-iteration truthiness test.
         # ``injections`` counts only the (rare) injector-cursor pops.
         injections = 0
+        busy = [False] * num_ports
         try:
             while True:
                 t, _s, code = pop(heap)
@@ -234,55 +257,89 @@ def run_flat_replay(
         # injector-cursor firing: H + (H - n) + n + injections.
         return arr, start, dep, egress, 2 * total_hops + injections
 
+    # General loop: an event budget and/or a fault plan.  ``cur[p]`` is the
+    # whole transmitter state of port p: the hop in flight, IDLE, or DOWN (a
+    # down port is never in service, so the three are exclusive).  A finish
+    # event is live iff its hop is still the one in flight — a down-toggle
+    # overwrites ``cur[p]``, which is the lazy cancel.
+    IDLE, DOWN = -1, -2
+    cur = [IDLE] * num_ports
+    filters: List[tuple] = [()] * num_ports
+    toggle_port: List[int] = []
+    # FaultInjector.install(): outage toggles are scheduled after the cursor
+    # is armed and before the run, so they take sequence numbers 0..2W-1 —
+    # links in plan order, windows sorted, down then up.
+    for p, port_filters, windows in faults or ():
+        filters[p] = port_filters
+        for down_at, up_at in windows:
+            for when in (down_at, up_at):
+                push(heap, (when, seq, INJ + 1 + seq))  # toggle k: seq == k so far
+                seq += 1
+                toggle_port.append(p)
+
     while heap and executed < budget:
         t, _s, code = pop(heap)
         executed += 1
 
         if code < H:
-            # OutputPort._finish_transmission for hop f on its port.
             f = code
-            dep[f] = t
-            acode = nxt[f]
-            # Receive is scheduled *before* the port picks its next packet.
-            if acode < 0:
-                # Last hop: the arrival lands at the destination.  Under a
-                # budget the heap path is kept, because a budget exhausting
-                # *between* a finish and its arrival must leave the packet
-                # in flight, exactly as on the OO engine.
-                push(heap, (t + hop_prop[f], seq, H2 + hop_pkt[f]))
-            else:
-                push(heap, (t + hop_prop[f], seq, acode))
-            seq += 1
             p = hop_port[f]
+            if cur[p] != f:
+                # Cancelled by a down-toggle (OutputPort.fault_interrupt):
+                # Simulator.run discards a cancelled event uncounted.
+                executed -= 1
+                continue
+            # OutputPort._finish_transmission for hop f on its port.
+            dep[f] = t
+            # PortFaultState.intercepts: every filter is consulted (stateful
+            # ones advance once per packet); the shipped kinds ignore the
+            # packet argument.
+            destroyed = False
+            for drop in filters[p]:
+                if drop(None, t):
+                    destroyed = True
+            if not destroyed:
+                # Receive is scheduled *before* the port picks its next
+                # packet; a destroyed packet schedules nothing.
+                acode = nxt[f]
+                if acode < 0:
+                    # Last hop: the arrival lands at the destination, through
+                    # the heap — a budget exhausting *between* a finish and
+                    # its arrival must leave the packet in flight, exactly as
+                    # on the OO engine.
+                    acode = H2 + hop_pkt[f]
+                push(heap, (t + hop_prop[f], seq, acode))
+                seq += 1
             ph = port_heaps[p]
             if ph:
                 _k, _s2, f2, et = pop(ph)
                 if lstf:
                     slack[hop_pkt[f2]] -= t - et
                 start[f2] = t
+                cur[p] = f2
                 push(heap, (t + hop_tx[f2], seq, f2))
                 seq += 1
             else:
-                busy[p] = False
+                cur[p] = IDLE
 
         elif code < H2:
             # Link delivery at a router: Router.receive.
             fn = code - H
-            j = hop_pkt[fn]
             arr[fn] = t
             p = hop_port[fn]
             if lstf:
-                key = (slack[j] + t) + hop_tx[fn]
+                key = (slack[hop_pkt[fn]] + t) + hop_tx[fn]
             else:
                 key = hop_key[fn]
             s = port_seq[p]
             port_seq[p] = s + 1
-            if busy[p]:
+            if cur[p] != IDLE:
+                # Busy, or down: a down port holds its queue.
                 push(port_heaps[p], (key, s, fn, t))
             else:
                 # Idle port: the queue is empty, serve immediately.
                 start[fn] = t
-                busy[p] = True
+                cur[p] = fn
                 push(heap, (t + hop_tx[fn], seq, fn))
                 seq += 1
 
@@ -290,7 +347,7 @@ def run_flat_replay(
             # Link delivery at the destination: Host.receive.
             egress[code - H2] = t
 
-        else:
+        elif code == INJ:
             # ReplayInjector._advance: inject every record due now, then
             # re-arm the cursor at the next ingress time (front sequence).
             while cursor < n and ingress[cursor] <= t:
@@ -305,15 +362,39 @@ def run_flat_replay(
                     key = hop_key[fn]
                 s = port_seq[p]
                 port_seq[p] = s + 1
-                if busy[p]:
+                if cur[p] != IDLE:
                     push(port_heaps[p], (key, s, fn, t))
                 else:
                     start[fn] = t
-                    busy[p] = True
+                    cur[p] = fn
                     push(heap, (t + hop_tx[fn], seq, fn))
                     seq += 1
             if cursor < n:
                 push(heap, (ingress[cursor], fseq, INJ))
                 fseq += 1
+
+        else:
+            # Outage toggle k (its code is INJ + 1 + k; even = down, odd = up).
+            k = code - INJ - 1
+            p = toggle_port[k]
+            if not k & 1:
+                # FaultInjector._link_down: the packet in flight is destroyed
+                # (its finish event is now stale) and the queue is held; a
+                # port already down stays as it is.
+                cur[p] = DOWN
+            elif cur[p] == DOWN:
+                # FaultInjector._link_up -> OutputPort._start_next: the LSTF
+                # dequeue charges the whole wait, outage included.
+                ph = port_heaps[p]
+                if ph:
+                    _k, _s2, f2, et = pop(ph)
+                    if lstf:
+                        slack[hop_pkt[f2]] -= t - et
+                    start[f2] = t
+                    cur[p] = f2
+                    push(heap, (t + hop_tx[f2], seq, f2))
+                    seq += 1
+                else:
+                    cur[p] = IDLE
 
     return arr, start, dep, egress, executed

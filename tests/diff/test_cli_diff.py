@@ -8,6 +8,7 @@ import pytest
 from repro.__main__ import main as cli_main
 from repro.core.schedule import Schedule, load_schedule, save_schedule
 from repro.sim.backend import describe_backends
+from repro.sim.compiled import kernel_available
 
 
 @pytest.fixture(scope="module")
@@ -69,11 +70,21 @@ class TestDiffReplay:
             assert f"(python vs {backend if backend != 'python' else 'python#2'})" in out
 
     def test_a_declined_replay_says_why_and_labels_what_ran(self, recorded, capsys):
-        argv = ["diff", "--replay", recorded, "--backend", "vectorized", "--fault", "loss-5pct"]
-        assert cli_main(argv) == 0
+        # A fault plan runs on vectorized's general loop; only compiled declines it.
+        faulted = ["diff", "--replay", recorded, "--fault", "loss-5pct", "--backend"]
+        assert cli_main([*faulted, "vectorized"]) == 0
         out, err = capsys.readouterr()
-        assert "note: backend 'vectorized' declines this configuration (fault plan)" in err
-        assert "(python vs python#2)" in out and "vectorized" not in out
+        assert "(python vs vectorized)" in out and not err
+        if not kernel_available():
+            return
+        assert cli_main([*faulted, "compiled"]) == 0
+        out, err = capsys.readouterr()
+        assert "note: backend 'compiled' declines this configuration (fault plan)" in err
+        assert "(python vs python#2)" in out and "compiled" not in out
+        # fifo has a key model on both flat kernels: nothing declines it.
+        assert cli_main(["diff", "--replay", recorded, "--mode", "fifo", "--backend", "compiled"]) == 0
+        out, err = capsys.readouterr()
+        assert "(python vs compiled)" in out and not err
 
     def test_replay_default_is_determinism_twin(self, recorded, capsys):
         assert cli_main(["diff", "--replay", recorded]) == 0

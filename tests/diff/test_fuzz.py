@@ -239,23 +239,28 @@ class TestEnginesThatRan:
     def test_a_sweep_counts_the_engine_behind_every_leg(self):
         report = run_fuzz(budget=2, seed=2, backends=self.BACKENDS, artifact_dir=None)
         # Per case: a python twin and a python-vs-vectorized pair; case 1's
-        # burst-loss plan makes vectorized decline, so its pair is degenerate.
+        # burst-loss plan runs on vectorized's general loop, so no pair is
+        # degenerate and one vectorized leg is fault-bearing.
         assert report.ok and not report.idle_engines
-        assert report.engine_runs == {"python": 7, "vectorized": 1}
-        assert (report.backend_pairs, report.degenerate_pairs) == (
-            {"vectorized": 2},
-            {"vectorized": 1},
-        )
+        assert report.engine_runs == {"python": 6, "vectorized": 2}
+        assert report.faulted_runs == {"python": 3, "vectorized": 1}
+        assert (report.backend_pairs, report.degenerate_pairs) == ({"vectorized": 2}, {"vectorized": 0})
         payload = report.to_dict()
-        assert payload["engine_runs"] == {"python": 7, "vectorized": 1}
-        assert payload["backend_pairs"] == {"vectorized": {"comparisons": 2, "degenerate": 1}}
-        assert "python 7, vectorized 1; 1 of 2 vectorized backend-pair(s) degenerate" in report.format()
+        assert payload["engine_runs"] == {"python": 6, "vectorized": 2}
+        assert payload["faulted_runs"] == {"python": 3, "vectorized": 1}
+        assert payload["backend_pairs"] == {"vectorized": {"comparisons": 2, "degenerate": 0}}
+        assert (
+            "python 6 (3 under a fault plan), vectorized 2 (1 under a fault plan); "
+            "0 of 2 vectorized backend-pair(s) degenerate"
+        ) in report.format()
 
     def test_a_sweep_in_which_a_listed_backend_never_ran_fails(self):
-        # Seed 1 opens with lstf-preemptive + burst-loss: every leg lands on python.
+        # Seed 1 opens with lstf-preemptive (+ burst-loss): the mode, not the
+        # fault plan, is what sends every leg to python.
         report = run_fuzz(budget=1, seed=1, backends=self.BACKENDS, artifact_dir=None)
         assert not report.failures and report.idle_engines == ["vectorized"]
         assert report.degenerate_pairs == report.backend_pairs == {"vectorized": 1}
+        assert report.faulted_runs == {"python": 4}
         assert not report.ok
         assert "ENGINE NEVER EXECUTED: vectorized" in report.format()
         assert "no divergence" not in report.format()
@@ -274,12 +279,15 @@ class TestEnginesThatRan:
         spec = ComparisonSpec("backend-pair", "python", "vectorized")
         clean, _ = case_plan(2, 0, self.BACKENDS)
         faulted, _ = case_plan(2, 1, self.BACKENDS)
-        ran = []
-        divergence = run_comparison(clean, spec, engines=ran)
-        assert ran == ["python", "vectorized"]
-        assert (divergence.label_a, divergence.label_b) == ("python", "vectorized")
-        # The same spec on a faulted scenario never reaches the broken engine.
-        assert run_comparison(faulted, spec, engines=ran) is None
+        assert (clean.faults, faulted.faults) == (None, "burst-loss")
+        for scenario in (clean, faulted):  # vectorized runs both, so both are caught
+            ran = []
+            divergence = run_comparison(scenario, spec, engines=ran)
+            assert ran == ["python", "vectorized"]
+            assert (divergence.label_a, divergence.label_b) == ("python", "vectorized")
+        # The same spec on a configuration it declines never reaches the broken engine.
+        declined = dataclasses.replace(clean, replay_mode="lstf-preemptive")
+        assert run_comparison(declined, spec, engines=ran) is None
         assert ran[2:] == ["python", "python"]
 
 

@@ -22,7 +22,17 @@ from repro.core.replay import (
 from repro.core.replay_compiled import CompiledBackend
 from repro.core.replay_vectorized import VectorizedBackend
 from repro.core.schedule import HopTiming, PacketRecord, Schedule
+from repro.faults import (
+    FAULTS,
+    BernoulliLoss,
+    FaultPlan,
+    FaultScheduleDef,
+    GilbertElliottLoss,
+    JammingIntervals,
+    LinkOutage,
+)
 from repro.pipeline.scenario import PipelineConfigError
+from repro.sim.engine import Simulator
 from repro.sim.compiled import kernel_available, kernel_run_flat_replay, unavailable_reason
 from repro.sim.vectorized import run_flat_replay
 from repro.topology import dumbbell_topology
@@ -31,7 +41,7 @@ from repro.traffic import WorkloadSpec, paper_default_workload
 from repro.utils import mbps
 
 #: Modes the flat-kernel backends implement (lstf-preemptive falls back).
-VECTORIZED_MODES = ("lstf", "edf", "priority", "omniscient")
+VECTORIZED_MODES = ("lstf", "edf", "priority", "omniscient", "fifo")
 
 #: Backend classes under equivalence test, keyed by registry name.  The
 #: compiled backend is skip-marked — not silently dropped — with the loader's
@@ -83,6 +93,18 @@ def recorded_schedule(fixture_topology):
 
 def rows(schedule: Schedule):
     return [record.to_dict() for record in schedule.records()]
+
+
+def replayed_and_events(topology, schedule, backend, **config):
+    """One replay's columns and the number of events its engine executed."""
+    before = Simulator.events_executed_total
+    replayed = replay_schedule(topology, schedule, backend=backend, **config)
+    return replayed.columns(), Simulator.events_executed_total - before
+
+
+def routes_of(schedule):
+    """The distinct source routes of a recorded schedule, so synthetic records are routable."""
+    return sorted({tuple(r.path) for r in schedule.records()})
 
 
 # --------------------------------------------------------------------- #
@@ -223,8 +245,7 @@ class TestPropertyEquivalence:
     ):
         # Harvest real source-routed paths so every synthetic record is
         # routable on the fixture topology.
-        paths = sorted({tuple(r.path) for r in recorded_schedule.records()})
-        records = data.draw(record_sets(paths))
+        records = data.draw(record_sets(routes_of(recorded_schedule)))
         schedule = Schedule()
         for record in records:
             schedule.add(record)
@@ -247,29 +268,183 @@ class TestPropertyEquivalence:
     def test_kernels_in_lock_step(self, fixture_topology, recorded_schedule, mode, data):
         """``sim/vectorized.py`` is the C kernel's executable spec: stopped after
         any number of events, both have written exactly the same state."""
-        paths = sorted({tuple(r.path) for r in recorded_schedule.records()})
-        schedule = Schedule(data.draw(record_sets(paths)))
+        schedule = Schedule(data.draw(record_sets(routes_of(recorded_schedule))))
         assume(len(schedule))  # an empty replay never reaches a kernel
-        captured = []
-
-        def copied(args):
-            # LSTF's slack column is the kernels' one in-place output: every run gets its own.
-            return [list(a) if isinstance(a, list) else a for a in args]
-
-        class Capturing(VectorizedBackend):
-            def _kernel(self, *args, **kwargs):
-                captured.append(copied(args))
-                return super()._kernel(*args, **kwargs)
-
-        Capturing().replay(fixture_topology, schedule, mode=mode)
-        (inputs,) = captured
-
-        def run(kernel, budget):
-            return kernel(*copied(inputs), max_events=budget)
-
-        drained = run(run_flat_replay, None)[-1]
+        run = kernel_runner(fixture_topology, schedule, mode)
+        drained = run(run_flat_replay)[-1]
         for budget in range(drained + 1):
-            assert run(kernel_run_flat_replay(), budget) == run(run_flat_replay, budget), budget
+            assert run(kernel_run_flat_replay(), max_events=budget) == run(
+                run_flat_replay, max_events=budget
+            ), budget
+
+
+def kernel_runner(topology, schedule, mode):
+    """``run(kernel, **options)``: ``kernel`` on the arrays a vectorized replay hands its own."""
+    captured = []
+
+    def copied(args):
+        # LSTF's slack column is the kernels' one in-place output: every run gets its own.
+        return [list(a) if isinstance(a, list) else a for a in args]
+
+    class Capturing(VectorizedBackend):
+        def _kernel(self, *args, **kwargs):
+            captured.append(copied(args))
+            return super()._kernel(*args, **kwargs)
+
+    Capturing().replay(topology, schedule, mode=mode)
+    (inputs,) = captured
+    return lambda kernel, **options: kernel(*copied(inputs), **options)
+
+
+# --------------------------------------------------------------------- #
+# Fault plans: the general loop against sim/port.py + faults/injector.py
+# --------------------------------------------------------------------- #
+def plan_of(*faults, seed=0):
+    return FaultPlan(FaultScheduleDef(name="test", faults=tuple(faults)), seed=seed)
+
+
+FAULT_KIND_NAMES = ("link-outage", "jamming", "bernoulli-loss", "gilbert-loss")
+
+
+@st.composite
+def fault_defs(draw, link_names, kinds=FAULT_KIND_NAMES):
+    """One fault of one of ``kinds``, on all links or a few named ones.
+
+    Fractions come from a small grid and the synthetic schedules span about
+    a millisecond, so windows open and close in the middle of transmissions
+    and two outages of a composed plan regularly overlap on a link.
+    """
+    links = draw(
+        st.one_of(
+            st.just(()),
+            st.lists(st.sampled_from(link_names), min_size=1, max_size=2, unique=True).map(tuple),
+        )
+    )
+    if draw(st.booleans()):
+        windows = dict(start=draw(st.sampled_from([0.0, 0.1, 0.2, 0.5])), count=2, period=0.4)
+        windows["duration"] = draw(st.sampled_from([0.05, 0.3]))
+    else:
+        windows = dict(start=draw(st.sampled_from([0.0, 0.1, 0.2, 0.5, 0.9])))
+        windows["duration"] = draw(st.sampled_from([0.05, 0.3, 1.0]))
+    probability = st.sampled_from([0.0, 0.3, 1.0])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "link-outage":
+        return LinkOutage(links=links, **windows)
+    if kind == "jamming":
+        return JammingIntervals(links=links, **windows)
+    if kind == "bernoulli-loss":
+        return BernoulliLoss(rate=draw(probability), links=links)
+    return GilbertElliottLoss(
+        p_enter_bad=draw(probability),
+        p_exit_bad=draw(st.sampled_from([0.25, 1.0])),
+        loss_good=draw(st.sampled_from([0.0, 0.1])),
+        loss_bad=draw(st.sampled_from([0.5, 1.0])),
+        links=links,
+    )
+
+
+@st.composite
+def faulted_replays(draw, recorded_schedule, kinds=FAULT_KIND_NAMES, max_faults=3):
+    """``(schedule, plan)``: a synthetic record set and some faults of ``kinds`` on its links."""
+    routes = routes_of(recorded_schedule)
+    link_names = sorted({f"{a}->{b}" for route in routes for a, b in zip(route, route[1:])})
+    schedule = Schedule(draw(record_sets(routes)))
+    faults = draw(st.lists(fault_defs(link_names, kinds), min_size=1, max_size=max_faults))
+    return schedule, plan_of(*faults, seed=draw(st.integers(min_value=0, max_value=3)))
+
+
+class TestFaultEquivalence:
+    """``python`` (the oracle) against ``vectorized``: every column and the event count, ``==``."""
+
+    @pytest.mark.parametrize("mode", VECTORIZED_MODES)
+    @pytest.mark.parametrize("fault", sorted(FAULTS.names()))
+    def test_shipped_schedules_on_a_recorded_schedule(
+        self, fixture_topology, recorded_schedule, fault, mode
+    ):
+        config = dict(mode=mode, faults=FaultPlan(FAULTS.get(fault), seed=3))
+        assert VectorizedBackend().decline_reason(fixture_topology, **config) is None
+        reference = replayed_and_events(fixture_topology, recorded_schedule, "python", **config)
+        candidate = replayed_and_events(fixture_topology, recorded_schedule, "vectorized", **config)
+        assert candidate == reference
+        if fault != "empty":
+            assert 0 < len(reference[0].packet_id) < len(recorded_schedule)
+
+    @pytest.mark.parametrize("mode", VECTORIZED_MODES)
+    @pytest.mark.parametrize("kind", FAULT_KIND_NAMES)
+    @settings(
+        max_examples=20,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_every_fault_kind_alone(self, fixture_topology, recorded_schedule, kind, mode, data):
+        schedule, plan = data.draw(faulted_replays(recorded_schedule, [kind], max_faults=1))
+        config = dict(mode=mode, faults=plan)
+        assert replayed_and_events(
+            fixture_topology, schedule, "vectorized", **config
+        ) == replayed_and_events(fixture_topology, schedule, "python", **config)
+
+    @pytest.mark.parametrize("mode", VECTORIZED_MODES)
+    @settings(
+        max_examples=40,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_composed_plans(self, fixture_topology, recorded_schedule, mode, data):
+        schedule, plan = data.draw(faulted_replays(recorded_schedule))
+        config = dict(mode=mode, faults=plan)
+        assert replayed_and_events(
+            fixture_topology, schedule, "vectorized", **config
+        ) == replayed_and_events(fixture_topology, schedule, "python", **config)
+
+    @pytest.mark.parametrize("mode", VECTORIZED_MODES)
+    @settings(
+        max_examples=8,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_every_event_budget(self, fixture_topology, recorded_schedule, mode, data):
+        """Stopped after any number of events — between a down-toggle and the
+        finish it cancelled included — the same packets have exited, at the
+        same times, after the same number of executed events."""
+        schedule, plan = data.draw(faulted_replays(recorded_schedule, ["link-outage"]))
+        config = dict(mode=mode, faults=plan)
+        drained = replayed_and_events(fixture_topology, schedule, "python", **config)[1]
+        for budget in range(drained + 2):
+            config["max_events"] = budget
+            reference = replayed_and_events(fixture_topology, schedule, "python", **config)
+            assert reference[1] == min(budget, drained)
+            assert (
+                replayed_and_events(fixture_topology, schedule, "vectorized", **config) == reference
+            ), budget
+
+    @pytest.mark.parametrize("mode", VECTORIZED_MODES)
+    def test_a_plan_that_touches_nothing_is_the_fast_loop_bit_for_bit(
+        self, fixture_topology, recorded_schedule, mode
+    ):
+        run = kernel_runner(fixture_topology, recorded_schedule, mode)
+        *timings, events = run(run_flat_replay)
+        # An empty plan never leaves the fast loop; a faulted port with no
+        # filter and no window goes through the general loop and changes nothing.
+        assert run(run_flat_replay, faults=[]) == (*timings, events)
+        assert run(run_flat_replay, faults=[(0, (), [])]) == (*timings, events)
+        # W windows nothing runs into (here: after the last exit) are 2W events.
+        end = max(timings[-1])
+        late = [(end + 1.0 + k, end + 1.5 + k) for k in range(3)]
+        assert run(run_flat_replay, faults=[(0, (), late), (1, (), late[:1])]) == (
+            *timings,
+            events + 2 * 4,
+        )
+
+    def test_a_rate_zero_plan_replays_as_no_plan(self, fixture_topology, recorded_schedule):
+        clean = replayed_and_events(fixture_topology, recorded_schedule, "vectorized")
+        for plan in (plan_of(), plan_of(BernoulliLoss(rate=0.0))):
+            assert (
+                replayed_and_events(fixture_topology, recorded_schedule, "vectorized", faults=plan)
+                == clean
+            )
 
 
 # --------------------------------------------------------------------- #

@@ -16,7 +16,7 @@ import repro.sim.compiled as compiled_mod
 from repro.core.replay import ReplayExperiment, replay_schedule
 from repro.core.slack import ZeroSlackInitializer
 from repro.core.slack_policy import SLACK_POLICIES
-from repro.faults import FAULTS, FaultPlan
+from repro.faults import FAULTS, BernoulliLoss, FaultPlan, FaultScheduleDef
 from repro.sim.backend import (
     BACKEND_ENV_VAR,
     available_backend_names,
@@ -89,19 +89,43 @@ def every_accelerated_engine_says(reason):
     return [(name, reason) for name in ACCELERATED]
 
 
+#: A fault plan is declined by ``compiled`` alone (its C loop calls no Python
+#: drop filter): the offer falls through to ``vectorized``'s general loop.
+FAULT_PLAN_DECLINES = [("compiled", "fault plan")] if kernel_available() else []
+
+
 def rows(replayed):
     return [record.to_dict() for record in replayed.records()]
 
 
 class TestUnselectedReplay:
-    @pytest.mark.parametrize("mode", ["lstf", "edf", "priority", "omniscient"])
+    @pytest.mark.parametrize("mode", ["lstf", "edf", "priority", "omniscient", "fifo"])
     def test_supported_modes_take_the_fastest_engine(self, topology, mode):
         assert decide(topology, mode=mode) == (FASTEST, [])
 
-    def test_fault_plan_lands_on_the_reference_engine(self, topology):
-        assert decide(topology, faults=loss_plan()) == (
+    def test_fault_plan_lands_on_the_flat_kernel(self, topology):
+        for mode in ("lstf", "fifo"):
+            assert decide(topology, mode=mode, faults=loss_plan()) == (
+                "vectorized",
+                FAULT_PLAN_DECLINES,
+            )
+
+    @pytest.mark.parametrize("name", sorted(FAULTS.names()))
+    def test_every_shipped_fault_schedule_stays_off_the_reference_engine(self, topology, name):
+        engine, declined = decide(topology, faults=FaultPlan(FAULTS.get(name), seed=1))
+        assert engine != "python" and all(reason == "fault plan" for _, reason in declined)
+
+    def test_a_fault_kind_the_flat_kernel_does_not_know_lands_on_the_reference_engine(
+        self, topology
+    ):
+        @dataclasses.dataclass(frozen=True)
+        class OversizeLoss(BernoulliLoss):  # its filter would read the packet
+            kind = "oversize-loss"
+
+        plan = FaultPlan(FaultScheduleDef("custom", faults=(OversizeLoss(rate=0.5),)))
+        assert decide(topology, faults=plan) == (
             "python",
-            every_accelerated_engine_says("fault plan"),
+            [*FAULT_PLAN_DECLINES, ("vectorized", "fault kind oversize-loss")],
         )
 
     def test_empty_fault_plan_counts_as_fault_free(self, topology):
@@ -178,10 +202,9 @@ class TestSelectorsPinTheEngine:
         assert resolve_backend(None).name == "python"
 
 
-#: Every way a configuration leaves the fast path, as ``select_engine`` keywords
+#: Every way a configuration leaves the flat kernels, as ``select_engine`` keywords
 #: (the finite link buffer is a property of the topology, not a keyword).
 DECLINING = {
-    "fault plan": dict(faults=FaultPlan(FAULTS.get("loss-5pct"), seed=3)),
     "finite default buffer": dict(default_buffer_bytes=1e9),
     "finite link buffer": {},
     "lstf-preemptive": dict(mode="lstf-preemptive"),
@@ -204,16 +227,26 @@ class TestDeclineReasons:
         assert decide(on, name, **config)[1] == declined  # stable: asked twice, same words
         assert get_backend("python").decline_reason(on, **{"mode": "lstf", **config}) is None
 
+    @pytest.mark.skipif(not kernel_available(), reason="compiled is the only engine that declines it")
+    def test_a_fault_plan_is_declined_by_compiled_only(self, topology):
+        assert decide(topology, "compiled", faults=loss_plan()) == (
+            "python",  # a named engine has only the reference behind it
+            [("compiled", "fault plan")],
+        )
+        assert decide(topology, "vectorized", faults=loss_plan()) == ("vectorized", [])
+
     def test_a_replay_logs_its_decision_exactly_once(self, topology, schedule, caplog):
         caplog.set_level(logging.DEBUG, logger="repro.core.replay")
         replay_schedule(topology, schedule, faults=loss_plan())
         replay_schedule(topology, schedule, mode="edf")
         faulted, clean = [r for r in caplog.records if r.name == "repro.core.replay"]
         assert faulted.levelno == clean.levelno == logging.DEBUG
-        assert faulted.args == ("lstf", "python", every_accelerated_engine_says("fault plan"))
+        assert faulted.args == ("lstf", "vectorized", FAULT_PLAN_DECLINES)
         assert clean.args == ("edf", FASTEST, [])
         assert f"mode=edf on {FASTEST}" in clean.getMessage()
-        assert "'fault plan'" in faulted.getMessage()
+        assert "mode=lstf on vectorized" in faulted.getMessage()
+        if kernel_available():
+            assert "[('compiled', 'fault plan')]" in faulted.getMessage()
 
 
 class TestCandidateList:
@@ -248,4 +281,5 @@ class TestCandidateList:
     def test_the_benchmark_shim_lists_available_engines_reference_first(self, monkeypatch):
         monkeypatch.setenv(BACKEND_ENV_VAR, "vectorized")  # a pin does not change what exists
         assert available_backend_names("lstf") == ["python", *reversed(ACCELERATED)]
+        assert available_backend_names("fifo") == ["python", *reversed(ACCELERATED)]
         assert available_backend_names("lstf-preemptive") == ["python"]
