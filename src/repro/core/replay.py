@@ -132,28 +132,21 @@ class ReplayInjector:
             self.sim.schedule_at_front(records[index].ingress_time, self._advance)
 
     def _inject(self, record: PacketRecord) -> None:
-        packet = replay_packet(record, self.initializer, self.network)
+        """Send the recorded packet, header initialized, from its source host."""
+        packet = Packet(
+            flow_id=record.flow_id,
+            src=record.src,
+            dst=record.dst,
+            size_bytes=record.size_bytes,
+            ptype=PacketType.DATA,
+            route=list(record.path),
+            packet_id=record.packet_id,
+        )
+        packet.header.flow_size_bytes = record.flow_size_bytes
+        packet.flow_deadline = record.deadline
+        self.initializer.initialize(packet, record, self.network)
         self.network.host(record.src).send(packet)
         self.injected += 1
-
-
-def replay_packet(
-    record: PacketRecord, initializer: ReplayInitializer, network: Network
-) -> Packet:
-    """The packet a replay injects for ``record``: the recorded packet, header initialized."""
-    packet = Packet(
-        flow_id=record.flow_id,
-        src=record.src,
-        dst=record.dst,
-        size_bytes=record.size_bytes,
-        ptype=PacketType.DATA,
-        route=list(record.path),
-        packet_id=record.packet_id,
-    )
-    packet.header.flow_size_bytes = record.flow_size_bytes
-    packet.flow_deadline = record.deadline
-    initializer.initialize(packet, record, network)
-    return packet
 
 
 @dataclass

@@ -12,27 +12,23 @@ backend exploits that:
    built), expand each distinct route into per-hop arrays, and compute
    per-hop transmission times vectorized in the exact ``bytes * 8 / bw``
    float form so every derived timestamp is bit-identical to the OO
-   engine's.  The shipped header initializers have exact batch equivalents
-   (same float expressions, same fold order for ``tmin``); any other runs
-   for real on :class:`Packet` objects, exactly as on the python backend.
-2. **Run** (:func:`repro.sim.vectorized.run_flat_replay`): a flat event loop
-   over those arrays that mirrors the OO engine's event choreography
+   engine's.  The shipped header initializers
+   (:attr:`VectorizedBackend.INITIALIZER_KINDS`) have exact batch
+   equivalents: same float expressions, same fold order for ``tmin``.
+2. **Run** (:func:`repro.sim.vectorized.run_flat_replay`): one flat event
+   loop over those arrays that mirrors the OO engine's event choreography
    tuple-for-tuple (see that module's docstring); its output arrays become
    the replayed schedule's columns as they are.  A fault plan is compiled
    per port by the same :meth:`~repro.faults.FaultPlan.link_faults` the OO
-   injector installs from, and runs on the kernel's general loop; packets it
-   destroys never exit and are left out of the result.
+   injector installs from; packets it destroys never exit and are left out
+   of the result.
 
-The backend declines configurations its loops do not model — preemptive LSTF,
-finite buffers, unknown modes, fault kinds other than the shipped ones
-(:meth:`VectorizedBackend.decline_reason`) — and
+The backend declines configurations its loop does not model — preemptive
+LSTF, finite buffers, unknown modes, initializers and fault kinds other than
+the shipped ones (:meth:`VectorizedBackend.decline_reason`) — and
 :func:`repro.sim.backend.select_engine` then offers the replay to its next
 candidate, ending at the ``"python"`` reference backend, so callers never
 see a behaviour difference, only a speed difference.
-
-Header initializers must be pure functions of ``(record, network)`` (every
-shipped initializer is): they are evaluated upfront here, not interleaved
-with the simulation as on the python backend.
 
 numpy is this backend's only dependency and a hard dependency of the
 package (``repro.utils`` imports it), so the backend is always available;
@@ -49,12 +45,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.replay import (
-    replay_fault_horizon,
-    replay_initializer,
-    replay_packet,
-    replay_scheduler_factory,
-)
+from repro.core.replay import replay_fault_horizon, replay_initializer
 from repro.core.schedule import Schedule, paused_gc
 from repro.core.slack import (
     BlackBoxSlackInitializer,
@@ -68,7 +59,6 @@ from repro.core.slack import (
 from repro.faults.defs import BernoulliLoss, GilbertElliottLoss, JammingIntervals, LinkOutage
 from repro.sim.backend import SimBackend
 from repro.sim.engine import Simulator
-from repro.sim.tracer import Tracer
 from repro.sim.vectorized import run_flat_replay
 from repro.topology.base import Topology
 
@@ -154,8 +144,8 @@ class VectorizedBackend(SimBackend):
 
     name = "vectorized"
     replay_note = (
-        "replay fast path (lstf/edf/priority/omniscient/fifo, infinite buffers, "
-        "fault plans); numpy batch precompute + pure-python flat event loop"
+        "flat kernel (lstf/edf/priority/omniscient/fifo, infinite buffers, shipped "
+        "initializers, fault plans); numpy batch precompute + pure-python event loop"
     )
 
     #: Replay modes with a flat-loop key model.  ``lstf-preemptive`` is
@@ -168,6 +158,19 @@ class VectorizedBackend(SimBackend):
     #: to hand them).  ``None`` = this engine's kernel takes no fault plan.
     FAULT_KINDS: Optional[frozenset] = frozenset(
         {LinkOutage, BernoulliLoss, GilbertElliottLoss, JammingIntervals}
+    )
+
+    #: Header initializers with an exact batch form (:func:`_initialize_headers`),
+    #: matched by exact class: a subclass may override ``initialize``.
+    INITIALIZER_KINDS = frozenset(
+        {
+            BlackBoxSlackInitializer,
+            OutputTimePriorityInitializer,
+            OmniscientInitializer,
+            ZeroSlackInitializer,
+            StaticDelaySlackInitializer,
+            DeadlineSlackInitializer,
+        }
     )
 
     def _kernel(self, *args, **kwargs):
@@ -189,15 +192,18 @@ class VectorizedBackend(SimBackend):
         initializer: Optional[ReplayInitializer] = None,
         faults=None,
     ) -> Optional[str]:
-        """Anything the flat loops do not model: preemption, finite buffers, foreign faults.
+        """Anything the flat loop does not model: preemption, finite buffers,
+        foreign initializers and fault kinds.
 
-        The loops never overflow a queue, so finite buffers — the default or
-        any one link's — belong to the reference engine, as does a plan
-        with a fault kind outside :attr:`FAULT_KINDS`.  Any initializer is
-        accepted (:func:`_initialize_headers`).
+        The loop never overflows a queue, so finite buffers — the default or
+        any one link's — belong to the reference engine, as does an
+        initializer outside :attr:`INITIALIZER_KINDS` or a plan with a fault
+        kind outside :attr:`FAULT_KINDS`.
         """
         if mode not in self.SUPPORTED_MODES:
             return f"replay mode {mode}"
+        if initializer is not None and type(initializer) not in self.INITIALIZER_KINDS:
+            return f"initializer {type(initializer).__name__}"
         if faults is not None and not faults.is_empty():
             if self.FAULT_KINDS is None:
                 return "fault plan"
@@ -229,7 +235,7 @@ class VectorizedBackend(SimBackend):
 
         # ---- header initialization -> per-mode scheduler keys ----
         slack, priority, deadline, vectors = _initialize_headers(
-            initializer, schedule, topology, mode, off, hop_sum
+            initializer, schedule, topology, off, hop_sum
         )
         # lstf keys are dynamic, computed in the loop from ``slack``; the
         # other modes hand the kernel static per-hop keys instead.
@@ -310,18 +316,15 @@ def _initialize_headers(
     initializer: ReplayInitializer,
     schedule: Schedule,
     topology: Topology,
-    mode: str,
     off: List[int],
     hop_sum: List[float],
 ):
     """Per-packet header state (slack, priority, deadline, hop vectors).
 
-    The shipped initializers are evaluated in batch over the schedule's
-    columns with the exact float expressions of their ``initialize`` methods
-    (``None`` encoded as ``math.inf``, which keys and decrements
-    identically).  Any other initializer runs for real, on real packets and
-    record views against a freshly built network, in record order — slower,
-    but behaviourally indistinguishable from the python backend.
+    Each of :attr:`VectorizedBackend.INITIALIZER_KINDS` is evaluated in batch
+    over the schedule's columns with the exact float expressions of its
+    ``initialize`` method (``None`` encoded as ``math.inf``, which keys and
+    decrements identically); any other initializer was declined.
     """
     cols = schedule.columns()
     n = len(cols.packet_id)
@@ -381,21 +384,4 @@ def _initialize_headers(
             residual = flow_bytes * 8 / bottleneck
             slack.append(target - ingress - residual)
             deadline.append(target)
-    else:
-        # Unknown initializer: run the real thing on the packets the python
-        # backend would inject, against a real network.  The build is
-        # deferred to here because only this path needs it.
-        network = topology.build(
-            Simulator(),
-            replay_scheduler_factory(mode),
-            tracer=Tracer(),
-            default_buffer_bytes=None,
-        )
-        headers = [
-            replay_packet(record, initializer, network).header for record in schedule.records()
-        ]
-        slack = [inf if h.slack is None else h.slack for h in headers]
-        priority = [inf if h.priority is None else h.priority for h in headers]
-        deadline = [inf if h.deadline is None else h.deadline for h in headers]
-        vectors = [list(h.hop_output_times or ()) for h in headers]
     return slack, priority, deadline, vectors

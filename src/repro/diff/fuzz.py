@@ -19,7 +19,7 @@ Four comparison kinds:
   ``compiled`` decline, so both legs run on the reference — a *degenerate*
   pair, counted as such; a sweep in which a listed backend never executed a
   leg fails, and the report counts the legs that replayed a fault plan per
-  engine (``vectorized``'s general loop must see some);
+  engine (``vectorized`` must see some);
 * ``live-replay`` — a live LSTF deployment under a stateless slack policy
   versus replaying the recorded baseline under the same policy (the paper's
   replay-methodology claim, fuzzed);

@@ -28,12 +28,9 @@
  *   place (it is copied into a C array); no caller observes the mutation —
  *   the orchestrator builds a fresh list per replay.
  *
- * The single loop below follows the Python kernel's *budgeted* path (every
- * event — including destination arrivals — goes through the heap and is
- * counted individually).  The Python kernel's unbudgeted fast path is an
- * observably-equivalent shortcut of the same choreography (same settle
- * times, same sequence consumption, same derived event total), so one C
- * loop serves both cases bit-identically.
+ * The loop below is the Python kernel's one loop (every event — including
+ * destination arrivals — goes through the heap and is counted individually)
+ * without its fault branches: a fault plan is declined before it gets here.
  */
 
 #define PY_SSIZE_T_CLEAN

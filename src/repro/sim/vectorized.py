@@ -1,12 +1,15 @@
 """Flat replay kernel: the OO engine's event loop, specialized for replay.
 
 This module is the inner loop of the ``"vectorized"`` backend
-(:mod:`repro.core.replay_vectorized`).  The replay path has a much smaller
-state space than the general simulator — no transports, no buffer drops
-(infinite buffers), no preemption, source-routed packets whose ingress times,
-sizes, routes, and header keys are all known up front — so the whole OO object graph
-(``Simulator`` + ``OutputPort`` + ``Scheduler`` + ``Packet``) collapses into
-a handful of flat arrays indexed by *packet-hop* ``f``:
+(:mod:`repro.core.replay_vectorized`) and the executable specification of the
+C kernel (``_kernel.c``), which runs the same loop without the fault branches:
+``vectorized`` is ``compiled`` without a compiler, plus fault plans.  The
+replay path has a much smaller state space than the general simulator — no
+transports, no buffer drops (infinite buffers), no preemption, source-routed
+packets whose ingress times, sizes, routes, and header keys are all known up
+front — so the whole OO object graph (``Simulator`` + ``OutputPort`` +
+``Scheduler`` + ``Packet``) collapses into a handful of flat arrays indexed
+by *packet-hop* ``f``:
 
 * ``hop_port[f]`` — dense id of the directed port hop ``f`` transmits on,
 * ``hop_tx[f]`` / ``hop_prop[f]`` — transmission and propagation delays,
@@ -26,48 +29,34 @@ line of the OO code:
   operand packed into one integer ``code``: hop ``f``'s finish is ``f``,
   the arrival at hop ``fn`` is ``total_hops + fn``, packet ``j``'s
   destination arrival is ``2 * total_hops + j``, the injector cursor sorts
-  above them all, and outage toggles (general loop only) above the cursor.  Ordering never reaches the third element
-  (sequence numbers are unique), so the packing is pure constant-factor:
-  smaller tuples to allocate and sift, and the hottest decodes take one
-  integer comparison.  Injector-cursor events draw sequence numbers from
+  above them all, and outage toggles above the cursor.  Ordering never
+  reaches the third element (sequence numbers are unique), so the packing is
+  pure constant-factor.  Injector-cursor events draw sequence numbers from
   the front counter (``-(1 << 62)``, increasing), finish-transmission and
   arrival events from the normal counter — in the same order the OO
   callbacks call ``Simulator.schedule``, so the global event order matches
-  tuple-for-tuple.
+  tuple-for-tuple, and every event is counted as ``Simulator.run`` counts it.
 * On finish-transmission, the downstream *arrival is pushed first* and the
   port's next transmission second (``OutputPort._finish_transmission``
   schedules the receive before calling ``_start_next``), which fixes the
-  relative order of those two events when their times tie.
+  relative order of those two events when their times tie.  A destination
+  arrival goes through the heap like any other, so a budget exhausting
+  between a finish and its arrival leaves that packet in flight.
 * Per-port priority queues hold ``(key, port_seq, f, enqueue_time)``
   tuples — the same ``(key, sequence)`` ordering as
   ``PriorityScheduler``'s heap, with the per-port sequence counter
   allocated at enqueue time; the owning packet is recovered as
   ``hop_pkt[f]``.  (Binary heaps are order-equivalent to a
-  ``numpy.lexsort`` over (key, seq) at every service instant; the heap form
-  costs O(log q) per decision instead of O(q log q), which profiling showed
-  is the difference between ~4x and ~10x on quick-scale replays.)
+  ``numpy.lexsort`` over (key, seq) at every service instant, at O(log q)
+  per decision instead of O(q log q).)
 * An idle port serves an arriving packet immediately (the OO invariant that
   an idle port's queue is empty makes enqueue-then-dequeue equivalent to
   direct service).  The LSTF dequeue-time slack update ``slack -= now -
   enqueue_time`` is skipped in that case because the wait is exactly
   ``0.0`` and ``x - 0.0`` is bit-identical to ``x`` for every float.
-* Destination arrivals are pure sinks — they record ``egress[j]`` and
-  schedule nothing — so the fast loop settles them at finish time
-  (``egress = t + prop``) instead of routing them through the heap.  The
-  sequence counter is still consumed and the event still counted, so every
-  other event's ``(time, seq)`` tuple and the executed-event total are
-  unchanged.
-
-There are two loops.  The **fast loop** runs the common replay — no event
-budget, no fault plan — and is what the C kernel transliterates.  The
-**general loop** runs everything else:
-
-* With a ``max_events`` budget the destination arrival keeps its heap event,
-  because a budget exhausting *between* a finish and its arrival must leave
-  that packet in flight, exactly as on the OO engine.
-* With a fault plan it replays ``sim/port.py`` + ``faults/injector.py``.
-  Outage toggles are heap events seeded *after* the injector cursor and
-  before the first pop, so toggle ``k`` carries sequence number ``k``
+* A fault plan replays ``sim/port.py`` + ``faults/injector.py``.  Outage
+  toggles are heap events seeded *after* the injector cursor and before the
+  first pop, so toggle ``k`` carries sequence number ``k``
   (``FaultInjector.install``'s order: links sorted, windows sorted, down then
   up) and fires ahead of every same-time packet event.  A down port queues
   arrivals instead of serving them; a down-toggle destroys the packet in
@@ -133,20 +122,19 @@ def run_flat_replay(
 
     lstf = slack is not None
     # Event codes (see the module docstring): finish(f) = f,
-    # arrival(fn) = H + fn, destination arrival(j) = H2 + j, injector = INJ
-    # — ranges ordered so the hottest branches decode with the fewest
-    # comparisons.
+    # arrival(fn) = H + fn, destination arrival(j) = H2 + j, injector = INJ,
+    # toggle k = INJ + 1 + k — ranges ordered so the hottest branches decode
+    # with the fewest comparisons.
     H = total_hops
     H2 = 2 * total_hops
     INJ = H2 + n
-    # nxt[f]: the *arrival event code* of the hop after f within its packet
-    # (H + f + 1), or -1 when f is the last hop (the arrival lands at the
-    # destination) — saves an off[] bound check and the H-offset addition
-    # on every finish event.
+    # nxt[f]: the code of the arrival that hop f's finish schedules — the
+    # next hop's (H + f + 1), or packet j's destination's (H2 + j) on its
+    # last hop.
     nxt = list(range(H + 1, H + total_hops + 1))
     for j in range(n):
         if off[j + 1] > off[j]:
-            nxt[off[j + 1] - 1] = -1
+            nxt[off[j + 1] - 1] = H2 + j
     heap: List[tuple] = []
     push = heappush
     pop = heappop
@@ -156,8 +144,7 @@ def run_flat_replay(
     fseq = -(1 << 62)        # Simulator._front_sequence: injector cursor
     cursor = 0
     executed = 0
-    budgeted = max_events is not None
-    budget = max_events if budgeted else float("inf")
+    budget = float("inf") if max_events is None else max_events
 
     # ReplayInjector.install(): arm the cursor at the first ingress time
     # (an empty replay arms nothing; a fault plan's toggles still fire).
@@ -165,103 +152,10 @@ def run_flat_replay(
         push(heap, (ingress[0], fseq, INJ))
         fseq += 1
 
-    if not budgeted and not faults:
-        # Fast loop (no budget, no faults): identical event choreography, but the
-        # executed-event total is derived arithmetically at the end instead
-        # of being counted per event, and the loop is terminated by the
-        # heap's own IndexError instead of a per-iteration truthiness test.
-        # ``injections`` counts only the (rare) injector-cursor pops.
-        injections = 0
-        busy = [False] * num_ports
-        try:
-            while True:
-                t, _s, code = pop(heap)
-
-                if code < H:
-                    # OutputPort._finish_transmission for hop f on its port.
-                    f = code
-                    dep[f] = t
-                    acode = nxt[f]
-                    # Receive is scheduled *before* the port picks its next
-                    # packet; a last hop settles at the destination directly
-                    # (same time, same seq consumption, same event count).
-                    if acode < 0:
-                        egress[hop_pkt[f]] = t + hop_prop[f]
-                    else:
-                        push(heap, (t + hop_prop[f], seq, acode))
-                    seq += 1
-                    p = hop_port[f]
-                    ph = port_heaps[p]
-                    if ph:
-                        _k, _s2, f2, et = pop(ph)
-                        if lstf:
-                            slack[hop_pkt[f2]] -= t - et
-                        start[f2] = t
-                        push(heap, (t + hop_tx[f2], seq, f2))
-                        seq += 1
-                    else:
-                        busy[p] = False
-
-                elif code < H2:
-                    # Link delivery at a router: Router.receive.
-                    fn = code - H
-                    arr[fn] = t
-                    p = hop_port[fn]
-                    if lstf:
-                        key = (slack[hop_pkt[fn]] + t) + hop_tx[fn]
-                    else:
-                        key = hop_key[fn]
-                    s = port_seq[p]
-                    port_seq[p] = s + 1
-                    if busy[p]:
-                        push(port_heaps[p], (key, s, fn, t))
-                    else:
-                        # Idle port: the queue is empty, serve immediately.
-                        start[fn] = t
-                        busy[p] = True
-                        push(heap, (t + hop_tx[fn], seq, fn))
-                        seq += 1
-
-                else:
-                    # ReplayInjector._advance: inject every record due now,
-                    # then re-arm the cursor at the next ingress time.
-                    injections += 1
-                    while cursor < n and ingress[cursor] <= t:
-                        j = cursor
-                        cursor += 1
-                        fn = off[j]
-                        arr[fn] = t
-                        p = hop_port[fn]
-                        if lstf:
-                            key = (slack[j] + t) + hop_tx[fn]
-                        else:
-                            key = hop_key[fn]
-                        s = port_seq[p]
-                        port_seq[p] = s + 1
-                        if busy[p]:
-                            push(port_heaps[p], (key, s, fn, t))
-                        else:
-                            start[fn] = t
-                            busy[p] = True
-                            push(heap, (t + hop_tx[fn], seq, fn))
-                            seq += 1
-                    if cursor < n:
-                        push(heap, (ingress[cursor], fseq, INJ))
-                        fseq += 1
-        except IndexError:
-            # The heap ran dry: the replay is complete.
-            pass
-        # Every hop contributes one finish and one arrival event (a first
-        # hop's arrival is the injection itself, a last hop's is the settled
-        # destination arrival — both counted), plus one pop per
-        # injector-cursor firing: H + (H - n) + n + injections.
-        return arr, start, dep, egress, 2 * total_hops + injections
-
-    # General loop: an event budget and/or a fault plan.  ``cur[p]`` is the
-    # whole transmitter state of port p: the hop in flight, IDLE, or DOWN (a
-    # down port is never in service, so the three are exclusive).  A finish
-    # event is live iff its hop is still the one in flight — a down-toggle
-    # overwrites ``cur[p]``, which is the lazy cancel.
+    # ``cur[p]`` is the whole transmitter state of port p: the hop in flight,
+    # IDLE, or DOWN (a down port is never in service, so the three are
+    # exclusive).  A finish event is live iff its hop is still the one in
+    # flight — a down-toggle overwrites ``cur[p]``, which is the lazy cancel.
     IDLE, DOWN = -1, -2
     cur = [IDLE] * num_ports
     filters: List[tuple] = [()] * num_ports
@@ -301,14 +195,7 @@ def run_flat_replay(
             if not destroyed:
                 # Receive is scheduled *before* the port picks its next
                 # packet; a destroyed packet schedules nothing.
-                acode = nxt[f]
-                if acode < 0:
-                    # Last hop: the arrival lands at the destination, through
-                    # the heap — a budget exhausting *between* a finish and
-                    # its arrival must leave the packet in flight, exactly as
-                    # on the OO engine.
-                    acode = H2 + hop_pkt[f]
-                push(heap, (t + hop_prop[f], seq, acode))
+                push(heap, (t + hop_prop[f], seq, nxt[f]))
                 seq += 1
             ph = port_heaps[p]
             if ph:

@@ -19,6 +19,7 @@ from abc import ABC, abstractmethod
 from typing import List, Sequence, Tuple
 
 from repro.utils.rng import RandomState
+from repro.utils.stats import left_sum
 
 
 class FlowSizeDistribution(ABC):
@@ -114,7 +115,7 @@ class EmpiricalSize(FlowSizeDistribution):
     def __init__(self, points: Sequence[Tuple[float, float]]) -> None:
         if not points:
             raise ValueError("need at least one (size, probability) point")
-        total = sum(probability for _, probability in points)
+        total = left_sum(probability for _, probability in points)
         if total <= 0:
             raise ValueError("probabilities must sum to a positive value")
         self.sizes: List[float] = [float(size) for size, _ in points]
@@ -132,7 +133,7 @@ class EmpiricalSize(FlowSizeDistribution):
         return self.sizes[-1]
 
     def mean(self) -> float:
-        return sum(s * p for s, p in zip(self.sizes, self.probabilities))
+        return left_sum(s * p for s, p in zip(self.sizes, self.probabilities))
 
 
 _KB = 1e3

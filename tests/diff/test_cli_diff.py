@@ -70,7 +70,7 @@ class TestDiffReplay:
             assert f"(python vs {backend if backend != 'python' else 'python#2'})" in out
 
     def test_a_declined_replay_says_why_and_labels_what_ran(self, recorded, capsys):
-        # A fault plan runs on vectorized's general loop; only compiled declines it.
+        # A fault plan runs on vectorized; only compiled declines it.
         faulted = ["diff", "--replay", recorded, "--fault", "loss-5pct", "--backend"]
         assert cli_main([*faulted, "vectorized"]) == 0
         out, err = capsys.readouterr()

@@ -239,7 +239,7 @@ class TestEnginesThatRan:
     def test_a_sweep_counts_the_engine_behind_every_leg(self):
         report = run_fuzz(budget=2, seed=2, backends=self.BACKENDS, artifact_dir=None)
         # Per case: a python twin and a python-vs-vectorized pair; case 1's
-        # burst-loss plan runs on vectorized's general loop, so no pair is
+        # burst-loss plan runs on vectorized, so no pair is
         # degenerate and one vectorized leg is fault-bearing.
         assert report.ok and not report.idle_engines
         assert report.engine_runs == {"python": 6, "vectorized": 2}

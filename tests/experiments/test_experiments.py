@@ -155,3 +155,7 @@ class TestRowsDoNotDependOnThePythonVersion:
         summary = run_pipeline(names, scale=SMOKE, workers=1)
         assert summary.errors == []
         assert set(summary.results) == set(names)
+        # The default workloads never build an EmpiricalSize; these do.
+        for workload in ("web-search", "data-mining"):
+            summary = run_pipeline(["table1"], scale=SMOKE, workers=1, workload=workload)
+            assert summary.errors == [] and summary.results["table1"].rows, workload

@@ -267,12 +267,12 @@ class TestPropertyEquivalence:
     @given(data=st.data())
     def test_kernels_in_lock_step(self, fixture_topology, recorded_schedule, mode, data):
         """``sim/vectorized.py`` is the C kernel's executable spec: stopped after
-        any number of events, both have written exactly the same state."""
+        any number of events, or drained, both have written exactly the same state."""
         schedule = Schedule(data.draw(record_sets(routes_of(recorded_schedule))))
         assume(len(schedule))  # an empty replay never reaches a kernel
         run = kernel_runner(fixture_topology, schedule, mode)
         drained = run(run_flat_replay)[-1]
-        for budget in range(drained + 1):
+        for budget in [*range(drained + 1), None]:
             assert run(kernel_run_flat_replay(), max_events=budget) == run(
                 run_flat_replay, max_events=budget
             ), budget
@@ -297,7 +297,7 @@ def kernel_runner(topology, schedule, mode):
 
 
 # --------------------------------------------------------------------- #
-# Fault plans: the general loop against sim/port.py + faults/injector.py
+# Fault plans: the flat kernel against sim/port.py + faults/injector.py
 # --------------------------------------------------------------------- #
 def plan_of(*faults, seed=0):
     return FaultPlan(FaultScheduleDef(name="test", faults=tuple(faults)), seed=seed)
@@ -421,13 +421,13 @@ class TestFaultEquivalence:
             ), budget
 
     @pytest.mark.parametrize("mode", VECTORIZED_MODES)
-    def test_a_plan_that_touches_nothing_is_the_fast_loop_bit_for_bit(
+    def test_a_plan_that_touches_nothing_is_no_plan_bit_for_bit(
         self, fixture_topology, recorded_schedule, mode
     ):
         run = kernel_runner(fixture_topology, recorded_schedule, mode)
         *timings, events = run(run_flat_replay)
-        # An empty plan never leaves the fast loop; a faulted port with no
-        # filter and no window goes through the general loop and changes nothing.
+        # Neither an empty plan nor a faulted port with no filter and no
+        # window changes anything.
         assert run(run_flat_replay, faults=[]) == (*timings, events)
         assert run(run_flat_replay, faults=[(0, (), [])]) == (*timings, events)
         # W windows nothing runs into (here: after the last exit) are 2W events.

@@ -18,7 +18,13 @@ import repro.sim.compiled as compiled_mod
 from repro.__main__ import main
 from repro.core.replay import ReplayExperiment, replay_schedule
 from repro.pipeline.scenario import PipelineConfigError
-from repro.sim.backend import ENGINES, describe_backends, get_backend, select_engine
+from repro.sim.backend import (
+    BACKEND_ENV_VAR,
+    ENGINES,
+    describe_backends,
+    get_backend,
+    select_engine,
+)
 from repro.sim.compiled import kernel_available, unavailable_reason
 from repro.topology import dumbbell_topology
 from repro.traffic import WorkloadSpec, paper_default_workload
@@ -68,9 +74,12 @@ class TestPurePythonInstallPath:
         with pytest.raises(PipelineConfigError, match="unavailable"):
             get_backend("compiled")
 
-    def test_supports_replay_declines_without_kernel(self, no_compiler, fixture_topology):
+    def test_supports_replay_declines_without_kernel(
+        self, no_compiler, fixture_topology, monkeypatch
+    ):
         """An unavailable engine is not asked at all: it is never a candidate
         (so nothing "declined"), and naming it is refused at resolution."""
+        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)  # CI runs this file under a pin
         engine, declined = select_engine(None, fixture_topology, "lstf")
         assert (engine.name, declined) == ("vectorized", [])
         with pytest.raises(PipelineConfigError, match="unavailable"):
