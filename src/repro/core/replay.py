@@ -20,13 +20,15 @@ The workflow mirrors the paper exactly:
 from __future__ import annotations
 
 import logging
+from collections import deque
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.metrics import ReplayMetrics, compare_schedules
-from repro.core.schedule import PacketRecord, Schedule, ScheduleColumns
+from repro.core.schedule import Schedule, ScheduleColumns
 from repro.core.slack import (
     BlackBoxSlackInitializer,
+    LinkParams,
     OmniscientInitializer,
     OutputTimePriorityInitializer,
     ReplayInitializer,
@@ -43,7 +45,7 @@ from repro.sim.backend import SimBackend, select_engine
 from repro.sim.engine import Simulator
 from repro.sim.flow import DEFAULT_MSS
 from repro.sim.network import Network, SchedulerFactory
-from repro.sim.packet import Packet, PacketType
+from repro.sim.packet import Packet
 from repro.sim.tracer import Tracer
 from repro.topology.base import Topology
 from repro.traffic.workload import WorkloadSpec
@@ -69,20 +71,22 @@ REPLAY_MODES: Dict[str, tuple] = {
 class ReplayInjector:
     """Re-injects the packets of a recorded schedule into a fresh network.
 
+    Headers come from one :meth:`~repro.core.slack.ReplayInitializer.headers`
+    call per replay, over the schedule's columns; each packet is built from
+    its row and stamped with its row of the four header fields.
+
     Injection is *streaming*: instead of pre-scheduling one heap event per
     recorded packet (which made the engine heap O(total packets) before the
     first packet even moved), :meth:`install` arms a single self-rescheduling
-    cursor that walks the ingress-time-sorted records.  The heap stays
+    cursor that walks the ingress-time-sorted rows.  The heap stays
     O(in-flight packets), so every push/pop sifts a far shallower heap.
 
-    The replay is bit-identical to the old upfront injector: the cursor is
-    scheduled with :meth:`~repro.sim.engine.Simulator.schedule_at_front`, so
-    injections at time ``t`` fire before any simulation event at ``t`` —
-    exactly the ordering the upfront injector guaranteed by grabbing the
-    lowest sequence numbers — and records sharing one ingress time are
-    injected back-to-back in record order, just as their back-to-back
-    pre-scheduled events used to fire.  :meth:`install_upfront` keeps the
-    original implementation as the reference for the equivalence tests.
+    The cursor is scheduled with
+    :meth:`~repro.sim.engine.Simulator.schedule_at_front`, so injections at
+    time ``t`` fire before any simulation event at ``t``, and rows sharing
+    one ingress time are injected back-to-back in row order — exactly what
+    :meth:`install_upfront`, the reference the equivalence tests hold it to,
+    does by pre-scheduling one event per row.
     """
 
     def __init__(
@@ -91,61 +95,74 @@ class ReplayInjector:
         network: Network,
         schedule: Schedule,
         initializer: ReplayInitializer,
+        link_params: LinkParams,
     ) -> None:
         self.sim = sim
         self.network = network
         self.schedule = schedule
         self.initializer = initializer
+        self.link_params = link_params
         self.injected = 0
-        self._records: List[PacketRecord] = []
         self._cursor = 0
+
+    def _prepare(self) -> List[float]:
+        """Compute every row's headers once; returns the rows' ingress times."""
+        self._cols = self.schedule.columns()
+        self._headers = self.initializer.headers(self._cols, self.link_params)
+        self._cursor = 0
+        return self._cols.ingress_time
 
     def install(self) -> None:
         """Arm the streaming cursor at the first recorded ingress time."""
-        self._records = self.schedule.records()
-        self._cursor = 0
-        if self._records:
-            self.sim.schedule_at_front(self._records[0].ingress_time, self._advance)
+        ingress = self._prepare()
+        if ingress:
+            self.sim.schedule_at_front(ingress[0], self._advance)
 
     def install_upfront(self) -> None:
-        """Reference implementation: pre-schedule one event per record.
+        """Reference implementation: pre-schedule one event per row.
 
         Kept (and exercised by the determinism test suite) as the behavioural
         specification the streaming cursor must match bit-for-bit; prefer
         :meth:`install` everywhere else.
         """
-        for record in self.schedule.records():
-            self.sim.schedule_at(record.ingress_time, self._inject, record)
+        for row, ingress in enumerate(self._prepare()):
+            self.sim.schedule_at(ingress, self._inject, row)
 
     def _advance(self) -> None:
-        """Inject every record due now, then reschedule at the next ingress time."""
-        records = self._records
-        total = len(records)
+        """Inject every row due now, then reschedule at the next ingress time."""
+        ingress = self._cols.ingress_time
+        total = len(ingress)
         index = self._cursor
         now = self.sim.now
         inject = self._inject
-        while index < total and records[index].ingress_time <= now:
-            inject(records[index])
+        while index < total and ingress[index] <= now:
+            inject(index)
             index += 1
         self._cursor = index
         if index < total:
-            self.sim.schedule_at_front(records[index].ingress_time, self._advance)
+            self.sim.schedule_at_front(ingress[index], self._advance)
 
-    def _inject(self, record: PacketRecord) -> None:
-        """Send the recorded packet, header initialized, from its source host."""
+    def _inject(self, row: int) -> None:
+        """Send the packet of ``row``, header stamped, from its source host."""
+        cols = self._cols
+        slack, priority, deadline, vectors = self._headers
         packet = Packet(
-            flow_id=record.flow_id,
-            src=record.src,
-            dst=record.dst,
-            size_bytes=record.size_bytes,
-            ptype=PacketType.DATA,
-            route=list(record.path),
-            packet_id=record.packet_id,
+            flow_id=cols.flow_id[row],
+            src=cols.src[row],
+            dst=cols.dst[row],
+            size_bytes=cols.size_bytes[row],
+            route=list(cols.path[row]),
+            packet_id=cols.packet_id[row],
         )
-        packet.header.flow_size_bytes = record.flow_size_bytes
-        packet.flow_deadline = record.deadline
-        self.initializer.initialize(packet, record, self.network)
-        self.network.host(record.src).send(packet)
+        packet.flow_deadline = cols.deadline[row]
+        header = packet.header
+        header.flow_size_bytes = cols.flow_size_bytes[row]
+        header.slack = slack[row]
+        header.priority = priority[row]
+        header.deadline = deadline[row]
+        if vectors[row]:
+            header.hop_output_times = deque(vectors[row])
+        self.network.host(packet.src).send(packet)
         self.injected += 1
 
 
@@ -223,13 +240,13 @@ class PythonBackend(SimBackend):
 
     This is the behavioural specification every other backend must match
     bit-for-bit; it supports every replay configuration (all modes, finite
-    buffers, preemption, arbitrary initializers).
+    buffers, preemption, any fault kind).
     """
 
     name = "python"
     replay_note = (
         "reference OO engine; supports every replay configuration "
-        "(all modes, finite buffers, preemption, custom initializers and fault kinds)"
+        "(all modes, finite buffers, preemption, any fault kind)"
     )
 
     def replay(
@@ -252,7 +269,7 @@ class PythonBackend(SimBackend):
         )
         if initializer is None:
             initializer = replay_initializer(mode)
-        injector = ReplayInjector(sim, network, schedule, initializer)
+        injector = ReplayInjector(sim, network, schedule, initializer, topology.link_params())
         injector.install()
         if faults is not None and not faults.is_empty():
             network.install_faults(faults, horizon=replay_fault_horizon(schedule))

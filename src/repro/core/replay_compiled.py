@@ -8,9 +8,9 @@ inner event loop runs in the compiled kernel extension
 :func:`repro.sim.vectorized.run_flat_replay`; see ``_kernel.c`` for the
 bit-identity argument).  The backend therefore
 inherits the vectorized backend's entire contract surface: the same
-``decline_reason`` (only non-preemptive key modes with infinite buffers and
-shipped initializers run here) and the same equivalence and golden-rows gates
-— only :meth:`VectorizedBackend._kernel` is swapped, and fault plans are
+``decline_reason`` (only non-preemptive key modes with infinite buffers run
+here, under any header initializer) and the same equivalence and golden-rows
+gates — only :meth:`VectorizedBackend._kernel` is swapped, and fault plans are
 declined (``FAULT_KINDS = None``: the C loop calls no Python drop filter),
 which hands them to the ``"vectorized"`` loop.
 
@@ -36,8 +36,8 @@ class CompiledBackend(VectorizedBackend):
 
     name = "compiled"
     replay_note = (
-        "flat kernel (lstf/edf/priority/omniscient/fifo, infinite buffers, shipped "
-        "initializers, no faults); native C event loop (built on first use; needs a C compiler)"
+        "flat kernel (lstf/edf/priority/omniscient/fifo, infinite buffers, no faults); "
+        "native C event loop (built on first use; needs a C compiler)"
     )
 
     #: Drop filters are Python closures over per-port ``RandomState``s; the C

@@ -12,9 +12,9 @@ backend exploits that:
    built), expand each distinct route into per-hop arrays, and compute
    per-hop transmission times vectorized in the exact ``bytes * 8 / bw``
    float form so every derived timestamp is bit-identical to the OO
-   engine's.  The shipped header initializers
-   (:attr:`VectorizedBackend.INITIALIZER_KINDS`) have exact batch
-   equivalents: same float expressions, same fold order for ``tmin``.
+   engine's.  Headers come from the same
+   :meth:`~repro.core.slack.ReplayInitializer.headers` call the OO injector
+   stamps packets from, so any initializer replays here.
 2. **Run** (:func:`repro.sim.vectorized.run_flat_replay`): one flat event
    loop over those arrays that mirrors the OO engine's event choreography
    tuple-for-tuple (see that module's docstring); its output arrays become
@@ -24,8 +24,8 @@ backend exploits that:
    of the result.
 
 The backend declines configurations its loop does not model — preemptive
-LSTF, finite buffers, unknown modes, initializers and fault kinds other than
-the shipped ones (:meth:`VectorizedBackend.decline_reason`) — and
+LSTF, finite buffers, unknown modes, fault kinds other than the shipped ones
+(:meth:`VectorizedBackend.decline_reason`) — and
 :func:`repro.sim.backend.select_engine` then offers the replay to its next
 candidate, ending at the ``"python"`` reference backend, so callers never
 see a behaviour difference, only a speed difference.
@@ -41,21 +41,13 @@ import math
 from functools import reduce as _reduce
 from itertools import chain
 from operator import add as _add, itemgetter
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
 from repro.core.replay import replay_fault_horizon, replay_initializer
 from repro.core.schedule import Schedule, paused_gc
-from repro.core.slack import (
-    BlackBoxSlackInitializer,
-    DeadlineSlackInitializer,
-    OmniscientInitializer,
-    OutputTimePriorityInitializer,
-    ReplayInitializer,
-    StaticDelaySlackInitializer,
-    ZeroSlackInitializer,
-)
+from repro.core.slack import LinkParams, ReplayInitializer
 from repro.faults.defs import BernoulliLoss, GilbertElliottLoss, JammingIntervals, LinkOutage
 from repro.sim.backend import SimBackend
 from repro.sim.engine import Simulator
@@ -63,24 +55,7 @@ from repro.sim.vectorized import run_flat_replay
 from repro.topology.base import Topology
 
 
-def _link_params(topology: Topology) -> Dict[Tuple[str, str], Tuple[float, float]]:
-    """``(bandwidth, propagation)`` of every directed link; its key order numbers the ports.
-
-    Straight from the declarative specs: the flat loop needs only these two
-    floats per hop, and the specs carry exactly the ones ``topology.build``
-    would hand the Link objects, so skipping the build (hosts, ports,
-    per-port scheduler instances — none of which the loop touches) changes no
-    output bit while removing the dominant fixed cost on small cells.
-    """
-    link_params: Dict[Tuple[str, str], Tuple[float, float]] = {}
-    for spec in topology.links:
-        params = (spec.bandwidth_bps, spec.propagation_delay)
-        link_params[(spec.a, spec.b)] = params
-        link_params[(spec.b, spec.a)] = params
-    return link_params
-
-
-def _flatten(topology: Topology, schedule: Schedule) -> tuple:
+def _flatten(topology: Topology, schedule: Schedule, link_params: LinkParams) -> tuple:
     """Topology-dependent flat arrays of ``(topology, schedule)``.
 
     Returns ``(off, hop_pkt, hop_port, hop_node, hop_tx, hop_prop, hop_sum,
@@ -93,8 +68,9 @@ def _flatten(topology: Topology, schedule: Schedule) -> tuple:
     keyed by the link parameters) for its next replay — record once, replay
     many — and are read-only to every caller (the kernel writes only into
     per-call output arrays), which is what makes sharing them sound.
+    ``link_params`` is :meth:`~repro.topology.base.Topology.link_params`;
+    its key order numbers the ports.
     """
-    link_params = _link_params(topology)
     cols = schedule.columns()
     if schedule.derived is not None and schedule.derived[0] == link_params:
         return schedule.derived[1]
@@ -144,8 +120,8 @@ class VectorizedBackend(SimBackend):
 
     name = "vectorized"
     replay_note = (
-        "flat kernel (lstf/edf/priority/omniscient/fifo, infinite buffers, shipped "
-        "initializers, fault plans); numpy batch precompute + pure-python event loop"
+        "flat kernel (lstf/edf/priority/omniscient/fifo, infinite buffers, "
+        "fault plans); numpy batch precompute + pure-python event loop"
     )
 
     #: Replay modes with a flat-loop key model.  ``lstf-preemptive`` is
@@ -160,24 +136,11 @@ class VectorizedBackend(SimBackend):
         {LinkOutage, BernoulliLoss, GilbertElliottLoss, JammingIntervals}
     )
 
-    #: Header initializers with an exact batch form (:func:`_initialize_headers`),
-    #: matched by exact class: a subclass may override ``initialize``.
-    INITIALIZER_KINDS = frozenset(
-        {
-            BlackBoxSlackInitializer,
-            OutputTimePriorityInitializer,
-            OmniscientInitializer,
-            ZeroSlackInitializer,
-            StaticDelaySlackInitializer,
-            DeadlineSlackInitializer,
-        }
-    )
-
     def _kernel(self, *args, **kwargs):
         """The flat event loop this backend drives.
 
         The seam the ``"compiled"`` backend overrides: everything else —
-        flattening, batch header initialization, wrapping the output arrays
+        flattening, header initialization, wrapping the output arrays
         as the replayed schedule — is shared orchestration, so a backend
         swaps engines by swapping this one call
         (:mod:`repro.core.replay_compiled`).
@@ -193,17 +156,14 @@ class VectorizedBackend(SimBackend):
         faults=None,
     ) -> Optional[str]:
         """Anything the flat loop does not model: preemption, finite buffers,
-        foreign initializers and fault kinds.
+        foreign fault kinds.
 
         The loop never overflows a queue, so finite buffers — the default or
-        any one link's — belong to the reference engine, as does an
-        initializer outside :attr:`INITIALIZER_KINDS` or a plan with a fault
-        kind outside :attr:`FAULT_KINDS`.
+        any one link's — belong to the reference engine, as does a plan with
+        a fault kind outside :attr:`FAULT_KINDS`.  Any header initializer runs.
         """
         if mode not in self.SUPPORTED_MODES:
             return f"replay mode {mode}"
-        if initializer is not None and type(initializer) not in self.INITIALIZER_KINDS:
-            return f"initializer {type(initializer).__name__}"
         if faults is not None and not faults.is_empty():
             if self.FAULT_KINDS is None:
                 return "fault plan"
@@ -229,16 +189,16 @@ class VectorizedBackend(SimBackend):
     ) -> Schedule:
         if initializer is None:
             initializer = replay_initializer(mode)
+        link_params = topology.link_params()
         off, hop_pkt, hop_port, hop_node, hop_tx, hop_prop, hop_sum, num_ports = _flatten(
-            topology, schedule
+            topology, schedule, link_params
         )
 
         # ---- header initialization -> per-mode scheduler keys ----
-        slack, priority, deadline, vectors = _initialize_headers(
-            initializer, schedule, topology, off, hop_sum
-        )
-        # lstf keys are dynamic, computed in the loop from ``slack``; the
-        # other modes hand the kernel static per-hop keys instead.
+        slack, priority, deadline, vectors = initializer.headers(schedule.columns(), link_params)
+        # lstf keys are dynamic, computed in the loop from ``slack`` (a copy:
+        # the Python kernel decrements it in place); the other modes hand the
+        # kernel static per-hop keys instead.
         hop_key: Optional[List[float]] = None
         if mode == "fifo":
             # One constant key: the per-port enqueue sequence breaks every
@@ -270,18 +230,16 @@ class VectorizedBackend(SimBackend):
                     # EdfScheduler.key: deadline - tmin_remaining + tx.
                     hop_key.append(target - tmin_remaining + hop_tx[base + k])
 
-        if hop_key is not None:
-            slack = None
+        slack = list(slack) if hop_key is None else None
 
         # ---- the fault plan, compiled per port in install order ----
         options = {}
         if faults is not None and not faults.is_empty():
-            links = _link_params(topology)
-            ports = {f"{a}->{b}": port for port, (a, b) in enumerate(links)}
+            ports = {f"{a}->{b}": port for port, (a, b) in enumerate(link_params)}
             options["faults"] = [
                 (ports[link_name], filters, windows)
                 for link_name, filters, windows in faults.link_faults(
-                    links, replay_fault_horizon(schedule)
+                    link_params, replay_fault_horizon(schedule)
                 )
             ]
 
@@ -310,78 +268,3 @@ class VectorizedBackend(SimBackend):
             hop_start_service=start,
             hop_departure=dep,
         )
-
-
-def _initialize_headers(
-    initializer: ReplayInitializer,
-    schedule: Schedule,
-    topology: Topology,
-    off: List[int],
-    hop_sum: List[float],
-):
-    """Per-packet header state (slack, priority, deadline, hop vectors).
-
-    Each of :attr:`VectorizedBackend.INITIALIZER_KINDS` is evaluated in batch
-    over the schedule's columns with the exact float expressions of its
-    ``initialize`` method (``None`` encoded as ``math.inf``, which keys and
-    decrements identically); any other initializer was declined.
-    """
-    cols = schedule.columns()
-    n = len(cols.packet_id)
-    inf = math.inf
-    # What a header field the initializer leaves unset (None) encodes to
-    # (``vectors`` is only ever read, so one empty list serves every packet).
-    slack, priority, deadline = [inf] * n, [inf] * n, [inf] * n
-    vectors: List[List[float]] = [[]] * n
-    kind = type(initializer)
-
-    if kind is BlackBoxSlackInitializer:
-        # slack = o - i - tmin(path); deadline = o.  The tmin fold matches
-        # Network.tmin_along: total += (tx + prop), link by link, forward
-        # (hop_sum[f] is the elementwise tx + prop of hop f).
-        slack = [
-            # reduce() drives the same left fold from C: ((0.0 + a) + b) + ...
-            output - ingress - _reduce(_add, hop_sum[first:last], 0.0)
-            for output, ingress, first, last in zip(
-                cols.output_time, cols.ingress_time, off, off[1:]
-            )
-        ]
-        deadline = cols.output_time
-    elif kind is OutputTimePriorityInitializer:
-        priority = deadline = cols.output_time
-    elif kind is OmniscientInitializer:
-        # PacketRecord.hop_output_times: the recorded service starts.
-        starts, own = cols.hop_start_service, cols.hop_offset
-        vectors = [
-            [t for t in starts[first:last] if t is not None]
-            for first, last in zip(own, own[1:])
-        ]
-        deadline = cols.output_time
-    elif kind is ZeroSlackInitializer:
-        slack = [0.0] * n
-        deadline = [inf if d is None else d for d in cols.deadline]
-    elif kind is StaticDelaySlackInitializer:
-        slack = [initializer.slack_seconds] * n
-        deadline = [inf if d is None else d for d in cols.deadline]
-    elif kind is DeadlineSlackInitializer:
-        # Same min as the initializer's per-network cache takes over
-        # network.links: full-duplex links share one bandwidth, so the
-        # spec-level min is the same float.
-        bottleneck = min(spec.bandwidth_bps for spec in topology.links)
-        fallback = initializer.no_deadline_slack
-        slack = []
-        deadline = []
-        for target, flow_bytes, size, ingress in zip(
-            cols.deadline, cols.flow_size_bytes, cols.size_bytes, cols.ingress_time
-        ):
-            if target is None:
-                slack.append(fallback)
-                deadline.append(inf)
-                continue
-            if flow_bytes is None:
-                flow_bytes = size
-            # Same float form as DeadlineSlackInitializer.initialize.
-            residual = flow_bytes * 8 / bottleneck
-            slack.append(target - ingress - residual)
-            deadline.append(target)
-    return slack, priority, deadline, vectors

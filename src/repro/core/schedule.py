@@ -176,11 +176,6 @@ class PacketRecord:
         """
         return sum(1 for hop in self.hops if hop.queueing_delay > epsilon)
 
-    def hop_output_times(self) -> List[float]:
-        """The per-hop service-start times ``o(p, alpha_i)`` (omniscient header)."""
-        starts = (hop.start_service_time for hop in self.hops)
-        return [start for start in starts if start is not None]
-
     # ------------------------------------------------------------------ #
     # Serialization
     # ------------------------------------------------------------------ #

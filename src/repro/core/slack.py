@@ -11,7 +11,9 @@ stamp each replayed packet with
 
 (black-box initialization), the per-hop output-time vector (omniscient
 initialization), or a static priority ``o(p)`` (the simple-priorities
-comparison point).
+comparison point).  Each is one method, :meth:`ReplayInitializer.headers`,
+evaluated once per replay over the schedule's columns; every engine stamps
+or keys from its result, so a replay initializer has no per-engine twin.
 
 **Heuristic policies** (Section 3) need no knowledge of any schedule; they
 stamp slack at send time to pursue a performance objective: flow-size-
@@ -21,39 +23,86 @@ LSTF behave as FIFO+), and a virtual-clock style slack for fairness.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
-from collections import deque
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from repro.core.schedule import PacketRecord, Schedule
-from repro.sim.network import Network
+from repro.core.schedule import ScheduleColumns
 from repro.sim.packet import Packet
 from repro.utils.units import BITS_PER_BYTE
+
+#: ``(bandwidth, propagation)`` per directed link
+#: (:meth:`repro.topology.base.Topology.link_params`).
+LinkParams = Dict[Tuple[str, str], Tuple[float, float]]
+
+#: ``(slack, priority, deadline, vectors)``, one entry per schedule row.
+Headers = Tuple[Sequence[float], Sequence[float], Sequence[float], Sequence[List[float]]]
 
 
 # ---------------------------------------------------------------------- #
 # Replay-time initializers (Section 2)
 # ---------------------------------------------------------------------- #
 class ReplayInitializer(ABC):
-    """Initializes a replayed packet's header from its original-schedule record."""
+    """Initializes replayed packets' headers from the original schedule."""
 
     @abstractmethod
-    def initialize(self, packet: Packet, record: PacketRecord, network: Network) -> None:
-        """Stamp ``packet``'s header for the replay run."""
+    def headers(self, cols: ScheduleColumns, link_params: LinkParams) -> Headers:
+        """``(slack, priority, deadline, vectors)`` of every row of ``cols``.
+
+        Four row-aligned sequences, evaluated once per replay and read, never
+        written, by the engines.  ``math.inf`` leaves a field unset: every
+        replay scheduler keys an unset field as ``inf`` (and ``inf - x`` stays
+        ``inf``).  ``vectors[j]`` is row ``j``'s omniscient per-hop vector, a
+        list; an empty list means no vector.  ``link_params`` maps every
+        directed link of the replayed topology to ``(bandwidth, propagation)``.
+        """
+
+
+def _unset(cols: ScheduleColumns) -> List[float]:
+    """A header field left unset on every row."""
+    return [math.inf] * len(cols.packet_id)
+
+
+def _slack_headers(
+    cols: ScheduleColumns, slack: Sequence[float], deadline: Sequence[float]
+) -> Headers:
+    """Headers that set slack and deadline only (the one empty vector is shared:
+    engines only read it)."""
+    return slack, _unset(cols), deadline, [[]] * len(cols.packet_id)
+
+
+def _flow_deadlines(cols: ScheduleColumns) -> List[float]:
+    """The recorded flow deadline of every row, ``inf`` where the flow had none."""
+    return [math.inf if deadline is None else deadline for deadline in cols.deadline]
+
+
+def _tmin_along(link_params: LinkParams, path: Sequence[str], size_bytes: float) -> float:
+    """:meth:`repro.sim.network.Network.tmin_along` over ``link_params``: the
+    same forward left fold of ``size * 8 / bandwidth + propagation``."""
+    total = 0.0
+    for hop in zip(path, path[1:]):
+        bandwidth, propagation = link_params[hop]
+        total += size_bytes * 8 / bandwidth + propagation
+    return total
 
 
 class BlackBoxSlackInitializer(ReplayInitializer):
     """The paper's black-box initialization: only ``o(p)`` and ``path(p)`` are known.
 
-    Sets ``header.slack = o(p) - i(p) - tmin(path)`` (for LSTF) and
-    ``header.deadline = o(p)`` (so the same initialization also serves
+    Sets ``slack = o(p) - i(p) - tmin(path)`` (for LSTF) and
+    ``deadline = o(p)`` (so the same initialization also serves
     network-wide EDF, which the paper proves equivalent to LSTF).
     """
 
-    def initialize(self, packet: Packet, record: PacketRecord, network: Network) -> None:
-        tmin = network.tmin_along(record.size_bytes, record.path)
-        packet.header.slack = record.output_time - record.ingress_time - tmin
-        packet.header.deadline = record.output_time
+    def headers(self, cols: ScheduleColumns, link_params: LinkParams) -> Headers:
+        # Flow traffic repeats a few (route, size) pairs: one tmin fold each.
+        pairs = list(zip(cols.path, cols.size_bytes))
+        tmin = {pair: _tmin_along(link_params, *pair) for pair in set(pairs)}
+        slack = [
+            output - ingress - tmin[pair]
+            for output, ingress, pair in zip(cols.output_time, cols.ingress_time, pairs)
+        ]
+        return _slack_headers(cols, slack, cols.output_time)
 
 
 class OutputTimePriorityInitializer(ReplayInitializer):
@@ -64,22 +113,26 @@ class OutputTimePriorityInitializer(ReplayInitializer):
     priority, and the value never changes along the path.
     """
 
-    def initialize(self, packet: Packet, record: PacketRecord, network: Network) -> None:
-        packet.header.priority = record.output_time
-        packet.header.deadline = record.output_time
+    def headers(self, cols: ScheduleColumns, link_params: LinkParams) -> Headers:
+        return _unset(cols), cols.output_time, cols.output_time, [[]] * len(cols.packet_id)
 
 
 class OmniscientInitializer(ReplayInitializer):
     """Omniscient initialization: the per-hop output times ``o(p, alpha_i)``.
 
-    The header carries an n-dimensional vector; every router pops the head
-    entry and uses it as the packet's priority.  Appendix B proves this
-    replays any viable schedule perfectly.
+    The header carries an n-dimensional vector — the recorded service starts,
+    hops never served skipped; every router pops the head entry and uses it
+    as the packet's priority.  Appendix B proves this replays any viable
+    schedule perfectly.
     """
 
-    def initialize(self, packet: Packet, record: PacketRecord, network: Network) -> None:
-        packet.header.hop_output_times = deque(record.hop_output_times())
-        packet.header.deadline = record.output_time
+    def headers(self, cols: ScheduleColumns, link_params: LinkParams) -> Headers:
+        starts, off = cols.hop_start_service, cols.hop_offset
+        vectors = [
+            [start for start in starts[first:last] if start is not None]
+            for first, last in zip(off, off[1:])
+        ]
+        return _unset(cols), _unset(cols), cols.output_time, vectors
 
 
 # ---------------------------------------------------------------------- #
@@ -105,9 +158,8 @@ class ZeroSlackInitializer(ReplayInitializer):
     deadline-aware schedulers replaying the same traffic see it.
     """
 
-    def initialize(self, packet: Packet, record: PacketRecord, network: Network) -> None:
-        packet.header.slack = 0.0
-        packet.header.deadline = record.deadline
+    def headers(self, cols: ScheduleColumns, link_params: LinkParams) -> Headers:
+        return _slack_headers(cols, [0.0] * len(cols.packet_id), _flow_deadlines(cols))
 
 
 class StaticDelaySlackInitializer(ReplayInitializer):
@@ -123,13 +175,13 @@ class StaticDelaySlackInitializer(ReplayInitializer):
     """
 
     def __init__(self, slack_seconds: float = 1.0) -> None:
-        if slack_seconds < 0:
+        if not (slack_seconds >= 0):
             raise ValueError(f"slack must be non-negative, got {slack_seconds}")
         self.slack_seconds = slack_seconds
 
-    def initialize(self, packet: Packet, record: PacketRecord, network: Network) -> None:
-        packet.header.slack = self.slack_seconds
-        packet.header.deadline = record.deadline
+    def headers(self, cols: ScheduleColumns, link_params: LinkParams) -> Headers:
+        slack = [self.slack_seconds] * len(cols.packet_id)
+        return _slack_headers(cols, slack, _flow_deadlines(cols))
 
 
 class DeadlineSlackInitializer(ReplayInitializer):
@@ -140,8 +192,8 @@ class DeadlineSlackInitializer(ReplayInitializer):
 
         ``slack(p) = deadline(p) - i(p) - residual(p)``
 
-    where ``residual(p)`` is the *ideal* time the flow's remaining bytes need
-    on the network's bottleneck link
+    where ``residual(p)`` is the *ideal* time the flow's bytes need on the
+    network's bottleneck link
     (:meth:`~repro.sim.network.Network.bottleneck_transmission_time` of the
     flow size — the same quantity
     :meth:`repro.topology.base.Topology.bottleneck_transmission_time` exposes
@@ -162,35 +214,26 @@ class DeadlineSlackInitializer(ReplayInitializer):
     """
 
     def __init__(self, no_deadline_slack: float = 1.0) -> None:
-        if no_deadline_slack < 0:
+        if not (no_deadline_slack >= 0):
             raise ValueError(
                 f"no-deadline slack must be non-negative, got {no_deadline_slack}"
             )
         self.no_deadline_slack = no_deadline_slack
-        # Per-network bottleneck cache: initialize() runs once per injected
-        # packet on the replay hot path, and the network's bottleneck scan
-        # is O(links) — resolve it once per network instead of per packet.
-        self._bottleneck_network: Optional[Network] = None
-        self._bottleneck_bps: float = 0.0
 
-    def initialize(self, packet: Packet, record: PacketRecord, network: Network) -> None:
-        deadline = record.deadline
-        packet.header.deadline = deadline
-        if deadline is None:
-            packet.header.slack = self.no_deadline_slack
-            return
-        flow_bytes = record.flow_size_bytes
-        if flow_bytes is None:
-            flow_bytes = record.size_bytes
-        if network is not self._bottleneck_network:
-            self._bottleneck_network = network
-            self._bottleneck_bps = min(
-                link.bandwidth_bps for link in network.links.values()
-            )
-        # Same float form as Network.bottleneck_transmission_time
-        # (transmission_delay: bytes * 8 / bandwidth) — bit-identical result.
-        residual = flow_bytes * BITS_PER_BYTE / self._bottleneck_bps
-        packet.header.slack = deadline - record.ingress_time - residual
+    def headers(self, cols: ScheduleColumns, link_params: LinkParams) -> Headers:
+        bottleneck = min(bandwidth for bandwidth, _ in link_params.values())
+        slack = []
+        for deadline, flow_bytes, size, ingress in zip(
+            cols.deadline, cols.flow_size_bytes, cols.size_bytes, cols.ingress_time
+        ):
+            if deadline is None:
+                slack.append(self.no_deadline_slack)
+                continue
+            if flow_bytes is None:
+                flow_bytes = size
+            # Network.bottleneck_transmission_time's float form: bytes * 8 / bandwidth.
+            slack.append(deadline - ingress - flow_bytes * BITS_PER_BYTE / bottleneck)
+        return _slack_headers(cols, slack, _flow_deadlines(cols))
 
 
 # ---------------------------------------------------------------------- #
@@ -221,7 +264,7 @@ class FlowSizeSlackPolicy(SlackPolicy):
     """
 
     def __init__(self, scale: float = 1.0) -> None:
-        if scale <= 0:
+        if not (scale > 0):
             raise ValueError(f"scale must be positive, got {scale}")
         self.scale = scale
 
@@ -243,7 +286,7 @@ class ConstantSlackPolicy(SlackPolicy):
     """
 
     def __init__(self, slack: float = 1.0) -> None:
-        if slack < 0:
+        if not (slack >= 0):
             raise ValueError(f"slack must be non-negative, got {slack}")
         self.slack = slack
 
@@ -283,7 +326,7 @@ class FairnessSlackPolicy(SlackPolicy):
         data_packets_only: bool = True,
         ack_slack: float = 0.0,
     ) -> None:
-        if rate_estimate_bps <= 0:
+        if not (rate_estimate_bps > 0):
             raise ValueError(f"rate estimate must be positive, got {rate_estimate_bps}")
         self.rate_estimate_bps = rate_estimate_bps
         self.data_packets_only = data_packets_only

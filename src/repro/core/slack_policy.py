@@ -198,7 +198,7 @@ class SlackPolicyDef:
 
         Raises:
             ValueError: if the policy is live-only (its slack cannot be
-                computed from a :class:`~repro.core.schedule.PacketRecord`).
+                computed from a recorded schedule).
         """
         kind = POLICY_KINDS[self.kind]
         if kind.replay_factory is None:

@@ -10,7 +10,7 @@ guaranteeing that only the scheduling logic differs between the two runs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.sim.engine import Simulator
 from repro.sim.network import Network, SchedulerFactory
@@ -116,6 +116,18 @@ class Topology:
         from repro.utils.units import transmission_delay
 
         return transmission_delay(size_bytes, self.bottleneck_bandwidth_bps())
+
+    def link_params(self) -> Dict[Tuple[str, str], Tuple[float, float]]:
+        """``(bandwidth, propagation)`` of every directed link; its key order numbers the ports.
+
+        The floats :meth:`build` hands the Link objects, for replays that read
+        links without building a network (header initializers, flat kernels).
+        """
+        params: Dict[Tuple[str, str], Tuple[float, float]] = {}
+        for spec in self.links:
+            link = (spec.bandwidth_bps, spec.propagation_delay)
+            params[(spec.a, spec.b)] = params[(spec.b, spec.a)] = link
+        return params
 
     # ------------------------------------------------------------------ #
     # Serialization

@@ -17,6 +17,7 @@ from repro.core.replay import (
     replay_scheduler_factory,
 )
 from repro.core.schedule import PacketRecord, Schedule
+from repro.core.slack import ZeroSlackInitializer
 from repro.sim.engine import Simulator
 from repro.sim.network import Network
 from repro.sim.tracer import Tracer
@@ -29,11 +30,11 @@ class _LoggingInjector(ReplayInjector):
     """Records (now, packet_id) instead of touching a network."""
 
     def __init__(self, sim, schedule):
-        super().__init__(sim, network=None, schedule=schedule, initializer=None)
+        super().__init__(sim, None, schedule, ZeroSlackInitializer(), link_params={})
         self.log = []
 
-    def _inject(self, record):  # overrides the network-touching injection
-        self.log.append((self.sim.now, record.packet_id))
+    def _inject(self, row):  # overrides the network-touching injection
+        self.log.append((self.sim.now, self.schedule.columns().packet_id[row]))
         self.injected += 1
 
 
@@ -102,7 +103,9 @@ def _replay_with(installer_name, original_schedule, topology, mode="lstf"):
     sim = Simulator()
     tracer = Tracer()
     network = topology.build(sim, replay_scheduler_factory(mode), tracer=tracer)
-    injector = ReplayInjector(sim, network, original_schedule, replay_initializer(mode))
+    injector = ReplayInjector(
+        sim, network, original_schedule, replay_initializer(mode), topology.link_params()
+    )
     getattr(injector, installer_name)()
     sim.run()
     return Schedule.from_packets(tracer.delivered_data_packets())

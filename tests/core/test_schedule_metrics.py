@@ -58,10 +58,6 @@ class TestPacketRecord:
         # nonzero values are congestion points.
         assert rec.congestion_points() == 2
 
-    def test_hop_output_times_skips_missing(self):
-        rec = record(1, queueing=(0.1, 0.2))
-        assert rec.hop_output_times() == [0.1, 0.2]
-
 
 class TestSchedule:
     def test_duplicate_packet_ids_rejected(self):

@@ -1,28 +1,38 @@
 """Tests for slack initialization: replay initializers and practical heuristics."""
 
-import pytest
+import math
 
-from repro.core.schedule import PacketRecord
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from repro.core.schedule import HopTiming, PacketRecord, Schedule
 from repro.core.slack import (
     BlackBoxSlackInitializer,
     ConstantSlackPolicy,
+    DeadlineSlackInitializer,
     FairnessSlackPolicy,
     FlowSizeSlackPolicy,
     NullSlackPolicy,
     OmniscientInitializer,
     OutputTimePriorityInitializer,
+    ReplayInitializer,
 )
 from repro.schedulers import uniform_factory
 from repro.sim import Simulator
 from repro.sim.packet import Packet, PacketType
-from repro.topology import linear_topology
+from repro.topology import internet2_topology, linear_topology
 from repro.utils import mbps
 
 
 @pytest.fixture
-def line_network():
-    topo = linear_topology(2, mbps(10))
-    return topo.build(Simulator(), uniform_factory("fifo"))
+def topology():
+    return linear_topology(2, mbps(10))
+
+
+@pytest.fixture
+def line_network(topology):
+    return topology.build(Simulator(), uniform_factory("fifo"))
 
 
 def make_record(network, ingress=0.0, output=0.05, size=1000.0):
@@ -39,47 +49,118 @@ def make_record(network, ingress=0.0, output=0.05, size=1000.0):
     )
 
 
-class TestReplayInitializers:
-    def test_blackbox_slack_is_output_minus_ingress_minus_tmin(self, line_network):
-        record = make_record(line_network, ingress=0.01, output=0.05)
-        packet = Packet(
-            flow_id=1, src="src0", dst="dst0", size_bytes=1000, packet_id=record.packet_id
-        )
-        BlackBoxSlackInitializer().initialize(packet, record, line_network)
-        tmin = line_network.tmin_along(1000, record.path)
-        assert packet.header.slack == pytest.approx(0.05 - 0.01 - tmin)
-        assert packet.header.deadline == pytest.approx(0.05)
+def headers_of(initializer, topology, record):
+    """``(slack, priority, deadline, vector)`` the initializer gives ``record``'s row."""
+    cols = Schedule([record]).columns()
+    return tuple(field[0] for field in initializer.headers(cols, topology.link_params()))
 
-    def test_blackbox_slack_zero_for_uncongested_packet(self, line_network):
+
+class TestReplayInitializers:
+    def test_headers_is_the_one_abstract_method(self):
+        assert ReplayInitializer.__abstractmethods__ == frozenset({"headers"})
+
+    def test_blackbox_slack_is_output_minus_ingress_minus_tmin(self, topology, line_network):
+        record = make_record(line_network, ingress=0.01, output=0.05)
+        slack, priority, deadline, vector = headers_of(
+            BlackBoxSlackInitializer(), topology, record
+        )
+        assert slack == 0.05 - 0.01 - line_network.tmin_along(1000, record.path)
+        assert (priority, deadline, vector) == (math.inf, 0.05, [])
+
+    def test_blackbox_slack_zero_for_uncongested_packet(self, topology, line_network):
         tmin = line_network.tmin(1000, "src0", "dst0")
         record = make_record(line_network, ingress=0.0, output=tmin)
-        packet = Packet(
-            flow_id=1, src="src0", dst="dst0", size_bytes=1000, packet_id=record.packet_id
-        )
-        BlackBoxSlackInitializer().initialize(packet, record, line_network)
-        assert packet.header.slack == pytest.approx(0.0, abs=1e-12)
+        assert headers_of(BlackBoxSlackInitializer(), topology, record)[0] == 0.0
 
-    def test_priority_initializer_uses_output_time(self, line_network):
+    def test_priority_initializer_uses_output_time(self, topology, line_network):
         record = make_record(line_network, output=0.123)
-        packet = Packet(
-            flow_id=1, src="src0", dst="dst0", size_bytes=1000, packet_id=record.packet_id
+        assert headers_of(OutputTimePriorityInitializer(), topology, record) == (
+            math.inf,
+            0.123,
+            0.123,
+            [],
         )
-        OutputTimePriorityInitializer().initialize(packet, record, line_network)
-        assert packet.header.priority == pytest.approx(0.123)
 
-    def test_omniscient_initializer_copies_hop_vector(self, line_network):
+    def test_omniscient_initializer_copies_hop_vector(self, topology, line_network):
         record = make_record(line_network)
-        from repro.core.schedule import HopTiming
-
         record.hops = [
             HopTiming("src0", 0.0, 0.001, 0.002),
             HopTiming("r0", 0.002, 0.003, 0.004),
         ]
-        packet = Packet(
-            flow_id=1, src="src0", dst="dst0", size_bytes=1000, packet_id=record.packet_id
+        assert headers_of(OmniscientInitializer(), topology, record) == (
+            math.inf,
+            math.inf,
+            0.05,
+            [0.001, 0.003],
         )
-        OmniscientInitializer().initialize(packet, record, line_network)
-        assert list(packet.header.hop_output_times) == [0.001, 0.003]
+
+    def test_omniscient_vector_skips_hops_never_served(self, topology, line_network):
+        record = make_record(line_network)
+        record.hops = [
+            HopTiming("src0", 0.0, 0.1, 0.2),
+            HopTiming("r0", 0.2, None, None),
+            HopTiming("r1", 0.3, 0.4, 0.5),
+        ]
+        assert headers_of(OmniscientInitializer(), topology, record)[3] == [0.1, 0.4]
+
+
+#: A built Internet2 topology: the black-box and deadline expressions must
+#: match the OO network's own to the bit on every route it routes.
+I2 = internet2_topology(edge_routers_per_core=2, scale=1e-3)
+I2_NETWORK = I2.build(Simulator(), uniform_factory("fifo"))
+I2_HOSTS = I2.host_names()
+
+
+@given(
+    packets=st.lists(
+        st.tuples(
+            st.sampled_from(I2_HOSTS),
+            st.sampled_from(I2_HOSTS),
+            # A few sizes recur, as flow traffic's do: the tmin memo gets hits.
+            st.one_of(st.sampled_from([40, 1460, 1500.0]), st.floats(1.0, 9000.0)),
+            st.floats(0.0, 5.0),
+            st.floats(0.0, 2.0),
+            st.one_of(st.none(), st.floats(1.0, 1e7)),
+        ),
+        min_size=1,
+        max_size=40,
+    )
+)
+def test_headers_match_the_networks_expressions_bit_for_bit(packets):
+    records = [
+        PacketRecord(
+            packet_id=j,
+            flow_id=j,
+            src=src,
+            dst=dst,
+            size_bytes=size,
+            ingress_time=ingress,
+            output_time=ingress + wait,
+            path=I2_NETWORK.path(src, dst),
+            flow_size_bytes=flow_bytes,
+            deadline=ingress + wait,
+        )
+        for j, (src, dst, size, ingress, wait, flow_bytes) in enumerate(packets)
+        if src != dst
+    ]
+    cols = Schedule(records).columns()
+    link_params = I2.link_params()
+    slack = BlackBoxSlackInitializer().headers(cols, link_params)[0]
+    assert slack == [
+        output - ingress - I2_NETWORK.tmin_along(size, list(path))
+        for output, ingress, size, path in zip(
+            cols.output_time, cols.ingress_time, cols.size_bytes, cols.path
+        )
+    ]
+    slack = DeadlineSlackInitializer().headers(cols, link_params)[0]
+    assert slack == [
+        deadline - ingress - I2_NETWORK.bottleneck_transmission_time(
+            size if flow_bytes is None else flow_bytes
+        )
+        for deadline, ingress, size, flow_bytes in zip(
+            cols.deadline, cols.ingress_time, cols.size_bytes, cols.flow_size_bytes
+        )
+    ]
 
 
 class TestFlowSizeSlackPolicy:

@@ -35,7 +35,7 @@ from repro.core.slack_policy import (
     SLACK_POLICIES,
     SlackPolicyDef,
 )
-from repro.core.schedule import PacketRecord
+from repro.core.schedule import PacketRecord, Schedule
 from repro.schedulers import uniform_factory
 from repro.sim import Simulator
 from repro.sim.packet import Packet
@@ -44,9 +44,13 @@ from repro.utils import mbps
 
 
 @pytest.fixture
-def line_network():
-    topo = linear_topology(2, mbps(10))
-    return topo.build(Simulator(), uniform_factory("fifo"))
+def topology():
+    return linear_topology(2, mbps(10))
+
+
+@pytest.fixture
+def line_network(topology):
+    return topology.build(Simulator(), uniform_factory("fifo"))
 
 
 def make_record(network, ingress=0.0, output=0.05, size=1000.0, deadline=None, flow_size=None):
@@ -67,6 +71,12 @@ def make_record(network, ingress=0.0, output=0.05, size=1000.0, deadline=None, f
 
 def make_packet():
     return Packet(flow_id=1, src="src0", dst="dst0", size_bytes=1000, packet_id=1)
+
+
+def headers_of(initializer, topology, record):
+    """``(slack, priority, deadline, vector)`` the initializer gives ``record``'s row."""
+    cols = Schedule([record]).columns()
+    return tuple(field[0] for field in initializer.headers(cols, topology.link_params()))
 
 
 # --------------------------------------------------------------------- #
@@ -206,65 +216,87 @@ class TestPolicyCapabilities:
 # Per-policy initializer behaviour
 # --------------------------------------------------------------------- #
 class TestZeroSlack:
-    def test_stamps_zero_slack_and_keeps_flow_deadline(self, line_network):
+    def test_stamps_zero_slack_and_keeps_flow_deadline(self, topology, line_network):
         record = make_record(line_network, deadline=0.4)
-        packet = make_packet()
-        ZeroSlackInitializer().initialize(packet, record, line_network)
-        assert packet.header.slack == 0.0
-        assert packet.header.deadline == pytest.approx(0.4)
+        assert headers_of(ZeroSlackInitializer(), topology, record) == (0.0, math.inf, 0.4, [])
 
-    def test_untagged_flow_has_no_deadline(self, line_network):
-        packet = make_packet()
-        ZeroSlackInitializer().initialize(packet, make_record(line_network), line_network)
-        assert packet.header.slack == 0.0
-        assert packet.header.deadline is None
+    def test_untagged_flow_has_no_deadline(self, topology, line_network):
+        record = make_record(line_network)
+        assert headers_of(ZeroSlackInitializer(), topology, record) == (
+            0.0,
+            math.inf,
+            math.inf,
+            [],
+        )
 
 
 class TestStaticDelaySlack:
-    def test_every_packet_gets_the_constant(self, line_network):
+    def test_every_packet_gets_the_constant(self, topology, line_network):
         initializer = StaticDelaySlackInitializer(slack_seconds=0.25)
         for deadline in (None, 0.7):
-            packet = make_packet()
-            initializer.initialize(
-                packet, make_record(line_network, deadline=deadline), line_network
-            )
-            assert packet.header.slack == pytest.approx(0.25)
+            record = make_record(line_network, deadline=deadline)
+            assert headers_of(initializer, topology, record)[0] == 0.25
 
     def test_negative_constant_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
             StaticDelaySlackInitializer(slack_seconds=-1.0)
 
 
+@pytest.mark.parametrize(
+    "factory, keyword",
+    [
+        (StaticDelaySlackInitializer, "slack_seconds"),
+        (DeadlineSlackInitializer, "no_deadline_slack"),
+        (ConstantSlackPolicy, "slack"),
+        (FlowSizeSlackPolicy, "scale"),
+        (FairnessSlackPolicy, "rate_estimate_bps"),
+    ],
+)
+def test_a_nan_parameter_is_rejected(factory, keyword):
+    """NaN fails every ordered comparison, so a ``< 0`` check let it through
+    and a NaN key then silently broke LSTF's heap order."""
+    with pytest.raises(ValueError):
+        factory(**{keyword: math.nan})
+
+
+def test_a_nan_parameter_is_rejected_through_the_registry():
+    derived = SLACK_POLICIES.get("static-delay").with_params(slack_seconds=math.nan)
+    with pytest.raises(ValueError, match="non-negative"):
+        derived.build_initializer()
+
+
 class TestDeadlineSlack:
-    def test_slack_is_deadline_minus_ingress_minus_bottleneck_residual(self, line_network):
+    def test_slack_is_deadline_minus_ingress_minus_bottleneck_residual(
+        self, topology, line_network
+    ):
         record = make_record(
             line_network, ingress=0.01, deadline=0.5, size=1000.0, flow_size=8000.0
         )
-        packet = make_packet()
-        DeadlineSlackInitializer().initialize(packet, record, line_network)
         residual = line_network.bottleneck_transmission_time(8000.0)
-        assert packet.header.slack == pytest.approx(0.5 - 0.01 - residual)
-        assert packet.header.deadline == pytest.approx(0.5)
+        assert headers_of(DeadlineSlackInitializer(), topology, record) == (
+            0.5 - 0.01 - residual,
+            math.inf,
+            0.5,
+            [],
+        )
 
-    def test_falls_back_to_packet_size_without_flow_size(self, line_network):
+    def test_falls_back_to_packet_size_without_flow_size(self, topology, line_network):
         record = make_record(line_network, ingress=0.0, deadline=0.2, size=1000.0)
-        packet = make_packet()
-        DeadlineSlackInitializer().initialize(packet, record, line_network)
         residual = line_network.bottleneck_transmission_time(1000.0)
-        assert packet.header.slack == pytest.approx(0.2 - residual)
+        assert headers_of(DeadlineSlackInitializer(), topology, record)[0] == 0.2 - 0.0 - residual
 
-    def test_infeasible_deadline_yields_negative_slack(self, line_network):
+    def test_infeasible_deadline_yields_negative_slack(self, topology, line_network):
         record = make_record(line_network, ingress=0.5, deadline=0.1, flow_size=8000.0)
-        packet = make_packet()
-        DeadlineSlackInitializer().initialize(packet, record, line_network)
-        assert packet.header.slack < 0.0
+        assert headers_of(DeadlineSlackInitializer(), topology, record)[0] < 0.0
 
-    def test_untagged_flows_get_the_constant_fallback(self, line_network):
+    def test_untagged_flows_get_the_constant_fallback(self, topology, line_network):
         initializer = DeadlineSlackInitializer(no_deadline_slack=0.125)
-        packet = make_packet()
-        initializer.initialize(packet, make_record(line_network), line_network)
-        assert packet.header.slack == pytest.approx(0.125)
-        assert packet.header.deadline is None
+        assert headers_of(initializer, topology, make_record(line_network)) == (
+            0.125,
+            math.inf,
+            math.inf,
+            [],
+        )
 
     def test_negative_fallback_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
@@ -288,9 +320,7 @@ class TestDeadlineSlack:
             record = make_record(
                 network, ingress=ingress, deadline=deadline, flow_size=flow_size
             )
-            packet = make_packet()
-            initializer.initialize(packet, record, network)
-            slacks.append((deadline, packet.header.slack))
+            slacks.append((deadline, headers_of(initializer, topo, record)[0]))
         for (d_a, s_a), (d_b, s_b) in zip(slacks, slacks[1:]):
             assert s_b >= s_a
             if d_b > d_a:
@@ -298,14 +328,11 @@ class TestDeadlineSlack:
 
 
 class TestReplayPolicy:
-    def test_replay_policy_matches_blackbox_initialization(self, line_network):
+    def test_replay_policy_matches_blackbox_initialization(self, topology, line_network):
         record = make_record(line_network, ingress=0.01, output=0.05)
-        via_policy = make_packet()
-        SLACK_POLICIES.get("replay").build_initializer().initialize(via_policy, record, line_network)
-        direct = make_packet()
-        BlackBoxSlackInitializer().initialize(direct, record, line_network)
-        assert via_policy.header.slack == direct.header.slack
-        assert via_policy.header.deadline == direct.header.deadline
+        via_policy = SLACK_POLICIES.get("replay").build_initializer()
+        direct = BlackBoxSlackInitializer()
+        assert headers_of(via_policy, topology, record) == headers_of(direct, topology, record)
 
 
 # --------------------------------------------------------------------- #

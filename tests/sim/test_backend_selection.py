@@ -9,12 +9,13 @@ logs it — so these tests ask it, rather than spying on the engines.
 
 import dataclasses
 import logging
+import math
 
 import pytest
 
 import repro.sim.compiled as compiled_mod
 from repro.core.replay import ReplayExperiment, replay_schedule
-from repro.core.slack import ZeroSlackInitializer
+from repro.core.slack import ReplayInitializer
 from repro.core.slack_policy import SLACK_POLICIES
 from repro.faults import FAULTS, BernoulliLoss, FaultPlan, FaultScheduleDef
 from repro.sim.backend import (
@@ -98,15 +99,12 @@ def rows(replayed):
     return [record.to_dict() for record in replayed.records()]
 
 
-class CountingZeroSlack(ZeroSlackInitializer):
-    """Not a shipped initializer (the flat kernels match by exact class): it counts its calls."""
+class ZeroSlackByHand(ReplayInitializer):
+    """A custom initializer that defines ``headers`` and nothing else."""
 
-    def __init__(self):
-        self.calls = []
-
-    def initialize(self, packet, record, network):
-        self.calls.append(record.packet_id)
-        super().initialize(packet, record, network)
+    def headers(self, cols, link_params):
+        rows = len(cols.packet_id)
+        return [0.0] * rows, [math.inf] * rows, [math.inf] * rows, [[]] * rows
 
 
 class TestUnselectedReplay:
@@ -165,16 +163,16 @@ class TestUnselectedReplay:
         initializer = SLACK_POLICIES.get("zero").build_initializer()
         assert decide(topology, initializer=initializer) == (FASTEST, [])
 
-    def test_unknown_initializer_lands_on_the_reference_engine(self, topology, schedule):
-        initializer = CountingZeroSlack()
-        assert decide(topology, initializer=initializer) == (
-            "python",
-            every_accelerated_engine_says("initializer CountingZeroSlack"),
-        )
-        auto = replay_schedule(topology, schedule, initializer=initializer)
-        assert initializer.calls == [record.packet_id for record in schedule.records()]
-        shipped = replay_schedule(topology, schedule, initializer=ZeroSlackInitializer())
-        assert rows(auto) == rows(shipped)
+    @pytest.mark.parametrize("mode", ["lstf", "edf", "priority", "omniscient", "fifo"])
+    def test_custom_initializer_runs_on_every_engine(self, topology, schedule, mode):
+        initializer = ZeroSlackByHand()
+        assert decide(topology, mode=mode, initializer=initializer) == (FASTEST, [])
+        auto = rows(replay_schedule(topology, schedule, mode=mode, initializer=initializer))
+        for name in ["python", *ACCELERATED]:
+            pinned = replay_schedule(
+                topology, schedule, mode=mode, initializer=initializer, backend=name
+            )
+            assert rows(pinned) == auto, name
 
     def test_auto_equals_forced_reference_record_for_record(self, topology, schedule):
         assert decide(topology) == (FASTEST, [])
@@ -215,7 +213,6 @@ DECLINING = {
     "finite link buffer": {},
     "lstf-preemptive": dict(mode="lstf-preemptive"),
     "unknown mode": dict(mode="no-such-mode"),
-    "unknown initializer": dict(initializer=CountingZeroSlack()),
 }
 
 

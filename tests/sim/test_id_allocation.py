@@ -103,7 +103,8 @@ def test_a_python_replay_delivers_the_recorded_packets_under_their_own_ids():
 
     sim, tracer = Simulator(), Tracer()
     network = topology.build(sim, replay_scheduler_factory("lstf"), tracer=tracer)
-    ReplayInjector(sim, network, schedule, replay_initializer("lstf")).install()
+    initializer = replay_initializer("lstf")
+    ReplayInjector(sim, network, schedule, initializer, topology.link_params()).install()
     sim.run()
     delivered = tracer.delivered_data_packets()
     assert sorted(packet.packet_id for packet in delivered) == sorted(schedule.packet_ids())
