@@ -577,7 +577,7 @@ def cmd_diff(args: argparse.Namespace) -> int:
         schedule, meta, initializer, fault_plan = _load_replay_inputs(args.replay, args)
         topology = Topology.from_dict(meta["topology"])
         backend = args.backend or REFERENCE_BACKEND
-        config = dict(mode=args.mode, initializer=initializer, faults=fault_plan)
+        config = dict(mode=args.mode, faults=fault_plan)
         engine, declined = select_engine(backend, topology, **config)
         for name, reason in declined:
             print(
@@ -587,7 +587,7 @@ def cmd_diff(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
         replayed_a, replayed_b = replay_pair(
-            topology, schedule, REFERENCE_BACKEND, backend, **config
+            topology, schedule, REFERENCE_BACKEND, backend, initializer=initializer, **config
         )
         ran = engine.name if engine.name != REFERENCE_BACKEND else f"{REFERENCE_BACKEND}#2"
         divergence = first_divergence(

@@ -318,9 +318,7 @@ def replay_schedule(
             ``compiled`` declines fault-bearing replays (drop filters are
             Python closures), so unselected ones run on ``vectorized``.
     """
-    engine, declined = select_engine(
-        backend, topology, mode, default_buffer_bytes, initializer, faults
-    )
+    engine, declined = select_engine(backend, topology, mode, default_buffer_bytes, faults)
     logger.debug("replaying mode=%s on %s; declined: %s", mode, engine.name, declined)
     return engine.replay(
         topology,

@@ -152,7 +152,6 @@ class VectorizedBackend(SimBackend):
         topology: Topology,
         mode: str,
         default_buffer_bytes: Optional[float] = None,
-        initializer: Optional[ReplayInitializer] = None,
         faults=None,
     ) -> Optional[str]:
         """Anything the flat loop does not model: preemption, finite buffers,

@@ -193,7 +193,7 @@ def run_comparison(
     policy = scenario.slack_policy_def()
     if policy is not None and scenario.slack_mode == "replay":
         initializer = policy.build_initializer()
-    config = dict(mode=scenario.replay_mode, initializer=initializer, faults=scenario.fault_plan())
+    config = dict(mode=scenario.replay_mode, faults=scenario.fault_plan())
     ran_a, ran_b = (
         select_engine(backend, topology, **config)[0].name
         for backend in (spec.backend_a, spec.backend_b)
@@ -201,7 +201,7 @@ def run_comparison(
     if engines is not None:
         engines += (ran_a, ran_b)
     replayed_a, replayed_b = replay_pair(
-        topology, schedule, spec.backend_a, spec.backend_b, **config
+        topology, schedule, spec.backend_a, spec.backend_b, initializer=initializer, **config
     )
     return first_divergence(
         replayed_a,

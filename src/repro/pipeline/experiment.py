@@ -287,8 +287,8 @@ def scenario_cache_key(scenario: Scenario) -> str:
     """The schedule-cache key this scenario's record/replay cell will use.
 
     Computed from plain specs (no simulation runs), so the runner can plan
-    recording work — deduplicating cells that share one original schedule —
-    before fanning anything out to workers.  Scenarios pinned to a slack
+    recording work — one pool task for all the cells that share one original
+    schedule — before fanning anything out to workers.  Scenarios pinned to a slack
     policy hash the policy's serialized form (plus a live-mode marker when
     the policy shaped the recording) into their key; scenarios pinned to a
     non-empty fault schedule hash the fault plan's fingerprint; plain

@@ -18,15 +18,18 @@ two more properties make rows identical for every ``workers``:
   drawn from a shared stream;
 * results are merged by cell index, never by completion order.
 
-Two steps exist only where they can pay off, a pool sharing an on-disk cache
-(``workers > 1 and cache_dir is not None``):
+Two steps exist only where they can pay off, in a pool (``workers > 1``):
 
-* **Deduplicated recording.**  The driver computes every replay cell's
-  schedule-cache key from plain specs, dedupes them, and fans out one
-  recording task per *missing unique key* before any cell runs, so two
-  workers never record the same schedule concurrently: every (topology,
-  scheduler, workload, seed) key is recorded exactly once per run.
-* **Shard work-stealing.**  For experiments that opt in
+* **One task per schedule key.**  The driver computes every replay cell's
+  schedule-cache key from plain specs and submits one task per unique key.
+  That task records the schedule first when the shared on-disk cache lacks
+  it, then runs every cell of the key, in cell order, in the same worker —
+  so each (topology, scheduler, workload, seed) key is recorded or loaded
+  once per run and replayed from memory, and two workers never record the
+  same schedule.  Without a disk cache the key's first cell records it, as
+  a serial run's would, so hit and miss counts match ``workers=1`` wherever
+  the serial run's memory cache still holds a key at its last cell.
+* **Shard work-stealing** (with a disk cache only).  For experiments that opt in
   (``ExperimentDef.supports_shards`` — the scale tier) each shard of a cell
   is its own task, so workers draining the shared task queue steal shards of
   a big cell instead of idling behind it, and the driver merges the partials
@@ -34,6 +37,8 @@ Two steps exist only where they can pay off, a pool sharing an on-disk cache
   and the cache's ``shard_packets`` — never of worker count — so work-stolen
   rows are bit-identical to those of a cell that ran whole, folding the same
   partition in order inside its one task (every other configuration).
+  Shard planning reads the entry on disk, so these cells run after every
+  key task, not inside one.
 
 The loop is also what hardens the runner against *real* failure: tasks run
 under an optional per-cell timeout, and a cell that raises (or whose worker
@@ -142,14 +147,19 @@ def _cell_deadline(seconds: Optional[float]):
     The alarm repeats until the body has ended: the handler's raise can land
     in a frame that cannot propagate it (a ``gc.callbacks`` function, a
     ``__del__``), where Python only reports it as unraisable — a one-shot
-    alarm would leave the body running with no deadline at all.
+    alarm would leave the body running with no deadline at all.  A body that
+    ends before the next alarm, every raise so far swallowed, still outlived
+    its deadline: it raises on exit.
     """
     if seconds is None or not hasattr(signal, "SIGALRM"):
         yield
         return
+    message = f"cell exceeded the per-cell timeout of {seconds:g}s"
+    expired = []
 
     def _on_timeout(signum, frame):
-        raise CellTimeoutError(f"cell exceeded the per-cell timeout of {seconds:g}s")
+        expired.append(True)
+        raise CellTimeoutError(message)
 
     previous = signal.signal(signal.SIGALRM, _on_timeout)
     signal.setitimer(signal.ITIMER_REAL, seconds, _DEADLINE_REPEAT_SECONDS)
@@ -158,6 +168,8 @@ def _cell_deadline(seconds: Optional[float]):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0.0)
         signal.signal(signal.SIGALRM, previous)
+    if expired:
+        raise CellTimeoutError(message)
 
 
 @dataclass
@@ -252,12 +264,13 @@ def _execute_cell(
 # ---------------------------------------------------------------------- #
 @dataclass
 class _Task:
-    """One unit of executor work: ``kind`` is ``"record"`` (put ``scenario``'s
-    schedule into the cache), ``"cell"`` (run ``cell`` whole) or ``"shard"``
-    (run one ``shard`` of it).  The definition itself ships in the task
-    (definitions are plain picklable objects), so workers honor whatever
-    registry — global or caller-supplied — the driver resolved names against,
-    on fork and spawn platforms alike.
+    """One unit of executor work: ``kind`` is ``"key"`` (one schedule key:
+    put ``scenario``'s schedule into the cache when set, then run each of
+    ``riders`` whole, in order), ``"cell"`` (run ``cell`` whole) or
+    ``"shard"`` (run one ``shard`` of it).  Definitions ship in the task
+    (they are plain picklable objects), so workers honor whatever registry —
+    global or caller-supplied — the driver resolved names against, on fork
+    and spawn platforms alike.
     """
 
     kind: str
@@ -266,6 +279,7 @@ class _Task:
     cell: Optional[Cell] = None
     shard: object = None
     scenario: Optional[Scenario] = None
+    riders: Sequence[Tuple[ExperimentDef, Cell]] = ()
 
 
 #: What a task runs against: ``(schedule cache, per-cell timeout)``.
@@ -293,33 +307,47 @@ def _worker_init(
         os.environ[BACKEND_ENV_VAR] = backend
 
 
+def _record(scenario: Scenario, cache: ScheduleCache) -> int:
+    """Put ``scenario``'s schedule into ``cache``; the number actually recorded
+    (0 when another run populated the entry between planning and execution)."""
+    misses_before = cache.misses
+    cached_schedule(scenario, cache)
+    return cache.misses - misses_before
+
+
 def _run_task(task: _Task, context: Optional[_TaskContext] = None) -> object:
     """Execute one task; the worker side of the loop, for both executors.
 
-    Returns the task's outcome — a record task's number of schedules
-    actually recorded (0 when another run populated the entry between
-    planning and execution), a shard task's picklable partial, a cell
-    task's :class:`CellResult` — or a :class:`_CellFailure`.  Exceptions
-    (including the per-cell timeout) come back as values, never as raises: a
-    raise would poison a pool future and lose the traceback.
+    Returns the task's outcome — a shard task's picklable partial, a cell
+    task's :class:`CellResult`, a key task's ``(recorded, [outcome per
+    rider])`` where ``recorded`` is :func:`_record`'s count (0 when the task
+    records nothing) — with a :class:`_CellFailure` standing in for any step
+    that raised.  Each step (the recording, every rider) runs under its own
+    per-cell deadline, and exceptions (the timeout included) come back as
+    values, never as raises: a raise would poison a pool future, lose the
+    traceback, and take the key's other cells with it.
 
     ``context`` is the in-process executor's; pool workers fall back to the
     one :func:`_worker_init` built for their process.
     """
     cache, timeout = context if context is not None else _WORKER_CONTEXT
-    try:
-        with _cell_deadline(timeout):
-            if task.kind == "record":
-                misses_before = cache.misses
-                cached_schedule(task.scenario, cache)
-                return cache.misses - misses_before
-            if task.kind == "shard":
-                return task.definition.run_cell_shard(
-                    task.cell, task.shard, task.scale, cache
-                )
-            return _execute_cell(task.definition, task.cell, task.scale, cache)
-    except Exception as error:
-        return _CellFailure.capture(error)
+
+    def guarded(step: Callable[..., object], *args: object) -> object:
+        try:
+            with _cell_deadline(timeout):
+                return step(*args)
+        except Exception as error:
+            return _CellFailure.capture(error)
+
+    if task.kind == "shard":
+        return guarded(task.definition.run_cell_shard, task.cell, task.shard, task.scale, cache)
+    if task.kind == "cell":
+        return guarded(_execute_cell, task.definition, task.cell, task.scale, cache)
+    recorded = 0 if task.scenario is None else guarded(_record, task.scenario, cache)
+    return recorded, [
+        guarded(_execute_cell, definition, cell, task.scale, cache)
+        for definition, cell in task.riders
+    ]
 
 
 class _InProcessExecutor(Executor):
@@ -357,18 +385,21 @@ def _drain(futures: Dict[Future, object]) -> Iterator[Tuple[object, object, bool
 
 
 def _plan_records(
-    tasks: Sequence[Tuple[ExperimentDef, Cell]], cache: ScheduleCache
-) -> Dict[str, Scenario]:
-    """Scenarios whose schedules are not on disk yet, by unique cache key.
+    tasks: Sequence[Tuple[ExperimentDef, Cell]], cache: Optional[ScheduleCache]
+) -> Tuple[Dict[int, str], Dict[str, Scenario]]:
+    """Each replay cell's schedule key, and the schedules to record up front.
 
-    Only cells whose spec is a :class:`Scenario` go through the schedule
-    cache (direct-simulation cells carry other specs); those sharing one
-    original schedule — across modes *and* across experiments — collapse to
-    a single entry, so phase 1 records each key exactly once.
+    Returns ``(key by task index, scenario by missing unique key)``.  Only
+    cells whose spec is a :class:`Scenario` go through the schedule cache
+    (direct-simulation cells carry other specs); those sharing one original
+    schedule — across modes *and* across experiments — share one key, so a
+    key task records it exactly once.  Without a disk ``cache`` nothing is
+    planned for recording: the key's first cell records it.
     """
+    keys: Dict[int, str] = {}
     planned: Dict[str, Scenario] = {}
     key_by_scenario: Dict[Scenario, str] = {}
-    for _, cell in tasks:
+    for index, (_, cell) in enumerate(tasks):
         scenario = cell.spec
         if not isinstance(scenario, Scenario):
             continue
@@ -378,9 +409,10 @@ def _plan_records(
         if key is None:
             key = scenario_cache_key(scenario)
             key_by_scenario[scenario] = key
-        if key not in planned and key not in cache:
+        keys[index] = key
+        if cache is not None and key not in planned and key not in cache:
             planned[key] = scenario
-    return planned
+    return keys, planned
 
 
 # ---------------------------------------------------------------------- #
@@ -418,7 +450,7 @@ def backend_scope(backend: Optional[str]):
             os.environ[BACKEND_ENV_VAR] = previous
 
 
-#: Stands in for a cell that was never submitted: recording crashed the pool
+#: Stands in for a cell that was never submitted: a key task crashed the pool
 #: in every round.
 _NEVER_RAN = _CellFailure(
     "UnknownWorkerFailure", "worker finished without reporting a result", ""
@@ -599,7 +631,7 @@ def run_pipeline(
             (ScheduleCache(cache_dir, shard_packets=shard_packets), cell_timeout)
         )
         make_executor = lambda: in_process  # noqa: E731
-    # Deduplicated recording and shard work-stealing need workers that share
+    # Recording up front and shard work-stealing need workers that share
     # recordings through a disk layer; the driver plans both from this cache.
     plan_cache = (
         ScheduleCache(cache_dir, shard_packets=shard_packets)
@@ -617,7 +649,7 @@ def run_pipeline(
 
             replay_candidates()
         cell_results, errors, records_computed, unrecorded = _run_rounds(
-            tasks, scale, make_executor, plan_cache, max_retries, retry_backoff
+            tasks, scale, make_executor, workers > 1, plan_cache, max_retries, retry_backoff
         )
     if unrecorded:
         notes.append(
@@ -650,6 +682,7 @@ def _run_rounds(
     tasks: Sequence[Tuple[ExperimentDef, Cell]],
     scale: "ExperimentScale",
     make_executor: Callable[[], Executor],
+    pooled: bool,
     plan_cache: Optional[ScheduleCache],
     max_retries: int,
     retry_backoff: float,
@@ -658,23 +691,36 @@ def _run_rounds(
 
     Runs up to ``max_retries + 1`` rounds, each on the executor
     ``make_executor()`` returns (entered as a context manager, so a pool is
-    shut down at the end of its round).  Within a round, phase 1 records
-    the still-missing unique schedules and phase 2 runs the still-pending
-    cells; items that failed stay pending for the next round, items that
-    succeeded never re-run.  With ``plan_cache`` (the driver's view of the
-    shared on-disk cache) the round also has the two pool-only steps:
-    phase 1 has something to record, and phase 2 expands shard-capable cells
-    into one task per shard.
+    shut down at the end of its round).  Within a round, phase 1 submits one
+    task per schedule key and phase 2 runs the still-pending cells that ride
+    no key task; items that failed stay pending for the next round, items
+    that succeeded never re-run.  Phase 1 exists only when ``pooled``: a key
+    task records its key when ``plan_cache`` (the driver's view of the
+    shared on-disk cache) lacks it, then runs the key's pending cells.  With
+    ``plan_cache`` the cells of shard-capable definitions stay in phase 2,
+    which expands them into one task per shard.
 
     Returns ``(cell results by task index, errors, schedules recorded in
     phase 1, recordings that never completed)``.
     """
-    pending_records = _plan_records(tasks, plan_cache) if plan_cache is not None else {}
+    keys, pending_records = _plan_records(tasks, plan_cache) if pooled else ({}, {})
+    # A replay cell rides its key's task unless phase 2 must shard it from disk.
+    riding = {
+        index: key
+        for index, key in keys.items()
+        if plan_cache is None or not tasks[index][0].supports_shards
+    }
     pending_cells: Dict[int, Tuple[ExperimentDef, Cell]] = dict(enumerate(tasks))
     results: List[Optional[CellResult]] = [None] * len(tasks)
     attempts: Dict[int, int] = {}
     failures: Dict[int, _CellFailure] = {}
     records_computed = 0
+
+    def settle(index: int, outcome: object) -> None:
+        if isinstance(outcome, _CellFailure):
+            failures[index] = outcome
+        else:
+            results[index] = outcome
 
     for round_index in range(max_retries + 1):
         if not pending_records and not pending_cells:
@@ -682,27 +728,49 @@ def _run_rounds(
         if round_index:
             time.sleep(retry_backoff * 2 ** (round_index - 1))
         with make_executor() as executor:
-            # Phase 1 (record): each missing unique schedule exactly once,
-            # before any cell runs.  A recording that fails stays pending;
-            # its cells may still record it themselves in phase 2.
-            pool_broken = False
-            record_futures = {
-                executor.submit(_run_task, _Task("record", scale, scenario=scenario)): key
-                for key, scenario in pending_records.items()
+            # Phase 1 (keys): each key's recording, when still missing, then
+            # its pending cells in cell order, all in one worker — so the
+            # cells replay the schedule from that worker's memory.  A
+            # recording that fails stays pending; its cells record in-worker.
+            riders: Dict[str, List[int]] = {key: [] for key in pending_records}
+            for index in pending_cells:
+                if index in riding:
+                    riders.setdefault(riding[index], []).append(index)
+                    attempts[index] = attempts.get(index, 0) + 1
+            key_futures = {
+                executor.submit(
+                    _run_task,
+                    _Task(
+                        "key",
+                        scale,
+                        scenario=pending_records.get(key),
+                        riders=[pending_cells[index] for index in indices],
+                    ),
+                ): key
+                for key, indices in riders.items()
             }
-            for key, outcome, crashed in _drain(record_futures):
-                pool_broken = pool_broken or crashed
-                if not isinstance(outcome, _CellFailure):
-                    records_computed += outcome
-                    del pending_records[key]
-            if pool_broken:
-                continue
-            # Phase 2 (cells): every pending cell against the (best-effort)
-            # warm cache — whole, or with a plan cache one task *per shard*:
-            # the executor's task queue is the work-stealing mechanism.
+            pool_broken = False
+            for key, outcome, crashed in _drain(key_futures):
+                if crashed:  # the key's cells fail this round, and retry
+                    pool_broken = True
+                    for index in riders[key]:
+                        failures[index] = outcome
+                    continue
+                recorded, outcomes = outcome
+                if not isinstance(recorded, _CellFailure):
+                    records_computed += recorded
+                    pending_records.pop(key, None)
+                for index, cell_outcome in zip(riders[key], outcomes):
+                    settle(index, cell_outcome)
+            # Phase 2 (cells): every other pending cell against the
+            # (best-effort) warm cache — whole, or with a plan cache one task
+            # *per shard*: the executor's task queue is the work-stealing
+            # mechanism.  A broken pool runs nothing more this round.
             futures: Dict[Future, Tuple[int, Optional[int]]] = {}
             partials: Dict[int, List[object]] = {}
             for index, (definition, cell) in pending_cells.items():
+                if pool_broken or index in riding:
+                    continue
                 attempts[index] = attempts.get(index, 0) + 1
                 shards: List[object] = []
                 if plan_cache is not None and definition.supports_shards:
@@ -719,10 +787,8 @@ def _run_rounds(
                     task = _Task("cell", scale, definition, cell)
                     futures[executor.submit(_run_task, task)] = (index, None)
             for (index, shard_index), outcome, _ in _drain(futures):
-                if isinstance(outcome, _CellFailure):
-                    failures[index] = outcome
-                elif shard_index is None:
-                    results[index] = outcome
+                if shard_index is None or isinstance(outcome, _CellFailure):
+                    settle(index, outcome)
                 else:
                     partials[index][shard_index] = outcome
         # Merge, in shard-index order (the determinism rule), every sharded

@@ -241,6 +241,17 @@ as_int64_array(PyObject *seq, const char *name, Py_ssize_t *len_out)
     return out;
 }
 
+/* 1 if a hop array holds exactly total_hops entries, else ValueError and 0. */
+static int
+hop_array_fits(const char *name, Py_ssize_t len, Py_ssize_t total_hops)
+{
+    if (len == total_hops)
+        return 1;
+    PyErr_Format(PyExc_ValueError,
+                 "%s must have %zd entries, got %zd", name, total_hops, len);
+    return 0;
+}
+
 static PyObject *
 double_array_to_list(const double *values, Py_ssize_t n)
 {
@@ -284,7 +295,7 @@ kernel_run_flat_replay(PyObject *self, PyObject *args, PyObject *kwargs)
     EvHeap heap = {NULL, 0, 0};
     PeHeap *ports = NULL;
     PyObject *result = NULL;
-    Py_ssize_t n = 0, off_len = 0, total_hops = 0, p_idx;
+    Py_ssize_t n = 0, off_len = 0, total_hops = 0, hop_len = 0, p_idx;
     int64_t H, H2, INJ, seq, fseq, cursor, executed, budget;
     int lstf;
 
@@ -306,18 +317,25 @@ kernel_run_flat_replay(PyObject *self, PyObject *args, PyObject *kwargs)
                      "off must have %zd entries, got %zd", n + 1, off_len);
         goto done;
     }
-    total_hops = n ? (Py_ssize_t)off[n] : 0;
-    hop_pkt = as_int64_array(hop_pkt_obj, "hop_pkt", NULL);
-    if (hop_pkt == NULL)
+    if (off[0] != 0) {
+        PyErr_Format(PyExc_ValueError,
+                     "off[0] must be 0, got %lld", (long long)off[0]);
         goto done;
-    hop_port = as_int64_array(hop_port_obj, "hop_port", NULL);
-    if (hop_port == NULL)
+    }
+    /* The loop indexes the four hop arrays unchecked: each must hold
+     * exactly off[n] entries (packets with no hops are refused below). */
+    total_hops = (Py_ssize_t)off[n];
+    hop_pkt = as_int64_array(hop_pkt_obj, "hop_pkt", &hop_len);
+    if (hop_pkt == NULL || !hop_array_fits("hop_pkt", hop_len, total_hops))
         goto done;
-    hop_tx = as_double_array(hop_tx_obj, "hop_tx", NULL);
-    if (hop_tx == NULL)
+    hop_port = as_int64_array(hop_port_obj, "hop_port", &hop_len);
+    if (hop_port == NULL || !hop_array_fits("hop_port", hop_len, total_hops))
         goto done;
-    hop_prop = as_double_array(hop_prop_obj, "hop_prop", NULL);
-    if (hop_prop == NULL)
+    hop_tx = as_double_array(hop_tx_obj, "hop_tx", &hop_len);
+    if (hop_tx == NULL || !hop_array_fits("hop_tx", hop_len, total_hops))
+        goto done;
+    hop_prop = as_double_array(hop_prop_obj, "hop_prop", &hop_len);
+    if (hop_prop == NULL || !hop_array_fits("hop_prop", hop_len, total_hops))
         goto done;
     lstf = slack_obj != Py_None;
     if (lstf) {

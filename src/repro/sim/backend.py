@@ -96,7 +96,6 @@ class SimBackend(ABC):
         topology: "Topology",
         mode: str,
         default_buffer_bytes: Optional[float] = None,
-        initializer: Optional["ReplayInitializer"] = None,
         faults: Optional["FaultPlan"] = None,
     ) -> Optional[str]:
         """Why :meth:`replay` cannot reproduce this exact configuration, or ``None``.
@@ -223,7 +222,6 @@ def select_engine(
     topology: "Topology",
     mode: str = "lstf",
     default_buffer_bytes: Optional[float] = None,
-    initializer: Optional["ReplayInitializer"] = None,
     faults: Optional["FaultPlan"] = None,
 ) -> Tuple[SimBackend, List[Tuple[str, str]]]:
     """Which engine runs this replay, and ``(name, reason)`` for each that declined it first.
@@ -240,7 +238,7 @@ def select_engine(
     """
     declined: List[Tuple[str, str]] = []
     for engine in replay_candidates(selector):
-        reason = engine.decline_reason(topology, mode, default_buffer_bytes, initializer, faults)
+        reason = engine.decline_reason(topology, mode, default_buffer_bytes, faults)
         if reason is None:
             return engine, declined
         declined.append((engine.name, reason))

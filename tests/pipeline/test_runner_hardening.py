@@ -11,6 +11,7 @@ and run with ``workers`` as an input; only the SIGKILL cases need a pool.
 
 import gc
 import json
+import multiprocessing
 import os
 import sys
 import time
@@ -22,6 +23,7 @@ from repro.__main__ import main as cli_main
 from repro.experiments import ExperimentScale
 from repro.experiments.config import ExperimentResult
 from repro.pipeline import ScheduleCache, run_pipeline
+from repro.pipeline import cache as cache_module
 from repro.pipeline import runner as runner_module
 from repro.pipeline.experiment import Cell, CellResult, ExperimentDef, ScenarioRegistry
 from repro.pipeline.runner import CellError, CellTimeoutError, _cell_deadline
@@ -146,6 +148,26 @@ class TestCellDeadline:
             gc.callbacks.remove(outlasts_the_first_alarm)
         assert swallowed and {each.exc_type for each in swallowed} == {CellTimeoutError}
 
+    def test_a_body_ending_between_swallowed_alarms_still_times_out(self, monkeypatch):
+        """The first raise is swallowed and the body ends before the alarm
+        repeats: it outlived its deadline all the same."""
+        swallowed = []
+        monkeypatch.setattr(sys, "unraisablehook", swallowed.append)
+
+        def swallows_the_first_alarm(phase, info):
+            until = time.monotonic() + 0.2
+            while not swallowed and time.monotonic() < until:
+                pass
+
+        gc.callbacks.append(swallows_the_first_alarm)
+        try:
+            with pytest.raises(CellTimeoutError, match="timeout"):
+                with _cell_deadline(0.01):
+                    gc.collect()  # returns inside the 50 ms before the repeat
+        finally:
+            gc.callbacks.remove(swallows_the_first_alarm)
+        assert [each.exc_type for each in swallowed] == [CellTimeoutError]
+
 
 @pytest.mark.parametrize("workers", [1, 2])
 class TestHardening:
@@ -258,17 +280,52 @@ class TestParallelHardening:
 
 
 class TestOneLoopAccounting:
-    def test_cold_cache_misses_do_not_depend_on_workers(self, tmp_path):
-        """Serial cells record as they go, a pool records up front: either
-        way every unique schedule of the group is recorded exactly once."""
-        misses = {
+    @pytest.mark.parametrize("disk", [False, True], ids=["no-cache-dir", "cache-dir"])
+    def test_cold_cache_misses_do_not_depend_on_workers(self, tmp_path, disk):
+        """Every unique schedule of the group is recorded exactly once, by a
+        serial cell as it goes or by a pool's one task per key.  Without a
+        disk cache the key's first cell records, so the hits match too; with
+        one the pool records up front and every cell's lookup hits."""
+        counts = {
             workers: run_pipeline(
                 ["faults"], scale=SMOKE, workers=workers,
-                cache_dir=str(tmp_path / f"w{workers}"),
-            ).cache_misses
+                cache_dir=str(tmp_path / f"w{workers}") if disk else None,
+            )
             for workers in (1, 2)
         }
-        assert misses[1] == misses[2] > 0
+        serial, pooled = counts[1], counts[2]
+        assert pooled.workers == 2
+        assert serial.cache_misses == pooled.cache_misses > 0
+        if not disk:
+            assert serial.cache_hits == pooled.cache_hits
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the patched loader reaches pool workers only through fork",
+    )
+    def test_a_cold_pooled_run_decodes_nothing_it_recorded(self, tmp_path, monkeypatch):
+        """A key's task records the schedule, then replays every cell of the
+        key from that worker's memory: no cell reads the entry back."""
+        calls = tmp_path / "load_schedule.calls"
+        real_load = cache_module.load_schedule
+
+        def counted_load(*args, **kwargs):
+            with open(calls, "a") as handle:
+                handle.write(f"{os.getpid()}\n")
+            return real_load(*args, **kwargs)
+
+        def rows(workers, cache_dir):
+            summary = run_pipeline(
+                ["faults"], scale=SMOKE, workers=workers, cache_dir=str(cache_dir)
+            )
+            assert not summary.errors and summary.workers == workers
+            return summary.results["faults"].rows
+
+        serial = rows(1, tmp_path / "serial")
+        monkeypatch.setattr(cache_module, "load_schedule", counted_load)
+        pooled = rows(2, tmp_path / "pooled")
+        assert not calls.exists()
+        assert pooled == serial
 
     def test_in_process_cache_is_released_with_the_run(self, monkeypatch):
         """The ``workers=1`` executor owns the run's cache; nothing — no module

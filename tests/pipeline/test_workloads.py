@@ -6,7 +6,7 @@ Covers the acceptance criteria of the pluggable-workload refactor:
   against golden keys captured from the pre-refactor code), so warm caches
   stay warm across the refactor;
 * cold parallel runs record each (topology, scheduler, workload, seed) key
-  exactly once (the two-phase runner);
+  exactly once (one pool task per schedule key);
 * the adversarial experiment group is registered, runs with replay metrics
   per scenario, and is row-for-row identical in parallel and serial runs;
 * ``--replicates`` emits mean/stddev/95% CI aggregates;
@@ -121,7 +121,7 @@ class TestFaultPlanCacheKeys:
 
 
 # --------------------------------------------------------------------- #
-# Two-phase runner: record once, replay everywhere
+# Pooled runner: one task per schedule key, record once, replay everywhere
 # --------------------------------------------------------------------- #
 class TestTwoPhaseRunner:
     def test_cold_parallel_run_records_each_key_exactly_once(self, tmp_path):

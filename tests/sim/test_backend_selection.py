@@ -86,6 +86,19 @@ def decide(topology, selector=None, **config):
     return engine.name, declined
 
 
+def replayed_on(caplog, topology, schedule, **config):
+    """``(mode, engine, declined)`` from the one DEBUG record a replay logs.
+
+    Header initializers play no part in the engine choice, so a replay that
+    carries one is asked what it ran on rather than ``select_engine``.
+    """
+    caplog.set_level(logging.DEBUG, logger="repro.core.replay")
+    caplog.clear()
+    replay_schedule(topology, schedule, **config)
+    [record] = [r for r in caplog.records if r.name == "repro.core.replay"]
+    return record.args
+
+
 def every_accelerated_engine_says(reason):
     return [(name, reason) for name in ACCELERATED]
 
@@ -159,14 +172,18 @@ class TestUnselectedReplay:
             every_accelerated_engine_says("replay mode lstf-preemptive"),
         )
 
-    def test_slack_policy_initializer_stays_accelerated(self, topology):
+    def test_slack_policy_initializer_stays_accelerated(self, topology, schedule, caplog):
         initializer = SLACK_POLICIES.get("zero").build_initializer()
-        assert decide(topology, initializer=initializer) == (FASTEST, [])
+        assert replayed_on(caplog, topology, schedule, initializer=initializer) == (
+            "lstf", FASTEST, []
+        )
 
     @pytest.mark.parametrize("mode", ["lstf", "edf", "priority", "omniscient", "fifo"])
-    def test_custom_initializer_runs_on_every_engine(self, topology, schedule, mode):
+    def test_custom_initializer_runs_on_every_engine(self, topology, schedule, mode, caplog):
         initializer = ZeroSlackByHand()
-        assert decide(topology, mode=mode, initializer=initializer) == (FASTEST, [])
+        assert replayed_on(caplog, topology, schedule, mode=mode, initializer=initializer) == (
+            mode, FASTEST, []
+        )
         auto = rows(replay_schedule(topology, schedule, mode=mode, initializer=initializer))
         for name in ["python", *ACCELERATED]:
             pinned = replay_schedule(

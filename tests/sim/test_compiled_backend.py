@@ -164,6 +164,35 @@ class TestCompiledKernel:
         with pytest.raises(ValueError, match="off"):
             kernel([0.0], [0], [], [], [], [], 1, [0.0], None)
 
+    @pytest.mark.parametrize(
+        "off, hops, message",
+        [
+            ([0, 2, 4], {"hop_pkt": [0]}, r"hop_pkt must have 4 entries, got 1"),
+            ([0, 2, 4], {"hop_port": [0]}, r"hop_port must have 4 entries, got 1"),
+            ([0, 2, 4], {"hop_tx": [1e-3] * 3}, r"hop_tx must have 4 entries, got 3"),
+            ([0, 2, 4], {"hop_prop": [1e-3] * 5}, r"hop_prop must have 4 entries, got 5"),
+            ([-3, 1], {}, r"off\[0\] must be 0, got -3"),
+        ],
+    )
+    def test_kernel_refuses_hop_arrays_that_disagree_with_off(self, off, hops, message):
+        """The loop indexes the hop arrays unchecked, so their lengths are
+        checked against ``off`` before it runs (LSTF mode)."""
+        from repro.sim.compiled import kernel_run_flat_replay
+
+        total = off[-1]
+        arrays = {
+            "hop_pkt": [0, 0, 1, 1][:total],
+            "hop_port": [0] * total,
+            "hop_tx": [1e-3] * total,
+            "hop_prop": [1e-3] * total,
+            **hops,
+        }
+        packets = len(off) - 1
+        with pytest.raises(ValueError, match=message):
+            kernel_run_flat_replay()(
+                [0.0, 1.0][:packets], off, **arrays, num_ports=1, slack=[0.0] * packets
+            )
+
     def test_kernel_requires_keys_for_static_modes(self):
         from repro.sim.compiled import kernel_run_flat_replay
 
