@@ -44,6 +44,7 @@ import gzip
 import io
 import json
 import os
+import zlib
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
@@ -721,17 +722,23 @@ def _decoded_parts(
     ``part`` being the :func:`_check_counts` arguments for that file.  A
     consumer must drop ``packets`` before advancing, or it keeps one batch's
     JSON objects alive while the next batch is parsed.
+
+    A corrupt deflate stream raises ``ValueError`` (never ``zlib.error``),
+    so every reader's "malformed file" handling covers it.
     """
     for file_path, promised in files:
         count = 0
-        with _open_for_read(file_path) as stream:
-            header = _read_header(stream, file_path)
-            lines = filter(str.strip, stream)
-            # One decoder call per batch, not per line: a batch's lines
-            # are parsed as the elements of a single JSON array.
-            while batch := list(islice(lines, _DECODE_BATCH)):
-                count += len(batch)
-                yield json.loads(f"[{','.join(batch)}]"), None
+        try:
+            with _open_for_read(file_path) as stream:
+                header = _read_header(stream, file_path)
+                lines = filter(str.strip, stream)
+                # One decoder call per batch, not per line: a batch's lines
+                # are parsed as the elements of a single JSON array.
+                while batch := list(islice(lines, _DECODE_BATCH)):
+                    count += len(batch)
+                    yield json.loads(f"[{','.join(batch)}]"), None
+        except zlib.error as error:
+            raise ValueError(f"{file_path}: corrupt compressed data ({error})") from error
         yield [], (file_path, header, promised, count)
 
 

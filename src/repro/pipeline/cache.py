@@ -17,6 +17,17 @@ Two layers:
   across CLI invocations.  Writes are atomic, so workers racing to populate
   the same entry at worst duplicate the recording work — they can never
   corrupt an entry.
+
+A cache writes its entries inline by default.  Given a ``writer`` executor
+(a serial run's one writer process), it hands each write to it instead — the
+recording's columns and metadata, never the :class:`Schedule`, which a
+replay keeps annotating — and returns the in-memory schedule at once, so
+encoding and compressing the entry overlap the cell's replay.  At most
+:data:`QUEUED_WRITES` writes are outstanding when a recording returns.
+:meth:`ScheduleCache.entry_path` is the one wait point: it waits for the
+key's queued write before it looks at the disk, so a key that has left the
+memory layer is loaded back, never recorded twice.
+:meth:`ScheduleCache.flush` waits for the rest.
 """
 
 from __future__ import annotations
@@ -25,13 +36,18 @@ import hashlib
 import json
 import logging
 import os
+import time
 from collections import OrderedDict
+from concurrent.futures import Executor, Future, wait
+from concurrent.futures.process import BrokenProcessPool
+from functools import partial
 from pathlib import Path
 from typing import Callable, Dict, Optional, Tuple, Union
 
 from repro.core.schedule import (
     MANIFEST_SUFFIX,
     Schedule,
+    ScheduleColumns,
     load_schedule,
     save_schedule,
     save_schedule_sharded,
@@ -46,6 +62,60 @@ logger = logging.getLogger(__name__)
 #: layout, like their keys, is pinned by the golden fixtures), low enough
 #: that scale-tier schedules split into chunks a worker can stream.
 DEFAULT_SHARD_PACKETS = 100_000
+
+#: Writes a ``writer``-backed cache leaves outstanding when ``get_or_record``
+#: returns; a recording that finds more waits for the oldest.  Each queued
+#: write pins its schedule's columns (and their pickled copy), so the bound
+#: keeps a backlog of large schedules from piling up in memory.
+QUEUED_WRITES = 2
+
+#: Write failures that lose the entry but not the run: a cache directory that
+#: cannot be written, and a writer process that died.
+_LOST_WRITE = (OSError, BrokenProcessPool)
+
+
+def _save(
+    target: Path, schedule: Schedule, meta: dict, shard_packets: Optional[int]
+) -> float:
+    """Write one entry — sharded when ``shard_packets`` is set; the seconds it took."""
+    started = time.perf_counter()
+    if shard_packets is None:
+        save_schedule(target, schedule, meta=meta)
+    else:
+        save_schedule_sharded(target, schedule, meta=meta, shard_packets=shard_packets)
+    return time.perf_counter() - started
+
+
+def _save_columns(
+    target: Path, columns: ScheduleColumns, meta: dict, shard_packets: Optional[int]
+) -> float:
+    """The writer process' task: :func:`_save` of the schedule stored in ``columns``."""
+    return _save(target, Schedule.from_columns(columns), meta, shard_packets)
+
+
+def _landed(key: str, target: Path, packets: int, future: Future) -> None:
+    """Log how one entry write ended (a future's done-callback)."""
+    if future.cancelled():
+        return
+    error = future.exception()
+    if error is None:
+        logger.debug(
+            "persisted schedule cache entry %s: %d packets in %.3fs",
+            key,
+            packets,
+            future.result(),
+        )
+    elif isinstance(error, _LOST_WRITE):
+        # A read-only or full cache directory, or a dead writer, degrades the
+        # disk layer; it must not abort the run: the freshly recorded
+        # in-memory schedule is still returned.
+        logger.warning(
+            "cannot persist schedule cache entry %s (%s: %s); "
+            "continuing without the on-disk copy",
+            target,
+            type(error).__name__,
+            error,
+        )
 
 
 def distribution_fingerprint(distribution) -> dict:
@@ -160,6 +230,9 @@ class ScheduleCache:
             also the per-shard chunk size.  Pure storage layout — cache
             *keys* never depend on it (pinned by the golden-key test) and
             lookups transparently accept either on-disk form.
+        writer: Executor the disk writes go to, or ``None`` to write inline.
+            Call :meth:`flush` before anything but this cache reads its
+            entries; the executor stays the caller's to shut down.
 
     Attributes:
         hits: Number of ``get_or_record`` calls served from memory or disk.
@@ -172,12 +245,16 @@ class ScheduleCache:
         root: Optional[Union[str, os.PathLike]] = None,
         memory_entries: Optional[int] = 8,
         shard_packets: int = DEFAULT_SHARD_PACKETS,
+        writer: Optional[Executor] = None,
     ) -> None:
         self.root = Path(root) if root is not None else None
         self.memory_entries = memory_entries
         if shard_packets < 1:
             raise ValueError(f"shard_packets must be >= 1, got {shard_packets}")
         self.shard_packets = shard_packets
+        self._writer = writer
+        #: key -> its write on ``_writer``, in submission order, until :meth:`flush`.
+        self._pending: Dict[str, Future] = {}
         self._memory: "OrderedDict[str, Schedule]" = OrderedDict()
         self.hits = 0
         self.misses = 0
@@ -212,7 +289,14 @@ class ScheduleCache:
         schedules too large to sensibly live in one file); the returned path
         feeds :func:`repro.core.schedule.load_schedule` or
         :func:`~repro.core.schedule.iter_schedule_columns` directly.
+
+        Waits first for ``key``'s queued write, if any.  The write stays
+        registered until :meth:`flush`, so a deadline that interrupts the
+        wait leaves the next look (and the flush) still waiting for it.
         """
+        queued = self._pending.get(key)
+        if queued is not None:
+            wait((queued,))
         for candidate in (self.manifest_path_for(key), self.path_for(key)):
             if candidate is not None and candidate.exists():
                 return candidate
@@ -242,13 +326,16 @@ class ScheduleCache:
     ) -> Tuple[Schedule, str]:
         """Fetch the schedule for this cell, recording it on first use.
 
-        A corrupt on-disk entry (truncated gzip, undecodable JSON, a packet
-        count that does not match its header) never aborts the run: the file
-        is quarantined as ``<key>.jsonl.gz.corrupt``, a warning is logged,
-        and the entry is re-recorded as if it had never existed.  A cache
-        directory that cannot be written at all (read-only, disk full)
-        degrades the same way — the quarantine rename and the re-persist
-        are both best-effort, and the run continues on the in-memory copy.
+        A corrupt on-disk entry (truncated gzip, a corrupt deflate stream,
+        undecodable JSON, a packet count that does not match its header)
+        never aborts the run: the file is quarantined as
+        ``<key>.jsonl.gz.corrupt``, a warning is logged, and the entry is
+        re-recorded as if it had never existed.  A cache directory that
+        cannot be written at all (read-only, disk full) — or a writer
+        process that died — degrades the same way: the quarantine rename and
+        the re-persist are both best-effort, and the run continues on the
+        in-memory copy.  With a ``writer`` the new entry's write may still be
+        queued when this returns.
 
         Args:
             topology: Topology spec (part of the key and stored as metadata).
@@ -290,8 +377,7 @@ class ScheduleCache:
         schedule = recorder()
         self.misses += 1
         self._remember(key, schedule)
-        path = self.path_for(key)
-        if path is not None:
+        if self.root is not None:
             meta = {
                 "key": key,
                 "original": str(original),
@@ -305,28 +391,46 @@ class ScheduleCache:
                     meta["slack_mode"] = slack_mode
             if faults is not None and faults.fingerprint() is not None:
                 meta["faults"] = faults.to_dict()
-            try:
-                if len(schedule) > self.shard_packets:
-                    save_schedule_sharded(
-                        self.manifest_path_for(key),
-                        schedule,
-                        meta=meta,
-                        shard_packets=self.shard_packets,
-                    )
-                else:
-                    save_schedule(path, schedule, meta=meta)
-            except OSError as error:
-                # A read-only or full cache directory degrades the disk
-                # layer, it must not abort the run: the freshly recorded
-                # in-memory schedule is still returned.
-                logger.warning(
-                    "cannot persist schedule cache entry %s (%s: %s); "
-                    "continuing without the on-disk copy",
-                    path,
-                    type(error).__name__,
-                    error,
-                )
+            self._persist(key, schedule, meta)
         return schedule, key
+
+    def _persist(self, key: str, schedule: Schedule, meta: dict) -> None:
+        """Write ``schedule`` as ``key``'s entry: inline, or queued on the writer.
+
+        Failures that lose only the on-disk copy (:data:`_LOST_WRITE`) are
+        logged by :func:`_landed`, once per entry, whenever the write ends.
+        """
+        if len(schedule) > self.shard_packets:
+            target, shard_packets = self.manifest_path_for(key), self.shard_packets
+        else:
+            target, shard_packets = self.path_for(key), None
+        future: Future = Future()
+        try:
+            if self._writer is None:
+                future.set_result(_save(target, schedule, meta, shard_packets))
+            else:
+                future = self._writer.submit(
+                    _save_columns, target, schedule.columns(), meta, shard_packets
+                )
+                self._pending[key] = future
+        except _LOST_WRITE as error:
+            future.set_exception(error)
+        future.add_done_callback(partial(_landed, key, target, len(schedule)))
+        queued = [write for write in self._pending.values() if not write.done()]
+        if len(queued) > QUEUED_WRITES:
+            wait(queued[:1])
+
+    def flush(self) -> None:
+        """Wait for every queued write to land.
+
+        A write lost to :data:`_LOST_WRITE` has already been logged; any
+        other error a write raised is raised here.
+        """
+        pending, self._pending = self._pending, {}
+        for future in pending.values():
+            error = future.exception()
+            if error is not None and not isinstance(error, _LOST_WRITE):
+                raise error
 
     def _quarantine(self, path: Path, error: Exception) -> None:
         """Move an unreadable cache entry aside so the run can re-record.

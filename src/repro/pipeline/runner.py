@@ -18,8 +18,18 @@ two more properties make rows identical for every ``workers``:
   drawn from a shared stream;
 * results are merged by cell index, never by completion order.
 
-Two steps exist only where they can pay off, in a pool (``workers > 1``):
+Three steps exist only where they can pay off, where a core would otherwise
+be idle — one in a serial run, two in a pool (``workers > 1``):
 
+* **One writer process** (``workers == 1`` with a disk cache).  The serial
+  run's cache hands each new entry's write — the schedule's columns and
+  metadata — to a one-process executor (:func:`_writer_process`) and the
+  cell replays at once, so encoding and compressing the entry overlap the
+  run instead of blocking it.  :meth:`ScheduleCache.entry_path` waits for a
+  key's queued write before it looks at the disk, so a key evicted from the
+  memory layer is loaded back, never recorded twice.  The run waits for
+  every write and joins the writer before it returns.  A pool has no
+  writer: both cores already run workers, and it would only add pickling.
 * **One task per schedule key.**  The driver computes every replay cell's
   schedule-cache key from plain specs and submits one task per unique key.
   That task records the schedule first when the shared on-disk cache lacks
@@ -450,6 +460,30 @@ def backend_scope(backend: Optional[str]):
             os.environ[BACKEND_ENV_VAR] = previous
 
 
+@contextmanager
+def _writer_process(wanted: bool) -> Iterator[Optional[Executor]]:
+    """A serial run's one writer process for its disk-cache writes (``None``
+    unless ``wanted``).
+
+    The executor starts its process at the first write (with the pool
+    workers' start method), so a run that records nothing never starts it.
+    It is joined before the run returns — its CPU time then counts among the
+    caller's children, like a pool worker's — and an interrupted run cancels
+    the writes still queued.  An entry is on disk whole or not at all either
+    way (temp file + ``os.replace``).
+    """
+    if not wanted:
+        yield None
+        return
+    writer = ProcessPoolExecutor(max_workers=1)
+    try:
+        yield writer
+    except BaseException:
+        writer.shutdown(cancel_futures=True)
+        raise
+    writer.shutdown()
+
+
 #: Stands in for a cell that was never submitted: a key task crashed the pool
 #: in every round.
 _NEVER_RAN = _CellFailure(
@@ -626,11 +660,6 @@ def run_pipeline(
                 initializer=_worker_init,
                 initargs=(cache_dir, backend, cell_timeout, shard_packets),
             )
-    else:
-        in_process = _InProcessExecutor(
-            (ScheduleCache(cache_dir, shard_packets=shard_packets), cell_timeout)
-        )
-        make_executor = lambda: in_process  # noqa: E731
     # Recording up front and shard work-stealing need workers that share
     # recordings through a disk layer; the driver plans both from this cache.
     plan_cache = (
@@ -638,7 +667,13 @@ def run_pipeline(
         if workers > 1 and cache_dir is not None
         else None
     )
-    with backend_scope(backend):
+    with backend_scope(backend), _writer_process(
+        workers == 1 and cache_dir is not None
+    ) as writer:
+        if workers == 1:
+            serial_cache = ScheduleCache(cache_dir, shard_packets=shard_packets, writer=writer)
+            in_process = _InProcessExecutor((serial_cache, cell_timeout))
+            make_executor = lambda: in_process  # noqa: E731
         if workers > 1 and backend is None:
             # The first engine probe of a process may compile the C kernel
             # (repro.sim.compiled).  Do it here, once, before any pool forks:
@@ -651,6 +686,8 @@ def run_pipeline(
         cell_results, errors, records_computed, unrecorded = _run_rounds(
             tasks, scale, make_executor, workers > 1, plan_cache, max_retries, retry_backoff
         )
+        if workers == 1:
+            serial_cache.flush()
     if unrecorded:
         notes.append(
             f"{unrecorded} schedule recording(s) never completed in "

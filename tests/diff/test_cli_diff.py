@@ -135,6 +135,18 @@ class TestDiffErrors:
         assert cli_main(["diff", recorded, str(trunc)]) == 2
         assert "cannot load" in capsys.readouterr().err
 
+    def test_corrupt_deflate_body_exit_2(self, recorded, tmp_path, capsys):
+        """Bytes flipped inside the compressed body fail in zlib, not gzip:
+        still a load error, never a traceback."""
+        payload = bytearray(open(recorded, "rb").read())
+        body = slice(len(payload) // 3, len(payload) // 3 + 64)
+        payload[body] = bytes(byte ^ 0xFF for byte in payload[body])
+        flipped = tmp_path / "flipped.jsonl.gz"
+        flipped.write_bytes(bytes(payload))
+        assert cli_main(["diff", "--replay", str(flipped)]) == 2
+        err = capsys.readouterr().err
+        assert "cannot load" in err and "corrupt compressed data" in err
+
     def test_unknown_mode_exit_2(self, recorded, capsys):
         assert cli_main(["diff", "--replay", recorded, "--mode", "bogus"]) == 2
         assert "unknown replay mode" in capsys.readouterr().err

@@ -6,7 +6,7 @@ import logging
 import pytest
 
 from repro.experiments import ExperimentScale
-from repro.pipeline import Scenario, ScheduleCache, replay_scenario
+from repro.pipeline import Scenario, ScheduleCache, replay_scenario, run_pipeline
 
 SMOKE = ExperimentScale.smoke()
 
@@ -56,6 +56,22 @@ class TestCorruptEntries:
         fresh = ScheduleCache(tmp_path)
         replay_scenario(scenario(), cache=fresh)
         assert fresh.corrupt_entries == 1
+
+    def test_corrupt_deflate_bodies_are_quarantined_and_re_recorded(self, tmp_path):
+        """64 bytes flipped a third of the way into every table1 entry: zlib
+        itself rejects most bodies, and those must be quarantined too."""
+        clean = run_pipeline(["table1"], scale=SMOKE, cache_dir=str(tmp_path))
+        entries = list(tmp_path.rglob("*.jsonl.gz"))
+        for path in entries:
+            payload = bytearray(path.read_bytes())
+            body = slice(len(payload) // 3, len(payload) // 3 + 64)
+            payload[body] = bytes(byte ^ 0xFF for byte in payload[body])
+            path.write_bytes(bytes(payload))
+        recovered = run_pipeline(["table1"], scale=SMOKE, cache_dir=str(tmp_path))
+        assert recovered.errors == []
+        assert recovered.results["table1"].rows == clean.results["table1"].rows
+        assert recovered.cache_misses == clean.cache_misses == len(entries)
+        assert all(path.with_name(path.name + ".corrupt").exists() for path in entries)
 
     def test_rows_survive_corruption(self, tmp_path):
         """The row computed against the re-recorded schedule is identical."""
