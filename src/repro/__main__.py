@@ -108,9 +108,8 @@ def _load_schedule_file(path: str):
     """Load a schedule file, mapping every read/parse failure to exit 2.
 
     Raises:
-        _CLIError: missing or unreadable file, truncated gzip stream
-            (``EOFError``), malformed JSON lines (``ValueError``), or record
-            lines missing required fields (``KeyError``).
+        _CLIError: missing or unreadable file (``OSError``), truncated gzip
+            stream (``EOFError``), or any malformed content (``ValueError``).
     """
     from repro.core.schedule import load_schedule
 
@@ -118,10 +117,6 @@ def _load_schedule_file(path: str):
         return load_schedule(path)
     except (OSError, EOFError, ValueError) as error:
         raise _CLIError(f"cannot load {path}: {error}") from error
-    except KeyError as error:
-        raise _CLIError(
-            f"cannot load {path}: record missing required field {error}"
-        ) from error
 
 
 def _load_replay_inputs(path: str, args: argparse.Namespace):

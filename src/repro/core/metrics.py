@@ -7,8 +7,8 @@ bottleneck link) — plus the CDF of per-packet queueing-delay ratios shown in
 Figure 1.  This module computes all three from a pair of schedules.
 
 Every metric is a fold over a schedule's columns
-(:class:`~repro.core.schedule.ScheduleColumns`, canonical order); no record
-object is built.  :func:`compare_schedules` is the one comparison.  The
+(:class:`~repro.core.schedule.ScheduleColumns`, canonical order); no row is
+built.  :func:`compare_schedules` is the one comparison.  The
 standalone statistics have two finalizers over one fold:
 
 * :func:`schedule_statistics` materializes the per-packet delay list for an
@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from operator import sub
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.core.schedule import PacketRecord, Schedule, ScheduleColumns
+from repro.core.schedule import Schedule, ScheduleColumns
 from repro.utils.stats import QuantileSketch, left_sum, percentile
 
 
@@ -140,7 +140,7 @@ def compare_schedules(
 ) -> ReplayMetrics:
     """Compare a replay schedule against the original it tried to reproduce.
 
-    Packets are matched by packet id (the replay engine keys replayed records
+    Packets are matched by packet id (the replay engine keys replayed packets
     by the original packet's id).  A packet present in the original but
     absent from the replay — it never exited before the replay run ended —
     counts as overdue and as overdue-beyond-threshold.
@@ -403,18 +403,16 @@ class StreamingScheduleStatistics:
 
 
 def compare_schedules_streaming(
-    original_records: Iterable[PacketRecord],
+    original_rows: Iterable[dict],
     replay: Schedule,
     threshold: float,
     tolerance: float = 1e-9,
 ) -> ReplayMetrics:
-    """:func:`compare_schedules` over original *records*, minus the ratio list.
+    """:func:`compare_schedules` over the original's *rows*, minus the ratio list.
 
     Not a second comparison: an adapter kept only because the frozen
-    ``benchmarks/perf/run.py`` imports it (ROADMAP item 3 drops it).
+    ``benchmarks/perf/run.py`` imports it (ROADMAP item 1 drops it).
     """
-    cols = ScheduleColumns()
-    cols.extend([record.to_dict() for record in original_records])
-    metrics = compare_schedules(Schedule.from_columns(cols), replay, threshold, tolerance)
+    metrics = compare_schedules(Schedule.from_rows(original_rows), replay, threshold, tolerance)
     metrics.queueing_delay_ratios = []
     return metrics

@@ -2,14 +2,14 @@
 
 Replay is the pipeline's hot path — one record run feeds many replay cells —
 and everything a replay needs is known before the first event fires:
-``core/replay.py`` already sorts records by ingress time, routes are pinned
+a schedule's columns are already in ingress-time order, routes are pinned
 (source routing), buffers are infinite, and the candidate schedulers' keys
 are either static per hop (EDF, priority, omniscient; constant for FIFO) or
 an affine function of one dynamic per-packet value (LSTF slack).  This
 backend exploits that:
 
-1. **Setup** (here): read the schedule's columns (no record object is
-   built), expand each distinct route into per-hop arrays, and compute
+1. **Setup** (here): read the schedule's columns (no per-packet object
+   is built), expand each distinct route into per-hop arrays, and compute
    per-hop transmission times vectorized in the exact ``bytes * 8 / bw``
    float form so every derived timestamp is bit-identical to the OO
    engine's.  Headers come from the same

@@ -1,18 +1,21 @@
 """Schedules: the paper's central object.
 
 A *schedule* is the set ``{(path(p), i(p), o(p))}`` produced by running some
-collection of scheduling algorithms over a fixed input load (Section 2.1).
-:class:`PacketRecord` captures one packet's entry, :class:`Schedule` the whole
-set, along with the per-hop timing detail needed for omniscient replay and for
-congestion-point analysis.  A schedule is *stored* as a table
-(:class:`ScheduleColumns`, one list per field, in canonical order) that the
-loader, the replay kernels and the metrics read and write directly; records
-are read-only views built from it on request.
+collection of scheduling algorithms over a fixed input load (Section 2.1),
+with the per-hop timing that omniscient replay and congestion-point analysis
+need.  A :class:`Schedule` is its columns (:class:`ScheduleColumns`, one list
+per field, in canonical order), which the loader, the replay kernels and the
+metrics read and write directly.  The one per-packet shape is the *row*: a
+dict in the ``repro-schedule/1`` line shape (``packet_id``, ``flow_id``,
+``src``, ``dst``, ``size_bytes``, ``ingress_time``, ``output_time``,
+``path``, ``hops`` as ``[node, arrival, start_service, departure]``
+entries, ``flow_size_bytes``, ``deadline``).  A file stores rows, iterating a
+schedule yields them and :meth:`Schedule.from_rows` takes them.
 
 Schedules come from three places:
 
 * recorded from a simulation run (:meth:`Schedule.from_tracer`),
-* constructed by hand (the theory counterexamples build small viable
+* built by hand from rows (the theory counterexamples build small viable
   schedules directly, exactly as the paper's appendix figures do), or
 * loaded from disk (:func:`load_schedule`) — the pipeline's "record once,
   replay many" workflow persists recorded schedules as gzipped JSON-lines
@@ -20,9 +23,9 @@ Schedules come from three places:
 
 The on-disk format (``repro-schedule/1``) is one JSON object per line: a
 header carrying free-form metadata (the pipeline stores the topology spec and
-the cache key there) followed by one line per :class:`PacketRecord`.  The
-round-trip is lossless: floats are serialized with full ``repr`` precision,
-so a loaded schedule replays bit-identically to the in-memory original.
+the cache key there) followed by one row per packet.  The round-trip is
+lossless: floats are serialized with full ``repr`` precision, so a loaded
+schedule replays bit-identically to the in-memory original.
 
 Large schedules may instead be **sharded** (``repro-schedule-manifest/1``):
 a single-line JSON manifest (``<key>.manifest.json``) naming ingress-time
@@ -34,7 +37,8 @@ same schedule either way.  Both forms are read back by one decode loop with
 two consumers: :func:`load_schedule` fills a whole :class:`ScheduleColumns`
 from it, and :func:`iter_schedule_columns` hands its batches out one small
 table at a time, so a scale-tier fold (the mergeable schedule statistics)
-never holds a whole schedule in memory.  Neither builds a record object.
+never holds a whole schedule in memory.  Anything malformed in a stored
+schedule — a row, a header, a manifest — raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ import zlib
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from itertools import accumulate, chain, islice, starmap
+from itertools import accumulate, chain, islice, repeat
 from operator import itemgetter, le, methodcaller
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -69,7 +73,7 @@ MANIFEST_SUFFIX = ".manifest.json"
 @contextmanager
 def paused_gc() -> Iterator[None]:
     """Pause the cycle collector around a burst of acyclic allocations (decoded
-    packets, views, heap tuples): they only make it rescan an ever-growing live
+    packets, rows, heap tuples): they only make it rescan an ever-growing live
     set, and refcounting still frees them."""
     was_enabled = gc.isenabled()
     gc.disable()
@@ -80,153 +84,50 @@ def paused_gc() -> Iterator[None]:
             gc.enable()
 
 
-#: The stored-packet keys every file carries, in :class:`PacketRecord` field
-#: order (``path``/``hops`` follow; the last two fields default to ``None``).
+#: The keys every row carries (``path`` and ``hops`` follow;
+#: ``flow_size_bytes`` and ``deadline`` default to ``None``).
 _REQUIRED = ("packet_id", "flow_id", "src", "dst", "size_bytes", "ingress_time", "output_time")
 #: :class:`ScheduleColumns`' one-entry-per-packet and one-entry-per-hop fields.
 _PER_PACKET = _REQUIRED + ("path", "flow_size_bytes", "deadline")
 _PER_HOP = ("hop_node", "hop_arrival", "hop_start_service", "hop_departure")
+#: The fields a schedule indexes and orders by, and the types they must hold.
+_KEYED = {"packet_id": int, "ingress_time": (int, float), "output_time": (int, float)}
+#: What reading a malformed row into columns raises.
+_MALFORMED = (TypeError, KeyError, ValueError)
 
 
-@dataclass(slots=True)
-class HopTiming:
-    """Original-schedule timing of one packet at one node.
-
-    A read-only snapshot by convention: a schedule never reads a view back.
-
-    Attributes:
-        node: Node name.
-        arrival_time: When the packet (last bit) arrived at the node.
-        start_service_time: When the node started transmitting the packet —
-            the paper's ``o(p, alpha)``.
-        departure_time: When the last bit left the node.
-    """
-
-    node: str
-    arrival_time: float
-    start_service_time: Optional[float]
-    departure_time: Optional[float]
-
-    @property
-    def queueing_delay(self) -> float:
-        """Time spent waiting in the node's queue before service began."""
-        if self.start_service_time is None:
-            return 0.0
-        return self.start_service_time - self.arrival_time
-
-    def to_list(self) -> list:
-        """Compact JSON form, in field order: ``HopTiming(*hop.to_list())`` inverts it."""
-        return [self.node, self.arrival_time, self.start_service_time, self.departure_time]
-
-
-@dataclass(slots=True)
-class PacketRecord:
-    """One packet's entry in a schedule.
-
-    Attributes:
-        packet_id: Identifier of the packet in the original run.
-        flow_id: Flow the packet belonged to.
-        src: Source host name (the packet's ingress).
-        dst: Destination host name (the packet's egress).
-        size_bytes: Packet size.
-        ingress_time: ``i(p)`` — when the packet entered the network.
-        output_time: ``o(p)`` — when the packet's last bit left the network.
-        path: Node names from source to destination (inclusive).
-        hops: Per-hop timing from the original run (may be empty for
-            hand-built schedules that only specify end-to-end times).
-        flow_size_bytes: Size of the packet's flow, carried through so that
-            replay modes that need it (e.g. SJF-flavoured analyses) have it.
-        deadline: Absolute completion deadline of the packet's flow
-            (``None`` when the workload carried no deadlines).  Set by
-            deadline-tagging perturbations; replay evaluation reports
-            deadline-met fractions for original and replay when present.
-    """
-
-    packet_id: int
-    flow_id: int
-    src: str
-    dst: str
-    size_bytes: float
-    ingress_time: float
-    output_time: float
-    path: List[str]
-    hops: List[HopTiming] = field(default_factory=list)
-    flow_size_bytes: Optional[float] = None
-    deadline: Optional[float] = None
-
-    @classmethod
-    def from_packet(cls, packet: Packet) -> "PacketRecord":
-        """Build a record from a delivered packet of a finished simulation."""
-        return Schedule.from_packets([packet]).records()[0]
-
-    @property
-    def network_delay(self) -> float:
-        """End-to-end delay ``o(p) - i(p)`` in the original schedule."""
-        return self.output_time - self.ingress_time
-
-    @property
-    def total_queueing_delay(self) -> float:
-        """Sum of per-hop queueing delays in the original schedule."""
-        return left_sum(hop.queueing_delay for hop in self.hops)
-
-    def congestion_points(self, epsilon: float = 1e-12) -> int:
-        """Number of nodes at which the packet waited more than ``epsilon``.
-
-        This is the paper's notion of a congestion point: "a node where a
-        packet is forced to wait during a given schedule".
-        """
-        return sum(1 for hop in self.hops if hop.queueing_delay > epsilon)
-
-    # ------------------------------------------------------------------ #
-    # Serialization
-    # ------------------------------------------------------------------ #
-    def to_dict(self) -> dict:
-        """JSON-serializable form of this record (lossless)."""
-        return {
-            "packet_id": self.packet_id,
-            "flow_id": self.flow_id,
-            "src": self.src,
-            "dst": self.dst,
-            "size_bytes": self.size_bytes,
-            "ingress_time": self.ingress_time,
-            "output_time": self.output_time,
-            "path": list(self.path),
-            "hops": [hop.to_list() for hop in self.hops],
-            "flow_size_bytes": self.flow_size_bytes,
-            "deadline": self.deadline,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PacketRecord":
-        """Inverse of :meth:`to_dict` (positional, in field order)."""
-        try:
-            hops = list(starmap(HopTiming, data["hops"]))
-        except TypeError:
-            raise ValueError(
-                f"packet {data.get('packet_id')}: every hop must be "
-                "[node, arrival, start_service, departure]"
-            ) from None
-        return cls(
-            *map(data.__getitem__, _REQUIRED),
-            list(data["path"]),
-            hops,
-            data.get("flow_size_bytes"),
-            data.get("deadline"),
-        )
+def _columns(rows: Sequence[dict], first_hop: int) -> Dict[str, list]:
+    """``rows`` field by field, keyed like :class:`ScheduleColumns` (hop offsets
+    counted on from ``first_hop``); a malformed row raises one of :data:`_MALFORMED`."""
+    columns = {name: list(map(itemgetter(name), rows)) for name in _REQUIRED}
+    for name, kind in _KEYED.items():
+        if not all(map(isinstance, columns[name], repeat(kind))):
+            raise TypeError(f"{name} has the wrong type")
+    paths = list(map(tuple, map(itemgetter("path"), rows)))
+    routes = dict(zip(paths, paths))  # one tuple per distinct route, not per packet
+    columns["path"] = list(map(routes.__getitem__, paths))
+    columns["flow_size_bytes"] = list(map(methodcaller("get", "flow_size_bytes"), rows))
+    columns["deadline"] = list(map(methodcaller("get", "deadline"), rows))
+    hop_lists = list(map(itemgetter("hops"), rows))
+    hops = list(chain.from_iterable(hop_lists))
+    if not set(map(len, hops)) <= {4}:
+        raise ValueError("every hop must be [node, arrival, start_service, departure]")
+    columns["hop_offset"] = list(islice(accumulate(map(len, hop_lists), initial=first_hop), 1, None))
+    for index, name in enumerate(_PER_HOP):
+        columns[name] = list(map(itemgetter(index), hops))
+    return columns
 
 
 @dataclass(slots=True)
 class ScheduleColumns:
     """A schedule as a table: one list per field, read-only to consumers.
 
-    The first ten columns hold one entry per packet and mirror
-    :class:`PacketRecord` (``path`` as a tuple, so routes hash); packet ``j``
-    owns hops ``hop_offset[j]:hop_offset[j + 1]`` of the four per-hop
-    columns, which mirror :class:`HopTiming`.  Entries are the very objects
-    a record or file carried in, so the table is as lossless as the objects.
-    Only :meth:`extend` and :meth:`rows` convert between the table and the
-    record shape (``PacketRecord.to_dict``) that objects, JSON lines and
-    packets all go through.
+    The first ten columns hold one entry per packet, named like a row's keys
+    (``path`` as a tuple, so routes hash); packet ``j`` owns hops
+    ``hop_offset[j]:hop_offset[j + 1]`` of the four per-hop columns, which
+    hold a row's ``hops`` entries field by field.  Entries are the very
+    objects a row or file carried in, so the table is as lossless as the rows.
+    Only :meth:`extend` and :meth:`rows` convert between the two.
     """
 
     packet_id: List[int] = field(default_factory=list)
@@ -245,34 +146,31 @@ class ScheduleColumns:
     hop_start_service: List[Optional[float]] = field(default_factory=list)
     hop_departure: List[Optional[float]] = field(default_factory=list)
 
-    def extend(self, packets: Sequence[dict]) -> None:
-        """Append packets given in ``PacketRecord.to_dict`` shape, column-wise."""
-        for name in _REQUIRED:
-            getattr(self, name).extend(map(itemgetter(name), packets))
-        paths = list(map(tuple, map(itemgetter("path"), packets)))
-        routes = dict(zip(paths, paths))  # one tuple per distinct route, not per packet
-        self.path.extend(map(routes.__getitem__, paths))
-        self.flow_size_bytes.extend(map(methodcaller("get", "flow_size_bytes"), packets))
-        self.deadline.extend(map(methodcaller("get", "deadline"), packets))
-        hop_lists = list(map(itemgetter("hops"), packets))
+    def extend(self, rows: Sequence[dict]) -> None:
+        """Append ``rows`` column-wise.
+
+        Raises:
+            ValueError: naming the packet of the first malformed row (a
+                missing key, a ``path`` or ``hops`` of the wrong shape, a
+                non-integer id, a non-numeric time); nothing is appended.
+        """
         try:
-            hops = list(chain.from_iterable(hop_lists))
-            well_formed = set(map(len, hops)) <= {4}
-        except TypeError:
-            well_formed = False
-        if not well_formed:
-            for packet in packets:
-                PacketRecord.from_dict(packet)  # raises the ValueError naming the packet
-            raise ValueError("every hop must be [node, arrival, start_service, departure]")
-        counts = accumulate(map(len, hop_lists), initial=self.hop_offset[-1])
-        self.hop_offset.extend(islice(counts, 1, None))
-        self.hop_node.extend(map(itemgetter(0), hops))
-        self.hop_arrival.extend(map(itemgetter(1), hops))
-        self.hop_start_service.extend(map(itemgetter(2), hops))
-        self.hop_departure.extend(map(itemgetter(3), hops))
+            columns = _columns(rows, self.hop_offset[-1])
+        except _MALFORMED:
+            for row in rows:
+                try:
+                    _columns([row], 0)
+                except _MALFORMED as error:
+                    packet = row.get("packet_id") if isinstance(row, dict) else None
+                    raise ValueError(
+                        f"packet {packet!r}: malformed row ({type(error).__name__}: {error})"
+                    ) from None
+            raise
+        for name, values in columns.items():
+            getattr(self, name).extend(values)
 
     def rows(self, positions: Iterable[int]) -> Iterator[dict]:
-        """The packets at ``positions`` in ``PacketRecord.to_dict`` shape."""
+        """The packets at ``positions`` as rows."""
         off = self.hop_offset
         timings = [getattr(self, name) for name in _PER_HOP]
         for j in positions:
@@ -307,23 +205,21 @@ class ScheduleColumns:
 
 
 class Schedule:
-    """A set of packet records indexed by packet id, stored as columns.
+    """A set of packets indexed by packet id, stored as columns.
 
-    :class:`ScheduleColumns` is the only storage.  :class:`PacketRecord` /
-    :class:`HopTiming` objects are read-only *views*: snapshots built from
-    the columns on each request, never kept or written back.  Storage order
-    is the canonical ``(ingress_time, packet_id)`` order whatever order
-    records were added in, so every walk and float fold over a fresh
-    recording and over its cache-loaded twin agrees to the bit.
+    :class:`ScheduleColumns` is the only storage; rows are built from it on
+    request and never read back.  Storage order is the canonical
+    ``(ingress_time, packet_id)`` order whatever order rows came in, so
+    every walk and float fold over a fresh recording and over its
+    cache-loaded twin agrees to the bit.  ``Schedule()`` is the empty
+    schedule.
     """
 
-    def __init__(self, records: Optional[Iterable[PacketRecord]] = None) -> None:
+    def __init__(self) -> None:
         #: ``(key, arrays)`` a replay backend derived from the columns for
-        #: its next replay of this schedule; dropped by ``add``.
+        #: its next replay of this schedule.
         self.derived: Optional[tuple] = None
         self._adopt(ScheduleColumns())
-        for record in records or ():
-            self.add(record)
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -340,8 +236,6 @@ class Schedule:
         self._index: Dict[int, int] = index
         #: Whether ``_cols`` is known to be in canonical order (:meth:`columns`).
         self._sorted = False
-        #: Whether a replay result shares these lists: ``add`` copies first.
-        self._shared = False
         return self
 
     @classmethod
@@ -349,16 +243,16 @@ class Schedule:
         """A schedule stored in ``cols`` (adopted, not copied; any packet order)."""
         return cls()._adopt(cols)
 
-    def add(self, record: PacketRecord) -> None:
-        """Insert a record (packet ids must be unique)."""
-        if record.packet_id in self._index:
-            raise ValueError(f"duplicate packet id {record.packet_id} in schedule")
-        if self._shared:
-            self._adopt(self._cols.take(range(len(self))))
-        self._index[record.packet_id] = len(self)
-        self._cols.extend([record.to_dict()])
-        self._sorted = False
-        self.derived = None
+    @classmethod
+    def from_rows(cls, rows: Iterable[dict]) -> "Schedule":
+        """A schedule of ``rows``, given in any order.
+
+        Raises:
+            ValueError: a malformed row or a duplicate packet id, naming the packet.
+        """
+        cols = ScheduleColumns()
+        cols.extend(list(rows))
+        return cls.from_columns(cols)
 
     def with_timings(self, **timings: list) -> "Schedule":
         """This schedule's packets under new timing columns — a replay's result.
@@ -373,8 +267,7 @@ class Schedule:
             exited = [j for j, t in enumerate(cols.output_time) if t is not None]
             return Schedule.from_columns(cols.take(exited))
         replayed = Schedule()
-        replayed._cols, replayed._index = cols, self._index
-        replayed._sorted = replayed._shared = self._shared = True
+        replayed._cols, replayed._index, replayed._sorted = cols, self._index, True
         return replayed
 
     @classmethod
@@ -417,9 +310,7 @@ class Schedule:
             )
         # Delivery order in, canonical order stored: nothing re-sorts later.
         rows.sort(key=itemgetter("ingress_time", "packet_id"))
-        cols = ScheduleColumns()
-        cols.extend(rows)
-        return cls.from_columns(cols)
+        return cls.from_rows(rows)
 
     @classmethod
     def from_tracer(cls, tracer: Tracer, data_only: bool = True) -> "Schedule":
@@ -432,7 +323,7 @@ class Schedule:
     # ------------------------------------------------------------------ #
     def columns(self) -> ScheduleColumns:
         """The storage itself, in canonical order.  Treat as read-only."""
-        if not self._sorted:  # adopted or added to since the order was last checked
+        if not self._sorted:  # adopted since the order was last checked
             keys = list(zip(self._cols.ingress_time, self._cols.packet_id))
             if not all(map(le, keys, islice(keys, 1, None))):
                 self._adopt(self._cols.take(sorted(range(len(keys)), key=keys.__getitem__)))
@@ -444,47 +335,40 @@ class Schedule:
         self.columns()
         return list(map(self._index.get, packet_ids))
 
-    def queueing_delays(self) -> List[float]:
-        """Each packet's :attr:`PacketRecord.total_queueing_delay`, by row:
-        the same left fold over the same per-hop floats, read off the columns."""
+    def _waits(self) -> List[float]:
+        """Each hop's queueing delay, by hop row: never served means never waited."""
         cols = self.columns()
-        waits = [  # HopTiming.queueing_delay: never served means never waited
+        return [
             0.0 if start is None else start - arrival
             for start, arrival in zip(cols.hop_start_service, cols.hop_arrival)
         ]
-        off = cols.hop_offset
-        return [left_sum(waits[first:last]) for first, last in zip(off, islice(off, 1, None))]
 
-    def _view(self, row: int) -> PacketRecord:
-        (data,) = self._cols.rows((row,))
-        return PacketRecord.from_dict(data)
+    def _per_packet(self, hop_values: list) -> Iterator[list]:
+        """``hop_values`` (one per hop row) cut into each packet's slice, by row."""
+        off = self.columns().hop_offset
+        return map(hop_values.__getitem__, map(slice, off, islice(off, 1, None)))
+
+    def queueing_delays(self) -> List[float]:
+        """Each packet's total queueing delay, by row: a left fold of its hops' waits."""
+        return list(map(left_sum, self._per_packet(self._waits())))
 
     def __len__(self) -> int:
         return len(self._index)
 
-    def __iter__(self) -> Iterator[PacketRecord]:
-        return iter(self.records())
+    def __iter__(self) -> Iterator[dict]:
+        """Every packet's row, in canonical order: by ingress time, then packet
+        id, hops in hop-index order — the storage order, and the walk order of
+        the first-divergence comparator (:mod:`repro.diff`), of replay
+        injection and of the on-disk format."""
+        return self.columns().rows(range(len(self)))
 
     def __contains__(self, packet_id: int) -> bool:
         return packet_id in self._index
 
-    def record(self, packet_id: int) -> PacketRecord:
-        """The record for ``packet_id`` (raises ``KeyError`` if absent)."""
-        return self._view(self._index[packet_id])
-
-    def get(self, packet_id: int) -> Optional[PacketRecord]:
-        """The record for ``packet_id``, or ``None``."""
-        row = self._index.get(packet_id)
-        return None if row is None else self._view(row)
-
-    def records(self) -> List[PacketRecord]:
-        """All records in canonical order: by ingress time, then packet id,
-        hops in hop-index order — the storage order, and the walk order of
-        the first-divergence comparator (:mod:`repro.diff`), of replay
-        injection and of the on-disk format."""
-        rows = self.columns().rows(range(len(self)))
-        with paused_gc():
-            return list(map(PacketRecord.from_dict, rows))
+    def row(self, packet_id: int) -> dict:
+        """The row of ``packet_id`` (raises ``KeyError`` if absent)."""
+        (data,) = self._cols.rows((self._index[packet_id],))
+        return data
 
     def packet_ids(self) -> List[int]:
         """All packet ids present in the schedule."""
@@ -494,22 +378,13 @@ class Schedule:
     # Analysis
     # ------------------------------------------------------------------ #
     def max_congestion_points(self, epsilon: float = 1e-12) -> int:
-        """Largest per-packet congestion-point count in the schedule."""
-        return max((r.congestion_points(epsilon) for r in self), default=0)
+        """Most congestion points any one packet crossed.
 
-    def congestion_point_histogram(self, epsilon: float = 1e-12) -> Dict[int, int]:
-        """Histogram mapping congestion-point count to number of packets."""
-        return dict(Counter(record.congestion_points(epsilon) for record in self))
-
-    def time_span(self) -> Tuple[float, float]:
-        """(earliest ingress, latest output) across all records."""
-        if not self._index:
-            return (0.0, 0.0)
-        return (min(self._cols.ingress_time), max(self._cols.output_time))
-
-    def total_bytes(self) -> float:
-        """Sum of all packet sizes in the schedule."""
-        return sum(self.columns().size_bytes)
+        A congestion point is "a node where a packet is forced to wait during
+        a given schedule": a hop whose wait exceeds ``epsilon``.
+        """
+        waited = [wait > epsilon for wait in self._waits()]
+        return max(map(sum, self._per_packet(waited)), default=0)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"<Schedule packets={len(self)}>"
@@ -594,7 +469,7 @@ def save_schedule_sharded(
 
     ``path`` must end in :data:`MANIFEST_SUFFIX`; shards land next to it as
     ``<key>.shard-<i>.jsonl.gz``, each a self-contained ``repro-schedule/1``
-    file covering ``shard_packets`` consecutive records of the canonical
+    file covering ``shard_packets`` consecutive packets of the canonical
     ``(ingress_time, packet_id)`` order (so shard boundaries are ingress-time
     chunks and concatenating shards in manifest order reproduces the
     canonical stream exactly).  Every shard is written — atomically — before
@@ -641,19 +516,32 @@ def load_manifest(path: Union[str, "os.PathLike"]) -> dict:
         line = stream.readline()
     if not line.strip():
         raise ValueError(f"{path}: empty manifest file")
-    manifest = json.loads(line)
-    if manifest.get("format") != MANIFEST_FORMAT:
-        raise ValueError(
-            f"{path}: not a {MANIFEST_FORMAT} file (format={manifest.get('format')!r})"
-        )
-    shards = manifest["shards"]
+    manifest = _tagged_object(line, path, MANIFEST_FORMAT)
+    shards = manifest.get("shards")
+    if not isinstance(shards, list) or not all(
+        isinstance(shard, dict)
+        and isinstance(shard.get("file"), str)
+        and isinstance(shard.get("packets"), int)
+        for shard in shards
+    ):
+        raise ValueError(f"{path}: manifest shards must be a list of {{file, packets}} objects")
     total = sum(shard["packets"] for shard in shards)
-    if total != manifest["packets"]:
+    if total != manifest.get("packets"):
         raise ValueError(
-            f"{path}: manifest promises {manifest['packets']} packets but its "
+            f"{path}: manifest promises {manifest.get('packets')} packets but its "
             f"shards sum to {total}"
         )
     return manifest
+
+
+def _tagged_object(line: str, path: str, tag: str) -> dict:
+    """The JSON object on a stored file's first ``line``, which must carry ``"format": tag``."""
+    data = json.loads(line)
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: not a {tag} file (its first line is not a JSON object)")
+    if data.get("format") != tag:
+        raise ValueError(f"{path}: not a {tag} file (format={data.get('format')!r})")
+    return data
 
 
 def _read_header(stream: io.TextIOBase, path: str) -> dict:
@@ -661,12 +549,7 @@ def _read_header(stream: io.TextIOBase, path: str) -> dict:
     header_line = stream.readline()
     if not header_line:
         raise ValueError(f"{path}: empty schedule file")
-    header = json.loads(header_line)
-    if header.get("format") != SCHEDULE_FORMAT:
-        raise ValueError(
-            f"{path}: not a {SCHEDULE_FORMAT} file (format={header.get('format')!r})"
-        )
-    return header
+    return _tagged_object(header_line, path, SCHEDULE_FORMAT)
 
 
 def _check_counts(path: str, header: dict, promised: Optional[int], count: int) -> None:
@@ -717,11 +600,10 @@ def _decoded_parts(
 ) -> Iterator[Tuple[List[dict], Optional[tuple]]]:
     """The one decode loop: every part of :func:`_stored_files`, in order.
 
-    Yields ``(packets, None)`` per batch of stored packets (in
-    ``PacketRecord.to_dict`` shape) and ``([], part)`` at each file's end,
-    ``part`` being the :func:`_check_counts` arguments for that file.  A
-    consumer must drop ``packets`` before advancing, or it keeps one batch's
-    JSON objects alive while the next batch is parsed.
+    Yields ``(packets, None)`` per batch of stored rows and ``([], part)``
+    at each file's end, ``part`` being the :func:`_check_counts` arguments
+    for that file.  A consumer must drop ``packets`` before advancing, or it
+    keeps one batch's JSON objects alive while the next batch is parsed.
 
     A corrupt deflate stream raises ``ValueError`` (never ``zlib.error``),
     so every reader's "malformed file" handling covers it.
@@ -755,7 +637,7 @@ def iter_schedule_columns(path: Union[str, "os.PathLike"]) -> Iterator[ScheduleC
 
     Raises the same errors as :func:`load_schedule` on malformed input (a
     file's counts are checked when its last batch has been consumed):
-    ``ValueError`` for truncated or foreign files, ``OSError`` (e.g.
+    ``ValueError`` for truncated, foreign or malformed files, ``OSError`` (e.g.
     ``FileNotFoundError``) for a shard the manifest names but the directory
     lacks.  Unlike :func:`load_schedule` it never pauses the collector — a
     generator would leave it paused in its caller's code between batches.
@@ -776,7 +658,15 @@ def load_schedule(path: Union[str, "os.PathLike"]) -> Tuple[Schedule, dict]:
     Manifest paths (ending in :data:`MANIFEST_SUFFIX`) load every shard and
     return a schedule identical to the single-file form — shard layout is
     storage, not content.  Lines decode straight into the schedule's
-    columns; no :class:`PacketRecord` is built.
+    columns.
+
+    Raises:
+        ValueError: a truncated, foreign or malformed file (a row naming its
+            packet, a duplicate packet id, a header or manifest that is not a
+            JSON object of its format, a corrupt deflate stream).
+        EOFError: a gzip stream cut short.
+        OSError: an unreadable file, or a shard the manifest names but the
+            directory lacks.
 
     Returns:
         ``(schedule, meta)`` where ``meta`` is the free-form metadata stored

@@ -29,12 +29,12 @@ congestion point of the proofs.  All other links are effectively instant
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Sequence, Tuple
 
 import networkx as nx
 
-from repro.core.schedule import HopTiming, PacketRecord, Schedule
+from repro.core.schedule import Schedule
 from repro.topology.base import Topology
 from repro.utils.units import BITS_PER_BYTE
 
@@ -96,44 +96,32 @@ class TheoryExample:
         return self.schedules[0]
 
 
-def _record(
+def _row(
     packet_id: int,
     src: str,
     dst: str,
     path: Sequence[str],
     ingress: float,
     output: float,
-    hops: Optional[Sequence[Tuple[str, float, float]]] = None,
-    flow_id: Optional[int] = None,
-) -> PacketRecord:
-    """Create a hand-built packet record.
+    hops: Sequence[Tuple[str, float, float]] = (),
+) -> dict:
+    """A hand-built schedule row of one unit packet, alone in its flow.
 
     ``hops`` lists ``(node, arrival_time, service_time)`` triples for the
     congestion points the packet visits (used by the priority-cycle detector
     and for congestion-point counting).
     """
-    hop_timings = []
-    if hops:
-        for node, arrival, service in hops:
-            hop_timings.append(
-                HopTiming(
-                    node=node,
-                    arrival_time=arrival,
-                    start_service_time=service,
-                    departure_time=None,
-                )
-            )
-    return PacketRecord(
-        packet_id=packet_id,
-        flow_id=flow_id if flow_id is not None else packet_id,
-        src=src,
-        dst=dst,
-        size_bytes=UNIT_PACKET_BYTES,
-        ingress_time=ingress,
-        output_time=output,
-        path=list(path),
-        hops=hop_timings,
-    )
+    return {
+        "packet_id": packet_id,
+        "flow_id": packet_id,
+        "src": src,
+        "dst": dst,
+        "size_bytes": UNIT_PACKET_BYTES,
+        "ingress_time": ingress,
+        "output_time": output,
+        "path": list(path),
+        "hops": [(node, arrival, service, None) for node, arrival, service in hops],
+    }
 
 
 # ---------------------------------------------------------------------- #
@@ -195,39 +183,39 @@ def appendix_c_example() -> TheoryExample:
     a0, a1, a2, a3, a4 = (segments[i][0] for i in range(5))
 
     # Case 1: a scheduled before x at alpha0.
-    case1 = Schedule(
+    case1 = Schedule.from_rows(
         [
-            _record(1, "SA", "DA", path_a, 0.0, 5.0,
-                    hops=[(a0, 0.0, 0.0), (a1, 1.0, 1.0), (a2, 2.0, 4.0)]),
-            _record(2, "SX", "DX", path_x, 0.0, 4.0,
-                    hops=[(a0, 0.0, 1.0), (a3, 2.0, 2.0), (a4, 3.0, 3.0)]),
-            _record(3, "SB", "DB", path_b, 2.0, 3.0, hops=[(a1, 2.0, 2.0)]),
-            _record(4, "SB", "DB", path_b, 3.0, 4.0, hops=[(a1, 3.0, 3.0)]),
-            _record(5, "SB", "DB", path_b, 4.0, 5.0, hops=[(a1, 4.0, 4.0)]),
-            _record(6, "SC", "DC", path_c, 2.0, 3.0, hops=[(a2, 2.0, 2.0)]),
-            _record(7, "SC", "DC", path_c, 3.0, 4.0, hops=[(a2, 3.0, 3.0)]),
-            _record(8, "SY", "DY", path_y, 2.0, 4.0, hops=[(a3, 2.0, 3.0)]),
-            _record(9, "SY", "DY", path_y, 3.0, 5.0, hops=[(a3, 3.0, 4.0)]),
-            _record(10, "SZ", "DZ", path_z, 2.0, 3.0, hops=[(a4, 2.0, 2.0)]),
+            _row(1, "SA", "DA", path_a, 0.0, 5.0,
+                 hops=[(a0, 0.0, 0.0), (a1, 1.0, 1.0), (a2, 2.0, 4.0)]),
+            _row(2, "SX", "DX", path_x, 0.0, 4.0,
+                 hops=[(a0, 0.0, 1.0), (a3, 2.0, 2.0), (a4, 3.0, 3.0)]),
+            _row(3, "SB", "DB", path_b, 2.0, 3.0, hops=[(a1, 2.0, 2.0)]),
+            _row(4, "SB", "DB", path_b, 3.0, 4.0, hops=[(a1, 3.0, 3.0)]),
+            _row(5, "SB", "DB", path_b, 4.0, 5.0, hops=[(a1, 4.0, 4.0)]),
+            _row(6, "SC", "DC", path_c, 2.0, 3.0, hops=[(a2, 2.0, 2.0)]),
+            _row(7, "SC", "DC", path_c, 3.0, 4.0, hops=[(a2, 3.0, 3.0)]),
+            _row(8, "SY", "DY", path_y, 2.0, 4.0, hops=[(a3, 2.0, 3.0)]),
+            _row(9, "SY", "DY", path_y, 3.0, 5.0, hops=[(a3, 3.0, 4.0)]),
+            _row(10, "SZ", "DZ", path_z, 2.0, 3.0, hops=[(a4, 2.0, 2.0)]),
         ]
     )
 
     # Case 2: x scheduled before a at alpha0.  a and x keep the same
     # (ingress, output, path) attributes as in case 1.
-    case2 = Schedule(
+    case2 = Schedule.from_rows(
         [
-            _record(1, "SA", "DA", path_a, 0.0, 5.0,
-                    hops=[(a0, 0.0, 1.0), (a1, 2.0, 2.0), (a2, 3.0, 4.0)]),
-            _record(2, "SX", "DX", path_x, 0.0, 4.0,
-                    hops=[(a0, 0.0, 0.0), (a3, 1.0, 1.0), (a4, 2.0, 3.0)]),
-            _record(3, "SB", "DB", path_b, 2.0, 4.0, hops=[(a1, 2.0, 3.0)]),
-            _record(4, "SB", "DB", path_b, 3.0, 5.0, hops=[(a1, 3.0, 4.0)]),
-            _record(5, "SB", "DB", path_b, 4.0, 6.0, hops=[(a1, 4.0, 5.0)]),
-            _record(6, "SC", "DC", path_c, 2.0, 3.0, hops=[(a2, 2.0, 2.0)]),
-            _record(7, "SC", "DC", path_c, 3.0, 4.0, hops=[(a2, 3.0, 3.0)]),
-            _record(8, "SY", "DY", path_y, 2.0, 3.0, hops=[(a3, 2.0, 2.0)]),
-            _record(9, "SY", "DY", path_y, 3.0, 4.0, hops=[(a3, 3.0, 3.0)]),
-            _record(10, "SZ", "DZ", path_z, 2.0, 3.0, hops=[(a4, 2.0, 2.0)]),
+            _row(1, "SA", "DA", path_a, 0.0, 5.0,
+                 hops=[(a0, 0.0, 1.0), (a1, 2.0, 2.0), (a2, 3.0, 4.0)]),
+            _row(2, "SX", "DX", path_x, 0.0, 4.0,
+                 hops=[(a0, 0.0, 0.0), (a3, 1.0, 1.0), (a4, 2.0, 3.0)]),
+            _row(3, "SB", "DB", path_b, 2.0, 4.0, hops=[(a1, 2.0, 3.0)]),
+            _row(4, "SB", "DB", path_b, 3.0, 5.0, hops=[(a1, 3.0, 4.0)]),
+            _row(5, "SB", "DB", path_b, 4.0, 6.0, hops=[(a1, 4.0, 5.0)]),
+            _row(6, "SC", "DC", path_c, 2.0, 3.0, hops=[(a2, 2.0, 2.0)]),
+            _row(7, "SC", "DC", path_c, 3.0, 4.0, hops=[(a2, 3.0, 3.0)]),
+            _row(8, "SY", "DY", path_y, 2.0, 3.0, hops=[(a3, 2.0, 2.0)]),
+            _row(9, "SY", "DY", path_y, 3.0, 4.0, hops=[(a3, 3.0, 3.0)]),
+            _row(10, "SZ", "DZ", path_z, 2.0, 3.0, hops=[(a4, 2.0, 2.0)]),
         ]
     )
 
@@ -279,14 +267,14 @@ def appendix_f_example() -> TheoryExample:
     path_b = ["SB", a1[0], a1[1], a2[0], a2[1], "DB"]
     path_c = ["SC", a2[0], a2[1], a3[0], a3[1], "DC"]
 
-    schedule = Schedule(
+    schedule = Schedule.from_rows(
         [
-            _record(1, "SA", "DA", path_a, 0.0, 3.4,
-                    hops=[(a1[0], 0.0, 0.0), (a3[0], 3.0, 3.2)]),
-            _record(2, "SB", "DB", path_b, 0.0, 2.5,
-                    hops=[(a1[0], 0.0, 1.0), (a2[0], 2.0, 2.0)]),
-            _record(3, "SC", "DC", path_c, 2.0, 3.2,
-                    hops=[(a2[0], 2.0, 2.5), (a3[0], 3.0, 3.0)]),
+            _row(1, "SA", "DA", path_a, 0.0, 3.4,
+                 hops=[(a1[0], 0.0, 0.0), (a3[0], 3.0, 3.2)]),
+            _row(2, "SB", "DB", path_b, 0.0, 2.5,
+                 hops=[(a1[0], 0.0, 1.0), (a2[0], 2.0, 2.0)]),
+            _row(3, "SC", "DC", path_c, 2.0, 3.2,
+                 hops=[(a2[0], 2.0, 2.5), (a3[0], 3.0, 3.0)]),
         ]
     )
     return TheoryExample(
@@ -331,15 +319,15 @@ def appendix_g_example() -> TheoryExample:
     path_c = ["SC", a1[0], a1[1], "DC"]
     path_d = ["SD", a2[0], a2[1], "DD"]
 
-    schedule = Schedule(
+    schedule = Schedule.from_rows(
         [
-            _record(1, "SA", "DA", path_a, 0.0, 5.0,
-                    hops=[(a0[0], 0.0, 0.0), (a1[0], 1.0, 1.0), (a2[0], 2.0, 4.0)]),
-            _record(2, "SB", "DB", path_b, 0.0, 2.0, hops=[(a0[0], 0.0, 1.0)]),
-            _record(3, "SC", "DC", path_c, 2.0, 3.0, hops=[(a1[0], 2.0, 2.0)]),
-            _record(4, "SC", "DC", path_c, 3.0, 4.0, hops=[(a1[0], 3.0, 3.0)]),
-            _record(5, "SD", "DD", path_d, 2.0, 3.0, hops=[(a2[0], 2.0, 2.0)]),
-            _record(6, "SD", "DD", path_d, 3.0, 4.0, hops=[(a2[0], 3.0, 3.0)]),
+            _row(1, "SA", "DA", path_a, 0.0, 5.0,
+                 hops=[(a0[0], 0.0, 0.0), (a1[0], 1.0, 1.0), (a2[0], 2.0, 4.0)]),
+            _row(2, "SB", "DB", path_b, 0.0, 2.0, hops=[(a0[0], 0.0, 1.0)]),
+            _row(3, "SC", "DC", path_c, 2.0, 3.0, hops=[(a1[0], 2.0, 2.0)]),
+            _row(4, "SC", "DC", path_c, 3.0, 4.0, hops=[(a1[0], 3.0, 3.0)]),
+            _row(5, "SD", "DD", path_d, 2.0, 3.0, hops=[(a2[0], 2.0, 2.0)]),
+            _row(6, "SD", "DD", path_d, 3.0, 4.0, hops=[(a2[0], 3.0, 3.0)]),
         ]
     )
     return TheoryExample(
@@ -368,16 +356,15 @@ def priority_order_constraints(schedule: Schedule, epsilon: float = 1e-12) -> nx
     Returns a directed graph over packet ids; a cycle in this graph proves
     that no static priority assignment can reproduce the schedule.
     """
+    cols = schedule.columns()
+    off = cols.hop_offset
+    owners = [pid for pid, first, last in zip(cols.packet_id, off, off[1:]) for _ in range(first, last)]
     graph = nx.DiGraph()
+    graph.add_nodes_from(cols.packet_id)
     per_node: Dict[str, List[Tuple[float, float, int]]] = {}
-    for record in schedule:
-        graph.add_node(record.packet_id)
-        for hop in record.hops:
-            if hop.start_service_time is None:
-                continue
-            per_node.setdefault(hop.node, []).append(
-                (hop.arrival_time, hop.start_service_time, record.packet_id)
-            )
+    for node, arrival, start, pid in zip(cols.hop_node, cols.hop_arrival, cols.hop_start_service, owners):
+        if start is not None:
+            per_node.setdefault(node, []).append((arrival, start, pid))
     for node, entries in per_node.items():
         for arrival_p, service_p, pid in entries:
             for arrival_q, service_q, qid in entries:
@@ -394,15 +381,15 @@ def has_priority_cycle(schedule: Schedule) -> bool:
     return not nx.is_directed_acyclic_graph(graph)
 
 
-def blackbox_attributes(record: PacketRecord) -> Tuple[float, float, Tuple[str, ...]]:
-    """The information available to black-box initialization: ``(i, o, path)``."""
-    return (record.ingress_time, record.output_time, tuple(record.path))
+def blackbox_attributes(row: dict) -> Tuple[float, float, Tuple[str, ...]]:
+    """The information available to black-box initialization: ``(i, o, path)`` of a row."""
+    return (row["ingress_time"], row["output_time"], tuple(row["path"]))
 
 
 def identical_blackbox_views(
     schedule_a: Schedule, schedule_b: Schedule, packet_id: int
 ) -> bool:
     """Whether a packet looks identical to black-box initialization in two schedules."""
-    return blackbox_attributes(schedule_a.record(packet_id)) == blackbox_attributes(
-        schedule_b.record(packet_id)
+    return blackbox_attributes(schedule_a.row(packet_id)) == blackbox_attributes(
+        schedule_b.row(packet_id)
     )

@@ -3,10 +3,10 @@
 The whole pipeline is verified by digest equality — golden cache keys,
 golden rows, the benchmark's rows digests — but a digest mismatch only says
 *that* two schedules differ, not *where*.  This module walks two schedules
-in canonical ``(ingress_time, packet_id, hop_index)`` order
-(:meth:`repro.core.schedule.Schedule.records`) and halts at the
-**first divergent packet**, reporting a field-level diff plus the ordering
-context around the divergence.
+row by row in canonical ``(ingress_time, packet_id, hop_index)`` order
+(the order iterating a :class:`~repro.core.schedule.Schedule` yields) and
+halts at the **first divergent packet**, reporting a field-level diff plus
+the ordering context around the divergence.
 
 Invariants (modeled on replay-engine debuggers):
 
@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from repro.core.schedule import PacketRecord, Schedule
+from repro.core.schedule import Schedule
 
 #: Default number of preceding packets reported per side at the divergent port.
 DEFAULT_CONTEXT = 8
@@ -36,6 +36,8 @@ DEFAULT_CONTEXT = 8
 #: Identity fields lead (a packet that changed size or route diverged before
 #: any timing did), then ingress, then the hop timings, then egress.
 _IDENTITY_FIELDS = ("src", "dst", "size_bytes", "flow_id", "flow_size_bytes", "deadline")
+#: The names of a row's ``hops`` entries, in entry order (``hops[i].<name>`` labels).
+_HOP_FIELDS = ("node", "arrival_time", "start_service_time", "departure_time")
 
 
 @dataclass(frozen=True)
@@ -201,42 +203,40 @@ def _values_differ(a: object, b: object, tolerance: float) -> bool:
     return a != b
 
 
-def _record_field_diffs(
-    rec_a: PacketRecord, rec_b: PacketRecord, tolerance: float
-) -> List[FieldDiff]:
-    """Every divergent field of one packet, in canonical comparison order."""
+def _row_field_diffs(row_a: dict, row_b: dict, tolerance: float) -> List[FieldDiff]:
+    """Every divergent field of one packet's two rows, in canonical comparison order."""
     diffs: List[FieldDiff] = []
     for name in _IDENTITY_FIELDS:
-        value_a, value_b = getattr(rec_a, name), getattr(rec_b, name)
+        value_a, value_b = row_a[name], row_b[name]
         if _values_differ(value_a, value_b, tolerance):
             diffs.append(FieldDiff(name, value_a, value_b))
-    if list(rec_a.path) != list(rec_b.path):
-        diffs.append(FieldDiff("path", list(rec_a.path), list(rec_b.path)))
-    if _values_differ(rec_a.ingress_time, rec_b.ingress_time, tolerance):
-        diffs.append(FieldDiff("ingress_time", rec_a.ingress_time, rec_b.ingress_time))
-    for hop_index in range(max(len(rec_a.hops), len(rec_b.hops))):
-        hop_a = rec_a.hops[hop_index] if hop_index < len(rec_a.hops) else None
-        hop_b = rec_b.hops[hop_index] if hop_index < len(rec_b.hops) else None
+    if list(row_a["path"]) != list(row_b["path"]):
+        diffs.append(FieldDiff("path", list(row_a["path"]), list(row_b["path"])))
+    if _values_differ(row_a["ingress_time"], row_b["ingress_time"], tolerance):
+        diffs.append(FieldDiff("ingress_time", row_a["ingress_time"], row_b["ingress_time"]))
+    hops_a, hops_b = row_a["hops"], row_b["hops"]
+    for hop_index in range(max(len(hops_a), len(hops_b))):
+        hop_a = hops_a[hop_index] if hop_index < len(hops_a) else None
+        hop_b = hops_b[hop_index] if hop_index < len(hops_b) else None
         if hop_a is None or hop_b is None:
             diffs.append(
                 FieldDiff(
                     f"hops[{hop_index}]",
-                    hop_a.to_list() if hop_a is not None else None,
-                    hop_b.to_list() if hop_b is not None else None,
+                    list(hop_a) if hop_a is not None else None,
+                    list(hop_b) if hop_b is not None else None,
                 )
             )
             continue
-        for attr in ("node", "arrival_time", "start_service_time", "departure_time"):
-            value_a, value_b = getattr(hop_a, attr), getattr(hop_b, attr)
+        for name, value_a, value_b in zip(_HOP_FIELDS, hop_a, hop_b):
             if _values_differ(value_a, value_b, tolerance):
-                diffs.append(FieldDiff(f"hops[{hop_index}].{attr}", value_a, value_b))
-    if _values_differ(rec_a.output_time, rec_b.output_time, tolerance):
-        diffs.append(FieldDiff("output_time", rec_a.output_time, rec_b.output_time))
+                diffs.append(FieldDiff(f"hops[{hop_index}].{name}", value_a, value_b))
+    if _values_differ(row_a["output_time"], row_b["output_time"], tolerance):
+        diffs.append(FieldDiff("output_time", row_a["output_time"], row_b["output_time"]))
     return diffs
 
 
 def _divergent_port(
-    diffs: List[FieldDiff], rec_a: Optional[PacketRecord], rec_b: Optional[PacketRecord]
+    diffs: List[FieldDiff], row_a: Optional[dict], row_b: Optional[dict]
 ) -> Optional[str]:
     """The node at which the first divergent field manifests.
 
@@ -244,25 +244,23 @@ def _divergent_port(
     ingress, egress) is attributed to the packet's last recorded hop — the
     port whose service completed the packet.
     """
-    record = rec_a if rec_a is not None and rec_a.hops else rec_b
+    row = row_a if row_a is not None and row_a["hops"] else row_b
     for diff in diffs:
         if diff.field.startswith("hops["):
             hop_index = int(diff.field[len("hops[") :].split("]", 1)[0])
-            for candidate in (rec_a, rec_b):
-                if candidate is not None and hop_index < len(candidate.hops):
-                    return candidate.hops[hop_index].node
-    if record is not None and record.hops:
-        return record.hops[-1].node
+            for candidate in (row_a, row_b):
+                if candidate is not None and hop_index < len(candidate["hops"]):
+                    return candidate["hops"][hop_index][0]
+    if row is not None and row["hops"]:
+        return row["hops"][-1][0]
     return None
 
 
-def _service_time_at(record: PacketRecord, node: str) -> Optional[float]:
-    """When ``record``'s packet was served at ``node`` (first visit)."""
-    for hop in record.hops:
-        if hop.node == node:
-            if hop.start_service_time is not None:
-                return hop.start_service_time
-            return hop.arrival_time
+def _service_time_at(row: dict, node: str) -> Optional[float]:
+    """When ``row``'s packet was served at ``node`` (first visit)."""
+    for hop_node, arrival, start, _ in row["hops"]:
+        if hop_node == node:
+            return start if start is not None else arrival
     return None
 
 
@@ -277,36 +275,32 @@ def _port_context(
 
     ``before=None`` (the divergent packet never reached the port on this
     side) reports the port's final ``limit`` packets instead, which is what
-    a drop investigation wants to see.
+    a drop investigation wants to see.  Scans the hop columns; each packet
+    counts at its first visit to ``node``.
     """
-    entries: List[Tuple[float, int, PortNeighbor]] = []
-    for record in schedule.records():
-        if record.packet_id == exclude_packet:
+    cols = schedule.columns()
+    off = cols.hop_offset
+    entries: List[Tuple[float, int, int, int]] = []
+    for j, packet_id in enumerate(cols.packet_id):
+        nodes = cols.hop_node[off[j] : off[j + 1]]
+        if packet_id == exclude_packet or node not in nodes:
             continue
-        for hop in record.hops:
-            if hop.node == node:
-                when = (
-                    hop.start_service_time
-                    if hop.start_service_time is not None
-                    else hop.arrival_time
-                )
-                if before is None or when < before:
-                    entries.append(
-                        (
-                            when,
-                            record.packet_id,
-                            PortNeighbor(
-                                packet_id=record.packet_id,
-                                flow_id=record.flow_id,
-                                arrival_time=hop.arrival_time,
-                                start_service_time=hop.start_service_time,
-                                departure_time=hop.departure_time,
-                            ),
-                        )
-                    )
-                break
-    entries.sort(key=lambda item: (item[0], item[1]))
-    return [neighbor for _, _, neighbor in entries[-limit:]]
+        hop = off[j] + nodes.index(node)
+        start = cols.hop_start_service[hop]
+        when = start if start is not None else cols.hop_arrival[hop]
+        if before is None or when < before:
+            entries.append((when, packet_id, j, hop))
+    entries.sort()  # by (when, packet id): ids are unique
+    return [
+        PortNeighbor(
+            packet_id=packet_id,
+            flow_id=cols.flow_id[j],
+            arrival_time=cols.hop_arrival[hop],
+            start_service_time=cols.hop_start_service[hop],
+            departure_time=cols.hop_departure[hop],
+        )
+        for _, packet_id, j, hop in entries[-limit:]
+    ]
 
 
 def first_divergence(
@@ -342,60 +336,36 @@ def first_divergence(
         :class:`Divergence` at the first mismatch (first divergence wins —
         everything after it is unreported by design).
     """
+    rows_a = {row["packet_id"]: row for row in a}
+    rows_b = {row["packet_id"]: row for row in b}
 
     def _order_key(packet_id: int) -> Tuple[float, int]:
-        record = a.get(packet_id)
-        if record is None:
-            record = b.record(packet_id)
-        return (record.ingress_time, packet_id)
+        return ((rows_a.get(packet_id) or rows_b[packet_id])["ingress_time"], packet_id)
 
-    union = sorted(set(a.packet_ids()) | set(b.packet_ids()), key=_order_key)
-    for index, packet_id in enumerate(union):
-        rec_a, rec_b = a.get(packet_id), b.get(packet_id)
-        if rec_a is None or rec_b is None:
-            present = rec_b if rec_a is None else rec_a
-            port = _divergent_port([], rec_a, rec_b)
-            before_a = _service_time_at(rec_a, port) if rec_a and port else None
-            before_b = _service_time_at(rec_b, port) if rec_b and port else None
-            return Divergence(
-                packet_id=packet_id,
-                flow_id=present.flow_id,
-                index=index,
-                kind="missing",
-                missing_in="a" if rec_a is None else "b",
-                port=port,
-                context_a=_port_context(a, port, before_a, packet_id, context)
-                if port
-                else [],
-                context_b=_port_context(b, port, before_b, packet_id, context)
-                if port
-                else [],
-                packets_a=len(a),
-                packets_b=len(b),
-                label_a=label_a,
-                label_b=label_b,
-            )
-        diffs = _record_field_diffs(rec_a, rec_b, tolerance)
-        if diffs:
-            port = _divergent_port(diffs, rec_a, rec_b)
-            before_a = _service_time_at(rec_a, port) if port else None
-            before_b = _service_time_at(rec_b, port) if port else None
-            return Divergence(
-                packet_id=packet_id,
-                flow_id=rec_a.flow_id,
-                index=index,
-                kind="fields",
-                fields=diffs,
-                port=port,
-                context_a=_port_context(a, port, before_a, packet_id, context)
-                if port
-                else [],
-                context_b=_port_context(b, port, before_b, packet_id, context)
-                if port
-                else [],
-                packets_a=len(a),
-                packets_b=len(b),
-                label_a=label_a,
-                label_b=label_b,
-            )
+    for index, packet_id in enumerate(sorted(rows_a.keys() | rows_b.keys(), key=_order_key)):
+        row_a, row_b = rows_a.get(packet_id), rows_b.get(packet_id)
+        if row_a is None or row_b is None:
+            kind, diffs = "missing", []
+        else:
+            kind, diffs = "fields", _row_field_diffs(row_a, row_b, tolerance)
+            if not diffs:
+                continue
+        port = _divergent_port(diffs, row_a, row_b)
+        before_a = _service_time_at(row_a, port) if row_a and port else None
+        before_b = _service_time_at(row_b, port) if row_b and port else None
+        return Divergence(
+            packet_id=packet_id,
+            flow_id=(row_a or row_b)["flow_id"],
+            index=index,
+            kind=kind,
+            missing_in=None if kind == "fields" else "a" if row_a is None else "b",
+            fields=diffs,
+            port=port,
+            context_a=_port_context(a, port, before_a, packet_id, context) if port else [],
+            context_b=_port_context(b, port, before_b, packet_id, context) if port else [],
+            packets_a=len(a),
+            packets_b=len(b),
+            label_a=label_a,
+            label_b=label_b,
+        )
     return None

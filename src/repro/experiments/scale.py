@@ -8,7 +8,7 @@ ways:
 * ``stats`` cells fold the recorded schedule's quality metrics
   (:class:`~repro.core.metrics.StreamingScheduleStatistics`) over column
   ranges — the cache's shard files, a decoded batch at a time — so a cell
-  never materializes a per-packet list or a record object and peak RSS stays
+  never materializes a per-packet list or a row and peak RSS stays
   bounded by one shard;
 * ``replay`` cells are ordinary replay cells: the scenario's candidate UPS
   replays the schedule and :func:`~repro.core.metrics.compare_schedules`

@@ -327,9 +327,10 @@ class ScheduleCache:
         """Fetch the schedule for this cell, recording it on first use.
 
         A corrupt on-disk entry (truncated gzip, a corrupt deflate stream,
-        undecodable JSON, a packet count that does not match its header)
-        never aborts the run: the file is quarantined as
-        ``<key>.jsonl.gz.corrupt``, a warning is logged, and the entry is
+        undecodable JSON, a row or manifest field of the wrong shape or type,
+        a packet count that does not match its header) never aborts the run:
+        the file is quarantined as ``<key>.jsonl.gz.corrupt``, a warning is
+        logged, and the entry is
         re-recorded as if it had never existed.  A cache directory that
         cannot be written at all (read-only, disk full) — or a writer
         process that died — degrades the same way: the quarantine rename and
@@ -368,7 +369,7 @@ class ScheduleCache:
         if stored is not None:
             try:
                 schedule, _ = load_schedule(stored)
-            except (OSError, EOFError, ValueError, KeyError) as error:
+            except (OSError, EOFError, ValueError) as error:
                 self._quarantine(stored, error)
             else:
                 self._remember(key, schedule)

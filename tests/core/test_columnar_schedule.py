@@ -1,4 +1,4 @@
-"""The columnar ``Schedule``: on-disk contract, cold == warm, views, pickling.
+"""The columnar ``Schedule``: on-disk contract, cold == warm, rows, pickling.
 
 One module-scoped cold run of the 14 quick ``table1`` cells (seed 1) feeds
 every test here, so the whole file costs one recording pass.
@@ -12,7 +12,7 @@ import pytest
 
 from repro.core.metrics import compare_schedules, lateness_distribution
 from repro.core.replay import replay_schedule
-from repro.core.schedule import PacketRecord, Schedule, iter_schedule_columns, load_schedule
+from repro.core.schedule import Schedule, iter_schedule_columns, load_schedule
 from repro.diff import first_divergence
 from repro.experiments.config import ExperimentScale
 from repro.pipeline import ScheduleCache, default_registry
@@ -47,6 +47,13 @@ def test_on_disk_payload_is_pinned(table1_cold):
     assert hashlib.sha256(payload).hexdigest() == I2_PAYLOAD_SHA256
 
 
+def test_max_congestion_points_of_the_first_cell_is_pinned(table1_cold):
+    _, results = table1_cold
+    cell, cold = results[0]
+    assert cell.label.startswith("I2-1G-10G@70") and len(cold.original) == 990
+    assert cold.original.max_congestion_points() == 7
+
+
 def test_cold_and_warm_compare_equal_to_the_bit(table1_cold):
     """A fresh recording (delivery order in) and its cache-loaded twin
     (canonical order in) must score identically — floats, ratio order and all."""
@@ -62,40 +69,36 @@ def test_cold_and_warm_compare_equal_to_the_bit(table1_cold):
     assert warm_cache.misses == 0
 
 
-def test_warm_accelerated_replay_builds_no_record_objects(table1_cold, views_built):
+def test_warm_accelerated_replay_builds_no_record_objects(table1_cold):
     cache_dir, results = table1_cold
     cell, cold = results[0]
-    built = views_built
     with backend_scope("vectorized"):
         warm = replay_scenario(cell.spec, cell.mode, cache=ScheduleCache(cache_dir))
     assert warm.metrics == cold.metrics
-    assert not built, built
 
-    # The cursor's decode of the same file builds none either.
     batches = list(iter_schedule_columns(_entry_path(cache_dir, cell)))
     assert sum(len(cols.packet_id) for cols in batches) == len(warm.original)
-    assert not built, built
 
-    # Objects remain one call away, equal to what the object paths produce:
-    # views of the cursor's batches, and the reference engine's replay.
-    stored = [r for cols in batches for r in Schedule.from_columns(cols).records()]
-    assert warm.original.records() == stored
-    assert [warm.original.record(r.packet_id) for r in stored] == stored
-    assert built["PacketRecord"] >= len(stored)
+    # Rows are one call away, equal to what the other paths produce: rows of
+    # the cursor's batches, and the reference engine's replay.
+    stored = [row for cols in batches for row in Schedule.from_columns(cols)]
+    assert list(warm.original) == stored
+    assert [warm.original.row(row["packet_id"]) for row in stored] == stored
     reference = replay_schedule(cell.spec.build_topology(), warm.original, cell.mode, backend="python")
-    assert warm.replayed.records() == reference.records()
+    assert list(warm.replayed) == list(reference)
     assert first_divergence(warm.replayed, reference) is None
 
 
-def test_views_are_snapshots(table1_cold):
+def test_rows_are_snapshots(table1_cold):
     cache_dir, results = table1_cold
     schedule, _ = load_schedule(_entry_path(cache_dir, results[0][0]))
-    view = schedule.records()[0]
+    row = next(iter(schedule))
     stored_output = schedule.columns().output_time[0]
-    view.output_time += 1.0
-    view.hops.clear()
+    row["output_time"] += 1.0
+    row["hops"].clear()
     assert schedule.columns().output_time[0] == stored_output
     assert schedule.columns().hop_offset[1] > 0
+    assert schedule.row(row["packet_id"])["output_time"] == stored_output
 
 
 @pytest.mark.parametrize("which", ["recorded", "loaded", "kernel-wrapped"])
@@ -112,7 +115,7 @@ def test_pickle_round_trip(table1_cold, which):
         )
     clone = pickle.loads(pickle.dumps(schedule))
     assert clone.columns() == schedule.columns()
-    assert clone.records() == schedule.records()
+    assert list(clone) == list(schedule)
     assert len(clone) == len(schedule) and clone.packet_ids() == schedule.packet_ids()
     threshold = cold.metrics.threshold
     assert compare_schedules(cold.original, clone, threshold) == compare_schedules(
@@ -120,19 +123,18 @@ def test_pickle_round_trip(table1_cold, which):
     )
 
 
-def test_adding_to_a_replayed_schedule_leaves_the_original_alone(table1_cold):
+def test_a_replayed_schedule_shares_its_originals_identity_columns(table1_cold):
     """A kernel-wrapped replay shares its original's identity columns by
-    reference; growing either side must copy first."""
+    reference; a schedule built from either side's rows leaves both alone."""
     _, results = table1_cold
     cell, cold = results[0]
     original = cold.original
     replayed = replay_schedule(cell.spec.build_topology(), original, cell.mode, backend="vectorized")
     assert replayed.columns().packet_id is original.columns().packet_id
     before = len(original)
-    extra = PacketRecord(10**9, 0, "a", "b", 100.0, 0.0, 1.0, ["a", "b"])
-    replayed.add(extra)
-    assert len(replayed) == before + 1 and len(original) == before
-    assert len(original.columns().packet_id) == before
-    assert replayed.record(10**9) == extra
-    original.add(extra)
-    assert len(original.columns().packet_id) == before + 1 == len(replayed.columns().packet_id)
+    extra = {"packet_id": 10**9, "flow_id": 0, "src": "a", "dst": "b", "size_bytes": 100.0,
+             "ingress_time": 0.0, "output_time": 1.0, "path": ["a", "b"], "hops": []}
+    grown = Schedule.from_rows([*replayed, extra])
+    assert len(grown) == before + 1 and len(replayed) == len(original) == before
+    assert len(original.columns().packet_id) == before == len(replayed.columns().packet_id)
+    assert grown.row(10**9) == {**extra, "path": ("a", "b"), "flow_size_bytes": None, "deadline": None}

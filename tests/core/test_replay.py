@@ -47,10 +47,10 @@ class TestRecording:
         experiment = dumbbell_experiment()
         schedule = experiment.record()
         assert len(schedule) > 50
-        for record in schedule:
-            assert record.output_time > record.ingress_time
-            assert record.path[0] == record.src
-            assert record.path[-1] == record.dst
+        for row in schedule:
+            assert row["output_time"] > row["ingress_time"]
+            assert row["path"][0] == row["src"]
+            assert row["path"][-1] == row["dst"]
 
     def test_record_is_cached_across_replays(self):
         experiment = dumbbell_experiment()
@@ -107,11 +107,11 @@ class TestReplayModes:
         original = experiment.record()
         result = experiment.replay(mode="lstf")
         assert len(result.replayed) == len(original)
-        for record in original:
-            replayed = result.replayed.record(record.packet_id)
-            assert replayed.path == record.path
-            assert replayed.ingress_time == pytest.approx(record.ingress_time)
-            assert replayed.size_bytes == record.size_bytes
+        for row in original:
+            replayed = result.replayed.row(row["packet_id"])
+            assert replayed["path"] == row["path"]
+            assert replayed["ingress_time"] == pytest.approx(row["ingress_time"])
+            assert replayed["size_bytes"] == row["size_bytes"]
 
 
 class TestReplayQuality:

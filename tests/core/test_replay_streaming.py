@@ -16,7 +16,7 @@ from repro.core.replay import (
     replay_initializer,
     replay_scheduler_factory,
 )
-from repro.core.schedule import PacketRecord, Schedule
+from repro.core.schedule import Schedule
 from repro.core.slack import ZeroSlackInitializer
 from repro.sim.engine import Simulator
 from repro.sim.network import Network
@@ -38,17 +38,18 @@ class _LoggingInjector(ReplayInjector):
         self.injected += 1
 
 
-def _record(packet_id, ingress_time):
-    return PacketRecord(
-        packet_id=packet_id,
-        flow_id=packet_id,
-        src="src0",
-        dst="dst0",
-        size_bytes=1000.0,
-        ingress_time=ingress_time,
-        output_time=ingress_time + 1.0,
-        path=["src0", "dst0"],
-    )
+def _row(packet_id, ingress_time):
+    return {
+        "packet_id": packet_id,
+        "flow_id": packet_id,
+        "src": "src0",
+        "dst": "dst0",
+        "size_bytes": 1000.0,
+        "ingress_time": ingress_time,
+        "output_time": ingress_time + 1.0,
+        "path": ["src0", "dst0"],
+        "hops": [],
+    }
 
 
 def _random_schedule(rng, packets):
@@ -59,7 +60,7 @@ def _random_schedule(rng, packets):
             times.append(rng.choice(times))  # share an ingress time exactly
         else:
             times.append(rng.uniform(0.0, 2.0))
-    return Schedule(_record(index, time) for index, time in enumerate(times))
+    return Schedule.from_rows(_row(index, time) for index, time in enumerate(times))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
@@ -82,7 +83,7 @@ def test_streaming_matches_upfront_on_random_record_sets(seed):
 
 
 def test_streaming_keeps_heap_small():
-    schedule = Schedule(_record(index, float(index)) for index in range(50))
+    schedule = Schedule.from_rows(_row(index, float(index)) for index in range(50))
     sim = Simulator()
     injector = _LoggingInjector(sim, schedule)
     injector.install()
@@ -137,6 +138,4 @@ def test_full_replay_bit_identical_across_injectors():
 
     assert streaming.packet_ids() == upfront.packet_ids()
     for packet_id in streaming.packet_ids():
-        got = streaming.record(packet_id).to_dict()
-        want = upfront.record(packet_id).to_dict()
-        assert got == want  # exact, floats included
+        assert streaming.row(packet_id) == upfront.row(packet_id)  # exact, floats included

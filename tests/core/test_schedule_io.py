@@ -3,6 +3,9 @@
 import gc
 import json
 import os
+import re
+from functools import reduce
+from operator import add
 from unittest import mock
 
 import pytest
@@ -12,9 +15,8 @@ from hypothesis import strategies as st
 from repro.core import schedule as schedule_module
 from repro.core.replay import evaluate_replay
 from repro.core.schedule import (
+    MANIFEST_FORMAT,
     SCHEDULE_FORMAT,
-    HopTiming,
-    PacketRecord,
     Schedule,
     ScheduleColumns,
     iter_schedule_columns,
@@ -29,62 +31,55 @@ from repro.experiments import ExperimentScale
 from repro.topology.base import Topology, dumbbell_topology
 
 # --------------------------------------------------------------------- #
-# Strategies
+# Strategies: rows in the exact shape iterating a schedule yields them
 # --------------------------------------------------------------------- #
 finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
+maybe = st.one_of(st.none(), finite)
 node_names = st.text(
     alphabet="abcdefghijklmnopqrstuvwxyz0123456789-", min_size=1, max_size=12
 )
+hops = st.tuples(node_names, finite, maybe, maybe)
 
 
 @st.composite
-def hop_timings(draw):
-    arrival = draw(finite)
-    start = draw(st.one_of(st.none(), finite))
-    departure = draw(st.one_of(st.none(), finite))
-    return HopTiming(
-        node=draw(node_names),
-        arrival_time=arrival,
-        start_service_time=start,
-        departure_time=departure,
-    )
-
-
-@st.composite
-def packet_records(draw, packet_id):
-    hops = draw(st.lists(hop_timings(), max_size=4))
+def rows(draw, packet_id):
+    hop_list = draw(st.lists(hops, max_size=4))
     # Usually the path the hops imply; sometimes one that disagrees with the
     # hop nodes (hand-built schedules may, and storage must not "repair" it).
     path = draw(
         st.one_of(
-            st.just([hop.node for hop in hops] + [draw(node_names)]),
-            st.lists(node_names, max_size=5),
+            st.just(tuple(hop[0] for hop in hop_list) + (draw(node_names),)),
+            st.lists(node_names, max_size=5).map(tuple),
         )
     )
-    return PacketRecord(
-        packet_id=packet_id,
-        flow_id=draw(st.integers(min_value=0, max_value=2**31)),
-        src=draw(node_names),
-        dst=draw(node_names),
-        size_bytes=draw(st.floats(min_value=1.0, max_value=1e9, allow_nan=False)),
-        ingress_time=draw(finite),
-        output_time=draw(finite),
-        path=path,
-        hops=hops,
-        flow_size_bytes=draw(st.one_of(st.none(), finite)),
-        deadline=draw(st.one_of(st.none(), finite)),
-    )
+    return {
+        "packet_id": packet_id,
+        "flow_id": draw(st.integers(min_value=0, max_value=2**31)),
+        "src": draw(node_names),
+        "dst": draw(node_names),
+        "size_bytes": draw(st.floats(min_value=1.0, max_value=1e9, allow_nan=False)),
+        "ingress_time": draw(finite),
+        "output_time": draw(finite),
+        "path": path,
+        "hops": hop_list,
+        "flow_size_bytes": draw(maybe),
+        "deadline": draw(maybe),
+    }
 
 
 @st.composite
-def record_lists(draw):
+def row_lists(draw):
     ids = draw(st.lists(st.integers(min_value=0, max_value=2**40), unique=True, max_size=12))
-    return [draw(packet_records(packet_id)) for packet_id in ids]
+    return [draw(rows(packet_id)) for packet_id in ids]
 
 
-@st.composite
-def schedules(draw):
-    return Schedule(draw(record_lists()))
+def canonical(drawn):
+    return sorted(drawn, key=lambda row: (row["ingress_time"], row["packet_id"]))
+
+
+def plain_row(packet_id, ingress=0.0, output=1.0):
+    return {"packet_id": packet_id, "flow_id": 0, "src": "a", "dst": "b", "size_bytes": 100.0,
+            "ingress_time": ingress, "output_time": output, "path": ["a", "b"], "hops": []}
 
 
 def cursor_columns(path) -> ScheduleColumns:
@@ -96,7 +91,7 @@ def cursor_columns(path) -> ScheduleColumns:
 
 
 # --------------------------------------------------------------------- #
-# Property: save_schedule -> load_schedule is the identity
+# Property: rows -> schedule -> file -> schedule -> rows is the identity
 # --------------------------------------------------------------------- #
 class TestRoundTripProperty:
     @settings(
@@ -104,50 +99,45 @@ class TestRoundTripProperty:
         deadline=None,
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
-    @given(schedule=schedules(), compressed=st.booleans())
-    def test_round_trip_is_lossless(self, schedule, compressed, tmp_path):
+    @given(drawn=row_lists(), compressed=st.booleans())
+    def test_round_trip_is_lossless(self, drawn, compressed, tmp_path):
         path = tmp_path / ("s.jsonl.gz" if compressed else "s.jsonl")
-        save_schedule(path, schedule, meta={"n": len(schedule)})
+        save_schedule(path, Schedule.from_rows(drawn), meta={"n": len(drawn)})
         loaded, meta = load_schedule(path)
-        assert meta == {"n": len(schedule)}
-        assert sorted(loaded.packet_ids()) == sorted(schedule.packet_ids())
-        for record in schedule:
-            copy = loaded.record(record.packet_id)
-            # Dataclass equality covers every field, including the full hop
-            # vector with exact float values.
-            assert copy == record
-            # from_dict constructs positionally; the strategy builds by
-            # keyword (None start/departure hops included), so equality
-            # pins the positional order field for field.
-            assert PacketRecord.from_dict(record.to_dict()) == record
-            assert PacketRecord.from_dict(json.loads(json.dumps(record.to_dict()))) == record
+        assert meta == {"n": len(drawn)}
+        # Every field of every row, None fields and empty hop lists included,
+        # with exact float values, in canonical order.
+        assert list(loaded) == canonical(drawn)
+        for row in drawn:
+            assert loaded.row(row["packet_id"]) == row
+            assert Schedule.from_rows([json.loads(json.dumps(row))]).row(row["packet_id"]) == row
 
     @settings(
         max_examples=40,
         deadline=None,
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
-    @given(records=record_lists())
-    def test_columns_lose_nothing_add_accepts(self, records, tmp_path):
-        # records -> columns -> views -> file -> columns -> views: every field
-        # of every record `add` takes (empty hops, hop nodes off the path,
-        # None start/departure/deadline/flow size, any insertion order) must
-        # come back exactly, in canonical order.
-        canonical = sorted(records, key=lambda r: (r.ingress_time, r.packet_id))
-        schedule = Schedule(records)
-        assert schedule.records() == canonical
-        assert list(schedule) == canonical and len(schedule) == len(records)
-        for record in records:
-            assert schedule.record(record.packet_id) == record
-            assert schedule.get(record.packet_id) == record
-            assert record.packet_id in schedule
-            with pytest.raises(ValueError, match=f"duplicate packet id {record.packet_id}"):
-                schedule.add(record)
-        assert schedule.queueing_delays() == [r.total_queueing_delay for r in canonical]
+    @given(drawn=row_lists())
+    def test_columns_lose_nothing_from_rows_accepts(self, drawn, tmp_path):
+        # rows -> columns -> rows -> file -> columns -> rows: every field of
+        # every row `from_rows` takes (empty hops, hop nodes off the path,
+        # None start/departure/deadline/flow size, any order) must come back
+        # exactly, in canonical order.
+        schedule = Schedule.from_rows(drawn)
+        assert list(schedule) == canonical(drawn) and len(schedule) == len(drawn)
+        for row in drawn:
+            assert schedule.row(row["packet_id"]) == row
+            assert row["packet_id"] in schedule
+            with pytest.raises(ValueError, match=f"duplicate packet id {row['packet_id']}"):
+                Schedule.from_rows([*drawn, row])
+        assert schedule.queueing_delays() == [  # a left fold of each packet's hop waits
+            reduce(add, (0.0 if start is None else start - arrival for _, arrival, start, _ in row["hops"]), 0.0)
+            for row in canonical(drawn)
+        ]
         path = tmp_path / "s.jsonl.gz"
         save_schedule(path, schedule)
         loaded, _ = load_schedule(path)
-        assert loaded.records() == canonical
+        assert list(loaded) == canonical(drawn)
         assert loaded.columns() == schedule.columns()
         # One decode loop, two consumers: the cursor's batches, concatenated,
         # are the loaded table field for field — one file or shards, one
@@ -161,37 +151,26 @@ class TestRoundTripProperty:
                     assert cursor_columns(stored) == schedule.columns()
 
     @settings(max_examples=15, deadline=None)
-    @given(schedule=schedules())
-    def test_records_sorted_identically_after_reload(self, schedule):
-        # records() ordering (ingress, packet id) is what replay injection
-        # uses; it must be stable across a round-trip.
-        import os
+    @given(drawn=row_lists())
+    def test_rows_sorted_identically_after_reload(self, drawn):
+        # Iteration order (ingress, packet id) is what replay injection uses;
+        # it must be stable across a round-trip.
         import tempfile
 
+        schedule = Schedule.from_rows(drawn)
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "s.jsonl")
             save_schedule(path, schedule)
             loaded, _ = load_schedule(path)
-        assert [r.packet_id for r in loaded.records()] == [
-            r.packet_id for r in schedule.records()
-        ]
+        assert [row["packet_id"] for row in loaded] == [row["packet_id"] for row in schedule]
 
 
 class TestPreDeadlineCompatibility:
     def test_records_without_deadline_field_load_as_none(self):
         """Schedule files written before deadlines existed must still load."""
-        data = PacketRecord(
-            packet_id=1,
-            flow_id=1,
-            src="a",
-            dst="b",
-            size_bytes=100.0,
-            ingress_time=0.0,
-            output_time=1.0,
-            path=["a", "b"],
-        ).to_dict()
-        del data["deadline"]  # the pre-refactor on-disk shape
-        assert PacketRecord.from_dict(data).deadline is None
+        data = plain_row(1)  # the pre-refactor on-disk shape: no flow size, no deadline
+        got = Schedule.from_rows([data]).row(1)
+        assert got["deadline"] is None and got["flow_size_bytes"] is None
 
 
 # --------------------------------------------------------------------- #
@@ -211,32 +190,61 @@ class TestFileFormat:
             load_schedule(path)
 
     def test_detects_truncation(self, tmp_path):
-        schedule = Schedule(
-            [
-                PacketRecord(i, 0, "a", "b", 100.0, 0.0, 1.0, ["a", "b"])
-                for i in range(3)
-            ]
-        )
+        schedule = Schedule.from_rows(plain_row(i) for i in range(3))
         path = tmp_path / "s.jsonl"
         save_schedule(path, schedule)
         lines = path.read_text().splitlines()
-        path.write_text("\n".join(lines[:-1]) + "\n")  # drop the last record
+        path.write_text("\n".join(lines[:-1]) + "\n")  # drop the last row
         with pytest.raises(ValueError, match="truncated"):
             load_schedule(path)
 
-    @pytest.mark.parametrize("hop", [["a", 0.0, 0.0], ["a", 0.0, 0.0, 0.1, 0.2], None])
-    def test_malformed_hop_rows_are_value_errors(self, hop, tmp_path):
-        data = PacketRecord(1, 0, "a", "b", 100.0, 0.0, 1.0, ["a", "b"]).to_dict()
-        data["hops"] = [hop]
-        with pytest.raises(ValueError, match="packet 1: every hop must be"):
-            PacketRecord.from_dict(data)
-        # The column decoder (no PacketRecord in sight) must say the same.
-        good = PacketRecord(0, 0, "a", "b", 100.0, 0.0, 1.0, ["a", "b"]).to_dict()
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"hops": [["a", 0.0, 0.0]]},
+            {"hops": [["a", 0.0, 0.0, 0.1, 0.2]]},
+            {"hops": [None]},
+            {"hops": None},
+            {"path": None},
+            {"path": 7},
+            {"packet_id": [1, 2]},
+            {"packet_id": "1"},
+            {"ingress_time": "0.0"},
+            {"output_time": None},
+        ],
+        ids=repr,
+    )
+    def test_malformed_rows_are_value_errors_naming_the_packet(self, change, tmp_path):
+        data = {**plain_row(1), **change}
+        named = re.escape(f"packet {data['packet_id']!r}: malformed row (")
+        with pytest.raises(ValueError, match=named) as raised:
+            Schedule.from_rows([plain_row(0, ingress=-1.0), data])
+        if change.get("hops") and change["hops"][0]:
+            assert "every hop must be [node, arrival, start_service, departure]" in str(raised.value)
+        # The file decoder says the same, through both consumers.
         header = {"format": SCHEDULE_FORMAT, "packets": 2, "meta": {}}
         path = tmp_path / "s.jsonl"
-        path.write_text("".join(json.dumps(line) + "\n" for line in (header, good, data)))
-        with pytest.raises(ValueError, match="packet 1: every hop must be"):
+        path.write_text("".join(json.dumps(line) + "\n" for line in (header, plain_row(0), data)))
+        with pytest.raises(ValueError, match=re.escape(str(raised.value))):
             load_schedule(path)
+        with pytest.raises(ValueError, match=re.escape(str(raised.value))):
+            list(iter_schedule_columns(path))
+
+    def test_a_missing_key_is_named(self):
+        data = plain_row(3)
+        del data["hops"]
+        with pytest.raises(ValueError, match="packet 3: malformed row \\(KeyError: 'hops'\\)"):
+            Schedule.from_rows([data])
+        with pytest.raises(ValueError, match="packet None: malformed row \\(TypeError"):
+            Schedule.from_rows([plain_row(0), [1, 2]])
+
+    def test_a_failed_extend_appends_nothing(self):
+        cols = ScheduleColumns()
+        cols.extend([plain_row(0)])
+        before = ScheduleColumns(**{name: list(getattr(cols, name)) for name in ScheduleColumns.__slots__})
+        with pytest.raises(ValueError, match="packet 2: malformed row"):
+            cols.extend([plain_row(1), {**plain_row(2), "path": None}])
+        assert cols == before
 
     def test_header_carries_format_tag(self, tmp_path):
         path = tmp_path / "s.jsonl"
@@ -259,23 +267,20 @@ class TestLoadLeavesGcAsFound:
 
     @pytest.fixture
     def schedule(self):
-        return Schedule(
-            PacketRecord(i, 0, "a", "b", 100.0, float(i), i + 1.0, ["a", "b"])
-            for i in range(5)
-        )
+        return Schedule.from_rows(plain_row(i, float(i), i + 1.0) for i in range(5))
 
     def test_on_success(self, gc_state, schedule, tmp_path):
         save_schedule(tmp_path / "s.jsonl.gz", schedule)
         loaded, _ = load_schedule(tmp_path / "s.jsonl.gz")
         assert gc.isenabled() is gc_state
-        assert loaded.records() == schedule.records()
+        assert list(loaded) == list(schedule)
 
     def test_on_sharded_manifest(self, gc_state, schedule, tmp_path):
         manifest = tmp_path / "s.manifest.json"
         assert len(save_schedule_sharded(manifest, schedule, shard_packets=2)) == 3
         loaded, _ = load_schedule(manifest)
         assert gc.isenabled() is gc_state
-        assert loaded.records() == schedule.records()
+        assert list(loaded) == list(schedule)
 
     def test_on_truncated_file(self, gc_state, schedule, tmp_path):
         path = tmp_path / "s.jsonl"
@@ -312,10 +317,7 @@ class TestLoadLeavesGcAsFound:
 class TestBothConsumersRaiseAlike:
     @pytest.fixture
     def manifest(self, tmp_path):
-        schedule = Schedule(
-            PacketRecord(i, 0, "a", "b", 100.0, float(i), i + 1.0, ["a", "b"])
-            for i in range(7)
-        )
+        schedule = Schedule.from_rows(plain_row(i, float(i), i + 1.0) for i in range(7))
         path = tmp_path / "s.manifest.json"
         save_schedule_sharded(path, schedule, shard_packets=3)
         return path
@@ -344,6 +346,26 @@ class TestBothConsumersRaiseAlike:
         loaded, cursored = self.both_errors(foreign)
         assert loaded == cursored and loaded[0] is ValueError
         assert "not a repro-schedule/1 file" in loaded[1]
+
+    def test_a_first_line_that_is_not_an_object(self, manifest):
+        for stored, tag in ((manifest.parent / "array.jsonl", SCHEDULE_FORMAT), (manifest, MANIFEST_FORMAT)):
+            stored.write_text(json.dumps([tag, 0]) + "\n")
+            loaded, cursored = self.both_errors(stored)
+            assert loaded == cursored and loaded[0] is ValueError
+            assert f"not a {tag} file (its first line is not a JSON object)" in loaded[1]
+
+    @pytest.mark.parametrize(
+        "shards",
+        [None, 3, "abc", {"file": "x"}, [["x", 3]], [{"file": "x"}], [{"file": None, "packets": 3}]],
+        ids=repr,
+    )
+    def test_manifest_shards_of_the_wrong_shape(self, manifest, shards):
+        data = json.loads(manifest.read_text())
+        data["shards"] = shards
+        manifest.write_text(json.dumps(data) + "\n")
+        loaded, cursored = self.both_errors(manifest)
+        assert loaded == cursored and loaded[0] is ValueError
+        assert "manifest shards must be a list of {file, packets} objects" in loaded[1]
 
     def test_missing_shard(self, manifest):
         os.unlink(manifest.parent / shard_file_name(manifest, 2))
@@ -400,8 +422,7 @@ class TestRecordedScheduleRoundTrip:
         save_schedule(path, schedule, meta={"topology": topology.to_dict()})
         loaded, meta = load_schedule(path)
         assert len(loaded) == len(schedule)
-        for record in schedule:
-            assert loaded.record(record.packet_id) == record
+        assert list(loaded) == list(schedule)
         rebuilt = Topology.from_dict(meta["topology"])
         fresh = evaluate_replay(topology, schedule, mode="lstf")
         reloaded = evaluate_replay(rebuilt, loaded, mode="lstf")
@@ -410,26 +431,13 @@ class TestRecordedScheduleRoundTrip:
 
 
 class TestCanonicalRecords:
-    """`records()` order is the comparator's walk order, pinned here."""
+    """Iteration order is the comparator's walk order, pinned here."""
 
     def test_sorted_by_ingress_time_then_packet_id(self):
-        def rec(packet_id, ingress):
-            return PacketRecord(
-                packet_id=packet_id,
-                flow_id=0,
-                src="a",
-                dst="b",
-                size_bytes=100.0,
-                ingress_time=ingress,
-                output_time=ingress + 1.0,
-                path=["a", "b"],
-                hops=[],
-            )
-
-        # Inserted deliberately out of order, with an ingress tie on 7/3.
-        schedule = Schedule([rec(7, 0.5), rec(1, 0.9), rec(3, 0.5), rec(2, 0.1)])
-        order = [
-            (r.ingress_time, r.packet_id) for r in schedule.records()
-        ]
+        # Given deliberately out of order, with an ingress tie on 7/3.
+        schedule = Schedule.from_rows(
+            [plain_row(7, 0.5), plain_row(1, 0.9), plain_row(3, 0.5), plain_row(2, 0.1)]
+        )
+        order = [(row["ingress_time"], row["packet_id"]) for row in schedule]
         assert order == [(0.1, 2), (0.5, 3), (0.5, 7), (0.9, 1)]
         assert order == sorted(order)

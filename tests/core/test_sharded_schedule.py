@@ -21,8 +21,6 @@ from repro.__main__ import main as cli_main
 from repro.core.schedule import (
     MANIFEST_FORMAT,
     MANIFEST_SUFFIX,
-    HopTiming,
-    PacketRecord,
     Schedule,
     iter_schedule_columns,
     load_manifest,
@@ -33,41 +31,33 @@ from repro.core.schedule import (
 )
 
 
-def make_record(pid: int, ingress: float) -> PacketRecord:
-    return PacketRecord(
-        packet_id=pid,
-        flow_id=pid % 5,
-        src="a",
-        dst="b",
-        size_bytes=1500.0,
-        ingress_time=ingress,
-        output_time=ingress + 0.25,
-        path=["a", "r", "b"],
-        hops=[HopTiming(node="r", arrival_time=ingress, start_service_time=ingress + 0.1, departure_time=ingress + 0.2)],
-        deadline=ingress + 1.0 if pid % 3 == 0 else None,
-    )
+def make_row(pid: int, ingress: float) -> dict:
+    return {
+        "packet_id": pid,
+        "flow_id": pid % 5,
+        "src": "a",
+        "dst": "b",
+        "size_bytes": 1500.0,
+        "ingress_time": ingress,
+        "output_time": ingress + 0.25,
+        "path": ["a", "r", "b"],
+        "hops": [("r", ingress, ingress + 0.1, ingress + 0.2)],
+        "deadline": ingress + 1.0 if pid % 3 == 0 else None,
+    }
 
 
 @pytest.fixture()
 def schedule() -> Schedule:
     # Deliberately scrambled insertion order and ties on ingress_time, so
     # canonical ordering (ingress, then packet id) actually has work to do.
-    records = [make_record(pid, ingress=float((pid * 7) % 10) / 10.0) for pid in range(23)]
-    records.reverse()
-    return Schedule(records)
+    rows = [make_row(pid, ingress=float((pid * 7) % 10) / 10.0) for pid in range(23)]
+    rows.reverse()
+    return Schedule.from_rows(rows)
 
 
-def record_dicts(records) -> list:
-    return [record.to_dict() for record in records]
-
-
-def cursor_dicts(path) -> list:
+def cursor_rows(path) -> list:
     """The stored packets as the column cursor decodes them, batch after batch."""
-    return [
-        row
-        for cols in iter_schedule_columns(path)
-        for row in record_dicts(Schedule.from_columns(cols).records())
-    ]
+    return [row for cols in iter_schedule_columns(path) for row in Schedule.from_columns(cols)]
 
 
 class TestRoundTrip:
@@ -80,10 +70,10 @@ class TestRoundTrip:
         assert len(shards) == -(-len(schedule) // shard_packets)
         loaded, meta = load_schedule(path)
         assert meta == {"origin": "test"}
-        assert record_dicts(loaded.records()) == record_dicts(schedule.records())
+        assert list(loaded) == list(schedule)
         # The column cursor yields the same packets in the same order
         # without ever holding the whole schedule.
-        assert cursor_dicts(path) == record_dicts(schedule.records())
+        assert cursor_rows(path) == list(schedule)
 
     def test_sharded_equals_single_file_form(self, tmp_path, schedule):
         single = tmp_path / "sched.jsonl.gz"
@@ -92,10 +82,8 @@ class TestRoundTrip:
         save_schedule_sharded(manifest, schedule, shard_packets=4)
         loaded_single, _ = load_schedule(single)
         loaded_sharded, _ = load_schedule(manifest)
-        assert record_dicts(loaded_sharded.records()) == record_dicts(
-            loaded_single.records()
-        )
-        assert json.dumps(cursor_dicts(single)) == json.dumps(cursor_dicts(manifest))
+        assert list(loaded_sharded) == list(loaded_single)
+        assert json.dumps(cursor_rows(single)) == json.dumps(cursor_rows(manifest))
 
     def test_empty_schedule_round_trips(self, tmp_path):
         path = tmp_path / f"empty{MANIFEST_SUFFIX}"
@@ -110,14 +98,14 @@ class TestRoundTrip:
         manifest = load_manifest(path)
         assert manifest["format"] == MANIFEST_FORMAT
         assert manifest["packets"] == len(schedule)
-        ordered = schedule.records()
+        ordered = list(schedule)
         start = 0
         previous_max = float("-inf")
         for index, shard in enumerate(manifest["shards"]):
             assert shard["file"] == shard_file_name(path, index)
             chunk = ordered[start : start + shard["packets"]]
-            assert shard["ingress_min"] == chunk[0].ingress_time
-            assert shard["ingress_max"] == chunk[-1].ingress_time
+            assert shard["ingress_min"] == chunk[0]["ingress_time"]
+            assert shard["ingress_max"] == chunk[-1]["ingress_time"]
             # Chunks are contiguous slices of the canonical order, so their
             # ingress ranges are non-decreasing across shards.
             assert shard["ingress_min"] >= previous_max
@@ -255,7 +243,7 @@ class TestCliDiffParity:
             result = replay_schedule(
                 topology, schedule, mode="lstf", backend=backend
             )
-            replayed[path] = record_dicts(result.records())
+            replayed[path] = list(result)
         assert replayed[single] == replayed[manifest]
         assert len(replayed[single]) > 0
 
@@ -300,7 +288,7 @@ class TestCacheSharding:
             lambda: pytest.fail("sharded entry missed"),
         )
         assert cold.hits == 1 and cold.misses == 0
-        assert record_dicts(reloaded.records()) == record_dicts(recorded.records())
+        assert list(reloaded) == list(recorded)
 
     def test_corrupt_manifest_quarantined_and_rerecorded(self, tmp_path):
         from repro.pipeline.cache import ScheduleCache
@@ -320,4 +308,4 @@ class TestCacheSharding:
         )
         assert cold.corrupt_entries == 1 and cold.misses == 1
         assert manifest.with_name(manifest.name + ".corrupt").exists()
-        assert record_dicts(reloaded.records()) == record_dicts(recorded.records())
+        assert list(reloaded) == list(recorded)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.schedule import HopTiming, PacketRecord, Schedule
+from repro.core.schedule import Schedule
 from repro.core.slack import (
     BlackBoxSlackInitializer,
     ConstantSlackPolicy,
@@ -35,23 +35,23 @@ def line_network(topology):
     return topology.build(Simulator(), uniform_factory("fifo"))
 
 
-def make_record(network, ingress=0.0, output=0.05, size=1000.0):
-    path = network.path("src0", "dst0")
-    return PacketRecord(
-        packet_id=1,
-        flow_id=1,
-        src="src0",
-        dst="dst0",
-        size_bytes=size,
-        ingress_time=ingress,
-        output_time=output,
-        path=path,
-    )
+def make_row(network, ingress=0.0, output=0.05, size=1000.0):
+    return {
+        "packet_id": 1,
+        "flow_id": 1,
+        "src": "src0",
+        "dst": "dst0",
+        "size_bytes": size,
+        "ingress_time": ingress,
+        "output_time": output,
+        "path": network.path("src0", "dst0"),
+        "hops": [],
+    }
 
 
-def headers_of(initializer, topology, record):
-    """``(slack, priority, deadline, vector)`` the initializer gives ``record``'s row."""
-    cols = Schedule([record]).columns()
+def headers_of(initializer, topology, row):
+    """``(slack, priority, deadline, vector)`` the initializer gives ``row``."""
+    cols = Schedule.from_rows([row]).columns()
     return tuple(field[0] for field in initializer.headers(cols, topology.link_params()))
 
 
@@ -60,21 +60,21 @@ class TestReplayInitializers:
         assert ReplayInitializer.__abstractmethods__ == frozenset({"headers"})
 
     def test_blackbox_slack_is_output_minus_ingress_minus_tmin(self, topology, line_network):
-        record = make_record(line_network, ingress=0.01, output=0.05)
+        row = make_row(line_network, ingress=0.01, output=0.05)
         slack, priority, deadline, vector = headers_of(
-            BlackBoxSlackInitializer(), topology, record
+            BlackBoxSlackInitializer(), topology, row
         )
-        assert slack == 0.05 - 0.01 - line_network.tmin_along(1000, record.path)
+        assert slack == 0.05 - 0.01 - line_network.tmin_along(1000, row["path"])
         assert (priority, deadline, vector) == (math.inf, 0.05, [])
 
     def test_blackbox_slack_zero_for_uncongested_packet(self, topology, line_network):
         tmin = line_network.tmin(1000, "src0", "dst0")
-        record = make_record(line_network, ingress=0.0, output=tmin)
-        assert headers_of(BlackBoxSlackInitializer(), topology, record)[0] == 0.0
+        row = make_row(line_network, ingress=0.0, output=tmin)
+        assert headers_of(BlackBoxSlackInitializer(), topology, row)[0] == 0.0
 
     def test_priority_initializer_uses_output_time(self, topology, line_network):
-        record = make_record(line_network, output=0.123)
-        assert headers_of(OutputTimePriorityInitializer(), topology, record) == (
+        row = make_row(line_network, output=0.123)
+        assert headers_of(OutputTimePriorityInitializer(), topology, row) == (
             math.inf,
             0.123,
             0.123,
@@ -82,12 +82,9 @@ class TestReplayInitializers:
         )
 
     def test_omniscient_initializer_copies_hop_vector(self, topology, line_network):
-        record = make_record(line_network)
-        record.hops = [
-            HopTiming("src0", 0.0, 0.001, 0.002),
-            HopTiming("r0", 0.002, 0.003, 0.004),
-        ]
-        assert headers_of(OmniscientInitializer(), topology, record) == (
+        row = make_row(line_network)
+        row["hops"] = [("src0", 0.0, 0.001, 0.002), ("r0", 0.002, 0.003, 0.004)]
+        assert headers_of(OmniscientInitializer(), topology, row) == (
             math.inf,
             math.inf,
             0.05,
@@ -95,13 +92,9 @@ class TestReplayInitializers:
         )
 
     def test_omniscient_vector_skips_hops_never_served(self, topology, line_network):
-        record = make_record(line_network)
-        record.hops = [
-            HopTiming("src0", 0.0, 0.1, 0.2),
-            HopTiming("r0", 0.2, None, None),
-            HopTiming("r1", 0.3, 0.4, 0.5),
-        ]
-        assert headers_of(OmniscientInitializer(), topology, record)[3] == [0.1, 0.4]
+        row = make_row(line_network)
+        row["hops"] = [("src0", 0.0, 0.1, 0.2), ("r0", 0.2, None, None), ("r1", 0.3, 0.4, 0.5)]
+        assert headers_of(OmniscientInitializer(), topology, row)[3] == [0.1, 0.4]
 
 
 #: A built Internet2 topology: the black-box and deadline expressions must
@@ -127,23 +120,24 @@ I2_HOSTS = I2.host_names()
     )
 )
 def test_headers_match_the_networks_expressions_bit_for_bit(packets):
-    records = [
-        PacketRecord(
-            packet_id=j,
-            flow_id=j,
-            src=src,
-            dst=dst,
-            size_bytes=size,
-            ingress_time=ingress,
-            output_time=ingress + wait,
-            path=I2_NETWORK.path(src, dst),
-            flow_size_bytes=flow_bytes,
-            deadline=ingress + wait,
-        )
+    rows = [
+        {
+            "packet_id": j,
+            "flow_id": j,
+            "src": src,
+            "dst": dst,
+            "size_bytes": size,
+            "ingress_time": ingress,
+            "output_time": ingress + wait,
+            "path": I2_NETWORK.path(src, dst),
+            "hops": [],
+            "flow_size_bytes": flow_bytes,
+            "deadline": ingress + wait,
+        }
         for j, (src, dst, size, ingress, wait, flow_bytes) in enumerate(packets)
         if src != dst
     ]
-    cols = Schedule(records).columns()
+    cols = Schedule.from_rows(rows).columns()
     link_params = I2.link_params()
     slack = BlackBoxSlackInitializer().headers(cols, link_params)[0]
     assert slack == [

@@ -35,7 +35,7 @@ from repro.core.slack_policy import (
     SLACK_POLICIES,
     SlackPolicyDef,
 )
-from repro.core.schedule import PacketRecord, Schedule
+from repro.core.schedule import Schedule
 from repro.schedulers import uniform_factory
 from repro.sim import Simulator
 from repro.sim.packet import Packet
@@ -53,29 +53,29 @@ def line_network(topology):
     return topology.build(Simulator(), uniform_factory("fifo"))
 
 
-def make_record(network, ingress=0.0, output=0.05, size=1000.0, deadline=None, flow_size=None):
-    path = network.path("src0", "dst0")
-    return PacketRecord(
-        packet_id=1,
-        flow_id=1,
-        src="src0",
-        dst="dst0",
-        size_bytes=size,
-        ingress_time=ingress,
-        output_time=output,
-        path=path,
-        flow_size_bytes=flow_size,
-        deadline=deadline,
-    )
+def make_row(network, ingress=0.0, output=0.05, size=1000.0, deadline=None, flow_size=None):
+    return {
+        "packet_id": 1,
+        "flow_id": 1,
+        "src": "src0",
+        "dst": "dst0",
+        "size_bytes": size,
+        "ingress_time": ingress,
+        "output_time": output,
+        "path": network.path("src0", "dst0"),
+        "hops": [],
+        "flow_size_bytes": flow_size,
+        "deadline": deadline,
+    }
 
 
 def make_packet():
     return Packet(flow_id=1, src="src0", dst="dst0", size_bytes=1000, packet_id=1)
 
 
-def headers_of(initializer, topology, record):
-    """``(slack, priority, deadline, vector)`` the initializer gives ``record``'s row."""
-    cols = Schedule([record]).columns()
+def headers_of(initializer, topology, row):
+    """``(slack, priority, deadline, vector)`` the initializer gives ``row``."""
+    cols = Schedule.from_rows([row]).columns()
     return tuple(field[0] for field in initializer.headers(cols, topology.link_params()))
 
 
@@ -217,12 +217,12 @@ class TestPolicyCapabilities:
 # --------------------------------------------------------------------- #
 class TestZeroSlack:
     def test_stamps_zero_slack_and_keeps_flow_deadline(self, topology, line_network):
-        record = make_record(line_network, deadline=0.4)
-        assert headers_of(ZeroSlackInitializer(), topology, record) == (0.0, math.inf, 0.4, [])
+        row = make_row(line_network, deadline=0.4)
+        assert headers_of(ZeroSlackInitializer(), topology, row) == (0.0, math.inf, 0.4, [])
 
     def test_untagged_flow_has_no_deadline(self, topology, line_network):
-        record = make_record(line_network)
-        assert headers_of(ZeroSlackInitializer(), topology, record) == (
+        row = make_row(line_network)
+        assert headers_of(ZeroSlackInitializer(), topology, row) == (
             0.0,
             math.inf,
             math.inf,
@@ -234,8 +234,8 @@ class TestStaticDelaySlack:
     def test_every_packet_gets_the_constant(self, topology, line_network):
         initializer = StaticDelaySlackInitializer(slack_seconds=0.25)
         for deadline in (None, 0.7):
-            record = make_record(line_network, deadline=deadline)
-            assert headers_of(initializer, topology, record)[0] == 0.25
+            row = make_row(line_network, deadline=deadline)
+            assert headers_of(initializer, topology, row)[0] == 0.25
 
     def test_negative_constant_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
@@ -269,11 +269,11 @@ class TestDeadlineSlack:
     def test_slack_is_deadline_minus_ingress_minus_bottleneck_residual(
         self, topology, line_network
     ):
-        record = make_record(
+        row = make_row(
             line_network, ingress=0.01, deadline=0.5, size=1000.0, flow_size=8000.0
         )
         residual = line_network.bottleneck_transmission_time(8000.0)
-        assert headers_of(DeadlineSlackInitializer(), topology, record) == (
+        assert headers_of(DeadlineSlackInitializer(), topology, row) == (
             0.5 - 0.01 - residual,
             math.inf,
             0.5,
@@ -281,17 +281,17 @@ class TestDeadlineSlack:
         )
 
     def test_falls_back_to_packet_size_without_flow_size(self, topology, line_network):
-        record = make_record(line_network, ingress=0.0, deadline=0.2, size=1000.0)
+        row = make_row(line_network, ingress=0.0, deadline=0.2, size=1000.0)
         residual = line_network.bottleneck_transmission_time(1000.0)
-        assert headers_of(DeadlineSlackInitializer(), topology, record)[0] == 0.2 - 0.0 - residual
+        assert headers_of(DeadlineSlackInitializer(), topology, row)[0] == 0.2 - 0.0 - residual
 
     def test_infeasible_deadline_yields_negative_slack(self, topology, line_network):
-        record = make_record(line_network, ingress=0.5, deadline=0.1, flow_size=8000.0)
-        assert headers_of(DeadlineSlackInitializer(), topology, record)[0] < 0.0
+        row = make_row(line_network, ingress=0.5, deadline=0.1, flow_size=8000.0)
+        assert headers_of(DeadlineSlackInitializer(), topology, row)[0] < 0.0
 
     def test_untagged_flows_get_the_constant_fallback(self, topology, line_network):
         initializer = DeadlineSlackInitializer(no_deadline_slack=0.125)
-        assert headers_of(initializer, topology, make_record(line_network)) == (
+        assert headers_of(initializer, topology, make_row(line_network)) == (
             0.125,
             math.inf,
             math.inf,
@@ -317,10 +317,10 @@ class TestDeadlineSlack:
         initializer = DeadlineSlackInitializer()
         slacks = []
         for deadline in sorted(deadlines):
-            record = make_record(
+            row = make_row(
                 network, ingress=ingress, deadline=deadline, flow_size=flow_size
             )
-            slacks.append((deadline, headers_of(initializer, topo, record)[0]))
+            slacks.append((deadline, headers_of(initializer, topo, row)[0]))
         for (d_a, s_a), (d_b, s_b) in zip(slacks, slacks[1:]):
             assert s_b >= s_a
             if d_b > d_a:
@@ -329,10 +329,10 @@ class TestDeadlineSlack:
 
 class TestReplayPolicy:
     def test_replay_policy_matches_blackbox_initialization(self, topology, line_network):
-        record = make_record(line_network, ingress=0.01, output=0.05)
+        row = make_row(line_network, ingress=0.01, output=0.05)
         via_policy = SLACK_POLICIES.get("replay").build_initializer()
         direct = BlackBoxSlackInitializer()
-        assert headers_of(via_policy, topology, record) == headers_of(direct, topology, record)
+        assert headers_of(via_policy, topology, row) == headers_of(direct, topology, row)
 
 
 # --------------------------------------------------------------------- #
@@ -496,7 +496,7 @@ class TestLiveModeScenarios:
         schedule_plain = record_scenario_schedule(plain)
         schedule_live = record_scenario_schedule(live)
         assert len(schedule_plain) == len(schedule_live)
-        ingress = lambda s: [r.ingress_time for r in s.records()]
+        ingress = lambda s: s.columns().ingress_time
         assert ingress(schedule_plain) == ingress(schedule_live)
 
     def test_live_replay_uses_the_modes_own_initializer(self, tmp_path):

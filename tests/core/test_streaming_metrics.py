@@ -14,7 +14,7 @@ folds the whole column range, and sketch-based percentiles land within the
 documented ε of the exact value's bracketing order statistics.  The same
 assertions are repeated after splitting the rows into chunks and merging the
 per-chunk partials — the shard runner's exact code shape.
-:func:`compare_schedules` is the only comparison; its record-taking adapter
+:func:`compare_schedules` is the only comparison; its row-taking adapter
 must equal it minus the ratio list.
 """
 
@@ -103,13 +103,13 @@ def _assert_statistics_equivalent(schedule):
     assert streaming.deadline_met == reference.deadline_met
     assert streaming.deadline_met_fraction == reference.deadline_met_fraction
     # p99 is sketch-based: within ε of the exact percentile's bracket.
-    delays = [record.network_delay for record in schedule.records()]
+    delays = [row["output_time"] - row["ingress_time"] for row in schedule]
     _assert_sketch_brackets(accumulator.delays, delays, 99)
     return reference
 
 
 def _assert_comparison_equivalent(original, replayed, threshold):
-    """The record-taking adapter == compare_schedules minus the ratio list."""
+    """The row-taking adapter == compare_schedules minus the ratio list."""
     reference = compare_schedules(original, replayed, threshold)
     adapted = compare_schedules_streaming(iter(original), replayed, threshold)
     assert adapted.queueing_delay_ratios == []
@@ -133,17 +133,13 @@ class TestGroupEquivalence:
 
         Smoke-scale fault plans do not always destroy a packet, so the
         missing branch is exercised deterministically: every third replay
-        record is withheld and the adapter must agree on the damage.
+        row is withheld and the adapter must agree on the damage.
         """
         from repro.core.schedule import Schedule
 
         result = replay_results["faults"]
-        survivors = [
-            record
-            for index, record in enumerate(result.replayed.records())
-            if index % 3
-        ]
-        truncated = Schedule(survivors)
+        survivors = [row for index, row in enumerate(result.replayed) if index % 3]
+        truncated = Schedule.from_rows(survivors)
         metrics = _assert_comparison_equivalent(
             result.original, truncated, result.metrics.threshold
         )

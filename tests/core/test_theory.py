@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.replay import evaluate_replay
+from repro.core.schedule import Schedule
 from repro.core.theory import (
     add_congestion_segment,
     appendix_c_example,
@@ -37,6 +38,30 @@ class TestHelpers:
         assert topo.links[0].bandwidth_bps == pytest.approx(8.0)
 
 
+class TestMaxCongestionPoints:
+    """``max_congestion_points`` reads the hop columns; the values are pinned."""
+
+    def test_appendix_schedules(self):
+        case1, case2 = appendix_c_example().schedules
+        assert [case1.max_congestion_points(), case2.max_congestion_points()] == [1, 2]
+        assert appendix_f_example().schedule.max_congestion_points() == 1
+        assert appendix_g_example().schedule.max_congestion_points() == 1
+
+    def test_a_hop_counts_when_its_wait_exceeds_epsilon(self):
+        row = {
+            "packet_id": 1, "flow_id": 1, "src": "s", "dst": "d", "size_bytes": 1.0,
+            "ingress_time": 0.0, "output_time": 4.0, "path": ["s", "r0", "r1", "r2", "d"],
+            # waits 1.0, none (never served), 0.0, 0.5
+            "hops": [("s", 0.0, 1.0, 2.0), ("r0", 2.0, None, None), ("r1", 2.0, 2.0, 3.0), ("r2", 3.0, 3.5, 4.0)],
+        }
+        schedule = Schedule.from_rows([row])
+        assert schedule.max_congestion_points() == 2
+        assert schedule.max_congestion_points(epsilon=0.7) == 1
+        assert schedule.max_congestion_points(epsilon=-1.0) == 4  # an unserved hop waited 0.0
+        assert Schedule().max_congestion_points() == 0
+        assert Schedule.from_rows([{**row, "hops": []}]).max_congestion_points() == 0
+
+
 class TestAppendixC:
     """No UPS exists under black-box initialization."""
 
@@ -52,7 +77,7 @@ class TestAppendixC:
         case1, case2 = example.schedules
         differing = [
             pid for pid in case1.packet_ids()
-            if blackbox_attributes(case1.record(pid)) != blackbox_attributes(case2.record(pid))
+            if blackbox_attributes(case1.row(pid)) != blackbox_attributes(case2.row(pid))
         ]
         assert differing  # packets from flows B and Y have different output times
 
@@ -65,10 +90,10 @@ class TestAppendixC:
     def test_packets_a_and_x_cross_three_congestion_points(self):
         example = appendix_c_example()
         for name in ("a", "x"):
-            record = example.schedules[0].record(example.packet_names[name])
-            assert record.congestion_points() >= 1
+            row = example.schedules[0].row(example.packet_names[name])
+            assert Schedule.from_rows([row]).max_congestion_points() >= 1
             # Their paths traverse three congestion segments.
-            segment_hops = [node for node in record.path if node.endswith("-in")]
+            segment_hops = [node for node in row["path"] if node.endswith("-in")]
             assert len(segment_hops) == 3
 
 
@@ -77,8 +102,8 @@ class TestAppendixF:
 
     def test_schedule_has_at_most_two_congestion_points_per_packet(self):
         example = appendix_f_example()
-        for record in example.schedule:
-            segment_hops = [node for node in record.path if node.endswith("-in")]
+        for row in example.schedule:
+            segment_hops = [node for node in row["path"] if node.endswith("-in")]
             assert len(segment_hops) <= 2
 
     def test_priority_cycle_detected(self):
@@ -110,8 +135,8 @@ class TestAppendixG:
 
     def test_flow_a_crosses_three_congestion_points(self):
         example = appendix_g_example()
-        record = example.schedule.record(example.packet_names["a"])
-        segment_hops = [node for node in record.path if node.endswith("-in")]
+        row = example.schedule.row(example.packet_names["a"])
+        segment_hops = [node for node in row["path"] if node.endswith("-in")]
         assert len(segment_hops) == 3
 
     @pytest.mark.parametrize("mode", ["lstf", "lstf-preemptive", "priority", "edf"])

@@ -1,7 +1,9 @@
 """``python -m repro diff``: sources, exit codes, backends, error paths."""
 
 import gzip
+import hashlib
 import json
+import shutil
 
 import pytest
 
@@ -25,11 +27,20 @@ def recorded(tmp_path_factory):
 def perturb_file(src, dst):
     """Copy a schedule file with one hop departure nudged; return the victim id."""
     schedule, meta = load_schedule(src)
-    records = schedule.records()  # views: edits never reach `schedule`
-    victim = records[len(records) // 2]
-    victim.hops[0].departure_time += 1e-6
-    save_schedule(dst, Schedule(records), meta=meta)
-    return victim.packet_id
+    rows = list(schedule)  # fresh rows: edits never reach `schedule`
+    victim = rows[len(rows) // 2]
+    node, arrival, start, departure = victim["hops"][0]
+    victim["hops"][0] = (node, arrival, start, departure + 1e-6)
+    save_schedule(dst, Schedule.from_rows(rows), meta=meta)
+    return victim["packet_id"]
+
+
+#: sha256 of ``diff smoke.jsonl.gz nudged.jsonl.gz --json`` and of its text
+#: report, where ``nudged`` is ``perturb_file(smoke)``; captured when the
+#: comparator still walked per-packet objects, so the walk over rows and hop
+#: columns is held to the same bytes.
+NUDGED_JSON_SHA256 = "14757c8be0791a5390d87eb65c4a2a24c01d2714d477a9b3d56c4f4d873b347d"
+NUDGED_TEXT_SHA256 = "bd142ca8e865dab0297bceb4594734dcb08dc0d23b5fd19b6ec7684ed7c3386d"
 
 
 class TestDiffFiles:
@@ -55,6 +66,22 @@ class TestDiffFiles:
         assert cli_main(["diff", recorded, recorded, "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload == {"match": True, "divergence": None}
+
+    def test_nudged_hop_output_is_pinned(self, recorded, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        shutil.copy(recorded, "smoke.jsonl.gz")
+        assert perturb_file("smoke.jsonl.gz", "nudged.jsonl.gz") == 14
+        assert cli_main(["diff", "smoke.jsonl.gz", "nudged.jsonl.gz", "--json"]) == 1
+        out = capsys.readouterr().out
+        divergence = json.loads(out)["divergence"]
+        assert divergence["fields"] == [
+            {"field": "hops[0].departure_time", "a": 0.09920077522423834, "b": 0.09920177522423834}
+        ]
+        assert divergence["port"] == "host-atlanta-0-0"
+        assert [n["packet_id"] for n in divergence["context_a"]] == [5, 7, 15, 6, 8, 10, 12, 17]
+        assert hashlib.sha256(out.encode()).hexdigest() == NUDGED_JSON_SHA256
+        assert cli_main(["diff", "smoke.jsonl.gz", "nudged.jsonl.gz"]) == 1
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == NUDGED_TEXT_SHA256
 
 
 class TestDiffReplay:
@@ -146,6 +173,18 @@ class TestDiffErrors:
         assert cli_main(["diff", "--replay", str(flipped)]) == 2
         err = capsys.readouterr().err
         assert "cannot load" in err and "corrupt compressed data" in err
+
+    def test_a_row_of_the_wrong_type_exit_2(self, recorded, tmp_path, capsys):
+        """Valid JSON, valid header, a row whose ``path`` is null: a load
+        error naming the packet, never a TypeError traceback."""
+        with gzip.open(recorded, "rt") as handle:
+            header, first, *rest = handle.read().splitlines()
+        broken = tmp_path / "null-path.jsonl.gz"
+        with gzip.open(broken, "wt") as handle:
+            handle.write("\n".join([header, json.dumps({**json.loads(first), "path": None}), *rest]) + "\n")
+        assert cli_main(["diff", recorded, str(broken)]) == 2
+        err = capsys.readouterr().err
+        assert "cannot load" in err and f"packet {json.loads(first)['packet_id']}: malformed row" in err
 
     def test_unknown_mode_exit_2(self, recorded, capsys):
         assert cli_main(["diff", "--replay", recorded, "--mode", "bogus"]) == 2

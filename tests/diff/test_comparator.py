@@ -2,7 +2,10 @@
 
 import json
 
-from repro.core.schedule import HopTiming, PacketRecord, Schedule
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.schedule import Schedule
 from repro.diff import FieldDiff, first_divergence
 from repro.experiments import ExperimentScale
 from repro.pipeline import Scenario
@@ -10,76 +13,49 @@ from repro.pipeline.experiment import record_scenario_schedule
 
 SMOKE = ExperimentScale.smoke()
 
+#: A row's ``hops`` entries, field by field.
+HOP_FIELDS = ("node", "arrival_time", "start_service_time", "departure_time")
 
-def make_record(
-    packet_id,
-    ingress,
-    hops,
-    flow_id=1,
-    size=1000.0,
-    output=None,
-):
-    """A two-ish-hop record; ``hops`` is [(node, arrival, start, depart), ...]."""
-    timings = [
-        HopTiming(node=node, arrival_time=arr, start_service_time=start, departure_time=dep)
-        for node, arr, start, dep in hops
-    ]
-    return PacketRecord(
-        packet_id=packet_id,
-        flow_id=flow_id,
-        src="h0",
-        dst="h1",
-        size_bytes=size,
-        ingress_time=ingress,
-        output_time=output if output is not None else timings[-1].departure_time + 1e-3,
-        path=[t.node for t in timings] + ["h1"],
-        hops=timings,
-    )
+
+def make_row(packet_id, ingress, hops, flow_id=1, size=1000.0, output=None):
+    """A two-ish-hop row; ``hops`` is [(node, arrival, start, depart), ...]."""
+    return {
+        "packet_id": packet_id,
+        "flow_id": flow_id,
+        "src": "h0",
+        "dst": "h1",
+        "size_bytes": size,
+        "ingress_time": ingress,
+        "output_time": output if output is not None else hops[-1][3] + 1e-3,
+        "path": [hop[0] for hop in hops] + ["h1"],
+        "hops": list(hops),
+    }
 
 
 def two_hop_schedule():
     """Four packets through sw0 then sw1, staggered service times."""
-    records = []
-    for i in range(4):
-        base = 0.01 * i
-        records.append(
-            make_record(
-                packet_id=i,
-                ingress=base,
-                hops=[
-                    ("sw0", base, base + 0.001, base + 0.002),
-                    ("sw1", base + 0.003, base + 0.004, base + 0.005),
-                ],
-            )
+    return Schedule.from_rows(
+        make_row(
+            packet_id=i,
+            ingress=0.01 * i,
+            hops=[
+                ("sw0", 0.01 * i, 0.01 * i + 0.001, 0.01 * i + 0.002),
+                ("sw1", 0.01 * i + 0.003, 0.01 * i + 0.004, 0.01 * i + 0.005),
+            ],
         )
-    return Schedule(records)
+        for i in range(4)
+    )
 
 
 def perturbed(schedule, packet_id, attr="departure_time", hop=1, delta=1e-6):
-    """A deep-ish copy of ``schedule`` with one hop field nudged."""
-    records = []
-    for record in schedule.records():
-        hops = [
-            HopTiming(h.node, h.arrival_time, h.start_service_time, h.departure_time)
-            for h in record.hops
-        ]
-        rec = PacketRecord(
-            packet_id=record.packet_id,
-            flow_id=record.flow_id,
-            src=record.src,
-            dst=record.dst,
-            size_bytes=record.size_bytes,
-            ingress_time=record.ingress_time,
-            output_time=record.output_time,
-            path=list(record.path),
-            hops=hops,
-            flow_size_bytes=record.flow_size_bytes,
-            deadline=record.deadline,
-        )
-        if record.packet_id == packet_id:
-            setattr(hops[hop], attr, getattr(hops[hop], attr) + delta)
-        records.append(rec)
-    return Schedule(records)
+    """A copy of ``schedule`` with one hop field of one packet nudged."""
+    rows = list(schedule)  # fresh rows: edits never reach `schedule`
+    for row in rows:
+        if row["packet_id"] == packet_id:
+            nudged = list(row["hops"][hop])
+            nudged[HOP_FIELDS.index(attr)] += delta
+            row["hops"][hop] = tuple(nudged)
+    return Schedule.from_rows(rows)
 
 
 class TestFirstDivergence:
@@ -110,19 +86,19 @@ class TestFirstDivergence:
 
     def test_walk_orders_by_ingress_time_not_packet_id(self):
         # Packet 9 enters before packet 5; a divergence on 9 must win.
-        early = make_record(9, 0.0, [("sw0", 0.0, 0.001, 0.002)])
-        late = make_record(5, 1.0, [("sw0", 1.0, 1.001, 1.002)])
-        a = Schedule([late, early])
-        b_early = make_record(9, 0.0, [("sw0", 0.0, 0.001, 0.0025)])
-        b_late = make_record(5, 1.0, [("sw0", 1.0, 1.001, 1.0025)])
-        b = Schedule([b_late, b_early])
+        early = make_row(9, 0.0, [("sw0", 0.0, 0.001, 0.002)])
+        late = make_row(5, 1.0, [("sw0", 1.0, 1.001, 1.002)])
+        a = Schedule.from_rows([late, early])
+        b_early = make_row(9, 0.0, [("sw0", 0.0, 0.001, 0.0025)])
+        b_late = make_row(5, 1.0, [("sw0", 1.0, 1.001, 1.0025)])
+        b = Schedule.from_rows([b_late, b_early])
         divergence = first_divergence(a, b)
         assert divergence.packet_id == 9
         assert divergence.index == 0
 
     def test_missing_packet_is_a_divergence(self):
         a = two_hop_schedule()
-        b = Schedule([r for r in a.records() if r.packet_id != 1])
+        b = Schedule.from_rows(row for row in a if row["packet_id"] != 1)
         divergence = first_divergence(a, b)
         assert divergence.packet_id == 1
         assert divergence.kind == "missing"
@@ -132,10 +108,28 @@ class TestFirstDivergence:
 
     def test_identity_fields_lead_the_diff(self):
         a = two_hop_schedule()
-        records = perturbed(a, packet_id=0, attr="departure_time", hop=0).records()
-        next(r for r in records if r.packet_id == 0).size_bytes += 100.0
-        divergence = first_divergence(a, Schedule(records))
-        assert divergence.fields[0].field == "size_bytes"
+        rows = list(perturbed(a, packet_id=0, attr="departure_time", hop=0))
+        next(row for row in rows if row["packet_id"] == 0)["size_bytes"] += 100.0
+        divergence = first_divergence(a, Schedule.from_rows(rows))
+        assert [diff.field for diff in divergence.fields] == ["size_bytes", "hops[0].departure_time"]
+
+    def test_a_hop_on_one_side_only_is_reported_whole(self):
+        a = two_hop_schedule()
+        rows = list(a)
+        rows[1]["hops"].pop()
+        divergence = first_divergence(a, Schedule.from_rows(rows))
+        assert divergence.packet_id == 1
+        [diff] = divergence.fields
+        assert (diff.field, diff.b) == ("hops[1]", None)
+        assert diff.a == list(next(row for row in a if row["packet_id"] == 1)["hops"][1])
+        assert divergence.port == "sw1"
+
+    def test_a_changed_route_is_a_path_diff(self):
+        a = two_hop_schedule()
+        rows = list(a)
+        rows[0]["path"] = ("sw0", "sw9", "h1")
+        divergence = first_divergence(a, Schedule.from_rows(rows))
+        assert divergence.fields == [FieldDiff("path", ["sw0", "sw1", "h1"], ["sw0", "sw9", "h1"])]
 
     def test_divergent_port_names_the_divergent_hops_node(self):
         a = two_hop_schedule()
@@ -195,11 +189,46 @@ class TestRealScheduleDivergence:
         a = record_scenario_schedule(scenario)
         b = record_scenario_schedule(scenario)
         assert first_divergence(a, b) is None  # recording is deterministic
-        records = b.records()  # views: edits never reach `b`
-        victim = records[len(records) // 2]
-        victim.hops[0].departure_time += 5e-7
-        divergence = first_divergence(a, Schedule(records))
+        victim = list(b)[len(b) // 2]
+        divergence = first_divergence(a, perturbed(b, victim["packet_id"], hop=0, delta=5e-7))
         assert divergence is not None
-        assert divergence.packet_id == victim.packet_id
+        assert divergence.packet_id == victim["packet_id"]
         assert divergence.fields[0].field == "hops[0].departure_time"
-        assert divergence.port == victim.hops[0].node
+        assert divergence.port == victim["hops"][0][0]
+
+
+finite = st.floats(min_value=0.0, max_value=10.0, allow_nan=False)
+
+
+@st.composite
+def nudged_pairs(draw):
+    """``(rows, packet id, hop index, field)``: drawn rows and one hop field to nudge."""
+    ids = draw(st.lists(st.integers(min_value=0, max_value=50), min_size=1, max_size=8, unique=True))
+    rows = []
+    for packet_id in ids:
+        hops = draw(
+            st.lists(
+                st.tuples(st.sampled_from(["sw0", "sw1", "sw2"]), finite, finite, finite),
+                min_size=1,
+                max_size=3,
+            )
+        )
+        rows.append(make_row(packet_id, draw(finite), hops, flow_id=draw(st.integers(0, 3))))
+    victim = draw(st.sampled_from(rows))
+    hop = draw(st.integers(min_value=0, max_value=len(victim["hops"]) - 1))
+    field = draw(st.sampled_from(HOP_FIELDS[1:]))
+    return rows, victim["packet_id"], hop, field
+
+
+class TestDivergenceProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(case=nudged_pairs())
+    def test_a_single_nudge_is_found_exactly_there(self, case):
+        rows, packet_id, hop, field = case
+        a = Schedule.from_rows(rows)
+        assert first_divergence(a, Schedule.from_rows(list(a))) is None
+        divergence = first_divergence(a, perturbed(a, packet_id, attr=field, hop=hop, delta=0.5))
+        assert (divergence.packet_id, divergence.kind) == (packet_id, "fields")
+        assert [diff.field for diff in divergence.fields] == [f"hops[{hop}].{field}"]
+        assert divergence.port == a.row(packet_id)["hops"][hop][0]
+        assert packet_id not in {neighbor.packet_id for neighbor in divergence.context_a}

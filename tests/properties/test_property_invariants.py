@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core.metrics import compare_schedules
-from repro.core.schedule import PacketRecord, Schedule
+from repro.core.schedule import Schedule
 from repro.schedulers.fifo import FifoScheduler
 from repro.schedulers.fq import FairQueueingScheduler
 from repro.schedulers.lstf import LstfScheduler
@@ -161,21 +161,20 @@ def test_cdf_points_monotone_and_normalized(values):
 # Replay metric invariants
 # --------------------------------------------------------------------- #
 def _schedule_from(outputs, base=None):
-    records = []
-    for index, output in enumerate(outputs):
-        records.append(
-            PacketRecord(
-                packet_id=index,
-                flow_id=index,
-                src="a",
-                dst="b",
-                size_bytes=1000,
-                ingress_time=0.0,
-                output_time=output if base is None else base[index] + output,
-                path=["a", "b"],
-            )
-        )
-    return Schedule(records)
+    return Schedule.from_rows(
+        {
+            "packet_id": index,
+            "flow_id": index,
+            "src": "a",
+            "dst": "b",
+            "size_bytes": 1000,
+            "ingress_time": 0.0,
+            "output_time": output if base is None else base[index] + output,
+            "path": ["a", "b"],
+            "hops": [],
+        }
+        for index, output in enumerate(outputs)
+    )
 
 
 @given(

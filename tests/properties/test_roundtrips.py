@@ -16,8 +16,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.schedule import (
-    HopTiming,
-    PacketRecord,
     Schedule,
     load_schedule,
     save_schedule,
@@ -121,39 +119,39 @@ finite_time = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
 
 
 @st.composite
-def records(draw, packet_id):
+def rows(draw, packet_id):
+    """A schedule row in the shape iterating a schedule yields it."""
     arrival = draw(finite_time)
-    hop = HopTiming(
-        node=draw(st.sampled_from(("sw0", "sw1", "edge-a"))),
-        arrival_time=arrival,
-        start_service_time=arrival + draw(finite_time),
-        departure_time=arrival + draw(finite_time),
-    )
-    return PacketRecord(
-        packet_id=packet_id,
-        flow_id=draw(st.integers(min_value=0, max_value=100)),
-        src="h0",
-        dst="h1",
-        size_bytes=draw(st.floats(min_value=40.0, max_value=9000.0, allow_nan=False)),
-        ingress_time=draw(finite_time),
-        output_time=draw(finite_time),
-        path=[hop.node, "h1"],
-        hops=[hop],
-    )
+    node = draw(st.sampled_from(("sw0", "sw1", "edge-a")))
+    hop = (node, arrival, arrival + draw(finite_time), arrival + draw(finite_time))
+    return {
+        "packet_id": packet_id,
+        "flow_id": draw(st.integers(min_value=0, max_value=100)),
+        "src": "h0",
+        "dst": "h1",
+        "size_bytes": draw(st.floats(min_value=40.0, max_value=9000.0, allow_nan=False)),
+        "ingress_time": draw(finite_time),
+        "output_time": draw(finite_time),
+        "path": (node, "h1"),
+        "hops": draw(st.sampled_from([[hop], []])),
+        "flow_size_bytes": draw(st.one_of(st.none(), finite_time)),
+        "deadline": draw(st.one_of(st.none(), finite_time)),
+    }
 
 
 @st.composite
-def schedules(draw):
+def row_lists(draw):
     ids = draw(
         st.lists(st.integers(min_value=0, max_value=2**20), unique=True, max_size=10)
     )
-    return Schedule([draw(records(packet_id)) for packet_id in ids])
+    return [draw(rows(packet_id)) for packet_id in ids]
 
 
 class TestSchedulePersistenceOrder:
     @RELAXED
-    @given(schedule=schedules(), compressed=st.booleans())
-    def test_save_load_preserves_canonical_order(self, schedule, compressed):
+    @given(drawn=row_lists(), compressed=st.booleans())
+    def test_save_load_preserves_canonical_order(self, drawn, compressed):
+        schedule = Schedule.from_rows(drawn)
         suffix = ".jsonl.gz" if compressed else ".jsonl"
         handle = tempfile.NamedTemporaryFile(suffix=suffix, delete=False)
         handle.close()
@@ -163,16 +161,10 @@ class TestSchedulePersistenceOrder:
         finally:
             os.unlink(handle.name)
         assert meta["test"] is True
-        original_order = [
-            (record.ingress_time, record.packet_id)
-            for record in schedule.records()
-        ]
-        loaded_order = [
-            (record.ingress_time, record.packet_id)
-            for record in loaded.records()
-        ]
+        original_order = [(row["ingress_time"], row["packet_id"]) for row in schedule]
+        loaded_order = [(row["ingress_time"], row["packet_id"]) for row in loaded]
         assert loaded_order == original_order
         assert loaded_order == sorted(loaded_order)
-        # And the records themselves are lossless, not just ordered.
-        for record in schedule.records():
-            assert loaded.record(record.packet_id).to_dict() == record.to_dict()
+        # And the rows themselves are lossless, not just ordered: exactly the
+        # drawn ones, None fields and empty hop lists included.
+        assert list(loaded) == sorted(drawn, key=lambda row: (row["ingress_time"], row["packet_id"]))

@@ -171,9 +171,9 @@ class TestEdfLstfEquivalence:
         results = experiment.run(modes=["lstf", "edf"])
         lstf, edf = results["lstf"], results["edf"]
         assert len(lstf.replayed) == len(edf.replayed) > 0
-        for record in lstf.replayed:
-            other = edf.replayed.record(record.packet_id)
-            assert other.output_time == pytest.approx(record.output_time, abs=1e-9)
+        for row in lstf.replayed:
+            other = edf.replayed.row(row["packet_id"])
+            assert other["output_time"] == pytest.approx(row["output_time"], abs=1e-9)
 
 
 class TestOmniscientScheduler:

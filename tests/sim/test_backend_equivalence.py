@@ -21,7 +21,7 @@ from repro.core.replay import (
 )
 from repro.core.replay_compiled import CompiledBackend
 from repro.core.replay_vectorized import VectorizedBackend
-from repro.core.schedule import HopTiming, PacketRecord, Schedule
+from repro.core.schedule import Schedule
 from repro.faults import (
     FAULTS,
     BernoulliLoss,
@@ -92,7 +92,7 @@ def recorded_schedule(fixture_topology):
 
 
 def rows(schedule: Schedule):
-    return [record.to_dict() for record in schedule.records()]
+    return list(schedule)
 
 
 def replayed_and_events(topology, schedule, backend, **config):
@@ -103,8 +103,8 @@ def replayed_and_events(topology, schedule, backend, **config):
 
 
 def routes_of(schedule):
-    """The distinct source routes of a recorded schedule, so synthetic records are routable."""
-    return sorted({tuple(r.path) for r in schedule.records()})
+    """The distinct source routes of a recorded schedule, so synthetic rows are routable."""
+    return sorted(set(schedule.columns().path))
 
 
 # --------------------------------------------------------------------- #
@@ -172,18 +172,18 @@ class TestGoldenEquivalence:
 
 
 # --------------------------------------------------------------------- #
-# Property test: synthetic record sets, adversarial ties included
+# Property test: synthetic row sets, adversarial ties included
 # --------------------------------------------------------------------- #
 @st.composite
-def record_sets(draw, paths):
-    """A list of synthetic PacketRecords routed over ``paths``.
+def row_sets(draw, paths):
+    """A list of synthetic schedule rows routed over ``paths``.
 
     Ingress times are drawn from a tiny grid so identical timestamps — the
     tie-breaking cases the ``(time, seq)`` contract exists for — occur
     constantly rather than never.
     """
     count = draw(st.integers(min_value=0, max_value=12))
-    records = []
+    rows = []
     for packet_id in range(count):
         path = list(draw(st.sampled_from(paths)))
         ingress = draw(st.sampled_from([0.0, 1e-4, 2e-4, 1e-3]))
@@ -194,41 +194,34 @@ def record_sets(draw, paths):
         for node in path[:-1]:
             wait = draw(st.sampled_from([0.0, 1e-5]))
             start = draw(st.sampled_from([True, True, False]))
-            hops.append(
-                HopTiming(
-                    node=node,
-                    arrival_time=t,
-                    start_service_time=t + wait if start else None,
-                    departure_time=t + wait + 1e-5,
-                )
-            )
+            hops.append((node, t, t + wait if start else None, t + wait + 1e-5))
             t += wait + 1e-5
-        records.append(
-            PacketRecord(
-                packet_id=packet_id,
-                flow_id=draw(st.integers(min_value=0, max_value=3)),
-                src=path[0],
-                dst=path[-1],
-                size_bytes=size,
-                ingress_time=ingress,
-                output_time=ingress + span,
-                path=path,
-                hops=hops,
-                flow_size_bytes=draw(
+        rows.append(
+            {
+                "packet_id": packet_id,
+                "flow_id": draw(st.integers(min_value=0, max_value=3)),
+                "src": path[0],
+                "dst": path[-1],
+                "size_bytes": size,
+                "ingress_time": ingress,
+                "output_time": ingress + span,
+                "path": path,
+                "hops": hops,
+                "flow_size_bytes": draw(
                     st.one_of(
                         st.none(),
                         st.floats(min_value=40.0, max_value=1e6, allow_nan=False),
                     )
                 ),
-                deadline=draw(
+                "deadline": draw(
                     st.one_of(
                         st.none(),
                         st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
                     )
                 ),
-            )
+            }
         )
-    return records
+    return rows
 
 
 class TestPropertyEquivalence:
@@ -243,12 +236,9 @@ class TestPropertyEquivalence:
     def test_random_record_sets(
         self, fixture_topology, recorded_schedule, mode, backend, data
     ):
-        # Harvest real source-routed paths so every synthetic record is
+        # Harvest real source-routed paths so every synthetic row is
         # routable on the fixture topology.
-        records = data.draw(record_sets(routes_of(recorded_schedule)))
-        schedule = Schedule()
-        for record in records:
-            schedule.add(record)
+        schedule = Schedule.from_rows(data.draw(row_sets(routes_of(recorded_schedule))))
         reference = replay_schedule(
             fixture_topology, schedule, mode=mode, backend="python"
         )
@@ -268,7 +258,7 @@ class TestPropertyEquivalence:
     def test_kernels_in_lock_step(self, fixture_topology, recorded_schedule, mode, data):
         """``sim/vectorized.py`` is the C kernel's executable spec: stopped after
         any number of events, or drained, both have written exactly the same state."""
-        schedule = Schedule(data.draw(record_sets(routes_of(recorded_schedule))))
+        schedule = Schedule.from_rows(data.draw(row_sets(routes_of(recorded_schedule))))
         assume(len(schedule))  # an empty replay never reaches a kernel
         run = kernel_runner(fixture_topology, schedule, mode)
         drained = run(run_flat_replay)[-1]
@@ -345,10 +335,10 @@ def fault_defs(draw, link_names, kinds=FAULT_KIND_NAMES):
 
 @st.composite
 def faulted_replays(draw, recorded_schedule, kinds=FAULT_KIND_NAMES, max_faults=3):
-    """``(schedule, plan)``: a synthetic record set and some faults of ``kinds`` on its links."""
+    """``(schedule, plan)``: a synthetic row set and some faults of ``kinds`` on its links."""
     routes = routes_of(recorded_schedule)
     link_names = sorted({f"{a}->{b}" for route in routes for a, b in zip(route, route[1:])})
-    schedule = Schedule(draw(record_sets(routes)))
+    schedule = Schedule.from_rows(draw(row_sets(routes)))
     faults = draw(st.lists(fault_defs(link_names, kinds), min_size=1, max_size=max_faults))
     return schedule, plan_of(*faults, seed=draw(st.integers(min_value=0, max_value=3)))
 

@@ -109,7 +109,7 @@ FAULT_PLAN_DECLINES = [("compiled", "fault plan")] if kernel_available() else []
 
 
 def rows(replayed):
-    return [record.to_dict() for record in replayed.records()]
+    return list(replayed)
 
 
 class ZeroSlackByHand(ReplayInitializer):

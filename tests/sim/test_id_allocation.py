@@ -96,10 +96,10 @@ def test_a_live_cell_is_the_same_as_the_first_and_as_the_fourth_simulation():
 def test_a_python_replay_delivers_the_recorded_packets_under_their_own_ids():
     scenario = table1_scenario()
     topology = scenario.build_topology()
-    records = record_scenario_schedule(scenario).records()[:200]
-    for record in records:  # ids no counter starting anywhere near 0 would hand out
-        record.packet_id = 10_000 + 3 * record.packet_id
-    schedule = Schedule(records)
+    rows = list(record_scenario_schedule(scenario))[:200]
+    for row in rows:  # ids no counter starting anywhere near 0 would hand out
+        row["packet_id"] = 10_000 + 3 * row["packet_id"]
+    schedule = Schedule.from_rows(rows)
 
     sim, tracer = Simulator(), Tracer()
     network = topology.build(sim, replay_scheduler_factory("lstf"), tracer=tracer)
