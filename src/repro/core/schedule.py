@@ -47,6 +47,7 @@ import gc
 import gzip
 import io
 import json
+import logging
 import os
 import zlib
 from collections import Counter
@@ -56,9 +57,12 @@ from itertools import accumulate, chain, islice, repeat
 from operator import itemgetter, le, methodcaller
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
+from repro.sim.compiled import kernel_decode_rows
 from repro.sim.packet import Packet
 from repro.sim.tracer import Tracer
 from repro.utils.stats import left_sum
+
+logger = logging.getLogger(__name__)
 
 #: Format tag written into the header line of serialized schedules.
 SCHEDULE_FORMAT = "repro-schedule/1"
@@ -405,6 +409,11 @@ def _open_for_read(path: str) -> io.TextIOBase:
     return open(path, "r", encoding="utf-8")
 
 
+def _open_for_decode(path: str) -> io.BufferedIOBase:
+    """``path`` as bytes (decompressed when the name ends in ``.gz``)."""
+    return gzip.open(path, "rb") if path.endswith(".gz") else open(path, "rb")
+
+
 def _atomic_write_lines(path: str, lines: Iterable[str]) -> None:
     """Write text lines to ``path`` atomically (temp file + ``os.replace``)."""
     directory = os.path.dirname(path) or "."
@@ -544,12 +553,12 @@ def _tagged_object(line: str, path: str, tag: str) -> dict:
     return data
 
 
-def _read_header(stream: io.TextIOBase, path: str) -> dict:
-    """Read and validate the header line of a ``repro-schedule/1`` stream."""
+def _read_header(stream: io.BufferedIOBase, path: str) -> dict:
+    """Read and validate the header line of a ``repro-schedule/1`` byte stream."""
     header_line = stream.readline()
     if not header_line:
         raise ValueError(f"{path}: empty schedule file")
-    return _tagged_object(header_line, path, SCHEDULE_FORMAT)
+    return _tagged_object(header_line.decode("utf-8"), path, SCHEDULE_FORMAT)
 
 
 def _check_counts(path: str, header: dict, promised: Optional[int], count: int) -> None:
@@ -575,7 +584,7 @@ def stored_schedule_packets(path: Union[str, "os.PathLike"]) -> int:
     path = os.fspath(path)
     if path.endswith(MANIFEST_SUFFIX):
         return load_manifest(path)["packets"]
-    with _open_for_read(path) as stream:
+    with _open_for_decode(path) as stream:
         return int(_read_header(stream, path)["packets"])
 
 
@@ -590,38 +599,87 @@ def _stored_files(path: str) -> Tuple[List[Tuple[str, Optional[int]]], Optional[
     return [(os.path.join(directory, s["file"]), s["packets"]) for s in shards], manifest
 
 
-#: Stored packets decoded per batch: bounds the transient JSON objects a
-#: read holds beside the columns it is filling.
-_DECODE_BATCH = 512
+#: Decompressed bytes the decode loop reads per step: it holds at most this
+#: much row text (plus one partial line) beside the columns it is filling.
+_DECODE_BYTES = 1 << 20
+
+
+def _line_blocks(stream: io.BufferedIOBase) -> Iterator[bytes]:
+    """``stream``'s remaining bytes, :data:`_DECODE_BYTES` at a time, each
+    block cut after its last newline (the partial line opens the next)."""
+    partial = b""
+    while chunk := stream.read(_DECODE_BYTES):
+        block = partial + chunk
+        cut = block.rfind(b"\n") + 1
+        partial = block[cut:]
+        if cut:
+            yield block[:cut]
+    if partial:
+        yield partial
+
+
+def _json_columns(block: bytes) -> Tuple[ScheduleColumns, int]:
+    """The reference decoder: ``(columns, rows read)`` of a block of row lines.
+
+    Lines split as a text-mode read splits them (universal newlines), blank
+    ones are skipped, and the rest go through ``json`` and
+    :meth:`ScheduleColumns.extend` — so a malformed row raises its
+    ``ValueError`` naming the packet.
+    """
+    text = block.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    lines = [line for line in text.split("\n") if line.strip()]
+    cols = ScheduleColumns()
+    if lines:
+        # One json call per block, not per line: its lines are parsed as
+        # the elements of a single JSON array.
+        cols.extend(json.loads("[" + "\n,".join(lines) + "\n]"))
+    return cols, len(lines)
 
 
 def _decoded_parts(
     files: List[Tuple[str, Optional[int]]],
-) -> Iterator[Tuple[List[dict], Optional[tuple]]]:
+) -> Iterator[Tuple[Optional[ScheduleColumns], Optional[tuple]]]:
     """The one decode loop: every part of :func:`_stored_files`, in order.
 
-    Yields ``(packets, None)`` per batch of stored rows and ``([], part)``
-    at each file's end, ``part`` being the :func:`_check_counts` arguments
-    for that file.  A consumer must drop ``packets`` before advancing, or it
-    keeps one batch's JSON objects alive while the next batch is parsed.
+    Yields ``(columns, None)`` per non-empty block of stored rows (hop
+    offsets counted from 0) and ``(None, part)`` at each file's end,
+    ``part`` being the :func:`_check_counts` arguments for that file.
+
+    Each block goes to the compiled decoder
+    (:func:`repro.sim.compiled.kernel_decode_rows`) first and to
+    :func:`_json_columns`, the reference, when the kernel is unavailable or
+    declines it; a file stays on json from its first declined block on, and
+    one DEBUG line per such file says why.  Either way the columns are the
+    same, to the type and the float bit.
 
     A corrupt deflate stream raises ``ValueError`` (never ``zlib.error``),
     so every reader's "malformed file" handling covers it.
     """
+    decode = kernel_decode_rows()
+    memo: dict = {}  # node names and routes, interned across the files
     for file_path, promised in files:
         count = 0
+        native = decode
+        if native is None:
+            logger.debug("%s: decoding with json (compiled kernel unavailable)", file_path)
         try:
-            with _open_for_read(file_path) as stream:
+            with _open_for_decode(file_path) as stream:
                 header = _read_header(stream, file_path)
-                lines = filter(str.strip, stream)
-                # One decoder call per batch, not per line: a batch's lines
-                # are parsed as the elements of a single JSON array.
-                while batch := list(islice(lines, _DECODE_BATCH)):
-                    count += len(batch)
-                    yield json.loads(f"[{','.join(batch)}]"), None
+                for block in _line_blocks(stream):
+                    decoded = native(block, memo, count) if native else None
+                    if isinstance(decoded, tuple):
+                        cols, rows = ScheduleColumns(*decoded), len(decoded[0])
+                    else:
+                        if decoded is not None:
+                            logger.debug("%s: decoding with json (declined at %s)", file_path, decoded)
+                            native = None
+                        cols, rows = _json_columns(block)
+                    count += rows
+                    if rows:
+                        yield cols, None
         except zlib.error as error:
             raise ValueError(f"{file_path}: corrupt compressed data ({error})") from error
-        yield [], (file_path, header, promised, count)
+        yield None, (file_path, header, promised, count)
 
 
 def iter_schedule_columns(path: Union[str, "os.PathLike"]) -> Iterator[ScheduleColumns]:
@@ -642,14 +700,11 @@ def iter_schedule_columns(path: Union[str, "os.PathLike"]) -> Iterator[ScheduleC
     lacks.  Unlike :func:`load_schedule` it never pauses the collector — a
     generator would leave it paused in its caller's code between batches.
     """
-    for packets, part in _decoded_parts(_stored_files(os.fspath(path))[0]):
+    for cols, part in _decoded_parts(_stored_files(os.fspath(path))[0]):
         if part is not None:
             _check_counts(*part)
-            continue
-        cols = ScheduleColumns()
-        cols.extend(packets)
-        del packets
-        yield cols
+        else:
+            yield cols
 
 
 def load_schedule(path: Union[str, "os.PathLike"]) -> Tuple[Schedule, dict]:
@@ -673,18 +728,20 @@ def load_schedule(path: Union[str, "os.PathLike"]) -> Tuple[Schedule, dict]:
         in the file's header line (the manifest's, for sharded schedules).
     """
     path = os.fspath(path)
-    # Decoding builds ~15 acyclic containers per packet while earlier
+    # Decoding builds a few acyclic containers per packet while earlier
     # schedules sit live in the caller's cache.
     with paused_gc():
         cols = ScheduleColumns()
         files, manifest = _stored_files(path)
         parts = []
-        for packets, part in _decoded_parts(files):
+        for batch, part in _decoded_parts(files):
             if part is not None:
                 parts.append(part)
                 continue
-            cols.extend(packets)
-            del packets
+            first_hop = cols.hop_offset[-1]
+            for name in _PER_PACKET + _PER_HOP:
+                getattr(cols, name).extend(getattr(batch, name))
+            cols.hop_offset.extend(map(first_hop.__add__, islice(batch.hop_offset, 1, None)))
         # Adopting the columns rejects duplicate ids, which outranks a count mismatch.
         schedule = Schedule.from_columns(cols)
         for part in parts:

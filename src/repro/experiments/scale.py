@@ -39,7 +39,7 @@ not).
 from __future__ import annotations
 
 import os
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.metrics import ScheduleStatistics, StreamingScheduleStatistics
 from repro.core.replay import ReplayResult
@@ -67,6 +67,31 @@ SCALE_TOPOLOGIES: Tuple[str, ...] = ("rocketfuel", "fattree")
 
 #: Cell mode streaming the recorded schedule's own quality metrics.
 STATS_MODE = "stats"
+
+#: What reading a damaged cache entry raises (the cache's quarantine set).
+_UNREADABLE = (OSError, EOFError, ValueError)
+
+
+def _stored_layout(cache: ScheduleCache, key: str) -> Optional[Tuple[int, List[Tuple[str, int]]]]:
+    """``(packets, [(shard file, packets)])`` of ``key``'s entry on disk, read
+    from its header or manifest only (no shards for a single file).
+
+    ``None`` when there is no entry, or a damaged one — which loading it
+    through the cache (:func:`cached_schedule`) quarantines and re-records.
+    """
+    entry = cache.entry_path(key)
+    if entry is None:
+        return None
+    entry = str(entry)
+    try:
+        if not entry.endswith(MANIFEST_SUFFIX):
+            return stored_schedule_packets(entry), []
+        manifest = load_manifest(entry)
+    except _UNREADABLE:
+        return None
+    directory = os.path.dirname(entry)
+    shards = [(os.path.join(directory, s["file"]), s["packets"]) for s in manifest["shards"]]
+    return manifest["packets"], shards
 
 
 def scale_scenarios(scale: ExperimentScale) -> List[Scenario]:
@@ -181,17 +206,14 @@ class ScaleDefinition(ScenarioExperimentDef):
             return []
         scenario: Scenario = cell.spec
         key = scenario_cache_key(scenario)
-        entry = cache.entry_path(key)
-        if entry is None:
-            # Record (and persist) the schedule now, so shard workers can
-            # cursor the cache entry instead of re-recording per shard.
-            cached_schedule(scenario, cache)
-            entry = cache.entry_path(key)
-        count = (
-            stored_schedule_packets(str(entry))
-            if entry is not None
-            else len(cached_schedule(scenario, cache))
-        )
+        layout = _stored_layout(cache, key)
+        if layout is None:
+            # Record (and persist) the schedule now — or quarantine a damaged
+            # entry and re-record it — so shard workers can cursor the cache
+            # entry instead of re-recording per shard.
+            schedule = cached_schedule(scenario, cache)
+            layout = _stored_layout(cache, key) or (len(schedule), [])
+        count, stored = layout
         step = cache.shard_packets
         bounds = [
             (index, start, min(start + step, count))
@@ -200,15 +222,12 @@ class ScaleDefinition(ScenarioExperimentDef):
         if len(bounds) <= 1:
             return []
         files: Dict[int, str] = {}
-        if entry is not None and str(entry).endswith(MANIFEST_SUFFIX):
-            manifest = load_manifest(str(entry))
-            directory = os.path.dirname(str(entry))
-            start = 0
-            for index, shard in enumerate(manifest["shards"]):
-                stop = start + int(shard["packets"])
-                if index < len(bounds) and bounds[index][1:] == (start, stop):
-                    files[index] = os.path.join(directory, shard["file"])
-                start = stop
+        start = 0
+        for index, (file, packets) in enumerate(stored):
+            stop = start + packets
+            if index < len(bounds) and bounds[index][1:] == (start, stop):
+                files[index] = file
+            start = stop
         return [
             {"index": index, "start": start, "stop": stop, "file": files.get(index)}
             for index, start, stop in bounds
@@ -217,14 +236,23 @@ class ScaleDefinition(ScenarioExperimentDef):
     def run_cell_shard(
         self, cell: Cell, shard: Any, scale: ExperimentScale, cache: ScheduleCache
     ) -> Any:
-        """Fold one shard's rows into a statistics partial."""
-        if not shard["file"]:
-            cols = cached_schedule(cell.spec, cache).columns()
-            return self._partial(cols, shard["start"], shard["stop"])
-        partial = StreamingScheduleStatistics()
-        for cols in iter_schedule_columns(shard["file"]):
-            partial.fold(cols)
-        return partial.to_dict()
+        """Fold one shard's rows into a statistics partial.
+
+        A shard file that fails to decode is left to the cache: the slice is
+        folded from the whole cached schedule instead, whose load quarantines
+        and re-records the damaged entry.
+        """
+        if shard["file"]:
+            partial = StreamingScheduleStatistics()
+            try:
+                for cols in iter_schedule_columns(shard["file"]):
+                    partial.fold(cols)
+            except _UNREADABLE:
+                pass
+            else:
+                return partial.to_dict()
+        cols = cached_schedule(cell.spec, cache).columns()
+        return self._partial(cols, shard["start"], shard["stop"])
 
     def merge_shards(
         self, cell: Cell, scale: ExperimentScale, partials: List[Any]

@@ -2,9 +2,11 @@
 
 ``_kernel.c`` (beside this file) is a hand-written CPython C extension
 transliterating :func:`repro.sim.vectorized.run_flat_replay`; see its header
-for the determinism argument.  It ships as source and builds itself: the
-first :func:`kernel_available` of a process — reached when an engine list
-that includes ``compiled`` is drawn up (:mod:`repro.sim.backend`), never at
+for the determinism argument.  It also holds the ``repro-schedule/1`` row
+decoder that stored-schedule loads use (:func:`kernel_decode_rows`).  It
+ships as source and builds itself: the first probe of a process — reached
+when an engine list that includes ``compiled`` is drawn up
+(:mod:`repro.sim.backend`) or a stored schedule is first loaded, never at
 import, and remembered here, the one availability memo there is —
 hashes the source and loads ``__pycache__/_kernel-<sha12><EXT_SUFFIX>`` from
 beside it, compiling that file first when it is missing or does not load.
@@ -171,7 +173,11 @@ def _kernel() -> _Kernel:
     """This process's kernel, probed on first use (and warned about once)."""
     kernel = _probe()
     if kernel.module is None:
-        logger.warning("compiled kernel unavailable: %s; replays use vectorized", kernel.reason)
+        logger.warning(
+            "compiled kernel unavailable: %s; replays use vectorized and schedule "
+            "loads use the json decoder",
+            kernel.reason,
+        )
     return kernel
 
 
@@ -207,6 +213,19 @@ def kernel_run_flat_replay() -> Callable:
     if kernel.module is None:
         raise RuntimeError(kernel.reason)
     return kernel.module.run_flat_replay
+
+
+def kernel_decode_rows() -> Optional[Callable]:
+    """The compiled ``repro-schedule/1`` row decoder, ``None`` when the kernel
+    is unavailable (the first call of a process may build it).
+
+    ``decode_rows(block, memo, first)`` is storage, not an engine: the
+    stored-schedule decode loop (:mod:`repro.core.schedule`) calls it on
+    every load whatever replay backend is pinned, and decodes with ``json``
+    — its reference — where it is ``None`` or declines a block.
+    """
+    module = _kernel().module
+    return None if module is None else module.decode_rows
 
 
 def kernel_build_info() -> Optional[dict]:

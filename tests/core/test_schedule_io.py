@@ -82,6 +82,22 @@ def plain_row(packet_id, ingress=0.0, output=1.0):
             "ingress_time": ingress, "output_time": output, "path": ["a", "b"], "hops": []}
 
 
+#: Row edits that leave valid JSON but a malformed row (a ``ValueError``
+#: naming the packet); ``test_schedule_decoders`` reads them both ways too.
+MALFORMED_CHANGES = [
+    {"hops": [["a", 0.0, 0.0]]},
+    {"hops": [["a", 0.0, 0.0, 0.1, 0.2]]},
+    {"hops": [None]},
+    {"hops": None},
+    {"path": None},
+    {"path": 7},
+    {"packet_id": [1, 2]},
+    {"packet_id": "1"},
+    {"ingress_time": "0.0"},
+    {"output_time": None},
+]
+
+
 def cursor_columns(path) -> ScheduleColumns:
     """Every batch `iter_schedule_columns` yields, concatenated into one table."""
     whole = ScheduleColumns()
@@ -144,8 +160,8 @@ class TestRoundTripProperty:
         # batch per file or many, no packets at all.
         save_schedule_sharded(tmp_path / "two.manifest.json", schedule, shard_packets=2)
         save_schedule_sharded(tmp_path / "five.manifest.json", schedule, shard_packets=5)
-        for batch in (512, 3):
-            with mock.patch.object(schedule_module, "_DECODE_BATCH", batch):
+        for step in (1 << 20, 700, 3):  # one block per file, a few, one per line
+            with mock.patch.object(schedule_module, "_DECODE_BYTES", step):
                 for stored in (path, tmp_path / "two.manifest.json", tmp_path / "five.manifest.json"):
                     assert cursor_columns(stored) == load_schedule(stored)[0].columns()
                     assert cursor_columns(stored) == schedule.columns()
@@ -198,22 +214,7 @@ class TestFileFormat:
         with pytest.raises(ValueError, match="truncated"):
             load_schedule(path)
 
-    @pytest.mark.parametrize(
-        "change",
-        [
-            {"hops": [["a", 0.0, 0.0]]},
-            {"hops": [["a", 0.0, 0.0, 0.1, 0.2]]},
-            {"hops": [None]},
-            {"hops": None},
-            {"path": None},
-            {"path": 7},
-            {"packet_id": [1, 2]},
-            {"packet_id": "1"},
-            {"ingress_time": "0.0"},
-            {"output_time": None},
-        ],
-        ids=repr,
-    )
+    @pytest.mark.parametrize("change", MALFORMED_CHANGES, ids=repr)
     def test_malformed_rows_are_value_errors_naming_the_packet(self, change, tmp_path):
         data = {**plain_row(1), **change}
         named = re.escape(f"packet {data['packet_id']!r}: malformed row (")
@@ -303,10 +304,10 @@ class TestLoadLeavesGcAsFound:
         # A generator that disabled GC would leave it off between yields —
         # i.e. in the caller's code — and forever if abandoned mid-stream.
         save_schedule(tmp_path / "s.jsonl", schedule)
-        with mock.patch.object(schedule_module, "_DECODE_BATCH", 2):
+        with mock.patch.object(schedule_module, "_DECODE_BYTES", 1):  # a block per line
             batches = iter_schedule_columns(tmp_path / "s.jsonl")
             with mock.patch.object(gc, "disable") as disable, mock.patch.object(gc, "enable") as enable:
-                assert [len(cols.packet_id) for cols in batches] == [2, 2, 1]
+                assert [len(cols.packet_id) for cols in batches] == [1, 1, 1, 1, 1]
         assert not disable.called and not enable.called
         assert gc.isenabled() is gc_state
 

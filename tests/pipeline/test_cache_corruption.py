@@ -137,6 +137,52 @@ class TestMalformedEntries:
         assert recovered.metrics == clean.metrics
 
 
+def _manifest_shards_not_a_list(cache_dir):
+    manifests = list(cache_dir.rglob("*.manifest.json"))
+    for manifest in manifests:
+        data = json.loads(manifest.read_text())
+        data["shards"] = "x"
+        manifest.write_text(json.dumps(data) + "\n")
+    return manifests
+
+
+def _shard_3_cut_in_half(cache_dir):
+    shards = list(cache_dir.rglob("*.shard-3.jsonl.gz"))
+    for shard in shards:
+        payload = shard.read_bytes()
+        shard.write_bytes(payload[: len(payload) // 2])
+    return shards
+
+
+#: Damage a scale stats cell meets outside ``get_or_record``: in shard
+#: planning (the manifest) or in a shard task (one shard file).
+SCALE_DAMAGE = {"manifest-shards-x": _manifest_shards_not_a_list, "shard-3-truncated": _shard_3_cut_in_half}
+
+
+class TestScaleStatsCellsReadThroughTheCache:
+    """``run scale --shard-packets 10`` over a damaged sharded entry: the run
+    that meets the damage quarantines, re-records and prints a clean run's rows."""
+
+    @staticmethod
+    def run_scale(cache_dir, workers, capsys):
+        from repro.__main__ import main
+
+        argv = ["run", "scale", "--scale", "smoke", "--shard-packets", "10", "--json"]
+        code = main([*argv, "--workers", str(workers), "--cache-dir", str(cache_dir)])
+        return code, json.loads(capsys.readouterr().out)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("damage", SCALE_DAMAGE.values(), ids=SCALE_DAMAGE)
+    def test_the_first_run_after_the_damage_succeeds(self, tmp_path, capsys, damage, workers):
+        code, clean = self.run_scale(tmp_path / "clean", workers, capsys)
+        assert code == 0 and clean["errors"] == []
+        assert damage(tmp_path / "clean")  # the entries the clean run left
+        code, recovered = self.run_scale(tmp_path / "clean", workers, capsys)
+        assert (code, recovered["errors"]) == (0, [])
+        assert recovered["scale"]["rows"] == clean["scale"]["rows"]
+        assert list((tmp_path / "clean").rglob("*.manifest.json.corrupt"))
+
+
 class TestQuarantineUnderReadOnlyCache:
     """The `.corrupt` rename itself failing must not break the run."""
 

@@ -153,6 +153,26 @@ class TestBuildAndCache:
         assert compiled_mod._kernel.cache_info().currsize == 1  # probed here, not only in workers
 
 
+def schedule_columns(path) -> list:
+    """A stored schedule through both consumers of the decode loop."""
+    from repro.core.schedule import iter_schedule_columns, load_schedule
+
+    return [load_schedule(path)[0].columns(), list(iter_schedule_columns(path))]
+
+
+@pytest.fixture
+def stored_table1(tmp_path):
+    """A smoke ``table1`` cache, and each entry read with this checkout's kernel
+    (requested before ``no_compiler``, so it runs before the compiler goes)."""
+    from repro.experiments import ExperimentScale
+    from repro.pipeline import run_pipeline
+
+    run_pipeline(["table1"], scale=ExperimentScale.smoke(), cache_dir=str(tmp_path / "cache"))
+    entries = sorted((tmp_path / "cache").rglob("*.jsonl.gz"))
+    assert entries
+    return entries, [schedule_columns(path) for path in entries]
+
+
 class TestNoCompiler:
     def test_declines_leaves_a_marker_and_the_next_process_reads_it(self, no_compiler, spawned):
         assert compiled_mod.kernel_available() is False
@@ -181,6 +201,16 @@ class TestNoCompiler:
         warnings = [r for r in caplog.records if r.name == "repro.sim.compiled"]
         assert len(warnings) == 1 and warnings[0].levelname == "WARNING"
         assert "replays use vectorized" in warnings[0].message
+        assert "schedule loads use the json decoder" in warnings[0].message
+
+    def test_schedule_loads_decode_with_json_to_the_same_columns(self, stored_table1, no_compiler, caplog):
+        entries, native = stored_table1
+        with caplog.at_level("DEBUG", logger="repro.core.schedule"):
+            assert [schedule_columns(path) for path in entries] == native
+        assert compiled_mod.kernel_available() is False
+        said = [r.getMessage() for r in caplog.records if r.name == "repro.core.schedule"]
+        # One line per file each consumer read: load_schedule's, then the cursor's.
+        assert said == [f"{path}: decoding with json (compiled kernel unavailable)" for path in entries for _ in "lc"]
 
     def test_compiler_error_lands_in_the_reason_with_its_stderr_tail(self, kernel_sandbox, monkeypatch):
         failed = subprocess.CompletedProcess([], 1, "", "_kernel.c:41:10: fatal error: Python.h: No such file\n")
