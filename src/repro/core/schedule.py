@@ -57,7 +57,7 @@ from itertools import accumulate, chain, islice, repeat
 from operator import itemgetter, le, methodcaller
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
-from repro.sim.compiled import kernel_decode_rows
+from repro.sim.compiled import kernel_decode_rows, kernel_encode_rows
 from repro.sim.packet import Packet
 from repro.sim.tracer import Tracer
 from repro.utils.stats import left_sum
@@ -397,32 +397,26 @@ class Schedule:
 # ---------------------------------------------------------------------- #
 # On-disk JSON-lines format
 # ---------------------------------------------------------------------- #
-def _open_for_write(path: str, compressed: bool) -> io.TextIOBase:
-    if compressed:
-        return gzip.open(path, "wt", encoding="utf-8", compresslevel=5)
-    return open(path, "w", encoding="utf-8")
-
-
-def _open_for_read(path: str) -> io.TextIOBase:
-    if path.endswith(".gz"):
-        return gzip.open(path, "rt", encoding="utf-8")
-    return open(path, "r", encoding="utf-8")
-
-
 def _open_for_decode(path: str) -> io.BufferedIOBase:
     """``path`` as bytes (decompressed when the name ends in ``.gz``)."""
     return gzip.open(path, "rb") if path.endswith(".gz") else open(path, "rb")
 
 
-def _atomic_write_lines(path: str, lines: Iterable[str]) -> None:
-    """Write text lines to ``path`` atomically (temp file + ``os.replace``)."""
-    directory = os.path.dirname(path) or "."
-    os.makedirs(directory, exist_ok=True)
+def _atomic_write(path: str, blocks: Iterable[bytes]) -> None:
+    """Write ``blocks`` to ``path`` atomically (temp file + ``os.replace``),
+    gzipped when the name ends in ``.gz``: under a header that names ``path``
+    itself and holds no mtime (equal content, equal files), and with the one
+    ``Z_SYNC_FLUSH`` a text-mode gzip writer issues on close (its bytes)."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     tmp_path = f"{path}.tmp.{os.getpid()}"
     try:
-        with _open_for_write(tmp_path, compressed=path.endswith(".gz")) as stream:
-            for line in lines:
-                stream.write(line)
+        with open(tmp_path, "wb") as raw:
+            if path.endswith(".gz"):
+                with gzip.GzipFile(path, "wb", compresslevel=5, fileobj=raw, mtime=0) as stream:
+                    stream.writelines(blocks)
+                    stream.flush()
+            else:
+                raw.writelines(blocks)
         os.replace(tmp_path, path)
     except BaseException:
         if os.path.exists(tmp_path):
@@ -430,12 +424,29 @@ def _atomic_write_lines(path: str, lines: Iterable[str]) -> None:
         raise
 
 
-def _schedule_lines(cols: ScheduleColumns, rows: range, meta: Optional[dict]) -> Iterator[str]:
-    """The ``repro-schedule/1`` lines of packets ``rows`` of ``cols``."""
+def _schedule_blocks(
+    path: str, cols: ScheduleColumns, rows: range, meta: Optional[dict]
+) -> Iterator[bytes]:
+    """The ``repro-schedule/1`` text of packets ``rows`` of ``cols``, in blocks
+    of about :data:`_DECODE_BYTES`: from the compiled encoder
+    (:func:`repro.sim.compiled.kernel_encode_rows`) first, and from ``json``,
+    the reference and the same bytes, where it is unavailable or declines a
+    block (one DEBUG line per declined block, naming ``path`` and the packet)."""
     header = {"format": SCHEDULE_FORMAT, "packets": len(rows), "meta": meta or {}}
-    yield json.dumps(header) + "\n"
-    for packet in cols.rows(rows):
-        yield json.dumps(packet) + "\n"
+    yield (json.dumps(header) + "\n").encode()
+    encode = kernel_encode_rows()
+    columns = tuple(getattr(cols, name) for name in cols.__slots__)
+    start, step = rows.start, 256
+    while start < rows.stop:
+        stop = min(start + step, rows.stop)
+        block = encode(columns, start, stop) if encode else None
+        if not isinstance(block, bytes):
+            if block is not None:
+                logger.debug("%s: encoding with json (declined at %s)", path, block)
+            block = "".join(json.dumps(row) + "\n" for row in cols.rows(range(start, stop))).encode()
+        yield block
+        step = max(1, _DECODE_BYTES * (stop - start) // len(block))
+        start = stop
 
 
 def save_schedule(
@@ -452,7 +463,7 @@ def save_schedule(
     leave a truncated file behind.
     """
     path = os.fspath(path)
-    _atomic_write_lines(path, _schedule_lines(schedule.columns(), range(len(schedule)), meta))
+    _atomic_write(path, _schedule_blocks(path, schedule.columns(), range(len(schedule)), meta))
 
 
 def shard_file_name(manifest_path: Union[str, "os.PathLike"], index: int) -> str:
@@ -496,10 +507,8 @@ def save_schedule_sharded(
     for index, start in enumerate(range(0, len(schedule), shard_packets)):
         rows = range(start, min(start + shard_packets, len(schedule)))
         name = shard_file_name(path, index)
-        _atomic_write_lines(
-            os.path.join(directory, name),
-            _schedule_lines(cols, rows, {"shard_index": index}),
-        )
+        target = os.path.join(directory, name)
+        _atomic_write(target, _schedule_blocks(target, cols, rows, {"shard_index": index}))
         shards.append(
             {
                 "file": name,
@@ -514,15 +523,15 @@ def save_schedule_sharded(
         "meta": meta or {},
         "shards": shards,
     }
-    _atomic_write_lines(path, [json.dumps(manifest) + "\n"])
+    _atomic_write(path, [(json.dumps(manifest) + "\n").encode()])
     return [shard["file"] for shard in shards]
 
 
 def load_manifest(path: Union[str, "os.PathLike"]) -> dict:
     """Load and validate a shard manifest written by :func:`save_schedule_sharded`."""
     path = os.fspath(path)
-    with _open_for_read(path) as stream:
-        line = stream.readline()
+    with _open_for_decode(path) as stream:
+        line = stream.readline().decode("utf-8")
     if not line.strip():
         raise ValueError(f"{path}: empty manifest file")
     manifest = _tagged_object(line, path, MANIFEST_FORMAT)
@@ -599,8 +608,9 @@ def _stored_files(path: str) -> Tuple[List[Tuple[str, Optional[int]]], Optional[
     return [(os.path.join(directory, s["file"]), s["packets"]) for s in shards], manifest
 
 
-#: Decompressed bytes the decode loop reads per step: it holds at most this
-#: much row text (plus one partial line) beside the columns it is filling.
+#: Row text per step of the decode loop and, roughly, per block a save
+#: encodes: a load holds at most this much (plus one partial line) beside the
+#: columns it is filling, and a save about this much text at a time.
 _DECODE_BYTES = 1 << 20
 
 

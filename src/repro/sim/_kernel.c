@@ -1,6 +1,6 @@
 /* Native replay kernel: `repro.sim.vectorized.run_flat_replay`, compiled.
- * (The stored-schedule row decoder, `decode_rows`, follows it at the end of
- * this file; see the comment there.)
+ * (The stored-schedule row decoder and encoder, `decode_rows` and
+ * `encode_rows`, follow it at the end of this file; see the comments there.)
  *
  * This module is the inner loop of the "compiled" backend
  * (repro.core.replay_compiled).  It is a line-for-line transliteration of
@@ -38,6 +38,7 @@
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 
+#include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -1204,20 +1205,267 @@ PyDoc_STRVAR(decode_rows_doc,
 "the block holds anything json would read differently or reject; the\n"
 "caller then decodes it with json.  `memo` interns node names and routes.");
 
+/* ------------------------------------------------------------------ */
+/* encode_rows: columns straight into repro-schedule/1 row lines.     */
+/* ------------------------------------------------------------------ */
+/*
+ * The mirror of decode_rows.  core/schedule.py's writer hands it the 15
+ * ScheduleColumns lists and a row range, and gets back exactly the bytes
+ * of json.dumps(row) + "\n" for each row ScheduleColumns.rows would build,
+ * with no row dict or hop tuple in between.  A float is spelled by
+ * PyOS_double_to_string(v, 'r', 0, Py_DTSF_ADD_DOT_0), the call behind
+ * float.__repr__ and so json's; an int exactly; None as null; a str only
+ * when it is printable ASCII that json writes unescaped.  Anything else
+ * declines the block — a non-finite float, a bool or any int or float
+ * subclass, an int past 64 bits, a string json would escape, any other
+ * type, a column too short for the rows asked for — and the caller writes
+ * it with json, the reference.  Nothing here calls back into Python, so
+ * the columns cannot change under the borrowed references the loop holds.
+ */
+
+/* Floats spelled earlier in this block, direct-mapped by their bits (a
+ * hop's start of service is often its arrival, a port's next start its
+ * last departure).  A miss only spells again. */
+#define SPELLED_BITS 11
+
+typedef struct {
+    uint64_t bits;
+    unsigned char len;  /* 0: an empty slot */
+    char text[31];      /* a repr is at most 24 bytes */
+} Spelled;
+
+typedef struct {
+    char *buf;
+    Py_ssize_t len, cap;
+    Spelled *spelled;   /* 1 << SPELLED_BITS slots */
+    const char *why;    /* what declined the block; NULL on a Python error */
+    const char *key;    /* the row key it concerns */
+} Writer;
+
+static int
+put(Writer *w, const char *s, Py_ssize_t n)
+{
+    char *buf;
+    if (w->len + n > w->cap) {
+        while (w->len + n > w->cap)
+            w->cap *= 2;
+        if ((buf = (char *)PyMem_Realloc(w->buf, (size_t)w->cap)) == NULL) {
+            PyErr_NoMemory();
+            return -1;
+        }
+        w->buf = buf;
+    }
+    memcpy(w->buf + w->len, s, (size_t)n);
+    w->len += n;
+    return 0;
+}
+
+#define PUT_LITERAL(w, s) put((w), (s), (Py_ssize_t)sizeof(s) - 1)
+
+static int
+refuse(Writer *w, const char *why)
+{
+    w->why = why;
+    return -1;
+}
+
+/* `value` as json.dumps spells it, when it is a type spelled here. */
+static int
+put_scalar(Writer *w, PyObject *value)
+{
+    if (value == Py_None)
+        return PUT_LITERAL(w, "null");
+    if (PyFloat_CheckExact(value)) {
+        double x = PyFloat_AS_DOUBLE(value);
+        uint64_t bits;
+        Spelled *slot;
+        if (!isfinite(x))
+            return refuse(w, "a non-finite float");
+        memcpy(&bits, &x, sizeof(bits));
+        slot = &w->spelled[(bits * 0x9E3779B97F4A7C15ULL) >> (64 - SPELLED_BITS)];
+        if (slot->len == 0 || slot->bits != bits) {
+            char *text = PyOS_double_to_string(x, 'r', 0, Py_DTSF_ADD_DOT_0, NULL);
+            if (text == NULL)
+                return -1;
+            slot->len = (unsigned char)strlen(text);  /* sign, 17 digits, '.', "e-308" */
+            memcpy(slot->text, text, slot->len);
+            slot->bits = bits;
+            PyMem_Free(text);
+        }
+        return put(w, slot->text, slot->len);
+    }
+    if (PyLong_CheckExact(value)) {
+        int overflow;
+        long long v = PyLong_AsLongLongAndOverflow(value, &overflow);
+        unsigned long long u = v < 0 ? 0ULL - (unsigned long long)v : (unsigned long long)v;
+        char digits[24], *q = digits + sizeof(digits);
+        if (overflow)
+            return refuse(w, "an int beyond 64 bits");
+        do {
+            *--q = (char)('0' + u % 10);
+            u /= 10;
+        } while (u);
+        if (v < 0)
+            *--q = '-';
+        return put(w, q, digits + sizeof(digits) - q);
+    }
+    if (PyUnicode_CheckExact(value)) {
+        const Py_UCS1 *s;
+        Py_ssize_t i, n;
+        if (!PyUnicode_IS_ASCII(value))
+            return refuse(w, "a string that is not ASCII");
+        s = PyUnicode_1BYTE_DATA(value);
+        n = PyUnicode_GET_LENGTH(value);
+        for (i = 0; i < n; i++)
+            if (s[i] < 0x20 || s[i] > 0x7e || s[i] == '"' || s[i] == '\\')
+                return refuse(w, "a string json would escape");
+        if (PUT_LITERAL(w, "\"") < 0 || put(w, (const char *)s, n) < 0)
+            return -1;
+        return PUT_LITERAL(w, "\"");
+    }
+    return refuse(w, PyBool_Check(value) ? "a bool"
+                     : PyLong_Check(value) || PyFloat_Check(value) ? "an int or float subclass"
+                                                                   : "an unexpected type");
+}
+
+/* A row's path: a tuple or list of scalars. */
+static int
+put_route(Writer *w, PyObject *route)
+{
+    Py_ssize_t e;
+    if (!PyTuple_CheckExact(route) && !PyList_CheckExact(route))
+        return refuse(w, "a path that is not a tuple or list");
+    if (PUT_LITERAL(w, "[") < 0)
+        return -1;
+    for (e = 0; e < PySequence_Fast_GET_SIZE(route); e++)
+        if ((e > 0 && PUT_LITERAL(w, ", ") < 0) || put_scalar(w, PySequence_Fast_GET_ITEM(route, e)) < 0)
+            return -1;
+    return PUT_LITERAL(w, "]");
+}
+
+/* Row `j`'s hops; `hop_count` is the length every hop column reaches. */
+static int
+put_hops(Writer *w, PyObject **cols, Py_ssize_t j, Py_ssize_t hop_count)
+{
+    Py_ssize_t first = PyLong_AsSsize_t(PyList_GET_ITEM(cols[C_HOP_OFFSET], j));
+    Py_ssize_t last = PyLong_AsSsize_t(PyList_GET_ITEM(cols[C_HOP_OFFSET], j + 1));
+    Py_ssize_t h;
+    int c;
+    if (PyErr_Occurred()) {
+        PyErr_Clear();
+        return refuse(w, "a hop offset that is not an int");
+    }
+    if (first < 0 || first > last || last > hop_count)
+        return refuse(w, "hop offsets outside the hop columns");
+    if (PUT_LITERAL(w, "[") < 0)
+        return -1;
+    for (h = first; h < last; h++) {
+        if (put(w, h > first ? ", [" : "[", h > first ? 3 : 1) < 0)
+            return -1;
+        for (c = 0; c < 4; c++)
+            if ((c > 0 && PUT_LITERAL(w, ", ") < 0) ||
+                put_scalar(w, PyList_GET_ITEM(cols[C_HOP_NODE + c], h)) < 0)
+                return -1;
+        if (PUT_LITERAL(w, "]") < 0)
+            return -1;
+    }
+    return PUT_LITERAL(w, "]");
+}
+
+/* A row's keys in the order of ScheduleColumns.rows' dict, and its line. */
+static const int row_order[N_KEYS] = {
+    K_PACKET_ID, K_FLOW_ID, K_SRC, K_DST, K_SIZE_BYTES, K_INGRESS_TIME,
+    K_OUTPUT_TIME, K_PATH, K_HOPS, K_FLOW_SIZE_BYTES, K_DEADLINE,
+};
+
+static int
+put_row(Writer *w, PyObject **cols, Py_ssize_t j, Py_ssize_t hop_count)
+{
+    int i, k, status;
+    for (i = 0; i < N_KEYS; i++) {
+        k = row_order[i];
+        w->key = row_keys[k].name;
+        if (put(w, i == 0 ? "{\"" : ", \"", i == 0 ? 2 : 3) < 0 ||
+            put(w, row_keys[k].name, row_keys[k].len) < 0 || PUT_LITERAL(w, "\": ") < 0)
+            return -1;
+        status = k == K_PATH   ? put_route(w, PyList_GET_ITEM(cols[K_PATH], j))
+                 : k == K_HOPS ? put_hops(w, cols, j, hop_count)
+                               : put_scalar(w, PyList_GET_ITEM(cols[k], j));
+        if (status < 0)
+            return -1;
+    }
+    return PUT_LITERAL(w, "}\n");
+}
+
+static PyObject *
+kernel_encode_rows(PyObject *self, PyObject *args)
+{
+    PyObject *columns, *cols[N_COLUMNS], *result = NULL;
+    Py_ssize_t start, stop, j, hop_count = PY_SSIZE_T_MAX;
+    Writer w = {0};
+    int i;
+
+    if (!PyArg_ParseTuple(args, "O!nn:encode_rows", &PyTuple_Type, &columns, &start, &stop))
+        return NULL;
+    if (PyTuple_GET_SIZE(columns) != N_COLUMNS) {
+        PyErr_SetString(PyExc_TypeError, "encode_rows: columns must be ScheduleColumns' 15 lists");
+        return NULL;
+    }
+    if (start < 0 || start > stop)
+        return PyUnicode_FromString("a row range that is not one");
+    for (i = 0; i < N_COLUMNS; i++) {
+        cols[i] = PyTuple_GET_ITEM(columns, i);
+        if (!PyList_Check(cols[i]))
+            return PyUnicode_FromString("a column that is not a list");
+        if (i > C_HOP_OFFSET && PyList_GET_SIZE(cols[i]) < hop_count)
+            hop_count = PyList_GET_SIZE(cols[i]);
+        if (i <= C_HOP_OFFSET && PyList_GET_SIZE(cols[i]) < stop + (i == C_HOP_OFFSET))
+            return PyUnicode_FromString("a column shorter than the rows asked for");
+    }
+    w.buf = (char *)PyMem_Malloc((size_t)(w.cap = 1 << 16));
+    w.spelled = (Spelled *)PyMem_Calloc((size_t)1 << SPELLED_BITS, sizeof(Spelled));
+    if (w.buf == NULL || w.spelled == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    for (j = start; j < stop; j++)
+        if (put_row(&w, cols, j, hop_count) < 0) {
+            if (w.why != NULL)
+                result = PyUnicode_FromFormat("packet %R (row %zd): %s [%s]",
+                                              PyList_GET_ITEM(cols[K_PACKET_ID], j), j, w.why, w.key);
+            goto done;
+        }
+    result = PyBytes_FromStringAndSize(w.buf, w.len);
+done:
+    PyMem_Free(w.buf);
+    PyMem_Free(w.spelled);
+    return result;
+}
+
+PyDoc_STRVAR(encode_rows_doc,
+"encode_rows(columns, start, stop)\n"
+"--\n\n"
+"Rows start..stop of ScheduleColumns' 15 lists (a tuple, in field order) as\n"
+"repro-schedule/1 lines: the bytes json.dumps(row) + '\\n' gives for each.\n"
+"Returns a str instead — 'packet P (row N): what it saw [key]' — when a\n"
+"value is one json would spell otherwise or reject; the caller then writes\n"
+"the block with json.");
+
 static PyMethodDef kernel_methods[] = {
     {"run_flat_replay", (PyCFunction)(void (*)(void))kernel_run_flat_replay,
      METH_VARARGS | METH_KEYWORDS, run_flat_replay_doc},
     {"decode_rows", kernel_decode_rows, METH_VARARGS, decode_rows_doc},
+    {"encode_rows", kernel_encode_rows, METH_VARARGS, encode_rows_doc},
     {NULL, NULL, 0, NULL},
 };
 
 PyDoc_STRVAR(kernel_module_doc,
-"Compiled flat replay kernel and schedule row decoder (hand-written\n"
-"CPython C extension).\n\n"
+"Compiled flat replay kernel and schedule row decoder and encoder\n"
+"(hand-written CPython C extension).\n\n"
 "Built optionally (a C toolchain is required); repro.sim.compiled wraps\n"
 "the import and reports availability, repro.core.replay_compiled\n"
 "registers the 'compiled' backend on top of it, and\n"
-"repro.core.schedule decodes stored schedules with it.");
+"repro.core.schedule decodes and encodes stored schedules with it.");
 
 #if defined(__clang__)
 #define KERNEL_COMPILER "clang " __clang_version__
@@ -1246,7 +1494,7 @@ PyInit__kernel(void)
     if (PyModule_AddStringConstant(module, "COMPILER", KERNEL_COMPILER) < 0 ||
         PyModule_AddStringConstant(module, "TOOLCHAIN",
                                    "cpython-c-api") < 0 ||
-        PyModule_AddIntConstant(module, "KERNEL_VERSION", 2) < 0) {
+        PyModule_AddIntConstant(module, "KERNEL_VERSION", 3) < 0) {
         Py_DECREF(module);
         return NULL;
     }

@@ -3,11 +3,11 @@
 ``_kernel.c`` (beside this file) is a hand-written CPython C extension
 transliterating :func:`repro.sim.vectorized.run_flat_replay`; see its header
 for the determinism argument.  It also holds the ``repro-schedule/1`` row
-decoder that stored-schedule loads use (:func:`kernel_decode_rows`).  It
-ships as source and builds itself: the first probe of a process — reached
-when an engine list that includes ``compiled`` is drawn up
-(:mod:`repro.sim.backend`) or a stored schedule is first loaded, never at
-import, and remembered here, the one availability memo there is —
+decoder and encoder that stored-schedule loads and saves use.  It ships as
+source and builds itself: the first probe of a process — reached when an
+engine list that includes ``compiled`` is drawn up (:mod:`repro.sim.backend`)
+or a stored schedule is first loaded or saved, never at import, and
+remembered here, the one availability memo there is —
 hashes the source and loads ``__pycache__/_kernel-<sha12><EXT_SUFFIX>`` from
 beside it, compiling that file first when it is missing or does not load.
 The name is the content, so an edited source never runs an old build and any
@@ -16,7 +16,7 @@ other ``_kernel*.so`` lying around is ignored.
 A build is one call of the interpreter's own link driver (``sysconfig``'s
 ``LDSHARED``, i.e. ``$(CC) -shared ...``) writing a temp file that is
 ``os.replace``d into place — the atomic-write rule of
-``core/schedule.py::_atomic_write_lines`` — so processes racing on an empty
+``core/schedule.py::_atomic_write`` — so processes racing on an empty
 cache all end with one valid file.  A build that cannot succeed (no compiler,
 no headers, unwritable directory, non-POSIX) never raises: it leaves
 ``<file>.failed`` holding the reason, later processes decline from that
@@ -174,8 +174,8 @@ def _kernel() -> _Kernel:
     kernel = _probe()
     if kernel.module is None:
         logger.warning(
-            "compiled kernel unavailable: %s; replays use vectorized and schedule "
-            "loads use the json decoder",
+            "compiled kernel unavailable: %s; replays use vectorized, schedule "
+            "loads use the json decoder and schedule saves use the json encoder",
             kernel.reason,
         )
     return kernel
@@ -226,6 +226,14 @@ def kernel_decode_rows() -> Optional[Callable]:
     """
     module = _kernel().module
     return None if module is None else module.decode_rows
+
+
+def kernel_encode_rows() -> Optional[Callable]:
+    """:func:`kernel_decode_rows`' mirror, ``encode_rows(columns, start, stop)``:
+    every save calls it whatever backend is pinned, and writes with ``json``
+    — its reference, byte for byte — where it is ``None`` or declines."""
+    module = _kernel().module
+    return None if module is None else module.encode_rows
 
 
 def kernel_build_info() -> Optional[dict]:

@@ -22,14 +22,11 @@ class RoutingError(RuntimeError):
 class RoutingTable:
     """All-pairs next-hop routing derived from shortest paths.
 
-    Paths are computed lazily and cached.  Edge weights default to hop count;
-    pass ``weight="delay"`` to prefer low-propagation-delay paths (the graph
-    edges must then carry a ``delay`` attribute).
+    Paths are computed lazily and cached; a path is a fewest-hops one.
     """
 
-    def __init__(self, graph: nx.Graph, weight: str | None = None) -> None:
+    def __init__(self, graph: nx.Graph) -> None:
         self._graph = graph
-        self._weight = weight
         self._path_cache: Dict[Tuple[str, str], List[str]] = {}
 
     def path(self, src: str, dst: str) -> List[str]:
@@ -41,7 +38,7 @@ class RoutingTable:
         if cached is not None:
             return cached
         try:
-            route = nx.shortest_path(self._graph, src, dst, weight=self._weight)
+            route = nx.shortest_path(self._graph, src, dst)
         except (nx.NetworkXNoPath, nx.NodeNotFound) as exc:
             raise RoutingError(f"no route from {src} to {dst}") from exc
         self._path_cache[key] = route
@@ -51,8 +48,7 @@ class RoutingTable:
         """The neighbour ``node`` should forward to in order to reach ``dst``."""
         if node == dst:
             raise RoutingError(f"{node} is already the destination")
-        route = self.path(node, dst)
-        return route[1]
+        return self.path(node, dst)[1]
 
     def hop_count(self, src: str, dst: str) -> int:
         """Number of links on the route from ``src`` to ``dst``."""

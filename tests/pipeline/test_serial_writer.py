@@ -7,11 +7,14 @@ bytes on disk, one recording per key, the same warnings when a write is lost,
 and nothing left running after the run.
 """
 
-import gzip
 import logging
 import multiprocessing
+import os
+import subprocess
+import sys
 import time
 from concurrent.futures import Executor, Future, ProcessPoolExecutor
+from pathlib import Path
 
 import pytest
 
@@ -60,8 +63,21 @@ class TestColdSerialRun:
             key = scenario_cache_key(scenario)
             ours, theirs = written.entry_path(key), inline.entry_path(key)
             assert ours is not None
-            assert gzip.decompress(ours.read_bytes()) == gzip.decompress(theirs.read_bytes())
+            assert ours.read_bytes() == theirs.read_bytes()
             assert load_schedule(ours)[0].columns() == load_schedule(theirs)[0].columns()
+
+    def test_two_runs_in_two_processes_leave_byte_identical_files(self, tmp_path):
+        """A gzip header names the entry itself, not its temp file, and holds no mtime."""
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[2] / "src")}
+        trees = []
+        for run in ("first", "second"):
+            if trees:
+                time.sleep(1.1)  # a header mtime would differ now
+            argv = ["run", "table1", "--scale", "smoke", "--cache-dir", str(tmp_path / run)]
+            subprocess.run([sys.executable, "-m", "repro", *argv], env=env, check=True, capture_output=True)
+            files = sorted(path for path in (tmp_path / run).rglob("*") if path.is_file())
+            trees.append({str(path.relative_to(tmp_path / run)): path.read_bytes() for path in files})
+        assert len(trees[0]) == len(table1_scenarios()) and trees[0] == trees[1]
 
     def test_only_a_recording_run_uses_the_writer(self, tmp_path, monkeypatch):
         """The executor starts its process at the first write: a warm run,

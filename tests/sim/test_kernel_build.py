@@ -202,6 +202,7 @@ class TestNoCompiler:
         assert len(warnings) == 1 and warnings[0].levelname == "WARNING"
         assert "replays use vectorized" in warnings[0].message
         assert "schedule loads use the json decoder" in warnings[0].message
+        assert "schedule saves use the json encoder" in warnings[0].message
 
     def test_schedule_loads_decode_with_json_to_the_same_columns(self, stored_table1, no_compiler, caplog):
         entries, native = stored_table1
@@ -211,6 +212,16 @@ class TestNoCompiler:
         said = [r.getMessage() for r in caplog.records if r.name == "repro.core.schedule"]
         # One line per file each consumer read: load_schedule's, then the cursor's.
         assert said == [f"{path}: decoding with json (compiled kernel unavailable)" for path in entries for _ in "lc"]
+
+    def test_schedule_saves_encode_with_json_to_the_same_files(self, stored_table1, no_compiler, tmp_path):
+        from repro.core.schedule import load_schedule, save_schedule
+
+        entries, _ = stored_table1
+        for path in entries:
+            again = tmp_path / "again" / path.parent.name / path.name
+            save_schedule(again, *load_schedule(path))
+            assert again.read_bytes() == path.read_bytes()
+        assert compiled_mod.kernel_available() is False
 
     def test_compiler_error_lands_in_the_reason_with_its_stderr_tail(self, kernel_sandbox, monkeypatch):
         failed = subprocess.CompletedProcess([], 1, "", "_kernel.c:41:10: fatal error: Python.h: No such file\n")
@@ -236,31 +247,55 @@ class TestNoCompiler:
 
 
 class TestLaziness:
-    def test_import_and_the_benchmark_prepare_path_never_touch_the_kernel(self, tmp_path):
-        """``import repro.experiments`` + record + save: no hash, no cache stat, no process."""
+    def test_import_never_touches_the_kernel(self):
+        """``import repro.experiments``: no hash, no cache stat, no process."""
         code = (
-            "import importlib.util, subprocess, sys\n"
+            "import subprocess\n"
             "import repro.sim.compiled as c\n"
             "def touched(*args, **kwargs): raise SystemExit('the kernel was probed')\n"
             "c._probe = c._spawn = subprocess.Popen = touched\n"
             "import repro.experiments\n"
+            "assert c._kernel.cache_info().currsize == 0\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+
+    @pytest.mark.usefixtures("needs_compiler")
+    def test_the_benchmark_prepare_path_builds_nothing_and_writes_the_json_bytes(self, kernel_sandbox, tmp_path):
+        """Prepare records and saves, and a save probes the kernel: against a
+        cache that holds the build it loads it, spawning no compiler, and its
+        files are the bytes a prepare without a compiler writes."""
+        code = (
+            "import importlib.util, sys\n"
+            "import repro.sim.compiled as c\n"
+            "c._SOURCE = sys.argv[3]\n"
+            "def spawned(argv): raise SystemExit('a compiler was spawned')\n"
+            "c._spawn = spawned\n"
+            "if sys.argv[4] == 'no-compiler': c._compiler = lambda: None\n"
             "spec = importlib.util.spec_from_file_location('perf_run', sys.argv[1])\n"
             "run = importlib.util.module_from_spec(spec)\n"
             "sys.modules['perf_run'] = run\n"
             "spec.loader.exec_module(run)\n"
             "run.prepare(run.WORKLOADS['table1-warm'], run.make_scale('smoke', 1), sys.argv[2])\n"
-            "assert c._kernel.cache_info().currsize == 0\n"
+            "assert c._kernel.cache_info().currsize == 1\n"
+            "assert (c._kernel().module is None) == (sys.argv[4] == 'no-compiler')\n"
         )
+        assert compiled_mod.kernel_available() is True  # the build the first prepare finds
+        bare = tmp_path / "bare"
+        bare.mkdir()
+        (bare / "_kernel.c").write_bytes((kernel_sandbox / "_kernel.c").read_bytes())
         env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
-        done = subprocess.run(
-            [sys.executable, "-c", code, str(REPO_ROOT / "benchmarks/perf/run.py"), str(tmp_path / "warm")],
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
-        assert done.returncode == 0, done.stderr
-        assert any((tmp_path / "warm").iterdir())  # it did record and save
+        trees = []
+        for source, compiler in ((kernel_sandbox, "built"), (bare, "no-compiler")):
+            out = tmp_path / compiler
+            argv = [str(REPO_ROOT / "benchmarks/perf/run.py"), str(out), str(source / "_kernel.c"), compiler]
+            done = subprocess.run(
+                [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=120
+            )
+            assert done.returncode == 0, done.stderr
+            trees.append({str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()})
+        assert trees[0] and trees[0] == trees[1]
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     @pytest.mark.parametrize("pin", ["--backend vectorized", "REPRO_BACKEND=python"])
