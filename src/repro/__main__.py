@@ -170,9 +170,8 @@ def _add_backend_argument(parser) -> None:
         "--backend",
         default=None,
         help="simulation engine for replays: python (reference; pins recording "
-        "to the OO engine too), vectorized "
-        "(numpy fast path), or compiled (native kernel, built on first use) — "
-        "all bit-identical rows; see `list --backends`. Default: "
+        "to the OO engine too) or compiled (native kernel, built on first use) — "
+        "bit-identical rows; see `list --backends`. Default: "
         "$REPRO_BACKEND, else the fastest available engine that supports "
         "each replay's configuration. See docs/backends.md",
     )
@@ -341,8 +340,8 @@ _LISTINGS = {
         lambda scale: _registry("repro.sim.backend:describe_backends")(),
         ("name", ("status", _backend_status), "replay_note", ("detail", _backend_detail)),
         "unselected replays use the `default` engine when it supports "
-        "their configuration (fault plans run on vectorized, finite buffers "
-        "and preemption on python); pin one with `--backend <name>` on run/replay/diff "
+        "their configuration (finite buffers, preemption and foreign fault "
+        "kinds run on python); pin one with `--backend <name>` on run/replay/diff "
         "or $REPRO_BACKEND (docs/backends.md)",
     ),
     "faults": (

@@ -315,8 +315,8 @@ def replay_schedule(
             each that declined.
         faults: Optional :class:`repro.faults.FaultPlan` installed on the
             replay network (``None`` or an empty plan replays fault-free).
-            ``compiled`` declines fault-bearing replays (drop filters are
-            Python closures), so unselected ones run on ``vectorized``.
+            ``compiled`` replays the shipped fault kinds and declines any
+            other, which then runs on the reference engine.
     """
     engine, declined = select_engine(backend, topology, mode, default_buffer_bytes, faults)
     logger.debug("replaying mode=%s on %s; declined: %s", mode, engine.name, declined)

@@ -15,11 +15,10 @@ Four comparison kinds:
   (run-over-run determinism);
 * ``backend-pair`` — reference engine versus each other available backend
   (the cross-backend bit-identity contract).  An ``lstf-preemptive``
-  scenario makes every accelerated engine decline, and a fault plan makes
-  ``compiled`` decline, so both legs run on the reference — a *degenerate*
-  pair, counted as such; a sweep in which a listed backend never executed a
-  leg fails, and the report counts the legs that replayed a fault plan per
-  engine (``vectorized`` must see some);
+  scenario makes ``compiled`` decline, so both legs run on the reference —
+  a *degenerate* pair, counted as such; a sweep in which a listed backend
+  never executed a leg fails, and the report counts the legs that replayed
+  a fault plan per engine (``compiled`` must see some);
 * ``live-replay`` — a live LSTF deployment under a stateless slack policy
   versus replaying the recorded baseline under the same policy (the paper's
   replay-methodology claim, fuzzed);

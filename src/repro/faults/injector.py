@@ -113,7 +113,7 @@ class FaultPlan:
         ``derive_fault_seed(seed, fault_index, link_name)``) and its outage
         ``(down, up)`` windows, sorted.  This is the one place a plan becomes
         per-link state — the OO injector (:meth:`FaultInjector.install`) and
-        the flat replay kernel (:mod:`repro.core.replay_vectorized`) both
+        the flat replay kernel (:mod:`repro.core.replay_compiled`) both
         consume it, in this order, so they cannot seed or order a fault
         differently.
         """

@@ -397,8 +397,8 @@ def replay_scenario(
     A scenario pinned to a fault schedule (``scenario.faults``) injects the
     plan into the *replay* network only — the recording stays fault-free, so
     the question each fault row answers is "how does the candidate UPS cope
-    when the network misbehaves under it?".  ``compiled`` declines
-    fault-bearing replays, so unselected ones run on ``vectorized``.
+    when the network misbehaves under it?".  Unselected fault-bearing
+    replays run on ``compiled`` like the rest.
     """
     cache = cache if cache is not None else ScheduleCache()
     topology = scenario.build_topology()

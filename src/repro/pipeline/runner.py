@@ -439,16 +439,22 @@ def backend_scope(backend: Optional[str]):
     parameter through each experiment definition.  ``None`` pins nothing:
     each replay then takes the fastest available engine that supports its
     configuration.
-    The previous value is restored on exit, and the backend is resolved
-    eagerly so an unknown name or missing optional dependency fails before
-    any cell runs (``PipelineConfigError``, CLI exit 2).
+    The previous value is restored on exit, and the backend — or an ambient
+    ``$REPRO_BACKEND`` pin — is resolved eagerly so an unknown name or an
+    unavailable engine fails before any cell runs (``PipelineConfigError``,
+    CLI exit 2).
     """
+    from repro.sim.backend import (
+        BACKEND_ENV_VAR,
+        REFERENCE_BACKEND,
+        get_backend,
+        pinned_backend_name,
+    )
+
+    get_backend(backend or pinned_backend_name() or REFERENCE_BACKEND)  # fail fast
     if backend is None:
         yield
         return
-    from repro.sim.backend import BACKEND_ENV_VAR, get_backend
-
-    get_backend(backend)  # fail fast: unknown name / missing dependency
     previous = os.environ.get(BACKEND_ENV_VAR)
     os.environ[BACKEND_ENV_VAR] = backend
     try:

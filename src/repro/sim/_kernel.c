@@ -1,40 +1,54 @@
-/* Native replay kernel: `repro.sim.vectorized.run_flat_replay`, compiled.
- * (The stored-schedule row decoder and encoder, `decode_rows` and
- * `encode_rows`, follow it at the end of this file; see the comments there.)
+/* Native replay kernel: `run_flat_replay`, the OO engine's event loop
+ * specialized for replay.  (The stored-schedule row decoder and encoder,
+ * `decode_rows` and `encode_rows`, follow it at the end of this file; see
+ * the comments there.)
  *
- * This module is the inner loop of the "compiled" backend
- * (repro.core.replay_compiled).  It is a line-for-line transliteration of
- * the pure-Python kernel in repro/sim/vectorized.py — same event codes,
- * same sequence-number consumption, same float expressions — with the
- * interpreter dispatch removed: the event heap and the per-port priority
- * queues are C structs sifted with inlined comparisons, and every timestamp
- * is a C double (the exact representation CPython floats use), so the
- * output is bit-identical to the Python kernel's and therefore to the OO
- * reference engine's.
+ * This is the inner loop of the "compiled" backend
+ * (repro.core.replay_compiled).  A replay has a much smaller state space
+ * than the general simulator — no transports, infinite buffers, no
+ * preemption, source-routed packets whose ingress times, sizes, routes and
+ * header keys are known up front — so Simulator + OutputPort + Scheduler +
+ * Packet collapse into arrays indexed by packet-hop f: hop_port, hop_tx,
+ * hop_prop, and hop_key for the static-key modes (LSTF keys are computed
+ * inline from the per-packet slack).  The loop replays the OO engine's
+ * choreography exactly, so its output is bit-identical to the reference
+ * engine's.  Each load-bearing detail mirrors one line of the OO code:
+ *
+ * - One event heap of (time, seq, code): hop f's finish is f, the arrival
+ *   at hop fn is H + fn, packet j's destination arrival is 2H + j, the
+ *   injector cursor is INJ and outage toggle k is INJ + 1 + k.  The cursor
+ *   draws seqs from the front counter (Simulator._front_sequence), every
+ *   other event from the normal counter, in the order the OO callbacks
+ *   call Simulator.schedule, and every event is counted as Simulator.run
+ *   counts it.
+ * - A finish pushes the downstream arrival *before* the port's next
+ *   transmission (OutputPort._finish_transmission).
+ * - Per-port queues order (key, port_seq): PriorityScheduler's heap, the
+ *   port seq allocated at enqueue.  An idle port serves an arrival at once;
+ *   LSTF's `slack -= t - et` is skipped there (the wait is exactly 0.0).
+ * - A fault plan replays sim/port.py + faults/injector.py.  Toggles are
+ *   pushed after the cursor is armed and before the first pop, so toggle k
+ *   carries seq k (FaultInjector.install: links in plan order, windows
+ *   sorted, down before up).  cur[p] is port p's hop in flight, IDLE or
+ *   DOWN; a down-toggle overwrites it, which lazily cancels the finish, and
+ *   the stale finish is popped *uncounted*.  A down port queues arrivals; an
+ *   up-toggle restarts service through the ordinary dequeue.  At every
+ *   finish each of the port's drop filters is called, drop(None, t), none
+ *   skipped; a destroyed packet pushes no arrival and consumes no seq.
  *
  * Float-determinism notes, each load-bearing:
  *
- * - The loop performs only double additions/subtractions in the exact
- *   association order of the Python kernel: `t + hop_prop[f]`,
- *   `t + hop_tx[f]`, `(slack + t) + tx`, `slack -= t - et`.  There are no
- *   multiplications in the loop, so no FMA contraction is possible; the
- *   build nevertheless passes -ffp-contract=off so the guarantee does not
- *   rest on that observation.
- * - Heap ordering is `(time, seq)` / `(key, seq)` with unique sequence
- *   numbers, a strict total order, so *any* correct binary heap pops in
- *   the same order as CPython's heapq over the equivalent tuples; the
- *   comparison `a.t < b.t || (a.t == b.t && a.seq < b.seq)` is exactly
- *   tuple `<` when the third element is never reached.  Keys may be +inf
- *   (IEEE-754 comparisons handle it identically to Python).
- * - Unlike the Python kernel, the LSTF `slack` list is *not* mutated in
- *   place (it is copied into a C array); no caller observes the mutation —
- *   the orchestrator builds a fresh list per replay.
- *
- * The loop below is the Python kernel's one loop (every event — including
- * destination arrivals — goes through the heap and is counted individually)
- * without its fault branches: a fault plan is declined before it gets here.
+ * - The loop performs only double additions/subtractions, in CPython's
+ *   association order: `t + hop_prop[f]`, `t + hop_tx[f]`,
+ *   `(slack + t) + tx`, `slack -= t - et`.  With no multiplications no FMA
+ *   contraction is possible; the build passes -ffp-contract=off anyway.
+ * - (time, seq) / (key, seq) with unique seqs is a strict total order, so
+ *   any correct binary heap pops as heapq would over the same tuples.  Keys
+ *   may be +inf (IEEE-754 compares it as Python does).
+ * - Every input is copied into C arrays and the drop-filter tuples are held
+ *   by strong reference, so a filter calling back into Python cannot change
+ *   the loop's state.  The `slack` list is read, never mutated.
  */
-
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 
@@ -276,39 +290,129 @@ double_array_to_list(const double *values, Py_ssize_t n)
 /* ------------------------------------------------------------------ */
 /* run_flat_replay                                                    */
 /* ------------------------------------------------------------------ */
+/* PortFaultState.intercepts: each of the port's drop filters is called as
+ * drop(None, t) — stateful ones advance once per packet, so none is
+ * skipped.  1 if any destroys the packet, 0 if none, -1 on an exception. */
+static int
+port_drops(PyObject *filters, double t)
+{
+    Py_ssize_t i, n = PyTuple_GET_SIZE(filters);
+    int destroyed = 0;
+    PyObject *when;
+    if (n == 0)
+        return 0;  /* an outage-only port */
+    if ((when = PyFloat_FromDouble(t)) == NULL)
+        return -1;
+    for (i = 0; i < n && destroyed >= 0; i++) {
+        PyObject *r = PyObject_CallFunctionObjArgs(PyTuple_GET_ITEM(filters, i),
+                                                   Py_None, when, NULL);
+        int truth = r == NULL ? -1 : PyObject_IsTrue(r);
+        Py_XDECREF(r);
+        destroyed = truth < 0 ? -1 : (destroyed | truth);
+    }
+    Py_DECREF(when);
+    return destroyed;
+}
+
+/* A fault plan, ((port, filters, windows), ...): each port's filters as a
+ * tuple in filters[port] (a new reference) and its (down, up) windows as
+ * toggles appended to *toggle_t / *toggle_port, down before up.  0 or -1. */
+static int
+load_faults(PyObject *plan, Py_ssize_t num_ports, PyObject **filters,
+            double **toggle_t, int64_t **toggle_port, Py_ssize_t *toggles)
+{
+    PyObject *fast = PySequence_Fast(plan, "faults must be a sequence");
+    Py_ssize_t i, k;
+    if (fast == NULL)
+        return -1;
+    for (i = 0; i < PySequence_Fast_GET_SIZE(fast); i++) {
+        Py_ssize_t port;
+        PyObject *port_filters, *windows, *wins;
+        double *times;
+        int64_t *ports;
+        if (!PyArg_ParseTuple(PySequence_Fast_GET_ITEM(fast, i), "nOO:faults",
+                              &port, &port_filters, &windows))
+            goto fail;
+        if (port < 0 || port >= num_ports) {
+            PyErr_Format(PyExc_ValueError,
+                         "faulted port %zd out of range for %zd ports",
+                         port, num_ports);
+            goto fail;
+        }
+        Py_XSETREF(filters[port], PySequence_Tuple(port_filters));
+        wins = PySequence_Fast(windows, "fault windows must be a sequence");
+        if (filters[port] == NULL || wins == NULL) {
+            Py_XDECREF(wins);
+            goto fail;
+        }
+        k = *toggles + 2 * PySequence_Fast_GET_SIZE(wins) + 1;
+        times = (double *)realloc(*toggle_t, (size_t)k * sizeof(double));
+        if (times != NULL)
+            *toggle_t = times;
+        ports = (int64_t *)realloc(*toggle_port, (size_t)k * sizeof(int64_t));
+        if (ports != NULL)
+            *toggle_port = ports;
+        if (times == NULL || ports == NULL) {
+            Py_DECREF(wins);
+            PyErr_NoMemory();
+            goto fail;
+        }
+        for (k = 0; k < PySequence_Fast_GET_SIZE(wins); k++) {
+            double *at = &times[*toggles];
+            if (!PyArg_ParseTuple(PySequence_Fast_GET_ITEM(wins, k), "dd:window",
+                                  &at[0], &at[1])) {
+                Py_DECREF(wins);
+                goto fail;
+            }
+            ports[(*toggles)++] = port;
+            ports[(*toggles)++] = port;
+        }
+        Py_DECREF(wins);
+    }
+    Py_DECREF(fast);
+    return 0;
+fail:
+    Py_DECREF(fast);
+    return -1;
+}
+
 static PyObject *
 kernel_run_flat_replay(PyObject *self, PyObject *args, PyObject *kwargs)
 {
     static char *keywords[] = {
         "ingress", "off", "hop_pkt", "hop_port", "hop_tx", "hop_prop",
-        "num_ports", "slack", "hop_key", "max_events", NULL,
+        "num_ports", "slack", "hop_key", "max_events", "faults", NULL,
     };
     PyObject *ingress_obj, *off_obj, *hop_pkt_obj, *hop_port_obj;
     PyObject *hop_tx_obj, *hop_prop_obj;
     PyObject *slack_obj = Py_None, *hop_key_obj = Py_None;
-    PyObject *max_events_obj = Py_None;
+    PyObject *max_events_obj = Py_None, *faults_obj = Py_None;
     Py_ssize_t num_ports;
 
     double *ingress = NULL, *hop_tx = NULL, *hop_prop = NULL;
-    double *slack = NULL, *hop_key = NULL;
+    double *slack = NULL, *hop_key = NULL, *toggle_t = NULL;
     int64_t *off = NULL, *hop_pkt = NULL, *hop_port = NULL;
-    int64_t *nxt = NULL, *port_seq = NULL;
+    int64_t *nxt = NULL, *port_seq = NULL, *cur = NULL, *toggle_port = NULL;
     double *arr = NULL, *start = NULL, *dep = NULL, *egress = NULL;
-    char *has_egress = NULL, *busy = NULL;
+    char *has_egress = NULL;
+    PyObject **filters = NULL;
     EvHeap heap = {NULL, 0, 0};
     PeHeap *ports = NULL;
     PyObject *result = NULL;
     Py_ssize_t n = 0, off_len = 0, total_hops = 0, hop_len = 0, p_idx;
+    Py_ssize_t toggles = 0;
     int64_t H, H2, INJ, seq, fseq, cursor, executed, budget;
+    const int64_t IDLE = -1, DOWN = -2;
     int lstf;
 
     if (!PyArg_ParseTupleAndKeywords(
-            args, kwargs, "OOOOOOn|OOO:run_flat_replay", keywords,
+            args, kwargs, "OOOOOOn|OOOO:run_flat_replay", keywords,
             &ingress_obj, &off_obj, &hop_pkt_obj, &hop_port_obj,
             &hop_tx_obj, &hop_prop_obj, &num_ports,
-            &slack_obj, &hop_key_obj, &max_events_obj))
+            &slack_obj, &hop_key_obj, &max_events_obj, &faults_obj))
         return NULL;
-
+    if (num_ports < 0)
+        num_ports = 0;
     ingress = as_double_array(ingress_obj, "ingress", &n);
     if (ingress == NULL)
         goto done;
@@ -381,8 +485,7 @@ kernel_run_flat_replay(PyObject *self, PyObject *args, PyObject *kwargs)
             budget = 0;
     }
 
-    /* Output arrays (zero-initialized: unserved hops stay 0.0, matching
-     * the Python kernel's [0.0] * total_hops preallocation). */
+    /* Output arrays (zero-initialized: a hop never served stays 0.0). */
     arr = (double *)calloc((size_t)(total_hops > 0 ? total_hops : 1), sizeof(double));
     start = (double *)calloc((size_t)(total_hops > 0 ? total_hops : 1), sizeof(double));
     dep = (double *)calloc((size_t)(total_hops > 0 ? total_hops : 1), sizeof(double));
@@ -395,8 +498,6 @@ kernel_run_flat_replay(PyObject *self, PyObject *args, PyObject *kwargs)
     }
 
     executed = 0;
-    if (n == 0)
-        goto build_result;
 
     /* Bounds pre-check: every hop index the loop will touch must be valid,
      * so the loop itself can run unchecked. */
@@ -424,35 +525,87 @@ kernel_run_flat_replay(PyObject *self, PyObject *args, PyObject *kwargs)
         }
     }
 
-    /* nxt[f]: arrival event code of the hop after f, or -1 on a last hop. */
-    nxt = (int64_t *)malloc((size_t)total_hops * sizeof(int64_t));
-    busy = (char *)calloc((size_t)(num_ports > 0 ? num_ports : 1), sizeof(char));
+    nxt = (int64_t *)malloc((size_t)(total_hops > 0 ? total_hops : 1) * sizeof(int64_t));
+    cur = (int64_t *)malloc((size_t)(num_ports > 0 ? num_ports : 1) * sizeof(int64_t));
     port_seq = (int64_t *)calloc((size_t)(num_ports > 0 ? num_ports : 1),
                                  sizeof(int64_t));
     ports = (PeHeap *)calloc((size_t)(num_ports > 0 ? num_ports : 1),
                              sizeof(PeHeap));
-    if (nxt == NULL || busy == NULL || port_seq == NULL || ports == NULL) {
+    filters = (PyObject **)calloc((size_t)(num_ports > 0 ? num_ports : 1),
+                                  sizeof(PyObject *));
+    if (nxt == NULL || cur == NULL || port_seq == NULL || ports == NULL ||
+        filters == NULL) {
         PyErr_NoMemory();
         goto done;
     }
+    if (faults_obj != Py_None &&
+        load_faults(faults_obj, num_ports, filters, &toggle_t, &toggle_port,
+                    &toggles) < 0)
+        goto done;
+    for (p_idx = 0; p_idx < num_ports; p_idx++)
+        cur[p_idx] = IDLE;
     H = (int64_t)total_hops;
     H2 = 2 * H;
     INJ = H2 + (int64_t)n;
+    /* nxt[f]: the arrival code hop f's finish pushes — the next hop's, or
+     * the destination's on a packet's last hop. */
     for (p_idx = 0; p_idx < total_hops; p_idx++)
         nxt[p_idx] = H + (int64_t)p_idx + 1;
     for (p_idx = 0; p_idx < n; p_idx++)
-        nxt[off[p_idx + 1] - 1] = -1;
+        nxt[off[p_idx + 1] - 1] = H2 + (int64_t)p_idx;
 
-    seq = 0;                      /* Simulator._sequence */
     fseq = -((int64_t)1 << 62);  /* Simulator._front_sequence */
     cursor = 0;
 
-    /* ReplayInjector.install(): arm the cursor at the first ingress time. */
-    if (ev_push(&heap, ingress[0], fseq, INJ) < 0) {
-        PyErr_NoMemory();
-        goto done;
+    /* ReplayInjector.install(): arm the cursor at the first ingress time
+     * (an empty replay arms nothing; a fault plan's toggles still fire). */
+    if (n > 0) {
+        if (ev_push(&heap, ingress[0], fseq, INJ) < 0)
+            goto nomem;
+        fseq += 1;
     }
-    fseq += 1;
+    /* FaultInjector.install(), after the cursor: toggle k takes seq k of
+     * Simulator._sequence, the counter every later event draws from. */
+    for (seq = 0; seq < (int64_t)toggles; seq++)
+        if (ev_push(&heap, toggle_t[seq], seq, INJ + 1 + seq) < 0)
+            goto nomem;
+
+/* Router.receive, or the injector: hop `fn` of packet `j` reaches its port
+ * at t — queued behind the hop in flight (or a down port), else served. */
+#define ARRIVE(fn, j)                                                      \
+    do {                                                                   \
+        int64_t f_ = (fn), p_ = hop_port[f_], s_ = port_seq[p_]++;         \
+        arr[f_] = t;                                                       \
+        if (cur[p_] != IDLE) {                                             \
+            double key_ = lstf ? (slack[j] + t) + hop_tx[f_] : hop_key[f_]; \
+            if (pe_push(&ports[p_], key_, s_, f_, t) < 0)                  \
+                goto nomem;                                                \
+        } else {                                                           \
+            start[f_] = t;                                                 \
+            cur[p_] = f_;                                                  \
+            if (ev_push(&heap, t + hop_tx[f_], seq, f_) < 0)               \
+                goto nomem;                                                \
+            seq += 1;                                                      \
+        }                                                                  \
+    } while (0)
+
+/* OutputPort._start_next on port `p` at t: serve the queue head (the LSTF
+ * dequeue charges its whole wait to the slack), else go idle. */
+#define START_NEXT(p)                                                      \
+    do {                                                                   \
+        if (ports[p].size > 0) {                                           \
+            Pe head_ = pe_pop(&ports[p]);                                  \
+            if (lstf)                                                      \
+                slack[hop_pkt[head_.f]] -= t - head_.et;                   \
+            start[head_.f] = t;                                            \
+            cur[p] = head_.f;                                              \
+            if (ev_push(&heap, t + hop_tx[head_.f], seq, head_.f) < 0)     \
+                goto nomem;                                                \
+            seq += 1;                                                      \
+        } else {                                                           \
+            cur[p] = IDLE;                                                 \
+        }                                                                  \
+    } while (0)
 
     while (heap.size > 0 && executed < budget) {
         Ev ev = ev_pop(&heap);
@@ -462,103 +615,64 @@ kernel_run_flat_replay(PyObject *self, PyObject *args, PyObject *kwargs)
 
         if (code < H) {
             /* OutputPort._finish_transmission for hop f on its port. */
-            int64_t f = code;
-            int64_t acode, p;
-            PeHeap *ph;
-            dep[f] = t;
-            acode = nxt[f];
-            /* Receive is scheduled *before* the port picks its next
-             * packet; a last hop's arrival lands at the destination. */
-            if (acode < 0) {
-                if (ev_push(&heap, t + hop_prop[f], seq, H2 + hop_pkt[f]) < 0)
-                    goto nomem;
-            } else {
-                if (ev_push(&heap, t + hop_prop[f], seq, acode) < 0)
-                    goto nomem;
+            int64_t f = code, p = hop_port[f];
+            int destroyed = 0;
+            if (cur[p] != f) {
+                /* Cancelled by a down-toggle (OutputPort.fault_interrupt):
+                 * Simulator.run discards a cancelled event uncounted. */
+                executed -= 1;
+                continue;
             }
-            seq += 1;
-            p = hop_port[f];
-            ph = &ports[p];
-            if (ph->size > 0) {
-                Pe head = pe_pop(ph);
-                int64_t f2 = head.f;
-                if (lstf)
-                    slack[hop_pkt[f2]] -= t - head.et;
-                start[f2] = t;
-                if (ev_push(&heap, t + hop_tx[f2], seq, f2) < 0)
+            dep[f] = t;
+            if (filters[p] != NULL && (destroyed = port_drops(filters[p], t)) < 0)
+                goto done;
+            if (!destroyed) {
+                /* Receive is scheduled *before* the port picks its next
+                 * packet; a destroyed packet schedules nothing. */
+                if (ev_push(&heap, t + hop_prop[f], seq, nxt[f]) < 0)
                     goto nomem;
                 seq += 1;
-            } else {
-                busy[p] = 0;
             }
+            START_NEXT(p);
 
         } else if (code < H2) {
             /* Link delivery at a router: Router.receive. */
-            int64_t fn = code - H;
-            int64_t p = hop_port[fn];
-            double key;
-            int64_t s;
-            arr[fn] = t;
-            if (lstf)
-                key = (slack[hop_pkt[fn]] + t) + hop_tx[fn];
-            else
-                key = hop_key[fn];
-            s = port_seq[p];
-            port_seq[p] = s + 1;
-            if (busy[p]) {
-                if (pe_push(&ports[p], key, s, fn, t) < 0)
-                    goto nomem;
-            } else {
-                /* Idle port: the queue is empty, serve immediately. */
-                start[fn] = t;
-                busy[p] = 1;
-                if (ev_push(&heap, t + hop_tx[fn], seq, fn) < 0)
-                    goto nomem;
-                seq += 1;
-            }
+            ARRIVE(code - H, hop_pkt[code - H]);
 
         } else if (code < INJ) {
             /* Link delivery at the destination: Host.receive. */
             egress[code - H2] = t;
             has_egress[code - H2] = 1;
 
-        } else {
+        } else if (code == INJ) {
             /* ReplayInjector._advance: inject every record due now, then
              * re-arm the cursor at the next ingress time (front range). */
             while (cursor < (int64_t)n && ingress[cursor] <= t) {
-                int64_t j = cursor;
-                int64_t fn, p, s;
-                double key;
                 cursor += 1;
-                fn = off[j];
-                arr[fn] = t;
-                p = hop_port[fn];
-                if (lstf)
-                    key = (slack[j] + t) + hop_tx[fn];
-                else
-                    key = hop_key[fn];
-                s = port_seq[p];
-                port_seq[p] = s + 1;
-                if (busy[p]) {
-                    if (pe_push(&ports[p], key, s, fn, t) < 0)
-                        goto nomem;
-                } else {
-                    start[fn] = t;
-                    busy[p] = 1;
-                    if (ev_push(&heap, t + hop_tx[fn], seq, fn) < 0)
-                        goto nomem;
-                    seq += 1;
-                }
+                ARRIVE(off[cursor - 1], cursor - 1);
             }
             if (cursor < (int64_t)n) {
                 if (ev_push(&heap, ingress[cursor], fseq, INJ) < 0)
                     goto nomem;
                 fseq += 1;
             }
+
+        } else {
+            /* Outage toggle k (code INJ + 1 + k): even = down, odd = up. */
+            int64_t k = code - INJ - 1, p = toggle_port[k];
+            if (!(k & 1))
+                /* FaultInjector._link_down: the packet in flight is
+                 * destroyed (its finish is now stale) and the queue held;
+                 * a port already down stays down. */
+                cur[p] = DOWN;
+            else if (cur[p] == DOWN)
+                /* FaultInjector._link_up -> OutputPort._start_next. */
+                START_NEXT(p);
         }
     }
+#undef ARRIVE
+#undef START_NEXT
 
-build_result:
     {
         PyObject *arr_list = NULL, *start_list = NULL, *dep_list = NULL;
         PyObject *egress_list = NULL, *executed_obj = NULL;
@@ -607,7 +721,9 @@ done:
     free(slack);
     free(hop_key);
     free(nxt);
-    free(busy);
+    free(cur);
+    free(toggle_t);
+    free(toggle_port);
     free(port_seq);
     free(arr);
     free(start);
@@ -620,17 +736,24 @@ done:
             free(ports[p_idx].items);
         free(ports);
     }
+    if (filters != NULL) {
+        for (p_idx = 0; p_idx < num_ports; p_idx++)
+            Py_XDECREF(filters[p_idx]);
+        free(filters);
+    }
     return result;
 }
 
 PyDoc_STRVAR(run_flat_replay_doc,
 "run_flat_replay(ingress, off, hop_pkt, hop_port, hop_tx, hop_prop,\n"
-"                num_ports, slack, hop_key, max_events=None)\n"
+"                num_ports, slack, hop_key, max_events=None, faults=None)\n"
 "--\n\n"
-"Native replay kernel; drop-in for repro.sim.vectorized.run_flat_replay.\n"
-"Returns (arrival, start_service, departure, egress, executed); output is\n"
-"bit-identical to the pure-Python kernel (and hence the OO engine).\n"
-"Unlike the Python kernel, the `slack` list is not mutated in place.");
+"Replay flat per-packet-hop arrays to completion, or for max_events events.\n"
+"slack (LSTF) or hop_key (static keys) orders each port's queue; faults is\n"
+"((port, drop_filters, outage_windows), ...) in install order.  Returns\n"
+"(arrival, start_service, departure, egress, executed): per-hop timings,\n"
+"per-packet egress (None: destroyed, or in flight when the budget ran out)\n"
+"and the events executed, bit-identical to the OO engine's.");
 
 /* ------------------------------------------------------------------ */
 /* decode_rows: repro-schedule/1 row lines straight into columns.     */
@@ -1494,7 +1617,7 @@ PyInit__kernel(void)
     if (PyModule_AddStringConstant(module, "COMPILER", KERNEL_COMPILER) < 0 ||
         PyModule_AddStringConstant(module, "TOOLCHAIN",
                                    "cpython-c-api") < 0 ||
-        PyModule_AddIntConstant(module, "KERNEL_VERSION", 3) < 0) {
+        PyModule_AddIntConstant(module, "KERNEL_VERSION", 4) < 0) {
         Py_DECREF(module);
         return NULL;
     }

@@ -1,4 +1,4 @@
-"""The three replay engines: one ordered table, one decision.
+"""The two replay engines: one ordered table, one decision.
 
 A replay of a recorded schedule can run on the OO simulator
 (:mod:`repro.sim.engine`, :mod:`repro.sim.port`, :mod:`repro.schedulers.base`)
@@ -24,10 +24,10 @@ decides which of them runs one replay and why the faster ones did not.
   arrival is scheduled *before* the port picks its next packet.
 
 ``"python"`` is the OO engine — the reference, which accepts every
-configuration; ``"vectorized"`` is the array-based flat loop
-(:mod:`repro.core.replay_vectorized`); ``"compiled"`` is the same
-orchestration driving the native kernel (:mod:`repro.core.replay_compiled`;
-built from source on first use, unavailable where it cannot be compiled).
+configuration; ``"compiled"`` is the array-based flat loop in the native
+kernel (:mod:`repro.core.replay_compiled`; built from source on first use,
+unavailable where it cannot be compiled, and replays then run on
+``"python"``).
 Adding an engine is a table entry held to the same gates (``docs/backends.md``).
 """
 
@@ -58,7 +58,6 @@ REFERENCE_BACKEND = "python"
 #: live in :mod:`repro.core`, which imports :mod:`repro.sim`.
 ENGINES: Dict[str, str] = {
     "compiled": "repro.core.replay_compiled:CompiledBackend",
-    "vectorized": "repro.core.replay_vectorized:VectorizedBackend",
     REFERENCE_BACKEND: "repro.core.replay:PythonBackend",
 }
 
@@ -231,10 +230,10 @@ def select_engine(
     fuzzer's bookkeeping, the selection tests) calls this rather than
     re-deriving it.  Pure given the environment: the first of
     :func:`replay_candidates` whose :meth:`SimBackend.decline_reason` is
-    ``None`` — so an unflagged Table-1 replay (and the ``fifo`` baseline)
-    lands on the fast path, a fault-bearing one on ``vectorized``
-    (``compiled`` declines a fault plan and the offer falls through), and
-    finite-buffer and ``lstf-preemptive`` replays on the reference engine.
+    ``None`` — so an unflagged Table-1 replay (the ``fifo`` baseline and
+    fault-bearing replays too) lands on the fast path, and finite-buffer,
+    ``lstf-preemptive`` and foreign-fault-kind replays on the reference
+    engine.
     """
     declined: List[Tuple[str, str]] = []
     for engine in replay_candidates(selector):

@@ -1,8 +1,9 @@
 """The compiled replay kernel: found, built and loaded in one place.
 
 ``_kernel.c`` (beside this file) is a hand-written CPython C extension
-transliterating :func:`repro.sim.vectorized.run_flat_replay`; see its header
-for the determinism argument.  It also holds the ``repro-schedule/1`` row
+holding the flat replay loop of the ``compiled`` engine
+(:mod:`repro.core.replay_compiled`); see its header for the determinism
+argument.  It also holds the ``repro-schedule/1`` row
 decoder and encoder that stored-schedule loads and saves use.  It ships as
 source and builds itself: the first probe of a process — reached when an
 engine list that includes ``compiled`` is drawn up (:mod:`repro.sim.backend`)
@@ -20,7 +21,7 @@ A build is one call of the interpreter's own link driver (``sysconfig``'s
 cache all end with one valid file.  A build that cannot succeed (no compiler,
 no headers, unwritable directory, non-POSIX) never raises: it leaves
 ``<file>.failed`` holding the reason, later processes decline from that
-marker without spawning anything, and unselected replays use ``vectorized``.
+marker without spawning anything, and replays use the reference engine.
 ``python tools/build_compiled.py`` ignores the marker and builds now.
 """
 
@@ -174,7 +175,7 @@ def _kernel() -> _Kernel:
     kernel = _probe()
     if kernel.module is None:
         logger.warning(
-            "compiled kernel unavailable: %s; replays use vectorized, schedule "
+            "compiled kernel unavailable: %s; replays use the reference engine, schedule "
             "loads use the json decoder and schedule saves use the json encoder",
             kernel.reason,
         )

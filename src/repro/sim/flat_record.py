@@ -5,7 +5,7 @@ traffic, so nothing the network does feeds back into what is offered to it.
 For those recordings the object graph the OO engine walks per hop
 (``Packet`` + ``HopRecord`` + ``OutputPort`` + ``Scheduler`` + ``Event``)
 collapses into flat lists indexed by *packet-hop* ``f``, as
-:mod:`repro.sim.vectorized` does for replay — but the traffic is **not**
+the compiled replay kernel does for replay (:mod:`repro.core.replay_compiled`) — but the traffic is **not**
 known up front: the loop drains the built simulation's own event heap, runs
 the real :class:`~repro.traffic.flowgen.PoissonFlowGenerator` callbacks
 (same rng draws, same :class:`~repro.sim.flow.Flow` objects and ids) and

@@ -18,6 +18,7 @@ from repro.experiments.config import ExperimentScale
 from repro.pipeline import ScheduleCache, default_registry
 from repro.pipeline.experiment import replay_scenario, scenario_cache_key
 from repro.pipeline.runner import backend_scope
+from repro.sim.compiled import kernel_available, unavailable_reason
 
 #: sha256 of the *decompressed* quick seed-1 ``I2-1G-10G@70`` cache entry,
 #: captured on the commit before the encoder moved from records to columns.
@@ -69,10 +70,14 @@ def test_cold_and_warm_compare_equal_to_the_bit(table1_cold):
     assert warm_cache.misses == 0
 
 
+needs_kernel = pytest.mark.skipif(not kernel_available(), reason=unavailable_reason() or "")
+
+
+@needs_kernel
 def test_warm_accelerated_replay_builds_no_record_objects(table1_cold):
     cache_dir, results = table1_cold
     cell, cold = results[0]
-    with backend_scope("vectorized"):
+    with backend_scope("compiled"):
         warm = replay_scenario(cell.spec, cell.mode, cache=ScheduleCache(cache_dir))
     assert warm.metrics == cold.metrics
 
@@ -110,8 +115,10 @@ def test_pickle_round_trip(table1_cold, which):
     elif which == "loaded":
         schedule, _ = load_schedule(_entry_path(cache_dir, cell))
     else:
+        if not kernel_available():
+            pytest.skip(unavailable_reason() or "")
         schedule = replay_schedule(
-            cell.spec.build_topology(), cold.original, cell.mode, backend="vectorized"
+            cell.spec.build_topology(), cold.original, cell.mode, backend="compiled"
         )
     clone = pickle.loads(pickle.dumps(schedule))
     assert clone.columns() == schedule.columns()
@@ -123,13 +130,14 @@ def test_pickle_round_trip(table1_cold, which):
     )
 
 
+@needs_kernel
 def test_a_replayed_schedule_shares_its_originals_identity_columns(table1_cold):
     """A kernel-wrapped replay shares its original's identity columns by
     reference; a schedule built from either side's rows leaves both alone."""
     _, results = table1_cold
     cell, cold = results[0]
     original = cold.original
-    replayed = replay_schedule(cell.spec.build_topology(), original, cell.mode, backend="vectorized")
+    replayed = replay_schedule(cell.spec.build_topology(), original, cell.mode, backend="compiled")
     assert replayed.columns().packet_id is original.columns().packet_id
     before = len(original)
     extra = {"packet_id": 10**9, "flow_id": 0, "src": "a", "dst": "b", "size_bytes": 100.0,

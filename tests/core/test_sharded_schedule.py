@@ -222,7 +222,7 @@ class TestCliDiffParity:
         assert cli_main(["diff", single, str(broken)]) == 2
         assert "cannot load" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("backend", ["python", "vectorized"])
+    @pytest.mark.parametrize("backend", ["python", "compiled"])
     def test_replay_kernels_consume_sharded_entries(self, forms, backend):
         """The replay injector and the flat-array kernels see manifest-loaded
         schedules exactly as single-file ones: replaying either form of the

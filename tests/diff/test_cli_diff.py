@@ -96,19 +96,21 @@ class TestDiffReplay:
             assert "bit-identical" in out and not err
             assert f"(python vs {backend if backend != 'python' else 'python#2'})" in out
 
+    @pytest.mark.skipif(not kernel_available(), reason="no compiled kernel here")
     def test_a_declined_replay_says_why_and_labels_what_ran(self, recorded, capsys):
-        # A fault plan runs on vectorized; only compiled declines it.
-        faulted = ["diff", "--replay", recorded, "--fault", "loss-5pct", "--backend"]
-        assert cli_main([*faulted, "vectorized"]) == 0
+        # A fault plan runs on compiled; preemptive LSTF is declined.
+        on_compiled = ["--backend", "compiled"]
+        assert cli_main(["diff", "--replay", recorded, "--fault", "loss-5pct", *on_compiled]) == 0
         out, err = capsys.readouterr()
-        assert "(python vs vectorized)" in out and not err
-        if not kernel_available():
-            return
-        assert cli_main([*faulted, "compiled"]) == 0
+        assert "(python vs compiled)" in out and not err
+        assert cli_main(["diff", "--replay", recorded, "--mode", "lstf-preemptive", *on_compiled]) == 0
         out, err = capsys.readouterr()
-        assert "note: backend 'compiled' declines this configuration (fault plan)" in err
+        assert (
+            "note: backend 'compiled' declines this configuration (replay mode lstf-preemptive)"
+            in err
+        )
         assert "(python vs python#2)" in out and "compiled" not in out
-        # fifo has a key model on both flat kernels: nothing declines it.
+        # fifo has a key model on the flat kernel: nothing declines it.
         assert cli_main(["diff", "--replay", recorded, "--mode", "fifo", "--backend", "compiled"]) == 0
         out, err = capsys.readouterr()
         assert "(python vs compiled)" in out and not err

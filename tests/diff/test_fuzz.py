@@ -24,6 +24,7 @@ from repro.pipeline.synth import (
     simplified,
 )
 from repro.sim import Simulator, flat_record
+from repro.sim.compiled import kernel_available, unavailable_reason
 
 
 @pytest.fixture(autouse=True)
@@ -96,20 +97,17 @@ class TestScenarioSynthesis:
 
 class TestCasePlan:
     def test_live_twin_every_fourth_case(self):
-        scenario, specs = case_plan(1, 3, ["python", "vectorized"])
+        scenario, specs = case_plan(1, 3, ["python", "compiled"])
         assert [spec.kind for spec in specs] == ["live-replay"]
         assert scenario.slack_policy in LIVE_TWIN_POLICIES
         assert scenario.replay_mode == "lstf"
         assert scenario.faults is None
 
     def test_backend_cases_pair_reference_with_each_backend(self):
-        _, specs = case_plan(1, 0, ["python", "vectorized", "compiled"])
+        _, specs = case_plan(1, 0, ["python", "compiled"])
         assert specs[0].kind == "twin"
         pairs = [s for s in specs if s.kind == "backend-pair"]
-        assert [(s.backend_a, s.backend_b) for s in pairs] == [
-            ("python", "vectorized"),
-            ("python", "compiled"),
-        ]
+        assert [(s.backend_a, s.backend_b) for s in pairs] == [("python", "compiled")]
 
     def test_record_pair_exactly_where_the_flat_loop_is_expected(self):
         planned = {}
@@ -231,60 +229,61 @@ class TestRunFuzz:
         assert report.to_dict()["divergences"] == 1
 
 
+@pytest.mark.skipif(not kernel_available(), reason=unavailable_reason() or "")
 class TestEnginesThatRan:
     """A ``backend-pair`` names an engine; the report says which ones ran (ROADMAP 4d)."""
 
-    BACKENDS = ["python", "vectorized"]
+    BACKENDS = ["python", "compiled"]
 
     def test_a_sweep_counts_the_engine_behind_every_leg(self):
         report = run_fuzz(budget=2, seed=2, backends=self.BACKENDS, artifact_dir=None)
-        # Per case: a python twin and a python-vs-vectorized pair; case 1's
-        # burst-loss plan runs on vectorized, so no pair is
-        # degenerate and one vectorized leg is fault-bearing.
+        # Per case: a python twin and a python-vs-compiled pair; case 1's
+        # burst-loss plan runs on compiled, so no pair is
+        # degenerate and one compiled leg is fault-bearing.
         assert report.ok and not report.idle_engines
-        assert report.engine_runs == {"python": 6, "vectorized": 2}
-        assert report.faulted_runs == {"python": 3, "vectorized": 1}
-        assert (report.backend_pairs, report.degenerate_pairs) == ({"vectorized": 2}, {"vectorized": 0})
+        assert report.engine_runs == {"python": 6, "compiled": 2}
+        assert report.faulted_runs == {"python": 3, "compiled": 1}
+        assert (report.backend_pairs, report.degenerate_pairs) == ({"compiled": 2}, {"compiled": 0})
         payload = report.to_dict()
-        assert payload["engine_runs"] == {"python": 6, "vectorized": 2}
-        assert payload["faulted_runs"] == {"python": 3, "vectorized": 1}
-        assert payload["backend_pairs"] == {"vectorized": {"comparisons": 2, "degenerate": 0}}
+        assert payload["engine_runs"] == {"python": 6, "compiled": 2}
+        assert payload["faulted_runs"] == {"python": 3, "compiled": 1}
+        assert payload["backend_pairs"] == {"compiled": {"comparisons": 2, "degenerate": 0}}
         assert (
-            "python 6 (3 under a fault plan), vectorized 2 (1 under a fault plan); "
-            "0 of 2 vectorized backend-pair(s) degenerate"
+            "python 6 (3 under a fault plan), compiled 2 (1 under a fault plan); "
+            "0 of 2 compiled backend-pair(s) degenerate"
         ) in report.format()
 
     def test_a_sweep_in_which_a_listed_backend_never_ran_fails(self):
         # Seed 1 opens with lstf-preemptive (+ burst-loss): the mode, not the
         # fault plan, is what sends every leg to python.
         report = run_fuzz(budget=1, seed=1, backends=self.BACKENDS, artifact_dir=None)
-        assert not report.failures and report.idle_engines == ["vectorized"]
-        assert report.degenerate_pairs == report.backend_pairs == {"vectorized": 1}
+        assert not report.failures and report.idle_engines == ["compiled"]
+        assert report.degenerate_pairs == report.backend_pairs == {"compiled": 1}
         assert report.faulted_runs == {"python": 4}
         assert not report.ok
-        assert "ENGINE NEVER EXECUTED: vectorized" in report.format()
+        assert "ENGINE NEVER EXECUTED: compiled" in report.format()
         assert "no divergence" not in report.format()
 
     def test_a_divergence_is_labelled_by_the_engines_that_ran(self, monkeypatch):
-        from repro.core.replay_vectorized import VectorizedBackend
+        from repro.core.replay_compiled import CompiledBackend
 
-        real = VectorizedBackend.replay
+        real = CompiledBackend.replay
 
         def late(self, *args, **kwargs):
             replayed = real(self, *args, **kwargs)
             replayed.columns().output_time[0] += 1e-9
             return replayed
 
-        monkeypatch.setattr(VectorizedBackend, "replay", late)
-        spec = ComparisonSpec("backend-pair", "python", "vectorized")
+        monkeypatch.setattr(CompiledBackend, "replay", late)
+        spec = ComparisonSpec("backend-pair", "python", "compiled")
         clean, _ = case_plan(2, 0, self.BACKENDS)
         faulted, _ = case_plan(2, 1, self.BACKENDS)
         assert (clean.faults, faulted.faults) == (None, "burst-loss")
-        for scenario in (clean, faulted):  # vectorized runs both, so both are caught
+        for scenario in (clean, faulted):  # compiled runs both, so both are caught
             ran = []
             divergence = run_comparison(scenario, spec, engines=ran)
-            assert ran == ["python", "vectorized"]
-            assert (divergence.label_a, divergence.label_b) == ("python", "vectorized")
+            assert ran == ["python", "compiled"]
+            assert (divergence.label_a, divergence.label_b) == ("python", "compiled")
         # The same spec on a configuration it declines never reaches the broken engine.
         declined = dataclasses.replace(clean, replay_mode="lstf-preemptive")
         assert run_comparison(declined, spec, engines=ran) is None

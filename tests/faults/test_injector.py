@@ -12,6 +12,7 @@ from repro.faults import (
     JammingIntervals,
     LinkOutage,
 )
+from repro.sim.compiled import kernel_available, unavailable_reason
 from repro.topology import dumbbell_topology
 from repro.traffic import WorkloadSpec, paper_default_workload
 from repro.utils import mbps
@@ -158,18 +159,19 @@ class TestEmptyPlanAndComposition:
 
 
 class TestBackendFallback:
-    def test_vectorized_replays_faults_bit_identically(self, schedule):
+    @pytest.mark.skipif(not kernel_available(), reason=unavailable_reason() or "")
+    def test_compiled_replays_faults_bit_identically(self, schedule):
         from repro.sim.backend import select_engine
 
         def decide(faults):
-            engine, declined = select_engine("vectorized", topology(), "lstf", faults=faults)
+            engine, declined = select_engine("compiled", topology(), "lstf", faults=faults)
             return engine.name, declined
 
         plan = plan_of(BernoulliLoss(rate=0.05), seed=1)
-        assert decide(None) == decide(plan) == ("vectorized", [])
-        assert decide(FaultPlan(FAULTS.get("empty"))) == ("vectorized", [])
+        assert decide(None) == decide(plan) == ("compiled", [])
+        assert decide(FaultPlan(FAULTS.get("empty"))) == ("compiled", [])
         reference = replay(schedule, faults=plan, backend="python")
-        flat = replay(schedule, faults=plan, backend="vectorized")
+        flat = replay(schedule, faults=plan, backend="compiled")
         assert flat.metrics == reference.metrics and reference.metrics.missing_packets > 0
         assert flat.replayed.columns() == reference.replayed.columns()
 

@@ -3,15 +3,20 @@
 The ``SimBackend`` contract (``docs/backends.md``) is bit-identity: a replay
 run under any engine must produce the *exact* rows the reference python
 engine produces — same floats, same tie-breaks, same record order.  These
-tests hold the accelerated engines to that contract on a recorded fixture
-schedule (the golden test) and on adversarial synthetic record sets (the
-hypothesis property test), and check the seam itself: fallback for declined
-configurations and clean configuration errors.  (The OO engine's own
+tests hold the compiled engine to that contract directly, with no twin in
+between: on a recorded fixture schedule (the golden test), on adversarial
+synthetic record sets (the hypothesis property tests), at every event budget
+(the bisect a divergence is hunted with) and under fault plans; and they
+check the seam itself: fallback for declined configurations and clean
+configuration errors.  (The OO engine's own
 cancel-then-peek contract lives in ``test_engine.py``.)
 """
 
+import sys
+from unittest import mock
+
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.replay import (
@@ -19,8 +24,8 @@ from repro.core.replay import (
     evaluate_replay,
     replay_schedule,
 )
+from repro.core import replay_compiled
 from repro.core.replay_compiled import CompiledBackend
-from repro.core.replay_vectorized import VectorizedBackend
 from repro.core.schedule import Schedule
 from repro.faults import (
     FAULTS,
@@ -34,32 +39,22 @@ from repro.faults import (
 from repro.pipeline.scenario import PipelineConfigError
 from repro.sim.engine import Simulator
 from repro.sim.compiled import kernel_available, kernel_run_flat_replay, unavailable_reason
-from repro.sim.vectorized import run_flat_replay
 from repro.topology import dumbbell_topology
 from repro.topology.base import LinkSpec, NodeSpec, Topology
 from repro.traffic import WorkloadSpec, paper_default_workload
 from repro.utils import mbps
 
-#: Modes the flat-kernel backends implement (lstf-preemptive falls back).
-VECTORIZED_MODES = ("lstf", "edf", "priority", "omniscient", "fifo")
+#: Modes the flat kernel implements (lstf-preemptive falls back).
+FLAT_MODES = ("lstf", "edf", "priority", "omniscient", "fifo")
 
-#: Backend classes under equivalence test, keyed by registry name.  The
-#: compiled backend is skip-marked — not silently dropped — with the loader's
-#: own reason where its kernel cannot be built, so a toolchain-less environment
-#: reports the gap.
-OPTIMIZED_BACKEND_CLASSES = {
-    "vectorized": VectorizedBackend,
-    "compiled": CompiledBackend,
-}
+#: Backend classes under equivalence test, keyed by registry name.
+OPTIMIZED_BACKEND_CLASSES = {"compiled": CompiledBackend}
 
-OPTIMIZED_BACKENDS = (
-    pytest.param("vectorized", id="vectorized"),
-    pytest.param(
-        "compiled",
-        id="compiled",
-        marks=pytest.mark.skipif(not kernel_available(), reason=unavailable_reason() or ""),
-    ),
-)
+#: Skip-marked — not silently dropped — with the loader's own reason where
+#: the kernel cannot be built, so a toolchain-less environment reports the gap.
+needs_kernel = pytest.mark.skipif(not kernel_available(), reason=unavailable_reason() or "")
+
+OPTIMIZED_BACKENDS = (pytest.param("compiled", id="compiled", marks=needs_kernel),)
 
 
 def small_workload(duration=0.25, utilization=0.6):
@@ -112,7 +107,7 @@ def routes_of(schedule):
 # --------------------------------------------------------------------- #
 class TestGoldenEquivalence:
     @pytest.mark.parametrize("backend", OPTIMIZED_BACKENDS)
-    @pytest.mark.parametrize("mode", VECTORIZED_MODES)
+    @pytest.mark.parametrize("mode", FLAT_MODES)
     def test_rows_bit_identical(
         self, fixture_topology, recorded_schedule, mode, backend
     ):
@@ -226,7 +221,7 @@ def row_sets(draw, paths):
 
 class TestPropertyEquivalence:
     @pytest.mark.parametrize("backend", OPTIMIZED_BACKENDS)
-    @pytest.mark.parametrize("mode", VECTORIZED_MODES)
+    @pytest.mark.parametrize("mode", FLAT_MODES)
     @settings(
         max_examples=25,
         deadline=None,
@@ -247,43 +242,59 @@ class TestPropertyEquivalence:
         )
         assert rows(candidate) == rows(reference)
 
-    @pytest.mark.skipif(not kernel_available(), reason=unavailable_reason() or "")
-    @pytest.mark.parametrize("mode", VECTORIZED_MODES)
+    @needs_kernel
+    @pytest.mark.parametrize("faulted", [False, True], ids=["clean", "faulted"])
+    @pytest.mark.parametrize("mode", FLAT_MODES)
     @settings(
         max_examples=15,
         deadline=None,
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
     @given(data=st.data())
-    def test_kernels_in_lock_step(self, fixture_topology, recorded_schedule, mode, data):
-        """``sim/vectorized.py`` is the C kernel's executable spec: stopped after
-        any number of events, or drained, both have written exactly the same state."""
-        schedule = Schedule.from_rows(data.draw(row_sets(routes_of(recorded_schedule))))
-        assume(len(schedule))  # an empty replay never reaches a kernel
-        run = kernel_runner(fixture_topology, schedule, mode)
-        drained = run(run_flat_replay)[-1]
-        for budget in [*range(drained + 1), None]:
-            assert run(kernel_run_flat_replay(), max_events=budget) == run(
-                run_flat_replay, max_events=budget
+    def test_budgeted_bisect_against_the_reference(
+        self, fixture_topology, recorded_schedule, mode, faulted, data
+    ):
+        """Stopped after any number of events, or drained, ``compiled`` has
+        written exactly what the reference has, after as many events — so a
+        divergence bisects on ``max_events`` with no twin in between."""
+        if faulted:
+            schedule, plan = data.draw(faulted_replays(recorded_schedule))
+        else:
+            schedule = Schedule.from_rows(data.draw(row_sets(routes_of(recorded_schedule))))
+            plan = None
+        config = dict(mode=mode, faults=plan)
+        drained = replayed_and_events(fixture_topology, schedule, "python", **config)[1]
+        drawn = data.draw(st.lists(st.integers(min_value=0, max_value=drained), max_size=4))
+        for budget in [0, drained, None, *drawn]:
+            reference = replayed_and_events(
+                fixture_topology, schedule, "python", max_events=budget, **config
+            )
+            assert reference[1] == (drained if budget is None else min(budget, drained))
+            assert (
+                replayed_and_events(
+                    fixture_topology, schedule, "compiled", max_events=budget, **config
+                )
+                == reference
             ), budget
 
 
 def kernel_runner(topology, schedule, mode):
-    """``run(kernel, **options)``: ``kernel`` on the arrays a vectorized replay hands its own."""
-    captured = []
+    """``run(**options)``: the compiled kernel on the arrays a replay hands it,
+    ``options`` overriding its keywords."""
+    kernel = kernel_run_flat_replay()
 
-    def copied(args):
-        # LSTF's slack column is the kernels' one in-place output: every run gets its own.
-        return [list(a) if isinstance(a, list) else a for a in args]
+    def run(**options):
+        results = []
 
-    class Capturing(VectorizedBackend):
-        def _kernel(self, *args, **kwargs):
-            captured.append(copied(args))
-            return super()._kernel(*args, **kwargs)
+        def capturing(*args, **kwargs):
+            results.append(kernel(*args, **{**kwargs, **options}))
+            return results[-1]
 
-    Capturing().replay(topology, schedule, mode=mode)
-    (inputs,) = captured
-    return lambda kernel, **options: kernel(*copied(inputs), **options)
+        with mock.patch.object(replay_compiled, "kernel_run_flat_replay", lambda: capturing):
+            CompiledBackend().replay(topology, schedule, mode=mode)
+        return results[0]
+
+    return run
 
 
 # --------------------------------------------------------------------- #
@@ -343,23 +354,24 @@ def faulted_replays(draw, recorded_schedule, kinds=FAULT_KIND_NAMES, max_faults=
     return schedule, plan_of(*faults, seed=draw(st.integers(min_value=0, max_value=3)))
 
 
+@needs_kernel
 class TestFaultEquivalence:
-    """``python`` (the oracle) against ``vectorized``: every column and the event count, ``==``."""
+    """``python`` (the oracle) against ``compiled``: every column and the event count, ``==``."""
 
-    @pytest.mark.parametrize("mode", VECTORIZED_MODES)
+    @pytest.mark.parametrize("mode", FLAT_MODES)
     @pytest.mark.parametrize("fault", sorted(FAULTS.names()))
     def test_shipped_schedules_on_a_recorded_schedule(
         self, fixture_topology, recorded_schedule, fault, mode
     ):
         config = dict(mode=mode, faults=FaultPlan(FAULTS.get(fault), seed=3))
-        assert VectorizedBackend().decline_reason(fixture_topology, **config) is None
+        assert CompiledBackend().decline_reason(fixture_topology, **config) is None
         reference = replayed_and_events(fixture_topology, recorded_schedule, "python", **config)
-        candidate = replayed_and_events(fixture_topology, recorded_schedule, "vectorized", **config)
+        candidate = replayed_and_events(fixture_topology, recorded_schedule, "compiled", **config)
         assert candidate == reference
         if fault != "empty":
             assert 0 < len(reference[0].packet_id) < len(recorded_schedule)
 
-    @pytest.mark.parametrize("mode", VECTORIZED_MODES)
+    @pytest.mark.parametrize("mode", FLAT_MODES)
     @pytest.mark.parametrize("kind", FAULT_KIND_NAMES)
     @settings(
         max_examples=20,
@@ -371,10 +383,10 @@ class TestFaultEquivalence:
         schedule, plan = data.draw(faulted_replays(recorded_schedule, [kind], max_faults=1))
         config = dict(mode=mode, faults=plan)
         assert replayed_and_events(
-            fixture_topology, schedule, "vectorized", **config
+            fixture_topology, schedule, "compiled", **config
         ) == replayed_and_events(fixture_topology, schedule, "python", **config)
 
-    @pytest.mark.parametrize("mode", VECTORIZED_MODES)
+    @pytest.mark.parametrize("mode", FLAT_MODES)
     @settings(
         max_examples=40,
         deadline=None,
@@ -385,10 +397,10 @@ class TestFaultEquivalence:
         schedule, plan = data.draw(faulted_replays(recorded_schedule))
         config = dict(mode=mode, faults=plan)
         assert replayed_and_events(
-            fixture_topology, schedule, "vectorized", **config
+            fixture_topology, schedule, "compiled", **config
         ) == replayed_and_events(fixture_topology, schedule, "python", **config)
 
-    @pytest.mark.parametrize("mode", VECTORIZED_MODES)
+    @pytest.mark.parametrize("mode", FLAT_MODES)
     @settings(
         max_examples=8,
         deadline=None,
@@ -407,34 +419,73 @@ class TestFaultEquivalence:
             reference = replayed_and_events(fixture_topology, schedule, "python", **config)
             assert reference[1] == min(budget, drained)
             assert (
-                replayed_and_events(fixture_topology, schedule, "vectorized", **config) == reference
+                replayed_and_events(fixture_topology, schedule, "compiled", **config) == reference
             ), budget
 
-    @pytest.mark.parametrize("mode", VECTORIZED_MODES)
+    @pytest.mark.parametrize("mode", FLAT_MODES)
     def test_a_plan_that_touches_nothing_is_no_plan_bit_for_bit(
         self, fixture_topology, recorded_schedule, mode
     ):
         run = kernel_runner(fixture_topology, recorded_schedule, mode)
-        *timings, events = run(run_flat_replay)
+        *timings, events = run()
         # Neither an empty plan nor a faulted port with no filter and no
         # window changes anything.
-        assert run(run_flat_replay, faults=[]) == (*timings, events)
-        assert run(run_flat_replay, faults=[(0, (), [])]) == (*timings, events)
+        assert run(faults=[]) == (*timings, events)
+        assert run(faults=[(0, (), [])]) == (*timings, events)
         # W windows nothing runs into (here: after the last exit) are 2W events.
         end = max(timings[-1])
         late = [(end + 1.0 + k, end + 1.5 + k) for k in range(3)]
-        assert run(run_flat_replay, faults=[(0, (), late), (1, (), late[:1])]) == (
+        assert run(faults=[(0, (), late), (1, (), late[:1])]) == (
             *timings,
             events + 2 * 4,
         )
 
     def test_a_rate_zero_plan_replays_as_no_plan(self, fixture_topology, recorded_schedule):
-        clean = replayed_and_events(fixture_topology, recorded_schedule, "vectorized")
+        clean = replayed_and_events(fixture_topology, recorded_schedule, "compiled")
         for plan in (plan_of(), plan_of(BernoulliLoss(rate=0.0))):
             assert (
-                replayed_and_events(fixture_topology, recorded_schedule, "vectorized", faults=plan)
+                replayed_and_events(fixture_topology, recorded_schedule, "compiled", faults=plan)
                 == clean
             )
+
+    @pytest.mark.parametrize("mode", FLAT_MODES)
+    def test_every_filter_draws_at_every_finish(self, fixture_topology, recorded_schedule, mode):
+        """Two stochastic losses on every link: the second draws even where the first destroys."""
+        plan = plan_of(
+            BernoulliLoss(rate=0.5),
+            GilbertElliottLoss(p_enter_bad=0.3, p_exit_bad=0.25, loss_good=0.1, loss_bad=0.5),
+        )
+        config = dict(mode=mode, faults=plan)
+        reference = replayed_and_events(fixture_topology, recorded_schedule, "python", **config)
+        assert 0 < len(reference[0].packet_id) < len(recorded_schedule) / 2
+        candidate = replayed_and_events(fixture_topology, recorded_schedule, "compiled", **config)
+        assert candidate == reference
+
+    def test_an_empty_schedule_still_fires_its_outages(self, fixture_topology):
+        plan = plan_of(LinkOutage(links=(), start=0.1, duration=0.3, count=2, period=0.4))
+        reference = replayed_and_events(fixture_topology, Schedule(), "python", faults=plan)
+        assert reference[1] > 0  # toggles are events, and are counted
+        candidate = replayed_and_events(fixture_topology, Schedule(), "compiled", faults=plan)
+        assert candidate == reference
+
+    def test_a_raising_filter_reaches_the_caller_and_leaks_nothing(
+        self, fixture_topology, recorded_schedule
+    ):
+        def explode(packet, now):
+            raise RuntimeError("filter failed")
+
+        filters = (explode,)
+        faults = [(port, filters, []) for port in range(len(fixture_topology.link_params()))]
+        held = sys.getrefcount(filters)
+        run = kernel_runner(fixture_topology, recorded_schedule, "lstf")
+        with pytest.raises(RuntimeError, match="filter failed"):
+            run(faults=faults)
+        assert sys.getrefcount(filters) == held
+        # The next replay in the same process is unaffected.
+        config = dict(mode="lstf", faults=plan_of(BernoulliLoss(rate=0.3)))
+        assert replayed_and_events(
+            fixture_topology, recorded_schedule, "compiled", **config
+        ) == replayed_and_events(fixture_topology, recorded_schedule, "python", **config)
 
 
 # --------------------------------------------------------------------- #

@@ -34,8 +34,10 @@ from repro.traffic import WorkloadSpec, paper_default_workload
 from repro.utils import mbps
 
 #: What "fastest available" means in this environment, and what sits above the reference.
-FASTEST = "compiled" if kernel_available() else "vectorized"
-ACCELERATED = ["compiled", "vectorized"] if kernel_available() else ["vectorized"]
+FASTEST = "compiled" if kernel_available() else "python"
+ACCELERATED = ["compiled"] if kernel_available() else []
+
+needs_kernel = pytest.mark.skipif(not kernel_available(), reason="no compiled kernel here")
 
 
 @pytest.fixture(autouse=True)
@@ -103,11 +105,6 @@ def every_accelerated_engine_says(reason):
     return [(name, reason) for name in ACCELERATED]
 
 
-#: A fault plan is declined by ``compiled`` alone (its C loop calls no Python
-#: drop filter): the offer falls through to ``vectorized``.
-FAULT_PLAN_DECLINES = [("compiled", "fault plan")] if kernel_available() else []
-
-
 def rows(replayed):
     return list(replayed)
 
@@ -127,15 +124,12 @@ class TestUnselectedReplay:
 
     def test_fault_plan_lands_on_the_flat_kernel(self, topology):
         for mode in ("lstf", "fifo"):
-            assert decide(topology, mode=mode, faults=loss_plan()) == (
-                "vectorized",
-                FAULT_PLAN_DECLINES,
-            )
+            assert decide(topology, mode=mode, faults=loss_plan()) == (FASTEST, [])
 
+    @needs_kernel
     @pytest.mark.parametrize("name", sorted(FAULTS.names()))
     def test_every_shipped_fault_schedule_stays_off_the_reference_engine(self, topology, name):
-        engine, declined = decide(topology, faults=FaultPlan(FAULTS.get(name), seed=1))
-        assert engine != "python" and all(reason == "fault plan" for _, reason in declined)
+        assert decide(topology, faults=FaultPlan(FAULTS.get(name), seed=1)) == ("compiled", [])
 
     def test_a_fault_kind_the_flat_kernel_does_not_know_lands_on_the_reference_engine(
         self, topology
@@ -147,7 +141,7 @@ class TestUnselectedReplay:
         plan = FaultPlan(FaultScheduleDef("custom", faults=(OversizeLoss(rate=0.5),)))
         assert decide(topology, faults=plan) == (
             "python",
-            [*FAULT_PLAN_DECLINES, ("vectorized", "fault kind oversize-loss")],
+            every_accelerated_engine_says("fault kind oversize-loss"),
         )
 
     def test_empty_fault_plan_counts_as_fault_free(self, topology):
@@ -209,13 +203,14 @@ class TestSelectorsPinTheEngine:
         assert decide(topology) == ("python", [])
 
     def test_argument_beats_environment(self, monkeypatch, topology):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "python")
-        assert decide(topology, "vectorized") == ("vectorized", [])
+        monkeypatch.setenv(BACKEND_ENV_VAR, "no-such-engine")  # never read
+        assert decide(topology, "python") == ("python", [])
 
+    @needs_kernel
     def test_selected_engine_that_declines_hands_over_to_the_reference(self, topology):
-        assert decide(topology, "vectorized", mode="lstf-preemptive") == (
+        assert decide(topology, "compiled", mode="lstf-preemptive") == (
             "python",
-            [("vectorized", "replay mode lstf-preemptive")],
+            [("compiled", "replay mode lstf-preemptive")],
         )
 
     def test_resolve_backend_none_still_names_the_reference(self):
@@ -248,13 +243,9 @@ class TestDeclineReasons:
         assert decide(on, name, **config)[1] == declined  # stable: asked twice, same words
         assert get_backend("python").decline_reason(on, **{"mode": "lstf", **config}) is None
 
-    @pytest.mark.skipif(not kernel_available(), reason="compiled is the only engine that declines it")
-    def test_a_fault_plan_is_declined_by_compiled_only(self, topology):
-        assert decide(topology, "compiled", faults=loss_plan()) == (
-            "python",  # a named engine has only the reference behind it
-            [("compiled", "fault plan")],
-        )
-        assert decide(topology, "vectorized", faults=loss_plan()) == ("vectorized", [])
+    @needs_kernel
+    def test_a_fault_plan_runs_on_compiled(self, topology):
+        assert decide(topology, "compiled", faults=loss_plan()) == ("compiled", [])
 
     def test_a_replay_logs_its_decision_exactly_once(self, topology, schedule, caplog):
         caplog.set_level(logging.DEBUG, logger="repro.core.replay")
@@ -262,25 +253,21 @@ class TestDeclineReasons:
         replay_schedule(topology, schedule, mode="edf")
         faulted, clean = [r for r in caplog.records if r.name == "repro.core.replay"]
         assert faulted.levelno == clean.levelno == logging.DEBUG
-        assert faulted.args == ("lstf", "vectorized", FAULT_PLAN_DECLINES)
+        assert faulted.args == ("lstf", FASTEST, [])
         assert clean.args == ("edf", FASTEST, [])
         assert f"mode=edf on {FASTEST}" in clean.getMessage()
-        assert "mode=lstf on vectorized" in faulted.getMessage()
-        if kernel_available():
-            assert "[('compiled', 'fault plan')]" in faulted.getMessage()
+        assert f"mode=lstf on {FASTEST}; declined: []" in faulted.getMessage()
 
 
 class TestCandidateList:
     def test_unselected_list_is_the_available_builtins_fastest_first(self):
         names = [backend.name for backend in replay_candidates()]
-        assert names == ["compiled", "vectorized", "python"][-len(names) :]
+        assert names == ["compiled", "python"][-len(names) :]
         assert names[0] == FASTEST
 
     def test_a_named_engine_is_followed_by_the_reference_once(self):
-        assert [backend.name for backend in replay_candidates("vectorized")] == [
-            "vectorized",
-            "python",
-        ]
+        for name in ACCELERATED:
+            assert [backend.name for backend in replay_candidates(name)] == [name, "python"]
         assert [backend.name for backend in replay_candidates("python")] == ["python"]
 
     def test_availability_is_probed_once_per_process(self, no_compiler, monkeypatch):
@@ -288,11 +275,8 @@ class TestCandidateList:
         probes = []
         real = compiled_mod._probe
         monkeypatch.setattr(compiled_mod, "_probe", lambda *a, **k: probes.append(a) or real(*a, **k))
-        assert [backend.name for backend in replay_candidates()] == ["vectorized", "python"]
-        assert [entry["name"] for entry in describe_backends() if entry["available"]] == [
-            "vectorized",
-            "python",
-        ]
+        assert [backend.name for backend in replay_candidates()] == ["python"]
+        assert [entry["name"] for entry in describe_backends() if entry["available"]] == ["python"]
         assert len(probes) == 1
 
     def test_listing_marks_exactly_the_fastest_available_builtin(self):
@@ -300,7 +284,7 @@ class TestCandidateList:
         assert default == [FASTEST]
 
     def test_the_benchmark_shim_lists_available_engines_reference_first(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "vectorized")  # a pin does not change what exists
+        monkeypatch.setenv(BACKEND_ENV_VAR, "python")  # a pin does not change what exists
         assert available_backend_names("lstf") == ["python", *reversed(ACCELERATED)]
         assert available_backend_names("fifo") == ["python", *reversed(ACCELERATED)]
         assert available_backend_names("lstf-preemptive") == ["python"]

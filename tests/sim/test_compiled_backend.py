@@ -65,9 +65,8 @@ class TestPurePythonInstallPath:
         assert "no C compiler" in compiled_mod.unavailable_reason()
         assert compiled_mod.kernel_build_info() is None
 
-    def test_python_and_vectorized_still_resolve(self, no_compiler):
+    def test_python_still_resolves(self, no_compiler):
         assert get_backend("python").name == "python"
-        assert get_backend("vectorized").name == "vectorized"
 
     def test_compiled_is_registered_but_unavailable(self, no_compiler):
         assert "compiled" in ENGINES
@@ -81,7 +80,7 @@ class TestPurePythonInstallPath:
         (so nothing "declined"), and naming it is refused at resolution."""
         monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)  # CI runs this file under a pin
         engine, declined = select_engine(None, fixture_topology, "lstf")
-        assert (engine.name, declined) == ("vectorized", [])
+        assert (engine.name, declined) == ("python", [])
         with pytest.raises(PipelineConfigError, match="unavailable"):
             select_engine("compiled", fixture_topology, "lstf")
 
@@ -101,8 +100,7 @@ class TestErrorDistinction:
             get_backend("no-such-backend")
         message = str(excinfo.value)
         assert "unknown backend" in message
-        for name in ("python", "vectorized", "compiled"):
-            assert name in message
+        assert "registered backends: compiled, python " in message
 
     def test_unavailable_backend_names_itself_and_the_fix(self, no_compiler):
         with pytest.raises(PipelineConfigError) as excinfo:
@@ -112,10 +110,16 @@ class TestErrorDistinction:
         assert "compiled" in message and "unavailable" in message
         assert "no C compiler" in message
 
-    def test_cli_unknown_backend_exits_2(self, capsys):
-        code = main(["run", "table1", "--backend", "no-such-backend", "--no-cache"])
-        assert code == 2
-        assert "unknown backend" in capsys.readouterr().err
+    def test_cli_unknown_backend_exits_2(self, capsys, monkeypatch):
+        # ``vectorized`` was an engine once; it is an unknown name like any other.
+        for name in ("no-such-backend", "vectorized"):
+            code = main(["run", "table1", "--backend", name, "--no-cache"])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert f"unknown backend {name!r}; registered backends: compiled, python" in err
+        monkeypatch.setenv(BACKEND_ENV_VAR, "vectorized")
+        assert main(["run", "table1", "--no-cache"]) == 2
+        assert "unknown backend 'vectorized'" in capsys.readouterr().err
 
     def test_cli_unavailable_backend_exits_2(self, no_compiler, capsys):
         code = main(["run", "table1", "--backend", "compiled", "--no-cache"])
@@ -128,13 +132,13 @@ class TestListBackendsCli:
     def test_table_lists_every_backend(self, capsys):
         assert main(["list", "--backends"]) == 0
         out = capsys.readouterr().out
-        for name in ("python", "vectorized", "compiled"):
+        for name in ("python", "compiled"):
             assert name in out
 
     def test_json_carries_availability_and_notes(self, capsys):
         assert main(["list", "--backends", "--json"]) == 0
         entries = {e["name"]: e for e in json.loads(capsys.readouterr().out)}
-        assert set(entries) >= {"python", "vectorized", "compiled"}
+        assert set(entries) == {"python", "compiled"}
         assert entries["python"]["available"] is True
         for entry in entries.values():
             assert entry["replay_note"]

@@ -260,7 +260,7 @@ def test_a_decline_after_the_build_does_not_build_again(tmp_path):
 
 
 def test_other_backend_pins_do_not_pin_the_recorder():
-    with recording_engine("vectorized") as log:
+    with recording_engine("compiled") as log:
         record_schedule(line(), uniform_factory("fifo"), line_workload(), seed=1)
     assert log[0].endswith("on the flat loop")
 

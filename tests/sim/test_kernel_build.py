@@ -178,13 +178,13 @@ class TestNoCompiler:
         assert compiled_mod.kernel_available() is False
         marker = Path(f"{kernel_path(no_compiler)}.failed")
         assert "no C compiler" in marker.read_text()
-        assert replay_candidates()[0].name == "vectorized"
+        assert replay_candidates()[0].name == "python"
         # The next process *has* a compiler (nothing hides it there): only the
         # marker can be what keeps it from building.
         later = report(fresh_process(no_compiler))
         assert not later["available"] and later["spawns"] == 0
         assert "no C compiler" in later["reason"] and str(marker) in later["reason"]
-        assert later["engine"] == "vectorized" and spawned() == 0
+        assert later["engine"] == "python" and spawned() == 0
 
     def test_golden_rows_are_identical_on_the_fallback_engine(self, no_compiler):
         spec = importlib.util.spec_from_file_location(
@@ -193,14 +193,14 @@ class TestNoCompiler:
         golden = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(golden)
         golden.test_golden_rows_bit_identical()
-        assert [backend.name for backend in replay_candidates()] == ["vectorized", "python"]
+        assert [backend.name for backend in replay_candidates()] == ["python"]
 
     def test_warns_once_per_process(self, no_compiler, caplog):
         for _ in range(3):
             assert compiled_mod.kernel_available() is False
         warnings = [r for r in caplog.records if r.name == "repro.sim.compiled"]
         assert len(warnings) == 1 and warnings[0].levelname == "WARNING"
-        assert "replays use vectorized" in warnings[0].message
+        assert "replays use the reference engine" in warnings[0].message
         assert "schedule loads use the json decoder" in warnings[0].message
         assert "schedule saves use the json encoder" in warnings[0].message
 
@@ -298,7 +298,7 @@ class TestLaziness:
         assert trees[0] and trees[0] == trees[1]
 
     @pytest.mark.parametrize("workers", ["1", "2"])
-    @pytest.mark.parametrize("pin", ["--backend vectorized", "REPRO_BACKEND=python"])
+    @pytest.mark.parametrize("pin", ["--backend python", "REPRO_BACKEND=python"])
     def test_a_pinned_run_attempts_no_build(self, kernel_sandbox, probed, monkeypatch, capsys, pin, workers):
         argv = ["run", "table1", "--scale", "smoke", "--no-cache", "--workers", workers]
         if pin.startswith("--"):
