@@ -28,7 +28,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, fields
-from typing import Callable, ClassVar, Dict, List, Optional, Tuple, Type
+from typing import Callable, ClassVar, Dict, Iterator, List, Optional, Tuple, Type
 
 from repro.utils.rng import RandomState
 
@@ -57,6 +57,22 @@ def derive_fault_seed(*parts) -> int:
     blob = json.dumps([str(part) for part in parts])
     digest = hashlib.sha256(blob.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big") % (2**31)
+
+
+#: Uniforms a loss filter draws from its substream per numpy call.
+DRAW_BLOCK = 1024
+
+
+def uniform_draws(rng: RandomState) -> Iterator[float]:
+    """``rng.uniform()`` draw after draw, read :data:`DRAW_BLOCK` at a time.
+
+    Bit-identical: ``uniform(0, 1)`` is ``0 + 1 * x`` of the next double,
+    and ``random(n)`` returns the next n; draws a filter never reads go
+    unseen, since the substream is that filter's alone.
+    """
+    generator = rng.generator
+    while True:
+        yield from generator.random(DRAW_BLOCK).tolist()
 
 
 #: A per-packet destruction test: called once per completed transmission on
@@ -240,9 +256,10 @@ class BernoulliLoss(FaultDef):
             return None
         rate = self.rate
         assert rng is not None
+        draw = uniform_draws(rng).__next__
 
         def drop(packet, now: float) -> bool:
-            return rng.uniform() < rate
+            return draw() < rate
 
         return drop
 
@@ -288,22 +305,23 @@ class GilbertElliottLoss(FaultDef):
     ) -> Optional[DropFilter]:
         """A stateful closure owning this port's channel state."""
         assert rng is not None
+        draw = uniform_draws(rng).__next__
         p_enter, p_exit = self.p_enter_bad, self.p_exit_bad
         loss_good, loss_bad = self.loss_good, self.loss_bad
         state = [False]  # [in_bad_state]; one-cell list so the closure can mutate it
 
         def drop(packet, now: float) -> bool:
             if state[0]:
-                if rng.uniform() < p_exit:
+                if draw() < p_exit:
                     state[0] = False
-            elif rng.uniform() < p_enter:
+            elif draw() < p_enter:
                 state[0] = True
             loss = loss_bad if state[0] else loss_good
             if loss <= 0.0:
                 return False
             if loss >= 1.0:
                 return True
-            return rng.uniform() < loss
+            return draw() < loss
 
         return drop
 

@@ -177,9 +177,11 @@ def schedule_cache_key(
 
     * ``"replay"`` (the default) — the policy stamps *replayed* packets; the
       recorded artifact itself does not depend on it, so two cells differing
-      only in policy re-record identical baselines.  That redundancy is the
-      deliberate price of keys that identify the cell's full provenance.
-      The hashed payload is bit-identical to the pre-``slack_mode`` code.
+      only in policy store identical schedules under two keys that each
+      identify the cell's full provenance.  A pool records such a schedule
+      once and stores it under both
+      (:func:`repro.pipeline.experiment.recording_twin`).  The hashed
+      payload is bit-identical to the pre-``slack_mode`` code.
     * ``"live"`` — the policy stamps packets at send time *during the
       recording*, so the recorded schedule genuinely depends on it; the
       fingerprint gains a ``"mode": "live"`` marker so a live cell can never
@@ -236,8 +238,8 @@ class ScheduleCache:
 
     Attributes:
         hits: Number of ``get_or_record`` calls served from memory or disk.
-        misses: Number of calls that had to record (i.e. run the original
-            simulation).  A warm cache reports ``misses == 0``.
+        misses: Number of calls that stored what ``recorder`` returned (a
+            recording, or one the caller held).  A warm cache reports 0.
     """
 
     def __init__(
@@ -458,7 +460,7 @@ class ScheduleCache:
     # Introspection
     # ------------------------------------------------------------------ #
     def stats(self) -> Dict[str, int]:
-        """Hit/miss/corruption counters (misses == original schedules recorded)."""
+        """Hit/miss/corruption counters (misses == keys this cache stored)."""
         return {
             "hits": self.hits,
             "misses": self.misses,

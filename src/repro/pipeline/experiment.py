@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import copy
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.replay import (
@@ -305,6 +305,20 @@ def scenario_cache_key(scenario: Scenario) -> str:
     )
 
 
+def recording_twin(scenario: Scenario) -> Scenario:
+    """``scenario`` without the inputs that act on its replay leg only.
+
+    A fault plan and a ``slack_mode="replay"`` policy shape the replay, never
+    the recording (:func:`record_scenario_schedule` reads neither), so every
+    scenario with the same twin records the same original schedule.  The
+    twin's :func:`scenario_cache_key` is the *recording key* the runner
+    groups schedule keys by; a live-mode policy stays in, because it shaped
+    the recording.
+    """
+    policy = scenario.slack_policy if scenario.slack_mode == "live" else None
+    return replace(scenario, slack_policy=policy, faults=None, fault_seed=0)
+
+
 def record_scenario_schedule(
     scenario: Scenario,
     topology=None,
@@ -336,6 +350,7 @@ def cached_schedule(
     cache: ScheduleCache,
     topology=None,
     workload=None,
+    recording: Optional[Schedule] = None,
 ) -> Schedule:
     """``scenario``'s original schedule through ``cache``, recorded on first use.
 
@@ -343,7 +358,10 @@ def cached_schedule(
     by exactly what :func:`scenario_cache_key` hashes (slack policy and its
     mode, fault plan), so the entry a cell loads, the entry the runner's
     recording phase writes and the entry a shard plan points at are always
-    the same one.  Pass ``topology`` / ``workload`` when already built.
+    the same one.  Pass ``topology`` / ``workload`` when already built, and
+    ``recording`` when the caller already holds the schedule of a scenario
+    with the same :func:`recording_twin`: a miss then stores it instead of
+    recording again.
     """
     topology = topology if topology is not None else scenario.build_topology()
     workload = workload if workload is not None else scenario.workload()
@@ -352,7 +370,11 @@ def cached_schedule(
         original=scenario.original,
         workload=workload,
         seed=scenario.seed,
-        recorder=lambda: record_scenario_schedule(scenario, topology, workload),
+        recorder=lambda: (
+            recording
+            if recording is not None
+            else record_scenario_schedule(scenario, topology, workload)
+        ),
         slack_policy=scenario.slack_policy_def(),
         slack_mode=scenario.slack_mode,
         faults=scenario.fault_plan(),

@@ -30,15 +30,17 @@ be idle — one in a serial run, two in a pool (``workers > 1``):
   memory layer is loaded back, never recorded twice.  The run waits for
   every write and joins the writer before it returns.  A pool has no
   writer: both cores already run workers, and it would only add pickling.
-* **One task per schedule key.**  The driver computes every replay cell's
-  schedule-cache key from plain specs and submits one task per unique key.
-  That task records the schedule first when the shared on-disk cache lacks
-  it, then runs every cell of the key, in cell order, in the same worker —
-  so each (topology, scheduler, workload, seed) key is recorded or loaded
-  once per run and replayed from memory, and two workers never record the
-  same schedule.  Without a disk cache the key's first cell records it, as
-  a serial run's would, so hit and miss counts match ``workers=1`` wherever
-  the serial run's memory cache still holds a key at its last cell.
+* **One task per recorded original.**  The driver computes every replay
+  cell's schedule-cache key from plain specs, and its recording key (that
+  of its :func:`~repro.pipeline.experiment.recording_twin`), and submits one
+  task per recording key.  The task walks its keys in cell order, stores
+  each one the shared on-disk cache lacks — recording the original at the
+  first and storing that same schedule under the rest — and runs the key's
+  cells from that worker's memory.  So an original is recorded once per
+  run, while keys, misses and files stay those of ``workers=1``.  Without a
+  disk cache the key's first cell records it, as a serial run's would, so
+  hit and miss counts match ``workers=1`` wherever the serial run's memory
+  cache still holds a key at its last cell.
 * **Shard work-stealing** (with a disk cache only).  For experiments that opt in
   (``ExperimentDef.supports_shards`` — the scale tier) each shard of a cell
   is its own task, so workers draining the shared task queue steal shards of
@@ -48,7 +50,7 @@ be idle — one in a serial run, two in a pool (``workers > 1``):
   rows are bit-identical to those of a cell that ran whole, folding the same
   partition in order inside its one task (every other configuration).
   Shard planning reads the entry on disk, so these cells run after every
-  key task, not inside one.
+  original task, not inside one.
 
 The loop is also what hardens the runner against *real* failure: tasks run
 under an optional per-cell timeout, and a cell that raises (or whose worker
@@ -68,9 +70,11 @@ import traceback as traceback_module
 from collections import OrderedDict
 from concurrent.futures import Executor, Future, ProcessPoolExecutor, as_completed
 from contextlib import contextmanager
+from itertools import chain
 from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
+from repro.core.schedule import Schedule
 from repro.pipeline.cache import DEFAULT_SHARD_PACKETS, ScheduleCache
 from repro.pipeline.experiment import (
     Cell,
@@ -79,6 +83,7 @@ from repro.pipeline.experiment import (
     ScenarioRegistry,
     cached_schedule,
     default_registry,
+    recording_twin,
     scenario_cache_key,
 )
 from repro.pipeline.scenario import PipelineConfigError, Scenario
@@ -193,7 +198,9 @@ class RunSummary:
         workers: Worker processes used (1 = serial, in-process).
         wall_time: End-to-end wall-clock seconds.
         cache_hits: Schedule-cache lookups served without recording.
-        cache_misses: Original schedules that had to be recorded.
+        cache_misses: Schedule keys the cache lacked (each one stored once).
+        records_computed: Original schedules actually recorded: one per miss
+            serially, one per recording key in a pool with a disk cache.
         notes: Caveats about how the run was interpreted (e.g. experiments
             that could not honor a ``replicates`` request).
         errors: Cells that failed every retry round, as structured
@@ -207,13 +214,9 @@ class RunSummary:
     wall_time: float = 0.0
     cache_hits: int = 0
     cache_misses: int = 0
+    records_computed: int = 0
     notes: List[str] = field(default_factory=list)
     errors: List[CellError] = field(default_factory=list)
-
-    @property
-    def records_computed(self) -> int:
-        """Original-schedule recordings performed (0 on a fully warm cache)."""
-        return self.cache_misses
 
     def format(self) -> str:
         """One-paragraph human-readable run summary."""
@@ -223,7 +226,7 @@ class RunSummary:
             f"pipeline: {len(self.results)} experiment(s), {self.cells} cell(s), "
             f"{self.workers} worker(s), {self.wall_time:.2f}s wall-clock",
             f"schedule cache: {self.cache_hits}/{total} hit(s), "
-            f"{self.records_computed} schedule(s) recorded"
+            f"{self.cache_misses} miss(es), {self.records_computed} schedule(s) recorded"
             + (" (warm cache: nothing re-recorded)" if total and not self.cache_misses else ""),
         ]
         if self.errors:
@@ -274,13 +277,14 @@ def _execute_cell(
 # ---------------------------------------------------------------------- #
 @dataclass
 class _Task:
-    """One unit of executor work: ``kind`` is ``"key"`` (one schedule key:
-    put ``scenario``'s schedule into the cache when set, then run each of
-    ``riders`` whole, in order), ``"cell"`` (run ``cell`` whole) or
-    ``"shard"`` (run one ``shard`` of it).  Definitions ship in the task
-    (they are plain picklable objects), so workers honor whatever registry —
-    global or caller-supplied — the driver resolved names against, on fork
-    and spawn platforms alike.
+    """One unit of executor work: ``kind`` is ``"original"`` (one recording
+    key: for each ``(scenario, riders)`` of ``keys``, in cell order, put
+    ``scenario``'s schedule into the cache when set — recorded once, then
+    held — and run each of ``riders`` whole, in order), ``"cell"`` (run
+    ``cell`` whole) or ``"shard"`` (run one ``shard`` of it).  Definitions
+    ship in the task (they are plain picklable objects), so workers honor
+    whatever registry — global or caller-supplied — the driver resolved
+    names against, on fork and spawn platforms alike.
     """
 
     kind: str
@@ -288,8 +292,7 @@ class _Task:
     definition: Optional[ExperimentDef] = None
     cell: Optional[Cell] = None
     shard: object = None
-    scenario: Optional[Scenario] = None
-    riders: Sequence[Tuple[ExperimentDef, Cell]] = ()
+    keys: Sequence[Tuple[Optional[Scenario], Sequence[Tuple[ExperimentDef, Cell]]]] = ()
 
 
 #: What a task runs against: ``(schedule cache, per-cell timeout)``.
@@ -317,25 +320,30 @@ def _worker_init(
         os.environ[BACKEND_ENV_VAR] = backend
 
 
-def _record(scenario: Scenario, cache: ScheduleCache) -> int:
-    """Put ``scenario``'s schedule into ``cache``; the number actually recorded
-    (0 when another run populated the entry between planning and execution)."""
+def _store(
+    scenario: Scenario, held: Optional[Schedule], cache: ScheduleCache
+) -> Tuple[Schedule, int, int]:
+    """Put ``scenario``'s schedule — ``held`` when set, else a recording —
+    into ``cache``; ``(schedule, keys stored, recordings run)``, with both
+    counts 0 when another run populated the entry after planning."""
     misses_before = cache.misses
-    cached_schedule(scenario, cache)
-    return cache.misses - misses_before
+    schedule = cached_schedule(scenario, cache, recording=held)
+    stored = cache.misses - misses_before
+    return schedule, stored, stored if held is None else 0
 
 
 def _run_task(task: _Task, context: Optional[_TaskContext] = None) -> object:
     """Execute one task; the worker side of the loop, for both executors.
 
     Returns the task's outcome — a shard task's picklable partial, a cell
-    task's :class:`CellResult`, a key task's ``(recorded, [outcome per
-    rider])`` where ``recorded`` is :func:`_record`'s count (0 when the task
-    records nothing) — with a :class:`_CellFailure` standing in for any step
-    that raised.  Each step (the recording, every rider) runs under its own
-    per-cell deadline, and exceptions (the timeout included) come back as
-    values, never as raises: a raise would poison a pool future, lose the
-    traceback, and take the key's other cells with it.
+    task's :class:`CellResult`, an original task's ``(recordings run,
+    [(keys stored, [outcome per rider]) per key])`` — with a
+    :class:`_CellFailure` standing in for any step that raised.  Each step
+    (a key's store, every rider) runs under its own per-cell deadline, and
+    exceptions (the timeout included) come back as values, never as raises:
+    a raise would poison a pool future, lose the traceback, and take the
+    task's other cells with it.  An original task's first store records, and
+    every later one stores the schedule it holds.
 
     ``context`` is the in-process executor's; pool workers fall back to the
     one :func:`_worker_init` built for their process.
@@ -353,11 +361,19 @@ def _run_task(task: _Task, context: Optional[_TaskContext] = None) -> object:
         return guarded(task.definition.run_cell_shard, task.cell, task.shard, task.scale, cache)
     if task.kind == "cell":
         return guarded(_execute_cell, task.definition, task.cell, task.scale, cache)
-    recorded = 0 if task.scenario is None else guarded(_record, task.scenario, cache)
-    return recorded, [
-        guarded(_execute_cell, definition, cell, task.scale, cache)
-        for definition, cell in task.riders
-    ]
+    held: Optional[Schedule] = None
+    recorded = 0
+    steps = []
+    for scenario, riders in task.keys:
+        stored = 0 if scenario is None else guarded(_store, scenario, held, cache)
+        if isinstance(stored, tuple):
+            held, stored, fresh = stored
+            recorded += fresh
+        steps.append((stored, [
+            guarded(_execute_cell, definition, cell, task.scale, cache)
+            for definition, cell in riders
+        ]))
+    return recorded, steps
 
 
 class _InProcessExecutor(Executor):
@@ -396,33 +412,38 @@ def _drain(futures: Dict[Future, object]) -> Iterator[Tuple[object, object, bool
 
 def _plan_records(
     tasks: Sequence[Tuple[ExperimentDef, Cell]], cache: Optional[ScheduleCache]
-) -> Tuple[Dict[int, str], Dict[str, Scenario]]:
-    """Each replay cell's schedule key, and the schedules to record up front.
+) -> Tuple[Dict[int, str], Dict[str, str], Dict[str, Scenario]]:
+    """Each replay cell's schedule key, its recording key, and the schedules
+    to store up front.
 
-    Returns ``(key by task index, scenario by missing unique key)``.  Only
-    cells whose spec is a :class:`Scenario` go through the schedule cache
-    (direct-simulation cells carry other specs); those sharing one original
-    schedule — across modes *and* across experiments — share one key, so a
-    key task records it exactly once.  Without a disk ``cache`` nothing is
-    planned for recording: the key's first cell records it.
+    Returns ``(key by task index, recording key by key, scenario by missing
+    unique key)``.  Only cells whose spec is a :class:`Scenario` go through
+    the schedule cache (direct-simulation cells carry other specs); those
+    sharing one original schedule — across modes *and* across experiments —
+    share one key, and keys differing only in replay-leg inputs share one
+    recording key (:func:`recording_twin`), so an original task records it
+    exactly once.  Without a disk ``cache`` nothing is planned: the key's
+    first cell records it.
     """
     keys: Dict[int, str] = {}
+    recording: Dict[str, str] = {}
     planned: Dict[str, Scenario] = {}
     key_by_scenario: Dict[Scenario, str] = {}
     for index, (_, cell) in enumerate(tasks):
         scenario = cell.spec
         if not isinstance(scenario, Scenario):
             continue
+        twin = recording_twin(scenario)
         # Scenarios are frozen/hashable; memoize so cells sharing one
         # scenario hash its topology and workload specs only once.
-        key = key_by_scenario.get(scenario)
-        if key is None:
-            key = scenario_cache_key(scenario)
-            key_by_scenario[scenario] = key
-        keys[index] = key
+        for spec in (scenario, twin):
+            if spec not in key_by_scenario:
+                key_by_scenario[spec] = scenario_cache_key(spec)
+        key = keys[index] = key_by_scenario[scenario]
+        recording[key] = key_by_scenario[twin]
         if cache is not None and key not in planned and key not in cache:
             planned[key] = scenario
-    return keys, planned
+    return keys, recording, planned
 
 
 # ---------------------------------------------------------------------- #
@@ -490,8 +511,8 @@ def _writer_process(wanted: bool) -> Iterator[Optional[Executor]]:
     writer.shutdown()
 
 
-#: Stands in for a cell that was never submitted: a key task crashed the pool
-#: in every round.
+#: Stands in for a cell that was never submitted: an original task crashed the
+#: pool in every round.
 _NEVER_RAN = _CellFailure(
     "UnknownWorkerFailure", "worker finished without reporting a result", ""
 )
@@ -689,7 +710,7 @@ def run_pipeline(
             from repro.sim.backend import replay_candidates
 
             replay_candidates()
-        cell_results, errors, records_computed, unrecorded = _run_rounds(
+        cell_results, errors, stored, records_computed, unrecorded = _run_rounds(
             tasks, scale, make_executor, workers > 1, plan_cache, max_retries, retry_backoff
         )
         if workers == 1:
@@ -715,7 +736,8 @@ def run_pipeline(
         workers=workers,
         wall_time=time.perf_counter() - start,
         cache_hits=sum(r.cache_hits for r in completed),
-        cache_misses=records_computed + sum(r.cache_misses for r in completed),
+        cache_misses=stored + sum(r.cache_misses for r in completed),
+        records_computed=records_computed + sum(r.cache_misses for r in completed),
         notes=notes,
         errors=errors,
     )
@@ -735,19 +757,23 @@ def _run_rounds(
     Runs up to ``max_retries + 1`` rounds, each on the executor
     ``make_executor()`` returns (entered as a context manager, so a pool is
     shut down at the end of its round).  Within a round, phase 1 submits one
-    task per schedule key and phase 2 runs the still-pending cells that ride
-    no key task; items that failed stay pending for the next round, items
-    that succeeded never re-run.  Phase 1 exists only when ``pooled``: a key
-    task records its key when ``plan_cache`` (the driver's view of the
-    shared on-disk cache) lacks it, then runs the key's pending cells.  With
-    ``plan_cache`` the cells of shard-capable definitions stay in phase 2,
-    which expands them into one task per shard.
+    task per recording key and phase 2 runs the still-pending cells that
+    ride no original task; items that failed stay pending for the next
+    round, items that succeeded never re-run.  Phase 1 exists only when
+    ``pooled``: an original task walks its schedule keys in cell order,
+    stores each key that ``plan_cache`` (the driver's view of the shared
+    on-disk cache) lacks — recording the original at the first — and runs
+    the key's pending cells.  With ``plan_cache`` the cells of shard-capable
+    definitions stay in phase 2, which expands them into one task per shard.
 
-    Returns ``(cell results by task index, errors, schedules recorded in
-    phase 1, recordings that never completed)``.
+    Returns ``(cell results by task index, errors, keys stored in phase 1,
+    recordings run in phase 1, keys whose store never completed)``.
     """
-    keys, pending_records = _plan_records(tasks, plan_cache) if pooled else ({}, {})
-    # A replay cell rides its key's task unless phase 2 must shard it from disk.
+    keys, recording, pending_records = (
+        _plan_records(tasks, plan_cache) if pooled else ({}, {}, {})
+    )
+    # A replay cell rides its original's task unless phase 2 must shard it
+    # from disk.
     riding = {
         index: key
         for index, key in keys.items()
@@ -757,7 +783,7 @@ def _run_rounds(
     results: List[Optional[CellResult]] = [None] * len(tasks)
     attempts: Dict[int, int] = {}
     failures: Dict[int, _CellFailure] = {}
-    records_computed = 0
+    stored = records_computed = 0
 
     def settle(index: int, outcome: object) -> None:
         if isinstance(outcome, _CellFailure):
@@ -771,40 +797,41 @@ def _run_rounds(
         if round_index:
             time.sleep(retry_backoff * 2 ** (round_index - 1))
         with make_executor() as executor:
-            # Phase 1 (keys): each key's recording, when still missing, then
-            # its pending cells in cell order, all in one worker — so the
-            # cells replay the schedule from that worker's memory.  A
-            # recording that fails stays pending; its cells record in-worker.
-            riders: Dict[str, List[int]] = {key: [] for key in pending_records}
-            for index in pending_cells:
-                if index in riding:
-                    riders.setdefault(riding[index], []).append(index)
+            # Phase 1 (originals): per recording key, each of its schedule
+            # keys in cell order — stored when still missing, then its
+            # pending cells — all in one worker, so the original is recorded
+            # once and the cells replay it from that worker's memory.  A
+            # store that fails stays pending; its cells record in-worker.
+            groups: Dict[str, Dict[str, List[int]]] = {}
+            for index, key in keys.items():
+                rides = index in riding and index in pending_cells
+                if not rides and key not in pending_records:
+                    continue
+                riders = groups.setdefault(recording[key], {}).setdefault(key, [])
+                if rides:
+                    riders.append(index)
                     attempts[index] = attempts.get(index, 0) + 1
-            key_futures = {
-                executor.submit(
-                    _run_task,
-                    _Task(
-                        "key",
-                        scale,
-                        scenario=pending_records.get(key),
-                        riders=[pending_cells[index] for index in indices],
-                    ),
-                ): key
-                for key, indices in riders.items()
+            original_futures = {
+                executor.submit(_run_task, _Task("original", scale, keys=[
+                    (pending_records.get(key), [pending_cells[i] for i in indices])
+                    for key, indices in group.items()
+                ])): group
+                for group in groups.values()
             }
             pool_broken = False
-            for key, outcome, crashed in _drain(key_futures):
-                if crashed:  # the key's cells fail this round, and retry
+            for group, outcome, crashed in _drain(original_futures):
+                if crashed:  # the group's cells fail this round, and retry
                     pool_broken = True
-                    for index in riders[key]:
-                        failures[index] = outcome
+                    failures.update(dict.fromkeys(chain(*group.values()), outcome))
                     continue
-                recorded, outcomes = outcome
-                if not isinstance(recorded, _CellFailure):
-                    records_computed += recorded
-                    pending_records.pop(key, None)
-                for index, cell_outcome in zip(riders[key], outcomes):
-                    settle(index, cell_outcome)
+                recorded, steps = outcome
+                records_computed += recorded
+                for (key, indices), (count, outcomes) in zip(group.items(), steps):
+                    if not isinstance(count, _CellFailure):
+                        stored += count
+                        pending_records.pop(key, None)
+                    for index, cell_outcome in zip(indices, outcomes):
+                        settle(index, cell_outcome)
             # Phase 2 (cells): every other pending cell against the
             # (best-effort) warm cache — whole, or with a plan cache one task
             # *per shard*: the executor's task queue is the work-stealing
@@ -854,7 +881,7 @@ def _run_rounds(
         _cell_error(cell, failures.get(index, _NEVER_RAN), attempts.get(index, 0))
         for index, (_, cell) in pending_cells.items()
     ]
-    return results, errors, records_computed, len(pending_records)
+    return results, errors, stored, records_computed, len(pending_records)
 
 
 # ---------------------------------------------------------------------- #

@@ -15,7 +15,10 @@ Covers the acceptance criteria of the fault-injection PR:
 
 import json
 
+import pytest
+
 from repro.__main__ import main as cli_main
+from repro.bench.harness import rows_digest
 from repro.experiments import ExperimentScale
 from repro.experiments.faults import FAULT_MODES, FAULT_SWEEP, fault_scenarios
 from repro.pipeline import default_registry, run_pipeline
@@ -71,6 +74,17 @@ class TestFaultsExperiment:
         parallel = faults_rows(workers=2, cache_dir=tmp_path / "b")
         assert again == serial
         assert parallel == serial
+
+    @pytest.mark.parametrize(
+        "scale, digest",
+        [(SMOKE, "27bed186d99bfd1c"), (ExperimentScale.quick(), "2aecf047d45bed11")],
+        ids=["smoke", "quick"],
+    )
+    def test_rows_digest_is_pinned(self, scale, digest):
+        """Block-drawn loss uniforms are the scalar draws: every row keeps
+        its bits at both scales (the stochastic kinds run at every one)."""
+        rows = run_pipeline(["faults"], scale=scale).results["faults"].rows
+        assert rows_digest(rows) == digest
 
     def test_fault_override_pins_whole_sweep(self):
         registry = default_registry()

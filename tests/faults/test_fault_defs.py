@@ -1,6 +1,7 @@
 """Tests for fault definitions and the fault-schedule registry."""
 
 import pickle
+from itertools import islice
 
 import pytest
 from hypothesis import given
@@ -17,6 +18,7 @@ from repro.faults import (
     LinkOutage,
     fault_from_dict,
 )
+from repro.faults.defs import DRAW_BLOCK, uniform_draws
 from repro.utils.rng import RandomState
 
 
@@ -86,6 +88,58 @@ class TestFaultKinds:
         assert pattern(7) == pattern(7)
         assert pattern(7) != pattern(8)
         assert any(pattern(7))  # the chain does enter the bad state
+
+
+class TestBlockDraws:
+    """Loss filters read their uniforms ``DRAW_BLOCK`` at a time: the same
+    values, in the same order, as one scalar ``uniform()`` call per draw."""
+
+    def test_block_draws_equal_scalar_draws(self):
+        count = 3 * DRAW_BLOCK + 7
+        scalar = RandomState(11)
+        expected = [scalar.uniform() for _ in range(count)]
+        assert list(islice(uniform_draws(RandomState(11)), count)) == expected
+
+    def test_bernoulli_filter_matches_scalar_draws(self):
+        packets = 3 * DRAW_BLOCK + 1
+        drop = BernoulliLoss(rate=0.3).make_drop_filter(1.0, RandomState(5))
+        scalar = RandomState(5)
+        expected = [scalar.uniform() < 0.3 for _ in range(packets)]
+        assert [drop(None, 0.0) for _ in range(packets)] == expected
+
+    @pytest.mark.parametrize(
+        "loss_good, loss_bad", [(0.0, 1.0), (0.1, 0.6)], ids=["one-draw", "two-draws"]
+    )
+    def test_gilbert_filter_matches_scalar_draws(self, loss_good, loss_bad):
+        """One draw per packet when the state's loss is 0 or 1, two when it
+        is fractional; either way the draws cross >= 3 block boundaries."""
+        ge = GilbertElliottLoss(
+            p_enter_bad=0.2, p_exit_bad=0.3, loss_good=loss_good, loss_bad=loss_bad
+        )
+        scalar = RandomState(9)
+        draws = []
+        bad = False
+
+        def uniform():
+            draws.append(scalar.uniform())
+            return draws[-1]
+
+        def reference():
+            nonlocal bad
+            if bad:
+                bad = not uniform() < 0.3
+            else:
+                bad = uniform() < 0.2
+            loss = loss_bad if bad else loss_good
+            return loss > 0.0 and (loss >= 1.0 or uniform() < loss)
+
+        packets = 4 * DRAW_BLOCK
+        drop = ge.make_drop_filter(1.0, RandomState(9))
+        assert [drop(None, 0.0) for _ in range(packets)] == [
+            reference() for _ in range(packets)
+        ]
+        assert len(draws) >= 4 * DRAW_BLOCK
+        assert (len(draws) > 6 * DRAW_BLOCK) == (loss_good > 0.0)
 
 
 class TestFaultScheduleRegistry:

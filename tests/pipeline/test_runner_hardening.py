@@ -284,10 +284,12 @@ class TestParallelHardening:
 class TestOneLoopAccounting:
     @pytest.mark.parametrize("disk", [False, True], ids=["no-cache-dir", "cache-dir"])
     def test_cold_cache_misses_do_not_depend_on_workers(self, tmp_path, disk):
-        """Every unique schedule of the group is recorded exactly once, by a
-        serial cell as it goes or by a pool's one task per key.  Without a
-        disk cache the key's first cell records, so the hits match too; with
-        one the pool records up front and every cell's lookup hits."""
+        """Every schedule key of the group misses exactly once: a serial cell
+        records it as it goes, a pool's task per recording key stores it.
+        Without a disk cache the key's first cell records, so the hits and
+        the recordings match too; with one the pool stores up front, every
+        cell's lookup hits, and one recording serves every key of its
+        original (``records_computed`` counts recordings, not misses)."""
         counts = {
             workers: run_pipeline(
                 ["faults"], scale=SMOKE, workers=workers,
@@ -298,8 +300,12 @@ class TestOneLoopAccounting:
         serial, pooled = counts[1], counts[2]
         assert pooled.workers == 2
         assert serial.cache_misses == pooled.cache_misses > 0
+        assert serial.records_computed == serial.cache_misses
         if not disk:
             assert serial.cache_hits == pooled.cache_hits
+            assert pooled.records_computed == pooled.cache_misses
+        else:
+            assert pooled.records_computed == 1
 
     @pytest.mark.skipif(
         multiprocessing.get_start_method() != "fork",

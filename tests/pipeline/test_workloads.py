@@ -6,7 +6,7 @@ Covers the acceptance criteria of the pluggable-workload refactor:
   against golden keys captured from the pre-refactor code), so warm caches
   stay warm across the refactor;
 * cold parallel runs record each (topology, scheduler, workload, seed) key
-  exactly once (one pool task per schedule key);
+  exactly once (one pool task per recording key);
 * the adversarial experiment group is registered, runs with replay metrics
   per scenario, and is row-for-row identical in parallel and serial runs;
 * ``--replicates`` emits mean/stddev/95% CI aggregates;
@@ -28,6 +28,7 @@ from repro.pipeline import (
     run_pipeline,
     scenario_cache_key,
 )
+from repro.pipeline.experiment import recording_twin
 from repro.pipeline.scenario import Scenario
 from repro.traffic import WORKLOADS
 
@@ -121,7 +122,7 @@ class TestFaultPlanCacheKeys:
 
 
 # --------------------------------------------------------------------- #
-# Pooled runner: one task per schedule key, record once, replay everywhere
+# Pooled runner: one task per recording key, record once, replay everywhere
 # --------------------------------------------------------------------- #
 class TestTwoPhaseRunner:
     def test_cold_parallel_run_records_each_key_exactly_once(self, tmp_path):
@@ -139,13 +140,16 @@ class TestTwoPhaseRunner:
         assert ScheduleCache(tmp_path / "cache").disk_entries() == 1
 
     def test_cold_parallel_records_match_unique_scenario_keys(self, tmp_path):
+        """Perturbed workloads shape the recording: no two of the group's
+        keys share a recording key, so every missing key is one recording."""
         registry = default_registry()
         cells = registry.get("adversarial").cells(SMOKE)
         unique = {scenario_cache_key(cell.spec) for cell in cells}
+        assert {scenario_cache_key(recording_twin(cell.spec)) for cell in cells} == unique
         summary = run_pipeline(
             ["adversarial"], scale=SMOKE, workers=2, cache_dir=str(tmp_path / "cache")
         )
-        assert summary.records_computed == len(unique)
+        assert summary.records_computed == summary.cache_misses == len(unique)
 
     def test_two_phase_rows_match_serial_rows(self, tmp_path):
         serial = run_pipeline(SHARED_SCHEDULE_EXPERIMENTS, scale=SMOKE, workers=1)
