@@ -563,18 +563,26 @@ def _tagged_object(line: str, path: str, tag: str) -> dict:
 
 
 def _read_header(stream: io.BufferedIOBase, path: str) -> dict:
-    """Read and validate the header line of a ``repro-schedule/1`` byte stream."""
+    """Read and validate the header line of a ``repro-schedule/1`` byte stream.
+
+    The header's ``packets`` must be a non-negative ``int`` (not a ``bool``):
+    every reader of a count takes it from here.
+    """
     header_line = stream.readline()
     if not header_line:
         raise ValueError(f"{path}: empty schedule file")
-    return _tagged_object(header_line.decode("utf-8"), path, SCHEDULE_FORMAT)
+    header = _tagged_object(header_line.decode("utf-8"), path, SCHEDULE_FORMAT)
+    packets = header.get("packets")
+    if type(packets) is not int or packets < 0:
+        raise ValueError(f"{path}: header packets must be a non-negative int, not {packets!r}")
+    return header
 
 
 def _check_counts(path: str, header: dict, promised: Optional[int], count: int) -> None:
     """``count`` packets were read from ``path``: its header and manifest must agree."""
-    if count != header.get("packets", count):
+    if count != header["packets"]:
         raise ValueError(
-            f"{path}: header promises {header.get('packets')} packets, "
+            f"{path}: header promises {header['packets']} packets, "
             f"found {count} (truncated file?)"
         )
     if promised is not None and count != promised:
@@ -594,7 +602,7 @@ def stored_schedule_packets(path: Union[str, "os.PathLike"]) -> int:
     if path.endswith(MANIFEST_SUFFIX):
         return load_manifest(path)["packets"]
     with _open_for_decode(path) as stream:
-        return int(_read_header(stream, path)["packets"])
+        return _read_header(stream, path)["packets"]
 
 
 def _stored_files(path: str) -> Tuple[List[Tuple[str, Optional[int]]], Optional[dict]]:

@@ -1,22 +1,21 @@
 """A minimal, fast discrete-event simulation engine.
 
-The engine maintains a priority queue of :class:`~repro.sim.events.Event`
-objects and executes them in time order.  It is the substrate on which the
-packet-level network simulator (routers, links, transport protocols, traffic
-generators) is built, replacing the ns-2 simulator used by the paper.
+The engine keeps a heap of scheduled callbacks and executes them in time
+order.  It is the substrate on which the packet-level network simulator
+(routers, links, transport protocols, traffic generators) is built,
+replacing the ns-2 simulator used by the paper.
 
 Hot-path design notes (this loop executes once per packet-hop-event, so the
 constant factor is the whole game — the same argument the paper makes for
 LSTF's per-packet cost in Section 5):
 
-* Heap entries are plain ``(time, sequence, event, callback, args)`` tuples,
-  not events.  CPython compares tuples of floats/ints entirely in C (the
-  unique sequence number settles every comparison), so sift operations never
-  call back into :meth:`Event.__lt__`.  ``event`` is the cancellation handle
-  and is ``None`` for events nobody can cancel (:meth:`Simulator.post`).
-* ``run()`` drives the heap directly with ``heappop`` bound to a local,
-  instead of delegating to :meth:`step` (two extra function calls and a
-  cancelled-scan per event).
+* Heap entries are plain ``(time, sequence, event, callback, args)`` tuples.
+  CPython compares tuples of floats/ints entirely in C (the unique sequence
+  number settles every comparison), so sift operations never call back into
+  Python.  ``event`` is the cancellation token
+  (:class:`~repro.sim.events.Event`, one ``cancelled`` slot) and is ``None``
+  for events nobody can cancel (:meth:`Simulator.post`).
+* ``run()`` drives the heap directly with ``heappop`` bound to a local.
 * Scheduling validation happens once at the API boundary
   (:meth:`schedule`/:meth:`schedule_at`); the loop itself re-validates
   nothing.
@@ -58,8 +57,7 @@ class Simulator:
 
     #: Process-wide count of events executed across *all* Simulator
     #: instances.  Read (as a before/after delta) by ``benchmarks/perf`` to
-    #: count the events a workload executed; updated when ``run()`` returns
-    #: and on every ``step()``.
+    #: count the events a workload executed; updated when ``run()`` returns.
     events_executed_total: int = 0
 
     def __init__(self) -> None:
@@ -73,30 +71,7 @@ class Simulator:
         # normally scheduled event at the same timestamp while preserving
         # FIFO order among themselves.
         self._front_sequence = -(1 << 62)
-        self._events_processed = 0
-        self._live_events = 0
         self._running = False
-
-    @property
-    def events_processed(self) -> int:
-        """Total number of events executed so far.
-
-        Updated when :meth:`run` returns (and on every :meth:`step`), not
-        mid-loop — callbacks should not read it during a run.
-        """
-        return self._events_processed
-
-    @property
-    def pending_events(self) -> int:
-        """Number of *live* (non-cancelled) events still scheduled.
-
-        Cancelled events sit in the queue until lazy deletion discards them,
-        but they are excluded here: the counter is decremented by
-        :meth:`cancel`, by every :meth:`step`, and when :meth:`run` returns.
-        Like :attr:`events_processed` it is not maintained mid-``run()`` —
-        callbacks should not read it during a run.
-        """
-        return self._live_events
 
     def schedule(self, delay: float, callback: Callable[..., Any], *args) -> Event:
         """Schedule ``callback(*args)`` to run ``delay`` seconds from now.
@@ -109,9 +84,8 @@ class Simulator:
         time = self.now + delay
         sequence = self._sequence
         self._sequence = sequence + 1
-        event = Event(time, sequence, callback, args)
+        event = Event()
         heappush(self._heap, (time, sequence, event, callback, args))
-        self._live_events += 1
         return event
 
     def post(self, delay: float, callback: Callable[..., Any], *args) -> None:
@@ -133,7 +107,6 @@ class Simulator:
         sequence = self._sequence
         self._sequence = sequence + 1
         heappush(self._heap, (time, sequence, None, callback, args))
-        self._live_events += 1
 
     def schedule_at(self, time: float, callback: Callable[..., Any], *args) -> Event:
         """Schedule ``callback(*args)`` to run at absolute simulation time ``time``.
@@ -147,27 +120,21 @@ class Simulator:
             )
         sequence = self._sequence
         self._sequence = sequence + 1
-        event = Event(time, sequence, callback, args)
+        event = Event()
         heappush(self._heap, (time, sequence, event, callback, args))
-        self._live_events += 1
         return event
 
     def schedule_at_front(self, time: float, callback: Callable[..., Any], *args) -> Event:
         """Schedule ahead of every normally scheduled event at ``time``.
 
-        Events scheduled this way fire before any event created by
-        :meth:`schedule`/:meth:`schedule_at` for the same timestamp (and in
-        scheduling order among themselves): front events draw sequence
-        numbers from a separate, negative, increasing range, so the
-        ``(time, sequence)`` tuple ordering puts them ahead of every
-        non-front event at the same time — including non-front events that
-        were scheduled *earlier*.  The replay injector's streaming cursor
-        relies on this: the old schedule-everything-upfront injector's
-        injection events always carried lower sequence numbers than any
-        simulation event, so packet injections at time ``t`` preceded every
-        simulation event at ``t`` — front scheduling preserves that ordering
-        without pre-populating the heap.  (See
-        ``docs/architecture.md#engine-notes-hot-path-semantics``.)
+        Events scheduled this way fire before every event created by
+        :meth:`schedule`/:meth:`schedule_at` for the same timestamp —
+        including ones scheduled *earlier* — and in scheduling order among
+        themselves: front events draw sequence numbers from a separate,
+        negative, increasing range.  The replay injector's streaming cursor
+        relies on this, so packet injections at time ``t`` precede every
+        simulation event at ``t`` without pre-populating the heap (see
+        ``docs/architecture.md#engine-notes-hot-path-semantics``).
 
         Raises:
             SimulationError: if ``time`` is in the past.
@@ -178,59 +145,30 @@ class Simulator:
             )
         sequence = self._front_sequence
         self._front_sequence = sequence + 1
-        event = Event(time, sequence, callback, args)
+        event = Event()
         heappush(self._heap, (time, sequence, event, callback, args))
-        self._live_events += 1
         return event
 
     def cancel(self, event: Event) -> None:
-        """Cancel a previously scheduled event.
+        """Cancel a previously scheduled event; a no-op if it already fired.
 
-        A no-op if the event was already cancelled *or already fired* (the
-        engine marks events as cancelled when it executes them, so a stale
-        handle cannot skew the live counter).  Cancellation is O(1) lazy
-        deletion: the event is only marked, and the queue discards it when it
-        reaches the top.  The live-event counter (:attr:`pending_events`) is
-        decremented immediately.  Cancelling through ``event.cancel()``
-        directly is also legal: the counter is then reconciled lazily, when
-        the dead entry surfaces at the heap head (the ``accounted`` flag
-        records which of the two paths already charged the counter).
-
-        **Invariant (lazy discard):** after any sequence of cancels, the
-        heap's length is an *upper bound* on :attr:`pending_events`, never
-        necessarily equal to it; cancelled entries are physically removed
-        only when they surface at the head (in :meth:`peek_next_time`,
-        :meth:`step`, or :meth:`run`).  Every live event still fires exactly
-        once, in ``(time, sequence)`` order — see the cancel-then-peek
-        regression tests in ``tests/sim/test_engine.py``.
+        Cancellation is O(1) lazy deletion: the token is only marked, and the
+        entry stays in the heap until it surfaces at the head, where
+        :meth:`peek_next_time` or :meth:`run` discards it.  So the heap's
+        length is an *upper bound* on the live events, not their count;
+        every live event still fires exactly once, in ``(time, sequence)``
+        order (``tests/sim/test_engine.py`` holds this as one property).
         """
-        if not event.cancelled:
-            event.cancelled = True
-            event.accounted = True
-            self._live_events -= 1
+        event.cancelled = True
 
     def peek_next_time(self) -> Optional[float]:
         """Time of the next live event, or ``None`` if no live event remains.
 
-        Lazy-discard caveat: :meth:`cancel` only *marks* events (O(1)), so
-        cancelled entries linger in the heap until they surface.  This
-        method pops dead entries off the head in passing — it mutates the
-        heap *structurally*, but never the set of live events: the next live
-        time and execution order are unchanged, and the call may be treated
-        as logically read-only.  Consequently the heap's length is an upper
-        bound on — not equal to — :attr:`pending_events`.  Discarding a dead
-        entry whose cancellation bypassed :meth:`cancel` (a direct
-        ``event.cancel()``) also settles its live-counter charge here, so
-        :attr:`pending_events` converges to the true live count no matter
-        how the event was cancelled.
-
-        **Invariant (cancel-then-peek):** cancelling the head event and then
-        peeking returns the next *live* event's time, leaves
-        :attr:`pending_events` exactly as :meth:`cancel` left it, and must
-        not disturb which events a subsequent :meth:`run`/:meth:`step`
-        executes or their order — including events added later via
-        :meth:`schedule_at_front`, which still sort ahead of same-time
-        normal events after any number of peeks.
+        Pops cancelled entries off the head in passing: the heap changes
+        structurally, but the set of live events and their order do not, so
+        the call may be treated as read-only — events added later by
+        :meth:`schedule_at_front` still sort ahead of same-time normal
+        events.
         """
         heap = self._heap
         while heap:
@@ -238,37 +176,7 @@ class Simulator:
             if event is None or not event.cancelled:
                 return heap[0][0]
             heappop(heap)
-            if not event.accounted:
-                event.accounted = True
-                self._live_events -= 1
         return None
-
-    def step(self) -> bool:
-        """Execute the next pending event.
-
-        Returns:
-            ``True`` if an event was executed, ``False`` if the queue was empty.
-        """
-        heap = self._heap
-        while heap:
-            time, _, event, callback, args = heappop(heap)
-            if event is not None:
-                if event.cancelled:
-                    if not event.accounted:
-                        event.accounted = True
-                        self._live_events -= 1
-                    continue
-                # Executed events are marked cancelled ("can no longer fire")
-                # so a later cancel() of a stale handle stays a counter-safe
-                # no-op.
-                event.cancelled = True
-            self.now = time
-            self._events_processed += 1
-            self._live_events -= 1
-            Simulator.events_executed_total += 1
-            callback(*args)
-            return True
-        return False
 
     def run(
         self,
@@ -292,7 +200,7 @@ class Simulator:
         budget = math.inf if max_events is None else max_events
         # The loop body below is the simulator's innermost hot path: heap and
         # heappop are bound to locals, cancelled events are discarded inline,
-        # and callbacks are invoked directly (no Event.fire indirection).
+        # and callbacks are invoked directly from the heap entry.
         heap = self._heap
         pop = heappop
         executed = 0
@@ -302,17 +210,10 @@ class Simulator:
                 event = entry[2]
                 if event is not None and event.cancelled:
                     pop(heap)
-                    if not event.accounted:
-                        event.accounted = True
-                        self._live_events -= 1
                     continue
                 if entry[0] > limit:
                     break
                 pop(heap)
-                if event is not None:
-                    # Mark as fired ("can no longer fire") so cancel() of a
-                    # stale handle is a no-op and cannot skew the live counter.
-                    event.cancelled = True
                 self.now = entry[0]
                 executed += 1
                 entry[3](*entry[4])
@@ -325,7 +226,5 @@ class Simulator:
                 if next_time is None or next_time > until:
                     self.now = until
         finally:
-            self._events_processed += executed
-            self._live_events -= executed
             Simulator.events_executed_total += executed
             self._running = False

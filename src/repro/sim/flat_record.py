@@ -29,10 +29,9 @@ Per-port queues are a ``deque`` (FIFO), a list (LIFO), a
 ``(float(flow_size), enqueue_seq, hop)`` heap (SJF) or a list popped at the
 port scheduler's own ``_rng.randint(0, n)`` when ``n > 1`` (Random).
 Anything else — see :func:`decline_reason` — records on the OO engine, which
-stays the reference: pin it with ``REPRO_BACKEND=python``.  Flow- and
-port-level bookkeeping counters (``Flow.bytes_sent``,
-``OutputPort.packets_transmitted``, ...) are not maintained: the simulation
-is spent when the recording returns.
+stays the reference: pin it with ``REPRO_BACKEND=python``.  Flow-level
+bookkeeping (``Flow.bytes_sent``, ``Flow.packets_sent``, ...) is not
+maintained: the simulation is spent when the recording returns.
 """
 
 from __future__ import annotations

@@ -120,14 +120,12 @@ class Host(Node):
 
     Transport agents (UDP sources, TCP senders/receivers) register per-flow
     delivery callbacks with :meth:`register_receiver`; packets for flows with
-    no registered receiver are simply counted as delivered (pure sink).
+    no registered receiver are only reported to the tracer (pure sink).
     """
 
     def __init__(self, sim: "Simulator", name: str, network: "Network") -> None:
         super().__init__(sim, name, network)
         self._receivers: Dict[int, Callable[[Packet], None]] = {}
-        self.packets_sent = 0
-        self.packets_received = 0
 
     def register_receiver(self, flow_id: int, callback: Callable[[Packet], None]) -> None:
         """Deliver packets of ``flow_id`` arriving at this host to ``callback``."""
@@ -144,7 +142,6 @@ class Host(Node):
         if packet.ingress_time is None:
             packet.ingress_time = now
         packet.hops.append(HopRecord(self.name, now))
-        self.packets_sent += 1
 
         slack_policy = self.network.slack_policy
         if slack_policy is not None:
@@ -165,7 +162,6 @@ class Host(Node):
                 f"to {packet.dst}"
             )
         packet.egress_time = self.sim.now
-        self.packets_received += 1
         self.network.notify_egress(packet)
         callback = self._receivers.get(packet.flow_id)
         if callback is not None:

@@ -72,10 +72,6 @@ class OutputPort:
         self._current_packet: Optional[Packet] = None
         self._current_started: Optional[float] = None
         self._finish_event: Optional[Event] = None
-        # Counters for monitoring and tests.
-        self.packets_transmitted = 0
-        self.bytes_transmitted = 0.0
-        self.packets_dropped = 0
         # Fault-injection hook (repro.faults): a PortFaultState while a
         # fault plan is installed on this port's link, else None.  The None
         # check is the only fault-layer cost on the fault-free hot path.
@@ -116,7 +112,6 @@ class OutputPort:
     def _drop(self, packet: Packet) -> None:
         packet.dropped = True
         packet.drop_node = self.node.name
-        self.packets_dropped += 1
         self.node.notify_drop(packet, self)
 
     # ------------------------------------------------------------------ #
@@ -167,8 +162,6 @@ class OutputPort:
         hops = packet.hops
         if hops:
             hops[-1].departure_time = now
-        self.packets_transmitted += 1
-        self.bytes_transmitted += packet.size_bytes
 
         fault_state = self.fault_state
         if fault_state is not None and fault_state.intercepts(packet, now):

@@ -16,8 +16,7 @@ from repro.sim.packet import Packet, PacketType
 class Tracer:
     """Collects packets as they enter, leave, or are dropped by the network."""
 
-    def __init__(self, record_acks: bool = True) -> None:
-        self.record_acks = record_acks
+    def __init__(self) -> None:
         self.sent: List[Packet] = []
         self.delivered: List[Packet] = []
         self.dropped: List[Packet] = []
@@ -27,20 +26,14 @@ class Tracer:
     # ------------------------------------------------------------------ #
     def on_ingress(self, packet: Packet) -> None:
         """A packet was injected by a host."""
-        if packet.ptype is PacketType.ACK and not self.record_acks:
-            return
         self.sent.append(packet)
 
     def on_egress(self, packet: Packet) -> None:
         """A packet was fully received by its destination host."""
-        if packet.ptype is PacketType.ACK and not self.record_acks:
-            return
         self.delivered.append(packet)
 
     def on_drop(self, packet: Packet) -> None:
         """A packet was dropped at a full buffer."""
-        if packet.ptype is PacketType.ACK and not self.record_acks:
-            return
         self.dropped.append(packet)
 
     # ------------------------------------------------------------------ #

@@ -27,12 +27,10 @@ class UdpSink:
     def __init__(self, sim: "Simulator", flow: Flow) -> None:
         self.sim = sim
         self.flow = flow
-        self.packets_received = 0
         self.bytes_received = 0.0
 
     def on_packet(self, packet: Packet) -> None:
         """Record delivery of one data packet; mark the flow complete at the end."""
-        self.packets_received += 1
         self.bytes_received += packet.size_bytes
         self.flow.packets_delivered += 1
         self.flow.bytes_delivered += packet.size_bytes

@@ -104,6 +104,24 @@ def _header_as_array(path):
         handle.write("\n".join([json.dumps(list(json.loads(header).values())), *rest]) + "\n")
 
 
+def _header_packets(*value):
+    """Damage: the entry's header with ``packets`` set to ``value``, or
+    without ``packets`` when no value is given."""
+
+    def damage(path):
+        with gzip.open(path, "rt") as handle:
+            header, *rest = handle.read().splitlines()
+        header = json.loads(header)
+        del header["packets"]
+        if value:
+            header["packets"] = value[0]
+        with gzip.open(path, "wt") as handle:
+            handle.write("\n".join([json.dumps(header), *rest]) + "\n")
+        return [path]
+
+    return damage
+
+
 def _shards_keyed_by_index(manifest):
     data = json.loads(manifest.read_text())
     data["shards"] = {str(index): shard for index, shard in enumerate(data["shards"])}
@@ -116,6 +134,7 @@ MALFORMED = {
     "null-path": (None, _first_row({"path": None})),
     "list-packet-id": (None, _first_row({"packet_id": [1, 2]})),
     "array-header": (None, _header_as_array),
+    "header-without-packets": (None, _header_packets()),
     "shards-not-a-list": (10, _shards_keyed_by_index),
 }
 
@@ -146,6 +165,15 @@ def _manifest_shards_not_a_list(cache_dir):
     return manifests
 
 
+def _every_entry(damage):
+    """Damage every single-file entry under a cache dir."""
+
+    def damage_all(cache_dir):
+        return [path for entry in cache_dir.rglob("*.jsonl.gz") for path in damage(entry)]
+
+    return damage_all
+
+
 def _shard_3_cut_in_half(cache_dir):
     shards = list(cache_dir.rglob("*.shard-3.jsonl.gz"))
     for shard in shards:
@@ -155,32 +183,47 @@ def _shard_3_cut_in_half(cache_dir):
 
 
 #: Damage a scale stats cell meets outside ``get_or_record``: in shard
-#: planning (the manifest) or in a shard task (one shard file).
-SCALE_DAMAGE = {"manifest-shards-x": _manifest_shards_not_a_list, "shard-3-truncated": _shard_3_cut_in_half}
+#: planning (the manifest or a single file's header) or in a shard task (one
+#: shard file).  ``(shard packets of the run that writes the entries, damage,
+#: what the damage quarantines)``; ``None`` writes at the default shard size,
+#: which stores smoke-scale entries as single files.
+SCALE_DAMAGE = {
+    "manifest-shards-x": ("10", _manifest_shards_not_a_list, "*.manifest.json.corrupt"),
+    "shard-3-truncated": ("10", _shard_3_cut_in_half, "*.manifest.json.corrupt"),
+    "header-without-packets": (None, _every_entry(_header_packets()), "*.jsonl.gz.corrupt"),
+    "header-packets-null": (None, _every_entry(_header_packets(None)), "*.jsonl.gz.corrupt"),
+}
 
 
 class TestScaleStatsCellsReadThroughTheCache:
-    """``run scale --shard-packets 10`` over a damaged sharded entry: the run
-    that meets the damage quarantines, re-records and prints a clean run's rows."""
+    """``run scale --shard-packets 10`` over a damaged entry: the run that
+    meets the damage quarantines, re-records and prints a clean run's rows."""
 
     @staticmethod
-    def run_scale(cache_dir, workers, capsys):
+    def run_scale(cache_dir, workers, capsys, shard_packets="10"):
         from repro.__main__ import main
 
-        argv = ["run", "scale", "--scale", "smoke", "--shard-packets", "10", "--json"]
+        argv = ["run", "scale", "--scale", "smoke", "--json"]
+        argv += [] if shard_packets is None else ["--shard-packets", shard_packets]
         code = main([*argv, "--workers", str(workers), "--cache-dir", str(cache_dir)])
         return code, json.loads(capsys.readouterr().out)
 
     @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("damage", SCALE_DAMAGE.values(), ids=SCALE_DAMAGE)
-    def test_the_first_run_after_the_damage_succeeds(self, tmp_path, capsys, damage, workers):
-        code, clean = self.run_scale(tmp_path / "clean", workers, capsys)
-        assert code == 0 and clean["errors"] == []
+    @pytest.mark.parametrize("written_at, damage, quarantined", SCALE_DAMAGE.values(), ids=SCALE_DAMAGE)
+    def test_the_first_run_after_the_damage_succeeds(
+        self, tmp_path, capsys, written_at, damage, quarantined, workers
+    ):
+        code, written = self.run_scale(tmp_path / "clean", workers, capsys, written_at)
+        assert code == 0 and written["errors"] == []
+        # A stats row's float sums are chunked by the reading run's shard
+        # size, so the clean rows come from a run at the recovering run's.
+        clean = written if written_at == "10" else self.run_scale(tmp_path / "ref", workers, capsys)[1]
+        assert clean["errors"] == []
         assert damage(tmp_path / "clean")  # the entries the clean run left
         code, recovered = self.run_scale(tmp_path / "clean", workers, capsys)
         assert (code, recovered["errors"]) == (0, [])
         assert recovered["scale"]["rows"] == clean["scale"]["rows"]
-        assert list((tmp_path / "clean").rglob("*.manifest.json.corrupt"))
+        assert list((tmp_path / "clean").rglob(quarantined))
 
 
 class TestQuarantineUnderReadOnlyCache:
