@@ -55,7 +55,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from itertools import accumulate, chain, islice, repeat
 from operator import itemgetter, le, methodcaller
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import BinaryIO, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.sim.compiled import kernel_decode_rows, kernel_encode_rows
 from repro.sim.packet import Packet
@@ -223,6 +223,9 @@ class Schedule:
         #: ``(key, arrays)`` a replay backend derived from the columns for
         #: its next replay of this schedule.
         self.derived: Optional[tuple] = None
+        #: ``(shard_packets, gzip header, bodies)`` the first sharded save of
+        #: this schedule kept for the next (:func:`save_schedule_sharded`).
+        self.shard_bodies: Optional[tuple] = None
         self._adopt(ScheduleColumns())
 
     # ------------------------------------------------------------------ #
@@ -402,19 +405,24 @@ def _open_for_decode(path: str) -> io.BufferedIOBase:
     return gzip.open(path, "rb") if path.endswith(".gz") else open(path, "rb")
 
 
-def _atomic_write(path: str, blocks: Iterable[bytes]) -> None:
-    """Write ``blocks`` to ``path`` atomically (temp file + ``os.replace``),
-    gzipped when the name ends in ``.gz``: under a header that names ``path``
+def _gzip(path: str, blocks: Iterable[bytes], raw: BinaryIO) -> None:
+    """Write ``blocks`` gzipped to ``raw``: under a header that names ``path``
     itself and holds no mtime (equal content, equal files), and with the one
     ``Z_SYNC_FLUSH`` a text-mode gzip writer issues on close (its bytes)."""
+    with gzip.GzipFile(path, "wb", compresslevel=5, fileobj=raw, mtime=0) as stream:
+        stream.writelines(blocks)
+        stream.flush()
+
+
+def _atomic_write(path: str, blocks: Iterable[bytes], compress: bool = True) -> None:
+    """Write ``blocks`` to ``path`` atomically (temp file + ``os.replace``),
+    :func:`_gzip`-ped when the name ends in ``.gz`` and ``compress`` is set."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     tmp_path = f"{path}.tmp.{os.getpid()}"
     try:
         with open(tmp_path, "wb") as raw:
-            if path.endswith(".gz"):
-                with gzip.GzipFile(path, "wb", compresslevel=5, fileobj=raw, mtime=0) as stream:
-                    stream.writelines(blocks)
-                    stream.flush()
+            if compress and path.endswith(".gz"):
+                _gzip(path, blocks, raw)
             else:
                 raw.writelines(blocks)
         os.replace(tmp_path, path)
@@ -496,6 +504,13 @@ def save_schedule_sharded(
     the manifest is, so a crash can never leave a manifest naming a missing
     shard; a dangling shard without a manifest is invisible garbage.
 
+    A shard file is a gzip header, whose name field is all that depends on
+    ``path``, and a body built from the shard's rows alone.  The first
+    sharded save of ``schedule`` keeps the bodies on it
+    (``schedule.shard_bodies``); a later one at the same ``shard_packets``
+    writes them under its own names, the same bytes without encoding or
+    compressing again.  The manifest, which holds ``meta``, is always new.
+
     Returns the shard file names (no directory), in order.
     """
     path = os.fspath(path)
@@ -503,12 +518,22 @@ def save_schedule_sharded(
         raise ValueError(f"shard_packets must be >= 1, got {shard_packets}")
     cols = schedule.columns()
     directory = os.path.dirname(path) or "."
+    kept = schedule.shard_bodies
+    reuse = kept is not None and kept[0] == shard_packets
+    header, bodies = kept[1:] if reuse else (b"", [])
     shards: List[dict] = []
     for index, start in enumerate(range(0, len(schedule), shard_packets)):
         rows = range(start, min(start + shard_packets, len(schedule)))
         name = shard_file_name(path, index)
         target = os.path.join(directory, name)
-        _atomic_write(target, _schedule_blocks(target, cols, rows, {"shard_index": index}))
+        fname = name[: -len(".gz")].encode("latin-1") + b"\0"  # as gzip names it
+        if not reuse:
+            encoded = io.BytesIO()
+            _gzip(target, _schedule_blocks(target, cols, rows, {"shard_index": index}), encoded)
+            data = encoded.getvalue()
+            header = data[:10]
+            bodies.append(data[10 + len(fname) :])
+        _atomic_write(target, [header, fname, bodies[index]], compress=False)
         shards.append(
             {
                 "file": name,
@@ -524,6 +549,7 @@ def save_schedule_sharded(
         "shards": shards,
     }
     _atomic_write(path, [(json.dumps(manifest) + "\n").encode()])
+    schedule.shard_bodies = (shard_packets, header, bodies)
     return [shard["file"] for shard in shards]
 
 

@@ -47,7 +47,10 @@ def saved(directory, schedule, native=True, sharded=False, name="s.jsonl.gz"):
     directory.mkdir()
     with mock.patch.object(schedule_module, "kernel_encode_rows", encoder):
         if sharded:
-            save_schedule_sharded(directory / "s.manifest.json", schedule, meta={"k": 1}, shard_packets=3)
+            # A fresh schedule over the same columns: a second sharded save of
+            # one schedule would reuse the first one's bodies, not encode.
+            fresh = Schedule.from_columns(schedule.columns())
+            save_schedule_sharded(directory / "s.manifest.json", fresh, meta={"k": 1}, shard_packets=3)
         else:
             save_schedule(directory / name, schedule, meta={"k": 1})
     return {path.name: path.read_bytes() for path in sorted(directory.iterdir())}

@@ -12,12 +12,16 @@ malformed schedule file.
 from __future__ import annotations
 
 import gzip
+import io
 import json
 import os
+import zlib
+from collections import Counter
 
 import pytest
 
 from repro.__main__ import main as cli_main
+from repro.core import schedule as schedule_module
 from repro.core.schedule import (
     MANIFEST_FORMAT,
     MANIFEST_SUFFIX,
@@ -26,6 +30,7 @@ from repro.core.schedule import (
     load_manifest,
     load_schedule,
     save_schedule,
+    _schedule_blocks,
     save_schedule_sharded,
     shard_file_name,
 )
@@ -130,6 +135,95 @@ class TestRoundTrip:
             save_schedule_sharded(
                 tmp_path / f"s{MANIFEST_SUFFIX}", schedule, shard_packets=0
             )
+
+
+class TestLaterSavesReuseShardBodies:
+    """A shard's bytes after its gzip name field depend on its rows alone, so
+    a second sharded save of one schedule writes the first save's bodies
+    under its own names — without encoding or compressing — and every file
+    is the bytes a fresh gzip write of that shard holds."""
+
+    @pytest.fixture()
+    def calls(self, monkeypatch) -> Counter:
+        """Counts of encoder lookups, encoder calls and zlib compressions."""
+        calls: Counter = Counter()
+        lookup = schedule_module.kernel_encode_rows
+
+        def counting_lookup():
+            calls["lookup"] += 1
+            encode = lookup()
+            if encode is None:
+                return None
+
+            def counting_encode(*args):
+                calls["encode"] += 1
+                return encode(*args)
+
+            return counting_encode
+
+        def counted(name, real):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            return call
+
+        monkeypatch.setattr(schedule_module, "kernel_encode_rows", counting_lookup)
+        monkeypatch.setattr(zlib, "compressobj", counted("zlib", zlib.compressobj))
+        monkeypatch.setattr(zlib, "crc32", counted("zlib", zlib.crc32))
+        return calls
+
+    @staticmethod
+    def fresh_write(target, schedule, index, shard_packets) -> bytes:
+        """A gzip write of shard ``index``'s blocks, as a text-mode writer
+        leaves it (its closing ``Z_SYNC_FLUSH`` included)."""
+        start = index * shard_packets
+        rows = range(start, min(start + shard_packets, len(schedule)))
+        buffer = io.BytesIO()
+        with gzip.GzipFile(str(target), "wb", 5, buffer, mtime=0) as stream:
+            stream.writelines(
+                _schedule_blocks(str(target), schedule.columns(), rows, {"shard_index": index})
+            )
+            stream.flush()
+        return buffer.getvalue()
+
+    def saved(self, directory, schedule, key, calls, shard_packets=4) -> Counter:
+        """Save ``schedule`` as ``key``; the calls the save made."""
+        before = Counter(calls)
+        save_schedule_sharded(
+            directory / f"{key}{MANIFEST_SUFFIX}", schedule, meta={"key": key}, shard_packets=shard_packets
+        )
+        return Counter(calls) - before
+
+    def test_second_save_reuses_bodies_and_both_equal_fresh_writes(self, tmp_path, schedule, calls):
+        first = self.saved(tmp_path, schedule, "first", calls)
+        assert first["lookup"] and first["zlib"]
+        second = self.saved(tmp_path, schedule, "second", calls)
+        assert second == Counter()
+        for key in ("first", "second"):
+            manifest = load_manifest(tmp_path / f"{key}{MANIFEST_SUFFIX}")
+            assert manifest["meta"] == {"key": key}  # written fresh
+            for index, shard in enumerate(manifest["shards"]):
+                target = tmp_path / shard["file"]
+                assert target.read_bytes() == self.fresh_write(target, schedule, index, 4)
+            loaded, _ = load_schedule(tmp_path / f"{key}{MANIFEST_SUFFIX}")
+            assert list(loaded) == list(schedule)
+
+    def test_another_shard_size_encodes_again(self, tmp_path, schedule, calls):
+        self.saved(tmp_path, schedule, "four", calls)
+        again = self.saved(tmp_path, schedule, "five", calls, shard_packets=5)
+        assert again["lookup"] and again["zlib"]
+        for index, name in enumerate(load_manifest(tmp_path / f"five{MANIFEST_SUFFIX}")["shards"]):
+            target = tmp_path / name["file"]
+            assert target.read_bytes() == self.fresh_write(target, schedule, index, 5)
+
+    def test_another_schedule_with_equal_columns_encodes_again(self, tmp_path, schedule, calls):
+        self.saved(tmp_path, schedule, "one", calls)
+        twin = Schedule.from_columns(schedule.columns())
+        again = self.saved(tmp_path, twin, "twin", calls)
+        assert again["lookup"] and again["zlib"]
+        if calls["encode"]:  # the compiled encoder is available
+            assert again["encode"]
 
 
 class TestFailureModes:

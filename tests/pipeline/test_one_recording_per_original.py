@@ -150,13 +150,16 @@ class TestPooledRecording:
         assert tree(tmp_path / "w1") == tree(tmp_path / "w2")
 
 
-def test_pooled_and_serial_cold_caches_are_byte_identical(tmp_path):
+@pytest.mark.parametrize("shard_packets", [None, 10], ids=["default", "shards-10"])
+def test_pooled_and_serial_cold_caches_are_byte_identical(tmp_path, shard_packets):
     """Every key a pool stores from its group's one recording holds the bytes
-    a serial run's own recording of that key writes (meta included)."""
+    a serial run's own recording of that key writes (meta included) — also
+    where the pool's later stores write the first store's shard bodies."""
     names = ["faults", "heuristics", "scale"]
     summaries = {
         workers: run_pipeline(
-            names, scale=SMOKE, workers=workers, cache_dir=str(tmp_path / f"w{workers}")
+            names, scale=SMOKE, workers=workers, cache_dir=str(tmp_path / f"w{workers}"),
+            shard_packets=shard_packets,
         )
         for workers in (1, 2)
     }
@@ -168,3 +171,4 @@ def test_pooled_and_serial_cold_caches_are_byte_identical(tmp_path):
         assert pooled.results[name].rows == serial.results[name].rows
     serial_tree = tree(tmp_path / "w1")
     assert serial_tree and tree(tmp_path / "w2") == serial_tree
+    assert any(".shard-" in name for name in serial_tree) == (shard_packets is not None)
