@@ -457,8 +457,9 @@ def record_schedule(
 
     The simulation is built once, then run by whichever loop can: the flat
     recording loop (:mod:`repro.sim.flat_record`) for open-loop originals
-    under FIFO / LIFO / SJF / Random with infinite buffers, the OO engine —
-    the reference, and what a ``python`` backend pin selects — for
+    under FIFO / LIFO / SJF / Random / SRPT / LSTF / FIFO+ / FQ with infinite
+    buffers and at most a constant or flow-size live slack policy, the OO
+    engine — the reference, and what a ``python`` backend pin selects — for
     everything else.  The two agree to the byte of the saved schedule.
 
     Args:

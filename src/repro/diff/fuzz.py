@@ -48,6 +48,7 @@ from repro.experiments.config import ExperimentScale
 from repro.pipeline.experiment import record_scenario_schedule
 from repro.pipeline.scenario import Scenario
 from repro.pipeline.synth import (
+    ORIGINALS,
     random_scenario,
     scenario_from_dict,
     scenario_to_dict,
@@ -66,8 +67,9 @@ LIVE_TWIN_POLICIES = ("zero", "static-delay")
 LIVE_TWIN_STRIDE = 4
 
 #: Originals whose recordings the flat loop is expected to take; the cases
-#: that get a ``record-pair`` comparison.
-FLAT_ORIGINALS = ("fifo", "lifo", "sjf", "random")
+#: that get a ``record-pair`` comparison.  That is every original the
+#: synthesizer draws.
+FLAT_ORIGINALS = ORIGINALS
 
 
 @dataclass(frozen=True)

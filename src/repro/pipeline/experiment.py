@@ -409,12 +409,12 @@ def replay_scenario(
     --backend`` pins for the run), else on the fastest available engine that
     accepts this replay's configuration
     (:func:`repro.sim.backend.select_engine`).  The *recording* chooses
-    for itself (:func:`repro.core.replay.record_schedule`): open-loop
-    FIFO / LIFO / SJF / Random originals on the flat recording loop,
-    everything else — and everything in a process pinned to ``python`` — on
-    the reference engine.  Engines are bit-identical by contract, so the
-    choice never changes a row or a saved byte — only how fast it is
-    produced — which is why it stays out of every cache key.
+    for itself (:func:`repro.core.replay.record_schedule`): every original
+    a shipped experiment records, live slack policies included, on the flat
+    recording loop, everything else — and everything in a process pinned to
+    ``python`` — on the reference engine.  Engines are bit-identical by
+    contract, so the choice never changes a row or a saved byte — only how
+    fast it is produced — which is why it stays out of every cache key.
 
     A scenario pinned to a fault schedule (``scenario.faults``) injects the
     plan into the *replay* network only — the recording stays fault-free, so

@@ -25,13 +25,20 @@ is in ``docs/backends.md#recording``.  What reading the code needs of it:
   forwarding tables follow, *not* ``routing.path(src, dst)``: they differ
   under equal-cost alternatives.
 
-Per-port queues are a ``deque`` (FIFO), a list (LIFO), a
-``(float(flow_size), enqueue_seq, hop)`` heap (SJF) or a list popped at the
-port scheduler's own ``_rng.randint(0, n)`` when ``n > 1`` (Random).
-Anything else — see :func:`decline_reason` — records on the OO engine, which
-stays the reference: pin it with ``REPRO_BACKEND=python``.  Flow-level
-bookkeeping (``Flow.bytes_sent``, ``Flow.packets_sent``, ...) is not
-maintained: the simulation is spent when the recording returns.
+Per-port queues are a ``deque`` (FIFO), a list (LIFO), a list popped at the
+port scheduler's own ``_rng.randint(0, n)`` when ``n > 1`` (Random), a dict
+of flow -> ``deque`` of ``(float(remaining flow bytes), hop)`` served by
+least queued priority, first-inserted flow on a tie (SRPT), or a
+``(key, enqueue_seq, hop)`` heap keyed as the scheduler's ``key`` would:
+``float(flow_size)`` (SJF), ``slack + t + tx`` with the slack charged its
+wait on dequeue (LSTF), ``t - accumulated wait`` (FIFO+), or an SCFQ finish
+tag that advances the port's virtual time when served (FQ, which tags an
+arrival served at once too).  A live ``ConstantSlackPolicy`` /
+``FlowSizeSlackPolicy`` becomes a per-row initial slack.  Anything else —
+see :func:`decline_reason` — records on the OO engine, which stays the
+reference: pin it with ``REPRO_BACKEND=python``.  Flow-level bookkeeping
+(``Flow.bytes_sent``, ``Flow.packets_sent``, ...) is not maintained: the
+simulation is spent when the recording returns.
 """
 
 from __future__ import annotations
@@ -41,12 +48,18 @@ from collections import deque
 from contextlib import contextmanager
 from heapq import heappop, heappush
 from itertools import islice
+from math import inf
 from typing import TYPE_CHECKING, Iterator, List, Optional
 
+from repro.core.slack import ConstantSlackPolicy, FlowSizeSlackPolicy
 from repro.schedulers.fifo import FifoScheduler
+from repro.schedulers.fifo_plus import FifoPlusScheduler
+from repro.schedulers.fq import FairQueueingScheduler
 from repro.schedulers.lifo import LifoScheduler
+from repro.schedulers.lstf import LstfScheduler
 from repro.schedulers.priority import SjfScheduler
 from repro.schedulers.random_sched import RandomScheduler
+from repro.schedulers.srpt import SrptScheduler
 from repro.sim.backend import REFERENCE_BACKEND, pinned_backend_name
 from repro.sim.engine import Simulator
 from repro.sim.node import Host
@@ -58,7 +71,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (core imports sim)
 
 logger = logging.getLogger(__name__)
 
-_RANDOM, _FIFO, _LIFO, _SJF = range(4)
+# Kinds above _SRPT keep a keyed heap; the rest append to a deque or list.
+_RANDOM, _FIFO, _LIFO, _SRPT, _SJF, _LSTF, _FIFO_PLUS, _FQ = range(8)
 
 #: The schedulers the loop reimplements, matched by exact class (a subclass
 #: may override anything).
@@ -66,8 +80,15 @@ _KINDS = {
     RandomScheduler: _RANDOM,
     FifoScheduler: _FIFO,
     LifoScheduler: _LIFO,
+    SrptScheduler: _SRPT,
     SjfScheduler: _SJF,
+    LstfScheduler: _LSTF,
+    FifoPlusScheduler: _FIFO_PLUS,
+    FairQueueingScheduler: _FQ,
 }
+
+#: The live slack policies whose stamp is a per-flow constant.
+_POLICIES = (ConstantSlackPolicy, FlowSizeSlackPolicy)
 
 
 @contextmanager
@@ -110,8 +131,9 @@ def _decline_reason(simulation: "Simulation", max_events: Optional[int]) -> Opti
     network = simulation.network
     if any(generator.transport != "udp" for generator in simulation.generators):
         return "closed-loop transport"
-    if network.slack_policy is not None:
-        return "live slack policy"
+    policy = network.slack_policy
+    if policy is not None and type(policy) not in _POLICIES:
+        return f"live slack policy {type(policy).__name__}"
     if network.fault_injector is not None:
         return "record-time faults"
     for node in network.nodes.values():
@@ -158,29 +180,38 @@ def record_into(simulation: "Simulation", cols: "ScheduleColumns") -> None:
     push, pop = heappush, heappop
     emit_packets = UdpSource._emit_packets
     packet_ids = sim.packet_ids
+    policy = network.slack_policy
 
-    # Dense directed-port ids and per-port state.
+    # Dense directed-port ids and per-port state; an FQ port also keeps its
+    # virtual time and its flows' last finish tags.
     port_ids: dict = {}
-    prop, kind, queue, randint = [], [], [], []
+    prop, kind, queue, randint, tags = [], [], [], [], []
     for node in network.nodes.values():
         for port in node.ports.values():
             port_ids[port] = len(prop)
             prop.append(port.link.propagation_delay)
             scheduler = port.scheduler
-            kind.append(_KINDS[type(scheduler)])
-            queue.append(deque() if kind[-1] == _FIFO else [])
-            randint.append(scheduler._rng.randint if kind[-1] == _RANDOM else None)
+            k = _KINDS[type(scheduler)]
+            kind.append(k)
+            queue.append(deque() if k == _FIFO else {} if k == _SRPT else [])
+            randint.append(scheduler._rng.randint if k == _RANDOM else None)
+            tags.append({} if k == _FQ else None)
     busy = [False] * len(prop)
-    sjf = _SJF in kind
+    virtual_time = [0.0] * len(prop)
+    sjf, srpt, lstf, fifo_plus = (k in kind for k in (_SJF, _SRPT, _LSTF, _FIFO_PLUS))
+    rowed = srpt or lstf or fifo_plus or _FQ in kind
     routes: dict = {}
 
     # Per-hop working state beside the four per-hop columns: the port hop f
     # transmits on, its transmission delay, its SJF key (kept only when some
-    # port runs SJF), and its packet's row if f is that packet's last hop
-    # (else -1).
-    hop_port, hop_tx, hop_key, hop_last = [], [], [], []
+    # port runs SJF), its packet's row if f is that packet's last hop (else
+    # -1), and its packet's row (kept only when some port keys by the row).
+    hop_port, hop_tx, hop_key, hop_last, hop_row = [], [], [], [], []
     arrival, start, departure = cols.hop_arrival, cols.hop_start_service, cols.hop_departure
-    output = cols.output_time
+    output, packet_flow, packet_size = cols.output_time, cols.flow_id, cols.size_bytes
+    # Per-row header state, each kept only when some port reads it: LSTF's
+    # slack, FIFO+'s accumulated wait and SRPT's remaining-bytes priority.
+    slack, waited, priority = [], [], []
 
     seq = sim._sequence
     enqueued = 0        # PriorityScheduler._sequence, one counter for all ports
@@ -214,10 +245,10 @@ def record_into(simulation: "Simulation", cols: "ScheduleColumns") -> None:
             count, hops = len(sizes), len(ports)
             row, first = len(output), len(arrival)
             cols.packet_id.extend(islice(packet_ids, count))
-            cols.flow_id.extend([flow.flow_id] * count)
+            packet_flow.extend([flow.flow_id] * count)
             cols.src.extend([src] * count)
             cols.dst.extend([dst] * count)
-            cols.size_bytes.extend(sizes)
+            packet_size.extend(sizes)
             cols.ingress_time.extend([t] * count)
             output.extend([None] * count)
             cols.path.extend([path] * count)
@@ -237,62 +268,119 @@ def record_into(simulation: "Simulation", cols: "ScheduleColumns") -> None:
                 hop_key.extend([float(flow.size_bytes)] * (hops * count))
             hop_last.extend([-1] * (hops * count))
             hop_last[first + hops - 1 :: hops] = range(row, row + count)
-            p = ports[0]
-            for f in range(first, first + hops * count, hops):
-                if not busy[p]:
-                    busy[p] = True
+            if rowed:
+                for r in range(row, row + count):
+                    hop_row.extend([r] * hops)
+            if lstf:  # the policy's stamp in Host.send
+                if policy is None:
+                    stamp = None
+                elif type(policy) is ConstantSlackPolicy:
+                    stamp = policy.slack
+                else:
+                    stamp = flow.size_bytes * policy.scale
+                slack.extend([stamp] * count)
+            if fifo_plus:
+                waited.extend([0.0] * count)
+            if srpt:
+                remaining = flow.size_bytes
+                for size in sizes:
+                    priority.append(float(remaining))
+                    remaining -= size
+            arriving = range(first, first + hops * count, hops)
+        else:
+            if code < 0:
+                # Link delivery at a router: Router.receive, then the
+                # enqueue below.
+                f = ~code
+                arrival[f] = t
+                arriving = (f,)
+            else:
+                # OutputPort._finish_transmission for hop f on its port.
+                departure[code] = t
+                p = hop_port[code]
+                row = hop_last[code]
+                # The receive is posted *before* the port picks its next
+                # packet; a last hop settles at the destination directly
+                # (same time, same sequence-number consumption, same event
+                # count).
+                if row < 0:
+                    push(heap, (t + prop[p], seq, ~(code + 1)))
+                else:
+                    output[row] = t + prop[p]
+                seq += 1
+                q = queue[p]
+                if q:
+                    k = kind[p]
+                    if k == _RANDOM:
+                        n = len(q)
+                        f = q.pop(randint[p](0, n)) if n > 1 else q.pop()
+                    elif k == _FIFO:
+                        f = q.popleft()
+                    elif k == _LIFO:
+                        f = q.pop()
+                    elif k == _SRPT:
+                        # The flow whose least queued priority is strictly
+                        # the least; the first-inserted flow wins a tie.
+                        best = None
+                        for flow_id, flow_queue in q.items():
+                            least = min(flow_queue)[0]
+                            if best is None or least < best_least:
+                                best, best_least = flow_id, least
+                        flow_queue = q[best]
+                        f = flow_queue.popleft()[1]
+                        if not flow_queue:
+                            del q[best]
+                    else:
+                        key, _, f = pop(q)
+                        if k == _LSTF:  # the slack pays for the wait
+                            r = hop_row[f]
+                            if slack[r] is not None:
+                                slack[r] -= t - arrival[f]
+                        elif k == _FQ and key > virtual_time[p]:
+                            virtual_time[p] = key
+                    if fifo_plus:  # OutputPort._start_next, on every port
+                        waited[hop_row[f]] += t - arrival[f]
+                    start[f] = t
                     push(heap, (t + hop_tx[f], seq, f))
                     seq += 1
-                elif kind[p] == _SJF:
-                    push(queue[p], (hop_key[f], enqueued, f))
-                    enqueued += 1
                 else:
-                    queue[p].append(f)
-            continue
+                    busy[p] = False
+                continue
 
-        if code >= 0:
-            # OutputPort._finish_transmission for hop f on its port.
-            departure[code] = t
-            p = hop_port[code]
-            row = hop_last[code]
-            # The receive is posted *before* the port picks its next packet;
-            # a last hop settles at the destination directly (same time,
-            # same sequence-number consumption, same event count).
-            if row < 0:
-                push(heap, (t + prop[p], seq, ~(code + 1)))
-            else:
-                output[row] = t + prop[p]
-            seq += 1
-            q = queue[p]
-            if q:
-                k = kind[p]
-                if k == _RANDOM:
-                    n = len(q)
-                    f = q.pop(randint[p](0, n)) if n > 1 else q.pop()
-                elif k == _FIFO:
-                    f = q.popleft()
-                elif k == _LIFO:
-                    f = q.pop()
-                else:
-                    f = pop(q)[2]
-                start[f] = t
-                push(heap, (t + hop_tx[f], seq, f))
-                seq += 1
-            else:
-                busy[p] = False
-        else:
-            # Link delivery at a router: Router.receive + OutputPort.enqueue.
-            f = ~code
-            arrival[f] = t
+        # OutputPort.enqueue for each arriving hop f.
+        for f in arriving:
             p = hop_port[f]
+            k = kind[p]
+            if k > _SRPT:  # the key the port's scheduler computes on enqueue
+                if k == _SJF:
+                    key = hop_key[f]
+                elif k == _LSTF:
+                    stamp = slack[hop_row[f]]
+                    key = inf if stamp is None else stamp + t + hop_tx[f]
+                elif k == _FIFO_PLUS:
+                    key = t - waited[hop_row[f]]
+                else:  # SCFQ tags every arrival, one served at once too
+                    r = hop_row[f]
+                    flow_id, flow_tags = packet_flow[r], tags[p]
+                    # Weight 1.0: a UDP source never sets Packet.flow_weight.
+                    key = max(virtual_time[p], flow_tags.get(flow_id, 0.0)) + packet_size[r]
+                    flow_tags[flow_id] = key
             if not busy[p]:
+                if k == _FQ and key > virtual_time[p]:
+                    virtual_time[p] = key
                 start[f] = t
                 busy[p] = True
                 push(heap, (t + hop_tx[f], seq, f))
                 seq += 1
-            elif kind[p] == _SJF:
-                push(queue[p], (hop_key[f], enqueued, f))
+            elif k > _SRPT:
+                push(queue[p], (key, enqueued, f))
                 enqueued += 1
+            elif k == _SRPT:
+                r = hop_row[f]
+                flow_queue = queue[p].get(packet_flow[r])
+                if flow_queue is None:
+                    flow_queue = queue[p][packet_flow[r]] = deque()
+                flow_queue.append((priority[r], f))
             else:
                 queue[p].append(f)
 

@@ -18,6 +18,7 @@ from repro.diff import (
 from repro.diff import fuzz as fuzz_module
 from repro.diff.fuzz import FLAT_ORIGINALS, LIVE_TWIN_POLICIES, case_plan, shrink_case
 from repro.pipeline.synth import (
+    ORIGINALS,
     random_scenario,
     scenario_from_dict,
     scenario_to_dict,
@@ -109,14 +110,15 @@ class TestCasePlan:
         pairs = [s for s in specs if s.kind == "backend-pair"]
         assert [(s.backend_a, s.backend_b) for s in pairs] == [("python", "compiled")]
 
-    def test_record_pair_exactly_where_the_flat_loop_is_expected(self):
+    def test_every_drawn_original_gets_a_record_pair(self):
+        assert set(FLAT_ORIGINALS) == set(ORIGINALS)
         planned = {}
         for index in range(24):
             scenario, specs = case_plan(1, index, ["python"])
             if specs[0].kind != "live-replay":
-                planned[scenario.original] = specs[-1].kind == "record-pair"
-        assert {o for o, paired in planned.items() if paired} == set(FLAT_ORIGINALS) & set(planned)
-        assert any(planned.values()) and not all(planned.values())
+                planned.setdefault(scenario.original, []).append(specs[-1].kind == "record-pair")
+        assert all(map(all, planned.values()))
+        assert {"fq", "fifo+", "srpt", "fq+fifo+"} & set(planned)
 
     def test_live_replay_spec_requires_stateless_policy(self):
         scenario, _ = case_plan(1, 0, ["python"])  # no policy coercion

@@ -21,7 +21,8 @@ from repro.core.slack_policy import SLACK_POLICIES
 from repro.experiments.config import ExperimentScale
 from repro.experiments.table1 import default_scenario, table1_scenarios
 from repro.faults import FAULTS, FaultPlan
-from repro.pipeline.experiment import record_scenario_schedule
+from repro.pipeline.experiment import default_registry, record_scenario_schedule, recording_twin
+from repro.pipeline.scenario import Scenario
 from repro.schedulers import uniform_factory
 from repro.schedulers.random_sched import RandomScheduler
 from repro.sim import Simulator, flat_record
@@ -31,7 +32,10 @@ from repro.traffic import ConstantSize, WorkloadSpec, paper_default_workload
 from repro.utils import RandomState, mbps
 from tests.properties.test_forwarding_paths import topologies
 
-FLAT_ORIGINALS = ("fifo", "lifo", "sjf", "random")
+FLAT_ORIGINALS = ("fifo", "lifo", "sjf", "random", "srpt", "lstf", "fq", "fifo+", "fq+fifo+")
+
+#: The live slack policies the flat loop stamps itself.
+LIVE_POLICIES = ("zero", "static-delay", "flow-size")
 
 
 @contextmanager
@@ -115,9 +119,25 @@ def test_accepted_scenarios_record_byte_identically(name, seed, tmp_path):
         assert any(deadline is not None for deadline in cols.deadline)
 
 
-def test_table1_splits_into_accepted_and_declined():
+def test_every_table1_original_records_flat():
     originals = {s.original for s in table1_scenarios(SMOKE)}
-    assert originals - set(FLAT_ORIGINALS) == {"fq", "fq+fifo+"}
+    assert {"fq", "fq+fifo+"} <= originals <= set(FLAT_ORIGINALS)
+
+
+def test_every_shipped_recording_logs_the_flat_loop():
+    """Every experiment's every original — the recording twin of each scenario
+    cell, live slack policies included — records on the flat loop."""
+    twins = {
+        recording_twin(cell.spec)
+        for definition in default_registry().experiments()
+        for cell in definition.cells(SMOKE)
+        if isinstance(cell.spec, Scenario)
+    }
+    assert any(twin.slack_mode == "live" for twin in twins)
+    for twin in sorted(twins, key=lambda twin: twin.name):
+        with recording_engine(None) as log:
+            record_scenario_schedule(twin)
+        assert len(log) == 1 and log[0].endswith("on the flat loop"), (twin.name, log)
 
 
 # ---------------------------------------------------------------------- #
@@ -142,6 +162,37 @@ def test_flat_recording_equals_the_oo_recording(tmp_path_factory, case, original
     def record():
         factory = original_scheduler_factory(original, topo, rng=RandomState(seed + 1))
         return record_schedule(topo, factory, workload, seed=seed)
+
+    assert_flat_equals_reference(record, tmp_path_factory.mktemp("legs"))
+
+
+@given(
+    topologies(),
+    st.sampled_from(("lstf", "fifo")),
+    st.sampled_from(LIVE_POLICIES),
+    st.sampled_from((ConstantSize(4 * 1460), paper_default_workload())),
+    st.integers(min_value=0, max_value=2**16),
+    st.sampled_from((0.3, 0.7, 1.1)),
+)
+@settings(max_examples=40, deadline=None)
+def test_flat_recording_under_a_live_slack_policy_equals_the_oo_recording(
+    tmp_path_factory, case, original, policy, sizes, seed, utilization
+):
+    """Equal stamps (``zero``, ``static-delay``, ``flow-size`` over one size)
+    leave LSTF to its enqueue order and charged waits; unequal ones order by
+    flow size."""
+    topo, _ = case
+    workload = WorkloadSpec(
+        utilization=utilization,
+        reference_bandwidth_bps=mbps(10),
+        size_distribution=sizes,
+        duration=0.05,
+    )
+
+    def record():
+        factory = original_scheduler_factory(original, topo)
+        live = SLACK_POLICIES.get(policy).build_live()
+        return record_schedule(topo, factory, workload, seed=seed, slack_policy=live)
 
     assert_flat_equals_reference(record, tmp_path_factory.mktemp("legs"))
 
@@ -199,21 +250,20 @@ def multi_homed():
 
 DECLINES = {
     "tcp": (dict(workload=line_workload("tcp")), "closed-loop transport"),
-    "fq": (dict(original="fq"), "scheduler FairQueueingScheduler at r0->r1"),
-    "fifo+": (dict(original="fifo+"), "scheduler FifoPlusScheduler at r0->r1"),
-    "fq+fifo+": (dict(original="fq+fifo+"), "scheduler FairQueueingScheduler at r0->r1"),
-    "srpt": (dict(original="srpt"), "scheduler SrptScheduler at r0->r1"),
+    "lstf-preemptive": (
+        dict(original="lstf-preemptive"),
+        "scheduler PreemptiveLstfScheduler at r0->r1",
+    ),
     "sjf-flow": (dict(original="sjf-flow"), "scheduler SjfStarvationFreeScheduler at r0->r1"),
-    "lstf": (dict(original="lstf"), "scheduler LstfScheduler at r0->r1"),
     "default-buffer": (dict(default_buffer_bytes=20_000.0), "finite buffer at r0->r1"),
     "link-buffer": (dict(topology=line(buffer_link=0)), "finite buffer at r0->r1"),
     "faults": (
         dict(faults=FaultPlan(FAULTS.get("loss-5pct"), seed=3)),
         "record-time faults",
     ),
-    "slack-policy": (
-        dict(original="lstf", slack_policy=SLACK_POLICIES.get("zero").build_live()),
-        "live slack policy",
+    "fairness-policy": (
+        dict(original="lstf", slack_policy="fairness"),
+        "live slack policy FairnessSlackPolicy",
     ),
     "max-events": (dict(max_events=500), "max_events budget"),
     "multi-homed": (dict(topology=multi_homed()), "multi-homed host src0"),
@@ -227,10 +277,13 @@ def test_declines_record_on_the_oo_engine_with_a_reason(case, tmp_path, monkeypa
     topology = arguments.pop("topology", line())
     original = arguments.pop("original", "random")
     workload = arguments.pop("workload", line_workload())
+    policy = arguments.pop("slack_policy", None)
 
     def record():
         factory = original_scheduler_factory(original, topology, rng=RandomState(12))
-        return record_schedule(topology, factory, workload, seed=11, **arguments)
+        # A fresh policy per leg: the fairness policy keeps per-flow state.
+        live = None if policy is None else SLACK_POLICIES.get(policy).build_live()
+        return record_schedule(topology, factory, workload, seed=11, slack_policy=live, **arguments)
 
     reference = record_leg(record, "python", tmp_path)
     monkeypatch.setattr(flat_record, "record_into", None)  # calling it would raise
