@@ -5,7 +5,7 @@ The package provides:
 * :mod:`repro.sim` — a packet-level, store-and-forward discrete-event
   network simulator (the ns-2 substitute);
 * :mod:`repro.schedulers` — every per-router scheduling algorithm used by the
-  paper (FIFO, LIFO, Random, priorities, SJF, SRPT, fair queueing, DRR,
+  paper (FIFO, LIFO, Random, priorities, SJF, SRPT, fair queueing,
   FIFO+, LSTF in non-preemptive and preemptive forms, network-wide EDF, and
   the omniscient per-hop replay scheduler);
 * :mod:`repro.core` — the paper's contribution: schedules, slack

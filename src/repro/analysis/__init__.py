@@ -1,41 +1,1 @@
 """Result analysis: FCT buckets, delay tails, fairness indices, CDF helpers."""
-
-from repro.analysis.delay import (
-    DelayStatistics,
-    delay_ccdf,
-    delay_statistics,
-    packet_delays,
-    queueing_delays,
-)
-from repro.analysis.fairness import (
-    FairnessTimeseries,
-    fairness_timeseries,
-    per_flow_bytes_in_bins,
-    per_flow_throughput,
-)
-from repro.analysis.fct import (
-    PAPER_FCT_BUCKET_EDGES,
-    FctBucket,
-    completed_flows,
-    fct_by_flow_size,
-    mean_fct,
-    normalized_fct,
-)
-
-__all__ = [
-    "DelayStatistics",
-    "packet_delays",
-    "queueing_delays",
-    "delay_statistics",
-    "delay_ccdf",
-    "FairnessTimeseries",
-    "fairness_timeseries",
-    "per_flow_bytes_in_bins",
-    "per_flow_throughput",
-    "FctBucket",
-    "PAPER_FCT_BUCKET_EDGES",
-    "completed_flows",
-    "fct_by_flow_size",
-    "mean_fct",
-    "normalized_fct",
-]

@@ -33,17 +33,6 @@ def packet_delays(packets: Iterable[Packet], data_only: bool = True) -> List[flo
     return delays
 
 
-def queueing_delays(packets: Iterable[Packet], data_only: bool = True) -> List[float]:
-    """Total queueing delays of delivered packets (seconds)."""
-    result: List[float] = []
-    for packet in packets:
-        if data_only and packet.ptype is not PacketType.DATA:
-            continue
-        if packet.egress_time is not None:
-            result.append(packet.total_queueing_delay)
-    return result
-
-
 def delay_statistics(packets: Iterable[Packet], data_only: bool = True) -> DelayStatistics:
     """Mean / median / tail percentiles of packet delay."""
     delays = packet_delays(packets, data_only=data_only)

@@ -87,23 +87,3 @@ def fairness_timeseries(
         times.append((bin_index + 1) * bin_width)
         index.append(jain_fairness_index(allocations))
     return FairnessTimeseries(bin_width=bin_width, times=times, index=index)
-
-
-def per_flow_throughput(
-    packets: Iterable[Packet],
-    duration: float,
-    flow_ids: Optional[Sequence[int]] = None,
-) -> Dict[int, float]:
-    """Average per-flow throughput (bits/second) over the whole run."""
-    if duration <= 0:
-        raise ValueError("duration must be positive")
-    totals: Dict[int, float] = {}
-    if flow_ids is not None:
-        totals = {flow_id: 0.0 for flow_id in flow_ids}
-    for packet in packets:
-        if packet.ptype is not PacketType.DATA or packet.egress_time is None:
-            continue
-        if flow_ids is not None and packet.flow_id not in totals:
-            continue
-        totals[packet.flow_id] = totals.get(packet.flow_id, 0.0) + packet.size_bytes
-    return {flow_id: bytes_total * 8.0 / duration for flow_id, bytes_total in totals.items()}

@@ -76,13 +76,3 @@ def fct_by_flow_size(
 
 #: Flow-size bucket edges (bytes) matching the x-axis of the paper's Figure 2.
 PAPER_FCT_BUCKET_EDGES = [1460, 2920, 4380, 7300, 10220, 58400, 105120, 2e5, 1e6, 3e6]
-
-
-def normalized_fct(flows: Iterable[Flow], reference_fct: float) -> Optional[float]:
-    """Mean FCT divided by a reference value (used for cross-scheduler comparisons)."""
-    if reference_fct <= 0:
-        raise ValueError("reference FCT must be positive")
-    mean = mean_fct(flows)
-    if mean is None:
-        return None
-    return mean / reference_fct

@@ -1,98 +1,20 @@
 """The paper's primary contribution: schedules, slack initialization, replay, and theory."""
 
-from repro.core.metrics import (
-    ReplayMetrics,
-    ScheduleStatistics,
-    compare_schedules,
-    fraction_overdue,
-    lateness_distribution,
-    schedule_statistics,
-)
-from repro.core.replay import (
-    REPLAY_MODES,
-    ReplayExperiment,
-    ReplayInjector,
-    ReplayResult,
-    evaluate_replay,
-    original_scheduler_factory,
-    record_schedule,
-    replay_schedule,
-)
-from repro.core.schedule import Schedule, ScheduleColumns
-from repro.core.slack import (
-    BlackBoxSlackInitializer,
-    ConstantSlackPolicy,
-    DeadlineSlackInitializer,
-    FairnessSlackPolicy,
-    FlowSizeSlackPolicy,
-    NullSlackPolicy,
-    OmniscientInitializer,
-    OutputTimePriorityInitializer,
-    ReplayInitializer,
-    SlackPolicy,
-    StaticDelaySlackInitializer,
-    ZeroSlackInitializer,
-)
-from repro.core.slack_policy import (
-    POLICY_COMPATIBLE_MODES,
-    POLICY_KINDS,
-    SLACK_MODES,
-    SLACK_POLICIES,
-    PolicyKind,
-    SlackPolicyDef,
-    register_slack_policy,
-)
+from repro.core.replay import ReplayExperiment, evaluate_replay
 from repro.core.theory import (
-    TheoryExample,
     appendix_c_example,
     appendix_f_example,
     appendix_g_example,
     has_priority_cycle,
     identical_blackbox_views,
-    priority_order_constraints,
 )
 
 __all__ = [
-    "Schedule",
-    "ScheduleColumns",
-    "ReplayMetrics",
-    "ScheduleStatistics",
-    "schedule_statistics",
-    "compare_schedules",
-    "fraction_overdue",
-    "lateness_distribution",
     "ReplayExperiment",
-    "ReplayResult",
-    "ReplayInjector",
-    "REPLAY_MODES",
     "evaluate_replay",
-    "replay_schedule",
-    "record_schedule",
-    "original_scheduler_factory",
-    "ReplayInitializer",
-    "BlackBoxSlackInitializer",
-    "OutputTimePriorityInitializer",
-    "OmniscientInitializer",
-    "SlackPolicy",
-    "FlowSizeSlackPolicy",
-    "ConstantSlackPolicy",
-    "FairnessSlackPolicy",
-    "NullSlackPolicy",
-    "ZeroSlackInitializer",
-    "StaticDelaySlackInitializer",
-    "DeadlineSlackInitializer",
-    "SlackPolicyDef",
-    "PolicyKind",
-    "SLACK_POLICIES",
-    "POLICY_KINDS",
-    "POLICY_COMPATIBLE_MODES",
-    "SLACK_MODES",
-    "register_slack_policy",
-    "TheoryExample",
     "appendix_c_example",
     "appendix_f_example",
     "appendix_g_example",
-    "priority_order_constraints",
     "has_priority_cycle",
     "identical_blackbox_views",
 ]

@@ -279,13 +279,6 @@ def _deadlines_met(flows: Dict[int, List[float]], tolerance: float) -> Tuple[int
     return len(flows), sum(last <= deadline + tolerance for deadline, last in flows.values())
 
 
-def fraction_overdue(
-    original: Schedule, replay: Schedule, tolerance: float = 1e-9
-) -> float:
-    """Convenience wrapper returning only the overdue fraction."""
-    return compare_schedules(original, replay, threshold=0.0, tolerance=tolerance).overdue_fraction
-
-
 def lateness_distribution(
     original: Schedule, replay: Schedule
 ) -> List[float]:

@@ -369,9 +369,6 @@ class Schedule:
         injection and of the on-disk format."""
         return self.columns().rows(range(len(self)))
 
-    def __contains__(self, packet_id: int) -> bool:
-        return packet_id in self._index
-
     def row(self, packet_id: int) -> dict:
         """The row of ``packet_id`` (raises ``KeyError`` if absent)."""
         (data,) = self._cols.rows((self._index[packet_id],))

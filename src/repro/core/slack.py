@@ -194,10 +194,8 @@ class DeadlineSlackInitializer(ReplayInitializer):
 
     where ``residual(p)`` is the *ideal* time the flow's bytes need on the
     network's bottleneck link
-    (:meth:`~repro.sim.network.Network.bottleneck_transmission_time` of the
-    flow size — the same quantity
-    :meth:`repro.topology.base.Topology.bottleneck_transmission_time` exposes
-    on topology specs).  Flows closer to their deadline, relative to the work
+    (:meth:`repro.topology.base.Topology.bottleneck_transmission_time` of the
+    flow size).  Flows closer to their deadline, relative to the work
     they still represent, get less slack and are served first; an infeasible
     deadline yields negative slack, i.e. maximal urgency.  This is the
     paper's Section-3 deadline heuristic, and the slack assignment that
@@ -231,7 +229,7 @@ class DeadlineSlackInitializer(ReplayInitializer):
                 continue
             if flow_bytes is None:
                 flow_bytes = size
-            # Network.bottleneck_transmission_time's float form: bytes * 8 / bandwidth.
+            # Topology.bottleneck_transmission_time's float form: bytes * 8 / bandwidth.
             slack.append(deadline - ingress - flow_bytes * BITS_PER_BYTE / bottleneck)
         return _slack_headers(cols, slack, _flow_deadlines(cols))
 
@@ -349,10 +347,6 @@ class FairnessSlackPolicy(SlackPolicy):
             slack = max(0.0, previous_slack + credit - (now - previous_time))
         packet.header.slack = slack
         self._state[key] = (slack, now, packet.size_bytes)
-
-    def reset(self) -> None:
-        """Forget all per-flow state (useful when reusing a policy across runs)."""
-        self._state.clear()
 
 
 class NullSlackPolicy(SlackPolicy):

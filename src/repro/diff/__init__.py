@@ -22,38 +22,7 @@ Exposed at the CLI as ``python -m repro diff`` and ``python -m repro
 fuzz``; see ``docs/diff.md``.
 """
 
-from repro.diff.comparator import (
-    DEFAULT_CONTEXT,
-    Divergence,
-    FieldDiff,
-    PortNeighbor,
-    first_divergence,
-)
-from repro.diff.fuzz import (
-    FUZZ_ARTIFACT_FORMAT,
-    ComparisonSpec,
-    FuzzFailure,
-    FuzzReport,
-    load_case,
-    run_comparison,
-    run_fuzz,
-    shrink_case,
-    write_artifact,
-)
+from repro.diff.comparator import first_divergence
+from repro.diff.fuzz import load_case, run_comparison, run_fuzz
 
-__all__ = [
-    "DEFAULT_CONTEXT",
-    "Divergence",
-    "FieldDiff",
-    "PortNeighbor",
-    "first_divergence",
-    "FUZZ_ARTIFACT_FORMAT",
-    "ComparisonSpec",
-    "FuzzFailure",
-    "FuzzReport",
-    "load_case",
-    "run_comparison",
-    "run_fuzz",
-    "shrink_case",
-    "write_artifact",
-]
+__all__ = ["first_divergence", "load_case", "run_comparison", "run_fuzz"]

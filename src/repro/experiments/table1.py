@@ -24,13 +24,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from repro.experiments.config import ExperimentScale
-from repro.pipeline.cache import ScheduleCache
-from repro.pipeline.experiment import (
-    ReplayResult,
-    ScenarioExperimentDef,
-    register_experiment,
-    replay_scenario,
-)
+from repro.pipeline.experiment import ReplayResult, ScenarioExperimentDef, register_experiment
 from repro.pipeline.scenario import Scenario, Sweep
 
 
@@ -138,14 +132,6 @@ def scenario_row(scenario: Scenario, mode: str, result: ReplayResult) -> Dict[st
         "fraction_overdue_beyond_T": result.overdue_beyond_threshold_fraction,
         "threshold": result.metrics.threshold,
     }
-
-
-def run_scenario(
-    scenario: Scenario, cache: Optional[ScheduleCache] = None
-) -> Dict[str, object]:
-    """Run one scenario and return its Table-1 row as a dictionary."""
-    result = replay_scenario(scenario, cache=cache)
-    return scenario_row(scenario, scenario.replay_mode, result)
 
 
 class Table1Definition(ScenarioExperimentDef):

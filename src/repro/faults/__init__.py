@@ -20,36 +20,8 @@ Determinism rules, cache-key contract, and a worked example live in
 ``docs/faults.md``.
 """
 
-from repro.faults.defs import (
-    FAULT_KINDS,
-    BernoulliLoss,
-    FaultDef,
-    GilbertElliottLoss,
-    JammingIntervals,
-    LinkOutage,
-    fault_from_dict,
-    register_fault_kind,
-)
-from repro.faults.injector import FaultInjector, FaultPlan, PortFaultState
-from repro.faults.registry import (
-    FAULTS,
-    FaultScheduleDef,
-    register_fault_schedule,
-)
+from repro.faults.defs import BernoulliLoss
+from repro.faults.injector import FaultPlan
+from repro.faults.registry import FAULTS, FaultScheduleDef
 
-__all__ = [
-    "FAULT_KINDS",
-    "FAULTS",
-    "BernoulliLoss",
-    "FaultDef",
-    "FaultInjector",
-    "FaultPlan",
-    "FaultScheduleDef",
-    "GilbertElliottLoss",
-    "JammingIntervals",
-    "LinkOutage",
-    "PortFaultState",
-    "fault_from_dict",
-    "register_fault_kind",
-    "register_fault_schedule",
-]
+__all__ = ["BernoulliLoss", "FAULTS", "FaultPlan", "FaultScheduleDef"]

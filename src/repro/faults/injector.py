@@ -24,7 +24,7 @@ definition scales across experiment tiers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, List, Optional, Tuple
 
 from repro.faults.defs import DropFilter, derive_fault_seed
@@ -46,16 +46,13 @@ class PortFaultState:
         filters: Drop filters consulted (in fault-definition order) when a
             transmission completes; any filter returning True destroys the
             packet instead of propagating it.
-        packets_destroyed: Count of packets destroyed by filters or outages
-            on this port (distinct from buffer-overflow drops).
     """
 
-    __slots__ = ("down", "filters", "packets_destroyed")
+    __slots__ = ("down", "filters")
 
     def __init__(self, filters: Tuple[Callable[[object, float], bool], ...] = ()) -> None:
         self.down = False
         self.filters = filters
-        self.packets_destroyed = 0
 
     def intercepts(self, packet: object, now: float) -> bool:
         """Whether any drop filter destroys ``packet`` completing at ``now``.
@@ -69,8 +66,6 @@ class PortFaultState:
         for filt in self.filters:
             if filt(packet, now):
                 destroy = True
-        if destroy:
-            self.packets_destroyed += 1
         return destroy
 
 
@@ -157,48 +152,33 @@ class FaultPlan:
 
 @dataclass
 class FaultInjector:
-    """Wires a :class:`FaultPlan` into ports and the event queue.
-
-    Keeps per-port state so post-run statistics (``packets_destroyed``,
-    outage transition log) can be inspected by tests and reports.
-    """
+    """Wires a :class:`FaultPlan` into ports and the event queue."""
 
     plan: FaultPlan
     horizon: float
-    port_states: List[Tuple[str, PortFaultState]] = field(default_factory=list)
-    transitions: List[Tuple[float, str, str]] = field(default_factory=list)
 
     def install(self, sim: "Simulator", network: "Network") -> None:
         """Attach fault state to every matching port and schedule outages."""
         ports = {f"{src}->{dst}": network.nodes[src].ports[dst] for src, dst in network.links}
         for link_name, filters, windows in self.plan.link_faults(network.links, self.horizon):
             port = ports[link_name]
-            state = PortFaultState(filters=filters)
-            port.fault_state = state
-            self.port_states.append((link_name, state))
+            port.fault_state = PortFaultState(filters=filters)
             for down, up in windows:
-                sim.schedule_at(down, self._link_down, port, link_name)
-                sim.schedule_at(up, self._link_up, port, link_name)
+                sim.schedule_at(down, self._link_down, port)
+                sim.schedule_at(up, self._link_up, port)
 
-    def _link_down(self, port: "OutputPort", link_name: str) -> None:
+    def _link_down(self, port: "OutputPort") -> None:
         """Outage begins: abort the in-flight packet and hold the queue."""
         state = port.fault_state
         if state is None or state.down:
             return
         state.down = True
-        self.transitions.append((port.sim.now, link_name, "down"))
-        if port.fault_interrupt():
-            state.packets_destroyed += 1
+        port.fault_interrupt()
 
-    def _link_up(self, port: "OutputPort", link_name: str) -> None:
+    def _link_up(self, port: "OutputPort") -> None:
         """Outage ends: resume draining the held queue."""
         state = port.fault_state
         if state is None or not state.down:
             return
         state.down = False
-        self.transitions.append((port.sim.now, link_name, "up"))
         port.fault_resume()
-
-    def packets_destroyed(self) -> int:
-        """Total packets destroyed by this plan across all ports."""
-        return sum(state.packets_destroyed for _, state in self.port_states)

@@ -33,55 +33,15 @@ the command line.
 """
 
 from repro.pipeline.cache import ScheduleCache, schedule_cache_key, workload_fingerprint
-from repro.pipeline.experiment import (
-    REGISTRY,
-    Cell,
-    CellResult,
-    ExperimentDef,
-    ScenarioExperimentDef,
-    ScenarioRegistry,
-    cached_schedule,
-    default_registry,
-    record_scenario_schedule,
-    register_experiment,
-    replay_scenario,
-    scenario_cache_key,
-)
-from repro.pipeline.runner import (
-    RunSummary,
-    aggregate_replicate_rows,
-    run_pipeline,
-)
-from repro.pipeline.scenario import (
-    PipelineConfigError,
-    Scenario,
-    Sweep,
-    override_slack_policy,
-    override_workload,
-)
+from repro.pipeline.experiment import default_registry, record_scenario_schedule, replay_scenario
+from repro.pipeline.runner import run_pipeline
 
 __all__ = [
-    "Cell",
-    "CellResult",
-    "ExperimentDef",
-    "PipelineConfigError",
-    "REGISTRY",
-    "RunSummary",
-    "Scenario",
-    "ScenarioExperimentDef",
-    "ScenarioRegistry",
     "ScheduleCache",
-    "Sweep",
-    "aggregate_replicate_rows",
-    "cached_schedule",
     "default_registry",
-    "override_slack_policy",
-    "override_workload",
     "record_scenario_schedule",
-    "register_experiment",
     "replay_scenario",
     "run_pipeline",
-    "scenario_cache_key",
     "schedule_cache_key",
     "workload_fingerprint",
 ]

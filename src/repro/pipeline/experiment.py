@@ -548,10 +548,6 @@ class ScenarioRegistry(Registry[ExperimentDef]):
             raise ValueError("experiment definitions need a non-empty name")
         return super().register(definition)
 
-    def experiments(self) -> List[ExperimentDef]:
-        """All registered definitions, in registration order."""
-        return self.definitions()
-
 
 #: The process-wide registry.  Populated by importing :mod:`repro.experiments`
 #: (directly or via :func:`default_registry`).

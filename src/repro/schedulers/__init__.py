@@ -7,52 +7,3 @@ priorities, network-wide EDF), or as a state-of-the-art baseline for the
 practical objectives in Section 3 (SRPT, SJF with starvation prevention,
 fair queueing).
 """
-
-from repro.schedulers.base import PriorityScheduler, Scheduler
-from repro.schedulers.drr import DrrScheduler
-from repro.schedulers.edf import EdfScheduler
-from repro.schedulers.factory import (
-    SCHEDULER_REGISTRY,
-    alternating_factory,
-    per_node_factory,
-    random_factory,
-    scheduler_class,
-    uniform_factory,
-)
-from repro.schedulers.fifo import FifoScheduler
-from repro.schedulers.fifo_plus import FifoPlusScheduler
-from repro.schedulers.fq import FairQueueingScheduler
-from repro.schedulers.lifo import LifoScheduler
-from repro.schedulers.lstf import LstfScheduler, PreemptiveLstfScheduler
-from repro.schedulers.priority import SjfScheduler, StaticPriorityScheduler
-from repro.schedulers.random_sched import RandomScheduler
-from repro.schedulers.srpt import (
-    FlowAwarePriorityScheduler,
-    SjfStarvationFreeScheduler,
-    SrptScheduler,
-)
-
-__all__ = [
-    "Scheduler",
-    "PriorityScheduler",
-    "FifoScheduler",
-    "LifoScheduler",
-    "RandomScheduler",
-    "StaticPriorityScheduler",
-    "SjfScheduler",
-    "SjfStarvationFreeScheduler",
-    "SrptScheduler",
-    "FlowAwarePriorityScheduler",
-    "FairQueueingScheduler",
-    "DrrScheduler",
-    "FifoPlusScheduler",
-    "LstfScheduler",
-    "PreemptiveLstfScheduler",
-    "EdfScheduler",
-    "SCHEDULER_REGISTRY",
-    "scheduler_class",
-    "uniform_factory",
-    "random_factory",
-    "per_node_factory",
-    "alternating_factory",
-]

@@ -7,16 +7,14 @@ here cover the deployment patterns used in the paper:
 * the same algorithm at every port (:func:`uniform_factory`),
 * different algorithms at different routers, e.g. the Table-1 scenario where
   half the routers run FIFO+ and the other half fair queueing
-  (:func:`per_node_factory`, :func:`alternating_factory`),
-* schedulers that need a shared random stream (:func:`random_factory`).
+  (:func:`alternating_factory`).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Optional, Type
+from typing import Dict, Iterable, Optional, Type
 
 from repro.schedulers.base import Scheduler
-from repro.schedulers.drr import DrrScheduler
 from repro.schedulers.edf import EdfScheduler
 from repro.schedulers.fifo import FifoScheduler
 from repro.schedulers.fifo_plus import FifoPlusScheduler
@@ -40,7 +38,6 @@ SCHEDULER_REGISTRY: Dict[str, Type[Scheduler]] = {
     "sjf-flow": SjfStarvationFreeScheduler,
     "srpt": SrptScheduler,
     "fq": FairQueueingScheduler,
-    "drr": DrrScheduler,
     "fifo+": FifoPlusScheduler,
     "lstf": LstfScheduler,
     "lstf-preemptive": PreemptiveLstfScheduler,
@@ -75,29 +72,6 @@ def uniform_factory(
             port_rng = rng.spawn() if rng is not None else None
             return cls(port_rng, **kwargs)
         return cls(**kwargs)
-
-    return factory
-
-
-def random_factory(rng: RandomState) -> SchedulerFactory:
-    """Deploy the Random scheduler everywhere with per-port child RNG streams."""
-    return uniform_factory(RandomScheduler, rng=rng)
-
-
-def per_node_factory(
-    assignment: Dict[str, SchedulerFactory],
-    default: SchedulerFactory,
-) -> SchedulerFactory:
-    """Deploy different schedulers at different nodes.
-
-    Args:
-        assignment: Maps node names to the factory used for that node's ports.
-        default: Factory used for every node not listed in ``assignment``.
-    """
-
-    def factory(node_name: str, link: Link) -> Scheduler:
-        chosen = assignment.get(node_name, default)
-        return chosen(node_name, link)
 
     return factory
 

@@ -1,13 +1,9 @@
 """Fair queueing.
 
-Two implementations are provided:
-
-* :class:`FairQueueingScheduler` — Self-Clocked Fair Queueing (SCFQ), a
-  virtual-finish-time approximation of the bit-by-bit round robin of Demers,
-  Keshav and Shenker [SIGCOMM 1989] that the paper uses as its fairness
-  reference.
-* :class:`DrrScheduler` (in :mod:`repro.schedulers.drr`) — Deficit Round
-  Robin, provided as an alternative fairness baseline.
+:class:`FairQueueingScheduler` is Self-Clocked Fair Queueing (SCFQ), a
+virtual-finish-time approximation of the bit-by-bit round robin of Demers,
+Keshav and Shenker [SIGCOMM 1989] that the paper uses as its fairness
+reference.
 
 SCFQ maintains one virtual finish tag per flow: an arriving packet gets
 ``finish = max(virtual_time, flow_last_finish) + size / weight`` and packets

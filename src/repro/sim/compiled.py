@@ -11,8 +11,8 @@ or a stored schedule is first loaded or saved, never at import, and
 remembered here, the one availability memo there is —
 hashes the source and loads ``__pycache__/_kernel-<sha12><EXT_SUFFIX>`` from
 beside it, compiling that file first when it is missing or does not load.
-The name is the content, so an edited source never runs an old build and any
-other ``_kernel*.so`` lying around is ignored.
+The name is the content, so an edited source never runs an old build; a
+successful build deletes the builds and failure markers of other sources.
 
 A build is one call of the interpreter's own link driver (``sysconfig``'s
 ``LDSHARED``, i.e. ``$(CC) -shared ...``) writing a temp file that is
@@ -112,6 +112,24 @@ def _build(target: str) -> Optional[str]:
             os.unlink(tmp)
 
 
+def _remove_other_builds(target: str, sha: str) -> None:
+    """After ``target`` was built from source ``sha``: delete its failure marker
+    and every build or marker of another source beside it.
+
+    The name is the content, so no later probe loads those files.  Temp files
+    of a racing build of the same source are left alone.
+    """
+    directory = os.path.dirname(target)
+    others = [
+        os.path.join(directory, name)
+        for name in os.listdir(directory)
+        if name.startswith("_kernel-") and not name.startswith(f"_kernel-{sha}")
+    ]
+    for path in [f"{target}.failed", *others]:
+        with contextlib.suppress(OSError):
+            os.unlink(path)
+
+
 def _import(path: str) -> ModuleType:
     """Load the extension at ``path`` (``ImportError`` if absent, truncated or garbage)."""
     spec = importlib.util.spec_from_file_location("repro.sim._kernel", path)
@@ -154,8 +172,7 @@ def _probe(force: bool = False) -> _Kernel:
             except ImportError as error:
                 reason = f"the built file does not load: {error}"
             else:
-                with contextlib.suppress(OSError):
-                    os.unlink(marker)
+                _remove_other_builds(target, sha)
                 elapsed = time.perf_counter() - started
                 logger.info("built %s with %s in %.2fs -> %s", sha, module.COMPILER, elapsed, target)
                 return _Kernel(module, None, sha, target, "built")

@@ -53,7 +53,3 @@ class Link:
         :func:`repro.utils.units.transmission_delay`).
         """
         return size_bytes * 8 / self.bandwidth_bps
-
-    def latency(self, size_bytes: float) -> float:
-        """Store-and-forward latency of one packet over this link (no queueing)."""
-        return self.transmission_delay(size_bytes) + self.propagation_delay

@@ -139,10 +139,6 @@ class Network:
         """All end hosts in the network."""
         return [node for node in self.nodes.values() if isinstance(node, Host)]
 
-    def routers(self) -> List[Router]:
-        """All routers in the network."""
-        return [node for node in self.nodes.values() if isinstance(node, Router)]
-
     def host(self, name: str) -> Host:
         """Look up a host by name (raises if the node is not a host)."""
         node = self.nodes[name]
@@ -214,17 +210,6 @@ class Network:
         else:
             remaining_path = self.path(from_node, packet.dst)
         return self.tmin_along(packet.size_bytes, remaining_path)
-
-    def bottleneck_transmission_time(self, size_bytes: float) -> float:
-        """Transmission time of ``size_bytes`` on the slowest link in the network.
-
-        This is the threshold ``T`` used in Table 1 of the paper ("overdue by
-        more than one transmission time on the bottleneck link").
-        """
-        slowest = min(link.bandwidth_bps for link in self.links.values())
-        from repro.utils.units import transmission_delay
-
-        return transmission_delay(size_bytes, slowest)
 
     # ------------------------------------------------------------------ #
     # Tracer notifications (called by nodes/ports)

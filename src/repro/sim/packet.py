@@ -15,10 +15,6 @@ import enum
 from dataclasses import dataclass, field
 from typing import Deque, List, Optional
 
-from collections import deque
-
-from repro.utils.stats import left_sum
-
 
 class PacketType(enum.Enum):
     """Kind of packet: transport data or transport acknowledgement."""
@@ -44,13 +40,6 @@ class HopRecord:
     arrival_time: float
     start_service_time: Optional[float] = None
     departure_time: Optional[float] = None
-
-    @property
-    def queueing_delay(self) -> float:
-        """Time the packet spent waiting in the node's output queue."""
-        if self.start_service_time is None:
-            return 0.0
-        return self.start_service_time - self.arrival_time
 
 
 @dataclass(slots=True)
@@ -81,22 +70,6 @@ class PacketHeader:
     flow_size_bytes: Optional[float] = None
     remaining_flow_bytes: Optional[float] = None
     accumulated_wait: float = 0.0
-
-    def copy(self) -> "PacketHeader":
-        """Deep-enough copy (the per-hop vector is duplicated)."""
-        return PacketHeader(
-            slack=self.slack,
-            priority=self.priority,
-            deadline=self.deadline,
-            hop_output_times=(
-                deque(self.hop_output_times)
-                if self.hop_output_times is not None
-                else None
-            ),
-            flow_size_bytes=self.flow_size_bytes,
-            remaining_flow_bytes=self.remaining_flow_bytes,
-            accumulated_wait=self.accumulated_wait,
-        )
 
 
 def reset_packet_ids() -> None:
@@ -177,22 +150,11 @@ class Packet:
         return [hop.node for hop in self.hops]
 
     @property
-    def total_queueing_delay(self) -> float:
-        """Sum of per-hop queueing delays experienced so far."""
-        return left_sum(hop.queueing_delay for hop in self.hops)
-
-    @property
     def end_to_end_delay(self) -> Optional[float]:
         """Network latency (egress minus ingress), or ``None`` if still in flight."""
         if self.ingress_time is None or self.egress_time is None:
             return None
         return self.egress_time - self.ingress_time
-
-    def record_arrival(self, node: str, time: float) -> HopRecord:
-        """Append a hop record for arrival at ``node`` at ``time``."""
-        record = HopRecord(node=node, arrival_time=time)
-        self.hops.append(record)
-        return record
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (

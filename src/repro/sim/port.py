@@ -181,25 +181,21 @@ class OutputPort:
     # ------------------------------------------------------------------ #
     # Fault-injection hooks (repro.faults)
     # ------------------------------------------------------------------ #
-    def fault_interrupt(self) -> bool:
-        """Abort the in-flight transmission because the link went down.
+    def fault_interrupt(self) -> None:
+        """Abort the in-flight transmission, if any, because the link went down.
 
         Unlike :meth:`_preempt_current`, the interrupted packet is *lost*
         (its bits were on a link that just failed), not requeued.
-
-        Returns:
-            True if a packet was in flight and destroyed.
         """
         packet = self._current_packet
         if packet is None or self._finish_event is None:
-            return False
+            return
         self.sim.cancel(self._finish_event)
         packet.remaining_tx_bytes = None
         self._drop(packet)
         self._current_packet = None
         self._current_started = None
         self._finish_event = None
-        return True
 
     def fault_resume(self) -> None:
         """Resume service after the link came back up."""

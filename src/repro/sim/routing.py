@@ -77,7 +77,3 @@ class RoutingTable:
         if node == dst:
             raise RoutingError(f"{node} is already the destination")
         return self.path(node, dst)[1]
-
-    def hop_count(self, src: str, dst: str) -> int:
-        """Number of links on the route from ``src`` to ``dst``."""
-        return len(self.path(src, dst)) - 1

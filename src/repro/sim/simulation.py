@@ -42,18 +42,6 @@ class SimulationResult:
     dropped_packets: List[Packet] = field(default_factory=list)
     injected_packets: List[Packet] = field(default_factory=list)
 
-    @property
-    def completed_flows(self) -> List[Flow]:
-        """Flows that finished delivering every byte before the run ended."""
-        return [flow for flow in self.flows if flow.completed]
-
-    @property
-    def delivery_ratio(self) -> float:
-        """Fraction of injected packets that were delivered."""
-        if not self.injected_packets:
-            return 0.0
-        return len(self.delivered_packets) / len(self.injected_packets)
-
 
 class Simulation:
     """One simulation run: a topology, a scheduler deployment, and traffic.

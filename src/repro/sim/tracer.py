@@ -43,12 +43,6 @@ class Tracer:
         """Delivered packets excluding transport acknowledgements."""
         return [p for p in self.delivered if p.ptype is PacketType.DATA]
 
-    def delivery_ratio(self) -> float:
-        """Fraction of injected packets that reached their destination."""
-        if not self.sent:
-            return 0.0
-        return len(self.delivered) / len(self.sent)
-
     def reset(self) -> None:
         """Clear all recorded packets."""
         self.sent.clear()

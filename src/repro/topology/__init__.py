@@ -1,31 +1,5 @@
 """Topology specifications and generators for the paper's evaluation scenarios."""
 
-from repro.topology.base import (
-    LinkSpec,
-    NodeSpec,
-    Topology,
-    dumbbell_topology,
-    linear_topology,
-    single_switch_topology,
-)
-from repro.topology.fattree import fattree_topology
-from repro.topology.internet2 import (
-    CORE_LINKS,
-    CORE_ROUTERS,
-    internet2_topology,
-)
-from repro.topology.rocketfuel import rocketfuel_topology
+from repro.topology.base import dumbbell_topology
 
-__all__ = [
-    "NodeSpec",
-    "LinkSpec",
-    "Topology",
-    "linear_topology",
-    "dumbbell_topology",
-    "single_switch_topology",
-    "internet2_topology",
-    "rocketfuel_topology",
-    "fattree_topology",
-    "CORE_ROUTERS",
-    "CORE_LINKS",
-]
+__all__ = ["dumbbell_topology"]

@@ -89,16 +89,6 @@ class Topology:
         """Names of all routers, in declaration order."""
         return [node.name for node in self.nodes if node.kind == "router"]
 
-    @property
-    def num_nodes(self) -> int:
-        """Total number of nodes."""
-        return len(self.nodes)
-
-    @property
-    def num_links(self) -> int:
-        """Total number of full-duplex links."""
-        return len(self.links)
-
     def bottleneck_bandwidth_bps(self) -> float:
         """Bandwidth of the slowest link in the topology."""
         if not self.links:

@@ -7,63 +7,7 @@ arrivals (:mod:`~repro.traffic.flowgen`), utilization sizing helpers
 perturbation layer (:mod:`~repro.traffic.perturb`).
 """
 
-from repro.traffic.distributions import (
-    BoundedParetoSize,
-    ConstantSize,
-    EmpiricalSize,
-    ExponentialSize,
-    FlowSizeDistribution,
-    data_mining_workload,
-    paper_default_workload,
-    web_search_workload,
-)
-from repro.traffic.flowgen import PoissonFlowGenerator, StaticFlowSet
-from repro.traffic.perturb import (
-    DeadlineTagging,
-    HeavyTailInflation,
-    IncastBurst,
-    OnOffJamming,
-    Perturbation,
-    PerturbationContext,
-    register_perturbation,
-)
-from repro.traffic.registry import (
-    WORKLOADS,
-    DistributionSpec,
-    WorkloadDef,
-    WorkloadRegistry,
-    register_workload,
-)
-from repro.traffic.workload import (
-    WorkloadSpec,
-    arrival_rate_for_utilization,
-    utilization_of_rate,
-)
+from repro.traffic.distributions import paper_default_workload
+from repro.traffic.workload import WorkloadSpec
 
-__all__ = [
-    "FlowSizeDistribution",
-    "ConstantSize",
-    "ExponentialSize",
-    "BoundedParetoSize",
-    "EmpiricalSize",
-    "web_search_workload",
-    "data_mining_workload",
-    "paper_default_workload",
-    "PoissonFlowGenerator",
-    "StaticFlowSet",
-    "WorkloadSpec",
-    "arrival_rate_for_utilization",
-    "utilization_of_rate",
-    "Perturbation",
-    "PerturbationContext",
-    "IncastBurst",
-    "OnOffJamming",
-    "HeavyTailInflation",
-    "DeadlineTagging",
-    "register_perturbation",
-    "WORKLOADS",
-    "WorkloadDef",
-    "WorkloadRegistry",
-    "DistributionSpec",
-    "register_workload",
-]
+__all__ = ["WorkloadSpec", "paper_default_workload"]

@@ -8,8 +8,7 @@ belong to a few long flows.  We provide:
 * :class:`EmpiricalSize` — a discrete distribution over (size, probability)
   points; :func:`web_search_workload` and :func:`data_mining_workload` give
   mixtures shaped like the datacenter workloads used by pFabric.
-* :class:`ConstantSize` / :class:`ExponentialSize` — light-tailed controls
-  used by tests and ablations.
+* :class:`ConstantSize` — a fixed size, the light-tailed control tests use.
 """
 
 from __future__ import annotations
@@ -47,24 +46,6 @@ class ConstantSize(FlowSizeDistribution):
 
     def mean(self) -> float:
         return self.size_bytes
-
-
-class ExponentialSize(FlowSizeDistribution):
-    """Exponentially distributed flow sizes with a minimum of one MSS."""
-
-    def __init__(self, mean_bytes: float, minimum_bytes: float = 1460.0) -> None:
-        if mean_bytes <= 0:
-            raise ValueError(f"mean flow size must be positive, got {mean_bytes}")
-        self.mean_bytes = float(mean_bytes)
-        self.minimum_bytes = float(minimum_bytes)
-
-    def sample(self, rng: RandomState) -> float:
-        return max(self.minimum_bytes, rng.exponential(self.mean_bytes))
-
-    def mean(self) -> float:
-        # The clamp at minimum_bytes shifts the mean very slightly; for
-        # utilization targeting the unclamped mean is accurate enough.
-        return self.mean_bytes
 
 
 class BoundedParetoSize(FlowSizeDistribution):

@@ -234,19 +234,6 @@ class PoissonFlowGenerator:
             agent = start_tcp_flow(self.sim, self.network, flow)
         self.agents.append(agent)
 
-    # ------------------------------------------------------------------ #
-    # Results
-    # ------------------------------------------------------------------ #
-    def completed_flows(self) -> List[Flow]:
-        """Flows that finished delivering every byte."""
-        return [flow for flow in self.flows if flow.completed]
-
-    def completion_ratio(self) -> float:
-        """Fraction of generated flows that completed."""
-        if not self.flows:
-            return 0.0
-        return len(self.completed_flows()) / len(self.flows)
-
 
 class StaticFlowSet:
     """A fixed, explicitly listed set of flows (used by the fairness experiment).

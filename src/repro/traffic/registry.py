@@ -4,10 +4,10 @@ A :class:`WorkloadDef` fully describes one offered-traffic pattern as plain
 data: a :class:`DistributionSpec` naming the flow-size distribution and its
 parameters, the arrival process (Poisson), and a tuple of composable
 :class:`~repro.traffic.perturb.Perturbation` objects wrapping the base
-workload.  Because definitions are frozen value objects with a lossless
-``to_dict``/``from_dict`` round-trip, they can be hashed into schedule-cache
-keys, shipped to pool workers, listed by the CLI, and reconstructed from
-persisted experiment metadata.
+workload.  Definitions are frozen value objects, so they can be shipped to
+pool workers and listed by the CLI; what a workload contributes to a
+schedule-cache key is :func:`repro.pipeline.cache.workload_fingerprint` of
+the :class:`~repro.traffic.workload.WorkloadSpec` built from it.
 
 The global :data:`WORKLOADS` registry replaces the hard-coded workload
 factory lambdas that scenarios used to close over; the paper's three
@@ -27,7 +27,6 @@ from repro.traffic.distributions import (
     BoundedParetoSize,
     ConstantSize,
     EmpiricalSize,
-    ExponentialSize,
     FlowSizeDistribution,
 )
 from repro.traffic.perturb import (
@@ -44,7 +43,6 @@ DISTRIBUTION_KINDS: Dict[str, Callable[..., FlowSizeDistribution]] = {
     "bounded-pareto": BoundedParetoSize,
     "empirical": lambda points: EmpiricalSize(list(points)),
     "constant": ConstantSize,
-    "exponential": ExponentialSize,
 }
 
 
@@ -54,13 +52,6 @@ def _freeze(value):
         return tuple(_freeze(item) for item in value)
     if isinstance(value, tuple):
         return tuple(_freeze(item) for item in value)
-    return value
-
-
-def _thaw(value):
-    """Recursively convert tuples to lists for JSON serialization."""
-    if isinstance(value, tuple):
-        return [_thaw(item) for item in value]
     return value
 
 
@@ -86,21 +77,6 @@ class DistributionSpec:
     def build(self) -> FlowSizeDistribution:
         """Instantiate the distribution this spec describes."""
         return DISTRIBUTION_KINDS[self.kind](**dict(self.params))
-
-    def to_dict(self) -> dict:
-        """Lossless JSON-serializable form."""
-        return {
-            "kind": self.kind,
-            "params": {name: _thaw(value) for name, value in self.params},
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "DistributionSpec":
-        """Inverse of :meth:`to_dict`."""
-        return cls(
-            kind=data["kind"],
-            params=tuple((name, _freeze(value)) for name, value in data.get("params", {}).items()),
-        )
 
 
 @dataclass(frozen=True)
@@ -150,34 +126,6 @@ class WorkloadDef:
             return "-"
         return ", ".join(p.describe() for p in self.perturbations)
 
-    # ------------------------------------------------------------------ #
-    # Serialization
-    # ------------------------------------------------------------------ #
-    def to_dict(self) -> dict:
-        """Lossless JSON-serializable form (feeds the schedule-cache hash)."""
-        return {
-            "name": self.name,
-            "arrival": self.arrival,
-            "group": self.group,
-            "description": self.description,
-            "distribution": self.distribution.to_dict(),
-            "perturbations": [p.to_dict() for p in self.perturbations],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "WorkloadDef":
-        """Inverse of :meth:`to_dict`."""
-        return cls(
-            name=data["name"],
-            distribution=DistributionSpec.from_dict(data["distribution"]),
-            perturbations=tuple(
-                Perturbation.from_dict(p) for p in data.get("perturbations", [])
-            ),
-            arrival=data.get("arrival", "poisson"),
-            group=data.get("group", "paper"),
-            description=data.get("description", ""),
-        )
-
 
 class WorkloadRegistry(Registry[WorkloadDef]):
     """Maps workload names to their definitions, in registration order."""
@@ -188,14 +136,6 @@ class WorkloadRegistry(Registry[WorkloadDef]):
     def group(self, group: str) -> List[WorkloadDef]:
         """Definitions belonging to one scenario-matrix group, in order."""
         return [d for d in self._definitions.values() if d.group == group]
-
-    def groups(self) -> List[str]:
-        """Distinct group names, in first-appearance order."""
-        seen: List[str] = []
-        for definition in self._definitions.values():
-            if definition.group not in seen:
-                seen.append(definition.group)
-        return seen
 
 
 #: The process-wide workload registry (populated below at import time).

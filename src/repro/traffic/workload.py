@@ -37,17 +37,6 @@ def arrival_rate_for_utilization(
     return utilization * bandwidth_bps / (mean_flow_size_bytes * BITS_PER_BYTE)
 
 
-def utilization_of_rate(
-    arrival_rate: float,
-    bandwidth_bps: float,
-    mean_flow_size_bytes: float,
-) -> float:
-    """Inverse of :func:`arrival_rate_for_utilization` (useful in tests)."""
-    if bandwidth_bps <= 0:
-        raise ValueError("bandwidth must be positive")
-    return arrival_rate * mean_flow_size_bytes * BITS_PER_BYTE / bandwidth_bps
-
-
 @dataclass
 class WorkloadSpec:
     """A complete description of the offered traffic for one experiment run.

@@ -1,19 +1,1 @@
 """Transport protocols: open-loop UDP and a simplified closed-loop TCP."""
-
-from repro.transport.tcp import (
-    ACK_SIZE_BYTES,
-    TcpReceiver,
-    TcpSender,
-    start_tcp_flow,
-)
-from repro.transport.udp import UdpSink, UdpSource, start_udp_flow
-
-__all__ = [
-    "UdpSource",
-    "UdpSink",
-    "start_udp_flow",
-    "TcpSender",
-    "TcpReceiver",
-    "start_tcp_flow",
-    "ACK_SIZE_BYTES",
-]

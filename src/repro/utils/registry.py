@@ -46,10 +46,6 @@ class Registry(Generic[T]):
         """All registered names, in registration order."""
         return list(self._definitions)
 
-    def definitions(self) -> List[T]:
-        """All registered definitions, in registration order."""
-        return list(self._definitions.values())
-
     def __contains__(self, name: str) -> bool:
         return name in self._definitions
 

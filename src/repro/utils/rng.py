@@ -42,12 +42,6 @@ class RandomState:
             raise ValueError(f"mean must be positive, got {mean}")
         return float(self._generator.exponential(mean))
 
-    def pareto(self, shape: float, scale: float) -> float:
-        """Draw a Pareto(shape) sample scaled so the minimum value is ``scale``."""
-        if shape <= 0 or scale <= 0:
-            raise ValueError("shape and scale must be positive")
-        return float(scale * (1.0 + self._generator.pareto(shape)))
-
     def randint(self, low: int, high: int) -> int:
         """Draw a single integer uniformly from ``[low, high)``."""
         return int(self._generator.integers(low, high))
@@ -58,10 +52,6 @@ class RandomState:
             raise ValueError("cannot choose from an empty sequence")
         index = int(self._generator.integers(0, len(items)))
         return items[index]
-
-    def shuffle(self, items: list) -> None:
-        """Shuffle a list in place."""
-        self._generator.shuffle(items)
 
     def spawn(self) -> "RandomState":
         """Create an independent child generator (for per-component streams)."""

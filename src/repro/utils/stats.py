@@ -4,10 +4,9 @@ Two families live here:
 
 * exact, list-based helpers (:func:`percentile`, :func:`summarize`, ...)
   used wherever the sample set is small enough to materialize; and
-* streaming, *mergeable* accumulators (:class:`OnlineStats`,
-  :class:`QuantileSketch`) used by the scale tier, where a cell folds
-  millions of per-packet samples into O(1)/O(log range) state and partial
-  accumulators from different shards merge into one.
+* the streaming, *mergeable* :class:`QuantileSketch` used by the scale
+  tier, where a cell folds millions of per-packet samples into O(log range)
+  state and partial sketches from different shards merge into one.
 """
 
 from __future__ import annotations
@@ -31,69 +30,6 @@ def left_sum(values: Iterable[float]) -> float:
     accumulators (:class:`QuantileSketch`), which is this same left fold.
     """
     return reduce(add, values, 0.0)
-
-
-class OnlineStats:
-    """Streaming mean / variance / min / max accumulator (Welford's method).
-
-    Useful when a simulation produces millions of per-packet samples and we do
-    not want to hold them all in memory.
-    """
-
-    def __init__(self) -> None:
-        self.count = 0
-        self._mean = 0.0
-        self._m2 = 0.0
-        self.minimum = math.inf
-        self.maximum = -math.inf
-
-    def add(self, value: float) -> None:
-        """Fold one sample into the accumulator."""
-        self.count += 1
-        delta = value - self._mean
-        self._mean += delta / self.count
-        self._m2 += delta * (value - self._mean)
-        self.minimum = min(self.minimum, value)
-        self.maximum = max(self.maximum, value)
-
-    def extend(self, values: Iterable[float]) -> None:
-        """Fold many samples into the accumulator."""
-        for value in values:
-            self.add(value)
-
-    @property
-    def mean(self) -> float:
-        """Mean of the samples seen so far (0.0 when empty)."""
-        return self._mean if self.count else 0.0
-
-    @property
-    def variance(self) -> float:
-        """Population variance of the samples seen so far."""
-        if self.count < 2:
-            return 0.0
-        return self._m2 / self.count
-
-    @property
-    def stddev(self) -> float:
-        """Population standard deviation of the samples seen so far."""
-        return math.sqrt(self.variance)
-
-    def merge(self, other: "OnlineStats") -> "OnlineStats":
-        """Return a new accumulator equivalent to seeing both sample streams."""
-        merged = OnlineStats()
-        merged.count = self.count + other.count
-        if merged.count == 0:
-            return merged
-        delta = other._mean - self._mean
-        merged._mean = self._mean + delta * other.count / merged.count
-        merged._m2 = (
-            self._m2
-            + other._m2
-            + delta * delta * self.count * other.count / merged.count
-        )
-        merged.minimum = min(self.minimum, other.minimum)
-        merged.maximum = max(self.maximum, other.maximum)
-        return merged
 
 
 #: Two-sided 95% Student-t critical values by degrees of freedom (1-30);
@@ -124,11 +60,6 @@ class Summary:
     mean: float
     stddev: float
     ci95: float
-
-    @property
-    def interval(self) -> Tuple[float, float]:
-        """The 95% confidence interval as ``(low, high)``."""
-        return (self.mean - self.ci95, self.mean + self.ci95)
 
 
 def summarize(values: Sequence[float]) -> Summary:
@@ -378,18 +309,6 @@ class QuantileSketch:
             f"<QuantileSketch alpha={self.alpha} count={self.count} "
             f"bins={len(self._bins) + len(self._negative_bins)}>"
         )
-
-
-def weighted_mean(values: Sequence[float], weights: Sequence[float]) -> float:
-    """Weighted arithmetic mean of ``values``."""
-    if len(values) != len(weights):
-        raise ValueError("values and weights must have the same length")
-    if len(values) == 0:
-        raise ValueError("cannot average an empty sequence")
-    total_weight = float(np.sum(weights))
-    if total_weight <= 0:
-        raise ValueError("total weight must be positive")
-    return float(np.dot(values, weights) / total_weight)
 
 
 def jain_fairness_index(allocations: Sequence[float]) -> float:

@@ -17,8 +17,6 @@ from __future__ import annotations
 #: Number of bits in one byte.
 BITS_PER_BYTE = 8
 
-#: One kilobit per second, expressed in bits per second.
-KBPS = 1e3
 #: One megabit per second, expressed in bits per second.
 MBPS = 1e6
 #: One gigabit per second, expressed in bits per second.
@@ -30,11 +28,6 @@ MILLISECONDS = 1e-3
 MICROSECONDS = 1e-6
 #: One nanosecond, expressed in seconds.
 NANOSECONDS = 1e-9
-
-
-def kbps(value: float) -> float:
-    """Convert a value in kilobits per second to bits per second."""
-    return value * KBPS
 
 
 def mbps(value: float) -> float:
@@ -60,11 +53,6 @@ def microseconds(value: float) -> float:
 def bits(size_bytes: float) -> float:
     """Convert a size in bytes to a size in bits."""
     return size_bytes * BITS_PER_BYTE
-
-
-def bytes_from_bits(size_bits: float) -> float:
-    """Convert a size in bits to a size in bytes."""
-    return size_bits / BITS_PER_BYTE
 
 
 def transmission_delay(size_bytes: float, bandwidth_bps: float) -> float:

@@ -2,18 +2,9 @@
 
 import pytest
 
-from repro.analysis import (
-    FairnessTimeseries,
-    delay_ccdf,
-    delay_statistics,
-    fairness_timeseries,
-    fct_by_flow_size,
-    mean_fct,
-    normalized_fct,
-    packet_delays,
-    per_flow_throughput,
-    queueing_delays,
-)
+from repro.analysis.delay import delay_ccdf, delay_statistics, packet_delays
+from repro.analysis.fairness import FairnessTimeseries, fairness_timeseries
+from repro.analysis.fct import fct_by_flow_size, mean_fct
 from repro.sim.flow import Flow
 from repro.sim.packet import Packet, PacketType
 
@@ -56,12 +47,6 @@ class TestFct:
         with pytest.raises(ValueError):
             fct_by_flow_size([], bucket_edges=[100, 10])
 
-    def test_normalized_fct(self):
-        flows = [completed_flow(1000, 0.5)]
-        assert normalized_fct(flows, reference_fct=0.25) == pytest.approx(2.0)
-        with pytest.raises(ValueError):
-            normalized_fct(flows, reference_fct=0.0)
-
 
 class TestDelay:
     def test_packet_delays_exclude_acks_by_default(self):
@@ -90,12 +75,6 @@ class TestDelay:
         xs, ccdf = delay_ccdf(packets)
         assert all(b <= a for a, b in zip(ccdf, ccdf[1:]))
 
-    def test_queueing_delays_sum_hop_waits(self):
-        packet = delivered_packet()
-        hop = packet.record_arrival("r0", 0.0)
-        hop.start_service_time = 0.3
-        assert queueing_delays([packet]) == [pytest.approx(0.3)]
-
 
 class TestFairness:
     def test_equal_flows_give_index_one(self):
@@ -120,20 +99,6 @@ class TestFairness:
         assert series.time_to_reach(0.9) == pytest.approx(0.2)
         assert series.time_to_reach(0.999) is None
         assert series.final_index() == pytest.approx(0.99)
-
-    def test_acks_do_not_count_towards_throughput(self):
-        packets = [
-            delivered_packet(flow_id=0, egress=0.01),
-            delivered_packet(flow_id=1, egress=0.01, ptype=PacketType.ACK),
-        ]
-        throughput = per_flow_throughput(packets, duration=1.0, flow_ids=[0, 1])
-        assert throughput[0] > 0
-        assert throughput[1] == 0.0
-
-    def test_per_flow_throughput_units(self):
-        packets = [delivered_packet(flow_id=0, egress=0.5, size=1250)]
-        throughput = per_flow_throughput(packets, duration=2.0)
-        assert throughput[0] == pytest.approx(1250 * 8 / 2.0)
 
     def test_invalid_bin_width_rejected(self):
         with pytest.raises(ValueError):

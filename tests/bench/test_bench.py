@@ -1,6 +1,6 @@
 """The ``rows_digest`` contract ``benchmarks/perf/golden.json`` relies on."""
 
-from repro.bench import rows_digest
+from repro.bench.harness import rows_digest
 
 
 class TestRowsDigest:

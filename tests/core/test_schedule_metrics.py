@@ -2,14 +2,14 @@
 
 import pytest
 
-from repro.core.metrics import compare_schedules, fraction_overdue, lateness_distribution
+from repro.core.metrics import compare_schedules, lateness_distribution
 from repro.core.schedule import Schedule
-from repro.schedulers import uniform_factory
-from repro.sim import Simulation
+from repro.schedulers.factory import uniform_factory
 from repro.sim.flow import Flow
 from repro.sim.packet import Packet
-from repro.topology import linear_topology
-from repro.transport import start_udp_flow
+from repro.sim.simulation import Simulation
+from repro.topology.base import linear_topology
+from repro.transport.udp import start_udp_flow
 from repro.utils import mbps
 
 
@@ -57,9 +57,8 @@ class TestSchedule:
         schedule = Schedule.from_rows([row(1, ingress=5.0), row(2, ingress=1.0)])
         assert [r["packet_id"] for r in schedule] == [2, 1]
 
-    def test_lookup_and_membership(self):
+    def test_lookup(self):
         schedule = Schedule.from_rows([row(7)])
-        assert 7 in schedule and 8 not in schedule
         assert schedule.row(7)["packet_id"] == 7
         with pytest.raises(KeyError):
             schedule.row(8)
@@ -79,7 +78,7 @@ class TestSchedule:
         packet.ingress_time = 0.0
         packet.egress_time = 1.0
         schedule = Schedule.from_packets([packet])
-        assert 99 in schedule
+        assert schedule.packet_ids() == [99]
 
 
 class TestReplayMetrics:
@@ -119,7 +118,7 @@ class TestReplayMetrics:
     def test_tiny_lateness_below_tolerance_ignored(self):
         original = Schedule.from_rows([row(1, output=1.0)])
         replay = Schedule.from_rows([row(1, output=1.0 + 1e-12)])
-        assert fraction_overdue(original, replay) == 0.0
+        assert compare_schedules(original, replay, threshold=0.0).overdue_fraction == 0.0
 
     def test_deadline_metrics_default_to_zero_without_deadlines(self):
         original = Schedule.from_rows([row(1), row(2)])

@@ -18,10 +18,11 @@ from repro.core.slack import (
     OutputTimePriorityInitializer,
     ReplayInitializer,
 )
-from repro.schedulers import uniform_factory
-from repro.sim import Simulator
+from repro.schedulers.factory import uniform_factory
+from repro.sim.engine import Simulator
 from repro.sim.packet import Packet, PacketType
-from repro.topology import internet2_topology, linear_topology
+from repro.topology.base import linear_topology
+from repro.topology.internet2 import internet2_topology
 from repro.utils import mbps
 
 
@@ -148,7 +149,7 @@ def test_headers_match_the_networks_expressions_bit_for_bit(packets):
     ]
     slack = DeadlineSlackInitializer().headers(cols, link_params)[0]
     assert slack == [
-        deadline - ingress - I2_NETWORK.bottleneck_transmission_time(
+        deadline - ingress - I2.bottleneck_transmission_time(
             size if flow_bytes is None else flow_bytes
         )
         for deadline, ingress, size, flow_bytes in zip(
@@ -236,15 +237,6 @@ class TestFairnessSlackPolicy:
         ack = Packet(flow_id=1, src="b", dst="a", size_bytes=40, ptype=PacketType.ACK, packet_id=0)
         policy.on_packet_sent(ack, now=0.0)
         assert ack.header.slack == 0.5
-
-    def test_reset_clears_state(self):
-        policy = FairnessSlackPolicy(rate_estimate_bps=1e6)
-        first = Packet(flow_id=1, src="a", dst="b", size_bytes=1000, packet_id=0)
-        policy.on_packet_sent(first, now=0.0)
-        policy.reset()
-        again = Packet(flow_id=1, src="a", dst="b", size_bytes=1000, packet_id=1)
-        policy.on_packet_sent(again, now=10.0)
-        assert again.header.slack == 0.0
 
     def test_rejects_nonpositive_rate(self):
         with pytest.raises(ValueError):

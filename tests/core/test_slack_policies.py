@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.core.schedule import Schedule
 from repro.core.slack import (
     BlackBoxSlackInitializer,
     ConstantSlackPolicy,
@@ -35,11 +36,10 @@ from repro.core.slack_policy import (
     SLACK_POLICIES,
     SlackPolicyDef,
 )
-from repro.core.schedule import Schedule
-from repro.schedulers import uniform_factory
-from repro.sim import Simulator
+from repro.schedulers.factory import uniform_factory
+from repro.sim.engine import Simulator
 from repro.sim.packet import Packet
-from repro.topology import linear_topology
+from repro.topology.base import linear_topology
 from repro.utils import mbps
 
 
@@ -272,7 +272,7 @@ class TestDeadlineSlack:
         row = make_row(
             line_network, ingress=0.01, deadline=0.5, size=1000.0, flow_size=8000.0
         )
-        residual = line_network.bottleneck_transmission_time(8000.0)
+        residual = topology.bottleneck_transmission_time(8000.0)
         assert headers_of(DeadlineSlackInitializer(), topology, row) == (
             0.5 - 0.01 - residual,
             math.inf,
@@ -282,7 +282,7 @@ class TestDeadlineSlack:
 
     def test_falls_back_to_packet_size_without_flow_size(self, topology, line_network):
         row = make_row(line_network, ingress=0.0, deadline=0.2, size=1000.0)
-        residual = line_network.bottleneck_transmission_time(1000.0)
+        residual = topology.bottleneck_transmission_time(1000.0)
         assert headers_of(DeadlineSlackInitializer(), topology, row)[0] == 0.2 - 0.0 - residual
 
     def test_infeasible_deadline_yields_negative_slack(self, topology, line_network):

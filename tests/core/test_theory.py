@@ -15,7 +15,7 @@ from repro.core.theory import (
     identical_blackbox_views,
     priority_order_constraints,
 )
-from repro.topology import Topology
+from repro.topology.base import Topology
 
 
 def overdue(example, schedule, mode):
@@ -34,7 +34,7 @@ class TestHelpers:
         in_name, out_name = add_congestion_segment(topo, "alpha", 1.0)
         assert in_name == "alpha-in"
         assert out_name == "alpha-out"
-        assert topo.num_links == 1
+        assert len(topo.links) == 1
         assert topo.links[0].bandwidth_bps == pytest.approx(8.0)
 
 

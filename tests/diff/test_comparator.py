@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.schedule import Schedule
-from repro.diff import FieldDiff, first_divergence
+from repro.diff import first_divergence
+from repro.diff.comparator import FieldDiff
 from repro.experiments import ExperimentScale
-from repro.pipeline import Scenario
 from repro.pipeline.experiment import record_scenario_schedule
+from repro.pipeline.scenario import Scenario
 
 SMOKE = ExperimentScale.smoke()
 

@@ -6,17 +6,17 @@ import json
 import pytest
 
 from repro.__main__ import main as cli_main
-from repro.diff import (
+from repro.diff import fuzz as fuzz_module, load_case, run_comparison, run_fuzz
+from repro.diff.comparator import Divergence
+from repro.diff.fuzz import (
+    FLAT_ORIGINALS,
+    LIVE_TWIN_POLICIES,
     ComparisonSpec,
-    Divergence,
     FuzzFailure,
-    load_case,
-    run_comparison,
-    run_fuzz,
+    case_plan,
+    shrink_case,
     write_artifact,
 )
-from repro.diff import fuzz as fuzz_module
-from repro.diff.fuzz import FLAT_ORIGINALS, LIVE_TWIN_POLICIES, case_plan, shrink_case
 from repro.pipeline.synth import (
     ORIGINALS,
     random_scenario,
@@ -24,8 +24,9 @@ from repro.pipeline.synth import (
     scenario_to_dict,
     simplified,
 )
-from repro.sim import Simulator, flat_record
+from repro.sim import flat_record
 from repro.sim.compiled import kernel_available, unavailable_reason
+from repro.sim.engine import Simulator
 
 
 @pytest.fixture(autouse=True)

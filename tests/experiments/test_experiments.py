@@ -4,19 +4,14 @@ import json
 
 import pytest
 
-from repro.experiments import (
-    ExperimentResult,
-    ExperimentScale,
-    default_scenario,
-    format_result,
-    results_to_json,
-    run_scenario,
-    table1_scenarios,
-)
+from repro.experiments import ExperimentScale
+from repro.experiments.config import ExperimentResult
 from repro.experiments.figure2 import FIGURE2_SCHEDULERS, figure2_size_distribution
 from repro.experiments.figure4 import build_long_lived_flows, fairness_scale
+from repro.experiments.runner import format_result, results_to_json
+from repro.experiments.table1 import table1_scenarios
 from repro.pipeline import run_pipeline
-from repro.utils import gbps
+from repro.utils.units import gbps
 
 
 SMOKE = ExperimentScale.smoke()
@@ -64,16 +59,6 @@ class TestTable1Harness:
         originals = {s.original for s in scenarios}
         assert {"random", "fifo", "fq", "sjf", "lifo", "fq+fifo+"} <= originals
 
-    def test_run_scenario_produces_table_row(self):
-        row = run_scenario(default_scenario(SMOKE, utilization=0.6))
-        assert set(row) >= {
-            "scenario", "utilization", "original", "fraction_overdue",
-            "fraction_overdue_beyond_T", "packets", "threshold",
-        }
-        assert row["packets"] > 0
-        assert 0.0 <= row["fraction_overdue"] <= 1.0
-        assert row["fraction_overdue_beyond_T"] <= row["fraction_overdue"]
-
     def test_priority_comparison_shows_lstf_advantage(self):
         result = run_one("table1-priority")
         by_mode = {row["replay_mode"]: row for row in result.rows}
@@ -101,7 +86,7 @@ class TestFigureHelpers:
 
     def test_build_long_lived_flows_pins_src_and_dst_groups(self):
         topo = SMOKE.internet2(edge_core_gbps=10.0, host_edge_gbps=10.0)
-        from repro.utils import RandomState
+        from repro.utils.rng import RandomState
 
         flows = build_long_lived_flows(topo, 8, jitter=0.005, rng=RandomState(1))
         assert len(flows) == 8
@@ -151,7 +136,7 @@ class TestRowsDoNotDependOnThePythonVersion:
             return real_sum(values, *start)
 
         monkeypatch.setattr(builtins, "sum", float_free_sum)
-        names = [definition.name for definition in default_registry().experiments()]
+        names = [definition.name for definition in default_registry()]
         summary = run_pipeline(names, scale=SMOKE, workers=1)
         assert summary.errors == []
         assert set(summary.results) == set(names)

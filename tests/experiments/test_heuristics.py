@@ -28,7 +28,7 @@ from repro.experiments.heuristics import (
     heuristics_scenarios,
 )
 from repro.pipeline import default_registry, run_pipeline
-from repro.traffic import WORKLOADS
+from repro.traffic.registry import WORKLOADS
 
 SMOKE = ExperimentScale.smoke()
 GOLDEN_ROWS_PATH = Path(__file__).parent.parent / "data" / "golden_heuristics_rows.json"

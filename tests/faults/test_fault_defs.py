@@ -7,18 +7,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.faults import (
+from repro.faults import FAULTS, BernoulliLoss, FaultPlan, FaultScheduleDef
+from repro.faults.defs import (
+    DRAW_BLOCK,
     FAULT_KINDS,
-    FAULTS,
-    BernoulliLoss,
-    FaultPlan,
-    FaultScheduleDef,
     GilbertElliottLoss,
     JammingIntervals,
     LinkOutage,
     fault_from_dict,
+    uniform_draws,
 )
-from repro.faults.defs import DRAW_BLOCK, uniform_draws
 from repro.utils.rng import RandomState
 
 

@@ -3,15 +3,8 @@
 import pytest
 
 from repro.core.replay import evaluate_replay, original_scheduler_factory, record_schedule
-from repro.faults import (
-    FAULTS,
-    BernoulliLoss,
-    FaultPlan,
-    FaultScheduleDef,
-    GilbertElliottLoss,
-    JammingIntervals,
-    LinkOutage,
-)
+from repro.faults import FAULTS, BernoulliLoss, FaultPlan, FaultScheduleDef
+from repro.faults.defs import GilbertElliottLoss, JammingIntervals, LinkOutage
 from repro.sim.compiled import kernel_available, unavailable_reason
 from repro.topology import dumbbell_topology
 from repro.traffic import WorkloadSpec, paper_default_workload

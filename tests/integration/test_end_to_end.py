@@ -7,15 +7,19 @@ schedulers under test, the replay engine, and the analysis layer together.
 
 import pytest
 
-from repro.analysis import delay_statistics, fairness_timeseries, mean_fct
+from repro.analysis.delay import delay_statistics
+from repro.analysis.fairness import fairness_timeseries
+from repro.analysis.fct import mean_fct
 from repro.core import ReplayExperiment
 from repro.core.slack import ConstantSlackPolicy, FairnessSlackPolicy, FlowSizeSlackPolicy
 from repro.experiments import ExperimentScale
-from repro.schedulers import uniform_factory
-from repro.sim import Simulation
+from repro.schedulers.factory import uniform_factory
 from repro.sim.flow import Flow
-from repro.topology import dumbbell_topology, internet2_topology
-from repro.traffic import BoundedParetoSize, WorkloadSpec, paper_default_workload
+from repro.sim.simulation import Simulation
+from repro.topology import dumbbell_topology
+from repro.topology.internet2 import internet2_topology
+from repro.traffic import WorkloadSpec, paper_default_workload
+from repro.traffic.distributions import BoundedParetoSize
 from repro.utils import mbps
 
 

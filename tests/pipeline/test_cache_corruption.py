@@ -7,8 +7,9 @@ import logging
 import pytest
 
 from repro.experiments import ExperimentScale
-from repro.pipeline import Scenario, ScheduleCache, replay_scenario, run_pipeline
+from repro.pipeline import ScheduleCache, replay_scenario, run_pipeline
 from repro.pipeline.experiment import scenario_cache_key
+from repro.pipeline.scenario import Scenario
 
 SMOKE = ExperimentScale.smoke()
 

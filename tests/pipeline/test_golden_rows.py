@@ -1,6 +1,6 @@
 """Golden-rows determinism fixture.
 
-``tests/data/golden_rows.json`` holds the exact ``run_scenario`` output rows
+``tests/data/golden_rows.json`` holds the exact Table-1 rows (``scenario_row``)
 of a representative scenario set, captured on the pre-optimization hot path
 (PR 2, commit d5cfe10).  The test recomputes every row with the current code
 and compares **bit-identically** (floats included): any hot-path change that
@@ -55,9 +55,13 @@ def golden_scenarios() -> List:
 
 def compute_rows() -> List[dict]:
     """Run every golden scenario and return its row, in scenario order."""
-    from repro.experiments.table1 import run_scenario
+    from repro.experiments.table1 import scenario_row
+    from repro.pipeline.experiment import replay_scenario
 
-    return [run_scenario(scenario) for scenario in golden_scenarios()]
+    return [
+        scenario_row(scenario, scenario.replay_mode, replay_scenario(scenario))
+        for scenario in golden_scenarios()
+    ]
 
 
 def _canonical(rows: List[dict]) -> List[dict]:

@@ -8,18 +8,20 @@ import pytest
 from repro.__main__ import main as cli_main
 from repro.experiments import ExperimentScale
 from repro.pipeline import (
-    REGISTRY,
-    Scenario,
     ScheduleCache,
-    Sweep,
     default_registry,
     replay_scenario,
     run_pipeline,
-    scenario_cache_key,
     schedule_cache_key,
 )
-from repro.pipeline.experiment import ScenarioExperimentDef, ScenarioRegistry
-from repro.pipeline.scenario import PipelineConfigError, expand_replicates, stable_seed
+from repro.pipeline.experiment import ScenarioExperimentDef, ScenarioRegistry, scenario_cache_key
+from repro.pipeline.scenario import (
+    PipelineConfigError,
+    Scenario,
+    Sweep,
+    expand_replicates,
+    stable_seed,
+)
 
 SMOKE = ExperimentScale.smoke()
 #: A cheap experiment subset that still exercises record/replay, schedule

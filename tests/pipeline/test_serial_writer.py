@@ -21,17 +21,20 @@ import pytest
 from repro.core.schedule import load_schedule
 from repro.experiments import ExperimentScale
 from repro.pipeline import (
-    Scenario,
     ScheduleCache,
-    cached_schedule,
     default_registry,
+    experiment as experiment_module,
     run_pipeline,
+    runner as runner_module,
+)
+from repro.pipeline.experiment import (
+    ScenarioExperimentDef,
+    ScenarioRegistry,
+    cached_schedule,
     scenario_cache_key,
 )
-from repro.pipeline import experiment as experiment_module
-from repro.pipeline import runner as runner_module
-from repro.pipeline.experiment import ScenarioExperimentDef, ScenarioRegistry
 from repro.pipeline.runner import CellTimeoutError, _cell_deadline
+from repro.pipeline.scenario import Scenario
 
 SMOKE = ExperimentScale.smoke()
 

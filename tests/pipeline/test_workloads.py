@@ -21,16 +21,10 @@ import pytest
 
 from repro.__main__ import main as cli_main
 from repro.experiments import ExperimentScale
-from repro.pipeline import (
-    ScheduleCache,
-    default_registry,
-    override_workload,
-    run_pipeline,
-    scenario_cache_key,
-)
-from repro.pipeline.experiment import recording_twin
-from repro.pipeline.scenario import Scenario
-from repro.traffic import WORKLOADS
+from repro.pipeline import ScheduleCache, default_registry, run_pipeline
+from repro.pipeline.experiment import recording_twin, scenario_cache_key
+from repro.pipeline.scenario import Scenario, override_workload
+from repro.traffic.registry import WORKLOADS
 
 SMOKE = ExperimentScale.smoke()
 GOLDEN_KEYS_PATH = Path(__file__).parent.parent / "data" / "golden_cache_keys.json"

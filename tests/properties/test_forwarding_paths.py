@@ -14,10 +14,11 @@ from hypothesis import strategies as st
 
 from repro.core.replay import replay_schedule
 from repro.core.schedule import Schedule
-from repro.schedulers import uniform_factory
-from repro.sim import Simulator, Tracer
+from repro.schedulers.factory import uniform_factory
+from repro.sim.engine import Simulator
 from repro.sim.packet import Packet
-from repro.topology import Topology
+from repro.sim.tracer import Tracer
+from repro.topology.base import Topology
 from repro.utils import mbps
 
 

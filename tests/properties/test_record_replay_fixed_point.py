@@ -31,7 +31,8 @@ from repro.core.replay import (
 from repro.sim.backend import select_engine
 from repro.sim.compiled import kernel_available, unavailable_reason
 from repro.traffic import WorkloadSpec, paper_default_workload
-from repro.utils import RandomState, mbps
+from repro.utils import mbps
+from repro.utils.rng import RandomState
 from tests.properties.test_forwarding_paths import topologies
 from tests.sim.test_flat_record import recording_engine
 

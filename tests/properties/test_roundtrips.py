@@ -15,15 +15,10 @@ import tempfile
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.schedule import (
-    Schedule,
-    load_schedule,
-    save_schedule,
-)
-from repro.faults import (
+from repro.core.schedule import Schedule, load_schedule, save_schedule
+from repro.faults import FAULTS, BernoulliLoss
+from repro.faults.defs import (
     FAULT_KINDS,
-    FAULTS,
-    BernoulliLoss,
     GilbertElliottLoss,
     JammingIntervals,
     LinkOutage,

@@ -13,9 +13,9 @@ import networkx as nx
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.schedulers import uniform_factory
-from repro.sim import Simulator
+from repro.schedulers.factory import uniform_factory
 from repro.sim import routing as routing_module
+from repro.sim.engine import Simulator
 from repro.sim.network import Network
 from repro.sim.routing import RoutingTable
 from repro.utils import mbps

@@ -2,20 +2,20 @@
 
 import pytest
 
-from repro.schedulers import (
+from repro.schedulers.factory import (
     SCHEDULER_REGISTRY,
-    FairQueueingScheduler,
-    FifoPlusScheduler,
-    FifoScheduler,
-    LstfScheduler,
-    RandomScheduler,
     alternating_factory,
-    per_node_factory,
     scheduler_class,
     uniform_factory,
 )
+from repro.schedulers.fifo import FifoScheduler
+from repro.schedulers.fifo_plus import FifoPlusScheduler
+from repro.schedulers.fq import FairQueueingScheduler
+from repro.schedulers.lstf import LstfScheduler
+from repro.schedulers.random_sched import RandomScheduler
 from repro.sim.link import Link
-from repro.utils import RandomState, mbps
+from repro.utils import mbps
+from repro.utils.rng import RandomState
 
 
 LINK = Link("a", "b", mbps(10))
@@ -23,7 +23,7 @@ LINK = Link("a", "b", mbps(10))
 
 def test_registry_contains_every_paper_scheduler():
     for name in ("fifo", "lifo", "random", "priority", "sjf", "srpt", "fq",
-                 "fifo+", "lstf", "lstf-preemptive", "edf", "drr"):
+                 "fifo+", "lstf", "lstf-preemptive", "edf"):
         assert name in SCHEDULER_REGISTRY
 
 
@@ -57,14 +57,6 @@ def test_random_scheduler_gets_per_port_rng():
     second = factory("r1", LINK)
     assert isinstance(first, RandomScheduler)
     assert first._rng is not second._rng
-
-
-def test_per_node_factory_routes_by_node_name():
-    factory = per_node_factory(
-        {"special": uniform_factory("fq")}, default=uniform_factory("fifo")
-    )
-    assert isinstance(factory("special", LINK), FairQueueingScheduler)
-    assert isinstance(factory("other", LINK), FifoScheduler)
 
 
 def test_alternating_factory_splits_routers_in_half():

@@ -1,10 +1,7 @@
-"""Unit tests for fair queueing (SCFQ), DRR, and the flow-aware SRPT/SJF schedulers."""
+"""Unit tests for fair queueing (SCFQ) and the flow-aware SRPT/SJF schedulers."""
 
 import itertools
 
-import pytest
-
-from repro.schedulers.drr import DrrScheduler
 from repro.schedulers.fq import FairQueueingScheduler
 from repro.schedulers.srpt import SjfStarvationFreeScheduler, SrptScheduler
 from repro.sim.packet import Packet
@@ -87,41 +84,6 @@ class TestFairQueueing:
         last_small_index = max(i for i, p in enumerate(served) if p.flow_id == 2)
         assert first_large_index < last_small_index
         assert served[-1].flow_id == 1
-
-
-class TestDrr:
-    def test_round_robin_across_flows(self):
-        scheduler = DrrScheduler(quantum_bytes=1000)
-        for _ in range(3):
-            scheduler.enqueue(packet(1, size=1000), 0.0)
-            scheduler.enqueue(packet(2, size=1000), 0.0)
-        served = [p.flow_id for p in drain(scheduler)]
-        # Strict alternation once both flows are active.
-        assert served.count(1) == served.count(2) == 3
-        assert served[:2] in ([1, 2], [2, 1])
-
-    def test_large_packet_waits_for_enough_deficit(self):
-        scheduler = DrrScheduler(quantum_bytes=500)
-        scheduler.enqueue(packet(1, size=1400), 0.0)
-        scheduler.enqueue(packet(2, size=400), 0.0)
-        served = drain(scheduler)
-        assert len(served) == 2
-        # The small packet from flow 2 should not be blocked behind flow 1's
-        # credit accumulation.
-        assert served[0].flow_id == 2
-
-    def test_invalid_quantum_rejected(self):
-        with pytest.raises(ValueError):
-            DrrScheduler(quantum_bytes=0)
-
-    def test_remove_packet(self):
-        scheduler = DrrScheduler()
-        first = packet(1)
-        second = packet(1)
-        scheduler.enqueue(first, 0.0)
-        scheduler.enqueue(second, 0.0)
-        assert scheduler.remove(first)
-        assert drain(scheduler) == [second]
 
 
 class TestSrpt:

@@ -5,15 +5,16 @@ from collections import deque
 
 import pytest
 
-from repro.schedulers import uniform_factory
 from repro.schedulers.edf import EdfScheduler
+from repro.schedulers.factory import uniform_factory
 from repro.schedulers.fifo_plus import FifoPlusScheduler
 from repro.schedulers.lstf import LstfScheduler, PreemptiveLstfScheduler
 from repro.schedulers.omniscient import OmniscientReplayScheduler
-from repro.sim import Simulator, Tracer
+from repro.sim.engine import Simulator
 from repro.sim.packet import Packet
-from repro.topology import Topology, linear_topology, single_switch_topology
-from repro.utils import mbps, transmission_delay
+from repro.sim.tracer import Tracer
+from repro.topology.base import Topology, linear_topology
+from repro.utils import mbps
 
 #: Hand-built packets only need distinct ids (schedulers key their queues on them).
 _ids = itertools.count()

@@ -19,26 +19,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.replay import (
-    ReplayExperiment,
-    evaluate_replay,
-    replay_schedule,
-)
 from repro.core import replay_compiled
+from repro.core.replay import ReplayExperiment, evaluate_replay, replay_schedule
 from repro.core.replay_compiled import CompiledBackend
 from repro.core.schedule import Schedule
-from repro.faults import (
-    FAULTS,
-    BernoulliLoss,
-    FaultPlan,
-    FaultScheduleDef,
-    GilbertElliottLoss,
-    JammingIntervals,
-    LinkOutage,
-)
+from repro.faults import FAULTS, BernoulliLoss, FaultPlan, FaultScheduleDef
+from repro.faults.defs import GilbertElliottLoss, JammingIntervals, LinkOutage
 from repro.pipeline.scenario import PipelineConfigError
-from repro.sim.engine import Simulator
 from repro.sim.compiled import kernel_available, kernel_run_flat_replay, unavailable_reason
+from repro.sim.engine import Simulator
 from repro.topology import dumbbell_topology
 from repro.topology.base import LinkSpec, NodeSpec, Topology
 from repro.traffic import WorkloadSpec, paper_default_workload

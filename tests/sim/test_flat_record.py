@@ -23,13 +23,16 @@ from repro.experiments.table1 import default_scenario, table1_scenarios
 from repro.faults import FAULTS, FaultPlan
 from repro.pipeline.experiment import default_registry, record_scenario_schedule, recording_twin
 from repro.pipeline.scenario import Scenario
-from repro.schedulers import uniform_factory
+from repro.schedulers.factory import uniform_factory
 from repro.schedulers.random_sched import RandomScheduler
-from repro.sim import Simulator, flat_record
+from repro.sim import flat_record
 from repro.sim.backend import BACKEND_ENV_VAR
-from repro.topology import Topology, linear_topology
-from repro.traffic import ConstantSize, WorkloadSpec, paper_default_workload
-from repro.utils import RandomState, mbps
+from repro.sim.engine import Simulator
+from repro.topology.base import Topology, linear_topology
+from repro.traffic import WorkloadSpec, paper_default_workload
+from repro.traffic.distributions import ConstantSize
+from repro.utils import mbps
+from repro.utils.rng import RandomState
 from tests.properties.test_forwarding_paths import topologies
 
 FLAT_ORIGINALS = ("fifo", "lifo", "sjf", "random", "srpt", "lstf", "fq", "fifo+", "fq+fifo+")
@@ -129,7 +132,7 @@ def test_every_shipped_recording_logs_the_flat_loop():
     cell, live slack policies included — records on the flat loop."""
     twins = {
         recording_twin(cell.spec)
-        for definition in default_registry().experiments()
+        for definition in default_registry()
         for cell in definition.cells(SMOKE)
         if isinstance(cell.spec, Scenario)
     }

@@ -17,11 +17,11 @@ from repro.experiments.config import ExperimentScale
 from repro.experiments.heuristics import heuristics_scenarios
 from repro.experiments.table1 import table1_scenarios
 from repro.pipeline.experiment import record_scenario_schedule
-from repro.schedulers import uniform_factory
-from repro.sim import Simulator
+from repro.schedulers.factory import uniform_factory
 from repro.sim.backend import BACKEND_ENV_VAR
+from repro.sim.engine import Simulator
 from repro.sim.packet import Packet
-from repro.topology import linear_topology
+from repro.topology.base import linear_topology
 from repro.utils import mbps
 
 PACKETS = 400

@@ -18,8 +18,8 @@ import pytest
 from repro.core.replay import (
     ReplayInjector,
     replay_initializer,
-    replay_scheduler_factory,
     replay_schedule,
+    replay_scheduler_factory,
 )
 from repro.core.schedule import Schedule, load_schedule, save_schedule
 from repro.experiments.config import ExperimentScale
@@ -27,11 +27,15 @@ from repro.experiments.figure2 import run_fct_scenario
 from repro.experiments.table1 import table1_scenarios
 from repro.pipeline import ScheduleCache, default_registry, record_scenario_schedule
 from repro.pipeline.runner import backend_scope
-from repro.schedulers import uniform_factory
-from repro.sim import Flow, Simulator, Tracer, flat_record
+from repro.schedulers.factory import uniform_factory
+from repro.sim import flat_record
 from repro.sim.backend import BACKEND_ENV_VAR
-from repro.topology import single_switch_topology
-from repro.transport import start_tcp_flow, start_udp_flow
+from repro.sim.engine import Simulator
+from repro.sim.flow import Flow
+from repro.sim.tracer import Tracer
+from repro.topology.base import single_switch_topology
+from repro.transport.tcp import start_tcp_flow
+from repro.transport.udp import start_udp_flow
 from repro.utils import mbps
 
 REPO_ROOT = Path(__file__).resolve().parents[2]

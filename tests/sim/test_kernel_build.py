@@ -118,7 +118,6 @@ class TestBuildAndCache:
         assert compiled_mod.kernel_available() is True
         first = kernel_path(kernel_sandbox)
         assert compiled_mod.kernel_build_info()["path"] == str(first)
-        before = first.read_bytes()
 
         with open(kernel_sandbox / "_kernel.c", "a") as stream:
             stream.write("\n")
@@ -126,7 +125,19 @@ class TestBuildAndCache:
         assert compiled_mod.kernel_available() is True
         second = kernel_path(kernel_sandbox)
         assert second != first and compiled_mod.kernel_build_info()["path"] == str(second)
-        assert spawned() == 2 and first.read_bytes() == before
+        assert spawned() == 2 and not first.exists()  # the old source's build is gone
+
+    def test_a_build_removes_other_sources_builds_and_markers(self, kernel_sandbox):
+        cache = kernel_sandbox / "__pycache__"
+        cache.mkdir()
+        old_build = cache / f"_kernel-000000000000{EXT_SUFFIX}"
+        stale = [old_build, old_build.with_name(old_build.name + ".failed")]
+        for path in stale:
+            path.write_bytes(b"from an older source")
+        unrelated = cache / "other.cpython.pyc"
+        unrelated.write_bytes(b"kept")
+        assert compiled_mod.build_kernel() is None
+        assert sorted(os.listdir(cache)) == sorted([kernel_path(kernel_sandbox).name, unrelated.name])
 
     def test_racing_processes_end_with_one_valid_file(self, kernel_sandbox):
         racers = [fresh_process(kernel_sandbox) for _ in range(2)]
@@ -151,6 +162,29 @@ class TestBuildAndCache:
         assert json.loads(capsys.readouterr().out)["errors"] == []
         assert spawned() == 1
         assert compiled_mod._kernel.cache_info().currsize == 1  # probed here, not only in workers
+
+
+class TestOtherBuildsCleanup:
+    def test_keeps_the_build_its_racing_temp_files_and_unrelated_files(self, tmp_path):
+        sha = "abcdef012345"
+        target = tmp_path / f"_kernel-{sha}{EXT_SUFFIX}"
+        old = f"_kernel-000000000000{EXT_SUFFIX}"
+        kept = [target, tmp_path / f"{target.name}.tmp.4242", tmp_path / "theory.cpython.pyc"]
+        gone = [tmp_path / f"{target.name}.failed", *(tmp_path / (old + end) for end in ("", ".failed", ".tmp.7"))]
+        for path in kept + gone:
+            path.write_bytes(b"x")
+        compiled_mod._remove_other_builds(str(target), sha)
+        assert sorted(os.listdir(tmp_path)) == sorted(path.name for path in kept)
+
+    def test_a_declined_build_removes_nothing(self, no_compiler):
+        """Only a build that loads retires the others: without a compiler they stay."""
+        cache = no_compiler / "__pycache__"
+        cache.mkdir()
+        old = cache / f"_kernel-000000000000{EXT_SUFFIX}"
+        old.write_bytes(b"from an older source")
+        assert compiled_mod.kernel_available() is False
+        marker = kernel_path(no_compiler).name + ".failed"
+        assert sorted(os.listdir(cache)) == sorted([old.name, marker])
 
 
 def schedule_columns(path) -> list:

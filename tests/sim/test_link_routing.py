@@ -3,21 +3,21 @@
 import networkx as nx
 import pytest
 
-from repro.schedulers import uniform_factory
-from repro.sim import Simulator
+from repro.schedulers.factory import uniform_factory
+from repro.sim.engine import Simulator
 from repro.sim.link import Link
 from repro.sim.network import Network
 from repro.sim.packet import Packet
 from repro.sim.routing import RoutingError, RoutingTable
-from repro.topology import linear_topology
-from repro.utils import mbps, transmission_delay
+from repro.topology.base import linear_topology
+from repro.utils import mbps
+from repro.utils.units import transmission_delay
 
 
 class TestLink:
-    def test_transmission_and_latency(self):
+    def test_transmission_delay(self):
         link = Link("a", "b", bandwidth_bps=mbps(10), propagation_delay=0.001)
         assert link.transmission_delay(1250) == pytest.approx(0.001)
-        assert link.latency(1250) == pytest.approx(0.002)
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
@@ -39,7 +39,6 @@ class TestRoutingTable:
         table = RoutingTable(self._graph())
         assert table.path("a", "c") in (["a", "b", "c"], ["a", "d", "c"])
         assert table.next_hop("a", "c") in ("b", "d")
-        assert table.hop_count("a", "c") == 2
 
     def test_path_to_self(self):
         table = RoutingTable(self._graph())
@@ -79,8 +78,7 @@ class TestNetworkTmin:
         topo = linear_topology(
             num_routers=2, bandwidth_bps=mbps(1), access_bandwidth_bps=mbps(100)
         )
-        network = topo.build(Simulator(), uniform_factory("fifo"))
-        assert network.bottleneck_transmission_time(1460) == pytest.approx(
+        assert topo.bottleneck_transmission_time(1460) == pytest.approx(
             transmission_delay(1460, mbps(1))
         )
 

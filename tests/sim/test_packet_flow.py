@@ -2,12 +2,12 @@
 
 import pytest
 
-from repro.schedulers import uniform_factory
-from repro.sim import Simulator
+from repro.schedulers.factory import uniform_factory
+from repro.sim.engine import Simulator
 from repro.sim.flow import Flow
-from repro.sim.packet import HopRecord, Packet, PacketHeader, PacketType
-from repro.topology import single_switch_topology
-from repro.transport import start_udp_flow
+from repro.sim.packet import Packet, PacketType
+from repro.topology.base import single_switch_topology
+from repro.transport.udp import start_udp_flow
 from repro.utils import mbps
 
 
@@ -15,16 +15,6 @@ class TestPacket:
     def test_a_packet_cannot_be_built_without_an_id(self):
         with pytest.raises(TypeError, match="packet_id"):
             Packet(flow_id=1, src="a", dst="b", size_bytes=100)
-
-    def test_hop_records_accumulate_queueing_delay(self):
-        packet = Packet(flow_id=1, src="a", dst="b", size_bytes=100, packet_id=0)
-        hop = packet.record_arrival("r1", 1.0)
-        hop.start_service_time = 1.5
-        hop.departure_time = 1.6
-        hop2 = packet.record_arrival("r2", 2.0)
-        hop2.start_service_time = 2.0
-        assert packet.total_queueing_delay == pytest.approx(0.5)
-        assert packet.path_taken == ["r1", "r2"]
 
     def test_end_to_end_delay_requires_both_timestamps(self):
         packet = Packet(flow_id=1, src="a", dst="b", size_bytes=100, packet_id=0)
@@ -38,20 +28,6 @@ class TestPacket:
         ack = Packet(flow_id=1, src="b", dst="a", size_bytes=40, ptype=PacketType.ACK, packet_id=1)
         assert not data.is_ack
         assert ack.is_ack
-
-    def test_header_copy_is_independent(self):
-        from collections import deque
-
-        header = PacketHeader(slack=1.0, hop_output_times=deque([1.0, 2.0]))
-        copy = header.copy()
-        copy.slack = 9.0
-        copy.hop_output_times.popleft()
-        assert header.slack == 1.0
-        assert list(header.hop_output_times) == [1.0, 2.0]
-
-    def test_hop_record_queueing_delay_without_service(self):
-        hop = HopRecord(node="r1", arrival_time=2.0)
-        assert hop.queueing_delay == 0.0
 
 
 class TestFlow:

@@ -3,19 +3,15 @@
 import networkx as nx
 import pytest
 
-from repro.schedulers import uniform_factory
-from repro.sim import Simulator
-from repro.topology import (
-    Topology,
-    dumbbell_topology,
-    fattree_topology,
-    internet2_topology,
-    linear_topology,
-    rocketfuel_topology,
-    single_switch_topology,
-)
-from repro.topology.internet2 import CORE_LINKS, CORE_ROUTERS
-from repro.utils import gbps, mbps
+from repro.schedulers.factory import uniform_factory
+from repro.sim.engine import Simulator
+from repro.topology import dumbbell_topology
+from repro.topology.base import Topology, linear_topology, single_switch_topology
+from repro.topology.fattree import fattree_topology
+from repro.topology.internet2 import CORE_LINKS, CORE_ROUTERS, internet2_topology
+from repro.topology.rocketfuel import rocketfuel_topology
+from repro.utils import mbps
+from repro.utils.units import gbps
 
 
 def connected(topology: Topology) -> bool:
@@ -49,8 +45,8 @@ class TestTopologySpec:
         topo = dumbbell_topology(2, mbps(10), mbps(100))
         assert sorted(topo.host_names()) == ["dst0", "dst1", "src0", "src1"]
         assert sorted(topo.router_names()) == ["left", "right"]
-        assert topo.num_nodes == 6
-        assert topo.num_links == 5
+        assert len(topo.nodes) == 6
+        assert len(topo.links) == 5
 
     def test_build_is_repeatable(self):
         """The same spec can be instantiated many times (record + replay runs)."""

@@ -2,24 +2,21 @@
 
 import pytest
 
-from repro.schedulers import uniform_factory
-from repro.sim import Simulation
+from repro.schedulers.factory import uniform_factory
+from repro.sim.simulation import Simulation
 from repro.topology import dumbbell_topology
-from repro.traffic import (
+from repro.traffic import WorkloadSpec, paper_default_workload
+from repro.traffic.distributions import (
     BoundedParetoSize,
     ConstantSize,
     EmpiricalSize,
-    ExponentialSize,
-    PoissonFlowGenerator,
-    StaticFlowSet,
-    WorkloadSpec,
-    arrival_rate_for_utilization,
-    paper_default_workload,
-    utilization_of_rate,
+    data_mining_workload,
     web_search_workload,
 )
-from repro.traffic.distributions import data_mining_workload
-from repro.utils import RandomState, mbps
+from repro.traffic.flowgen import PoissonFlowGenerator
+from repro.traffic.workload import arrival_rate_for_utilization
+from repro.utils import mbps
+from repro.utils.rng import RandomState
 
 
 class TestDistributions:
@@ -30,12 +27,6 @@ class TestDistributions:
         assert dist.mean() == 5000
         with pytest.raises(ValueError):
             ConstantSize(0)
-
-    def test_exponential_respects_minimum(self):
-        dist = ExponentialSize(mean_bytes=2000, minimum_bytes=1460)
-        rng = RandomState(1)
-        samples = [dist.sample(rng) for _ in range(500)]
-        assert min(samples) >= 1460
 
     def test_bounded_pareto_within_bounds(self):
         dist = BoundedParetoSize(alpha=1.2, minimum_bytes=1460, maximum_bytes=1e6)
@@ -86,10 +77,6 @@ class TestDistributions:
 
 
 class TestWorkloadSizing:
-    def test_rate_and_utilization_roundtrip(self):
-        rate = arrival_rate_for_utilization(0.7, mbps(10), 10000)
-        assert utilization_of_rate(rate, mbps(10), 10000) == pytest.approx(0.7)
-
     def test_rate_formula(self):
         # 50% of 8 Mbps with 1000-byte flows = 500 flows/second.
         assert arrival_rate_for_utilization(0.5, 8e6, 1000) == pytest.approx(500.0)
@@ -157,7 +144,8 @@ class TestPoissonFlowGenerator:
 
     def test_most_flows_complete_under_light_load(self):
         generator, _ = self._run(utilization=0.3)
-        assert generator.completion_ratio() > 0.9
+        completed = [flow for flow in generator.flows if flow.completed]
+        assert len(completed) > 0.9 * len(generator.flows)
 
     def test_invalid_configuration_rejected(self):
         topo = dumbbell_topology(2, mbps(10), mbps(100))

@@ -2,12 +2,14 @@
 
 import pytest
 
-from repro.schedulers import uniform_factory
-from repro.sim import Simulation, Simulator, Tracer
+from repro.schedulers.factory import uniform_factory
 from repro.sim.flow import Flow
 from repro.sim.packet import PacketType
-from repro.topology import Topology, dumbbell_topology, linear_topology
-from repro.transport import start_tcp_flow, start_udp_flow
+from repro.sim.simulation import Simulation
+from repro.topology import dumbbell_topology
+from repro.topology.base import linear_topology
+from repro.transport.tcp import start_tcp_flow
+from repro.transport.udp import start_udp_flow
 from repro.utils import mbps
 
 

@@ -5,14 +5,12 @@ import math
 import pytest
 
 from repro.utils.stats import (
-    OnlineStats,
     ccdf_points,
     cdf_points,
     jain_fairness_index,
     left_sum,
     percentile,
     summarize,
-    weighted_mean,
 )
 
 
@@ -38,9 +36,6 @@ class TestSummarize:
         assert summary.mean == pytest.approx(3.0)
         assert summary.stddev == pytest.approx(math.sqrt(2.5))
         assert summary.ci95 == pytest.approx(2.776 * math.sqrt(2.5) / math.sqrt(5))
-        low, high = summary.interval
-        assert low == pytest.approx(summary.mean - summary.ci95)
-        assert high == pytest.approx(summary.mean + summary.ci95)
 
     def test_single_sample_has_zero_spread(self):
         summary = summarize([7.0])
@@ -61,41 +56,6 @@ class TestSummarize:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             summarize([])
-
-
-class TestOnlineStats:
-    def test_mean_and_variance_match_direct_computation(self):
-        values = [1.0, 2.0, 2.0, 5.0, 10.0]
-        stats = OnlineStats()
-        stats.extend(values)
-        mean = sum(values) / len(values)
-        variance = sum((v - mean) ** 2 for v in values) / len(values)
-        assert stats.mean == pytest.approx(mean)
-        assert stats.variance == pytest.approx(variance)
-        assert stats.stddev == pytest.approx(math.sqrt(variance))
-
-    def test_min_max_tracked(self):
-        stats = OnlineStats()
-        stats.extend([3.0, -1.0, 7.0])
-        assert stats.minimum == -1.0
-        assert stats.maximum == 7.0
-
-    def test_empty_stats_are_zero(self):
-        stats = OnlineStats()
-        assert stats.mean == 0.0
-        assert stats.variance == 0.0
-
-    def test_merge_equals_combined_stream(self):
-        left, right, combined = OnlineStats(), OnlineStats(), OnlineStats()
-        a = [1.0, 4.0, 9.0]
-        b = [2.0, 2.0, 8.0, 16.0]
-        left.extend(a)
-        right.extend(b)
-        combined.extend(a + b)
-        merged = left.merge(right)
-        assert merged.count == combined.count
-        assert merged.mean == pytest.approx(combined.mean)
-        assert merged.variance == pytest.approx(combined.variance)
 
 
 class TestJainIndex:
@@ -148,13 +108,6 @@ class TestPercentileAndMeans:
     def test_percentile_single_element_for_every_q(self):
         for q in (0, 1, 50, 99, 100):
             assert percentile([42.5], q) == 42.5
-
-    def test_weighted_mean(self):
-        assert weighted_mean([1.0, 3.0], [1.0, 3.0]) == pytest.approx(2.5)
-
-    def test_weighted_mean_validates_lengths(self):
-        with pytest.raises(ValueError):
-            weighted_mean([1.0], [1.0, 2.0])
 
 
 class TestCdf:

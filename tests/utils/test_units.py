@@ -6,7 +6,6 @@ from repro.utils import units
 
 
 def test_bandwidth_helpers_scale_correctly():
-    assert units.kbps(1) == 1e3
     assert units.mbps(1) == 1e6
     assert units.gbps(1) == 1e9
     assert units.gbps(10) == 10e9
@@ -18,9 +17,8 @@ def test_time_helpers_scale_correctly():
     assert units.milliseconds(2.5) == pytest.approx(2.5e-3)
 
 
-def test_bits_and_bytes_roundtrip():
+def test_bits_of_bytes():
     assert units.bits(1500) == 12000
-    assert units.bytes_from_bits(units.bits(1500)) == 1500
 
 
 def test_transmission_delay_of_full_packet_on_gigabit():
