@@ -5,12 +5,10 @@ collection of scheduling algorithms over a fixed input load (Section 2.1),
 with the per-hop timing that omniscient replay and congestion-point analysis
 need.  A :class:`Schedule` is its columns (:class:`ScheduleColumns`, one list
 per field, in canonical order), which the loader, the replay kernels and the
-metrics read and write directly.  The one per-packet shape is the *row*: a
-dict in the ``repro-schedule/1`` line shape (``packet_id``, ``flow_id``,
-``src``, ``dst``, ``size_bytes``, ``ingress_time``, ``output_time``,
-``path``, ``hops`` as ``[node, arrival, start_service, departure]``
-entries, ``flow_size_bytes``, ``deadline``).  A file stores rows, iterating a
-schedule yields them and :meth:`Schedule.from_rows` takes them.
+metrics read and write directly.  The one per-packet shape is the *row*, a
+dict in the ``repro-schedule/1`` line shape that :class:`ScheduleColumns`
+states.  A file stores rows, iterating a schedule yields them and
+:meth:`Schedule.from_rows` takes them.
 
 Schedules come from three places:
 
@@ -52,12 +50,13 @@ import os
 import zlib
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
-from itertools import accumulate, chain, islice, repeat
-from operator import itemgetter, le, methodcaller
-from typing import BinaryIO, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, field, fields, replace
+from functools import lru_cache
+from itertools import accumulate, chain, islice, zip_longest
+from operator import attrgetter, itemgetter, le, methodcaller
+from typing import BinaryIO, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
-from repro.sim.compiled import kernel_decode_rows, kernel_encode_rows
+from repro.sim.compiled import kernel_codecs
 from repro.sim.packet import Packet
 from repro.sim.tracer import Tracer
 from repro.utils.stats import left_sum
@@ -88,67 +87,49 @@ def paused_gc() -> Iterator[None]:
             gc.enable()
 
 
-#: The keys every row carries (``path`` and ``hops`` follow;
-#: ``flow_size_bytes`` and ``deadline`` default to ``None``).
-_REQUIRED = ("packet_id", "flow_id", "src", "dst", "size_bytes", "ingress_time", "output_time")
-#: :class:`ScheduleColumns`' one-entry-per-packet and one-entry-per-hop fields.
-_PER_PACKET = _REQUIRED + ("path", "flow_size_bytes", "deadline")
-_PER_HOP = ("hop_node", "hop_arrival", "hop_start_service", "hop_departure")
-#: The fields a schedule indexes and orders by, and the types they must hold.
-_KEYED = {"packet_id": int, "ingress_time": (int, float), "output_time": (int, float)}
 #: What reading a malformed row into columns raises.
 _MALFORMED = (TypeError, KeyError, ValueError)
 
 
-def _columns(rows: Sequence[dict], first_hop: int) -> Dict[str, list]:
-    """``rows`` field by field, keyed like :class:`ScheduleColumns` (hop offsets
-    counted on from ``first_hop``); a malformed row raises one of :data:`_MALFORMED`."""
-    columns = {name: list(map(itemgetter(name), rows)) for name in _REQUIRED}
-    for name, kind in _KEYED.items():
-        if not all(map(isinstance, columns[name], repeat(kind))):
-            raise TypeError(f"{name} has the wrong type")
-    paths = list(map(tuple, map(itemgetter("path"), rows)))
-    routes = dict(zip(paths, paths))  # one tuple per distinct route, not per packet
-    columns["path"] = list(map(routes.__getitem__, paths))
-    columns["flow_size_bytes"] = list(map(methodcaller("get", "flow_size_bytes"), rows))
-    columns["deadline"] = list(map(methodcaller("get", "deadline"), rows))
-    hop_lists = list(map(itemgetter("hops"), rows))
-    hops = list(chain.from_iterable(hop_lists))
-    if not set(map(len, hops)) <= {4}:
-        raise ValueError("every hop must be [node, arrival, start_service, departure]")
-    columns["hop_offset"] = list(islice(accumulate(map(len, hop_lists), initial=first_hop), 1, None))
-    for index, name in enumerate(_PER_HOP):
-        columns[name] = list(map(itemgetter(index), hops))
-    return columns
+def _column(scope: str, kind: Optional[tuple] = None, optional: bool = False) -> list:
+    """A :class:`ScheduleColumns` field: its ``scope``, the types its entries
+    must hold (never a ``bool``) and whether a row may omit its key."""
+    return field(default_factory=list, metadata={"scope": scope, "kind": kind, "optional": optional})
 
 
 @dataclass(slots=True)
 class ScheduleColumns:
     """A schedule as a table: one list per field, read-only to consumers.
 
-    The first ten columns hold one entry per packet, named like a row's keys
-    (``path`` as a tuple, so routes hash); packet ``j`` owns hops
-    ``hop_offset[j]:hop_offset[j + 1]`` of the four per-hop columns, which
-    hold a row's ``hops`` entries field by field.  Entries are the very
-    objects a row or file carried in, so the table is as lossless as the rows.
-    Only :meth:`extend` and :meth:`rows` convert between the two.
+    The field list is the one statement of the schedule's columns; rows and
+    both codecs follow it.  A ``packet`` column holds one entry per packet
+    under its row key (``path`` as a tuple, so routes hash); packet ``j``
+    owns entries ``hop_offset[j]:hop_offset[j + 1]`` of the ``hop`` columns,
+    its row's ``hops`` field by field.  A row's keys come in field order,
+    ``hops`` after the required ones.  Entries are the very objects a row or
+    file carried in, so the table is as lossless as the rows.
     """
 
-    packet_id: List[int] = field(default_factory=list)
-    flow_id: List[int] = field(default_factory=list)
-    src: List[str] = field(default_factory=list)
-    dst: List[str] = field(default_factory=list)
-    size_bytes: List[float] = field(default_factory=list)
-    ingress_time: List[float] = field(default_factory=list)
-    output_time: List[float] = field(default_factory=list)
-    path: List[Tuple[str, ...]] = field(default_factory=list)
-    flow_size_bytes: List[Optional[float]] = field(default_factory=list)
-    deadline: List[Optional[float]] = field(default_factory=list)
-    hop_offset: List[int] = field(default_factory=lambda: [0])
-    hop_node: List[str] = field(default_factory=list)
-    hop_arrival: List[float] = field(default_factory=list)
-    hop_start_service: List[Optional[float]] = field(default_factory=list)
-    hop_departure: List[Optional[float]] = field(default_factory=list)
+    packet_id: List[int] = _column("packet", kind=(int,))
+    flow_id: List[int] = _column("packet")
+    src: List[str] = _column("packet")
+    dst: List[str] = _column("packet")
+    size_bytes: List[float] = _column("packet")
+    ingress_time: List[float] = _column("packet", kind=(int, float))
+    output_time: List[float] = _column("packet", kind=(int, float))
+    path: List[Tuple[str, ...]] = _column("packet")
+    flow_size_bytes: List[Optional[float]] = _column("packet", optional=True)
+    deadline: List[Optional[float]] = _column("packet", optional=True)
+    hop_offset: List[int] = field(default_factory=lambda: [0], metadata={"scope": "link"})
+    hop_node: List[str] = _column("hop")
+    hop_arrival: List[float] = _column("hop")
+    hop_start_service: List[Optional[float]] = _column("hop")
+    hop_departure: List[Optional[float]] = _column("hop")
+
+    def lists(self) -> tuple:
+        """Every column, in field order: what the native encoder reads and
+        the native decoder appends to."""
+        return _LISTS(self)
 
     def extend(self, rows: Sequence[dict]) -> None:
         """Append ``rows`` column-wise.
@@ -156,7 +137,8 @@ class ScheduleColumns:
         Raises:
             ValueError: naming the packet of the first malformed row (a
                 missing key, a ``path`` or ``hops`` of the wrong shape, a
-                non-integer id, a non-numeric time); nothing is appended.
+                non-integer id, a non-numeric time, a ``bool`` in either);
+                nothing is appended.
         """
         try:
             columns = _columns(rows, self.hop_offset[-1])
@@ -176,22 +158,16 @@ class ScheduleColumns:
     def rows(self, positions: Iterable[int]) -> Iterator[dict]:
         """The packets at ``positions`` as rows."""
         off = self.hop_offset
-        timings = [getattr(self, name) for name in _PER_HOP]
+        required = [(name, getattr(self, name)) for name in _MANDATORY]
+        optional = [(name, getattr(self, name)) for name in _OPTIONAL]
+        timings = [getattr(self, name) for name in _HOPS]
         for j in positions:
             hops = slice(off[j], off[j + 1])
-            yield {
-                "packet_id": self.packet_id[j],
-                "flow_id": self.flow_id[j],
-                "src": self.src[j],
-                "dst": self.dst[j],
-                "size_bytes": self.size_bytes[j],
-                "ingress_time": self.ingress_time[j],
-                "output_time": self.output_time[j],
-                "path": self.path[j],
-                "hops": list(zip(*(column[hops] for column in timings))),
-                "flow_size_bytes": self.flow_size_bytes[j],
-                "deadline": self.deadline[j],
-            }
+            row = {key: column[j] for key, column in required}
+            row["hops"] = list(zip(*(column[hops] for column in timings)))
+            for key, column in optional:
+                row[key] = column[j]
+            yield row
 
     def take(self, positions: Iterable[int]) -> "ScheduleColumns":
         """New columns holding the packets at ``positions``, in that order."""
@@ -199,13 +175,44 @@ class ScheduleColumns:
         off = self.hop_offset
         spans = [slice(off[j], off[j + 1]) for j in positions]
         taken = ScheduleColumns()
-        for name in _PER_PACKET:
+        for name in _PACKET:
             setattr(taken, name, list(map(getattr(self, name).__getitem__, positions)))
         taken.hop_offset = list(accumulate((off[j + 1] - off[j] for j in positions), initial=0))
-        for name in _PER_HOP:
+        for name in _HOPS:
             column = getattr(self, name)
             setattr(taken, name, list(chain.from_iterable(map(column.__getitem__, spans))))
         return taken
+
+
+#: Each column's metadata, by name, in field order.
+_SCHEMA = {f.name: f.metadata for f in fields(ScheduleColumns)}
+_PACKET = [name for name, meta in _SCHEMA.items() if meta["scope"] == "packet"]
+_MANDATORY = [name for name in _PACKET if not _SCHEMA[name]["optional"]]
+_OPTIONAL = [name for name in _PACKET if _SCHEMA[name]["optional"]]
+_HOPS = [name for name, meta in _SCHEMA.items() if meta["scope"] == "hop"]
+_LISTS = attrgetter(*_SCHEMA)
+
+
+def _columns(rows: Sequence[dict], first_hop: int) -> Dict[str, list]:
+    """``rows`` field by field, keyed like :class:`ScheduleColumns` (hop offsets
+    counted on from ``first_hop``); a malformed row raises one of :data:`_MALFORMED`."""
+    columns = {name: list(map(itemgetter(name), rows)) for name in _MANDATORY}
+    columns.update((name, list(map(methodcaller("get", name), rows))) for name in _OPTIONAL)
+    for name in _PACKET:
+        kind, values = _SCHEMA[name]["kind"], columns[name]
+        if kind and not all(issubclass(t, kind) and t is not bool for t in set(map(type, values))):
+            raise TypeError(f"{name} has the wrong type")
+    paths = list(map(tuple, columns["path"]))
+    routes = dict(zip(paths, paths))  # one tuple per distinct route, not per packet
+    columns["path"] = list(map(routes.__getitem__, paths))
+    hop_lists = list(map(itemgetter("hops"), rows))
+    hops = list(chain.from_iterable(hop_lists))
+    if not set(map(len, hops)) <= {len(_HOPS)}:
+        raise ValueError(f"every hop must be [{', '.join(name[len('hop_'):] for name in _HOPS)}]")
+    columns["hop_offset"] = list(islice(accumulate(map(len, hop_lists), initial=first_hop), 1, None))
+    for index, name in enumerate(_HOPS):
+        columns[name] = list(map(itemgetter(index), hops))
+    return columns
 
 
 class Schedule:
@@ -369,14 +376,12 @@ class Schedule:
         injection and of the on-disk format."""
         return self.columns().rows(range(len(self)))
 
+    __contains__ = None  # so ``in`` raises TypeError instead of walking the rows; use :meth:`rows_of`
+
     def row(self, packet_id: int) -> dict:
         """The row of ``packet_id`` (raises ``KeyError`` if absent)."""
         (data,) = self._cols.rows((self._index[packet_id],))
         return data
-
-    def packet_ids(self) -> List[int]:
-        """All packet ids present in the schedule."""
-        return list(self.columns().packet_id)
 
     # ------------------------------------------------------------------ #
     # Analysis
@@ -429,18 +434,56 @@ def _atomic_write(path: str, blocks: Iterable[bytes], compress: bool = True) -> 
         raise
 
 
+def native_codecs() -> Optional[Tuple[Callable, Callable]]:
+    """``(decode_rows, encode_rows)``, which every load and save tries before
+    ``json``; ``None`` without a kernel or when they disagree with
+    :class:`ScheduleColumns` (:func:`_agreed`)."""
+    codecs = kernel_codecs()
+    return codecs if codecs is not None and _agreed(*codecs) else None
+
+
+@lru_cache(maxsize=1)
+def _agreed(decode: Callable, encode: Callable) -> bool:
+    """Whether the native codecs treat one row as ``json`` does: its bytes,
+    then the columns decoded from them.  The row holds a distinct value in
+    every column: its index where a kind is set, its name elsewhere (in a
+    tuple in ``path``).  If not, one WARNING names the first key that differs."""
+    cols, decoded = ScheduleColumns(), ScheduleColumns()
+    for index, (name, meta) in enumerate(_SCHEMA.items()):
+        kind = meta.get("kind")
+        value = kind[-1](index) if kind else (name,) if name == "path" else name
+        getattr(cols, name).append(1 if name == "hop_offset" else value)  # one hop
+    reference = "".join(json.dumps(row) + "\n" for row in cols.rows([0])).encode()
+    expected = [*json.loads(reference).items(), *zip(_SCHEMA, _json_columns(reference)[0].lists())]
+    try:
+        native = encode(cols.lists(), 0, 1)
+        decode(reference, {}, 0, decoded.lists())  # a declined row leaves its columns unequal
+        if not isinstance(native, bytes):
+            raise ValueError(native)  # the encoder declined
+        found = [*json.loads(native).items(), *zip(_SCHEMA, decoded.lists())]
+    except (TypeError, ValueError) as error:  # a decline, another column count, bytes json rejects
+        found = [(str(error), None)]
+    differs = next(((got or want)[0] for want, got in zip_longest(expected, found) if want != got), None)
+    if differs is not None:
+        logger.warning(
+            "native schedule codecs disagree with ScheduleColumns at %r; loads and saves use json", differs
+        )
+    return differs is None
+
+
 def _schedule_blocks(
     path: str, cols: ScheduleColumns, rows: range, meta: Optional[dict]
 ) -> Iterator[bytes]:
     """The ``repro-schedule/1`` text of packets ``rows`` of ``cols``, in blocks
     of about :data:`_DECODE_BYTES`: from the compiled encoder
-    (:func:`repro.sim.compiled.kernel_encode_rows`) first, and from ``json``,
+    (:func:`native_codecs`) first, and from ``json``,
     the reference and the same bytes, where it is unavailable or declines a
     block (one DEBUG line per declined block, naming ``path`` and the packet)."""
     header = {"format": SCHEDULE_FORMAT, "packets": len(rows), "meta": meta or {}}
     yield (json.dumps(header) + "\n").encode()
-    encode = kernel_encode_rows()
-    columns = tuple(getattr(cols, name) for name in cols.__slots__)
+    codecs = native_codecs()
+    encode = codecs and codecs[1]
+    columns = cols.lists()
     start, step = rows.start, 256
     while start < rows.stop:
         stop = min(start + step, rows.stop)
@@ -686,8 +729,7 @@ def _decoded_parts(
     offsets counted from 0) and ``(None, part)`` at each file's end,
     ``part`` being the :func:`_check_counts` arguments for that file.
 
-    Each block goes to the compiled decoder
-    (:func:`repro.sim.compiled.kernel_decode_rows`) first and to
+    Each block goes to the compiled decoder (:func:`native_codecs`) first and to
     :func:`_json_columns`, the reference, when the kernel is unavailable or
     declines it; a file stays on json from its first declined block on, and
     one DEBUG line per such file says why.  Either way the columns are the
@@ -696,23 +738,23 @@ def _decoded_parts(
     A corrupt deflate stream raises ``ValueError`` (never ``zlib.error``),
     so every reader's "malformed file" handling covers it.
     """
-    decode = kernel_decode_rows()
+    codecs = native_codecs()
     memo: dict = {}  # node names and routes, interned across the files
     for file_path, promised in files:
         count = 0
-        native = decode
+        native = codecs and codecs[0]
         if native is None:
-            logger.debug("%s: decoding with json (compiled kernel unavailable)", file_path)
+            why = "compiled kernel unavailable" if kernel_codecs() is None else "native codecs declined"
+            logger.debug("%s: decoding with json (%s)", file_path, why)
         try:
             with _open_for_decode(file_path) as stream:
                 header = _read_header(stream, file_path)
                 for block in _line_blocks(stream):
-                    decoded = native(block, memo, count) if native else None
-                    if isinstance(decoded, tuple):
-                        cols, rows = ScheduleColumns(*decoded), len(decoded[0])
-                    else:
-                        if decoded is not None:
-                            logger.debug("%s: decoding with json (declined at %s)", file_path, decoded)
+                    cols = ScheduleColumns()
+                    rows = native(block, memo, count, cols.lists()) if native else None
+                    if not isinstance(rows, int):
+                        if rows is not None:
+                            logger.debug("%s: decoding with json (declined at %s)", file_path, rows)
                             native = None
                         cols, rows = _json_columns(block)
                     count += rows
@@ -780,7 +822,7 @@ def load_schedule(path: Union[str, "os.PathLike"]) -> Tuple[Schedule, dict]:
                 parts.append(part)
                 continue
             first_hop = cols.hop_offset[-1]
-            for name in _PER_PACKET + _PER_HOP:
+            for name in _PACKET + _HOPS:
                 getattr(cols, name).extend(getattr(batch, name))
             cols.hop_offset.extend(map(first_hop.__add__, islice(batch.hop_offset, 1, None)))
         # Adopting the columns rejects duplicate ids, which outranks a count mismatch.

@@ -784,26 +784,44 @@ PyDoc_STRVAR(run_flat_replay_doc,
  * is not part of the contract.
  */
 
-/* Row keys: the first ten in ScheduleColumns order (their column index). */
-enum {
-    K_PACKET_ID, K_FLOW_ID, K_SRC, K_DST, K_SIZE_BYTES, K_INGRESS_TIME,
-    K_OUTPUT_TIME, K_PATH, K_FLOW_SIZE_BYTES, K_DEADLINE, K_HOPS, N_KEYS
-};
-/* Columns after the per-packet ten: hop_offset, then the four per-hop. */
-enum { C_HOP_OFFSET = 10, C_HOP_NODE = 11, N_COLUMNS = 15 };
+/* What a row key's value must be; only a V_OPTIONAL key may be absent (None). */
+enum { V_SCALAR, V_OPTIONAL, V_INT, V_NUMBER, V_PATH, V_HOPS };
 
+#define KEY(name) name, (Py_ssize_t)sizeof(name) - 1
+
+/* The row keys in on-disk order, each with the ScheduleColumns field it
+ * fills (its index in ScheduleColumns.lists()): "hops" fills hop_offset and
+ * the four hop columns after it.  core/schedule.py round-trips one row
+ * through both codecs before it uses them, so a table that disagrees with
+ * ScheduleColumns is declined, never misparsed. */
 static const struct {
     const char *name;
     Py_ssize_t len;
-} row_keys[N_KEYS] = {
-    {"packet_id", 9}, {"flow_id", 7}, {"src", 3}, {"dst", 3},
-    {"size_bytes", 10}, {"ingress_time", 12}, {"output_time", 11},
-    {"path", 4}, {"flow_size_bytes", 15}, {"deadline", 8}, {"hops", 4},
+    int column;
+    int value;  /* V_* */
+} row_keys[] = {
+    {KEY("packet_id"), 0, V_INT},        {KEY("flow_id"), 1, V_SCALAR},
+    {KEY("src"), 2, V_SCALAR},           {KEY("dst"), 3, V_SCALAR},
+    {KEY("size_bytes"), 4, V_SCALAR},    {KEY("ingress_time"), 5, V_NUMBER},
+    {KEY("output_time"), 6, V_NUMBER},   {KEY("path"), 7, V_PATH},
+    {KEY("hops"), 10, V_HOPS},           {KEY("flow_size_bytes"), 8, V_OPTIONAL},
+    {KEY("deadline"), 9, V_OPTIONAL},
 };
+#define N_KEYS ((int)(sizeof(row_keys) / sizeof(row_keys[0])))
+#define N_COLUMNS 15
 
-/* Every key but flow_size_bytes and deadline (absent: None). */
-#define REQUIRED_KEYS \
-    (((1u << N_KEYS) - 1) & ~((1u << K_FLOW_SIZE_BYTES) | (1u << K_DEADLINE)))
+/* The lists of `columns` into `cols` (borrowed); -1 with TypeError unless
+ * it holds ScheduleColumns' 15 lists. */
+static int
+column_lists(PyObject *columns, PyObject **cols)
+{
+    int i, ok = PyTuple_GET_SIZE(columns) == N_COLUMNS;
+    for (i = 0; ok && i < N_COLUMNS; i++)
+        ok = PyList_Check(cols[i] = PyTuple_GET_ITEM(columns, i));
+    if (!ok)
+        PyErr_SetString(PyExc_TypeError, "columns must be ScheduleColumns' 15 lists");
+    return ok ? 0 : -1;
+}
 
 /* Values made earlier in this block, direct-mapped by their bytes: a
  * repeated node name, or a repeated timestamp (a hop's start of service is
@@ -1094,9 +1112,9 @@ route_value(Reader *r)
 }
 
 /* The array of [node, arrival, start_service, departure] hops at r->p,
- * appended to the four hop columns; *count hops. */
+ * appended to the four hop columns `hop_cols`. */
 static int
-hops_value(Reader *r, PyObject **cols, Py_ssize_t *count)
+hops_value(Reader *r, PyObject **hop_cols)
 {
     int i;
     if (expect(r, '[', "hops that are not an array") < 0)
@@ -1118,14 +1136,13 @@ hops_value(Reader *r, PyObject **cols, Py_ssize_t *count)
             value = scalar_value(r);
             if (value == NULL)
                 return -1;
-            appended = PyList_Append(cols[C_HOP_NODE + i], value);
+            appended = PyList_Append(hop_cols[i], value);
             Py_DECREF(value);
             if (appended < 0)
                 return -1;
         }
         if (expect(r, ']', "a hop that is not 4 elements") < 0)
             return -1;
-        *count += 1;
         skip_ws(r);
         if (r->p < r->end && *r->p == ',') {
             r->p++;
@@ -1137,13 +1154,11 @@ hops_value(Reader *r, PyObject **cols, Py_ssize_t *count)
 
 /* The row object at r->p (a '{'), appended to the columns. */
 static int
-row_value(Reader *r, PyObject **cols, Py_ssize_t *hop_total)
+row_value(Reader *r, PyObject **cols)
 {
     PyObject *values[N_KEYS] = {NULL};
-    PyObject *offset;
     unsigned seen = 0;
-    Py_ssize_t hops = 0;
-    int k, is_int, status = -1;
+    int k, kind, is_int, status = -1;
 
     r->p++;
     skip_ws(r);
@@ -1176,22 +1191,23 @@ row_value(Reader *r, PyObject **cols, Py_ssize_t *hop_total)
             if (expect(r, ':', "a malformed object") < 0)
                 goto done;
             skip_ws(r);
-            if (k == K_HOPS) {
-                if (hops_value(r, cols, &hops) < 0)
+            kind = row_keys[k].value;
+            if (kind == V_HOPS) {
+                if (hops_value(r, cols + row_keys[k].column + 1) < 0)
                     goto done;
-            } else if (k == K_PATH) {
+            } else if (kind == V_PATH) {
                 if ((values[k] = route_value(r)) == NULL)
                     goto done;
-            } else if (k == K_PACKET_ID || k == K_INGRESS_TIME || k == K_OUTPUT_TIME) {
-                const char *why = k == K_PACKET_ID ? "a packet_id that is not an int"
-                                                   : "a time that is not a number";
+            } else if (kind == V_INT || kind == V_NUMBER) {
+                const char *why = kind == V_INT ? "an id that is not an int"
+                                                : "a time that is not a number";
                 if (r->p >= r->end || (*r->p != '-' && (*r->p < '0' || *r->p > '9'))) {
                     decline(r, why);
                     goto done;
                 }
                 if ((values[k] = number_value(r, &is_int)) == NULL)
                     goto done;
-                if (k == K_PACKET_ID && !is_int) {
+                if (kind == V_INT && !is_int) {
                     decline(r, why);
                     goto done;
                 }
@@ -1213,22 +1229,23 @@ row_value(Reader *r, PyObject **cols, Py_ssize_t *hop_total)
         decline(r, "trailing bytes after the object");
         goto done;
     }
-    if ((seen & REQUIRED_KEYS) != REQUIRED_KEYS) {
-        for (k = 0; (seen | ~REQUIRED_KEYS) & (1u << k); k++)
-            ;  /* the first required key not seen */
-        r->key = row_keys[k].name;
-        decline(r, "a missing key");
-        goto done;
-    }
-    for (k = 0; k < K_HOPS; k++)
-        if (PyList_Append(cols[k], values[k] != NULL ? values[k] : Py_None) < 0)
+    for (k = 0; k < N_KEYS; k++)
+        if (row_keys[k].value != V_OPTIONAL && !(seen & (1u << k))) {
+            r->key = row_keys[k].name;
+            decline(r, "a missing key");
             goto done;
-    *hop_total += hops;
-    offset = PyLong_FromSsize_t(*hop_total);
-    if (offset == NULL)
-        goto done;
-    status = PyList_Append(cols[C_HOP_OFFSET], offset);
-    Py_DECREF(offset);
+        }
+    for (k = 0; k < N_KEYS; k++) {
+        if (row_keys[k].value == V_HOPS) {
+            /* hop_offset: the hops so far, the hop columns' length after this row's */
+            values[k] = PyLong_FromSsize_t(PyList_GET_SIZE(cols[row_keys[k].column + 1]));
+            if (values[k] == NULL)
+                goto done;
+        }
+        if (PyList_Append(cols[row_keys[k].column], values[k] != NULL ? values[k] : Py_None) < 0)
+            goto done;
+    }
+    status = 0;
 done:
     for (k = 0; k < N_KEYS; k++)
         Py_XDECREF(values[k]);
@@ -1239,13 +1256,14 @@ static PyObject *
 kernel_decode_rows(PyObject *self, PyObject *args)
 {
     const char *data, *line, *stop;
-    Py_ssize_t size, first, rows = 0, hop_total = 0;
-    PyObject *memo, *cols[N_COLUMNS] = {NULL}, *result = NULL;
+    Py_ssize_t size, first, rows = 0;
+    PyObject *memo, *columns, *cols[N_COLUMNS], *result = NULL;
     Reader r;
     int i;
 
-    if (!PyArg_ParseTuple(args, "y#O!n:decode_rows", &data, &size,
-                          &PyDict_Type, &memo, &first))
+    if (!PyArg_ParseTuple(args, "y#O!nO!:decode_rows", &data, &size, &PyDict_Type, &memo,
+                          &first, &PyTuple_Type, &columns) ||
+        column_lists(columns, cols) < 0)
         return NULL;
     memset(&r, 0, sizeof(r));
     r.memo = memo;
@@ -1255,17 +1273,6 @@ kernel_decode_rows(PyObject *self, PyObject *args)
         Py_XDECREF(r.route);
         PyMem_Free(r.recent);
         return r.route == NULL ? NULL : PyErr_NoMemory();
-    }
-    for (i = 0; i < N_COLUMNS; i++)
-        if ((cols[i] = PyList_New(0)) == NULL)
-            goto done;
-    {
-        PyObject *zero = PyLong_FromLong(0);
-        if (zero == NULL || PyList_Append(cols[C_HOP_OFFSET], zero) < 0) {
-            Py_XDECREF(zero);
-            goto done;
-        }
-        Py_DECREF(zero);
     }
 
     for (line = data, stop = data + size; line < stop;) {
@@ -1283,19 +1290,14 @@ kernel_decode_rows(PyObject *self, PyObject *args)
             decline(&r, "a line that is not an object");
             goto declined;
         }
-        if (row_value(&r, cols, &hop_total) < 0) {
+        if (row_value(&r, cols) < 0) {
             if (r.why == NULL)
                 goto done;  /* a Python error: raise it */
             goto declined;
         }
         rows++;
     }
-    result = PyTuple_New(N_COLUMNS);
-    if (result != NULL)
-        for (i = 0; i < N_COLUMNS; i++) {
-            PyTuple_SET_ITEM(result, i, cols[i]);
-            cols[i] = NULL;
-        }
+    result = PyLong_FromSsize_t(rows);
     goto done;
 
 declined:
@@ -1310,8 +1312,6 @@ declined:
         Py_XDECREF(seen);
     }
 done:
-    for (i = 0; i < N_COLUMNS; i++)
-        Py_XDECREF(cols[i]);
     Py_DECREF(r.route);
     for (i = 0; i < 1 << RECENT_BITS; i++)
         Py_XDECREF(r.recent[i].value);
@@ -1320,13 +1320,14 @@ done:
 }
 
 PyDoc_STRVAR(decode_rows_doc,
-"decode_rows(block, memo, first)\n"
+"decode_rows(block, memo, first, columns)\n"
 "--\n\n"
-"Parse a block of repro-schedule/1 row lines into ScheduleColumns' 15\n"
-"lists (a tuple, in field order; hop offsets count from 0).  Returns a\n"
+"Append a block of repro-schedule/1 row lines to `columns`, ScheduleColumns'\n"
+"15 lists (ScheduleColumns.lists()), and return the rows read.  Returns a\n"
 "str instead — 'packet N: what it saw', N counted on from `first` — when\n"
-"the block holds anything json would read differently or reject; the\n"
-"caller then decodes it with json.  `memo` interns node names and routes.");
+"the block holds anything json would read differently or reject, leaving\n"
+"the columns part-filled; the caller then decodes the block with json into\n"
+"fresh ones.  `memo` interns node names and routes.");
 
 /* ------------------------------------------------------------------ */
 /* encode_rows: columns straight into repro-schedule/1 row lines.     */
@@ -1466,12 +1467,13 @@ put_route(Writer *w, PyObject *route)
     return PUT_LITERAL(w, "]");
 }
 
-/* Row `j`'s hops; `hop_count` is the length every hop column reaches. */
+/* Row `j`'s hops: `cols` is hop_offset and the four hop columns after it;
+ * `hop_count` is the length every hop column reaches. */
 static int
 put_hops(Writer *w, PyObject **cols, Py_ssize_t j, Py_ssize_t hop_count)
 {
-    Py_ssize_t first = PyLong_AsSsize_t(PyList_GET_ITEM(cols[C_HOP_OFFSET], j));
-    Py_ssize_t last = PyLong_AsSsize_t(PyList_GET_ITEM(cols[C_HOP_OFFSET], j + 1));
+    Py_ssize_t first = PyLong_AsSsize_t(PyList_GET_ITEM(cols[0], j));
+    Py_ssize_t last = PyLong_AsSsize_t(PyList_GET_ITEM(cols[0], j + 1));
     Py_ssize_t h;
     int c;
     if (PyErr_Occurred()) {
@@ -1487,7 +1489,7 @@ put_hops(Writer *w, PyObject **cols, Py_ssize_t j, Py_ssize_t hop_count)
             return -1;
         for (c = 0; c < 4; c++)
             if ((c > 0 && PUT_LITERAL(w, ", ") < 0) ||
-                put_scalar(w, PyList_GET_ITEM(cols[C_HOP_NODE + c], h)) < 0)
+                put_scalar(w, PyList_GET_ITEM(cols[1 + c], h)) < 0)
                 return -1;
         if (PUT_LITERAL(w, "]") < 0)
             return -1;
@@ -1495,25 +1497,20 @@ put_hops(Writer *w, PyObject **cols, Py_ssize_t j, Py_ssize_t hop_count)
     return PUT_LITERAL(w, "]");
 }
 
-/* A row's keys in the order of ScheduleColumns.rows' dict, and its line. */
-static const int row_order[N_KEYS] = {
-    K_PACKET_ID, K_FLOW_ID, K_SRC, K_DST, K_SIZE_BYTES, K_INGRESS_TIME,
-    K_OUTPUT_TIME, K_PATH, K_HOPS, K_FLOW_SIZE_BYTES, K_DEADLINE,
-};
-
+/* Row `j`'s line: its keys in on-disk order. */
 static int
 put_row(Writer *w, PyObject **cols, Py_ssize_t j, Py_ssize_t hop_count)
 {
-    int i, k, status;
-    for (i = 0; i < N_KEYS; i++) {
-        k = row_order[i];
+    int k, status;
+    for (k = 0; k < N_KEYS; k++) {
+        PyObject **column = cols + row_keys[k].column;
         w->key = row_keys[k].name;
-        if (put(w, i == 0 ? "{\"" : ", \"", i == 0 ? 2 : 3) < 0 ||
+        if (put(w, k == 0 ? "{\"" : ", \"", k == 0 ? 2 : 3) < 0 ||
             put(w, row_keys[k].name, row_keys[k].len) < 0 || PUT_LITERAL(w, "\": ") < 0)
             return -1;
-        status = k == K_PATH   ? put_route(w, PyList_GET_ITEM(cols[K_PATH], j))
-                 : k == K_HOPS ? put_hops(w, cols, j, hop_count)
-                               : put_scalar(w, PyList_GET_ITEM(cols[k], j));
+        status = row_keys[k].value == V_PATH   ? put_route(w, PyList_GET_ITEM(*column, j))
+                 : row_keys[k].value == V_HOPS ? put_hops(w, column, j, hop_count)
+                                               : put_scalar(w, PyList_GET_ITEM(*column, j));
         if (status < 0)
             return -1;
     }
@@ -1526,24 +1523,21 @@ kernel_encode_rows(PyObject *self, PyObject *args)
     PyObject *columns, *cols[N_COLUMNS], *result = NULL;
     Py_ssize_t start, stop, j, hop_count = PY_SSIZE_T_MAX;
     Writer w = {0};
-    int i;
+    int k, h;
 
-    if (!PyArg_ParseTuple(args, "O!nn:encode_rows", &PyTuple_Type, &columns, &start, &stop))
+    if (!PyArg_ParseTuple(args, "O!nn:encode_rows", &PyTuple_Type, &columns, &start, &stop) ||
+        column_lists(columns, cols) < 0)
         return NULL;
-    if (PyTuple_GET_SIZE(columns) != N_COLUMNS) {
-        PyErr_SetString(PyExc_TypeError, "encode_rows: columns must be ScheduleColumns' 15 lists");
-        return NULL;
-    }
     if (start < 0 || start > stop)
         return PyUnicode_FromString("a row range that is not one");
-    for (i = 0; i < N_COLUMNS; i++) {
-        cols[i] = PyTuple_GET_ITEM(columns, i);
-        if (!PyList_Check(cols[i]))
-            return PyUnicode_FromString("a column that is not a list");
-        if (i > C_HOP_OFFSET && PyList_GET_SIZE(cols[i]) < hop_count)
-            hop_count = PyList_GET_SIZE(cols[i]);
-        if (i <= C_HOP_OFFSET && PyList_GET_SIZE(cols[i]) < stop + (i == C_HOP_OFFSET))
+    for (k = 0; k < N_KEYS; k++) {
+        PyObject **column = cols + row_keys[k].column;
+        int is_hops = row_keys[k].value == V_HOPS;  /* hop_offset: one entry more */
+        if (PyList_GET_SIZE(*column) < stop + is_hops)
             return PyUnicode_FromString("a column shorter than the rows asked for");
+        for (h = 1; is_hops && h <= 4; h++)
+            if (PyList_GET_SIZE(column[h]) < hop_count)
+                hop_count = PyList_GET_SIZE(column[h]);
     }
     w.buf = (char *)PyMem_Malloc((size_t)(w.cap = 1 << 16));
     w.spelled = (Spelled *)PyMem_Calloc((size_t)1 << SPELLED_BITS, sizeof(Spelled));
@@ -1555,7 +1549,8 @@ kernel_encode_rows(PyObject *self, PyObject *args)
         if (put_row(&w, cols, j, hop_count) < 0) {
             if (w.why != NULL)
                 result = PyUnicode_FromFormat("packet %R (row %zd): %s [%s]",
-                                              PyList_GET_ITEM(cols[K_PACKET_ID], j), j, w.why, w.key);
+                                              PyList_GET_ITEM(cols[row_keys[0].column], j), j,  /* packet_id */
+                                              w.why, w.key);
             goto done;
         }
     result = PyBytes_FromStringAndSize(w.buf, w.len);
@@ -1617,7 +1612,7 @@ PyInit__kernel(void)
     if (PyModule_AddStringConstant(module, "COMPILER", KERNEL_COMPILER) < 0 ||
         PyModule_AddStringConstant(module, "TOOLCHAIN",
                                    "cpython-c-api") < 0 ||
-        PyModule_AddIntConstant(module, "KERNEL_VERSION", 4) < 0) {
+        PyModule_AddIntConstant(module, "KERNEL_VERSION", 5) < 0) {
         Py_DECREF(module);
         return NULL;
     }

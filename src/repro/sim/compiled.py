@@ -40,7 +40,7 @@ import sysconfig
 import time
 from importlib.machinery import EXTENSION_SUFFIXES
 from types import ModuleType
-from typing import Callable, List, NamedTuple, Optional
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 logger = logging.getLogger(__name__)
 
@@ -233,25 +233,13 @@ def kernel_run_flat_replay() -> Callable:
     return kernel.module.run_flat_replay
 
 
-def kernel_decode_rows() -> Optional[Callable]:
-    """The compiled ``repro-schedule/1`` row decoder, ``None`` when the kernel
-    is unavailable (the first call of a process may build it).
-
-    ``decode_rows(block, memo, first)`` is storage, not an engine: the
-    stored-schedule decode loop (:mod:`repro.core.schedule`) calls it on
-    every load whatever replay backend is pinned, and decodes with ``json``
-    — its reference — where it is ``None`` or declines a block.
-    """
+def kernel_codecs() -> Optional[Tuple[Callable, Callable]]:
+    """The compiled ``repro-schedule/1`` row codecs, ``(decode_rows,
+    encode_rows)``, or ``None`` when the kernel is unavailable (the first
+    call may build it).  Storage, not an engine: every load and save asks,
+    whatever backend is pinned, through :func:`repro.core.schedule.native_codecs`."""
     module = _kernel().module
-    return None if module is None else module.decode_rows
-
-
-def kernel_encode_rows() -> Optional[Callable]:
-    """:func:`kernel_decode_rows`' mirror, ``encode_rows(columns, start, stop)``:
-    every save calls it whatever backend is pinned, and writes with ``json``
-    — its reference, byte for byte — where it is ``None`` or declines."""
-    module = _kernel().module
-    return None if module is None else module.encode_rows
+    return None if module is None else (module.decode_rows, module.encode_rows)
 
 
 def kernel_build_info() -> Optional[dict]:

@@ -123,7 +123,7 @@ def test_pickle_round_trip(table1_cold, which):
     clone = pickle.loads(pickle.dumps(schedule))
     assert clone.columns() == schedule.columns()
     assert list(clone) == list(schedule)
-    assert len(clone) == len(schedule) and clone.packet_ids() == schedule.packet_ids()
+    assert len(clone) == len(schedule) and clone.columns().packet_id == schedule.columns().packet_id
     threshold = cold.metrics.threshold
     assert compare_schedules(cold.original, clone, threshold) == compare_schedules(
         cold.original, schedule, threshold

@@ -137,6 +137,6 @@ def test_full_replay_bit_identical_across_injectors():
     streaming = _replay_with("install", original, topology)
     upfront = _replay_with("install_upfront", original, topology)
 
-    assert streaming.packet_ids() == upfront.packet_ids()
-    for packet_id in streaming.packet_ids():
+    assert streaming.columns().packet_id == upfront.columns().packet_id
+    for packet_id in streaming.columns().packet_id:
         assert streaming.row(packet_id) == upfront.row(packet_id)  # exact, floats included

@@ -5,7 +5,7 @@ straight into columns; ``json`` (``_json_columns``) is the reference it must
 match — the same columns, the same types, the same float bits — and what
 decodes any block the native decoder declines, raising today's errors.
 Each test reads the same file both ways: as loads run, and with
-``kernel_decode_rows`` patched to report no kernel.
+``native_codecs`` patched to report none.
 """
 
 import gzip
@@ -28,8 +28,9 @@ from tests.core.test_schedule_io import MALFORMED_CHANGES, plain_row
 
 @pytest.fixture(scope="module", autouse=True)
 def native_decoder():
-    if compiled.kernel_decode_rows() is None:
+    if not compiled.kernel_available():
         pytest.skip(f"compiled kernel unavailable: {compiled.unavailable_reason()}")
+    assert schedule_module.native_codecs() is not None, "the native codecs disagree with ScheduleColumns"
 
 
 def typed(value):
@@ -43,8 +44,8 @@ def typed(value):
 
 def read(path, native=True):
     """Every batch the cursor yields and the loaded table, typed — or the error, as text."""
-    decoder = compiled.kernel_decode_rows if native else (lambda: None)
-    with mock.patch.object(schedule_module, "kernel_decode_rows", decoder):
+    codecs = schedule_module.native_codecs if native else (lambda: None)
+    with mock.patch.object(schedule_module, "native_codecs", codecs):
         outcome = []
         for consume in (lambda: list(iter_schedule_columns(path)), lambda: [load_schedule(path)[0].columns()]):
             try:
@@ -52,7 +53,7 @@ def read(path, native=True):
             except (ValueError, EOFError, OSError) as error:
                 outcome.append((type(error).__name__, str(error)))
             else:
-                outcome.append([typed([getattr(cols, name) for name in cols.__slots__]) for cols in batches])
+                outcome.append([typed(cols.lists()) for cols in batches])
         return outcome
 
 

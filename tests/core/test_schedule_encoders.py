@@ -4,8 +4,8 @@
 straight from the columns; ``json.dumps`` of each row
 (``ScheduleColumns.rows``) is the reference it must match byte for byte, and
 what writes any block the native encoder declines.  Each test saves the same
-schedule both ways: as saves run, and with ``kernel_encode_rows`` patched to
-report no kernel.
+schedule both ways: as saves run, and with ``native_codecs`` patched to
+report none.
 """
 
 import gzip
@@ -27,8 +27,9 @@ from tests.core.test_schedule_decoders import typed
 
 @pytest.fixture(scope="module", autouse=True)
 def native_encoder():
-    if compiled.kernel_encode_rows() is None:
+    if not compiled.kernel_available():
         pytest.skip(f"compiled kernel unavailable: {compiled.unavailable_reason()}")
+    assert schedule_module.native_codecs() is not None, "the native codecs disagree with ScheduleColumns"
 
 
 def reference_text(schedule):
@@ -38,14 +39,14 @@ def reference_text(schedule):
 
 def native_text(schedule):
     cols = schedule.columns()
-    return compiled.kernel_encode_rows()(tuple(getattr(cols, n) for n in cols.__slots__), 0, len(schedule))
+    return compiled.kernel_codecs()[1](cols.lists(), 0, len(schedule))
 
 
 def saved(directory, schedule, native=True, sharded=False, name="s.jsonl.gz"):
     """The raw bytes of every file a save of ``schedule`` leaves in ``directory``."""
-    encoder = compiled.kernel_encode_rows if native else (lambda: None)
+    codecs = schedule_module.native_codecs if native else (lambda: None)
     directory.mkdir()
-    with mock.patch.object(schedule_module, "kernel_encode_rows", encoder):
+    with mock.patch.object(schedule_module, "native_codecs", codecs):
         if sharded:
             # A fresh schedule over the same columns: a second sharded save of
             # one schedule would reuse the first one's bodies, not encode.
@@ -114,7 +115,7 @@ class TestBothEncodersAgree:
     @given(schedule=schedules(ids=st.integers(min_value=-(2**70), max_value=2**70)))
     def test_ints_past_64_bits_take_json_and_keep_the_bytes(self, schedule):
         encoded = native_text(schedule)
-        if all(-(2**63) <= packet_id < 2**63 for packet_id in schedule.packet_ids()):
+        if all(-(2**63) <= packet_id < 2**63 for packet_id in schedule.columns().packet_id):
             assert encoded == reference_text(schedule)
         else:
             assert isinstance(encoded, str) and "an int beyond 64 bits [packet_id]" in encoded
@@ -149,9 +150,7 @@ class TestBothEncodersAgree:
         loaded, meta = load_schedule(tmp_path / "out" / "s.jsonl.gz")
         cols = schedule.columns()
         assert meta == {"k": 1}
-        assert typed([getattr(loaded.columns(), n) for n in cols.__slots__]) == typed(
-            [getattr(cols, n) for n in cols.__slots__]
-        )
+        assert typed(loaded.columns().lists()) == typed(cols.lists())
 
 
 # --------------------------------------------------------------------- #
@@ -223,8 +222,8 @@ class TestDeclinedBlocksGoToJson:
         schedule = declining_schedule("src", "a", 0)
         cols = schedule.columns()
         del cols.hop_node[-1]
-        columns = tuple(getattr(cols, n) for n in cols.__slots__)
-        encode = compiled.kernel_encode_rows()
+        columns = cols.lists()
+        encode = compiled.kernel_codecs()[1]
         assert encode(columns, 0, 4) == reference_text(Schedule.from_rows(list(schedule)[:4]))
         assert encode(columns, 0, 5) == "packet 104 (row 4): hop offsets outside the hop columns [hops]"
         assert encode(columns, 0, 6) == "a column shorter than the rows asked for"

@@ -95,6 +95,8 @@ MALFORMED_CHANGES = [
     {"packet_id": "1"},
     {"ingress_time": "0.0"},
     {"output_time": None},
+    {"packet_id": True},
+    {"ingress_time": False},
 ]
 
 

@@ -78,7 +78,11 @@ class TestSchedule:
         packet.ingress_time = 0.0
         packet.egress_time = 1.0
         schedule = Schedule.from_packets([packet])
-        assert schedule.packet_ids() == [99]
+        assert schedule.columns().packet_id == [99]
+
+    def test_membership_raises_instead_of_walking_rows(self):
+        with pytest.raises(TypeError, match="not a container"):
+            1 in Schedule.from_rows([row(1)])
 
 
 class TestReplayMetrics:

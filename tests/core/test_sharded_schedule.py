@@ -147,19 +147,20 @@ class TestLaterSavesReuseShardBodies:
     def calls(self, monkeypatch) -> Counter:
         """Counts of encoder lookups, encoder calls and zlib compressions."""
         calls: Counter = Counter()
-        lookup = schedule_module.kernel_encode_rows
+        lookup = schedule_module.native_codecs
 
         def counting_lookup():
             calls["lookup"] += 1
-            encode = lookup()
-            if encode is None:
+            codecs = lookup()
+            if codecs is None:
                 return None
+            decode, encode = codecs
 
             def counting_encode(*args):
                 calls["encode"] += 1
                 return encode(*args)
 
-            return counting_encode
+            return decode, counting_encode
 
         def counted(name, real):
             def call(*args, **kwargs):
@@ -168,7 +169,7 @@ class TestLaterSavesReuseShardBodies:
 
             return call
 
-        monkeypatch.setattr(schedule_module, "kernel_encode_rows", counting_lookup)
+        monkeypatch.setattr(schedule_module, "native_codecs", counting_lookup)
         monkeypatch.setattr(zlib, "compressobj", counted("zlib", zlib.compressobj))
         monkeypatch.setattr(zlib, "crc32", counted("zlib", zlib.crc32))
         return calls

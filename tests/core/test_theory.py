@@ -76,7 +76,7 @@ class TestAppendixC:
         example = appendix_c_example()
         case1, case2 = example.schedules
         differing = [
-            pid for pid in case1.packet_ids()
+            pid for pid in case1.columns().packet_id
             if blackbox_attributes(case1.row(pid)) != blackbox_attributes(case2.row(pid))
         ]
         assert differing  # packets from flows B and Y have different output times

@@ -52,13 +52,17 @@ class ScriptedDef(ExperimentDef):
 
     @staticmethod
     def attempt(spec):
-        """Count this attempt in the spec's sentinel; fail (or die) if scripted to."""
+        """Count this attempt in the spec's sentinel; fail (or die) if scripted
+        to, once the spec's ``after`` file exists (a minute at most)."""
         sentinel = spec.get("sentinel")
         if sentinel is not None:
             with open(sentinel, "a") as handle:
                 handle.write("x")
             attempts = os.path.getsize(sentinel)
             if attempts <= spec.get("fail_times", 0):
+                deadline = time.monotonic() + 60
+                while spec.get("after") and not os.path.exists(spec["after"]) and time.monotonic() < deadline:
+                    time.sleep(0.01)
                 if spec.get("kill"):
                     os.kill(os.getpid(), 9)
                 raise RuntimeError(f"scripted failure #{attempts}")
@@ -268,10 +272,23 @@ class TestParallelHardening:
         serial = run(registry(*serial_specs), workers=1)
         assert labels(parallel) == labels(serial)
 
-    def test_exhausted_retries_report_and_spare_survivors(self, tmp_path):
+    def test_exhausted_retries_report_and_spare_survivors(self, tmp_path, monkeypatch):
+        """The doomed cell dies only once the survivor's result has reached the
+        runner: a SIGKILL fails every outstanding future, so a kill that beat
+        the survivor's result in both rounds would fail the survivor too."""
+        landed = tmp_path / "landed"
+        drain = runner_module._drain
+
+        def drain_and_mark(futures):
+            for tag, outcome, crashed in drain(futures):
+                if not crashed:
+                    landed.touch()
+                yield tag, outcome, crashed
+
+        monkeypatch.setattr(runner_module, "_drain", drain_and_mark)
         reg = registry(
             {"label": "doomed", "sentinel": str(tmp_path / "kill"), "fail_times": 99,
-             "kill": True},
+             "kill": True, "after": str(landed)},
             {"label": "survivor"},
         )
         summary = run(reg, workers=2, max_retries=1)

@@ -90,6 +90,6 @@ def test_table_routed_path_equals_the_routing_tables_path(case):
 
     recording = Schedule.from_packets(tracer.delivered_data_packets())
     replay = replay_schedule(topo, recording, mode="lstf", backend="python")
-    assert replay.packet_ids() == recording.packet_ids()
-    for packet_id in recording.packet_ids():
+    assert replay.columns().packet_id == recording.columns().packet_id
+    for packet_id in recording.columns().packet_id:
         assert replay.row(packet_id)["path"] == recording.row(packet_id)["path"]

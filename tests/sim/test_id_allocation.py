@@ -71,7 +71,7 @@ def test_a_recording_saves_the_same_bytes_at_any_point_of_any_process(tmp_path, 
             path = tmp_path / f"{pin}-{attempt}.jsonl.gz"
             save_schedule(path, schedule, meta=meta)
             assert gzip.decompress(path.read_bytes()) == expected, (pin, attempt)
-    assert schedule.packet_ids()[:3] == [0, 1, 2]
+    assert schedule.columns().packet_id[:3] == [0, 1, 2]
 
 
 # ---------------------------------------------------------------------- #
@@ -111,13 +111,13 @@ def test_a_python_replay_delivers_the_recorded_packets_under_their_own_ids():
     ReplayInjector(sim, network, schedule, initializer, topology.link_params()).install()
     sim.run()
     delivered = tracer.delivered_data_packets()
-    assert sorted(packet.packet_id for packet in delivered) == sorted(schedule.packet_ids())
+    assert sorted(packet.packet_id for packet in delivered) == sorted(schedule.columns().packet_id)
     # ... and that id is its only identity: no second, replay-side field beside it.
     assert [slot for slot in type(delivered[0]).__slots__ if "replay" in slot] == []
     assert next(sim.packet_ids) == 0  # a replay allocates nothing
 
     replayed = replay_schedule(topology, schedule, mode="lstf", backend="python")
-    assert replayed.packet_ids() == schedule.packet_ids()
+    assert replayed.columns().packet_id == schedule.columns().packet_id
 
 
 # ---------------------------------------------------------------------- #

@@ -20,6 +20,7 @@ import pkgutil
 import runpy
 import sys
 import tempfile
+import threading
 from collections import namedtuple
 from importlib import import_module
 from pathlib import Path
@@ -44,7 +45,7 @@ ALLOWED = {
         pipeline.experiment:ScenarioExperimentDef.pin_workload core.slack:NullSlackPolicy.on_packet_sent
         experiments.adversarial:AdversarialDefinition.pin_workload""",
     "a kernel build, or no kernel (first build, tools/build_compiled.py, no compiler)": """
-        sim.compiled:_compiler,_spawn,_build,_remove_other_builds,build_kernel core.schedule:_json_columns""",
+        sim.compiled:_compiler,_spawn,_build,_remove_other_builds,build_kernel""",
     "error paths: failed or timed-out cells, corrupt cache entries, declined recordings": """
         pipeline.runner:CellError.to_dict,_CellFailure.capture,_cell_deadline._on_timeout,_cell_error
         pipeline.experiment:Cell.cell_id pipeline.cache:ScheduleCache._quarantine
@@ -65,7 +66,7 @@ ALLOWED = {
     "tests use it as a fixture or oracle for behaviour a shipped path reaches": """
         topology.base:linear_topology,single_switch_topology sim.network:Network.path,Network.tmin
         sim.packet:Packet.path_taken sim.node:Node.port_to sim.compiled:kernel_available
-        core.schedule:Schedule.packet_ids core.replay:ReplayInjector.install_upfront,ReplayExperiment.run
+        core.replay:ReplayInjector.install_upfront,ReplayExperiment.run
         core.slack_policy:SlackPolicyDef.from_dict faults.defs:fault_from_dict
         faults.injector:FaultPlan.from_dict faults.registry:FaultScheduleDef.from_dict
         traffic.perturb:Perturbation.from_dict experiments.heuristics:heuristics_scenarios
@@ -116,14 +117,19 @@ def functions(package_dir: Path, package: str) -> list:
 
 
 def entered(drive) -> set:
-    """``(real path, first line)`` of every code object entered while ``drive()`` runs."""
+    """``(real path, first line)`` of every code object entered, on any thread, while ``drive()`` runs."""
     seen: set = set()
-    previous = sys.getprofile()
-    sys.setprofile(lambda frame, event, arg: event == "call" and seen.add(frame.f_code))
+    previous, previous_threads = sys.getprofile(), threading.getprofile()
+    profile = lambda frame, event, arg: event == "call" and seen.add(frame.f_code)  # noqa: E731
+    # Threads too: a pool's management thread runs done-callbacks such as the
+    # serial writer's, on it or on the caller's thread as timing decides.
+    sys.setprofile(profile)
+    threading.setprofile(profile)
     try:
         drive()
     finally:
         sys.setprofile(previous)
+        threading.setprofile(previous_threads)
     return {(os.path.realpath(code.co_filename), code.co_firstlineno) for code in seen}
 
 
