@@ -455,12 +455,10 @@ def record_schedule(
     every in-flight packet has drained so that each recorded packet has a
     complete path and output time.
 
-    The simulation is built once, then run by whichever loop can: the flat
-    recording loop (:mod:`repro.sim.flat_record`) for open-loop originals
-    under FIFO / LIFO / SJF / Random / SRPT / LSTF / FIFO+ / FQ with infinite
-    buffers and at most a constant or flow-size live slack policy, the OO
-    engine — the reference, and what a ``python`` backend pin selects — for
-    everything else.  The two agree to the byte of the saved schedule.
+    The simulation is built once, then run by the compiled kernel's flat
+    recording loop (:mod:`repro.sim.flat_record`) when its ``decline_reason``
+    accepts it — every open-loop original a shipped experiment records — else
+    by the OO engine, the reference.  The two save the same bytes.
 
     Args:
         slack_policy: Optional send-time

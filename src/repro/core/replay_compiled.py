@@ -55,7 +55,7 @@ from repro.core.schedule import Schedule
 from repro.core.slack import LinkParams, ReplayInitializer
 from repro.faults.defs import BernoulliLoss, GilbertElliottLoss, JammingIntervals, LinkOutage
 from repro.sim.backend import SimBackend
-from repro.sim.compiled import kernel_build_info, kernel_run_flat_replay, unavailable_reason
+from repro.sim.compiled import kernel_build_info, kernel_loop, unavailable_reason
 from repro.sim.engine import Simulator
 from repro.topology.base import Topology
 
@@ -238,7 +238,7 @@ class CompiledBackend(SimBackend):
             ]
 
         # ---- run; the result wraps the kernel's output arrays as columns ----
-        arr, start, dep, egress, executed = kernel_run_flat_replay()(
+        arr, start, dep, egress, executed = kernel_loop("run_flat_replay")(
             schedule.columns().ingress_time,
             off,
             hop_pkt,

@@ -24,7 +24,7 @@ Four comparison kinds:
   replay-methodology claim, fuzzed);
 * ``record-pair`` — the scenario recorded under the ``python`` pin (the OO
   engine) versus recorded as the process is (the flat recording loop,
-  :mod:`repro.sim.flat_record`, for the originals it accepts), event counts
+  :mod:`repro.sim.flat_record`, where its kernel loads), event counts
   included.  A sweep that planned one and never saw a recording land on the
   flat loop fails: the selection must not go silently dead.
 
@@ -55,6 +55,7 @@ from repro.pipeline.synth import (
     simplified,
 )
 from repro.sim.backend import REFERENCE_BACKEND, describe_backends, select_engine
+from repro.sim.compiled import kernel_available
 
 #: Format tag of persisted fuzz-case artifacts.
 FUZZ_ARTIFACT_FORMAT = "repro-fuzz-case/1"
@@ -225,7 +226,7 @@ def case_plan(
     twin (LSTF, a stateless policy, no faults); every other case runs the
     reference determinism twin plus one ``backend-pair`` comparison per
     available non-reference backend, plus a ``record-pair`` when the original
-    is one of :data:`FLAT_ORIGINALS`.
+    is one of :data:`FLAT_ORIGINALS` and the flat loop's kernel is available.
     """
     scenario = random_scenario(seed, index, scale)
     if index % LIVE_TWIN_STRIDE == LIVE_TWIN_STRIDE - 1:
@@ -245,7 +246,7 @@ def case_plan(
         for name in backends
         if name != "python"
     ]
-    if scenario.original in FLAT_ORIGINALS:
+    if scenario.original in FLAT_ORIGINALS and kernel_available():
         specs.append(ComparisonSpec("record-pair"))
     return scenario, specs
 

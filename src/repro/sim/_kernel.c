@@ -1,7 +1,7 @@
-/* Native replay kernel: `run_flat_replay`, the OO engine's event loop
- * specialized for replay.  (The stored-schedule row decoder and encoder,
- * `decode_rows` and `encode_rows`, follow it at the end of this file; see
- * the comments there.)
+/* Native kernel: `run_flat_replay`, the OO engine's event loop specialized
+ * for replay.  (`run_flat_record`, the same loop for open-loop recording, and
+ * the stored-schedule row decoder and encoder, `decode_rows` and
+ * `encode_rows`, follow it; see the comments there.)
  *
  * This is the inner loop of the "compiled" backend
  * (repro.core.replay_compiled).  A replay has a much smaller state space
@@ -25,7 +25,7 @@
  *   transmission (OutputPort._finish_transmission).
  * - Per-port queues order (key, port_seq): PriorityScheduler's heap, the
  *   port seq allocated at enqueue.  An idle port serves an arrival at once;
- *   LSTF's `slack -= t - et` is skipped there (the wait is exactly 0.0).
+ *   LSTF's `slack -= t - arr` is skipped there (the wait is exactly 0.0).
  * - A fault plan replays sim/port.py + faults/injector.py.  Toggles are
  *   pushed after the cursor is armed and before the first pop, so toggle k
  *   carries seq k (FaultInjector.install: links in plan order, windows
@@ -40,7 +40,7 @@
  *
  * - The loop performs only double additions/subtractions, in CPython's
  *   association order: `t + hop_prop[f]`, `t + hop_tx[f]`,
- *   `(slack + t) + tx`, `slack -= t - et`.  With no multiplications no FMA
+ *   `(slack + t) + tx`, `slack -= t - arr`.  With no multiplications no FMA
  *   contraction is possible; the build passes -ffp-contract=off anyway.
  * - (time, seq) / (key, seq) with unique seqs is a strict total order, so
  *   any correct binary heap pops as heapq would over the same tuples.  Keys
@@ -59,6 +59,7 @@
 
 /* ------------------------------------------------------------------ */
 /* Event heap: (time, seq, code) — seq unique, code never compared.   */
+/* Per-port priority queues are the same heap of (key, port_seq, hop). */
 /* ------------------------------------------------------------------ */
 typedef struct {
     double t;
@@ -86,8 +87,10 @@ ev_push(EvHeap *h, double t, int64_t seq, int64_t code)
     if (h->size == h->cap) {
         Py_ssize_t cap = h->cap ? h->cap * 2 : 64;
         Ev *items = (Ev *)realloc(h->items, (size_t)cap * sizeof(Ev));
-        if (items == NULL)
+        if (items == NULL) {
+            PyErr_NoMemory();
             return -1;
+        }
         h->items = items;
         h->cap = cap;
     }
@@ -126,127 +129,36 @@ ev_pop(EvHeap *h)
 }
 
 /* ------------------------------------------------------------------ */
-/* Per-port priority queues: (key, port_seq, hop, enqueue_time).      */
-/* ------------------------------------------------------------------ */
-typedef struct {
-    double key;
-    int64_t seq;
-    int64_t f;
-    double et;
-} Pe;
-
-typedef struct {
-    Pe *items;
-    Py_ssize_t size;
-    Py_ssize_t cap;
-} PeHeap;
-
-static inline int
-pe_lt(const Pe *a, const Pe *b)
-{
-    return a->key < b->key || (a->key == b->key && a->seq < b->seq);
-}
-
-static int
-pe_push(PeHeap *h, double key, int64_t seq, int64_t f, double et)
-{
-    Py_ssize_t i, parent;
-    Pe item;
-    if (h->size == h->cap) {
-        Py_ssize_t cap = h->cap ? h->cap * 2 : 8;
-        Pe *items = (Pe *)realloc(h->items, (size_t)cap * sizeof(Pe));
-        if (items == NULL)
-            return -1;
-        h->items = items;
-        h->cap = cap;
-    }
-    item.key = key;
-    item.seq = seq;
-    item.f = f;
-    item.et = et;
-    i = h->size++;
-    while (i > 0) {
-        parent = (i - 1) >> 1;
-        if (!pe_lt(&item, &h->items[parent]))
-            break;
-        h->items[i] = h->items[parent];
-        i = parent;
-    }
-    h->items[i] = item;
-    return 0;
-}
-
-static Pe
-pe_pop(PeHeap *h)
-{
-    Pe top = h->items[0];
-    Pe last = h->items[--h->size];
-    Py_ssize_t i = 0, child;
-    Py_ssize_t n = h->size;
-    while ((child = 2 * i + 1) < n) {
-        if (child + 1 < n && pe_lt(&h->items[child + 1], &h->items[child]))
-            child += 1;
-        if (!pe_lt(&h->items[child], &last))
-            break;
-        h->items[i] = h->items[child];
-        i = child;
-    }
-    h->items[i] = last;
-    return top;
-}
-
-/* ------------------------------------------------------------------ */
 /* Input conversion helpers.                                          */
 /* ------------------------------------------------------------------ */
-static double *
-as_double_array(PyObject *seq, const char *name, Py_ssize_t *len_out)
+/* The items of `seq` as a malloc'd array of doubles, or of int64s when
+ * `ints`; NULL with TypeError naming the first item that is neither. */
+static void *
+as_array(PyObject *seq, const char *name, Py_ssize_t *len_out, int ints)
 {
     PyObject *fast = PySequence_Fast(seq, "expected a sequence");
     Py_ssize_t n, i;
-    double *out;
-    if (fast == NULL)
-        return NULL;
-    n = PySequence_Fast_GET_SIZE(fast);
-    out = (double *)malloc((size_t)(n > 0 ? n : 1) * sizeof(double));
-    if (out == NULL) {
-        Py_DECREF(fast);
-        PyErr_NoMemory();
-        return NULL;
-    }
-    for (i = 0; i < n; i++) {
-        out[i] = PyFloat_AsDouble(PySequence_Fast_GET_ITEM(fast, i));
-        if (out[i] == -1.0 && PyErr_Occurred()) {
-            PyErr_Format(PyExc_TypeError, "%s[%zd] is not a float", name, i);
-            free(out);
-            Py_DECREF(fast);
-            return NULL;
-        }
-    }
-    Py_DECREF(fast);
-    if (len_out != NULL)
-        *len_out = n;
-    return out;
-}
-
-static int64_t *
-as_int64_array(PyObject *seq, const char *name, Py_ssize_t *len_out)
-{
-    PyObject *fast = PySequence_Fast(seq, "expected a sequence");
-    Py_ssize_t n, i;
+    double *floats;
     int64_t *out;
     if (fast == NULL)
         return NULL;
     n = PySequence_Fast_GET_SIZE(fast);
     out = (int64_t *)malloc((size_t)(n > 0 ? n : 1) * sizeof(int64_t));
+    floats = (double *)out;  /* the same 8-byte slots */
     if (out == NULL) {
         Py_DECREF(fast);
         PyErr_NoMemory();
         return NULL;
     }
     for (i = 0; i < n; i++) {
-        out[i] = (int64_t)PyLong_AsLongLong(PySequence_Fast_GET_ITEM(fast, i));
-        if (out[i] == -1 && PyErr_Occurred()) {
-            PyErr_Format(PyExc_TypeError, "%s[%zd] is not an int", name, i);
+        PyObject *item = PySequence_Fast_GET_ITEM(fast, i);
+        if (ints)
+            out[i] = (int64_t)PyLong_AsLongLong(item);
+        else
+            floats[i] = PyFloat_AsDouble(item);
+        if (PyErr_Occurred()) {
+            PyErr_Format(PyExc_TypeError, "%s[%zd] is not %s", name, i,
+                         ints ? "an int" : "a float");
             free(out);
             Py_DECREF(fast);
             return NULL;
@@ -257,6 +169,8 @@ as_int64_array(PyObject *seq, const char *name, Py_ssize_t *len_out)
         *len_out = n;
     return out;
 }
+#define as_double_array(seq, name, len_out) ((double *)as_array(seq, name, len_out, 0))
+#define as_int64_array(seq, name, len_out) ((int64_t *)as_array(seq, name, len_out, 1))
 
 /* 1 if a hop array holds exactly total_hops entries, else ValueError and 0. */
 static int
@@ -397,7 +311,7 @@ kernel_run_flat_replay(PyObject *self, PyObject *args, PyObject *kwargs)
     char *has_egress = NULL;
     PyObject **filters = NULL;
     EvHeap heap = {NULL, 0, 0};
-    PeHeap *ports = NULL;
+    EvHeap *ports = NULL;
     PyObject *result = NULL;
     Py_ssize_t n = 0, off_len = 0, total_hops = 0, hop_len = 0, p_idx;
     Py_ssize_t toggles = 0;
@@ -529,8 +443,8 @@ kernel_run_flat_replay(PyObject *self, PyObject *args, PyObject *kwargs)
     cur = (int64_t *)malloc((size_t)(num_ports > 0 ? num_ports : 1) * sizeof(int64_t));
     port_seq = (int64_t *)calloc((size_t)(num_ports > 0 ? num_ports : 1),
                                  sizeof(int64_t));
-    ports = (PeHeap *)calloc((size_t)(num_ports > 0 ? num_ports : 1),
-                             sizeof(PeHeap));
+    ports = (EvHeap *)calloc((size_t)(num_ports > 0 ? num_ports : 1),
+                             sizeof(EvHeap));
     filters = (PyObject **)calloc((size_t)(num_ports > 0 ? num_ports : 1),
                                   sizeof(PyObject *));
     if (nxt == NULL || cur == NULL || port_seq == NULL || ports == NULL ||
@@ -578,7 +492,7 @@ kernel_run_flat_replay(PyObject *self, PyObject *args, PyObject *kwargs)
         arr[f_] = t;                                                       \
         if (cur[p_] != IDLE) {                                             \
             double key_ = lstf ? (slack[j] + t) + hop_tx[f_] : hop_key[f_]; \
-            if (pe_push(&ports[p_], key_, s_, f_, t) < 0)                  \
+            if (ev_push(&ports[p_], key_, s_, f_) < 0)                     \
                 goto nomem;                                                \
         } else {                                                           \
             start[f_] = t;                                                 \
@@ -594,12 +508,12 @@ kernel_run_flat_replay(PyObject *self, PyObject *args, PyObject *kwargs)
 #define START_NEXT(p)                                                      \
     do {                                                                   \
         if (ports[p].size > 0) {                                           \
-            Pe head_ = pe_pop(&ports[p]);                                  \
+            int64_t f_ = ev_pop(&ports[p]).code;                           \
             if (lstf)                                                      \
-                slack[hop_pkt[head_.f]] -= t - head_.et;                   \
-            start[head_.f] = t;                                            \
-            cur[p] = head_.f;                                              \
-            if (ev_push(&heap, t + hop_tx[head_.f], seq, head_.f) < 0)     \
+                slack[hop_pkt[f_]] -= t - arr[f_];                         \
+            start[f_] = t;                                                 \
+            cur[p] = f_;                                                   \
+            if (ev_push(&heap, t + hop_tx[f_], seq, f_) < 0)               \
                 goto nomem;                                                \
             seq += 1;                                                      \
         } else {                                                           \
@@ -754,6 +668,438 @@ PyDoc_STRVAR(run_flat_replay_doc,
 "(arrival, start_service, departure, egress, executed): per-hop timings,\n"
 "per-packet egress (None: destroyed, or in flight when the budget ran out)\n"
 "and the events executed, bit-identical to the OO engine's.");
+
+/* ------------------------------------------------------------------ */
+/* run_flat_record                                                    */
+/* ------------------------------------------------------------------ */
+/*
+ * The flat recording loop of repro.sim.flat_record (contract: docs/
+ * backends.md#recording).  Traffic is *not* known up front: the simulator's
+ * generator entries (time, seq, event, callback, args) stay on its Python
+ * heap, hop events go on an EvHeap here (finish of hop f: f; its delivery:
+ * ~f), and each step pops the earlier top in (time, seq).  One counter,
+ * handed across every yield as Simulator._sequence, keeps seqs unique, so
+ * the merge pops what the OO engine's one heap would.  Python runs each
+ * generator callback (sim.now and sim._sequence set first, the counter read
+ * back after), emit(source, time) in place of UdpSource._emit_packets (the
+ * flow's per-packet columns; it returns sizes, route ports, bandwidths, flow
+ * size and slack stamp), and a contended Random port's _rng.randint(0, n).
+ * Queues mirror the schedulers: an arrival-ordered array (FIFO / LIFO /
+ * Random), per-flow FIFOs in first-insertion order served by strictly least
+ * queued priority (SRPT), or an EvHeap keyed by float(flow size), (slack + t)
+ * + tx, t - accumulated wait, or SCFQ's max(vt, flow's last tag) + size (SJF,
+ * LSTF, FIFO+, FQ).  A flow's FQ tags take one slot per route hop.  Float
+ * operations are CPython's, in its order: tx is (size * 8.0) / bandwidth.
+ */
+enum { K_RANDOM, K_FIFO, K_LIFO, K_SRPT, K_SJF, K_LSTF, K_FIFO_PLUS, K_FQ };
+
+typedef struct {            /* packet-hop f */
+    int64_t port, row, next;            /* next: the hop behind it in SRPT's flow FIFO */
+    double tx, arr, start, dep;
+} Hop;
+
+typedef struct {            /* packet r */
+    int64_t end, flow, tags;            /* one past its last hop; flow; tag slot - first hop */
+    double size, out, key, prio, slack, waited;  /* key: SJF; prio: SRPT; slack NaN: none */
+} Row;
+
+typedef struct {            /* SRPT: one flow's queued hops, oldest first */
+    int64_t flow, head, tail;
+} FlowQ;
+
+typedef struct {
+    int kind, busy;
+    double prop, vt;                    /* propagation delay; FQ's virtual time */
+    PyObject *randint;
+    int64_t *q;                         /* FIFO / LIFO / Random: q[head:head+len] */
+    Py_ssize_t head, len, cap, nflows, flows_cap;
+    EvHeap heap;                        /* SJF / LSTF / FIFO+ / FQ: (key, enqueue seq, hop) */
+    FlowQ *flows;                       /* SRPT */
+} Port;
+
+typedef struct {
+    Port *ports;
+    Hop *hops;
+    Row *rows;
+    double *tags;
+    Py_ssize_t nports, nhops, hops_cap, nrows, rows_cap, ntags, tags_cap;
+    EvHeap heap;
+    int64_t seq, enqueued, nflows;
+} Rec;
+
+/* `items` (*cap elements of `size` bytes) regrown to hold `need`; NULL with
+ * MemoryError set, and the old block freed, when out of memory. */
+static void *
+grow(void *items, Py_ssize_t *cap, Py_ssize_t need, size_t size)
+{
+    Py_ssize_t n = *cap > 0 ? *cap : 16;
+    void *bigger;
+    if (need <= *cap)
+        return items;
+    while (n < need)
+        n *= 2;
+    if ((bigger = realloc(items, (size_t)n * size)) == NULL) {
+        free(items);
+        PyErr_NoMemory();
+    }
+    *cap = n;
+    return bigger;
+}
+
+/* OutputPort.enqueue for hop f at t: keyed as its scheduler keys it, then
+ * served at once by an idle port, else queued. */
+static int
+rec_arrive(Rec *R, int64_t f, double t)
+{
+    Hop *h = &R->hops[f];
+    Row *row = &R->rows[h->row];
+    Port *P = &R->ports[h->port];
+    double key = 0.0, *tag = &R->tags[f + row->tags];
+    Py_ssize_t j;
+    if (P->kind == K_SJF)
+        key = row->key;
+    else if (P->kind == K_LSTF)
+        key = isnan(row->slack) ? INFINITY : (row->slack + t) + h->tx;
+    else if (P->kind == K_FIFO_PLUS)
+        key = t - row->waited;
+    else if (P->kind == K_FQ)  /* weight 1.0: a UDP source sets none */
+        *tag = key = (*tag > P->vt ? *tag : P->vt) + row->size;
+    if (!P->busy) {
+        if (P->kind == K_FQ && key > P->vt)
+            P->vt = key;
+        P->busy = 1;
+        h->start = t;
+        return ev_push(&R->heap, t + h->tx, R->seq++, f);
+    }
+    if (P->kind > K_SRPT)
+        return ev_push(&P->heap, key, R->enqueued++, f);
+    if (P->kind != K_SRPT) {
+        if (P->head + P->len == P->cap && P->head > 0 && P->head >= P->len) {
+            memmove(P->q, P->q + P->head, (size_t)P->len * sizeof(int64_t));
+            P->head = 0;
+        }
+        if ((P->q = grow(P->q, &P->cap, P->head + P->len + 1, sizeof(int64_t))) == NULL)
+            return -1;
+        P->q[P->head + P->len++] = f;
+        return 0;
+    }
+    h->next = -1;
+    for (j = 0; j < P->nflows && P->flows[j].flow != row->flow; j++)
+        ;
+    if (j < P->nflows) {
+        R->hops[P->flows[j].tail].next = f;
+        P->flows[j].tail = f;
+    } else if ((P->flows = grow(P->flows, &P->flows_cap, j + 1, sizeof(FlowQ))) == NULL) {
+        return -1;
+    } else {
+        P->flows[P->nflows++] = (FlowQ){row->flow, f, f};
+    }
+    return 0;
+}
+
+/* The hop port P serves next at t: -1 if none is queued, -2 on an error. */
+static int64_t
+rec_dequeue(Rec *R, Port *P, double t)
+{
+    Py_ssize_t i = P->kind == K_FIFO ? 0 : P->len - 1, j, best = -1;
+    int64_t f;
+    double least, best_least = 0.0;
+    if (P->kind > K_SRPT) {
+        Ev head;
+        if (P->heap.size == 0)
+            return -1;
+        head = ev_pop(&P->heap);
+        if (P->kind == K_LSTF)  /* the slack pays for the wait (NaN stays NaN) */
+            R->rows[R->hops[head.code].row].slack -= t - R->hops[head.code].arr;
+        else if (P->kind == K_FQ && head.t > P->vt)
+            P->vt = head.t;
+        return head.code;
+    }
+    if (P->kind == K_SRPT) {
+        for (j = 0; j < P->nflows; j++) {
+            for (f = P->flows[j].head, least = INFINITY; f >= 0; f = R->hops[f].next)
+                if (R->rows[R->hops[f].row].prio < least)
+                    least = R->rows[R->hops[f].row].prio;
+            if (best < 0 || least < best_least)
+                best = j, best_least = least;
+        }
+        if (best < 0)
+            return -1;
+        f = P->flows[best].head;
+        if ((P->flows[best].head = R->hops[f].next) < 0)  /* emptied: the flow leaves */
+            memmove(P->flows + best, P->flows + best + 1,
+                    (size_t)(--P->nflows - best) * sizeof(FlowQ));
+        return f;
+    }
+    if (P->len == 0)
+        return -1;
+    if (P->kind == K_RANDOM && P->len > 1) {  /* list.pop(randint(0, n)) */
+        PyObject *drawn = PyObject_CallFunction(P->randint, "nn", (Py_ssize_t)0, P->len);
+        i = drawn == NULL ? -1 : PyNumber_AsSsize_t(drawn, PyExc_IndexError);
+        Py_XDECREF(drawn);
+        if (i < 0 && !PyErr_Occurred())
+            i += P->len;
+        if ((i < 0 || i >= P->len) && !PyErr_Occurred())
+            PyErr_SetString(PyExc_IndexError, "pop index out of range");
+        if (PyErr_Occurred())
+            return -2;
+    }
+    f = P->q[P->head + i];
+    if (i == 0)
+        P->head++;
+    else
+        memmove(P->q + P->head + i, P->q + P->head + i + 1,
+                (size_t)(P->len - i - 1) * sizeof(int64_t));
+    P->len--;
+    return f;
+}
+
+/* OutputPort._finish_transmission for hop f at t: the downstream delivery
+ * (or a last hop's settled output_time, same seq) before the next service. */
+static int
+rec_finish(Rec *R, int64_t f, double t)
+{
+    Hop *h = &R->hops[f];
+    Row *row = &R->rows[h->row];
+    Port *P = &R->ports[h->port];
+    int64_t g;
+    h->dep = t;
+    if (f + 1 < row->end) {
+        if (ev_push(&R->heap, t + P->prop, R->seq++, ~(f + 1)) < 0)
+            return -1;
+    } else {
+        row->out = t + P->prop;
+        R->seq++;
+    }
+    if ((g = rec_dequeue(R, P, t)) < 0) {
+        P->busy = 0;
+        return g == -1 ? 0 : -1;
+    }
+    h = &R->hops[g];
+    R->rows[h->row].waited += t - h->arr;  /* FIFO+: OutputPort._start_next, on every port */
+    h->start = t;
+    return ev_push(&R->heap, t + h->tx, R->seq++, g);
+}
+
+/* Host.send for every packet of a flow emitted at t; `emitted` is emit()'s
+ * (sizes, route ports, bandwidths, flow size, stamp). */
+static int
+rec_emit(Rec *R, PyObject *emitted, double t)
+{
+    PyObject *sizes, *route, *bandwidths, *flow_size, *stamp;
+    Py_ssize_t count, hops, i, k, first = R->nrows;
+    double key = 0.0, slack = NAN, remaining;
+    if (!PyArg_ParseTuple(emitted, "O!O!O!OO:emit", &PyList_Type, &sizes, &PyList_Type, &route,
+                          &PyList_Type, &bandwidths, &flow_size, &stamp))
+        return -1;
+    count = PyList_GET_SIZE(sizes);
+    if ((hops = PyList_GET_SIZE(route)) == 0 || PyList_GET_SIZE(bandwidths) != hops) {
+        PyErr_SetString(PyExc_ValueError, "emit: a route needs ports, one bandwidth each");
+        return -1;
+    }
+    if (((key = PyFloat_AsDouble(flow_size)) == -1.0 && PyErr_Occurred()) ||
+        (stamp != Py_None && (slack = PyFloat_AsDouble(stamp)) == -1.0 && PyErr_Occurred()) ||
+        (R->hops = grow(R->hops, &R->hops_cap, R->nhops + count * hops, sizeof(Hop))) == NULL ||
+        (R->rows = grow(R->rows, &R->rows_cap, R->nrows + count, sizeof(Row))) == NULL ||
+        (R->tags = grow(R->tags, &R->tags_cap, R->ntags + hops, sizeof(double))) == NULL)
+        return -1;
+    for (k = 0; k < hops; k++)
+        R->tags[R->ntags + k] = 0.0;  /* flow_tags.get(flow_id, 0.0) */
+    for (i = 0, remaining = key; i < count; i++) {
+        Row *row = &R->rows[R->nrows];
+        double size = PyFloat_AsDouble(PyList_GET_ITEM(sizes, i));
+        *row = (Row){0, R->nflows, R->ntags - R->nhops, size, 0.0, key, remaining, slack, 0.0};
+        remaining -= size;
+        for (k = 0; k < hops; k++) {
+            Hop *h = &R->hops[R->nhops++];
+            double bandwidth = PyFloat_AsDouble(PyList_GET_ITEM(bandwidths, k));
+            *h = (Hop){PyLong_AsLongLong(PyList_GET_ITEM(route, k)), R->nrows, -1,
+                       size * 8.0 / bandwidth, t, t, t};
+            if (PyErr_Occurred())
+                return -1;
+            if (h->port < 0 || h->port >= R->nports) {
+                PyErr_Format(PyExc_ValueError, "emit: port %lld out of range", (long long)h->port);
+                return -1;
+            }
+        }
+        row->end = R->nhops;
+        R->nrows++;
+    }
+    R->nflows++;
+    R->ntags += hops;
+    for (i = first; i < R->nrows; i++)  /* each packet's first hop, in emission order */
+        if (rec_arrive(R, R->rows[i].end - hops, t) < 0)
+            return -1;
+    return 0;
+}
+
+/* The float for v, shared with an equal one made recently, as the OO
+ * engine's columns share one float per event. */
+#define FLOATS_BITS 12
+
+static PyObject *
+shared_float(PyObject **made, double v)
+{
+    uint64_t bits;
+    PyObject **slot;
+    double held;
+    memcpy(&bits, &v, sizeof(bits));
+    slot = &made[(bits * 0x9E3779B97F4A7C15ULL) >> (64 - FLOATS_BITS)];
+    if (*slot == NULL || (held = PyFloat_AS_DOUBLE(*slot), memcmp(&held, &v, sizeof(v)) != 0))
+        Py_XSETREF(*slot, PyFloat_FromDouble(v));
+    Py_XINCREF(*slot);
+    return *slot;
+}
+
+/* ((arrival, start_service, departure, output_time), executed). */
+static PyObject *
+rec_result(Rec *R, int64_t executed)
+{
+    PyObject *lists[4] = {NULL}, *made[1 << FLOATS_BITS] = {NULL}, *result = NULL, *value;
+    Py_ssize_t f, i;
+    for (i = 0; i < 4; i++)
+        if ((lists[i] = PyList_New(i < 3 ? R->nhops : R->nrows)) == NULL)
+            goto done;
+    for (f = 0; f < R->nhops; f++)
+        for (i = 0; i < 3; i++) {
+            Hop *h = &R->hops[f];
+            if ((value = shared_float(made, i == 0 ? h->arr : i == 1 ? h->start : h->dep)) == NULL)
+                goto done;
+            PyList_SET_ITEM(lists[i], f, value);
+        }
+    for (f = 0; f < R->nrows; f++) {
+        if ((value = shared_float(made, R->rows[f].out)) == NULL)
+            goto done;
+        PyList_SET_ITEM(lists[3], f, value);
+    }
+    result = Py_BuildValue("(OOOO)L", lists[0], lists[1], lists[2], lists[3], (long long)executed);
+done:
+    for (i = 0; i < 4; i++)
+        Py_XDECREF(lists[i]);
+    for (i = 0; i < 1 << FLOATS_BITS; i++)
+        Py_XDECREF(made[i]);
+    return result;
+}
+
+static PyObject *
+kernel_run_flat_record(PyObject *self, PyObject *args)
+{
+    PyObject *sim, *heap, *emit, *emit_func, *ports, *heappop, *result = NULL;
+    PyObject *entry, *callback, *out, *seq;
+    Rec R;
+    Py_ssize_t i;
+    int64_t generator_events = 0, steps = 0, top_seq = 0;
+    double top_t = 0.0;
+    int have_top = -1;  /* -1: read the Python heap's top again */
+
+    if (!PyArg_ParseTuple(args, "OO!OOO!:run_flat_record", &sim, &PyList_Type, &heap, &emit,
+                          &emit_func, &PyList_Type, &ports) ||
+        (heappop = PyImport_ImportModule("heapq")) == NULL)
+        return NULL;
+    Py_SETREF(heappop, PyObject_GetAttrString(heappop, "heappop"));
+    memset(&R, 0, sizeof(R));
+    R.nports = PyList_GET_SIZE(ports);
+    if ((R.ports = (Port *)calloc((size_t)R.nports + 1, sizeof(Port))) == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    for (i = 0; i < R.nports; i++) {  /* (kind, propagation delay, randint or None) */
+        Port *P = &R.ports[i];
+        if (!PyArg_ParseTuple(PyList_GET_ITEM(ports, i), "idO", &P->kind, &P->prop, &P->randint))
+            goto done;
+        Py_INCREF(P->randint);
+        if (P->kind < K_RANDOM || P->kind > K_FQ ||
+            (P->kind == K_RANDOM && !PyCallable_Check(P->randint))) {
+            PyErr_Format(PyExc_ValueError, "port %zd: kind %d, or no randint", i, P->kind);
+            goto done;
+        }
+    }
+    if (heappop == NULL || (seq = PyObject_GetAttrString(sim, "_sequence")) == NULL)
+        goto done;
+    R.seq = PyLong_AsLongLong(seq);
+    Py_DECREF(seq);
+    if (PyErr_Occurred())
+        goto done;
+
+    for (;;) {
+        if (have_top < 0 && (have_top = PyList_GET_SIZE(heap) > 0)) {
+            entry = PyList_GET_ITEM(heap, 0);
+            if (!PyTuple_Check(entry) || PyTuple_GET_SIZE(entry) != 5) {
+                PyErr_SetString(PyExc_TypeError, "a simulator heap entry must be a 5-tuple");
+                goto done;
+            }
+            top_t = PyFloat_AsDouble(PyTuple_GET_ITEM(entry, 0));
+            top_seq = PyLong_AsLongLong(PyTuple_GET_ITEM(entry, 1));
+            if (PyErr_Occurred())
+                goto done;
+        }
+        if (have_top && (R.heap.size == 0 || top_t < R.heap.items[0].t ||
+                         (top_t == R.heap.items[0].t && top_seq < R.heap.items[0].seq))) {
+            /* A generator event: the emission, intercepted, or a callback run as is. */
+            if ((entry = PyObject_CallOneArg(heappop, heap)) == NULL)
+                goto done;
+            generator_events++;
+            have_top = -1;
+            callback = PyTuple_GET_ITEM(entry, 3);
+            out = NULL;
+            if (PyMethod_Check(callback) && PyMethod_GET_FUNCTION(callback) == emit_func) {
+                out = PyObject_CallFunctionObjArgs(emit, PyMethod_GET_SELF(callback),
+                                                   PyTuple_GET_ITEM(entry, 0), NULL);
+                if (out != NULL && rec_emit(&R, out, top_t) < 0)
+                    Py_CLEAR(out);
+            } else if ((seq = PyLong_FromLongLong(R.seq)) != NULL) {
+                if (PyObject_SetAttrString(sim, "now", PyTuple_GET_ITEM(entry, 0)) == 0 &&
+                    PyObject_SetAttrString(sim, "_sequence", seq) == 0 &&
+                    (out = PyObject_Call(callback, PyTuple_GET_ITEM(entry, 4), NULL)) != NULL) {
+                    Py_SETREF(out, PyObject_GetAttrString(sim, "_sequence"));
+                    if (out != NULL && (R.seq = PyLong_AsLongLong(out)) == -1 && PyErr_Occurred())
+                        Py_CLEAR(out);
+                }
+                Py_DECREF(seq);
+            }
+            Py_DECREF(entry);
+            if (out == NULL)
+                goto done;
+            Py_DECREF(out);
+        } else if (R.heap.size > 0) {
+            Ev ev = ev_pop(&R.heap);
+            int status;
+            if (ev.code < 0) {  /* a link delivery at a router: Router.receive */
+                R.hops[~ev.code].arr = ev.t;
+                status = rec_arrive(&R, ~ev.code, ev.t);
+            } else {
+                status = rec_finish(&R, ev.code, ev.t);
+            }
+            if (status < 0 || ((++steps & 0xFFFF) == 0 && PyErr_CheckSignals() < 0))
+                goto done;
+        } else {
+            /* Per hop one finish and one delivery (or settled destination). */
+            result = rec_result(&R, generator_events + 2 * R.nhops);
+            break;
+        }
+    }
+done:
+    Py_XDECREF(heappop);
+    for (i = 0; R.ports != NULL && i < R.nports; i++) {
+        Py_XDECREF(R.ports[i].randint);
+        free(R.ports[i].q);
+        free(R.ports[i].heap.items);
+        free(R.ports[i].flows);
+    }
+    free(R.ports);
+    free(R.hops);
+    free(R.rows);
+    free(R.tags);
+    free(R.heap.items);
+    return result;
+}
+
+PyDoc_STRVAR(run_flat_record_doc,
+"run_flat_record(sim, heap, emit, emit_func, ports)\n"
+"--\n\n"
+"Record a built open-loop simulation (heap: sim._heap); ports: (kind, propagation\n"
+"delay, randint) per port.  A callback bound to emit_func calls emit(source, time).\n"
+"Returns ((arrival, start_service, departure, output_time), events executed).");
 
 /* ------------------------------------------------------------------ */
 /* decode_rows: repro-schedule/1 row lines straight into columns.     */
@@ -1572,18 +1918,19 @@ PyDoc_STRVAR(encode_rows_doc,
 static PyMethodDef kernel_methods[] = {
     {"run_flat_replay", (PyCFunction)(void (*)(void))kernel_run_flat_replay,
      METH_VARARGS | METH_KEYWORDS, run_flat_replay_doc},
+    {"run_flat_record", kernel_run_flat_record, METH_VARARGS, run_flat_record_doc},
     {"decode_rows", kernel_decode_rows, METH_VARARGS, decode_rows_doc},
     {"encode_rows", kernel_encode_rows, METH_VARARGS, encode_rows_doc},
     {NULL, NULL, 0, NULL},
 };
 
 PyDoc_STRVAR(kernel_module_doc,
-"Compiled flat replay kernel and schedule row decoder and encoder\n"
-"(hand-written CPython C extension).\n\n"
+"Compiled flat replay and recording loops and schedule row decoder and\n"
+"encoder (hand-written CPython C extension).\n\n"
 "Built optionally (a C toolchain is required); repro.sim.compiled wraps\n"
 "the import and reports availability, repro.core.replay_compiled\n"
-"registers the 'compiled' backend on top of it, and\n"
-"repro.core.schedule decodes and encodes stored schedules with it.");
+"registers the 'compiled' backend on top of it, repro.sim.flat_record\n"
+"records with it, and repro.core.schedule decodes and encodes with it.");
 
 #if defined(__clang__)
 #define KERNEL_COMPILER "clang " __clang_version__
@@ -1612,7 +1959,7 @@ PyInit__kernel(void)
     if (PyModule_AddStringConstant(module, "COMPILER", KERNEL_COMPILER) < 0 ||
         PyModule_AddStringConstant(module, "TOOLCHAIN",
                                    "cpython-c-api") < 0 ||
-        PyModule_AddIntConstant(module, "KERNEL_VERSION", 5) < 0) {
+        PyModule_AddIntConstant(module, "KERNEL_VERSION", 6) < 0) {
         Py_DECREF(module);
         return NULL;
     }

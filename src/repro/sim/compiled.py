@@ -1,14 +1,14 @@
-"""The compiled replay kernel: found, built and loaded in one place.
+"""The compiled kernel: found, built and loaded in one place.
 
 ``_kernel.c`` (beside this file) is a hand-written CPython C extension
 holding the flat replay loop of the ``compiled`` engine
-(:mod:`repro.core.replay_compiled`); see its header for the determinism
-argument.  It also holds the ``repro-schedule/1`` row
-decoder and encoder that stored-schedule loads and saves use.  It ships as
-source and builds itself: the first probe of a process — reached when an
-engine list that includes ``compiled`` is drawn up (:mod:`repro.sim.backend`)
-or a stored schedule is first loaded or saved, never at import, and
-remembered here, the one availability memo there is —
+(:mod:`repro.core.replay_compiled`; see its header for the determinism
+argument), the flat recording loop (:mod:`repro.sim.flat_record`) and the
+``repro-schedule/1`` row decoder and encoder of stored schedules.  It ships
+as source and builds itself: the first probe of a process — when an engine
+list with ``compiled`` is drawn up (:mod:`repro.sim.backend`), a recording
+is offered to the flat loop or a stored schedule is loaded or saved, never
+at import, and remembered here, the one availability memo there is —
 hashes the source and loads ``__pycache__/_kernel-<sha12><EXT_SUFFIX>`` from
 beside it, compiling that file first when it is missing or does not load.
 The name is the content, so an edited source never runs an old build; a
@@ -21,14 +21,13 @@ A build is one call of the interpreter's own link driver (``sysconfig``'s
 cache all end with one valid file.  A build that cannot succeed (no compiler,
 no headers, unwritable directory, non-POSIX) never raises: it leaves
 ``<file>.failed`` holding the reason, later processes decline from that
-marker without spawning anything, and replays use the reference engine.
+marker without spawning anything, and replays and recordings use the OO engine.
 ``python tools/build_compiled.py`` ignores the marker and builds now.
 """
 
 from __future__ import annotations
 
 import contextlib
-import functools
 import hashlib
 import importlib.util
 import logging
@@ -186,26 +185,33 @@ def _probe(force: bool = False) -> _Kernel:
     )
 
 
-@functools.lru_cache(maxsize=1)
+#: This process's probe, once made: the one availability memo.
+_memo: List[_Kernel] = []
+
+
 def _kernel() -> _Kernel:
     """This process's kernel, probed on first use (and warned about once)."""
-    kernel = _probe()
-    if kernel.module is None:
-        logger.warning(
-            "compiled kernel unavailable: %s; replays use the reference engine, schedule "
-            "loads use the json decoder and schedule saves use the json encoder",
-            kernel.reason,
-        )
-    return kernel
+    if not _memo:
+        kernel = _probe()
+        if kernel.module is None:
+            logger.warning(
+                "compiled kernel unavailable: %s; replays use the reference engine, recordings "
+                "use the OO engine, schedule loads use the json decoder and schedule saves use "
+                "the json encoder",
+                kernel.reason,
+            )
+        _memo.append(kernel)
+    return _memo[0]
 
 
 def build_kernel() -> Optional[str]:
-    """Compile the kernel now, past any cached build or failure marker.
+    """Compile the kernel now, past any cached build or failure marker, and
+    make that build this process's kernel.
 
     Returns the failure reason (also left in the marker), ``None`` on success.
     """
-    _kernel.cache_clear()
-    return _probe(force=True).reason
+    _memo[:] = [_probe(force=True)]
+    return _memo[0].reason
 
 
 def kernel_available() -> bool:
@@ -218,19 +224,19 @@ def unavailable_reason() -> Optional[str]:
     return _kernel().reason
 
 
-def kernel_run_flat_replay() -> Callable:
-    """The compiled ``run_flat_replay`` entry point.
+def kernel_loop(name: str) -> Callable:
+    """The compiled kernel's ``run_flat_replay`` or ``run_flat_record``.
 
     Raises:
-        RuntimeError: when the kernel is unavailable.  An unavailable
-            engine is never a replay candidate
-            (:func:`repro.sim.backend.replay_candidates`), so this is a
-            backstop, not an API.
+        RuntimeError: when the kernel is unavailable.  An unavailable engine
+            is never a replay candidate
+            (:func:`repro.sim.backend.replay_candidates`) and the flat
+            recorder declines first, so this is a backstop, not an API.
     """
     kernel = _kernel()
     if kernel.module is None:
         raise RuntimeError(kernel.reason)
-    return kernel.module.run_flat_replay
+    return getattr(kernel.module, name)
 
 
 def kernel_codecs() -> Optional[Tuple[Callable, Callable]]:

@@ -1,54 +1,31 @@
-"""Flat recording loop: the OO engine's event loop, specialized for open-loop originals.
+"""Flat recording: the OO engine's event loop for open-loop originals, in C.
 
 The paper's replay experiments record their originals from *open-loop UDP*
 traffic, so nothing the network does feeds back into what is offered to it.
-For those recordings the object graph the OO engine walks per hop
-(``Packet`` + ``HopRecord`` + ``OutputPort`` + ``Scheduler`` + ``Event``)
-collapses into flat lists indexed by *packet-hop* ``f``, as
-the compiled replay kernel does for replay (:mod:`repro.core.replay_compiled`) — but the traffic is **not**
-known up front: the loop drains the built simulation's own event heap, runs
-the real :class:`~repro.traffic.flowgen.PoissonFlowGenerator` callbacks
-(same rng draws, same :class:`~repro.sim.flow.Flow` objects and ids) and
-intercepts exactly one callback, the bound ``UdpSource._emit_packets``, to
-create that flow's packets as rows of growing columns.  The result is the
+For those recordings the per-hop object graph of the OO engine (``Packet`` +
+``HopRecord`` + ``OutputPort`` + ``Scheduler`` + ``Event``) collapses into
+arrays indexed by packet-hop, and ``_kernel.c``'s ``run_flat_record`` runs
+the hop events on its own heap, merged by ``(time, seq)`` with the generator
+entries left on the simulator's heap.  Python is re-entered for the real
+:class:`~repro.traffic.flowgen.PoissonFlowGenerator` callbacks (same rng
+draws, same :class:`~repro.sim.flow.Flow` objects and ids; ``sim.now`` and
+the sequence counter handed across), for a contended Random port's own
+``_rng.randint`` and for ``emit`` — the one intercepted callback, the bound
+``UdpSource._emit_packets`` — which appends the flow's per-packet columns.
+Routes, port setup and :func:`decline_reason` stay here.  The result is the
 table :meth:`Schedule.from_tracer` would have built, value for value
-(``tests/sim/test_flat_record.py`` holds the saved bytes equal), because the
-loop reproduces the OO choreography tuple for tuple; the numbered contract
-is in ``docs/backends.md#recording``.  What reading the code needs of it:
-
-* The loop's own events are ``(time, seq, code)`` triples on the simulator's
-  heap beside the generator's ``(time, seq, event, callback, args)``
-  entries, ``seq`` drawn from the simulator's counter — unique, so ordering
-  never reaches the third element.  Hop ``f``'s finish is ``code = f``, the
-  link delivery at hop ``f`` is ``~f``.
-* A route is the chain of ``routing.next_hop(node, dst)`` the per-node
-  forwarding tables follow, *not* ``routing.path(src, dst)``: they differ
-  under equal-cost alternatives.
-
-Per-port queues are a ``deque`` (FIFO), a list (LIFO), a list popped at the
-port scheduler's own ``_rng.randint(0, n)`` when ``n > 1`` (Random), a dict
-of flow -> ``deque`` of ``(float(remaining flow bytes), hop)`` served by
-least queued priority, first-inserted flow on a tie (SRPT), or a
-``(key, enqueue_seq, hop)`` heap keyed as the scheduler's ``key`` would:
-``float(flow_size)`` (SJF), ``slack + t + tx`` with the slack charged its
-wait on dequeue (LSTF), ``t - accumulated wait`` (FIFO+), or an SCFQ finish
-tag that advances the port's virtual time when served (FQ, which tags an
-arrival served at once too).  A live ``ConstantSlackPolicy`` /
-``FlowSizeSlackPolicy`` becomes a per-row initial slack.  Anything else —
-see :func:`decline_reason` — records on the OO engine, which stays the
-reference: pin it with ``REPRO_BACKEND=python``.  Flow-level bookkeeping
-(``Flow.bytes_sent``, ``Flow.packets_sent``, ...) is not maintained: the
-simulation is spent when the recording returns.
+(``tests/sim/test_flat_record.py`` holds the saved bytes equal); the
+numbered contract is ``docs/backends.md#recording``.  Anything declined —
+no compiled kernel included — records on the OO engine, the reference: pin
+it with ``REPRO_BACKEND=python``.  Flow-level bookkeeping
+(``Flow.bytes_sent``, ...) is not kept: the simulation is spent afterwards.
 """
 
 from __future__ import annotations
 
 import logging
-from collections import deque
 from contextlib import contextmanager
-from heapq import heappop, heappush
 from itertools import islice
-from math import inf
 from typing import TYPE_CHECKING, Iterator, List, Optional
 
 from repro.core.slack import ConstantSlackPolicy, FlowSizeSlackPolicy
@@ -61,6 +38,7 @@ from repro.schedulers.priority import SjfScheduler
 from repro.schedulers.random_sched import RandomScheduler
 from repro.schedulers.srpt import SrptScheduler
 from repro.sim.backend import REFERENCE_BACKEND, pinned_backend_name
+from repro.sim.compiled import kernel_available, kernel_loop
 from repro.sim.engine import Simulator
 from repro.sim.node import Host
 from repro.transport.udp import UdpSource
@@ -71,20 +49,17 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (core imports sim)
 
 logger = logging.getLogger(__name__)
 
-# Kinds above _SRPT keep a keyed heap; the rest append to a deque or list.
-_RANDOM, _FIFO, _LIFO, _SRPT, _SJF, _LSTF, _FIFO_PLUS, _FQ = range(8)
-
-#: The schedulers the loop reimplements, matched by exact class (a subclass
-#: may override anything).
+#: The schedulers the kernel reimplements, matched by exact class (a subclass
+#: may override anything), numbered as ``_kernel.c``'s port kinds ``K_*``.
 _KINDS = {
-    RandomScheduler: _RANDOM,
-    FifoScheduler: _FIFO,
-    LifoScheduler: _LIFO,
-    SrptScheduler: _SRPT,
-    SjfScheduler: _SJF,
-    LstfScheduler: _LSTF,
-    FifoPlusScheduler: _FIFO_PLUS,
-    FairQueueingScheduler: _FQ,
+    RandomScheduler: 0,
+    FifoScheduler: 1,
+    LifoScheduler: 2,
+    SrptScheduler: 3,
+    SjfScheduler: 4,
+    LstfScheduler: 5,
+    FifoPlusScheduler: 6,
+    FairQueueingScheduler: 7,
 }
 
 #: The live slack policies whose stamp is a per-flow constant.
@@ -112,10 +87,8 @@ def log_lines() -> Iterator[List[str]]:
 def decline_reason(simulation: "Simulation", max_events: Optional[int] = None) -> Optional[str]:
     """Why ``simulation`` must record on the OO engine, or ``None`` if the flat loop can.
 
-    Decided from the *built* simulation — never by building a second one,
-    which would consume a stateful scheduler factory's child streams twice.
-    A decline is logged (DEBUG, one line); the reason strings are part of
-    the contract ``tests/sim/test_flat_record.py`` asserts.
+    Decided from the *built* simulation (a second build would consume a
+    stateful scheduler factory's child streams twice); a decline is logged.
     """
     reason = _decline_reason(simulation, max_events)
     if reason is not None:
@@ -144,6 +117,8 @@ def _decline_reason(simulation: "Simulation", max_events: Optional[int]) -> Opti
                 return f"finite buffer at {port.link.name}"
             if type(port.scheduler) not in _KINDS:
                 return f"scheduler {type(port.scheduler).__name__} at {port.link.name}"
+    if not kernel_available():
+        return "compiled kernel unavailable"
     return None
 
 
@@ -176,217 +151,54 @@ def record_into(simulation: "Simulation", cols: "ScheduleColumns") -> None:
     """
     sim = simulation.sim
     network = simulation.network
-    heap = sim._heap
-    push, pop = heappush, heappop
-    emit_packets = UdpSource._emit_packets
     packet_ids = sim.packet_ids
     policy = network.slack_policy
 
-    # Dense directed-port ids and per-port state; an FQ port also keeps its
-    # virtual time and its flows' last finish tags.
+    # Dense directed-port ids: (kind, propagation delay, Random's randint).
     port_ids: dict = {}
-    prop, kind, queue, randint, tags = [], [], [], [], []
+    ports = []
     for node in network.nodes.values():
         for port in node.ports.values():
-            port_ids[port] = len(prop)
-            prop.append(port.link.propagation_delay)
+            port_ids[port] = len(ports)
             scheduler = port.scheduler
-            k = _KINDS[type(scheduler)]
-            kind.append(k)
-            queue.append(deque() if k == _FIFO else {} if k == _SRPT else [])
-            randint.append(scheduler._rng.randint if k == _RANDOM else None)
-            tags.append({} if k == _FQ else None)
-    busy = [False] * len(prop)
-    virtual_time = [0.0] * len(prop)
-    sjf, srpt, lstf, fifo_plus = (k in kind for k in (_SJF, _SRPT, _LSTF, _FIFO_PLUS))
-    rowed = srpt or lstf or fifo_plus or _FQ in kind
+            kind = _KINDS[type(scheduler)]
+            randint = scheduler._rng.randint if kind == _KINDS[RandomScheduler] else None
+            ports.append((kind, port.link.propagation_delay, randint))
+    stamped = policy is not None and any(kind == _KINDS[LstfScheduler] for kind, _, _ in ports)
     routes: dict = {}
 
-    # Per-hop working state beside the four per-hop columns: the port hop f
-    # transmits on, its transmission delay, its SJF key (kept only when some
-    # port runs SJF), its packet's row if f is that packet's last hop (else
-    # -1), and its packet's row (kept only when some port keys by the row).
-    hop_port, hop_tx, hop_key, hop_last, hop_row = [], [], [], [], []
-    arrival, start, departure = cols.hop_arrival, cols.hop_start_service, cols.hop_departure
-    output, packet_flow, packet_size = cols.output_time, cols.flow_id, cols.size_bytes
-    # Per-row header state, each kept only when some port reads it: LSTF's
-    # slack, FIFO+'s accumulated wait and SRPT's remaining-bytes priority.
-    slack, waited, priority = [], [], []
+    def emit(source: UdpSource, t: float) -> tuple:
+        # UdpSource._emit_packets + Host.send, for the whole flow: its rows'
+        # per-packet columns here, its hops in the kernel.
+        flow = source.flow
+        src, dst = flow.src, flow.dst
+        route = routes.get((src, dst))
+        if route is None:
+            route = routes[src, dst] = _route(network, port_ids, src, dst)
+        path, hop_ports, bandwidths = route
+        sizes = flow.packet_sizes()
+        count, hops = len(sizes), len(hop_ports)
+        first = cols.hop_offset[-1]
+        cols.packet_id.extend(islice(packet_ids, count))
+        cols.flow_id.extend([flow.flow_id] * count)
+        cols.src.extend([src] * count)
+        cols.dst.extend([dst] * count)
+        cols.size_bytes.extend(sizes)
+        cols.ingress_time.extend([t] * count)
+        cols.path.extend([path] * count)
+        cols.flow_size_bytes.extend([flow.size_bytes] * count)
+        cols.deadline.extend([flow.deadline] * count)
+        cols.hop_offset.extend(range(first + hops, first + hops * count + 1, hops))
+        cols.hop_node.extend(path[:-1] * count)
+        stamp = None  # the policy's stamp in Host.send
+        if stamped:
+            constant = type(policy) is ConstantSlackPolicy
+            stamp = policy.slack if constant else flow.size_bytes * policy.scale
+        return sizes, hop_ports, bandwidths, flow.size_bytes, stamp
 
-    seq = sim._sequence
-    enqueued = 0        # PriorityScheduler._sequence, one counter for all ports
-    generator_events = 0
-    while heap:
-        entry = pop(heap)
-        try:
-            t, _, code = entry
-        except ValueError:
-            # One of the simulation's own events: a generator callback, run
-            # as is, or a UDP source's emission, intercepted below.
-            t, _, _, callback, args = entry
-            generator_events += 1
-            if getattr(callback, "__func__", None) is not emit_packets:
-                sim.now = t
-                sim._sequence = seq
-                callback(*args)
-                seq = sim._sequence
-                continue
-            # UdpSource._emit_packets + Host.send, for the whole flow.
-            flow = callback.__self__.flow
-            src, dst = flow.src, flow.dst
-            route = routes.get((src, dst))
-            if route is None:  # the walk, plus its per-hop tx delays by packet size
-                route = routes[src, dst] = (*_route(network, port_ids, src, dst), {})
-            path, ports, bandwidths, tx_by_size = route
-            sizes = flow.packet_sizes()
-            for size in set(sizes):
-                if size not in tx_by_size:
-                    tx_by_size[size] = [size * 8 / bandwidth for bandwidth in bandwidths]
-            count, hops = len(sizes), len(ports)
-            row, first = len(output), len(arrival)
-            cols.packet_id.extend(islice(packet_ids, count))
-            packet_flow.extend([flow.flow_id] * count)
-            cols.src.extend([src] * count)
-            cols.dst.extend([dst] * count)
-            packet_size.extend(sizes)
-            cols.ingress_time.extend([t] * count)
-            output.extend([None] * count)
-            cols.path.extend([path] * count)
-            cols.flow_size_bytes.extend([flow.size_bytes] * count)
-            cols.deadline.extend([flow.deadline] * count)
-            cols.hop_offset.extend(range(first + hops, first + hops * count + 1, hops))
-            cols.hop_node.extend(path[:-1] * count)
-            # Placeholders, overwritten as each hop happens — except a first
-            # hop's arrival, and its service start on an idle port, which
-            # *are* ``t``.
-            for column in (arrival, start, departure):
-                column.extend([t] * (hops * count))
-            hop_port.extend(ports * count)
-            for size in sizes:
-                hop_tx.extend(tx_by_size[size])
-            if sjf:
-                hop_key.extend([float(flow.size_bytes)] * (hops * count))
-            hop_last.extend([-1] * (hops * count))
-            hop_last[first + hops - 1 :: hops] = range(row, row + count)
-            if rowed:
-                for r in range(row, row + count):
-                    hop_row.extend([r] * hops)
-            if lstf:  # the policy's stamp in Host.send
-                if policy is None:
-                    stamp = None
-                elif type(policy) is ConstantSlackPolicy:
-                    stamp = policy.slack
-                else:
-                    stamp = flow.size_bytes * policy.scale
-                slack.extend([stamp] * count)
-            if fifo_plus:
-                waited.extend([0.0] * count)
-            if srpt:
-                remaining = flow.size_bytes
-                for size in sizes:
-                    priority.append(float(remaining))
-                    remaining -= size
-            arriving = range(first, first + hops * count, hops)
-        else:
-            if code < 0:
-                # Link delivery at a router: Router.receive, then the
-                # enqueue below.
-                f = ~code
-                arrival[f] = t
-                arriving = (f,)
-            else:
-                # OutputPort._finish_transmission for hop f on its port.
-                departure[code] = t
-                p = hop_port[code]
-                row = hop_last[code]
-                # The receive is posted *before* the port picks its next
-                # packet; a last hop settles at the destination directly
-                # (same time, same sequence-number consumption, same event
-                # count).
-                if row < 0:
-                    push(heap, (t + prop[p], seq, ~(code + 1)))
-                else:
-                    output[row] = t + prop[p]
-                seq += 1
-                q = queue[p]
-                if q:
-                    k = kind[p]
-                    if k == _RANDOM:
-                        n = len(q)
-                        f = q.pop(randint[p](0, n)) if n > 1 else q.pop()
-                    elif k == _FIFO:
-                        f = q.popleft()
-                    elif k == _LIFO:
-                        f = q.pop()
-                    elif k == _SRPT:
-                        # The flow whose least queued priority is strictly
-                        # the least; the first-inserted flow wins a tie.
-                        best = None
-                        for flow_id, flow_queue in q.items():
-                            least = min(flow_queue)[0]
-                            if best is None or least < best_least:
-                                best, best_least = flow_id, least
-                        flow_queue = q[best]
-                        f = flow_queue.popleft()[1]
-                        if not flow_queue:
-                            del q[best]
-                    else:
-                        key, _, f = pop(q)
-                        if k == _LSTF:  # the slack pays for the wait
-                            r = hop_row[f]
-                            if slack[r] is not None:
-                                slack[r] -= t - arrival[f]
-                        elif k == _FQ and key > virtual_time[p]:
-                            virtual_time[p] = key
-                    if fifo_plus:  # OutputPort._start_next, on every port
-                        waited[hop_row[f]] += t - arrival[f]
-                    start[f] = t
-                    push(heap, (t + hop_tx[f], seq, f))
-                    seq += 1
-                else:
-                    busy[p] = False
-                continue
-
-        # OutputPort.enqueue for each arriving hop f.
-        for f in arriving:
-            p = hop_port[f]
-            k = kind[p]
-            if k > _SRPT:  # the key the port's scheduler computes on enqueue
-                if k == _SJF:
-                    key = hop_key[f]
-                elif k == _LSTF:
-                    stamp = slack[hop_row[f]]
-                    key = inf if stamp is None else stamp + t + hop_tx[f]
-                elif k == _FIFO_PLUS:
-                    key = t - waited[hop_row[f]]
-                else:  # SCFQ tags every arrival, one served at once too
-                    r = hop_row[f]
-                    flow_id, flow_tags = packet_flow[r], tags[p]
-                    # Weight 1.0: a UDP source never sets Packet.flow_weight.
-                    key = max(virtual_time[p], flow_tags.get(flow_id, 0.0)) + packet_size[r]
-                    flow_tags[flow_id] = key
-            if not busy[p]:
-                if k == _FQ and key > virtual_time[p]:
-                    virtual_time[p] = key
-                start[f] = t
-                busy[p] = True
-                push(heap, (t + hop_tx[f], seq, f))
-                seq += 1
-            elif k > _SRPT:
-                push(queue[p], (key, enqueued, f))
-                enqueued += 1
-            elif k == _SRPT:
-                r = hop_row[f]
-                flow_queue = queue[p].get(packet_flow[r])
-                if flow_queue is None:
-                    flow_queue = queue[p][packet_flow[r]] = deque()
-                flow_queue.append((priority[r], f))
-            else:
-                queue[p].append(f)
-
-    # Every hop ends in one finish event and one delivery event (the settled
-    # destination arrival, for a last hop); a first hop's arrival is part of
-    # its flow's emission, which is a generator event.
-    executed = generator_events + 2 * len(arrival)
+    run = kernel_loop("run_flat_record")
+    hop_columns, executed = run(sim, sim._heap, emit, UdpSource._emit_packets, ports)
+    cols.hop_arrival, cols.hop_start_service, cols.hop_departure, cols.output_time = hop_columns
     Simulator.events_executed_total += executed
-    logger.debug("recorded %d packets / %d events on the flat loop", len(output), executed)
+    packets = len(cols.output_time)
+    logger.debug("recorded %d packets / %d events on the flat loop", packets, executed)

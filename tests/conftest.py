@@ -72,7 +72,7 @@ def kernel_sandbox(tmp_path, monkeypatch):
     one availability memo is dropped on the way in and out: the test probes
     from scratch, and later tests re-probe the checkout's own cache.
     """
-    forget = compiled_mod._kernel.cache_clear
+    forget = compiled_mod._memo.clear
     directory = tmp_path / "sim"
     directory.mkdir()
     shutil.copy(compiled_mod._SOURCE, directory / "_kernel.c")

@@ -24,7 +24,7 @@ from repro.pipeline.synth import (
     scenario_to_dict,
     simplified,
 )
-from repro.sim import flat_record
+from repro.sim import compiled, flat_record
 from repro.sim.compiled import kernel_available, unavailable_reason
 from repro.sim.engine import Simulator
 
@@ -349,6 +349,12 @@ class TestRecordPair:
         assert report.record_pairs > 0 and report.flat_recordings == 0
         assert not report.failures and not report.ok
         assert "NO FLAT RECORDING" in report.format()
+
+    def test_without_a_kernel_no_record_pair_is_planned(self, monkeypatch):
+        """The flat loop is the kernel's; without one both legs would be the OO engine."""
+        monkeypatch.setattr(compiled, "_kernel", lambda: compiled._Kernel(None, "no kernel here"))
+        report = run_fuzz(budget=3, seed=1, backends=["python"], artifact_dir=None)
+        assert report.record_pairs == 0 and report.ok
 
     def test_a_sweep_counts_its_flat_recordings(self):
         report = run_fuzz(budget=3, seed=1, backends=["python"], artifact_dir=None)

@@ -26,7 +26,7 @@ from repro.core.schedule import Schedule
 from repro.faults import FAULTS, BernoulliLoss, FaultPlan, FaultScheduleDef
 from repro.faults.defs import GilbertElliottLoss, JammingIntervals, LinkOutage
 from repro.pipeline.scenario import PipelineConfigError
-from repro.sim.compiled import kernel_available, kernel_run_flat_replay, unavailable_reason
+from repro.sim.compiled import kernel_available, kernel_loop, unavailable_reason
 from repro.sim.engine import Simulator
 from repro.topology import dumbbell_topology
 from repro.topology.base import LinkSpec, NodeSpec, Topology
@@ -270,7 +270,7 @@ class TestPropertyEquivalence:
 def kernel_runner(topology, schedule, mode):
     """``run(**options)``: the compiled kernel on the arrays a replay hands it,
     ``options`` overriding its keywords."""
-    kernel = kernel_run_flat_replay()
+    kernel = kernel_loop("run_flat_replay")
 
     def run(**options):
         results = []
@@ -279,7 +279,7 @@ def kernel_runner(topology, schedule, mode):
             results.append(kernel(*args, **{**kwargs, **options}))
             return results[-1]
 
-        with mock.patch.object(replay_compiled, "kernel_run_flat_replay", lambda: capturing):
+        with mock.patch.object(replay_compiled, "kernel_loop", lambda name: capturing):
             CompiledBackend().replay(topology, schedule, mode=mode)
         return results[0]
 

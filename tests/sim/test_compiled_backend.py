@@ -162,9 +162,9 @@ class TestCompiledKernel:
         assert info["kernel_version"] >= 1
 
     def test_kernel_validates_array_lengths(self):
-        from repro.sim.compiled import kernel_run_flat_replay
+        from repro.sim.compiled import kernel_loop
 
-        kernel = kernel_run_flat_replay()
+        kernel = kernel_loop("run_flat_replay")
         with pytest.raises(ValueError, match="off"):
             kernel([0.0], [0], [], [], [], [], 1, [0.0], None)
 
@@ -181,7 +181,7 @@ class TestCompiledKernel:
     def test_kernel_refuses_hop_arrays_that_disagree_with_off(self, off, hops, message):
         """The loop indexes the hop arrays unchecked, so their lengths are
         checked against ``off`` before it runs (LSTF mode)."""
-        from repro.sim.compiled import kernel_run_flat_replay
+        from repro.sim.compiled import kernel_loop
 
         total = off[-1]
         arrays = {
@@ -193,21 +193,21 @@ class TestCompiledKernel:
         }
         packets = len(off) - 1
         with pytest.raises(ValueError, match=message):
-            kernel_run_flat_replay()(
+            kernel_loop("run_flat_replay")(
                 [0.0, 1.0][:packets], off, **arrays, num_ports=1, slack=[0.0] * packets
             )
 
     def test_kernel_requires_keys_for_static_modes(self):
-        from repro.sim.compiled import kernel_run_flat_replay
+        from repro.sim.compiled import kernel_loop
 
-        kernel = kernel_run_flat_replay()
+        kernel = kernel_loop("run_flat_replay")
         with pytest.raises(ValueError, match="hop_key"):
             kernel([0.0], [0, 1], [0], [0], [1e-4], [1e-3], 1, None, None)
 
     def test_kernel_empty_input(self):
-        from repro.sim.compiled import kernel_run_flat_replay
+        from repro.sim.compiled import kernel_loop
 
-        kernel = kernel_run_flat_replay()
+        kernel = kernel_loop("run_flat_replay")
         arr, start, dep, egress, executed = kernel([], [0], [], [], [], [], 0, [])
         assert (arr, start, dep, egress, executed) == ([], [], [], [], 0)
 

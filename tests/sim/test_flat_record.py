@@ -8,6 +8,7 @@ reproduces the OO recording or declines.
 import dataclasses
 import gzip
 import os
+import random
 from contextlib import contextmanager
 from unittest import mock
 
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.replay import original_scheduler_factory, record_schedule
-from repro.core.schedule import save_schedule
+from repro.core.schedule import Schedule, ScheduleColumns, save_schedule
 from repro.core.slack_policy import SLACK_POLICIES
 from repro.experiments.config import ExperimentScale
 from repro.experiments.table1 import default_scenario, table1_scenarios
@@ -25,12 +26,15 @@ from repro.pipeline.experiment import default_registry, record_scenario_schedule
 from repro.pipeline.scenario import Scenario
 from repro.schedulers.factory import uniform_factory
 from repro.schedulers.random_sched import RandomScheduler
-from repro.sim import flat_record
+from repro.sim import compiled, flat_record
 from repro.sim.backend import BACKEND_ENV_VAR
 from repro.sim.engine import Simulator
+from repro.sim.flow import Flow
+from repro.sim.simulation import Simulation
 from repro.topology.base import Topology, linear_topology
 from repro.traffic import WorkloadSpec, paper_default_workload
 from repro.traffic.distributions import ConstantSize
+from repro.transport.udp import start_udp_flow
 from repro.utils import mbps
 from repro.utils.rng import RandomState
 from tests.properties.test_forwarding_paths import topologies
@@ -315,6 +319,24 @@ def test_a_decline_after_the_build_does_not_build_again(tmp_path):
     assert record_schedule(topology, other, line_workload(), seed=4).columns() != declined.columns
 
 
+def test_without_a_kernel_the_oo_engine_records_the_same_bytes(tmp_path, monkeypatch):
+    """The flat loop is the kernel's: without one, recordings take the OO
+    engine — unpinned, with the reason logged — and save what the kernel did."""
+
+    topology = line()
+
+    def record():
+        factory = original_scheduler_factory("random", topology, rng=RandomState(12))
+        return record_schedule(topology, factory, line_workload(), seed=11)
+
+    flat = record_leg(record, None, tmp_path)
+    assert flat.log[0].endswith("on the flat loop")
+    monkeypatch.setattr(compiled, "_kernel", lambda: compiled._Kernel(None, "no kernel here"))
+    declined = record_leg(record, None, tmp_path)
+    assert declined.log == ["declined (compiled kernel unavailable); recording on the OO engine"]
+    assert declined == flat
+
+
 def test_other_backend_pins_do_not_pin_the_recorder():
     with recording_engine("compiled") as log:
         record_schedule(line(), uniform_factory("fifo"), line_workload(), seed=1)
@@ -364,4 +386,66 @@ def test_same_instant_finish_and_arrival_at_one_port(original, propagation, tmp_
     routers = {"r0", "r1", "r2"}
     ties = [(node, when) for node, when in finishes & arrivals if node in routers]
     assert len(ties) > 50
+    assert_flat_equals_reference(record, tmp_path)
+
+
+# ---------------------------------------------------------------------- #
+# (e) Generator events tie with hop events: the sequence-counter handoff
+# ---------------------------------------------------------------------- #
+#: One MSS transmission at TICK_BANDWIDTH takes exactly TICK seconds, so every
+#: finish, zero-propagation delivery and arrival below lands on a multiple of
+#: TICK, with no rounding to separate them.
+TICK = 2.0**-10
+TICK_BANDWIDTH = 1460 * 8 * 1024
+
+
+def ticking_simulation(original: str, seed: int) -> Simulation:
+    """A 3-router line with zero propagation delay and two generator chains
+    whose flow arrivals land on transmission boundaries.  Like
+    ``PoissonFlowGenerator``, each arrival starts one UDP flow — its emission
+    scheduled at delay 0, taking the next sequence number — and schedules the
+    chain's next arrival, so generator events also tie with each other."""
+    topology = linear_topology(3, TICK_BANDWIDTH, propagation_delay=0.0, hosts_per_end=2)
+    factory = original_scheduler_factory(original, topology, rng=RandomState(seed + 1))
+    simulation = Simulation(topology, factory, seed=seed)
+    sim, network, draws = simulation.sim, simulation.network, random.Random(seed)
+
+    def arrive(pairs: tuple, left: int) -> None:
+        src, dst = draws.choice(pairs)
+        size = 1460 * draws.choice((1, 2, 3))
+        start_udp_flow(sim, network, Flow(src, dst, size_bytes=size, start_time=sim.now))
+        if left:
+            sim.schedule(TICK * draws.choice((0, 1, 2, 3, 4)), arrive, pairs, left - 1)
+
+    sim.schedule(0.0, arrive, (("src0", "dst0"), ("dst1", "src0")), 150)
+    sim.schedule(0.0, arrive, (("src1", "dst1"), ("dst0", "src1"), ("src0", "dst1")), 150)
+    return simulation
+
+
+def record_built(simulation: Simulation) -> Schedule:
+    """``record_schedule``'s two loops, for a simulation the test attached traffic to."""
+    if flat_record.decline_reason(simulation) is None:
+        cols = ScheduleColumns()
+        flat_record.record_into(simulation, cols)
+        return Schedule.from_columns(cols)
+    simulation.sim.run()
+    return Schedule.from_tracer(simulation.tracer)
+
+
+@pytest.mark.parametrize("seed", [2, 9])
+@pytest.mark.parametrize("original", FLAT_ORIGINALS)
+def test_generator_events_tied_with_hop_events_keep_the_oo_order(original, seed, tmp_path):
+    """The kernel keeps hop events on its own heap and the generator's on the
+    simulator's, merging them by ``(time, seq)`` with one counter handed across
+    every callback.  Here flows arrive and emit at the very instants ports
+    finish and deliver, so a counter handed over late, early or not read back
+    reorders a tie and changes the saved bytes."""
+
+    def record():
+        return record_built(ticking_simulation(original, seed))
+
+    reference = record_leg(record, "python", tmp_path).columns
+    finishes = set(reference.hop_departure)
+    ties = sum(ingress in finishes for ingress in reference.ingress_time)
+    assert ties > 100
     assert_flat_equals_reference(record, tmp_path)

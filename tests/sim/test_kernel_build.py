@@ -121,7 +121,7 @@ class TestBuildAndCache:
 
         with open(kernel_sandbox / "_kernel.c", "a") as stream:
             stream.write("\n")
-        compiled_mod._kernel.cache_clear()
+        compiled_mod._memo.clear()
         assert compiled_mod.kernel_available() is True
         second = kernel_path(kernel_sandbox)
         assert second != first and compiled_mod.kernel_build_info()["path"] == str(second)
@@ -161,7 +161,7 @@ class TestBuildAndCache:
         assert main([*argv, "--cache-dir", str(tmp_path / "cache"), "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["errors"] == []
         assert spawned() == 1
-        assert compiled_mod._kernel.cache_info().currsize == 1  # probed here, not only in workers
+        assert len(compiled_mod._memo) == 1  # probed here, not only in workers
 
 
 class TestOtherBuildsCleanup:
@@ -289,7 +289,7 @@ class TestLaziness:
             "def touched(*args, **kwargs): raise SystemExit('the kernel was probed')\n"
             "c._probe = c._spawn = subprocess.Popen = touched\n"
             "import repro.experiments\n"
-            "assert c._kernel.cache_info().currsize == 0\n"
+            "assert len(c._memo) == 0\n"
         )
         env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
         done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
@@ -312,7 +312,7 @@ class TestLaziness:
             "sys.modules['perf_run'] = run\n"
             "spec.loader.exec_module(run)\n"
             "run.prepare(run.WORKLOADS['table1-warm'], run.make_scale('smoke', 1), sys.argv[2])\n"
-            "assert c._kernel.cache_info().currsize == 1\n"
+            "assert len(c._memo) == 1\n"
             "assert (c._kernel().module is None) == (sys.argv[4] == 'no-compiler')\n"
         )
         assert compiled_mod.kernel_available() is True  # the build the first prepare finds

@@ -31,11 +31,13 @@ class TestBuildCompiled:
             hidden.setattr(compiled_mod, "_compiler", lambda: None)
             assert compiled_mod.kernel_available() is False
         marker = next((kernel_sandbox / "__pycache__").glob("*.failed"))
-        compiled_mod._kernel.cache_clear()
+        compiled_mod._memo.clear()
         assert compiled_mod.kernel_available() is False  # the compiler is back; the marker declines
 
         assert build_tool.main() == 0
-        assert "compiled kernel OK" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "compiled kernel OK" in out
+        assert "'origin': 'built'" in out  # the forced probe is the memo, not probed again
         assert not marker.exists()
         assert compiled_mod.kernel_available() is True
 

@@ -65,7 +65,7 @@ ALLOWED = {
         experiments.config:ExperimentScale.paper traffic.workload:WorkloadSpec.expected_flows_per_host""",
     "tests use it as a fixture or oracle for behaviour a shipped path reaches": """
         topology.base:linear_topology,single_switch_topology sim.network:Network.path,Network.tmin
-        sim.packet:Packet.path_taken sim.node:Node.port_to sim.compiled:kernel_available
+        sim.packet:Packet.path_taken sim.node:Node.port_to
         core.replay:ReplayInjector.install_upfront,ReplayExperiment.run
         core.slack_policy:SlackPolicyDef.from_dict faults.defs:fault_from_dict
         faults.injector:FaultPlan.from_dict faults.registry:FaultScheduleDef.from_dict
@@ -186,7 +186,7 @@ def main(argv: list) -> int:
     from repro.sim import compiled
 
     compiled.kernel_available()  # build the kernel unprofiled, then forget it: the profiled
-    compiled._kernel.cache_clear()  # run loads it, on a fresh checkout as on a warm one
+    compiled._memo.clear()  # run loads it, on a fresh checkout as on a warm one
     defs, home = functions(ROOT / "src" / "repro", "repro"), os.getcwd()
     with tempfile.TemporaryDirectory() as cwd:
         os.chdir(cwd)  # whatever a command writes by default lands here
