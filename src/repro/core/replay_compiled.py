@@ -4,8 +4,8 @@ Replay is the pipeline's hot path — one record run feeds many replay cells —
 and everything a replay needs is known before the first event fires:
 a schedule's columns are already in ingress-time order, routes are pinned
 (source routing), buffers are infinite, and the candidate schedulers' keys
-are either static per hop (EDF, priority, omniscient; constant for FIFO) or
-an affine function of one dynamic per-packet value (LSTF slack).  This
+are either static per hop (EDF, priority, omniscient), arrival order (FIFO)
+or an affine function of one dynamic per-packet value (LSTF slack).  This
 backend exploits that:
 
 1. **Setup** (here): read the schedule's columns (no per-packet object
@@ -20,8 +20,10 @@ backend exploits that:
 2. **Run**: ``run_flat_replay`` in the compiled kernel extension
    (:mod:`repro.sim.compiled`, a hand-written CPython C extension; see
    ``_kernel.c`` for the event choreography it mirrors and the bit-identity
-   argument).  Its output arrays become the replayed schedule's columns as
-   they are; packets a fault destroys never exit and are left out.
+   argument).  It runs the flat recorder's port model and event loop
+   (:mod:`repro.sim.flat_record`).  Its output arrays become the replayed
+   schedule's columns as they are; packets a fault destroys never exit and
+   are left out.
 
 The backend declines configurations its loop does not model — preemptive
 LSTF, finite buffers, unknown modes, fault kinds other than the shipped ones
@@ -44,31 +46,33 @@ from __future__ import annotations
 
 import math
 from functools import reduce as _reduce
-from itertools import chain
-from operator import add as _add, itemgetter
-from typing import List, Optional
+from itertools import chain, repeat
+from operator import add as _add, itemgetter, sub
+from typing import Optional
 
 import numpy as np
 
-from repro.core.replay import replay_fault_horizon, replay_initializer
+from repro.core.replay import REPLAY_MODES, replay_fault_horizon, replay_initializer
 from repro.core.schedule import Schedule
 from repro.core.slack import LinkParams, ReplayInitializer
 from repro.faults.defs import BernoulliLoss, GilbertElliottLoss, JammingIntervals, LinkOutage
+from repro.schedulers.priority import SjfScheduler
 from repro.sim.backend import SimBackend
 from repro.sim.compiled import kernel_build_info, kernel_loop, unavailable_reason
 from repro.sim.engine import Simulator
+from repro.sim.flat_record import KINDS
 from repro.topology.base import Topology
 
 
 def _flatten(topology: Topology, schedule: Schedule, link_params: LinkParams) -> tuple:
     """Topology-dependent flat arrays of ``(topology, schedule)``.
 
-    Returns ``(off, hop_pkt, hop_port, hop_node, hop_tx, hop_prop, hop_sum,
-    num_ports)``: per-packet offsets into the per-hop arrays (one hop per
-    link of the packet's path), and per hop the owning packet row, directed
-    port id, transmitting node, transmission delay, propagation delay and
-    their sum — derived from the ``path`` / ``size_bytes`` columns one
-    *route* at a time (flow-structured traffic repeats a few dozen routes).
+    Returns ``(off, hop_port, hop_node, hop_tx, hop_sum, prop)``: per-packet
+    offsets into the per-hop arrays (one hop per link of the packet's path),
+    per hop the directed port id, transmitting node, transmission delay and
+    its sum with the link's propagation delay — derived from the ``path`` /
+    ``size_bytes`` columns one *route* at a time (flow-structured traffic
+    repeats a few dozen routes) — and per port the propagation delay.
     Being mode-independent, they stay on the schedule (``schedule.derived``,
     keyed by the link parameters) for its next replay — record once, replay
     many — and are read-only to every caller (the kernel writes only into
@@ -103,7 +107,6 @@ def _flatten(topology: Topology, schedule: Schedule, link_params: LinkParams) ->
     hop_node = list(chain.from_iterable(map(itemgetter(slice(None, -1)), cols.path)))
     counts = np.fromiter(map(len, packet_pids), dtype=np.intp, count=len(packet_pids))
     off = [0] + np.cumsum(counts).tolist()
-    hop_pkt = np.repeat(np.arange(len(counts)), counts).tolist()
     sizes = np.array(cols.size_bytes, dtype=np.float64)
     hop_port_arr = np.array(hop_port, dtype=np.intp)
     bw_arr, prop_arr = np.array(list(link_params.values()), dtype=np.float64).T
@@ -114,8 +117,7 @@ def _flatten(topology: Topology, schedule: Schedule, link_params: LinkParams) ->
     # Per-hop (tx + prop): elementwise, so each sum is the same float the
     # OO code computes; folds downstream then add them in the same order.
     hop_sum = (hop_tx_arr + hop_prop_arr).tolist()
-    hop_tx, hop_prop = hop_tx_arr.tolist(), hop_prop_arr.tolist()
-    flat = (off, hop_pkt, hop_port, hop_node, hop_tx, hop_prop, hop_sum, len(ports))
+    flat = (off, hop_port, hop_node, hop_tx_arr.tolist(), hop_sum, prop_arr.tolist())
     schedule.derived = (link_params, flat)
     return flat
 
@@ -184,38 +186,35 @@ class CompiledBackend(SimBackend):
         initializer: Optional[ReplayInitializer] = None,
         faults=None,
     ) -> Schedule:
+        if mode not in self.SUPPORTED_MODES:
+            raise ValueError(f"the flat loop does not model replay mode {mode!r}")
         if initializer is None:
             initializer = replay_initializer(mode)
         link_params = topology.link_params()
-        off, hop_pkt, hop_port, hop_node, hop_tx, hop_prop, hop_sum, num_ports = _flatten(
-            topology, schedule, link_params
-        )
+        off, hop_port, hop_node, hop_tx, hop_sum, prop = _flatten(topology, schedule, link_params)
 
-        # ---- header initialization -> per-mode scheduler keys ----
+        # ---- header initialization -> the ports' queue kind and its keys ----
         slack, priority, deadline, vectors = initializer.headers(schedule.columns(), link_params)
-        # lstf keys are dynamic, computed in the loop from ``slack``; the
-        # other modes hand the kernel static per-hop keys instead.
-        hop_key: Optional[List[float]] = None
-        if mode == "fifo":
-            # One constant key: the per-port enqueue sequence breaks every
-            # tie, i.e. serves in arrival order (FifoScheduler).
-            hop_key = [0.0] * off[-1]
-        elif mode == "priority":
-            hop_key = [priority[j] for j in hop_pkt]
+        # The port kind of the mode's scheduler where the recorder has one
+        # (lstf keyed in the loop from the per-packet ``slack``, fifo not at
+        # all); the other modes hand per-hop keys to SJF's static-key queue.
+        kind = KINDS.get(REPLAY_MODES[mode][0], KINDS[SjfScheduler])
+        keys = {"lstf": slack, "fifo": None}.get(mode, [])
+        if mode == "priority":
+            # Each packet's priority on every one of its hops.
+            keys = list(chain.from_iterable(map(repeat, priority, map(sub, off[1:], off))))
         elif mode == "omniscient":
-            hop_key = []
             for vector, first, last in zip(vectors, off, off[1:]):
                 # One vector entry is consumed per enqueue, i.e. per hop in
                 # path order; hops beyond the vector key at +inf.
                 hops = last - first
-                hop_key.extend(vector[:hops])
-                hop_key.extend([math.inf] * (hops - len(vector)))
+                keys.extend(vector[:hops])
+                keys.extend([math.inf] * (hops - len(vector)))
         elif mode == "edf":
-            hop_key = []
             for target, base, last in zip(deadline, off, off[1:]):
                 hops = last - base
                 if target == math.inf:
-                    hop_key.extend([math.inf] * hops)
+                    keys.extend([math.inf] * hops)
                     continue
                 for k in range(hops):
                     # Network.tmin_along over the remaining path: a forward
@@ -224,7 +223,7 @@ class CompiledBackend(SimBackend):
                     # the same fold, driven from C).
                     tmin_remaining = _reduce(_add, hop_sum[base + k : base + hops], 0.0)
                     # EdfScheduler.key: deadline - tmin_remaining + tx.
-                    hop_key.append(target - tmin_remaining + hop_tx[base + k])
+                    keys.append(target - tmin_remaining + hop_tx[base + k])
 
         # ---- the fault plan, compiled per port in install order ----
         plan = None
@@ -238,16 +237,14 @@ class CompiledBackend(SimBackend):
             ]
 
         # ---- run; the result wraps the kernel's output arrays as columns ----
-        arr, start, dep, egress, executed = kernel_loop("run_flat_replay")(
+        (arr, start, dep, egress), executed = kernel_loop("run_flat_replay")(
             schedule.columns().ingress_time,
             off,
-            hop_pkt,
             hop_port,
             hop_tx,
-            hop_prop,
-            num_ports,
-            slack if hop_key is None else None,
-            hop_key,
+            prop,
+            kind,
+            keys,
             max_events=max_events,
             faults=plan,
         )

@@ -1,53 +1,69 @@
-/* Native kernel: `run_flat_replay`, the OO engine's event loop specialized
- * for replay.  (`run_flat_record`, the same loop for open-loop recording, and
- * the stored-schedule row decoder and encoder, `decode_rows` and
- * `encode_rows`, follow it; see the comments there.)
+/* Native kernel: the OO engine's event loop over flat packet-hop arrays, for
+ * replay (`run_flat_replay`) and for open-loop recording (`run_flat_record`),
+ * and the stored-schedule row decoder and encoder, `decode_rows` and
+ * `encode_rows` (see the comments there).
  *
- * This is the inner loop of the "compiled" backend
- * (repro.core.replay_compiled).  A replay has a much smaller state space
- * than the general simulator — no transports, infinite buffers, no
- * preemption, source-routed packets whose ingress times, sizes, routes and
- * header keys are known up front — so Simulator + OutputPort + Scheduler +
- * Packet collapse into arrays indexed by packet-hop f: hop_port, hop_tx,
- * hop_prop, and hop_key for the static-key modes (LSTF keys are computed
- * inline from the per-packet slack).  The loop replays the OO engine's
- * choreography exactly, so its output is bit-identical to the reference
- * engine's.  Each load-bearing detail mirrors one line of the OO code:
+ * Replay and recording share one port model and one loop, `rec_run`:
+ * Simulator + OutputPort + Scheduler + Packet collapse into a Hop per
+ * packet-hop, a Row per packet, a Port per directed link and one event heap.
+ * The two entry points only check their inputs, fill that state and run it.
+ * What differs is the traffic source.  A replay's packets are known up
+ * front (ingress times, sizes, routes, header keys) and enter through a
+ * cursor over their ingress times (repro.core.replay_compiled).  A
+ * recording's flows are not: the simulator's generator entries (time, seq,
+ * event, callback, args) stay on its Python heap and each step pops the
+ * earlier of the two tops in (time, seq) (repro.sim.flat_record; contract:
+ * docs/backends.md#recording).  Python runs each generator callback (sim.now
+ * and sim._sequence set first, the counter read back after), emit(source,
+ * time) in place of UdpSource._emit_packets (the flow's per-packet columns;
+ * it returns sizes, route ports, bandwidths, flow size and slack stamp), and
+ * a contended Random port's _rng.randint(0, n).  The loop replays the OO
+ * engine's choreography exactly, so its output is bit-identical to the
+ * reference engine's.  Each load-bearing detail mirrors one line of the OO
+ * code:
  *
- * - One event heap of (time, seq, code): hop f's finish is f, the arrival
- *   at hop fn is H + fn, packet j's destination arrival is 2H + j, the
- *   injector cursor is INJ and outage toggle k is INJ + 1 + k.  The cursor
- *   draws seqs from the front counter (Simulator._front_sequence), every
- *   other event from the normal counter, in the order the OO callbacks
- *   call Simulator.schedule, and every event is counted as Simulator.run
- *   counts it.
- * - A finish pushes the downstream arrival *before* the port's next
+ * - One event heap of (time, seq, code): hop f's finish is f, its link
+ *   delivery (to hop f + 1, or to the destination after a last hop) is ~f,
+ *   the replay cursor is INJECT and port p's outage toggles are INJECT + 1 +
+ *   2p (down) and INJECT + 2 + 2p (up).  The cursor draws seqs from the
+ *   front counter (Simulator._front_sequence), every other event from the
+ *   normal counter, in the order the OO callbacks call Simulator.schedule,
+ *   and every event is counted as Simulator.run counts it.  A delivery
+ *   after a last hop schedules nothing, so without a budget it is settled
+ *   (and counted) at the finish, taking its seq, instead of being pushed.
+ * - A finish pushes the downstream delivery *before* the port's next
  *   transmission (OutputPort._finish_transmission).
- * - Per-port queues order (key, port_seq): PriorityScheduler's heap, the
- *   port seq allocated at enqueue.  An idle port serves an arrival at once;
- *   LSTF's `slack -= t - arr` is skipped there (the wait is exactly 0.0).
- * - A fault plan replays sim/port.py + faults/injector.py.  Toggles are
- *   pushed after the cursor is armed and before the first pop, so toggle k
- *   carries seq k (FaultInjector.install: links in plan order, windows
- *   sorted, down before up).  cur[p] is port p's hop in flight, IDLE or
- *   DOWN; a down-toggle overwrites it, which lazily cancels the finish, and
- *   the stale finish is popped *uncounted*.  A down port queues arrivals; an
- *   up-toggle restarts service through the ordinary dequeue.  At every
- *   finish each of the port's drop filters is called, drop(None, t), none
- *   skipped; a destroyed packet pushes no arrival and consumes no seq.
+ * - Queues mirror the schedulers: an arrival-ordered array (FIFO / LIFO /
+ *   Random), per-flow FIFOs in first-insertion order served by strictly
+ *   least queued priority (SRPT), or an EvHeap of (key, enqueue seq, hop)
+ *   keyed by a static per-hop key (SJF's float(flow size); replay's EDF,
+ *   priority and omniscient keys), (slack + t) + tx, t - accumulated wait,
+ *   or SCFQ's max(vt, flow's last tag) + size (LSTF, FIFO+, FQ).  A flow's
+ *   FQ tags take one slot per route hop.  An idle port serves an arrival at
+ *   once; LSTF's `slack -= t - arr` is skipped there (the wait is exactly 0.0).
+ * - A replay's fault plan replays sim/port.py + faults/injector.py.  Toggles
+ *   are pushed before the first pop, so they carry seqs 0, 1, ...
+ *   (FaultInjector.install: links in plan order, windows sorted, down before
+ *   up).  Port.cur is the hop in flight, IDLE or DOWN; a down-toggle
+ *   overwrites it, which lazily cancels the finish, and the stale finish is
+ *   popped *uncounted*.  A down port queues arrivals; an up-toggle restarts
+ *   service through the ordinary dequeue.  At every finish each of the
+ *   port's drop filters is called, drop(None, t), none skipped; a destroyed
+ *   packet pushes no delivery and consumes no seq.
  *
  * Float-determinism notes, each load-bearing:
  *
- * - The loop performs only double additions/subtractions, in CPython's
- *   association order: `t + hop_prop[f]`, `t + hop_tx[f]`,
- *   `(slack + t) + tx`, `slack -= t - arr`.  With no multiplications no FMA
- *   contraction is possible; the build passes -ffp-contract=off anyway.
+ * - Float operations are CPython's, in its association order: `t + prop`,
+ *   `t + tx`, `(slack + t) + tx`, `slack -= t - arr`, and the recorder's
+ *   `tx = (size * 8.0) / bandwidth`.  That one product feeds a division,
+ *   never an addition, so there is nothing to contract into an FMA; the
+ *   build passes -ffp-contract=off to keep it that way.
  * - (time, seq) / (key, seq) with unique seqs is a strict total order, so
  *   any correct binary heap pops as heapq would over the same tuples.  Keys
  *   may be +inf (IEEE-754 compares it as Python does).
- * - Every input is copied into C arrays and the drop-filter tuples are held
- *   by strong reference, so a filter calling back into Python cannot change
- *   the loop's state.  The `slack` list is read, never mutated.
+ * - Every replay input is copied into C arrays and the drop-filter tuples
+ *   are held by strong reference, so a filter calling back into Python
+ *   cannot change the loop's state.  The input lists are read, never mutated.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -59,7 +75,7 @@
 
 /* ------------------------------------------------------------------ */
 /* Event heap: (time, seq, code) — seq unique, code never compared.   */
-/* Per-port priority queues are the same heap of (key, port_seq, hop). */
+/* Keyed port queues are the same heap of (key, enqueue seq, hop).    */
 /* ------------------------------------------------------------------ */
 typedef struct {
     double t;
@@ -129,81 +145,98 @@ ev_pop(EvHeap *h)
 }
 
 /* ------------------------------------------------------------------ */
-/* Input conversion helpers.                                          */
+/* The port model                                                     */
 /* ------------------------------------------------------------------ */
-/* The items of `seq` as a malloc'd array of doubles, or of int64s when
- * `ints`; NULL with TypeError naming the first item that is neither. */
+enum { K_RANDOM, K_FIFO, K_LIFO, K_SRPT, K_KEY, K_LSTF, K_FIFO_PLUS, K_FQ };
+#define IDLE (-1)                       /* Port.cur: nothing in flight */
+#define DOWN (-2)                       /* Port.cur: an outage holds the queue */
+#define INJECT ((int64_t)1 << 62)       /* the replay cursor's code; toggles follow it */
+
+typedef struct {            /* packet-hop f */
+    int64_t port, row, next;            /* next: the hop behind it in SRPT's flow FIFO */
+    double tx, key, arr, start, dep;    /* key: K_KEY's */
+} Hop;
+
+typedef struct {            /* packet r */
+    int64_t end, flow, tags;            /* one past its last hop; flow; tag slot - first hop */
+    double size, out, prio, slack, waited;  /* out NaN: never exited; prio: SRPT; slack NaN: none */
+} Row;
+
+typedef struct {            /* SRPT: one flow's queued hops, oldest first */
+    int64_t flow, head, tail;
+} FlowQ;
+
+typedef struct {
+    int kind;
+    int64_t cur;                        /* the hop in flight, IDLE or DOWN */
+    double prop, vt;                    /* propagation delay; FQ's virtual time */
+    PyObject *randint, *filters;        /* Random's draw; drop filters (a tuple) or NULL */
+    int64_t *q;                         /* FIFO / LIFO / Random: q[head:head+len] */
+    Py_ssize_t head, len, cap, nflows, flows_cap;
+    EvHeap heap;                        /* K_KEY / LSTF / FIFO+ / FQ: (key, enqueue seq, hop) */
+    FlowQ *flows;                       /* SRPT */
+} Port;
+
+typedef struct {
+    Port *ports;
+    Hop *hops;
+    Row *rows;
+    double *tags, *ingress;             /* ingress: a replay's, per row */
+    Py_ssize_t nports, nhops, hops_cap, nrows, rows_cap, ntags, tags_cap, cursor;
+    EvHeap heap;
+    int64_t seq, fseq, enqueued, nflows, executed, budget;
+    PyObject *sim, *gens, *emit, *emit_func, *heappop;  /* a recording's generator side */
+} Rec;
+
+/* `items` (*cap elements of `size` bytes) regrown to hold `need`; NULL with
+ * MemoryError set, and the old block freed, when out of memory. */
 static void *
-as_array(PyObject *seq, const char *name, Py_ssize_t *len_out, int ints)
+grow(void *items, Py_ssize_t *cap, Py_ssize_t need, size_t size)
+{
+    Py_ssize_t n = *cap > 0 ? *cap : 16;
+    void *bigger;
+    if (need <= *cap)
+        return items;
+    while (n < need)
+        n *= 2;
+    if ((bigger = realloc(items, (size_t)n * size)) == NULL) {
+        free(items);
+        PyErr_NoMemory();
+    }
+    *cap = n;
+    return bigger;
+}
+
+/* The `want` items of `seq`, as doubles or (`ints`) int64s, written `stride`
+ * bytes apart from `out`: 0, or -1 with ValueError for another count or
+ * TypeError naming the first item that is neither. */
+static int
+scatter(PyObject *seq, const char *name, Py_ssize_t want, void *out, size_t stride, int ints)
 {
     PyObject *fast = PySequence_Fast(seq, "expected a sequence");
-    Py_ssize_t n, i;
-    double *floats;
-    int64_t *out;
+    char *at = (char *)out;
+    Py_ssize_t i, n;
     if (fast == NULL)
-        return NULL;
-    n = PySequence_Fast_GET_SIZE(fast);
-    out = (int64_t *)malloc((size_t)(n > 0 ? n : 1) * sizeof(int64_t));
-    floats = (double *)out;  /* the same 8-byte slots */
-    if (out == NULL) {
-        Py_DECREF(fast);
-        PyErr_NoMemory();
-        return NULL;
-    }
-    for (i = 0; i < n; i++) {
+        return -1;
+    if ((n = PySequence_Fast_GET_SIZE(fast)) != want)
+        PyErr_Format(PyExc_ValueError, "%s must have %zd entries, got %zd", name, want, n);
+    for (i = 0; n == want && i < n; i++, at += stride) {
         PyObject *item = PySequence_Fast_GET_ITEM(fast, i);
+        int failed;
         if (ints)
-            out[i] = (int64_t)PyLong_AsLongLong(item);
+            failed = (*(int64_t *)at = (int64_t)PyLong_AsLongLong(item)) == -1;
         else
-            floats[i] = PyFloat_AsDouble(item);
-        if (PyErr_Occurred()) {
+            failed = (*(double *)at = PyFloat_AsDouble(item)) == -1.0;
+        if (failed && PyErr_Occurred()) {
             PyErr_Format(PyExc_TypeError, "%s[%zd] is not %s", name, i,
                          ints ? "an int" : "a float");
-            free(out);
-            Py_DECREF(fast);
-            return NULL;
+            break;
         }
     }
     Py_DECREF(fast);
-    if (len_out != NULL)
-        *len_out = n;
-    return out;
-}
-#define as_double_array(seq, name, len_out) ((double *)as_array(seq, name, len_out, 0))
-#define as_int64_array(seq, name, len_out) ((int64_t *)as_array(seq, name, len_out, 1))
-
-/* 1 if a hop array holds exactly total_hops entries, else ValueError and 0. */
-static int
-hop_array_fits(const char *name, Py_ssize_t len, Py_ssize_t total_hops)
-{
-    if (len == total_hops)
-        return 1;
-    PyErr_Format(PyExc_ValueError,
-                 "%s must have %zd entries, got %zd", name, total_hops, len);
-    return 0;
+    return PyErr_Occurred() ? -1 : 0;
 }
 
-static PyObject *
-double_array_to_list(const double *values, Py_ssize_t n)
-{
-    PyObject *list = PyList_New(n);
-    Py_ssize_t i;
-    if (list == NULL)
-        return NULL;
-    for (i = 0; i < n; i++) {
-        PyObject *value = PyFloat_FromDouble(values[i]);
-        if (value == NULL) {
-            Py_DECREF(list);
-            return NULL;
-        }
-        PyList_SET_ITEM(list, i, value);
-    }
-    return list;
-}
-
-/* ------------------------------------------------------------------ */
-/* run_flat_replay                                                    */
-/* ------------------------------------------------------------------ */
 /* PortFaultState.intercepts: each of the port's drop filters is called as
  * drop(None, t) — stateful ones advance once per packet, so none is
  * skipped.  1 if any destroys the packet, 0 if none, -1 on an exception. */
@@ -228,546 +261,32 @@ port_drops(PyObject *filters, double t)
     return destroyed;
 }
 
-/* A fault plan, ((port, filters, windows), ...): each port's filters as a
- * tuple in filters[port] (a new reference) and its (down, up) windows as
- * toggles appended to *toggle_t / *toggle_port, down before up.  0 or -1. */
-static int
-load_faults(PyObject *plan, Py_ssize_t num_ports, PyObject **filters,
-            double **toggle_t, int64_t **toggle_port, Py_ssize_t *toggles)
-{
-    PyObject *fast = PySequence_Fast(plan, "faults must be a sequence");
-    Py_ssize_t i, k;
-    if (fast == NULL)
-        return -1;
-    for (i = 0; i < PySequence_Fast_GET_SIZE(fast); i++) {
-        Py_ssize_t port;
-        PyObject *port_filters, *windows, *wins;
-        double *times;
-        int64_t *ports;
-        if (!PyArg_ParseTuple(PySequence_Fast_GET_ITEM(fast, i), "nOO:faults",
-                              &port, &port_filters, &windows))
-            goto fail;
-        if (port < 0 || port >= num_ports) {
-            PyErr_Format(PyExc_ValueError,
-                         "faulted port %zd out of range for %zd ports",
-                         port, num_ports);
-            goto fail;
-        }
-        Py_XSETREF(filters[port], PySequence_Tuple(port_filters));
-        wins = PySequence_Fast(windows, "fault windows must be a sequence");
-        if (filters[port] == NULL || wins == NULL) {
-            Py_XDECREF(wins);
-            goto fail;
-        }
-        k = *toggles + 2 * PySequence_Fast_GET_SIZE(wins) + 1;
-        times = (double *)realloc(*toggle_t, (size_t)k * sizeof(double));
-        if (times != NULL)
-            *toggle_t = times;
-        ports = (int64_t *)realloc(*toggle_port, (size_t)k * sizeof(int64_t));
-        if (ports != NULL)
-            *toggle_port = ports;
-        if (times == NULL || ports == NULL) {
-            Py_DECREF(wins);
-            PyErr_NoMemory();
-            goto fail;
-        }
-        for (k = 0; k < PySequence_Fast_GET_SIZE(wins); k++) {
-            double *at = &times[*toggles];
-            if (!PyArg_ParseTuple(PySequence_Fast_GET_ITEM(wins, k), "dd:window",
-                                  &at[0], &at[1])) {
-                Py_DECREF(wins);
-                goto fail;
-            }
-            ports[(*toggles)++] = port;
-            ports[(*toggles)++] = port;
-        }
-        Py_DECREF(wins);
-    }
-    Py_DECREF(fast);
-    return 0;
-fail:
-    Py_DECREF(fast);
-    return -1;
-}
-
-static PyObject *
-kernel_run_flat_replay(PyObject *self, PyObject *args, PyObject *kwargs)
-{
-    static char *keywords[] = {
-        "ingress", "off", "hop_pkt", "hop_port", "hop_tx", "hop_prop",
-        "num_ports", "slack", "hop_key", "max_events", "faults", NULL,
-    };
-    PyObject *ingress_obj, *off_obj, *hop_pkt_obj, *hop_port_obj;
-    PyObject *hop_tx_obj, *hop_prop_obj;
-    PyObject *slack_obj = Py_None, *hop_key_obj = Py_None;
-    PyObject *max_events_obj = Py_None, *faults_obj = Py_None;
-    Py_ssize_t num_ports;
-
-    double *ingress = NULL, *hop_tx = NULL, *hop_prop = NULL;
-    double *slack = NULL, *hop_key = NULL, *toggle_t = NULL;
-    int64_t *off = NULL, *hop_pkt = NULL, *hop_port = NULL;
-    int64_t *nxt = NULL, *port_seq = NULL, *cur = NULL, *toggle_port = NULL;
-    double *arr = NULL, *start = NULL, *dep = NULL, *egress = NULL;
-    char *has_egress = NULL;
-    PyObject **filters = NULL;
-    EvHeap heap = {NULL, 0, 0};
-    EvHeap *ports = NULL;
-    PyObject *result = NULL;
-    Py_ssize_t n = 0, off_len = 0, total_hops = 0, hop_len = 0, p_idx;
-    Py_ssize_t toggles = 0;
-    int64_t H, H2, INJ, seq, fseq, cursor, executed, budget;
-    const int64_t IDLE = -1, DOWN = -2;
-    int lstf;
-
-    if (!PyArg_ParseTupleAndKeywords(
-            args, kwargs, "OOOOOOn|OOOO:run_flat_replay", keywords,
-            &ingress_obj, &off_obj, &hop_pkt_obj, &hop_port_obj,
-            &hop_tx_obj, &hop_prop_obj, &num_ports,
-            &slack_obj, &hop_key_obj, &max_events_obj, &faults_obj))
-        return NULL;
-    if (num_ports < 0)
-        num_ports = 0;
-    ingress = as_double_array(ingress_obj, "ingress", &n);
-    if (ingress == NULL)
-        goto done;
-    off = as_int64_array(off_obj, "off", &off_len);
-    if (off == NULL)
-        goto done;
-    if (off_len != n + 1) {
-        PyErr_Format(PyExc_ValueError,
-                     "off must have %zd entries, got %zd", n + 1, off_len);
-        goto done;
-    }
-    if (off[0] != 0) {
-        PyErr_Format(PyExc_ValueError,
-                     "off[0] must be 0, got %lld", (long long)off[0]);
-        goto done;
-    }
-    /* The loop indexes the four hop arrays unchecked: each must hold
-     * exactly off[n] entries (packets with no hops are refused below). */
-    total_hops = (Py_ssize_t)off[n];
-    hop_pkt = as_int64_array(hop_pkt_obj, "hop_pkt", &hop_len);
-    if (hop_pkt == NULL || !hop_array_fits("hop_pkt", hop_len, total_hops))
-        goto done;
-    hop_port = as_int64_array(hop_port_obj, "hop_port", &hop_len);
-    if (hop_port == NULL || !hop_array_fits("hop_port", hop_len, total_hops))
-        goto done;
-    hop_tx = as_double_array(hop_tx_obj, "hop_tx", &hop_len);
-    if (hop_tx == NULL || !hop_array_fits("hop_tx", hop_len, total_hops))
-        goto done;
-    hop_prop = as_double_array(hop_prop_obj, "hop_prop", &hop_len);
-    if (hop_prop == NULL || !hop_array_fits("hop_prop", hop_len, total_hops))
-        goto done;
-    lstf = slack_obj != Py_None;
-    if (lstf) {
-        Py_ssize_t slack_len;
-        slack = as_double_array(slack_obj, "slack", &slack_len);
-        if (slack == NULL)
-            goto done;
-        if (slack_len != n) {
-            PyErr_Format(PyExc_ValueError,
-                         "slack must have %zd entries, got %zd", n, slack_len);
-            goto done;
-        }
-    } else {
-        Py_ssize_t key_len;
-        if (hop_key_obj == Py_None) {
-            PyErr_SetString(PyExc_ValueError,
-                            "hop_key is required when slack is None");
-            goto done;
-        }
-        hop_key = as_double_array(hop_key_obj, "hop_key", &key_len);
-        if (hop_key == NULL)
-            goto done;
-        if (key_len != total_hops) {
-            PyErr_Format(PyExc_ValueError,
-                         "hop_key must have %zd entries, got %zd",
-                         total_hops, key_len);
-            goto done;
-        }
-    }
-    if (max_events_obj == Py_None) {
-        budget = INT64_MAX;
-    } else {
-        int overflow = 0;
-        budget = (int64_t)PyLong_AsLongLongAndOverflow(max_events_obj, &overflow);
-        if (budget == -1 && PyErr_Occurred())
-            goto done;
-        if (overflow > 0)
-            budget = INT64_MAX;  /* unreachably large: effectively unbudgeted */
-        else if (overflow < 0 || budget < 0)
-            budget = 0;
-    }
-
-    /* Output arrays (zero-initialized: a hop never served stays 0.0). */
-    arr = (double *)calloc((size_t)(total_hops > 0 ? total_hops : 1), sizeof(double));
-    start = (double *)calloc((size_t)(total_hops > 0 ? total_hops : 1), sizeof(double));
-    dep = (double *)calloc((size_t)(total_hops > 0 ? total_hops : 1), sizeof(double));
-    egress = (double *)calloc((size_t)(n > 0 ? n : 1), sizeof(double));
-    has_egress = (char *)calloc((size_t)(n > 0 ? n : 1), sizeof(char));
-    if (arr == NULL || start == NULL || dep == NULL || egress == NULL ||
-        has_egress == NULL) {
-        PyErr_NoMemory();
-        goto done;
-    }
-
-    executed = 0;
-
-    /* Bounds pre-check: every hop index the loop will touch must be valid,
-     * so the loop itself can run unchecked. */
-    for (p_idx = 0; p_idx < total_hops; p_idx++) {
-        if (hop_port[p_idx] < 0 || hop_port[p_idx] >= (int64_t)num_ports) {
-            PyErr_Format(PyExc_ValueError,
-                         "hop_port[%zd]=%lld out of range for %zd ports",
-                         p_idx, (long long)hop_port[p_idx], num_ports);
-            goto done;
-        }
-        if (hop_pkt[p_idx] < 0 || hop_pkt[p_idx] >= (int64_t)n) {
-            PyErr_Format(PyExc_ValueError,
-                         "hop_pkt[%zd]=%lld out of range for %zd packets",
-                         p_idx, (long long)hop_pkt[p_idx], n);
-            goto done;
-        }
-    }
-    for (p_idx = 0; p_idx < n; p_idx++) {
-        if (off[p_idx] >= off[p_idx + 1]) {
-            PyErr_Format(PyExc_ValueError,
-                         "packet %zd has no hops (off[%zd]=%lld, off[%zd]=%lld)",
-                         p_idx, p_idx, (long long)off[p_idx],
-                         p_idx + 1, (long long)off[p_idx + 1]);
-            goto done;
-        }
-    }
-
-    nxt = (int64_t *)malloc((size_t)(total_hops > 0 ? total_hops : 1) * sizeof(int64_t));
-    cur = (int64_t *)malloc((size_t)(num_ports > 0 ? num_ports : 1) * sizeof(int64_t));
-    port_seq = (int64_t *)calloc((size_t)(num_ports > 0 ? num_ports : 1),
-                                 sizeof(int64_t));
-    ports = (EvHeap *)calloc((size_t)(num_ports > 0 ? num_ports : 1),
-                             sizeof(EvHeap));
-    filters = (PyObject **)calloc((size_t)(num_ports > 0 ? num_ports : 1),
-                                  sizeof(PyObject *));
-    if (nxt == NULL || cur == NULL || port_seq == NULL || ports == NULL ||
-        filters == NULL) {
-        PyErr_NoMemory();
-        goto done;
-    }
-    if (faults_obj != Py_None &&
-        load_faults(faults_obj, num_ports, filters, &toggle_t, &toggle_port,
-                    &toggles) < 0)
-        goto done;
-    for (p_idx = 0; p_idx < num_ports; p_idx++)
-        cur[p_idx] = IDLE;
-    H = (int64_t)total_hops;
-    H2 = 2 * H;
-    INJ = H2 + (int64_t)n;
-    /* nxt[f]: the arrival code hop f's finish pushes — the next hop's, or
-     * the destination's on a packet's last hop. */
-    for (p_idx = 0; p_idx < total_hops; p_idx++)
-        nxt[p_idx] = H + (int64_t)p_idx + 1;
-    for (p_idx = 0; p_idx < n; p_idx++)
-        nxt[off[p_idx + 1] - 1] = H2 + (int64_t)p_idx;
-
-    fseq = -((int64_t)1 << 62);  /* Simulator._front_sequence */
-    cursor = 0;
-
-    /* ReplayInjector.install(): arm the cursor at the first ingress time
-     * (an empty replay arms nothing; a fault plan's toggles still fire). */
-    if (n > 0) {
-        if (ev_push(&heap, ingress[0], fseq, INJ) < 0)
-            goto nomem;
-        fseq += 1;
-    }
-    /* FaultInjector.install(), after the cursor: toggle k takes seq k of
-     * Simulator._sequence, the counter every later event draws from. */
-    for (seq = 0; seq < (int64_t)toggles; seq++)
-        if (ev_push(&heap, toggle_t[seq], seq, INJ + 1 + seq) < 0)
-            goto nomem;
-
-/* Router.receive, or the injector: hop `fn` of packet `j` reaches its port
- * at t — queued behind the hop in flight (or a down port), else served. */
-#define ARRIVE(fn, j)                                                      \
-    do {                                                                   \
-        int64_t f_ = (fn), p_ = hop_port[f_], s_ = port_seq[p_]++;         \
-        arr[f_] = t;                                                       \
-        if (cur[p_] != IDLE) {                                             \
-            double key_ = lstf ? (slack[j] + t) + hop_tx[f_] : hop_key[f_]; \
-            if (ev_push(&ports[p_], key_, s_, f_) < 0)                     \
-                goto nomem;                                                \
-        } else {                                                           \
-            start[f_] = t;                                                 \
-            cur[p_] = f_;                                                  \
-            if (ev_push(&heap, t + hop_tx[f_], seq, f_) < 0)               \
-                goto nomem;                                                \
-            seq += 1;                                                      \
-        }                                                                  \
-    } while (0)
-
-/* OutputPort._start_next on port `p` at t: serve the queue head (the LSTF
- * dequeue charges its whole wait to the slack), else go idle. */
-#define START_NEXT(p)                                                      \
-    do {                                                                   \
-        if (ports[p].size > 0) {                                           \
-            int64_t f_ = ev_pop(&ports[p]).code;                           \
-            if (lstf)                                                      \
-                slack[hop_pkt[f_]] -= t - arr[f_];                         \
-            start[f_] = t;                                                 \
-            cur[p] = f_;                                                   \
-            if (ev_push(&heap, t + hop_tx[f_], seq, f_) < 0)               \
-                goto nomem;                                                \
-            seq += 1;                                                      \
-        } else {                                                           \
-            cur[p] = IDLE;                                                 \
-        }                                                                  \
-    } while (0)
-
-    while (heap.size > 0 && executed < budget) {
-        Ev ev = ev_pop(&heap);
-        double t = ev.t;
-        int64_t code = ev.code;
-        executed += 1;
-
-        if (code < H) {
-            /* OutputPort._finish_transmission for hop f on its port. */
-            int64_t f = code, p = hop_port[f];
-            int destroyed = 0;
-            if (cur[p] != f) {
-                /* Cancelled by a down-toggle (OutputPort.fault_interrupt):
-                 * Simulator.run discards a cancelled event uncounted. */
-                executed -= 1;
-                continue;
-            }
-            dep[f] = t;
-            if (filters[p] != NULL && (destroyed = port_drops(filters[p], t)) < 0)
-                goto done;
-            if (!destroyed) {
-                /* Receive is scheduled *before* the port picks its next
-                 * packet; a destroyed packet schedules nothing. */
-                if (ev_push(&heap, t + hop_prop[f], seq, nxt[f]) < 0)
-                    goto nomem;
-                seq += 1;
-            }
-            START_NEXT(p);
-
-        } else if (code < H2) {
-            /* Link delivery at a router: Router.receive. */
-            ARRIVE(code - H, hop_pkt[code - H]);
-
-        } else if (code < INJ) {
-            /* Link delivery at the destination: Host.receive. */
-            egress[code - H2] = t;
-            has_egress[code - H2] = 1;
-
-        } else if (code == INJ) {
-            /* ReplayInjector._advance: inject every record due now, then
-             * re-arm the cursor at the next ingress time (front range). */
-            while (cursor < (int64_t)n && ingress[cursor] <= t) {
-                cursor += 1;
-                ARRIVE(off[cursor - 1], cursor - 1);
-            }
-            if (cursor < (int64_t)n) {
-                if (ev_push(&heap, ingress[cursor], fseq, INJ) < 0)
-                    goto nomem;
-                fseq += 1;
-            }
-
-        } else {
-            /* Outage toggle k (code INJ + 1 + k): even = down, odd = up. */
-            int64_t k = code - INJ - 1, p = toggle_port[k];
-            if (!(k & 1))
-                /* FaultInjector._link_down: the packet in flight is
-                 * destroyed (its finish is now stale) and the queue held;
-                 * a port already down stays down. */
-                cur[p] = DOWN;
-            else if (cur[p] == DOWN)
-                /* FaultInjector._link_up -> OutputPort._start_next. */
-                START_NEXT(p);
-        }
-    }
-#undef ARRIVE
-#undef START_NEXT
-
-    {
-        PyObject *arr_list = NULL, *start_list = NULL, *dep_list = NULL;
-        PyObject *egress_list = NULL, *executed_obj = NULL;
-        Py_ssize_t i;
-        arr_list = double_array_to_list(arr, total_hops);
-        start_list = double_array_to_list(start, total_hops);
-        dep_list = double_array_to_list(dep, total_hops);
-        egress_list = PyList_New(n);
-        executed_obj = PyLong_FromLongLong((long long)executed);
-        if (arr_list == NULL || start_list == NULL || dep_list == NULL ||
-            egress_list == NULL || executed_obj == NULL)
-            goto build_fail;
-        for (i = 0; i < n; i++) {
-            PyObject *value;
-            if (has_egress[i]) {
-                value = PyFloat_FromDouble(egress[i]);
-                if (value == NULL)
-                    goto build_fail;
-            } else {
-                value = Py_None;
-                Py_INCREF(value);
-            }
-            PyList_SET_ITEM(egress_list, i, value);
-        }
-        result = PyTuple_Pack(5, arr_list, start_list, dep_list, egress_list,
-                              executed_obj);
-    build_fail:
-        Py_XDECREF(arr_list);
-        Py_XDECREF(start_list);
-        Py_XDECREF(dep_list);
-        Py_XDECREF(egress_list);
-        Py_XDECREF(executed_obj);
-    }
-    goto done;
-
-nomem:
-    PyErr_NoMemory();
-
-done:
-    free(ingress);
-    free(off);
-    free(hop_pkt);
-    free(hop_port);
-    free(hop_tx);
-    free(hop_prop);
-    free(slack);
-    free(hop_key);
-    free(nxt);
-    free(cur);
-    free(toggle_t);
-    free(toggle_port);
-    free(port_seq);
-    free(arr);
-    free(start);
-    free(dep);
-    free(egress);
-    free(has_egress);
-    free(heap.items);
-    if (ports != NULL) {
-        for (p_idx = 0; p_idx < num_ports; p_idx++)
-            free(ports[p_idx].items);
-        free(ports);
-    }
-    if (filters != NULL) {
-        for (p_idx = 0; p_idx < num_ports; p_idx++)
-            Py_XDECREF(filters[p_idx]);
-        free(filters);
-    }
-    return result;
-}
-
-PyDoc_STRVAR(run_flat_replay_doc,
-"run_flat_replay(ingress, off, hop_pkt, hop_port, hop_tx, hop_prop,\n"
-"                num_ports, slack, hop_key, max_events=None, faults=None)\n"
-"--\n\n"
-"Replay flat per-packet-hop arrays to completion, or for max_events events.\n"
-"slack (LSTF) or hop_key (static keys) orders each port's queue; faults is\n"
-"((port, drop_filters, outage_windows), ...) in install order.  Returns\n"
-"(arrival, start_service, departure, egress, executed): per-hop timings,\n"
-"per-packet egress (None: destroyed, or in flight when the budget ran out)\n"
-"and the events executed, bit-identical to the OO engine's.");
-
-/* ------------------------------------------------------------------ */
-/* run_flat_record                                                    */
-/* ------------------------------------------------------------------ */
-/*
- * The flat recording loop of repro.sim.flat_record (contract: docs/
- * backends.md#recording).  Traffic is *not* known up front: the simulator's
- * generator entries (time, seq, event, callback, args) stay on its Python
- * heap, hop events go on an EvHeap here (finish of hop f: f; its delivery:
- * ~f), and each step pops the earlier top in (time, seq).  One counter,
- * handed across every yield as Simulator._sequence, keeps seqs unique, so
- * the merge pops what the OO engine's one heap would.  Python runs each
- * generator callback (sim.now and sim._sequence set first, the counter read
- * back after), emit(source, time) in place of UdpSource._emit_packets (the
- * flow's per-packet columns; it returns sizes, route ports, bandwidths, flow
- * size and slack stamp), and a contended Random port's _rng.randint(0, n).
- * Queues mirror the schedulers: an arrival-ordered array (FIFO / LIFO /
- * Random), per-flow FIFOs in first-insertion order served by strictly least
- * queued priority (SRPT), or an EvHeap keyed by float(flow size), (slack + t)
- * + tx, t - accumulated wait, or SCFQ's max(vt, flow's last tag) + size (SJF,
- * LSTF, FIFO+, FQ).  A flow's FQ tags take one slot per route hop.  Float
- * operations are CPython's, in its order: tx is (size * 8.0) / bandwidth.
- */
-enum { K_RANDOM, K_FIFO, K_LIFO, K_SRPT, K_SJF, K_LSTF, K_FIFO_PLUS, K_FQ };
-
-typedef struct {            /* packet-hop f */
-    int64_t port, row, next;            /* next: the hop behind it in SRPT's flow FIFO */
-    double tx, arr, start, dep;
-} Hop;
-
-typedef struct {            /* packet r */
-    int64_t end, flow, tags;            /* one past its last hop; flow; tag slot - first hop */
-    double size, out, key, prio, slack, waited;  /* key: SJF; prio: SRPT; slack NaN: none */
-} Row;
-
-typedef struct {            /* SRPT: one flow's queued hops, oldest first */
-    int64_t flow, head, tail;
-} FlowQ;
-
-typedef struct {
-    int kind, busy;
-    double prop, vt;                    /* propagation delay; FQ's virtual time */
-    PyObject *randint;
-    int64_t *q;                         /* FIFO / LIFO / Random: q[head:head+len] */
-    Py_ssize_t head, len, cap, nflows, flows_cap;
-    EvHeap heap;                        /* SJF / LSTF / FIFO+ / FQ: (key, enqueue seq, hop) */
-    FlowQ *flows;                       /* SRPT */
-} Port;
-
-typedef struct {
-    Port *ports;
-    Hop *hops;
-    Row *rows;
-    double *tags;
-    Py_ssize_t nports, nhops, hops_cap, nrows, rows_cap, ntags, tags_cap;
-    EvHeap heap;
-    int64_t seq, enqueued, nflows;
-} Rec;
-
-/* `items` (*cap elements of `size` bytes) regrown to hold `need`; NULL with
- * MemoryError set, and the old block freed, when out of memory. */
-static void *
-grow(void *items, Py_ssize_t *cap, Py_ssize_t need, size_t size)
-{
-    Py_ssize_t n = *cap > 0 ? *cap : 16;
-    void *bigger;
-    if (need <= *cap)
-        return items;
-    while (n < need)
-        n *= 2;
-    if ((bigger = realloc(items, (size_t)n * size)) == NULL) {
-        free(items);
-        PyErr_NoMemory();
-    }
-    *cap = n;
-    return bigger;
-}
-
-/* OutputPort.enqueue for hop f at t: keyed as its scheduler keys it, then
- * served at once by an idle port, else queued. */
+/* OutputPort.enqueue for hop f at t (Router.receive, or the injector): keyed
+ * as its scheduler keys it, then served at once by an idle port, else queued
+ * (behind the hop in flight, or by a down port). */
 static int
 rec_arrive(Rec *R, int64_t f, double t)
 {
     Hop *h = &R->hops[f];
     Row *row = &R->rows[h->row];
     Port *P = &R->ports[h->port];
-    double key = 0.0, *tag = &R->tags[f + row->tags];
+    double key = 0.0;
     Py_ssize_t j;
-    if (P->kind == K_SJF)
-        key = row->key;
+    h->arr = t;
+    if (P->kind == K_KEY)
+        key = h->key;
     else if (P->kind == K_LSTF)
         key = isnan(row->slack) ? INFINITY : (row->slack + t) + h->tx;
     else if (P->kind == K_FIFO_PLUS)
         key = t - row->waited;
-    else if (P->kind == K_FQ)  /* weight 1.0: a UDP source sets none */
+    else if (P->kind == K_FQ) {  /* weight 1.0: a UDP source sets none */
+        double *tag = &R->tags[f + row->tags];
         *tag = key = (*tag > P->vt ? *tag : P->vt) + row->size;
-    if (!P->busy) {
+    }
+    if (P->cur == IDLE) {
         if (P->kind == K_FQ && key > P->vt)
             P->vt = key;
-        P->busy = 1;
+        P->cur = f;
         h->start = t;
         return ev_push(&R->heap, t + h->tx, R->seq++, f);
     }
@@ -854,31 +373,44 @@ rec_dequeue(Rec *R, Port *P, double t)
     return f;
 }
 
-/* OutputPort._finish_transmission for hop f at t: the downstream delivery
- * (or a last hop's settled output_time, same seq) before the next service. */
+/* OutputPort._start_next on P at t: serve the queue head, else go idle. */
+static int
+rec_serve(Rec *R, Port *P, double t)
+{
+    Hop *h;
+    int64_t g = rec_dequeue(R, P, t);
+    if (g < 0) {
+        P->cur = IDLE;
+        return g == -1 ? 0 : -1;
+    }
+    h = &R->hops[g];
+    R->rows[h->row].waited += t - h->arr;  /* FIFO+: OutputPort._start_next, on every port */
+    h->start = t;
+    P->cur = g;
+    return ev_push(&R->heap, t + h->tx, R->seq++, g);
+}
+
+/* OutputPort._finish_transmission for hop f at t: the drop filters, then the
+ * delivery (none for a destroyed packet) before the next service. */
 static int
 rec_finish(Rec *R, int64_t f, double t)
 {
     Hop *h = &R->hops[f];
     Row *row = &R->rows[h->row];
     Port *P = &R->ports[h->port];
-    int64_t g;
+    int destroyed = 0;
     h->dep = t;
-    if (f + 1 < row->end) {
-        if (ev_push(&R->heap, t + P->prop, R->seq++, ~(f + 1)) < 0)
+    if (P->filters != NULL && (destroyed = port_drops(P->filters, t)) < 0)
+        return -1;
+    if (!destroyed && (f + 1 < row->end || R->budget < INT64_MAX)) {
+        if (ev_push(&R->heap, t + P->prop, R->seq++, ~f) < 0)
             return -1;
-    } else {
+    } else if (!destroyed) {  /* the last delivery, settled */
         row->out = t + P->prop;
         R->seq++;
+        R->executed++;
     }
-    if ((g = rec_dequeue(R, P, t)) < 0) {
-        P->busy = 0;
-        return g == -1 ? 0 : -1;
-    }
-    h = &R->hops[g];
-    R->rows[h->row].waited += t - h->arr;  /* FIFO+: OutputPort._start_next, on every port */
-    h->start = t;
-    return ev_push(&R->heap, t + h->tx, R->seq++, g);
+    return rec_serve(R, P, t);
 }
 
 /* Host.send for every packet of a flow emitted at t; `emitted` is emit()'s
@@ -908,13 +440,13 @@ rec_emit(Rec *R, PyObject *emitted, double t)
     for (i = 0, remaining = key; i < count; i++) {
         Row *row = &R->rows[R->nrows];
         double size = PyFloat_AsDouble(PyList_GET_ITEM(sizes, i));
-        *row = (Row){0, R->nflows, R->ntags - R->nhops, size, 0.0, key, remaining, slack, 0.0};
+        *row = (Row){0, R->nflows, R->ntags - R->nhops, size, 0.0, remaining, slack, 0.0};
         remaining -= size;
         for (k = 0; k < hops; k++) {
             Hop *h = &R->hops[R->nhops++];
             double bandwidth = PyFloat_AsDouble(PyList_GET_ITEM(bandwidths, k));
             *h = (Hop){PyLong_AsLongLong(PyList_GET_ITEM(route, k)), R->nrows, -1,
-                       size * 8.0 / bandwidth, t, t, t};
+                       size * 8.0 / bandwidth, key, t, t, t};
             if (PyErr_Occurred())
                 return -1;
             if (h->port < 0 || h->port >= R->nports) {
@@ -931,6 +463,104 @@ rec_emit(Rec *R, PyObject *emitted, double t)
         if (rec_arrive(R, R->rows[i].end - hops, t) < 0)
             return -1;
     return 0;
+}
+
+/* A generator event of a recording: the emission, intercepted, or a
+ * callback run as is.  0 or -1. */
+static int
+rec_generator(Rec *R, double t)
+{
+    PyObject *entry, *callback, *out = NULL, *seq;
+    if ((entry = PyObject_CallOneArg(R->heappop, R->gens)) == NULL)
+        return -1;
+    callback = PyTuple_GET_ITEM(entry, 3);
+    if (PyMethod_Check(callback) && PyMethod_GET_FUNCTION(callback) == R->emit_func) {
+        out = PyObject_CallFunctionObjArgs(R->emit, PyMethod_GET_SELF(callback),
+                                           PyTuple_GET_ITEM(entry, 0), NULL);
+        if (out != NULL && rec_emit(R, out, t) < 0)
+            Py_CLEAR(out);
+    } else if ((seq = PyLong_FromLongLong(R->seq)) != NULL) {
+        if (PyObject_SetAttrString(R->sim, "now", PyTuple_GET_ITEM(entry, 0)) == 0 &&
+            PyObject_SetAttrString(R->sim, "_sequence", seq) == 0 &&
+            (out = PyObject_Call(callback, PyTuple_GET_ITEM(entry, 4), NULL)) != NULL) {
+            Py_SETREF(out, PyObject_GetAttrString(R->sim, "_sequence"));
+            if (out != NULL && (R->seq = PyLong_AsLongLong(out)) == -1 && PyErr_Occurred())
+                Py_CLEAR(out);
+        }
+        Py_DECREF(seq);
+    }
+    Py_DECREF(entry);
+    R->executed++;
+    if (out == NULL)
+        return -1;
+    Py_DECREF(out);
+    return 0;
+}
+
+/* The event loop: pop the earliest of the hop heap and (recording) the
+ * simulator's generator heap in (time, seq) until both are empty or the
+ * budget is spent, checking for signals every 65,536 hop events.  0 or -1. */
+static int
+rec_run(Rec *R)
+{
+    int64_t steps = 0, top_seq = 0;
+    double top_t = 0.0;
+    int have_top = R->gens == NULL ? 0 : -1, status = 0;  /* -1: read the top again */
+    while (status == 0 && R->executed < R->budget) {
+        if (have_top < 0 && (have_top = PyList_GET_SIZE(R->gens) > 0)) {
+            PyObject *entry = PyList_GET_ITEM(R->gens, 0);
+            if (!PyTuple_Check(entry) || PyTuple_GET_SIZE(entry) != 5) {
+                PyErr_SetString(PyExc_TypeError, "a simulator heap entry must be a 5-tuple");
+                return -1;
+            }
+            top_t = PyFloat_AsDouble(PyTuple_GET_ITEM(entry, 0));
+            top_seq = PyLong_AsLongLong(PyTuple_GET_ITEM(entry, 1));
+            if (PyErr_Occurred())
+                return -1;
+        }
+        if (have_top && (R->heap.size == 0 || top_t < R->heap.items[0].t ||
+                         (top_t == R->heap.items[0].t && top_seq < R->heap.items[0].seq))) {
+            status = rec_generator(R, top_t);
+            have_top = -1;
+        } else if (R->heap.size > 0) {
+            Ev ev = ev_pop(&R->heap);
+            int64_t f = ev.code;
+            if (f < 0) {  /* hop ~f's link delivery: Router.receive, or Host.receive */
+                Row *row = &R->rows[R->hops[~f].row];
+                if (~f + 1 < row->end)
+                    status = rec_arrive(R, ~f + 1, ev.t);
+                else
+                    row->out = ev.t;
+            } else if (f < INJECT) {
+                if (R->ports[R->hops[f].port].cur != f)
+                    continue;  /* cancelled by a down-toggle: discarded uncounted */
+                status = rec_finish(R, f, ev.t);
+            } else if (f == INJECT) {
+                /* ReplayInjector._advance: inject every record due now, then
+                 * re-arm the cursor at the next ingress time (front range). */
+                for (; status == 0 && R->cursor < R->nrows && R->ingress[R->cursor] <= ev.t; R->cursor++)
+                    status = rec_arrive(R, R->cursor ? R->rows[R->cursor - 1].end : 0, ev.t);
+                if (status == 0 && R->cursor < R->nrows)
+                    status = ev_push(&R->heap, R->ingress[R->cursor], R->fseq++, INJECT);
+            } else {
+                /* Port p's outage toggle, INJECT + 1 + 2p + up.  Down
+                 * (FaultInjector._link_down): the packet in flight is
+                 * destroyed (its finish is now stale) and the queue held.
+                 * Up: FaultInjector._link_up -> OutputPort._start_next. */
+                Port *P = &R->ports[(f - INJECT - 1) >> 1];
+                if (!((f - INJECT - 1) & 1))
+                    P->cur = DOWN;
+                else if (P->cur == DOWN)
+                    status = rec_serve(R, P, ev.t);
+            }
+            R->executed++;
+            if ((++steps & 0xFFFF) == 0 && status == 0)
+                status = PyErr_CheckSignals();
+        } else {
+            break;
+        }
+    }
+    return status;
 }
 
 /* The float for v, shared with an equal one made recently, as the OO
@@ -951,9 +581,10 @@ shared_float(PyObject **made, double v)
     return *slot;
 }
 
-/* ((arrival, start_service, departure, output_time), executed). */
+/* ((arrival, start_service, departure, output_time), executed); a packet
+ * that never exits has output_time None. */
 static PyObject *
-rec_result(Rec *R, int64_t executed)
+rec_result(Rec *R)
 {
     PyObject *lists[4] = {NULL}, *made[1 << FLOATS_BITS] = {NULL}, *result = NULL, *value;
     Py_ssize_t f, i;
@@ -968,11 +599,14 @@ rec_result(Rec *R, int64_t executed)
             PyList_SET_ITEM(lists[i], f, value);
         }
     for (f = 0; f < R->nrows; f++) {
-        if ((value = shared_float(made, R->rows[f].out)) == NULL)
+        if (isnan(R->rows[f].out))
+            value = Py_NewRef(Py_None);
+        else if ((value = shared_float(made, R->rows[f].out)) == NULL)
             goto done;
         PyList_SET_ITEM(lists[3], f, value);
     }
-    result = Py_BuildValue("(OOOO)L", lists[0], lists[1], lists[2], lists[3], (long long)executed);
+    result = Py_BuildValue("(OOOO)L", lists[0], lists[1], lists[2], lists[3],
+                           (long long)R->executed);
 done:
     for (i = 0; i < 4; i++)
         Py_XDECREF(lists[i]);
@@ -981,24 +615,186 @@ done:
     return result;
 }
 
+static void
+rec_free(Rec *R)
+{
+    Py_ssize_t i;
+    for (i = 0; R->ports != NULL && i < R->nports; i++) {
+        Py_XDECREF(R->ports[i].randint);
+        Py_XDECREF(R->ports[i].filters);
+        free(R->ports[i].q);
+        free(R->ports[i].heap.items);
+        free(R->ports[i].flows);
+    }
+    Py_XDECREF(R->heappop);
+    free(R->ports);
+    free(R->hops);
+    free(R->rows);
+    free(R->tags);
+    free(R->ingress);
+    free(R->heap.items);
+}
+
+/* ------------------------------------------------------------------ */
+/* run_flat_replay                                                    */
+/* ------------------------------------------------------------------ */
+/* A fault plan, ((port, filters, windows), ...) in install order: each
+ * port's filters as a tuple and its (down, up) windows as toggle events.
+ * 0 or -1. */
+static int
+load_faults(Rec *R, PyObject *plan)
+{
+    PyObject *fast = PySequence_Fast(plan, "faults must be a sequence");
+    PyObject *filters, *windows, *wins;
+    Py_ssize_t i, k, port;
+    double at[2];
+    for (i = 0; fast != NULL && i < PySequence_Fast_GET_SIZE(fast); i++) {
+        if (!PyArg_ParseTuple(PySequence_Fast_GET_ITEM(fast, i), "nOO:faults",
+                              &port, &filters, &windows))
+            break;
+        if (port < 0 || port >= R->nports) {
+            PyErr_Format(PyExc_ValueError, "faulted port %zd out of range for %zd ports",
+                         port, R->nports);
+            break;
+        }
+        Py_XSETREF(R->ports[port].filters, PySequence_Tuple(filters));
+        wins = R->ports[port].filters == NULL ? NULL
+               : PySequence_Fast(windows, "fault windows must be a sequence");
+        for (k = 0; wins != NULL && k < PySequence_Fast_GET_SIZE(wins); k++)
+            if (!PyArg_ParseTuple(PySequence_Fast_GET_ITEM(wins, k), "dd:window", &at[0], &at[1]) ||
+                ev_push(&R->heap, at[0], R->seq++, INJECT + 1 + 2 * port) < 0 ||
+                ev_push(&R->heap, at[1], R->seq++, INJECT + 2 + 2 * port) < 0)
+                break;
+        Py_XDECREF(wins);
+        if (PyErr_Occurred())
+            break;
+    }
+    Py_XDECREF(fast);
+    return PyErr_Occurred() ? -1 : 0;
+}
+
+static PyObject *
+kernel_run_flat_replay(PyObject *self, PyObject *args, PyObject *kwargs)
+{
+    static char *keywords[] = {"ingress", "off", "hop_port", "hop_tx", "prop", "kind", "keys",
+                               "max_events", "faults", NULL};
+    PyObject *ingress, *off, *hop_port, *hop_tx, *prop, *keys, *result = NULL;
+    PyObject *max_events = Py_None, *faults = Py_None;
+    int64_t *offs = NULL;
+    int kind, overflow = 0;
+    Py_ssize_t r, f, n;
+    Rec R;
+
+    memset(&R, 0, sizeof(R));
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OOOOOiO|OO:run_flat_replay", keywords,
+                                     &ingress, &off, &hop_port, &hop_tx, &prop, &kind, &keys,
+                                     &max_events, &faults))
+        return NULL;
+    if (kind != K_FIFO && kind != K_KEY && kind != K_LSTF)
+        return PyErr_Format(PyExc_ValueError, "replay kind %d is not FIFO, keyed or LSTF", kind);
+    if (kind != K_FIFO && keys == Py_None)
+        return PyErr_Format(PyExc_ValueError, "replay kind %d requires keys", kind);
+    R.budget = max_events == Py_None ? INT64_MAX
+                                     : PyLong_AsLongLongAndOverflow(max_events, &overflow);
+    if (R.budget == -1 && PyErr_Occurred())
+        return NULL;
+    /* an overflowing budget is unreachably large: effectively none */
+    R.budget = overflow > 0 ? INT64_MAX : overflow < 0 || R.budget < 0 ? 0 : R.budget;
+    if ((n = R.nrows = PyObject_Length(ingress)) < 0 || (R.nports = PyObject_Length(prop)) < 0)
+        return NULL;
+    R.ingress = (double *)malloc((size_t)(n + 1) * sizeof(double));
+    R.rows = (Row *)malloc((size_t)(n + 1) * sizeof(Row));
+    R.ports = (Port *)calloc((size_t)R.nports + 1, sizeof(Port));
+    offs = (int64_t *)malloc((size_t)(n + 1) * sizeof(int64_t));
+    if (R.ingress == NULL || R.rows == NULL || R.ports == NULL || offs == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    if (scatter(ingress, "ingress", n, R.ingress, sizeof(double), 0) < 0 ||
+        scatter(off, "off", n + 1, offs, sizeof(int64_t), 1) < 0 ||
+        scatter(prop, "prop", R.nports, &R.ports[0].prop, sizeof(Port), 0) < 0)
+        goto done;
+    /* The loop indexes hops, rows and ports unchecked: every packet needs a
+     * hop, each hop array off[n] entries and each port an index in range. */
+    if (offs[0] != 0) {
+        PyErr_Format(PyExc_ValueError, "off[0] must be 0, got %lld", (long long)offs[0]);
+        goto done;
+    }
+    for (r = 0; r < n; r++) {
+        if (offs[r] >= offs[r + 1]) {
+            PyErr_Format(PyExc_ValueError, "packet %zd has no hops (off[%zd]=%lld, off[%zd]=%lld)",
+                         r, r, (long long)offs[r], r + 1, (long long)offs[r + 1]);
+            goto done;
+        }
+        R.rows[r] = (Row){offs[r + 1], 0, 0, 0.0, NAN, 0.0, NAN, 0.0};
+    }
+    R.nhops = (Py_ssize_t)offs[n];
+    if ((R.hops = (Hop *)calloc((size_t)R.nhops + 1, sizeof(Hop))) == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    if (scatter(hop_port, "hop_port", R.nhops, &R.hops[0].port, sizeof(Hop), 1) < 0 ||
+        scatter(hop_tx, "hop_tx", R.nhops, &R.hops[0].tx, sizeof(Hop), 0) < 0 ||
+        (kind == K_LSTF && scatter(keys, "keys", n, &R.rows[0].slack, sizeof(Row), 0) < 0) ||
+        (kind == K_KEY && scatter(keys, "keys", R.nhops, &R.hops[0].key, sizeof(Hop), 0) < 0))
+        goto done;
+    for (r = 0, f = 0; f < R.nhops; f++) {
+        if (R.hops[f].port < 0 || R.hops[f].port >= R.nports) {
+            PyErr_Format(PyExc_ValueError, "hop_port[%zd]=%lld out of range for %zd ports",
+                         f, (long long)R.hops[f].port, R.nports);
+            goto done;
+        }
+        if (f == R.rows[r].end)
+            r++;
+        R.hops[f].row = r;
+    }
+    for (f = 0; f < R.nports; f++)
+        R.ports[f].kind = kind, R.ports[f].cur = IDLE;
+    /* FaultInjector.install's toggles and ReplayInjector.install's cursor,
+     * armed at the first ingress time (an empty replay arms nothing); the
+     * heap orders by (time, seq), whatever the order of the pushes. */
+    R.fseq = -((int64_t)1 << 62);
+    if ((faults == Py_None || load_faults(&R, faults) == 0) &&
+        (n == 0 || ev_push(&R.heap, R.ingress[0], R.fseq++, INJECT) == 0) && rec_run(&R) == 0)
+        result = rec_result(&R);
+done:
+    free(offs);
+    rec_free(&R);
+    return result;
+}
+
+PyDoc_STRVAR(run_flat_replay_doc,
+"run_flat_replay(ingress, off, hop_port, hop_tx, prop, kind, keys,\n"
+"                max_events=None, faults=None)\n"
+"--\n\n"
+"Replay packets (ingress time, hops off[j]:off[j+1]: port and transmission\n"
+"delay; prop: per port) to completion, or for max_events events, with every\n"
+"port of kind K_FIFO, K_KEY (keys: per hop) or K_LSTF (keys: slack per\n"
+"packet); faults is ((port, drop_filters, outage_windows), ...) in install\n"
+"order.  Returns ((arrival, start_service, departure, output_time), executed):\n"
+"a hop never reached keeps 0.0 and a packet that never exits (destroyed, or\n"
+"in flight when the budget ran out) has None, bit-identical to the OO engine.");
+
+/* ------------------------------------------------------------------ */
+/* run_flat_record                                                    */
+/* ------------------------------------------------------------------ */
 static PyObject *
 kernel_run_flat_record(PyObject *self, PyObject *args)
 {
-    PyObject *sim, *heap, *emit, *emit_func, *ports, *heappop, *result = NULL;
-    PyObject *entry, *callback, *out, *seq;
-    Rec R;
+    PyObject *ports, *seq, *result = NULL;
     Py_ssize_t i;
-    int64_t generator_events = 0, steps = 0, top_seq = 0;
-    double top_t = 0.0;
-    int have_top = -1;  /* -1: read the Python heap's top again */
+    Rec R;
 
-    if (!PyArg_ParseTuple(args, "OO!OOO!:run_flat_record", &sim, &PyList_Type, &heap, &emit,
-                          &emit_func, &PyList_Type, &ports) ||
-        (heappop = PyImport_ImportModule("heapq")) == NULL)
-        return NULL;
-    Py_SETREF(heappop, PyObject_GetAttrString(heappop, "heappop"));
     memset(&R, 0, sizeof(R));
+    if (!PyArg_ParseTuple(args, "OO!OOO!:run_flat_record", &R.sim, &PyList_Type, &R.gens,
+                          &R.emit, &R.emit_func, &PyList_Type, &ports) ||
+        (R.heappop = PyImport_ImportModule("heapq")) == NULL)
+        return NULL;
+    Py_SETREF(R.heappop, PyObject_GetAttrString(R.heappop, "heappop"));
+    R.budget = INT64_MAX;
     R.nports = PyList_GET_SIZE(ports);
+    if (R.heappop == NULL)
+        goto done;
     if ((R.ports = (Port *)calloc((size_t)R.nports + 1, sizeof(Port))) == NULL) {
         PyErr_NoMemory();
         goto done;
@@ -1008,89 +804,21 @@ kernel_run_flat_record(PyObject *self, PyObject *args)
         if (!PyArg_ParseTuple(PyList_GET_ITEM(ports, i), "idO", &P->kind, &P->prop, &P->randint))
             goto done;
         Py_INCREF(P->randint);
+        P->cur = IDLE;
         if (P->kind < K_RANDOM || P->kind > K_FQ ||
             (P->kind == K_RANDOM && !PyCallable_Check(P->randint))) {
             PyErr_Format(PyExc_ValueError, "port %zd: kind %d, or no randint", i, P->kind);
             goto done;
         }
     }
-    if (heappop == NULL || (seq = PyObject_GetAttrString(sim, "_sequence")) == NULL)
+    if ((seq = PyObject_GetAttrString(R.sim, "_sequence")) == NULL)
         goto done;
     R.seq = PyLong_AsLongLong(seq);
     Py_DECREF(seq);
-    if (PyErr_Occurred())
-        goto done;
-
-    for (;;) {
-        if (have_top < 0 && (have_top = PyList_GET_SIZE(heap) > 0)) {
-            entry = PyList_GET_ITEM(heap, 0);
-            if (!PyTuple_Check(entry) || PyTuple_GET_SIZE(entry) != 5) {
-                PyErr_SetString(PyExc_TypeError, "a simulator heap entry must be a 5-tuple");
-                goto done;
-            }
-            top_t = PyFloat_AsDouble(PyTuple_GET_ITEM(entry, 0));
-            top_seq = PyLong_AsLongLong(PyTuple_GET_ITEM(entry, 1));
-            if (PyErr_Occurred())
-                goto done;
-        }
-        if (have_top && (R.heap.size == 0 || top_t < R.heap.items[0].t ||
-                         (top_t == R.heap.items[0].t && top_seq < R.heap.items[0].seq))) {
-            /* A generator event: the emission, intercepted, or a callback run as is. */
-            if ((entry = PyObject_CallOneArg(heappop, heap)) == NULL)
-                goto done;
-            generator_events++;
-            have_top = -1;
-            callback = PyTuple_GET_ITEM(entry, 3);
-            out = NULL;
-            if (PyMethod_Check(callback) && PyMethod_GET_FUNCTION(callback) == emit_func) {
-                out = PyObject_CallFunctionObjArgs(emit, PyMethod_GET_SELF(callback),
-                                                   PyTuple_GET_ITEM(entry, 0), NULL);
-                if (out != NULL && rec_emit(&R, out, top_t) < 0)
-                    Py_CLEAR(out);
-            } else if ((seq = PyLong_FromLongLong(R.seq)) != NULL) {
-                if (PyObject_SetAttrString(sim, "now", PyTuple_GET_ITEM(entry, 0)) == 0 &&
-                    PyObject_SetAttrString(sim, "_sequence", seq) == 0 &&
-                    (out = PyObject_Call(callback, PyTuple_GET_ITEM(entry, 4), NULL)) != NULL) {
-                    Py_SETREF(out, PyObject_GetAttrString(sim, "_sequence"));
-                    if (out != NULL && (R.seq = PyLong_AsLongLong(out)) == -1 && PyErr_Occurred())
-                        Py_CLEAR(out);
-                }
-                Py_DECREF(seq);
-            }
-            Py_DECREF(entry);
-            if (out == NULL)
-                goto done;
-            Py_DECREF(out);
-        } else if (R.heap.size > 0) {
-            Ev ev = ev_pop(&R.heap);
-            int status;
-            if (ev.code < 0) {  /* a link delivery at a router: Router.receive */
-                R.hops[~ev.code].arr = ev.t;
-                status = rec_arrive(&R, ~ev.code, ev.t);
-            } else {
-                status = rec_finish(&R, ev.code, ev.t);
-            }
-            if (status < 0 || ((++steps & 0xFFFF) == 0 && PyErr_CheckSignals() < 0))
-                goto done;
-        } else {
-            /* Per hop one finish and one delivery (or settled destination). */
-            result = rec_result(&R, generator_events + 2 * R.nhops);
-            break;
-        }
-    }
+    if (!PyErr_Occurred() && rec_run(&R) == 0)
+        result = rec_result(&R);
 done:
-    Py_XDECREF(heappop);
-    for (i = 0; R.ports != NULL && i < R.nports; i++) {
-        Py_XDECREF(R.ports[i].randint);
-        free(R.ports[i].q);
-        free(R.ports[i].heap.items);
-        free(R.ports[i].flows);
-    }
-    free(R.ports);
-    free(R.hops);
-    free(R.rows);
-    free(R.tags);
-    free(R.heap.items);
+    rec_free(&R);
     return result;
 }
 
@@ -1959,7 +1687,7 @@ PyInit__kernel(void)
     if (PyModule_AddStringConstant(module, "COMPILER", KERNEL_COMPILER) < 0 ||
         PyModule_AddStringConstant(module, "TOOLCHAIN",
                                    "cpython-c-api") < 0 ||
-        PyModule_AddIntConstant(module, "KERNEL_VERSION", 6) < 0) {
+        PyModule_AddIntConstant(module, "KERNEL_VERSION", 7) < 0) {
         Py_DECREF(module);
         return NULL;
     }

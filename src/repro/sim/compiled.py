@@ -1,9 +1,9 @@
 """The compiled kernel: found, built and loaded in one place.
 
 ``_kernel.c`` (beside this file) is a hand-written CPython C extension
-holding the flat replay loop of the ``compiled`` engine
+holding one flat event loop, for the ``compiled`` engine's replays
 (:mod:`repro.core.replay_compiled`; see its header for the determinism
-argument), the flat recording loop (:mod:`repro.sim.flat_record`) and the
+argument) and for flat recording (:mod:`repro.sim.flat_record`), and the
 ``repro-schedule/1`` row decoder and encoder of stored schedules.  It ships
 as source and builds itself: the first probe of a process — when an engine
 list with ``compiled`` is drawn up (:mod:`repro.sim.backend`), a recording
@@ -48,8 +48,8 @@ _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernel.c")
 
 #: The one place the compiler flags live.  ``-ffp-contract=off``: no FMA
 #: contraction — the kernel's float additions must evaluate exactly as
-#: CPython's (the bit-identity contract).  The kernel contains no
-#: multiplications, so this is belt-and-braces.
+#: CPython's (the bit-identity contract).  Its one product, ``size * 8.0``,
+#: feeds a division, never an addition: nothing to contract, and this keeps it so.
 _CFLAGS = ("-O2", "-ffp-contract=off", "-fno-fast-math")
 
 

@@ -51,7 +51,8 @@ logger = logging.getLogger(__name__)
 
 #: The schedulers the kernel reimplements, matched by exact class (a subclass
 #: may override anything), numbered as ``_kernel.c``'s port kinds ``K_*``.
-_KINDS = {
+#: SJF's kind is the static-key queue, which replays EDF, priority and omniscient keys too.
+KINDS = {
     RandomScheduler: 0,
     FifoScheduler: 1,
     LifoScheduler: 2,
@@ -115,7 +116,7 @@ def _decline_reason(simulation: "Simulation", max_events: Optional[int]) -> Opti
         for port in node.ports.values():
             if port.buffer_bytes is not None:
                 return f"finite buffer at {port.link.name}"
-            if type(port.scheduler) not in _KINDS:
+            if type(port.scheduler) not in KINDS:
                 return f"scheduler {type(port.scheduler).__name__} at {port.link.name}"
     if not kernel_available():
         return "compiled kernel unavailable"
@@ -161,10 +162,10 @@ def record_into(simulation: "Simulation", cols: "ScheduleColumns") -> None:
         for port in node.ports.values():
             port_ids[port] = len(ports)
             scheduler = port.scheduler
-            kind = _KINDS[type(scheduler)]
-            randint = scheduler._rng.randint if kind == _KINDS[RandomScheduler] else None
+            kind = KINDS[type(scheduler)]
+            randint = scheduler._rng.randint if kind == KINDS[RandomScheduler] else None
             ports.append((kind, port.link.propagation_delay, randint))
-    stamped = policy is not None and any(kind == _KINDS[LstfScheduler] for kind, _, _ in ports)
+    stamped = policy is not None and any(kind == KINDS[LstfScheduler] for kind, _, _ in ports)
     routes: dict = {}
 
     def emit(source: UdpSource, t: float) -> tuple:

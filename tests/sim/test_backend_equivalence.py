@@ -416,18 +416,15 @@ class TestFaultEquivalence:
         self, fixture_topology, recorded_schedule, mode
     ):
         run = kernel_runner(fixture_topology, recorded_schedule, mode)
-        *timings, events = run()
+        timings, events = run()
         # Neither an empty plan nor a faulted port with no filter and no
         # window changes anything.
-        assert run(faults=[]) == (*timings, events)
-        assert run(faults=[(0, (), [])]) == (*timings, events)
+        assert run(faults=[]) == (timings, events)
+        assert run(faults=[(0, (), [])]) == (timings, events)
         # W windows nothing runs into (here: after the last exit) are 2W events.
         end = max(timings[-1])
         late = [(end + 1.0 + k, end + 1.5 + k) for k in range(3)]
-        assert run(faults=[(0, (), late), (1, (), late[:1])]) == (
-            *timings,
-            events + 2 * 4,
-        )
+        assert run(faults=[(0, (), late), (1, (), late[:1])]) == (timings, events + 2 * 4)
 
     def test_a_rate_zero_plan_replays_as_no_plan(self, fixture_topology, recorded_schedule):
         clean = replayed_and_events(fixture_topology, recorded_schedule, "compiled")

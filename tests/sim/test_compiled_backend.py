@@ -11,13 +11,21 @@ its cache themselves.
 """
 
 import json
+import signal
+import time
+from unittest import mock
 
 import pytest
 
 import repro.sim.compiled as compiled_mod
 from repro.__main__ import main
+from repro.core import replay_compiled
 from repro.core.replay import ReplayExperiment, replay_schedule
+from repro.core.schedule import Schedule, ScheduleColumns
 from repro.pipeline.scenario import PipelineConfigError
+from repro.schedulers.fq import FairQueueingScheduler
+from repro.schedulers.lstf import LstfScheduler
+from repro.schedulers.priority import SjfScheduler
 from repro.sim.backend import (
     BACKEND_ENV_VAR,
     ENGINES,
@@ -25,12 +33,16 @@ from repro.sim.backend import (
     get_backend,
     select_engine,
 )
-from repro.sim.compiled import kernel_available, unavailable_reason
+from repro.sim.compiled import kernel_available, kernel_loop, unavailable_reason
+from repro.sim.flat_record import KINDS
 from repro.topology import dumbbell_topology
 from repro.traffic import WorkloadSpec, paper_default_workload
 from repro.utils import mbps
 
 needs_kernel = pytest.mark.skipif(not kernel_available(), reason=unavailable_reason() or "")
+
+#: The kernel's LSTF port kind, the replay loop's default in these tests.
+LSTF = KINDS[LstfScheduler]
 
 
 @pytest.fixture(scope="module")
@@ -162,54 +174,104 @@ class TestCompiledKernel:
         assert info["kernel_version"] >= 1
 
     def test_kernel_validates_array_lengths(self):
-        from repro.sim.compiled import kernel_loop
-
         kernel = kernel_loop("run_flat_replay")
         with pytest.raises(ValueError, match="off"):
-            kernel([0.0], [0], [], [], [], [], 1, [0.0], None)
+            kernel([0.0], [0], [], [], [1e-3], LSTF, [0.0])
 
     @pytest.mark.parametrize(
-        "off, hops, message",
+        "off, inputs, message",
         [
-            ([0, 2, 4], {"hop_pkt": [0]}, r"hop_pkt must have 4 entries, got 1"),
             ([0, 2, 4], {"hop_port": [0]}, r"hop_port must have 4 entries, got 1"),
             ([0, 2, 4], {"hop_tx": [1e-3] * 3}, r"hop_tx must have 4 entries, got 3"),
-            ([0, 2, 4], {"hop_prop": [1e-3] * 5}, r"hop_prop must have 4 entries, got 5"),
+            ([0, 2, 4], {"keys": [0.0]}, r"keys must have 2 entries, got 1"),
             ([-3, 1], {}, r"off\[0\] must be 0, got -3"),
+            ([0, 2, 2], {}, r"packet 1 has no hops \(off\[1\]=2, off\[2\]=2\)"),
+            ([0, 2, 4], {"hop_port": [0, 1, 0, 0]}, r"hop_port\[1\]=1 out of range for 1 ports"),
+            ([0, 2, 4], {"faults": [(1, (), [])]}, r"faulted port 1 out of range for 1 ports"),
+            ([0, 2, 4], {"kind": KINDS[SjfScheduler], "keys": None}, r"requires keys"),
+            ([0, 2, 4], {"kind": KINDS[FairQueueingScheduler]}, r"not FIFO, keyed or LSTF"),
         ],
     )
-    def test_kernel_refuses_hop_arrays_that_disagree_with_off(self, off, hops, message):
-        """The loop indexes the hop arrays unchecked, so their lengths are
-        checked against ``off`` before it runs (LSTF mode)."""
-        from repro.sim.compiled import kernel_loop
-
-        total = off[-1]
+    def test_kernel_refuses_what_the_loop_would_index_out_of_range(self, off, inputs, message):
+        """The loop indexes hops, rows and ports unchecked, so the kernel
+        checks every input against ``off`` and the port count before it runs
+        (LSTF, one port, unless overridden)."""
+        total, packets = max(off[-1], 0), len(off) - 1
         arrays = {
-            "hop_pkt": [0, 0, 1, 1][:total],
             "hop_port": [0] * total,
             "hop_tx": [1e-3] * total,
-            "hop_prop": [1e-3] * total,
-            **hops,
+            "prop": [1e-3],
+            "kind": LSTF,
+            "keys": [0.0] * packets,
+            **inputs,
         }
-        packets = len(off) - 1
         with pytest.raises(ValueError, match=message):
-            kernel_loop("run_flat_replay")(
-                [0.0, 1.0][:packets], off, **arrays, num_ports=1, slack=[0.0] * packets
-            )
-
-    def test_kernel_requires_keys_for_static_modes(self):
-        from repro.sim.compiled import kernel_loop
-
-        kernel = kernel_loop("run_flat_replay")
-        with pytest.raises(ValueError, match="hop_key"):
-            kernel([0.0], [0, 1], [0], [0], [1e-4], [1e-3], 1, None, None)
+            kernel_loop("run_flat_replay")([0.0, 1.0][:packets], off, **arrays)
 
     def test_kernel_empty_input(self):
-        from repro.sim.compiled import kernel_loop
-
         kernel = kernel_loop("run_flat_replay")
-        arr, start, dep, egress, executed = kernel([], [0], [], [], [], [], 0, [])
-        assert (arr, start, dep, egress, executed) == ([], [], [], [], 0)
+        assert kernel([], [0], [], [], [], LSTF, []) == (([], [], [], []), 0)
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="no SIGALRM")
+    def test_a_signal_interrupts_a_replay_in_the_kernel(self, fixture_topology):
+        """A signal handler runs inside a long kernel replay, not after it
+        drains: the per-cell ``SIGALRM`` deadline and Ctrl-C reach it."""
+        n, path = 100_000, ("src0", "left", "right", "dst0")
+        cols = ScheduleColumns(  # a backlog: offered 1500 B per us to a 10 Mb/s path
+            packet_id=list(range(n)),
+            flow_id=[0] * n,
+            src=["src0"] * n,
+            dst=["dst0"] * n,
+            size_bytes=[1500] * n,
+            ingress_time=[j * 1e-6 for j in range(n)],
+            output_time=[1.0] * n,
+            path=[path] * n,
+            flow_size_bytes=[None] * n,
+            deadline=[None] * n,
+            hop_offset=list(range(0, 3 * n + 1, 3)),
+            hop_node=list(path[:-1]) * n,
+            hop_arrival=[0.0] * (3 * n),
+            hop_start_service=[0.0] * (3 * n),
+            hop_departure=[0.0] * (3 * n),
+        )
+        schedule = Schedule.from_columns(cols)
+        kernel, spent, alarm = kernel_loop("run_flat_replay"), [], []
+
+        def timed(*args, **kwargs):
+            if alarm:
+                signal.setitimer(signal.ITIMER_REAL, alarm[0])
+            began = time.perf_counter()
+            try:
+                return kernel(*args, **kwargs)
+            finally:
+                spent.append(time.perf_counter() - began)
+
+        def deadline(signum, frame):
+            raise TimeoutError("cell deadline")
+
+        previous = signal.signal(signal.SIGALRM, deadline)
+        try:
+            with mock.patch.object(replay_compiled, "kernel_loop", lambda name: timed):
+                for _ in range(3):
+                    replay_schedule(fixture_topology, schedule, mode="lstf", backend="compiled")
+                drained = min(spent)
+                alarm.append(drained / 20)
+                with pytest.raises(TimeoutError, match="cell deadline"):
+                    replay_schedule(fixture_topology, schedule, mode="lstf", backend="compiled")
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert spent[-1] < drained / 2, (spent[-1], drained)
+
+    def test_a_mode_the_loop_does_not_model_is_refused_by_name(
+        self, fixture_topology, recorded_schedule
+    ):
+        """Called directly, past ``decline_reason``, the backend names the mode
+        rather than replay it as another or fail on the kernel's inputs."""
+        with pytest.raises(ValueError, match="replay mode 'lstf-preemptive'"):
+            get_backend("compiled").replay(
+                fixture_topology, recorded_schedule, mode="lstf-preemptive"
+            )
 
     def test_zero_budget_executes_nothing(self, fixture_topology, recorded_schedule):
         replayed = replay_schedule(
