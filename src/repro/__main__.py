@@ -66,25 +66,18 @@ def _build_initializer(mode: str, slack_policy: Optional[str]):
     """The replay initializer for ``--slack-policy``, or ``None``.
 
     Raises:
-        _CLIError: unknown policy, policy/mode mismatch, or a live-only
-            policy that cannot drive a replay.
+        PipelineConfigError: unknown policy.
+        _CLIError: a policy that cannot drive ``mode``.
     """
     if slack_policy is None:
         return None
-    from repro.core.slack_policy import POLICY_COMPATIBLE_MODES, SLACK_POLICIES
+    from repro.core.slack_policy import SLACK_POLICIES
+    from repro.pipeline.scenario import registered
 
+    policy = registered(SLACK_POLICIES, slack_policy)
     try:
-        policy = SLACK_POLICIES.get(slack_policy)
-    except KeyError as error:
-        raise _CLIError(error.args[0]) from error
-    if mode not in POLICY_COMPATIBLE_MODES:
-        raise _CLIError(
-            f"slack policy {policy.name!r} cannot drive replay mode "
-            f"{mode!r}; compatible modes: {', '.join(POLICY_COMPATIBLE_MODES)}"
-        )
-    try:
-        return policy.build_initializer()
-    except ValueError as error:  # live-only policy
+        return policy.build_initializer(mode)
+    except ValueError as error:
         raise _CLIError(str(error)) from error
 
 
@@ -92,16 +85,14 @@ def _build_fault_plan(fault: Optional[str], fault_seed: int):
     """The fault plan for ``--fault``, or ``None``.
 
     Raises:
-        _CLIError: unknown fault-schedule name.
+        PipelineConfigError: unknown fault-schedule name.
     """
     if fault is None:
         return None
     from repro.faults import FAULTS, FaultPlan
+    from repro.pipeline.scenario import registered
 
-    try:
-        return FaultPlan(FAULTS.get(fault), seed=fault_seed)
-    except KeyError as error:
-        raise _CLIError(error.args[0]) from error
+    return FaultPlan(registered(FAULTS, fault), seed=fault_seed)
 
 
 def _load_schedule_file(path: str):
@@ -382,7 +373,7 @@ _LISTINGS = {
             {
                 "name": definition.name,
                 "group": definition.group,
-                "distribution": definition.distribution.kind,
+                "distribution": definition.distribution().kind,
                 "mean_flow_kb": definition.mean_flow_size() / 1e3,
                 "perturbations": definition.describe_perturbations(),
                 "description": definition.description,
@@ -840,8 +831,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     """Run one verb; configuration errors print ``error: ...`` and exit 2.
 
     This is the only place :class:`_CLIError` and
-    :class:`~repro.pipeline.scenario.PipelineConfigError` (unknown backend,
-    missing optional dependency, policy/mode mismatch) become an exit code;
+    :class:`~repro.pipeline.scenario.PipelineConfigError` (unknown backend or
+    registry name, out-of-range option, policy/mode mismatch) become an exit code;
     every other exception keeps its traceback.
     """
     args = build_parser().parse_args(argv)

@@ -139,7 +139,7 @@ class CompiledBackend(SimBackend):
     #: Fault kinds the flat loop replays: the shipped ones, whose drop
     #: filters ignore their packet argument (the loop has no packet object
     #: to hand them).
-    FAULT_KINDS = frozenset({LinkOutage, BernoulliLoss, GilbertElliottLoss, JammingIntervals})
+    SUPPORTED_FAULTS = frozenset({LinkOutage, BernoulliLoss, GilbertElliottLoss, JammingIntervals})
 
     def unavailable_reason(self) -> Optional[str]:
         """Why the kernel does not load here (asking may build it)."""
@@ -161,13 +161,13 @@ class CompiledBackend(SimBackend):
 
         The loop never overflows a queue, so finite buffers — the default or
         any one link's — belong to the reference engine, as does a plan with
-        a fault kind outside :attr:`FAULT_KINDS`.  Any header initializer runs.
+        a fault kind outside :attr:`SUPPORTED_FAULTS`.  Any header initializer runs.
         """
         if mode not in self.SUPPORTED_MODES:
             return f"replay mode {mode}"
         if faults is not None and not faults.is_empty():
             for fault in faults.definition.faults:
-                if type(fault) not in self.FAULT_KINDS:
+                if type(fault) not in self.SUPPORTED_FAULTS:
                     return f"fault kind {fault.kind}"
         if default_buffer_bytes is not None:
             return "finite default buffer"

@@ -11,9 +11,9 @@ FCT, a virtual-clock credit for fairness) and shows LSTF remains competitive.
 A :class:`SlackPolicyDef` captures one such initialization scheme as plain
 data — a ``kind`` naming the implementation plus keyword parameters —
 mirroring the :mod:`repro.traffic.registry` pattern: definitions are frozen,
-hashable, picklable value objects with a lossless ``to_dict``/``from_dict``
-round-trip, so they can feed the schedule cache's content hash, ship to pool
-workers, and be listed by the CLI (``python -m repro list --slack-policies``).
+hashable, picklable value objects, so they can feed the schedule cache's
+content hash, ship to pool workers, and be listed by the CLI (``python -m
+repro list --slack-policies``).
 
 Every kind can materialize in up to two **application modes**, and the
 registry is the single source of truth for both faces of the paper:
@@ -193,13 +193,23 @@ class SlackPolicyDef:
     # ------------------------------------------------------------------ #
     # Materialization
     # ------------------------------------------------------------------ #
-    def build_initializer(self) -> ReplayInitializer:
-        """Instantiate this policy's replay-path header initializer.
+    def build_initializer(self, mode: str) -> ReplayInitializer:
+        """Instantiate this policy's header initializer for a ``mode`` replay.
+
+        The one check of which replays a policy can drive (the CLI's
+        ``replay --slack-policy`` and every replay-mode scenario call it).
 
         Raises:
-            ValueError: if the policy is live-only (its slack cannot be
+            ValueError: if ``mode`` is not in :data:`POLICY_COMPATIBLE_MODES`
+                (it reads header fields only the recorded schedule can
+                supply), or the policy is live-only (its slack cannot be
                 computed from a recorded schedule).
         """
+        if mode not in POLICY_COMPATIBLE_MODES:
+            raise ValueError(
+                f"slack policy {self.name!r} cannot drive replay mode {mode!r}; "
+                f"compatible modes: {', '.join(POLICY_COMPATIBLE_MODES)}"
+            )
         kind = POLICY_KINDS[self.kind]
         if kind.replay_factory is None:
             raise ValueError(
@@ -291,23 +301,13 @@ class SlackPolicyDef:
         return {"kind": self.kind, "params": dict(self.params)}
 
     def to_dict(self) -> dict:
-        """Lossless JSON-serializable form (registry/CLI round-trips)."""
+        """JSON form for schedule headers (name, kind, params, description)."""
         return {
             "name": self.name,
             "kind": self.kind,
             "params": dict(self.params),
             "description": self.description,
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SlackPolicyDef":
-        """Inverse of :meth:`to_dict`."""
-        return cls(
-            name=data["name"],
-            kind=data["kind"],
-            params=tuple(data.get("params", {}).items()),
-            description=data.get("description", ""),
-        )
 
 
 #: The process-wide slack-policy registry (populated below at import time).

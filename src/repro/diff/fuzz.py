@@ -177,7 +177,7 @@ def run_comparison(
             topology,
             baseline,
             mode="lstf",
-            initializer=policy.build_initializer(),
+            initializer=policy.build_initializer("lstf"),
             backend="python",
         )
         live = record_scenario_schedule(
@@ -194,7 +194,7 @@ def run_comparison(
     initializer = None
     policy = scenario.slack_policy_def()
     if policy is not None and scenario.slack_mode == "replay":
-        initializer = policy.build_initializer()
+        initializer = policy.build_initializer(scenario.replay_mode)
     config = dict(mode=scenario.replay_mode, faults=scenario.fault_plan())
     ran_a, ran_b = (
         select_engine(backend, topology, **config)[0].name

@@ -140,15 +140,6 @@ def heuristic_scenario(
     )
 
 
-def heuristics_scenarios(scale: ExperimentScale) -> List[Scenario]:
-    """Every scenario in the heuristics matrix, in cell order."""
-    return [
-        heuristic_scenario(scale, workload, scheme)
-        for workload in HEURISTIC_WORKLOADS
-        for scheme in SCHEMES
-    ]
-
-
 def heuristics_row(
     scenario: Scenario, scheme: HeuristicScheme, schedule, replay_result=None
 ) -> Dict[str, object]:

@@ -8,7 +8,7 @@ registry conventions of :mod:`repro.core.slack_policy` and
 
 * :mod:`repro.faults.defs` — frozen, picklable :class:`FaultDef` value
   objects (link down/up windows, Bernoulli and Gilbert-Elliott packet loss,
-  jamming intervals) with lossless ``to_dict``/``from_dict``;
+  jamming intervals), each written into cache keys by ``to_dict``;
 * :mod:`repro.faults.registry` — named :class:`FaultScheduleDef` bundles in
   the :data:`FAULTS` registry (``python -m repro list --faults``);
 * :mod:`repro.faults.injector` — :class:`FaultPlan` (a schedule definition

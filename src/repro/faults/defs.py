@@ -2,10 +2,8 @@
 
 A :class:`FaultDef` is a value object (like a workload perturbation or a
 slack-policy definition): it carries *parameters only*, never live state, so
-it can be hashed into cache keys, pickled to pool workers, and round-tripped
-through JSON losslessly.  Each concrete kind registers itself in
-:data:`FAULT_KINDS` under a ``kind`` string, which is what
-:func:`fault_from_dict` dispatches on.
+it can be hashed into cache keys and pickled to pool workers.  Each concrete
+kind carries a ``kind`` string, which :meth:`FaultDef.to_dict` writes first.
 
 Two families:
 
@@ -25,39 +23,11 @@ Two families:
 
 from __future__ import annotations
 
-import hashlib
-import json
-from dataclasses import dataclass, fields
-from typing import Callable, ClassVar, Dict, Iterator, List, Optional, Tuple, Type
+from dataclasses import dataclass
+from typing import Callable, ClassVar, Iterator, List, Optional, Tuple
 
+from repro.utils.registry import spec_dict
 from repro.utils.rng import RandomState
-
-#: Registry of fault kinds, keyed by their ``kind`` string (mirrors
-#: ``repro.traffic.perturb.PERTURBATION_KINDS``).
-FAULT_KINDS: Dict[str, Type["FaultDef"]] = {}
-
-
-def register_fault_kind(cls: Type["FaultDef"]) -> Type["FaultDef"]:
-    """Class decorator registering a :class:`FaultDef` subclass by its kind."""
-    if not getattr(cls, "kind", None):
-        raise ValueError(f"{cls.__name__} must define a non-empty `kind`")
-    FAULT_KINDS[cls.kind] = cls
-    return cls
-
-
-def derive_fault_seed(*parts) -> int:
-    """A deterministic 31-bit seed derived from arbitrary labels.
-
-    The faults layer's own copy of the pipeline's ``stable_seed`` derivation
-    (:func:`repro.pipeline.scenario.stable_seed` — duplicated rather than
-    imported so the sim-adjacent faults package never depends on the
-    pipeline layer): the same (fault seed, link, fault index) tuple always
-    maps to the same substream seed, in every process and on every platform.
-    """
-    blob = json.dumps([str(part) for part in parts])
-    digest = hashlib.sha256(blob.encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "big") % (2**31)
-
 
 #: Uniforms a loss filter draws from its substream per numpy call.
 DRAW_BLOCK = 1024
@@ -83,8 +53,8 @@ DropFilter = Callable[[object, float], bool]
 class FaultDef:
     """Base class for fault definitions (concrete kinds are frozen dataclasses).
 
-    Subclasses set the class-level ``kind`` tag, register via
-    :func:`register_fault_kind`, and override the hooks that apply to them:
+    Subclasses set the class-level ``kind`` tag and override the hooks that
+    apply to them:
 
     * :meth:`outage_windows` — link down/up windows (timed faults that block
       the port entirely);
@@ -94,7 +64,7 @@ class FaultDef:
       (drives deterministic per-link seed derivation at install time).
     """
 
-    #: Kind tag used by :func:`fault_from_dict` (set by subclasses).
+    #: Kind tag written by :meth:`to_dict` (set by subclasses).
     kind: ClassVar[str] = ""
     #: Whether :meth:`make_drop_filter` consumes the RNG it is handed.
     uses_rng: ClassVar[bool] = False
@@ -126,14 +96,8 @@ class FaultDef:
         """
         return None
 
-    # -- serialization --------------------------------------------------- #
-    def to_dict(self) -> dict:
-        """Lossless JSON-serializable form (``kind`` + every field)."""
-        payload: Dict[str, object] = {"kind": self.kind}
-        for spec in fields(self):  # type: ignore[arg-type]
-            value = getattr(self, spec.name)
-            payload[spec.name] = list(value) if isinstance(value, tuple) else value
-        return payload
+    #: JSON form for cache keys and headers: ``kind`` + every field.
+    to_dict = spec_dict
 
     def _validate_links(self) -> None:
         links: Tuple[str, ...] = getattr(self, "links", ())
@@ -172,20 +136,6 @@ class FaultDef:
         return out
 
 
-def fault_from_dict(payload: dict) -> FaultDef:
-    """Rebuild a :class:`FaultDef` from :meth:`FaultDef.to_dict` output."""
-    data = dict(payload)
-    kind = data.pop("kind", None)
-    cls = FAULT_KINDS.get(kind)
-    if cls is None:
-        known = ", ".join(sorted(FAULT_KINDS))
-        raise ValueError(f"unknown fault kind {kind!r}; known kinds: {known}")
-    if "links" in data and isinstance(data["links"], list):
-        data["links"] = tuple(data["links"])
-    return cls(**data)
-
-
-@register_fault_kind
 @dataclass(frozen=True)
 class LinkOutage(FaultDef):
     """Deterministic link down/up windows (a hard outage).
@@ -223,7 +173,6 @@ class LinkOutage(FaultDef):
         return self._windows(self, horizon)
 
 
-@register_fault_kind
 @dataclass(frozen=True)
 class BernoulliLoss(FaultDef):
     """Independent per-packet loss: each transmitted packet dies w.p. ``rate``.
@@ -264,7 +213,6 @@ class BernoulliLoss(FaultDef):
         return drop
 
 
-@register_fault_kind
 @dataclass(frozen=True)
 class GilbertElliottLoss(FaultDef):
     """Bursty loss from the two-state Gilbert-Elliott channel model.
@@ -326,7 +274,6 @@ class GilbertElliottLoss(FaultDef):
         return drop
 
 
-@register_fault_kind
 @dataclass(frozen=True)
 class JammingIntervals(FaultDef):
     """Adversarial jamming windows: packets on the wire are corrupted.

@@ -5,7 +5,7 @@ with a **fault seed** that is independent of the workload seed: the same
 recorded traffic can be replayed under many fault draws, and the same fault
 draw can be applied to many workloads.  Each stochastic fault gets its own
 RNG substream derived from ``(fault_seed, fault_index, link_name)`` via
-:func:`~repro.faults.defs.derive_fault_seed`, so adding a fault to one link
+:func:`~repro.utils.rng.stable_seed`, so adding a fault to one link
 never shifts the draws seen by another.
 
 The :class:`FaultInjector` translates a plan into engine state:
@@ -27,9 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, List, Optional, Tuple
 
-from repro.faults.defs import DropFilter, derive_fault_seed
+from repro.faults.defs import DropFilter
 from repro.faults.registry import FaultScheduleDef
-from repro.utils.rng import RandomState
+from repro.utils.rng import RandomState, stable_seed
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.sim.engine import Simulator
@@ -105,7 +105,7 @@ class FaultPlan:
         Yields ``(link_name, filters, windows)`` for each ``(src, dst)`` link
         the plan touches, links in sorted order: the port's drop filters in
         fault-definition order (each stochastic one over its own substream,
-        ``derive_fault_seed(seed, fault_index, link_name)``) and its outage
+        ``stable_seed(seed, fault_index, link_name)``) and its outage
         ``(down, up)`` windows, sorted.  This is the one place a plan becomes
         per-link state — the OO injector (:meth:`FaultInjector.install`) and
         the flat replay kernel (:mod:`repro.core.replay_compiled`) both
@@ -123,7 +123,7 @@ class FaultPlan:
                     continue
                 rng = None
                 if fault.uses_rng:
-                    rng = RandomState(derive_fault_seed(self.seed, index, link_name))
+                    rng = RandomState(stable_seed(self.seed, index, link_name))
                 filt = fault.make_drop_filter(horizon, rng)
                 if filt is not None:
                     filters.append(filt)
@@ -138,16 +138,8 @@ class FaultPlan:
         return injector
 
     def to_dict(self) -> dict:
-        """Lossless serializable form (definition + seed)."""
+        """JSON form for schedule headers (definition + seed)."""
         return {"definition": self.definition.to_dict(), "seed": self.seed}
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "FaultPlan":
-        """Rebuild a plan from :meth:`to_dict` output."""
-        return cls(
-            definition=FaultScheduleDef.from_dict(payload["definition"]),
-            seed=int(payload.get("seed", 0)),
-        )
 
 
 @dataclass

@@ -3,9 +3,9 @@
 A :class:`FaultScheduleDef` is what scenarios and the CLI reference by name
 (``Scenario.faults="loss-1pct"``, ``python -m repro run faults --fault
 loss-1pct``), exactly as workloads and slack policies are referenced through
-their registries.  Definitions are frozen, picklable, and round-trip through
-``to_dict``/``from_dict`` losslessly; only the *behavioral* fingerprint
-(the fault list, not the name or description) ever enters a cache key.
+their registries.  Definitions are frozen and picklable; only the
+*behavioral* fingerprint (the fault list, not the name or description) ever
+enters a cache key.
 
 Built-in schedules registered at import time:
 
@@ -32,7 +32,6 @@ from repro.faults.defs import (
     GilbertElliottLoss,
     JammingIntervals,
     LinkOutage,
-    fault_from_dict,
 )
 from repro.utils.registry import Registry
 
@@ -77,21 +76,12 @@ class FaultScheduleDef:
         return [fault.to_dict() for fault in self.faults]
 
     def to_dict(self) -> dict:
-        """Lossless JSON-serializable form (name, faults, description)."""
+        """JSON form for schedule headers (name, faults, description)."""
         return {
             "name": self.name,
             "faults": self.fingerprint(),
             "description": self.description,
         }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "FaultScheduleDef":
-        """Rebuild a definition from :meth:`to_dict` output."""
-        return cls(
-            name=payload["name"],
-            faults=tuple(fault_from_dict(entry) for entry in payload.get("faults", ())),
-            description=payload.get("description", ""),
-        )
 
 
 #: The process-wide fault-schedule registry.

@@ -38,11 +38,13 @@ from repro.core.replay import (
 from repro.core.schedule import Schedule
 from repro.pipeline.cache import ScheduleCache, schedule_cache_key
 from repro.pipeline.scenario import (
+    PipelineConfigError,
     Scenario,
     expand_replicates,
     override_faults,
     override_slack_policy,
     override_workload,
+    registered,
 )
 from repro.utils.registry import Registry
 from repro.utils.rng import RandomState
@@ -161,9 +163,8 @@ class ExperimentDef(ABC):
         if self.slack_policy is None:
             return
         from repro.core.slack_policy import SLACK_POLICIES
-        from repro.pipeline.scenario import PipelineConfigError
 
-        policy = SLACK_POLICIES.get(self.slack_policy)  # KeyError on typo
+        policy = registered(SLACK_POLICIES, self.slack_policy)
         if not policy.supports_live:
             raise PipelineConfigError(
                 f"experiment {self.name}: slack policy {policy.name!r} "
@@ -429,15 +430,7 @@ def replay_scenario(
     resolved_mode = mode or scenario.replay_mode
     initializer = None
     if policy is not None and scenario.slack_mode == "replay":
-        from repro.core.slack_policy import POLICY_COMPATIBLE_MODES
-
-        if resolved_mode not in POLICY_COMPATIBLE_MODES:
-            raise ValueError(
-                f"scenario {scenario.name}: slack policy {policy.name!r} cannot "
-                f"drive replay mode {resolved_mode!r}; compatible modes: "
-                f"{', '.join(POLICY_COMPATIBLE_MODES)}"
-            )
-        initializer = policy.build_initializer()
+        initializer = policy.build_initializer(resolved_mode)
     return evaluate_replay(
         topology,
         cached_schedule(scenario, cache, topology, workload),

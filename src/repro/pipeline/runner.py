@@ -612,9 +612,9 @@ def run_pipeline(
 
     Raises:
         PipelineConfigError: before anything runs, for an impossible
-            configuration — including ``shard_packets < 1``,
-            ``cell_timeout <= 0``, ``max_retries < 0`` or
-            ``retry_backoff < 0`` (the CLI prints it and exits 2).
+            configuration — including ``replicates < 1``,
+            ``shard_packets < 1``, ``cell_timeout <= 0``, ``max_retries < 0``
+            or ``retry_backoff < 0`` (the CLI prints it and exits 2).
     """
     from repro.experiments.config import ExperimentScale
 
@@ -625,6 +625,7 @@ def run_pipeline(
     out_of_range = [
         f"{option} must be {bound}, got {value!r}"
         for option, value, bound, in_range in (
+            ("replicates", replicates, ">= 1", replicates >= 1),
             ("shard_packets", shard_packets, ">= 1", shard_packets >= 1),
             # setitimer(0) disarms: a zero budget would silently mean "no deadline".
             ("cell_timeout", cell_timeout, "> 0", cell_timeout is None or cell_timeout > 0),

@@ -15,14 +15,13 @@ wide experiment matrices.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
 
 from repro.topology.base import Topology
 from repro.traffic.registry import WORKLOADS
 from repro.traffic.workload import WorkloadSpec
+from repro.utils.rng import stable_seed
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (experiments -> pipeline)
     from repro.experiments.config import ExperimentScale
@@ -190,7 +189,7 @@ class Scenario:
         return WorkloadSpec(
             utilization=self.utilization,
             reference_bandwidth_bps=self.reference_bandwidth_bps,
-            size_distribution=definition.build_distribution(),
+            size_distribution=definition.distribution(),
             transport=self.transport,
             duration=self.duration,
             perturbations=definition.perturbations,
@@ -200,18 +199,6 @@ class Scenario:
         """A copy of this scenario pinned to an absolute seed."""
         name = self.name if suffix is None else f"{self.name}{suffix}"
         return replace(self, seed_override=seed, name=name)
-
-
-def stable_seed(*parts) -> int:
-    """A deterministic 31-bit seed derived from arbitrary labels.
-
-    Used to spawn per-cell RNG seeds for seed replicates: the same
-    (base seed, scenario, replicate) tuple always maps to the same seed, on
-    every platform and in every process, without any shared RNG stream.
-    """
-    blob = json.dumps([str(part) for part in parts])
-    digest = hashlib.sha256(blob.encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "big") % (2**31)
 
 
 def expand_replicates(scenarios: List[Scenario], replicates: int) -> List[Scenario]:
@@ -236,47 +223,55 @@ def expand_replicates(scenarios: List[Scenario], replicates: int) -> List[Scenar
     return expanded
 
 
-def override_workload(scenarios: Sequence[Scenario], workload_name: str) -> List[Scenario]:
-    """Pin every scenario to ``workload_name`` (``--workload`` CLI override).
+def registered(registry, name: str):
+    """``registry.get(name)``, an unknown name a :class:`PipelineConfigError`.
 
-    Scenarios already on that workload keep their names; overridden ones get
-    a ``+workload`` suffix so their rows (and cache entries) cannot be
-    mistaken for the original workload's.  The name is validated against the
-    registry up front so typos fail before anything runs.
+    The error lists the known names, so a typo'd override fails before
+    anything runs with a one-line usage error.
     """
-    WORKLOADS.get(workload_name)  # raises KeyError listing known workloads
-    out: List[Scenario] = []
-    for scenario in scenarios:
-        if scenario.workload_name == workload_name:
-            out.append(scenario)
-        else:
-            out.append(
-                replace(
-                    scenario,
-                    workload_name=workload_name,
-                    name=f"{scenario.name}+{workload_name}",
-                )
-            )
-    return out
+    try:
+        return registry.get(name)
+    except KeyError as error:
+        # str(KeyError) is the repr of its message (extra quotes); unwrap.
+        raise PipelineConfigError(error.args[0]) from None
+
+
+def _pin(scenarios: Sequence[Scenario], suffix: str, **fields) -> List[Scenario]:
+    """Pin ``fields`` onto every scenario, renaming the ones that change.
+
+    Scenarios already carrying ``fields`` keep their names; the rest get a
+    ``+<suffix>`` name suffix so their rows (and cache entries) cannot be
+    mistaken for the originals'.
+    """
+    return [
+        scenario
+        if all(getattr(scenario, field) == value for field, value in fields.items())
+        else replace(scenario, name=f"{scenario.name}+{suffix}", **fields)
+        for scenario in scenarios
+    ]
+
+
+def override_workload(scenarios: Sequence[Scenario], workload_name: str) -> List[Scenario]:
+    """Pin every scenario to ``workload_name`` (``--workload``).
+
+    Renamed scenarios get a ``+<workload_name>`` suffix.
+    """
+    registered(WORKLOADS, workload_name)
+    return _pin(scenarios, workload_name, workload_name=workload_name)
 
 
 def override_slack_policy(
     scenarios: Sequence[Scenario], policy_name: str
 ) -> List[Scenario]:
-    """Pin every scenario to ``policy_name`` (``--slack-policy`` CLI override).
+    """Pin every scenario to ``policy_name`` (``--slack-policy``).
 
-    Mirrors :func:`override_workload`: scenarios already on that policy keep
-    their names; overridden ones get a ``+slack:<name>`` suffix so their rows
-    (and cache entries) cannot be mistaken for the default replay's.  The
-    name is validated against the registry up front so typos fail before
-    anything runs; a policy that cannot serve a scenario's ``slack_mode``
-    (e.g. a live-only policy pinned onto replay cells) also fails at
-    expansion time rather than mid-run.
+    Renamed scenarios get a ``+slack:<policy_name>`` suffix.  A policy that cannot serve a scenario's ``slack_mode`` (e.g. a live-only
+    policy pinned onto replay cells) fails here, at expansion time, rather
+    than mid-run.
     """
     from repro.core.slack_policy import SLACK_POLICIES
 
-    definition = SLACK_POLICIES.get(policy_name)  # KeyError lists known policies
-    out: List[Scenario] = []
+    definition = registered(SLACK_POLICIES, policy_name)
     for scenario in scenarios:
         supported = (
             definition.supports_live
@@ -289,51 +284,22 @@ def override_slack_policy(
                 f"{definition.capability()!r}) cannot drive scenario "
                 f"{scenario.name!r} in slack_mode={scenario.slack_mode!r}"
             )
-        if scenario.slack_policy == policy_name:
-            out.append(scenario)
-        else:
-            out.append(
-                replace(
-                    scenario,
-                    slack_policy=policy_name,
-                    name=f"{scenario.name}+slack:{policy_name}",
-                )
-            )
-    return out
+    return _pin(scenarios, f"slack:{policy_name}", slack_policy=policy_name)
 
 
 def override_faults(
     scenarios: Sequence[Scenario], fault_name: str, fault_seed: int = 0
 ) -> List[Scenario]:
-    """Pin every scenario to fault schedule ``fault_name`` (``--fault`` override).
+    """Pin every scenario to ``fault_name`` under ``fault_seed`` (``--fault``).
 
-    Mirrors :func:`override_workload`: scenarios already on that schedule
-    (with the same fault seed) keep their names; overridden ones get a
-    ``+fault:<name>`` suffix so their rows (and cache entries) cannot be
-    mistaken for the fault-free replay's.  The name is validated against the
-    fault registry up front so typos fail before anything runs.
+    Renamed scenarios get a ``+fault:<fault_name>`` suffix.
     """
     from repro.faults import FAULTS
 
-    try:
-        FAULTS.get(fault_name)  # KeyError lists known fault schedules
-    except KeyError as error:
-        # str(KeyError) is the repr of its message (extra quotes); unwrap.
-        raise PipelineConfigError(error.args[0]) from None
-    out: List[Scenario] = []
-    for scenario in scenarios:
-        if scenario.faults == fault_name and scenario.fault_seed == fault_seed:
-            out.append(scenario)
-        else:
-            out.append(
-                replace(
-                    scenario,
-                    faults=fault_name,
-                    fault_seed=fault_seed,
-                    name=f"{scenario.name}+fault:{fault_name}",
-                )
-            )
-    return out
+    registered(FAULTS, fault_name)
+    return _pin(
+        scenarios, f"fault:{fault_name}", faults=fault_name, fault_seed=fault_seed
+    )
 
 
 def _default_sweep_name(base: Scenario, parameter: str, value) -> str:

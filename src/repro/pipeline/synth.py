@@ -20,8 +20,8 @@ from typing import Optional
 
 from repro.core.slack_policy import POLICY_COMPATIBLE_MODES
 from repro.experiments.config import ExperimentScale
-from repro.pipeline.scenario import Scenario, stable_seed
-from repro.utils.rng import RandomState
+from repro.pipeline.scenario import Scenario
+from repro.utils.rng import RandomState, stable_seed
 
 #: Topology builders the synthesizer draws from (Internet2 weighted up: it is
 #: the paper's primary topology and the cheapest to simulate).

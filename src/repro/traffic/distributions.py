@@ -24,6 +24,9 @@ from repro.utils.stats import left_sum
 class FlowSizeDistribution(ABC):
     """Interface for flow-size generators (sizes in bytes)."""
 
+    #: Family label shown by ``python -m repro list --workloads``.
+    kind: str = ""
+
     @abstractmethod
     def sample(self, rng: RandomState) -> float:
         """Draw one flow size in bytes."""
@@ -35,6 +38,8 @@ class FlowSizeDistribution(ABC):
 
 class ConstantSize(FlowSizeDistribution):
     """Every flow has exactly ``size_bytes`` bytes."""
+
+    kind = "constant"
 
     def __init__(self, size_bytes: float) -> None:
         if size_bytes <= 0:
@@ -57,6 +62,8 @@ class BoundedParetoSize(FlowSizeDistribution):
         minimum_bytes: Smallest possible flow.
         maximum_bytes: Largest possible flow.
     """
+
+    kind = "bounded-pareto"
 
     def __init__(
         self,
@@ -93,6 +100,8 @@ class BoundedParetoSize(FlowSizeDistribution):
 class EmpiricalSize(FlowSizeDistribution):
     """Discrete flow-size distribution over (size_bytes, probability) points."""
 
+    kind = "empirical"
+
     def __init__(self, points: Sequence[Tuple[float, float]]) -> None:
         if not points:
             raise ValueError("need at least one (size, probability) point")
@@ -121,8 +130,6 @@ _KB = 1e3
 _MB = 1e6
 
 #: (size_bytes, probability) points of the web-search flow-size mixture.
-#: Shared by :func:`web_search_workload` and the workload registry so the two
-#: can never drift apart (the points feed the schedule cache's content hash).
 WEB_SEARCH_POINTS: Tuple[Tuple[float, float], ...] = (
     (6 * _KB, 0.15),
     (13 * _KB, 0.20),

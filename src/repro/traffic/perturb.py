@@ -14,12 +14,12 @@ arXiv:1705.07018) as *perturbations* that wrap any base workload:
 * :class:`DeadlineTagging` — tags a fraction of flows with completion
   deadlines so replay quality can be judged in deadline terms.
 
-Perturbations are frozen, picklable value objects with a lossless
-``to_dict``/``from_dict`` round-trip; their serialized form feeds the
-schedule cache's content hash, so two workloads that differ only in their
-perturbations never share a cache entry.  All randomness is drawn from the
-flow generator's seeded stream, which keeps perturbed arrivals deterministic
-under a fixed seed — in-process, across processes, and across machines.
+Perturbations are frozen, picklable value objects; their ``to_dict`` form
+feeds the schedule cache's content hash, so two workloads that differ only
+in their perturbations never share a cache entry.  All randomness is drawn
+from the flow generator's seeded stream, which keeps perturbed arrivals
+deterministic under a fixed seed — in-process, across processes, and across
+machines.
 """
 
 from __future__ import annotations
@@ -27,7 +27,9 @@ from __future__ import annotations
 import dataclasses
 from abc import ABC
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, ClassVar, Dict, List, Optional, Tuple, Type
+from typing import TYPE_CHECKING, ClassVar, List, Optional, Tuple
+
+from repro.utils.registry import spec_dict
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.flow import Flow
@@ -58,18 +60,6 @@ class PerturbationContext:
     start: float = 0.0
 
 
-#: Perturbation kinds by name (populated by :func:`register_perturbation`).
-PERTURBATION_KINDS: Dict[str, Type["Perturbation"]] = {}
-
-
-def register_perturbation(cls: Type["Perturbation"]) -> Type["Perturbation"]:
-    """Class decorator adding a perturbation to :data:`PERTURBATION_KINDS`."""
-    if not getattr(cls, "kind", ""):
-        raise ValueError(f"{cls.__name__} needs a non-empty `kind`")
-    PERTURBATION_KINDS[cls.kind] = cls
-    return cls
-
-
 class Perturbation(ABC):
     """One composable transformation of a base workload.
 
@@ -79,7 +69,7 @@ class Perturbation(ABC):
     :class:`~repro.traffic.flowgen.PoissonFlowGenerator`.
     """
 
-    #: Stable serialization tag (also the registry key).
+    #: Stable serialization tag, written first by :meth:`to_dict`.
     kind: ClassVar[str] = ""
 
     # ------------------------------------------------------------------ #
@@ -116,25 +106,8 @@ class Perturbation(ABC):
     # ------------------------------------------------------------------ #
     # Serialization
     # ------------------------------------------------------------------ #
-    def to_dict(self) -> dict:
-        """Lossless JSON-serializable form (feeds the schedule-cache hash)."""
-        payload = {"kind": self.kind}
-        payload.update(dataclasses.asdict(self))  # type: ignore[call-overload]
-        return payload
-
-    @staticmethod
-    def from_dict(data: dict) -> "Perturbation":
-        """Inverse of :meth:`to_dict` (dispatches on ``kind``)."""
-        params = dict(data)
-        kind = params.pop("kind", None)
-        try:
-            cls = PERTURBATION_KINDS[kind]
-        except KeyError:
-            known = ", ".join(sorted(PERTURBATION_KINDS))
-            raise KeyError(
-                f"unknown perturbation kind {kind!r}; known: {known}"
-            ) from None
-        return cls(**params)
+    #: JSON form for the schedule-cache hash: ``kind`` + every field.
+    to_dict = spec_dict
 
     def describe(self) -> str:
         """Short ``kind(param=value, ...)`` label for CLI listings."""
@@ -144,7 +117,6 @@ class Perturbation(ABC):
         return f"{self.kind}({inner})"
 
 
-@register_perturbation
 @dataclass(frozen=True)
 class IncastBurst(Perturbation):
     """Synchronized many-to-one bursts aimed at one victim host.
@@ -198,7 +170,6 @@ class IncastBurst(Perturbation):
         return flows
 
 
-@register_perturbation
 @dataclass(frozen=True)
 class OnOffJamming(Perturbation):
     """ON/OFF modulation of the arrival rate (adversarial jamming windows).
@@ -244,7 +215,6 @@ class OnOffJamming(Perturbation):
         return context.start + (index + 1) * cycle
 
 
-@register_perturbation
 @dataclass(frozen=True)
 class HeavyTailInflation(Perturbation):
     """Randomly inflates sampled flow sizes, making the tail heavier.
@@ -269,7 +239,6 @@ class HeavyTailInflation(Perturbation):
         return size
 
 
-@register_perturbation
 @dataclass(frozen=True)
 class DeadlineTagging(Perturbation):
     """Tags a fraction of flows with completion deadlines.

@@ -1,13 +1,14 @@
 """The workload registry: named, parameterized, picklable workload definitions.
 
-A :class:`WorkloadDef` fully describes one offered-traffic pattern as plain
-data: a :class:`DistributionSpec` naming the flow-size distribution and its
-parameters, the arrival process (Poisson), and a tuple of composable
-:class:`~repro.traffic.perturb.Perturbation` objects wrapping the base
-workload.  Definitions are frozen value objects, so they can be shipped to
-pool workers and listed by the CLI; what a workload contributes to a
-schedule-cache key is :func:`repro.pipeline.cache.workload_fingerprint` of
-the :class:`~repro.traffic.workload.WorkloadSpec` built from it.
+A :class:`WorkloadDef` fully describes one offered-traffic pattern: the
+factory of its flow-size distribution (one of
+:mod:`repro.traffic.distributions`' named workloads), Poisson arrivals, and
+a tuple of composable :class:`~repro.traffic.perturb.Perturbation` objects
+wrapping the base workload.  Definitions are frozen value objects, so they
+can be shipped to pool workers and listed by the CLI; what a workload
+contributes to a schedule-cache key is
+:func:`repro.pipeline.cache.workload_fingerprint` of the
+:class:`~repro.traffic.workload.WorkloadSpec` built from it.
 
 The global :data:`WORKLOADS` registry replaces the hard-coded workload
 factory lambdas that scenarios used to close over; the paper's three
@@ -19,15 +20,13 @@ inflation, deadline tagging) in the ``"adversarial"`` group.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, List, Tuple
 
 from repro.traffic.distributions import (
-    DATA_MINING_POINTS,
-    WEB_SEARCH_POINTS,
-    BoundedParetoSize,
-    ConstantSize,
-    EmpiricalSize,
     FlowSizeDistribution,
+    data_mining_workload,
+    paper_default_workload,
+    web_search_workload,
 )
 from repro.traffic.perturb import (
     DeadlineTagging,
@@ -38,57 +37,16 @@ from repro.traffic.perturb import (
 )
 from repro.utils.registry import Registry
 
-#: Distribution constructors by serialization kind.
-DISTRIBUTION_KINDS: Dict[str, Callable[..., FlowSizeDistribution]] = {
-    "bounded-pareto": BoundedParetoSize,
-    "empirical": lambda points: EmpiricalSize(list(points)),
-    "constant": ConstantSize,
-}
-
-
-def _freeze(value):
-    """Recursively convert lists to tuples so specs stay hashable."""
-    if isinstance(value, list):
-        return tuple(_freeze(item) for item in value)
-    if isinstance(value, tuple):
-        return tuple(_freeze(item) for item in value)
-    return value
-
-
-@dataclass(frozen=True)
-class DistributionSpec:
-    """A flow-size distribution as plain data: a kind plus keyword parameters.
-
-    ``params`` is a sorted tuple of ``(name, value)`` pairs (nested sequences
-    are tuples) so specs stay hashable and picklable.
-    """
-
-    kind: str
-    params: Tuple[Tuple[str, object], ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.kind not in DISTRIBUTION_KINDS:
-            known = ", ".join(sorted(DISTRIBUTION_KINDS))
-            raise ValueError(f"unknown distribution kind {self.kind!r}; known: {known}")
-        object.__setattr__(
-            self, "params", tuple(sorted((name, _freeze(value)) for name, value in self.params))
-        )
-
-    def build(self) -> FlowSizeDistribution:
-        """Instantiate the distribution this spec describes."""
-        return DISTRIBUTION_KINDS[self.kind](**dict(self.params))
-
 
 @dataclass(frozen=True)
 class WorkloadDef:
-    """One named workload: distribution + arrival process + perturbations.
+    """One named workload: distribution + perturbations on Poisson arrivals.
 
     Attributes:
         name: Registry key (what scenarios reference).
-        distribution: Flow-size distribution spec.
+        distribution: Factory of the flow-size distribution.
         perturbations: Composable perturbation stack applied to the base
             arrival process, in order.
-        arrival: Arrival-process kind (currently always ``"poisson"``).
         group: Scenario-matrix group (``"paper"``, ``"adversarial"``, or
             ``"heuristics"``).
         description: One-line summary shown by ``python -m repro list
@@ -96,29 +54,22 @@ class WorkloadDef:
     """
 
     name: str
-    distribution: DistributionSpec
+    distribution: Callable[[], FlowSizeDistribution]
     perturbations: Tuple[Perturbation, ...] = ()
-    arrival: str = "poisson"
     group: str = "paper"
     description: str = ""
 
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("workload definitions need a non-empty name")
-        if self.arrival != "poisson":
-            raise ValueError(f"unsupported arrival process {self.arrival!r}")
         object.__setattr__(self, "perturbations", tuple(self.perturbations))
 
     # ------------------------------------------------------------------ #
     # Materialization
     # ------------------------------------------------------------------ #
-    def build_distribution(self) -> FlowSizeDistribution:
-        """Instantiate this workload's flow-size distribution."""
-        return self.distribution.build()
-
     def mean_flow_size(self) -> float:
         """Expected flow size in bytes of the (unperturbed) distribution."""
-        return self.build_distribution().mean()
+        return self.distribution().mean()
 
     def describe_perturbations(self) -> str:
         """Comma-joined perturbation labels (``"-"`` when unperturbed)."""
@@ -150,18 +101,10 @@ def register_workload(definition: WorkloadDef) -> WorkloadDef:
 # ---------------------------------------------------------------------- #
 # Built-in definitions
 # ---------------------------------------------------------------------- #
-#: Distribution spec of the paper's default bounded-Pareto workload.  The
-#: parameters must match :func:`repro.traffic.distributions
-#: .paper_default_workload` exactly — the schedule cache hashes them.
-PAPER_DEFAULT_SPEC = DistributionSpec(
-    "bounded-pareto",
-    (("alpha", 1.2), ("minimum_bytes", 1460.0), ("maximum_bytes", 3e6)),
-)
-
 register_workload(
     WorkloadDef(
         name="paper-default",
-        distribution=PAPER_DEFAULT_SPEC,
+        distribution=paper_default_workload,
         group="paper",
         description="bounded Pareto (alpha=1.2, 1.5KB-3MB), the replay default",
     )
@@ -169,7 +112,7 @@ register_workload(
 register_workload(
     WorkloadDef(
         name="web-search",
-        distribution=DistributionSpec("empirical", (("points", WEB_SEARCH_POINTS),)),
+        distribution=web_search_workload,
         group="paper",
         description="web-search flow-size mixture (pFabric-style)",
     )
@@ -177,7 +120,7 @@ register_workload(
 register_workload(
     WorkloadDef(
         name="data-mining",
-        distribution=DistributionSpec("empirical", (("points", DATA_MINING_POINTS),)),
+        distribution=data_mining_workload,
         group="paper",
         description="data-mining flow-size mixture (heavier tail)",
     )
@@ -186,7 +129,7 @@ register_workload(
 register_workload(
     WorkloadDef(
         name="incast-burst",
-        distribution=PAPER_DEFAULT_SPEC,
+        distribution=paper_default_workload,
         perturbations=(IncastBurst(bursts=3, fanin=8, flow_bytes=30_000.0),),
         group="adversarial",
         description="Poisson base plus synchronized many-to-one incast bursts",
@@ -195,7 +138,7 @@ register_workload(
 register_workload(
     WorkloadDef(
         name="on-off-jamming",
-        distribution=PAPER_DEFAULT_SPEC,
+        distribution=paper_default_workload,
         perturbations=(
             OnOffJamming(cycles=4, on_fraction=0.25, on_multiplier=4.0, off_multiplier=0.0),
         ),
@@ -206,7 +149,7 @@ register_workload(
 register_workload(
     WorkloadDef(
         name="heavy-tail-extreme",
-        distribution=PAPER_DEFAULT_SPEC,
+        distribution=paper_default_workload,
         perturbations=(HeavyTailInflation(probability=0.05, factor=10.0, max_bytes=30e6),),
         group="adversarial",
         description="5% of flows inflated 10x: an even heavier elephant tail",
@@ -215,7 +158,7 @@ register_workload(
 register_workload(
     WorkloadDef(
         name="deadline-tagged",
-        distribution=PAPER_DEFAULT_SPEC,
+        distribution=paper_default_workload,
         perturbations=(DeadlineTagging(fraction=0.5, slack_factor=6.0),),
         group="adversarial",
         description="default workload with half the flows deadline-tagged",
@@ -224,7 +167,7 @@ register_workload(
 register_workload(
     WorkloadDef(
         name="deadline-tagged-tight",
-        distribution=PAPER_DEFAULT_SPEC,
+        distribution=paper_default_workload,
         perturbations=(DeadlineTagging(fraction=0.75, slack_factor=3.0),),
         group="heuristics",
         description="three quarters of the flows deadline-tagged, 3x-ideal budgets",
@@ -233,7 +176,7 @@ register_workload(
 register_workload(
     WorkloadDef(
         name="adversarial-combo",
-        distribution=PAPER_DEFAULT_SPEC,
+        distribution=paper_default_workload,
         perturbations=(
             OnOffJamming(cycles=4, on_fraction=0.25, on_multiplier=3.0, off_multiplier=0.25),
             IncastBurst(bursts=2, fanin=6, flow_bytes=30_000.0),

@@ -7,6 +7,7 @@ answers an unknown name with a :class:`KeyError` listing the known ones.
 
 from __future__ import annotations
 
+from dataclasses import fields
 from typing import Dict, Generic, Iterator, List, TypeVar
 
 T = TypeVar("T")
@@ -54,3 +55,17 @@ class Registry(Generic[T]):
 
     def __iter__(self) -> Iterator[T]:
         return iter(self._definitions.values())
+
+
+def spec_dict(definition) -> dict:
+    """``kind`` plus every dataclass field of ``definition``, tuples as lists.
+
+    The JSON form of a fault or a workload perturbation, written into cache
+    keys and schedule headers and never parsed back.  It names every field,
+    so two definitions that differ anywhere never share a key.
+    """
+    payload: Dict[str, object] = {"kind": definition.kind}
+    for spec in fields(definition):
+        value = getattr(definition, spec.name)
+        payload[spec.name] = list(value) if isinstance(value, tuple) else value
+    return payload

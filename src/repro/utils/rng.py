@@ -9,9 +9,24 @@ the seed used.
 
 from __future__ import annotations
 
+import hashlib
+import json
 from typing import Optional, Sequence
 
 import numpy as np
+
+
+def stable_seed(*parts) -> int:
+    """A deterministic 31-bit seed derived from arbitrary labels.
+
+    The same labels map to the same seed on every platform and in every
+    process, without any shared RNG stream: seed replicates derive their
+    per-cell seeds from ``(base seed, scenario, replicate)``, fault plans
+    their per-link substreams from ``(fault seed, fault index, link)``.
+    """
+    blob = json.dumps([str(part) for part in parts])
+    digest = hashlib.sha256(blob.encode("utf-8")).digest()
+    return int.from_bytes(digest[:8], "big") % (2**31)
 
 
 class RandomState:

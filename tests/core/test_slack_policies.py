@@ -3,8 +3,8 @@
 Covers the acceptance criteria of the pluggable slack-initialization PR:
 
 * the registry ships (at least) the four paper policies — ``replay``,
-  ``zero``, ``deadline``, ``static-delay`` — as named, picklable definitions
-  with a lossless ``to_dict``/``from_dict`` round-trip;
+  ``zero``, ``deadline``, ``static-delay`` — as named, picklable, hashable
+  definitions;
 * each policy's initializer stamps headers per its Section-2/3 definition;
 * ``deadline`` slack is monotone in the deadline (property test);
 * policies feed the schedule-cache content hash, while policy-less keys are
@@ -93,33 +93,43 @@ class TestSlackPolicyRegistry:
         with pytest.raises(KeyError, match="unknown slack policy"):
             SLACK_POLICIES.get("nope")
 
-    def test_definitions_round_trip_losslessly(self):
-        for definition in SLACK_POLICIES:
-            clone = SlackPolicyDef.from_dict(definition.to_dict())
-            assert clone == definition
-            assert clone.to_dict() == definition.to_dict()
-
     def test_definitions_are_picklable_and_hashable(self):
         for definition in SLACK_POLICIES:
             assert pickle.loads(pickle.dumps(definition)) == definition
-            assert hash(definition) == hash(SlackPolicyDef.from_dict(definition.to_dict()))
+            twin = SlackPolicyDef(
+                name=definition.name,
+                kind=definition.kind,
+                params=definition.params[::-1],
+                description=definition.description,
+            )
+            assert twin == definition
+            assert hash(twin) == hash(definition)
 
     def test_build_returns_the_matching_initializer(self):
-        assert isinstance(SLACK_POLICIES.get("replay").build_initializer(), BlackBoxSlackInitializer)
-        assert isinstance(SLACK_POLICIES.get("zero").build_initializer(), ZeroSlackInitializer)
-        assert isinstance(SLACK_POLICIES.get("deadline").build_initializer(), DeadlineSlackInitializer)
-        assert isinstance(
-            SLACK_POLICIES.get("static-delay").build_initializer(), StaticDelaySlackInitializer
-        )
+        for name, cls in (
+            ("replay", BlackBoxSlackInitializer),
+            ("zero", ZeroSlackInitializer),
+            ("deadline", DeadlineSlackInitializer),
+            ("static-delay", StaticDelaySlackInitializer),
+        ):
+            for mode in POLICY_COMPATIBLE_MODES:
+                assert isinstance(SLACK_POLICIES.get(name).build_initializer(mode), cls)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown slack-policy kind"):
             SlackPolicyDef(name="x", kind="nope")
 
     def test_params_are_sorted_for_stable_hashing(self):
-        a = SlackPolicyDef(name="x", kind="deadline", params=(("no_deadline_slack", 2.0),))
-        b = SlackPolicyDef.from_dict(a.to_dict())
-        assert a.params == b.params
+        params = (("no_deadline_slack", 2.0), ("b", 1.0), ("a", 3.0))
+        a = SlackPolicyDef(name="x", kind="deadline", params=params)
+        b = SlackPolicyDef(name="x", kind="deadline", params=params[::-1])
+        assert a.params == b.params == tuple(sorted(params))
+        assert hash(a) == hash(b)
+
+    def test_build_initializer_rejects_modes_a_policy_cannot_drive(self):
+        for mode in ("omniscient", "priority", "fifo"):
+            with pytest.raises(ValueError, match="cannot drive replay mode"):
+                SLACK_POLICIES.get("zero").build_initializer(mode)
 
     def test_compatible_modes_exclude_header_vector_modes(self):
         assert "lstf" in POLICY_COMPATIBLE_MODES
@@ -149,9 +159,9 @@ class TestPolicyCapabilities:
 
     def test_live_only_policy_refuses_replay_materialization(self):
         with pytest.raises(ValueError, match="live-only"):
-            SLACK_POLICIES.get("flow-size").build_initializer()
+            SLACK_POLICIES.get("flow-size").build_initializer("lstf")
         with pytest.raises(ValueError, match="live-only"):
-            SLACK_POLICIES.get("fairness").build_initializer()
+            SLACK_POLICIES.get("fairness").build_initializer("lstf")
 
     def test_replay_only_policy_refuses_live_materialization(self):
         with pytest.raises(ValueError, match="replay-only"):
@@ -262,7 +272,7 @@ def test_a_nan_parameter_is_rejected(factory, keyword):
 def test_a_nan_parameter_is_rejected_through_the_registry():
     derived = SLACK_POLICIES.get("static-delay").with_params(slack_seconds=math.nan)
     with pytest.raises(ValueError, match="non-negative"):
-        derived.build_initializer()
+        derived.build_initializer("lstf")
 
 
 class TestDeadlineSlack:
@@ -330,7 +340,7 @@ class TestDeadlineSlack:
 class TestReplayPolicy:
     def test_replay_policy_matches_blackbox_initialization(self, topology, line_network):
         row = make_row(line_network, ingress=0.01, output=0.05)
-        via_policy = SLACK_POLICIES.get("replay").build_initializer()
+        via_policy = SLACK_POLICIES.get("replay").build_initializer("lstf")
         direct = BlackBoxSlackInitializer()
         assert headers_of(via_policy, topology, row) == headers_of(direct, topology, row)
 
@@ -410,9 +420,9 @@ class TestPolicyCacheKeys:
         assert unchanged.name == "x+slack:deadline"
 
     def test_override_slack_policy_rejects_unknown_names(self):
-        from repro.pipeline.scenario import override_slack_policy
+        from repro.pipeline.scenario import PipelineConfigError, override_slack_policy
 
-        with pytest.raises(KeyError, match="unknown slack policy"):
+        with pytest.raises(PipelineConfigError, match="unknown slack policy"):
             override_slack_policy([self._scenario()], "nope")
 
     def test_override_rejects_live_only_policy_on_replay_scenarios(self):

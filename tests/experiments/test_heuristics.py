@@ -25,9 +25,10 @@ from repro.experiments.heuristics import (
     HEURISTIC_WORKLOADS,
     SCHEME_BY_LABEL,
     SCHEMES,
-    heuristics_scenarios,
+    HeuristicsDefinition,
 )
 from repro.pipeline import default_registry, run_pipeline
+from repro.pipeline.scenario import PipelineConfigError
 from repro.traffic.registry import WORKLOADS
 
 SMOKE = ExperimentScale.smoke()
@@ -50,7 +51,7 @@ class TestHeuristicsExperiment:
             assert workload in WORKLOADS
 
     def test_scenarios_cover_deadline_tagged_workloads(self):
-        workloads = {s.workload_name for s in heuristics_scenarios(SMOKE)}
+        workloads = {s.workload_name for s in HeuristicsDefinition().scenarios(SMOKE)}
         assert "deadline-tagged" in workloads  # the adversarial-group one
         assert WORKLOADS.get("deadline-tagged").group == "adversarial"
 
@@ -274,7 +275,7 @@ class TestSlackPolicyCli:
         assert "cannot drive replay mode" in capsys.readouterr().err
 
     def test_run_rejects_unknown_slack_policy(self, tmp_path):
-        with pytest.raises(KeyError, match="unknown slack policy"):
+        with pytest.raises(PipelineConfigError, match="unknown slack policy"):
             run_pipeline(["adversarial"], scale=SMOKE, slack_policy="nope")
 
     def test_run_live_experiment_with_slack_policy_override(self, capsys):

@@ -20,8 +20,8 @@ from repro.pipeline.scenario import (
     Scenario,
     Sweep,
     expand_replicates,
-    stable_seed,
 )
+from repro.utils.rng import stable_seed
 
 SMOKE = ExperimentScale.smoke()
 #: A cheap experiment subset that still exercises record/replay, schedule
@@ -348,6 +348,9 @@ class TestCli:
     @pytest.mark.parametrize(
         "option, value, flag, complaint",
         [
+            # Below 1 used to run single-seed without a word.
+            ("replicates", 0, "--replicates", "replicates must be >= 1, got 0"),
+            ("replicates", -2, "--replicates", "replicates must be >= 1, got -2"),
             ("shard_packets", 0, "--shard-packets", "shard_packets must be >= 1, got 0"),
             ("cell_timeout", -1.0, "--cell-timeout", "cell_timeout must be > 0, got -1.0"),
             # setitimer(0) disarms: zero used to mean "no deadline", silently.
@@ -355,7 +358,10 @@ class TestCli:
             ("max_retries", -1, "--max-retries", "max_retries must be >= 0, got -1"),
             ("retry_backoff", -0.5, None, "retry_backoff must be >= 0, got -0.5"),
         ],
-        ids=["shard-packets=0", "cell-timeout=-1", "cell-timeout=0", "max-retries=-1", "backoff=-0.5"],
+        ids=[
+            "replicates=0", "replicates=-2", "shard-packets=0", "cell-timeout=-1",
+            "cell-timeout=0", "max-retries=-1", "backoff=-0.5",
+        ],
     )
     def test_run_rejects_out_of_range_options(
         self, tmp_path, capsys, option, value, flag, complaint

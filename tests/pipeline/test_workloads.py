@@ -23,7 +23,7 @@ from repro.__main__ import main as cli_main
 from repro.experiments import ExperimentScale
 from repro.pipeline import ScheduleCache, default_registry, run_pipeline
 from repro.pipeline.experiment import recording_twin, scenario_cache_key
-from repro.pipeline.scenario import Scenario, override_workload
+from repro.pipeline.scenario import PipelineConfigError, Scenario, override_workload
 from repro.traffic.registry import WORKLOADS
 
 SMOKE = ExperimentScale.smoke()
@@ -202,7 +202,7 @@ class TestAdversarialExperiment:
         assert pinned.cells == 2  # both modes replay the overridden scenario
 
     def test_workload_override_rejects_unknown_names(self):
-        with pytest.raises(KeyError, match="unknown workload"):
+        with pytest.raises(PipelineConfigError, match="unknown workload"):
             run_pipeline(["adversarial"], scale=SMOKE, workload="nope")
 
     def test_override_workload_helper_suffixes_names(self):

@@ -1,29 +1,24 @@
-"""Hypothesis round-trips: fault defs and schedule persistence.
+"""Serialization contracts the cache keys and the repro artifacts lean on.
 
-Two serialization contracts the repro artifacts lean on:
-
-* every registered fault kind survives ``fault_from_dict(f.to_dict())``
-  losslessly (fuzz artifacts and cache metadata embed fault plans);
+* every fault kind's and every perturbation's ``to_dict`` names ``kind``
+  and every dataclass field — a field it left out would let two different
+  definitions share a cache key;
 * a saved schedule loads back with its canonical ``(ingress_time,
   packet_id)`` order intact (the comparator's walk order).
 """
 
-import json
+import dataclasses
 import os
+import pickle
 import tempfile
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.schedule import Schedule, load_schedule, save_schedule
-from repro.faults import FAULTS, BernoulliLoss
-from repro.faults.defs import (
-    FAULT_KINDS,
-    GilbertElliottLoss,
-    JammingIntervals,
-    LinkOutage,
-    fault_from_dict,
-)
+from repro.faults.defs import FaultDef
+from repro.traffic.perturb import Perturbation
 
 RELAXED = settings(
     max_examples=40,
@@ -31,80 +26,19 @@ RELAXED = settings(
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 
-# --------------------------------------------------------------------- #
-# Fault-def strategies (one per registered kind, within validation bounds)
-# --------------------------------------------------------------------- #
-links_strategy = st.lists(
-    st.sampled_from(("core0->core1", "edge-a->core0", "*")), max_size=2, unique=True
-).map(tuple)
-probabilities = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
-
-@st.composite
-def windowed(draw, cls):
-    """LinkOutage / JammingIntervals within their window validation rules."""
-    start = draw(st.floats(min_value=0.0, max_value=0.99, allow_nan=False))
-    duration = draw(st.floats(min_value=1e-3, max_value=1.0, allow_nan=False))
-    count = draw(st.integers(min_value=1, max_value=3))
-    period = None
-    if count > 1:
-        period = duration + draw(
-            st.floats(min_value=1e-3, max_value=1.0, allow_nan=False)
-        )
-    return cls(
-        start=start,
-        duration=duration,
-        period=period,
-        count=count,
-        links=draw(links_strategy),
-    )
-
-
-@st.composite
-def bernoulli_losses(draw):
-    return BernoulliLoss(rate=draw(probabilities), links=draw(links_strategy))
-
-
-@st.composite
-def gilbert_losses(draw):
-    return GilbertElliottLoss(
-        p_enter_bad=draw(st.floats(min_value=1e-3, max_value=1.0, allow_nan=False)),
-        p_exit_bad=draw(st.floats(min_value=1e-3, max_value=1.0, allow_nan=False)),
-        loss_good=draw(probabilities),
-        loss_bad=draw(probabilities),
-        links=draw(links_strategy),
-    )
-
-
-fault_defs = st.one_of(
-    windowed(LinkOutage),
-    windowed(JammingIntervals),
-    bernoulli_losses(),
-    gilbert_losses(),
+@pytest.mark.parametrize(
+    "cls",
+    FaultDef.__subclasses__() + Perturbation.__subclasses__(),
+    ids=lambda cls: cls.kind,
 )
-
-
-class TestFaultDefRoundTrip:
-    @RELAXED
-    @given(fault=fault_defs)
-    def test_to_dict_from_dict_is_identity(self, fault):
-        assert fault_from_dict(fault.to_dict()) == fault
-
-    @RELAXED
-    @given(fault=fault_defs)
-    def test_round_trip_survives_json(self, fault):
-        payload = json.loads(json.dumps(fault.to_dict()))
-        assert fault_from_dict(payload) == fault
-
-    def test_every_registered_schedule_round_trips(self):
-        # The curated registry bundles must round-trip too — they are what
-        # fuzz artifacts and cache metadata actually embed.
-        covered = set()
-        for definition in FAULTS:
-            for fault in definition.faults:
-                assert fault_from_dict(fault.to_dict()) == fault
-                covered.add(fault.kind)
-        assert covered == set(FAULT_KINDS)  # the registry exercises every kind
+def test_to_dict_names_kind_and_every_field(cls):
+    definition = cls()
+    assert list(definition.to_dict()) == ["kind"] + [
+        field.name for field in dataclasses.fields(cls)
+    ]
+    assert definition.to_dict()["kind"] == cls.kind
+    assert pickle.loads(pickle.dumps(definition)) == definition
 
 
 # --------------------------------------------------------------------- #

@@ -167,7 +167,7 @@ class TestUnselectedReplay:
         )
 
     def test_slack_policy_initializer_stays_accelerated(self, topology, schedule, caplog):
-        initializer = SLACK_POLICIES.get("zero").build_initializer()
+        initializer = SLACK_POLICIES.get("zero").build_initializer("lstf")
         assert replayed_on(caplog, topology, schedule, initializer=initializer) == (
             "lstf", FASTEST, []
         )

@@ -14,7 +14,7 @@ import sys
 import pytest
 
 from repro.experiments.config import ExperimentScale
-from repro.experiments.heuristics import heuristics_scenarios
+from repro.experiments.heuristics import HeuristicsDefinition
 from repro.experiments.table1 import table1_scenarios
 from repro.pipeline.experiment import record_scenario_schedule
 from repro.schedulers.factory import uniform_factory
@@ -133,7 +133,7 @@ def test_a_warm_flat_recording_stays_within_its_call_budget(name, monkeypatch):
     measured, budget = WARM_RECORDING_BUDGETS[name]
     monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
     scale = dataclasses.replace(ExperimentScale.quick(), seed=1)
-    scenario = next(s for s in heuristics_scenarios(scale) if s.name == name)
+    scenario = next(s for s in HeuristicsDefinition().scenarios(scale) if s.name == name)
     record_scenario_schedule(scenario)
     before = Simulator.events_executed_total
     calls = count_python_calls(lambda: record_scenario_schedule(scenario))

@@ -4,21 +4,19 @@ import pickle
 
 import pytest
 
-from repro.pipeline.cache import distribution_fingerprint
 from repro.schedulers.factory import uniform_factory
 from repro.sim.simulation import Simulation
 from repro.topology import dumbbell_topology
-from repro.traffic import WorkloadSpec, paper_default_workload
-from repro.traffic.distributions import ConstantSize, data_mining_workload, web_search_workload
+from repro.traffic import WorkloadSpec
+from repro.traffic.distributions import ConstantSize
 from repro.traffic.perturb import (
     DeadlineTagging,
     HeavyTailInflation,
     IncastBurst,
     OnOffJamming,
-    Perturbation,
     PerturbationContext,
 )
-from repro.traffic.registry import WORKLOADS, DistributionSpec
+from repro.traffic.registry import WORKLOADS
 from repro.utils import mbps
 from repro.utils.rng import RandomState
 
@@ -56,44 +54,9 @@ class TestWorkloadRegistry:
             assert pickle.loads(pickle.dumps(definition)) == definition
             hash(definition)
 
-    def test_registry_distributions_match_legacy_factories(self):
-        """The registry must build byte-identical distributions to the old
-        factory functions — their fingerprints feed the schedule cache."""
-        legacy = {
-            "paper-default": paper_default_workload,
-            "web-search": web_search_workload,
-            "data-mining": data_mining_workload,
-        }
-        for name, factory in legacy.items():
-            built = WORKLOADS.get(name).build_distribution()
-            assert distribution_fingerprint(built) == distribution_fingerprint(factory())
-
     def test_mean_flow_size_positive(self):
         for definition in WORKLOADS:
             assert definition.mean_flow_size() > 0
-
-
-# --------------------------------------------------------------------- #
-# Serialization round-trips
-# --------------------------------------------------------------------- #
-class TestRoundTrips:
-    def test_perturbation_to_from_dict_identity(self):
-        perturbations = [
-            IncastBurst(bursts=2, fanin=5, flow_bytes=1e4, victim_index=1),
-            OnOffJamming(cycles=3, on_fraction=0.5, on_multiplier=2.0, off_multiplier=0.1),
-            HeavyTailInflation(probability=0.1, factor=4.0, max_bytes=1e6),
-            DeadlineTagging(fraction=0.3, slack_factor=1.5, extra_seconds=0.01),
-        ]
-        for perturbation in perturbations:
-            assert Perturbation.from_dict(perturbation.to_dict()) == perturbation
-
-    def test_unknown_perturbation_kind_rejected(self):
-        with pytest.raises(KeyError, match="unknown perturbation"):
-            Perturbation.from_dict({"kind": "cosmic-rays"})
-
-    def test_unknown_distribution_kind_rejected(self):
-        with pytest.raises(ValueError, match="unknown distribution kind"):
-            DistributionSpec("zipf")
 
 
 # --------------------------------------------------------------------- #

@@ -34,14 +34,14 @@ Function = namedtuple("Function", "key path first lines")
 ALLOWED = {
     "runs in a pool worker or the serial writer process; CI's pool steps drive it": """
         pipeline.runner:_worker_init,_plan_records,_store,run_pipeline.make_executor
-        pipeline.experiment:recording_twin pipeline.cache:_save,_save_columns
+        pipeline.experiment:recording_twin pipeline.cache:_save,_save_columns,ScheduleCache.__contains__
         core.schedule:save_schedule_sharded,shard_file_name""",
     "fuzz failure handling: shrinking, repro artifacts and `diff --case`": """
         diff.fuzz:shrink_case,write_artifact,load_case,FuzzFailure.to_dict,ComparisonSpec.to_dict
         diff.fuzz:ComparisonSpec.from_dict,ComparisonSpec.describe
         pipeline.synth:scenario_to_dict,scenario_from_dict,simplified""",
     "the `--workload` / `--slack-policy` / `--fault` overrides of `run`": """
-        pipeline.scenario:override_workload,override_slack_policy,override_faults
+        pipeline.scenario:override_workload,override_slack_policy,override_faults,_pin
         pipeline.experiment:ScenarioExperimentDef.pin_workload core.slack:NullSlackPolicy.on_packet_sent
         experiments.adversarial:AdversarialDefinition.pin_workload""",
     "a kernel build, or no kernel (first build, tools/build_compiled.py, no compiler)": """
@@ -67,13 +67,9 @@ ALLOWED = {
         topology.base:linear_topology,single_switch_topology sim.network:Network.path,Network.tmin
         sim.packet:Packet.path_taken sim.node:Node.port_to
         core.replay:ReplayInjector.install_upfront,ReplayExperiment.run
-        core.slack_policy:SlackPolicyDef.from_dict faults.defs:fault_from_dict
-        faults.injector:FaultPlan.from_dict faults.registry:FaultScheduleDef.from_dict
-        traffic.perturb:Perturbation.from_dict experiments.heuristics:heuristics_scenarios
         traffic.distributions:ConstantSize.__init__,ConstantSize.sample,ConstantSize.mean
-        traffic.distributions:web_search_workload,data_mining_workload
         experiments.config:ExperimentResult.add_row pipeline.scenario:_default_sweep_name
-        pipeline.cache:ScheduleCache.__contains__,ScheduleCache.__len__,ScheduleCache.stats
+        pipeline.cache:ScheduleCache.__len__,ScheduleCache.stats
         pipeline.cache:ScheduleCache.disk_entries utils.registry:Registry.__contains__,Registry.__len__
         schedulers.base:PriorityScheduler.peek,PriorityScheduler.queued_packets,PriorityScheduler.__len__
         schedulers.fifo:FifoScheduler.__len__ schedulers.lifo:LifoScheduler.__len__
