@@ -228,32 +228,29 @@ def cmd_run(args: argparse.Namespace) -> int:
     from repro.experiments.runner import format_result, results_to_json
     from repro.pipeline.experiment import default_registry
     from repro.pipeline.runner import run_pipeline
+    from repro.pipeline.scenario import registered
 
     registry = default_registry()
-    if args.all or not args.experiments:
-        names = registry.names()
-    else:
-        names = args.experiments
+    names = registry.names() if args.all or not args.experiments else args.experiments
+    for name in names:  # an unknown name exits 2; a bug's KeyError keeps its traceback
+        registered(registry, name)
     cache_dir = None if args.no_cache else args.cache_dir
     scale_name = "quick" if args.quick else args.scale
-    try:
-        summary = run_pipeline(
-            names=names,
-            scale=_scale(scale_name),
-            workers=args.workers,
-            cache_dir=cache_dir,
-            replicates=args.replicates,
-            workload=args.workload,
-            slack_policy=args.slack_policy,
-            backend=args.backend,
-            faults=args.fault,
-            fault_seed=args.fault_seed,
-            cell_timeout=args.cell_timeout,
-            max_retries=args.max_retries,
-            shard_packets=args.shard_packets,
-        )
-    except KeyError as error:  # unknown experiment
-        raise _CLIError(error.args[0]) from error
+    summary = run_pipeline(
+        names=names,
+        scale=_scale(scale_name),
+        workers=args.workers,
+        cache_dir=cache_dir,
+        replicates=args.replicates,
+        workload=args.workload,
+        slack_policy=args.slack_policy,
+        backend=args.backend,
+        faults=args.fault,
+        fault_seed=args.fault_seed,
+        cell_timeout=args.cell_timeout,
+        max_retries=args.max_retries,
+        shard_packets=args.shard_packets,
+    )
     if args.json:
         payload = json.loads(results_to_json(summary.results))
         payload["_summary"] = {

@@ -1,10 +1,10 @@
 """Replay evaluation metrics.
 
 Section 2.3 evaluates a replay with two headline numbers — the fraction of
-packets that are *overdue* (exit later than in the original schedule) and the
-fraction overdue by more than a threshold ``T`` (one transmission time on the
-bottleneck link) — plus the CDF of per-packet queueing-delay ratios shown in
-Figure 1.  This module computes all three from a pair of schedules.
+packets *overdue* (exit later than in the original schedule) and the fraction
+overdue by more than ``T`` (one transmission time on the bottleneck link) —
+plus Figure 1's CDF of per-packet queueing-delay ratios, which only that
+figure computes (:func:`queueing_delay_ratios`).  This module has all three.
 
 Every metric is a fold over a schedule's columns
 (:class:`~repro.core.schedule.ScheduleColumns`, canonical order); no row is
@@ -27,7 +27,7 @@ version — total the same delays to the same bits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import sub
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -37,7 +37,7 @@ from repro.utils.stats import QuantileSketch, left_sum, percentile
 
 @dataclass
 class ReplayMetrics:
-    """Comparison of a replay against the original schedule it targeted.
+    """A replay compared with its original (Figure 1's ratios: :func:`queueing_delay_ratios`).
 
     Attributes:
         total_packets: Number of packets matched between the two schedules.
@@ -49,9 +49,6 @@ class ReplayMetrics:
         threshold: The lateness threshold ``T`` used (seconds).
         mean_lateness: Mean of ``max(0, o'(p) - o(p))`` over matched packets.
         max_lateness: Largest lateness observed.
-        queueing_delay_ratios: Per-packet ratio of replay queueing delay to
-            original queueing delay (Figure 1); packets with zero original
-            queueing delay are skipped.
         deadline_total: Flows carrying a completion deadline (0 when the
             workload was not deadline-tagged).
         deadline_met_original: Deadline flows whose *last packet's original*
@@ -72,7 +69,6 @@ class ReplayMetrics:
     threshold: float = 0.0
     mean_lateness: float = 0.0
     max_lateness: float = 0.0
-    queueing_delay_ratios: List[float] = field(default_factory=list)
     deadline_total: int = 0
     deadline_met_original: int = 0
     deadline_met_replay: int = 0
@@ -191,13 +187,19 @@ def compare_schedules(
             metrics.deadline_flows_delivered += 1
             if replay_last <= deadline + tolerance:
                 metrics.deadline_met_replay += 1
-    replay_queueing = replay.queueing_delays()
-    metrics.queueing_delay_ratios = [
-        replay_queueing[row] / queueing
+    return metrics
+
+
+def queueing_delay_ratios(original: Schedule, replay: Schedule) -> List[float]:
+    """Figure 1's ratio of replay to original queueing delay, per packet in the
+    original's canonical order; packets never queued or lost in the replay are skipped."""
+    rows = replay.rows_of(original.columns().packet_id)
+    waits = replay.queueing_delays()
+    return [
+        waits[row] / queueing
         for row, queueing in zip(rows, original.queueing_delays())
         if row is not None and queueing > 0
     ]
-    return metrics
 
 
 @dataclass
@@ -401,11 +403,9 @@ def compare_schedules_streaming(
     threshold: float,
     tolerance: float = 1e-9,
 ) -> ReplayMetrics:
-    """:func:`compare_schedules` over the original's *rows*, minus the ratio list.
+    """:func:`compare_schedules` over the original's *rows*.
 
     Not a second comparison: an adapter kept only because the frozen
     ``benchmarks/perf/run.py`` imports it (ROADMAP item 1 drops it).
     """
-    metrics = compare_schedules(Schedule.from_rows(original_rows), replay, threshold, tolerance)
-    metrics.queueing_delay_ratios = []
-    return metrics
+    return compare_schedules(Schedule.from_rows(original_rows), replay, threshold, tolerance)

@@ -7,7 +7,8 @@ utilization, the figure plots the CDF over packets of
 
 The paper's headline observation is that most packets see *less* queueing in
 the replay (ratio below 1), because LSTF never makes a packet wait behind one
-that has plenty of slack left ("wasted waiting").
+that has plenty of slack left ("wasted waiting").  Only this figure computes
+the ratios (:func:`repro.core.metrics.queueing_delay_ratios`).
 
 Each original scheduler is one pipeline cell; the recorded schedules are
 shared (via the content-addressed cache) with the Table-1 rows that replay
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
+from repro.core.metrics import queueing_delay_ratios
 from repro.experiments.config import ExperimentScale
 from repro.experiments.table1 import default_scenario
 from repro.pipeline.cache import ScheduleCache
@@ -72,7 +74,7 @@ class Figure1Definition(ExperimentDef):
         self, cell: Cell, scale: ExperimentScale, cache: ScheduleCache
     ) -> CellResult:
         result = replay_scenario(cell.spec, mode=cell.mode, cache=cache)
-        xs, cdf = cdf_points(result.metrics.queueing_delay_ratios)
+        xs, cdf = cdf_points(queueing_delay_ratios(result.original, result.replayed))
         if xs:
             at_most_one = sum(1 for value in xs if value <= 1.0 + 1e-9) / len(xs)
             median = percentile(xs, 50)

@@ -840,16 +840,19 @@ PyDoc_STRVAR(run_flat_record_doc,
  *
  * Exactness is by construction: every value is what json's C scanner
  * makes of the same bytes.  A number is first matched against the JSON
- * number grammar; a float is then converted by PyOS_string_to_double (what
- * float() and json use), an int of at most 18 digits exactly in a C
- * integer, a longer one by PyLong_FromString; null is None; a string is
- * taken only when it is ASCII without escapes.  Everything else declines
- * the whole block — the caller then decodes the same lines with json, the
- * reference, which either agrees or raises the error naming the packet:
- * NaN, Infinity, true, false, an escape or a non-ASCII byte, an unknown,
- * duplicate or missing key, a path element that is not a string, a hop
- * that is not 4 scalars, a non-int packet_id, a non-numeric ingress_time
- * or output_time, a line that is not one object.
+ * number grammar.  A float without an exponent, of at most 19 significant
+ * digits and 21 decimal places, is then made in integers alone
+ * (exact_double: one division, rounded half-to-even as float() rounds);
+ * any other float, and every float without a 128-bit integer type, by
+ * PyOS_string_to_double (what float() and json use).  An int of at most 18
+ * digits is made exactly in a C integer, a longer one by PyLong_FromString;
+ * null is None; a string is taken only when it is ASCII without escapes.
+ * Everything else declines the whole block — the caller then decodes the
+ * same lines with json, the reference, which either agrees or raises the
+ * error naming the packet: NaN, Infinity, true, false, an escape or a
+ * non-ASCII byte, an unknown, duplicate or missing key, a path element that
+ * is not a string, a hop that is not 4 scalars, a non-int packet_id, a
+ * non-numeric ingress_time or output_time, a line that is not one object.
  *
  * Lines end at '\n' (a '\r' just before it is dropped); between tokens
  * only ' ' and '\t' are whitespace, so a lone '\r' — which the reference's
@@ -1042,6 +1045,42 @@ string_value(Reader *r)
     return found;
 }
 
+#ifdef __SIZEOF_INT128__
+/* The double nearest the float s..end (see decode_rows above), else 0.
+ * With w its digits, d = 10**places < 2**70, and w << shift fits 128 bits
+ * with a 54-55-bit quotient Q = (w << shift) / d, which rounds
+ * half-to-even to 53 bits on its dropped bits and the remainder. */
+static int
+exact_double(const char *s, const char *end, double *out)
+{
+    const char *p = s + (*s == '-');
+    uint64_t w = 0, q, m, rest, half = (uint64_t)1 << 63;
+    unsigned __int128 d = 1, num;
+    int digits = 0, frac = 0, places = 0, shift, k;
+    for (; p < end; p++) {
+        if (*p == '.' && (frac = 1))
+            continue;
+        if (*p == 'e' || *p == 'E' || (places += frac) > 21
+            || ((w != 0 || *p != '0') && ++digits > 19))
+            return 0;
+        w = w * 10 + (uint64_t)(*p - '0');
+    }
+    while (places-- > 0)
+        d *= 10;
+    shift = __builtin_clzll(w | 1) - 10             /* 54 - bits of w + bits of d */
+            + (d >> 64 ? 128 - __builtin_clzll((uint64_t)(d >> 64)) : 64 - __builtin_clzll((uint64_t)d));
+    num = (unsigned __int128)w << (shift = shift < 0 ? 0 : shift);
+    q = (uint64_t)(num / d);
+    k = 11 - __builtin_clzll(q | half >> 10);       /* Q's bits past 53: 1 or more */
+    rest = q << (64 - k);                           /* those bits, left-aligned */
+    m = (q >> k) + (rest > half || (rest == half && (num % d != 0 || (q >> k) & 1)));
+    *out = ldexp(*s == '-' ? -(double)m : (double)m, k - shift);
+    return 1;
+}
+#else
+#define exact_double(s, end, out) ((void)(out), 0)  /* PyOS_string_to_double */
+#endif
+
 /* The JSON number at r->p, converted as json's scanner converts it;
  * *is_int tells an int (no fraction, no exponent) from a float. */
 static PyObject *
@@ -1091,9 +1130,15 @@ number_value(Reader *r, int *is_int)
     }
     n = q - s;
     if (is_float) {
+        double x;
         slot = recent_slot(r->recent, s, n);
         if ((value = recent_get(slot, s, n)) != NULL)
             return value;
+        if (exact_double(s, q, &x)) {
+            if ((value = PyFloat_FromDouble(x)) != NULL)
+                recent_put(slot, s, n, value);
+            return value;
+        }
     }
     /* The span, NUL-terminated, as json's scanner hands it over. */
     buf = n < (Py_ssize_t)sizeof(stack) ? stack : (char *)PyMem_Malloc((size_t)n + 1);

@@ -12,7 +12,10 @@ import gzip
 import json
 import logging
 import math
+import random
 import struct
+from array import array
+from decimal import Decimal, localcontext
 from unittest import mock
 
 import pytest
@@ -20,7 +23,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import schedule as schedule_module
-from repro.core.schedule import SCHEDULE_FORMAT, iter_schedule_columns, load_schedule
+from repro.core.schedule import SCHEDULE_FORMAT, ScheduleColumns, iter_schedule_columns, load_schedule
 from repro.sim import compiled
 
 from tests.core.test_schedule_io import MALFORMED_CHANGES, plain_row
@@ -239,3 +242,69 @@ class TestMalformedRowsThroughBothDecoders:
         for outcome in read(path, native):
             assert outcome[0] == "ValueError" and named in outcome[1]
         assert read(path, native) == read(path, not native)
+
+
+# --------------------------------------------------------------------- #
+# Float spellings: the native conversion is float()'s, bit for bit
+# --------------------------------------------------------------------- #
+def float_spellings():
+    """Seeded float texts: random doubles' reprs from 1e-9 to 1e3, random bit
+    patterns, every significand length 1-19 at every decimal exponent from
+    -25 to 3, 2**53 / 2**54 / 10**19 neighbours, exact halfway points between
+    adjacent doubles (and just off them), zeros, over-long significands and
+    exponent forms."""
+    rng = random.Random(46)
+    texts = []
+    for _ in range(200_000):
+        texts.append(repr(rng.choice((1.0, -1.0)) * 10 ** rng.uniform(-9, 3)))
+    for _ in range(20_000):
+        value = struct.unpack("<d", rng.getrandbits(64).to_bytes(8, "little"))[0]
+        if math.isfinite(value):
+            texts.append(repr(value))
+
+    def spell(w, e):  # w * 10**e as a JSON float
+        if e >= 0:
+            return [f"{w}{'0' * e}.0", f"{w}e{e}"]
+        digits = str(w).rjust(1 - e, "0")
+        return [f"{digits[:e]}.{digits[e:]}"]
+
+    for n in range(1, 20):
+        for e in range(-25, 4):
+            for w in [10 ** (n - 1), 10**n - 1, *(rng.randrange(10 ** (n - 1), 10**n) for _ in range(40))]:
+                texts += spell(w, e)
+    for w in (2**53 - 1, 2**53 + 1, 2**54 - 1, 2**54 + 1, 10**19 - 1):
+        for e in range(-25, 4):
+            texts += spell(w, e)
+    with localcontext() as context:
+        context.prec = 80
+        for shift in range(-12, 12):  # doubles in [2**(52+shift), 2**(53+shift)) are 2**shift apart
+            for _ in range(300):
+                half = (2 * rng.randrange(2**52, 2**53) + 1) * Decimal(2) ** (shift - 1)
+                for text in (f"{half:f}", f"{half + Decimal('1e-3'):f}", f"{half - Decimal('1e-3'):f}"):
+                    texts.append(text if "." in text else text + ".0")
+    texts += ["0.0", "0.000", "-0.0", "-0.000", "0.0000000000000000000000000", "1." + "0" * 19,
+              "1." + "0" * 30 + "1", "123456789012345678901.5", "0.1234567890123456789012",
+              "1e-07", "1E+5", "2.5e-3", "-2.5E-03", "0e5", "-0e-5", "1.7976931348623157e308", "5e-324"]
+    return texts + ["-" + text for text in texts[200_000::2] if not text.startswith("-")]
+
+
+def test_float_spellings_convert_as_float_does():
+    texts = float_spellings()
+    assert len(texts) >= 200_000
+    per_row = 100  # hops per row, three floats per hop
+    lines = []
+    for start in range(0, len(texts), 3 * per_row):
+        chunk = texts[start : start + 3 * per_row]
+        chunk += ["0.0"] * (-len(chunk) % 3)
+        hops = ", ".join(f'["n", {a}, {b}, {c}]' for a, b, c in zip(*[iter(chunk)] * 3))
+        lines.append(json.dumps(plain_row(len(lines))).replace('"hops": []', f'"hops": [{hops}]'))
+    block = ("\n".join(lines) + "\n").encode()
+    cols = ScheduleColumns()
+    decode, _ = schedule_module.native_codecs()
+    assert decode(block, {}, 0, cols.lists()) == len(lines)
+    decoded = [v for hop in zip(cols.hop_arrival, cols.hop_start_service, cols.hop_departure) for v in hop]
+    expected = [float(text) for text in texts] + [0.0] * (len(decoded) - len(texts))
+    assert array("d", decoded).tobytes() == array("d", expected).tobytes(), next(
+        (text, got) for text, got, want in zip(texts, decoded, expected)
+        if struct.pack("<d", got) != struct.pack("<d", want)
+    )

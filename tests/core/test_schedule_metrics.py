@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.metrics import compare_schedules, lateness_distribution
+from repro.core.metrics import compare_schedules, lateness_distribution, queueing_delay_ratios
 from repro.core.schedule import Schedule
 from repro.schedulers.factory import uniform_factory
 from repro.sim.flow import Flow
@@ -111,6 +111,14 @@ class TestReplayMetrics:
         assert metrics.overdue_fraction == pytest.approx(0.5)
         assert metrics.max_lateness == pytest.approx(0.5)
 
+    def test_packet_exactly_threshold_late_is_overdue_but_not_beyond(self):
+        """"Overdue by more than T" is strict: a packet exactly T late is not."""
+        original = Schedule.from_rows([row(1, output=1.0)])
+        replay = Schedule.from_rows([row(1, output=1.25)])  # late by exactly 0.25 in binary
+        metrics = compare_schedules(original, replay, threshold=0.25)
+        assert metrics.overdue_count == 1
+        assert metrics.overdue_beyond_threshold_count == 0
+
     def test_missing_replay_packet_counts_as_overdue(self):
         original = Schedule.from_rows([row(1), row(2)])
         replay = Schedule.from_rows([row(1)])
@@ -183,11 +191,22 @@ class TestReplayMetrics:
         assert metrics.deadline_met_original == 1
         assert metrics.deadline_met_replay == 0
 
+    def test_deadline_missed_by_half_a_nanosecond_counts_as_met(self):
+        """The 1 ns tolerance applies to the original's deadline and the replay's alike."""
+        half_ns_late = 2.0 + 0.5e-9
+        original = Schedule.from_rows(
+            [row(1, output=1.0, deadline=2.0, flow=10), row(2, output=half_ns_late, deadline=2.0, flow=10)]
+        )
+        replay = Schedule.from_rows([row(1, output=1.0, flow=10), row(2, output=half_ns_late, flow=10)])
+        metrics = compare_schedules(original, replay, threshold=0.1)
+        assert metrics.deadline_total == 1
+        assert metrics.deadline_met_original == 1
+        assert metrics.deadline_met_replay == 1
+
     def test_queueing_delay_ratios_collected(self):
         original = Schedule.from_rows([row(1, queueing=(0.2,))])
         replay = Schedule.from_rows([row(1, queueing=(0.1,))])
-        metrics = compare_schedules(original, replay, threshold=0.1)
-        assert metrics.queueing_delay_ratios == [pytest.approx(0.5)]
+        assert queueing_delay_ratios(original, replay) == [pytest.approx(0.5)]
 
     def test_lateness_distribution(self):
         original = Schedule.from_rows([row(1, output=1.0), row(2, output=1.0)])

@@ -15,13 +15,12 @@ documented ε of the exact value's bracketing order statistics.  The same
 assertions are repeated after splitting the rows into chunks and merging the
 per-chunk partials — the shard runner's exact code shape.
 :func:`compare_schedules` is the only comparison; its row-taking adapter
-must equal it minus the ratio list.
+must equal it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 import pytest
 
@@ -109,11 +108,10 @@ def _assert_statistics_equivalent(schedule):
 
 
 def _assert_comparison_equivalent(original, replayed, threshold):
-    """The row-taking adapter == compare_schedules minus the ratio list."""
+    """The row-taking adapter == compare_schedules."""
     reference = compare_schedules(original, replayed, threshold)
     adapted = compare_schedules_streaming(iter(original), replayed, threshold)
-    assert adapted.queueing_delay_ratios == []
-    assert adapted == replace(reference, queueing_delay_ratios=[])
+    assert adapted == reference
     return reference
 
 

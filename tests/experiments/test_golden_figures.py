@@ -1,10 +1,12 @@
-"""Golden-row pinning for the registry-driven Figure 2-4 experiments.
+"""Golden-row pinning for the registry-driven Figure 1-4 experiments.
 
 The slack-policy unification rewired Figures 2-4 from ad-hoc
 ``SlackPolicy`` instantiation to registry-materialized live policies
-(``SlackPolicyDef.build_live``).  The fixture below was captured *before*
-that refactor, so these tests prove the unified path is a pure refactor:
-every row — floats included — must match bit for bit.
+(``SlackPolicyDef.build_live``); Figure 1's queueing-delay ratios moved out
+of every replay comparison into :func:`repro.core.metrics.queueing_delay_ratios`.
+Each figure's rows were captured *before* its refactor, so these tests prove
+both were pure refactors: every row — floats included — must match bit for
+bit.
 """
 
 import json
@@ -13,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from repro.experiments import ExperimentScale
+from repro.experiments.figure1 import FIGURE1_SCHEDULERS
 from repro.pipeline import run_pipeline
 
 GOLDEN_PATH = Path(__file__).parent.parent / "data" / "golden_figure_rows.json"
@@ -26,7 +29,7 @@ def golden():
     return rows
 
 
-@pytest.mark.parametrize("experiment", ["figure2", "figure3", "figure4"])
+@pytest.mark.parametrize("experiment", ["figure1", "figure2", "figure3", "figure4"])
 def test_registry_driven_rows_match_pre_refactor_fixture(experiment, golden):
     """Rows produced via the unified slack-policy registry path must be
     bit-identical to the rows the pre-refactor code produced."""
@@ -36,9 +39,12 @@ def test_registry_driven_rows_match_pre_refactor_fixture(experiment, golden):
 
 
 def test_fixture_covers_every_figure(golden):
-    assert set(golden) == {"figure2", "figure3", "figure4"}
+    assert set(golden) == {"figure1", "figure2", "figure3", "figure4"}
     # The policy-bearing rows are present: figure2's LSTF deployment,
     # figure3's LSTF-as-FIFO+ row, and figure4's rest sweep.
     assert any(row["scheduler"] == "lstf" for row in golden["figure2"])
     assert any(row["scheduler"] == "lstf" for row in golden["figure3"])
     assert any(row["scheduler"].startswith("lstf@") for row in golden["figure4"])
+    # Figure 1 has one row per original scheduler, each with congested packets.
+    assert {row["original"] for row in golden["figure1"]} == set(FIGURE1_SCHEDULERS)
+    assert all(row["packets"] > 0 for row in golden["figure1"])

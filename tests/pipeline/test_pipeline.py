@@ -345,6 +345,19 @@ class TestCli:
         assert code == 2
         assert "unknown experiment" in capsys.readouterr().err
 
+    def test_run_lets_a_bugs_key_error_keep_its_traceback(self, monkeypatch, capsys):
+        """Only unknown names are usage errors (exit 2); a KeyError raised
+        while an experiment expands its cells is a bug and surfaces as one."""
+        assert cli_main(["run", "nosuch", "--scale", "smoke", "--no-cache"]) == 2
+        assert "unknown experiment 'nosuch'" in capsys.readouterr().err
+
+        def cells(self, scale):
+            raise KeyError("a bug in cells()")
+
+        monkeypatch.setattr(type(default_registry().get("figure3")), "cells", cells)
+        with pytest.raises(KeyError, match="a bug in cells"):
+            cli_main(["run", "figure3", "--scale", "smoke", "--no-cache"])
+
     @pytest.mark.parametrize(
         "option, value, flag, complaint",
         [
