@@ -494,8 +494,8 @@ def record_schedule(
     simulation.sim.run(until=None, max_events=max_events)
     schedule = Schedule.from_tracer(simulation.tracer)
     # The built network is cyclic garbage from here on; emptying the tracer
-    # lets refcounting free the run's packets (the bulk of it) now rather
-    # than at the next full collection, which GC-paused replays push out.
+    # lets refcounting free the run's packets (the bulk of it) now, rather
+    # than leaving them to the cycle collector's next full pass.
     simulation.tracer.reset()
     return schedule
 

@@ -41,7 +41,6 @@ schedule — a row, a header, a manifest — raises ``ValueError``.
 
 from __future__ import annotations
 
-import gc
 import gzip
 import io
 import json
@@ -49,7 +48,6 @@ import logging
 import os
 import zlib
 from collections import Counter
-from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from functools import lru_cache
 from itertools import accumulate, chain, islice, zip_longest
@@ -59,6 +57,7 @@ from typing import BinaryIO, Callable, Dict, Iterable, Iterator, List, Optional,
 from repro.sim.compiled import kernel_codecs
 from repro.sim.packet import Packet
 from repro.sim.tracer import Tracer
+from repro.utils import paused_gc
 from repro.utils.stats import left_sum
 
 logger = logging.getLogger(__name__)
@@ -71,20 +70,6 @@ MANIFEST_FORMAT = "repro-schedule-manifest/1"
 
 #: Filename suffix that marks a shard manifest.
 MANIFEST_SUFFIX = ".manifest.json"
-
-
-@contextmanager
-def paused_gc() -> Iterator[None]:
-    """Pause the cycle collector around a burst of acyclic allocations (decoded
-    packets, rows, heap tuples): they only make it rescan an ever-growing live
-    set, and refcounting still frees them."""
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if was_enabled:
-            gc.enable()
 
 
 #: What reading a malformed row into columns raises.
@@ -301,7 +286,8 @@ class Schedule:
                     f"packet {packet.packet_id} has not exited the network; only "
                     "delivered packets can enter a schedule"
                 )
-            path = [hop.node for hop in packet.hops]
+            hops = packet.hops
+            path = hops[::4]
             if not path or path[-1] != packet.dst:
                 path.append(packet.dst)
             rows.append(
@@ -314,10 +300,7 @@ class Schedule:
                     "ingress_time": 0.0 if packet.ingress_time is None else packet.ingress_time,
                     "output_time": packet.egress_time,
                     "path": path,
-                    "hops": [
-                        (h.node, h.arrival_time, h.start_service_time, h.departure_time)
-                        for h in packet.hops
-                    ],
+                    "hops": list(zip(hops[::4], hops[1::4], hops[2::4], hops[3::4])),
                     "flow_size_bytes": packet.header.flow_size_bytes,
                     "deadline": packet.flow_deadline,
                 }

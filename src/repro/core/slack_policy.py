@@ -54,6 +54,7 @@ policy must satisfy is documented in ``docs/slack-policies.md``.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
@@ -153,6 +154,13 @@ class SlackPolicyDef:
             ``(name, value)`` pairs so definitions stay hashable/picklable.
         description: One-line summary shown by ``python -m repro list
             --slack-policies``.
+
+    Raises:
+        ValueError: at construction, for an empty name, an unknown kind, or
+            a parameter name one of the kind's factories does not accept (the
+            message lists the accepted ones).  A definition feeds cache keys,
+            so a typo must fail here, not as a ``TypeError`` when a pool
+            worker first builds it.
     """
 
     name: str
@@ -167,6 +175,24 @@ class SlackPolicyDef:
             known = ", ".join(sorted(POLICY_KINDS))
             raise ValueError(f"unknown slack-policy kind {self.kind!r}; known: {known}")
         object.__setattr__(self, "params", tuple(sorted(self.params)))
+        kind = POLICY_KINDS[self.kind]
+        names = {name for name, _ in self.params}
+        for factory in (kind.replay_factory, kind.live_factory):
+            if factory is None:
+                continue
+            signature = inspect.signature(factory)
+            if any(
+                parameter.kind is inspect.Parameter.VAR_KEYWORD
+                for parameter in signature.parameters.values()
+            ):
+                continue
+            unknown = names - set(signature.parameters)
+            if unknown:
+                raise ValueError(
+                    f"slack policy {self.name!r} (kind {self.kind!r}) does not "
+                    f"accept parameter(s) {', '.join(sorted(unknown))}; "
+                    f"accepted: {', '.join(sorted(signature.parameters))}"
+                )
 
     # ------------------------------------------------------------------ #
     # Capabilities
@@ -245,30 +271,10 @@ class SlackPolicyDef:
         kind, so its cache-key fingerprint differs from the base definition
         exactly in the swept parameters.
 
-        Parameter names are validated against the kind's factory signatures
-        up front, so a typo'd sweep fails here — at expansion time, with the
-        accepted names in the message — rather than as a ``TypeError`` deep
-        inside a pool worker (after the bogus name already fed a cache key).
+        The derived definition checks its parameter names as every
+        definition does (see the class docstring), so a typo'd sweep fails
+        here, at expansion time.
         """
-        import inspect
-
-        kind = POLICY_KINDS[self.kind]
-        for factory in (kind.replay_factory, kind.live_factory):
-            if factory is None:
-                continue
-            signature = inspect.signature(factory)
-            if any(
-                parameter.kind is inspect.Parameter.VAR_KEYWORD
-                for parameter in signature.parameters.values()
-            ):
-                continue
-            unknown = set(updates) - set(signature.parameters)
-            if unknown:
-                raise ValueError(
-                    f"slack policy {self.name!r} (kind {self.kind!r}) does not "
-                    f"accept parameter(s) {', '.join(sorted(unknown))}; "
-                    f"accepted: {', '.join(sorted(signature.parameters))}"
-                )
         merged = dict(self.params)
         merged.update(updates)
         return SlackPolicyDef(

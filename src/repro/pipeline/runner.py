@@ -86,7 +86,7 @@ from repro.pipeline.experiment import (
     recording_twin,
     scenario_cache_key,
 )
-from repro.pipeline.scenario import PipelineConfigError, Scenario
+from repro.pipeline.scenario import PipelineConfigError, Scenario, registered
 from repro.utils.stats import summarize
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (experiments -> pipeline)
@@ -636,6 +636,15 @@ def run_pipeline(
     ]
     if out_of_range:
         raise PipelineConfigError("; ".join(out_of_range))
+    # An unknown override name is a usage error even when no selected
+    # experiment supports the override (those only get a note below).
+    from repro.core.slack_policy import SLACK_POLICIES
+    from repro.faults import FAULTS
+    from repro.traffic.registry import WORKLOADS
+
+    for table, name in ((WORKLOADS, workload), (SLACK_POLICIES, slack_policy), (FAULTS, faults)):
+        if name is not None:
+            registered(table, name)
     registry = registry or default_registry()
     scale = scale or ExperimentScale.quick()
     selected = list(names) if names is not None else registry.names()

@@ -14,7 +14,9 @@ LSTF's per-packet cost in Section 5):
   number settles every comparison), so sift operations never call back into
   Python.  ``event`` is the cancellation token
   (:class:`~repro.sim.events.Event`, one ``cancelled`` slot) and is ``None``
-  for events nobody can cancel (:meth:`Simulator.post`).
+  for events nobody can cancel: an output port pushes its own entries in
+  this shape (``repro.sim.port``), drawing ``_sequence`` as
+  :meth:`Simulator.schedule` does, and its link deliveries carry ``None``.
 * ``run()`` drives the heap directly with ``heappop`` bound to a local.
 * Scheduling validation happens once at the API boundary
   (:meth:`schedule`/:meth:`schedule_at`); the loop itself re-validates
@@ -87,26 +89,6 @@ class Simulator:
         event = Event()
         heappush(self._heap, (time, sequence, event, callback, args))
         return event
-
-    def post(self, delay: float, callback: Callable[..., Any], *args) -> None:
-        """:meth:`schedule` without a handle, for events nobody will cancel.
-
-        Draws its sequence number from the same counter as :meth:`schedule`,
-        so the event fires exactly where a handled one would; it only skips
-        building the :class:`Event`.  The per-hop link-delivery event is
-        posted (nothing can recall a packet from a wire); anything that may
-        be cancelled — e.g. a transmission finish, which preemption and link
-        faults abort — must use :meth:`schedule`.
-
-        Raises:
-            SimulationError: if ``delay`` is negative.
-        """
-        if delay < 0:
-            raise SimulationError(f"cannot schedule with negative delay {delay}")
-        time = self.now + delay
-        sequence = self._sequence
-        self._sequence = sequence + 1
-        heappush(self._heap, (time, sequence, None, callback, args))
 
     def schedule_at(self, time: float, callback: Callable[..., Any], *args) -> Event:
         """Schedule ``callback(*args)`` to run at absolute simulation time ``time``.

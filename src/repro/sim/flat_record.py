@@ -2,11 +2,12 @@
 
 The paper's replay experiments record their originals from *open-loop UDP*
 traffic, so nothing the network does feeds back into what is offered to it.
-For those recordings the per-hop object graph of the OO engine (``Packet`` +
-``HopRecord`` + ``OutputPort`` + ``Scheduler`` + ``Event``) collapses into
-arrays indexed by packet-hop, and ``_kernel.c``'s ``run_flat_record`` runs
-the hop events on its own heap, merged by ``(time, seq)`` with the generator
-entries left on the simulator's heap.  Python is re-entered for the real
+For those recordings the per-hop object graph of the OO engine (``Packet``
+with its flat ``hops`` list + ``OutputPort`` + ``Scheduler`` + ``Event``)
+collapses into arrays indexed by packet-hop, and ``_kernel.c``'s
+``run_flat_record`` runs the hop events on its own heap, merged by ``(time,
+seq)`` with the generator entries left on the simulator's heap.  Python is
+re-entered for the real
 :class:`~repro.traffic.flowgen.PoissonFlowGenerator` callbacks (same rng
 draws, same :class:`~repro.sim.flow.Flow` objects and ids; ``sim.now`` and
 the sequence counter handed across), for a contended Random port's own

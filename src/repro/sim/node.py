@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Dict
 
-from repro.sim.packet import HopRecord, Packet
+from repro.sim.packet import Packet
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Simulator
@@ -108,7 +108,7 @@ class Router(Node):
     """A store-and-forward router: receives a packet, picks an output port, queues it."""
 
     def receive(self, packet: Packet) -> None:
-        packet.hops.append(HopRecord(self.name, self.sim.now))
+        packet.hops += (self.name, self.sim.now, None, None)
         port = None if packet.route else self.forwarding.get(packet.dst)
         if port is None:
             port = self._resolve_port(packet)
@@ -141,7 +141,7 @@ class Host(Node):
         now = self.sim.now
         if packet.ingress_time is None:
             packet.ingress_time = now
-        packet.hops.append(HopRecord(self.name, now))
+        packet.hops += (self.name, now, None, None)
 
         slack_policy = self.network.slack_policy
         if slack_policy is not None:

@@ -6,7 +6,7 @@ headers and to rewrite it at every hop ("dynamic packet state").  The
 this library (slack for LSTF, a static priority, the omniscient per-hop output
 time vector, flow-size information for SJF/SRPT, accumulated queueing delay
 for FIFO+), and the :class:`Packet` additionally carries the bookkeeping the
-tracer needs (per-hop timing records).
+tracer needs (per-hop timings, four flat entries per hop).
 """
 
 from __future__ import annotations
@@ -21,25 +21,6 @@ class PacketType(enum.Enum):
 
     DATA = "data"
     ACK = "ack"
-
-
-@dataclass(slots=True)
-class HopRecord:
-    """Timing of one packet at one node (used for traces and replay analysis).
-
-    Attributes:
-        node: Name of the node.
-        arrival_time: When the last bit of the packet arrived at the node.
-        start_service_time: When the node began transmitting the packet on its
-            output port (i.e. when the packet was dequeued by the scheduler).
-        departure_time: When the last bit left the node
-            (``start_service_time`` + transmission delay).
-    """
-
-    node: str
-    arrival_time: float
-    start_service_time: Optional[float] = None
-    departure_time: Optional[float] = None
 
 
 @dataclass(slots=True)
@@ -87,9 +68,9 @@ class Packet:
     Packets are mutable objects with identity semantics: equality and hashing
     are by object identity (``eq=False``), so packets can be held in sets and
     compared with ``is`` even as schedulers rewrite their headers.  The class
-    is slotted (as are :class:`PacketHeader` and :class:`HopRecord`): packets
-    are the hot-path allocation of every simulation, and slots cut both the
-    per-packet memory footprint and attribute-access time.
+    is slotted (as is :class:`PacketHeader`): packets are the hot-path
+    allocation of every simulation, and slots cut both the per-packet memory
+    footprint and attribute-access time.
 
     Attributes:
         packet_id: Identity of the packet (keyword-only, required): the next
@@ -136,7 +117,14 @@ class Packet:
     egress_time: Optional[float] = None
     dropped: bool = False
     drop_node: Optional[str] = None
-    hops: List[HopRecord] = field(default_factory=list)
+    #: Per-hop timings, flat, four entries per visited node: ``[node,
+    #: arrival_time, start_service_time, departure_time, ...]``.  The arrival
+    #: is when the packet's last bit reached the node (its injection, at the
+    #: source host); the service start is when the node's output port began
+    #: transmitting it (``None`` while queued or preempted); the departure is
+    #: when its last bit left (``None`` until then).  One list and no object
+    #: per hop, so a hop adds nothing for the cycle collector to scan.
+    hops: list = field(default_factory=list)
     remaining_tx_bytes: Optional[float] = None  # set while preempted mid-transmission
 
     @property
@@ -146,8 +134,8 @@ class Packet:
 
     @property
     def path_taken(self) -> List[str]:
-        """Names of the nodes the packet has visited so far (from hop records)."""
-        return [hop.node for hop in self.hops]
+        """Names of the nodes the packet has visited so far (from its hop timings)."""
+        return self.hops[::4]
 
     @property
     def end_to_end_delay(self) -> Optional[float]:

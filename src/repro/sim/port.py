@@ -18,6 +18,7 @@ again.
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import TYPE_CHECKING, Optional
 
 from repro.sim.events import Event
@@ -67,6 +68,12 @@ class OutputPort:
         self._link_bandwidth = link.bandwidth_bps
         self._link_propagation = link.propagation_delay
         self._dst_receive = None
+        # The port pushes its own entries onto the engine's heap, in the
+        # engine's ``(time, sequence, event, callback, args)`` shape and
+        # drawing ``sim._sequence`` exactly as ``Simulator.schedule`` does, so
+        # every tie breaks as if it had called it; the callback is bound once.
+        self._heap = sim._heap
+        self._finish = self._finish_transmission
 
         # The transmitter is busy exactly while a packet is in flight.
         self._current_packet: Optional[Packet] = None
@@ -137,15 +144,13 @@ class OutputPort:
             self._finish_event = None
             return
 
+        # The last hop's four entries: node, arrival, service start, departure.
         hops = packet.hops
-        if hops:
-            hop = hops[-1]
-            if hop.start_service_time is None:
-                hop.start_service_time = now
-                # Accumulate the queueing delay experienced at this node into
-                # the packet header; FIFO+ prioritizes on this value at later
-                # hops.
-                packet.header.accumulated_wait += now - hop.arrival_time
+        if hops and hops[-2] is None:
+            hops[-2] = now
+            # Accumulate the queueing delay experienced at this node into the
+            # packet header; FIFO+ prioritizes on this value at later hops.
+            packet.header.accumulated_wait += now - hops[-3]
 
         remaining = packet.remaining_tx_bytes
         tx_bytes = remaining if remaining is not None else packet.size_bytes
@@ -153,7 +158,12 @@ class OutputPort:
 
         self._current_packet = packet
         self._current_started = now
-        self._finish_event = sim.schedule(tx_delay, self._finish_transmission, packet)
+        # Preemption and link faults cancel a transmission finish: it keeps
+        # its Event.
+        event = self._finish_event = Event()
+        sequence = sim._sequence
+        sim._sequence = sequence + 1
+        heappush(self._heap, (now + tx_delay, sequence, event, self._finish, (packet,)))
 
     def _finish_transmission(self, packet: Packet) -> None:
         packet.remaining_tx_bytes = None
@@ -161,7 +171,7 @@ class OutputPort:
         now = sim.now
         hops = packet.hops
         if hops:
-            hops[-1].departure_time = now
+            hops[-1] = now
 
         fault_state = self.fault_state
         if fault_state is not None and fault_state.intercepts(packet, now):
@@ -171,10 +181,14 @@ class OutputPort:
         else:
             # Deliver after the propagation delay; the downstream node
             # receives the packet fully assembled (store-and-forward).
+            # Nothing recalls a packet from a wire, so the delivery carries
+            # no Event.
             receive = self._dst_receive
             if receive is None:
                 receive = self._dst_receive = self.node.network.nodes[self.link.dst].receive
-            sim.post(self._link_propagation, receive, packet)
+            sequence = sim._sequence
+            sim._sequence = sequence + 1
+            heappush(self._heap, (now + self._link_propagation, sequence, None, receive, (packet,)))
 
         self._start_next()
 
@@ -216,10 +230,10 @@ class OutputPort:
         )
         sent_bytes = elapsed * self._link_bandwidth / 8.0
         packet.remaining_tx_bytes = max(0.0, total_bytes - sent_bytes)
-        # The packet goes back to the queue; its hop record will get a new
+        # The packet goes back to the queue; its last hop will get a new
         # service-start time when it is next selected.
         if packet.hops:
-            packet.hops[-1].start_service_time = None
+            packet.hops[-2] = None
         self.scheduler.enqueue(packet, self.sim.now)
         self._current_packet = None
         self._current_started = None

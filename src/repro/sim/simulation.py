@@ -11,11 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, List, Optional, Sequence
 
-from repro.sim.engine import Simulator
+from repro.sim.engine import SimulationError, Simulator
 from repro.sim.flow import Flow
 from repro.sim.network import Network, SchedulerFactory
 from repro.sim.packet import Packet
 from repro.sim.tracer import Tracer
+from repro.utils import paused_gc
 from repro.utils.rng import RandomState
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -76,6 +77,7 @@ class Simulation:
         self.network.slack_policy = slack_policy
         self.rng = RandomState(seed)
         self.generators: List[object] = []
+        self._spent = False
 
     # ------------------------------------------------------------------ #
     # Traffic
@@ -121,15 +123,37 @@ class Simulation:
     # Execution
     # ------------------------------------------------------------------ #
     def run(self, until: float, max_events: Optional[int] = None) -> SimulationResult:
-        """Run the simulation until ``until`` seconds and collect the results."""
-        self.sim.run(until=until, max_events=max_events)
+        """Run the simulation until ``until`` seconds and collect the results.
+
+        A simulation runs once.  The engine runs with the cycle collector
+        paused: the per-packet allocations (packets, their hop lists, heap
+        entries) are acyclic, so refcounting frees them, and the collector
+        would only rescan the growing live set.  The cyclic garbage the
+        network leaves scales with its flows and ports, not its packets, and
+        the collector takes it once it is back on.  The result takes the
+        tracer's lists and leaves the tracer empty, so a finished run's
+        packets are freed by refcounting with the result, not by a later full
+        collection of the network's reference cycle.
+
+        Raises:
+            SimulationError: if this simulation already ran (a second run
+                would return a partial result).
+        """
+        if self._spent:
+            raise SimulationError("a Simulation runs once; build a new one to run again")
+        self._spent = True
+        with paused_gc():
+            self.sim.run(until=until, max_events=max_events)
         flows: List[Flow] = []
         for generator in self.generators:
             flows.extend(getattr(generator, "flows", []))
-        return SimulationResult(
+        tracer = self.tracer
+        result = SimulationResult(
             duration=self.sim.now,
             flows=flows,
-            delivered_packets=list(self.tracer.delivered),
-            dropped_packets=list(self.tracer.dropped),
-            injected_packets=list(self.tracer.sent),
+            delivered_packets=tracer.delivered,
+            dropped_packets=tracer.dropped,
+            injected_packets=tracer.sent,
         )
+        tracer.sent, tracer.delivered, tracer.dropped = [], [], []
+        return result

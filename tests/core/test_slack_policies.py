@@ -120,11 +120,20 @@ class TestSlackPolicyRegistry:
             SlackPolicyDef(name="x", kind="nope")
 
     def test_params_are_sorted_for_stable_hashing(self):
-        params = (("no_deadline_slack", 2.0), ("b", 1.0), ("a", 3.0))
-        a = SlackPolicyDef(name="x", kind="deadline", params=params)
-        b = SlackPolicyDef(name="x", kind="deadline", params=params[::-1])
+        params = (("rate_estimate_bps", 5e5), ("data_packets_only", True), ("ack_slack", 0.5))
+        a = SlackPolicyDef(name="x", kind="fairness", params=params)
+        b = SlackPolicyDef(name="x", kind="fairness", params=params[::-1])
         assert a.params == b.params == tuple(sorted(params))
         assert hash(a) == hash(b)
+
+    def test_unknown_params_are_rejected_when_a_definition_is_built(self):
+        """Not later, as a TypeError in whatever process first builds it,
+        after the bogus name already fed a cache key."""
+        with pytest.raises(ValueError, match="does not accept parameter.*a; accepted: no_deadline_slack"):
+            SlackPolicyDef(name="x", kind="deadline", params=(("a", 3.0),))
+        # Every factory of the kind is checked: zero's live face takes none.
+        with pytest.raises(ValueError, match="does not accept"):
+            SlackPolicyDef(name="x", kind="zero", params=(("slack", 0.0),))
 
     def test_build_initializer_rejects_modes_a_policy_cannot_drive(self):
         for mode in ("omniscient", "priority", "fifo"):

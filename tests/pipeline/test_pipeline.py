@@ -293,6 +293,40 @@ class TestRunner:
         ]
         assert summary.results["figure4"].aggregates == []
 
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ("workload", "unknown workload"),
+            ("slack_policy", "unknown slack policy"),
+            ("faults", "unknown fault schedule"),
+        ],
+    )
+    def test_unknown_override_names_fail_where_no_experiment_supports_them(
+        self, override, message, monkeypatch
+    ):
+        """A typo'd override is a usage error, not an "unsupported" note:
+        checked before any cell is expanded, whatever the experiments."""
+        from repro.experiments.figure4 import Figure4Definition
+
+        monkeypatch.setattr(
+            Figure4Definition, "cells", lambda *_: pytest.fail("expanded a cell")
+        )
+        with pytest.raises(PipelineConfigError, match=message):
+            run_pipeline(["figure4"], scale=SMOKE, **{override: "nosuch"})
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["figure3", "--workload", "nosuch"], "unknown workload"),
+            (["figure3", "--fault", "nosuch"], "unknown fault schedule"),
+            (["ablation-omniscient", "--slack-policy", "nosuch"], "unknown slack policy"),
+        ],
+    )
+    def test_cli_exits_2_on_unknown_override_names(self, argv, message, capsys):
+        code = cli_main(["run", *argv, "--scale", "smoke", "--no-cache"])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
     def test_unknown_name_raises_before_running(self):
         with pytest.raises(KeyError, match="unknown experiment"):
             run_pipeline(["tableX"], scale=SMOKE)

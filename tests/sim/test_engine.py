@@ -1,6 +1,8 @@
 """Tests for the discrete-event engine."""
 
 import itertools
+from functools import partial
+from heapq import heappush
 
 import pytest
 from hypothesis import example, given, settings
@@ -301,56 +303,20 @@ def test_budget_stop_still_advances_when_nothing_is_left_before_until():
     assert sim.now == 10.0
 
 
-def test_post_shares_the_sequence_counter_with_schedule():
-    sim = Simulator()
-    fired = []
-    sim.schedule(1.0, fired.append, "a")
-    assert sim.post(1.0, fired.append, "b") is None
-    sim.schedule(1.0, fired.append, "c")
-    sim.post(0.5, fired.append, "early")
-    sim.schedule_at_front(1.0, fired.append, "front")
-    assert len(sim._heap) == 5
-    assert sim.peek_next_time() == 0.5
-    before = Simulator.events_executed_total
-    sim.run()
-    assert fired == ["early", "front", "a", "b", "c"]
-    assert Simulator.events_executed_total - before == 5
-    assert not sim._heap
-
-
-def test_posted_events_respect_until_step_and_validation():
-    sim = Simulator()
-    fired = []
-    sim.post(1.0, fired.append, "in")
-    sim.post(5.0, fired.append, "out")
-    sim.run(until=2.0)
-    assert fired == ["in"] and sim.now == 2.0 and len(sim._heap) == 1
-    sim.run(max_events=1)
-    assert fired == ["in", "out"] and sim.now == 5.0 and not sim._heap
-    sim.run(max_events=1)
-    assert fired == ["in", "out"] and sim.now == 5.0
-    with pytest.raises(SimulationError):
-        sim.post(-0.1, fired.append, "never")
-
-
-def test_cancelled_head_before_a_posted_event_is_discarded():
-    sim = Simulator()
-    fired = []
-    dead = sim.schedule(1.0, fired.append, "dead")
-    sim.post(2.0, fired.append, "live")
-    sim.cancel(dead)
-    assert sim.peek_next_time() == 2.0
-    before = Simulator.events_executed_total
-    sim.run()
-    assert fired == ["live"]
-    assert Simulator.events_executed_total - before == 1  # cancelled events stay uncounted
-
-
 # --------------------------------------------------------------------- #
 # The ordering law: drawn interleavings of schedule / post / schedule_at /
 # schedule_at_front / cancel, run in chunks, held to a reference queue that
-# keeps its pending events in a list and fires the least live one.
+# keeps its pending events in a list and fires the least live one.  A "post"
+# is an entry without an Event, as an output port pushes its link deliveries.
 # --------------------------------------------------------------------- #
+def _post(sim, delay, callback, *args):
+    """Push an uncancellable entry the way ``repro.sim.port`` does: the
+    engine's tuple shape, the next ``_sequence``, ``None`` for the token."""
+    sequence = sim._sequence
+    sim._sequence = sequence + 1
+    heappush(sim._heap, (sim.now + delay, sequence, None, callback, args))
+
+
 class _ReferenceQueue:
     """The engine's contract spelled out: live events fire by time, front
     events first at a tie, then in scheduling order; ``run(until=T)`` ends at
@@ -423,7 +389,8 @@ class _Driver:
         if verb == "schedule":
             token = queue.schedule(delta, self.fire, number, children)
         elif verb == "post":
-            token = queue.post(delta, self.fire, number, children)
+            post = queue.post if isinstance(queue, _ReferenceQueue) else partial(_post, queue)
+            token = post(delta, self.fire, number, children)
         elif verb == "at":
             token = queue.schedule_at(queue.now + delta, self.fire, number, children)
         else:

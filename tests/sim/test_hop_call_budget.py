@@ -29,10 +29,11 @@ PACKETS = 400
 #: scheduler -> (measured Python calls per event, budget).  Measured on the
 #: 3-router line below: 400 packets x 4 transmitting nodes x 2 events + the
 #: 400 injections = 3,600 events.  (The routing-chain engine this replaced
-#: measured 10.76 and 13.13.)
+#: measured 10.76 and 13.13; per-hop record objects and ``Simulator.post``
+#: calls, 5.76 and 6.58.)
 BUDGETS = {
-    "fifo": (5.76, 6.35),
-    "lstf": (6.58, 7.25),
+    "fifo": (4.44, 4.9),
+    "lstf": (5.24, 5.8),
 }
 
 
@@ -95,7 +96,7 @@ def test_hop_path_stays_within_its_call_budget(scheduler):
 #: first recording pays ~0.04 more for first-use imports.
 RECORDING_BUDGETS = {
     "flat": (1.21, 1.33),
-    "python": (7.64, 8.4),
+    "python": (6.07, 6.7),
 }
 
 

@@ -70,10 +70,10 @@ class TestStoreAndForwardTiming:
         sim.schedule_at(0.0, network.host("src0").send, packet)
         sim.run()
         assert packet.egress_time == pytest.approx(network.tmin(1000, "src0", "dst0"))
-        # No hop waited: each port started serving the packet the moment it arrived.
-        assert [hop.start_service_time for hop in packet.hops] == pytest.approx(
-            [hop.arrival_time for hop in packet.hops], abs=1e-12
-        )
+        # No hop waited: each port started serving the packet the moment it
+        # arrived.  Hops are flat, four entries each: node, arrival, service
+        # start, departure.
+        assert packet.hops[2::4] == pytest.approx(packet.hops[1::4], abs=1e-12)
 
     def test_back_to_back_packets_queue_at_source_port(self):
         topo = linear_topology(num_routers=2, bandwidth_bps=mbps(10))
@@ -111,9 +111,10 @@ class TestStoreAndForwardTiming:
         sim.schedule_at(0.0, network.host("src0").send, packet)
         sim.run()
         assert packet.path_taken == ["src0", "r0", "r1", "r2"]
-        for hop in packet.hops:
-            assert hop.start_service_time is not None
-            assert hop.departure_time is not None
+        assert len(packet.hops) == 4 * len(packet.path_taken)
+        for _node, _arrival, start_service_time, departure_time in zip(*[iter(packet.hops)] * 4):
+            assert start_service_time is not None
+            assert departure_time is not None
 
 
 class TestTracer:
