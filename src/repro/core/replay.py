@@ -277,7 +277,12 @@ class PythonBackend(SimBackend):
         # them destroyed packets simply never reach their sink: either way
         # the event queue drains once every surviving packet has exited.
         sim.run(until=None, max_events=max_events)
-        return Schedule.from_packets(tracer.delivered_data_packets())
+        replayed = Schedule.from_packets(tracer.delivered_data_packets())
+        # As in record_schedule: the built network is cyclic garbage from
+        # here on, and an empty tracer lets refcounting free the replayed
+        # packets now rather than at the cycle collector's next full pass.
+        tracer.reset()
+        return replayed
 
 
 def replay_schedule(

@@ -45,6 +45,7 @@ and unselected replays simply skip it
 from __future__ import annotations
 
 import math
+from array import array
 from functools import reduce as _reduce
 from itertools import chain, repeat
 from operator import add as _add, itemgetter, sub
@@ -64,6 +65,13 @@ from repro.sim.flat_record import KINDS
 from repro.topology.base import Topology
 
 
+def _as_array(typecode: str, values: np.ndarray) -> array:
+    """``values`` copied into a stdlib ``array`` of ``typecode``."""
+    out = array(typecode)
+    out.frombytes(np.ascontiguousarray(values, dtype=np.dtype(typecode)).data.cast("B"))
+    return out
+
+
 def _flatten(topology: Topology, schedule: Schedule, link_params: LinkParams) -> tuple:
     """Topology-dependent flat arrays of ``(topology, schedule)``.
 
@@ -72,7 +80,9 @@ def _flatten(topology: Topology, schedule: Schedule, link_params: LinkParams) ->
     per hop the directed port id, transmitting node, transmission delay and
     its sum with the link's propagation delay — derived from the ``path`` /
     ``size_bytes`` columns one *route* at a time (flow-structured traffic
-    repeats a few dozen routes) — and per port the propagation delay.
+    repeats a few dozen routes) — and per port the propagation delay.  All
+    but ``hop_node`` (a list of names) are typed ``array`` buffers: ``'q'``
+    for the offsets and port ids, ``'d'`` for the delays.
     Being mode-independent, they stay on the schedule (``schedule.derived``,
     keyed by the link parameters) for its next replay — record once, replay
     many — and are read-only to every caller (the kernel writes only into
@@ -103,12 +113,13 @@ def _flatten(topology: Topology, schedule: Schedule, link_params: LinkParams) ->
 
     # ---- per-hop arrays: routes expanded per packet, delays vectorized ----
     packet_pids = list(map(route_pids.__getitem__, cols.path))
-    hop_port = list(chain.from_iterable(packet_pids))
+    hop_port = array("q", chain.from_iterable(packet_pids))
     hop_node = list(chain.from_iterable(map(itemgetter(slice(None, -1)), cols.path)))
-    counts = np.fromiter(map(len, packet_pids), dtype=np.intp, count=len(packet_pids))
-    off = [0] + np.cumsum(counts).tolist()
+    counts = np.fromiter(map(len, packet_pids), dtype=np.int64, count=len(packet_pids))
+    off = array("q", [0])
+    off.extend(_as_array("q", np.cumsum(counts)))
     sizes = np.array(cols.size_bytes, dtype=np.float64)
-    hop_port_arr = np.array(hop_port, dtype=np.intp)
+    hop_port_arr = np.frombuffer(hop_port, dtype=np.int64)
     bw_arr, prop_arr = np.array(list(link_params.values()), dtype=np.float64).T
     # Exactly Link.transmission_delay: ``size_bytes * 8 / bandwidth_bps``
     # (IEEE-754 doubles either way, so the batch form is bit-identical).
@@ -116,8 +127,8 @@ def _flatten(topology: Topology, schedule: Schedule, link_params: LinkParams) ->
     hop_prop_arr = prop_arr[hop_port_arr]
     # Per-hop (tx + prop): elementwise, so each sum is the same float the
     # OO code computes; folds downstream then add them in the same order.
-    hop_sum = (hop_tx_arr + hop_prop_arr).tolist()
-    flat = (off, hop_port, hop_node, hop_tx_arr.tolist(), hop_sum, prop_arr.tolist())
+    hop_sum = _as_array("d", hop_tx_arr + hop_prop_arr)
+    flat = (off, hop_port, hop_node, _as_array("d", hop_tx_arr), hop_sum, _as_array("d", prop_arr))
     schedule.derived = (link_params, flat)
     return flat
 
@@ -199,10 +210,10 @@ class CompiledBackend(SimBackend):
         # (lstf keyed in the loop from the per-packet ``slack``, fifo not at
         # all); the other modes hand per-hop keys to SJF's static-key queue.
         kind = KINDS.get(REPLAY_MODES[mode][0], KINDS[SjfScheduler])
-        keys = {"lstf": slack, "fifo": None}.get(mode, [])
+        keys = None if mode == "fifo" else array("d", slack if mode == "lstf" else ())
         if mode == "priority":
             # Each packet's priority on every one of its hops.
-            keys = list(chain.from_iterable(map(repeat, priority, map(sub, off[1:], off))))
+            keys.extend(chain.from_iterable(map(repeat, priority, map(sub, off[1:], off))))
         elif mode == "omniscient":
             for vector, first, last in zip(vectors, off, off[1:]):
                 # One vector entry is consumed per enqueue, i.e. per hop in
@@ -238,7 +249,7 @@ class CompiledBackend(SimBackend):
 
         # ---- run; the result wraps the kernel's output arrays as columns ----
         (arr, start, dep, egress), executed = kernel_loop("run_flat_replay")(
-            schedule.columns().ingress_time,
+            array("d", schedule.columns().ingress_time),
             off,
             hop_port,
             hop_tx,

@@ -4,11 +4,11 @@ A *schedule* is the set ``{(path(p), i(p), o(p))}`` produced by running some
 collection of scheduling algorithms over a fixed input load (Section 2.1),
 with the per-hop timing that omniscient replay and congestion-point analysis
 need.  A :class:`Schedule` is its columns (:class:`ScheduleColumns`, one list
-per field, in canonical order), which the loader, the replay kernels and the
-metrics read and write directly.  The one per-packet shape is the *row*, a
-dict in the ``repro-schedule/1`` line shape that :class:`ScheduleColumns`
-states.  A file stores rows, iterating a schedule yields them and
-:meth:`Schedule.from_rows` takes them.
+or typed ``array`` per field, in canonical order), which the loader, the
+replay kernels and the metrics read and write directly.  The one per-packet
+shape is the *row*, a dict in the ``repro-schedule/1`` line shape that
+:class:`ScheduleColumns` states.  A file stores rows, iterating a schedule
+yields them and :meth:`Schedule.from_rows` takes them.
 
 Schedules come from three places:
 
@@ -45,11 +45,13 @@ import gzip
 import io
 import json
 import logging
+import math
 import os
 import zlib
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field, fields, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import accumulate, chain, islice, zip_longest
 from operator import attrgetter, itemgetter, le, methodcaller
 from typing import BinaryIO, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
@@ -73,26 +75,40 @@ MANIFEST_SUFFIX = ".manifest.json"
 
 
 #: What reading a malformed row into columns raises.
-_MALFORMED = (TypeError, KeyError, ValueError)
+_MALFORMED = (TypeError, KeyError, ValueError, OverflowError)
+
+#: What a typed hop column holds for ``None``: no time takes it, it equals
+#: itself (so tables compare exactly) and arithmetic that forgets to check
+#: for it gives ±inf or NaN, never a plausible time.
+NO_TIME = -math.inf
 
 
-def _column(scope: str, kind: Optional[tuple] = None, optional: bool = False) -> list:
+def _column(
+    scope: str, kind: Optional[tuple] = None, optional: bool = False, typecode: Optional[str] = None
+) -> list:
     """A :class:`ScheduleColumns` field: its ``scope``, the types its entries
-    must hold (never a ``bool``) and whether a row may omit its key."""
-    return field(default_factory=list, metadata={"scope": scope, "kind": kind, "optional": optional})
+    must hold (never a ``bool``), whether an entry may be ``None`` (a packet
+    column's row key may be absent) and the ``array`` typecode that stores
+    it, if any (``None``: a list of the very objects the rows carried)."""
+    metadata = {"scope": scope, "kind": kind, "optional": optional, "typecode": typecode}
+    return field(default_factory=list if typecode is None else partial(array, typecode), metadata=metadata)
 
 
 @dataclass(slots=True)
 class ScheduleColumns:
-    """A schedule as a table: one list per field, read-only to consumers.
+    """A schedule as a table: one column per field, read-only to consumers.
 
     The field list is the one statement of the schedule's columns; rows and
     both codecs follow it.  A ``packet`` column holds one entry per packet
     under its row key (``path`` as a tuple, so routes hash); packet ``j``
     owns entries ``hop_offset[j]:hop_offset[j + 1]`` of the ``hop`` columns,
     its row's ``hops`` field by field.  A row's keys come in field order,
-    ``hops`` after the required ones.  Entries are the very objects a row or
-    file carried in, so the table is as lossless as the rows.
+    ``hops`` after the required ones.  A packet column's entries are the very
+    objects a row or file carried in, so those columns are as lossless as
+    the rows.  The hop offsets and times are typed ``array`` columns (the
+    typecode in each field's metadata): a hop time reads back as a float
+    whatever number it came in as, and ``None`` in the two optional ones is
+    :data:`NO_TIME`.
     """
 
     packet_id: List[int] = _column("packet", kind=(int,))
@@ -105,11 +121,14 @@ class ScheduleColumns:
     path: List[Tuple[str, ...]] = _column("packet")
     flow_size_bytes: List[Optional[float]] = _column("packet", optional=True)
     deadline: List[Optional[float]] = _column("packet", optional=True)
-    hop_offset: List[int] = field(default_factory=lambda: [0], metadata={"scope": "link"})
+    hop_offset: array = field(
+        default_factory=partial(array, "q", [0]),
+        metadata={"scope": "link", "kind": (int,), "optional": False, "typecode": "q"},
+    )
     hop_node: List[str] = _column("hop")
-    hop_arrival: List[float] = _column("hop")
-    hop_start_service: List[Optional[float]] = _column("hop")
-    hop_departure: List[Optional[float]] = _column("hop")
+    hop_arrival: array = _column("hop", kind=(int, float), typecode="d")
+    hop_start_service: array = _column("hop", kind=(int, float), optional=True, typecode="d")
+    hop_departure: array = _column("hop", kind=(int, float), optional=True, typecode="d")
 
     def lists(self) -> tuple:
         """Every column, in field order: what the native encoder reads and
@@ -145,11 +164,11 @@ class ScheduleColumns:
         off = self.hop_offset
         required = [(name, getattr(self, name)) for name in _MANDATORY]
         optional = [(name, getattr(self, name)) for name in _OPTIONAL]
-        timings = [getattr(self, name) for name in _HOPS]
+        timings = [(getattr(self, name), _SCHEMA[name]["optional"]) for name in _HOPS]
         for j in positions:
             hops = slice(off[j], off[j + 1])
             row = {key: column[j] for key, column in required}
-            row["hops"] = list(zip(*(column[hops] for column in timings)))
+            row["hops"] = list(zip(*(_nones(c[hops]) if nullable else c[hops] for c, nullable in timings)))
             for key, column in optional:
                 row[key] = column[j]
             yield row
@@ -162,11 +181,17 @@ class ScheduleColumns:
         taken = ScheduleColumns()
         for name in _PACKET:
             setattr(taken, name, list(map(getattr(self, name).__getitem__, positions)))
-        taken.hop_offset = list(accumulate((off[j + 1] - off[j] for j in positions), initial=0))
+        taken.hop_offset = array("q", accumulate((off[j + 1] - off[j] for j in positions), initial=0))
         for name in _HOPS:
-            column = getattr(self, name)
-            setattr(taken, name, list(chain.from_iterable(map(column.__getitem__, spans))))
+            gathered = chain.from_iterable(map(getattr(self, name).__getitem__, spans))
+            getattr(taken, name).extend(gathered)
         return taken
+
+
+def _nones(times: array) -> list:
+    """An optional hop column's ``times`` as a row holds them: ``None`` for :data:`NO_TIME`."""
+    times = times.tolist()
+    return [None if t == NO_TIME else t for t in times] if NO_TIME in times else times
 
 
 #: Each column's metadata, by name, in field order.
@@ -178,15 +203,33 @@ _HOPS = [name for name, meta in _SCHEMA.items() if meta["scope"] == "hop"]
 _LISTS = attrgetter(*_SCHEMA)
 
 
-def _columns(rows: Sequence[dict], first_hop: int) -> Dict[str, list]:
+def _typed(name: str, values: list) -> Union[list, array]:
+    """``values`` as column ``name`` stores them; an entry of a type its
+    metadata does not admit raises ``TypeError``."""
+    meta = _SCHEMA[name]
+    kind, typecode = meta["kind"], meta["typecode"]
+    if kind:
+        types = set(map(type, values))
+        if meta["optional"]:
+            types.discard(type(None))
+        if not all(issubclass(t, kind) and t is not bool for t in types):
+            raise TypeError(f"{name} has the wrong type")
+    if typecode is None:
+        return values
+    if NO_TIME in values:
+        raise ValueError(f"{name} holds -inf, the stored form of None")
+    if None in values:
+        values = [NO_TIME if value is None else value for value in values]
+    return array(typecode, values)
+
+
+def _columns(rows: Sequence[dict], first_hop: int) -> Dict[str, Union[list, array]]:
     """``rows`` field by field, keyed like :class:`ScheduleColumns` (hop offsets
     counted on from ``first_hop``); a malformed row raises one of :data:`_MALFORMED`."""
     columns = {name: list(map(itemgetter(name), rows)) for name in _MANDATORY}
     columns.update((name, list(map(methodcaller("get", name), rows))) for name in _OPTIONAL)
     for name in _PACKET:
-        kind, values = _SCHEMA[name]["kind"], columns[name]
-        if kind and not all(issubclass(t, kind) and t is not bool for t in set(map(type, values))):
-            raise TypeError(f"{name} has the wrong type")
+        columns[name] = _typed(name, columns[name])
     paths = list(map(tuple, columns["path"]))
     routes = dict(zip(paths, paths))  # one tuple per distinct route, not per packet
     columns["path"] = list(map(routes.__getitem__, paths))
@@ -194,9 +237,9 @@ def _columns(rows: Sequence[dict], first_hop: int) -> Dict[str, list]:
     hops = list(chain.from_iterable(hop_lists))
     if not set(map(len, hops)) <= {len(_HOPS)}:
         raise ValueError(f"every hop must be [{', '.join(name[len('hop_'):] for name in _HOPS)}]")
-    columns["hop_offset"] = list(islice(accumulate(map(len, hop_lists), initial=first_hop), 1, None))
+    columns["hop_offset"] = array("q", islice(accumulate(map(len, hop_lists), initial=first_hop), 1, None))
     for index, name in enumerate(_HOPS):
-        columns[name] = list(map(itemgetter(index), hops))
+        columns[name] = _typed(name, list(map(itemgetter(index), hops)))
     return columns
 
 
@@ -253,7 +296,7 @@ class Schedule:
         cols.extend(list(rows))
         return cls.from_columns(cols)
 
-    def with_timings(self, **timings: list) -> "Schedule":
+    def with_timings(self, **timings: Union[list, array]) -> "Schedule":
         """This schedule's packets under new timing columns — a replay's result.
 
         ``timings`` are :class:`ScheduleColumns` fields aligned with
@@ -336,7 +379,7 @@ class Schedule:
         """Each hop's queueing delay, by hop row: never served means never waited."""
         cols = self.columns()
         return [
-            0.0 if start is None else start - arrival
+            0.0 if start == NO_TIME else start - arrival
             for start, arrival in zip(cols.hop_start_service, cols.hop_arrival)
         ]
 
@@ -429,8 +472,9 @@ def native_codecs() -> Optional[Tuple[Callable, Callable]]:
 def _agreed(decode: Callable, encode: Callable) -> bool:
     """Whether the native codecs treat one row as ``json`` does: its bytes,
     then the columns decoded from them.  The row holds a distinct value in
-    every column: its index where a kind is set, its name elsewhere (in a
-    tuple in ``path``).  If not, one WARNING names the first key that differs."""
+    every column: its index, of the last type of the column's kind, where a
+    kind is set (a float in a hop time), its name elsewhere (in a tuple in
+    ``path``).  If not, one WARNING names the first key that differs."""
     cols, decoded = ScheduleColumns(), ScheduleColumns()
     for index, (name, meta) in enumerate(_SCHEMA.items()):
         kind = meta.get("kind")

@@ -27,7 +27,7 @@ import math
 from abc import ABC, abstractmethod
 from typing import Dict, List, Sequence, Tuple
 
-from repro.core.schedule import ScheduleColumns
+from repro.core.schedule import NO_TIME, ScheduleColumns
 from repro.sim.packet import Packet
 from repro.utils.units import BITS_PER_BYTE
 
@@ -129,7 +129,7 @@ class OmniscientInitializer(ReplayInitializer):
     def headers(self, cols: ScheduleColumns, link_params: LinkParams) -> Headers:
         starts, off = cols.hop_start_service, cols.hop_offset
         vectors = [
-            [start for start in starts[first:last] if start is not None]
+            [start for start in starts[first:last] if start != NO_TIME]
             for first, last in zip(off, off[1:])
         ]
         return _unset(cols), _unset(cols), cols.output_time, vectors

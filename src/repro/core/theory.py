@@ -34,7 +34,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import networkx as nx
 
-from repro.core.schedule import Schedule
+from repro.core.schedule import NO_TIME, Schedule
 from repro.topology.base import Topology
 from repro.utils.units import BITS_PER_BYTE
 
@@ -363,7 +363,7 @@ def priority_order_constraints(schedule: Schedule, epsilon: float = 1e-12) -> nx
     graph.add_nodes_from(cols.packet_id)
     per_node: Dict[str, List[Tuple[float, float, int]]] = {}
     for node, arrival, start, pid in zip(cols.hop_node, cols.hop_arrival, cols.hop_start_service, owners):
-        if start is not None:
+        if start != NO_TIME:
             per_node.setdefault(node, []).append((arrival, start, pid))
     for node, entries in per_node.items():
         for arrival_p, service_p, pid in entries:

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from repro.core.schedule import Schedule
+from repro.core.schedule import NO_TIME, Schedule
 
 #: Default number of preceding packets reported per side at the divergent port.
 DEFAULT_CONTEXT = 8
@@ -264,6 +264,11 @@ def _service_time_at(row: dict, node: str) -> Optional[float]:
     return None
 
 
+def _time(stored: float) -> Optional[float]:
+    """A stored optional hop time as a row holds it (``None`` for :data:`NO_TIME`)."""
+    return None if stored == NO_TIME else stored
+
+
 def _port_context(
     schedule: Schedule,
     node: str,
@@ -287,7 +292,7 @@ def _port_context(
             continue
         hop = off[j] + nodes.index(node)
         start = cols.hop_start_service[hop]
-        when = start if start is not None else cols.hop_arrival[hop]
+        when = start if start != NO_TIME else cols.hop_arrival[hop]
         if before is None or when < before:
             entries.append((when, packet_id, j, hop))
     entries.sort()  # by (when, packet id): ids are unique
@@ -296,8 +301,8 @@ def _port_context(
             packet_id=packet_id,
             flow_id=cols.flow_id[j],
             arrival_time=cols.hop_arrival[hop],
-            start_service_time=cols.hop_start_service[hop],
-            departure_time=cols.hop_departure[hop],
+            start_service_time=_time(cols.hop_start_service[hop]),
+            departure_time=_time(cols.hop_departure[hop]),
         )
         for _, packet_id, j, hop in entries[-limit:]
     ]

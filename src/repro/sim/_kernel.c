@@ -63,7 +63,8 @@
  *   may be +inf (IEEE-754 compares it as Python does).
  * - Every replay input is copied into C arrays and the drop-filter tuples
  *   are held by strong reference, so a filter calling back into Python
- *   cannot change the loop's state.  The input lists are read, never mutated.
+ *   cannot change the loop's state.  The input arrays are read, never
+ *   mutated.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -207,34 +208,44 @@ grow(void *items, Py_ssize_t *cap, Py_ssize_t need, size_t size)
     return bigger;
 }
 
-/* The `want` items of `seq`, as doubles or (`ints`) int64s, written `stride`
- * bytes apart from `out`: 0, or -1 with ValueError for another count or
- * TypeError naming the first item that is neither. */
+/* A read-only view of `obj` as a C-contiguous buffer of 8-byte items of
+ * struct format `code` ('q': int64, 'd': double), as an array('q') or
+ * array('d') exports it: 0, or -1 with TypeError naming `name` (a list
+ * included).  The caller releases the view. */
 static int
-scatter(PyObject *seq, const char *name, Py_ssize_t want, void *out, size_t stride, int ints)
+typed_view(PyObject *obj, const char *name, char code, Py_buffer *view)
 {
-    PyObject *fast = PySequence_Fast(seq, "expected a sequence");
-    char *at = (char *)out;
-    Py_ssize_t i, n;
-    if (fast == NULL)
+    if (PyObject_GetBuffer(obj, view, PyBUF_C_CONTIGUOUS | PyBUF_FORMAT) < 0) {
+        PyErr_Clear();
+        PyErr_Format(PyExc_TypeError, "%s must be an array('%c'), not %.100s", name, code,
+                     Py_TYPE(obj)->tp_name);
         return -1;
-    if ((n = PySequence_Fast_GET_SIZE(fast)) != want)
-        PyErr_Format(PyExc_ValueError, "%s must have %zd entries, got %zd", name, want, n);
-    for (i = 0; n == want && i < n; i++, at += stride) {
-        PyObject *item = PySequence_Fast_GET_ITEM(fast, i);
-        int failed;
-        if (ints)
-            failed = (*(int64_t *)at = (int64_t)PyLong_AsLongLong(item)) == -1;
-        else
-            failed = (*(double *)at = PyFloat_AsDouble(item)) == -1.0;
-        if (failed && PyErr_Occurred()) {
-            PyErr_Format(PyExc_TypeError, "%s[%zd] is not %s", name, i,
-                         ints ? "an int" : "a float");
-            break;
-        }
     }
-    Py_DECREF(fast);
-    return PyErr_Occurred() ? -1 : 0;
+    if (view->itemsize != 8 || view->format == NULL || view->format[0] != code || view->format[1] != '\0') {
+        PyErr_Format(PyExc_TypeError, "%s must be an array('%c'), not a buffer of format %s", name,
+                     code, view->format != NULL ? view->format : "B");
+        PyBuffer_Release(view);
+        return -1;
+    }
+    return 0;
+}
+
+/* The `want` doubles or (`ints`) int64s of the typed buffer `obj`
+ * (typed_view), written `stride` bytes apart from `out`: 0, or -1 with
+ * TypeError for another kind of object or ValueError for another count. */
+static int
+scatter(PyObject *obj, const char *name, Py_ssize_t want, void *out, size_t stride, int ints)
+{
+    Py_buffer view;
+    Py_ssize_t i, n;
+    if (typed_view(obj, name, ints ? 'q' : 'd', &view) < 0)
+        return -1;
+    if ((n = view.len / 8) != want)
+        PyErr_Format(PyExc_ValueError, "%s must have %zd entries, got %zd", name, want, n);
+    for (i = 0; n == want && i < n; i++)
+        memcpy((char *)out + (size_t)i * stride, (const char *)view.buf + 8 * i, 8);
+    PyBuffer_Release(&view);
+    return n == want ? 0 : -1;
 }
 
 /* PortFaultState.intercepts: each of the port's drop filters is called as
@@ -563,55 +574,46 @@ rec_run(Rec *R)
     return status;
 }
 
-/* The float for v, shared with an equal one made recently, as the OO
- * engine's columns share one float per event. */
-#define FLOATS_BITS 12
-
-static PyObject *
-shared_float(PyObject **made, double v)
-{
-    uint64_t bits;
-    PyObject **slot;
-    double held;
-    memcpy(&bits, &v, sizeof(bits));
-    slot = &made[(bits * 0x9E3779B97F4A7C15ULL) >> (64 - FLOATS_BITS)];
-    if (*slot == NULL || (held = PyFloat_AS_DOUBLE(*slot), memcmp(&held, &v, sizeof(v)) != 0))
-        Py_XSETREF(*slot, PyFloat_FromDouble(v));
-    Py_XINCREF(*slot);
-    return *slot;
-}
-
-/* ((arrival, start_service, departure, output_time), executed); a packet
- * that never exits has output_time None. */
+/* ((arrival, start_service, departure, output_time), executed): the hop
+ * timings as three array('d'), written in place, and output_time a list,
+ * None for a packet that never exits. */
 static PyObject *
 rec_result(Rec *R)
 {
-    PyObject *lists[4] = {NULL}, *made[1 << FLOATS_BITS] = {NULL}, *result = NULL, *value;
+    PyObject *module = PyImport_ImportModule("array"), *one = NULL, *times[3] = {NULL};
+    PyObject *out = NULL, *result = NULL, *value;
+    double *at[3];
+    Py_buffer view;
     Py_ssize_t f, i;
-    for (i = 0; i < 4; i++)
-        if ((lists[i] = PyList_New(i < 3 ? R->nhops : R->nrows)) == NULL)
+    if (module != NULL)
+        one = PyObject_CallMethod(module, "array", "s(d)", "d", 0.0);
+    for (i = 0; i < 3; i++) {  /* n zeros, then their storage, which nothing else resizes */
+        if (one == NULL || (times[i] = PySequence_Repeat(one, R->nhops)) == NULL ||
+            PyObject_GetBuffer(times[i], &view, PyBUF_WRITABLE) < 0)
             goto done;
-    for (f = 0; f < R->nhops; f++)
-        for (i = 0; i < 3; i++) {
-            Hop *h = &R->hops[f];
-            if ((value = shared_float(made, i == 0 ? h->arr : i == 1 ? h->start : h->dep)) == NULL)
-                goto done;
-            PyList_SET_ITEM(lists[i], f, value);
-        }
-    for (f = 0; f < R->nrows; f++) {
-        if (isnan(R->rows[f].out))
-            value = Py_NewRef(Py_None);
-        else if ((value = shared_float(made, R->rows[f].out)) == NULL)
-            goto done;
-        PyList_SET_ITEM(lists[3], f, value);
+        at[i] = (double *)view.buf;
+        PyBuffer_Release(&view);
     }
-    result = Py_BuildValue("(OOOO)L", lists[0], lists[1], lists[2], lists[3],
-                           (long long)R->executed);
+    for (f = 0; f < R->nhops; f++) {
+        at[0][f] = R->hops[f].arr;
+        at[1][f] = R->hops[f].start;
+        at[2][f] = R->hops[f].dep;
+    }
+    if ((out = PyList_New(R->nrows)) == NULL)
+        goto done;
+    for (f = 0; f < R->nrows; f++) {
+        value = isnan(R->rows[f].out) ? Py_NewRef(Py_None) : PyFloat_FromDouble(R->rows[f].out);
+        if (value == NULL)
+            goto done;
+        PyList_SET_ITEM(out, f, value);
+    }
+    result = Py_BuildValue("(OOOO)L", times[0], times[1], times[2], out, (long long)R->executed);
 done:
-    for (i = 0; i < 4; i++)
-        Py_XDECREF(lists[i]);
-    for (i = 0; i < 1 << FLOATS_BITS; i++)
-        Py_XDECREF(made[i]);
+    for (i = 0; i < 3; i++)
+        Py_XDECREF(times[i]);
+    Py_XDECREF(out);
+    Py_XDECREF(one);
+    Py_XDECREF(module);
     return result;
 }
 
@@ -771,9 +773,11 @@ PyDoc_STRVAR(run_flat_replay_doc,
 "delay; prop: per port) to completion, or for max_events events, with every\n"
 "port of kind K_FIFO, K_KEY (keys: per hop) or K_LSTF (keys: slack per\n"
 "packet); faults is ((port, drop_filters, outage_windows), ...) in install\n"
-"order.  Returns ((arrival, start_service, departure, output_time), executed):\n"
-"a hop never reached keeps 0.0 and a packet that never exits (destroyed, or\n"
-"in flight when the budget ran out) has None, bit-identical to the OO engine.");
+"order.  Every other input is an array: 'q' for off and hop_port, 'd' for\n"
+"the rest.  Returns ((arrival, start_service, departure, output_time),\n"
+"executed), the hop timings as array('d'): a hop never reached keeps 0.0\n"
+"and a packet that never exits (destroyed, or in flight when the budget ran\n"
+"out) has None in the output_time list, bit-identical to the OO engine.");
 
 /* ------------------------------------------------------------------ */
 /* run_flat_record                                                    */
@@ -827,7 +831,8 @@ PyDoc_STRVAR(run_flat_record_doc,
 "--\n\n"
 "Record a built open-loop simulation (heap: sim._heap); ports: (kind, propagation\n"
 "delay, randint) per port.  A callback bound to emit_func calls emit(source, time).\n"
-"Returns ((arrival, start_service, departure, output_time), events executed).");
+"Returns ((arrival, start_service, departure, output_time), events executed),\n"
+"the hop timings as array('d') and output_time as a list.");
 
 /* ------------------------------------------------------------------ */
 /* decode_rows: repro-schedule/1 row lines straight into columns.     */
@@ -836,7 +841,10 @@ PyDoc_STRVAR(run_flat_record_doc,
  * The storage half of this module.  core/schedule.py::_decoded_parts cuts
  * a stored schedule's decompressed text into blocks of complete lines and
  * hands each block here; the rows land directly in the 15 ScheduleColumns
- * lists, with no row dict, hop list or column pass in between.
+ * columns, with no row dict, hop list or column pass in between.  The hop
+ * offsets and the three hop times are typed: they collect as int64s and
+ * doubles in C buffers and reach their arrays by one frombytes per column
+ * at the end of a block that was not declined.
  *
  * Exactness is by construction: every value is what json's C scanner
  * makes of the same bytes.  A number is first matched against the JSON
@@ -847,12 +855,16 @@ PyDoc_STRVAR(run_flat_record_doc,
  * PyOS_string_to_double (what float() and json use).  An int of at most 18
  * digits is made exactly in a C integer, a longer one by PyLong_FromString;
  * null is None; a string is taken only when it is ASCII without escapes.
+ * A hop time is the double float() makes of that value, and a null start of
+ * service or departure is -inf, ScheduleColumns' stand-in for None.
  * Everything else declines the whole block — the caller then decodes the
  * same lines with json, the reference, which either agrees or raises the
  * error naming the packet: NaN, Infinity, true, false, an escape or a
  * non-ASCII byte, an unknown, duplicate or missing key, a path element that
  * is not a string, a hop that is not 4 scalars, a non-int packet_id, a
- * non-numeric ingress_time or output_time, a line that is not one object.
+ * non-numeric ingress_time, output_time or hop time (a null arrival
+ * included), a hop time float() would not convert, a line that is not one
+ * object.
  *
  * Lines end at '\n' (a '\r' just before it is dropped); between tokens
  * only ' ' and '\t' are whitespace, so a lone '\r' — which the reference's
@@ -867,10 +879,11 @@ enum { V_SCALAR, V_OPTIONAL, V_INT, V_NUMBER, V_PATH, V_HOPS };
 #define KEY(name) name, (Py_ssize_t)sizeof(name) - 1
 
 /* The row keys in on-disk order, each with the ScheduleColumns field it
- * fills (its index in ScheduleColumns.lists()): "hops" fills hop_offset and
- * the four hop columns after it.  core/schedule.py round-trips one row
- * through both codecs before it uses them, so a table that disagrees with
- * ScheduleColumns is declined, never misparsed. */
+ * fills (its index in ScheduleColumns.lists()): "hops" fills hop_offset (an
+ * array('q')) and the four hop columns after it, the node list and three
+ * array('d') of times.  Every other column is a list.  core/schedule.py
+ * round-trips one row through both codecs before it uses them, so a table
+ * that disagrees with ScheduleColumns is declined, never misparsed. */
 static const struct {
     const char *name;
     Py_ssize_t len;
@@ -887,17 +900,92 @@ static const struct {
 #define N_KEYS ((int)(sizeof(row_keys) / sizeof(row_keys[0])))
 #define N_COLUMNS 15
 
-/* The lists of `columns` into `cols` (borrowed); -1 with TypeError unless
- * it holds ScheduleColumns' 15 lists. */
+/* Where the "hops" key's columns start: hop_offset, the node list, then
+ * the three times. */
 static int
-column_lists(PyObject *columns, PyObject **cols)
+hops_column(void)
 {
-    int i, ok = PyTuple_GET_SIZE(columns) == N_COLUMNS;
-    for (i = 0; ok && i < N_COLUMNS; i++)
-        ok = PyList_Check(cols[i] = PyTuple_GET_ITEM(columns, i));
-    if (!ok)
-        PyErr_SetString(PyExc_TypeError, "columns must be ScheduleColumns' 15 lists");
-    return ok ? 0 : -1;
+    int k = 0;
+    while (row_keys[k].value != V_HOPS)
+        k++;
+    return row_keys[k].column;
+}
+
+/* The typecode column `i` is stored as ('q' or 'd'), or 0 for a list. */
+static char
+column_code(int i)
+{
+    int first = hops_column();
+    return i == first ? 'q' : i > first + 1 && i <= first + 4 ? 'd' : 0;
+}
+
+/* The columns of `columns` into `cols` (borrowed) and a view of each typed
+ * one into `views` (released by release_views); -1 with TypeError, no view
+ * held, unless it holds ScheduleColumns' 15 columns. */
+static int
+column_views(PyObject *columns, PyObject **cols, Py_buffer *views)
+{
+    int i;
+    if (PyTuple_GET_SIZE(columns) != N_COLUMNS) {
+        PyErr_SetString(PyExc_TypeError, "columns must be ScheduleColumns' 15 columns");
+        return -1;
+    }
+    for (i = 0; i < N_COLUMNS; i++) {
+        char code = column_code(i);
+        cols[i] = PyTuple_GET_ITEM(columns, i);
+        views[i].obj = NULL;
+        if (code != 0 && typed_view(cols[i], "a hop column", code, &views[i]) < 0)
+            break;
+        if (code == 0 && !PyList_Check(cols[i])) {
+            PyErr_Format(PyExc_TypeError, "column %d must be a list, not %.100s", i,
+                         Py_TYPE(cols[i])->tp_name);
+            break;
+        }
+    }
+    if (i == N_COLUMNS)
+        return 0;
+    while (i-- > 0)
+        if (views[i].obj != NULL)
+            PyBuffer_Release(&views[i]);
+    return -1;
+}
+
+static void
+release_views(Py_buffer *views)
+{
+    int i;
+    for (i = 0; i < N_COLUMNS; i++)
+        if (views[i].obj != NULL)
+            PyBuffer_Release(&views[i]);
+}
+
+/* A growable byte buffer (PyMem). */
+typedef struct {
+    char *buf;
+    Py_ssize_t len, cap;
+} Buf;
+
+/* Append s[:n]: 0, or -1 with MemoryError. */
+static int
+buf_put(Buf *b, const void *s, Py_ssize_t n)
+{
+    if (n == 0)
+        return 0;
+    if (b->len + n > b->cap) {
+        Py_ssize_t cap = b->cap > 0 ? b->cap : 1 << 12;
+        char *grown;
+        while (b->len + n > cap)
+            cap *= 2;
+        if ((grown = (char *)PyMem_Realloc(b->buf, (size_t)cap)) == NULL) {
+            PyErr_NoMemory();
+            return -1;
+        }
+        b->buf = grown;
+        b->cap = cap;
+    }
+    memcpy(b->buf + b->len, s, (size_t)n);
+    b->len += n;
+    return 0;
 }
 
 /* Values made earlier in this block, direct-mapped by their bytes: a
@@ -950,6 +1038,7 @@ typedef struct {
     PyObject *memo;     /* interned strings and routes, shared across blocks */
     PyObject *route;    /* scratch list the current path is collected in */
     Recent *recent;     /* 1 << RECENT_BITS slots */
+    Buf typed[4];       /* the block's hop offsets (int64), then its three hop times (double) */
     const char *why;    /* what declined the block; NULL on a Python error */
     const char *key;    /* the key it concerns, if any */
 } Reader;
@@ -1081,53 +1170,74 @@ exact_double(const char *s, const char *end, double *out)
 #define exact_double(s, end, out) ((void)(out), 0)  /* PyOS_string_to_double */
 #endif
 
-/* The JSON number at r->p, converted as json's scanner converts it;
- * *is_int tells an int (no fraction, no exponent) from a float. */
-static PyObject *
-number_value(Reader *r, int *is_int)
+/* Match the JSON number grammar at r->p and move past the number; *digits
+ * is where its digits start.  1 for a float (a fraction or an exponent), 0
+ * for an int, -1 when it declines. */
+static int
+number_span(Reader *r, const char **digits)
 {
-    const char *s = r->p, *q = s, *digits;
-    char stack[64], *buf, *stop;
-    Py_ssize_t n;
-    PyObject *value = NULL;
-    Recent *slot = NULL;
+    const char *q = r->p;
+    const char *why = NULL;
     int is_float = 0;
-
     if (q < r->end && *q == '-')
         q++;
-    digits = q;
+    *digits = q;
     if (q < r->end && *q == '0')
         q++;
     else if (is_digit(r, q) && *q != '0')
         while (is_digit(r, q))
             q++;
     else
-        return decline_at(r, q, "-Infinity or a malformed number");
-    if (q < r->end && *q == '.') {
+        why = "-Infinity or a malformed number";
+    if (why == NULL && q < r->end && *q == '.') {
         if (!is_digit(r, ++q))
-            return decline_at(r, q, "a malformed number");
+            why = "a malformed number";
         while (is_digit(r, q))
             q++;
         is_float = 1;
     }
-    if (q < r->end && (*q == 'e' || *q == 'E')) {
+    if (why == NULL && q < r->end && (*q == 'e' || *q == 'E')) {
         q++;
         if (q < r->end && (*q == '+' || *q == '-'))
             q++;
         if (!is_digit(r, q))
-            return decline_at(r, q, "a malformed number");
+            why = "a malformed number";
         while (is_digit(r, q))
             q++;
         is_float = 1;
     }
     r->p = q;
+    return why != NULL ? decline(r, why) : is_float;
+}
+
+/* The digits..end of an int of at most 18 digits (< 10**18 fits a long long). */
+static long long
+short_int(const char *s, const char *digits, const char *end)
+{
+    long long v = 0;
+    for (; digits < end; digits++)
+        v = v * 10 + (*digits - '0');
+    return *s == '-' ? -v : v;
+}
+
+/* The JSON number at r->p, converted as json's scanner converts it;
+ * *is_int tells an int (no fraction, no exponent) from a float. */
+static PyObject *
+number_value(Reader *r, int *is_int)
+{
+    const char *s = r->p, *q, *digits;
+    char stack[64], *buf, *stop;
+    Py_ssize_t n;
+    PyObject *value = NULL;
+    Recent *slot = NULL;
+    int is_float = number_span(r, &digits);
+
+    if (is_float < 0)
+        return NULL;
+    q = r->p;
     *is_int = !is_float;
-    if (!is_float && q - digits <= 18) {  /* < 10**18 fits a long long */
-        long long v = 0;
-        for (; digits < q; digits++)
-            v = v * 10 + (*digits - '0');
-        return PyLong_FromLongLong(*s == '-' ? -v : v);
-    }
+    if (!is_float && q - digits <= 18)
+        return PyLong_FromLongLong(short_int(s, digits, q));
     n = q - s;
     if (is_float) {
         double x;
@@ -1230,10 +1340,44 @@ route_value(Reader *r)
     return found;
 }
 
-/* The array of [node, arrival, start_service, departure] hops at r->p,
- * appended to the four hop columns `hop_cols`. */
+/* The hop time at r->p, appended to `times` as the double float() makes of
+ * json's value; null is -inf where the time is `optional`. */
 static int
-hops_value(Reader *r, PyObject **hop_cols)
+time_value(Reader *r, int optional, Buf *times)
+{
+    const char *s = r->p, *digits;
+    double t;
+    int is_float, is_int;
+    if (optional && r->end - r->p >= 4 && memcmp(r->p, "null", 4) == 0) {
+        r->p += 4;
+        t = -INFINITY;
+        return buf_put(times, &t, sizeof(t));
+    }
+    if (r->p >= r->end || (*r->p != '-' && (*r->p < '0' || *r->p > '9')))
+        return decline(r, "a hop time that is not a number");
+    if ((is_float = number_span(r, &digits)) < 0)
+        return -1;
+    if (!is_float && r->p - digits <= 18)
+        t = (double)short_int(s, digits, r->p);  /* int64 -> double rounds as float() does */
+    else if (!is_float || !exact_double(s, r->p, &t)) {
+        PyObject *value;
+        r->p = s;  /* the rare rest: json's value, then float() of it */
+        if ((value = number_value(r, &is_int)) == NULL)
+            return -1;
+        t = PyFloat_AsDouble(value);
+        Py_DECREF(value);
+        if (t == -1.0 && PyErr_Occurred()) {
+            PyErr_Clear();
+            return decline(r, "a hop time float() would not convert");
+        }
+    }
+    return buf_put(times, &t, sizeof(t));
+}
+
+/* The array of [node, arrival, start_service, departure] hops at r->p: the
+ * nodes appended to `nodes`, the times to r->typed[1..3]. */
+static int
+hops_value(Reader *r, PyObject *nodes)
 {
     int i;
     if (expect(r, '[', "hops that are not an array") < 0)
@@ -1244,20 +1388,22 @@ hops_value(Reader *r, PyObject **hop_cols)
         return 0;
     }
     for (;;) {
+        PyObject *node;
+        int appended;
         if (expect(r, '[', "a hop that is not an array") < 0)
             return -1;
-        for (i = 0; i < 4; i++) {
-            PyObject *value;
-            int appended;
-            if (i > 0 && expect(r, ',', "a hop that is not 4 elements") < 0)
+        skip_ws(r);
+        if ((node = scalar_value(r)) == NULL)
+            return -1;
+        appended = PyList_Append(nodes, node);
+        Py_DECREF(node);
+        if (appended < 0)
+            return -1;
+        for (i = 1; i < 4; i++) {
+            if (expect(r, ',', "a hop that is not 4 elements") < 0)
                 return -1;
             skip_ws(r);
-            value = scalar_value(r);
-            if (value == NULL)
-                return -1;
-            appended = PyList_Append(hop_cols[i], value);
-            Py_DECREF(value);
-            if (appended < 0)
+            if (time_value(r, i > 1, &r->typed[i]) < 0)
                 return -1;
         }
         if (expect(r, ']', "a hop that is not 4 elements") < 0)
@@ -1312,7 +1458,7 @@ row_value(Reader *r, PyObject **cols)
             skip_ws(r);
             kind = row_keys[k].value;
             if (kind == V_HOPS) {
-                if (hops_value(r, cols + row_keys[k].column + 1) < 0)
+                if (hops_value(r, cols[row_keys[k].column + 1]) < 0)
                     goto done;
             } else if (kind == V_PATH) {
                 if ((values[k] = route_value(r)) == NULL)
@@ -1356,13 +1502,13 @@ row_value(Reader *r, PyObject **cols)
         }
     for (k = 0; k < N_KEYS; k++) {
         if (row_keys[k].value == V_HOPS) {
-            /* hop_offset: the hops so far, the hop columns' length after this row's */
-            values[k] = PyLong_FromSsize_t(PyList_GET_SIZE(cols[row_keys[k].column + 1]));
-            if (values[k] == NULL)
+            /* hop_offset: the hops so far, the node list's length after this row's */
+            int64_t end = PyList_GET_SIZE(cols[row_keys[k].column + 1]);
+            if (buf_put(&r->typed[0], &end, sizeof(end)) < 0)
                 goto done;
-        }
-        if (PyList_Append(cols[row_keys[k].column], values[k] != NULL ? values[k] : Py_None) < 0)
+        } else if (PyList_Append(cols[row_keys[k].column], values[k] != NULL ? values[k] : Py_None) < 0) {
             goto done;
+        }
     }
     status = 0;
 done:
@@ -1371,19 +1517,41 @@ done:
     return status;
 }
 
+/* Append the block's typed buffers to their arrays, one frombytes each. */
+static int
+flush_typed(Reader *r, PyObject **cols)
+{
+    int i, first = hops_column();
+    for (i = 0; i < 4; i++) {
+        PyObject *view, *done;
+        if (r->typed[i].len == 0)
+            continue;
+        if ((view = PyMemoryView_FromMemory(r->typed[i].buf, r->typed[i].len, PyBUF_READ)) == NULL)
+            return -1;
+        done = PyObject_CallMethod(cols[first + (i == 0 ? 0 : i + 1)], "frombytes", "O", view);
+        Py_DECREF(view);
+        if (done == NULL)
+            return -1;
+        Py_DECREF(done);
+    }
+    return 0;
+}
+
 static PyObject *
 kernel_decode_rows(PyObject *self, PyObject *args)
 {
     const char *data, *line, *stop;
     Py_ssize_t size, first, rows = 0;
     PyObject *memo, *columns, *cols[N_COLUMNS], *result = NULL;
+    Py_buffer views[N_COLUMNS];
     Reader r;
     int i;
 
     if (!PyArg_ParseTuple(args, "y#O!nO!:decode_rows", &data, &size, &PyDict_Type, &memo,
                           &first, &PyTuple_Type, &columns) ||
-        column_lists(columns, cols) < 0)
+        column_views(columns, cols, views) < 0)
         return NULL;
+    release_views(views);  /* checked only: an array exporting a view cannot grow */
     memset(&r, 0, sizeof(r));
     r.memo = memo;
     r.route = PyList_New(0);
@@ -1416,7 +1584,8 @@ kernel_decode_rows(PyObject *self, PyObject *args)
         }
         rows++;
     }
-    result = PyLong_FromSsize_t(rows);
+    if (flush_typed(&r, cols) == 0)
+        result = PyLong_FromSsize_t(rows);
     goto done;
 
 declined:
@@ -1435,6 +1604,8 @@ done:
     for (i = 0; i < 1 << RECENT_BITS; i++)
         Py_XDECREF(r.recent[i].value);
     PyMem_Free(r.recent);
+    for (i = 0; i < 4; i++)
+        PyMem_Free(r.typed[i].buf);
     return result;
 }
 
@@ -1442,7 +1613,7 @@ PyDoc_STRVAR(decode_rows_doc,
 "decode_rows(block, memo, first, columns)\n"
 "--\n\n"
 "Append a block of repro-schedule/1 row lines to `columns`, ScheduleColumns'\n"
-"15 lists (ScheduleColumns.lists()), and return the rows read.  Returns a\n"
+"15 columns (ScheduleColumns.lists()), and return the rows read.  Returns a\n"
 "str instead — 'packet N: what it saw', N counted on from `first` — when\n"
 "the block holds anything json would read differently or reject, leaving\n"
 "the columns part-filled; the caller then decodes the block with json into\n"
@@ -1453,17 +1624,20 @@ PyDoc_STRVAR(decode_rows_doc,
 /* ------------------------------------------------------------------ */
 /*
  * The mirror of decode_rows.  core/schedule.py's writer hands it the 15
- * ScheduleColumns lists and a row range, and gets back exactly the bytes
+ * ScheduleColumns columns and a row range, and gets back exactly the bytes
  * of json.dumps(row) + "\n" for each row ScheduleColumns.rows would build,
  * with no row dict or hop tuple in between.  A float is spelled by
  * PyOS_double_to_string(v, 'r', 0, Py_DTSF_ADD_DOT_0), the call behind
  * float.__repr__ and so json's; an int exactly; None as null; a str only
- * when it is printable ASCII that json writes unescaped.  Anything else
- * declines the block — a non-finite float, a bool or any int or float
- * subclass, an int past 64 bits, a string json would escape, any other
- * type, a column too short for the rows asked for — and the caller writes
- * it with json, the reference.  Nothing here calls back into Python, so
- * the columns cannot change under the borrowed references the loop holds.
+ * when it is printable ASCII that json writes unescaped.  The typed hop
+ * columns are read through the buffer protocol: offsets as int64s, times
+ * as doubles, a start of service or departure of -inf written as null.
+ * Anything else declines the block — a non-finite float, a bool or any int
+ * or float subclass, an int past 64 bits, a string json would escape, any
+ * other type, hop offsets outside the hop columns, a column too short for
+ * the rows asked for — and the caller writes it with json, the reference.
+ * Nothing here calls back into Python, so the columns cannot change under
+ * the borrowed references and buffer views the loop holds.
  */
 
 /* Floats spelled earlier in this block, direct-mapped by their bits (a
@@ -1478,8 +1652,7 @@ typedef struct {
 } Spelled;
 
 typedef struct {
-    char *buf;
-    Py_ssize_t len, cap;
+    Buf out;
     Spelled *spelled;   /* 1 << SPELLED_BITS slots */
     const char *why;    /* what declined the block; NULL on a Python error */
     const char *key;    /* the row key it concerns */
@@ -1488,19 +1661,7 @@ typedef struct {
 static int
 put(Writer *w, const char *s, Py_ssize_t n)
 {
-    char *buf;
-    if (w->len + n > w->cap) {
-        while (w->len + n > w->cap)
-            w->cap *= 2;
-        if ((buf = (char *)PyMem_Realloc(w->buf, (size_t)w->cap)) == NULL) {
-            PyErr_NoMemory();
-            return -1;
-        }
-        w->buf = buf;
-    }
-    memcpy(w->buf + w->len, s, (size_t)n);
-    w->len += n;
-    return 0;
+    return buf_put(&w->out, s, n);
 }
 
 #define PUT_LITERAL(w, s) put((w), (s), (Py_ssize_t)sizeof(s) - 1)
@@ -1512,31 +1673,36 @@ refuse(Writer *w, const char *why)
     return -1;
 }
 
+/* The finite double `x` as repr() spells it. */
+static int
+put_double(Writer *w, double x)
+{
+    uint64_t bits;
+    Spelled *slot;
+    if (!isfinite(x))
+        return refuse(w, "a non-finite float");
+    memcpy(&bits, &x, sizeof(bits));
+    slot = &w->spelled[(bits * 0x9E3779B97F4A7C15ULL) >> (64 - SPELLED_BITS)];
+    if (slot->len == 0 || slot->bits != bits) {
+        char *text = PyOS_double_to_string(x, 'r', 0, Py_DTSF_ADD_DOT_0, NULL);
+        if (text == NULL)
+            return -1;
+        slot->len = (unsigned char)strlen(text);  /* sign, 17 digits, '.', "e-308" */
+        memcpy(slot->text, text, slot->len);
+        slot->bits = bits;
+        PyMem_Free(text);
+    }
+    return put(w, slot->text, slot->len);
+}
+
 /* `value` as json.dumps spells it, when it is a type spelled here. */
 static int
 put_scalar(Writer *w, PyObject *value)
 {
     if (value == Py_None)
         return PUT_LITERAL(w, "null");
-    if (PyFloat_CheckExact(value)) {
-        double x = PyFloat_AS_DOUBLE(value);
-        uint64_t bits;
-        Spelled *slot;
-        if (!isfinite(x))
-            return refuse(w, "a non-finite float");
-        memcpy(&bits, &x, sizeof(bits));
-        slot = &w->spelled[(bits * 0x9E3779B97F4A7C15ULL) >> (64 - SPELLED_BITS)];
-        if (slot->len == 0 || slot->bits != bits) {
-            char *text = PyOS_double_to_string(x, 'r', 0, Py_DTSF_ADD_DOT_0, NULL);
-            if (text == NULL)
-                return -1;
-            slot->len = (unsigned char)strlen(text);  /* sign, 17 digits, '.', "e-308" */
-            memcpy(slot->text, text, slot->len);
-            slot->bits = bits;
-            PyMem_Free(text);
-        }
-        return put(w, slot->text, slot->len);
-    }
+    if (PyFloat_CheckExact(value))
+        return put_double(w, PyFloat_AS_DOUBLE(value));
     if (PyLong_CheckExact(value)) {
         int overflow;
         long long v = PyLong_AsLongLongAndOverflow(value, &overflow);
@@ -1586,30 +1752,28 @@ put_route(Writer *w, PyObject *route)
     return PUT_LITERAL(w, "]");
 }
 
-/* Row `j`'s hops: `cols` is hop_offset and the four hop columns after it;
- * `hop_count` is the length every hop column reaches. */
+/* Row `j`'s hops: `cols` is hop_offset and the four hop columns after it,
+ * `views` their views; `hop_count` is the length every hop column reaches. */
 static int
-put_hops(Writer *w, PyObject **cols, Py_ssize_t j, Py_ssize_t hop_count)
+put_hops(Writer *w, PyObject **cols, const Py_buffer *views, Py_ssize_t j, Py_ssize_t hop_count)
 {
-    Py_ssize_t first = PyLong_AsSsize_t(PyList_GET_ITEM(cols[0], j));
-    Py_ssize_t last = PyLong_AsSsize_t(PyList_GET_ITEM(cols[0], j + 1));
-    Py_ssize_t h;
+    const int64_t *off = (const int64_t *)views[0].buf;
+    int64_t first = off[j], last = off[j + 1], h;
     int c;
-    if (PyErr_Occurred()) {
-        PyErr_Clear();
-        return refuse(w, "a hop offset that is not an int");
-    }
     if (first < 0 || first > last || last > hop_count)
         return refuse(w, "hop offsets outside the hop columns");
     if (PUT_LITERAL(w, "[") < 0)
         return -1;
     for (h = first; h < last; h++) {
-        if (put(w, h > first ? ", [" : "[", h > first ? 3 : 1) < 0)
+        if (put(w, h > first ? ", [" : "[", h > first ? 3 : 1) < 0 ||
+            put_scalar(w, PyList_GET_ITEM(cols[1], h)) < 0)
             return -1;
-        for (c = 0; c < 4; c++)
-            if ((c > 0 && PUT_LITERAL(w, ", ") < 0) ||
-                put_scalar(w, PyList_GET_ITEM(cols[1 + c], h)) < 0)
+        for (c = 2; c < 5; c++) {  /* arrival, then the optional start of service and departure */
+            double t = ((const double *)views[c].buf)[h];
+            if (PUT_LITERAL(w, ", ") < 0 ||
+                ((c > 2 && t == -INFINITY) ? PUT_LITERAL(w, "null") : put_double(w, t)) < 0)
                 return -1;
+        }
         if (PUT_LITERAL(w, "]") < 0)
             return -1;
     }
@@ -1618,63 +1782,74 @@ put_hops(Writer *w, PyObject **cols, Py_ssize_t j, Py_ssize_t hop_count)
 
 /* Row `j`'s line: its keys in on-disk order. */
 static int
-put_row(Writer *w, PyObject **cols, Py_ssize_t j, Py_ssize_t hop_count)
+put_row(Writer *w, PyObject **cols, const Py_buffer *views, Py_ssize_t j, Py_ssize_t hop_count)
 {
     int k, status;
     for (k = 0; k < N_KEYS; k++) {
-        PyObject **column = cols + row_keys[k].column;
+        int c = row_keys[k].column;
         w->key = row_keys[k].name;
         if (put(w, k == 0 ? "{\"" : ", \"", k == 0 ? 2 : 3) < 0 ||
             put(w, row_keys[k].name, row_keys[k].len) < 0 || PUT_LITERAL(w, "\": ") < 0)
             return -1;
-        status = row_keys[k].value == V_PATH   ? put_route(w, PyList_GET_ITEM(*column, j))
-                 : row_keys[k].value == V_HOPS ? put_hops(w, column, j, hop_count)
-                                               : put_scalar(w, PyList_GET_ITEM(*column, j));
+        status = row_keys[k].value == V_PATH   ? put_route(w, PyList_GET_ITEM(cols[c], j))
+                 : row_keys[k].value == V_HOPS ? put_hops(w, cols + c, views + c, j, hop_count)
+                                               : put_scalar(w, PyList_GET_ITEM(cols[c], j));
         if (status < 0)
             return -1;
     }
     return PUT_LITERAL(w, "}\n");
 }
 
+/* Entries in column `i`: a list's, or a typed view's. */
+static Py_ssize_t
+column_length(PyObject **cols, const Py_buffer *views, int i)
+{
+    return views[i].obj != NULL ? views[i].len / 8 : PyList_GET_SIZE(cols[i]);
+}
+
 static PyObject *
 kernel_encode_rows(PyObject *self, PyObject *args)
 {
     PyObject *columns, *cols[N_COLUMNS], *result = NULL;
+    Py_buffer views[N_COLUMNS];
     Py_ssize_t start, stop, j, hop_count = PY_SSIZE_T_MAX;
     Writer w = {0};
     int k, h;
 
     if (!PyArg_ParseTuple(args, "O!nn:encode_rows", &PyTuple_Type, &columns, &start, &stop) ||
-        column_lists(columns, cols) < 0)
+        column_views(columns, cols, views) < 0)
         return NULL;
-    if (start < 0 || start > stop)
-        return PyUnicode_FromString("a row range that is not one");
-    for (k = 0; k < N_KEYS; k++) {
-        PyObject **column = cols + row_keys[k].column;
-        int is_hops = row_keys[k].value == V_HOPS;  /* hop_offset: one entry more */
-        if (PyList_GET_SIZE(*column) < stop + is_hops)
-            return PyUnicode_FromString("a column shorter than the rows asked for");
-        for (h = 1; is_hops && h <= 4; h++)
-            if (PyList_GET_SIZE(column[h]) < hop_count)
-                hop_count = PyList_GET_SIZE(column[h]);
+    if (start < 0 || start > stop) {
+        result = PyUnicode_FromString("a row range that is not one");
+        goto done;
     }
-    w.buf = (char *)PyMem_Malloc((size_t)(w.cap = 1 << 16));
+    for (k = 0; k < N_KEYS; k++) {
+        int c = row_keys[k].column, is_hops = row_keys[k].value == V_HOPS;  /* hop_offset: one entry more */
+        if (column_length(cols, views, c) < stop + is_hops) {
+            result = PyUnicode_FromString("a column shorter than the rows asked for");
+            goto done;
+        }
+        for (h = 1; is_hops && h <= 4; h++)
+            if (column_length(cols, views, c + h) < hop_count)
+                hop_count = column_length(cols, views, c + h);
+    }
     w.spelled = (Spelled *)PyMem_Calloc((size_t)1 << SPELLED_BITS, sizeof(Spelled));
-    if (w.buf == NULL || w.spelled == NULL) {
+    if (w.spelled == NULL) {
         PyErr_NoMemory();
         goto done;
     }
     for (j = start; j < stop; j++)
-        if (put_row(&w, cols, j, hop_count) < 0) {
+        if (put_row(&w, cols, views, j, hop_count) < 0) {
             if (w.why != NULL)
                 result = PyUnicode_FromFormat("packet %R (row %zd): %s [%s]",
                                               PyList_GET_ITEM(cols[row_keys[0].column], j), j,  /* packet_id */
                                               w.why, w.key);
             goto done;
         }
-    result = PyBytes_FromStringAndSize(w.buf, w.len);
+    result = PyBytes_FromStringAndSize(w.out.buf != NULL ? w.out.buf : "", w.out.len);
 done:
-    PyMem_Free(w.buf);
+    release_views(views);
+    PyMem_Free(w.out.buf);
     PyMem_Free(w.spelled);
     return result;
 }
@@ -1682,7 +1857,7 @@ done:
 PyDoc_STRVAR(encode_rows_doc,
 "encode_rows(columns, start, stop)\n"
 "--\n\n"
-"Rows start..stop of ScheduleColumns' 15 lists (a tuple, in field order) as\n"
+"Rows start..stop of ScheduleColumns' 15 columns (a tuple, in field order) as\n"
 "repro-schedule/1 lines: the bytes json.dumps(row) + '\\n' gives for each.\n"
 "Returns a str instead — 'packet P (row N): what it saw [key]' — when a\n"
 "value is one json would spell otherwise or reject; the caller then writes\n"
@@ -1732,7 +1907,7 @@ PyInit__kernel(void)
     if (PyModule_AddStringConstant(module, "COMPILER", KERNEL_COMPILER) < 0 ||
         PyModule_AddStringConstant(module, "TOOLCHAIN",
                                    "cpython-c-api") < 0 ||
-        PyModule_AddIntConstant(module, "KERNEL_VERSION", 7) < 0) {
+        PyModule_AddIntConstant(module, "KERNEL_VERSION", 8) < 0) {
         Py_DECREF(module);
         return NULL;
     }

@@ -38,6 +38,8 @@ def native_decoder():
 
 def typed(value):
     """``value`` with every float replaced by its bit pattern, every entry tagged with its type."""
+    if isinstance(value, array):
+        return array, value.typecode, value.tobytes()
     if isinstance(value, float):
         return float, struct.pack("<d", value)
     if isinstance(value, (list, tuple)):
@@ -75,6 +77,7 @@ floats = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allo
 numbers = st.one_of(floats, st.integers(min_value=-(2**70), max_value=2**70))
 names = st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789-_. /[]{}:,", min_size=0, max_size=10)
 scalars = st.one_of(st.none(), numbers, names)
+optional_numbers = st.one_of(st.none(), numbers)
 
 
 @st.composite
@@ -88,11 +91,13 @@ def rows(draw, packet_id):
         "ingress_time": draw(numbers),
         "output_time": draw(numbers),
         "path": draw(st.lists(names, max_size=5)),
-        "hops": draw(st.lists(st.lists(scalars, min_size=4, max_size=4), max_size=4)),
+        # A hop: any scalar for its node, a number for its arrival and a
+        # number or null for its start of service and departure.
+        "hops": draw(st.lists(st.tuples(scalars, numbers, optional_numbers, optional_numbers).map(list), max_size=4)),
     }
     for optional in ("flow_size_bytes", "deadline"):
         if draw(st.booleans()):
-            row[optional] = draw(st.one_of(st.none(), numbers))
+            row[optional] = draw(optional_numbers)
     order = draw(st.permutations(list(row)))
     return {key: row[key] for key in order}
 
@@ -195,6 +200,11 @@ DECLINES = {
     "hop-three": _replace('"hops": []', '"hops": [["a", 0.0, 0.0]]'),
     "hop-five": _replace('"hops": []', '"hops": [["a", 0.0, 0.0, 0.1, 0.2]]'),
     "hop-string": _replace('"hops": []', '"hops": ["abcd"]'),
+    "hop-time-string": _replace('"hops": []', '"hops": [["a", "0.5", 0.5, 0.5]]'),
+    "hop-time-true": _replace('"hops": []', '"hops": [["a", 0.5, true, 0.5]]'),
+    "hop-arrival-null": _replace('"hops": []', '"hops": [["a", null, 0.5, 0.5]]'),
+    "hop-time-minus-infinity": _replace('"hops": []', '"hops": [["a", 0.5, 0.5, -Infinity]]'),
+    "hop-time-huge-int": _replace('"hops": []', '"hops": [["a", 0.5, 0.5, 1' + "0" * 400 + ']]'),
     "packet-id-float": _replace('"packet_id": 1', '"packet_id": 1.0'),
     "packet-id-string": _replace('"packet_id": 1', '"packet_id": "1"'),
     "time-string": _replace('"ingress_time": 0.0', '"ingress_time": "0.0"'),

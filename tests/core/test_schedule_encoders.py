@@ -73,6 +73,7 @@ floats = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allo
 ints = st.one_of(st.sampled_from(EDGE_INTS), st.integers(min_value=-(2**63), max_value=2**63 - 1))
 names = st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789-_. /[]{}:,'`~", max_size=10)
 scalars = st.one_of(st.none(), floats, ints, names)
+numbers = st.one_of(floats, ints)
 
 
 @st.composite
@@ -85,10 +86,12 @@ def schedules(draw, ids=ints):
             "src": draw(scalars),
             "dst": draw(scalars),
             "size_bytes": draw(scalars),
-            "ingress_time": draw(st.one_of(floats, ints)),
-            "output_time": draw(st.one_of(floats, ints)),
+            "ingress_time": draw(numbers),
+            "output_time": draw(numbers),
             "path": draw(st.lists(names, max_size=draw(st.sampled_from([0, 5, 60])))),
-            "hops": draw(st.lists(st.tuples(scalars, scalars, scalars, scalars), max_size=6)),
+            "hops": draw(
+                st.lists(st.tuples(scalars, numbers, st.none() | numbers, st.none() | numbers), max_size=6)
+            ),
             "flow_size_bytes": draw(scalars),
             "deadline": draw(scalars),
         }
@@ -168,10 +171,11 @@ class FloatSub(float):
 DECLINES = {
     "nan": ("deadline", math.nan),
     "infinity": ("size_bytes", math.inf),
-    "minus-infinity": ("hop_departure", -math.inf),
+    "minus-infinity": ("hop_arrival", -math.inf),
+    "infinite-departure": ("hop_departure", math.inf),
     "bool": ("flow_id", True),
     "int-subclass": ("flow_size_bytes", IntSub(3)),
-    "float-subclass": ("hop_arrival", FloatSub(0.5)),
+    "float-subclass": ("size_bytes", FloatSub(0.5)),
     "int-past-64-bits": ("flow_id", 2**64),
     "int-below-64-bits": ("size_bytes", -(2**63) - 1),
     "quote": ("src", 'a"b'),

@@ -1,5 +1,6 @@
 """Schedule persistence: the JSON-lines round-trip must be lossless."""
 
+import copy
 import gc
 import json
 import os
@@ -97,6 +98,11 @@ MALFORMED_CHANGES = [
     {"output_time": None},
     {"packet_id": True},
     {"ingress_time": False},
+    {"hops": [["a", "x", True, None]]},
+    {"hops": [["a", 0.0, True, None]]},
+    {"hops": [["a", 0.0, 0.5, "0.5"]]},
+    {"hops": [["a", None, 0.5, 0.5]]},
+    {"hops": [["a", 2**1100, 0.5, 0.5]]},
 ]
 
 
@@ -221,7 +227,7 @@ class TestFileFormat:
         named = re.escape(f"packet {data['packet_id']!r}: malformed row (")
         with pytest.raises(ValueError, match=named) as raised:
             Schedule.from_rows([plain_row(0, ingress=-1.0), data])
-        if change.get("hops") and change["hops"][0]:
+        if change.get("hops") and change["hops"][0] and len(change["hops"][0]) != 4:
             assert "every hop must be [node, arrival, start_service, departure]" in str(raised.value)
         # The file decoder says the same, through both consumers.
         header = {"format": SCHEDULE_FORMAT, "packets": 2, "meta": {}}
@@ -243,7 +249,7 @@ class TestFileFormat:
     def test_a_failed_extend_appends_nothing(self):
         cols = ScheduleColumns()
         cols.extend([plain_row(0)])
-        before = ScheduleColumns(**{name: list(getattr(cols, name)) for name in ScheduleColumns.__slots__})
+        before = ScheduleColumns(**{name: copy.copy(getattr(cols, name)) for name in ScheduleColumns.__slots__})
         with pytest.raises(ValueError, match="packet 2: malformed row"):
             cols.extend([plain_row(1), {**plain_row(2), "path": None}])
         assert cols == before

@@ -70,7 +70,9 @@ def test_the_shipped_kernel_agrees_silently(caplog):
         ("encode", "flow_size_bytes", "deadline", "flow_size_bytes"),
         ("encode", "hop_arrival", "hop_start_service", "hops"),
         ("decode", "flow_id", "size_bytes", "flow_id"),
-        ("decode", "hop_node", "hop_departure", "hop_node"),
+        ("decode", "hop_start_service", "hop_departure", "hop_start_service"),
+        # A list where the kernel reads an array is refused before any row.
+        ("decode", "hop_node", "hop_departure", "column 11 must be a list, not array.array"),
     ],
 )
 def test_a_disagreeing_kernel_is_declined_and_json_serves(monkeypatch, tmp_path, caplog, codec, a, b, key):

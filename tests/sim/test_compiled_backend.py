@@ -13,6 +13,8 @@ its cache themselves.
 import json
 import signal
 import time
+from array import array
+from functools import partial
 from unittest import mock
 
 import pytest
@@ -163,6 +165,11 @@ class TestListBackendsCli:
         assert "no C compiler" in out
 
 
+#: The kernel's typed inputs: offsets and port ids as int64, times as doubles.
+ints, doubles = partial(array, "q"), partial(array, "d")
+TYPED = {"hop_port": ints, "hop_tx": doubles, "keys": doubles}
+
+
 @needs_kernel
 class TestCompiledKernel:
     """Built-kernel specifics not covered by the equivalence suite."""
@@ -176,7 +183,22 @@ class TestCompiledKernel:
     def test_kernel_validates_array_lengths(self):
         kernel = kernel_loop("run_flat_replay")
         with pytest.raises(ValueError, match="off"):
-            kernel([0.0], [0], [], [], [1e-3], LSTF, [0.0])
+            kernel(doubles([0.0]), ints([0]), ints([]), doubles([]), doubles([1e-3]), LSTF, doubles([0.0]))
+
+    @pytest.mark.parametrize(
+        "name, value, message",
+        [
+            ("ingress", [0.0], r"ingress must be an array\('d'\), not list"),
+            ("off", array("d", [0.0, 1.0]), r"off must be an array\('q'\), not a buffer of format d"),
+            ("hop_tx", array("f", [1e-3]), r"hop_tx must be an array\('d'\), not a buffer of format f"),
+            ("keys", (0.0,), r"keys must be an array\('d'\), not tuple"),
+        ],
+    )
+    def test_kernel_takes_typed_arrays_only(self, name, value, message):
+        arrays = {"ingress": doubles([0.0]), "off": ints([0, 1]), "hop_port": ints([0]),
+                  "hop_tx": doubles([1e-3]), "prop": doubles([1e-3]), "kind": LSTF, "keys": doubles([0.0])}
+        with pytest.raises(TypeError, match=message):
+            kernel_loop("run_flat_replay")(**{**arrays, name: value})
 
     @pytest.mark.parametrize(
         "off, inputs, message",
@@ -198,19 +220,20 @@ class TestCompiledKernel:
         (LSTF, one port, unless overridden)."""
         total, packets = max(off[-1], 0), len(off) - 1
         arrays = {
-            "hop_port": [0] * total,
-            "hop_tx": [1e-3] * total,
-            "prop": [1e-3],
+            "hop_port": ints([0] * total),
+            "hop_tx": doubles([1e-3] * total),
+            "prop": doubles([1e-3]),
             "kind": LSTF,
-            "keys": [0.0] * packets,
-            **inputs,
+            "keys": doubles([0.0] * packets),
+            **{name: TYPED[name](v) if name in TYPED and v is not None else v for name, v in inputs.items()},
         }
         with pytest.raises(ValueError, match=message):
-            kernel_loop("run_flat_replay")([0.0, 1.0][:packets], off, **arrays)
+            kernel_loop("run_flat_replay")(doubles([0.0, 1.0][:packets]), ints(off), **arrays)
 
     def test_kernel_empty_input(self):
         kernel = kernel_loop("run_flat_replay")
-        assert kernel([], [0], [], [], [], LSTF, []) == (([], [], [], []), 0)
+        empty = (doubles([]), doubles([]), doubles([]), [])
+        assert kernel(doubles([]), ints([0]), ints([]), doubles([]), doubles([]), LSTF, doubles([])) == (empty, 0)
 
     @pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="no SIGALRM")
     def test_a_signal_interrupts_a_replay_in_the_kernel(self, fixture_topology):
@@ -228,11 +251,11 @@ class TestCompiledKernel:
             path=[path] * n,
             flow_size_bytes=[None] * n,
             deadline=[None] * n,
-            hop_offset=list(range(0, 3 * n + 1, 3)),
+            hop_offset=ints(range(0, 3 * n + 1, 3)),
             hop_node=list(path[:-1]) * n,
-            hop_arrival=[0.0] * (3 * n),
-            hop_start_service=[0.0] * (3 * n),
-            hop_departure=[0.0] * (3 * n),
+            hop_arrival=doubles([0.0] * (3 * n)),
+            hop_start_service=doubles([0.0] * (3 * n)),
+            hop_departure=doubles([0.0] * (3 * n)),
         )
         schedule = Schedule.from_columns(cols)
         kernel, spent, alarm = kernel_loop("run_flat_replay"), [], []
