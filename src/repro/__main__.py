@@ -564,14 +564,14 @@ def cmd_diff(args: argparse.Namespace) -> int:
         for name, reason in declined:
             print(
                 f"note: backend {name!r} declines this configuration ({reason}); "
-                f"its leg runs on {engine.name} (the diff degenerates to a "
+                f"its leg runs on {engine} (the diff degenerates to a "
                 "determinism twin)",
                 file=sys.stderr,
             )
         replayed_a, replayed_b = replay_pair(
             topology, schedule, REFERENCE_BACKEND, backend, initializer=initializer, **config
         )
-        ran = engine.name if engine.name != REFERENCE_BACKEND else f"{REFERENCE_BACKEND}#2"
+        ran = engine if engine != REFERENCE_BACKEND else f"{REFERENCE_BACKEND}#2"
         divergence = first_divergence(
             replayed_a, replayed_b, context=args.context, label_a=REFERENCE_BACKEND, label_b=ran
         )

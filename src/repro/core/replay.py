@@ -15,6 +15,10 @@ The workflow mirrors the paper exactly:
    vector).
 3. **Compare**: count overdue packets and packets overdue by more than one
    bottleneck-link transmission time, and collect queueing-delay ratios.
+
+:func:`replay_schedule` runs each replay on the engine
+:func:`repro.sim.backend.select_engine` names: the OO engine here, the
+reference, or the flat kernel of :mod:`repro.core.replay_compiled`.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from repro.schedulers.lstf import LstfScheduler, PreemptiveLstfScheduler
 from repro.schedulers.omniscient import OmniscientReplayScheduler
 from repro.schedulers.priority import StaticPriorityScheduler
 from repro.sim import flat_record
-from repro.sim.backend import SimBackend, select_engine
+from repro.sim.backend import REFERENCE_BACKEND, select_engine
 from repro.sim.engine import Simulator
 from repro.sim.flow import DEFAULT_MSS
 from repro.sim.network import Network, SchedulerFactory
@@ -235,54 +239,40 @@ def _lookup_mode(mode: str):
         raise KeyError(f"unknown replay mode {mode!r}; known modes: {known}") from None
 
 
-class PythonBackend(SimBackend):
-    """The reference backend: the OO engine, unchanged behaviour.
-
-    This is the behavioural specification every other backend must match
-    bit-for-bit; it supports every replay configuration (all modes, finite
-    buffers, preemption, any fault kind).
-    """
-
-    name = "python"
-    replay_note = (
-        "reference OO engine; supports every replay configuration "
-        "(all modes, finite buffers, preemption, any fault kind)"
+def _replay_python(
+    topology: Topology,
+    schedule: Schedule,
+    mode: str = "lstf",
+    default_buffer_bytes: Optional[float] = None,
+    max_events: Optional[int] = None,
+    initializer: Optional[ReplayInitializer] = None,
+    faults=None,
+) -> Schedule:
+    """The reference engine's replay: the OO engine, which runs every configuration."""
+    sim = Simulator()
+    tracer = Tracer()
+    network = topology.build(
+        sim,
+        replay_scheduler_factory(mode),
+        tracer=tracer,
+        default_buffer_bytes=default_buffer_bytes,
     )
-
-    def replay(
-        self,
-        topology: Topology,
-        schedule: Schedule,
-        mode: str = "lstf",
-        default_buffer_bytes: Optional[float] = None,
-        max_events: Optional[int] = None,
-        initializer: Optional[ReplayInitializer] = None,
-        faults=None,
-    ) -> Schedule:
-        sim = Simulator()
-        tracer = Tracer()
-        network = topology.build(
-            sim,
-            replay_scheduler_factory(mode),
-            tracer=tracer,
-            default_buffer_bytes=default_buffer_bytes,
-        )
-        if initializer is None:
-            initializer = replay_initializer(mode)
-        injector = ReplayInjector(sim, network, schedule, initializer, topology.link_params())
-        injector.install()
-        if faults is not None and not faults.is_empty():
-            network.install_faults(faults, horizon=replay_fault_horizon(schedule))
-        # Without faults there are no feedback loops and no drops, and with
-        # them destroyed packets simply never reach their sink: either way
-        # the event queue drains once every surviving packet has exited.
-        sim.run(until=None, max_events=max_events)
-        replayed = Schedule.from_packets(tracer.delivered_data_packets())
-        # As in record_schedule: the built network is cyclic garbage from
-        # here on, and an empty tracer lets refcounting free the replayed
-        # packets now rather than at the cycle collector's next full pass.
-        tracer.reset()
-        return replayed
+    if initializer is None:
+        initializer = replay_initializer(mode)
+    injector = ReplayInjector(sim, network, schedule, initializer, topology.link_params())
+    injector.install()
+    if faults is not None and not faults.is_empty():
+        network.install_faults(faults, horizon=replay_fault_horizon(schedule))
+    # Without faults there are no feedback loops and no drops, and with
+    # them destroyed packets simply never reach their sink: either way
+    # the event queue drains once every surviving packet has exited.
+    sim.run(until=None, max_events=max_events)
+    replayed = Schedule.from_packets(tracer.delivered_data_packets())
+    # As in record_schedule: the built network is cyclic garbage from
+    # here on, and an empty tracer lets refcounting free the replayed
+    # packets now rather than at the cycle collector's next full pass.
+    tracer.reset()
+    return replayed
 
 
 def replay_schedule(
@@ -324,16 +314,12 @@ def replay_schedule(
             other, which then runs on the reference engine.
     """
     engine, declined = select_engine(backend, topology, mode, default_buffer_bytes, faults)
-    logger.debug("replaying mode=%s on %s; declined: %s", mode, engine.name, declined)
-    return engine.replay(
-        topology,
-        schedule,
-        mode=mode,
-        default_buffer_bytes=default_buffer_bytes,
-        max_events=max_events,
-        initializer=initializer,
-        faults=faults,
-    )
+    logger.debug("replaying mode=%s on %s; declined: %s", mode, engine, declined)
+    if engine == REFERENCE_BACKEND:
+        run = _replay_python
+    else:
+        from repro.core.replay_compiled import replay as run  # it imports this module
+    return run(topology, schedule, mode, default_buffer_bytes, max_events, initializer, faults)
 
 
 def replay_pair(

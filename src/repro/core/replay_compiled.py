@@ -1,4 +1,4 @@
-"""The ``"compiled"`` replay backend: batch setup + the native flat event loop.
+"""The ``"compiled"`` replay engine: batch setup + the native flat event loop.
 
 Replay is the pipeline's hot path — one record run feeds many replay cells —
 and everything a replay needs is known before the first event fires:
@@ -6,7 +6,7 @@ a schedule's columns are already in ingress-time order, routes are pinned
 (source routing), buffers are infinite, and the candidate schedulers' keys
 are either static per hop (EDF, priority, omniscient), arrival order (FIFO)
 or an affine function of one dynamic per-packet value (LSTF slack).  This
-backend exploits that:
+engine exploits that:
 
 1. **Setup** (here): read the schedule's columns (no per-packet object
    is built), expand each distinct route into per-hop arrays, and compute
@@ -20,26 +20,19 @@ backend exploits that:
 2. **Run**: ``run_flat_replay`` in the compiled kernel extension
    (:mod:`repro.sim.compiled`, a hand-written CPython C extension; see
    ``_kernel.c`` for the event choreography it mirrors and the bit-identity
-   argument).  It runs the flat recorder's port model and event loop
-   (:mod:`repro.sim.flat_record`).  Its output arrays become the replayed
-   schedule's columns as they are; packets a fault destroys never exit and
-   are left out.
+   argument), which takes typed ``array`` buffers only.  It runs the flat
+   recorder's port model and event loop (:mod:`repro.sim.flat_record`).  Its
+   output arrays become the replayed schedule's columns as they are; packets
+   a fault destroys never exit and are left out.
 
-The backend declines configurations its loop does not model — preemptive
-LSTF, finite buffers, unknown modes, fault kinds other than the shipped ones
-(:meth:`CompiledBackend.decline_reason`) — and
-:func:`repro.sim.backend.select_engine` then offers the replay to the
-``"python"`` reference backend, so callers never see a behaviour
-difference, only a speed difference.
-
-Availability is a *toolchain* question: the kernel ships as source and
-:mod:`repro.sim.compiled` builds it on first use, so only an environment that
-cannot compile it (no C compiler, no Python headers) lacks it, and replays
-there run on ``python``.  :meth:`CompiledBackend.unavailable_reason` is the
-loader's precise reason (why the build failed, compiler output included);
-naming the engine then fails with it (``PipelineConfigError``, CLI exit 2)
-and unselected replays simply skip it
-(:func:`repro.sim.backend.replay_candidates`).
+:func:`decline_reason` names what the loop does not model — preemptive LSTF,
+finite buffers, unknown modes, fault kinds other than the shipped ones — and
+:func:`repro.sim.backend.select_engine` then hands the replay to
+``"python"``, the reference engine, so callers never see a behaviour
+difference, only a speed difference.  Where the kernel cannot be built (no
+C compiler, no Python headers) unselected replays run on ``python`` and
+naming ``compiled`` fails with the loader's reason
+(:func:`repro.sim.backend.check_backend`, CLI exit 2).
 """
 
 from __future__ import annotations
@@ -58,8 +51,7 @@ from repro.core.schedule import Schedule
 from repro.core.slack import LinkParams, ReplayInitializer
 from repro.faults.defs import BernoulliLoss, GilbertElliottLoss, JammingIntervals, LinkOutage
 from repro.schedulers.priority import SjfScheduler
-from repro.sim.backend import SimBackend
-from repro.sim.compiled import kernel_build_info, kernel_loop, unavailable_reason
+from repro.sim.compiled import kernel_loop
 from repro.sim.engine import Simulator
 from repro.sim.flat_record import KINDS
 from repro.topology.base import Topology
@@ -133,138 +125,121 @@ def _flatten(topology: Topology, schedule: Schedule, link_params: LinkParams) ->
     return flat
 
 
-class CompiledBackend(SimBackend):
-    """Array-based replay engine on the native kernel; bit-identical to ``"python"``."""
+#: Replay modes with a flat-loop key model.  ``lstf-preemptive`` is excluded:
+#: preemption re-opens in-flight transmissions, which the flat loop does not
+#: model (the python engine handles it).
+SUPPORTED_MODES = frozenset({"lstf", "edf", "priority", "omniscient", "fifo"})
 
-    name = "compiled"
-    replay_note = (
-        "flat kernel (lstf/edf/priority/omniscient/fifo, infinite buffers, "
-        "fault plans); native C event loop (built on first use; needs a C compiler)"
+#: Fault kinds the flat loop replays: the shipped ones, whose drop filters
+#: ignore their packet argument (the loop has no packet object to hand them).
+SUPPORTED_FAULTS = frozenset({LinkOutage, BernoulliLoss, GilbertElliottLoss, JammingIntervals})
+
+
+def decline_reason(
+    topology: Topology, mode: str, default_buffer_bytes: Optional[float] = None, faults=None
+) -> Optional[str]:
+    """Why the flat loop cannot replay this configuration bit-identically, or ``None``.
+
+    Asked only by :func:`repro.sim.backend.select_engine`; the short, stable
+    reason ends up in the replay's log line.  The loop never overflows a
+    queue, so finite buffers — the default or any one link's — belong to the
+    reference engine, as do preemption and a plan with a fault kind outside
+    :data:`SUPPORTED_FAULTS`.  An empty plan is fault-free; any header
+    initializer runs.
+    """
+    if mode not in SUPPORTED_MODES:
+        return f"replay mode {mode}"
+    if faults is not None and not faults.is_empty():
+        for fault in faults.definition.faults:
+            if type(fault) not in SUPPORTED_FAULTS:
+                return f"fault kind {fault.kind}"
+    if default_buffer_bytes is not None:
+        return "finite default buffer"
+    for spec in topology.links:
+        if spec.buffer_bytes is not None:
+            return f"finite buffer at {spec.a}<->{spec.b}"
+    return None
+
+
+def replay(
+    topology: Topology,
+    schedule: Schedule,
+    mode: str = "lstf",
+    default_buffer_bytes: Optional[float] = None,
+    max_events: Optional[int] = None,
+    initializer: Optional[ReplayInitializer] = None,
+    faults=None,
+) -> Schedule:
+    """Replay ``schedule`` on the flat loop (see :func:`repro.core.replay.replay_schedule`);
+    a mode outside :data:`SUPPORTED_MODES` is a ``ValueError``, never another mode."""
+    if mode not in SUPPORTED_MODES:
+        raise ValueError(f"the flat loop does not model replay mode {mode!r}")
+    if initializer is None:
+        initializer = replay_initializer(mode)
+    link_params = topology.link_params()
+    off, hop_port, hop_node, hop_tx, hop_sum, prop = _flatten(topology, schedule, link_params)
+
+    # ---- header initialization -> the ports' queue kind and its keys ----
+    slack, priority, deadline, vectors = initializer.headers(schedule.columns(), link_params)
+    # The port kind of the mode's scheduler where the recorder has one
+    # (lstf keyed in the loop from the per-packet ``slack``, fifo not at
+    # all); the other modes hand per-hop keys to SJF's static-key queue.
+    kind = KINDS.get(REPLAY_MODES[mode][0], KINDS[SjfScheduler])
+    keys = None if mode == "fifo" else array("d", slack if mode == "lstf" else ())
+    if mode == "priority":
+        # Each packet's priority on every one of its hops.
+        keys.extend(chain.from_iterable(map(repeat, priority, map(sub, off[1:], off))))
+    elif mode == "omniscient":
+        for vector, first, last in zip(vectors, off, off[1:]):
+            # One vector entry is consumed per enqueue, i.e. per hop in
+            # path order; hops beyond the vector key at +inf.
+            hops = last - first
+            keys.extend(vector[:hops])
+            keys.extend([math.inf] * (hops - len(vector)))
+    elif mode == "edf":
+        for target, base, last in zip(deadline, off, off[1:]):
+            hops = last - base
+            if target == math.inf:
+                keys.extend([math.inf] * hops)
+                continue
+            for k in range(hops):
+                # Network.tmin_along over the remaining path: a forward
+                # left-fold of (tx + prop) per link, association kept
+                # (hop_sum[i] is the elementwise tx + prop; reduce() is
+                # the same fold, driven from C).
+                tmin_remaining = _reduce(_add, hop_sum[base + k : base + hops], 0.0)
+                # EdfScheduler.key: deadline - tmin_remaining + tx.
+                keys.append(target - tmin_remaining + hop_tx[base + k])
+
+    # ---- the fault plan, compiled per port in install order ----
+    plan = None
+    if faults is not None and not faults.is_empty():
+        ports = {f"{a}->{b}": port for port, (a, b) in enumerate(link_params)}
+        plan = [
+            (ports[link_name], filters, windows)
+            for link_name, filters, windows in faults.link_faults(
+                link_params, replay_fault_horizon(schedule)
+            )
+        ]
+
+    # ---- run; the result wraps the kernel's output arrays as columns ----
+    (arr, start, dep, egress), executed = kernel_loop("run_flat_replay")(
+        array("d", schedule.columns().ingress_time),
+        off,
+        hop_port,
+        hop_tx,
+        prop,
+        kind,
+        keys,
+        max_events=max_events,
+        faults=plan,
     )
-
-    #: Replay modes with a flat-loop key model.  ``lstf-preemptive`` is
-    #: excluded: preemption re-opens in-flight transmissions, which the flat
-    #: loop does not model (the python backend handles it).
-    SUPPORTED_MODES = frozenset({"lstf", "edf", "priority", "omniscient", "fifo"})
-
-    #: Fault kinds the flat loop replays: the shipped ones, whose drop
-    #: filters ignore their packet argument (the loop has no packet object
-    #: to hand them).
-    SUPPORTED_FAULTS = frozenset({LinkOutage, BernoulliLoss, GilbertElliottLoss, JammingIntervals})
-
-    def unavailable_reason(self) -> Optional[str]:
-        """Why the kernel does not load here (asking may build it)."""
-        return unavailable_reason()
-
-    def build_info(self) -> Optional[dict]:
-        """Kernel build metadata (``list --backends``)."""
-        return kernel_build_info()
-
-    def decline_reason(
-        self,
-        topology: Topology,
-        mode: str,
-        default_buffer_bytes: Optional[float] = None,
-        faults=None,
-    ) -> Optional[str]:
-        """Anything the flat loop does not model: preemption, finite buffers,
-        foreign fault kinds.
-
-        The loop never overflows a queue, so finite buffers — the default or
-        any one link's — belong to the reference engine, as does a plan with
-        a fault kind outside :attr:`SUPPORTED_FAULTS`.  Any header initializer runs.
-        """
-        if mode not in self.SUPPORTED_MODES:
-            return f"replay mode {mode}"
-        if faults is not None and not faults.is_empty():
-            for fault in faults.definition.faults:
-                if type(fault) not in self.SUPPORTED_FAULTS:
-                    return f"fault kind {fault.kind}"
-        if default_buffer_bytes is not None:
-            return "finite default buffer"
-        for spec in topology.links:
-            if spec.buffer_bytes is not None:
-                return f"finite buffer at {spec.a}<->{spec.b}"
-        return None
-
-    def replay(
-        self,
-        topology: Topology,
-        schedule: Schedule,
-        mode: str = "lstf",
-        default_buffer_bytes: Optional[float] = None,
-        max_events: Optional[int] = None,
-        initializer: Optional[ReplayInitializer] = None,
-        faults=None,
-    ) -> Schedule:
-        if mode not in self.SUPPORTED_MODES:
-            raise ValueError(f"the flat loop does not model replay mode {mode!r}")
-        if initializer is None:
-            initializer = replay_initializer(mode)
-        link_params = topology.link_params()
-        off, hop_port, hop_node, hop_tx, hop_sum, prop = _flatten(topology, schedule, link_params)
-
-        # ---- header initialization -> the ports' queue kind and its keys ----
-        slack, priority, deadline, vectors = initializer.headers(schedule.columns(), link_params)
-        # The port kind of the mode's scheduler where the recorder has one
-        # (lstf keyed in the loop from the per-packet ``slack``, fifo not at
-        # all); the other modes hand per-hop keys to SJF's static-key queue.
-        kind = KINDS.get(REPLAY_MODES[mode][0], KINDS[SjfScheduler])
-        keys = None if mode == "fifo" else array("d", slack if mode == "lstf" else ())
-        if mode == "priority":
-            # Each packet's priority on every one of its hops.
-            keys.extend(chain.from_iterable(map(repeat, priority, map(sub, off[1:], off))))
-        elif mode == "omniscient":
-            for vector, first, last in zip(vectors, off, off[1:]):
-                # One vector entry is consumed per enqueue, i.e. per hop in
-                # path order; hops beyond the vector key at +inf.
-                hops = last - first
-                keys.extend(vector[:hops])
-                keys.extend([math.inf] * (hops - len(vector)))
-        elif mode == "edf":
-            for target, base, last in zip(deadline, off, off[1:]):
-                hops = last - base
-                if target == math.inf:
-                    keys.extend([math.inf] * hops)
-                    continue
-                for k in range(hops):
-                    # Network.tmin_along over the remaining path: a forward
-                    # left-fold of (tx + prop) per link, association kept
-                    # (hop_sum[i] is the elementwise tx + prop; reduce() is
-                    # the same fold, driven from C).
-                    tmin_remaining = _reduce(_add, hop_sum[base + k : base + hops], 0.0)
-                    # EdfScheduler.key: deadline - tmin_remaining + tx.
-                    keys.append(target - tmin_remaining + hop_tx[base + k])
-
-        # ---- the fault plan, compiled per port in install order ----
-        plan = None
-        if faults is not None and not faults.is_empty():
-            ports = {f"{a}->{b}": port for port, (a, b) in enumerate(link_params)}
-            plan = [
-                (ports[link_name], filters, windows)
-                for link_name, filters, windows in faults.link_faults(
-                    link_params, replay_fault_horizon(schedule)
-                )
-            ]
-
-        # ---- run; the result wraps the kernel's output arrays as columns ----
-        (arr, start, dep, egress), executed = kernel_loop("run_flat_replay")(
-            array("d", schedule.columns().ingress_time),
-            off,
-            hop_port,
-            hop_tx,
-            prop,
-            kind,
-            keys,
-            max_events=max_events,
-            faults=plan,
-        )
-        Simulator.events_executed_total += executed
-        return schedule.with_timings(
-            output_time=egress,
-            hop_offset=off,
-            hop_node=hop_node,
-            hop_arrival=arr,
-            hop_start_service=start,
-            hop_departure=dep,
-        )
+    Simulator.events_executed_total += executed
+    return schedule.with_timings(
+        output_time=egress,
+        hop_offset=off,
+        hop_node=hop_node,
+        hop_arrival=arr,
+        hop_start_service=start,
+        hop_departure=dep,
+    )

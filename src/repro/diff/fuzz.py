@@ -197,7 +197,7 @@ def run_comparison(
         initializer = policy.build_initializer(scenario.replay_mode)
     config = dict(mode=scenario.replay_mode, faults=scenario.fault_plan())
     ran_a, ran_b = (
-        select_engine(backend, topology, **config)[0].name
+        select_engine(backend, topology, **config)[0]
         for backend in (spec.backend_a, spec.backend_b)
     )
     if engines is not None:

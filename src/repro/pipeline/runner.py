@@ -87,6 +87,8 @@ from repro.pipeline.experiment import (
     scenario_cache_key,
 )
 from repro.pipeline.scenario import PipelineConfigError, Scenario, registered
+from repro.sim.backend import BACKEND_ENV_VAR, REFERENCE_BACKEND, selected_backend
+from repro.sim.compiled import kernel_available
 from repro.utils.stats import summarize
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (experiments -> pipeline)
@@ -312,11 +314,9 @@ def _worker_init(
     _WORKER_CONTEXT = (ScheduleCache(cache_dir, shard_packets=shard_packets), cell_timeout)
     if backend is not None:
         # Workers resolve the run's engine through the same process-wide
-        # channel as everything else (see replay_candidates); an explicit
+        # channel as everything else (see select_engine); an explicit
         # initarg — rather than inherited environment — keeps spawn-based
         # platforms working.
-        from repro.sim.backend import BACKEND_ENV_VAR
-
         os.environ[BACKEND_ENV_VAR] = backend
 
 
@@ -454,7 +454,7 @@ def backend_scope(backend: Optional[str]):
     """Pin ``backend`` as the process-wide engine for the duration of a run.
 
     The selection travels through :data:`~repro.sim.backend.BACKEND_ENV_VAR`
-    — the channel :func:`~repro.sim.backend.replay_candidates` consults when
+    — the channel :func:`~repro.sim.backend.select_engine` consults when
     a replay names no engine — so every replay in the run (in-process
     tasks, nested helpers) picks it up without threading a
     parameter through each experiment definition.  ``None`` pins nothing:
@@ -465,14 +465,7 @@ def backend_scope(backend: Optional[str]):
     unavailable engine fails before any cell runs (``PipelineConfigError``,
     CLI exit 2).
     """
-    from repro.sim.backend import (
-        BACKEND_ENV_VAR,
-        REFERENCE_BACKEND,
-        get_backend,
-        pinned_backend_name,
-    )
-
-    get_backend(backend or pinned_backend_name() or REFERENCE_BACKEND)  # fail fast
+    selected_backend(backend)  # fail fast
     if backend is None:
         yield
         return
@@ -568,8 +561,8 @@ def run_pipeline(
         slack_policy: Slack-policy registry name overriding every scenario's
             replay initialization, for experiments that support it
             (``python -m repro run ... --slack-policy <name>``).
-        backend: Replay-engine name (see
-            :data:`repro.sim.backend.ENGINES`) pinned for the whole run — in-process
+        backend: Replay-engine name (``python`` or ``compiled``, see
+            :mod:`repro.sim.backend`) pinned for the whole run — in-process
             tasks and pool workers alike (``python -m repro run ...
             --backend <name>``); ``None`` lets each replay take the fastest
             available engine that supports it.  Validated before anything runs;
@@ -711,15 +704,13 @@ def run_pipeline(
             serial_cache = ScheduleCache(cache_dir, shard_packets=shard_packets, writer=writer)
             in_process = _InProcessExecutor((serial_cache, cell_timeout))
             make_executor = lambda: in_process  # noqa: E731
-        if workers > 1 and backend is None:
-            # The first engine probe of a process may compile the C kernel
-            # (repro.sim.compiled).  Do it here, once, before any pool forks:
-            # N workers must not race to build N times, and a build must not
-            # run under a cell's SIGALRM deadline.  A serial run stays lazy —
-            # one that never replays never probes.
-            from repro.sim.backend import replay_candidates
-
-            replay_candidates()
+        if workers > 1 and selected_backend() != REFERENCE_BACKEND:
+            # The first kernel probe of a process may compile the C kernel.
+            # Do it here, once, before any pool forks: N workers must not
+            # race to build N times, and a build must not run under a cell's
+            # SIGALRM deadline.  A serial run stays lazy — one that never
+            # replays never probes — and a python-pinned run never probes.
+            kernel_available()
         cell_results, errors, stored, records_computed, unrecorded = _run_rounds(
             tasks, scale, make_executor, workers > 1, plan_cache, max_retries, retry_backoff
         )

@@ -105,8 +105,14 @@ class PreemptiveLstfScheduler(LstfScheduler):
     The preempted packet's untransmitted bytes are re-queued and transmitted
     later (the downstream node still receives the packet in one piece once
     its last bit has been sent, i.e. fragments are reassembled at the next
-    hop).  This approximates the theoretically convenient preemptive model
-    from the paper's appendix closely enough for the ablation study.
+    hop).  It is Section 2.3 (5)'s ablation, *not* the appendix's preemptive
+    model: it preempts only when a packet arrives, and compares the arrival
+    with the in-flight packet's slack frozen at its dequeue, so it is
+    least-laxity evaluated at arrivals only.  Measured on generated
+    schedules where every path crosses two congested segments (k = 2), its
+    replays were late in 15 of 40 single-size cases and 13 of 40 mixed-size
+    ones, by up to 0.85 transmission times (deadline-ordered preemption was
+    late in none of the 80).
     """
 
     preemptive = True

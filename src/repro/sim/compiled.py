@@ -5,8 +5,8 @@ holding one flat event loop, for the ``compiled`` engine's replays
 (:mod:`repro.core.replay_compiled`; see its header for the determinism
 argument) and for flat recording (:mod:`repro.sim.flat_record`), and the
 ``repro-schedule/1`` row decoder and encoder of stored schedules.  It ships
-as source and builds itself: the first probe of a process — when an engine
-list with ``compiled`` is drawn up (:mod:`repro.sim.backend`), a recording
+as source and builds itself: the first probe of a process — when a replay
+may run on ``compiled`` (:mod:`repro.sim.backend`), a recording
 is offered to the flat loop or a stored schedule is loaded or saved, never
 at import, and remembered here, the one availability memo there is —
 hashes the source and loads ``__pycache__/_kernel-<sha12><EXT_SUFFIX>`` from
@@ -228,10 +228,9 @@ def kernel_loop(name: str) -> Callable:
     """The compiled kernel's ``run_flat_replay`` or ``run_flat_record``.
 
     Raises:
-        RuntimeError: when the kernel is unavailable.  An unavailable engine
-            is never a replay candidate
-            (:func:`repro.sim.backend.replay_candidates`) and the flat
-            recorder declines first, so this is a backstop, not an API.
+        RuntimeError: when the kernel is unavailable.  No replay is sent
+            to an unavailable kernel (:func:`repro.sim.backend.select_engine`)
+            and the flat recorder declines first, so this is a backstop, not an API.
     """
     kernel = _kernel()
     if kernel.module is None:

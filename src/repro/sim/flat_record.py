@@ -38,7 +38,7 @@ from repro.schedulers.lstf import LstfScheduler
 from repro.schedulers.priority import SjfScheduler
 from repro.schedulers.random_sched import RandomScheduler
 from repro.schedulers.srpt import SrptScheduler
-from repro.sim.backend import REFERENCE_BACKEND, pinned_backend_name
+from repro.sim.backend import REFERENCE_BACKEND, selected_backend
 from repro.sim.compiled import kernel_available, kernel_loop
 from repro.sim.engine import Simulator
 from repro.sim.node import Host
@@ -91,6 +91,7 @@ def decline_reason(simulation: "Simulation", max_events: Optional[int] = None) -
 
     Decided from the *built* simulation (a second build would consume a
     stateful scheduler factory's child streams twice); a decline is logged.
+    An unknown or unavailable ``$REPRO_BACKEND`` pin raises as a replay's does.
     """
     reason = _decline_reason(simulation, max_events)
     if reason is not None:
@@ -99,7 +100,7 @@ def decline_reason(simulation: "Simulation", max_events: Optional[int] = None) -
 
 
 def _decline_reason(simulation: "Simulation", max_events: Optional[int]) -> Optional[str]:
-    if pinned_backend_name() == REFERENCE_BACKEND:
+    if selected_backend() == REFERENCE_BACKEND:
         return f"backend pinned to {REFERENCE_BACKEND}"
     if max_events is not None:
         return "max_events budget"

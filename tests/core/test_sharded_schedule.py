@@ -323,11 +323,11 @@ class TestCliDiffParity:
         schedules exactly as single-file ones: replaying either form of the
         same recording is bit-identical."""
         from repro.core.replay import replay_schedule
-        from repro.sim.backend import get_backend
+        from repro.sim.backend import check_backend
         from repro.topology.base import Topology
 
         try:
-            get_backend(backend)
+            check_backend(backend)
         except Exception as error:
             pytest.skip(f"{backend} backend unavailable: {error}")
         single, manifest = forms

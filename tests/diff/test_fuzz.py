@@ -268,16 +268,16 @@ class TestEnginesThatRan:
         assert "no divergence" not in report.format()
 
     def test_a_divergence_is_labelled_by_the_engines_that_ran(self, monkeypatch):
-        from repro.core.replay_compiled import CompiledBackend
+        from repro.core import replay_compiled
 
-        real = CompiledBackend.replay
+        real = replay_compiled.replay
 
-        def late(self, *args, **kwargs):
-            replayed = real(self, *args, **kwargs)
+        def late(*args, **kwargs):
+            replayed = real(*args, **kwargs)
             replayed.columns().output_time[0] += 1e-9
             return replayed
 
-        monkeypatch.setattr(CompiledBackend, "replay", late)
+        monkeypatch.setattr(replay_compiled, "replay", late)
         spec = ComparisonSpec("backend-pair", "python", "compiled")
         clean, _ = case_plan(2, 0, self.BACKENDS)
         faulted, _ = case_plan(2, 1, self.BACKENDS)

@@ -77,7 +77,7 @@ def test_a_fifo_replay_of_a_fifo_recording_is_the_recording(
 ):
     topo, _ = case
     recorded = record(topo, "fifo", seed, utilization, recorder)
-    assert select_engine(replayer, topo, "fifo")[0].name == replayer
+    assert select_engine(replayer, topo, "fifo")[0] == replayer
     replayed = replay_schedule(topo, recorded, mode="fifo", backend=replayer).columns()
     want = recorded.columns()
     assert replayed.packet_id == want.packet_id
@@ -96,6 +96,6 @@ def test_a_fifo_replay_of_a_fifo_recording_is_the_recording(
 def test_an_omniscient_replay_is_never_late(recorder, replayer, case, original, seed, utilization):
     topo, _ = case
     recorded = record(topo, original, seed, utilization, recorder)
-    assert select_engine(replayer, topo, "omniscient")[0].name == replayer
+    assert select_engine(replayer, topo, "omniscient")[0] == replayer
     result = evaluate_replay(topo, recorded, mode="omniscient", backend=replayer)
     assert result.overdue_fraction == 0.0

@@ -1,6 +1,6 @@
 """Cross-backend equivalence: every backend must match the reference engine.
 
-The ``SimBackend`` contract (``docs/backends.md``) is bit-identity: a replay
+The two engines' contract (``docs/backends.md``) is bit-identity: a replay
 run under any engine must produce the *exact* rows the reference python
 engine produces — same floats, same tie-breaks, same record order.  These
 tests hold the compiled engine to that contract directly, with no twin in
@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 
 from repro.core import replay_compiled
 from repro.core.replay import ReplayExperiment, evaluate_replay, replay_schedule
-from repro.core.replay_compiled import CompiledBackend
 from repro.core.schedule import Schedule
 from repro.faults import FAULTS, BernoulliLoss, FaultPlan, FaultScheduleDef
 from repro.faults.defs import GilbertElliottLoss, JammingIntervals, LinkOutage
@@ -35,9 +34,6 @@ from repro.utils import mbps
 
 #: Modes the flat kernel implements (lstf-preemptive falls back).
 FLAT_MODES = ("lstf", "edf", "priority", "omniscient", "fifo")
-
-#: Backend classes under equivalence test, keyed by registry name.
-OPTIMIZED_BACKEND_CLASSES = {"compiled": CompiledBackend}
 
 #: Skip-marked — not silently dropped — with the loader's own reason where
 #: the kernel cannot be built, so a toolchain-less environment reports the gap.
@@ -100,8 +96,7 @@ class TestGoldenEquivalence:
     def test_rows_bit_identical(
         self, fixture_topology, recorded_schedule, mode, backend
     ):
-        backend_cls = OPTIMIZED_BACKEND_CLASSES[backend]
-        assert backend_cls().decline_reason(fixture_topology, mode) is None
+        assert replay_compiled.decline_reason(fixture_topology, mode) is None
         reference = replay_schedule(
             fixture_topology, recorded_schedule, mode=mode, backend="python"
         )
@@ -280,7 +275,7 @@ def kernel_runner(topology, schedule, mode):
             return results[-1]
 
         with mock.patch.object(replay_compiled, "kernel_loop", lambda name: capturing):
-            CompiledBackend().replay(topology, schedule, mode=mode)
+            replay_compiled.replay(topology, schedule, mode=mode)
         return results[0]
 
     return run
@@ -353,7 +348,7 @@ class TestFaultEquivalence:
         self, fixture_topology, recorded_schedule, fault, mode
     ):
         config = dict(mode=mode, faults=FaultPlan(FAULTS.get(fault), seed=3))
-        assert CompiledBackend().decline_reason(fixture_topology, **config) is None
+        assert replay_compiled.decline_reason(fixture_topology, **config) is None
         reference = replayed_and_events(fixture_topology, recorded_schedule, "python", **config)
         candidate = replayed_and_events(fixture_topology, recorded_schedule, "compiled", **config)
         assert candidate == reference
@@ -482,8 +477,7 @@ class TestBackendSeam:
     def test_unsupported_mode_falls_back(
         self, fixture_topology, recorded_schedule, backend
     ):
-        instance = OPTIMIZED_BACKEND_CLASSES[backend]()
-        assert instance.decline_reason(fixture_topology, "lstf-preemptive")
+        assert replay_compiled.decline_reason(fixture_topology, "lstf-preemptive")
         # replay_schedule routes the run to the reference engine.
         reference = replay_schedule(
             fixture_topology, recorded_schedule, mode="lstf-preemptive",
@@ -495,8 +489,7 @@ class TestBackendSeam:
         )
         assert rows(candidate) == rows(reference)
 
-    @pytest.mark.parametrize("name", sorted(OPTIMIZED_BACKEND_CLASSES))
-    def test_finite_buffers_decline(self, name):
+    def test_finite_buffers_decline(self):
         topo = Topology(
             name="finite-buffers",
             nodes=[NodeSpec("a", "host"), NodeSpec("r", "router"), NodeSpec("b", "host")],
@@ -505,12 +498,10 @@ class TestBackendSeam:
                 LinkSpec("r", "b", mbps(10), 0.001),
             ],
         )
-        assert OPTIMIZED_BACKEND_CLASSES[name]().decline_reason(topo, "lstf")
+        assert replay_compiled.decline_reason(topo, "lstf")
 
-    @pytest.mark.parametrize("name", sorted(OPTIMIZED_BACKEND_CLASSES))
-    def test_finite_default_buffer_declines(self, fixture_topology, name):
-        backend = OPTIMIZED_BACKEND_CLASSES[name]()
-        assert backend.decline_reason(fixture_topology, "lstf", default_buffer_bytes=15000.0)
+    def test_finite_default_buffer_declines(self, fixture_topology):
+        assert replay_compiled.decline_reason(fixture_topology, "lstf", default_buffer_bytes=15000.0)
 
     def test_unknown_backend_raises(self, fixture_topology, recorded_schedule):
         with pytest.raises(PipelineConfigError, match="unknown backend"):

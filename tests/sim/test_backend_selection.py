@@ -18,12 +18,12 @@ from repro.core.replay import ReplayExperiment, replay_schedule
 from repro.core.slack import ReplayInitializer
 from repro.core.slack_policy import SLACK_POLICIES
 from repro.faults import FAULTS, BernoulliLoss, FaultPlan, FaultScheduleDef
+from repro.pipeline.scenario import PipelineConfigError
 from repro.sim.backend import (
     BACKEND_ENV_VAR,
     available_backend_names,
+    check_backend,
     describe_backends,
-    get_backend,
-    replay_candidates,
     resolve_backend,
     select_engine,
 )
@@ -83,9 +83,8 @@ def loss_plan():
 
 
 def decide(topology, selector=None, **config):
-    """``select_engine``'s answer as ``(engine name, [(declined name, reason), ...])``."""
-    engine, declined = select_engine(selector, topology, **config)
-    return engine.name, declined
+    """``select_engine``'s answer: ``(engine name, [(declined name, reason), ...])``."""
+    return select_engine(selector, topology, **config)
 
 
 def replayed_on(caplog, topology, schedule, **config):
@@ -206,6 +205,12 @@ class TestSelectorsPinTheEngine:
         monkeypatch.setenv(BACKEND_ENV_VAR, "no-such-engine")  # never read
         assert decide(topology, "python") == ("python", [])
 
+    def test_an_unknown_pin_is_refused_like_an_unknown_argument(self, monkeypatch, topology):
+        monkeypatch.setenv(BACKEND_ENV_VAR, "bogus")
+        for selector in (None, "bogus"):
+            with pytest.raises(PipelineConfigError, match="unknown backend 'bogus'"):
+                decide(topology, selector)
+
     @needs_kernel
     def test_selected_engine_that_declines_hands_over_to_the_reference(self, topology):
         assert decide(topology, "compiled", mode="lstf-preemptive") == (
@@ -241,7 +246,7 @@ class TestDeclineReasons:
         assert (engine, who) == ("python", name)
         assert reason and "\n" not in reason
         assert decide(on, name, **config)[1] == declined  # stable: asked twice, same words
-        assert get_backend("python").decline_reason(on, **{"mode": "lstf", **config}) is None
+        assert decide(on, "python", **config) == ("python", [])
 
     @needs_kernel
     def test_a_fault_plan_runs_on_compiled(self, topology):
@@ -259,23 +264,28 @@ class TestDeclineReasons:
         assert f"mode=lstf on {FASTEST}; declined: []" in faulted.getMessage()
 
 
-class TestCandidateList:
-    def test_unselected_list_is_the_available_builtins_fastest_first(self):
-        names = [backend.name for backend in replay_candidates()]
-        assert names == ["compiled", "python"][-len(names) :]
-        assert names[0] == FASTEST
+class TestTheTwoEngines:
+    def test_listing_is_both_engines_fastest_first(self):
+        entries = describe_backends()
+        assert [entry["name"] for entry in entries] == ["compiled", "python"]
+        assert [entry["name"] for entry in entries if entry["available"]] == [*ACCELERATED, "python"]
 
-    def test_a_named_engine_is_followed_by_the_reference_once(self):
-        for name in ACCELERATED:
-            assert [backend.name for backend in replay_candidates(name)] == [name, "python"]
-        assert [backend.name for backend in replay_candidates("python")] == ["python"]
+    def test_a_named_engine_is_checked_and_python_is_behind_it(self, topology):
+        assert [check_backend(name) for name in (*ACCELERATED, "python")] == [*ACCELERATED, "python"]
+        for name in ACCELERATED:  # declined once, to python, and nothing after it
+            assert decide(topology, name, mode="lstf-preemptive") == (
+                "python",
+                [(name, "replay mode lstf-preemptive")],
+            )
+        assert decide(topology, "python", mode="lstf-preemptive") == ("python", [])
 
-    def test_availability_is_probed_once_per_process(self, no_compiler, monkeypatch):
-        """The kernel loader's memo is the only one: two unselected lists, one probe."""
+    def test_availability_is_probed_once_per_process(self, no_compiler, monkeypatch, topology):
+        """The kernel loader's memo is the only one: two selections and a listing, one
+        probe; an unselected replay skips the missing kernel silently, fault plan or not."""
         probes = []
         real = compiled_mod._probe
         monkeypatch.setattr(compiled_mod, "_probe", lambda *a, **k: probes.append(a) or real(*a, **k))
-        assert [backend.name for backend in replay_candidates()] == ["python"]
+        assert decide(topology) == decide(topology, mode="fifo", faults=loss_plan()) == ("python", [])
         assert [entry["name"] for entry in describe_backends() if entry["available"]] == ["python"]
         assert len(probes) == 1
 

@@ -30,9 +30,9 @@ from repro.schedulers.lstf import LstfScheduler
 from repro.schedulers.priority import SjfScheduler
 from repro.sim.backend import (
     BACKEND_ENV_VAR,
-    ENGINES,
+    REPLAY_NOTES,
+    check_backend,
     describe_backends,
-    get_backend,
     select_engine,
 )
 from repro.sim.compiled import kernel_available, kernel_loop, unavailable_reason
@@ -80,21 +80,20 @@ class TestPurePythonInstallPath:
         assert compiled_mod.kernel_build_info() is None
 
     def test_python_still_resolves(self, no_compiler):
-        assert get_backend("python").name == "python"
+        assert check_backend("python") == "python"
 
     def test_compiled_is_registered_but_unavailable(self, no_compiler):
-        assert "compiled" in ENGINES
+        assert "compiled" in REPLAY_NOTES
         with pytest.raises(PipelineConfigError, match="unavailable"):
-            get_backend("compiled")
+            check_backend("compiled")
 
     def test_supports_replay_declines_without_kernel(
         self, no_compiler, fixture_topology, monkeypatch
     ):
-        """An unavailable engine is not asked at all: it is never a candidate
-        (so nothing "declined"), and naming it is refused at resolution."""
+        """An unavailable engine is not asked at all: an unselected replay skips
+        it (so nothing "declined"), and naming it is refused."""
         monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)  # CI runs this file under a pin
-        engine, declined = select_engine(None, fixture_topology, "lstf")
-        assert (engine.name, declined) == ("python", [])
+        assert select_engine(None, fixture_topology, "lstf") == ("python", [])
         with pytest.raises(PipelineConfigError, match="unavailable"):
             select_engine("compiled", fixture_topology, "lstf")
 
@@ -111,14 +110,14 @@ class TestErrorDistinction:
 
     def test_unknown_backend_lists_registered_names(self):
         with pytest.raises(PipelineConfigError) as excinfo:
-            get_backend("no-such-backend")
+            check_backend("no-such-backend")
         message = str(excinfo.value)
         assert "unknown backend" in message
         assert "registered backends: compiled, python " in message
 
     def test_unavailable_backend_names_itself_and_the_fix(self, no_compiler):
         with pytest.raises(PipelineConfigError) as excinfo:
-            get_backend("compiled")
+            check_backend("compiled")
         message = str(excinfo.value)
         assert "unknown backend" not in message
         assert "compiled" in message and "unavailable" in message
@@ -134,6 +133,15 @@ class TestErrorDistinction:
         monkeypatch.setenv(BACKEND_ENV_VAR, "vectorized")
         assert main(["run", "table1", "--no-cache"]) == 2
         assert "unknown backend 'vectorized'" in capsys.readouterr().err
+
+    def test_cli_record_refuses_an_unknown_pin_as_replay_does(self, capsys, monkeypatch, tmp_path):
+        """The recorder reads the pin through the same check: ``record`` exits 2
+        and writes nothing."""
+        out = tmp_path / "s.jsonl.gz"
+        monkeypatch.setenv(BACKEND_ENV_VAR, "bogus")
+        assert main(["record", "I2-1G-10G@70", "--scale", "smoke", "--out", str(out)]) == 2
+        assert "unknown backend 'bogus'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_cli_unavailable_backend_exits_2(self, no_compiler, capsys):
         code = main(["run", "table1", "--backend", "compiled", "--no-cache"])
@@ -175,7 +183,7 @@ class TestCompiledKernel:
     """Built-kernel specifics not covered by the equivalence suite."""
 
     def test_build_info_names_the_toolchain(self):
-        info = get_backend("compiled").build_info()
+        [info] = [entry["build"] for entry in describe_backends() if entry["name"] == "compiled"]
         assert info["toolchain"] == "cpython-c-api"
         assert info["compiler"]
         assert info["kernel_version"] >= 1
@@ -289,12 +297,10 @@ class TestCompiledKernel:
     def test_a_mode_the_loop_does_not_model_is_refused_by_name(
         self, fixture_topology, recorded_schedule
     ):
-        """Called directly, past ``decline_reason``, the backend names the mode
+        """Called directly, past ``decline_reason``, the engine names the mode
         rather than replay it as another or fail on the kernel's inputs."""
         with pytest.raises(ValueError, match="replay mode 'lstf-preemptive'"):
-            get_backend("compiled").replay(
-                fixture_topology, recorded_schedule, mode="lstf-preemptive"
-            )
+            replay_compiled.replay(fixture_topology, recorded_schedule, mode="lstf-preemptive")
 
     def test_zero_budget_executes_nothing(self, fixture_topology, recorded_schedule):
         replayed = replay_schedule(

@@ -20,7 +20,8 @@ import pytest
 
 import repro.sim.compiled as compiled_mod
 from repro.__main__ import main
-from repro.sim.backend import BACKEND_ENV_VAR, replay_candidates
+from repro.sim.backend import BACKEND_ENV_VAR, select_engine
+from repro.topology.base import Topology
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 EXT_SUFFIX = sysconfig.get_config_var("EXT_SUFFIX")
@@ -64,11 +65,17 @@ import repro.sim.compiled as c
 c._SOURCE = sys.argv[1]
 spawns, real = [], c._spawn
 c._spawn = lambda argv: spawns.append(argv) or real(argv)
-from repro.sim.backend import replay_candidates
+from repro.sim.backend import select_engine
+from repro.topology.base import Topology
 print(json.dumps({"available": c.kernel_available(), "info": c.kernel_build_info(),
                   "reason": c.unavailable_reason(), "spawns": len(spawns),
-                  "engine": replay_candidates()[0].name}))
+                  "engine": select_engine(None, Topology("linkless"))[0]}))
 """
+
+
+def unselected_engine() -> str:
+    """The engine an unselected replay runs on here."""
+    return select_engine(None, Topology("linkless"))[0]
 
 
 def fresh_process(sandbox: Path) -> subprocess.Popen:
@@ -104,7 +111,7 @@ class TestBuildAndCache:
         )
         assert spawned() == 1 and target.is_file()
         assert [r.message for r in caplog.records if r.message.startswith("built ")]
-        assert replay_candidates()[0].name == "compiled"
+        assert unselected_engine() == "compiled"
 
         second = report(fresh_process(kernel_sandbox))
         assert second["available"] and second["spawns"] == 0
@@ -212,7 +219,7 @@ class TestNoCompiler:
         assert compiled_mod.kernel_available() is False
         marker = Path(f"{kernel_path(no_compiler)}.failed")
         assert "no C compiler" in marker.read_text()
-        assert replay_candidates()[0].name == "python"
+        assert unselected_engine() == "python"
         # The next process *has* a compiler (nothing hides it there): only the
         # marker can be what keeps it from building.
         later = report(fresh_process(no_compiler))
@@ -227,7 +234,7 @@ class TestNoCompiler:
         golden = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(golden)
         golden.test_golden_rows_bit_identical()
-        assert [backend.name for backend in replay_candidates()] == ["python"]
+        assert unselected_engine() == "python"
 
     def test_warns_once_per_process(self, no_compiler, caplog):
         for _ in range(3):

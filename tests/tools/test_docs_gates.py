@@ -54,6 +54,19 @@ class TestDocsLinkGate:
         result = run_tool("check_docs.py", str(page))
         assert result.returncode == 0, result.stdout
 
+    def test_stale_repro_name_fails_and_fenced_names_are_skipped(self, tmp_path):
+        page = tmp_path / "names.md"
+        page.write_text(
+            "`repro.bench.harness.rows_digest` and `repro.sim.compiled._memo` resolve;\n"
+            "```python\nrepro.fenced.never_checked\n`repro.fenced.never_checked`\n```\n"
+            "`repro.bench.rows_digest` moved, and `repro.no_such_module` never was.\n"
+        )
+        result = run_tool("check_docs.py", str(page))
+        assert result.returncode == 1
+        assert f"{page}:6: `repro.bench.rows_digest` does not resolve" in result.stdout
+        assert f"{page}:6: `repro.no_such_module` does not resolve" in result.stdout
+        assert "fenced" not in result.stdout and "harness" not in result.stdout
+
 
 class TestDocstringGate:
     def test_documented_packages_pass(self):

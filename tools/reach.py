@@ -40,16 +40,12 @@ ALLOWED = {
         diff.fuzz:shrink_case,write_artifact,load_case,FuzzFailure.to_dict,ComparisonSpec.to_dict
         diff.fuzz:ComparisonSpec.from_dict,ComparisonSpec.describe
         pipeline.synth:scenario_to_dict,scenario_from_dict,simplified""",
-    "the `--workload` / `--slack-policy` / `--fault` overrides of `run`": """
-        pipeline.scenario:override_workload,override_slack_policy,override_faults,_pin
-        pipeline.experiment:ScenarioExperimentDef.pin_workload core.slack:NullSlackPolicy.on_packet_sent
-        experiments.adversarial:AdversarialDefinition.pin_workload""",
     "a kernel build, or no kernel (first build, tools/build_compiled.py, no compiler)": """
         sim.compiled:_compiler,_spawn,_build,_remove_other_builds,build_kernel""",
     "error paths: failed or timed-out cells, corrupt cache entries, declined recordings": """
         pipeline.runner:CellError.to_dict,_CellFailure.capture,_cell_deadline._on_timeout,_cell_error
         pipeline.experiment:Cell.cell_id pipeline.cache:ScheduleCache._quarantine
-        sim.backend:_config_error sim.link:Link.name""",
+        sim.link:Link.name""",
     "finite-buffer overflow picks and removes a victim; no smoke run overflows a buffer": """
         schedulers.base:Scheduler.choose_drop,PriorityScheduler.remove,PriorityScheduler.queued_entries
         schedulers.fifo:FifoScheduler.remove schedulers.lifo:LifoScheduler.remove,LifoScheduler.byte_count
@@ -145,6 +141,10 @@ def _commands(tmp: str, pinned: bool) -> list:
         ("run", "--all", *smoke, "--cache-dir", cache, "--json"),
         ("run", "scale", *smoke, "--shard-packets", "10", "--cache-dir", shards),
         ("run", "table1", *smoke, "--replicates", "2", "--cache-dir", cache),
+        ("run", "table1", "adversarial", *smoke, "--workload", "on-off-jamming",
+         "--slack-policy", "deadline", "--cache-dir", cache),
+        ("run", "figure2", *smoke, "--slack-policy", "null", "--cache-dir", cache),
+        ("run", "faults", *smoke, "--fault", "outage-long", "--cache-dir", cache),
         ("record", "I2-1G-10G@70", *smoke, "--out", s1),
         ("record", "I2-1G-10G-fifo", *smoke, "--out", s2),
         ("replay", s1), ("replay", s1, "--mode", "lstf-preemptive"), ("replay", s1, "--json"),
