@@ -17,8 +17,9 @@ The same experiment runs as pipeline cells (one per scheduler) via::
 """
 
 from repro.analysis.fct import PAPER_FCT_BUCKET_EDGES, fct_by_flow_size, mean_fct
+from repro.core.slack_policy import SLACK_POLICIES
 from repro.experiments import ExperimentScale
-from repro.experiments.figure2 import run_fct_scenario
+from repro.experiments.figure2 import FIGURE2_SCHEDULERS, run_fct_scenario
 
 
 def main() -> None:
@@ -28,8 +29,9 @@ def main() -> None:
     print(header)
     print("-" * len(header))
     per_scheduler = {}
-    for scheduler in ("fifo", "srpt", "sjf", "lstf"):
-        flows = run_fct_scenario(scale, scheduler)
+    for scheduler, (registry_name, policy) in FIGURE2_SCHEDULERS.items():
+        slack_policy = SLACK_POLICIES.get(policy).build_live() if policy else None
+        flows = run_fct_scenario(scale, registry_name, slack_policy)
         completed = [flow for flow in flows if flow.completed]
         overall = mean_fct(completed)
         per_scheduler[scheduler] = completed

@@ -16,8 +16,13 @@ The same experiment runs as pipeline cells (one per scheduler) via::
 """
 
 from repro.analysis.delay import delay_statistics
+from repro.core.slack_policy import SLACK_POLICIES
 from repro.experiments import ExperimentScale
-from repro.experiments.figure3 import run_delay_scenario
+from repro.experiments.figure3 import FIGURE3_SCHEDULERS, run_delay_scenario
+
+#: Figure 3's deployments plus FIFO+ deployed natively, a sanity row that
+#: should match the LSTF-with-constant-slack deployment.
+SCHEDULERS = {**FIGURE3_SCHEDULERS, "fifo+": ("fifo+", None)}
 
 
 def main() -> None:
@@ -29,8 +34,9 @@ def main() -> None:
     )
     print(header)
     print("-" * len(header))
-    for scheduler in ("fifo", "lstf", "fifo+"):
-        packets = run_delay_scenario(scale, scheduler)
+    for scheduler, (registry_name, policy) in SCHEDULERS.items():
+        slack_policy = SLACK_POLICIES.get(policy).build_live() if policy else None
+        packets = run_delay_scenario(scale, registry_name, slack_policy)
         stats = delay_statistics(packets)
         print(
             f"{scheduler:<10} {stats.count:>8} {stats.mean * 1e3:>12.2f} "

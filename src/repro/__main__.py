@@ -225,7 +225,7 @@ def _replay_scenarios(scale) -> dict:
 # run
 # ---------------------------------------------------------------------- #
 def cmd_run(args: argparse.Namespace) -> int:
-    from repro.experiments.runner import format_result, results_to_json
+    from repro.experiments.config import format_result, results_to_json
     from repro.pipeline.experiment import default_registry
     from repro.pipeline.runner import run_pipeline
     from repro.pipeline.scenario import registered
@@ -252,7 +252,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         shard_packets=args.shard_packets,
     )
     if args.json:
-        payload = json.loads(results_to_json(summary.results))
+        payload = results_to_json(summary.results)
         payload["_summary"] = {
             "cells": summary.cells,
             "workers": summary.workers,
@@ -398,7 +398,7 @@ def cmd_list(args: argparse.Namespace) -> int:
     if args.json:
         print(json.dumps(entries, indent=2))
         return 0
-    from repro.experiments.runner import format_table
+    from repro.experiments.config import format_table
 
     rows = [
         dict(

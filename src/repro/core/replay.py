@@ -243,7 +243,6 @@ def _replay_python(
     topology: Topology,
     schedule: Schedule,
     mode: str = "lstf",
-    default_buffer_bytes: Optional[float] = None,
     max_events: Optional[int] = None,
     initializer: Optional[ReplayInitializer] = None,
     faults=None,
@@ -251,12 +250,7 @@ def _replay_python(
     """The reference engine's replay: the OO engine, which runs every configuration."""
     sim = Simulator()
     tracer = Tracer()
-    network = topology.build(
-        sim,
-        replay_scheduler_factory(mode),
-        tracer=tracer,
-        default_buffer_bytes=default_buffer_bytes,
-    )
+    network = topology.build(sim, replay_scheduler_factory(mode), tracer=tracer)
     if initializer is None:
         initializer = replay_initializer(mode)
     injector = ReplayInjector(sim, network, schedule, initializer, topology.link_params())
@@ -279,7 +273,6 @@ def replay_schedule(
     topology: Topology,
     schedule: Schedule,
     mode: str = "lstf",
-    default_buffer_bytes: Optional[float] = None,
     max_events: Optional[int] = None,
     initializer: Optional[ReplayInitializer] = None,
     backend: Optional[str] = None,
@@ -295,7 +288,6 @@ def replay_schedule(
         schedule: The recorded original schedule supplying the traffic.
         mode: Replay mode selecting the candidate scheduler (and, when
             ``initializer`` is not given, the matching header initializer).
-        default_buffer_bytes: Buffer capacity (``None`` = infinite).
         max_events: Safety valve forwarded to the engine.
         initializer: Header initializer overriding the mode's default —
             how slack-policy replays (:mod:`repro.core.slack_policy`) stamp
@@ -313,13 +305,13 @@ def replay_schedule(
             ``compiled`` replays the shipped fault kinds and declines any
             other, which then runs on the reference engine.
     """
-    engine, declined = select_engine(backend, topology, mode, default_buffer_bytes, faults)
+    engine, declined = select_engine(backend, topology, mode, faults)
     logger.debug("replaying mode=%s on %s; declined: %s", mode, engine, declined)
     if engine == REFERENCE_BACKEND:
         run = _replay_python
     else:
         from repro.core.replay_compiled import replay as run  # it imports this module
-    return run(topology, schedule, mode, default_buffer_bytes, max_events, initializer, faults)
+    return run(topology, schedule, mode, max_events, initializer, faults)
 
 
 def replay_pair(
@@ -365,7 +357,6 @@ def evaluate_replay(
     mode: str = "lstf",
     threshold: Optional[float] = None,
     threshold_packet_bytes: float = float(DEFAULT_MSS),
-    default_buffer_bytes: Optional[float] = None,
     initializer: Optional[ReplayInitializer] = None,
     backend: Optional[str] = None,
     faults=None,
@@ -379,8 +370,6 @@ def evaluate_replay(
         threshold: Lateness threshold ``T``; defaults to one transmission
             time of ``threshold_packet_bytes`` on the slowest link.
         threshold_packet_bytes: Packet size used for the default threshold.
-        default_buffer_bytes: Buffer capacity in the replay network (``None``
-            = infinite, the paper's setting).
         initializer: Header initializer overriding the mode's default (see
             :func:`replay_schedule`); used by slack-policy replays.
         backend: Engine selector forwarded to :func:`replay_schedule`
@@ -394,7 +383,6 @@ def evaluate_replay(
         topology,
         original,
         mode=mode,
-        default_buffer_bytes=default_buffer_bytes,
         initializer=initializer,
         backend=backend,
         faults=faults,
@@ -435,7 +423,6 @@ def record_schedule(
     seed: int = 0,
     sources: Optional[Sequence[str]] = None,
     destinations: Optional[Sequence[str]] = None,
-    default_buffer_bytes: Optional[float] = None,
     max_events: Optional[int] = None,
     slack_policy=None,
     faults=None,
@@ -466,13 +453,7 @@ def record_schedule(
     """
     from repro.sim.simulation import Simulation
 
-    simulation = Simulation(
-        topology,
-        scheduler_factory,
-        default_buffer_bytes=default_buffer_bytes,
-        slack_policy=slack_policy,
-        seed=seed,
-    )
+    simulation = Simulation(topology, scheduler_factory, slack_policy=slack_policy, seed=seed)
     if faults is not None and not faults.is_empty():
         simulation.network.install_faults(faults, horizon=float(workload.duration))
     simulation.add_poisson_traffic(

@@ -135,15 +135,13 @@ SUPPORTED_MODES = frozenset({"lstf", "edf", "priority", "omniscient", "fifo"})
 SUPPORTED_FAULTS = frozenset({LinkOutage, BernoulliLoss, GilbertElliottLoss, JammingIntervals})
 
 
-def decline_reason(
-    topology: Topology, mode: str, default_buffer_bytes: Optional[float] = None, faults=None
-) -> Optional[str]:
+def decline_reason(topology: Topology, mode: str, faults=None) -> Optional[str]:
     """Why the flat loop cannot replay this configuration bit-identically, or ``None``.
 
     Asked only by :func:`repro.sim.backend.select_engine`; the short, stable
     reason ends up in the replay's log line.  The loop never overflows a
-    queue, so finite buffers — the default or any one link's — belong to the
-    reference engine, as do preemption and a plan with a fault kind outside
+    queue, so a link with a finite buffer belongs to the reference engine,
+    as do preemption and a plan with a fault kind outside
     :data:`SUPPORTED_FAULTS`.  An empty plan is fault-free; any header
     initializer runs.
     """
@@ -153,8 +151,6 @@ def decline_reason(
         for fault in faults.definition.faults:
             if type(fault) not in SUPPORTED_FAULTS:
                 return f"fault kind {fault.kind}"
-    if default_buffer_bytes is not None:
-        return "finite default buffer"
     for spec in topology.links:
         if spec.buffer_bytes is not None:
             return f"finite buffer at {spec.a}<->{spec.b}"
@@ -165,7 +161,6 @@ def replay(
     topology: Topology,
     schedule: Schedule,
     mode: str = "lstf",
-    default_buffer_bytes: Optional[float] = None,
     max_events: Optional[int] = None,
     initializer: Optional[ReplayInitializer] = None,
     faults=None,

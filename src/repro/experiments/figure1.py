@@ -17,7 +17,7 @@ the same scenarios.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Tuple
 
 from repro.core.metrics import queueing_delay_ratios
 from repro.experiments.config import ExperimentScale
@@ -49,22 +49,10 @@ class Figure1Definition(ExperimentDef):
 
     supports_workload = True
 
-    def __init__(
-        self,
-        schedulers: Sequence[str] = FIGURE1_SCHEDULERS,
-        utilization: float = 0.7,
-        workload: Optional[str] = None,
-    ) -> None:
-        self.schedulers = tuple(schedulers)
-        self.utilization = utilization
-        self.workload = workload
-
     def cells(self, scale: ExperimentScale) -> List[Cell]:
         cells: List[Cell] = []
-        for scheduler in self.schedulers:
-            scenario = default_scenario(
-                scale, utilization=self.utilization, original=scheduler
-            )
+        for scheduler in FIGURE1_SCHEDULERS:
+            scenario = default_scenario(scale, original=scheduler)
             if self.workload is not None:
                 (scenario,) = override_workload([scenario], self.workload)
             cells.append(Cell(self.name, scheduler, "lstf", scenario.seed, spec=scenario))

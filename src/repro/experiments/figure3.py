@@ -7,83 +7,67 @@ The paper reports essentially equal mean delay but a visibly smaller 99th
 percentile for LSTF/FIFO+ than for FIFO; the reproduced harness reports the
 same two numbers plus the CCDF curves.
 
-Each scheduler is one direct-simulation pipeline cell.
+Each scheduler is one live deployment, a direct simulation
+(:class:`~repro.pipeline.experiment.LiveComparisonDef`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.delay import delay_ccdf, delay_statistics
+from repro.core.slack import SlackPolicy
 from repro.experiments.config import ExperimentScale
-from repro.pipeline.cache import ScheduleCache
-from repro.pipeline.experiment import (
-    Cell,
-    CellResult,
-    ExperimentDef,
-    build_live_slack_policy,
-    register_experiment,
-)
+from repro.pipeline.experiment import LiveComparisonDef, register_experiment
 from repro.schedulers.factory import uniform_factory
 from repro.sim.packet import Packet
 from repro.sim.simulation import Simulation
 from repro.traffic.distributions import paper_default_workload
 from repro.traffic.workload import WorkloadSpec
 
-#: Scheduler configurations compared in Figure 3: scheduler-registry name
-#: plus the slack-policy-registry name stamping packets at send time (the
-#: ``static-delay`` policy's live face is the Section-3.2 constant slack
-#: that makes LSTF behave as FIFO+), or ``None``.
-FIGURE3_SCHEDULERS: Dict[str, Dict[str, object]] = {
-    "fifo": {"factory": "fifo", "slack_policy": None},
-    "lstf": {"factory": "lstf", "slack_policy": "static-delay"},
-    # FIFO+ deployed natively is included as a sanity row: it should match the
-    # LSTF-with-constant-slack deployment.
-    "fifo+": {"factory": "fifo+", "slack_policy": None},
+#: Deployments compared in Figure 3: row label -> (scheduler-registry name,
+#: slack-policy-registry name stamping packets at send time, or ``None``).
+#: The ``static-delay`` policy's live face is the Section-3.2 constant
+#: slack that makes LSTF behave as FIFO+.
+FIGURE3_SCHEDULERS: Dict[str, Tuple[str, Optional[str]]] = {
+    "fifo": ("fifo", None),
+    "lstf": ("lstf", "static-delay"),
 }
+
+#: Offered load (the paper's: 70%).
+UTILIZATION = 0.7
 
 
 def run_delay_scenario(
-    scale: ExperimentScale,
-    scheduler: str,
-    utilization: float = 0.7,
-    slack_policy_name: Optional[str] = None,
+    scale: ExperimentScale, scheduler: str, slack_policy: Optional[SlackPolicy] = None
 ) -> List[Packet]:
     """Run the Figure-3 workload under one scheduler and return delivered packets.
 
-    ``slack_policy_name`` overrides the configured registry policy for the
-    scheduler (``None`` keeps the :data:`FIGURE3_SCHEDULERS` default);
-    schedulers configured without a policy never get one
-    (:func:`~repro.pipeline.experiment.build_live_slack_policy`).
+    ``scheduler`` is a scheduler-registry name, and ``slack_policy`` the
+    built send-time policy stamping its packets (``None``: none).
     """
-    config = FIGURE3_SCHEDULERS[scheduler]
-    slack_policy = build_live_slack_policy(config["slack_policy"], slack_policy_name)
-    topology = scale.internet2()
     workload = WorkloadSpec(
-        utilization=utilization,
+        utilization=UTILIZATION,
         reference_bandwidth_bps=scale.scaled_bandwidth(1.0),
         size_distribution=paper_default_workload(),
         transport="udp",
         duration=scale.duration,
     )
     simulation = Simulation(
-        topology,
-        uniform_factory(str(config["factory"])),
+        scale.internet2(),
+        uniform_factory(scheduler),
         slack_policy=slack_policy,
         seed=scale.seed,
     )
     simulation.add_poisson_traffic(workload)
-    result = simulation.run(until=scale.duration * 3)
-    return result.delivered_packets
+    return simulation.run(until=scale.duration * 3).delivered_packets
 
 
-class Figure3Definition(ExperimentDef):
-    """Tail-delay comparison: one direct-simulation (live-traffic) cell per
-    scheduler, with send-time slack stamped by registry policies.
+class Figure3Definition(LiveComparisonDef):
+    """Tail-delay comparison: one live deployment per scheduler.
 
-    ``--slack-policy`` (a live-capable registry policy) replaces the policy
-    of the cells that carry one — the LSTF deployment swaps its
-    ``static-delay`` constant for the named policy.
+    ``--slack-policy`` swaps the LSTF deployment's ``static-delay``
+    constant for the named policy.
     """
 
     name = "figure3"
@@ -92,59 +76,20 @@ class Figure3Definition(ExperimentDef):
         "mean 0.0786s / 99%ile 0.1958s — similar means, smaller tail for "
         "LSTF (= FIFO+)."
     )
+    deployments = FIGURE3_SCHEDULERS
 
-    supports_slack_policy = True
-
-    def __init__(
-        self,
-        schedulers: Sequence[str] = ("fifo", "lstf"),
-        utilization: float = 0.7,
-    ) -> None:
-        self.schedulers = tuple(schedulers)
-        self.utilization = utilization
-
-    def cells(self, scale: ExperimentScale) -> List[Cell]:
-        """One direct-simulation cell per compared scheduler.
-
-        A ``--slack-policy`` override is validated up front (the name must
-        exist and be live-capable), so a bad override fails before any
-        cell simulates.
-        """
-        self.validate_live_slack_policy()
-        return [
-            Cell(self.name, scheduler, scheduler, scale.seed)
-            for scheduler in self.schedulers
-        ]
-
-    def run_cell(
-        self, cell: Cell, scale: ExperimentScale, cache: ScheduleCache
-    ) -> CellResult:
-        """Simulate one scheduler's live deployment and report delay stats."""
-        override = self.live_slack_policy_override(
-            FIGURE3_SCHEDULERS[cell.label]["slack_policy"]
-        )
-        packets = run_delay_scenario(
-            scale, cell.label, utilization=self.utilization, slack_policy_name=override
-        )
+    def simulate(self, scale, scheduler, policy):
+        """Delay statistics, and the delay CCDF as the curve."""
+        packets = run_delay_scenario(scale, scheduler, policy)
         stats = delay_statistics(packets)
-        row = {
-            "scheduler": cell.label,
+        columns = {
             "packets": stats.count,
             "mean_delay": stats.mean,
             "p99_delay": stats.p99,
             "p999_delay": stats.p999,
             "max_delay": stats.maximum,
         }
-        if override is not None:
-            # Overridden rows say so; default rows keep the pre-unification
-            # column set (pinned bit-identical by the golden figure fixture).
-            row["slack_policy"] = override
-        return CellResult(
-            cell=cell,
-            row=row,
-            curve=delay_ccdf(packets),
-            curve_key=cell.label,
-        )
+        return columns, delay_ccdf(packets)
 
 
 register_experiment(Figure3Definition())

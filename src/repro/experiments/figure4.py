@@ -1,9 +1,9 @@
 """Figure 4: asymptotic fairness of LSTF with virtual-clock slack assignment.
 
-Ninety long-lived TCP flows share the Internet2 core (10 Gbps edges so that
-all congestion is in the core), starting with a small random jitter.  The
-fairness of the per-millisecond throughput allocation (Jain's index over the
-full flow set) is tracked over time for:
+Long-lived TCP flows (the paper's 90; :data:`NUM_FLOWS` here) share the
+Internet2 core (10 Gbps edges so that all congestion is in the core),
+starting with a small random jitter.  The fairness of the per-bin throughput
+allocation (Jain's index over the full flow set) is tracked over time for:
 
 * FIFO (no fairness mechanism),
 * per-flow fair queueing (the reference),
@@ -14,12 +14,13 @@ The paper's claim — reproduced here — is that LSTF converges to (near) the
 fair allocation for every ``rest`` at or below the fair share, converging a
 little sooner when ``rest`` is closer to the true rate.
 
-Every (scheduler, rest estimate) pair is one direct-simulation pipeline cell.
+Every (scheduler, rest estimate) pair is one direct-simulation pipeline cell;
+the run's sizes are the module constants below, each next to the paper's.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from repro.analysis.fairness import FairnessTimeseries, fairness_timeseries
 from repro.core.slack_policy import SLACK_POLICIES
@@ -30,6 +31,22 @@ from repro.schedulers.factory import uniform_factory
 from repro.sim.flow import Flow
 from repro.sim.simulation import Simulation
 from repro.utils.rng import RandomState
+
+#: Fair-share rate estimates swept for LSTF, as fractions of the true fair
+#: share (the paper's rest <= r* sweep).
+REST_FRACTIONS: Tuple[float, ...] = (1.0, 0.5, 0.1, 0.01)
+#: Long-lived flows sharing the core bottleneck (paper: 90).
+NUM_FLOWS = 12
+#: Simulated time in seconds.
+DURATION = 0.5
+#: Start-time jitter window (paper: 0-5 ms).
+JITTER = 0.005
+#: Throughput-averaging bin for the fairness index (paper: 1 ms).
+BIN_WIDTH = 0.025
+#: Router buffers in packets, large enough that no packet is dropped during
+#: the run, so fairness is dominated by the scheduling policy (as in the paper).
+BUFFER_PACKETS = 4096
+MSS = 1460
 
 
 def build_long_lived_flows(
@@ -92,15 +109,7 @@ def fairness_scale(scale: ExperimentScale, max_bandwidth_scale: float = 50.0) ->
 
 
 def run_fairness_scenario(
-    scale: ExperimentScale,
-    scheduler: str,
-    rest_bps: Optional[float] = None,
-    num_flows: int = 18,
-    duration: float = 0.5,
-    jitter: float = 0.005,
-    bin_width: float = 0.025,
-    buffer_packets: int = 4096,
-    mss: int = 1460,
+    scale: ExperimentScale, scheduler: str, rest_bps: Optional[float] = None
 ) -> FairnessTimeseries:
     """Run one fairness scenario and return the Jain-index time series.
 
@@ -109,13 +118,6 @@ def run_fairness_scenario(
         scheduler: ``"fifo"``, ``"fq"``, or ``"lstf"``.
         rest_bps: Fair-share rate estimate handed to the LSTF slack heuristic
             (ignored for the other schedulers).
-        num_flows: Number of long-lived flows (paper: 90).
-        duration: Simulated time in seconds.
-        jitter: Start-time jitter window (paper: 0-5 ms).
-        bin_width: Throughput-averaging bin for the fairness index (paper: 1 ms).
-        buffer_packets: Router buffer size in packets; kept large enough that
-            no packet is dropped during the run, so fairness is dominated by
-            the scheduling policy (as in the paper).
     """
     slack_policy = None
     if scheduler == "lstf":
@@ -135,18 +137,18 @@ def run_fairness_scenario(
     )
     simulation = Simulation(
         topology,
-        uniform_factory(scheduler if scheduler != "lstf" else "lstf"),
-        default_buffer_bytes=float(buffer_packets * mss),
+        uniform_factory(scheduler),
+        default_buffer_bytes=float(BUFFER_PACKETS * MSS),
         slack_policy=slack_policy,
         seed=scale.seed,
     )
     rng = RandomState(scale.seed + 7)
-    flows = build_long_lived_flows(topology, num_flows, jitter, rng, mss=mss)
+    flows = build_long_lived_flows(topology, NUM_FLOWS, JITTER, rng, mss=MSS)
     simulation.add_flows(flows, transport="tcp")
-    result = simulation.run(until=duration)
+    result = simulation.run(until=DURATION)
     flow_ids = [flow.flow_id for flow in flows]
     return fairness_timeseries(
-        result.delivered_packets, bin_width=bin_width, end_time=duration, flow_ids=flow_ids
+        result.delivered_packets, bin_width=BIN_WIDTH, end_time=DURATION, flow_ids=flow_ids
     )
 
 
@@ -161,27 +163,12 @@ class Figure4Definition(ExperimentDef):
         "below the fair allocation."
     )
 
-    def __init__(
-        self,
-        rest_fractions: Sequence[float] = (1.0, 0.5, 0.1, 0.01),
-        num_flows: int = 12,
-        duration: float = 0.5,
-    ) -> None:
-        self.rest_fractions = tuple(rest_fractions)
-        self.num_flows = num_flows
-        self.duration = duration
-
-    def _variants(self) -> List[Tuple[str, Optional[float]]]:
-        variants: List[Tuple[str, Optional[float]]] = [("fifo", None), ("fq", None)]
-        variants.extend(
-            (f"lstf@{fraction:g}x", fraction) for fraction in self.rest_fractions
-        )
-        return variants
-
     def cells(self, scale: ExperimentScale) -> List[Cell]:
+        variants: List[Tuple[str, Optional[float]]] = [("fifo", None), ("fq", None)]
+        variants.extend((f"lstf@{fraction:g}x", fraction) for fraction in REST_FRACTIONS)
         return [
             Cell(self.name, label, label, scale.seed, spec=fraction)
-            for label, fraction in self._variants()
+            for label, fraction in variants
         ]
 
     def run_cell(
@@ -198,15 +185,8 @@ class Figure4Definition(ExperimentDef):
             # fractions are taken relative to it, mirroring the paper's
             # rest <= r* sweep.
             scheduler = "lstf"
-            fair_share_bps = scale.scaled_bandwidth(2.4) / max(1, self.num_flows)
-            rest_bps = fair_share_bps * fraction
-        timeseries = run_fairness_scenario(
-            scale,
-            scheduler,
-            rest_bps=rest_bps,
-            num_flows=self.num_flows,
-            duration=self.duration,
-        )
+            rest_bps = scale.scaled_bandwidth(2.4) / NUM_FLOWS * fraction
+        timeseries = run_fairness_scenario(scale, scheduler, rest_bps=rest_bps)
         return CellResult(
             cell=cell,
             row={

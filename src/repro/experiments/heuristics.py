@@ -183,27 +183,15 @@ class HeuristicsDefinition(ExperimentDef):
     supports_workload = True
     supports_replicates = True
 
-    def __init__(
-        self,
-        workloads: Optional[Tuple[str, ...]] = None,
-        replicates: int = 1,
-        workload: Optional[str] = None,
-    ) -> None:
-        self._workloads = workloads
-        self.replicates = replicates
-        self.workload = workload
-
-    def workload_names(self) -> List[str]:
-        """The workloads this instance runs (``--workload`` pins just one)."""
-        if self.workload is not None:
-            return [self.workload]
-        return list(self._workloads if self._workloads is not None else HEURISTIC_WORKLOADS)
-
     def scenarios(self, scale: ExperimentScale) -> List[Scenario]:
-        """All scenarios in cell order (also feeds the CLI scenario lister)."""
+        """All scenarios in cell order (also feeds the CLI scenario lister).
+
+        ``--workload`` pins one workload in place of :data:`HEURISTIC_WORKLOADS`.
+        """
+        workloads = HEURISTIC_WORKLOADS if self.workload is None else (self.workload,)
         base = [
             heuristic_scenario(scale, workload, scheme)
-            for workload in self.workload_names()
+            for workload in workloads
             for scheme in SCHEMES
         ]
         return expand_replicates(base, self.replicates)

@@ -11,8 +11,8 @@ never shifts the draws seen by another.
 The :class:`FaultInjector` translates a plan into engine state:
 
 * per-port :class:`PortFaultState` objects (a ``down`` flag plus the ordered
-  drop filters for that link), attached to
-  :attr:`repro.sim.port.OutputPort.fault_state`;
+  drop filters for that link), attached to each
+  :class:`repro.sim.port.OutputPort` as its ``fault_state`` attribute;
 * outage toggle events scheduled through ``sim.schedule_at`` **before** the
   run starts, so they carry the lowest normal sequence numbers and fire
   deterministically ahead of same-timestamp packet events.

@@ -14,7 +14,9 @@ ablation) as three hooks:
 Most artifacts are *scenario-shaped* — replay these scenarios under these
 modes, one row each — and subclass :class:`ScenarioExperimentDef`, which
 supplies all three hooks from a scenario list, a mode tuple and a row
-function.  Every original schedule any cell needs comes from
+function.  Comparisons of live deployments (Figures 2 and 3) subclass
+:class:`LiveComparisonDef`: a table of deployments and one simulation
+function, one row each.  Every original schedule any cell needs comes from
 :func:`cached_schedule`, the one lookup into the schedule cache.
 
 The global :data:`REGISTRY` maps experiment names (``"table1"``,
@@ -36,6 +38,8 @@ from repro.core.replay import (
     record_schedule,
 )
 from repro.core.schedule import Schedule
+from repro.core.slack import SlackPolicy
+from repro.core.slack_policy import SLACK_POLICIES
 from repro.pipeline.cache import ScheduleCache, schedule_cache_key
 from repro.pipeline.scenario import (
     PipelineConfigError,
@@ -115,9 +119,9 @@ class ExperimentDef(ABC):
     #: Whether this experiment honors the ``slack_policy`` attribute (set by
     #: :meth:`with_overrides` / the ``--slack-policy`` CLI override).
     #: Definitions that opt in must apply ``self.slack_policy`` when
-    #: expanding scenarios (:func:`~repro.pipeline.scenario
-    #: .override_slack_policy`); the runner notes unsupported experiments
-    #: instead of silently ignoring the override.
+    #: expanding scenarios (:func:`~repro.pipeline.scenario.override_slack_policy`)
+    #: or deployments (:class:`LiveComparisonDef`); the runner notes
+    #: unsupported experiments instead of silently ignoring the override.
     supports_slack_policy: bool = False
     #: Whether this experiment honors the ``faults`` attribute (set by
     #: :meth:`with_overrides` / the ``--fault`` CLI override).  Definitions
@@ -147,43 +151,6 @@ class ExperimentDef(ABC):
         clone = copy.copy(self)
         vars(clone).update(attrs)
         return clone
-
-    # ------------------------------------------------------------------ #
-    # Live-policy override helpers (direct-simulation experiments)
-    # ------------------------------------------------------------------ #
-    def validate_live_slack_policy(self) -> None:
-        """Fail fast if the ``--slack-policy`` override cannot stamp live packets.
-
-        Direct-simulation experiments (Figures 2/3) call this from
-        :meth:`cells`, so a typo'd or replay-only policy aborts at
-        expansion time — before any cell simulates — with a
-        :class:`~repro.pipeline.scenario.PipelineConfigError` the CLI turns
-        into a one-line usage error.
-        """
-        if self.slack_policy is None:
-            return
-        from repro.core.slack_policy import SLACK_POLICIES
-
-        policy = registered(SLACK_POLICIES, self.slack_policy)
-        if not policy.supports_live:
-            raise PipelineConfigError(
-                f"experiment {self.name}: slack policy {policy.name!r} "
-                f"(capability {policy.capability()!r}) cannot stamp live "
-                "packets at send time"
-            )
-
-    def live_slack_policy_override(self, configured: Optional[str]) -> Optional[str]:
-        """The override to apply to a cell whose configured policy is ``configured``.
-
-        Returns the experiment's ``slack_policy`` when both it and the
-        cell's own configured policy are set (the override swaps the
-        policy-bearing deployment's heuristic), and ``None`` otherwise —
-        policy-less cells (conventional schedulers) are never given a
-        policy by the override.
-        """
-        if self.slack_policy is not None and configured is not None:
-            return self.slack_policy
-        return None
 
     @abstractmethod
     def cells(self, scale: "ExperimentScale") -> List[Cell]:
@@ -261,29 +228,6 @@ class ExperimentDef(ABC):
 # ---------------------------------------------------------------------- #
 # Shared record/replay cell logic
 # ---------------------------------------------------------------------- #
-def build_live_slack_policy(configured, override: Optional[str] = None):
-    """Materialize a direct-simulation cell's send-time slack policy.
-
-    Both override rules live here — the single resolution point for live
-    experiments (Figures 2/3), so the semantics cannot drift between them:
-
-    * ``override`` (a registry name, e.g. an experiment's
-      ``--slack-policy``) replaces the cell's ``configured`` registry name;
-    * a cell with no configured policy (a conventional scheduler) is never
-      given one by an override — ``configured=None`` always resolves to
-      ``None``, whatever the override says.
-
-    Returns:
-        A built :class:`~repro.core.slack.SlackPolicy`, or ``None``.
-    """
-    if configured is None:
-        return None
-    name = override if override is not None else configured
-    from repro.core.slack_policy import SLACK_POLICIES
-
-    return SLACK_POLICIES.get(str(name)).build_live()
-
-
 def scenario_cache_key(scenario: Scenario) -> str:
     """The schedule-cache key this scenario's record/replay cell will use.
 
@@ -524,6 +468,57 @@ class ScenarioExperimentDef(ExperimentDef):
         """Replay the cell's scenario under the cell's mode; one row."""
         result = replay_scenario(cell.spec, mode=cell.mode, cache=cache)
         return CellResult(cell=cell, row=self.row(cell.spec, cell.mode, result))
+
+
+class LiveComparisonDef(ExperimentDef):
+    """A comparison of live deployments: one direct-simulation cell per row.
+
+    A subclass declares :attr:`deployments` and :meth:`simulate`; the cells,
+    the cell body and the ``--slack-policy`` override rule are shared.  The
+    override must name a live-capable registry policy (checked when the
+    cells expand, before any cell simulates); it swaps the policy of the
+    deployments configured with one, never gives a policy-less deployment
+    one, and an overridden row gains a ``slack_policy`` column.  No
+    schedule is recorded, so the schedule cache is unused.
+    """
+
+    supports_slack_policy = True
+    #: Row label -> (scheduler-registry name, slack-policy-registry name
+    #: stamping packets at send time, or ``None``), in row order.
+    deployments: Dict[str, Tuple[str, Optional[str]]] = {}
+
+    @abstractmethod
+    def simulate(
+        self, scale: "ExperimentScale", scheduler: str, policy: Optional[SlackPolicy]
+    ) -> Tuple[Dict[str, Any], Any]:
+        """Run ``scheduler`` live under ``policy``; ``(row columns, curve or None)``."""
+
+    def cells(self, scale: "ExperimentScale") -> List[Cell]:
+        """One cell per deployment, after the override is checked."""
+        if self.slack_policy is not None:
+            policy = registered(SLACK_POLICIES, self.slack_policy)
+            if not policy.supports_live:
+                raise PipelineConfigError(
+                    f"experiment {self.name}: slack policy {policy.name!r} "
+                    f"(capability {policy.capability()!r}) cannot stamp live "
+                    "packets at send time"
+                )
+        return [Cell(self.name, label, label, scale.seed) for label in self.deployments]
+
+    def run_cell(
+        self, cell: Cell, scale: "ExperimentScale", cache: ScheduleCache
+    ) -> CellResult:
+        """Simulate the cell's deployment; one row, plus its curve if any."""
+        scheduler, name = self.deployments[cell.label]
+        overridden = name is not None and self.slack_policy is not None
+        if overridden:
+            name = self.slack_policy
+        policy = None if name is None else SLACK_POLICIES.get(name).build_live()
+        columns, curve = self.simulate(scale, scheduler, policy)
+        row = {"scheduler": cell.label, **columns}
+        if overridden:
+            row["slack_policy"] = name
+        return CellResult(cell=cell, row=row, curve=curve)
 
 
 # ---------------------------------------------------------------------- #

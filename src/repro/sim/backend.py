@@ -110,7 +110,6 @@ def select_engine(
     selector: Optional[str],
     topology: "Topology",
     mode: str = "lstf",
-    default_buffer_bytes: Optional[float] = None,
     faults: Optional["FaultPlan"] = None,
 ) -> Tuple[str, List[Tuple[str, str]]]:
     """Which engine runs this replay, and ``[("compiled", reason)]`` if it declined it.
@@ -129,7 +128,7 @@ def select_engine(
         return REFERENCE_BACKEND, []
     from repro.core.replay_compiled import decline_reason  # core imports sim
 
-    reason = decline_reason(topology, mode, default_buffer_bytes, faults)
+    reason = decline_reason(topology, mode, faults)
     return ("compiled", []) if reason is None else (REFERENCE_BACKEND, [("compiled", reason)])
 
 

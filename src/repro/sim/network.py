@@ -240,7 +240,7 @@ class Network:
         (the fault layer sits above the engine).
 
         Returns:
-            The installed :class:`repro.faults.FaultInjector`.
+            The installed :class:`repro.faults.injector.FaultInjector`.
         """
         if self.fault_injector is not None:
             raise RuntimeError("a fault plan is already installed on this network")

@@ -203,18 +203,6 @@ class TestPolicyCapabilities:
         derived = SLACK_POLICIES.get("fairness").with_params(ack_slack=0.5)
         assert derived.build_live().ack_slack == 0.5
 
-    def test_build_live_slack_policy_never_arms_policyless_cells(self):
-        """The shared live-experiment resolution helper: an override can
-        swap a configured policy but never installs one on a cell that was
-        configured without (conventional-scheduler cells stay bare)."""
-        from repro.pipeline.experiment import build_live_slack_policy
-
-        assert build_live_slack_policy(None) is None
-        assert build_live_slack_policy(None, "zero") is None
-        assert isinstance(build_live_slack_policy("flow-size"), FlowSizeSlackPolicy)
-        swapped = build_live_slack_policy("flow-size", "zero")
-        assert isinstance(swapped, ConstantSlackPolicy)
-
     def test_live_faces_of_shared_kinds_match_the_figure_constructions(self):
         """The registry's live faces must stamp exactly what Figures 2-4
         stamped by hand before the unification."""

@@ -5,10 +5,9 @@ import json
 import pytest
 
 from repro.experiments import ExperimentScale
-from repro.experiments.config import ExperimentResult
+from repro.experiments.config import ExperimentResult, format_result, results_to_json
 from repro.experiments.figure2 import FIGURE2_SCHEDULERS, figure2_size_distribution
 from repro.experiments.figure4 import build_long_lived_flows, fairness_scale
-from repro.experiments.runner import format_result, results_to_json
 from repro.experiments.table1 import table1_scenarios
 from repro.pipeline import run_pipeline
 from repro.utils.units import gbps
@@ -108,7 +107,7 @@ class TestRunnerFormatting:
     def test_results_to_json_round_trips(self):
         result = ExperimentResult(name="demo", scale_label="quick", notes="n")
         result.add_row(x=1, y=2.5)
-        payload = json.loads(results_to_json({"demo": result}))
+        payload = json.loads(json.dumps(results_to_json({"demo": result})))
         assert payload["demo"]["rows"] == [{"x": 1, "y": 2.5}]
 
     def test_run_all_rejects_unknown_experiment(self):

@@ -6,7 +6,9 @@ The slack-policy unification rewired Figures 2-4 from ad-hoc
 of every replay comparison into :func:`repro.core.metrics.queueing_delay_ratios`.
 Each figure's rows were captured *before* its refactor, so these tests prove
 both were pure refactors: every row — floats included — must match bit for
-bit.
+bit.  The ``<figure>/slack_policy=zero`` entries pin the live override path
+(``--slack-policy zero`` on Figures 2 and 3) from before Figures 2 and 3
+shared one live-comparison base.
 """
 
 import json
@@ -38,8 +40,37 @@ def test_registry_driven_rows_match_pre_refactor_fixture(experiment, golden):
     assert rows == golden[experiment]
 
 
+@pytest.mark.parametrize("experiment", ["figure2", "figure3"])
+def test_live_slack_policy_override_rows_match_fixture(experiment, golden):
+    """``--slack-policy`` swaps only a configured live policy: the LSTF cell
+    runs (and is labelled) with the override, and every policy-less cell
+    stays bare, bit-identical to its default row."""
+    summary = run_pipeline([experiment], scale=SMOKE, workers=1, slack_policy="zero")
+    rows = summary.results[experiment].rows
+    assert rows == golden[f"{experiment}/slack_policy=zero"]
+    defaults = {row["scheduler"]: row for row in golden[experiment]}
+    for row in rows:
+        if row["scheduler"] == "lstf":
+            assert row.pop("slack_policy") == "zero"
+        else:
+            assert "slack_policy" not in row
+            assert row == defaults[row["scheduler"]]
+
+
 def test_fixture_covers_every_figure(golden):
-    assert set(golden) == {"figure1", "figure2", "figure3", "figure4"}
+    assert set(golden) == {
+        "figure1",
+        "figure2",
+        "figure3",
+        "figure4",
+        "figure2/slack_policy=zero",
+        "figure3/slack_policy=zero",
+    }
+    # The override swaps Figure 2's LSTF heuristic: flow-size and zero slack
+    # deploy differently.
+    overridden = {row["scheduler"]: row for row in golden["figure2/slack_policy=zero"]}
+    default = {row["scheduler"]: row for row in golden["figure2"]}
+    assert overridden["lstf"]["mean_fct"] != default["lstf"]["mean_fct"]
     # The policy-bearing rows are present: figure2's LSTF deployment,
     # figure3's LSTF-as-FIFO+ row, and figure4's rest sweep.
     assert any(row["scheduler"] == "lstf" for row in golden["figure2"])

@@ -14,7 +14,13 @@ from repro.pipeline import (
     run_pipeline,
     schedule_cache_key,
 )
-from repro.pipeline.experiment import ScenarioExperimentDef, ScenarioRegistry, scenario_cache_key
+from repro.core.slack import ConstantSlackPolicy, FlowSizeSlackPolicy
+from repro.pipeline.experiment import (
+    LiveComparisonDef,
+    ScenarioExperimentDef,
+    ScenarioRegistry,
+    scenario_cache_key,
+)
 from repro.pipeline.scenario import (
     PipelineConfigError,
     Scenario,
@@ -215,6 +221,62 @@ class TestScenarioExperimentBase:
     def test_unknown_constructor_attribute_is_a_type_error(self):
         with pytest.raises(TypeError, match="replicats"):
             FifoVsLstfDefinition(replicats=2)
+
+
+class RecordingLiveComparison(LiveComparisonDef):
+    """A live comparison whose ``simulate`` only records what it was handed."""
+
+    name = "live-toy"
+    deployments = {"bare": ("fifo", None), "lstf": ("lstf", "flow-size")}
+
+    def __init__(self):
+        self.calls = []
+
+    def simulate(self, scale, scheduler, policy):
+        self.calls.append((scheduler, policy))
+        return {"value": len(self.calls)}, ("curve", scheduler)
+
+
+class TestLiveComparisonBase:
+    def run_cells(self, definition):
+        return [
+            definition.run_cell(cell, SMOKE, ScheduleCache(None))
+            for cell in definition.cells(SMOKE)
+        ]
+
+    def test_one_cell_per_deployment_with_its_configured_policy(self):
+        definition = RecordingLiveComparison()
+        results = self.run_cells(definition)
+        assert [r.cell.label for r in results] == ["bare", "lstf"]
+        assert [r.row for r in results] == [
+            {"scheduler": "bare", "value": 1},
+            {"scheduler": "lstf", "value": 2},
+        ]
+        assert [r.curve for r in results] == [("curve", "fifo"), ("curve", "lstf")]
+        (bare, none), (lstf, policy) = definition.calls
+        assert (bare, none, lstf) == ("fifo", None, "lstf")
+        assert isinstance(policy, FlowSizeSlackPolicy)
+
+    @pytest.mark.parametrize("override", ["zero", "flow-size"])
+    def test_the_override_swaps_only_a_configured_policy_and_says_so(self, override):
+        definition = RecordingLiveComparison().with_overrides(slack_policy=override)
+        rows = [result.row for result in self.run_cells(definition)]
+        assert rows == [
+            {"scheduler": "bare", "value": 1},
+            {"scheduler": "lstf", "value": 2, "slack_policy": override},
+        ]
+        assert list(rows[1]) == ["scheduler", "value", "slack_policy"]
+        (_, bare_policy), (_, policy) = definition.calls
+        assert bare_policy is None
+        expected = ConstantSlackPolicy if override == "zero" else FlowSizeSlackPolicy
+        assert isinstance(policy, expected)
+
+    @pytest.mark.parametrize("override", ["deadline", "nosuch"])
+    def test_a_policy_that_cannot_stamp_live_fails_before_any_cell(self, override):
+        definition = RecordingLiveComparison().with_overrides(slack_policy=override)
+        with pytest.raises(PipelineConfigError):
+            definition.cells(SMOKE)
+        assert definition.calls == []
 
 
 # --------------------------------------------------------------------- #

@@ -500,9 +500,6 @@ class TestBackendSeam:
         )
         assert replay_compiled.decline_reason(topo, "lstf")
 
-    def test_finite_default_buffer_declines(self, fixture_topology):
-        assert replay_compiled.decline_reason(fixture_topology, "lstf", default_buffer_bytes=15000.0)
-
     def test_unknown_backend_raises(self, fixture_topology, recorded_schedule):
         with pytest.raises(PipelineConfigError, match="unknown backend"):
             replay_schedule(

@@ -146,12 +146,6 @@ class TestUnselectedReplay:
     def test_empty_fault_plan_counts_as_fault_free(self, topology):
         assert decide(topology, faults=FaultPlan(FAULTS.get("empty"))) == (FASTEST, [])
 
-    def test_finite_default_buffer_lands_on_the_reference_engine(self, topology):
-        assert decide(topology, default_buffer_bytes=1e9) == (
-            "python",
-            every_accelerated_engine_says("finite default buffer"),
-        )
-
     def test_finite_buffer_topology_lands_on_the_reference_engine(self, finite_topology):
         link = finite_topology.links[0]
         assert decide(finite_topology) == (
@@ -226,7 +220,6 @@ class TestSelectorsPinTheEngine:
 #: Every way a configuration leaves the flat kernels, as ``select_engine`` keywords
 #: (the finite link buffer is a property of the topology, not a keyword).
 DECLINING = {
-    "finite default buffer": dict(default_buffer_bytes=1e9),
     "finite link buffer": {},
     "lstf-preemptive": dict(mode="lstf-preemptive"),
     "unknown mode": dict(mode="no-such-mode"),

@@ -262,7 +262,6 @@ DECLINES = {
         "scheduler PreemptiveLstfScheduler at r0->r1",
     ),
     "sjf-flow": (dict(original="sjf-flow"), "scheduler SjfStarvationFreeScheduler at r0->r1"),
-    "default-buffer": (dict(default_buffer_bytes=20_000.0), "finite buffer at r0->r1"),
     "link-buffer": (dict(topology=line(buffer_link=0)), "finite buffer at r0->r1"),
     "faults": (
         dict(faults=FaultPlan(FAULTS.get("loss-5pct"), seed=3)),

@@ -67,6 +67,28 @@ class TestDocsLinkGate:
         assert f"{page}:6: `repro.no_such_module` does not resolve" in result.stdout
         assert "fenced" not in result.stdout and "harness" not in result.stdout
 
+    def test_stale_repro_name_in_a_source_docstring_fails(self, tmp_path):
+        module = tmp_path / "module.py"
+        module.write_text(
+            '"""See ``repro.core.replay.replay_schedule`` and\n'
+            ':func:`~repro.pipeline.experiment.cached_schedule`; `repro.single` is prose.\n'
+            'Stale: :func:`~repro.pipeline.experiment.build_live_slack_policy`,\n'
+            '``repro.faults.FaultInjector`` and [a](no-link-check-here).\n"""\n'
+        )
+        result = run_tool("check_docs.py", str(module))
+        assert result.returncode == 1
+        stale = [line for line in result.stdout.splitlines() if "does not resolve" in line]
+        assert stale == [
+            f"{module}:3: `repro.pipeline.experiment.build_live_slack_policy` does not resolve",
+            f"{module}:4: `repro.faults.FaultInjector` does not resolve",
+        ]
+        assert "broken relative link" not in result.stdout
+
+    def test_source_modules_are_covered(self):
+        result = run_tool("check_docs.py")
+        modules = len(list((REPO_ROOT / "src" / "repro").rglob("*.py")))
+        assert f"{modules} source module(s)" in result.stdout
+
 
 class TestDocstringGate:
     def test_documented_packages_pass(self):

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Docs gate: relative links and ``repro.*`` names in the markdown documentation.
+"""Docs gate: relative links and ``repro.*`` names in the documentation.
 
 Scans ``README.md`` and every ``docs/*.md`` file (or the files named on the
 command line), outside fenced code blocks, for two kinds of reference:
@@ -12,6 +12,11 @@ command line), outside fenced code blocks, for two kinds of reference:
 * backticked dotted names under ``repro`` (`` `repro.sim.backend.select_engine` ``):
   the longest prefix that imports as a module is imported and the rest is
   looked up attribute by attribute, so a renamed or deleted function fails.
+
+The name check also runs over every ``src/repro/**/*.py`` module (or the
+``.py`` files named on the command line), on its reStructuredText
+references: double-backtick literals and ``:role:`` cross-references (a
+leading ``~`` allowed) whose whole target is a dotted name under ``repro``.
 
 CI runs this as part of the ``docs`` job::
 
@@ -36,11 +41,15 @@ EXTERNAL_PREFIXES = ("http://", "https://", "mailto:", "ftp://")
 #: A whole inline code span holding a dotted name under ``repro``.
 NAME_PATTERN = re.compile(r"`(repro(?:\.\w+)+)`")
 
+#: The same in Python source: a whole ````literal```` or ``:role:`[~]target```.
+SOURCE_NAME_PATTERN = re.compile(r"(?:``|:\w+:`~?)(repro(?:\.\w+)+)`")
+
 
 def default_files(root: Path) -> List[Path]:
     """The documentation set the gate covers by default."""
     files = [root / "README.md"]
     files.extend(sorted((root / "docs").glob("*.md")))
+    files.extend(sorted((root / "src" / "repro").rglob("*.py")))
     return [path for path in files if path.exists()]
 
 
@@ -89,10 +98,15 @@ def resolves(name: str) -> bool:
 
 def unresolved_names(path: Path) -> List[Tuple[int, str]]:
     """(line, name) pairs of backticked ``repro.*`` names in ``path`` that do not resolve."""
+    if path.suffix == ".py":
+        lines = enumerate(path.read_text(encoding="utf-8").splitlines(), start=1)
+        pattern = SOURCE_NAME_PATTERN
+    else:
+        lines, pattern = prose_lines(path), NAME_PATTERN
     return [
         (line_no, match.group(1))
-        for line_no, line in prose_lines(path)
-        for match in NAME_PATTERN.finditer(line)
+        for line_no, line in lines
+        for match in pattern.finditer(line)
         if not resolves(match.group(1))
     ]
 
@@ -104,7 +118,7 @@ def main(argv: List[str]) -> int:
     files = [Path(arg) for arg in argv] if argv else default_files(root)
     offenders = 0
     for path in files:
-        for line_no, target in broken_links(path):
+        for line_no, target in [] if path.suffix == ".py" else broken_links(path):
             print(f"{path}:{line_no}: broken relative link -> {target}")
             offenders += 1
         for line_no, name in unresolved_names(path):
@@ -113,7 +127,11 @@ def main(argv: List[str]) -> int:
     if offenders:
         print(f"{offenders} broken link(s) or name(s)")
         return 1
-    print(f"docs link and name check OK: {len(files)} file(s)")
+    modules = sum(path.suffix == ".py" for path in files)
+    print(
+        f"docs link and name check OK: {len(files) - modules} file(s), "
+        f"{modules} source module(s)"
+    )
     return 0
 
 
