@@ -12,10 +12,11 @@ The paper's result: SJF and SRPT dramatically beat FIFO on mean FCT and LSTF
 matches SJF almost exactly.  We reproduce that ordering (FIFO worst, LSTF
 within a few percent of SJF/SRPT).
 
-Each scheduler is one live deployment, a direct closed-loop simulation
+Each scheduler is one live deployment, a closed-loop simulation
 (:class:`~repro.pipeline.experiment.LiveComparisonDef`: no schedule is
-recorded); the cells are independent and run in parallel under the pipeline
-runner.
+recorded) whose routers run on the compiled kernel's port model while hosts
+and TCP stay Python (:mod:`repro.sim.flat_live`); the cells are independent
+and run in parallel under the pipeline runner.
 """
 
 from __future__ import annotations
@@ -64,10 +65,11 @@ def figure2_size_distribution() -> BoundedParetoSize:
     return BoundedParetoSize(alpha=1.2, minimum_bytes=float(MSS), maximum_bytes=MAX_FLOW_BYTES)
 
 
-def run_fct_scenario(
+def fct_simulation(
     scale: ExperimentScale, scheduler: str, slack_policy: Optional[SlackPolicy] = None
-) -> List[Flow]:
-    """Run the Figure-2 workload under one scheduler and return its flows.
+) -> Simulation:
+    """The Figure-2 workload under one scheduler, built and ready to run
+    until ``scale.duration * DRAIN_FACTOR``.
 
     ``scheduler`` is a scheduler-registry name, and ``slack_policy`` the
     built send-time policy stamping its packets (``None``: none).
@@ -88,6 +90,14 @@ def run_fct_scenario(
         seed=scale.seed,
     )
     simulation.add_poisson_traffic(workload)
+    return simulation
+
+
+def run_fct_scenario(
+    scale: ExperimentScale, scheduler: str, slack_policy: Optional[SlackPolicy] = None
+) -> List[Flow]:
+    """Run the Figure-2 workload under one scheduler and return its flows."""
+    simulation = fct_simulation(scale, scheduler, slack_policy)
     return simulation.run(until=scale.duration * DRAIN_FACTOR).flows
 
 

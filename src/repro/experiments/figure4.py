@@ -14,8 +14,10 @@ The paper's claim — reproduced here — is that LSTF converges to (near) the
 fair allocation for every ``rest`` at or below the fair share, converging a
 little sooner when ``rest`` is closer to the true rate.
 
-Every (scheduler, rest estimate) pair is one direct-simulation pipeline cell;
-the run's sizes are the module constants below, each next to the paper's.
+Every (scheduler, rest estimate) pair is one pipeline cell, a closed-loop
+simulation whose routers run on the compiled kernel's port model while hosts
+and TCP stay Python (:mod:`repro.sim.flat_live`); the run's sizes are the
+module constants below, each next to the paper's.
 """
 
 from __future__ import annotations
@@ -47,18 +49,16 @@ BIN_WIDTH = 0.025
 #: the run, so fairness is dominated by the scheduling policy (as in the paper).
 BUFFER_PACKETS = 4096
 MSS = 1460
+#: Bytes per flow: more than any flow sends in :data:`DURATION` (long-lived).
+FLOW_BYTES = 1e9
+#: Name prefixes of the source and destination host groups (two core PoPs).
+SRC_PREFIX = "host-seattle"
+DST_PREFIX = "host-newyork"
+#: The largest bandwidth reduction Figure 4 runs at (see :func:`fairness_scale`).
+MAX_BANDWIDTH_SCALE = 50.0
 
 
-def build_long_lived_flows(
-    topology,
-    num_flows: int,
-    jitter: float,
-    rng: RandomState,
-    flow_bytes: float = 1e9,
-    mss: int = 1460,
-    src_prefix: str = "host-seattle",
-    dst_prefix: str = "host-newyork",
-) -> List[Flow]:
+def build_long_lived_flows(topology, num_flows: int, jitter: float, rng: RandomState) -> List[Flow]:
     """Long-lived flows between two groups of hosts with jittered start times.
 
     All sources sit under one core PoP and all destinations under another, so
@@ -68,8 +68,8 @@ def build_long_lived_flows(
     is the same for every flow crossing it).
     """
     host_names = topology.host_names()
-    sources = [name for name in host_names if name.startswith(src_prefix)]
-    destinations = [name for name in host_names if name.startswith(dst_prefix)]
+    sources = [name for name in host_names if name.startswith(SRC_PREFIX)]
+    destinations = [name for name in host_names if name.startswith(DST_PREFIX)]
     if not sources or not destinations:
         # Fall back to splitting the host list in half (e.g. for non-Internet2
         # topologies used in tests).
@@ -86,15 +86,15 @@ def build_long_lived_flows(
             Flow(
                 src=src,
                 dst=dst,
-                size_bytes=flow_bytes,
+                size_bytes=FLOW_BYTES,
                 start_time=rng.uniform(0.0, jitter),
-                mss=mss,
+                mss=MSS,
             )
         )
     return flows
 
 
-def fairness_scale(scale: ExperimentScale, max_bandwidth_scale: float = 50.0) -> ExperimentScale:
+def fairness_scale(scale: ExperimentScale) -> ExperimentScale:
     """A copy of ``scale`` with a gentler bandwidth reduction for Figure 4.
 
     The fairness index is computed from per-bin throughput; with the default
@@ -105,13 +105,14 @@ def fairness_scale(scale: ExperimentScale, max_bandwidth_scale: float = 50.0) ->
     """
     from dataclasses import replace
 
-    return replace(scale, bandwidth_scale=min(scale.bandwidth_scale, max_bandwidth_scale))
+    return replace(scale, bandwidth_scale=min(scale.bandwidth_scale, MAX_BANDWIDTH_SCALE))
 
 
-def run_fairness_scenario(
+def fairness_simulation(
     scale: ExperimentScale, scheduler: str, rest_bps: Optional[float] = None
-) -> FairnessTimeseries:
-    """Run one fairness scenario and return the Jain-index time series.
+) -> Tuple[Simulation, List[Flow]]:
+    """One fairness scenario, built and ready to run until :data:`DURATION`,
+    with its long-lived flows.
 
     Args:
         scale: Experiment scale preset.
@@ -143,8 +144,17 @@ def run_fairness_scenario(
         seed=scale.seed,
     )
     rng = RandomState(scale.seed + 7)
-    flows = build_long_lived_flows(topology, NUM_FLOWS, JITTER, rng, mss=MSS)
+    flows = build_long_lived_flows(topology, NUM_FLOWS, JITTER, rng)
     simulation.add_flows(flows, transport="tcp")
+    return simulation, flows
+
+
+def run_fairness_scenario(
+    scale: ExperimentScale, scheduler: str, rest_bps: Optional[float] = None
+) -> FairnessTimeseries:
+    """Run one fairness scenario (:func:`fairness_simulation`) and return the
+    Jain-index time series."""
+    simulation, flows = fairness_simulation(scale, scheduler, rest_bps)
     result = simulation.run(until=DURATION)
     flow_ids = [flow.flow_id for flow in flows]
     return fairness_timeseries(

@@ -1,12 +1,12 @@
 /* Native kernel: the OO engine's event loop over flat packet-hop arrays, for
- * replay (`run_flat_replay`) and for open-loop recording (`run_flat_record`),
- * and the stored-schedule row decoder and encoder, `decode_rows` and
- * `encode_rows` (see the comments there).
+ * replay (`run_flat_replay`), open-loop recording (`run_flat_record`) and
+ * closed-loop live simulation (`run_flat_live`), and the stored-schedule row
+ * decoder and encoder, `decode_rows` and `encode_rows` (see the comments there).
  *
- * Replay and recording share one port model and one loop, `rec_run`:
+ * The three loops share one port model and one loop, `rec_run`:
  * Simulator + OutputPort + Scheduler + Packet collapse into a Hop per
  * packet-hop, a Row per packet, a Port per directed link and one event heap.
- * The two entry points only check their inputs, fill that state and run it.
+ * The entry points only check their inputs, fill that state and run it.
  * What differs is the traffic source.  A replay's packets are known up
  * front (ingress times, sizes, routes, header keys) and enter through a
  * cursor over their ingress times (repro.core.replay_compiled).  A
@@ -17,7 +17,13 @@
  * and sim._sequence set first, the counter read back after), emit(source,
  * time) in place of UdpSource._emit_packets (the flow's per-packet columns;
  * it returns sizes, route ports, bandwidths, flow size and slack stamp), and
- * a contended Random port's _rng.randint(0, n).  The loop replays the OO
+ * a contended Random port's _rng.randint(0, n).  A live run (repro.sim.flat_live;
+ * docs/backends.md#live-simulations) merges the same two heaps, but its
+ * packets are the transports' Packet objects: each host port's enqueue hands
+ * one to `inject` at sim.now, a last-hop delivery is a real event that writes
+ * the packet's hop timings and header back and calls the destination
+ * Host.receive, and a finite buffer drops as the port's scheduler would,
+ * through the port's own OutputPort._drop.  The loop replays the OO
  * engine's choreography exactly, so its output is bit-identical to the
  * reference engine's.  Each load-bearing detail mirrors one line of the OO
  * code:
@@ -28,19 +34,30 @@
  *   2p (down) and INJECT + 2 + 2p (up).  The cursor draws seqs from the
  *   front counter (Simulator._front_sequence), every other event from the
  *   normal counter, in the order the OO callbacks call Simulator.schedule,
- *   and every event is counted as Simulator.run counts it.  A delivery
- *   after a last hop schedules nothing, so without a budget it is settled
- *   (and counted) at the finish, taking its seq, instead of being pushed.
+ *   and every event is counted as Simulator.run counts it; a cancelled
+ *   generator entry is popped uncounted.  A recording's delivery after a
+ *   last hop schedules nothing, so it is settled (and counted) at the finish,
+ *   taking its seq, instead of being pushed; a replay with a budget and a
+ *   live run push it.
  * - A finish pushes the downstream delivery *before* the port's next
  *   transmission (OutputPort._finish_transmission).
  * - Queues mirror the schedulers: an arrival-ordered array (FIFO / LIFO /
  *   Random), per-flow FIFOs in first-insertion order served by strictly
- *   least queued priority (SRPT), or an EvHeap of (key, enqueue seq, hop)
+ *   least queued priority (SRPT, and the live SJF-with-starvation-prevention),
+ *   or an EvHeap of (key, enqueue seq, hop)
  *   keyed by a static per-hop key (SJF's float(flow size); replay's EDF,
  *   priority and omniscient keys), (slack + t) + tx, t - accumulated wait,
- *   or SCFQ's max(vt, flow's last tag) + size (LSTF, FIFO+, FQ).  A flow's
- *   FQ tags take one slot per route hop.  An idle port serves an arrival at
+ *   or SCFQ's max(vt, flow's last tag) + size / weight (LSTF, FIFO+, FQ).  A
+ *   hop's FQ tag slot is its `next` (one per route hop of a recorded flow,
+ *   one per (port, flow) live).  An idle port serves an arrival at
  *   once; LSTF's `slack -= t - arr` is skipped there (the wait is exactly 0.0).
+ * - A finite (live) buffer mirrors OutputPort.enqueue: the scheduler's
+ *   byte count (a float accumulator; the heap kinds reset it to 0.0 when
+ *   empty) against `bytes + size > buffer`, then the victim: the arrival
+ *   (drop-tail), LSTF's most remaining slack or SRPT's worst priority (the
+ *   arrival first, strict >).  LSTF's victims are lazily removed, kept in
+ *   the heap as ~hop, and its pops are heapq's own sift, because its victim
+ *   scan walks the heap array in heapq's order.
  * - A replay's fault plan replays sim/port.py + faults/injector.py.  Toggles
  *   are pushed before the first pop, so they carry seqs 0, 1, ...
  *   (FaultInjector.install: links in plan order, windows sorted, down before
@@ -54,17 +71,18 @@
  * Float-determinism notes, each load-bearing:
  *
  * - Float operations are CPython's, in its association order: `t + prop`,
- *   `t + tx`, `(slack + t) + tx`, `slack -= t - arr`, and the recorder's
- *   `tx = (size * 8.0) / bandwidth`.  That one product feeds a division,
- *   never an addition, so there is nothing to contract into an FMA; the
- *   build passes -ffp-contract=off to keep it that way.
+ *   `t + tx`, `(slack + t) + tx`, `slack -= t - arr`, `slack - (t - arr)`,
+ *   `(bytes + size) - size`, and `tx = (size * 8.0) / bandwidth`.  That one
+ *   product feeds a division, never an addition, so there is nothing to
+ *   contract into an FMA; the build passes -ffp-contract=off to keep it that way.
  * - (time, seq) / (key, seq) with unique seqs is a strict total order, so
  *   any correct binary heap pops as heapq would over the same tuples.  Keys
  *   may be +inf (IEEE-754 compares it as Python does).
  * - Every replay input is copied into C arrays and the drop-filter tuples
  *   are held by strong reference, so a filter calling back into Python
  *   cannot change the loop's state.  The input arrays are read, never
- *   mutated.
+ *   mutated.  A live run's Python callbacks can inject, which may realloc
+ *   the hop and row arrays: every Hop / Row pointer is re-fetched after one.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -145,6 +163,30 @@ ev_pop(EvHeap *h)
     return top;
 }
 
+/* heapq.heappop's own sift (the hole to a leaf, then the last item up), for
+ * a heap whose array order is observable: it leaves the array as heapq
+ * leaves a list of the same entries. */
+static Ev
+hq_pop(EvHeap *h)
+{
+    Ev top = h->items[0], last = h->items[--h->size];
+    Py_ssize_t pos = 0, child, n = h->size;
+    if (n == 0)
+        return top;
+    while ((child = 2 * pos + 1) < n) {
+        if (child + 1 < n && !ev_lt(&h->items[child], &h->items[child + 1]))
+            child += 1;
+        h->items[pos] = h->items[child];
+        pos = child;
+    }
+    while (pos > 0 && ev_lt(&last, &h->items[(pos - 1) >> 1])) {
+        h->items[pos] = h->items[(pos - 1) >> 1];
+        pos = (pos - 1) >> 1;
+    }
+    h->items[pos] = last;
+    return top;
+}
+
 /* ------------------------------------------------------------------ */
 /* The port model                                                     */
 /* ------------------------------------------------------------------ */
@@ -154,24 +196,37 @@ enum { K_RANDOM, K_FIFO, K_LIFO, K_SRPT, K_KEY, K_LSTF, K_FIFO_PLUS, K_FQ };
 #define INJECT ((int64_t)1 << 62)       /* the replay cursor's code; toggles follow it */
 
 typedef struct {            /* packet-hop f */
-    int64_t port, row, next;            /* next: the hop behind it in SRPT's flow FIFO */
-    double tx, key, arr, start, dep;    /* key: K_KEY's */
+    int64_t port, row, next;            /* next: the hop behind it in SRPT's flow FIFO; FQ's tag slot */
+    double tx, key, arr, start, dep;    /* key: K_KEY's; live: arr / start / dep NaN until reached */
 } Hop;
 
 typedef struct {            /* packet r */
-    int64_t end, flow, tags;            /* one past its last hop; flow; tag slot - first hop */
-    double size, out, prio, slack, waited;  /* out NaN: never exited; prio: SRPT; slack NaN: none */
+    int64_t end, flow;                  /* one past its last hop; flow */
+    PyObject *packet;                   /* live: the Packet (strong) until written back, else NULL */
+    double size, out, prio, slack, waited;  /* size: FQ's size / weight; out NaN: never exited;
+                                           prio: SRPT's; slack NaN: none */
 } Row;
+
+typedef struct {            /* live packet r, beside its Row */
+    double bytes;                       /* size_bytes, for the buffer */
+    int64_t first, base;                /* first hop; len(packet.hops) at injection, or (free) the
+                                           next free row with as many hops */
+    PyObject *cursors;                  /* a source-routed packet's route_cursor per hop, or NULL */
+} Live;
 
 typedef struct {            /* SRPT: one flow's queued hops, oldest first */
     int64_t flow, head, tail;
 } FlowQ;
 
 typedef struct {
-    int kind;
+    int kind, finite;                   /* finite: a live finite buffer */
     int64_t cur;                        /* the hop in flight, IDLE or DOWN */
-    double prop, vt;                    /* propagation delay; FQ's virtual time */
+    double prop, vt, buffer, bytes;     /* propagation delay; FQ's virtual time; a finite
+                                           buffer and its scheduler's byte count */
+    Py_ssize_t queued;                  /* a finite port's queued hops (lazily removed ones not) */
     PyObject *randint, *filters;        /* Random's draw; drop filters (a tuple) or NULL */
+    PyObject *name, *drop, *deliver;    /* live: its node's name, its OutputPort._drop and the
+                                           Host.receive its link leads to (or None) */
     int64_t *q;                         /* FIFO / LIFO / Random: q[head:head+len] */
     Py_ssize_t head, len, cap, nflows, flows_cap;
     EvHeap heap;                        /* K_KEY / LSTF / FIFO+ / FQ: (key, enqueue seq, hop) */
@@ -182,11 +237,18 @@ typedef struct {
     Port *ports;
     Hop *hops;
     Row *rows;
+    Live *live;                         /* a live run's, per row */
     double *tags, *ingress;             /* ingress: a replay's, per row */
-    Py_ssize_t nports, nhops, hops_cap, nrows, rows_cap, ntags, tags_cap, cursor;
+    int64_t *free;                      /* live: the first free row of each hop count, or -1 */
+    Py_ssize_t nports, nhops, hops_cap, nrows, rows_cap, live_cap, ntags, tags_cap, cursor;
+    Py_ssize_t free_cap;
     EvHeap heap;
     int64_t seq, fseq, enqueued, nflows, executed, budget;
+    int push_last, reread, fq;          /* push a last delivery; re-read the generator heap's top;
+                                           a live run has an FQ port */
+    double limit, now;                  /* run until; the current event's time */
     PyObject *sim, *gens, *emit, *emit_func, *heappop;  /* a recording's generator side */
+    PyObject *prio_of, *key_of;         /* live: the flow-aware priority and SJF's key, or None */
 } Rec;
 
 /* `items` (*cap elements of `size` bytes) regrown to hold `need`; NULL with
@@ -272,26 +334,236 @@ port_drops(PyObject *filters, double t)
     return destroyed;
 }
 
-/* OutputPort.enqueue for hop f at t (Router.receive, or the injector): keyed
- * as its scheduler keys it, then served at once by an idle port, else queued
- * (behind the hop in flight, or by a down port). */
+/* Attribute names a live run reads and writes, interned at import. */
+static PyObject *s_now, *s_sequence, *s_cancelled, *s_hops, *s_header, *s_slack, *s_waited,
+    *s_size, *s_flow_id, *s_flow_weight, *s_cursor;
+
+/* A float, or None for NaN (a time not reached yet). */
+static PyObject *
+float_or_none(double x)
+{
+    return isnan(x) ? Py_NewRef(Py_None) : PyFloat_FromDouble(x);
+}
+
+/* fn(arg) at t as Simulator.run would call it: sim.now and sim._sequence set
+ * first, the counter read back after; the generator heap's top is re-read
+ * afterwards.  0 or -1. */
+static int
+live_call(Rec *R, double t, PyObject *fn, PyObject *arg)
+{
+    PyObject *now = PyFloat_FromDouble(t), *seq = PyLong_FromLongLong(R->seq), *out = NULL;
+    R->now = t;
+    R->reread = 1;
+    if (now != NULL && seq != NULL && PyObject_SetAttr(R->sim, s_now, now) == 0 &&
+        PyObject_SetAttr(R->sim, s_sequence, seq) == 0 &&
+        (out = PyObject_CallOneArg(fn, arg)) != NULL) {
+        Py_SETREF(out, PyObject_GetAttr(R->sim, s_sequence));
+        if (out != NULL && (R->seq = PyLong_AsLongLong(out)) == -1 && PyErr_Occurred())
+            Py_CLEAR(out);
+    }
+    Py_XDECREF(now);
+    Py_XDECREF(seq);
+    if (out == NULL)
+        return -1;
+    Py_DECREF(out);
+    return 0;
+}
+
+/* Live packet r's state in the OO engine once it reached hop `last`, written
+ * onto its Packet: the host's service start and departure, every router's
+ * (node, arrival, start, departure) appended to `hops` (None where not yet
+ * reached), `header.slack` (unless None), `header.accumulated_wait` and a
+ * source-routed packet's `route_cursor`.  0 or -1. */
+static int
+live_writeback(Rec *R, int64_t r, int64_t last)
+{
+    Live *L = &R->live[r];
+    PyObject *packet = R->rows[r].packet, *hops = PyObject_GetAttr(packet, s_hops), *header = NULL;
+    PyObject *at[4];
+    int64_t f;
+    int k, status = -1;
+    if (hops == NULL)
+        return -1;
+    if (!PyList_Check(hops) || PyList_GET_SIZE(hops) < L->base) {
+        PyErr_SetString(PyExc_TypeError, "a live packet's hops must stay the list it was sent with");
+        goto done;
+    }
+    for (f = L->first; f <= last; f++) {
+        const Hop *h = &R->hops[f];
+        at[0] = Py_NewRef(R->ports[h->port].name);
+        at[1] = float_or_none(h->arr);
+        at[2] = float_or_none(h->start);
+        at[3] = float_or_none(h->dep);
+        for (k = 0; k < 4; k++)
+            if (at[k] == NULL || (f > L->first && PyList_Append(hops, at[k]) < 0))
+                break;
+        if (k == 4 && f == L->first) {  /* Host.send's entry: its start and departure */
+            PyList_SetItem(hops, L->base - 2, Py_NewRef(at[2]));
+            PyList_SetItem(hops, L->base - 1, Py_NewRef(at[3]));
+        }
+        for (k = 0; k < 4; k++)
+            Py_XDECREF(at[k]);
+        if (PyErr_Occurred())
+            goto done;
+    }
+    if ((header = PyObject_GetAttr(packet, s_header)) == NULL)
+        goto done;
+    status = 0;
+    at[0] = isnan(R->rows[r].slack) ? NULL : PyFloat_FromDouble(R->rows[r].slack);
+    at[1] = PyFloat_FromDouble(R->rows[r].waited);
+    if ((at[0] == NULL && !isnan(R->rows[r].slack)) || at[1] == NULL ||
+        (at[0] != NULL && PyObject_SetAttr(header, s_slack, at[0]) < 0) ||
+        PyObject_SetAttr(header, s_waited, at[1]) < 0 ||
+        (L->cursors != NULL &&
+         PyObject_SetAttr(packet, s_cursor, PyTuple_GET_ITEM(L->cursors, last - L->first)) < 0))
+        status = -1;
+    Py_XDECREF(at[0]);
+    Py_XDECREF(at[1]);
+done:
+    Py_XDECREF(header);
+    Py_DECREF(hops);
+    return status;
+}
+
+/* Live packet r leaves the loop: its row (and hops) go on the free list of
+ * its hop count, and the caller owns the returned Packet. */
+static PyObject *
+live_release(Rec *R, int64_t r)
+{
+    PyObject *packet = R->rows[r].packet;
+    int64_t n = R->rows[r].end - R->live[r].first;
+    Py_CLEAR(R->live[r].cursors);
+    R->rows[r].packet = NULL;
+    if (n < R->free_cap) {  /* live_alloc sized the list past every hop count */
+        R->live[r].base = R->free[n];
+        R->free[n] = r;
+    }
+    return packet;
+}
+
+/* OutputPort._drop for live hop f at t: the packet written back as it stood
+ * (queued at hop f), then the port's own _drop(packet).  0 or -1. */
+static int
+live_drop(Rec *R, int64_t f, double t)
+{
+    int64_t r = R->hops[f].row;
+    PyObject *drop = R->ports[R->hops[f].port].drop, *packet;
+    int status;
+    if (live_writeback(R, r, f) < 0)
+        return -1;
+    packet = live_release(R, r);
+    status = live_call(R, t, drop, packet);
+    Py_DECREF(packet);
+    return status;
+}
+
+/* Host.receive for live hop f's delivery at t.  0 or -1. */
+static int
+live_deliver(Rec *R, int64_t f, double t)
+{
+    int64_t r = R->hops[f].row;
+    PyObject *receive = R->ports[R->hops[f].port].deliver, *packet;
+    int status;
+    if (receive == Py_None) {
+        PyErr_SetString(PyExc_RuntimeError, "a live route ended at a router");
+        return -1;
+    }
+    if (live_writeback(R, r, f) < 0)
+        return -1;
+    packet = live_release(R, r);
+    status = live_call(R, t, receive, packet);
+    Py_DECREF(packet);
+    return status;
+}
+
+/* A finite buffer's admission of hop f at t (OutputPort.enqueue): 1 to queue
+ * it, 0 when it was dropped, -1 on an error.  The scheduler's choose_drop
+ * picks the victim (the arrival unless LSTF or SRPT finds a strictly worse
+ * queued hop, which is removed, and its bytes with it, before it is dropped). */
+static int
+live_admit(Rec *R, int64_t f, double t)
+{
+    Hop *h = &R->hops[f];
+    Port *P = &R->ports[h->port];
+    int64_t victim = f, g, prev, before = -1;
+    Py_ssize_t i, at = -1;
+    double worst, s;
+    if (!(P->bytes + R->live[h->row].bytes > P->buffer))
+        return 1;
+    if (P->kind == K_LSTF) {  /* remaining slack: the arrival, then queued_entries() */
+        s = R->rows[h->row].slack;
+        worst = isnan(s) ? INFINITY : s - (t - t);
+        for (i = 0; i < P->heap.size; i++) {
+            if ((g = P->heap.items[i].code) < 0)
+                continue;  /* lazily removed */
+            s = R->rows[R->hops[g].row].slack;
+            if ((s = isnan(s) ? INFINITY : s - (t - R->hops[g].arr)) > worst)
+                worst = s, victim = g, at = i;
+        }
+        if (victim != f) {  /* PriorityScheduler.remove */
+            P->heap.items[at].code = ~victim;
+            P->bytes -= R->live[R->hops[victim].row].bytes;
+            if (--P->queued == 0)
+                P->bytes = 0.0;
+        }
+    } else if (P->kind == K_SRPT) {  /* worst priority: the arrival, then each flow's FIFO */
+        worst = R->rows[h->row].prio;
+        for (i = 0; i < P->nflows; i++)
+            for (prev = -1, g = P->flows[i].head; g >= 0; prev = g, g = R->hops[g].next)
+                if (R->rows[R->hops[g].row].prio > worst)
+                    worst = R->rows[R->hops[g].row].prio, victim = g, at = i, before = prev;
+        if (victim != f) {  /* FlowAwarePriorityScheduler.remove */
+            FlowQ *q = &P->flows[at];
+            if (before < 0)
+                q->head = R->hops[victim].next;
+            else
+                R->hops[before].next = R->hops[victim].next;
+            if (q->tail == victim)
+                q->tail = before;
+            if (q->head < 0)
+                memmove(P->flows + at, P->flows + at + 1, (size_t)(--P->nflows - at) * sizeof(FlowQ));
+            P->bytes -= R->live[R->hops[victim].row].bytes;
+            P->queued--;
+        }
+    }
+    if (live_drop(R, victim, t) < 0)
+        return -1;
+    return victim != f;
+}
+
+/* OutputPort.enqueue for hop f at t (Router.receive, the injector or a live
+ * host's port): admitted by a finite buffer, keyed as its scheduler keys it,
+ * then served at once by an idle port, else queued (behind the hop in
+ * flight, or by a down port). */
 static int
 rec_arrive(Rec *R, int64_t f, double t)
 {
     Hop *h = &R->hops[f];
-    Row *row = &R->rows[h->row];
+    Row *row;
     Port *P = &R->ports[h->port];
-    double key = 0.0;
+    double key = 0.0, bytes;
     Py_ssize_t j;
+    int admitted;
     h->arr = t;
+    if (P->finite) {
+        if ((admitted = live_admit(R, f, t)) <= 0)
+            return admitted;
+        h = &R->hops[f];  /* the drop called back into Python */
+        bytes = R->live[h->row].bytes;
+        if (P->cur == IDLE)  /* enqueued and dequeued at once; the heap kinds empty to 0.0 */
+            P->bytes = P->kind > K_SRPT ? 0.0 : (P->bytes + bytes) - bytes;
+        else
+            P->bytes += bytes, P->queued++;
+    }
+    row = &R->rows[h->row];
     if (P->kind == K_KEY)
         key = h->key;
     else if (P->kind == K_LSTF)
         key = isnan(row->slack) ? INFINITY : (row->slack + t) + h->tx;
     else if (P->kind == K_FIFO_PLUS)
         key = t - row->waited;
-    else if (P->kind == K_FQ) {  /* weight 1.0: a UDP source sets none */
-        double *tag = &R->tags[f + row->tags];
+    else if (P->kind == K_FQ) {
+        double *tag = &R->tags[h->next];
         *tag = key = (*tag > P->vt ? *tag : P->vt) + row->size;
     }
     if (P->cur == IDLE) {
@@ -336,9 +608,12 @@ rec_dequeue(Rec *R, Port *P, double t)
     double least, best_least = 0.0;
     if (P->kind > K_SRPT) {
         Ev head;
+        if (P->finite)  /* PriorityScheduler._discard_removed, in heapq's own order */
+            while (P->heap.size > 0 && P->heap.items[0].code < 0)
+                hq_pop(&P->heap);
         if (P->heap.size == 0)
             return -1;
-        head = ev_pop(&P->heap);
+        head = P->finite ? hq_pop(&P->heap) : ev_pop(&P->heap);
         if (P->kind == K_LSTF)  /* the slack pays for the wait (NaN stays NaN) */
             R->rows[R->hops[head.code].row].slack -= t - R->hops[head.code].arr;
         else if (P->kind == K_FQ && head.t > P->vt)
@@ -395,6 +670,11 @@ rec_serve(Rec *R, Port *P, double t)
         return g == -1 ? 0 : -1;
     }
     h = &R->hops[g];
+    if (P->finite) {  /* the scheduler's byte count; the heap kinds empty to 0.0 */
+        P->bytes -= R->live[h->row].bytes;
+        if (--P->queued == 0 && P->kind > K_SRPT)
+            P->bytes = 0.0;
+    }
     R->rows[h->row].waited += t - h->arr;  /* FIFO+: OutputPort._start_next, on every port */
     h->start = t;
     P->cur = g;
@@ -413,7 +693,7 @@ rec_finish(Rec *R, int64_t f, double t)
     h->dep = t;
     if (P->filters != NULL && (destroyed = port_drops(P->filters, t)) < 0)
         return -1;
-    if (!destroyed && (f + 1 < row->end || R->budget < INT64_MAX)) {
+    if (!destroyed && (f + 1 < row->end || R->push_last)) {
         if (ev_push(&R->heap, t + P->prop, R->seq++, ~f) < 0)
             return -1;
     } else if (!destroyed) {  /* the last delivery, settled */
@@ -451,12 +731,12 @@ rec_emit(Rec *R, PyObject *emitted, double t)
     for (i = 0, remaining = key; i < count; i++) {
         Row *row = &R->rows[R->nrows];
         double size = PyFloat_AsDouble(PyList_GET_ITEM(sizes, i));
-        *row = (Row){0, R->nflows, R->ntags - R->nhops, size, 0.0, remaining, slack, 0.0};
+        *row = (Row){0, R->nflows, NULL, size, 0.0, remaining, slack, 0.0};
         remaining -= size;
         for (k = 0; k < hops; k++) {
             Hop *h = &R->hops[R->nhops++];
             double bandwidth = PyFloat_AsDouble(PyList_GET_ITEM(bandwidths, k));
-            *h = (Hop){PyLong_AsLongLong(PyList_GET_ITEM(route, k)), R->nrows, -1,
+            *h = (Hop){PyLong_AsLongLong(PyList_GET_ITEM(route, k)), R->nrows, R->ntags + k,
                        size * 8.0 / bandwidth, key, t, t, t};
             if (PyErr_Occurred())
                 return -1;
@@ -476,12 +756,13 @@ rec_emit(Rec *R, PyObject *emitted, double t)
     return 0;
 }
 
-/* A generator event of a recording: the emission, intercepted, or a
- * callback run as is.  0 or -1. */
+/* A generator event of a recording or a live run: the emission,
+ * intercepted, or a callback run as is.  0 or -1. */
 static int
 rec_generator(Rec *R, double t)
 {
     PyObject *entry, *callback, *out = NULL, *seq;
+    R->now = t;
     if ((entry = PyObject_CallOneArg(R->heappop, R->gens)) == NULL)
         return -1;
     callback = PyTuple_GET_ITEM(entry, 3);
@@ -491,10 +772,10 @@ rec_generator(Rec *R, double t)
         if (out != NULL && rec_emit(R, out, t) < 0)
             Py_CLEAR(out);
     } else if ((seq = PyLong_FromLongLong(R->seq)) != NULL) {
-        if (PyObject_SetAttrString(R->sim, "now", PyTuple_GET_ITEM(entry, 0)) == 0 &&
-            PyObject_SetAttrString(R->sim, "_sequence", seq) == 0 &&
+        if (PyObject_SetAttr(R->sim, s_now, PyTuple_GET_ITEM(entry, 0)) == 0 &&
+            PyObject_SetAttr(R->sim, s_sequence, seq) == 0 &&
             (out = PyObject_Call(callback, PyTuple_GET_ITEM(entry, 4), NULL)) != NULL) {
-            Py_SETREF(out, PyObject_GetAttrString(R->sim, "_sequence"));
+            Py_SETREF(out, PyObject_GetAttr(R->sim, s_sequence));
             if (out != NULL && (R->seq = PyLong_AsLongLong(out)) == -1 && PyErr_Occurred())
                 Py_CLEAR(out);
         }
@@ -508,9 +789,42 @@ rec_generator(Rec *R, double t)
     return 0;
 }
 
-/* The event loop: pop the earliest of the hop heap and (recording) the
- * simulator's generator heap in (time, seq) until both are empty or the
- * budget is spent, checking for signals every 65,536 hop events.  0 or -1. */
+/* The generator heap's first live entry, as Simulator.run reads it: a
+ * cancelled entry at the top is popped uncounted.  1 with its (time, seq),
+ * 0 when none is left, -1 on an error. */
+static int
+rec_top(Rec *R, double *t, int64_t *seq)
+{
+    while (PyList_GET_SIZE(R->gens) > 0) {
+        PyObject *entry = PyList_GET_ITEM(R->gens, 0), *event, *flag;
+        int cancelled = 0;
+        if (!PyTuple_Check(entry) || PyTuple_GET_SIZE(entry) != 5) {
+            PyErr_SetString(PyExc_TypeError, "a simulator heap entry must be a 5-tuple");
+            return -1;
+        }
+        if ((event = PyTuple_GET_ITEM(entry, 2)) != Py_None) {
+            flag = PyObject_GetAttr(event, s_cancelled);
+            cancelled = flag == NULL ? -1 : PyObject_IsTrue(flag);
+            Py_XDECREF(flag);
+            if (cancelled < 0)
+                return -1;
+        }
+        if (!cancelled) {
+            *t = PyFloat_AsDouble(PyTuple_GET_ITEM(entry, 0));
+            *seq = PyLong_AsLongLong(PyTuple_GET_ITEM(entry, 1));
+            return PyErr_Occurred() ? -1 : 1;
+        }
+        if ((entry = PyObject_CallOneArg(R->heappop, R->gens)) == NULL)
+            return -1;
+        Py_DECREF(entry);
+    }
+    return 0;
+}
+
+/* The event loop: pop the earliest of the hop heap and (recording, live) the
+ * simulator's generator heap in (time, seq) until both are empty, the next
+ * event is past the limit or the budget is spent, checking for signals every
+ * 65,536 hop events.  0 or -1. */
 static int
 rec_run(Rec *R)
 {
@@ -518,28 +832,23 @@ rec_run(Rec *R)
     double top_t = 0.0;
     int have_top = R->gens == NULL ? 0 : -1, status = 0;  /* -1: read the top again */
     while (status == 0 && R->executed < R->budget) {
-        if (have_top < 0 && (have_top = PyList_GET_SIZE(R->gens) > 0)) {
-            PyObject *entry = PyList_GET_ITEM(R->gens, 0);
-            if (!PyTuple_Check(entry) || PyTuple_GET_SIZE(entry) != 5) {
-                PyErr_SetString(PyExc_TypeError, "a simulator heap entry must be a 5-tuple");
-                return -1;
-            }
-            top_t = PyFloat_AsDouble(PyTuple_GET_ITEM(entry, 0));
-            top_seq = PyLong_AsLongLong(PyTuple_GET_ITEM(entry, 1));
-            if (PyErr_Occurred())
-                return -1;
-        }
+        if (have_top < 0 && (have_top = rec_top(R, &top_t, &top_seq)) < 0)
+            return -1;
         if (have_top && (R->heap.size == 0 || top_t < R->heap.items[0].t ||
                          (top_t == R->heap.items[0].t && top_seq < R->heap.items[0].seq))) {
+            if (top_t > R->limit)
+                break;
             status = rec_generator(R, top_t);
             have_top = -1;
-        } else if (R->heap.size > 0) {
+        } else if (R->heap.size > 0 && R->heap.items[0].t <= R->limit) {
             Ev ev = ev_pop(&R->heap);
             int64_t f = ev.code;
             if (f < 0) {  /* hop ~f's link delivery: Router.receive, or Host.receive */
                 Row *row = &R->rows[R->hops[~f].row];
                 if (~f + 1 < row->end)
                     status = rec_arrive(R, ~f + 1, ev.t);
+                else if (row->packet != NULL)
+                    status = live_deliver(R, ~f, ev.t);
                 else
                     row->out = ev.t;
             } else if (f < INJECT) {
@@ -564,7 +873,10 @@ rec_run(Rec *R)
                 else if (P->cur == DOWN)
                     status = rec_serve(R, P, ev.t);
             }
+            R->now = ev.t;
             R->executed++;
+            if (R->reread)  /* a live callback ran: its heap may have a new top */
+                have_top = -1, R->reread = 0;
             if ((++steps & 0xFFFF) == 0 && status == 0)
                 status = PyErr_CheckSignals();
         } else {
@@ -624,14 +936,23 @@ rec_free(Rec *R)
     for (i = 0; R->ports != NULL && i < R->nports; i++) {
         Py_XDECREF(R->ports[i].randint);
         Py_XDECREF(R->ports[i].filters);
+        Py_XDECREF(R->ports[i].name);
+        Py_XDECREF(R->ports[i].drop);
+        Py_XDECREF(R->ports[i].deliver);
         free(R->ports[i].q);
         free(R->ports[i].heap.items);
         free(R->ports[i].flows);
+    }
+    for (i = 0; R->live != NULL && i < R->nrows; i++) {  /* a live run that raised */
+        Py_XDECREF(R->rows[i].packet);
+        Py_XDECREF(R->live[i].cursors);
     }
     Py_XDECREF(R->heappop);
     free(R->ports);
     free(R->hops);
     free(R->rows);
+    free(R->live);
+    free(R->free);
     free(R->tags);
     free(R->ingress);
     free(R->heap.items);
@@ -702,6 +1023,8 @@ kernel_run_flat_replay(PyObject *self, PyObject *args, PyObject *kwargs)
         return NULL;
     /* an overflowing budget is unreachably large: effectively none */
     R.budget = overflow > 0 ? INT64_MAX : overflow < 0 || R.budget < 0 ? 0 : R.budget;
+    R.push_last = R.budget < INT64_MAX;
+    R.limit = INFINITY;
     if ((n = R.nrows = PyObject_Length(ingress)) < 0 || (R.nports = PyObject_Length(prop)) < 0)
         return NULL;
     R.ingress = (double *)malloc((size_t)(n + 1) * sizeof(double));
@@ -728,7 +1051,7 @@ kernel_run_flat_replay(PyObject *self, PyObject *args, PyObject *kwargs)
                          r, r, (long long)offs[r], r + 1, (long long)offs[r + 1]);
             goto done;
         }
-        R.rows[r] = (Row){offs[r + 1], 0, 0, 0.0, NAN, 0.0, NAN, 0.0};
+        R.rows[r] = (Row){offs[r + 1], 0, NULL, 0.0, NAN, 0.0, NAN, 0.0};
     }
     R.nhops = (Py_ssize_t)offs[n];
     if ((R.hops = (Hop *)calloc((size_t)R.nhops + 1, sizeof(Hop))) == NULL) {
@@ -796,6 +1119,7 @@ kernel_run_flat_record(PyObject *self, PyObject *args)
         return NULL;
     Py_SETREF(R.heappop, PyObject_GetAttrString(R.heappop, "heappop"));
     R.budget = INT64_MAX;
+    R.limit = INFINITY;
     R.nports = PyList_GET_SIZE(ports);
     if (R.heappop == NULL)
         goto done;
@@ -833,6 +1157,268 @@ PyDoc_STRVAR(run_flat_record_doc,
 "delay, randint) per port.  A callback bound to emit_func calls emit(source, time).\n"
 "Returns ((arrival, start_service, departure, output_time), events executed),\n"
 "the hop timings as array('d') and output_time as a list.");
+
+/* ------------------------------------------------------------------ */
+/* run_flat_live                                                      */
+/* ------------------------------------------------------------------ */
+/* A row with hops [first, first + n) for a live packet: a free one of that
+ * hop count, else a new one.  The row index, or -1 with MemoryError. */
+static int64_t
+live_alloc(Rec *R, Py_ssize_t n)
+{
+    int64_t r;
+    Py_ssize_t i, had = R->free_cap;
+    if (n >= R->free_cap) {
+        if ((R->free = grow(R->free, &R->free_cap, n + 1, sizeof(int64_t))) == NULL)
+            return -1;
+        for (i = had; i < R->free_cap; i++)
+            R->free[i] = -1;
+    }
+    if ((r = R->free[n]) >= 0) {
+        R->free[n] = R->live[r].base;
+        return r;
+    }
+    if ((R->hops = grow(R->hops, &R->hops_cap, R->nhops + n, sizeof(Hop))) == NULL ||
+        (R->rows = grow(R->rows, &R->rows_cap, R->nrows + 1, sizeof(Row))) == NULL ||
+        (R->live = grow(R->live, &R->live_cap, R->nrows + 1, sizeof(Live))) == NULL)
+        return -1;
+    R->live[R->nrows].first = R->nhops;
+    R->rows[R->nrows].end = R->nhops += n;
+    R->rows[R->nrows].packet = NULL;
+    R->live[R->nrows].cursors = NULL;
+    return R->nrows++;
+}
+
+/* A float attribute of `obj` (None: NaN when `none_ok`).  0 or -1. */
+static int
+float_attr(PyObject *obj, PyObject *name, int none_ok, double *out)
+{
+    PyObject *value = PyObject_GetAttr(obj, name);
+    if (value == NULL)
+        return -1;
+    *out = value == Py_None && none_ok ? NAN : PyFloat_AsDouble(value);
+    Py_DECREF(value);
+    return *out == -1.0 && PyErr_Occurred() ? -1 : 0;
+}
+
+/* float(fn(*args)).  0 or -1. */
+static int
+float_call(PyObject *fn, PyObject *const *args, Py_ssize_t nargs, double *out)
+{
+    PyObject *value = PyObject_Vectorcall(fn, args, (size_t)nargs, NULL);
+    if (value == NULL)
+        return -1;
+    *out = PyFloat_AsDouble(value);
+    Py_DECREF(value);
+    return *out == -1.0 && PyErr_Occurred() ? -1 : 0;
+}
+
+/* inject(packet, route, cursors=None): OutputPort.enqueue of a host's port
+ * at sim.now, on the kernel.  route is (port ids, bandwidths, FQ tag slots
+ * or -1) per hop; cursors a source-routed packet's route_cursor per hop.
+ * The packet module reads what the schedulers read: size_bytes, flow_id,
+ * header.slack (None: no slack), header.accumulated_wait, flow_weight (FQ)
+ * and the flow-aware priority and SJF key through the run's prio_of and
+ * key_of; len(hops) marks Host.send's entry.  sim._sequence is read on
+ * entry and written back on exit. */
+static PyObject *
+kernel_live_inject(PyObject *capsule, PyObject *const *args, Py_ssize_t nargs)
+{
+    Rec *R = (Rec *)PyCapsule_GetContext(capsule);
+    PyObject *packet, *route, *ports, *bandwidths, *slots, *cursors = NULL, *value;
+    PyObject *header = NULL, *now = NULL, *call[3];
+    double size, slack, waited, prio = 0.0, key = 0.0, share, weight;
+    int64_t flow, first, r, f;
+    Py_ssize_t n, k, base;
+    if (R == NULL) {
+        if (!PyErr_Occurred())
+            PyErr_SetString(PyExc_RuntimeError, "inject: the live run is over");
+        return NULL;
+    }
+    if (nargs < 2 || nargs > 3)
+        return PyErr_Format(PyExc_TypeError, "inject takes 2 or 3 arguments, got %zd", nargs);
+    packet = args[0];
+    route = args[1];
+    if (nargs == 3 && args[2] != Py_None && !PyTuple_Check(cursors = args[2]))
+        return PyErr_Format(PyExc_TypeError, "inject: cursors must be a tuple");
+    if (!PyArg_ParseTuple(route, "O!O!O!:inject", &PyTuple_Type, &ports, &PyTuple_Type, &bandwidths,
+                          &PyTuple_Type, &slots))
+        return NULL;
+    n = PyTuple_GET_SIZE(ports);
+    if (n == 0 || PyTuple_GET_SIZE(bandwidths) != n || PyTuple_GET_SIZE(slots) != n ||
+        (cursors != NULL && PyTuple_GET_SIZE(cursors) != n))
+        return PyErr_Format(PyExc_ValueError, "inject: a route needs ports, with one bandwidth, "
+                            "tag slot (and cursor) each");
+    if ((value = PyObject_GetAttr(R->sim, s_sequence)) == NULL)
+        return NULL;
+    R->seq = PyLong_AsLongLong(value);
+    Py_DECREF(value);
+    if (PyErr_Occurred() || float_attr(packet, s_size, 0, &size) < 0 ||
+        (value = PyObject_GetAttr(packet, s_flow_id)) == NULL)
+        return NULL;
+    flow = PyLong_AsLongLong(value);
+    Py_DECREF(value);
+    if ((flow == -1 && PyErr_Occurred()) || (value = PyObject_GetAttr(packet, s_hops)) == NULL)
+        return NULL;
+    base = PyList_Check(value) ? PyList_GET_SIZE(value) : -1;
+    Py_DECREF(value);
+    if (base < 4)
+        return PyErr_Format(PyExc_TypeError, "inject: a sent packet's hops must be a list");
+    if ((header = PyObject_GetAttr(packet, s_header)) == NULL)
+        return NULL;
+    call[0] = packet;
+    call[1] = call[2] = now = PyFloat_FromDouble(R->now);
+    share = size;
+    if (now == NULL || float_attr(header, s_slack, 1, &slack) < 0 ||
+        float_attr(header, s_waited, 0, &waited) < 0 ||
+        (R->prio_of != Py_None && float_call(R->prio_of, call, 1, &prio) < 0) ||
+        (R->key_of != Py_None && float_call(R->key_of, call, 3, &key) < 0) ||
+        (R->fq && float_attr(packet, s_flow_weight, 0, &weight) < 0)) {
+        Py_XDECREF(now);
+        Py_DECREF(header);
+        return NULL;
+    }
+    Py_DECREF(now);
+    Py_DECREF(header);
+    if (R->fq)  /* FairQueueingScheduler.key: size / max(weight, 1e-12) */
+        share = size / (1e-12 > weight ? 1e-12 : weight);
+    if ((r = live_alloc(R, n)) < 0)
+        return NULL;
+    first = R->live[r].first;
+    for (k = 0; k < n; k++) {
+        Hop *h = &R->hops[first + k];
+        double bandwidth = PyFloat_AsDouble(PyTuple_GET_ITEM(bandwidths, k));
+        int64_t port = PyLong_AsLongLong(PyTuple_GET_ITEM(ports, k));
+        int64_t slot = PyLong_AsLongLong(PyTuple_GET_ITEM(slots, k));
+        if (PyErr_Occurred() || port < 0 || port >= R->nports) {
+            if (!PyErr_Occurred())
+                PyErr_Format(PyExc_ValueError, "inject: port %lld out of range", (long long)port);
+            goto fail;
+        }
+        if (slot >= R->ntags) {  /* a new (port, flow) tag: flow_tags.get(flow_id, 0.0) */
+            if ((R->tags = grow(R->tags, &R->tags_cap, slot + 1, sizeof(double))) == NULL)
+                goto fail;
+            while (R->ntags <= slot)
+                R->tags[R->ntags++] = 0.0;
+        }
+        *h = (Hop){port, r, slot, size * 8.0 / bandwidth, key, NAN, NAN, NAN};
+    }
+    R->rows[r] = (Row){first + n, flow, Py_NewRef(packet), share, NAN, prio, slack, waited};
+    R->live[r] = (Live){size, first, base, Py_XNewRef(cursors)};
+    if (rec_arrive(R, first, R->now) < 0 || (value = PyLong_FromLongLong(R->seq)) == NULL)
+        return NULL;
+    f = PyObject_SetAttr(R->sim, s_sequence, value);
+    Py_DECREF(value);
+    return f < 0 ? NULL : Py_NewRef(Py_None);
+fail:
+    R->live[r].cursors = NULL;
+    R->rows[r].packet = NULL;
+    Py_XDECREF(live_release(R, r));
+    return NULL;
+}
+
+static PyMethodDef live_inject_def = {
+    "inject", (PyCFunction)(void (*)(void))kernel_live_inject, METH_FASTCALL,
+    "inject(packet, route, cursors=None)\n--\n\nHand a sent packet to the live run's kernel.",
+};
+
+/* Every packet still in the network, written back in its partial OO state:
+ * queued, in service or on a wire after the last hop it reached.  0 or -1. */
+static int
+live_settle(Rec *R)
+{
+    Py_ssize_t r;
+    int64_t last;
+    for (r = 0; r < R->nrows; r++) {
+        if (R->rows[r].packet == NULL)
+            continue;
+        for (last = R->live[r].first; last + 1 < R->rows[r].end && !isnan(R->hops[last + 1].arr); last++)
+            ;
+        if (live_writeback(R, (int64_t)r, last) < 0)
+            return -1;
+        Py_DECREF(live_release(R, (int64_t)r));
+    }
+    return 0;
+}
+
+static PyObject *
+kernel_run_flat_live(PyObject *self, PyObject *args)
+{
+    PyObject *ports, *install, *value, *capsule = NULL, *inject = NULL, *result = NULL;
+    Py_ssize_t i;
+    Rec R;
+
+    memset(&R, 0, sizeof(R));
+    if (!PyArg_ParseTuple(args, "OO!O!OdOO:run_flat_live", &R.sim, &PyList_Type, &R.gens,
+                          &PyList_Type, &ports, &install, &R.limit, &R.prio_of, &R.key_of) ||
+        (R.heappop = PyImport_ImportModule("heapq")) == NULL)
+        return NULL;
+    Py_SETREF(R.heappop, PyObject_GetAttrString(R.heappop, "heappop"));
+    R.budget = INT64_MAX;
+    R.push_last = 1;
+    R.nports = PyList_GET_SIZE(ports);
+    if (R.heappop == NULL)
+        goto done;
+    if ((R.ports = (Port *)calloc((size_t)R.nports + 1, sizeof(Port))) == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    for (i = 0; i < R.nports; i++) {
+        /* (kind, propagation delay, randint or None, buffer bytes (inf: none), node name,
+         * OutputPort._drop, Host.receive or None) */
+        Port *P = &R.ports[i];
+        if (!PyArg_ParseTuple(PyList_GET_ITEM(ports, i), "idOdOOO", &P->kind, &P->prop,
+                              &P->randint, &P->buffer, &P->name, &P->drop, &P->deliver))
+            goto done;
+        Py_INCREF(P->randint);
+        Py_INCREF(P->name);
+        Py_INCREF(P->drop);
+        Py_INCREF(P->deliver);
+        P->cur = IDLE;
+        P->finite = P->buffer < INFINITY;
+        R.fq |= P->kind == K_FQ;
+        if (P->kind < K_RANDOM || P->kind > K_FQ ||
+            (P->kind == K_RANDOM && !PyCallable_Check(P->randint))) {
+            PyErr_Format(PyExc_ValueError, "port %zd: kind %d, or no randint", i, P->kind);
+            goto done;
+        }
+    }
+    if ((value = PyObject_GetAttr(R.sim, s_sequence)) == NULL)
+        goto done;
+    R.seq = PyLong_AsLongLong(value);
+    Py_DECREF(value);
+    if (PyErr_Occurred() || float_attr(R.sim, s_now, 0, &R.now) < 0 ||
+        (capsule = PyCapsule_New(&R, "repro.sim._kernel.live", NULL)) == NULL ||
+        PyCapsule_SetContext(capsule, &R) < 0 ||
+        (inject = PyCFunction_New(&live_inject_def, capsule)) == NULL ||
+        (value = PyObject_CallOneArg(install, inject)) == NULL)
+        goto done;
+    Py_DECREF(value);
+    if (rec_run(&R) == 0 && live_settle(&R) == 0 && (value = PyLong_FromLongLong(R.seq)) != NULL) {
+        if (PyObject_SetAttr(R.sim, s_sequence, value) == 0)
+            result = Py_BuildValue("Ld", (long long)R.executed, R.now);
+        Py_DECREF(value);
+    }
+done:
+    if (capsule != NULL)
+        PyCapsule_SetContext(capsule, NULL);  /* a kept inject now raises */
+    Py_XDECREF(inject);
+    Py_XDECREF(capsule);
+    rec_free(&R);
+    return result;
+}
+
+PyDoc_STRVAR(run_flat_live_doc,
+"run_flat_live(sim, heap, ports, install, until, prio_of, key_of)\n"
+"--\n\n"
+"Run a built closed-loop simulation (heap: sim._heap) until the next event is\n"
+"past `until` (inf: until both heaps drain); ports: (kind, propagation delay,\n"
+"randint, buffer bytes, node name, OutputPort._drop, Host.receive or None) per\n"
+"port.  install(inject) is called first, to hand each host port's packets to\n"
+"inject(packet, route, cursors=None); prio_of(packet) is the flow-aware priority\n"
+"and key_of(packet, now, now) SJF's key, or None.  Packets delivered, dropped or\n"
+"still in the network are written back as the OO engine leaves them.  Returns\n"
+"(events executed, the last event's time); sim._sequence is left as Python's.");
 
 /* ------------------------------------------------------------------ */
 /* decode_rows: repro-schedule/1 row lines straight into columns.     */
@@ -1867,6 +2453,7 @@ static PyMethodDef kernel_methods[] = {
     {"run_flat_replay", (PyCFunction)(void (*)(void))kernel_run_flat_replay,
      METH_VARARGS | METH_KEYWORDS, run_flat_replay_doc},
     {"run_flat_record", kernel_run_flat_record, METH_VARARGS, run_flat_record_doc},
+    {"run_flat_live", kernel_run_flat_live, METH_VARARGS, run_flat_live_doc},
     {"decode_rows", kernel_decode_rows, METH_VARARGS, decode_rows_doc},
     {"encode_rows", kernel_encode_rows, METH_VARARGS, encode_rows_doc},
     {NULL, NULL, 0, NULL},
@@ -1901,13 +2488,26 @@ static struct PyModuleDef kernel_module = {
 PyMODINIT_FUNC
 PyInit__kernel(void)
 {
-    PyObject *module = PyModule_Create(&kernel_module);
-    if (module == NULL)
+    PyObject *module;
+    struct {
+        PyObject **slot;
+        const char *name;
+    } names[] = {
+        {&s_now, "now"}, {&s_sequence, "_sequence"}, {&s_cancelled, "cancelled"},
+        {&s_hops, "hops"}, {&s_header, "header"}, {&s_slack, "slack"},
+        {&s_waited, "accumulated_wait"}, {&s_size, "size_bytes"}, {&s_flow_id, "flow_id"},
+        {&s_flow_weight, "flow_weight"}, {&s_cursor, "route_cursor"},
+    };
+    size_t i;
+    for (i = 0; i < sizeof(names) / sizeof(names[0]); i++)
+        if (*names[i].slot == NULL && (*names[i].slot = PyUnicode_InternFromString(names[i].name)) == NULL)
+            return NULL;
+    if ((module = PyModule_Create(&kernel_module)) == NULL)
         return NULL;
     if (PyModule_AddStringConstant(module, "COMPILER", KERNEL_COMPILER) < 0 ||
         PyModule_AddStringConstant(module, "TOOLCHAIN",
                                    "cpython-c-api") < 0 ||
-        PyModule_AddIntConstant(module, "KERNEL_VERSION", 8) < 0) {
+        PyModule_AddIntConstant(module, "KERNEL_VERSION", 9) < 0) {
         Py_DECREF(module);
         return NULL;
     }

@@ -20,6 +20,8 @@ numbered contract is ``docs/backends.md#recording``.  Anything declined —
 no compiled kernel included — records on the OO engine, the reference: pin
 it with ``REPRO_BACKEND=python``.  Flow-level bookkeeping
 (``Flow.bytes_sent``, ...) is not kept: the simulation is spent afterwards.
+Closed-loop runs (``Simulation.run``) go to :mod:`repro.sim.flat_live`, the
+same port model with Packet objects and Python hosts.
 """
 
 from __future__ import annotations
@@ -69,21 +71,21 @@ _POLICIES = (ConstantSlackPolicy, FlowSizeSlackPolicy)
 
 
 @contextmanager
-def log_lines() -> Iterator[List[str]]:
-    """The recorder's log lines while the block runs: one per ``record_schedule``
-    call, saying which loop took it (``recorded ... on the flat loop``) or why
-    not (``declined (<reason>); recording on the OO engine``)."""
+def log_lines(log: logging.Logger = logger) -> Iterator[List[str]]:
+    """The recorder's log lines while the block runs (or ``log``'s): one per
+    ``record_schedule`` call, saying which loop took it (``recorded ... on the
+    flat loop``) or why not (``declined (<reason>); recording on the OO engine``)."""
     lines: List[str] = []
     handler = logging.Handler()
     handler.emit = lambda record: lines.append(record.getMessage())  # type: ignore[method-assign]
-    level = logger.level
-    logger.addHandler(handler)
-    logger.setLevel(logging.DEBUG)
+    level = log.level
+    log.addHandler(handler)
+    log.setLevel(logging.DEBUG)
     try:
         yield lines
     finally:
-        logger.setLevel(level)
-        logger.removeHandler(handler)
+        log.setLevel(level)
+        log.removeHandler(handler)
 
 
 def decline_reason(simulation: "Simulation", max_events: Optional[int] = None) -> Optional[str]:

@@ -3,7 +3,10 @@
 :class:`Simulation` wires together the pieces a typical experiment needs —
 engine, topology, schedulers, tracer, traffic — behind a small API so that
 examples and experiment scripts read like the paper's experiment
-descriptions rather than like plumbing.
+descriptions rather than like plumbing.  :meth:`Simulation.run` runs on the
+compiled kernel's flat live loop (:mod:`repro.sim.flat_live`: routers in C,
+hosts and transports in Python) unless that declines, and on the OO engine
+otherwise; the two leave the same packets, flows and clock.
 """
 
 from __future__ import annotations
@@ -139,11 +142,16 @@ class Simulation:
             SimulationError: if this simulation already ran (a second run
                 would return a partial result).
         """
+        from repro.sim import flat_live  # imported at the first run, off the import path
+
         if self._spent:
             raise SimulationError("a Simulation runs once; build a new one to run again")
         self._spent = True
         with paused_gc():
-            self.sim.run(until=until, max_events=max_events)
+            if flat_live.decline_reason(self, max_events) is None:
+                flat_live.run(self, until)
+            else:
+                self.sim.run(until=until, max_events=max_events)
         flows: List[Flow] = []
         for generator in self.generators:
             flows.extend(getattr(generator, "flows", []))

@@ -41,9 +41,9 @@ class TestScalePresets:
         assert len(fattree.host_names()) == scale.fattree_k ** 3 // 4
 
     def test_fairness_scale_caps_bandwidth_reduction(self):
-        capped = fairness_scale(ExperimentScale(bandwidth_scale=1000.0), max_bandwidth_scale=50.0)
+        capped = fairness_scale(ExperimentScale(bandwidth_scale=1000.0))
         assert capped.bandwidth_scale == 50.0
-        untouched = fairness_scale(ExperimentScale(bandwidth_scale=10.0), max_bandwidth_scale=50.0)
+        untouched = fairness_scale(ExperimentScale(bandwidth_scale=10.0))
         assert untouched.bandwidth_scale == 10.0
 
 

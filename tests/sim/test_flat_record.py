@@ -448,3 +448,18 @@ def test_generator_events_tied_with_hop_events_keep_the_oo_order(original, seed,
     ties = sum(ingress in finishes for ingress in reference.ingress_time)
     assert ties > 100
     assert_flat_equals_reference(record, tmp_path)
+
+
+def test_a_cancelled_generator_event_is_discarded_uncounted(tmp_path):
+    """A cancelled entry on the simulator's heap surfaces mid-run: ``Simulator.run``
+    pops it uncounted, and so must the flat loop (running it would start a flow)."""
+
+    def record():
+        simulation = ticking_simulation("fifo", 2)
+        sim, network = simulation.sim, simulation.network
+        doomed = Flow("src0", "dst0", size_bytes=4 * 1460, start_time=TICK * 40)
+        sim.cancel(sim.schedule(TICK * 40, start_udp_flow, sim, network, doomed))
+        return record_built(simulation)
+
+    flat = assert_flat_equals_reference(record, tmp_path)
+    assert flat.columns.ingress_time[-1] > TICK * 40  # the run went past it

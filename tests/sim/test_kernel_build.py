@@ -21,6 +21,7 @@ import pytest
 import repro.sim.compiled as compiled_mod
 from repro.__main__ import main
 from repro.sim.backend import BACKEND_ENV_VAR, select_engine
+from repro.sim.simulation import Simulation
 from repro.topology.base import Topology
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -349,6 +350,21 @@ class TestLaziness:
         assert main(argv) == 0
         assert probed == [] and not (kernel_sandbox / "__pycache__").exists()
 
-    def test_a_serial_run_that_never_replays_never_probes(self, kernel_sandbox, probed, capsys):
+    def test_a_live_run_probes_once_at_its_first_simulation(self, kernel_sandbox, probed, capsys, monkeypatch):
+        """A live figure runs its simulations on the kernel: expanding the
+        cells probes nothing, the first ``Simulation.run`` probes, and no
+        later one probes again."""
+        real, probes_at_runs = Simulation.run, []
+
+        def run(simulation, *args, **kwargs):
+            probes_at_runs.append(len(probed))
+            return real(simulation, *args, **kwargs)
+
+        monkeypatch.setattr(Simulation, "run", run)
         assert main(["run", "figure2", "--scale", "smoke", "--no-cache"]) == 0
-        assert probed == []
+        assert probes_at_runs == [0, 1, 1, 1] and len(probed) == 1
+
+    def test_a_pinned_live_run_never_probes(self, kernel_sandbox, probed, capsys, monkeypatch):
+        monkeypatch.setenv(BACKEND_ENV_VAR, "python")
+        assert main(["run", "figure2", "--scale", "smoke", "--no-cache"]) == 0
+        assert probed == [] and not (kernel_sandbox / "__pycache__").exists()

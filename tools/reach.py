@@ -67,9 +67,11 @@ ALLOWED = {
         experiments.config:ExperimentResult.add_row pipeline.scenario:_default_sweep_name
         pipeline.cache:ScheduleCache.__len__,ScheduleCache.stats
         pipeline.cache:ScheduleCache.disk_entries utils.registry:Registry.__contains__,Registry.__len__
-        schedulers.base:PriorityScheduler.peek,PriorityScheduler.queued_packets,PriorityScheduler.__len__
-        schedulers.fifo:FifoScheduler.__len__ schedulers.lifo:LifoScheduler.__len__
-        schedulers.random_sched:RandomScheduler.__len__ schedulers.srpt:FlowAwarePriorityScheduler.__len__""",
+        schedulers.base:PriorityScheduler.peek,PriorityScheduler.queued_packets
+        schedulers.lifo:LifoScheduler.__len__ schedulers.random_sched:RandomScheduler.__len__
+        sim.flat_live:log_lines""",
+    "a live packet with an explicit source route: only replays set routes, and replays never run live": """
+        sim.flat_live:_source_route""",
     "repr() in debugging sessions and pytest's failure messages": """
         core.schedule:Schedule.__repr__ pipeline.cache:ScheduleCache.__repr__ sim.flow:Flow.__repr__
         sim.network:Network.__repr__ sim.node:Node.__repr__ sim.packet:Packet.__repr__
