@@ -30,9 +30,8 @@ congestion point of the proofs.  All other links are effectively instant
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
-
-import networkx as nx
+from graphlib import CycleError, TopologicalSorter
+from typing import Dict, List, Sequence, Set, Tuple
 
 from repro.core.schedule import NO_TIME, Schedule
 from repro.topology.base import Topology
@@ -345,7 +344,7 @@ def appendix_g_example() -> TheoryExample:
 # ---------------------------------------------------------------------- #
 # Structural analyses
 # ---------------------------------------------------------------------- #
-def priority_order_constraints(schedule: Schedule, epsilon: float = 1e-12) -> nx.DiGraph:
+def priority_order_constraints(schedule: Schedule, epsilon: float = 1e-12) -> Dict[int, Set[int]]:
     """Required precedence constraints a static priority assignment must satisfy.
 
     For every node with recorded hop timings, if packet ``p`` was scheduled
@@ -353,14 +352,14 @@ def priority_order_constraints(schedule: Schedule, epsilon: float = 1e-12) -> nx
     no later than p's service time), then any replay restricted to static
     priorities must give ``p`` a higher priority: edge ``p -> q``.
 
-    Returns a directed graph over packet ids; a cycle in this graph proves
-    that no static priority assignment can reproduce the schedule.
+    Returns a directed graph over packet ids, each mapped to the set of its
+    successors; a cycle in this graph proves that no static priority
+    assignment can reproduce the schedule.
     """
     cols = schedule.columns()
     off = cols.hop_offset
     owners = [pid for pid, first, last in zip(cols.packet_id, off, off[1:]) for _ in range(first, last)]
-    graph = nx.DiGraph()
-    graph.add_nodes_from(cols.packet_id)
+    graph: Dict[int, Set[int]] = {pid: set() for pid in cols.packet_id}
     per_node: Dict[str, List[Tuple[float, float, int]]] = {}
     for node, arrival, start, pid in zip(cols.hop_node, cols.hop_arrival, cols.hop_start_service, owners):
         if start != NO_TIME:
@@ -371,14 +370,17 @@ def priority_order_constraints(schedule: Schedule, epsilon: float = 1e-12) -> nx
                 if pid == qid:
                     continue
                 if service_p < service_q - epsilon and arrival_q <= service_p + epsilon:
-                    graph.add_edge(pid, qid)
+                    graph[pid].add(qid)
     return graph
 
 
 def has_priority_cycle(schedule: Schedule) -> bool:
     """Whether the schedule's precedence constraints contain a cycle."""
-    graph = priority_order_constraints(schedule)
-    return not nx.is_directed_acyclic_graph(graph)
+    try:
+        TopologicalSorter(priority_order_constraints(schedule)).prepare()
+    except CycleError:
+        return True
+    return False
 
 
 def blackbox_attributes(row: dict) -> Tuple[float, float, Tuple[str, ...]]:

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
-import networkx as nx
-
 from repro.sim.link import Link
 from repro.sim.node import Host, Node, Router
 from repro.sim.packet import Packet
@@ -54,7 +52,8 @@ class Network:
         self.tracer = tracer if tracer is not None else Tracer()
         self.default_buffer_bytes = default_buffer_bytes
 
-        self.graph = nx.Graph()
+        #: Each node's neighbours in insertion order (what routing reads).
+        self.adjacency: Dict[str, List[str]] = {}
         self.nodes: Dict[str, Node] = {}
         self.links: Dict[Tuple[str, str], Link] = {}
         self._routing: Optional[RoutingTable] = None
@@ -75,7 +74,7 @@ class Network:
         self._check_new_name(name)
         host = Host(self.sim, name, self)
         self.nodes[name] = host
-        self.graph.add_node(name, kind="host")
+        self.adjacency[name] = []
         self._invalidate_routing()
         return host
 
@@ -84,7 +83,7 @@ class Network:
         self._check_new_name(name)
         router = Router(self.sim, name, self)
         self.nodes[name] = router
-        self.graph.add_node(name, kind="router")
+        self.adjacency[name] = []
         self._invalidate_routing()
         return router
 
@@ -124,7 +123,8 @@ class Network:
             sender.add_port(link.dst, port)
             self.links[(link.src, link.dst)] = link
 
-        self.graph.add_edge(a, b, delay=propagation_delay, bandwidth=bandwidth_bps)
+        self.adjacency[a].append(b)
+        self.adjacency[b].append(a)
         self._invalidate_routing()
         return forward, backward
 
@@ -153,7 +153,7 @@ class Network:
     def routing(self) -> RoutingTable:
         """The (lazily built) routing table for the current topology."""
         if self._routing is None:
-            self._routing = RoutingTable(self.graph)
+            self._routing = RoutingTable(self.adjacency)
         return self._routing
 
     def _invalidate_routing(self) -> None:

@@ -8,7 +8,7 @@ recording (source-routed, so it never touches the tables) must visit the
 same nodes.
 """
 
-import networkx as nx
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -82,14 +82,30 @@ def test_table_routed_path_equals_the_routing_tables_path(case):
         # Hop by hop, the table handed out what the routing table names ...
         for node, following in zip(walked, walked[1:]):
             assert following == network.routing.next_hop(node, packet.dst)
-        # ... so the walk is a shortest path, and *the* path when it is unique.
+        # ... so the walk is a shortest path (and *the* path when it is
+        # unique: test_a_unique_shortest_path_is_the_one_walked).
         oracle = network.path(packet.src, packet.dst)
         assert len(walked) == len(oracle)
-        if len(list(nx.all_shortest_paths(network.graph, packet.src, packet.dst))) == 1:
-            assert walked == oracle
 
     recording = Schedule.from_packets(tracer.delivered_data_packets())
     replay = replay_schedule(topo, recording, mode="lstf", backend="python")
     assert replay.columns().packet_id == recording.columns().packet_id
     for packet_id in recording.columns().packet_id:
         assert replay.row(packet_id)["path"] == recording.row(packet_id)["path"]
+
+
+@given(topologies_with_traffic())
+@settings(max_examples=40, deadline=None)
+def test_a_unique_shortest_path_is_the_one_walked(case):
+    """Where networkx finds one shortest path, next hops walk exactly it."""
+    nx = pytest.importorskip("networkx")
+    topo, sends = case
+    network = topo.build(Simulator(), uniform_factory("fifo"))
+    graph = nx.Graph([(link.a, link.b) for link in topo.links])
+    for src, dst in sends:
+        walked = [src]
+        while walked[-1] != dst:
+            walked.append(network.routing.next_hop(walked[-1], dst))
+        shortest = list(nx.all_shortest_paths(graph, src, dst))
+        if len(shortest) == 1:
+            assert walked == shortest[0]

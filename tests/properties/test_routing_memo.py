@@ -1,24 +1,29 @@
 """Property: the process-wide route memo answers what networkx answers.
 
 Routes are memoized per graph *shape* — nodes and neighbours in insertion
-order, all an unweighted ``nx.shortest_path`` reads — and shared by every
-routing table of that shape.  On small connected graphs with equal-cost
-alternatives (where the insertion order picks the path), every memoized
-answer must be a fresh ``nx.shortest_path`` of the table's own graph, the
-memo must stay within its bound, and a network whose topology changes must
-route over the new graph.
+order, all the routing search reads — and shared by every routing table of
+that shape.  networkx's unweighted ``nx.shortest_path`` (its bidirectional
+BFS) is the oracle; it is a test dependency only.  On small connected graphs
+with equal-cost alternatives (where the insertion order picks the path), and
+on every ordered pair of the quick-scale Internet2, fat-tree and RocketFuel
+topologies, every memoized answer must be a fresh ``nx.shortest_path`` of a
+graph with the table's own adjacency, the memo must stay within its bound,
+and a network whose topology changes must route over the new graph.
 """
 
-import networkx as nx
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.experiments.config import ExperimentScale
 from repro.schedulers.factory import uniform_factory
 from repro.sim import routing as routing_module
 from repro.sim.engine import Simulator
 from repro.sim.network import Network
 from repro.sim.routing import RoutingTable
 from repro.utils import mbps
+
+nx = pytest.importorskip("networkx")
 
 
 @st.composite
@@ -40,13 +45,42 @@ def forget_routes() -> None:
     routing_module._memo.clear()
 
 
-def graph_of(edges) -> nx.Graph:
+def graph_of(edges) -> dict:
+    """The adjacency a network gets from adding ``edges`` in order."""
+    adjacency = {}
+    for a, b in edges:
+        adjacency.setdefault(a, []).append(b)
+        adjacency.setdefault(b, []).append(a)
+    return adjacency
+
+
+def oracle_of(adjacency: dict):
+    """An ``nx.Graph`` whose neighbour lists equal ``adjacency``'s, order included.
+
+    Adds, while any remains, an edge that heads the unadded part of both its
+    ends' lists: the order networkx needs to rebuild each list as it stands.
+    """
     graph = nx.Graph()
-    graph.add_edges_from(edges)
+    graph.add_nodes_from(adjacency)
+    added = dict.fromkeys(adjacency, 0)
+    progress = True
+    while progress:
+        progress = False
+        for a, neighbours in adjacency.items():
+            while added[a] < len(neighbours):
+                b = neighbours[added[a]]
+                if adjacency[b][added[b]] != a:
+                    break
+                graph.add_edge(a, b)
+                added[a] += 1
+                added[b] += 1
+                progress = True
+    assert {node: list(graph.adj[node]) for node in graph} == adjacency
     return graph
 
 
-def assert_routes_are_networkx(table: RoutingTable, graph: nx.Graph) -> None:
+def assert_routes_are_networkx(table: RoutingTable, adjacency: dict) -> None:
+    graph = oracle_of(adjacency)
     for src in graph:
         for dst in graph:
             expected = nx.shortest_path(graph, src, dst)
@@ -88,7 +122,7 @@ def test_the_memo_keeps_at_most_its_bound_of_shapes(graphs):
     built = []
     for index, edges in enumerate(graphs):
         graph = graph_of(edges)
-        graph.add_node(f"tag{index}")  # every drawn graph a distinct shape
+        graph[f"tag{index}"] = []  # every drawn graph a distinct shape
         RoutingTable(graph).path(*edges[0])
         built.append(routing_module._shape(graph))
     bound = routing_module.MEMO_SHAPES
@@ -104,14 +138,22 @@ def test_a_changed_network_routes_over_its_new_graph(edges, data):
         network.add_router(node)
     for a, b in edges:
         network.add_link(a, b, mbps(10))
-    assert_routes_are_networkx(network.routing, network.graph)
+    assert_routes_are_networkx(network.routing, network.adjacency)
     missing = [
-        (a, b) for a in network.graph for b in network.graph
-        if a < b and not network.graph.has_edge(a, b)
+        (a, b) for a in network.adjacency for b in network.adjacency
+        if a < b and b not in network.adjacency[a]
     ]
     if missing:
         network.add_link(*data.draw(st.sampled_from(missing)), mbps(10))
     else:
         network.add_router("late")
         network.add_link("late", edges[0][0], mbps(10))
-    assert_routes_are_networkx(network.routing, network.graph)
+    assert_routes_are_networkx(network.routing, network.adjacency)
+
+
+@pytest.mark.parametrize("name", ["internet2", "fattree", "rocketfuel"])
+def test_every_pair_of_a_shipped_topology_routes_as_networkx_does(name):
+    forget_routes()
+    topology = getattr(ExperimentScale.quick(), name)()
+    network = topology.build(Simulator(), uniform_factory("fifo"))
+    assert_routes_are_networkx(network.routing, network.adjacency)

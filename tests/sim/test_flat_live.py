@@ -8,6 +8,7 @@ field of every flow.  The flat loop either reproduces the OO run or declines.
 """
 
 import dataclasses
+import math
 import os
 from contextlib import contextmanager
 from unittest import mock
@@ -21,6 +22,8 @@ from repro.experiments.config import ExperimentScale
 from repro.pipeline.cache import ScheduleCache
 from repro.pipeline.experiment import default_registry
 from repro.schedulers.factory import uniform_factory
+from repro.schedulers.fifo import FifoScheduler
+from repro.schedulers.fq import FairQueueingScheduler
 from repro.schedulers.lstf import LstfScheduler
 from repro.sim import compiled, flat_live
 from repro.sim.backend import BACKEND_ENV_VAR
@@ -254,6 +257,52 @@ def test_lstf_victims_tied_on_remaining_slack(monkeypatch):
     reference = assert_flat_equals_reference(tie_simulation, None)
     assert max(ties) > 2 and len(ties) > 10
     assert len(reference.dropped) > len(ties)  # and arrivals tied with the queue were dropped
+
+
+class SourceWeight(SlackPolicy):
+    """A fair-queueing weight per source host, stamped as packets are sent."""
+
+    def __init__(self, weights):
+        self.weights = weights
+
+    def on_packet_sent(self, packet, now):
+        packet.flow_weight = self.weights[packet.src]
+
+
+def incomparable_simulation() -> Simulation:
+    """Three hosts each send 12 packets at once into an 8-packet FQ buffer
+    at ``r``; host ``a``'s weight is NaN, so its finish tags compare false
+    with every key, their own included.
+
+    On keys that order totally, heapq's pop (the hole to a leaf, then the
+    last item up) and the classic sift (the last item down from the root)
+    leave the same array, so only incomparable keys tell them apart: here
+    they reorder ``a``'s packets, and the order is heapq's only if the
+    kernel pops a finite buffer's heap exactly as heapq does.  The hosts'
+    own ports are FIFO, so every incomparable key meets a finite heap.
+    """
+    topology = Topology("incomparable")
+    topology.add_router("r")
+    for host in ("a", "b", "c", "z"):
+        topology.add_host(host)
+    for host in ("a", "b", "c"):
+        topology.add_link(host, "r", MSS * 8 / ACCESS_TICK)
+    topology.add_link("r", "z", MSS * 8 / (4 * ACCESS_TICK), buffer_bytes=8.0 * MSS)
+
+    def factory(node, link):
+        return FairQueueingScheduler() if node == "r" else FifoScheduler()
+
+    weights = SourceWeight({"a": math.nan, "b": 1.0, "c": 2.0, "z": 1.0})
+    simulation = Simulation(topology, factory, slack_policy=weights)
+    simulation.add_flows([Flow(host, "z", 12 * MSS, 0.0) for host in "abc"], transport="udp")
+    return simulation
+
+
+def test_a_finite_heap_pops_in_heapqs_order_on_incomparable_keys():
+    reference = assert_flat_equals_reference(incomparable_simulation, None)
+    served = [state[0] for state in reference.delivered if state[2] == "a"]
+    assert served != sorted(served)  # the NaN tags did reorder a's packets
+    assert len(reference.dropped) > 10
 
 
 # ---------------------------------------------------------------------- #

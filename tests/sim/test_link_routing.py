@@ -1,6 +1,5 @@
 """Tests for links, routing tables, and tmin computation."""
 
-import networkx as nx
 import pytest
 
 from repro.schedulers.factory import uniform_factory
@@ -31,9 +30,8 @@ class TestLink:
 
 class TestRoutingTable:
     def _graph(self):
-        graph = nx.Graph()
-        graph.add_edges_from([("a", "b"), ("b", "c"), ("c", "d"), ("a", "d")])
-        return graph
+        # The ring a - b - c - d - a, edges added in that order.
+        return {"a": ["b", "d"], "b": ["a", "c"], "c": ["b", "d"], "d": ["c", "a"]}
 
     def test_shortest_path_and_next_hop(self):
         table = RoutingTable(self._graph())
@@ -48,14 +46,42 @@ class TestRoutingTable:
 
     def test_missing_route_raises(self):
         graph = self._graph()
-        graph.add_node("isolated")
+        graph["isolated"] = []
         table = RoutingTable(graph)
         with pytest.raises(RoutingError):
             table.path("a", "isolated")
+        with pytest.raises(RoutingError):
+            table.path("a", "unknown")
 
     def test_paths_are_cached_and_deterministic(self):
         table = RoutingTable(self._graph())
         assert table.path("a", "c") is table.path("a", "c")
+
+    def test_ties_go_to_the_bidirectional_search(self):
+        """Two four-hop routes between two aggregation switches of a k=4
+        fat-tree, cut down to one 8-ring with one host hanging off it.
+
+        Breadth-first from the source alone would take the first neighbour,
+        ``core-0-1``, and the route the other way round the ring.  The
+        bidirectional search grows the forward fringe, then (smaller) the
+        backward one, then (a tie) the forward one again.  The pendant host
+        makes the forward fringe three nodes against two, so the backward
+        search takes the next round and meets the forward one at
+        ``agg-0-1``.
+        """
+        adjacency = {
+            "core-0-1": ["agg-0-0", "agg-1-0"],
+            "core-1-1": ["agg-0-1", "agg-1-1"],
+            "agg-0-0": ["core-0-1", "edge-0-1"],
+            "agg-0-1": ["core-1-1", "edge-0-1"],
+            "edge-0-1": ["agg-0-0", "agg-0-1", "host-0-1-1"],
+            "host-0-1-1": ["edge-0-1"],
+            "agg-1-0": ["core-0-1", "edge-1-1"],
+            "agg-1-1": ["core-1-1", "edge-1-1"],
+            "edge-1-1": ["agg-1-0", "agg-1-1"],
+        }
+        route = RoutingTable(adjacency).path("agg-0-0", "agg-1-1")
+        assert route == ["agg-0-0", "edge-0-1", "agg-0-1", "core-1-1", "agg-1-1"]
 
 
 class TestNetworkTmin:

@@ -1,10 +1,10 @@
 """Tests for topology specifications and generators."""
 
-import networkx as nx
 import pytest
 
 from repro.schedulers.factory import uniform_factory
 from repro.sim.engine import Simulator
+from repro.sim.routing import RoutingError, RoutingTable
 from repro.topology import dumbbell_topology
 from repro.topology.base import Topology, linear_topology, single_switch_topology
 from repro.topology.fattree import fattree_topology
@@ -15,10 +15,16 @@ from repro.utils.units import gbps
 
 
 def connected(topology: Topology) -> bool:
-    graph = nx.Graph()
-    graph.add_nodes_from(node.name for node in topology.nodes)
-    graph.add_edges_from((link.a, link.b) for link in topology.links)
-    return nx.is_connected(graph)
+    """Whether the routing table finds a route from one node to every other
+    (and so between every pair of hosts)."""
+    table = RoutingTable(topology.build(Simulator(), uniform_factory("fifo")).adjacency)
+    first, *others = (node.name for node in topology.nodes)
+    try:
+        for other in others:
+            table.path(first, other)
+    except RoutingError:
+        return False
+    return True
 
 
 class TestTopologySpec:
@@ -58,6 +64,12 @@ class TestTopologySpec:
 
 
 class TestSyntheticTopologies:
+    def test_connected_sees_an_unreachable_node(self):
+        topo = linear_topology(2, mbps(10))
+        assert connected(topo)
+        topo.add_router("island")
+        assert not connected(topo)
+
     def test_linear_requires_router(self):
         with pytest.raises(ValueError):
             linear_topology(0, mbps(1))
